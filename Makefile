@@ -16,7 +16,7 @@ BENCH_BASELINE ?= BENCH_5.json
 CLUSTER_BASELINE ?= BENCH_9.json
 CLUSTER_CURRENT ?= BENCH_10.json
 
-.PHONY: build test vet race bench bench-quick bench-json bench-radar serve-smoke bench-serve bench-memsched bench-incremental incremental-smoke bench-cluster cluster-smoke oracle check
+.PHONY: build test vet vet-benchmark loc race bench bench-quick bench-json bench-radar serve-smoke bench-serve bench-memsched bench-incremental incremental-smoke bench-cluster cluster-smoke oracle check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,22 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# vet-benchmark compiles and vets the benchmark module (benchmark/ is
+# its own module, built against this one, and outside the tier-1 run):
+# a refactor that breaks a name it uses fails here, not in a later
+# benchmark run.
+vet-benchmark:
+	$(GO) -C benchmark vet ./...
+
+# loc prints the two size numbers ROADMAP.md tracks: non-test,
+# non-blank, non-comment Go lines under cmd/ and internal/, and flag
+# definitions under cmd/.
+loc:
+	@printf 'non-test Go lines (cmd, internal): '; \
+		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
+	@printf 'flag definitions (cmd): '; \
+		grep -rhoE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
 
 race:
 	$(GO) test -race ./...
@@ -135,9 +151,9 @@ incremental-smoke:
 # bench-cluster regenerates the committed BENCH_10.json snapshot: the
 # multi-process cluster scale-out experiment (SF/DC/MOFF and the
 # 10x-scale stress scene at 1/2/4 worker processes, content-addressed
-# wire-v2 volume accounting with the v1 counterfactual and the
-# worker-side continuation share, against the simulated svm/msgpass
-# projections) plus the worker-kill recovery run with re-entry
+# wire volume accounting and the worker-side continuation share,
+# against the simulated svm/msgpass projections) plus the worker-kill
+# recovery run with re-entry
 # enabled, at the subset scale the snapshot was calibrated at. The
 # report is invariant-checked before it is written — including the
 # shipped-bytes budget (wire bytes per modeled seed byte must hold a
@@ -151,17 +167,13 @@ bench-cluster:
 # interpretation over two worker processes, then the same scene
 # re-interpreted single-process in-process, failing unless the outputs
 # are byte-identical and the run shipped its whole task queue over the
-# wire. It runs twice: once on the default content-addressed wire v2,
-# once pinned to -cluster-wire-v1, so the version-negotiation path and
-# the inline-seed compatibility wire keep their own byte-identity
-# coverage.
+# wire.
 cluster-smoke:
 	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
 		-cluster-workers 2 -cluster-check
-	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
-		-cluster-workers 2 -cluster-check -cluster-wire-v1
 
 # check is the full verification gate: the tier-1 build and tests,
-# static analysis, the differential oracles, and the race detector
-# over every package.
-check: build test vet oracle race
+# static analysis (of this module and the benchmark module built
+# against it), the size numbers, the differential oracles, and the
+# race detector over every package.
+check: build test vet vet-benchmark loc oracle race

@@ -100,7 +100,6 @@ func realMain() int {
 	clusterWorkers := flag.Int("cluster-workers", 0, "run phases across N worker processes instead of an in-process pool (0 disables)")
 	clusterAddr := flag.String("cluster-addr", "", "TCP listen address for the cluster coordinator (default: a private unix socket)")
 	clusterCheck := flag.Bool("cluster-check", false, "with -cluster-workers, also interpret single-process and verify identical outputs")
-	clusterWireV1 := flag.Bool("cluster-wire-v1", false, "speak wire protocol v1 to the workers (no chunk shipping, no worker-side continuations)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
@@ -194,9 +193,6 @@ func realMain() int {
 		if *clusterAddr != "" {
 			ccfg.Network, ccfg.Addr = "tcp", *clusterAddr
 		}
-		if *clusterWireV1 {
-			ccfg.WireVersion = 1
-		}
 		co, err := cluster.Start(ccfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spamrun:", err)
@@ -213,13 +209,10 @@ func realMain() int {
 			fmt.Printf("cluster: %d procs × %d local workers (wire v%d), %d tasks shipped (%s on the wire, %s of it results), %d steals, %d requeued, %d worker deaths\n",
 				st.Workers, *workers, st.WireVersion, st.TasksShipped, stats.FormatBytes(float64(st.ShippedBytes)),
 				stats.FormatBytes(float64(st.ResultBytes)), st.Steals, st.Requeued, st.WorkerDeaths)
-			if st.WireVersion >= 2 {
-				fmt.Printf("cluster wire locality: %d chunks shipped (%s), %d resident hits (%s saved), %d evictions, %d/%d continuations worker-side, v1 task frames would have been %s\n",
-					st.ChunksShipped, stats.FormatBytes(float64(st.ChunkBytes)),
-					st.ChunkHits, stats.FormatBytes(float64(st.ChunkSavedBytes)),
-					st.Evictions, st.Continuations, st.ContinuationTasks,
-					stats.FormatBytes(float64(st.V1TaskBytes)))
-			}
+			fmt.Printf("cluster wire locality: %d chunks shipped (%s), %d resident hits (%s saved), %d evictions, %d/%d continuations worker-side\n",
+				st.ChunksShipped, stats.FormatBytes(float64(st.ChunkBytes)),
+				st.ChunkHits, stats.FormatBytes(float64(st.ChunkSavedBytes)),
+				st.Evictions, st.Continuations, st.ContinuationTasks)
 			for _, ws := range st.PerWorker {
 				fmt.Printf("cluster worker %d: %d tasks, %s shipped, %d steals, %d continuations, %d resident chunks (%s)\n",
 					ws.Slot, ws.Tasks, stats.FormatBytes(float64(ws.ShippedBytes)),

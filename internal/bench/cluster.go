@@ -38,8 +38,10 @@ import (
 )
 
 // ClusterSchema versions the BENCH_10.json document. v2 added the
-// wire-locality columns (chunk shipping, resident hits, the v1
-// counterfactual) and the continuation accounting.
+// wire-locality columns (chunk shipping, resident hits) and the
+// continuation accounting. The committed snapshot also carries a
+// v1TaskBytes column (a live re-encoding of every task under the
+// since-deleted v1 codec); chunkBytes replaced it.
 const ClusterSchema = "spampsm-cluster-bench/v2"
 
 // clusterV1ShipShare pins what the v1 wire measured on the base
@@ -73,16 +75,14 @@ type ClusterPoint struct {
 	ShipShare    float64 `json:"shipShare"`    // wire bytes per modeled seed WM byte
 	Steals       int     `json:"steals"`
 
-	// Wire-locality accounting (zero on v1 runs). V1TaskBytes is the
-	// counterfactual: what the same task frames would have cost under
-	// wire v1 with every seed inline — an understatement of the full
-	// v1 wire (v1 result frames are also larger), so the reduction it
-	// implies is conservative.
+	// Wire-locality accounting: content-addressed shipping pays
+	// ChunkBytes once per worker and saves ChunkSavedBytes of inline
+	// re-shipping on every later reference.
 	WireVersion     int   `json:"wireVersion"`
 	ChunksShipped   int   `json:"chunksShipped"`
+	ChunkBytes      int64 `json:"chunkBytes"`      // chunk-frame share of ShippedBytes
 	ChunkHits       int64 `json:"chunkHits"`       // seed refs resolved against resident chunks
 	ChunkSavedBytes int64 `json:"chunkSavedBytes"` // encoded seed bytes the hits avoided re-shipping
-	V1TaskBytes     int64 `json:"v1TaskBytes"`
 
 	// Continuation accounting: how many re-entry tasks there were and
 	// how many continued worker-side without a coordinator round-trip.
@@ -191,8 +191,8 @@ func clusterRun(d *spam.Dataset, params scene.Params, procs int) (*spam.Interpre
 		TasksShipped:      after.TasksShipped - before.TasksShipped,
 		ShippedBytes:      after.ShippedBytes - before.ShippedBytes,
 		ResultBytes:       after.ResultBytes - before.ResultBytes,
-		V1TaskBytes:       after.V1TaskBytes - before.V1TaskBytes,
 		ChunksShipped:     after.ChunksShipped - before.ChunksShipped,
+		ChunkBytes:        after.ChunkBytes - before.ChunkBytes,
 		ChunkHits:         after.ChunkHits - before.ChunkHits,
 		ChunkSavedBytes:   after.ChunkSavedBytes - before.ChunkSavedBytes,
 		ContinuationTasks: after.ContinuationTasks - before.ContinuationTasks,
@@ -369,9 +369,9 @@ func (s *Suite) Cluster() (*ClusterReport, error) {
 				ResultBytes:       st.ResultBytes,
 				WireVersion:       st.WireVersion,
 				ChunksShipped:     st.ChunksShipped,
+				ChunkBytes:        st.ChunkBytes,
 				ChunkHits:         st.ChunkHits,
 				ChunkSavedBytes:   st.ChunkSavedBytes,
-				V1TaskBytes:       st.V1TaskBytes,
 				ContinuationTasks: st.ContinuationTasks,
 				Continuations:     st.Continuations,
 				Steals:            st.Steals,
@@ -437,26 +437,24 @@ func (r *ClusterReport) Check() error {
 		if pt.Procs == clusterProcs[0] && pt.Speedup != 1 {
 			return fmt.Errorf("cluster: point %s base speedup %g, want 1", pt.Dataset, pt.Speedup)
 		}
-		if pt.WireVersion >= 2 {
-			if pt.ChunksShipped <= 0 || pt.ChunkHits <= 0 {
-				return fmt.Errorf("cluster: point %s/procs=%d shipped %d chunks with %d hits — content-addressed shipping is not engaging",
-					pt.Dataset, pt.Procs, pt.ChunksShipped, pt.ChunkHits)
-			}
-			if taskBytes := pt.ShippedBytes - pt.ResultBytes; pt.V1TaskBytes <= taskBytes {
-				return fmt.Errorf("cluster: point %s/procs=%d v1 counterfactual %d bytes <= actual non-result wire %d — chunking saved nothing",
-					pt.Dataset, pt.Procs, pt.V1TaskBytes, taskBytes)
-			}
-			if pt.ContinuationTasks > 0 && 10*pt.Continuations < 9*pt.ContinuationTasks {
-				return fmt.Errorf("cluster: point %s/procs=%d continued %d/%d re-entry tasks worker-side, want >= 90%%",
-					pt.Dataset, pt.Procs, pt.Continuations, pt.ContinuationTasks)
-			}
-			// The shipped-bytes budget on the three base datasets:
-			// wire bytes per modeled seed byte must hold the 3x
-			// reduction over what the v1 wire measured there.
-			if v1, ok := clusterV1ShipShare[pt.Dataset]; ok && 3*pt.ShipShare > v1 {
-				return fmt.Errorf("cluster: point %s/procs=%d ship share %.3f exceeds the wire-locality budget (v1 measured %.3f, want at least 3x under it)",
-					pt.Dataset, pt.Procs, pt.ShipShare, v1)
-			}
+		if pt.ChunksShipped <= 0 || pt.ChunkHits <= 0 {
+			return fmt.Errorf("cluster: point %s/procs=%d shipped %d chunks with %d hits — content-addressed shipping is not engaging",
+				pt.Dataset, pt.Procs, pt.ChunksShipped, pt.ChunkHits)
+		}
+		if pt.ChunkSavedBytes <= pt.ChunkBytes {
+			return fmt.Errorf("cluster: point %s/procs=%d resident hits avoided %d bytes <= the %d bytes shipping the chunks cost — chunking saved nothing",
+				pt.Dataset, pt.Procs, pt.ChunkSavedBytes, pt.ChunkBytes)
+		}
+		if pt.ContinuationTasks > 0 && 10*pt.Continuations < 9*pt.ContinuationTasks {
+			return fmt.Errorf("cluster: point %s/procs=%d continued %d/%d re-entry tasks worker-side, want >= 90%%",
+				pt.Dataset, pt.Procs, pt.Continuations, pt.ContinuationTasks)
+		}
+		// The shipped-bytes budget on the three base datasets:
+		// wire bytes per modeled seed byte must hold the 3x
+		// reduction over what the v1 wire measured there.
+		if v1, ok := clusterV1ShipShare[pt.Dataset]; ok && 3*pt.ShipShare > v1 {
+			return fmt.Errorf("cluster: point %s/procs=%d ship share %.3f exceeds the wire-locality budget (v1 measured %.3f, want at least 3x under it)",
+				pt.Dataset, pt.Procs, pt.ShipShare, v1)
 		}
 	}
 	for ds, procs := range want {

@@ -18,8 +18,8 @@ func validClusterReport() *ClusterReport {
 				Dataset: ds, Procs: procs, LocalWorkers: clusterLocalWorkers,
 				WallMS: 100, Tasks: 40, TasksShipped: 41, ShippedBytes: 50_000,
 				ResultBytes: 20_000, ShipShare: 0.12, SVMSpeedup: 2, MsgpassSpeedup: 2,
-				WireVersion: 2, ChunksShipped: 30, ChunkHits: 200, ChunkSavedBytes: 90_000,
-				V1TaskBytes: 120_000, ContinuationTasks: 10, Continuations: 10,
+				WireVersion: 2, ChunksShipped: 30, ChunkBytes: 10_000, ChunkHits: 200, ChunkSavedBytes: 90_000,
+				ContinuationTasks: 10, Continuations: 10,
 			}
 			if ds == "SF-x10" {
 				// The stress scene's share is recorded, not budgeted.
@@ -65,7 +65,7 @@ func TestClusterReportCheck(t *testing.T) {
 		{"base speedup", func(r *ClusterReport) { r.Points[0].Speedup = 1.2 }, "base speedup"},
 		{"no chunks", func(r *ClusterReport) { r.Points[0].ChunksShipped = 0 }, "content-addressed"},
 		{"no hits", func(r *ClusterReport) { r.Points[0].ChunkHits = 0 }, "content-addressed"},
-		{"chunking saved nothing", func(r *ClusterReport) { r.Points[0].V1TaskBytes = 25_000 }, "saved nothing"},
+		{"chunking saved nothing", func(r *ClusterReport) { r.Points[0].ChunkSavedBytes = 10_000 }, "saved nothing"},
 		{"coordinator round-trips", func(r *ClusterReport) { r.Points[0].Continuations = 8 }, "worker-side"},
 		{"over ship budget", func(r *ClusterReport) { r.Points[0].ShipShare = 0.4 }, "budget"},
 		{"no deaths", func(r *ClusterReport) { r.Recovery.WorkerDeaths = 0 }, "no worker deaths"},

@@ -114,9 +114,9 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 		}
 	}
 
-	// Wire-v2 locality accounting: the run must have reused resident
+	// Wire locality accounting: the run must have reused resident
 	// chunks, run its LCC re-entry tasks as worker-side continuations
-	// (>= 90%), and beaten the v1 counterfactual task-frame cost.
+	// (>= 90%), and saved more bytes on hits than the chunks cost.
 	st := co.Stats()
 	if st.WireVersion != Version {
 		t.Errorf("stats report wire v%d, want v%d", st.WireVersion, Version)
@@ -131,10 +131,9 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 		t.Errorf("only %d/%d continuations ran worker-side, want >= 90%%",
 			st.Continuations, st.ContinuationTasks)
 	}
-	taskBytes := st.ShippedBytes - st.ResultBytes
-	if st.V1TaskBytes <= taskBytes {
-		t.Errorf("v2 task frames (%d bytes) did not beat the v1 counterfactual (%d bytes)",
-			taskBytes, st.V1TaskBytes)
+	if st.ChunkSavedBytes <= st.ChunkBytes {
+		t.Errorf("resident hits avoided %d bytes, no more than the %d bytes shipping the chunks cost",
+			st.ChunkSavedBytes, st.ChunkBytes)
 	}
 	var perWorkerShipped int64
 	for _, ws := range st.PerWorker {
@@ -146,62 +145,15 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 	}
 }
 
-// TestClusterWireV1Compat pins version negotiation end to end: a
-// coordinator restricted to wire v1 must still produce byte-identical
-// interpretations (no chunks, no continuations — every seed inline),
-// because a v2-built worker told to speak v1 never sees a v2 frame.
-func TestClusterWireV1Compat(t *testing.T) {
-	co, err := Start(Config{Workers: 2, LocalWorkers: 2, WireVersion: 1})
-	if err != nil {
-		t.Fatalf("start cluster: %v", err)
-	}
-	defer co.Close()
-	p := airportParams("DC")
-	if err := co.RegisterDataset(AirportSpec(p)); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	d, err := spam.NewDataset(p)
-	if err != nil {
-		t.Fatalf("dataset: %v", err)
-	}
-	opt := spam.InterpretOptions{Workers: 2, ReEntry: true}
-	local, err := d.Interpret(opt)
-	if err != nil {
-		t.Fatalf("local interpret: %v", err)
-	}
-	clusterOpt := opt
-	clusterOpt.Runner = NewRunner(co, opt)
-	remote, err := d.Interpret(clusterOpt)
-	if err != nil {
-		t.Fatalf("cluster interpret: %v", err)
-	}
-	if !spam.SameOutputs(local, remote) {
-		t.Error("v1 cluster outputs differ from single-process run")
-	}
-	if lf, rf := phaseFingerprint(local), phaseFingerprint(remote); lf != rf {
-		t.Errorf("v1 phase statistics differ:\nlocal:\n%s\ncluster:\n%s", lf, rf)
-	}
-	st := co.Stats()
-	if st.WireVersion != 1 {
-		t.Errorf("stats report wire v%d, want v1", st.WireVersion)
-	}
-	if st.ChunksShipped != 0 || st.ChunkHits != 0 || st.Continuations != 0 || st.V1TaskBytes != 0 {
-		t.Errorf("v1 run used v2 machinery: %+v", st)
-	}
-	if st.ContinuationTasks <= 0 {
-		t.Error("re-entry tasks not accounted on the v1 path")
-	}
-}
-
 // TestWorkerRejectsBadHandshake drives ServeWorker directly over a
-// pipe: out-of-range versions and a wrong magic must fail the
-// handshake before any task can arrive.
+// pipe: any version but Version — the deleted v1 included — and a
+// wrong magic must fail the handshake before any task can arrive.
 func TestWorkerRejectsBadHandshake(t *testing.T) {
 	cases := []struct {
 		name string
 		init InitMsg
 	}{
-		{"version too old", InitMsg{Magic: Magic, Version: 0}},
+		{"version too old", InitMsg{Magic: Magic, Version: Version - 1}},
 		{"version too new", InitMsg{Magic: Magic, Version: Version + 1}},
 		{"wrong magic", InitMsg{Magic: "BOGUS", Version: Version}},
 	}

@@ -50,11 +50,6 @@ type Config struct {
 	// 2×LocalWorkers): enough to overlap shipping with execution,
 	// small enough to bound what a worker death requeues.
 	ShipWindow int
-	// WireVersion selects the protocol spoken to workers (default the
-	// newest Version). 1 disables content-addressed chunk shipping and
-	// worker-side continuations — the compatibility mode behind
-	// spamrun's -cluster-wire-v1.
-	WireVersion int
 	// ChunkBudget bounds each worker's resident-chunk table in encoded
 	// bytes (default 32 MiB); the LRU tail is evicted past it. Negative
 	// disables eviction.
@@ -83,9 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.ShipWindow < 1 {
 		c.ShipWindow = 2 * c.LocalWorkers
 	}
-	if c.WireVersion == 0 {
-		c.WireVersion = Version
-	}
 	if c.ChunkBudget == 0 {
 		c.ChunkBudget = 32 << 20
 	}
@@ -97,16 +89,12 @@ func (c Config) withDefaults() Config {
 
 // Stats is the coordinator's cumulative accounting.
 type Stats struct {
-	Workers        int   // configured worker processes
-	WireVersion    int   // protocol version spoken to workers
-	TasksShipped   int   // task frames sent (including re-ships)
-	TasksCompleted int   // results merged (including synthesized)
-	ShippedBytes   int64 // task + chunk + result frame bytes on the wire
-	ResultBytes    int64 // result-frame share of ShippedBytes
-	// V1TaskBytes is the counterfactual: what the task frames would
-	// have cost under wire v1 (every seed inline, no chunk reuse).
-	// Zero on v1 runs — there ShippedBytes already is the v1 cost.
-	V1TaskBytes     int64
+	Workers         int   // configured worker processes
+	WireVersion     int   // protocol version spoken to workers
+	TasksShipped    int   // task frames sent (including re-ships)
+	TasksCompleted  int   // results merged (including synthesized)
+	ShippedBytes    int64 // task + chunk + result frame bytes on the wire
+	ResultBytes     int64 // result-frame share of ShippedBytes
 	ChunksShipped   int   // chunk frames sent
 	ChunkBytes      int64 // chunk-frame share of ShippedBytes
 	ChunkHits       int64 // seed refs resolved against resident chunks
@@ -115,7 +103,7 @@ type Stats struct {
 	// ContinuationTasks counts tasks entering RunTasks with the
 	// Continues mark; Continuations counts how many of them were pushed
 	// straight to the chunk-resident worker (the rest fell back to the
-	// shard queue — v1 runs, or no live v2 worker at push time).
+	// shard queue — no live worker at push time).
 	ContinuationTasks int
 	Continuations     int
 	SpawnedRequeued   int // spawned continuations requeued after a worker loss
@@ -152,11 +140,11 @@ const (
 // shard deques, and the merge state. Several runs can be active at
 // once (the serving path); workers drain them in creation order.
 type run struct {
-	id     uint64
-	cfg    RunConfig
-	tasks  []*tlp.Task
-	specs  []*tlp.WireSpec
-	state  []uint8
+	id    uint64
+	cfg   RunConfig
+	tasks []*tlp.Task
+	specs []*tlp.WireSpec
+	state []uint8
 	// startAttempt is the global attempt number the task's next
 	// delivery resumes from; it advances when a worker dies holding
 	// the task, charging the loss against the task's retry budget.
@@ -172,9 +160,9 @@ type run struct {
 	overflow  []int   // requeued work, served before shard work
 	failed    error
 	cancelled bool
-	// Wire-v2 chunk plan, nil on v1 runs: per task, the shared seeds
-	// grouped into content-addressed chunks (chunks) and the inline
-	// bytes the task ships regardless of destination (inline). Sizes are
+	// The chunk plan: per task, the shared seeds grouped into
+	// content-addressed chunks (chunks) and the inline bytes the task
+	// ships regardless of destination (inline). Sizes are
 	// the canonical stateless encoding — the cost model's currency —
 	// independent of any connection's intern state.
 	chunks [][]chunkRef
@@ -229,13 +217,10 @@ type wconn struct {
 	slot     int
 	dead     bool
 	inflight map[flightKey]*run
-	// ver is the wire version spoken on this connection; chunks is the
-	// resident-chunk model (v2 only) and ws the worker's slot row in
-	// the coordinator's per-worker stats. All guarded by co.mu except
-	// ver, which is immutable after register, and enc — the
-	// coordinator→worker intern table, guarded by writeMu like the
-	// stream it mirrors.
-	ver    int
+	// chunks is the resident-chunk model and ws the worker's slot row
+	// in the coordinator's per-worker stats. Both guarded by co.mu; enc
+	// — the coordinator→worker intern table — is guarded by writeMu
+	// like the stream it mirrors.
 	chunks *chunkTable
 	enc    *EncTab
 	ws     *WorkerStats
@@ -278,10 +263,6 @@ type Coordinator struct {
 // them to connect.
 func Start(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.WireVersion < MinVersion || cfg.WireVersion > Version {
-		return nil, fmt.Errorf("cluster: wire version %d outside supported range %d..%d",
-			cfg.WireVersion, MinVersion, Version)
-	}
 	co := &Coordinator{
 		cfg:          cfg,
 		dsNames:      map[string]bool{},
@@ -295,7 +276,7 @@ func Start(cfg Config) (*Coordinator, error) {
 	}
 	co.cond = sync.NewCond(&co.mu)
 	co.stats.Workers = cfg.Workers
-	co.stats.WireVersion = cfg.WireVersion
+	co.stats.WireVersion = Version
 	for i := range co.perWorker {
 		co.perWorker[i].Slot = i
 	}
@@ -418,11 +399,8 @@ func (co *Coordinator) acceptLoop() {
 // register handshakes a fresh worker connection: Init, dataset
 // replay, slot assignment, then the reader and feeder goroutines.
 func (co *Coordinator) register(c net.Conn) {
-	w := &wconn{c: c, bw: bufio.NewWriterSize(c, 1<<16), inflight: map[flightKey]*run{}, ver: co.cfg.WireVersion}
-	if w.ver >= 2 {
-		w.chunks = newChunkTable()
-		w.enc = NewEncTab()
-	}
+	w := &wconn{c: c, bw: bufio.NewWriterSize(c, 1<<16), inflight: map[flightKey]*run{},
+		chunks: newChunkTable(), enc: NewEncTab()}
 	// Holding writeMu across the handshake makes dataset ordering
 	// airtight: once the conn is listed, a concurrent RegisterDataset
 	// blocks here until Init and the replayed specs are on the wire.
@@ -455,7 +433,7 @@ func (co *Coordinator) register(c net.Conn) {
 		co.pendingSpawns--
 	}
 	init := InitMsg{
-		Magic: Magic, Version: co.cfg.WireVersion,
+		Magic: Magic, Version: Version,
 		LocalWorkers: co.cfg.LocalWorkers,
 		MemBudget:    co.cfg.MemBudget,
 		Prebuild:     co.cfg.Prebuild,
@@ -546,37 +524,31 @@ func (co *Coordinator) RunTasks(ctx context.Context, policy tlp.QueuePolicy, cfg
 		specs[i] = spec
 	}
 
-	// Wire-v2 chunk plan: group each task's shared (digest-carrying)
-	// seeds into content-addressed chunks and size each distinct chunk
-	// once in the canonical stateless encoding (the actual chunk frames
-	// encode at ship time against each connection's intern table). Pure
+	// The chunk plan: group each task's shared (digest-carrying) seeds
+	// into content-addressed chunks and size each distinct chunk once in
+	// the canonical stateless encoding (the actual chunk frames encode
+	// at ship time against each connection's intern table). Pure
 	// computation — no locks, no connection state.
-	var (
-		chunkPlans  [][]chunkRef
-		inlineBytes []int
-	)
-	if co.cfg.WireVersion >= 2 {
-		sizes := map[string]int{}
-		chunkPlans = make([][]chunkRef, len(specs))
-		inlineBytes = make([]int, len(specs))
-		var scratch []byte
-		for i, spec := range specs {
-			shared := spec.SharedSeedIndexes()
-			si := 0
-			for j, s := range spec.Seeds {
-				if si < len(shared) && shared[si] == j {
-					si++
-					size, ok := sizes[s.Digest]
-					if !ok {
-						size = len(appendSeed(scratch[:0], s))
-						sizes[s.Digest] = size
-					}
-					chunkPlans[i] = append(chunkPlans[i], chunkRef{seed: j, digest: s.Digest, size: size})
-					continue
+	sizes := map[string]int{}
+	chunkPlans := make([][]chunkRef, len(specs))
+	inlineBytes := make([]int, len(specs))
+	var scratch []byte
+	for i, spec := range specs {
+		shared := spec.SharedSeedIndexes()
+		si := 0
+		for j, s := range spec.Seeds {
+			if si < len(shared) && shared[si] == j {
+				si++
+				size, ok := sizes[s.Digest]
+				if !ok {
+					size = len(appendSeed(scratch[:0], s))
+					sizes[s.Digest] = size
 				}
-				scratch = appendSeed(scratch[:0], s)
-				inlineBytes[i] += len(scratch)
+				chunkPlans[i] = append(chunkPlans[i], chunkRef{seed: j, digest: s.Digest, size: size})
+				continue
 			}
+			scratch = appendSeed(scratch[:0], s)
+			inlineBytes[i] += len(scratch)
 		}
 	}
 
@@ -629,7 +601,7 @@ func (co *Coordinator) RunTasks(ctx context.Context, policy tlp.QueuePolicy, cfg
 		co.stats.ContinuationTasks++
 		w := co.continuationTarget(rn, i)
 		if w == nil {
-			continue // no live v2 worker: fall back to the shard queue
+			continue // no live worker: fall back to the shard queue
 		}
 		rn.state[i] = stateInflight
 		rn.spawned[i] = true
@@ -724,14 +696,14 @@ func (co *Coordinator) removeRun(rn *run) {
 	}
 }
 
-// continuationTarget picks the live v2 connection holding the most of
+// continuationTarget picks the live connection holding the most of
 // task idx's chunks (by resident encoded bytes), ties broken by lowest
 // slot so two identical runs pick identically. Caller holds mu.
 func (co *Coordinator) continuationTarget(rn *run, idx int) *wconn {
 	var best *wconn
 	var bestBytes int64 = -1
 	for _, w := range co.conns {
-		if w.dead || w.ver < 2 || w.chunks == nil {
+		if w.dead {
 			continue
 		}
 		var resident int64
@@ -749,13 +721,8 @@ func (co *Coordinator) continuationTarget(rn *run, idx int) *wconn {
 
 // stealCost is the bytes a steal of task idx would newly ship to the
 // thief: its inline seeds plus every chunk not already resident there.
-// v1 runs and connections have no chunk model and cost zero — the
-// steal heuristic then degrades to the fullest-shard rule. Caller
-// holds mu.
+// Caller holds mu.
 func (co *Coordinator) stealCost(w *wconn, rn *run, idx int) int64 {
-	if rn.chunks == nil || w.chunks == nil {
-		return 0
-	}
 	cost := int64(rn.inline[idx])
 	for _, cr := range rn.chunks[idx] {
 		if _, ok := w.chunks.entries[cr.digest]; !ok {
@@ -769,9 +736,8 @@ func (co *Coordinator) stealCost(w *wconn, rn *run, idx int) int64 {
 // first, then the worker's own shard in order, then a steal. Stealing
 // is locality-aware: each candidate shard offers the back of its
 // deque, and the thief takes the one that would newly ship the fewest
-// bytes (ties go to the fullest shard, then the first — which is
-// exactly the old blind rule when every cost is zero, i.e. on v1
-// runs). Caller holds mu.
+// bytes (ties go to the fullest shard, then the first). Caller holds
+// mu.
 func (co *Coordinator) pick(w *wconn) (*run, int, bool) {
 	for _, rn := range co.runs {
 		if rn.failed != nil || rn.cancelled {
@@ -831,7 +797,7 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 }
 
 // ship encodes and writes one claimed task to a connection, preceded
-// by the chunk frames it needs (v2). It returns false on a write
+// by the chunk frames it needs. It returns false on a write
 // error — the caller closes the connection and workerLost requeues
 // everything in flight there, including this task.
 //
@@ -875,54 +841,52 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		Config: rn.cfg, Spec: *rn.specs[idx],
 		Spawned: rn.spawned[idx],
 	}
-	if w.ver >= 2 && rn.chunks != nil {
-		ct := w.chunks
-		ct.tick++
-		refs = make([]int64, len(m.Spec.Seeds))
-		for i := range refs {
-			refs[i] = -1
-		}
-		for _, cr := range rn.chunks[idx] {
-			e, ok := ct.entries[cr.digest]
-			if ok {
-				e.tick = ct.tick
-				ct.lru.MoveToFront(e.elem)
-				co.stats.ChunkHits++
-				co.stats.ChunkSavedBytes += int64(cr.size)
-				w.ws.ChunkHits++
-			} else {
-				e = &chunkEntry{id: ct.next, digest: cr.digest, size: int64(cr.size), tick: ct.tick}
-				ct.next++
-				e.elem = ct.lru.PushFront(e)
-				ct.entries[cr.digest] = e
-				ct.bytes += e.size
-				newChunks = append(newChunks, newChunk{id: e.id, seed: m.Spec.Seeds[cr.seed]})
-			}
-			refs[cr.seed] = int64(e.id)
-		}
-		// LRU eviction under the budget — but never a chunk this very
-		// ship references (tick-pinned).
-		if co.cfg.ChunkBudget > 0 {
-			for ct.bytes > co.cfg.ChunkBudget {
-				back := ct.lru.Back()
-				if back == nil {
-					break
-				}
-				e := back.Value.(*chunkEntry)
-				if e.tick == ct.tick {
-					break
-				}
-				ct.lru.Remove(back)
-				delete(ct.entries, e.digest)
-				ct.bytes -= e.size
-				frees = append(frees, e.id)
-				co.stats.Evictions++
-				w.ws.Evictions++
-			}
-		}
-		w.ws.ResidentChunks = len(ct.entries)
-		w.ws.ResidentBytes = ct.bytes
+	ct := w.chunks
+	ct.tick++
+	refs = make([]int64, len(m.Spec.Seeds))
+	for i := range refs {
+		refs[i] = -1
 	}
+	for _, cr := range rn.chunks[idx] {
+		e, ok := ct.entries[cr.digest]
+		if ok {
+			e.tick = ct.tick
+			ct.lru.MoveToFront(e.elem)
+			co.stats.ChunkHits++
+			co.stats.ChunkSavedBytes += int64(cr.size)
+			w.ws.ChunkHits++
+		} else {
+			e = &chunkEntry{id: ct.next, digest: cr.digest, size: int64(cr.size), tick: ct.tick}
+			ct.next++
+			e.elem = ct.lru.PushFront(e)
+			ct.entries[cr.digest] = e
+			ct.bytes += e.size
+			newChunks = append(newChunks, newChunk{id: e.id, seed: m.Spec.Seeds[cr.seed]})
+		}
+		refs[cr.seed] = int64(e.id)
+	}
+	// LRU eviction under the budget — but never a chunk this very
+	// ship references (tick-pinned).
+	if co.cfg.ChunkBudget > 0 {
+		for ct.bytes > co.cfg.ChunkBudget {
+			back := ct.lru.Back()
+			if back == nil {
+				break
+			}
+			e := back.Value.(*chunkEntry)
+			if e.tick == ct.tick {
+				break
+			}
+			ct.lru.Remove(back)
+			delete(ct.entries, e.digest)
+			ct.bytes -= e.size
+			frees = append(frees, e.id)
+			co.stats.Evictions++
+			w.ws.Evictions++
+		}
+	}
+	w.ws.ResidentChunks = len(ct.entries)
+	w.ws.ResidentBytes = ct.bytes
 	co.mu.Unlock()
 
 	// Encode and write outside mu — only writeMu is held across the
@@ -946,15 +910,9 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		wired += n
 		chunkBytes += int64(n)
 	}
-	var v1Bytes int64
 	if err == nil {
 		var n int
-		if w.ver >= 2 {
-			n, err = writeFrame(w.bw, frameTaskV2, EncodeTaskV2(w.enc, m, refs))
-			v1Bytes = int64(frameLen(len(EncodeTask(m))))
-		} else {
-			n, err = writeFrame(w.bw, frameTask, EncodeTask(m))
-		}
+		n, err = writeFrame(w.bw, frameTaskV2, EncodeTaskV2(w.enc, m, refs))
 		wired += n
 	}
 	if err == nil {
@@ -968,7 +926,6 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		co.stats.ShippedBytes += int64(wired)
 		co.stats.ChunksShipped += len(newChunks)
 		co.stats.ChunkBytes += chunkBytes
-		co.stats.V1TaskBytes += v1Bytes
 		w.ws.ShippedBytes += int64(wired)
 	}
 	co.mu.Unlock()
@@ -994,8 +951,8 @@ func (co *Coordinator) feeder(w *wconn) {
 
 // reader is a connection's read loop: merge result frames until the
 // connection drops, then run the process-death recovery. It owns the
-// worker→coordinator intern table (v2): one reader per connection,
-// decoding in stream order.
+// worker→coordinator intern table: one reader per connection, decoding
+// in stream order.
 func (co *Coordinator) reader(w *wconn) {
 	br := bufio.NewReaderSize(w.c, 1<<16)
 	dec := &DecTab{}
@@ -1007,12 +964,7 @@ func (co *Coordinator) reader(w *wconn) {
 		if typ != frameResult {
 			break
 		}
-		var m *ResultMsg
-		if w.ver >= 2 {
-			m, err = DecodeResultV2(dec, payload)
-		} else {
-			m, err = DecodeResult(payload)
-		}
+		m, err := DecodeResultV2(dec, payload)
 		if err != nil {
 			break
 		}
@@ -1039,7 +991,7 @@ func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
 		return // run cancelled meanwhile; result already synthesized
 	}
 	r := &tlp.Result{
-		// v2 result frames carry no task ID; the run state does.
+		// Result frames carry no task ID; the run state does.
 		TaskID: rn.tasks[m.Seq].ID, SeqInQ: m.Seq, Worker: m.Worker,
 		Attempts: m.Attempts, Stats: m.Stats,
 		Quarantined: m.Quarantined, Cancelled: m.Cancelled,

@@ -36,37 +36,32 @@ import (
 	"spampsm/internal/tlp"
 )
 
-// Wire protocol versions. The Init frame carries magic and version;
-// the coordinator picks the version it will speak (Config.WireVersion)
-// and a worker accepts anything in [MinVersion, Version] — the version
-// is descending-compatible because v2 only adds frames, so a v2-built
-// worker told to speak v1 simply never sees them. Bump Version on any
-// change to the frame layouts below.
-//
-// v1: Task frames carry every seed inline.
-// v2: adds content-addressed seed shipping (frameChunk + chunk-ref
-// task frames) and worker-side phase continuation (Spawned task and
-// result marks); see docs/CLUSTER.md.
+// Wire protocol version. The Init frame carries magic and version and
+// a worker refuses any other: coordinator and workers are one
+// re-exec'd binary, so there is no older peer to negotiate with. Bump
+// Version on any change to the frame layouts below. (v1 shipped every
+// seed inline; v2 is content-addressed seed shipping — frameChunk plus
+// chunk-ref task frames — and worker-side phase continuation; see
+// docs/CLUSTER.md.)
 const (
-	Magic      = "SPAMCLU1"
-	Version    = 2
-	MinVersion = 1
+	Magic   = "SPAMCLU1"
+	Version = 2
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
 // [payload]; Init and DatasetAdd payloads are JSON (sent once per
 // connection / dataset — robustness over compactness), Task, Result
-// and the v2 chunk frames are the compact binary encoding (the
-// per-task hot path, fuzz-tested for decode(encode(x)) identity).
+// and the chunk frames are the compact binary encoding (the per-task
+// hot path, fuzz-tested for decode(encode(x)) identity). Type 3 was
+// the v1 all-inline task frame.
 const (
 	frameInit      = 1 // coordinator→worker: InitMsg (JSON)
 	frameDataset   = 2 // coordinator→worker: DatasetSpec (JSON)
-	frameTask      = 3 // coordinator→worker: TaskMsg (binary, v1: all seeds inline)
 	frameResult    = 4 // worker→coordinator: ResultMsg (binary)
 	frameShutdown  = 5 // coordinator→worker: empty
-	frameChunk     = 6 // coordinator→worker (v2): one content-addressed seed chunk
-	frameTaskV2    = 7 // coordinator→worker (v2): TaskMsg with chunk refs
-	frameChunkFree = 8 // coordinator→worker (v2): evicted chunk ids
+	frameChunk     = 6 // coordinator→worker: one content-addressed seed chunk
+	frameTaskV2    = 7 // coordinator→worker: TaskMsg with chunk refs
+	frameChunkFree = 8 // coordinator→worker: evicted chunk ids
 )
 
 // maxFrame bounds a frame payload; a decoder never allocates past it,
@@ -395,31 +390,6 @@ func appendValue(b []byte, v symtab.Value) []byte {
 	}
 }
 
-func (d *decoder) value() symtab.Value {
-	switch d.byte() {
-	case valSym:
-		return symtab.Sym(d.string())
-	case valInt:
-		return symtab.Int(d.varint())
-	case valFloat:
-		return symtab.Float(d.float())
-	default:
-		return symtab.Nil
-	}
-}
-
-func (d *decoder) values() []symtab.Value {
-	n := d.count("value")
-	if n == 0 {
-		return nil
-	}
-	vals := make([]symtab.Value, 0, n)
-	for i := 0; i < n; i++ {
-		vals = append(vals, d.value())
-	}
-	return vals
-}
-
 func appendValues(b []byte, vals []symtab.Value) []byte {
 	b = appendUint(b, uint64(len(vals)))
 	for _, v := range vals {
@@ -428,25 +398,13 @@ func appendValues(b []byte, vals []symtab.Value) []byte {
 	return b
 }
 
-// appendSeed ships a seed as class + shared flag + values. The digest
-// string itself never crosses the wire: a shared seed's digest is a
-// pure function of (class, values), so the decoder recomputes it with
-// the same rete.RouteDigest the coordinator used — identical string,
-// identical alpha-routing memoization, identical Init charges.
+// appendSeed is the canonical stateless encoding of a seed — class,
+// shared flag, values — independent of any connection's intern state:
+// the size function of the coordinator's chunk plan and steal costs.
 func appendSeed(b []byte, s ops5.Seed) []byte {
 	b = appendString(b, s.Class)
 	b = appendBool(b, s.Digest != "")
 	return appendValues(b, s.Vals)
-}
-
-func (d *decoder) seed() ops5.Seed {
-	s := ops5.Seed{Class: d.string()}
-	shared := d.bool()
-	s.Vals = d.values()
-	if shared && d.err == nil {
-		s.Digest = rete.RouteDigest(s.Class, s.Vals)
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -481,67 +439,6 @@ func (d *decoder) runConfig() RunConfig {
 	c.Faults.CrashRate = d.float()
 	c.Faults.PermanentFraction = d.float()
 	return c
-}
-
-// EncodeTask serializes a task frame payload.
-func EncodeTask(m *TaskMsg) []byte {
-	b := make([]byte, 0, 256)
-	b = appendUint(b, m.RunID)
-	b = appendUint(b, uint64(m.Seq))
-	b = appendUint(b, uint64(m.StartAttempt))
-	b = appendString(b, m.ID)
-	b = appendString(b, m.Label)
-	b = appendString(b, m.Group)
-	b = appendFloat(b, m.EstSize)
-	b = appendFloat(b, m.MemEst)
-	b = appendRunConfig(b, m.Config)
-	b = appendString(b, m.Spec.Dataset)
-	b = appendString(b, m.Spec.Phase)
-	b = appendUint(b, uint64(len(m.Spec.Extract)))
-	for _, c := range m.Spec.Extract {
-		b = appendString(b, c)
-	}
-	b = appendUint(b, uint64(len(m.Spec.Seeds)))
-	for _, s := range m.Spec.Seeds {
-		b = appendSeed(b, s)
-	}
-	return b
-}
-
-// DecodeTask parses a task frame payload.
-func DecodeTask(payload []byte) (*TaskMsg, error) {
-	d := &decoder{b: payload}
-	m := &TaskMsg{}
-	m.RunID = d.uvarint()
-	m.Seq = int(d.uvarint())
-	m.StartAttempt = int(d.uvarint())
-	m.ID = d.string()
-	m.Label = d.string()
-	m.Group = d.string()
-	m.EstSize = d.float()
-	m.MemEst = d.float()
-	m.Config = d.runConfig()
-	m.Spec.Dataset = d.string()
-	m.Spec.Phase = d.string()
-	if n := d.count("extract"); n > 0 {
-		m.Spec.Extract = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			m.Spec.Extract = append(m.Spec.Extract, d.string())
-		}
-	}
-	if n := d.count("seed"); n > 0 {
-		m.Spec.Seeds = make([]ops5.Seed, 0, n)
-		for i := 0; i < n; i++ {
-			m.Spec.Seeds = append(m.Spec.Seeds, d.seed())
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after task frame", len(d.b))
-	}
-	return m, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -637,12 +534,12 @@ func (d *decoder) floatC() float64 {
 // literal (registering it), k >= 5 a reference to symbol table
 // entry k-5.
 const (
-	v2Nil       = 0
-	v2Int       = 1
-	v2FloatRaw  = 2
-	v2FloatInt  = 3
-	v2SymNew    = 4
-	v2SymRef    = 5 // + table index
+	v2Nil      = 0
+	v2Int      = 1
+	v2FloatRaw = 2
+	v2FloatInt = 3
+	v2SymNew   = 4
+	v2SymRef   = 5 // + table index
 )
 
 func (t *EncTab) value(b []byte, v symtab.Value) []byte {
@@ -716,8 +613,12 @@ func (d *decoder) valuesT(t *DecTab) []symtab.Value {
 	return vals
 }
 
-// seed is appendSeed under interning: same digest discipline, shared
-// class names and symbols.
+// seed ships a seed as class + shared flag + values under interning.
+// The digest string itself never crosses the wire: a shared seed's
+// digest is a pure function of (class, values), so the decoder
+// recomputes it with the same rete.RouteDigest the coordinator used —
+// identical string, identical alpha-routing memoization, identical
+// Init charges.
 func (t *EncTab) seed(b []byte, s ops5.Seed) []byte {
 	b = t.str(b, s.Class)
 	b = appendBool(b, s.Digest != "")
@@ -949,137 +850,6 @@ func appendWireError(b []byte, e WireError) []byte {
 
 func (d *decoder) wireError() WireError {
 	return WireError{Msg: d.string(), Marks: uint32(d.uvarint())}
-}
-
-// EncodeResult serializes a result frame payload.
-func EncodeResult(m *ResultMsg) []byte {
-	b := make([]byte, 0, 256)
-	b = appendUint(b, m.RunID)
-	b = appendUint(b, uint64(m.Seq))
-	b = appendString(b, m.TaskID)
-	b = appendUint(b, uint64(m.Worker))
-	b = appendUint(b, uint64(m.Attempts))
-	var flags byte
-	if m.Err != nil {
-		flags |= rfErr
-	}
-	if m.Quarantined {
-		flags |= rfQuarantined
-	}
-	if m.Cancelled {
-		flags |= rfCancelled
-	}
-	if m.Stats.Halted {
-		flags |= rfHalted
-	}
-	if m.HasLog {
-		flags |= rfLog
-	}
-	if m.Spawned {
-		flags |= rfSpawned
-	}
-	b = append(b, flags)
-	b = appendUint(b, uint64(m.Stats.Firings))
-	b = appendUint(b, uint64(m.Stats.Cycles))
-	b = appendUint(b, uint64(m.Stats.RHSActions))
-	b = appendFloat(b, m.Stats.MatchInstr)
-	b = appendFloat(b, m.Stats.ResolveInstr)
-	b = appendFloat(b, m.Stats.ActInstr)
-	b = appendFloat(b, m.Stats.InitInstr)
-	b = appendUint(b, uint64(m.Mem.SeedWMEs))
-	b = appendFloat(b, m.Mem.SeedBytes)
-	b = appendUint(b, uint64(m.Mem.RetractedWMEs))
-	b = appendFloat(b, m.Mem.RetractedBytes)
-	b = appendUint(b, uint64(m.Mem.PeakWMEs))
-	b = appendUint(b, uint64(m.Mem.PeakTokens))
-	b = appendFloat(b, m.Mem.PeakBytes)
-	if m.Err != nil {
-		b = appendWireError(b, *m.Err)
-	}
-	b = appendUint(b, uint64(len(m.AttemptErrs)))
-	for _, e := range m.AttemptErrs {
-		b = appendWireError(b, e)
-	}
-	b = appendUint(b, uint64(len(m.Snapshot)))
-	for _, sc := range m.Snapshot {
-		b = appendString(b, sc.Name)
-		b = appendUint(b, uint64(len(sc.Attrs)))
-		for _, a := range sc.Attrs {
-			b = appendString(b, a)
-		}
-		b = appendUint(b, uint64(len(sc.Rows)))
-		for _, row := range sc.Rows {
-			b = appendValues(b, row)
-		}
-	}
-	return b
-}
-
-// DecodeResult parses a result frame payload.
-func DecodeResult(payload []byte) (*ResultMsg, error) {
-	d := &decoder{b: payload}
-	m := &ResultMsg{}
-	m.RunID = d.uvarint()
-	m.Seq = int(d.uvarint())
-	m.TaskID = d.string()
-	m.Worker = int(d.uvarint())
-	m.Attempts = int(d.uvarint())
-	flags := d.byte()
-	m.Quarantined = flags&rfQuarantined != 0
-	m.Cancelled = flags&rfCancelled != 0
-	m.HasLog = flags&rfLog != 0
-	m.Spawned = flags&rfSpawned != 0
-	m.Stats.Firings = int(d.uvarint())
-	m.Stats.Cycles = int(d.uvarint())
-	m.Stats.RHSActions = int(d.uvarint())
-	m.Stats.MatchInstr = d.float()
-	m.Stats.ResolveInstr = d.float()
-	m.Stats.ActInstr = d.float()
-	m.Stats.InitInstr = d.float()
-	m.Stats.Halted = flags&rfHalted != 0
-	m.Mem.SeedWMEs = int(d.uvarint())
-	m.Mem.SeedBytes = d.float()
-	m.Mem.RetractedWMEs = int(d.uvarint())
-	m.Mem.RetractedBytes = d.float()
-	m.Mem.PeakWMEs = int(d.uvarint())
-	m.Mem.PeakTokens = int(d.uvarint())
-	m.Mem.PeakBytes = d.float()
-	if flags&rfErr != 0 {
-		e := d.wireError()
-		m.Err = &e
-	}
-	if n := d.count("attempt error"); n > 0 {
-		m.AttemptErrs = make([]WireError, 0, n)
-		for i := 0; i < n; i++ {
-			m.AttemptErrs = append(m.AttemptErrs, d.wireError())
-		}
-	}
-	if n := d.count("snapshot class"); n > 0 {
-		m.Snapshot = make([]SnapClass, 0, n)
-		for i := 0; i < n; i++ {
-			sc := SnapClass{Name: d.string()}
-			if na := d.count("snapshot attr"); na > 0 {
-				sc.Attrs = make([]string, 0, na)
-				for j := 0; j < na; j++ {
-					sc.Attrs = append(sc.Attrs, d.string())
-				}
-			}
-			if nr := d.count("snapshot row"); nr > 0 {
-				sc.Rows = make([][]symtab.Value, 0, nr)
-				for j := 0; j < nr; j++ {
-					sc.Rows = append(sc.Rows, d.values())
-				}
-			}
-			m.Snapshot = append(m.Snapshot, sc)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after result frame", len(d.b))
-	}
-	return m, nil
 }
 
 // EncodeResultV2 serializes a result frame payload against the

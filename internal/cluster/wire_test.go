@@ -12,13 +12,15 @@ import (
 	"spampsm/internal/tlp"
 )
 
-// corpusTasks builds real task messages from the three airports' RTF
-// queues plus DC's full LCC/FA/model pipeline — every wire-spec phase
-// the coordinator actually ships.
-func corpusTasks(t testing.TB) []*TaskMsg {
+// corpusQueue builds real tasks from the three airports' RTF queues
+// plus DC's full LCC/FA/model pipeline — every wire-spec phase the
+// coordinator actually ships — and returns them with their datasets.
+func corpusQueue(t testing.TB) ([]*tlp.Task, map[string]*spam.Dataset) {
 	t.Helper()
 	var queue []*tlp.Task
+	datasets := map[string]*spam.Dataset{}
 	pipeline := func(name string, d *spam.Dataset) {
+		datasets[name] = d
 		rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
 		queue = append(queue, rtf...)
 		if name != "DC" {
@@ -53,7 +55,13 @@ func corpusTasks(t testing.TB) []*TaskMsg {
 		}
 		pipeline(name, d)
 	}
+	return queue, datasets
+}
 
+// corpusTasks wraps corpusQueue's tasks as the messages that ship them.
+func corpusTasks(t testing.TB) []*TaskMsg {
+	t.Helper()
+	queue, _ := corpusQueue(t)
 	cfg := RunConfig{
 		MaxFirings: 5000, FiringBudget: 120000, MaxRetries: 2,
 		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
@@ -106,26 +114,46 @@ func sampleResults() []*ResultMsg {
 	}
 }
 
-// TestWireRoundTripTasks checks full structural identity —
-// decode(encode(m)) == m — over the real airport task corpus and
-// representative results.
-func TestWireRoundTripTasks(t *testing.T) {
-	for _, m := range corpusTasks(t) {
-		got, err := DecodeTask(EncodeTask(m))
+// TestWireBuildMatchesLocalBuild pins the one-derivation property from
+// outside spam, for every phase: the engine a worker rebuilds from a
+// task's wire spec (Dataset.WireBuild) and the engine the task builds
+// locally run to the same statistics and the same extracted WMEs.
+func TestWireBuildMatchesLocalBuild(t *testing.T) {
+	queue, datasets := corpusQueue(t)
+	phases := map[string]int{}
+	for _, task := range queue {
+		spec, err := task.Wire()
 		if err != nil {
-			t.Fatalf("task %s: decode: %v", m.ID, err)
+			t.Fatalf("task %s: wire: %v", task.ID, err)
 		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("task %s: round trip changed message:\nin:  %+v\nout: %+v", m.ID, m, got)
+		phases[spec.Phase]++
+		rebuild, err := datasets[spec.Dataset].WireBuild(spec, false)
+		if err != nil {
+			t.Fatalf("task %s: wire build: %v", task.ID, err)
+		}
+		shipped, err := rebuild(nil)
+		if err != nil {
+			t.Fatalf("task %s: rebuild: %v", task.ID, err)
+		}
+		local, err := task.BuildWith(nil)
+		if err != nil {
+			t.Fatalf("task %s: local build: %v", task.ID, err)
+		}
+		for _, e := range []*ops5.Engine{shipped, local} {
+			if _, err := e.Run(0); err != nil {
+				t.Fatalf("task %s: run: %v", task.ID, err)
+			}
+		}
+		if shipped.Stats() != local.Stats() {
+			t.Errorf("task %s: run stats differ:\nshipped: %+v\nlocal:   %+v", task.ID, shipped.Stats(), local.Stats())
+		}
+		if s, l := snapshot(shipped, spec.Extract), snapshot(local, spec.Extract); !reflect.DeepEqual(s, l) {
+			t.Errorf("task %s: extracted WMEs differ:\nshipped: %+v\nlocal:   %+v", task.ID, s, l)
 		}
 	}
-	for _, r := range sampleResults() {
-		got, err := DecodeResult(EncodeResult(r))
-		if err != nil {
-			t.Fatalf("result %s: decode: %v", r.TaskID, err)
-		}
-		if !reflect.DeepEqual(r, got) {
-			t.Errorf("result %s: round trip changed message:\nin:  %+v\nout: %+v", r.TaskID, r, got)
+	for _, ph := range []string{"rtf", "lcc", "fa", "model"} {
+		if phases[ph] == 0 {
+			t.Errorf("corpus has no %s task", ph)
 		}
 	}
 }
@@ -155,8 +183,9 @@ func chunkRefsFor(m *TaskMsg, resident map[string]uint64, next *uint64) ([]int64
 	return refs, newIDs, newSeeds
 }
 
-// TestWireRoundTripTasksV2 checks structural identity for the v2
-// codec over the same corpus: every task both fully inline and with
+// TestWireRoundTripTasksV2 checks structural identity —
+// decode(encode(m)) == m — over the real airport task corpus and
+// representative results: every task both fully inline and with
 // its shared seeds resolved through chunk frames, sharing one intern
 // table pair across the whole stream — exactly one connection's
 // lifetime. Spawned marks and the v2 result codec's dropped TaskID are
@@ -267,14 +296,17 @@ func fuzzResolve(id uint64) (ops5.Seed, bool) {
 // FuzzWireRoundTrip fuzzes every binary codec with the invariant that
 // any payload the decoder accepts re-encodes to the same bytes after a
 // second decode (canonical-form fixed point — NaN-safe where DeepEqual
-// is not). The first corpus byte selects the codec; the v2 codecs run
-// against fresh intern tables per frame, so the invariant is the
-// single-frame canonical form (cross-frame table state is pinned by
+// is not). The first corpus byte selects the codec (0 and 1 were the
+// deleted v1 task and result codecs); the codecs run against fresh
+// intern tables per frame, so the invariant is the single-frame
+// canonical form (cross-frame table state is pinned by
 // TestWireV2InternSharing).
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range corpusTasks(f) {
-		f.Add(append([]byte{0}, EncodeTask(m)...))
 		f.Add(append([]byte{2}, EncodeTaskV2(NewEncTab(), m, nil)...))
+		spawned := *m
+		spawned.Spawned = true
+		f.Add(append([]byte{2}, EncodeTaskV2(NewEncTab(), &spawned, nil)...))
 		resident := map[string]uint64{}
 		var next uint64
 		refs, ids, seeds := chunkRefsFor(m, resident, &next)
@@ -286,8 +318,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(append([]byte{2}, EncodeTaskV2(enc, m, refs)...))
 	}
 	for _, r := range sampleResults() {
-		f.Add(append([]byte{1}, EncodeResult(r)...))
 		f.Add(append([]byte{5}, EncodeResultV2(NewEncTab(), r)...))
+		spawned := *r
+		spawned.Spawned = true
+		f.Add(append([]byte{5}, EncodeResultV2(NewEncTab(), &spawned)...))
 	}
 	f.Add(append([]byte{4}, EncodeChunkFree([]uint64{0, 7, 130})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -296,32 +330,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		kind, payload := data[0], data[1:]
 		switch kind % 6 {
-		case 0:
-			m, err := DecodeTask(payload)
-			if err != nil {
-				return
-			}
-			enc := EncodeTask(m)
-			m2, err := DecodeTask(enc)
-			if err != nil {
-				t.Fatalf("re-decode rejected own encoding: %v", err)
-			}
-			if !bytes.Equal(enc, EncodeTask(m2)) {
-				t.Fatalf("task encoding not canonical:\n%x\nvs\n%x", enc, EncodeTask(m2))
-			}
-		case 1:
-			r, err := DecodeResult(payload)
-			if err != nil {
-				return
-			}
-			enc := EncodeResult(r)
-			r2, err := DecodeResult(enc)
-			if err != nil {
-				t.Fatalf("re-decode rejected own encoding: %v", err)
-			}
-			if !bytes.Equal(enc, EncodeResult(r2)) {
-				t.Fatalf("result encoding not canonical:\n%x\nvs\n%x", enc, EncodeResult(r2))
-			}
 		case 2:
 			m, refs, err := DecodeTaskV2(&DecTab{}, payload, fuzzResolve)
 			if err != nil {

@@ -61,20 +61,24 @@ type worker struct {
 	init     InitMsg
 	procPlan *faults.Plan
 
-	// chunks is the resident content-addressed seed table (wire v2):
-	// chunk frames install entries, chunk-free frames drop them, and
+	// chunks is the resident content-addressed seed table: chunk frames
+	// install entries, chunk-free frames drop them, and
 	// chunk-ref task frames resolve against it at decode time. Only the
 	// read loop touches it, so it needs no lock — and because refs
 	// resolve into the TaskMsg before the task is handed to an
 	// executor, a later eviction cannot break an earlier task.
 	chunks map[uint64]ops5.Seed
 
-	// dec/enc are the per-direction v2 intern tables: dec mirrors the
+	// dec/enc are the per-direction intern tables: dec mirrors the
 	// coordinator's sender state (read loop only), enc is this worker's
 	// result-stream state (guarded by writeMu, like the stream itself).
 	dec *DecTab
 	enc *EncTab
 
+	// mu guards datasets (written by the read loop, read by executors)
+	// and pools (built on demand by whichever executor first sees a
+	// RunConfig).
+	mu       sync.Mutex
 	datasets map[string]*spam.Dataset
 	// pools caches one tlp.Pool per distinct RunConfig. Pools carry the
 	// retry/quarantine machinery and the shared memory gate, so tasks
@@ -94,6 +98,8 @@ func ServeWorker(c net.Conn) error {
 		br:       bufio.NewReaderSize(c, 1<<16),
 		bw:       bufio.NewWriterSize(c, 1<<16),
 		chunks:   map[uint64]ops5.Seed{},
+		dec:      &DecTab{},
+		enc:      NewEncTab(),
 		datasets: map[string]*spam.Dataset{},
 		pools:    map[RunConfig]*tlp.Pool{},
 	}
@@ -109,16 +115,12 @@ func ServeWorker(c net.Conn) error {
 	if err := decodeJSON(payload, &w.init); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
-	if w.init.Magic != Magic || w.init.Version < MinVersion || w.init.Version > Version {
-		return fmt.Errorf("handshake: protocol %q v%d, want %q v%d..v%d",
-			w.init.Magic, w.init.Version, Magic, MinVersion, Version)
+	if w.init.Magic != Magic || w.init.Version != Version {
+		return fmt.Errorf("handshake: protocol %q v%d, want %q v%d",
+			w.init.Magic, w.init.Version, Magic, Version)
 	}
 	if w.init.LocalWorkers < 1 {
 		w.init.LocalWorkers = 1
-	}
-	if w.init.Version >= 2 {
-		w.dec = &DecTab{}
-		w.enc = NewEncTab()
 	}
 	// Replay the coordinator's observational-equivalence toggles so
 	// every engine built here walks the same code path as its
@@ -163,19 +165,7 @@ loop:
 			} else {
 				loopErr = w.addDataset(spec)
 			}
-		case frameTask:
-			m, err := DecodeTask(payload)
-			if err != nil {
-				loopErr = err
-				break loop
-			}
-			w.admit(m)
-			tasks <- m
 		case frameTaskV2:
-			if w.init.Version < 2 {
-				loopErr = fmt.Errorf("v2 task frame on a v%d connection", w.init.Version)
-				break loop
-			}
 			m, _, err := DecodeTaskV2(w.dec, payload, func(id uint64) (ops5.Seed, bool) {
 				s, ok := w.chunks[id]
 				return s, ok
@@ -187,10 +177,6 @@ loop:
 			w.admit(m)
 			tasks <- m
 		case frameChunk:
-			if w.init.Version < 2 {
-				loopErr = fmt.Errorf("chunk frame on a v%d connection", w.init.Version)
-				break loop
-			}
 			id, s, err := DecodeChunk(w.dec, payload)
 			if err != nil {
 				loopErr = err
@@ -198,10 +184,6 @@ loop:
 			}
 			w.chunks[id] = s
 		case frameChunkFree:
-			if w.init.Version < 2 {
-				loopErr = fmt.Errorf("chunk-free frame on a v%d connection", w.init.Version)
-				break loop
-			}
 			ids, err := DecodeChunkFree(payload)
 			if err != nil {
 				loopErr = err
@@ -255,6 +237,8 @@ func decodeJSON(payload []byte, v interface{}) error {
 // Generation is deterministic, so the result is byte-identical to the
 // coordinator's copy.
 func (w *worker) addDataset(spec DatasetSpec) error {
+	// Only this (read-loop) goroutine writes the map, so the unlocked
+	// read here is safe; the lock covers the executors' reads.
 	if _, ok := w.datasets[spec.Name]; ok {
 		return nil
 	}
@@ -273,13 +257,17 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 	if err != nil {
 		return fmt.Errorf("cluster: dataset %q: %w", spec.Name, err)
 	}
+	w.mu.Lock()
 	w.datasets[spec.Name] = d
+	w.mu.Unlock()
 	return nil
 }
 
 // poolFor returns (building if needed) the local pool matching a
 // run's configuration.
 func (w *worker) poolFor(cfg RunConfig) *tlp.Pool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if p, ok := w.pools[cfg]; ok {
 		return p
 	}
@@ -300,20 +288,14 @@ func (w *worker) poolFor(cfg RunConfig) *tlp.Pool {
 }
 
 // runTask executes one shipped task on executor idx and writes its
-// result frame. On a v2 connection the encoding happens under writeMu
-// too: the result codec interns against the connection's shared table,
-// so encode order must match stream order.
+// result frame. The encoding happens under writeMu too: the result
+// codec interns against the connection's shared table, so encode order
+// must match stream order.
 func (w *worker) runTask(idx int, m *TaskMsg) {
 	res := w.execute(idx, m)
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	var payload []byte
-	if w.enc != nil {
-		payload = EncodeResultV2(w.enc, res)
-	} else {
-		payload = EncodeResult(res)
-	}
-	if _, err := writeFrame(w.bw, frameResult, payload); err != nil {
+	if _, err := writeFrame(w.bw, frameResult, EncodeResultV2(w.enc, res)); err != nil {
 		return
 	}
 	w.bw.Flush()
@@ -323,7 +305,9 @@ func (w *worker) runTask(idx int, m *TaskMsg) {
 // Result for the wire.
 func (w *worker) execute(idx int, m *TaskMsg) *ResultMsg {
 	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt, Spawned: m.Spawned}
+	w.mu.Lock()
 	d, ok := w.datasets[m.Spec.Dataset]
+	w.mu.Unlock()
 	if !ok {
 		out.Err = &WireError{Msg: fmt.Sprintf("cluster: task %s: dataset %q not registered", m.ID, m.Spec.Dataset)}
 		out.AttemptErrs = []WireError{*out.Err}

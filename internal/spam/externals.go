@@ -36,7 +36,7 @@ const (
 
 	// faPredictRadius is the bbox expansion fa-predict-area scans for
 	// sub-area candidates. Sessions replicate the scan when signing FA
-	// tasks (Session.faNeighborhood), so the two must agree.
+	// tasks (faRegions), so the two must agree.
 	faPredictRadius = 800
 )
 

@@ -20,9 +20,9 @@ const gridMinFragments = 24
 // candidates pass through the identical ID/type/bbox filters in the
 // identical pool order.
 //
-// The index is used single-threaded: unitsForLevel builds it and
-// issues every query before any task closure runs, so it needs no
-// locking and its query scratch state is reusable.
+// The index is used single-threaded: partnerQuery builds it and the
+// unit enumeration issues every query before any task closure runs,
+// so it needs no locking and its query scratch state is reusable.
 type fragIndex struct {
 	store      *RegionStore
 	all        []*Fragment
@@ -50,7 +50,7 @@ type fragIndex struct {
 
 // buildFragIndex indexes a fragment pool, or returns nil when the
 // scan path should be used (uncached-geo mode, or a pool too small to
-// amortize construction). A nil index is valid: partnersFor falls
+// amortize construction). A nil index is valid: partnerQuery falls
 // back to NearbyFragments.
 func buildFragIndex(store *RegionStore, all []*Fragment) *fragIndex {
 	if uncachedGeo.Load() || len(all) < gridMinFragments {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"spampsm/internal/faults"
@@ -185,6 +186,28 @@ type poolRunner struct {
 	builders int
 }
 
+// newPoolRunner is the one place InterpretOptions become a tlp.Pool.
+func newPoolRunner(opt InterpretOptions) *poolRunner {
+	return &poolRunner{
+		pool: &tlp.Pool{
+			Workers:      opt.Workers,
+			Policy:       opt.Sched,
+			MemBudget:    opt.MemBudget,
+			Faults:       opt.Faults,
+			MaxRetries:   opt.MaxRetries,
+			TaskTimeout:  opt.TaskTimeout,
+			RetryBackoff: opt.RetryBackoff,
+			FiringBudget: opt.FiringBudget,
+		},
+		prebuild: opt.Prebuild,
+		// The builder count follows the machine, not opt.Workers: engine
+		// construction happens outside the simulated clock, so even the
+		// paper's one-task-process baseline may overlap it across every
+		// available CPU.
+		builders: max(opt.Workers, runtime.GOMAXPROCS(0)),
+	}
+}
+
 func (pr *poolRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
 	if pr.prebuild {
 		pr.pool.Prebuild(tasks, pr.builders)
@@ -242,6 +265,17 @@ type InterpretOptions struct {
 	MemBudget float64
 }
 
+// withDefaults fills the unset decomposition options.
+func (opt InterpretOptions) withDefaults() InterpretOptions {
+	if opt.Workers < 1 {
+		opt.Workers = 1
+	}
+	if opt.Level == 0 {
+		opt.Level = Level3
+	}
+	return opt
+}
+
 func phaseStats(name string, results []*tlp.Result, hypotheses int) PhaseRun {
 	p := PhaseRun{Phase: name, Tasks: len(results), Hypotheses: hypotheses, Results: results,
 		Report: tlp.Report(results)}
@@ -276,155 +310,137 @@ func (d *Dataset) Interpret(opt InterpretOptions) (*Interpretation, error) {
 // background context, no Runner and Degraded off, it is byte-for-byte
 // the classic Interpret.
 func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*Interpretation, error) {
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
-	if opt.Level == 0 {
-		opt.Level = Level3
-	}
-	if opt.RTFBatch < 1 {
-		opt.RTFBatch = 3
-	}
+	return d.interpret(ctx, opt.withDefaults(), nil)
+}
+
+// interpret is the four-phase driver: RTF → LCC → FA (with optional
+// LCC re-entry) → MODEL, each phase enumerated as task specs, run as
+// one queue, settled and extracted. Retention is a property of the
+// caller. A one-shot interpretation (s nil) runs every spec on the
+// dataset itself and releases each engine once its outputs are
+// extracted. A Session (s non-nil, d its private dataset) diffs each
+// spec's signature against its cache, runs only what changed — on the
+// warm engines it keeps — and finds LCC partners through its
+// persistent grid.
+func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Session) (*Interpretation, error) {
 	runner := opt.Runner
 	if runner == nil {
-		// The builder count follows the machine, not opt.Workers: engine
-		// construction happens outside the simulated clock, so even the
-		// paper's one-task-process baseline may overlap it across every
-		// available CPU.
-		builders := opt.Workers
-		if g := runtime.GOMAXPROCS(0); g > builders {
-			builders = g
-		}
-		runner = &poolRunner{
-			pool: &tlp.Pool{
-				Workers:      opt.Workers,
-				Policy:       opt.Sched,
-				MemBudget:    opt.MemBudget,
-				Faults:       opt.Faults,
-				MaxRetries:   opt.MaxRetries,
-				TaskTimeout:  opt.TaskTimeout,
-				RetryBackoff: opt.RetryBackoff,
-				FiringBudget: opt.FiringBudget,
-			},
-			prebuild: opt.Prebuild,
-			builders: builders,
-		}
+		runner = newPoolRunner(opt)
 	}
 	in := &Interpretation{Dataset: d}
 	if pr, ok := runner.(*poolRunner); ok {
 		defer func() { in.MemSched = pr.pool.MemSched() }()
 	}
-	runPhase := func(tasks []*tlp.Task) ([]*tlp.Result, error) {
-		// A degraded upstream phase may leave a later phase with no
-		// tasks at all; that is an empty phase, not an error.
-		if len(tasks) == 0 {
+	// phase runs and settles one queue. A degraded upstream phase may
+	// leave a later phase with no tasks at all; that is an empty phase,
+	// not an error, and runs nothing.
+	phase := func(name string, specs []taskSpec) ([]*tlp.Result, error) {
+		if len(specs) == 0 {
 			return nil, nil
 		}
-		return runner.RunTasks(ctx, tasks)
+		var results []*tlp.Result
+		var err error
+		if s != nil {
+			results, err = s.runSpecs(ctx, runner, specs)
+		} else {
+			prog := phaseDefs[specs[0].phase].prog(d.Progs)
+			results, err = runner.RunTasks(ctx, newTasks(prog, d.Store, specs, opt.Capture))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("spam: %s: %w", name, err)
+		}
+		if err := settlePhase(ctx, in, opt.Degraded, name, results); err != nil {
+			stat, _, _ := strings.Cut(name, " ")
+			in.Phases = append(in.Phases, phaseStats(stat, results, 0))
+			return nil, err
+		}
+		return results, nil
 	}
-	endPhase := func(name string, results []*tlp.Result) error {
-		return settlePhase(ctx, in, opt.Degraded, name, results)
+	// extracted frees a phase's engines once its outputs are read (the
+	// phase statistics only need the stats and cost logs); a session
+	// keeps them warm.
+	extracted := func(results []*tlp.Result) {
+		if s != nil {
+			return
+		}
+		for _, r := range results {
+			if r != nil {
+				r.Engine = nil
+			}
+		}
 	}
+	name := d.Store.Scene().Name
 
 	// Phase 1: RTF.
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, opt.RTFBatch, opt.Capture)
-	rtfResults, err := runPhase(rtfTasks)
+	rtf, err := phase("RTF", rtfSpecs(d.Store, opt.RTFBatch))
 	if err != nil {
-		return in, fmt.Errorf("spam: RTF: %w", err)
-	}
-	if err := endPhase("RTF", rtfResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, 0))
 		return in, err
 	}
-	in.Fragments = ExtractFragments(rtfResults)
-	releaseEngines(rtfResults)
-	in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, len(in.Fragments)))
+	in.Fragments = ExtractFragments(rtf)
+	extracted(rtf)
+	in.Phases = append(in.Phases, phaseStats("RTF", rtf, len(in.Fragments)))
 
 	// Phase 2: LCC.
-	lccTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, in.Fragments, opt.Level, opt.Capture)
-	lccResults, err := runPhase(lccTasks)
-	if err != nil {
-		return in, fmt.Errorf("spam: LCC: %w", err)
+	var grid *liveGrid
+	if s != nil {
+		grid = s.partnerGrid(in.Fragments)
 	}
-	if err := endPhase("LCC", lccResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("LCC", lccResults, 0))
+	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments, grid))
+	lcc, err := phase("LCC", lccUnitSpecs(name, units, opt.Level, false))
+	if err != nil {
 		return in, err
 	}
-	in.Pairs, in.Outcomes = ExtractLCC(lccResults)
-	releaseEngines(lccResults)
+	in.Pairs, in.Outcomes = ExtractLCC(lcc)
+	extracted(lcc)
 
 	// Phase 3: FA.
-	faTasks := BuildFATasks(d.KB, d.Store, d.Progs.FA, in.Fragments, in.Pairs, in.Outcomes, opt.Capture)
-	var faResults []*tlp.Result
-	if len(faTasks) > 0 {
-		faResults, err = runPhase(faTasks)
-		if err != nil {
-			return in, fmt.Errorf("spam: FA: %w", err)
-		}
-		if err := endPhase("FA", faResults); err != nil {
-			in.Phases = append(in.Phases, phaseStats("FA", faResults, 0))
-			return in, err
-		}
+	fa, err := phase("FA", faSpecs(d.KB, name, in.Fragments, in.Pairs, in.Outcomes))
+	if err != nil {
+		return in, err
 	}
-	in.FAs, in.Predictions = ExtractFA(faResults)
-	releaseEngines(faResults)
+	in.FAs, in.Predictions = ExtractFA(fa)
+	extracted(fa)
 
 	// FA→LCC re-entry: predictions hypothesize fragments on regions
-	// that RTF left unclassified; LCC re-checks them. Their cost is
-	// attributed to the LCC phase, where the paper accounts it.
+	// that RTF left unclassified; LCC re-checks only those, against the
+	// full fragment pool (which the session's grid does not hold, hence
+	// the transient index). Their cost is attributed to the LCC phase,
+	// where the paper accounts it.
 	if opt.ReEntry && len(in.Predictions) > 0 {
-		extra := d.reEntryFragments(in)
-		if len(extra) > 0 {
-			// Only the re-entry objects are re-checked, against the full
-			// fragment pool.
+		if extra := d.reEntryFragments(in); len(extra) > 0 {
 			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			reTasks := BuildLCCTasksFor(d.KB, d.Store, d.Progs.LCC, extra, pool2, opt.Level, opt.Capture)
-			// Re-entry tasks continue the LCC phase over fragments the
-			// main pass already shipped: mark them so the cluster
-			// runtime spawns them on the chunk-resident worker.
-			for _, t := range reTasks {
-				t.Continues = true
-			}
-			if len(reTasks) > 0 {
-				reResults, err := runPhase(reTasks)
+			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2, nil))
+			if specs := lccUnitSpecs(name, units, opt.Level, true); len(specs) > 0 {
+				re, err := phase("LCC re-entry", specs)
 				if err != nil {
-					return in, fmt.Errorf("spam: LCC re-entry: %w", err)
-				}
-				if err := endPhase("LCC re-entry", reResults); err != nil {
-					in.Phases = append(in.Phases, phaseStats("LCC", reResults, 0))
 					return in, err
 				}
-				rePairs, reOuts := ExtractLCC(reResults)
-				releaseEngines(reResults)
+				rePairs, reOuts := ExtractLCC(re)
+				extracted(re)
 				in.Pairs = append(in.Pairs, rePairs...)
 				in.Outcomes = append(in.Outcomes, reOuts...)
 				in.Fragments = append(in.Fragments, extra...)
-				lccResults = append(lccResults, reResults...)
+				lcc = append(lcc, re...)
 			}
 		}
 	}
-	in.Phases = append(in.Phases, phaseStats("LCC", lccResults, countConsistent(in.Outcomes)))
-	in.Phases = append(in.Phases, phaseStats("FA", faResults, countClosed(in.FAs)))
+	in.Phases = append(in.Phases, phaseStats("LCC", lcc, countConsistent(in.Outcomes)))
+	in.Phases = append(in.Phases, phaseStats("FA", fa, countClosed(in.FAs)))
 
-	// Phase 4: MODEL.
-	modelTask := BuildModelTask(d.KB, d.Store, d.Progs.Model, in.Fragments, in.FAs, opt.Capture)
-	modelResults, err := runPhase([]*tlp.Task{modelTask})
+	// Phase 4: MODEL. A degraded run whose single MODEL task failed
+	// still returns: the extractor sees no model WMEs and ModelFound
+	// stays false.
+	model, err := phase("MODEL", []taskSpec{modelSpec(name, in.Fragments, in.FAs)})
 	if err != nil {
-		return in, fmt.Errorf("spam: MODEL: %w", err)
-	}
-	if err := endPhase("MODEL", modelResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, 0))
 		return in, err
 	}
-	// A degraded run whose single MODEL task failed still returns: the
-	// extractor sees no model WMEs and ModelFound stays false.
-	in.Model, in.ModelFound = ExtractModel(modelResults)
-	releaseEngines(modelResults)
+	in.Model, in.ModelFound = ExtractModel(model)
+	extracted(model)
 	nModels := 0
 	if in.ModelFound {
 		nModels = 1
 	}
-	in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, nModels))
+	in.Phases = append(in.Phases, phaseStats("MODEL", model, nModels))
 	in.Completeness.Complete = in.Completeness.Failed == 0 && in.Completeness.Cancelled == 0
 	return in, nil
 }
@@ -433,7 +449,7 @@ func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*
 // completeness accounting and decides whether the run continues:
 // cancellation always aborts; quarantined tasks abort unless the run
 // is degraded, in which case the phase's surviving outputs stand and
-// the loss is recorded. Shared between InterpretContext and Session.
+// the loss is recorded.
 func settlePhase(ctx context.Context, in *Interpretation, degraded bool, name string, results []*tlp.Result) error {
 	for _, r := range results {
 		if r == nil {
@@ -509,17 +525,6 @@ func (d *Dataset) reEntryFragments(in *Interpretation) []*Fragment {
 		}
 	}
 	return out
-}
-
-// releaseEngines frees the engines of completed results once their
-// outputs have been extracted; the phase statistics only need the
-// stats and cost logs.
-func releaseEngines(results []*tlp.Result) {
-	for _, r := range results {
-		if r != nil {
-			r.Engine = nil
-		}
-	}
 }
 
 func countConsistent(outs []LCCOutcome) int {

@@ -3,19 +3,18 @@
 //
 // A Session holds a live interpretation of one scene — a private scene
 // clone, its RegionStore, a persistent fragment grid, and every phase
-// task's quiesced Rete engine — and folds scene deltas into it. The
-// decomposition is keyed stably and identically to the classic
-// builders (RTF position batches, LCC units by focal fragment and
-// constraint, FA tasks by seed fragment), so the same logical task
-// keeps its identity across updates — identical decomposition matters
-// because RTF classification is batch-composition-dependent
-// (rtf-align boosts pairs within a batch). On each run the session
-// reassembles every task's seed working memory, collapses each seed
-// to its rete.RouteDigest, appends the geometry epochs of the regions
-// the task's externals can read (geo-test booleans and fa-predict-area
-// candidate scans depend on region geometry the seed rows don't
-// capture), and diffs the signature against the one the task last ran
-// with:
+// task's quiesced Rete engine — and folds scene deltas into it. A
+// session run is Dataset.interpret — the same four-phase driver over
+// the same task specs (tasks.go) as a one-shot interpretation — with
+// retention on. Spec keys are stable (RTF position batches, LCC units
+// by focal fragment and constraint, FA tasks by seed fragment), so the
+// same logical task keeps its identity across updates. On each run the
+// session assembles every task's seed working memory, collapses each
+// seed to its rete.RouteDigest, appends the geometry epochs of the
+// regions the task's externals can read (geo-test booleans and
+// fa-predict-area candidate scans depend on region geometry the seed
+// rows don't capture), and diffs the signature against the one the
+// task last ran with:
 //
 //   - unchanged signature → the task's cached result (and its warm
 //     engine, holding the final working memory) is reused outright, at
@@ -63,10 +62,10 @@ const diffInstrPerSeed = rete.CostAlphaScan
 type Session struct {
 	ds   *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
 	opt  InterpretOptions
-	pool *tlp.Pool // private runner when opt.Runner is nil; persists across updates
 	grid *liveGrid // session-persistent LCC partner index
 
 	tasks   map[string]*sessTask
+	rep     *UpdateReport // the run in progress
 	last    *Interpretation
 	updates int
 }
@@ -122,38 +121,20 @@ type UpdateReport struct {
 // Update per scene delta. The options are fixed for the session's
 // lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
-	if opt.Level == 0 {
-		opt.Level = Level3
-	}
-	if opt.RTFBatch < 1 {
-		opt.RTFBatch = 3
-	}
+	opt = opt.withDefaults()
 	// Prebuild overlaps first-run engine construction but is pointless
 	// (and would fight warm-engine reuse) on updates; sessions skip it.
 	opt.Prebuild = false
-	s := &Session{
+	if opt.Runner == nil {
+		// One pool for the session's lifetime: its workers, memory gate
+		// and throttle accounting span every update.
+		opt.Runner = newPoolRunner(opt)
+	}
+	return &Session{
 		ds:    NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs),
 		opt:   opt,
 		tasks: map[string]*sessTask{},
 	}
-	if opt.Runner == nil {
-		// One pool for the session's lifetime: its workers, memory gate
-		// and throttle accounting span every update.
-		s.pool = &tlp.Pool{
-			Workers:      opt.Workers,
-			Policy:       opt.Sched,
-			MemBudget:    opt.MemBudget,
-			Faults:       opt.Faults,
-			MaxRetries:   opt.MaxRetries,
-			TaskTimeout:  opt.TaskTimeout,
-			RetryBackoff: opt.RetryBackoff,
-			FiringBudget: opt.FiringBudget,
-		}
-	}
-	return s
 }
 
 // Scene returns the session's private scene (mutated by Update).
@@ -193,21 +174,6 @@ func (s *Session) Update(ctx context.Context, d *scene.Delta) (*Interpretation, 
 	return s.run(ctx, d.Size())
 }
 
-// taskSpec is one stable task of the current decomposition: its key,
-// its full seed working memory (already assembled, so the signature
-// can be diffed before deciding to run), and the engine-build inputs.
-type taskSpec struct {
-	key   string
-	label string
-	group string
-	est   float64
-	mem   float64
-	prog  *ops5.Program
-	seeds []ops5.Seed
-	geo   string // geometry-epoch signature component (geoSig)
-	geoN  int    // epoch entries in geo, for diff-cost accounting
-}
-
 // seedSig collapses a seed set to its order-sensitive digest
 // signature. Each seed's RouteDigest is length-prefixed, so no two
 // distinct seed sequences share a signature by concatenation.
@@ -231,8 +197,8 @@ func seedSig(seeds []ops5.Seed) string {
 // (FA) change with region geometry while the fragment tuples and
 // quantized measurements stay identical. Folding the epochs into the
 // signature makes every such task re-run exactly when a delta touched
-// geometry it can observe.
-func (s *Session) geoSig(ids []int) (string, int) {
+// geometry it can observe. It returns the encoding and its entry count.
+func geoSig(st *RegionStore, ids []int) (string, int) {
 	if len(ids) == 0 {
 		return "", 0
 	}
@@ -245,226 +211,85 @@ func (s *Session) geoSig(ids []int) (string, int) {
 		}
 		last = id
 		b = binary.AppendUvarint(b, uint64(id))
-		b = binary.AppendUvarint(b, uint64(s.ds.Store.EpochOf(id)))
+		b = binary.AppendUvarint(b, uint64(st.EpochOf(id)))
 		n++
 	}
 	return string(b), n
 }
 
-// lccUnitRegions collects the regions an LCC task's geo-test calls can
-// read: the focal fragment's region and every partner's region.
-func lccUnitRegions(units []lccUnit) []int {
-	var ids []int
-	for _, u := range units {
-		ids = append(ids, u.focal.RegionID)
-		for _, ps := range u.partners {
-			for _, p := range ps {
-				ids = append(ids, p.RegionID)
-			}
-		}
-	}
-	return ids
-}
-
-// faNeighborhood collects the regions an FA task's fa-predict-area
-// scan can read: the seed region plus every region whose bbox
-// intersects the seed bbox expanded by faPredictRadius — the
-// external's exact candidate-set determination, so the signature
-// changes iff a prediction's candidate count could.
-func (s *Session) faNeighborhood(seedRegion int) []int {
-	st := s.ds.Store
-	ids := []int{seedRegion}
-	d := st.Derived(seedRegion)
-	if d == nil {
-		return ids
-	}
-	bb := d.BBox.Expand(faPredictRadius)
-	for _, other := range st.Scene().Regions {
-		if other.ID == seedRegion {
-			continue
-		}
-		if od := st.Derived(other.ID); od != nil && bb.Intersects(od.BBox) {
-			ids = append(ids, other.ID)
-		}
-	}
-	return ids
-}
-
-// run executes the four-phase interpretation over the session's
-// current scene state, reusing cached tasks wherever the stable key's
-// seed signature is unchanged.
+// run executes the four-phase driver over the session's current scene
+// state with retention on. Stale tasks — keys the run did not
+// enumerate — are swept only when the run completes: an aborted run
+// (a cancelled or failed update) never reached the later phases, and
+// their cached results and warm engines stay for the next update.
 func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *UpdateReport, error) {
 	start := time.Now()
 	rep := &UpdateReport{Update: s.updates, DeltaSize: deltaSize}
-	runner := s.opt.Runner
-	if runner == nil {
-		runner = &poolRunner{pool: s.pool}
-	}
-	in := &Interpretation{Dataset: s.ds}
-	if s.pool != nil {
-		defer func() { in.MemSched = s.pool.MemSched() }()
-	}
+	s.rep = rep
 	for _, st := range s.tasks {
 		st.live = false
 	}
-	finish := func() {
+	in, err := s.ds.interpret(ctx, s.opt, s)
+	if err == nil {
 		for k, st := range s.tasks {
 			if !st.live {
 				delete(s.tasks, k)
 				rep.Dropped++
 			}
 		}
-		rep.UpdateInstr += rep.DiffInstr
-		rep.Wall = time.Since(start)
-		rep.Grid = s.grid.Stats()
-		rep.Geo = s.ds.Store.GeoStats()
+		s.last = in
 	}
-
-	// Phase 1: RTF.
-	rtf, err := s.rtfSpecs()
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session RTF: %w", err)
-	}
-	rtfResults, err := s.runSpecs(ctx, runner, rep, rtf)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session RTF: %w", err)
-	}
-	if err := settlePhase(ctx, in, s.opt.Degraded, "RTF", rtfResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, 0))
-		finish()
-		return in, rep, err
-	}
-	in.Fragments = ExtractFragments(rtfResults)
-	if s.grid == nil {
-		s.grid = newLiveGrid(s.ds.Store, in.Fragments)
-	} else {
-		s.grid.refresh(in.Fragments)
-	}
-	in.Phases = append(in.Phases, phaseStats("RTF", rtfResults, len(in.Fragments)))
-
-	// Phase 2: LCC, partner queries through the persistent grid.
-	lcc, err := s.lccSpecs(in.Fragments)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session LCC: %w", err)
-	}
-	lccResults, err := s.runSpecs(ctx, runner, rep, lcc)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session LCC: %w", err)
-	}
-	if err := settlePhase(ctx, in, s.opt.Degraded, "LCC", lccResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("LCC", lccResults, 0))
-		finish()
-		return in, rep, err
-	}
-	in.Pairs, in.Outcomes = ExtractLCC(lccResults)
-
-	// Phase 3: FA.
-	fa, err := s.faSpecs(in.Fragments, in.Pairs, in.Outcomes)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session FA: %w", err)
-	}
-	faResults, err := s.runSpecs(ctx, runner, rep, fa)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session FA: %w", err)
-	}
-	if len(faResults) > 0 {
-		if err := settlePhase(ctx, in, s.opt.Degraded, "FA", faResults); err != nil {
-			in.Phases = append(in.Phases, phaseStats("FA", faResults, 0))
-			finish()
-			return in, rep, err
-		}
-	}
-	in.FAs, in.Predictions = ExtractFA(faResults)
-
-	// FA→LCC re-entry, as in InterpretContext. Re-entry fragments get
-	// pool-dependent fresh IDs, so their tasks key under a distinct
-	// "lccr" namespace and simply re-run whenever the pool shifts.
-	if s.opt.ReEntry && len(in.Predictions) > 0 {
-		extra := s.ds.reEntryFragments(in)
-		if len(extra) > 0 {
-			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			re, err := s.reEntrySpecs(extra, pool2)
-			if err != nil {
-				finish()
-				return in, rep, fmt.Errorf("spam: session LCC re-entry: %w", err)
-			}
-			if len(re) > 0 {
-				reResults, err := s.runSpecs(ctx, runner, rep, re)
-				if err != nil {
-					finish()
-					return in, rep, fmt.Errorf("spam: session LCC re-entry: %w", err)
-				}
-				if err := settlePhase(ctx, in, s.opt.Degraded, "LCC re-entry", reResults); err != nil {
-					in.Phases = append(in.Phases, phaseStats("LCC", reResults, 0))
-					finish()
-					return in, rep, err
-				}
-				rePairs, reOuts := ExtractLCC(reResults)
-				in.Pairs = append(in.Pairs, rePairs...)
-				in.Outcomes = append(in.Outcomes, reOuts...)
-				in.Fragments = append(in.Fragments, extra...)
-				lccResults = append(lccResults, reResults...)
-			}
-		}
-	}
-	in.Phases = append(in.Phases, phaseStats("LCC", lccResults, countConsistent(in.Outcomes)))
-	in.Phases = append(in.Phases, phaseStats("FA", faResults, countClosed(in.FAs)))
-
-	// Phase 4: MODEL.
-	model, err := s.modelSpec(in.Fragments, in.FAs)
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session MODEL: %w", err)
-	}
-	modelResults, err := s.runSpecs(ctx, runner, rep, []taskSpec{model})
-	if err != nil {
-		finish()
-		return in, rep, fmt.Errorf("spam: session MODEL: %w", err)
-	}
-	if err := settlePhase(ctx, in, s.opt.Degraded, "MODEL", modelResults); err != nil {
-		in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, 0))
-		finish()
-		return in, rep, err
-	}
-	in.Model, in.ModelFound = ExtractModel(modelResults)
-	nModels := 0
-	if in.ModelFound {
-		nModels = 1
-	}
-	in.Phases = append(in.Phases, phaseStats("MODEL", modelResults, nModels))
-	in.Completeness.Complete = in.Completeness.Failed == 0 && in.Completeness.Cancelled == 0
-	finish()
-	s.last = in
-	return in, rep, nil
+	rep.UpdateInstr += rep.DiffInstr
+	rep.Wall = time.Since(start)
+	rep.Grid = s.grid.Stats()
+	rep.Geo = s.ds.Store.GeoStats()
+	return in, rep, err
 }
 
-// runSpecs diffs each spec's seed signature against the cached task
-// state, reuses unchanged tasks, and runs the changed/new remainder
-// as one queue through the session's runner (retaining the pool's
-// retry, quarantine and memory-gate semantics). Results come back in
-// spec order; engines stay attached for extraction and warm reuse.
-func (s *Session) runSpecs(ctx context.Context, runner Runner, rep *UpdateReport, specs []taskSpec) ([]*tlp.Result, error) {
+// partnerGrid brings the persistent grid up to date with the RTF
+// output and returns it (nil while the pool is too small for one).
+func (s *Session) partnerGrid(frags []*Fragment) *liveGrid {
+	if s.grid == nil {
+		s.grid = newLiveGrid(s.ds.Store, frags)
+	} else {
+		s.grid.refresh(frags)
+	}
+	return s.grid
+}
+
+// runSpecs is one phase queue under retention: it assembles each
+// spec's seeds, diffs the signature against the cached task state,
+// reuses unchanged tasks, and runs the changed/new remainder as one
+// queue through the runner (retaining the pool's retry, quarantine and
+// memory-gate semantics). Results come back in spec order; engines
+// stay attached for extraction and warm reuse.
+func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec) ([]*tlp.Result, error) {
+	rep, store := s.rep, s.ds.Store
+	def := phaseDefs[specs[0].phase]
+	prog := def.prog(s.ds.Progs)
 	results := make([]*tlp.Result, len(specs))
 	var tasks []*tlp.Task
 	var pending []int // spec index per submitted task
 	for i := range specs {
 		sp := &specs[i]
+		seeds, err := def.seeds(prog, store, sp)
+		if err != nil {
+			return nil, err
+		}
+		geo, geoN := "", 0
+		if def.regions != nil {
+			geo, geoN = geoSig(store, def.regions(store, sp))
+		}
 		rep.Tasks++
-		rep.SeedsDiffed += len(sp.seeds) + sp.geoN
-		rep.DiffInstr += float64(len(sp.seeds)+sp.geoN) * diffInstrPerSeed
+		rep.SeedsDiffed += len(seeds) + geoN
+		rep.DiffInstr += float64(len(seeds)+geoN) * diffInstrPerSeed
 		st := s.tasks[sp.key]
 		if st != nil && st.live {
 			return nil, fmt.Errorf("spam: session: duplicate task key %s", sp.key)
 		}
 		// seedSig is a prefix code, so appending the epoch component
 		// keeps the combined signature collision-free.
-		sig := seedSig(sp.seeds) + sp.geo
+		sig := seedSig(seeds) + geo
 		if st != nil && st.sig == sig && st.res != nil && st.res.Err == nil {
 			st.live = true
 			results[i] = st.res
@@ -490,44 +315,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, rep *UpdateReport
 		}
 		st.sig = sig
 		st.live = true
-		seeds := sp.seeds
-		prog := sp.prog
-		capture := s.opt.Capture
-		store := s.ds.Store
-		build := func(sc *ops5.Scratch) (*ops5.Engine, error) {
-			// The warm engine is consumed by the first attempt only: a
-			// retry after a failed attempt rebuilds from scratch, keeping
-			// re-execution idempotent even if the failure left the warm
-			// engine mid-operation.
-			if e := warm; e != nil {
-				warm = nil
-				if err := e.ResetForUpdate(); err != nil {
-					return nil, err
-				}
-				if err := e.AssertBatch(seeds); err != nil {
-					return nil, err
-				}
-				return e, nil
-			}
-			e, err := newTaskEngine(prog, capture, sc)
-			if err != nil {
-				return nil, err
-			}
-			store.Register(e)
-			if err := e.AssertBatch(seeds); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		tasks = append(tasks, &tlp.Task{
-			ID:        sp.key,
-			Label:     sp.label,
-			Group:     sp.group,
-			EstSize:   sp.est,
-			MemEst:    sp.mem,
-			Build:     func() (*ops5.Engine, error) { return build(nil) },
-			BuildWith: build,
-		})
+		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, seeds, warm))
 		pending = append(pending, i)
 	}
 	if len(tasks) == 0 {
@@ -557,245 +345,4 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, rep *UpdateReport
 		}
 	}
 	return results, nil
-}
-
-// rtfSpecs enumerates the RTF tasks over the current scene with the
-// classic position batching (regions[start:end], batchID =
-// start/RTFBatch). The batching must be identical to BuildRTFTasks —
-// not merely stable — because RTF classification depends on batch
-// composition: rtf-align boosts fragment pairs within one task's
-// working memory, so grouping regions differently than a from-scratch
-// run changes confidences. The price is that a removal shifts every
-// later region's batch, re-running those batches; RTF is the cheapest
-// phase, so the churn-proportionality of the whole update survives.
-//
-// The batch regions' geometry epochs join the signature: the alignment
-// calls read region geometry that can move while the quantized
-// measurement rows stay identical.
-func (s *Session) rtfSpecs() ([]taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.RTF
-	name := store.Scene().Name
-	regions := store.Scene().Regions
-	batchSize := s.opt.RTFBatch
-	var specs []taskSpec
-	for start := 0; start < len(regions); start += batchSize {
-		end := start + batchSize
-		if end > len(regions) {
-			end = len(regions)
-		}
-		regs := regions[start:end]
-		batchID := start / batchSize
-		seeds, err := rtfSeeds(prog, store, batchID, regs)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]int, len(regs))
-		for i, r := range regs {
-			ids[i] = r.ID
-		}
-		geo, geoN := s.geoSig(ids)
-		specs = append(specs, taskSpec{
-			key:   fmt.Sprintf("rtf-%s-%d", name, batchID),
-			label: fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(regs)),
-			group: "rtf",
-			est:   float64(len(regs)),
-			mem:   taskMemEst(1 + 2*len(regs)),
-			prog:  prog,
-			seeds: seeds,
-			geo:   geo,
-			geoN:  geoN,
-		})
-	}
-	return specs, nil
-}
-
-// gridQuery is the session's partner query: the persistent grid when
-// one was built, NearbyFragments' scan otherwise — the same candidate
-// sets, in the same ascending-ID order, either way.
-func (s *Session) gridQuery(all []*Fragment) func(*Fragment, Constraint) []*Fragment {
-	return func(f *Fragment, c Constraint) []*Fragment {
-		if s.grid != nil {
-			return s.grid.query(f, c.Object, c.Radius)
-		}
-		return NearbyFragments(s.ds.Store, f, c.Object, all, c.Radius)
-	}
-}
-
-// lccSpecs enumerates the LCC tasks at the session's level with stable
-// keys: Level 4 by object class, Level 3 by focal fragment, Level 2 by
-// (focal, constraint), Level 1 by (focal, constraint, partner).
-func (s *Session) lccSpecs(frags []*Fragment) ([]taskSpec, error) {
-	units := unitsWith(s.ds.KB, frags, s.opt.Level, s.gridQuery(frags))
-	return s.lccUnitSpecs(units, "lcc")
-}
-
-// reEntrySpecs enumerates the FA→LCC re-entry tasks under the "lccr"
-// key namespace. The re-entry pool includes fragments the persistent
-// grid does not hold, so partner queries use the classic transient
-// index path.
-func (s *Session) reEntrySpecs(extra, pool []*Fragment) ([]taskSpec, error) {
-	units := unitsForLevel(s.ds.KB, s.ds.Store, extra, pool, s.opt.Level)
-	return s.lccUnitSpecs(units, "lccr")
-}
-
-// lccUnitSpecs converts LCC work units to stable-keyed task specs.
-func (s *Session) lccUnitSpecs(units []lccUnit, prefix string) ([]taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.LCC
-	name := store.Scene().Name
-	level := s.opt.Level
-	if level == Level4 {
-		byClass := map[scene.Kind][]lccUnit{}
-		for _, u := range units {
-			byClass[u.focal.Type] = append(byClass[u.focal.Type], u)
-		}
-		var classes []scene.Kind
-		for k := range byClass {
-			classes = append(classes, k)
-		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-		specs := make([]taskSpec, 0, len(classes))
-		for _, k := range classes {
-			group := byClass[k]
-			est := 0
-			for _, u := range group {
-				est += u.expected
-			}
-			seeds, err := lccSeeds(prog, store, group)
-			if err != nil {
-				return nil, err
-			}
-			geo, geoN := s.geoSig(lccUnitRegions(group))
-			specs = append(specs, taskSpec{
-				key:   fmt.Sprintf("%s4-%s-%s", prefix, name, k),
-				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
-				group: string(k),
-				est:   float64(est),
-				mem:   taskMemEst(2*est + 3*len(group)),
-				prog:  prog,
-				seeds: seeds,
-				geo:   geo,
-				geoN:  geoN,
-			})
-		}
-		return specs, nil
-	}
-	specs := make([]taskSpec, 0, len(units))
-	for _, u := range units {
-		key := fmt.Sprintf("%s%d-%s-o%d", prefix, level, name, u.focal.ID)
-		switch level {
-		case Level2:
-			key += "-" + u.cid
-		case Level1:
-			pid := 0
-			for _, ps := range u.partners {
-				for _, p := range ps {
-					pid = p.ID
-				}
-			}
-			key += fmt.Sprintf("-%s-p%d", u.cid, pid)
-		}
-		seeds, err := lccSeeds(prog, store, []lccUnit{u})
-		if err != nil {
-			return nil, err
-		}
-		geo, geoN := s.geoSig(lccUnitRegions([]lccUnit{u}))
-		specs = append(specs, taskSpec{
-			key:   key,
-			label: fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
-			group: string(u.focal.Type),
-			est:   float64(u.expected),
-			mem:   taskMemEst(2*u.expected + 3),
-			prog:  prog,
-			seeds: seeds,
-			geo:   geo,
-			geoN:  geoN,
-		})
-	}
-	return specs, nil
-}
-
-// faSpecs enumerates the FA tasks — one per (spec, consistent seed
-// fragment), keyed by the seed fragment's ID as in BuildFATasks.
-func (s *Session) faSpecs(frags []*Fragment, pairs []ConsistentPair, outcomes []LCCOutcome) ([]taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.FA
-	name := store.Scene().Name
-	byID := map[int]*Fragment{}
-	for _, f := range frags {
-		byID[f.ID] = f
-	}
-	consistent := map[int]bool{}
-	for _, o := range outcomes {
-		if o.Status == "consistent" {
-			consistent[o.Object] = true
-		}
-	}
-	pairsByObject := map[int][]ConsistentPair{}
-	for _, p := range pairs {
-		pairsByObject[p.Object] = append(pairsByObject[p.Object], p)
-	}
-	var specs []taskSpec
-	for _, spec := range s.ds.KB.FAs {
-		memberKinds := map[scene.Kind]bool{}
-		for _, m := range spec.Members {
-			memberKinds[m] = true
-		}
-		for _, f := range frags {
-			if f.Type != spec.Seed || !consistent[f.ID] {
-				continue
-			}
-			var members []*Fragment
-			var memberPairs []ConsistentPair
-			seen := map[int]bool{}
-			for _, p := range pairsByObject[f.ID] {
-				pf := byID[p.Partner]
-				if pf == nil || !memberKinds[pf.Type] {
-					continue
-				}
-				memberPairs = append(memberPairs, p)
-				if !seen[pf.ID] {
-					seen[pf.ID] = true
-					members = append(members, pf)
-				}
-			}
-			seeds, err := faSeeds(prog, store, f, members, memberPairs, spec.Type)
-			if err != nil {
-				return nil, err
-			}
-			geo, geoN := s.geoSig(s.faNeighborhood(f.RegionID))
-			specs = append(specs, taskSpec{
-				key:   fmt.Sprintf("fa-%s-%s-%d", name, spec.Type, f.ID),
-				label: fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, len(members)),
-				group: "fa-" + string(spec.Type),
-				est:   float64(len(members) + 1),
-				mem:   taskMemEst(len(members) + len(memberPairs) + 2),
-				prog:  prog,
-				seeds: seeds,
-				geo:   geo,
-				geoN:  geoN,
-			})
-		}
-	}
-	return specs, nil
-}
-
-// modelSpec builds the single MODEL task spec.
-func (s *Session) modelSpec(frags []*Fragment, fas []FunctionalArea) (taskSpec, error) {
-	store := s.ds.Store
-	prog := s.ds.Progs.Model
-	seeds, err := modelSeeds(prog, store, frags, fas)
-	if err != nil {
-		return taskSpec{}, err
-	}
-	return taskSpec{
-		key:   fmt.Sprintf("model-%s", store.Scene().Name),
-		label: fmt.Sprintf("MODEL (%d functional areas)", len(fas)),
-		group: "model",
-		est:   float64(len(fas) + 1),
-		mem:   taskMemEst(2*len(fas) + 1),
-		prog:  prog,
-		seeds: seeds,
-	}, nil
 }

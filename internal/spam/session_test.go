@@ -2,10 +2,14 @@ package spam
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"spampsm/internal/rete"
 	"spampsm/internal/scene"
+	"spampsm/internal/tlp"
 )
 
 // compareOutputs asserts that two interpretations produced the same
@@ -87,6 +91,151 @@ func TestSessionDifferentialIncremental(t *testing.T) {
 		}
 		compareOutputs(t, "incremental", in, "scratch", fromScratch(t, d, sess.Scene(), opt))
 	}
+}
+
+// queueRecorder is a Runner that records what every phase queue
+// presents to it — each task's identity, scheduler estimates and the
+// RouteDigest sequence of the seeds its wire description carries —
+// and runs the queue on a private pool. cancel, when set, is called
+// once, just before the next queue runs.
+type queueRecorder struct {
+	pool   tlp.Pool
+	queues [][]string
+	cancel context.CancelFunc
+}
+
+func (q *queueRecorder) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
+	var queue []string
+	for _, task := range tasks {
+		spec, err := task.Wire()
+		if err != nil {
+			return nil, err
+		}
+		line := fmt.Sprintf("%s|%s|%s|%g|%g|%s", task.ID, task.Label, task.Group, task.EstSize, task.MemEst, spec.Phase)
+		for _, sd := range spec.Seeds {
+			line += fmt.Sprintf("|%x", rete.RouteDigest(sd.Class, sd.Vals))
+		}
+		queue = append(queue, line)
+	}
+	q.queues = append(q.queues, queue)
+	if q.cancel != nil {
+		q.cancel()
+		q.cancel = nil
+	}
+	return q.pool.RunContext(ctx, tasks)
+}
+
+// TestSessionDifferentialQueues pins that the one-shot path and a
+// session's first run are one enumeration: on every airport, at every
+// decomposition level, with re-entry on, both present the same task
+// IDs, labels, groups, estimates and seed sets to the Runner, queue by
+// queue — and that an LCC task's ID names its focal fragment, not its
+// queue position.
+func TestSessionDifferentialQueues(t *testing.T) {
+	for _, p := range []scene.Params{scene.SF, scene.DC, scene.MOFF} {
+		d, err := NewDataset(p.Scale(0.4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level := Level1; level <= Level4; level++ {
+			opt := InterpretOptions{Level: level, ReEntry: true}
+			oneShot, first := &queueRecorder{}, &queueRecorder{}
+			opt.Runner = oneShot
+			ref := fromScratch(t, d, d.Scene, opt)
+			opt.Runner = first
+			in, _, err := NewSession(d, opt).Interpret(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareOutputs(t, "session", in, "scratch", ref)
+			if len(oneShot.queues) < 4 {
+				t.Fatalf("%s L%d: one-shot run presented %d queues, want at least the four phases", p.Name, level, len(oneShot.queues))
+			}
+			if !reflect.DeepEqual(oneShot.queues, first.queues) {
+				t.Errorf("%s L%d: one-shot and session first run present different queues", p.Name, level)
+			}
+		}
+	}
+
+	d := smallDC(t)
+	in, err := d.Interpret(InterpretOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idByFocal := func(frags []*Fragment) map[int]string {
+		ids := map[int]string{}
+		for _, task := range BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false) {
+			var focal int
+			if _, err := fmt.Sscanf(task.Label, "LCC L3 object %d", &focal); err != nil {
+				t.Fatalf("label %q: %v", task.Label, err)
+			}
+			ids[focal] = task.ID
+		}
+		return ids
+	}
+	all := idByFocal(in.Fragments)
+	// in.Fragments[0] is an earlier focal of every task but its own.
+	fewer := idByFocal(in.Fragments[1:])
+	if len(fewer) < 2 {
+		t.Fatalf("only %d LCC tasks: ID stability test is vacuous", len(fewer))
+	}
+	for focal, id := range fewer {
+		if all[focal] != id {
+			t.Errorf("focal %d: task ID %s with an earlier focal left out, %s with it", focal, id, all[focal])
+		}
+	}
+}
+
+// TestSessionAbortedUpdateKeepsCache pins that an update aborted in
+// RTF costs the next update nothing: the cached results and warm
+// engines of the phases the aborted run never reached survive it.
+func TestSessionAbortedUpdateKeepsCache(t *testing.T) {
+	d := smallDC(t)
+	run := &queueRecorder{pool: tlp.Pool{Workers: 2}}
+	sess := NewSession(d, InterpretOptions{Runner: run})
+	if _, _, err := sess.Interpret(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// A deadline that passes with nothing to run: RTF settles cancelled.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := sess.Update(ctx, &scene.Delta{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("update under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	_, rep, err := sess.Update(context.Background(), &scene.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reused != rep.Tasks || rep.Fresh != 0 || rep.Rerun != 0 {
+		t.Errorf("after an aborted no-op update, an empty update ran work: %+v", rep)
+	}
+
+	// A real delta cancelled as its RTF queue starts, then an empty
+	// delta: the session must do exactly the work of a twin session
+	// that applied the same delta undisturbed.
+	churn := scene.DefaultChurn(11, 0.05)
+	ctx, run.cancel = context.WithCancel(context.Background())
+	if _, _, err := sess.Update(ctx, sess.Scene().Churn(churn)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("update cancelled mid-RTF: err = %v, want context.Canceled", err)
+	}
+	in, rep, err := sess.Update(context.Background(), &scene.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := NewSession(d, InterpretOptions{Workers: 2})
+	if _, _, err := twin.Interpret(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := twin.Update(context.Background(), twin.Scene().Churn(churn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tasks != want.Tasks || rep.Reused != want.Reused {
+		t.Errorf("update after an abort mid-RTF reused %d of %d tasks; the undisturbed twin reused %d of %d",
+			rep.Reused, rep.Tasks, want.Reused, want.Tasks)
+	}
+	compareOutputs(t, "after abort", in, "scratch", fromScratch(t, d, sess.Scene(), InterpretOptions{Workers: 2}))
 }
 
 // TestSessionDifferentialReEntry covers the FA→LCC re-entry path and a

@@ -116,15 +116,142 @@ func engineOpts(capture bool) []ops5.Option {
 	return opts
 }
 
-// newTaskEngine constructs one task engine, threading the worker's
-// allocation scratch (nil outside DropEngines pools) into the engine's
-// free lists.
-func newTaskEngine(prog *ops5.Program, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
+// loadEngine builds one task's engine: instantiate the phase program
+// (threading the worker's allocation scratch, nil outside DropEngines
+// pools, into the engine's free lists), register the store's
+// externals, assert the seed batch. Every engine the package builds —
+// a local task's, a session's first run, a cluster worker's rebuild of
+// a shipped task — comes from here, so they are the same engine by
+// construction.
+func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
 	opts := engineOpts(capture)
 	if s != nil {
 		opts = append(opts, ops5.WithScratch(s))
 	}
-	return ops5.NewEngine(prog, opts...)
+	e, err := ops5.NewEngine(prog, opts...)
+	if err != nil {
+		return nil, err
+	}
+	store.Register(e)
+	if err := e.AssertBatch(seeds); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// WireBuild resolves a shipped task description against this dataset:
+// it returns the engine builder a cluster worker runs in place of the
+// original Task.Build closure, loading the shipped seed batch into the
+// worker's own (identically generated) dataset through loadEngine.
+func (d *Dataset) WireBuild(spec *tlp.WireSpec, capture bool) (func(s *ops5.Scratch) (*ops5.Engine, error), error) {
+	def, ok := phaseDefs[spec.Phase]
+	if !ok {
+		return nil, fmt.Errorf("spam: wire task phase %q unknown (want rtf, lcc, fa or model)", spec.Phase)
+	}
+	prog, seeds := def.prog(d.Progs), spec.Seeds
+	return func(s *ops5.Scratch) (*ops5.Engine, error) {
+		return loadEngine(prog, d.Store, seeds, capture, s)
+	}, nil
+}
+
+// taskSpec is the one description of a task: its stable key (the task
+// ID everywhere — pool, wire, session cache), the scheduler's
+// estimates, its phase, and the inputs its seed working memory is
+// assembled from. The runnable tlp.Task (newTask), the wire frame and
+// the session signature are all derived from it. A spec holds inputs,
+// not seeds: a one-shot run assembles a task's seeds inside its build,
+// so a phase's seed sets are never all alive at once.
+type taskSpec struct {
+	key, label, group string
+	est, mem          float64
+	phase             string // rtf | lcc | fa | model: the phaseDefs key
+	continues         bool   // LCC re-entry: see tlp.Task.Continues
+
+	batchID int              // rtf
+	regions []*scene.Region  // rtf: the batch
+	units   []lccUnit        // lcc: several share an engine at Level 4
+	seed    *Fragment        // fa: the seed fragment
+	faType  string           // fa
+	members []*Fragment      // fa: consistent member partners
+	pairs   []ConsistentPair // fa: the consistency rows behind them
+	frags   []*Fragment      // model: the fragment pool
+	fas     []FunctionalArea // model
+}
+
+// phaseDefs is the one phase table: which program a phase's tasks
+// instantiate, which classes of the final working memory its
+// extractor reads, how a spec's seed rows are assembled, and which
+// regions' geometry the task's externals can read beyond those rows
+// (nil: none; only a session signature asks).
+var phaseDefs = map[string]struct {
+	prog    func(*Programs) *ops5.Program
+	extract []string
+	seeds   func(*ops5.Program, *RegionStore, *taskSpec) ([]ops5.Seed, error)
+	regions func(*RegionStore, *taskSpec) []int
+}{
+	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfRegions},
+	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, lccSeeds, lccRegions},
+	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, faSeeds, faRegions},
+	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, modelSeeds, nil},
+}
+
+// newTask derives the runnable task from its spec. With assembled nil
+// the task assembles its seeds on demand — inside its build on the pool
+// worker, inside Wire on a cluster coordinator. A retained run passes
+// the seed set it already assembled for the signature diff and, for a
+// changed task, the warm engine to reset and reload in place of a
+// fresh one.
+func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, assembled []ops5.Seed, warm *ops5.Engine) *tlp.Task {
+	def := phaseDefs[sp.phase]
+	load := func() ([]ops5.Seed, error) {
+		if assembled != nil {
+			return assembled, nil
+		}
+		return def.seeds(prog, store, sp)
+	}
+	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
+		seeds, err := load()
+		if err != nil {
+			return nil, err
+		}
+		// The warm engine is consumed by the first attempt only: a retry
+		// after a failed attempt rebuilds from scratch, keeping
+		// re-execution idempotent even if the failure left the warm
+		// engine mid-operation.
+		if e := warm; e != nil {
+			warm = nil
+			if err := e.ResetForUpdate(); err != nil {
+				return nil, err
+			}
+			if err := e.AssertBatch(seeds); err != nil {
+				return nil, err
+			}
+			return e, nil
+		}
+		return loadEngine(prog, store, seeds, capture, s)
+	}
+	return &tlp.Task{
+		ID: sp.key, Label: sp.label, Group: sp.group,
+		EstSize: sp.est, MemEst: sp.mem, Continues: sp.continues,
+		Build:     func() (*ops5.Engine, error) { return build(nil) },
+		BuildWith: build,
+		Wire: func() (*tlp.WireSpec, error) {
+			seeds, err := load()
+			if err != nil {
+				return nil, err
+			}
+			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Seeds: seeds, Extract: def.extract}, nil
+		},
+	}
+}
+
+// newTasks derives one phase queue's tasks from its specs.
+func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture bool) []*tlp.Task {
+	tasks := make([]*tlp.Task, len(specs))
+	for i := range specs {
+		tasks[i] = newTask(prog, store, &specs[i], capture, nil, nil)
+	}
+	return tasks
 }
 
 // seedSet accumulates a task's seed working memory in assertion order;
@@ -175,73 +302,56 @@ func (ss *seedSet) addFragment(f *Fragment) error {
 // batch of regions. The decomposition yields the paper's ~60-100 tasks
 // per dataset at roughly Level-2 granularity.
 func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, capture bool) []*tlp.Task {
+	return newTasks(prog, store, rtfSpecs(store, batchSize), capture)
+}
+
+// rtfSpecs enumerates the RTF tasks over the current scene by position
+// batching (regions[start:end], batchID = start/batchSize; default 3).
+// RTF classification depends on batch composition — rtf-align boosts
+// fragment pairs within one task's working memory — so a session must
+// batch exactly as a from-scratch run does, not merely stably. The
+// price is that a removal shifts every later region's batch, re-running
+// those batches; RTF is the cheapest phase, so the churn-proportionality
+// of the whole update survives.
+func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 	if batchSize < 1 {
 		batchSize = 3
 	}
-	regions := store.Scene().Regions
-	var tasks []*tlp.Task
+	regions, name := store.Scene().Regions, store.Scene().Name
+	var specs []taskSpec
 	for start := 0; start < len(regions); start += batchSize {
-		end := start + batchSize
-		if end > len(regions) {
-			end = len(regions)
-		}
-		batch := regions[start:end]
+		batch := regions[start:min(start+batchSize, len(regions))]
 		batchID := start / batchSize
-		batchCopy := append([]*scene.Region(nil), batch...)
-		build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-			e, err := newTaskEngine(prog, capture, s)
-			if err != nil {
-				return nil, err
-			}
-			store.Register(e)
-			seeds, err := rtfSeeds(prog, store, batchID, batchCopy)
-			if err != nil {
-				return nil, err
-			}
-			if err := e.AssertBatch(seeds); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		tasks = append(tasks, &tlp.Task{
-			ID:        fmt.Sprintf("rtf-%s-%d", store.Scene().Name, batchID),
-			Label:     fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(batchCopy)),
-			Group:     "rtf",
-			EstSize:   float64(len(batchCopy)),
-			MemEst:    taskMemEst(1 + 2*len(batchCopy)),
-			Build:     func() (*ops5.Engine, error) { return build(nil) },
-			BuildWith: build,
-			Wire: func() (*tlp.WireSpec, error) {
-				seeds, err := rtfSeeds(prog, store, batchID, batchCopy)
-				if err != nil {
-					return nil, err
-				}
-				return &tlp.WireSpec{
-					Dataset: store.Scene().Name, Phase: "rtf",
-					Seeds: seeds, Extract: []string{"fragment"},
-				}, nil
-			},
+		specs = append(specs, taskSpec{
+			key:     fmt.Sprintf("rtf-%s-%d", name, batchID),
+			label:   fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(batch)),
+			group:   "rtf",
+			est:     float64(len(batch)),
+			mem:     taskMemEst(1 + 2*len(batch)),
+			phase:   "rtf",
+			batchID: batchID,
+			regions: batch,
 		})
 	}
-	return tasks
+	return specs
 }
 
 // rtfSeeds assembles one RTF task's seed working memory — the task
 // control row plus a measured-region row per batch member, in
-// assertion order. Shared between the classic task builder and the
-// incremental session, so both load byte-identical seed sets.
-func rtfSeeds(prog *ops5.Program, store *RegionStore, batchID int, regions []*scene.Region) ([]ops5.Seed, error) {
+// assertion order.
+func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	ss := seedSet{prog: prog, store: store}
+	batch := symtab.Int(int64(sp.batchID))
 	if err := ss.add("rtf-task", map[string]symtab.Value{
-		"batch": symtab.Int(int64(batchID)), "status": sym("active"),
+		"batch": batch, "status": sym("active"),
 	}); err != nil {
 		return nil, err
 	}
-	for _, r := range regions {
+	for _, r := range sp.regions {
 		area, elong, compact, intensity, texture := store.MeasurementsOf(r)
 		if err := ss.add("region", map[string]symtab.Value{
 			"id":        symtab.Int(int64(r.ID)),
-			"batch":     symtab.Int(int64(batchID)),
+			"batch":     batch,
 			"area":      symtab.Float(area),
 			"elong":     symtab.Float(elong),
 			"compact":   symtab.Float(compact),
@@ -253,6 +363,17 @@ func rtfSeeds(prog *ops5.Program, store *RegionStore, batchID int, regions []*sc
 		}
 	}
 	return ss.seeds, nil
+}
+
+// rtfRegions is the batch itself: the alignment calls read region
+// geometry that can move while the quantized measurement rows stay
+// identical.
+func rtfRegions(_ *RegionStore, sp *taskSpec) []int {
+	ids := make([]int, len(sp.regions))
+	for i, r := range sp.regions {
+		ids[i] = r.ID
+	}
+	return ids
 }
 
 // ExtractFragments collects the fragment hypotheses produced by RTF
@@ -287,29 +408,27 @@ type lccUnit struct {
 	expected int
 }
 
-// partnersFor computes the candidate partner set of one constraint,
-// through the grid index when one was built for the pool.
-func partnersFor(store *RegionStore, ix *fragIndex, focal *Fragment, c Constraint, all []*Fragment) []*Fragment {
-	if ix != nil {
-		return ix.query(focal, c.Object, c.Radius)
+// partnerQuery returns the LCC partner search over one fragment pool:
+// a session's persistent grid when given one, else a transient grid
+// index built here once — or, for a pool too small to amortize one,
+// NearbyFragments' scan. Every path returns the same candidates in the
+// same ascending-ID order.
+func partnerQuery(store *RegionStore, all []*Fragment, live *liveGrid) func(*Fragment, Constraint) []*Fragment {
+	if live != nil {
+		return func(f *Fragment, c Constraint) []*Fragment { return live.query(f, c.Object, c.Radius) }
 	}
-	return NearbyFragments(store, focal, c.Object, all, c.Radius)
-}
-
-// unitsForLevel enumerates the work units of a decomposition level.
-// focals are the objects to check; all is the candidate partner pool,
-// indexed once here so level enumeration stops scanning every
-// fragment per constraint.
-func unitsForLevel(kb *KB, store *RegionStore, focals, all []*Fragment, level Level) []lccUnit {
 	ix := buildFragIndex(store, all)
-	return unitsWith(kb, focals, level, func(f *Fragment, c Constraint) []*Fragment {
-		return partnersFor(store, ix, f, c, all)
-	})
+	return func(f *Fragment, c Constraint) []*Fragment {
+		if ix != nil {
+			return ix.query(f, c.Object, c.Radius)
+		}
+		return NearbyFragments(store, f, c.Object, all, c.Radius)
+	}
 }
 
-// unitsWith enumerates the work units of a decomposition level with a
-// caller-supplied partner query — the transient per-build grid above,
-// or a Session's persistent live grid.
+// unitsWith enumerates the work units of a decomposition level: focals
+// are the objects to check, query (see partnerQuery) finds each
+// constraint's candidate partners.
 func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Constraint) []*Fragment) []lccUnit {
 	var units []lccUnit
 	for _, f := range focals {
@@ -350,29 +469,11 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 	return units
 }
 
-// buildLCCEngine loads one engine with a set of work units (several
-// units share an engine at Level 4).
-func buildLCCEngine(kb *KB, store *RegionStore, prog *ops5.Program, units []lccUnit, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
-	e, err := newTaskEngine(prog, capture, s)
-	if err != nil {
-		return nil, err
-	}
-	store.Register(e)
-	seeds, err := lccSeeds(prog, store, units)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.AssertBatch(seeds); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // lccSeeds assembles the seed working memory of a set of LCC work
 // units, in assertion order: per unit, the (deduplicated) focal and
 // partner fragments with their scope triples, then the support and
-// task control rows. Shared between buildLCCEngine and the session.
-func lccSeeds(prog *ops5.Program, store *RegionStore, units []lccUnit) ([]ops5.Seed, error) {
+// task control rows.
+func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	ss := seedSet{prog: prog, store: store}
 	seen := map[int]bool{}
 	addFrag := func(f *Fragment) error {
@@ -382,7 +483,7 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, units []lccUnit) ([]ops5.S
 		seen[f.ID] = true
 		return ss.addFragment(f)
 	}
-	for _, u := range units {
+	for _, u := range sp.units {
 		if err := addFrag(u.focal); err != nil {
 			return nil, err
 		}
@@ -431,19 +532,43 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, units []lccUnit) ([]ops5.S
 	return ss.seeds, nil
 }
 
+// lccRegions collects the regions an LCC task's geo-test calls can
+// read: the focal fragment's region and every partner's region.
+func lccRegions(_ *RegionStore, sp *taskSpec) []int {
+	var ids []int
+	for _, u := range sp.units {
+		ids = append(ids, u.focal.RegionID)
+		for _, ps := range u.partners {
+			for _, p := range ps {
+				ids = append(ids, p.RegionID)
+			}
+		}
+	}
+	return ids
+}
+
 // BuildLCCTasks decomposes the LCC phase at the chosen level. The
 // same generated rule set serves every level: the task's scope is its
 // working memory.
 func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, capture bool) []*tlp.Task {
-	return BuildLCCTasksFor(kb, store, prog, frags, frags, level, capture)
+	units := unitsWith(kb, frags, level, partnerQuery(store, frags, nil))
+	return newTasks(prog, store, lccUnitSpecs(store.Scene().Name, units, level, false), capture)
 }
 
-// BuildLCCTasksFor decomposes LCC for a subset of focal objects against
-// a larger partner pool — used by the FA→LCC re-entry, which re-checks
-// only the newly predicted fragments.
-func BuildLCCTasksFor(kb *KB, store *RegionStore, prog *ops5.Program, focals, all []*Fragment, level Level, capture bool) []*tlp.Task {
-	units := unitsForLevel(kb, store, focals, all, level)
-	name := store.Scene().Name
+// lccUnitSpecs converts LCC work units to task specs with stable keys:
+// Level 4 by object class, Level 3 by focal fragment, Level 2 by
+// (focal, constraint), Level 1 by (focal, constraint, partner) — never
+// by queue position, so a task keeps its identity when the queue
+// around it changes. The FA→LCC re-entry re-checks only the newly
+// predicted fragments; their IDs depend on the fragment pool, so those
+// tasks key under a distinct "lccr" namespace, and they continue the
+// LCC phase over fragments the main pass already shipped: marked, so
+// the cluster runtime spawns them on the chunk-resident worker.
+func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []taskSpec {
+	prefix := "lcc"
+	if reentry {
+		prefix = "lccr"
+	}
 	if level == Level4 {
 		// One task per object class. The scope WMEs keep each focal
 		// object's checks identical to its Level-3 task even though the
@@ -457,63 +582,47 @@ func BuildLCCTasksFor(kb *KB, store *RegionStore, prog *ops5.Program, focals, al
 			classes = append(classes, k)
 		}
 		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-		var tasks []*tlp.Task
+		specs := make([]taskSpec, 0, len(classes))
 		for _, k := range classes {
 			group := byClass[k]
 			est := 0
 			for _, u := range group {
 				est += u.expected
 			}
-			groupCopy := group
-			build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-				return buildLCCEngine(kb, store, prog, groupCopy, capture, s)
-			}
-			tasks = append(tasks, &tlp.Task{
-				ID:        fmt.Sprintf("lcc4-%s-%s", name, k),
-				Label:     fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(groupCopy)),
-				Group:     string(k),
-				EstSize:   float64(est),
-				MemEst:    taskMemEst(2*est + 3*len(groupCopy)),
-				Build:     func() (*ops5.Engine, error) { return build(nil) },
-				BuildWith: build,
-				Wire:      lccWire(prog, store, name, groupCopy),
+			specs = append(specs, taskSpec{
+				key:       fmt.Sprintf("%s4-%s-%s", prefix, name, k),
+				label:     fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
+				group:     string(k),
+				est:       float64(est),
+				mem:       taskMemEst(2*est + 3*len(group)),
+				phase:     "lcc",
+				continues: reentry,
+				units:     group,
 			})
 		}
-		return tasks
+		return specs
 	}
-	var tasks []*tlp.Task
-	for i, u := range units {
-		uc := u
-		build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-			return buildLCCEngine(kb, store, prog, []lccUnit{uc}, capture, s)
+	specs := make([]taskSpec, 0, len(units))
+	for _, u := range units {
+		key := fmt.Sprintf("%s%d-%s-o%d", prefix, level, name, u.focal.ID)
+		switch level {
+		case Level2:
+			key += "-" + u.cid
+		case Level1:
+			key += fmt.Sprintf("-%s-p%d", u.cid, u.partners[u.cid][0].ID)
 		}
-		tasks = append(tasks, &tlp.Task{
-			ID:        fmt.Sprintf("lcc%d-%s-%d", level, name, i),
-			Label:     fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, uc.focal.ID, uc.cid, uc.expected),
-			Group:     string(uc.focal.Type),
-			EstSize:   float64(uc.expected),
-			MemEst:    taskMemEst(2*uc.expected + 3),
-			Build:     func() (*ops5.Engine, error) { return build(nil) },
-			BuildWith: build,
-			Wire:      lccWire(prog, store, name, []lccUnit{uc}),
+		specs = append(specs, taskSpec{
+			key:       key,
+			label:     fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
+			group:     string(u.focal.Type),
+			est:       float64(u.expected),
+			mem:       taskMemEst(2*u.expected + 3),
+			phase:     "lcc",
+			continues: reentry,
+			units:     []lccUnit{u},
 		})
 	}
-	return tasks
-}
-
-// lccWire builds the lazy wire description of one LCC task: the same
-// seed set its Build closure asserts, shipped for remote execution.
-func lccWire(prog *ops5.Program, store *RegionStore, name string, units []lccUnit) func() (*tlp.WireSpec, error) {
-	return func() (*tlp.WireSpec, error) {
-		seeds, err := lccSeeds(prog, store, units)
-		if err != nil {
-			return nil, err
-		}
-		return &tlp.WireSpec{
-			Dataset: name, Phase: "lcc",
-			Seeds: seeds, Extract: []string{"check", "lcc-result"},
-		}, nil
-	}
+	return specs
 }
 
 // ConsistentPair is one consistency record produced by LCC: focal
@@ -592,6 +701,12 @@ type Prediction struct {
 func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment,
 	pairs []ConsistentPair, outcomes []LCCOutcome, capture bool) []*tlp.Task {
 
+	return newTasks(prog, store, faSpecs(kb, store.Scene().Name, frags, pairs, outcomes), capture)
+}
+
+// faSpecs enumerates the FA tasks — one per (functional-area spec,
+// consistent seed fragment), keyed by the seed fragment's ID.
+func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, outcomes []LCCOutcome) []taskSpec {
 	byID := map[int]*Fragment{}
 	for _, f := range frags {
 		byID[f.ID] = f
@@ -607,7 +722,7 @@ func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragm
 		pairsByObject[p.Object] = append(pairsByObject[p.Object], p)
 	}
 
-	var tasks []*tlp.Task
+	var specs []taskSpec
 	for _, spec := range kb.FAs {
 		memberKinds := map[scene.Kind]bool{}
 		for _, m := range spec.Members {
@@ -633,67 +748,37 @@ func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragm
 					members = append(members, pf)
 				}
 			}
-			seed := f
-			specCopy := spec
-			membersCopy := members
-			pairsCopy := memberPairs
-			expected := len(members)
-			build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-				e, err := newTaskEngine(prog, capture, s)
-				if err != nil {
-					return nil, err
-				}
-				store.Register(e)
-				seeds, err := faSeeds(prog, store, seed, membersCopy, pairsCopy, specCopy.Type)
-				if err != nil {
-					return nil, err
-				}
-				if err := e.AssertBatch(seeds); err != nil {
-					return nil, err
-				}
-				return e, nil
-			}
-			tasks = append(tasks, &tlp.Task{
-				ID:        fmt.Sprintf("fa-%s-%s-%d", store.Scene().Name, spec.Type, f.ID),
-				Label:     fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, expected),
-				Group:     "fa-" + string(spec.Type),
-				EstSize:   float64(expected + 1),
-				MemEst:    taskMemEst(expected + len(pairsCopy) + 2),
-				Build:     func() (*ops5.Engine, error) { return build(nil) },
-				BuildWith: build,
-				Wire: func() (*tlp.WireSpec, error) {
-					seeds, err := faSeeds(prog, store, seed, membersCopy, pairsCopy, specCopy.Type)
-					if err != nil {
-						return nil, err
-					}
-					return &tlp.WireSpec{
-						Dataset: store.Scene().Name, Phase: "fa",
-						Seeds: seeds, Extract: []string{"fa", "prediction"},
-					}, nil
-				},
+			specs = append(specs, taskSpec{
+				key:     fmt.Sprintf("fa-%s-%s-%d", name, spec.Type, f.ID),
+				label:   fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, len(members)),
+				group:   "fa-" + string(spec.Type),
+				est:     float64(len(members) + 1),
+				mem:     taskMemEst(len(members) + len(memberPairs) + 2),
+				phase:   "fa",
+				seed:    f,
+				faType:  spec.Type,
+				members: members,
+				pairs:   memberPairs,
 			})
 		}
 	}
-	return tasks
+	return specs
 }
 
 // faSeeds assembles one FA task's seed working memory: the seed
 // fragment, its member fragments, the consistency rows supporting the
-// aggregation, and the task control row, in assertion order. Shared
-// between the classic task builder and the incremental session.
-func faSeeds(prog *ops5.Program, store *RegionStore, seed *Fragment,
-	members []*Fragment, pairs []ConsistentPair, faType string) ([]ops5.Seed, error) {
-
+// aggregation, and the task control row, in assertion order.
+func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	ss := seedSet{prog: prog, store: store}
-	if err := ss.addFragment(seed); err != nil {
+	if err := ss.addFragment(sp.seed); err != nil {
 		return nil, err
 	}
-	for _, m := range members {
+	for _, m := range sp.members {
 		if err := ss.addFragment(m); err != nil {
 			return nil, err
 		}
 	}
-	for _, p := range pairs {
+	for _, p := range sp.pairs {
 		if err := ss.add("consistency", map[string]symtab.Value{
 			"object":   symtab.Int(int64(p.Object)),
 			"partner":  symtab.Int(int64(p.Partner)),
@@ -704,14 +789,37 @@ func faSeeds(prog *ops5.Program, store *RegionStore, seed *Fragment,
 		}
 	}
 	if err := ss.add("fa-task", map[string]symtab.Value{
-		"seed":     symtab.Int(int64(seed.ID)),
-		"fatype":   sym(faType),
-		"expected": symtab.Int(int64(len(pairs))),
+		"seed":     symtab.Int(int64(sp.seed.ID)),
+		"fatype":   sym(sp.faType),
+		"expected": symtab.Int(int64(len(sp.pairs))),
 		"status":   sym("active"),
 	}); err != nil {
 		return nil, err
 	}
 	return ss.seeds, nil
+}
+
+// faRegions collects the regions an FA task's fa-predict-area scan can
+// read: the seed region plus every region whose bbox intersects the
+// seed bbox expanded by faPredictRadius — the external's exact
+// candidate-set determination, so a signature over them changes iff a
+// prediction's candidate count could.
+func faRegions(st *RegionStore, sp *taskSpec) []int {
+	ids := []int{sp.seed.RegionID}
+	d := st.Derived(sp.seed.RegionID)
+	if d == nil {
+		return ids
+	}
+	bb := d.BBox.Expand(faPredictRadius)
+	for _, other := range st.Scene().Regions {
+		if other.ID == sp.seed.RegionID {
+			continue
+		}
+		if od := st.Derived(other.ID); od != nil && bb.Intersects(od.BBox) {
+			ids = append(ids, other.ID)
+		}
+	}
+	return ids
 }
 
 // ExtractFA collects the closed functional areas and predictions.
@@ -757,56 +865,35 @@ type Model struct {
 func BuildModelTask(kb *KB, store *RegionStore, prog *ops5.Program,
 	frags []*Fragment, fas []FunctionalArea, capture bool) *tlp.Task {
 
-	fragsCopy := append([]*Fragment(nil), frags...)
-	fasCopy := append([]FunctionalArea(nil), fas...)
-	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-		e, err := newTaskEngine(prog, capture, s)
-		if err != nil {
-			return nil, err
-		}
-		store.Register(e)
-		seeds, err := modelSeeds(prog, store, fragsCopy, fasCopy)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.AssertBatch(seeds); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	return &tlp.Task{
-		ID:        fmt.Sprintf("model-%s", store.Scene().Name),
-		Label:     fmt.Sprintf("MODEL (%d functional areas)", len(fasCopy)),
-		Group:     "model",
-		EstSize:   float64(len(fasCopy) + 1),
-		MemEst:    taskMemEst(2*len(fasCopy) + 1),
-		Build:     func() (*ops5.Engine, error) { return build(nil) },
-		BuildWith: build,
-		Wire: func() (*tlp.WireSpec, error) {
-			seeds, err := modelSeeds(prog, store, fragsCopy, fasCopy)
-			if err != nil {
-				return nil, err
-			}
-			return &tlp.WireSpec{
-				Dataset: store.Scene().Name, Phase: "model",
-				Seeds: seeds, Extract: []string{"model"},
-			}, nil
-		},
+	sp := modelSpec(store.Scene().Name, frags, fas)
+	return newTask(prog, store, &sp, capture, nil, nil)
+}
+
+// modelSpec describes the MODEL task.
+func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
+	return taskSpec{
+		key:   fmt.Sprintf("model-%s", name),
+		label: fmt.Sprintf("MODEL (%d functional areas)", len(fas)),
+		group: "model",
+		est:   float64(len(fas) + 1),
+		mem:   taskMemEst(2*len(fas) + 1),
+		phase: "model",
+		frags: frags,
+		fas:   fas,
 	}
 }
 
 // modelSeeds assembles the MODEL task's seed working memory: per
 // closed functional area its (deduplicated) seed fragment and fa row,
-// then the task control row, in assertion order. Shared between the
-// classic task builder and the incremental session.
-func modelSeeds(prog *ops5.Program, store *RegionStore, frags []*Fragment, fas []FunctionalArea) ([]ops5.Seed, error) {
+// then the task control row, in assertion order.
+func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	byID := map[int]*Fragment{}
-	for _, f := range frags {
+	for _, f := range sp.frags {
 		byID[f.ID] = f
 	}
 	ss := seedSet{prog: prog, store: store}
 	seen := map[int]bool{}
-	for _, fa := range fas {
+	for _, fa := range sp.fas {
 		if fa.Status != "closed" {
 			continue
 		}
