@@ -16,7 +16,7 @@ BENCH_BASELINE ?= BENCH_5.json
 CLUSTER_BASELINE ?= BENCH_9.json
 CLUSTER_CURRENT ?= BENCH_10.json
 
-.PHONY: build test vet vet-benchmark loc race bench bench-quick bench-json bench-radar serve-smoke bench-serve bench-memsched bench-incremental incremental-smoke bench-cluster cluster-smoke oracle check
+.PHONY: build test vet vet-benchmark loc alloc-profile race bench bench-quick bench-json bench-radar serve-smoke bench-serve bench-memsched bench-incremental incremental-smoke bench-cluster cluster-smoke oracle check
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,20 @@ loc:
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
 	@printf 'flag definitions (cmd): '; \
 		grep -rhoE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
+
+# alloc-profile attributes the spamrun path's allocation by site: one
+# `spamrun -reentry -memprofile` per paper dataset into the gitignored
+# .alloc_profile/, then the top of the three profiles merged, by bytes
+# allocated. This is the table docs/PERFORMANCE.md "Allocation" was cut
+# from; the next allocation diet starts here, not from a guess.
+alloc-profile:
+	mkdir -p .alloc_profile
+	$(GO) build -o .alloc_profile/spamrun ./cmd/spamrun
+	for d in SF DC MOFF; do \
+		.alloc_profile/spamrun -dataset $$d -reentry -memprofile .alloc_profile/$$d.prof >/dev/null || exit 1; \
+	done
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/spamrun \
+		.alloc_profile/SF.prof .alloc_profile/DC.prof .alloc_profile/MOFF.prof
 
 race:
 	$(GO) test -race ./...
@@ -111,13 +125,16 @@ bench-serve:
 # reset, session updates vs from-scratch re-interpretation, at the
 # engine, spam and serve layers) — at every level (rete scripts, ops5
 # engines, geometry kernels, the scheduler, the task-process pool,
-# full-SPAM interpretations, the HTTP session surface), under the race
-# detector. These are the byte-identity guarantees of
+# full-SPAM interpretations, the HTTP session surface), and the match
+# arena (engines that borrow, settle and recycle a worker's scratch vs
+# engines that own their memory; a settled engine stays readable and
+# refuses to run; an unsettled one leaves the next task fresh), under
+# the race detector. These are the byte-identity guarantees of
 # docs/PERFORMANCE.md; everything here also runs as part of `race`,
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache' \
+		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled' \
 		./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

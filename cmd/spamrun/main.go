@@ -214,9 +214,10 @@ func realMain() int {
 				st.ChunkHits, stats.FormatBytes(float64(st.ChunkSavedBytes)),
 				st.Evictions, st.Continuations, st.ContinuationTasks)
 			for _, ws := range st.PerWorker {
-				fmt.Printf("cluster worker %d: %d tasks, %s shipped, %d steals, %d continuations, %d resident chunks (%s)\n",
+				fmt.Printf("cluster worker %d: %d tasks, %s shipped, %d steals, %d continuations, %d resident chunks (%s), match arenas %d slabs (%s)\n",
 					ws.Slot, ws.Tasks, stats.FormatBytes(float64(ws.ShippedBytes)),
-					ws.Steals, ws.Continuations, ws.ResidentChunks, stats.FormatBytes(float64(ws.ResidentBytes)))
+					ws.Steals, ws.Continuations, ws.ResidentChunks, stats.FormatBytes(float64(ws.ResidentBytes)),
+					ws.ArenaSlabs, stats.FormatBytes(float64(ws.ArenaBytes)))
 			}
 		}()
 	}

@@ -138,6 +138,11 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 	var perWorkerShipped int64
 	for _, ws := range st.PerWorker {
 		perWorkerShipped += ws.ShippedBytes
+		// Each worker process reports the match arenas its executors
+		// keep between tasks.
+		if ws.Tasks > 0 && (ws.ArenaSlabs == 0 || ws.ArenaBytes == 0) {
+			t.Errorf("worker slot %d ran %d tasks but reports no arena: %+v", ws.Slot, ws.Tasks, ws)
+		}
 	}
 	if perWorkerShipped != st.ShippedBytes {
 		t.Errorf("per-worker shipped bytes (%d) do not add up to the total (%d)",

@@ -127,6 +127,10 @@ type WorkerStats struct {
 	ResidentChunks int   // resident-chunk table size after the last ship
 	ResidentBytes  int64 // its encoded-byte footprint
 	Evictions      int
+	// ArenaSlabs/ArenaBytes are the match arenas the slot's worker
+	// process held after the last task it reported (ResultMsg).
+	ArenaSlabs int
+	ArenaBytes int64
 }
 
 // task states within a run.
@@ -1024,6 +1028,7 @@ func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
 	co.stats.ResultBytes += int64(wireBytes)
 	w.ws.Tasks++
 	w.ws.ShippedBytes += int64(wireBytes)
+	w.ws.ArenaSlabs, w.ws.ArenaBytes = m.ArenaSlabs, m.ArenaBytes
 }
 
 // workerLost runs the process-level recovery for a dropped

@@ -41,11 +41,12 @@ import (
 // re-exec'd binary, so there is no older peer to negotiate with. Bump
 // Version on any change to the frame layouts below. (v1 shipped every
 // seed inline; v2 is content-addressed seed shipping — frameChunk plus
-// chunk-ref task frames — and worker-side phase continuation; see
+// chunk-ref task frames — and worker-side phase continuation; v3 adds
+// the worker process's match-arena footprint to the result frame; see
 // docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 2
+	Version = 3
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -199,6 +200,12 @@ type ResultMsg struct {
 	// tasks (including ones requeued after a mid-run worker loss).
 	Spawned  bool
 	Snapshot []SnapClass
+	// ArenaSlabs/ArenaBytes are what the worker process's executors'
+	// match arenas held, in total, when this task finished
+	// (rete.Scratch.Arena): the coordinator's view of worker memory
+	// that outlives tasks.
+	ArenaSlabs int
+	ArenaBytes int64
 }
 
 // ---------------------------------------------------------------------------
@@ -899,6 +906,8 @@ func EncodeResultV2(t *EncTab, m *ResultMsg) []byte {
 	b = appendUint(b, uint64(m.Mem.PeakWMEs))
 	b = appendUint(b, uint64(m.Mem.PeakTokens))
 	b = appendFloatC(b, m.Mem.PeakBytes)
+	b = appendUint(b, uint64(m.ArenaSlabs))
+	b = appendUint(b, uint64(m.ArenaBytes))
 	if m.Err != nil {
 		b = appendWireError(b, *m.Err)
 	}
@@ -951,6 +960,8 @@ func DecodeResultV2(t *DecTab, payload []byte) (*ResultMsg, error) {
 	m.Mem.PeakWMEs = int(d.uvarint())
 	m.Mem.PeakTokens = int(d.uvarint())
 	m.Mem.PeakBytes = d.floatC()
+	m.ArenaSlabs = int(d.uvarint())
+	m.ArenaBytes = int64(d.uvarint())
 	if flags&rfErr != 0 {
 		e := d.wireError()
 		m.Err = &e

@@ -96,6 +96,7 @@ func sampleResults() []*ResultMsg {
 			HasLog: true,
 			Mem: ops5.MemStats{SeedWMEs: 12, SeedBytes: 480, RetractedWMEs: 3, RetractedBytes: 96,
 				PeakWMEs: 60, PeakTokens: 140, PeakBytes: 9000},
+			ArenaSlabs: 23, ArenaBytes: 71296,
 			Snapshot: []SnapClass{{Name: "fragment", Attrs: []string{"id", "kind", "score"},
 				Rows: [][]symtab.Value{
 					{symtab.Sym("f1"), symtab.Sym("runway"), symtab.Float(0.9)},

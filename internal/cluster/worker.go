@@ -85,6 +85,10 @@ type worker struct {
 	// of one run share a gate exactly as they would in-process.
 	pools map[RunConfig]*tlp.Pool
 
+	// arenas is what each executor's match arena holds, published by
+	// the executor after every task; results report the process total.
+	arenas []tlp.ArenaGauge
+
 	writeMu sync.Mutex
 }
 
@@ -138,13 +142,17 @@ func ServeWorker(c net.Conn) error {
 	// goroutine below is the only frame reader, executors the only
 	// (mutex-serialized) frame writers.
 	tasks := make(chan *TaskMsg, w.init.LocalWorkers)
+	w.arenas = make([]tlp.ArenaGauge, w.init.LocalWorkers)
 	var wg sync.WaitGroup
 	for i := 0; i < w.init.LocalWorkers; i++ {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
+			// The executor's match arena: lent to each task's engine and
+			// settled back by the pool, for as long as the process lives.
+			scratch := &ops5.Scratch{}
 			for m := range tasks {
-				w.runTask(idx, m)
+				w.runTask(idx, m, scratch)
 			}
 		}(i)
 	}
@@ -287,12 +295,22 @@ func (w *worker) poolFor(cfg RunConfig) *tlp.Pool {
 	return p
 }
 
-// runTask executes one shipped task on executor idx and writes its
-// result frame. The encoding happens under writeMu too: the result
+// runTask executes one shipped task on executor idx, stamps the
+// result with the process's arena footprint, and writes its result
+// frame. The encoding happens under writeMu too: the result
 // codec interns against the connection's shared table, so encode order
 // must match stream order.
-func (w *worker) runTask(idx int, m *TaskMsg) {
-	res := w.execute(idx, m)
+func (w *worker) runTask(idx int, m *TaskMsg, scratch *ops5.Scratch) {
+	res := w.execute(idx, m, scratch)
+	// The executor outlives its tasks: it must not pin the largest
+	// one's arena.
+	scratch.Trim()
+	w.arenas[idx].Publish(scratch)
+	for i := range w.arenas {
+		a := w.arenas[i].Load()
+		res.ArenaSlabs += a.ArenaSlabs
+		res.ArenaBytes += a.ArenaBytes
+	}
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
 	if _, err := writeFrame(w.bw, frameResult, EncodeResultV2(w.enc, res)); err != nil {
@@ -301,9 +319,9 @@ func (w *worker) runTask(idx int, m *TaskMsg) {
 	w.bw.Flush()
 }
 
-// execute runs the task through the local pool and flattens the
-// Result for the wire.
-func (w *worker) execute(idx int, m *TaskMsg) *ResultMsg {
+// execute runs the task through the local pool, on the executor's
+// match arena, and flattens the Result for the wire.
+func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg {
 	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt, Spawned: m.Spawned}
 	w.mu.Lock()
 	d, ok := w.datasets[m.Spec.Dataset]
@@ -331,7 +349,7 @@ func (w *worker) execute(idx int, m *TaskMsg) *ResultMsg {
 	if w.init.Prebuild {
 		pool.Prebuild([]*tlp.Task{task}, 1)
 	}
-	r := pool.RunOne(context.Background(), task, idx, m.Seq, m.StartAttempt)
+	r := pool.RunOne(context.Background(), task, idx, m.Seq, m.StartAttempt, scratch)
 
 	out.Attempts = r.Attempts
 	out.Stats = r.Stats

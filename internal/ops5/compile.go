@@ -25,7 +25,24 @@ type compiledProd struct {
 	varLocs  map[string]varLoc
 	// elemLevels maps element variables to their CE index.
 	elemLevels map[string]int
-	pnode      *rete.PNode
+	// rhs is parallel to prod.RHS: for a make or modify action, the
+	// value-vector slot each of its attribute sets writes (nil for
+	// other actions), so firing fills a vector instead of building an
+	// attribute map.
+	rhs   [][]int
+	pnode *rete.PNode
+}
+
+// refLevel resolves an RHS element reference to its CE index.
+func (cp *compiledProd) refLevel(r ElemRef) (int, error) {
+	if r.Var == "" {
+		return r.Index - 1, nil
+	}
+	l, ok := cp.elemLevels[r.Var]
+	if !ok {
+		return 0, fmt.Errorf("unknown element variable <%s>", r.Var)
+	}
+	return l, nil
 }
 
 // constTest is one constant test of an alpha filter.
@@ -106,6 +123,36 @@ func compileProduction(p *Production, classes *wm.Classes) (*compiledProd, error
 			}
 		}
 		cp.patterns = append(cp.patterns, buildPattern(ce, cd, consts, intras, joins))
+	}
+	cp.rhs = make([][]int, len(p.RHS))
+	for i, a := range p.RHS {
+		var class string
+		var sets []AttrSet
+		switch act := a.(type) {
+		case MakeAction:
+			class, sets = act.Class, act.Sets
+		case ModifyAction:
+			// A reference sema would reject is left for resolveRef to
+			// report when the action fires.
+			level, err := cp.refLevel(act.Ref)
+			if err != nil || level < 0 || level >= len(p.LHS) {
+				continue
+			}
+			class, sets = p.LHS[level].Class, act.Sets
+		default:
+			continue
+		}
+		cd := classes.Lookup(class)
+		if cd == nil {
+			return nil, fmt.Errorf("ops5: production %s: make of undeclared class %s", p.Name, class)
+		}
+		slots := make([]int, len(sets))
+		for k, s := range sets {
+			if slots[k] = cd.AttrIndex(s.Attr); slots[k] < 0 {
+				return nil, fmt.Errorf("ops5: production %s: class %s has no attribute %s", p.Name, class, s.Attr)
+			}
+		}
+		cp.rhs[i] = slots
 	}
 	return cp, nil
 }

@@ -40,9 +40,9 @@ type CompiledProgram struct {
 	capture  bool
 }
 
-// Scratch holds recyclable engine allocations; see WithScratch and
-// Engine.Reclaim. It is rete.Scratch re-exported at the engine layer
-// so runtime code need not import internal/rete.
+// Scratch is a task worker's match arena; see WithScratch and
+// Engine.Settle. It is rete.Scratch re-exported at the engine layer so
+// runtime code need not import internal/rete.
 type Scratch = rete.Scratch
 
 // compileVariant performs the full compilation of one Program variant,
@@ -166,12 +166,23 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 	return e, nil
 }
 
-// Reclaim moves the engine's recyclable allocations into s for reuse
-// by the next engine built with WithScratch(s). Call only when
-// discarding an engine that finished running normally; the engine must
-// not be used afterwards.
-func (e *Engine) Reclaim(s *Scratch) {
-	e.net.Reclaim(s)
+// Settle gives back everything the engine borrowed from its worker's
+// scratch (WithScratch): the match network's tokens, entries and node
+// state, the conflict set, the seed staging buffers. What extraction
+// reads stays — WMEs, Memory, Stats, Log, MatchCounters return what
+// they returned before — but the engine is finished: Assert,
+// AssertBatch, RetractBatch, ResetForUpdate and Run fail with
+// ErrSettled. The worker calls it when a task's run ended normally; an
+// engine that panicked or was interrupted is never settled, and its
+// worker starts the next task on fresh slabs. On an engine built
+// without a scratch Settle does nothing.
+func (e *Engine) Settle() {
+	s := e.net.Settle()
+	if s == nil {
+		return
+	}
 	s.PutSeedBuffers(e.batchWMEs, e.batchDigests)
 	e.batchWMEs, e.batchDigests = nil, nil
+	*e.cs, e.env = conflictSet{}, rhsEnv{}
+	e.settled = true
 }

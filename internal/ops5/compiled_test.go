@@ -2,12 +2,15 @@ package ops5
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"spampsm/internal/rete"
 	"spampsm/internal/symtab"
+	"spampsm/internal/wm"
 )
 
 // Differential oracle for the compile-once template path: an engine
@@ -17,8 +20,10 @@ import (
 // scratch (WithFreshCompile), for both matchers.
 
 // runDiffOn builds one engine on prog with the given options, seeds
-// the differential working memory, runs it to quiescence and returns
-// the observables.
+// the differential working memory, runs it to quiescence, settles it (a
+// no-op unless an option made it borrow a scratch) and returns the
+// observables — read after the settle, so they are also what a settled
+// engine still answers.
 func runDiffOn(t *testing.T, prog *Program, opts ...Option) (string, string, rete.Counters, RunStats) {
 	t.Helper()
 	var trace bytes.Buffer
@@ -31,12 +36,16 @@ func runDiffOn(t *testing.T, prog *Program, opts ...Option) (string, string, ret
 	if _, err := e.Run(5000); err != nil {
 		t.Fatal(err)
 	}
+	e.Settle()
 	var dump bytes.Buffer
 	e.DumpWM(&dump)
 	return trace.String(), dump.String(), e.MatchCounters(), e.Stats()
 }
 
 func TestEngineDifferentialTemplateVsFreshCompile(t *testing.T) {
+	// One worker's arena, lent in turn to every borrowing engine below:
+	// whatever program and matcher drew from it last.
+	scratch := &Scratch{}
 	for _, tc := range diffPrograms {
 		for _, naive := range []bool{false, true} {
 			name := tc.name + "/indexed"
@@ -58,11 +67,16 @@ func TestEngineDifferentialTemplateVsFreshCompile(t *testing.T) {
 				if fTrace == "" {
 					t.Fatal("trace empty: program did not fire")
 				}
-				// Two successive instantiations of the same cached template:
-				// both must match the fresh compile — the second also proves
-				// the first run left no state behind in the shared template.
-				for inst := 0; inst < 2; inst++ {
-					cTrace, cWM, cCtr, cStats := runDiffOn(t, prog, matcher()...)
+				// Successive instantiations of the same cached template must
+				// all match the fresh compile: the second proves the first
+				// left no state behind in the shared template; the third and
+				// fourth borrow, settle and recycle the shared arena.
+				for inst := 0; inst < 4; inst++ {
+					var extra []Option
+					if inst >= 2 {
+						extra = append(extra, WithScratch(scratch))
+					}
+					cTrace, cWM, cCtr, cStats := runDiffOn(t, prog, matcher(extra...)...)
 					if cTrace != fTrace {
 						t.Errorf("instance %d: firing traces differ:\ntemplate:\n%s\nfresh:\n%s", inst, cTrace, fTrace)
 					}
@@ -202,5 +216,90 @@ func TestConcurrentEngineInstantiation(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSettledEngineReadableAndRefusesToRun: after Settle an engine
+// still answers WMEs, Stats, Log and MatchCounters as before, refuses —
+// with ErrSettled, not a panic and not by quietly matching on recycled
+// tokens — to assert, retract, reset or run, and keeps answering the
+// same after a different task has borrowed, dirtied and settled the
+// same scratch.
+func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
+	scratch := &Scratch{}
+	build := func(src string) *Engine {
+		t.Helper()
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(prog, WithScratch(scratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedDiffWM(t, e)
+		if _, err := e.Run(5000); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	type view struct {
+		wm    string
+		paths []string
+		stats RunStats
+		log   CostLog
+		ctr   rete.Counters
+	}
+	read := func(e *Engine) view {
+		var dump bytes.Buffer
+		e.DumpWM(&dump)
+		v := view{wm: dump.String(), stats: e.Stats(), log: *e.Log(), ctr: e.MatchCounters()}
+		for _, w := range e.WMEs("path") {
+			v.paths = append(v.paths, fmt.Sprintf("%d %s", w.TimeTag, w))
+		}
+		return v
+	}
+
+	first := build(diffPrograms[0].src)
+	before := read(first)
+	if len(before.paths) == 0 || before.stats.Firings == 0 {
+		t.Fatal("first task produced nothing; the test is vacuous")
+	}
+	live := first.WMEs("path")[0]
+	first.Settle()
+	if got := read(first); !reflect.DeepEqual(got, before) {
+		t.Errorf("Settle changed what the engine reports:\nbefore %+v\nafter  %+v", before, got)
+	}
+	if first.ConflictSetSize() != 0 {
+		t.Error("a settled engine still holds a conflict set")
+	}
+	refused := map[string]error{}
+	_, refused["Assert"] = first.Assert("node", map[string]symtab.Value{"id": symtab.Int(9)})
+	refused["AssertBatch"] = first.AssertBatch([]Seed{{Class: "node", Vals: make([]symtab.Value, 2)}})
+	refused["RetractBatch"] = first.RetractBatch([]*wm.WME{live})
+	refused["ResetForUpdate"] = first.ResetForUpdate()
+	_, refused["Run"] = first.Run(0)
+	for op, err := range refused {
+		if !errors.Is(err, ErrSettled) {
+			t.Errorf("%s on a settled engine: err %v, want ErrSettled", op, err)
+		}
+	}
+	if got := read(first); !reflect.DeepEqual(got, before) {
+		t.Error("a refused operation changed the settled engine")
+	}
+
+	// A different task on the same scratch, run and settled in turn.
+	for i := 0; i < 2; i++ {
+		second := build(diffPrograms[1].src)
+		if second.Stats().Firings == 0 {
+			t.Fatal("second task fired nothing")
+		}
+		if got := read(first); !reflect.DeepEqual(got, before) {
+			t.Fatalf("a later borrower of the scratch disturbed the settled engine (round %d, before its settle)", i)
+		}
+		second.Settle()
+		if got := read(first); !reflect.DeepEqual(got, before) {
+			t.Fatalf("a later borrower of the scratch disturbed the settled engine (round %d)", i)
+		}
 	}
 }

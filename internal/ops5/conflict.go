@@ -1,7 +1,8 @@
 package ops5
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"spampsm/internal/rete"
 )
@@ -43,6 +44,12 @@ type conflictSet struct {
 	// compares counts conflict-resolution comparisons for cost
 	// accounting; the engine reads and resets it each cycle.
 	compares int
+	// free holds instantiations (and their tag slices) ready for reuse;
+	// retired holds the ones deactivated since the last recycle. Like a
+	// deleted token in the network's graveyard, a retracted
+	// instantiation may be the one whose right-hand side is executing,
+	// so it is not reused before the next cycle's recycle.
+	free, retired []*instantiation
 }
 
 func newConflictSet() *conflictSet {
@@ -51,24 +58,39 @@ func newConflictSet() *conflictSet {
 
 // Activate implements rete.Agenda.
 func (cs *conflictSet) Activate(p *rete.PNode, t *rete.Token) {
-	cp := p.Data.(*compiledProd)
-	wmes := t.WMEs()
-	tags := make([]int, len(wmes))
-	for i, w := range wmes {
-		tags[i] = w.TimeTag
+	var in *instantiation
+	if k := len(cs.free); k > 0 {
+		in, cs.free = cs.free[k-1], cs.free[:k-1]
+	} else {
+		in = &instantiation{}
 	}
+	// The tags arrive last condition element first.
+	tags := t.AppendTimeTags(in.tags[:0])
 	first := 0
 	if len(tags) > 0 {
-		first = tags[0]
+		first = tags[len(tags)-1]
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(tags)))
+	slices.SortFunc(tags, func(a, b int) int { return cmp.Compare(b, a) })
 	cs.seq++
-	cs.insts[t] = &instantiation{cp: cp, token: t, tags: tags, first: first, seq: cs.seq}
+	*in = instantiation{cp: p.Data.(*compiledProd), token: t, tags: tags, first: first, seq: cs.seq}
+	cs.insts[t] = in
 }
 
 // Deactivate implements rete.Agenda.
 func (cs *conflictSet) Deactivate(p *rete.PNode, t *rete.Token) {
-	delete(cs.insts, t)
+	if in := cs.insts[t]; in != nil {
+		delete(cs.insts, t)
+		cs.retired = append(cs.retired, in)
+	}
+}
+
+// recycle makes the instantiations deactivated so far reusable. The
+// engine calls it where the network recycles its token graveyard: when
+// no right-hand side is executing.
+func (cs *conflictSet) recycle() {
+	cs.free = append(cs.free, cs.retired...)
+	clear(cs.retired)
+	cs.retired = cs.retired[:0]
 }
 
 // Size returns the number of live instantiations (fired or not).

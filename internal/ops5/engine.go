@@ -17,6 +17,11 @@ import (
 // recognize-act loop before quiescence (e.g. a task-process deadline).
 var ErrInterrupted = errors.New("ops5: run interrupted")
 
+// ErrSettled is returned by every operation that would change a
+// settled engine (see Engine.Settle): its match state has gone back to
+// the worker that lent it.
+var ErrSettled = errors.New("ops5: engine settled")
+
 // Instruction costs of interpreter operations outside the match
 // (simulated NS32332 instructions).
 const (
@@ -160,10 +165,10 @@ func WithNaiveMatch() Option { return func(e *Engine) { e.naiveMatch = true } }
 // template-instantiated ones.
 func WithFreshCompile() Option { return func(e *Engine) { e.freshCompile = true } }
 
-// WithScratch seeds the engine's internal free lists from s (emptying
-// it); pair with Engine.Reclaim to recycle allocations across the
-// short-lived engines of a drop-after-run task worker. A Scratch is
-// single-owner and not safe for concurrent use.
+// WithScratch makes the engine borrow its match state from the task
+// worker's arena s until Engine.Settle gives it back; with a nil s the
+// engine owns its memory. A Scratch is single-owner, lent to one engine
+// at a time, and not safe for concurrent use.
 func WithScratch(s *Scratch) Option { return func(e *Engine) { e.scratch = s } }
 
 // Engine is one OPS5 interpreter instance: a production memory compiled
@@ -184,8 +189,8 @@ type Engine struct {
 	capture      bool
 	naiveMatch   bool
 	freshCompile bool
-	// scratch seeds the network's free lists at construction; consumed
-	// (and cleared) by finish.
+	// scratch is the worker arena the network borrows from at
+	// construction; consumed (and cleared) by finish.
 	scratch *Scratch
 	// perWMEAssert makes AssertBatch take the reference per-WME path
 	// (WithPerWMEAssert); batchWMEs/batchDigests are its staging
@@ -195,11 +200,13 @@ type Engine struct {
 	batchDigests []string
 	halted       bool
 	running      bool
+	settled      bool // Settle gave the match state back; read-only now
 	// interrupted is set asynchronously by Interrupt and polled once
 	// per recognize-act cycle, so a wall-clock watchdog can stop a
 	// runaway task without killing its goroutine.
 	interrupted atomic.Bool
 	stats       RunStats
+	env         rhsEnv // the firing in progress (see fire)
 	// log is allocated separately from the Engine so that callers can
 	// retain the cost log while the engine itself (its Rete network and
 	// working memory) is garbage collected.
@@ -241,8 +248,8 @@ func (e *Engine) Classes() *wm.Classes { return e.classes }
 // (initial task loading). Its match cost is accounted as
 // initialization.
 func (e *Engine) Assert(class string, sets map[string]symtab.Value) (*wm.WME, error) {
-	if e.running {
-		return nil, fmt.Errorf("ops5: Assert during Run")
+	if err := e.mutable("Assert"); err != nil {
+		return nil, err
 	}
 	w, err := e.mem.Make(class, sets)
 	if err != nil {
@@ -265,6 +272,19 @@ func (e *Engine) AssertValues(class string, attrs []string, vals []symtab.Value)
 		sets[a] = vals[i]
 	}
 	return e.Assert(class, sets)
+}
+
+// mutable reports why working memory may not be changed from outside
+// the rule system right now: a Run is in progress, or the engine was
+// settled.
+func (e *Engine) mutable(op string) error {
+	if e.settled {
+		return fmt.Errorf("ops5: %s: %w", op, ErrSettled)
+	}
+	if e.running {
+		return fmt.Errorf("ops5: %s during Run", op)
+	}
+	return nil
 }
 
 // Stats returns the run statistics so far.
@@ -350,6 +370,9 @@ func (e *Engine) Run(maxFirings int) (int, error) {
 	if missing := e.missingExternals(); len(missing) > 0 {
 		return 0, fmt.Errorf("ops5: externals not registered: %s", strings.Join(missing, ", "))
 	}
+	if e.settled {
+		return 0, fmt.Errorf("ops5: Run: %w", ErrSettled)
+	}
 	e.running = true
 	defer func() { e.running = false }()
 	defer e.syncMem()
@@ -380,6 +403,7 @@ func (e *Engine) Run(maxFirings int) (int, error) {
 		}
 		// Act.
 		e.net.StartBatch()
+		e.cs.recycle()
 		matchBefore := e.net.Totals().Cost
 		actCost, err := e.fire(inst)
 		if err != nil {
@@ -421,11 +445,15 @@ type rhsEnv struct {
 }
 
 func (e *Engine) fire(inst *instantiation) (float64, error) {
-	env := &rhsEnv{inst: inst, binds: map[string]symtab.Value{}}
-	for _, a := range inst.cp.prod.RHS {
+	// One environment per engine, reused across firings; binds is made
+	// by the first bind action and emptied here.
+	env := &e.env
+	clear(env.binds)
+	env.inst, env.cost = inst, 0
+	for i, a := range inst.cp.prod.RHS {
 		env.cost += CostActionBase
 		e.stats.RHSActions++
-		if err := e.execute(a, env); err != nil {
+		if err := e.execute(a, inst.cp.rhs[i], env); err != nil {
 			return env.cost, err
 		}
 		if e.halted {
@@ -435,14 +463,17 @@ func (e *Engine) fire(inst *instantiation) (float64, error) {
 	return env.cost, nil
 }
 
-func (e *Engine) execute(a Action, env *rhsEnv) error {
+// execute runs one RHS action; slots is the action's compiled
+// attribute-set layout (compiledProd.rhs).
+func (e *Engine) execute(a Action, slots []int, env *rhsEnv) error {
 	switch act := a.(type) {
 	case MakeAction:
-		sets, err := e.evalSets(act.Sets, env)
-		if err != nil {
+		cd := e.classes.Lookup(act.Class)
+		vals := make([]symtab.Value, cd.NumAttrs())
+		if err := e.evalSets(act.Sets, slots, vals, env); err != nil {
 			return err
 		}
-		w, err := e.mem.Make(act.Class, sets)
+		w, err := e.mem.MakeVals(act.Class, vals)
 		if err != nil {
 			return err
 		}
@@ -453,26 +484,19 @@ func (e *Engine) execute(a Action, env *rhsEnv) error {
 		if err != nil {
 			return err
 		}
-		sets, err := e.evalSets(act.Sets, env)
-		if err != nil {
+		// OPS5 modify = remove + make with a fresh timetag: the new
+		// vector is the old one with the sets written over it.
+		vals := make([]symtab.Value, len(old.Vals))
+		copy(vals, old.Vals)
+		if err := e.evalSets(act.Sets, slots, vals, env); err != nil {
 			return err
 		}
-		// OPS5 modify = remove + make with a fresh timetag.
 		if err := e.mem.Remove(old); err != nil {
 			return err
 		}
 		e.net.Remove(old)
 		e.traceWM("<=WM", old)
-		full := make(map[string]symtab.Value, len(old.Vals))
-		for i, attr := range old.Class.Attrs {
-			if v := old.Vals[i]; !v.IsNil() {
-				full[attr] = v
-			}
-		}
-		for k, v := range sets {
-			full[k] = v
-		}
-		w, err := e.mem.Make(old.Class.Name, full)
+		w, err := e.mem.MakeVals(old.Class.Name, vals)
 		if err != nil {
 			return err
 		}
@@ -494,6 +518,9 @@ func (e *Engine) execute(a Action, env *rhsEnv) error {
 			return err
 		}
 		env.cost += CostBindOp
+		if env.binds == nil {
+			env.binds = map[string]symtab.Value{}
+		}
 		env.binds[act.Var] = v
 	case WriteAction:
 		var parts []string
@@ -543,28 +570,23 @@ func (e *Engine) traceWM(dir string, w *wm.WME) {
 	}
 }
 
-func (e *Engine) evalSets(sets []AttrSet, env *rhsEnv) (map[string]symtab.Value, error) {
-	out := make(map[string]symtab.Value, len(sets))
-	for _, s := range sets {
+// evalSets evaluates a make or modify action's attribute sets in
+// order into their compiled slots of vals.
+func (e *Engine) evalSets(sets []AttrSet, slots []int, vals []symtab.Value, env *rhsEnv) error {
+	for i, s := range sets {
 		v, err := e.eval(s.Expr, env)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[s.Attr] = v
+		vals[slots[i]] = v
 	}
-	return out, nil
+	return nil
 }
 
 func (e *Engine) resolveRef(r ElemRef, env *rhsEnv) (*wm.WME, error) {
-	level := -1
-	if r.Var != "" {
-		l, ok := env.inst.cp.elemLevels[r.Var]
-		if !ok {
-			return nil, fmt.Errorf("unknown element variable <%s>", r.Var)
-		}
-		level = l
-	} else {
-		level = r.Index - 1
+	level, err := env.inst.cp.refLevel(r)
+	if err != nil {
+		return nil, err
 	}
 	w := env.inst.token.WMEAt(level)
 	if w == nil {

@@ -525,3 +525,56 @@ func TestSameTypePredicate(t *testing.T) {
 		t.Errorf("fired = %d, want 1 (only the int/int pair)", fired)
 	}
 }
+
+// TestMakeActionAllocations is the allocation guard for the RHS: a make
+// on a warm engine builds no attribute map and no activation label. It
+// allocates the WME and its value vector — and, when the engine owns
+// its memory rather than borrowing a worker's arena, the four match
+// records (per-WME state, list entry, membership and its bucket slots)
+// of the one alpha memory that accepts the WME.
+func TestMakeActionAllocations(t *testing.T) {
+	prog, err := Parse(`
+(literalize tick n)
+(literalize out n)
+(literalize gate g)
+(p consume (gate ^g <g>) (out ^n <g>) --> (halt))
+(p gen (tick ^n <n>) --> (make out ^n <n>))
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		max  float64
+	}{
+		{"borrowing", []Option{WithScratch(&Scratch{})}, 2},
+		{"owning", nil, 6},
+	} {
+		e, err := NewEngine(prog, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Assert("tick", map[string]symtab.Value{"n": symtab.Int(7)}); err != nil {
+			t.Fatal(err)
+		}
+		inst := e.cs.Resolve(e.strategy)
+		if inst == nil || inst.cp.prod.Name != "gen" {
+			t.Fatalf("%s: no gen instantiation to fire", tc.name)
+		}
+		e.env.inst = inst
+		act, slots := inst.cp.prod.RHS[0], inst.cp.rhs[0]
+		before := e.MatchCounters().Activations
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := e.execute(act, slots, &e.env); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s engine: make allocated %v objects, want at most %v", tc.name, allocs, tc.max)
+		}
+		if e.MatchCounters().Activations == before || len(e.WMEs("out")) < 1000 {
+			t.Errorf("%s engine: the guarded make did not reach the match network", tc.name)
+		}
+	}
+}

@@ -24,8 +24,8 @@ import (
 // a retracted instantiation's bindings, so the graveyard need not wait
 // for the next recognize-act cycle.
 func (e *Engine) RetractBatch(wmes []*wm.WME) error {
-	if e.running {
-		return fmt.Errorf("ops5: RetractBatch during Run")
+	if err := e.mutable("RetractBatch"); err != nil {
+		return err
 	}
 	for _, w := range wmes {
 		if err := e.mem.Remove(w); err != nil {
@@ -60,8 +60,8 @@ func (e *Engine) RetractBatch(wmes []*wm.WME) error {
 // the wipe, and its fired latch would diverge from a fresh engine.
 // ResetForUpdate detects that case and reports it as an error.
 func (e *Engine) ResetForUpdate() error {
-	if e.running {
-		return fmt.Errorf("ops5: ResetForUpdate during Run")
+	if err := e.mutable("ResetForUpdate"); err != nil {
+		return err
 	}
 	e.log = &CostLog{}
 	e.stats = RunStats{}

@@ -110,8 +110,8 @@ func (sc *SeedClass) SharedSeed(sets map[string]symtab.Value) (Seed, error) {
 // the template route memo; WithPerWMEAssert selects the reference
 // per-WME path instead.
 func (e *Engine) AssertBatch(seeds []Seed) error {
-	if e.running {
-		return fmt.Errorf("ops5: AssertBatch during Run")
+	if err := e.mutable("AssertBatch"); err != nil {
+		return err
 	}
 	if e.perWMEAssert {
 		for _, s := range seeds {

@@ -137,28 +137,36 @@ type alphaState struct {
 
 // alphaRef records one WME's membership in an alpha memory: its entry
 // in the ordered item list plus its entry in each registered index
-// bucket (parallel to the memory's index list).
+// bucket (parallel to the memory's index list). A WME's memberships
+// form a list through next, in insertion order, headed by its
+// wmeState.
 type alphaRef struct {
 	am      *alphaMem
 	entry   *wmeEntry
 	buckets []*wmeEntry
+	next    *alphaRef
 }
 
 // insert adds a WME to the memory's item list and every built index,
-// and returns the membership record for later O(1) removal. Bucket
-// slots of unbuilt indexes stay nil until buildIndex patches them.
-func (am *alphaMem) insert(w *wm.WME, n *Network) alphaRef {
+// and appends the membership record to the WME's state for later O(1)
+// removal. Bucket slots of unbuilt indexes stay nil until buildIndex
+// patches them.
+func (am *alphaMem) insert(w *wm.WME, n *Network) {
 	st := am.state(n)
-	ref := alphaRef{am: am, entry: st.items.pushBack(w, n)}
-	if len(st.indexes) > 0 {
-		ref.buckets = make([]*wmeEntry, len(st.indexes))
-		for i := range st.indexes {
-			if st.indexes[i].built {
-				ref.buckets[i] = st.indexes[i].push(w, n)
-			}
+	ref := n.newAlphaRef(len(st.indexes))
+	ref.am, ref.entry = am, st.items.pushBack(w, n)
+	for i := range st.indexes {
+		if st.indexes[i].built {
+			ref.buckets[i] = st.indexes[i].push(w, n)
 		}
 	}
-	return ref
+	ws := n.state(w)
+	if ws.refTail != nil {
+		ws.refTail.next = ref
+	} else {
+		ws.refHead = ref
+	}
+	ws.refTail = ref
 }
 
 // push adds one WME to its bucket and returns the bucket entry.
@@ -178,7 +186,7 @@ func (ix *wmeIndex) push(w *wm.WME, n *Network) *wmeEntry {
 // removeRef unlinks one WME membership (item list and all buckets).
 // Emptied bucket lists stay in their index map: attribute values recur,
 // and reusing the list beats a delete-and-reallocate cycle.
-func (am *alphaMem) removeRef(ref alphaRef, n *Network) {
+func (am *alphaMem) removeRef(ref *alphaRef, n *Network) {
 	am.state(n).items.unlink(ref.entry, n)
 	for _, be := range ref.buckets {
 		if be != nil { // nil: index not yet materialized at insert time
@@ -206,13 +214,9 @@ func (am *alphaMem) buildIndex(idx int, ix *wmeIndex, st *alphaState, n *Network
 	ix.built = true
 	for e := st.items.head; e != nil; e = e.next {
 		be := ix.push(e.w, n)
-		ws := n.states[e.w]
-		for i := range ws.alphaRefs {
-			if ws.alphaRefs[i].am == am {
-				if ws.alphaRefs[i].buckets == nil {
-					ws.alphaRefs[i].buckets = make([]*wmeEntry, len(st.indexes))
-				}
-				ws.alphaRefs[i].buckets[idx] = be
+		for ref := n.states[e.w].refHead; ref != nil; ref = ref.next {
+			if ref.am == am {
+				ref.buckets[idx] = be
 				break
 			}
 		}
@@ -369,13 +373,33 @@ func (s *storeInst) buildIndex(idx int, ix *tokenIndex, n *Network) {
 }
 
 // ---------------------------------------------------------------------------
-// Entry free lists
+// Entry free lists and arena draws
+
+// newAlphaRef returns a zeroed membership record with k bucket slots,
+// from the borrowed arena or the heap.
+func (n *Network) newAlphaRef(k int) *alphaRef {
+	if a := n.arena; a != nil {
+		ref := a.alphaRefs.take()
+		if k > 0 {
+			ref.buckets = a.wmeBuckets.takeN(k)
+		}
+		return ref
+	}
+	ref := &alphaRef{}
+	if k > 0 {
+		ref.buckets = make([]*wmeEntry, k)
+	}
+	return ref
+}
 
 func (n *Network) getWMEEntry() *wmeEntry {
 	if len(n.wmeEntryPool) > 0 {
 		e := n.wmeEntryPool[len(n.wmeEntryPool)-1]
 		n.wmeEntryPool = n.wmeEntryPool[:len(n.wmeEntryPool)-1]
 		return e
+	}
+	if a := n.arena; a != nil {
+		return a.wmeEntries.take()
 	}
 	return &wmeEntry{}
 }
@@ -390,6 +414,9 @@ func (n *Network) getTokenEntry() *tokenEntry {
 		e := n.tokenEntryPool[len(n.tokenEntryPool)-1]
 		n.tokenEntryPool = n.tokenEntryPool[:len(n.tokenEntryPool)-1]
 		return e
+	}
+	if a := n.arena; a != nil {
+		return a.tokenEntries.take()
 	}
 	return &tokenEntry{}
 }

@@ -196,6 +196,18 @@ func (t *Token) WMEs() []*wm.WME {
 	return out
 }
 
+// AppendTimeTags appends the timetags of the token's positive-CE WMEs
+// to dst, last condition element first, and returns the extended
+// slice: the conflict set's view of WMEs without the two slices.
+func (t *Token) AppendTimeTags(dst []int) []int {
+	for tok := t; tok != nil && tok.level >= 0; tok = tok.parent {
+		if tok.W != nil {
+			dst = append(dst, tok.W.TimeTag)
+		}
+	}
+	return dst
+}
+
 func (t *Token) appendChild(c *Token) {
 	c.prevSib = t.lastChild
 	c.nextSib = nil
@@ -248,11 +260,15 @@ func (t *Token) unlinkJR(jr *negJoinResult) {
 	t.nJoinResults--
 }
 
-// reset clears a recycled token, keeping slice capacity.
+// reset clears a recycled token, keeping slice capacity. The backing
+// arrays are cleared too: a token resting in a worker's arena must not
+// pin the entries, or the template nodes, of an engine long gone.
 func (t *Token) reset() {
-	adapterRefs := t.adapterRefs[:0]
-	storeBuckets := t.storeBuckets[:0]
-	*t = Token{adapterRefs: adapterRefs, storeBuckets: storeBuckets}
+	adapterRefs := t.adapterRefs[:cap(t.adapterRefs)]
+	storeBuckets := t.storeBuckets[:cap(t.storeBuckets)]
+	clear(adapterRefs)
+	clear(storeBuckets)
+	*t = Token{adapterRefs: adapterRefs[:0], storeBuckets: storeBuckets[:0]}
 }
 
 // negJoinResult records one WME blocking one negative-node token. It
@@ -269,7 +285,7 @@ type negJoinResult struct {
 // memory memberships, the tokens binding it (intrusive list), and the
 // negative join results it blocks (intrusive list).
 type wmeState struct {
-	alphaRefs        []alphaRef
+	refHead, refTail *alphaRef
 	tokHead, tokTail *Token
 	jrHead, jrTail   *negJoinResult
 }
@@ -347,6 +363,7 @@ type rightChild interface {
 // index buckets) live in the Network's alphaState slot at id.
 type alphaMem struct {
 	signature  string
+	actLabel   string // "alpha:<signature>", the activation label
 	class      string
 	filter     func(*wm.WME) bool
 	filterCost float64
@@ -434,6 +451,8 @@ type joinNode struct {
 	child  joinTarget
 	level  int
 	label  string
+	// actLabel is "join:<label>".
+	actLabel string
 	// pidx/aidx are the positions of the equality index the node's
 	// first test registered on the parent memory and the alpha memory,
 	// or -1 when the node activates by full scan (no tests, first test
@@ -464,7 +483,7 @@ func (j *joinNode) passes(t *Token, w *wm.WME, n *Network) bool {
 }
 
 func (j *joinNode) leftActivateToken(t *Token, n *Network) {
-	n.begin("join:" + j.label)
+	n.begin(j.actLabel)
 	defer n.end()
 	ast := j.amem.state(n)
 	if j.aidx >= 0 {
@@ -499,7 +518,7 @@ func (j *joinNode) leftActivateToken(t *Token, n *Network) {
 }
 
 func (j *joinNode) rightActivate(w *wm.WME, n *Network) {
-	n.begin("join:" + j.label)
+	n.begin(j.actLabel)
 	defer n.end()
 	pst := j.parent.store(n)
 	if j.pidx >= 0 {
@@ -550,6 +569,7 @@ type negativeNode struct {
 	children []tokenChild
 	level    int
 	label    string
+	actLabel string // "neg:<label>"
 	// sidx/aidx are the equality index positions on the node's own
 	// token store and its alpha memory, or -1 (see joinNode).
 	sidx, aidx int
@@ -576,13 +596,14 @@ func (g *negativeNode) passes(t *Token, w *wm.WME, n *Network) bool {
 
 // block records w as a join result blocking tok.
 func (g *negativeNode) block(tok *Token, w *wm.WME, n *Network) {
-	jr := &negJoinResult{owner: tok, wme: w}
+	jr := n.newJoinResult()
+	jr.owner, jr.wme = tok, w
 	tok.pushJR(jr)
 	n.state(w).pushJR(jr)
 }
 
 func (g *negativeNode) leftActivateToken(t *Token, n *Network) {
-	n.begin("neg:" + g.label)
+	n.begin(g.actLabel)
 	tok := n.newToken(g, t, nil, g.level)
 	tok.storeEntry, tok.storeBuckets = g.store(n).insert(tok, tok.storeBuckets[:0], n)
 	ast := g.amem.state(n)
@@ -620,7 +641,7 @@ func (g *negativeNode) leftActivateToken(t *Token, n *Network) {
 }
 
 func (g *negativeNode) rightActivate(w *wm.WME, n *Network) {
-	n.begin("neg:" + g.label)
+	n.begin(g.actLabel)
 	defer n.end()
 	st := g.store(n)
 	if g.sidx >= 0 {
@@ -673,7 +694,12 @@ type PNode struct {
 	// Data carries the production object of the owning rule compiler.
 	Data interface{}
 	storeT
-	level int
+	level    int
+	actLabel string // "p:<Name>"
+}
+
+func newPNode(name string, data interface{}, level int) *PNode {
+	return &PNode{Name: name, Data: data, level: level, actLabel: "p:" + name}
 }
 
 func (p *PNode) removeToken(t *Token, n *Network) {
@@ -681,7 +707,7 @@ func (p *PNode) removeToken(t *Token, n *Network) {
 }
 
 func (p *PNode) leftActivatePair(t *Token, w *wm.WME, level int, n *Network) {
-	n.begin("p:" + p.Name)
+	n.begin(p.actLabel)
 	tok := n.newToken(p, t, w, level)
 	tok.storeEntry, tok.storeBuckets = p.store(n).insert(tok, tok.storeBuckets[:0], n)
 	n.charge(CostAgendaOp)
@@ -712,6 +738,14 @@ type Counters struct {
 	Cost          float64 // instructions
 }
 
+// classNodes is what the template knows about one WME class: the alpha
+// memories a WME of the class is offered to (in compilation order) and
+// the labels of its retraction activations.
+type classNodes struct {
+	mems                            []*alphaMem
+	retract, retractTok, negUnblock string
+}
+
 // Template is the immutable compiled form of a Rete network: alpha
 // memories with their filters and successor lists, the beta topology
 // of join/negative/production nodes, and the registered equality
@@ -721,7 +755,7 @@ type Counters struct {
 // instantiation from multiple goroutines.
 type Template struct {
 	amems    map[string]*alphaMem
-	byClass  map[string][]*alphaMem
+	byClass  map[string]*classNodes
 	alphas   []*alphaMem // in id order
 	stores   []*storeT   // every token store, in sid order
 	dummyTop *betaMemory
@@ -741,7 +775,7 @@ type Template struct {
 func NewTemplate() *Template {
 	t := &Template{
 		amems:    map[string]*alphaMem{},
-		byClass:  map[string][]*alphaMem{},
+		byClass:  map[string]*classNodes{},
 		indexing: true,
 	}
 	t.dummyTop = &betaMemory{label: "top"}
@@ -799,11 +833,12 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 		// equality: the token-side store buckets on the (level, attr)
 		// the test reads, the alpha memory on the WME attribute.
 		indexable := t.indexing && len(pat.Tests) > 0 && pat.Tests[0].Eq
+		label := fmt.Sprintf("%s/%d", name, i+1)
 		if pat.Negated {
 			neg := &negativeNode{
 				amem: am, tests: pat.Tests, level: i,
-				label: fmt.Sprintf("%s/%d", name, i+1),
-				sidx:  -1, aidx: -1,
+				label: label, actLabel: "neg:" + label,
+				sidx: -1, aidx: -1,
 			}
 			t.registerStore(&neg.storeT, false)
 			if indexable {
@@ -817,7 +852,7 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 			// levels of the same chain, or new-WME pairings double).
 			am.successors = append(am.successors, neg)
 			if last {
-				p := &PNode{Name: name, Data: data, level: i + 1}
+				p := newPNode(name, data, i+1)
 				t.registerStore(&p.storeT, false)
 				neg.children = append(neg.children, p)
 				t.prods = append(t.prods, p)
@@ -829,7 +864,7 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 			continue
 		}
 		j := &joinNode{parent: mem, amem: am, tests: pat.Tests, level: i,
-			label: fmt.Sprintf("%s/%d", name, i+1), pidx: -1, aidx: -1}
+			label: label, actLabel: "join:" + label, pidx: -1, aidx: -1}
 		if indexable {
 			j.pidx = mem.registerIndex(pat.Tests[0].TokenLevel, pat.Tests[0].TokenAttr)
 			j.aidx = am.registerIndex(pat.Tests[0].OwnAttr)
@@ -837,13 +872,13 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 		mem.children = append(mem.children, j)
 		am.successors = append(am.successors, j)
 		if last {
-			p := &PNode{Name: name, Data: data, level: i + 1}
+			p := newPNode(name, data, i+1)
 			t.registerStore(&p.storeT, false)
 			j.child = p
 			t.prods = append(t.prods, p)
 			return p, nil
 		}
-		next := &betaMemory{label: fmt.Sprintf("%s/%d", name, i+1)}
+		next := &betaMemory{label: label}
 		t.registerStore(&next.storeT, false)
 		j.child = next
 		mem = next
@@ -885,13 +920,23 @@ func (t *Template) alpha(pat Pattern) *alphaMem {
 	}
 	am := &alphaMem{
 		signature:  pat.Signature,
+		actLabel:   "alpha:" + pat.Signature,
 		class:      pat.Class,
 		filter:     pat.Filter,
 		filterCost: pat.FilterCost,
 		id:         len(t.alphas),
 	}
 	t.amems[pat.Signature] = am
-	t.byClass[pat.Class] = append(t.byClass[pat.Class], am)
+	cn := t.byClass[pat.Class]
+	if cn == nil {
+		cn = &classNodes{
+			retract:    "retract:" + pat.Class,
+			retractTok: "retract-tok:" + pat.Class,
+			negUnblock: "neg-unblock:" + pat.Class,
+		}
+		t.byClass[pat.Class] = cn
+	}
+	cn.mems = append(cn.mems, am)
 	t.alphas = append(t.alphas, am)
 	return am
 }
@@ -910,8 +955,9 @@ func (t *Template) NewNetwork(agenda Agenda) *Network {
 	return t.NewNetworkScratch(agenda, nil)
 }
 
-// NewNetworkScratch is NewNetwork drawing the instance's free lists
-// from a Scratch (see scratch.go); s may be nil.
+// NewNetworkScratch is NewNetwork borrowing the instance's match state
+// from a worker's Scratch until Settle (see scratch.go). With s nil the
+// instance owns its memory, exactly like NewNetwork.
 func (t *Template) NewNetworkScratch(agenda Agenda, s *Scratch) *Network {
 	if !t.frozen {
 		t.frozen = true
@@ -922,21 +968,39 @@ func (t *Template) NewNetworkScratch(agenda Agenda, s *Scratch) *Network {
 		states: map[*wm.WME]*wmeState{},
 	}
 	if s != nil {
-		n.adoptScratch(s)
+		s.lend(n)
 	}
 	n.instantiate()
 	return n
 }
 
 // instantiate sizes the per-instance state arrays and installs the
-// dummy token.
+// dummy token. A borrowing instance draws the arrays, and each node's
+// index slice at its final capacity, from the arena, so syncState
+// fills them without allocating.
 func (n *Network) instantiate() {
 	t := n.tmpl
-	n.alphaStates = make([]alphaState, len(t.alphas))
-	n.stores = make([]storeInst, len(t.stores))
+	if a := n.arena; a != nil {
+		n.alphaStates = a.alphaStates.takeN(len(t.alphas))
+		for i, am := range t.alphas {
+			if k := len(am.indexAttrs); k > 0 {
+				n.alphaStates[i].indexes = a.wmeIndexes.takeN(k)[:0]
+			}
+		}
+		n.stores = a.stores.takeN(len(t.stores))
+		for i, s := range t.stores {
+			if k := len(s.indexAts); k > 0 {
+				n.stores[i].indexes = a.tokenIndexes.takeN(k)[:0]
+			}
+		}
+	} else {
+		n.alphaStates = make([]alphaState, len(t.alphas))
+		n.stores = make([]storeInst, len(t.stores))
+	}
 	n.syncState()
-	n.dummyTok = &Token{level: -1, node: t.dummyTop}
-	n.dummyTok.storeEntry, n.dummyTok.storeBuckets = t.dummyTop.store(n).insert(n.dummyTok, nil, n)
+	n.dummyTok = n.allocToken()
+	n.dummyTok.level, n.dummyTok.node = -1, t.dummyTop
+	n.dummyTok.storeEntry, n.dummyTok.storeBuckets = t.dummyTop.store(n).insert(n.dummyTok, n.dummyTok.storeBuckets[:0], n)
 }
 
 // syncState brings the instance's state arrays (and the dummy token's
@@ -999,6 +1063,11 @@ type Network struct {
 	// noSeedRouting disables the template route memo for InsertBatch
 	// (SetSeedRouting): the differential-oracle escape hatch.
 	noSeedRouting bool
+
+	// arena is the worker scratch the instance borrows its match state
+	// from until Settle; nil for an instance that owns its memory (and
+	// for a settled one).
+	arena *Scratch
 
 	// Free lists. Deleted tokens rest in the graveyard until the next
 	// StartBatch: an engine may read a fired instantiation's (already
@@ -1131,7 +1200,10 @@ func (n *Network) TakeBatch() []*Activation {
 
 func (n *Network) begin(label string) { n.beginBase(label, CostActivationBase) }
 
-// beginBase opens an activation with an explicit dispatch cost.
+// beginBase opens an activation with an explicit dispatch cost. Callers
+// pass a label their template node or class built at compile time
+// (actLabel, classNodes), never one concatenated here: an activation
+// with capture off allocates nothing.
 func (n *Network) beginBase(label string, base float64) {
 	n.totals.Activations++
 	n.totals.Cost += base
@@ -1179,10 +1251,35 @@ func (n *Network) chargeSkippedJoinTests(skipped int) {
 func (n *Network) state(w *wm.WME) *wmeState {
 	st := n.states[w]
 	if st == nil {
-		st = &wmeState{}
+		if a := n.arena; a != nil {
+			st = a.wmeStates.take()
+		} else {
+			st = &wmeState{}
+		}
 		n.states[w] = st
 	}
 	return st
+}
+
+// allocToken returns a zeroed token from the free list, the borrowed
+// arena, or the heap, in that order.
+func (n *Network) allocToken() *Token {
+	if k := len(n.tokenPool); k > 0 {
+		tok := n.tokenPool[k-1]
+		n.tokenPool = n.tokenPool[:k-1]
+		return tok
+	}
+	if a := n.arena; a != nil {
+		return a.tokens.take()
+	}
+	return &Token{}
+}
+
+func (n *Network) newJoinResult() *negJoinResult {
+	if a := n.arena; a != nil {
+		return a.joinResults.take()
+	}
+	return &negJoinResult{}
 }
 
 func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level int) *Token {
@@ -1192,13 +1289,7 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 	if n.liveTokens > n.peakTokens {
 		n.peakTokens = n.liveTokens
 	}
-	var tok *Token
-	if k := len(n.tokenPool); k > 0 {
-		tok = n.tokenPool[k-1]
-		n.tokenPool = n.tokenPool[:k-1]
-	} else {
-		tok = &Token{}
-	}
+	tok := n.allocToken()
 	tok.parent = parent
 	tok.W = w
 	tok.level = level
@@ -1221,15 +1312,18 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 // would pair it a second time, duplicating instantiations.
 func (n *Network) Add(w *wm.WME) {
 	n.frozen = true
-	for _, am := range n.tmpl.byClass[w.Class.Name] {
-		n.beginBase("alpha:"+am.signature, CostAlphaScan)
+	cn := n.tmpl.byClass[w.Class.Name]
+	if cn == nil {
+		return
+	}
+	for _, am := range cn.mems {
+		n.beginBase(am.actLabel, CostAlphaScan)
 		n.charge(am.filterCost)
 		n.totals.ConstTests++
 		ok := am.filter == nil || am.filter(w)
 		if ok {
 			n.charge(CostAlphaMemOp)
-			st := n.state(w)
-			st.alphaRefs = append(st.alphaRefs, am.insert(w, n))
+			am.insert(w, n)
 		}
 		n.end()
 		if ok {
@@ -1252,8 +1346,11 @@ func (n *Network) Remove(w *wm.WME) {
 	if st == nil {
 		return
 	}
-	n.begin("retract:" + w.Class.Name)
-	for _, ref := range st.alphaRefs {
+	// A WME has state only after an alpha memory of its class accepted
+	// it, so the class is known to the template.
+	labels := n.tmpl.byClass[w.Class.Name]
+	n.begin(labels.retract)
+	for ref := st.refHead; ref != nil; ref = ref.next {
 		n.charge(CostAlphaMemOp)
 		ref.am.removeRef(ref, n)
 	}
@@ -1263,7 +1360,7 @@ func (n *Network) Remove(w *wm.WME) {
 	// parallelizes retraction the same way as assertion.
 	for st.tokTail != nil {
 		tok := st.tokTail
-		n.begin("retract-tok:" + w.Class.Name)
+		n.begin(labels.retractTok)
 		n.deleteToken(tok)
 		n.end()
 	}
@@ -1274,7 +1371,7 @@ func (n *Network) Remove(w *wm.WME) {
 	for jr := st.jrHead; jr != nil; jr = jr.wmeNext {
 		owner := jr.owner
 		owner.unlinkJR(jr)
-		n.begin("neg-unblock:" + w.Class.Name)
+		n.begin(labels.negUnblock)
 		n.charge(CostNegJoinResult)
 		if owner.nJoinResults == 0 {
 			if g, ok := owner.node.(*negativeNode); ok {

@@ -1,6 +1,7 @@
 package rete
 
 import (
+	"strings"
 	"testing"
 
 	"spampsm/internal/symtab"
@@ -293,6 +294,96 @@ func TestActivationCapture(t *testing.T) {
 	// Counters must accumulate regardless of capture.
 	if f.net.Totals().Cost <= 0 || f.net.Totals().TokensCreated == 0 {
 		t.Error("counters should be nonzero")
+	}
+}
+
+// TestActivationLabelsPinned pins the captured forest of a scenario
+// that produces every kind of activation — alpha:<signature>,
+// join:<label>, neg:<label>, p:<name>, retract:<class>,
+// retract-tok:<class>, neg-unblock:<class> — label for label and cost
+// for cost. The labels are built when the template is compiled, not
+// per activation; the match-parallelism simulation and its committed
+// tables read these exact strings.
+func TestActivationLabelsPinned(t *testing.T) {
+	const want = `goal: alpha:goal|(120);join:clear/1(380)[join:clear/2(120);];
+red: alpha:block|1=red(180);join:clear/2(540)[neg:clear/3(380);p:clear(680);];alpha:block|(120);neg:clear/3(280);
+blocker: alpha:block|1=red(80);alpha:block|(120);neg:clear/3(1030);
+unblock: retract:block(220);neg-unblock:block(310)[p:clear(680);];
+retract: retract:block(320);retract-tok:block(1200);
+`
+	pats := []Pattern{
+		{Class: "goal", Signature: "goal|"},
+		{Class: "block", Signature: "block|1=red", Filter: classEq(1, symtab.Sym("red")), FilterCost: CostAlphaFilterTerm,
+			Tests: []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+		{Negated: true, Class: "block", Signature: "block|",
+			Tests: []JoinTest{{OwnAttr: 2, TokenLevel: 1, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+	}
+	tmpl := NewTemplate()
+	if _, err := tmpl.AddProduction("clear", pats, nil); err != nil {
+		t.Fatal(err)
+	}
+	owned := newFixture(t)
+	if _, err := owned.net.AddProduction("clear", pats, nil); err != nil {
+		t.Fatal(err)
+	}
+	borrowed := newFixture(t)
+	borrowed.net = tmpl.NewNetworkScratch(borrowed.rec, &Scratch{})
+	for name, f := range map[string]*fixture{"owned": owned, "borrowed": borrowed} {
+		f.net.SetCapture(true)
+		var sb strings.Builder
+		step := func(name string, fn func()) {
+			f.net.StartBatch()
+			fn()
+			sb.WriteString(name + ": ")
+			renderForest(f.net.TakeBatch(), &sb)
+			sb.WriteString("\n")
+		}
+		var red, onTop *wm.WME
+		step("goal", func() { f.add(t, "goal", map[string]symtab.Value{"want": symtab.Int(1)}) })
+		step("red", func() {
+			red = f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(1), "color": symtab.Sym("red")})
+		})
+		step("blocker", func() {
+			onTop = f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(2), "color": symtab.Sym("blue"), "on": symtab.Int(1)})
+		})
+		step("unblock", func() { f.remove(t, onTop) })
+		step("retract", func() { f.remove(t, red) })
+		if got := sb.String(); got != want {
+			t.Errorf("%s network: captured forest\n%s\nwant\n%s", name, got, want)
+		}
+	}
+}
+
+// TestCaptureOffActivationAllocatesNothing is the allocation guard for
+// the match path: with capture off, asserting a WME that one alpha
+// memory accepts and no join pairs with, then retracting it, allocates
+// nothing on a network that borrows a worker's arena — no activation
+// label, no entry, no per-WME record.
+func TestCaptureOffActivationAllocatesNothing(t *testing.T) {
+	tmpl := NewTemplate()
+	if _, err := tmpl.AddProduction("p", []Pattern{
+		{Class: "goal", Signature: "goal|"},
+		{Class: "block", Signature: "block|1=red", Filter: classEq(1, symtab.Sym("red")), FilterCost: CostAlphaFilterTerm,
+			Tests: []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	f := newFixture(t)
+	f.net = tmpl.NewNetworkScratch(f.rec, &Scratch{})
+	w, err := f.mem.Make("block", map[string]symtab.Value{"id": symtab.Int(1), "color": symtab.Sym("red")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.net.Totals()
+	allocs := testing.AllocsPerRun(1000, func() {
+		f.net.Add(w)
+		f.net.Remove(w)
+	})
+	if allocs != 0 {
+		t.Errorf("capture-off Add+Remove allocated %v objects per run, want 0", allocs)
+	}
+	if after := f.net.Totals(); after.Activations == before.Activations || after.ConstTests == before.ConstTests {
+		t.Error("the guarded Add did not activate the alpha memory; the test is vacuous")
 	}
 }
 

@@ -1,21 +1,142 @@
-// Scratch: reusable allocation pools that outlive a single network
-// instance. A task runtime that builds, runs and discards one engine
-// per task (tlp.Pool with DropEngines) hands each worker a Scratch;
-// the free lists a network accumulated — recycled tokens and list
-// entries — seed the next network built on the same worker instead of
-// being garbage.
+// Scratch: a task process's match arena. The paper forks its task
+// processes once; after that a task is "just a working memory
+// element, which initializes the production system of the process" —
+// the process's match state outlives the task. A Scratch is that
+// per-process state for a worker goroutine: slabs of tokens, list
+// entries, per-WME records and per-node state that a network
+// instantiated with NewNetworkScratch *borrows* for the length of one
+// task and gives back, all at once, when the worker calls Settle. A
+// network built without a scratch owns its memory and allocates from
+// the Go heap exactly as before.
+//
+// The loan is exclusive: one borrower at a time. A borrower that never
+// settles (its task panicked, was interrupted or abandoned
+// mid-operation, so its structures may be inconsistent) keeps what it
+// drew; the next NewNetworkScratch on the same scratch notices the
+// outstanding loan, forgets the old slabs for the collector and starts
+// on fresh ones.
 package rete
 
-import "spampsm/internal/wm"
+import (
+	"unsafe"
 
-// Scratch holds the recyclable allocations of discarded network
-// instances. A Scratch is single-owner: it may be handed to one
-// network at a time (NewNetworkScratch empties it into the instance;
-// Reclaim refills it), and is not safe for concurrent use.
+	"spampsm/internal/wm"
+)
+
+const (
+	// slabFirst is the object count of a slab's first chunk and
+	// slabMaxChunk the cap on the doubling that follows, so a 20-token
+	// task holds a few KB while a large one amortises its growth.
+	slabFirst    = 16
+	slabMaxChunk = 1 << 15
+)
+
+// slab is a bump allocator over geometrically growing chunks of T.
+// Objects are handed out zeroed (or, for tokens, reset) and are only
+// ever returned wholesale, by rewind.
+type slab[T any] struct {
+	chunks [][]T
+	cur    int // chunk being drawn from
+	used   int // objects drawn from chunks[cur]
+	reach  int // chunks the loan before the last rewind drew from
+	// wipe readies a span of returned objects for reuse; nil clears it.
+	wipe func([]T)
+}
+
+// take returns one object.
+func (s *slab[T]) take() *T { return &s.takeN(1)[0] }
+
+// takeN returns n contiguous objects (length and capacity n).
+func (s *slab[T]) takeN(n int) []T {
+	for ; s.cur < len(s.chunks); s.cur, s.used = s.cur+1, 0 {
+		if c := s.chunks[s.cur]; s.used+n <= len(c) {
+			out := c[s.used : s.used+n : s.used+n]
+			s.used += n
+			return out
+		}
+	}
+	size := slabFirst
+	if k := len(s.chunks); k > 0 {
+		size = min(2*len(s.chunks[k-1]), slabMaxChunk)
+	}
+	size = max(size, n)
+	s.chunks = append(s.chunks, make([]T, size))
+	s.used = n
+	return s.chunks[s.cur][:n:n]
+}
+
+// rewind takes back every object drawn since the last rewind — each
+// touched span is wiped — and returns the cursor to the start.
+func (s *slab[T]) rewind() {
+	for i := 0; i <= s.cur && i < len(s.chunks); i++ {
+		c := s.chunks[i]
+		if i == s.cur {
+			c = c[:s.used]
+		}
+		if s.wipe != nil {
+			s.wipe(c)
+		} else {
+			clear(c)
+		}
+	}
+	s.reach = min(s.cur+1, len(s.chunks))
+	s.cur, s.used = 0, 0
+}
+
+// trim drops the chunks the last loan did not reach and reports
+// whether there were any. Chunks double, so what stays holds less than
+// twice the objects that loan drew (plus the first chunk).
+func (s *slab[T]) trim() bool {
+	if s.reach >= len(s.chunks) {
+		return false
+	}
+	clear(s.chunks[s.reach:])
+	s.chunks = s.chunks[:s.reach]
+	return true
+}
+
+// size reports the slab's held chunks and their bytes.
+func (s *slab[T]) size() (chunks int, bytes int64) {
+	var zero T
+	for _, c := range s.chunks {
+		bytes += int64(len(c)) * int64(unsafe.Sizeof(zero))
+	}
+	return len(s.chunks), bytes
+}
+
+// resetTokens is the token slab's wipe: reset one by one, so recycled
+// tokens keep their slice capacity.
+func resetTokens(span []Token) {
+	for i := range span {
+		span[i].reset()
+	}
+}
+
+// Scratch is one worker's match arena (see the file comment). It is
+// single-owner: not safe for concurrent use, lent to one network at a
+// time.
 type Scratch struct {
-	tokens       []*Token
-	wmeEntries   []*wmeEntry
-	tokenEntries []*tokenEntry
+	tokens       slab[Token]
+	tokenEntries slab[tokenEntry]
+	wmeEntries   slab[wmeEntry]
+	wmeStates    slab[wmeState]
+	alphaRefs    slab[alphaRef]
+	wmeBuckets   slab[*wmeEntry]
+	joinResults  slab[negJoinResult]
+	alphaStates  slab[alphaState]
+	stores       slab[storeInst]
+	wmeIndexes   slab[wmeIndex]
+	tokenIndexes slab[tokenIndex]
+
+	// Backing arrays of the borrower's free lists, so recycling within
+	// a task does not regrow them per engine.
+	tokenPool      []*Token
+	graveyard      []*Token
+	wmeEntryPool   []*wmeEntry
+	tokenEntryPool []*tokenEntry
+
+	// borrower is the network currently drawing from the arena.
+	borrower *Network
 
 	// Seed-batch staging buffers (ops5.AssertBatch): reused across the
 	// engines a worker builds so batched seed loading allocates its
@@ -24,12 +145,53 @@ type Scratch struct {
 	seedDigests []string
 }
 
-// Pooled reports how many recycled objects the scratch currently
-// holds. Observability for pool-accounting tests: a leak shows up as a
-// scratch that stays empty after an engine should have been reclaimed
-// into it.
-func (s *Scratch) Pooled() int {
-	return len(s.tokens) + len(s.wmeEntries) + len(s.tokenEntries)
+// Arena reports what the scratch currently holds for reuse: the number
+// of slab chunks and their total bytes (slice capacity that recycled
+// tokens carry is not counted). With a borrower outstanding this
+// includes what the borrower has drawn.
+func (s *Scratch) Arena() (slabs int, bytes int64) {
+	for _, sl := range s.slabs() {
+		n, b := sl.size()
+		slabs, bytes = slabs+n, bytes+b
+	}
+	return slabs, bytes
+}
+
+// anySlab is a slab of any element type.
+type anySlab interface {
+	rewind()
+	trim() bool
+	size() (int, int64)
+}
+
+// slabs lists the arena's slabs for the operations that treat them
+// alike.
+func (s *Scratch) slabs() [11]anySlab {
+	return [...]anySlab{&s.tokens, &s.tokenEntries, &s.wmeEntries, &s.wmeStates, &s.alphaRefs, &s.wmeBuckets,
+		&s.joinResults, &s.alphaStates, &s.stores, &s.wmeIndexes, &s.tokenIndexes}
+}
+
+// Trim bounds what an idle scratch keeps for the next task: less than
+// twice the objects (per kind) that the last settled task drew, the
+// rest dropped for the collector. An executor that lives as long as
+// its process (a SharedPool worker, a cluster worker's executor) calls
+// it after every task, so that one SF-x10-sized task does not pin its
+// peak arena forever: the first ordinary task after it releases the
+// excess. An executor that dies with its run (a tlp.Pool worker) need
+// not. With a loan outstanding Trim does nothing.
+func (s *Scratch) Trim() {
+	if s.borrower != nil {
+		return
+	}
+	dropped := false
+	for _, sl := range s.slabs() {
+		dropped = sl.trim() || dropped
+	}
+	if dropped {
+		// The free lists' backing arrays may still point, beyond their
+		// length, into dropped chunks; let them go too.
+		s.tokenPool, s.graveyard, s.wmeEntryPool, s.tokenEntryPool = nil, nil, nil, nil
+	}
 }
 
 // TakeSeedBuffers hands the scratch's seed-batch staging slices to a
@@ -41,7 +203,7 @@ func (s *Scratch) TakeSeedBuffers() ([]*wm.WME, []string) {
 }
 
 // PutSeedBuffers returns staging slices taken by TakeSeedBuffers,
-// clearing their elements so the scratch does not retain the dead
+// clearing their elements so the scratch does not retain the settled
 // engine's WMEs.
 func (s *Scratch) PutSeedBuffers(wmes []*wm.WME, digests []string) {
 	clear(wmes[:cap(wmes)])
@@ -50,30 +212,45 @@ func (s *Scratch) PutSeedBuffers(wmes []*wm.WME, digests []string) {
 	s.seedDigests = digests[:0]
 }
 
-// adoptScratch seeds the network's free lists from s, emptying s.
-func (n *Network) adoptScratch(s *Scratch) {
-	n.tokenPool = s.tokens
-	n.wmeEntryPool = s.wmeEntries
-	n.tokenEntryPool = s.tokenEntries
-	s.tokens = nil
-	s.wmeEntries = nil
-	s.tokenEntries = nil
+// lend makes n the scratch's borrower. An outstanding loan means the
+// previous borrower was never settled: what it drew stays with it, for
+// the collector, and n starts on fresh slabs.
+func (s *Scratch) lend(n *Network) {
+	if s.borrower != nil {
+		s.borrower.arena = nil
+		*s = Scratch{}
+	}
+	s.borrower = n
+	s.tokens.wipe = resetTokens
+	n.arena = s
+	n.tokenPool, n.graveyard = s.tokenPool[:0], s.graveyard[:0]
+	n.wmeEntryPool, n.tokenEntryPool = s.wmeEntryPool[:0], s.tokenEntryPool[:0]
 }
 
-// Reclaim moves the network's free lists (including any tokens still
-// resting in the graveyard) into s for reuse by the next instance.
-// The network must not be used again afterwards: call it only when
-// discarding an engine that has finished running normally. Engines
-// that panicked or were abandoned mid-operation must not be reclaimed
-// — their pools may alias live structures.
-func (n *Network) Reclaim(s *Scratch) {
-	for _, tok := range n.graveyard {
-		tok.reset()
-		n.tokenPool = append(n.tokenPool, tok)
+// Settle ends the network's loan: every object it drew from its
+// worker's scratch, live or free, goes back in time proportional to
+// the objects drawn, reset for the next borrower. The network keeps
+// its counters and peaks (Totals, PeakTokens) but no match state — it
+// must not be asserted into, retracted from or run again. Call it only
+// on a network that finished its work normally; one that panicked or
+// was abandoned mid-operation is simply never settled (see lend). It
+// returns the scratch, or nil for a network that owns its memory, for
+// which Settle does nothing.
+func (n *Network) Settle() *Scratch {
+	s := n.arena
+	if s == nil {
+		return nil
 	}
-	n.graveyard = n.graveyard[:0]
-	s.tokens = append(s.tokens, n.tokenPool...)
-	s.wmeEntries = append(s.wmeEntries, n.wmeEntryPool...)
-	s.tokenEntries = append(s.tokenEntries, n.tokenEntryPool...)
-	n.tokenPool, n.wmeEntryPool, n.tokenEntryPool = nil, nil, nil
+	for _, sl := range s.slabs() {
+		sl.rewind()
+	}
+	s.tokenPool, s.graveyard = n.tokenPool[:0], n.graveyard[:0]
+	s.wmeEntryPool, s.tokenEntryPool = n.wmeEntryPool[:0], n.tokenEntryPool[:0]
+	s.borrower = nil
+	n.arena = nil
+	n.agenda = nil
+	n.alphaStates, n.stores, n.states, n.dummyTok = nil, nil, nil, nil
+	n.tokenPool, n.graveyard, n.wmeEntryPool, n.tokenEntryPool = nil, nil, nil, nil
+	n.batch, n.stack = nil, nil
+	return s
 }

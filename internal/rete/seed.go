@@ -73,7 +73,7 @@ func RouteDigest(class string, vals []symtab.Value) string {
 }
 
 // classRoutes memoizes the alpha routing of one class's seed WMEs:
-// the class's alpha memories (the template's byClass slice, stable
+// the class's alpha memories (the template's per-class slice, stable
 // once frozen), the aggregate constant-test sweep cost Add would
 // charge for any WME of the class, and the acceptance set per distinct
 // value digest.
@@ -91,10 +91,11 @@ type classRoutes struct {
 // closures and are evaluated outside the lock (a racing miss computes
 // the same set twice; the first store wins).
 func (t *Template) route(w *wm.WME, digest string) (*classRoutes, []int32) {
-	mems := t.byClass[w.Class.Name]
-	if len(mems) == 0 {
+	cn := t.byClass[w.Class.Name]
+	if cn == nil {
 		return nil, nil
 	}
+	mems := cn.mems
 	if digest == "" {
 		digest = RouteDigest(w.Class.Name, w.Vals)
 	}
@@ -179,14 +180,13 @@ func (n *Network) replayRoute(w *wm.WME, cr *classRoutes, acc []int32) {
 	if n.capturing {
 		k := 0
 		for i, am := range cr.mems {
-			n.beginBase("alpha:"+am.signature, CostAlphaScan)
+			n.beginBase(am.actLabel, CostAlphaScan)
 			n.charge(am.filterCost)
 			n.totals.ConstTests++
 			ok := k < len(acc) && int(acc[k]) == i
 			if ok {
 				n.charge(CostAlphaMemOp)
-				st := n.state(w)
-				st.alphaRefs = append(st.alphaRefs, am.insert(w, n))
+				am.insert(w, n)
 			}
 			n.end()
 			if ok {
@@ -207,8 +207,7 @@ func (n *Network) replayRoute(w *wm.WME, cr *classRoutes, acc []int32) {
 	n.totals.Cost += cr.scanCost + float64(len(acc))*CostAlphaMemOp
 	for _, idx := range acc {
 		am := cr.mems[idx]
-		st := n.state(w)
-		st.alphaRefs = append(st.alphaRefs, am.insert(w, n))
+		am.insert(w, n)
 		for j := len(am.successors) - 1; j >= 0; j-- {
 			am.successors[j].rightActivate(w, n)
 		}

@@ -99,22 +99,79 @@ func TestTemplateFreeze(t *testing.T) {
 	}
 }
 
-// TestScratchReuseDeterminism replays a script on successive instances
-// sharing one Scratch: recycled tokens and list entries must not
-// perturb events, counters or forests.
+// TestScratchReuseDeterminism replays scripts on successive instances
+// borrowing one Scratch: an arena settled by one instance and recycled
+// by the next must not perturb events, counters or forests, whichever
+// script ran before, and must actually be reused rather than regrown.
 func TestScratchReuseDeterminism(t *testing.T) {
-	s := genScript(5)
+	scratch := &Scratch{}
+	for round := 0; round < 2; round++ {
+		for _, seed := range []uint64{5, 9, 5} {
+			s := genScript(seed)
+			fresh := s.replay(t, true)
+			rec := &seqRecorder{}
+			net := s.template(t, true).NewNetworkScratch(rec, scratch)
+			run := s.replayOn(t, net, rec)
+			diffRunsEqual(t, seed, fresh, run, "fresh", "scratch-instance")
+			totals, peak := net.Totals(), net.PeakTokens()
+			_, before := scratch.Arena()
+			if net.Settle() != scratch {
+				t.Fatal("Settle did not return the borrowed scratch")
+			}
+			if _, after := scratch.Arena(); before == 0 || after > before {
+				t.Fatalf("arena %d -> %d bytes across Settle; want it engaged and not grown", before, after)
+			}
+			if net.Totals() != totals || net.PeakTokens() != peak {
+				t.Fatal("Settle changed the network's counters")
+			}
+			if net.Settle() != nil {
+				t.Fatal("second Settle on a settled network must be a no-op")
+			}
+		}
+	}
+}
+
+// TestScratchUnsettledBorrowerKeepsItsArena: a network that is never
+// settled (its task failed mid-operation) keeps what it drew; the next
+// borrower starts on fresh slabs, matches like a fresh network, and the
+// abandoned network's memories are left intact.
+func TestScratchUnsettledBorrowerKeepsItsArena(t *testing.T) {
+	s := genScript(7)
 	fresh := s.replay(t, true)
 	tmpl := s.template(t, true)
 	scratch := &Scratch{}
-	for i := 0; i < 3; i++ {
-		rec := &seqRecorder{}
-		net := tmpl.NewNetworkScratch(rec, scratch)
-		run := s.replayOn(t, net, rec)
-		diffRunsEqual(t, 5, fresh, run, "fresh", "scratch-instance")
-		net.Reclaim(scratch)
-		if i > 0 && len(scratch.tokens) == 0 {
-			t.Fatal("Reclaim recovered no tokens; scratch reuse is not engaged")
-		}
+	rec0 := &seqRecorder{}
+	abandoned := tmpl.NewNetworkScratch(rec0, scratch)
+	s.replayOn(t, abandoned, rec0)
+	liveBefore := abandoned.liveTokens
+	chunk0 := &scratch.tokens.chunks[0][0]
+
+	rec := &seqRecorder{}
+	net := tmpl.NewNetworkScratch(rec, scratch)
+	if &scratch.tokens.chunks[0][0] == chunk0 {
+		t.Fatal("second borrower was handed the unsettled borrower's slab")
+	}
+	run := s.replayOn(t, net, rec)
+	diffRunsEqual(t, 7, fresh, run, "fresh", "after-abandoned")
+	if abandoned.liveTokens != liveBefore || abandoned.dummyTok == nil || abandoned.dummyTok.node == nil {
+		t.Fatal("abandoned network's state was disturbed by the next borrower")
+	}
+	if abandoned.Settle(); scratch.borrower != net {
+		t.Fatal("a superseded borrower's Settle must not end the current loan")
+	}
+}
+
+// TestNetworkWithoutScratchDrawsNoSlabs pins the other half of the
+// rule: an instance built without a scratch owns its memory.
+func TestNetworkWithoutScratchDrawsNoSlabs(t *testing.T) {
+	s := genScript(5)
+	rec := &seqRecorder{}
+	net := s.template(t, true).NewNetwork(rec)
+	s.replayOn(t, net, rec)
+	if net.arena != nil || net.Settle() != nil {
+		t.Fatal("a network built without a scratch must not borrow or settle")
+	}
+	if net.dummyTok == nil {
+		t.Fatal("Settle on an owning network must leave it intact")
 	}
 }

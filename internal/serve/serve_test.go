@@ -327,6 +327,10 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.Pool.TasksRun == 0 {
 		t.Error("pool counters empty after a completed interpretation")
 	}
+	// One task process, whose match arena outlives the request.
+	if a := st.Pool.Arenas; len(a) != 1 || a[0].ArenaSlabs == 0 || a[0].ArenaBytes == 0 {
+		t.Errorf("pool arena stats = %+v, want the one worker's held arena", a)
+	}
 	_ = s
 }
 

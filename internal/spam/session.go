@@ -315,7 +315,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		}
 		st.sig = sig
 		st.live = true
-		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, seeds, warm))
+		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, &retention{seeds: seeds, warm: warm}))
 		pending = append(pending, i)
 	}
 	if len(tasks) == 0 {

@@ -116,13 +116,14 @@ func engineOpts(capture bool) []ops5.Option {
 	return opts
 }
 
-// loadEngine builds one task's engine: instantiate the phase program
-// (threading the worker's allocation scratch, nil outside DropEngines
-// pools, into the engine's free lists), register the store's
-// externals, assert the seed batch. Every engine the package builds —
-// a local task's, a session's first run, a cluster worker's rebuild of
-// a shipped task — comes from here, so they are the same engine by
-// construction.
+// loadEngine builds one task's engine: instantiate the phase program,
+// register the store's externals, assert the seed batch. With a
+// worker's match arena s the engine borrows its match state from it
+// and the worker settles it when the task ends; with s nil (an engine
+// a session keeps warm, a prebuild, a serial replay) the engine owns
+// its memory. Every engine the package builds — a local task's, a
+// session's first run, a cluster worker's rebuild of a shipped task —
+// comes from here, so they are the same engine by construction.
 func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
 	opts := engineOpts(capture)
 	if s != nil {
@@ -195,19 +196,31 @@ var phaseDefs = map[string]struct {
 	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, modelSeeds, nil},
 }
 
-// newTask derives the runnable task from its spec. With assembled nil
-// the task assembles its seeds on demand — inside its build on the pool
-// worker, inside Wire on a cluster coordinator. A retained run passes
-// the seed set it already assembled for the signature diff and, for a
+// retention is what a retained run (a Session) adds to a task: the
+// seed set it already assembled for the signature diff and, for a
 // changed task, the warm engine to reset and reload in place of a
 // fresh one.
-func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, assembled []ops5.Seed, warm *ops5.Engine) *tlp.Task {
+type retention struct {
+	seeds []ops5.Seed
+	warm  *ops5.Engine
+}
+
+// newTask derives the runnable task from its spec. A one-shot task
+// (keep nil) assembles its seeds on demand — inside its build on the
+// pool worker, inside Wire on a cluster coordinator — and its engine
+// borrows the worker's match arena. A retained task's engine must stay
+// warm for the next update, so it never borrows: it owns its memory.
+func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, keep *retention) *tlp.Task {
 	def := phaseDefs[sp.phase]
 	load := func() ([]ops5.Seed, error) {
-		if assembled != nil {
-			return assembled, nil
+		if keep != nil {
+			return keep.seeds, nil
 		}
 		return def.seeds(prog, store, sp)
+	}
+	var warm *ops5.Engine
+	if keep != nil {
+		warm = keep.warm
 	}
 	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
 		seeds, err := load()
@@ -227,6 +240,9 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool,
 				return nil, err
 			}
 			return e, nil
+		}
+		if keep != nil {
+			s = nil
 		}
 		return loadEngine(prog, store, seeds, capture, s)
 	}
@@ -249,7 +265,7 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool,
 func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture bool) []*tlp.Task {
 	tasks := make([]*tlp.Task, len(specs))
 	for i := range specs {
-		tasks[i] = newTask(prog, store, &specs[i], capture, nil, nil)
+		tasks[i] = newTask(prog, store, &specs[i], capture, nil)
 	}
 	return tasks
 }
@@ -866,7 +882,7 @@ func BuildModelTask(kb *KB, store *RegionStore, prog *ops5.Program,
 	frags []*Fragment, fas []FunctionalArea, capture bool) *tlp.Task {
 
 	sp := modelSpec(store.Scene().Name, frags, fas)
-	return newTask(prog, store, &sp, capture, nil, nil)
+	return newTask(prog, store, &sp, capture, nil)
 }
 
 // modelSpec describes the MODEL task.

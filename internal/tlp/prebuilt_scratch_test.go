@@ -2,6 +2,9 @@ package tlp
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"spampsm/internal/faults"
@@ -9,71 +12,206 @@ import (
 	"spampsm/internal/symtab"
 )
 
-// negTask builds a task whose engine deletes a beta token during seed
-// assertion (a negative condition invalidated by a later seed WME), so
-// even a freshly built engine that never ran holds recyclable objects
-// in its graveyard — the observable a scratch-reclaim test needs.
-func negTask(id string) *Task {
-	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-		prog, err := ops5.Parse(`
-(literalize item n)
+// arenaProg exercises every arena object: joins, a negative condition
+// whose join results block and unblock, modifies that retract and
+// re-create token trees, and an external that a test can make
+// misbehave.
+const arenaProg = `
+(literalize item n k)
 (literalize blocker n)
 (literalize out n)
-(p blocked (item ^n <n>) - (blocker ^n <n>) --> (make out ^n <n>))
-`)
+(literalize count n limit)
+(external poke)
+(p blocked (item ^n <n> ^k <k>) - (blocker ^n <n>) --> (make out ^n <n>))
+(p pair (item ^n <a> ^k <k>) (item ^n { <b> > <a> } ^k <k>) --> (call poke <a> <b>))
+(p step (count ^n <n> ^limit > <n>) (blocker ^n <b>)
+   --> (modify 1 ^n (compute <n> + 1)) (modify 2 ^n (compute <b> + 1)))
+`
+
+// arenaTask builds a task over arenaProg with `size` items. poke, when
+// non-nil, runs inside the engine's Run on every pair firing and gets
+// the engine. built, when non-nil, receives every engine the task
+// builds.
+func arenaTask(t testing.TB, prog *ops5.Program, id string, size int, poke func(*ops5.Engine), built *[]*ops5.Engine) *Task {
+	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
+		e, err := ops5.NewEngine(prog, ops5.WithScratch(s))
 		if err != nil {
 			return nil, err
 		}
-		var opts []ops5.Option
-		if s != nil {
-			opts = append(opts, ops5.WithScratch(s))
-		}
-		e, err := ops5.NewEngine(prog, opts...)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := e.Assert("item", map[string]symtab.Value{"n": symtab.Int(1)}); err != nil {
-			return nil, err
+		e.Register("poke", func([]symtab.Value) (symtab.Value, float64, error) {
+			if poke != nil {
+				poke(e)
+			}
+			return symtab.Nil, 10, nil
+		})
+		for i := 0; i < size; i++ {
+			if _, err := e.Assert("item", map[string]symtab.Value{"n": symtab.Int(int64(i)), "k": symtab.Int(int64(i % 3))}); err != nil {
+				return nil, err
+			}
 		}
 		if _, err := e.Assert("blocker", map[string]symtab.Value{"n": symtab.Int(1)}); err != nil {
 			return nil, err
+		}
+		if _, err := e.Assert("count", map[string]symtab.Value{"n": symtab.Int(0), "limit": symtab.Int(int64(size))}); err != nil {
+			return nil, err
+		}
+		if built != nil {
+			*built = append(*built, e)
 		}
 		return e, nil
 	}
 	return &Task{
 		ID:        id,
-		EstSize:   1,
+		EstSize:   float64(size),
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 	}
 }
 
-// TestBuildFailReclaimsPrebuiltScratch is the regression test for the
-// prebuilt-engine scratch leak: when a task's first attempt draws an
-// injected build fault, the already-prebuilt engine is discarded — its
-// recyclable allocations must flow into the worker's scratch rather
-// than being stranded with the dead engine.
-func TestBuildFailReclaimsPrebuiltScratch(t *testing.T) {
-	task := negTask("leak")
-	p := &Pool{
-		Workers:     1,
-		DropEngines: true,
-		Faults:      faults.New(faults.Config{Seed: 11, BuildFailRate: 1}),
+func parseArenaProg(t testing.TB) *ops5.Program {
+	prog, err := ops5.Parse(arenaProg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Prebuild([]*Task{task}, 1)
-	if p.prebuilt[task] == nil {
-		t.Fatal("Prebuild did not produce an engine")
+	return prog
+}
+
+// sameRun asserts two results of the same task are identical in every
+// simulated quantity and in final working memory.
+func sameRun(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.Err != nil || want.Err != nil {
+		t.Fatalf("task %s: errors %v / %v", got.TaskID, got.Err, want.Err)
+	}
+	if got.Stats != want.Stats {
+		t.Errorf("task %s: stats %+v != reference %+v", got.TaskID, got.Stats, want.Stats)
+	}
+	if !reflect.DeepEqual(got.Log, want.Log) {
+		t.Errorf("task %s: cost log differs from reference", got.TaskID)
+	}
+	if g, w := got.Engine.MatchCounters(), want.Engine.MatchCounters(); g != w {
+		t.Errorf("task %s: match counters %+v != reference %+v", got.TaskID, g, w)
+	}
+	for _, class := range []string{"item", "blocker", "out", "count"} {
+		g, w := got.Engine.WMEs(class), want.Engine.WMEs(class)
+		if len(g) != len(w) {
+			t.Fatalf("task %s: %d %s WMEs, want %d", got.TaskID, len(g), class, len(w))
+		}
+		for i := range g {
+			if g[i].TimeTag != w[i].TimeTag || g[i].String() != w[i].String() {
+				t.Errorf("task %s: %s WME %d: %d %s, want %d %s", got.TaskID, class, i, g[i].TimeTag, g[i], w[i].TimeTag, w[i])
+			}
+		}
+	}
+}
+
+// TestUnsettledAttemptLeavesNextTaskFresh (formerly
+// TestBuildFailReclaimsPrebuiltScratch: prebuilt engines no longer
+// touch a worker's arena, so a build fault has nothing to reclaim): an
+// attempt that panics, is interrupted mid-run, crashes or fails its
+// build must not be settled — its engine may be mid-operation — and the
+// tasks the same worker runs next, on fresh slabs, must still be
+// identical to tasks run on engines that own their memory.
+func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
+	prog := parseArenaProg(t)
+	sizes := []int{9, 12, 7, 10, 11}
+	var ref []*Task
+	for i, size := range sizes {
+		id := fmt.Sprintf("ok%d", i)
+		ref = append(ref, &Task{ID: id, Build: arenaTask(t, prog, id, size, nil, nil).Build})
+	}
+	want, err := (&Pool{Workers: 1}).Run(ref)
+	if err != nil {
+		t.Fatal(err)
 	}
 
+	// One worker's arena, threaded through every attempt below.
 	scratch := &ops5.Scratch{}
-	r := p.attempt(context.Background(), task, 0, 0, 0, scratch)
-	if r.Err == nil {
-		t.Fatal("attempt under BuildFailRate=1 should fail")
+	clean := &Pool{}
+	var engines []*ops5.Engine
+	settled := func(e *ops5.Engine) bool {
+		_, err := e.Run(0)
+		return errors.Is(err, ops5.ErrSettled)
 	}
-	if p.prebuilt[task] != nil {
+	ok := func(i int) {
+		t.Helper()
+		id := fmt.Sprintf("ok%d", i)
+		got := clean.attempt(context.Background(), arenaTask(t, prog, id, sizes[i], nil, &engines), 0, i, 1, scratch)
+		sameRun(t, got, want[i])
+		if e := engines[len(engines)-1]; got.Engine != e || !settled(e) {
+			t.Errorf("task %s: a clean attempt's engine must be attached and settled", id)
+		}
+	}
+	failed := func(r *Result, is func(error) bool, what string) {
+		t.Helper()
+		if r.Err == nil || !is(r.Err) {
+			t.Fatalf("%s: err %v", what, r.Err)
+		}
+		if e := engines[len(engines)-1]; settled(e) {
+			t.Errorf("%s: the failed attempt's engine was settled", what)
+		}
+	}
+
+	ok(0)
+	pokes := 0
+	r := clean.attempt(context.Background(), arenaTask(t, prog, "panics", 12, func(*ops5.Engine) {
+		if pokes++; pokes == 5 {
+			panic("boom mid-run")
+		}
+	}, &engines), 0, 0, 1, scratch)
+	failed(r, func(err error) bool { var pe *PanicError; return errors.As(err, &pe) }, "panicking task")
+	ok(1)
+	r = clean.attempt(context.Background(), arenaTask(t, prog, "interrupted", 12, func(e *ops5.Engine) { e.Interrupt() }, &engines), 0, 0, 1, scratch)
+	failed(r, func(err error) bool { return errors.Is(err, ErrTimeout) }, "interrupted task")
+	ok(2)
+	crashing := &Pool{Faults: faults.New(faults.Config{Seed: 11, CrashRate: 1})}
+	r = crashing.attempt(context.Background(), arenaTask(t, prog, "crashes", 12, nil, &engines), 0, 0, 1, scratch)
+	failed(r, func(err error) bool { return errors.Is(err, ErrWorkerCrash) }, "crashing task")
+	ok(3)
+	// A build fault on a prebuilt engine: the engine was built off the
+	// workers, owns its memory, and is simply discarded.
+	failing := &Pool{Faults: faults.New(faults.Config{Seed: 11, BuildFailRate: 1})}
+	task := arenaTask(t, prog, "build-fails", 8, nil, &engines)
+	failing.Prebuild([]*Task{task}, 1)
+	r = failing.attempt(context.Background(), task, 0, 0, 1, scratch)
+	failed(r, func(err error) bool { return errors.Is(err, faults.ErrInjected) }, "build-fault task")
+	if len(failing.prebuilt) != 0 {
 		t.Error("prebuilt engine not consumed by the failed attempt")
 	}
-	if got := scratch.Pooled(); got == 0 {
-		t.Error("prebuilt engine's allocations were stranded: scratch.Pooled() = 0 after BuildFail")
+	ok(4)
+}
+
+// TestLongLivedWorkerArenaIsBounded: on a worker that lives as long as
+// the process, one large task must not pin its peak arena forever. The
+// arena a SharedPool worker holds after a large task and then 50 small
+// ones is at the small tasks' scale.
+func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
+	prog := parseArenaProg(t)
+	sp := NewSharedPool(1, 0)
+	defer sp.Close()
+	run := func(id string, size int) int64 {
+		t.Helper()
+		rs, err := sp.Submit(context.Background(), &Pool{}, []*Task{arenaTask(t, prog, id, size, nil, nil)})
+		if err != nil || rs[0].Err != nil {
+			t.Fatalf("task %s: %v / %v", id, err, rs[0].Err)
+		}
+		a := sp.Stats().Arenas
+		if len(a) != 1 || a[0].ArenaSlabs == 0 {
+			t.Fatalf("arena stats %+v, want one engaged worker arena", a)
+		}
+		return a[0].ArenaBytes
+	}
+	small := run("small", 6)
+	large := run("large", 120)
+	if large < 20*small {
+		t.Fatalf("large task's arena %d B is not well above a small task's %d B; the test is vacuous", large, small)
+	}
+	var after int64
+	for i := 0; i < 50; i++ {
+		after = run(fmt.Sprintf("small%d", i), 6)
+	}
+	// The bound is Scratch.Trim's: twice what the last task drew.
+	if after > 2*small {
+		t.Errorf("worker still holds %d B after 50 small tasks (small-task arena %d B, large-task arena %d B)", after, small, large)
 	}
 }

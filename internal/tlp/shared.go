@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"spampsm/internal/ops5"
 )
 
 // ErrPoolClosed is returned by SharedPool.Submit after Close.
@@ -55,6 +57,11 @@ type SharedPool struct {
 	subs   sync.WaitGroup // in-flight submissions
 	gate   *memGate       // lazily built from MemBudget on first use
 
+	// arenas is what each task process's match arena holds, published
+	// by the process after every task (its scratch itself is private to
+	// its goroutine and lives as long as the pool).
+	arenas []ArenaGauge
+
 	tasksRun    atomic.Int64
 	quarantined atomic.Int64 // live, uninjected runs' quarantines only
 	cancQuar    atomic.Int64 // quarantine-grade failures on cancelled runs
@@ -89,13 +96,18 @@ func NewSharedPool(workers, queueDepth int) *SharedPool {
 	if queueDepth < 1 {
 		queueDepth = 64 * workers
 	}
-	sp := &SharedPool{queue: make(chan *workItem, queueDepth)}
+	sp := &SharedPool{queue: make(chan *workItem, queueDepth), arenas: make([]ArenaGauge, workers)}
 	for w := 0; w < workers; w++ {
 		sp.wg.Add(1)
 		go func(worker int) {
 			defer sp.wg.Done()
+			scratch := &ops5.Scratch{}
 			for item := range sp.queue {
-				sp.runItem(item, worker)
+				sp.runItem(item, worker, scratch)
+				// The worker outlives its tasks: it must not pin the
+				// largest one's arena.
+				scratch.Trim()
+				sp.arenas[worker].Publish(scratch)
 			}
 		}(w)
 	}
@@ -103,8 +115,9 @@ func NewSharedPool(workers, queueDepth int) *SharedPool {
 }
 
 // runItem executes one queued task under its submission's context and
-// configuration, and settles the pool-level accounting.
-func (sp *SharedPool) runItem(item *workItem, worker int) {
+// configuration, on the worker's match arena, and settles the
+// pool-level accounting.
+func (sp *SharedPool) runItem(item *workItem, worker int, scratch *ops5.Scratch) {
 	sub := item.sub
 	defer sub.done.Done()
 	t := sub.queue[item.idx]
@@ -117,7 +130,7 @@ func (sp *SharedPool) runItem(item *workItem, worker int) {
 		// as any other pre-attempt cancellation.
 		r = cancelledResult(t, item.idx, 0, nil, err)
 	} else {
-		r = sub.cfg.runOne(sub.ctx, t, worker, item.idx, nil)
+		r = sub.cfg.runOne(sub.ctx, t, worker, item.idx, scratch)
 		sp.memGate().release(got)
 	}
 	sp.tasksRun.Add(1)
@@ -224,12 +237,45 @@ type Counters struct {
 	MemBudget     float64 // configured footprint budget, simulated bytes
 	PeakMemEst    float64 // reservation high-water mark across all submissions
 	ThrottleWaits int64   // dispatches the budget blocked at least once
+
+	// Arenas is what each task process's match arena held after its
+	// last task: slab chunks and their bytes (rete.Scratch.Arena).
+	Arenas []ArenaStats
+}
+
+// ArenaStats is one task process's match-arena footprint.
+type ArenaStats struct {
+	ArenaSlabs int   `json:"arenaSlabs"`
+	ArenaBytes int64 `json:"arenaBytes"`
+}
+
+// ArenaGauge lets the goroutine that owns a long-lived match arena
+// publish its footprint for any other goroutine to read: the executor
+// (SharedPool worker, cluster worker executor) publishes after every
+// task, a stats snapshot loads.
+type ArenaGauge struct{ slabs, bytes atomic.Int64 }
+
+// Publish records what s holds now. Call it from s's owner only.
+func (g *ArenaGauge) Publish(s *ops5.Scratch) {
+	slabs, bytes := s.Arena()
+	g.slabs.Store(int64(slabs))
+	g.bytes.Store(bytes)
+}
+
+// Load returns the last published footprint.
+func (g *ArenaGauge) Load() ArenaStats {
+	return ArenaStats{ArenaSlabs: int(g.slabs.Load()), ArenaBytes: g.bytes.Load()}
 }
 
 // Stats returns a snapshot of the pool's lifetime counters.
 func (sp *SharedPool) Stats() Counters {
 	ms := sp.memGate().stats()
+	arenas := make([]ArenaStats, len(sp.arenas))
+	for i := range sp.arenas {
+		arenas[i] = sp.arenas[i].Load()
+	}
 	return Counters{
+		Arenas:               arenas,
 		TasksRun:             sp.tasksRun.Load(),
 		Quarantined:          sp.quarantined.Load(),
 		CancelledQuarantines: sp.cancQuar.Load(),

@@ -98,10 +98,13 @@ type Task struct {
 	MemEst float64
 	Build  func() (*ops5.Engine, error)
 	// BuildWith, when set, is preferred over Build and receives the
-	// worker's allocation scratch (nil when the pool keeps engines):
-	// task builders thread it to ops5.NewEngine via WithScratch so the
-	// short-lived engines of a DropEngines run recycle tokens and list
-	// entries worker-locally instead of reallocating per task.
+	// executing worker's match arena (nil from Prebuild, which builds
+	// off the workers). A builder that threads it to ops5.NewEngine via
+	// WithScratch gets an engine that borrows the arena and is settled —
+	// its match state handed back to the worker, its working memory,
+	// statistics and cost log left readable — when the worker finishes
+	// the task; a builder whose engine must stay warm for a later run
+	// ignores it, and the engine owns its memory.
 	BuildWith func(s *ops5.Scratch) (*ops5.Engine, error)
 	// Wire, when set, produces the task's shippable description for the
 	// cluster runtime (internal/cluster). It is lazy — a local run never
@@ -213,10 +216,11 @@ type Pool struct {
 	Workers    int
 	Policy     QueuePolicy
 	MaxFirings int // per-task firing limit; 0 = none (not an error to hit)
-	// DropEngines releases each task's engine (its Rete network and
-	// working memory) as soon as its statistics and cost log have been
-	// collected. Measurement runs over large queues use this to avoid
-	// pinning thousands of engines; leave it false when results are
+	// DropEngines releases each task's engine (its working memory; the
+	// match state of a borrowing engine goes back to the worker either
+	// way) as soon as its statistics and cost log have been collected.
+	// Measurement runs over large queues use this to avoid pinning
+	// thousands of working memories; leave it false when results are
 	// extracted from final working memories.
 	DropEngines bool
 
@@ -260,11 +264,35 @@ type Pool struct {
 	// prebuilt holds engines constructed ahead of Run by Prebuild,
 	// keyed by task. An entry is consumed by the task's first attempt
 	// (if that attempt draws an injected build fault the engine is
-	// discarded, with its allocations reclaimed into the worker's
-	// scratch); retries always rebuild from scratch, preserving the
+	// discarded); retries always rebuild from scratch, preserving the
 	// idempotent re-execution property.
 	prebuiltMu sync.Mutex
 	prebuilt   map[*Task]*ops5.Engine
+
+	// scratches holds the match arenas of the pool's idle task
+	// processes. A worker goroutine takes one for the length of a run
+	// and puts it back, so the phases of an interpretation reuse the
+	// same arenas and the arenas die with the pool.
+	scratchMu sync.Mutex
+	scratches []*ops5.Scratch
+}
+
+// takeScratch hands a starting worker an idle arena, or a new one.
+func (p *Pool) takeScratch() *ops5.Scratch {
+	p.scratchMu.Lock()
+	defer p.scratchMu.Unlock()
+	if k := len(p.scratches); k > 0 {
+		s := p.scratches[k-1]
+		p.scratches = p.scratches[:k-1]
+		return s
+	}
+	return &ops5.Scratch{}
+}
+
+func (p *Pool) putScratch(s *ops5.Scratch) {
+	p.scratchMu.Lock()
+	p.scratches = append(p.scratches, s)
+	p.scratchMu.Unlock()
 }
 
 // order returns the queue order under the pool's policy. Every policy
@@ -347,13 +375,8 @@ func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error)
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// Under DropEngines each worker keeps a private allocation
-			// scratch: every discarded engine's token and entry pools
-			// seed the next engine built on this worker.
-			var scratch *ops5.Scratch
-			if p.DropEngines {
-				scratch = &ops5.Scratch{}
-			}
+			scratch := p.takeScratch()
+			defer p.putScratch(scratch)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(queue) {
@@ -531,12 +554,6 @@ func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, s
 	// as if the original build had failed.
 	prebuilt := p.takePrebuilt(t)
 	if f.Kind == faults.BuildFail {
-		if prebuilt != nil && scratch != nil {
-			// The discarded engine finished building normally and never
-			// ran, so its pools alias nothing live: reclaim them for
-			// the rebuild instead of stranding them with the engine.
-			prebuilt.Reclaim(scratch)
-		}
 		r.Err = f.Err(fmt.Sprintf("tlp: build %s: attempt %d", t.ID, attempt))
 		return r
 	}
@@ -611,14 +628,14 @@ func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, s
 			t.ID, ErrBudgetExceeded, p.FiringBudget)
 		return r
 	}
+	// Clean success: the worker is done with the task, so an engine
+	// that borrowed the worker's arena gives it back; what extraction
+	// reads stays on the engine. Failed, interrupted and panicked
+	// attempts returned above without settling — their engines may be
+	// mid-operation — and the worker's next build starts on fresh slabs.
+	eng.Settle()
 	if !p.DropEngines {
 		r.Engine = eng
-	} else if scratch != nil {
-		// Clean success and the engine is being dropped: recycle its
-		// allocation pools into the worker's scratch. Failed or
-		// panicked attempts never reclaim — their engines may be
-		// mid-operation, and their pools could alias live structures.
-		eng.Reclaim(scratch)
 	}
 	return r
 }

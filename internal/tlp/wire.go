@@ -35,7 +35,7 @@ import (
 // result extraction.
 type WireSpec struct {
 	Dataset string
-	Phase   string   // rtf | lcc | fa | model
+	Phase   string // rtf | lcc | fa | model
 	Seeds   []ops5.Seed
 	Extract []string // WME classes snapshotted into the Result
 }
@@ -167,9 +167,11 @@ func OrderTasks(policy QueuePolicy, tasks []*Task) []*Task {
 // mid-task and whose loss the coordinator already recorded). The
 // attempt budget stays global: the task is quarantined once its
 // attempt number reaches 1+MaxRetries regardless of where earlier
-// attempts ran. This is the cluster worker loop's execution entry
-// point; batch runs should use Run/RunContext.
-func (p *Pool) RunOne(ctx context.Context, t *Task, worker, seq, startAttempt int) *Result {
+// attempts ran. scratch is the calling executor's match arena (see
+// Task.BuildWith); nil makes every engine own its memory. This is the
+// cluster worker loop's execution entry point; batch runs should use
+// Run/RunContext.
+func (p *Pool) RunOne(ctx context.Context, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
 	if startAttempt < 1 {
 		startAttempt = 1
 	}
@@ -184,5 +186,5 @@ func (p *Pool) RunOne(ctx context.Context, t *Task, worker, seq, startAttempt in
 		return cancelledResult(t, seq, startAttempt-1, nil, err)
 	}
 	defer gate.release(got)
-	return p.runOneFrom(ctx, t, worker, seq, startAttempt, nil)
+	return p.runOneFrom(ctx, t, worker, seq, startAttempt, scratch)
 }
