@@ -43,11 +43,14 @@ loc:
 	@printf 'flag definitions (cmd): '; \
 		grep -rhoE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
 
-# alloc-profile attributes the spamrun path's allocation by site: one
+# alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored
 # .alloc_profile/, then the top of the three profiles merged, by bytes
-# allocated. This is the table docs/PERFORMANCE.md "Allocation" was cut
-# from; the next allocation diet starts here, not from a guess.
+# allocated; then the session path (MOFF, ten 2% updates — the
+# benchmark's session_update) by bytes allocated and by bytes still in
+# use when the session ends, so retained heap has a table too. These
+# are the tables docs/PERFORMANCE.md "Allocation" was cut from; the
+# next allocation diet starts here, not from a guess.
 alloc-profile:
 	mkdir -p .alloc_profile
 	$(GO) build -o .alloc_profile/spamrun ./cmd/spamrun
@@ -56,6 +59,10 @@ alloc-profile:
 	done
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/spamrun \
 		.alloc_profile/SF.prof .alloc_profile/DC.prof .alloc_profile/MOFF.prof
+	.alloc_profile/spamrun -dataset MOFF -reentry -update 10 -churn 0.02 \
+		-memprofile .alloc_profile/session.prof >/dev/null
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
 
 race:
 	$(GO) test -race ./...
@@ -121,20 +128,23 @@ bench-serve:
 # template-instantiated vs fresh-compiled engines, fast-vs-exact
 # geometry, the scheduling policies (simulator vs Run anchor, pool
 # policies and memory budgets vs the serial FIFO baseline), and the
-# incremental-update path (retract/reassert vs fresh load, warm-engine
-# reset, session updates vs from-scratch re-interpretation, at the
-# engine, spam and serve layers) — at every level (rete scripts, ops5
+# incremental-update path (remove-driven retraction vs fresh load, a
+# swept-and-reloaded engine vs a fresh one, session updates vs
+# from-scratch re-interpretation — outputs and, per task that ran,
+# statistics, counters and cost log — and what a session retains, at
+# the engine, spam and serve layers) — at every level (rete scripts, ops5
 # engines, geometry kernels, the scheduler, the task-process pool,
 # full-SPAM interpretations, the HTTP session surface), and the match
 # arena (engines that borrow, settle and recycle a worker's scratch vs
 # engines that own their memory; a settled engine stays readable and
-# refuses to run; an unsettled one leaves the next task fresh), under
+# refuses to run; an unsettled one leaves the next task fresh; a
+# long-lived worker's arena is bounded and steady under window trim), under
 # the race detector. These are the byte-identity guarantees of
 # docs/PERFORMANCE.md; everything here also runs as part of `race`,
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled' \
+		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons' \
 		./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

@@ -36,8 +36,9 @@
 // one-shot run: after the initial interpretation it applies N
 // generated churn deltas (-churn fraction of the regions each,
 // deterministic from -churn-seed) and re-interprets incrementally —
-// cached tasks reused, changed tasks re-run on their retained warm
-// Rete engines — printing one update-report row per delta (see
+// cached tasks reused, changed tasks run again as fresh tasks —
+// printing one update-report row per delta, with why each re-run task
+// ran again (see
 // docs/PERFORMANCE.md "Incremental re-interpretation"). The phase
 // table then describes the final updated interpretation.
 //
@@ -58,6 +59,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"spampsm/internal/cluster"
@@ -115,10 +118,14 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "spamrun:", err)
 		return 1
 	}
+	// An -update session stays reachable until the heap profile is
+	// written, so -memprofile's inuse_space shows what it retains.
+	var sess *spam.Session
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "spamrun:", err)
 		}
+		runtime.KeepAlive(sess)
 	}()
 
 	spam.UseNaiveMatch(*naive)
@@ -175,7 +182,7 @@ func realMain() int {
 	}
 	if *clusterWorkers > 0 {
 		if *updates > 0 {
-			fmt.Fprintln(os.Stderr, "spamrun: -update sessions keep warm engines in-process; combine with -workers, not -cluster-workers")
+			fmt.Fprintln(os.Stderr, "spamrun: -update sessions run on a private scene clone no cluster worker has; combine with -workers, not -cluster-workers")
 			return 2
 		}
 		ccfg := cluster.Config{
@@ -226,26 +233,27 @@ func realMain() int {
 		// Session path: the initial interpretation plus -update churn
 		// deltas folded in incrementally. The phase table below then
 		// describes the final updated interpretation.
-		sess := spam.NewSession(d, iopt)
+		sess = spam.NewSession(d, iopt)
 		utb := stats.Table{
 			Title: fmt.Sprintf("Incremental updates of %s — %d deltas at %.0f%% churn (seed %d)",
 				d.Name, *updates, 100**churn, *churnSeed),
 			Headers: []string{"Update", "Δregions", "Tasks", "Reused", "Rerun", "Fresh",
-				"Dropped", "Retracted WMEs", "Charged (sec)", "Wall (ms)"},
+				"Dropped", "Charged (sec)", "Wall (ms)", "Re-run because"},
+		}
+		row := func(rep *spam.UpdateReport) {
+			utb.AddRow(rep.Update, rep.DeltaSize, rep.Tasks, rep.Reused, rep.Rerun, rep.Fresh,
+				rep.Dropped, machine.InstrToSec(rep.UpdateInstr),
+				float64(rep.Wall)/float64(time.Millisecond), strings.Join(rep.RerunReasons(), "; "))
 		}
 		var rep *spam.UpdateReport
 		in, rep, err = sess.Interpret(context.Background())
 		for i := 1; err == nil && i <= *updates; i++ {
-			utb.AddRow(rep.Update, rep.DeltaSize, rep.Tasks, rep.Reused, rep.Rerun, rep.Fresh,
-				rep.Dropped, rep.RetractedWMEs, machine.InstrToSec(rep.UpdateInstr),
-				float64(rep.Wall)/float64(time.Millisecond))
+			row(rep)
 			delta := sess.Scene().Churn(scene.DefaultChurn(*churnSeed+uint64(i-1), *churn))
 			in, rep, err = sess.Update(context.Background(), delta)
 		}
 		if err == nil {
-			utb.AddRow(rep.Update, rep.DeltaSize, rep.Tasks, rep.Reused, rep.Rerun, rep.Fresh,
-				rep.Dropped, rep.RetractedWMEs, machine.InstrToSec(rep.UpdateInstr),
-				float64(rep.Wall)/float64(time.Millisecond))
+			row(rep)
 			fmt.Println(utb.String())
 		}
 	} else {

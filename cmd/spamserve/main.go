@@ -20,7 +20,7 @@
 // Endpoints:
 //
 //	POST   /interpret     one interpretation (named or inline scene)
-//	POST   /session       open an incremental session (interpret + keep warm)
+//	POST   /session       open an incremental session (interpret + keep the results)
 //	POST   /update        apply a scene delta to a session
 //	DELETE /session/{id}  close a session
 //	GET    /healthz       liveness + shared-pool quarantine budget

@@ -67,9 +67,8 @@ type IncrementalPoint struct {
 	Fresh   int `json:"fresh"`
 	Dropped int `json:"dropped"`
 
-	SeedsDiffed   int     `json:"seedsDiffed"`
-	DiffInstr     float64 `json:"diffInstr"`
-	RetractedWMEs int     `json:"retractedWMEs"`
+	SeedsDiffed int     `json:"seedsDiffed"`
+	DiffInstr   float64 `json:"diffInstr"`
 
 	UpdateInstr  float64 `json:"updateInstr"` // charged cost of the incremental update
 	FullInstr    float64 `json:"fullInstr"`   // charged cost of from-scratch on the same scene
@@ -142,23 +141,22 @@ func (s *Suite) incrementalLadder(name string, opt spam.InterpretOptions) (Incre
 			return base, nil, fmt.Errorf("bench: incremental %s scratch %.2f: %w", name, frac, err)
 		}
 		pt := IncrementalPoint{
-			Dataset:       name,
-			Update:        ur.Update,
-			Fraction:      frac,
-			DeltaSize:     ur.DeltaSize,
-			Tasks:         ur.Tasks,
-			Reused:        ur.Reused,
-			Rerun:         ur.Rerun,
-			Fresh:         ur.Fresh,
-			Dropped:       ur.Dropped,
-			SeedsDiffed:   ur.SeedsDiffed,
-			DiffInstr:     ur.DiffInstr,
-			RetractedWMEs: ur.RetractedWMEs,
-			UpdateInstr:   ur.UpdateInstr,
-			FullInstr:     full.TotalInstr(),
-			UpdateWallMs:  float64(ur.Wall) / float64(time.Millisecond),
-			FullWallMs:    float64(fullWall) / float64(time.Millisecond),
-			Identical:     spam.SameOutputs(in, full),
+			Dataset:      name,
+			Update:       ur.Update,
+			Fraction:     frac,
+			DeltaSize:    ur.DeltaSize,
+			Tasks:        ur.Tasks,
+			Reused:       ur.Reused,
+			Rerun:        ur.Rerun,
+			Fresh:        ur.Fresh,
+			Dropped:      ur.Dropped,
+			SeedsDiffed:  ur.SeedsDiffed,
+			DiffInstr:    ur.DiffInstr,
+			UpdateInstr:  ur.UpdateInstr,
+			FullInstr:    full.TotalInstr(),
+			UpdateWallMs: float64(ur.Wall) / float64(time.Millisecond),
+			FullWallMs:   float64(fullWall) / float64(time.Millisecond),
+			Identical:    spam.SameOutputs(in, full),
 		}
 		points = append(points, pt)
 	}
@@ -286,11 +284,11 @@ func (r *IncrementalReport) Check() error {
 			if p.DiffInstr <= 0 || p.UpdateInstr < p.DiffInstr {
 				return fmt.Errorf("incremental: %s churn %g diff charge unaccounted: %+v", ds, p.Fraction, p)
 			}
-			// No universal upper bound on the ratio: at high churn the
-			// retract+reload charge on warm engines plus the diff scan can
-			// (honestly) exceed a from-scratch batch load, especially on
-			// small subset scenes. The proportionality claim lives in the
-			// calibrated-scale low-churn gate below.
+			// No upper bound of 1 on the ratio: an update is charged the
+			// from-scratch cost of the tasks it ran plus the diff scan, so
+			// when churn re-runs everything it (honestly) exceeds a
+			// from-scratch run by that scan. The proportionality claim
+			// lives in the calibrated-scale low-churn gate below.
 			if p.ChargedRatio <= 0 {
 				return fmt.Errorf("incremental: %s churn %g charged ratio %g not positive",
 					ds, p.Fraction, p.ChargedRatio)

@@ -42,11 +42,12 @@ import (
 // Version on any change to the frame layouts below. (v1 shipped every
 // seed inline; v2 is content-addressed seed shipping — frameChunk plus
 // chunk-ref task frames — and worker-side phase continuation; v3 adds
-// the worker process's match-arena footprint to the result frame; see
-// docs/CLUSTER.md.)
+// the worker process's match-arena footprint to the result frame; v4
+// drops the result frame's two retracted-working-memory fields, which
+// nothing fills since engines stopped being reset; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 3
+	Version = 4
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -901,8 +902,6 @@ func EncodeResultV2(t *EncTab, m *ResultMsg) []byte {
 	b = appendFloatC(b, m.Stats.InitInstr)
 	b = appendUint(b, uint64(m.Mem.SeedWMEs))
 	b = appendFloatC(b, m.Mem.SeedBytes)
-	b = appendUint(b, uint64(m.Mem.RetractedWMEs))
-	b = appendFloatC(b, m.Mem.RetractedBytes)
 	b = appendUint(b, uint64(m.Mem.PeakWMEs))
 	b = appendUint(b, uint64(m.Mem.PeakTokens))
 	b = appendFloatC(b, m.Mem.PeakBytes)
@@ -955,8 +954,6 @@ func DecodeResultV2(t *DecTab, payload []byte) (*ResultMsg, error) {
 	m.Stats.Halted = flags&rfHalted != 0
 	m.Mem.SeedWMEs = int(d.uvarint())
 	m.Mem.SeedBytes = d.floatC()
-	m.Mem.RetractedWMEs = int(d.uvarint())
-	m.Mem.RetractedBytes = d.floatC()
 	m.Mem.PeakWMEs = int(d.uvarint())
 	m.Mem.PeakTokens = int(d.uvarint())
 	m.Mem.PeakBytes = d.floatC()

@@ -94,7 +94,7 @@ func sampleResults() []*ResultMsg {
 			Stats: ops5.RunStats{Firings: 41, Cycles: 44, RHSActions: 90,
 				MatchInstr: 1234.5, ResolveInstr: 17, ActInstr: 90, InitInstr: 400, Halted: true},
 			HasLog: true,
-			Mem: ops5.MemStats{SeedWMEs: 12, SeedBytes: 480, RetractedWMEs: 3, RetractedBytes: 96,
+			Mem: ops5.MemStats{SeedWMEs: 12, SeedBytes: 480,
 				PeakWMEs: 60, PeakTokens: 140, PeakBytes: 9000},
 			ArenaSlabs: 23, ArenaBytes: 71296,
 			Snapshot: []SnapClass{{Name: "fragment", Attrs: []string{"id", "kind", "score"},

@@ -171,11 +171,11 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 // state, the conflict set, the seed staging buffers. What extraction
 // reads stays — WMEs, Memory, Stats, Log, MatchCounters return what
 // they returned before — but the engine is finished: Assert,
-// AssertBatch, RetractBatch, ResetForUpdate and Run fail with
-// ErrSettled. The worker calls it when a task's run ended normally; an
-// engine that panicked or was interrupted is never settled, and its
-// worker starts the next task on fresh slabs. On an engine built
-// without a scratch Settle does nothing.
+// AssertBatch and Run fail with ErrSettled. The worker calls it when a
+// task's run ended normally; an engine that panicked or was
+// interrupted is never settled, and its worker starts the next task on
+// fresh slabs. On an engine built without a scratch Settle does
+// nothing.
 func (e *Engine) Settle() {
 	s := e.net.Settle()
 	if s == nil {

@@ -10,7 +10,6 @@ import (
 
 	"spampsm/internal/rete"
 	"spampsm/internal/symtab"
-	"spampsm/internal/wm"
 )
 
 // Differential oracle for the compile-once template path: an engine
@@ -222,7 +221,7 @@ func TestConcurrentEngineInstantiation(t *testing.T) {
 // TestSettledEngineReadableAndRefusesToRun: after Settle an engine
 // still answers WMEs, Stats, Log and MatchCounters as before, refuses —
 // with ErrSettled, not a panic and not by quietly matching on recycled
-// tokens — to assert, retract, reset or run, and keeps answering the
+// tokens — to assert or run, and keeps answering the
 // same after a different task has borrowed, dirtied and settled the
 // same scratch.
 func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
@@ -265,7 +264,6 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 	if len(before.paths) == 0 || before.stats.Firings == 0 {
 		t.Fatal("first task produced nothing; the test is vacuous")
 	}
-	live := first.WMEs("path")[0]
 	first.Settle()
 	if got := read(first); !reflect.DeepEqual(got, before) {
 		t.Errorf("Settle changed what the engine reports:\nbefore %+v\nafter  %+v", before, got)
@@ -276,8 +274,6 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 	refused := map[string]error{}
 	_, refused["Assert"] = first.Assert("node", map[string]symtab.Value{"id": symtab.Int(9)})
 	refused["AssertBatch"] = first.AssertBatch([]Seed{{Class: "node", Vals: make([]symtab.Value, 2)}})
-	refused["RetractBatch"] = first.RetractBatch([]*wm.WME{live})
-	refused["ResetForUpdate"] = first.ResetForUpdate()
 	_, refused["Run"] = first.Run(0)
 	for op, err := range refused {
 		if !errors.Is(err, ErrSettled) {

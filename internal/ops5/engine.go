@@ -76,11 +76,6 @@ type MemStats struct {
 	// into the engine before the run (the task's distributed seed).
 	SeedWMEs  int
 	SeedBytes float64
-	// RetractedWMEs / RetractedBytes count working memory retracted
-	// through RetractBatch before the run — the unloading half of an
-	// incremental update, symmetric to the seed counters above.
-	RetractedWMEs  int
-	RetractedBytes float64
 	// PeakWMEs / PeakTokens are high-water marks of simultaneously-live
 	// WMEs and beta tokens over the whole engine lifetime.
 	PeakWMEs   int

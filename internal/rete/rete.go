@@ -1165,30 +1165,12 @@ func (n *Network) AddProduction(name string, pats []Pattern, data interface{}) (
 func (n *Network) StartBatch() {
 	n.batch = n.batch[:0]
 	n.stack = n.stack[:0]
-	n.RecycleGraveyard()
-}
-
-// RecycleGraveyard returns every token deleted since the previous
-// recycling point to the free list. StartBatch does this once per
-// recognize-act cycle; bulk retraction outside Run (an incremental
-// update retracting a task's whole seed WM) must call it explicitly,
-// or the entire deleted token population stays stranded in the
-// graveyard until the next Run's first cycle. Callers must not hold
-// retracted tokens (e.g. a fired instantiation's bindings) across this
-// call.
-func (n *Network) RecycleGraveyard() {
 	for _, tok := range n.graveyard {
 		tok.reset()
 		n.tokenPool = append(n.tokenPool, tok)
 	}
 	n.graveyard = n.graveyard[:0]
 }
-
-// ResetPeaks restarts the token high-water mark from the current live
-// population, so a retained engine's next run records its own peak
-// rather than inheriting the previous run's. Observational only — it
-// never affects Counters or match behaviour.
-func (n *Network) ResetPeaks() { n.peakTokens = n.liveTokens }
 
 // TakeBatch returns the activation forest accumulated since StartBatch.
 func (n *Network) TakeBatch() []*Activation {

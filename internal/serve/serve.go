@@ -18,7 +18,6 @@ import (
 	"spampsm/internal/tlp"
 )
 
-
 // Config sizes the server. The zero value is usable; withDefaults
 // fills every knob.
 type Config struct {
@@ -59,8 +58,10 @@ type Config struct {
 	RecentReports int
 	// MaxSessions bounds the live incremental sessions (POST /session);
 	// opening one past the cap evicts the least recently used. Each
-	// session retains every task's warm Rete engine, so the cap is the
-	// server's main memory lever for the incremental path.
+	// session retains a private scene clone, its region store and every
+	// task's result (statistics, cost log, extracted working memory — no
+	// engine), so the cap is the server's main memory lever for the
+	// incremental path.
 	MaxSessions int
 	// Sched orders every submission's task queue (fifo, largest or
 	// postorder — the shared policy vocabulary). Per-task results are
@@ -73,8 +74,9 @@ type Config struct {
 	// Cluster, when set, executes named-scene requests across worker
 	// processes instead of the shared in-process pool (the cmd layer
 	// wires a cluster.Coordinator in; see docs/CLUSTER.md). Inline
-	// scenes and sessions always stay on the shared pool: inline state
-	// exists only in this process, and sessions retain warm engines.
+	// scenes and sessions always stay on the shared pool: an inline
+	// scene exists only in this process, and so does a session's scene —
+	// a private clone its deltas mutate, which no worker has.
 	Cluster ClusterBackend
 }
 
@@ -261,17 +263,17 @@ func (s *Server) Healthy() bool {
 // here (and in the X-Elapsed-Ms response header) — never in response
 // bodies, which stay byte-deterministic.
 type RequestReport struct {
-	Seq         int64   `json:"seq"`
-	Dataset     string  `json:"dataset"`
-	Tenant      string  `json:"tenant"`
-	Status      int     `json:"status"`
-	Complete    bool    `json:"complete"`
-	Tasks       int     `json:"tasks"`
-	Attempts    int     `json:"attempts"`
-	Retries     int     `json:"retries"`
-	Panics      int     `json:"panics"`
-	Quarantined int     `json:"quarantined"`
-	Cancelled   int     `json:"cancelled"`
+	Seq         int64  `json:"seq"`
+	Dataset     string `json:"dataset"`
+	Tenant      string `json:"tenant"`
+	Status      int    `json:"status"`
+	Complete    bool   `json:"complete"`
+	Tasks       int    `json:"tasks"`
+	Attempts    int    `json:"attempts"`
+	Retries     int    `json:"retries"`
+	Panics      int    `json:"panics"`
+	Quarantined int    `json:"quarantined"`
+	Cancelled   int    `json:"cancelled"`
 	// ShippedBytes is the request's total task+result wire traffic when
 	// it ran on the cluster backend (0 for in-process execution).
 	ShippedBytes int64   `json:"shippedBytes,omitempty"`
@@ -339,24 +341,24 @@ func (s *Server) Stats() Stats {
 		clusterStats = &st
 	}
 	return Stats{
-		Healthy:    s.Healthy(),
-		Draining:   s.draining.Load(),
-		Requests:   s.requests.Load(),
-		Completed:  s.completed.Load(),
-		Degraded:   s.degraded.Load(),
-		Failed:     s.failed.Load(),
-		TimedOut:   s.timedOut.Load(),
-		Cancelled:  s.cancelled.Load(),
+		Healthy:      s.Healthy(),
+		Draining:     s.draining.Load(),
+		Requests:     s.requests.Load(),
+		Completed:    s.completed.Load(),
+		Degraded:     s.degraded.Load(),
+		Failed:       s.failed.Load(),
+		TimedOut:     s.timedOut.Load(),
+		Cancelled:    s.cancelled.Load(),
 		Shed:         s.shed.Load(),
 		Rejected:     s.rejected.Load(),
 		InFlight:     inFlight,
 		Queued:       s.queued.Load(),
 		ShippedBytes: s.shipped.Load(),
 		Cluster:      clusterStats,
-		Pool:       s.pool.Stats(),
-		SceneCache: s.cache.stats(),
-		Sessions:   s.sessions.stats(),
-		Tenants:    tenants,
-		Recent:     recent,
+		Pool:         s.pool.Stats(),
+		SceneCache:   s.cache.stats(),
+		Sessions:     s.sessions.stats(),
+		Tenants:      tenants,
+		Recent:       recent,
 	}
 }

@@ -210,32 +210,34 @@ type ChurnRequest struct {
 // wall clock (X-Elapsed-Ms), no concurrency-dependent memo counters
 // (/stats).
 type UpdateSummary struct {
-	Update        int     `json:"update"`
-	DeltaSize     int     `json:"deltaSize"`
-	Tasks         int     `json:"tasks"`
-	Reused        int     `json:"reused"`
-	Rerun         int     `json:"rerun"`
-	Fresh         int     `json:"fresh"`
-	Dropped       int     `json:"dropped"`
-	SeedsDiffed   int     `json:"seedsDiffed"`
-	DiffInstr     float64 `json:"diffInstr"`
-	RetractedWMEs int     `json:"retractedWMEs"`
-	UpdateInstr   float64 `json:"updateInstr"`
+	Update      int     `json:"update"`
+	DeltaSize   int     `json:"deltaSize"`
+	Tasks       int     `json:"tasks"`
+	Reused      int     `json:"reused"`
+	Rerun       int     `json:"rerun"`
+	Fresh       int     `json:"fresh"`
+	Dropped     int     `json:"dropped"`
+	SeedsDiffed int     `json:"seedsDiffed"`
+	DiffInstr   float64 `json:"diffInstr"`
+	UpdateInstr float64 `json:"updateInstr"`
+	// Reasons is spam.UpdateReport.Reasons: why each re-run task ran
+	// again, as counts keyed "<phase> <signature>[ <rows>]".
+	Reasons map[string]int `json:"reasons,omitempty"`
 }
 
 func summarize(rep *spam.UpdateReport) UpdateSummary {
 	return UpdateSummary{
-		Update:        rep.Update,
-		DeltaSize:     rep.DeltaSize,
-		Tasks:         rep.Tasks,
-		Reused:        rep.Reused,
-		Rerun:         rep.Rerun,
-		Fresh:         rep.Fresh,
-		Dropped:       rep.Dropped,
-		SeedsDiffed:   rep.SeedsDiffed,
-		DiffInstr:     rep.DiffInstr,
-		RetractedWMEs: rep.RetractedWMEs,
-		UpdateInstr:   rep.UpdateInstr,
+		Update:      rep.Update,
+		DeltaSize:   rep.DeltaSize,
+		Tasks:       rep.Tasks,
+		Reused:      rep.Reused,
+		Rerun:       rep.Rerun,
+		Fresh:       rep.Fresh,
+		Dropped:     rep.Dropped,
+		SeedsDiffed: rep.SeedsDiffed,
+		DiffInstr:   rep.DiffInstr,
+		UpdateInstr: rep.UpdateInstr,
+		Reasons:     rep.Reasons,
 	}
 }
 

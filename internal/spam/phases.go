@@ -315,13 +315,13 @@ func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*
 
 // interpret is the four-phase driver: RTF → LCC → FA (with optional
 // LCC re-entry) → MODEL, each phase enumerated as task specs, run as
-// one queue, settled and extracted. Retention is a property of the
-// caller. A one-shot interpretation (s nil) runs every spec on the
-// dataset itself and releases each engine once its outputs are
-// extracted. A Session (s non-nil, d its private dataset) diffs each
-// spec's signature against its cache, runs only what changed — on the
-// warm engines it keeps — and finds LCC partners through its
-// persistent grid.
+// one queue, settled and extracted, and every engine is released once
+// its outputs are read. Retention is a property of the caller. A
+// one-shot interpretation (s nil) runs every spec on the dataset
+// itself. A Session (s non-nil, d its private dataset) diffs each
+// spec's signature against its cache, runs only what changed — as
+// fresh tasks — keeps each result with a snapshot of what extraction
+// reads, and finds LCC partners through its persistent grid.
 func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Session) (*Interpretation, error) {
 	runner := opt.Runner
 	if runner == nil {
@@ -357,12 +357,8 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 		return results, nil
 	}
 	// extracted frees a phase's engines once its outputs are read (the
-	// phase statistics only need the stats and cost logs); a session
-	// keeps them warm.
+	// phase statistics only need the stats and cost logs).
 	extracted := func(results []*tlp.Result) {
-		if s != nil {
-			return
-		}
 		for _, r := range results {
 			if r != nil {
 				r.Engine = nil

@@ -3,36 +3,38 @@
 //
 // A Session holds a live interpretation of one scene — a private scene
 // clone, its RegionStore, a persistent fragment grid, and every phase
-// task's quiesced Rete engine — and folds scene deltas into it. A
-// session run is Dataset.interpret — the same four-phase driver over
-// the same task specs (tasks.go) as a one-shot interpretation — with
-// retention on. Spec keys are stable (RTF position batches, LCC units
-// by focal fragment and constraint, FA tasks by seed fragment), so the
-// same logical task keeps its identity across updates. On each run the
+// task's result — and folds scene deltas into it. What it keeps of a
+// finished task is what a cluster result carries: statistics, cost log
+// and a snapshot of the working-memory classes the phase's extractor
+// reads. Never an engine: a task's match state goes back to its worker
+// when the task ends, here as everywhere. A session run is
+// Dataset.interpret — the same four-phase driver over the same task
+// specs (tasks.go) as a one-shot interpretation — with retention on.
+// Spec keys are stable (RTF position batches, LCC units by focal
+// fragment and constraint, FA tasks by seed fragment), so the same
+// logical task keeps its identity across updates. On each run the
 // session assembles every task's seed working memory, collapses each
-// seed to its rete.RouteDigest, appends the geometry epochs of the
+// seed to its rete.RouteDigest, takes the geometry epochs of the
 // regions the task's externals can read (geo-test booleans and
 // fa-predict-area candidate scans depend on region geometry the seed
-// rows don't capture), and diffs the signature against the one the
-// task last ran with:
+// rows don't capture), and diffs the two signatures against the ones
+// the task last ran with:
 //
-//   - unchanged signature → the task's cached result (and its warm
-//     engine, holding the final working memory) is reused outright, at
+//   - both unchanged → the task's cached result is reused outright, at
 //     zero simulated cost beyond the digest comparison;
-//   - changed signature with a retained engine → the engine is returned
-//     to the empty-WM state (ops5.ResetForUpdate retracts the live WM
-//     through the Rete network), reloaded with the new seeds, and
-//     re-run — the warm engine keeps its compiled network, token pools
-//     and hash indexes, and the retract+reload charge is the update's
-//     honestly accounted cost;
-//   - new key → a fresh engine, as in a from-scratch run;
-//   - disappeared key → the task and its engine are dropped.
+//   - either changed, or a new key → the task runs as a fresh task,
+//     exactly the task a from-scratch interpretation of the updated
+//     scene would run, so its statistics and cost log are that task's;
+//     a re-run is counted by which signature changed and, for the seed
+//     signature, which row classes (UpdateReport.Reasons);
+//   - disappeared key → the cached result is dropped.
 //
 // Because tasks share nothing and extraction orders every output, the
 // updated Interpretation is byte-identical to interpreting the updated
 // scene from scratch — the property the incremental differential
-// oracle (session_test.go, `make oracle`) enforces. Only the charged
-// cost differs: proportional to churn instead of scene size.
+// oracle (session_test.go, `make oracle`) enforces — and so is every
+// task that ran. Only the charged cost differs: proportional to churn
+// instead of scene size.
 //
 // Sessions are single-threaded by contract: one Update at a time, no
 // concurrent Interpret. The serving layer wraps each session in its
@@ -43,7 +45,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"spampsm/internal/ops5"
@@ -70,10 +74,13 @@ type Session struct {
 	updates int
 }
 
-// sessTask is one stable task's retained state between runs.
+// sessTask is one stable task's retained state between runs. The two
+// halves of its signature are kept apart so that a re-run can say
+// which one changed.
 type sessTask struct {
-	sig  string      // seed-digest signature of the last run
-	res  *tlp.Result // cached result; Engine retained warm for reuse/reset
+	seed string      // seed-digest signature of the last run (seedSig)
+	geo  string      // geometry-epoch signature of the last run (geoSig)
+	res  *tlp.Result // cached result: stats, log, extract-class snapshot; no engine
 	live bool        // touched by the current run (sweep mark)
 }
 
@@ -87,22 +94,33 @@ type UpdateReport struct {
 
 	Tasks   int `json:"tasks"`   // tasks enumerated this run
 	Reused  int `json:"reused"`  // unchanged signature: cached result returned
-	Rerun   int `json:"rerun"`   // warm engine reset, reloaded and re-run
-	Fresh   int `json:"fresh"`   // newly built engines
-	Dropped int `json:"dropped"` // stale tasks (and engines) discarded
+	Rerun   int `json:"rerun"`   // cached result, changed signature: run again
+	Fresh   int `json:"fresh"`   // new key: first run
+	Dropped int `json:"dropped"` // stale tasks discarded
 
 	// SeedsDiffed counts the seed digests compared; DiffInstr is their
 	// modeled charge (diffInstrPerSeed each), included in UpdateInstr.
 	SeedsDiffed int     `json:"seedsDiffed"`
 	DiffInstr   float64 `json:"diffInstr"`
 
-	// RetractedWMEs is the seed volume unloaded from warm engines
-	// (ops5.MemStats.RetractedWMEs summed over the reset tasks).
-	RetractedWMEs int `json:"retractedWMEs"`
+	// RetractedWMEs is retired and always 0: nothing is retracted since
+	// sessions stopped resetting engines. The field stays only because
+	// benchmark/sessions.go compiles against it; the declared
+	// benchmark-surface revision of ROADMAP item 4 deletes it.
+	RetractedWMEs int `json:"-"`
+
+	// Reasons says why each of the Rerun tasks ran again, as counts
+	// keyed "<phase> <signature>[ <rows>]": phase is rtf, lcc, fa or
+	// model; signature is seed, geo or seed+geo, whichever half of the
+	// task's signature changed; rows, for a seed change, are the row
+	// classes whose digest multisets differ, joined by "+" ("order" when
+	// the same rows arrived in another order).
+	Reasons map[string]int `json:"reasons,omitempty"`
 
 	// UpdateInstr is the charged simulated cost of this run: the diff
-	// charge plus the full cost (retract + reload + match + act) of the
-	// tasks that actually ran. Reused tasks contribute nothing.
+	// charge plus the full cost (load + match + act) of the tasks that
+	// actually ran — their from-scratch cost. Reused tasks contribute
+	// nothing.
 	UpdateInstr float64 `json:"updateInstr"`
 
 	Wall time.Duration `json:"wallNs"`
@@ -114,6 +132,17 @@ type UpdateReport struct {
 	Geo  GeoMemoStats  `json:"geo"`
 }
 
+// RerunReasons lists Reasons as sorted "<key> ×<count>" entries, for a
+// report line.
+func (r *UpdateReport) RerunReasons() []string {
+	out := make([]string, 0, len(r.Reasons))
+	for k, n := range r.Reasons {
+		out = append(out, fmt.Sprintf("%s ×%d", k, n))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // NewSession opens a session over the dataset: the scene is cloned
 // (the dataset — often shared and pinned — is never mutated), the
 // store is private, and the knowledge base and compiled programs are
@@ -122,8 +151,8 @@ type UpdateReport struct {
 // lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 	opt = opt.withDefaults()
-	// Prebuild overlaps first-run engine construction but is pointless
-	// (and would fight warm-engine reuse) on updates; sessions skip it.
+	// Prebuild overlaps first-run engine construction on engines that
+	// own their memory; it is pointless on updates, and sessions skip it.
 	opt.Prebuild = false
 	if opt.Runner == nil {
 		// One pool for the session's lifetime: its workers, memory gate
@@ -163,9 +192,9 @@ func (s *Session) Interpret(ctx context.Context) (*Interpretation, *UpdateReport
 // Update folds a scene delta into the session and re-interprets: the
 // store applies the delta (derived geometry, predicate-memo epochs and
 // the fragment-seed cache invalidate for exactly the changed regions),
-// and only the tasks whose seed signatures changed re-run, on their
-// retained warm engines. The returned interpretation is byte-identical
-// to a from-scratch interpretation of the updated scene.
+// and only the tasks whose signatures changed run again. The returned
+// interpretation is byte-identical to a from-scratch interpretation of
+// the updated scene.
 func (s *Session) Update(ctx context.Context, d *scene.Delta) (*Interpretation, *UpdateReport, error) {
 	if err := s.ds.Store.ApplyDelta(d); err != nil {
 		return nil, nil, err
@@ -221,10 +250,10 @@ func geoSig(st *RegionStore, ids []int) (string, int) {
 // state with retention on. Stale tasks — keys the run did not
 // enumerate — are swept only when the run completes: an aborted run
 // (a cancelled or failed update) never reached the later phases, and
-// their cached results and warm engines stay for the next update.
+// their cached results stay for the next update.
 func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *UpdateReport, error) {
 	start := time.Now()
-	rep := &UpdateReport{Update: s.updates, DeltaSize: deltaSize}
+	rep := &UpdateReport{Update: s.updates, DeltaSize: deltaSize, Reasons: map[string]int{}}
 	s.rep = rep
 	for _, st := range s.tasks {
 		st.live = false
@@ -257,12 +286,78 @@ func (s *Session) partnerGrid(frags []*Fragment) *liveGrid {
 	return s.grid
 }
 
+// rerunReason names what changed between the signature a cached task
+// last ran with and the one it is about to run with (see
+// UpdateReport.Reasons).
+func rerunReason(phase string, st *sessTask, seed, geo string) string {
+	if st.seed == seed {
+		return phase + " geo"
+	}
+	why := phase + " seed"
+	if st.geo != geo {
+		why += "+geo"
+	}
+	was, now := sigClasses(st.seed), sigClasses(seed)
+	var rows []string
+	for class, digests := range now {
+		if !slices.Equal(digests, was[class]) {
+			rows = append(rows, class)
+		}
+	}
+	for class := range was {
+		if now[class] == nil {
+			rows = append(rows, class)
+		}
+	}
+	if len(rows) == 0 {
+		return why + " order"
+	}
+	sort.Strings(rows)
+	return why + " " + strings.Join(rows, "+")
+}
+
+// sigClasses decodes a seedSig back into its digests, sorted per row
+// class: a RouteDigest opens with its length-prefixed class name.
+func sigClasses(sig string) map[string][]string {
+	out := map[string][]string{}
+	for b := []byte(sig); len(b) > 0; {
+		n, k := binary.Uvarint(b)
+		d := b[k : k+int(n)]
+		b = b[k+int(n):]
+		cn, ck := binary.Uvarint(d)
+		class := string(d[ck : ck+int(cn)])
+		out[class] = append(out[class], string(d))
+	}
+	for _, digests := range out {
+		sort.Strings(digests)
+	}
+	return out
+}
+
+// retain reduces a finished task's result to what the session keeps:
+// the WMEs of the phase's extract classes move from the engine into
+// the result's Snapshot and the engine goes. WMEs are ordinary heap
+// objects, never arena memory, so the snapshot outlives the settled
+// engine's match state. It does not assume the Runner settled the
+// engine (a serial replay hands back owned, unsettled engines), and a
+// cluster Runner's results are snapshots already.
+func retain(r *tlp.Result, classes []string) {
+	if r.Engine == nil {
+		return
+	}
+	r.Snapshot = make(tlp.Snapshot, len(classes))
+	for _, class := range classes {
+		r.Snapshot[class] = r.Engine.WMEs(class)
+	}
+	r.Engine = nil
+}
+
 // runSpecs is one phase queue under retention: it assembles each
-// spec's seeds, diffs the signature against the cached task state,
+// spec's seeds, diffs the signatures against the cached task state,
 // reuses unchanged tasks, and runs the changed/new remainder as one
-// queue through the runner (retaining the pool's retry, quarantine and
-// memory-gate semantics). Results come back in spec order; engines
-// stay attached for extraction and warm reuse.
+// queue of fresh tasks through the runner (retaining the pool's retry,
+// quarantine and memory-gate semantics). Results come back in spec
+// order, reduced to what the session retains.
 func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec) ([]*tlp.Result, error) {
 	rep, store := s.rep, s.ds.Store
 	def := phaseDefs[specs[0].phase]
@@ -287,35 +382,27 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		if st != nil && st.live {
 			return nil, fmt.Errorf("spam: session: duplicate task key %s", sp.key)
 		}
-		// seedSig is a prefix code, so appending the epoch component
-		// keeps the combined signature collision-free.
-		sig := seedSig(seeds) + geo
-		if st != nil && st.sig == sig && st.res != nil && st.res.Err == nil {
+		seed := seedSig(seeds)
+		cached := st != nil && st.res != nil && st.res.Err == nil
+		if cached && st.seed == seed && st.geo == geo {
 			st.live = true
 			results[i] = st.res
 			rep.Reused++
 			continue
 		}
-		// Changed or new: take the warm engine (if any) for a
-		// reset+reload; the cached result is dead either way.
-		var warm *ops5.Engine
-		if st != nil {
-			if st.res != nil {
-				warm = st.res.Engine
-				st.res = nil
-			}
-		} else {
-			st = &sessTask{}
-			s.tasks[sp.key] = st
-		}
-		if warm != nil {
+		// Changed or new: the cached result is dead either way.
+		if cached {
 			rep.Rerun++
+			rep.Reasons[rerunReason(sp.phase, st, seed, geo)]++
 		} else {
 			rep.Fresh++
 		}
-		st.sig = sig
-		st.live = true
-		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, &retention{seeds: seeds, warm: warm}))
+		if st == nil {
+			st = &sessTask{}
+			s.tasks[sp.key] = st
+		}
+		st.seed, st.geo, st.res, st.live = seed, geo, nil, true
+		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, seeds))
 		pending = append(pending, i)
 	}
 	if len(tasks) == 0 {
@@ -337,10 +424,10 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		r := byID[specs[i].key]
 		results[i] = r
 		s.tasks[specs[i].key].res = r
-		if r != nil && r.Err == nil {
-			rep.UpdateInstr += r.Stats.TotalInstr()
-			if r.Log != nil {
-				rep.RetractedWMEs += r.Log.Mem.RetractedWMEs
+		if r != nil {
+			retain(r, def.extract)
+			if r.Err == nil {
+				rep.UpdateInstr += r.Stats.TotalInstr()
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -16,8 +17,7 @@ import (
 // scene understanding — fragments, consistent pairs, LCC outcomes,
 // functional areas, predictions and final model — without comparing
 // cost accounting, which legitimately differs between an incremental
-// update (retract charges, reused tasks' historical logs) and a
-// from-scratch run.
+// update (only the changed tasks are charged) and a from-scratch run.
 func compareOutputs(t *testing.T, aName string, a *Interpretation, bName string, b *Interpretation) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Fragments, b.Fragments) {
@@ -58,9 +58,9 @@ func fromScratch(t *testing.T, base *Dataset, s *scene.Scene, opt InterpretOptio
 // TestSessionDifferentialIncremental is the incremental differential
 // oracle: a session's initial interpretation must match the classic
 // from-scratch path, and after each scene delta the incrementally
-// updated interpretation — cached tasks reused, changed tasks re-run
-// on reset warm engines — must be byte-identical to interpreting the
-// updated scene from scratch.
+// updated interpretation — cached tasks reused, changed tasks run
+// again — must be byte-identical to interpreting the updated scene
+// from scratch.
 func TestSessionDifferentialIncremental(t *testing.T) {
 	d := smallDC(t)
 	opt := InterpretOptions{Workers: 2}
@@ -87,7 +87,7 @@ func TestSessionDifferentialIncremental(t *testing.T) {
 			t.Errorf("churn %.2f: no task reuse at all: %+v", frac, rep)
 		}
 		if rep.Rerun == 0 {
-			t.Errorf("churn %.2f: no warm engine was reset and re-run: %+v", frac, rep)
+			t.Errorf("churn %.2f: no cached task ran again: %+v", frac, rep)
 		}
 		compareOutputs(t, "incremental", in, "scratch", fromScratch(t, d, sess.Scene(), opt))
 	}
@@ -187,8 +187,8 @@ func TestSessionDifferentialQueues(t *testing.T) {
 }
 
 // TestSessionAbortedUpdateKeepsCache pins that an update aborted in
-// RTF costs the next update nothing: the cached results and warm
-// engines of the phases the aborted run never reached survive it.
+// RTF costs the next update nothing: the cached results of the phases
+// the aborted run never reached survive it.
 func TestSessionAbortedUpdateKeepsCache(t *testing.T) {
 	d := smallDC(t)
 	run := &queueRecorder{pool: tlp.Pool{Workers: 2}}
@@ -314,8 +314,166 @@ func TestSessionUpdateCostProportional(t *testing.T) {
 	if rep.Reused <= rep.Rerun+rep.Fresh {
 		t.Errorf("1%% churn reran more than it reused: %+v", rep)
 	}
-	if rep.RetractedWMEs == 0 {
-		t.Error("no warm engine retracted anything: reset path untested")
+	if rep.Rerun == 0 || len(rep.Reasons) == 0 {
+		t.Errorf("no cached task ran again, or none says why: %+v", rep)
+	}
+	if rep.RetractedWMEs != 0 {
+		t.Errorf("retired RetractedWMEs reads %d", rep.RetractedWMEs)
+	}
+}
+
+// TestSessionDifferentialPerTask is session ≡ from-scratch per task: a
+// task an update runs is the task a from-scratch interpretation of the
+// updated scene runs — same run statistics, Rete counters and cost log
+// (capture on, so the activation forests too) — and the update is
+// charged the diff scan plus exactly those tasks. SF, DC and MOFF with
+// re-entry over a churn ladder that ends by removing regions and
+// adding them back.
+func TestSessionDifferentialPerTask(t *testing.T) {
+	for _, p := range []scene.Params{scene.SF, scene.DC, scene.MOFF} {
+		d, err := NewDataset(p.Scale(0.4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := &recordingRunner{pool: tlp.Pool{Workers: 2}}
+		opt := InterpretOptions{ReEntry: true, Capture: true}
+		sopt := opt
+		sopt.Runner = ran
+		sess := NewSession(d, sopt)
+		if _, _, err := sess.Interpret(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		gone := sess.Scene().Clone().Regions[:3]
+		deltas := []*scene.Delta{
+			sess.Scene().Churn(scene.DefaultChurn(31, 0.01)),
+			nil, nil, // drawn against the scene as updated so far
+			{Removed: []int{gone[0].ID, gone[1].ID, gone[2].ID}},
+			{Added: gone},
+		}
+		reran := 0
+		for i, delta := range deltas {
+			if delta == nil {
+				delta = sess.Scene().Churn(scene.DefaultChurn(uint64(31+i), []float64{0.01, 0.02, 0.05}[i]))
+			}
+			ran.tasks = nil
+			in, rep, err := sess.Update(context.Background(), delta)
+			if err != nil {
+				t.Fatalf("%s update %d: %v", p.Name, i, err)
+			}
+			ref := &recordingRunner{pool: tlp.Pool{Workers: 2}}
+			fopt := opt
+			fopt.Runner = ref
+			full := fromScratch(t, d, sess.Scene(), fopt)
+			name := fmt.Sprintf("%s update %d", p.Name, i+1)
+			compareOutputs(t, name, in, "scratch", full)
+			if len(ran.tasks) != rep.Rerun+rep.Fresh {
+				t.Fatalf("%s: %d tasks ran, report says %d re-run + %d fresh", name, len(ran.tasks), rep.Rerun, rep.Fresh)
+			}
+			reran += rep.Rerun
+			charged := rep.DiffInstr
+			for id, got := range ran.tasks {
+				want, ok := ref.tasks[id]
+				if !ok {
+					t.Fatalf("%s: task %s ran in the update but not from scratch", name, id)
+				}
+				if got.stats != want.stats {
+					t.Errorf("%s: task %s: run stats %+v, from scratch %+v", name, id, got.stats, want.stats)
+				}
+				if got.counters != want.counters {
+					t.Errorf("%s: task %s: rete counters %+v, from scratch %+v", name, id, got.counters, want.counters)
+				}
+				if !reflect.DeepEqual(got.log, want.log) {
+					t.Errorf("%s: task %s: cost log differs from the from-scratch task's", name, id)
+				}
+				charged += want.stats.TotalInstr()
+			}
+			if math.Abs(rep.UpdateInstr-charged) > 1e-6*charged {
+				t.Errorf("%s: charged %v, diff scan plus the from-scratch cost of the tasks that ran is %v", name, rep.UpdateInstr, charged)
+			}
+		}
+		if reran == 0 {
+			t.Fatalf("%s: no cached task ever ran again: the test is vacuous", p.Name)
+		}
+	}
+}
+
+// TestSessionRetainsNoEngine: a session's cache holds results, never
+// engines, and what it holds does not live in any worker's arena —
+// after other tasks have borrowed, dirtied and settled the same pool's
+// scratches, re-extracting from the cache gives the same outputs.
+func TestSessionRetainsNoEngine(t *testing.T) {
+	d := smallDC(t)
+	run := &queueRecorder{}
+	opt := InterpretOptions{ReEntry: true}
+	sopt := opt
+	sopt.Runner = run
+	sess := NewSession(d, sopt)
+	in, _, err := sess.Interpret(context.Background())
+	for i := 0; err == nil && i < 10; i++ {
+		in, _, err = sess.Update(context.Background(), sess.Scene().Churn(scene.DefaultChurn(uint64(70+i), 0.02)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, st := range sess.tasks {
+		if st.res == nil || st.res.Engine != nil {
+			t.Fatalf("cached task %s: result %v retains an engine", key, st.res)
+		}
+	}
+	other, err := NewDataset(scene.SF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unrelated := BuildRTFTasks(other.KB, other.Store, other.Progs.RTF, 3, false)
+	if len(unrelated) < 50 {
+		t.Fatalf("only %d unrelated tasks", len(unrelated))
+	}
+	rs, err := run.pool.Run(unrelated)
+	if err != nil || tlp.FirstError(rs) != nil {
+		t.Fatal(err, tlp.FirstError(rs))
+	}
+	again, rep, err := sess.Update(context.Background(), &scene.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reused != rep.Tasks {
+		t.Fatalf("empty update ran work: %+v", rep)
+	}
+	compareOutputs(t, "re-extracted", again, "before", in)
+	compareOutputs(t, "re-extracted", again, "scratch", fromScratch(t, d, sess.Scene(), opt))
+}
+
+// TestSessionRerunReasonsPinned pins the first update of the
+// benchmark's session (MOFF with re-entry, 2% DefaultChurn(1990)): how
+// many tasks ran again and why. A change to the decomposition, the
+// signatures or the churn generator moves it — on purpose or not.
+func TestSessionRerunReasonsPinned(t *testing.T) {
+	d, err := NewDataset(scene.MOFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(d, InterpretOptions{ReEntry: true, RTFBatch: 3})
+	if _, _, err := sess.Interpret(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := sess.Update(context.Background(), sess.Scene().Churn(scene.DefaultChurn(1990, 0.02)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{
+		"rtf geo": 2, "rtf seed+geo region": 2,
+		"lcc geo": 84, "lcc seed+geo fragment+scope": 20, "lcc seed+geo fragment+lcc-task+scope": 17,
+		"fa geo": 14, "fa seed+geo consistency+fragment": 4,
+	}
+	if !reflect.DeepEqual(rep.Reasons, want) {
+		t.Errorf("re-run reasons %v, want %v", rep.RerunReasons(), want)
+	}
+	n := 0
+	for _, c := range rep.Reasons {
+		n += c
+	}
+	if n != rep.Rerun {
+		t.Errorf("reasons account for %d re-runs, report counts %d", n, rep.Rerun)
 	}
 }
 

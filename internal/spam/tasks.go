@@ -119,11 +119,11 @@ func engineOpts(capture bool) []ops5.Option {
 // loadEngine builds one task's engine: instantiate the phase program,
 // register the store's externals, assert the seed batch. With a
 // worker's match arena s the engine borrows its match state from it
-// and the worker settles it when the task ends; with s nil (an engine
-// a session keeps warm, a prebuild, a serial replay) the engine owns
-// its memory. Every engine the package builds — a local task's, a
-// session's first run, a cluster worker's rebuild of a shipped task —
-// comes from here, so they are the same engine by construction.
+// and the worker settles it when the task ends; with s nil (a
+// prebuild, a serial replay) the engine owns its memory. Every engine
+// the package builds — a one-shot task's, a session task's first run
+// or re-run, a cluster worker's rebuild of a shipped task — comes from
+// here, so they are the same engine by construction.
 func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
 	opts := engineOpts(capture)
 	if s != nil {
@@ -181,9 +181,10 @@ type taskSpec struct {
 
 // phaseDefs is the one phase table: which program a phase's tasks
 // instantiate, which classes of the final working memory its
-// extractor reads, how a spec's seed rows are assembled, and which
-// regions' geometry the task's externals can read beyond those rows
-// (nil: none; only a session signature asks).
+// extractor reads (all a session retains of a finished task's working
+// memory), how a spec's seed rows are assembled, and which regions'
+// geometry the task's externals can read beyond those rows (nil: none;
+// only a session signature asks).
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
@@ -196,53 +197,24 @@ var phaseDefs = map[string]struct {
 	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, modelSeeds, nil},
 }
 
-// retention is what a retained run (a Session) adds to a task: the
-// seed set it already assembled for the signature diff and, for a
-// changed task, the warm engine to reset and reload in place of a
-// fresh one.
-type retention struct {
-	seeds []ops5.Seed
-	warm  *ops5.Engine
-}
-
-// newTask derives the runnable task from its spec. A one-shot task
-// (keep nil) assembles its seeds on demand — inside its build on the
-// pool worker, inside Wire on a cluster coordinator — and its engine
-// borrows the worker's match arena. A retained task's engine must stay
-// warm for the next update, so it never borrows: it owns its memory.
-func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, keep *retention) *tlp.Task {
+// newTask derives the runnable task from its spec. Its engine borrows
+// the executing worker's match arena, and its seeds are assembled on
+// demand — inside its build on the pool worker, inside Wire on a
+// cluster coordinator — unless the caller hands over the set it
+// already assembled (a Session, for the signature diff): that is all a
+// session's task, first run or re-run, differs in.
+func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, seeds []ops5.Seed) *tlp.Task {
 	def := phaseDefs[sp.phase]
 	load := func() ([]ops5.Seed, error) {
-		if keep != nil {
-			return keep.seeds, nil
+		if seeds != nil {
+			return seeds, nil
 		}
 		return def.seeds(prog, store, sp)
-	}
-	var warm *ops5.Engine
-	if keep != nil {
-		warm = keep.warm
 	}
 	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
 		seeds, err := load()
 		if err != nil {
 			return nil, err
-		}
-		// The warm engine is consumed by the first attempt only: a retry
-		// after a failed attempt rebuilds from scratch, keeping
-		// re-execution idempotent even if the failure left the warm
-		// engine mid-operation.
-		if e := warm; e != nil {
-			warm = nil
-			if err := e.ResetForUpdate(); err != nil {
-				return nil, err
-			}
-			if err := e.AssertBatch(seeds); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		if keep != nil {
-			s = nil
 		}
 		return loadEngine(prog, store, seeds, capture, s)
 	}

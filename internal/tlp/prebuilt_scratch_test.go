@@ -183,8 +183,8 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 
 // TestLongLivedWorkerArenaIsBounded: on a worker that lives as long as
 // the process, one large task must not pin its peak arena forever. The
-// arena a SharedPool worker holds after a large task and then 50 small
-// ones is at the small tasks' scale.
+// arena a SharedPool worker holds after a large task and then one trim
+// window of small ones is at the small tasks' scale.
 func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 	prog := parseArenaProg(t)
 	sp := NewSharedPool(1, 0)
@@ -196,22 +196,63 @@ func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 			t.Fatalf("task %s: %v / %v", id, err, rs[0].Err)
 		}
 		a := sp.Stats().Arenas
-		if len(a) != 1 || a[0].ArenaSlabs == 0 {
-			t.Fatalf("arena stats %+v, want one engaged worker arena", a)
+		if len(a) != 1 {
+			t.Fatalf("arena stats %+v, want one worker arena", a)
 		}
 		return a[0].ArenaBytes
 	}
-	small := run("small", 6)
-	large := run("large", 120)
+	// The worker trims and publishes its gauge after Submit has
+	// returned, so a reading may lag by one task: every reading below is
+	// taken one small task after the state it is about.
+	run("small", 6)
+	small := run("small again", 6)
+	if small == 0 {
+		t.Fatal("the worker's arena is not engaged")
+	}
+	run("large", 120)
+	large := run("small0", 6)
 	if large < 20*small {
 		t.Fatalf("large task's arena %d B is not well above a small task's %d B; the test is vacuous", large, small)
 	}
 	var after int64
-	for i := 0; i < 50; i++ {
+	for i := 1; i <= 16; i++ {
 		after = run(fmt.Sprintf("small%d", i), 6)
 	}
-	// The bound is Scratch.Trim's: twice what the last task drew.
+	// The bound is Scratch.Trim's: twice what the largest of the last 16
+	// tasks drew.
 	if after > 2*small {
-		t.Errorf("worker still holds %d B after 50 small tasks (small-task arena %d B, large-task arena %d B)", after, small, large)
+		t.Errorf("worker still holds %d B 16 small tasks after the large one (small-task arena %d B, large-task arena %d B)", after, small, large)
+	}
+}
+
+// TestScratchWindowTrimSteadyState: a long-lived executor that trims
+// after every task and alternates a small and an ordinary task must
+// stop touching the heap for slabs once it has seen both — the arena it
+// holds is the same after every task from the 16th on. Trimming to the
+// last task alone dropped the ordinary task's chunks after every small
+// one and regrew them a task later.
+func TestScratchWindowTrimSteadyState(t *testing.T) {
+	prog := parseArenaProg(t)
+	scratch := &ops5.Scratch{}
+	pool := &Pool{}
+	var slabs int
+	var bytes int64
+	for i := 0; i < 200; i++ {
+		size := 6
+		if i%2 == 1 {
+			size = 40
+		}
+		id := fmt.Sprintf("t%d", i)
+		if r := pool.attempt(context.Background(), arenaTask(t, prog, id, size, nil, nil), 0, i, 1, scratch); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		scratch.Trim()
+		s, b := scratch.Arena()
+		if i == 16 {
+			slabs, bytes = s, b
+		}
+		if i > 16 && (s != slabs || b != bytes) {
+			t.Fatalf("after task %d the arena holds %d chunks / %d B, after task 16 it held %d / %d: slabs were dropped or regrown in steady state", i, s, b, slabs, bytes)
+		}
 	}
 }

@@ -103,8 +103,8 @@ type Task struct {
 	// WithScratch gets an engine that borrows the arena and is settled —
 	// its match state handed back to the worker, its working memory,
 	// statistics and cost log left readable — when the worker finishes
-	// the task; a builder whose engine must stay warm for a later run
-	// ignores it, and the engine owns its memory.
+	// the task; a builder that ignores it gets an engine that owns its
+	// memory.
 	BuildWith func(s *ops5.Scratch) (*ops5.Engine, error)
 	// Wire, when set, produces the task's shippable description for the
 	// cluster runtime (internal/cluster). It is lazy — a local run never

@@ -236,14 +236,6 @@ func (m *Memory) PeakSize() int { return m.peakSize }
 // (WMEBytes summed over the largest simultaneously-live set).
 func (m *Memory) PeakBytes() float64 { return m.peakBytes }
 
-// ResetPeaks restarts the high-water marks from the current live
-// population, so a retained memory's next run records its own peak
-// rather than inheriting the previous run's.
-func (m *Memory) ResetPeaks() {
-	m.peakBytes = m.liveBytes
-	m.peakSize = len(m.byTag)
-}
-
 // Snapshot returns the live WMEs ordered by timetag.
 func (m *Memory) Snapshot() []*WME {
 	out := make([]*WME, 0, len(m.byTag))
