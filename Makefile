@@ -131,10 +131,12 @@ bench-serve:
 # incremental-update path (remove-driven retraction vs fresh load, a
 # swept-and-reloaded engine vs a fresh one, session updates vs
 # from-scratch re-interpretation — outputs and, per task that ran,
-# statistics, counters and cost log — and what a session retains, at
-# the engine, spam and serve layers) — at every level (rete scripts, ops5
-# engines, geometry kernels, the scheduler, the task-process pool,
-# full-SPAM interpretations, the HTTP session surface), and the match
+# statistics, counters and cost log — which tasks a hand-built delta
+# re-runs and why, RTF batching by region-ID cell vs by position, and
+# what a session retains, at the engine, spam and serve layers) — at
+# every level (rete scripts, ops5 engines, geometry kernels, the
+# scheduler, the task-process pool, full-SPAM interpretations, the HTTP
+# session surface), and the match
 # arena (engines that borrow, settle and recycle a worker's scratch vs
 # engines that own their memory; a settled engine stays readable and
 # refuses to run; an unsettled one leaves the next task fresh; a
@@ -144,7 +146,7 @@ bench-serve:
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons' \
+		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching' \
 		./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

@@ -271,10 +271,8 @@ func (r *IncrementalReport) Check() error {
 			if p.DeltaSize == 0 {
 				return fmt.Errorf("incremental: %s churn %g produced an empty delta", ds, p.Fraction)
 			}
-			// Reuse is only guaranteed at low churn: a removal shifts every
-			// later RTF position batch (the identical-decomposition
-			// contract), and at 20% churn the confidence cascade can touch
-			// every downstream task.
+			// Reuse is only guaranteed at low churn: at 20% the confidence
+			// cascade can touch every downstream task.
 			if p.Reused == 0 && p.Fraction < 0.1 {
 				return fmt.Errorf("incremental: %s churn %g reused nothing: %+v", ds, p.Fraction, p)
 			}

@@ -102,6 +102,38 @@ func (sc *SeedClass) SharedSeed(sets map[string]symtab.Value) (Seed, error) {
 	return s, nil
 }
 
+// SeedRow is a SeedClass with one attribute list resolved to slots: a
+// builder that assembles many rows of one shape resolves the names once
+// and then fills value vectors by position.
+type SeedRow struct {
+	class *SeedClass
+	slots []int
+}
+
+// Row resolves the attributes a kind of row sets, in the order its
+// values will be given.
+func (sc *SeedClass) Row(attrs ...string) (*SeedRow, error) {
+	r := &SeedRow{class: sc, slots: make([]int, len(attrs))}
+	for i, a := range attrs {
+		slot, ok := sc.slots[a]
+		if !ok {
+			return nil, fmt.Errorf("ops5: class %s has no attribute %s", sc.name, a)
+		}
+		r.slots[i] = slot
+	}
+	return r, nil
+}
+
+// Seed builds the plain seed SeedClass.Seed builds from the same
+// attribute/value pairs, one value per attribute Row named.
+func (r *SeedRow) Seed(vals ...symtab.Value) Seed {
+	out := make([]symtab.Value, r.class.nAttr)
+	for i, slot := range r.slots {
+		out[slot] = vals[i]
+	}
+	return Seed{Class: r.class.name, Vals: out}
+}
+
 // AssertBatch asserts a seed set into working memory, semantically
 // identical to asserting each seed in order with Assert: same WMEs and
 // timetags, same conflict set, same Counters, same Init charge. The

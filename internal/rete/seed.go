@@ -48,7 +48,12 @@ import (
 // buckets. All components are length-delimited, so no two distinct
 // vectors can collide by concatenation.
 func RouteDigest(class string, vals []symtab.Value) string {
-	b := make([]byte, 0, 16+len(class)+16*len(vals))
+	return string(AppendRouteDigest(make([]byte, 0, 16+len(class)+16*len(vals)), class, vals))
+}
+
+// AppendRouteDigest appends RouteDigest's bytes to b: a caller that
+// hashes many rows reuses one buffer instead of keeping a string each.
+func AppendRouteDigest(b []byte, class string, vals []symtab.Value) []byte {
 	b = binary.AppendUvarint(b, uint64(len(class)))
 	b = append(b, class...)
 	for _, v := range vals {
@@ -69,7 +74,7 @@ func RouteDigest(class string, vals []symtab.Value) string {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 		}
 	}
-	return string(b)
+	return b
 }
 
 // classRoutes memoizes the alpha routing of one class's seed WMEs:

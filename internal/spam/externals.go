@@ -34,9 +34,8 @@ const (
 	// CostStereo is the cost of one MODEL-phase stereo verification.
 	CostStereo = 250000
 
-	// faPredictRadius is the bbox expansion fa-predict-area scans for
-	// sub-area candidates. Sessions replicate the scan when signing FA
-	// tasks (faRegions), so the two must agree.
+	// faPredictRadius is the bbox expansion PredictArea scans for
+	// sub-area candidates.
 	faPredictRadius = 800
 )
 
@@ -125,7 +124,9 @@ type GeoMemoStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// GeoStats returns the predicate memo's current statistics.
+// GeoStats returns the predicate memo's current statistics. On a
+// session's store, Hits and Misses include the lookups that sign LCC
+// tasks (lccAnswers), not only the rules' geo-test calls.
 func (st *RegionStore) GeoStats() GeoMemoStats {
 	st.geoMu.RLock()
 	n := len(st.geoMemo)
@@ -448,21 +449,10 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 		if len(args) != 2 {
 			return symtab.Nil, 0, fmt.Errorf("fa-predict-area wants 2 args")
 		}
-		r := st.Get(int(args[0].IntVal()))
-		if r == nil {
+		n, cost, ok := st.PredictArea(int(args[0].IntVal()))
+		if !ok {
 			return symtab.Nil, 0, fmt.Errorf("fa-predict-area: unknown region")
 		}
-		// Count plausible sub-area candidates inside the seed's
-		// neighbourhood: regions overlapping the expanded bbox
-		// (cached boxes; same scan order and booleans).
-		bb := st.derived[r.ID].BBox.Expand(faPredictRadius)
-		n := 0
-		for _, other := range st.scene.Regions {
-			if other.ID != r.ID && bb.Intersects(st.derived[other.ID].BBox) {
-				n++
-			}
-		}
-		cost := CostPredict + CostGeoPerVert*float64(len(r.Poly))*4
 		return symtab.Int(int64(n)), cost, nil
 	})
 	e.Register("stereo-verify", func(args []symtab.Value) (symtab.Value, float64, error) {
@@ -481,6 +471,25 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 		sb := db.Area * math.Sqrt(db.Compact)
 		return boolSym(sa >= sb), CostStereo, nil
 	})
+}
+
+// PredictArea is fa-predict-area: the number of plausible sub-area
+// candidates inside a seed region's neighbourhood — regions whose
+// (cached) bbox overlaps the seed's bbox expanded by faPredictRadius —
+// and the call's simulated cost; false for an unknown region. The
+// external and a session's FA signature (faAnswers) both call it.
+func (st *RegionStore) PredictArea(id int) (n int, cost float64, ok bool) {
+	r := st.Get(id)
+	if r == nil {
+		return 0, 0, false
+	}
+	bb := st.derived[id].BBox.Expand(faPredictRadius)
+	for _, other := range st.scene.Regions {
+		if other.ID != id && bb.Intersects(st.derived[other.ID].BBox) {
+			n++
+		}
+	}
+	return n, CostPredict + CostGeoPerVert*float64(len(r.Poly))*4, true
 }
 
 // Measurements returns the region attributes asserted into RTF working

@@ -69,18 +69,6 @@ func (st *RegionStore) ApplyDelta(d *scene.Delta) error {
 // freshly built store).
 func (st *RegionStore) Epoch() int { return st.epoch }
 
-// EpochOf returns one region's geometry epoch: 0 until a delta first
-// changes the region, bumped on every change after that. Session task
-// signatures fold these in, because a task's externals can read region
-// geometry that changes while its seed working memory stays identical
-// (geo-test booleans, fa-predict-area candidate scans).
-func (st *RegionStore) EpochOf(id int) uint32 {
-	st.geoMu.RLock()
-	e := st.regionEpoch[id]
-	st.geoMu.RUnlock()
-	return e
-}
-
 // liveGrid is the session-persistent counterpart of fragIndex: a
 // uniform-grid fragment index that survives scene updates. Fragments
 // live in stable slots (free-listed on removal), the kind-partitioned

@@ -10,24 +10,34 @@
 // when the task ends, here as everywhere. A session run is
 // Dataset.interpret — the same four-phase driver over the same task
 // specs (tasks.go) as a one-shot interpretation — with retention on.
-// Spec keys are stable (RTF position batches, LCC units by focal
-// fragment and constraint, FA tasks by seed fragment), so the same
-// logical task keeps its identity across updates. On each run the
-// session assembles every task's seed working memory, collapses each
-// seed to its rete.RouteDigest, takes the geometry epochs of the
-// regions the task's externals can read (geo-test booleans and
-// fa-predict-area candidate scans depend on region geometry the seed
-// rows don't capture), and diffs the two signatures against the ones
+// Spec keys are stable (RTF batches by region-ID cell, LCC units by
+// focal fragment and constraint, FA tasks by seed fragment), so the
+// same logical task keeps its identity across updates. On each run the
+// session signs every task by its two inputs — the seed rows the
+// control process hands it, hashed in assertion order as they come out
+// of the assembler, and what its task-related geometric externals
+// would answer, asked of the store through the functions the externals
+// call (phaseDefs.answers) — and diffs the signature against the one
 // the task last ran with:
 //
-//   - both unchanged → the task's cached result is reused outright, at
-//     zero simulated cost beyond the digest comparison;
-//   - either changed, or a new key → the task runs as a fresh task,
-//     exactly the task a from-scratch interpretation of the updated
-//     scene would run, so its statistics and cost log are that task's;
-//     a re-run is counted by which signature changed and, for the seed
-//     signature, which row classes (UpdateReport.Reasons);
+//   - unchanged → the task's cached result is reused outright, at zero
+//     simulated cost beyond the comparison;
+//   - changed, or a new key → the task runs as a fresh task, exactly
+//     the task a from-scratch interpretation of the updated scene would
+//     run, so its statistics and cost log are that task's; a re-run is
+//     counted by which half changed and, for the seed rows, which row
+//     classes (UpdateReport.Reasons);
 //   - disappeared key → the cached result is dropped.
+//
+// Reuse is sound because a task is deterministic in (program, seed
+// rows, its externals' answers in call order): rules read nothing else.
+// The answer functions cover a superset of the calls the rules can
+// make — one per scope triple, the one neighbourhood scan every
+// prediction of an FA task repeats, one vertex count per batch region —
+// and an answer includes the call's simulated cost, because session ≡
+// from-scratch holds per task for RunStats, rete.Counters and CostLog,
+// not only for outputs. Geometry that moves without moving an answer
+// re-runs nothing.
 //
 // Because tasks share nothing and extraction orders every output, the
 // updated Interpretation is byte-identical to interpreting the updated
@@ -43,9 +53,12 @@ package spam
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"hash"
+	"hash/maphash"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -56,10 +69,11 @@ import (
 	"spampsm/internal/tlp"
 )
 
-// diffInstrPerSeed is the modeled charge of one seed-digest comparison
-// during update diffing — a table probe, costed like one alpha-memory
-// scan step so the diff itself stays visible in the update's simulated
-// cost (UpdateReport.DiffInstr) rather than pretending to be free.
+// diffInstrPerSeed is the modeled charge of comparing one seed row or
+// one external answer during update diffing — a table probe, costed
+// like one alpha-memory scan step so the diff itself stays visible in
+// the update's simulated cost (UpdateReport.DiffInstr) rather than
+// pretending to be free.
 const diffInstrPerSeed = rete.CostAlphaScan
 
 // Session is a live, updatable interpretation of one scene.
@@ -69,19 +83,104 @@ type Session struct {
 	grid *liveGrid // session-persistent LCC partner index
 
 	tasks   map[string]*sessTask
+	sig     signer
 	rep     *UpdateReport // the run in progress
 	last    *Interpretation
 	updates int
 }
 
-// sessTask is one stable task's retained state between runs. The two
-// halves of its signature are kept apart so that a re-run can say
-// which one changed.
+// sessTask is one stable task's retained state between runs: a
+// signature of fixed size per row class, whatever the task's seed
+// count, and the result.
 type sessTask struct {
-	seed string      // seed-digest signature of the last run (seedSig)
-	geo  string      // geometry-epoch signature of the last run (geoSig)
+	sig  taskSig     // what the last run was handed and would have been answered
 	res  *tlp.Result // cached result: stats, log, extract-class snapshot; no engine
 	live bool        // touched by the current run (sweep mark)
+}
+
+// taskSig is a task's signature. Its two halves are kept apart, and the
+// seed half carries an order-free digest per row class, so that a
+// re-run can say what changed; only rows and answers decide reuse.
+type taskSig struct {
+	rows    [sha256.Size]byte // every seed row's canonical bytes, in assertion order
+	answers [sha256.Size]byte // every answer of the task's externals, in seed order
+	classes []classSum        // per row class, by first appearance
+}
+
+// classSum digests one class's rows as a multiset: the wrapping sum of
+// their 64-bit hashes.
+type classSum struct {
+	class string
+	sum   uint64
+}
+
+// sumOf returns a row class's sum, false when the task has no such row.
+func (g *taskSig) sumOf(class string) (uint64, bool) {
+	for _, c := range g.classes {
+		if c.class == class {
+			return c.sum, true
+		}
+	}
+	return 0, false
+}
+
+// signer computes task signatures, one task at a time, through one
+// hash state and one row buffer.
+type signer struct {
+	h       hash.Hash
+	buf     []byte
+	answers int // folded into h for the task being signed
+}
+
+// rowHashSeed keys the row hashes behind classSum. It is drawn per
+// process: sums are only ever compared with sums of the same session.
+var rowHashSeed = maphash.MakeSeed()
+
+// sign computes the signature of the task the seeds and, through the
+// phase's answers function (nil: none), the store's answers describe.
+// It also returns how many rows and answers the signature covers. Each
+// row's canonical bytes — a shared seed's digest as it stands, a plain
+// row's RouteDigest into the reused buffer — go length-prefixed into
+// the running hash and, hashed alone, into their class's sum.
+func (g *signer) sign(seeds []ops5.Seed, answers func(*RegionStore, *taskSpec, *signer), st *RegionStore, sp *taskSpec) (sig taskSig, n int) {
+	for _, sd := range seeds {
+		b := g.buf[:0]
+		if sd.Digest != "" {
+			b = append(b, sd.Digest...)
+		} else {
+			b = rete.AppendRouteDigest(b, sd.Class, sd.Vals)
+		}
+		g.buf = b
+		var size [binary.MaxVarintLen64]byte
+		g.h.Write(size[:binary.PutUvarint(size[:], uint64(len(b)))])
+		g.h.Write(b)
+		i := 0
+		for i < len(sig.classes) && sig.classes[i].class != sd.Class {
+			i++
+		}
+		if i == len(sig.classes) {
+			sig.classes = append(sig.classes, classSum{class: sd.Class})
+		}
+		sig.classes[i].sum += maphash.Bytes(rowHashSeed, b)
+	}
+	g.h.Sum(sig.rows[:0])
+	g.h.Reset()
+	g.answers = 0
+	if answers != nil {
+		answers(st, sp, g)
+	}
+	g.h.Sum(sig.answers[:0])
+	g.h.Reset()
+	return sig, len(seeds) + g.answers
+}
+
+// answer folds one external call's answer — its value and its
+// simulated cost — into the running hash.
+func (g *signer) answer(v int, cost float64) {
+	b := binary.AppendVarint(g.buf[:0], int64(v))
+	g.buf = binary.LittleEndian.AppendUint64(b, math.Float64bits(cost))
+	g.h.Write(g.buf)
+	g.answers++
 }
 
 // UpdateReport accounts one session run's incremental work. The
@@ -98,8 +197,9 @@ type UpdateReport struct {
 	Fresh   int `json:"fresh"`   // new key: first run
 	Dropped int `json:"dropped"` // stale tasks discarded
 
-	// SeedsDiffed counts the seed digests compared; DiffInstr is their
-	// modeled charge (diffInstrPerSeed each), included in UpdateInstr.
+	// SeedsDiffed counts the seed rows and external answers compared;
+	// DiffInstr is their modeled charge (diffInstrPerSeed each), included
+	// in UpdateInstr.
 	SeedsDiffed int     `json:"seedsDiffed"`
 	DiffInstr   float64 `json:"diffInstr"`
 
@@ -112,9 +212,11 @@ type UpdateReport struct {
 	// Reasons says why each of the Rerun tasks ran again, as counts
 	// keyed "<phase> <signature>[ <rows>]": phase is rtf, lcc, fa or
 	// model; signature is seed, geo or seed+geo, whichever half of the
-	// task's signature changed; rows, for a seed change, are the row
-	// classes whose digest multisets differ, joined by "+" ("order" when
-	// the same rows arrived in another order).
+	// task's signature changed — the rows it is handed, or what its
+	// geometric externals answer (a boolean, a candidate count, a cost);
+	// rows, for a seed change, are the row classes whose multisets
+	// differ, joined by "+" ("order" when the same rows arrived in
+	// another order).
 	Reasons map[string]int `json:"reasons,omitempty"`
 
 	// UpdateInstr is the charged simulated cost of this run: the diff
@@ -163,6 +265,7 @@ func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 		ds:    NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs),
 		opt:   opt,
 		tasks: map[string]*sessTask{},
+		sig:   signer{h: sha256.New()},
 	}
 }
 
@@ -201,49 +304,6 @@ func (s *Session) Update(ctx context.Context, d *scene.Delta) (*Interpretation, 
 	}
 	s.updates++
 	return s.run(ctx, d.Size())
-}
-
-// seedSig collapses a seed set to its order-sensitive digest
-// signature. Each seed's RouteDigest is length-prefixed, so no two
-// distinct seed sequences share a signature by concatenation.
-func seedSig(seeds []ops5.Seed) string {
-	b := make([]byte, 0, 64*len(seeds))
-	for _, sd := range seeds {
-		d := sd.Digest
-		if d == "" {
-			d = rete.RouteDigest(sd.Class, sd.Vals)
-		}
-		b = binary.AppendUvarint(b, uint64(len(d)))
-		b = append(b, d...)
-	}
-	return string(b)
-}
-
-// geoSig encodes the geometry epochs of the regions a task's externals
-// can read, as sorted deduplicated (id, epoch) pairs. The seed rows
-// alone under-determine a task's output whenever an external reads the
-// store: geo-test booleans (LCC) and fa-predict-area candidate counts
-// (FA) change with region geometry while the fragment tuples and
-// quantized measurements stay identical. Folding the epochs into the
-// signature makes every such task re-run exactly when a delta touched
-// geometry it can observe. It returns the encoding and its entry count.
-func geoSig(st *RegionStore, ids []int) (string, int) {
-	if len(ids) == 0 {
-		return "", 0
-	}
-	sort.Ints(ids)
-	b := make([]byte, 0, 4*len(ids))
-	last, n := -1, 0
-	for _, id := range ids {
-		if id == last {
-			continue
-		}
-		last = id
-		b = binary.AppendUvarint(b, uint64(id))
-		b = binary.AppendUvarint(b, uint64(st.EpochOf(id)))
-		n++
-	}
-	return string(b), n
 }
 
 // run executes the four-phase driver over the session's current scene
@@ -289,24 +349,23 @@ func (s *Session) partnerGrid(frags []*Fragment) *liveGrid {
 // rerunReason names what changed between the signature a cached task
 // last ran with and the one it is about to run with (see
 // UpdateReport.Reasons).
-func rerunReason(phase string, st *sessTask, seed, geo string) string {
-	if st.seed == seed {
+func rerunReason(phase string, was, now *taskSig) string {
+	if was.rows == now.rows {
 		return phase + " geo"
 	}
 	why := phase + " seed"
-	if st.geo != geo {
+	if was.answers != now.answers {
 		why += "+geo"
 	}
-	was, now := sigClasses(st.seed), sigClasses(seed)
 	var rows []string
-	for class, digests := range now {
-		if !slices.Equal(digests, was[class]) {
-			rows = append(rows, class)
+	for _, c := range now.classes {
+		if sum, ok := was.sumOf(c.class); !ok || sum != c.sum {
+			rows = append(rows, c.class)
 		}
 	}
-	for class := range was {
-		if now[class] == nil {
-			rows = append(rows, class)
+	for _, c := range was.classes {
+		if _, ok := now.sumOf(c.class); !ok {
+			rows = append(rows, c.class)
 		}
 	}
 	if len(rows) == 0 {
@@ -314,24 +373,6 @@ func rerunReason(phase string, st *sessTask, seed, geo string) string {
 	}
 	sort.Strings(rows)
 	return why + " " + strings.Join(rows, "+")
-}
-
-// sigClasses decodes a seedSig back into its digests, sorted per row
-// class: a RouteDigest opens with its length-prefixed class name.
-func sigClasses(sig string) map[string][]string {
-	out := map[string][]string{}
-	for b := []byte(sig); len(b) > 0; {
-		n, k := binary.Uvarint(b)
-		d := b[k : k+int(n)]
-		b = b[k+int(n):]
-		cn, ck := binary.Uvarint(d)
-		class := string(d[ck : ck+int(cn)])
-		out[class] = append(out[class], string(d))
-	}
-	for _, digests := range out {
-		sort.Strings(digests)
-	}
-	return out
 }
 
 // retain reduces a finished task's result to what the session keeps:
@@ -353,11 +394,12 @@ func retain(r *tlp.Result, classes []string) {
 }
 
 // runSpecs is one phase queue under retention: it assembles each
-// spec's seeds, diffs the signatures against the cached task state,
-// reuses unchanged tasks, and runs the changed/new remainder as one
-// queue of fresh tasks through the runner (retaining the pool's retry,
-// quarantine and memory-gate semantics). Results come back in spec
-// order, reduced to what the session retains.
+// spec's seeds, signs them with the store's answers, diffs the
+// signature against the cached task state, reuses unchanged tasks, and
+// runs the changed/new remainder as one queue of fresh tasks through
+// the runner (retaining the pool's retry, quarantine and memory-gate
+// semantics). Results come back in spec order, reduced to what the
+// session retains.
 func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec) ([]*tlp.Result, error) {
 	rep, store := s.rep, s.ds.Store
 	def := phaseDefs[specs[0].phase]
@@ -371,20 +413,16 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		if err != nil {
 			return nil, err
 		}
-		geo, geoN := "", 0
-		if def.regions != nil {
-			geo, geoN = geoSig(store, def.regions(store, sp))
-		}
+		sig, n := s.sig.sign(seeds, def.answers, store, sp)
 		rep.Tasks++
-		rep.SeedsDiffed += len(seeds) + geoN
-		rep.DiffInstr += float64(len(seeds)+geoN) * diffInstrPerSeed
+		rep.SeedsDiffed += n
+		rep.DiffInstr += float64(n) * diffInstrPerSeed
 		st := s.tasks[sp.key]
 		if st != nil && st.live {
 			return nil, fmt.Errorf("spam: session: duplicate task key %s", sp.key)
 		}
-		seed := seedSig(seeds)
 		cached := st != nil && st.res != nil && st.res.Err == nil
-		if cached && st.seed == seed && st.geo == geo {
+		if cached && st.sig.rows == sig.rows && st.sig.answers == sig.answers {
 			st.live = true
 			results[i] = st.res
 			rep.Reused++
@@ -393,7 +431,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		// Changed or new: the cached result is dead either way.
 		if cached {
 			rep.Rerun++
-			rep.Reasons[rerunReason(sp.phase, st, seed, geo)]++
+			rep.Reasons[rerunReason(sp.phase, &st.sig, &sig)]++
 		} else {
 			rep.Fresh++
 		}
@@ -401,7 +439,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 			st = &sessTask{}
 			s.tasks[sp.key] = st
 		}
-		st.seed, st.geo, st.res, st.live = seed, geo, nil, true
+		st.sig, st.res, st.live = sig, nil, true
 		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, seeds))
 		pending = append(pending, i)
 	}

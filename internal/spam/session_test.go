@@ -461,9 +461,9 @@ func TestSessionRerunReasonsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int{
-		"rtf geo": 2, "rtf seed+geo region": 2,
-		"lcc geo": 84, "lcc seed+geo fragment+scope": 20, "lcc seed+geo fragment+lcc-task+scope": 17,
-		"fa geo": 14, "fa seed+geo consistency+fragment": 4,
+		"rtf seed region": 1, "rtf seed+geo region": 1,
+		"lcc seed fragment+scope": 20, "lcc seed+geo fragment+lcc-task+scope": 17,
+		"fa seed consistency+fragment": 4,
 	}
 	if !reflect.DeepEqual(rep.Reasons, want) {
 		t.Errorf("re-run reasons %v, want %v", rep.RerunReasons(), want)

@@ -182,18 +182,20 @@ type taskSpec struct {
 // phaseDefs is the one phase table: which program a phase's tasks
 // instantiate, which classes of the final working memory its
 // extractor reads (all a session retains of a finished task's working
-// memory), how a spec's seed rows are assembled, and which regions'
-// geometry the task's externals can read beyond those rows (nil: none;
-// only a session signature asks).
+// memory), how a spec's seed rows are assembled, and what the task's
+// externals would answer — everything the rules can read of the store
+// beyond those rows, in seed order, through the functions the
+// externals themselves call (nil: the phase's externals answer nothing
+// a run can observe; only a session signature asks).
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
 	seeds   func(*ops5.Program, *RegionStore, *taskSpec) ([]ops5.Seed, error)
-	regions func(*RegionStore, *taskSpec) []int
+	answers func(*RegionStore, *taskSpec, *signer)
 }{
-	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfRegions},
-	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, lccSeeds, lccRegions},
-	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, faSeeds, faRegions},
+	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfAnswers},
+	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, lccSeeds, lccAnswers},
+	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, faSeeds, faAnswers},
 	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, modelSeeds, nil},
 }
 
@@ -243,45 +245,66 @@ func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture 
 }
 
 // seedSet accumulates a task's seed working memory in assertion order;
-// the builder hands the whole set to Engine.AssertBatch at once.
-// Fragment rows — the WMEs that recur across overlapping tasks — go
-// through the RegionStore's shared-seed cache, so a fragment's value
-// vector and routing digest are computed once per scene, not once per
-// task.
+// the builder hands the whole set to Engine.AssertBatch at once. A row
+// shape is resolved against its class once per set (row) and each row
+// is then a slot-ordered value vector — no map, no name lookup. The
+// first failure sticks and done reports it; newSeedSet sizes the set
+// from the spec, since it outlives its assembly. Fragment rows — the
+// WMEs that recur across overlapping tasks — go through the
+// RegionStore's shared-seed cache, so a fragment's value vector and
+// routing digest are computed once per scene, not once per task.
 type seedSet struct {
 	prog  *ops5.Program
 	store *RegionStore
+	frag  *ops5.SeedClass
 	seeds []ops5.Seed
+	err   error
 }
 
-// add appends one plain (task-local) seed row.
-func (ss *seedSet) add(class string, sets map[string]symtab.Value) error {
+func newSeedSet(prog *ops5.Program, store *RegionStore, rows int) *seedSet {
+	return &seedSet{prog: prog, store: store, seeds: make([]ops5.Seed, 0, rows)}
+}
+
+// row resolves one shape of plain (task-local) seed row: its class and
+// the attributes add's values will set, in order.
+func (ss *seedSet) row(class string, attrs ...string) *ops5.SeedRow {
 	sc, err := ss.prog.SeedClass(class)
-	if err != nil {
-		return err
+	var r *ops5.SeedRow
+	if err == nil {
+		r, err = sc.Row(attrs...)
 	}
-	s, err := sc.Seed(sets)
-	if err != nil {
-		return err
+	if err != nil && ss.err == nil {
+		ss.err = err
 	}
-	ss.seeds = append(ss.seeds, s)
-	return nil
+	return r
+}
+
+// add appends one row of a resolved shape.
+func (ss *seedSet) add(r *ops5.SeedRow, vals ...symtab.Value) {
+	if ss.err == nil {
+		ss.seeds = append(ss.seeds, r.Seed(vals...))
+	}
 }
 
 // addFragment appends a fragment hypothesis row, shared through the
 // scene's seed cache.
-func (ss *seedSet) addFragment(f *Fragment) error {
-	sc, err := ss.prog.SeedClass("fragment")
-	if err != nil {
-		return err
+func (ss *seedSet) addFragment(f *Fragment) {
+	if ss.frag == nil && ss.err == nil {
+		ss.frag, ss.err = ss.prog.SeedClass("fragment")
 	}
-	s, err := ss.store.FragmentSeed(sc, f)
+	if ss.err != nil {
+		return
+	}
+	s, err := ss.store.FragmentSeed(ss.frag, f)
 	if err != nil {
-		return err
+		ss.err = err
+		return
 	}
 	ss.seeds = append(ss.seeds, s)
-	return nil
 }
+
+// done returns the assembled set and the first failure, if any.
+func (ss *seedSet) done() ([]ops5.Seed, error) { return ss.seeds, ss.err }
 
 // ---------------------------------------------------------------------------
 // RTF phase tasks
@@ -293,33 +316,41 @@ func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int
 	return newTasks(prog, store, rtfSpecs(store, batchSize), capture)
 }
 
-// rtfSpecs enumerates the RTF tasks over the current scene by position
-// batching (regions[start:end], batchID = start/batchSize; default 3).
-// RTF classification depends on batch composition — rtf-align boosts
-// fragment pairs within one task's working memory — so a session must
-// batch exactly as a from-scratch run does, not merely stably. The
-// price is that a removal shifts every later region's batch, re-running
-// those batches; RTF is the cheapest phase, so the churn-proportionality
-// of the whole update survives.
+// rtfSpecs enumerates the RTF tasks over the current scene by region-ID
+// cell: region r belongs to batch (r.ID−1)/batchSize (default 3),
+// whatever its position in the slice; batches are ordered by first
+// appearance, members in scene order. A scene numbered 1…N in slice
+// order — everything the generators build — batches exactly as
+// regions[start:start+batchSize] would. RTF classification depends on
+// batch composition — rtf-align boosts fragment pairs within one task's
+// working memory — so a session must batch exactly as a from-scratch
+// run does, and a batch must not depend on what happened to its
+// neighbours: a removal leaves its own batch short and new IDs open new
+// batches, every other batch keeps its members.
 func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 	if batchSize < 1 {
 		batchSize = 3
 	}
-	regions, name := store.Scene().Regions, store.Scene().Name
+	name := store.Scene().Name
 	var specs []taskSpec
-	for start := 0; start < len(regions); start += batchSize {
-		batch := regions[start:min(start+batchSize, len(regions))]
-		batchID := start / batchSize
-		specs = append(specs, taskSpec{
-			key:     fmt.Sprintf("rtf-%s-%d", name, batchID),
-			label:   fmt.Sprintf("RTF batch %d (%d regions)", batchID, len(batch)),
-			group:   "rtf",
-			est:     float64(len(batch)),
-			mem:     taskMemEst(1 + 2*len(batch)),
-			phase:   "rtf",
-			batchID: batchID,
-			regions: batch,
-		})
+	at := map[int]int{} // cell → index in specs
+	for _, r := range store.Scene().Regions {
+		cell := (r.ID - 1) / batchSize
+		i, ok := at[cell]
+		if !ok {
+			i, at[cell] = len(specs), len(specs)
+			specs = append(specs, taskSpec{
+				key: fmt.Sprintf("rtf-%s-%d", name, cell), group: "rtf", phase: "rtf",
+				batchID: cell, regions: make([]*scene.Region, 0, batchSize),
+			})
+		}
+		specs[i].regions = append(specs[i].regions, r)
+	}
+	for i := range specs {
+		sp := &specs[i]
+		sp.label = fmt.Sprintf("RTF batch %d (%d regions)", sp.batchID, len(sp.regions))
+		sp.est = float64(len(sp.regions))
+		sp.mem = taskMemEst(1 + 2*len(sp.regions))
 	}
 	return specs
 }
@@ -328,40 +359,28 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 // control row plus a measured-region row per batch member, in
 // assertion order.
 func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
-	ss := seedSet{prog: prog, store: store}
+	ss := newSeedSet(prog, store, 1+len(sp.regions))
+	task := ss.row("rtf-task", "batch", "status")
+	region := ss.row("region", "id", "batch", "area", "elong", "compact", "intensity", "texture", "status")
 	batch := symtab.Int(int64(sp.batchID))
-	if err := ss.add("rtf-task", map[string]symtab.Value{
-		"batch": batch, "status": sym("active"),
-	}); err != nil {
-		return nil, err
-	}
+	ss.add(task, batch, sym("active"))
 	for _, r := range sp.regions {
 		area, elong, compact, intensity, texture := store.MeasurementsOf(r)
-		if err := ss.add("region", map[string]symtab.Value{
-			"id":        symtab.Int(int64(r.ID)),
-			"batch":     batch,
-			"area":      symtab.Float(area),
-			"elong":     symtab.Float(elong),
-			"compact":   symtab.Float(compact),
-			"intensity": symtab.Float(intensity),
-			"texture":   symtab.Float(texture),
-			"status":    sym("measured"),
-		}); err != nil {
-			return nil, err
-		}
+		ss.add(region, symtab.Int(int64(r.ID)), batch,
+			symtab.Float(area), symtab.Float(elong), symtab.Float(compact),
+			symtab.Float(intensity), symtab.Float(texture), sym("measured"))
 	}
-	return ss.seeds, nil
+	return ss.done()
 }
 
-// rtfRegions is the batch itself: the alignment calls read region
-// geometry that can move while the quantized measurement rows stay
-// identical.
-func rtfRegions(_ *RegionStore, sp *taskSpec) []int {
-	ids := make([]int, len(sp.regions))
-	for i, r := range sp.regions {
-		ids[i] = r.ID
+// rtfAnswers: rtf-verify and rtf-verify-align are (call …)s — their
+// values are discarded, and all a run keeps of them is a cost that
+// depends on the regions' vertex counts, which can change while the
+// quantized measurement rows stay identical.
+func rtfAnswers(_ *RegionStore, sp *taskSpec, sig *signer) {
+	for _, r := range sp.regions {
+		sig.answer(len(r.Poly), 0)
 	}
-	return ids
 }
 
 // ExtractFragments collects the fragment hypotheses produced by RTF
@@ -388,12 +407,20 @@ func ExtractFragments(results []*tlp.Result) []*Fragment {
 // ---------------------------------------------------------------------------
 // LCC phase tasks
 
-// lccUnit is one (focal, constraint-subset) work assignment.
+// lccUnit is one (focal, constraint-subset) work assignment: per
+// constraint, ascending by constraint ID — the scope rows' assertion
+// order — the candidate partners to check.
 type lccUnit struct {
 	focal    *Fragment
-	cid      string // "" means all constraints of the class
-	partners map[string][]*Fragment
+	cid      string // "all" means every constraint of the class
+	checks   []lccCheck
 	expected int
+}
+
+// lccCheck is one constraint's partner set within a unit.
+type lccCheck struct {
+	c        Constraint
+	partners []*Fragment
 }
 
 // partnerQuery returns the LCC partner search over one fragment pool:
@@ -426,30 +453,23 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 		}
 		switch level {
 		case Level3, Level4:
-			u := lccUnit{focal: f, cid: "all", partners: map[string][]*Fragment{}}
+			u := lccUnit{focal: f, cid: "all", checks: make([]lccCheck, 0, len(cons))}
 			for _, c := range cons {
 				ps := query(f, c)
-				u.partners[c.ID] = ps
+				u.checks = append(u.checks, lccCheck{c, ps})
 				u.expected += len(ps)
 			}
+			sort.Slice(u.checks, func(i, j int) bool { return u.checks[i].c.ID < u.checks[j].c.ID })
 			units = append(units, u)
 		case Level2:
 			for _, c := range cons {
 				ps := query(f, c)
-				units = append(units, lccUnit{
-					focal: f, cid: c.ID,
-					partners: map[string][]*Fragment{c.ID: ps},
-					expected: len(ps),
-				})
+				units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{c, ps}}, expected: len(ps)})
 			}
 		case Level1:
 			for _, c := range cons {
 				for _, p := range query(f, c) {
-					units = append(units, lccUnit{
-						focal: f, cid: c.ID,
-						partners: map[string][]*Fragment{c.ID: {p}},
-						expected: 1,
-					})
+					units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{c, []*Fragment{p}}}, expected: 1})
 				}
 			}
 		}
@@ -462,77 +482,59 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 // partner fragments with their scope triples, then the support and
 // task control rows.
 func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
-	ss := seedSet{prog: prog, store: store}
+	rows := 0
+	for _, u := range sp.units {
+		rows += 3 + 2*u.expected
+	}
+	ss := newSeedSet(prog, store, rows)
+	scope := ss.row("scope", "object", "constraint", "partner")
+	support := ss.row("support", "object", "count", "checked")
+	task := ss.row("lcc-task", "object", "class", "cid", "expected", "status")
 	seen := map[int]bool{}
-	addFrag := func(f *Fragment) error {
-		if seen[f.ID] {
-			return nil
+	addFrag := func(f *Fragment) {
+		if !seen[f.ID] {
+			seen[f.ID] = true
+			ss.addFragment(f)
 		}
-		seen[f.ID] = true
-		return ss.addFragment(f)
 	}
 	for _, u := range sp.units {
-		if err := addFrag(u.focal); err != nil {
-			return nil, err
-		}
-		// Deterministic constraint order: the scope rows' assertion order
-		// must be stable run-to-run so the session's seed-signature diff
-		// never sees a spurious change (map iteration order is not).
-		cids := make([]string, 0, len(u.partners))
-		for cid := range u.partners {
-			cids = append(cids, cid)
-		}
-		sort.Strings(cids)
-		for _, cid := range cids {
-			for _, p := range u.partners[cid] {
-				if err := addFrag(p); err != nil {
-					return nil, err
-				}
+		focal := symtab.Int(int64(u.focal.ID))
+		addFrag(u.focal)
+		for _, ck := range u.checks {
+			cid := sym(ck.c.ID)
+			for _, p := range ck.partners {
+				addFrag(p)
 				// The scope WME makes the decomposition exact: a check
 				// runs iff the control process put its (object,
 				// constraint, partner) triple into the task's working
 				// memory, so every level computes the same checks.
-				if err := ss.add("scope", map[string]symtab.Value{
-					"object":     symtab.Int(int64(u.focal.ID)),
-					"constraint": sym(cid),
-					"partner":    symtab.Int(int64(p.ID)),
-				}); err != nil {
-					return nil, err
-				}
+				ss.add(scope, focal, cid, symtab.Int(int64(p.ID)))
 			}
 		}
-		if err := ss.add("support", map[string]symtab.Value{
-			"object": symtab.Int(int64(u.focal.ID)),
-			"count":  symtab.Int(0), "checked": symtab.Int(0),
-		}); err != nil {
-			return nil, err
-		}
-		if err := ss.add("lcc-task", map[string]symtab.Value{
-			"object":   symtab.Int(int64(u.focal.ID)),
-			"class":    sym(string(u.focal.Type)),
-			"cid":      sym(u.cid),
-			"expected": symtab.Int(int64(u.expected)),
-			"status":   sym("active"),
-		}); err != nil {
-			return nil, err
-		}
+		ss.add(support, focal, symtab.Int(0), symtab.Int(0))
+		ss.add(task, focal, sym(string(u.focal.Type)), sym(u.cid), symtab.Int(int64(u.expected)), sym("active"))
 	}
-	return ss.seeds, nil
+	return ss.done()
 }
 
-// lccRegions collects the regions an LCC task's geo-test calls can
-// read: the focal fragment's region and every partner's region.
-func lccRegions(_ *RegionStore, sp *taskSpec) []int {
-	var ids []int
+// lccAnswers makes, per scope triple in seed order, the call its
+// lcc-check-* rule makes: the boolean and the cost geo-test would
+// return. The memo is warm for an unchanged pair; a changed pair's
+// evaluation is work the re-run finds memoised.
+func lccAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
 	for _, u := range sp.units {
-		ids = append(ids, u.focal.RegionID)
-		for _, ps := range u.partners {
-			for _, p := range ps {
-				ids = append(ids, p.RegionID)
+		for _, ck := range u.checks {
+			for _, p := range ck.partners {
+				// A failed test answers (0, 0), which no evaluation does.
+				ok, cost, _ := st.Test(ck.c.Relation, u.focal.RegionID, p.RegionID, ck.c.Eps)
+				n := 0
+				if ok {
+					n = 1
+				}
+				sig.answer(n, cost)
 			}
 		}
 	}
-	return ids
 }
 
 // BuildLCCTasks decomposes the LCC phase at the chosen level. The
@@ -597,7 +599,7 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 		case Level2:
 			key += "-" + u.cid
 		case Level1:
-			key += fmt.Sprintf("-%s-p%d", u.cid, u.partners[u.cid][0].ID)
+			key += fmt.Sprintf("-%s-p%d", u.cid, u.checks[0].partners[0].ID)
 		}
 		specs = append(specs, taskSpec{
 			key:       key,
@@ -757,57 +759,26 @@ func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, out
 // fragment, its member fragments, the consistency rows supporting the
 // aggregation, and the task control row, in assertion order.
 func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
-	ss := seedSet{prog: prog, store: store}
-	if err := ss.addFragment(sp.seed); err != nil {
-		return nil, err
-	}
+	ss := newSeedSet(prog, store, 2+len(sp.members)+len(sp.pairs))
+	consistency := ss.row("consistency", "object", "partner", "relation", "result")
+	task := ss.row("fa-task", "seed", "fatype", "expected", "status")
+	ss.addFragment(sp.seed)
 	for _, m := range sp.members {
-		if err := ss.addFragment(m); err != nil {
-			return nil, err
-		}
+		ss.addFragment(m)
 	}
 	for _, p := range sp.pairs {
-		if err := ss.add("consistency", map[string]symtab.Value{
-			"object":   symtab.Int(int64(p.Object)),
-			"partner":  symtab.Int(int64(p.Partner)),
-			"relation": sym(p.Relation),
-			"result":   sym("t"),
-		}); err != nil {
-			return nil, err
-		}
+		ss.add(consistency, symtab.Int(int64(p.Object)), symtab.Int(int64(p.Partner)), sym(p.Relation), sym("t"))
 	}
-	if err := ss.add("fa-task", map[string]symtab.Value{
-		"seed":     symtab.Int(int64(sp.seed.ID)),
-		"fatype":   sym(sp.faType),
-		"expected": symtab.Int(int64(len(sp.pairs))),
-		"status":   sym("active"),
-	}); err != nil {
-		return nil, err
-	}
-	return ss.seeds, nil
+	ss.add(task, symtab.Int(int64(sp.seed.ID)), sym(sp.faType), symtab.Int(int64(len(sp.pairs))), sym("active"))
+	return ss.done()
 }
 
-// faRegions collects the regions an FA task's fa-predict-area scan can
-// read: the seed region plus every region whose bbox intersects the
-// seed bbox expanded by faPredictRadius — the external's exact
-// candidate-set determination, so a signature over them changes iff a
-// prediction's candidate count could.
-func faRegions(st *RegionStore, sp *taskSpec) []int {
-	ids := []int{sp.seed.RegionID}
-	d := st.Derived(sp.seed.RegionID)
-	if d == nil {
-		return ids
-	}
-	bb := d.BBox.Expand(faPredictRadius)
-	for _, other := range st.Scene().Regions {
-		if other.ID == sp.seed.RegionID {
-			continue
-		}
-		if od := st.Derived(other.ID); od != nil && bb.Intersects(od.BBox) {
-			ids = append(ids, other.ID)
-		}
-	}
-	return ids
+// faAnswers: every fa-predict-* rule calls fa-predict-area on the seed
+// fragment's region (the kind argument is not read), so one answer —
+// the candidate count and cost — covers them all.
+func faAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
+	n, cost, _ := st.PredictArea(sp.seed.RegionID)
+	sig.answer(n, cost)
 }
 
 // ExtractFA collects the closed functional areas and predictions.
@@ -879,7 +850,9 @@ func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Se
 	for _, f := range sp.frags {
 		byID[f.ID] = f
 	}
-	ss := seedSet{prog: prog, store: store}
+	ss := newSeedSet(prog, store, 1+2*len(sp.fas))
+	faRow := ss.row("fa", "id", "seed", "fatype", "nmembers", "status")
+	task := ss.row("model-task", "status")
 	seen := map[int]bool{}
 	for _, fa := range sp.fas {
 		if fa.Status != "closed" {
@@ -887,26 +860,13 @@ func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Se
 		}
 		if f := byID[fa.Seed]; f != nil && !seen[f.ID] {
 			seen[f.ID] = true
-			if err := ss.addFragment(f); err != nil {
-				return nil, err
-			}
+			ss.addFragment(f)
 		}
-		if err := ss.add("fa", map[string]symtab.Value{
-			"id":       symtab.Int(int64(fa.Seed)),
-			"seed":     symtab.Int(int64(fa.Seed)),
-			"fatype":   sym(fa.Type),
-			"nmembers": symtab.Int(int64(fa.NMembers)),
-			"status":   sym("closed"),
-		}); err != nil {
-			return nil, err
-		}
+		seed := symtab.Int(int64(fa.Seed))
+		ss.add(faRow, seed, seed, sym(fa.Type), symtab.Int(int64(fa.NMembers)), sym("closed"))
 	}
-	if err := ss.add("model-task", map[string]symtab.Value{
-		"status": sym("active"),
-	}); err != nil {
-		return nil, err
-	}
-	return ss.seeds, nil
+	ss.add(task, sym("active"))
+	return ss.done()
 }
 
 // ExtractModel returns the final model from the MODEL task result.
