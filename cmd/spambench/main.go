@@ -4,28 +4,22 @@
 //
 //	spambench [-experiment NAME] [-full-scale F] [-subset-scale F]
 //	          [-task-procs N] [-match-procs N]
-//	          [-sched fifo|largest|postorder] [-json FILE]
+//	          [-sched fifo|largest|postorder] [-csv DIR]
 //	          [-fault-seed N] [-crash-rate P]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // NAME is one of: tables123, table4, tables567, table8, fig3, fig6,
 // fig7, table9, fig8, fig9, an extension experiment (ext-levels,
 // ext-sched, ext-sync, ext-queues, ext-msgpass, ext-suburban,
-// ext-scale, ext-faults, ext-memsched, ext-incremental, ext-cluster),
-// or "all" (the default).
+// ext-scale, ext-faults, ext-memsched), or "all" (the default).
 //
 // -sched picks the task scheduling policy for the real
 // interpretations the harness runs (results are byte-identical across
-// policies). -json writes the experiment's machine-readable document
-// to FILE: with -experiment ext-incremental the incremental
-// re-interpretation churn ladder (the BENCH_8.json document), with
-// ext-cluster the multi-process scale-out report (BENCH_10.json),
-// otherwise the memory-aware scheduling experiment's
-// makespan-vs-memory-budget curves (the BENCH_7.json document).
+// policies). -csv also writes the figure experiments' data series as
+// CSV files into DIR.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,13 +27,11 @@ import (
 	"strings"
 
 	"spampsm/internal/bench"
-	"spampsm/internal/cluster"
 	"spampsm/internal/prof"
 	"spampsm/internal/tlp"
 )
 
 func main() {
-	cluster.MaybeWorker()
 	os.Exit(realMain())
 }
 
@@ -54,7 +46,6 @@ func realMain() int {
 	matchProcs := flag.Int("match-procs", 13, "maximum dedicated match processes (paper: 13)")
 	csvDir := flag.String("csv", "", "also write the figure experiments' data series as CSV files into this directory")
 	sched := flag.String("sched", "fifo", "task scheduling policy for real interpretations: fifo, largest or postorder")
-	jsonOut := flag.String("json", "", "write the memory-aware scheduling experiment's curves to this JSON file")
 	faultSeed := flag.Int64("fault-seed", 1990, "seed for the ext-faults chaos experiment")
 	crashRate := flag.Float64("crash-rate", 0.1, "per-processor death rate for ext-faults' plan-driven row")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -98,39 +89,6 @@ func realMain() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spambench:", err)
 		return 1
-	}
-	if *jsonOut != "" {
-		// Which document -json emits follows the experiment:
-		// ext-incremental writes its churn-ladder report (BENCH_8.json),
-		// ext-cluster the multi-process scale-out report (BENCH_10.json);
-		// everything else writes the memory-aware scheduling curves
-		// (BENCH_7.json), the historical default.
-		var rep interface{ Check() error }
-		switch *experiment {
-		case "ext-incremental":
-			rep, err = suite.Incremental()
-		case "ext-cluster":
-			rep, err = suite.Cluster()
-		default:
-			rep, err = suite.Memsched()
-		}
-		if err == nil {
-			err = rep.Check()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spambench:", err)
-			return 1
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spambench:", err)
-			return 1
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "spambench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
 	if *csvDir != "" {
 		names := []string{*experiment}

@@ -66,8 +66,6 @@ type Suite struct {
 	Opt      Options
 	datasets map[string]*spam.Dataset
 	meas     map[string]*core.Measurement
-	incr     *IncrementalReport // ext-incremental is expensive; run once per suite
-	clus     *ClusterReport     // ext-cluster spawns real processes; run once per suite
 }
 
 // NewSuite builds an empty suite.
@@ -770,7 +768,7 @@ func Names() []string {
 
 // ExtNames lists the extension/ablation experiments beyond the paper.
 func ExtNames() []string {
-	return []string{"ext-levels", "ext-sched", "ext-sync", "ext-queues", "ext-msgpass", "ext-suburban", "ext-scale", "ext-faults", "ext-memsched", "ext-incremental", "ext-cluster"}
+	return []string{"ext-levels", "ext-sched", "ext-sync", "ext-queues", "ext-msgpass", "ext-suburban", "ext-scale", "ext-faults", "ext-memsched"}
 }
 
 // Run executes one experiment by name.
@@ -814,10 +812,6 @@ func (s *Suite) Run(name string) (string, error) {
 		return s.ExtFaults()
 	case "ext-memsched":
 		return s.ExtMemsched()
-	case "ext-incremental":
-		return s.ExtIncremental()
-	case "ext-cluster":
-		return s.ExtCluster()
 	default:
 		return "", fmt.Errorf("bench: unknown experiment %q (want one of %s)", name,
 			strings.Join(append(Names(), ExtNames()...), ", "))

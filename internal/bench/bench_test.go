@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -173,18 +174,14 @@ func TestSubsetScaleApplied(t *testing.T) {
 }
 
 func TestExtensionExperiments(t *testing.T) {
-	s := quickSuite()
+	// A quarter of the calibrated scale: ext-memsched's stress scene is
+	// 10x the subset scale, and at quickSuite's 0.4 interpreting it
+	// alone takes 9 s. The stress invariant it returns an error on is
+	// scale-free.
+	opt := DefaultOptions()
+	opt.SubsetScale = 0.25
+	s := NewSuite(opt)
 	for _, name := range ExtNames() {
-		if name == "ext-cluster" {
-			// Spawns real worker processes by re-exec'ing the binary,
-			// which a test binary without cluster.MaybeWorker in its
-			// TestMain cannot host, and costs minutes of wall clock.
-			// The multi-process path is covered by internal/cluster's
-			// differential and chaos tests, `make cluster-smoke`, and
-			// `make bench-cluster`; the report validation by
-			// TestClusterReportCheck.
-			continue
-		}
 		out, err := s.Run(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -234,5 +231,35 @@ func TestDefaultsFilled(t *testing.T) {
 	s := NewSuite(Options{})
 	if s.Opt.MaxTaskProcs != 14 || s.Opt.MaxMatchProcs != 13 || s.Opt.FullScale != 3 {
 		t.Errorf("defaults not applied: %+v", s.Opt)
+	}
+}
+
+// TestReferenceSections regenerates the cheap sections of the
+// checked-in bench_reference.txt at the paper's scale and holds the
+// file to them byte for byte, in RunAll's `=== name ===` framing.
+func TestReferenceSections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full-scale subsets")
+	}
+	data, err := os.ReadFile("../../bench_reference.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	for _, sec := range strings.Split("\n"+string(data), "\n=== ")[1:] {
+		name, body, _ := strings.Cut(sec, " ===\n")
+		sections[name] = body
+	}
+	s := NewSuite(DefaultOptions())
+	for _, name := range []string{"table4", "fig3", "table8", "tables567"} {
+		out, err := s.Run(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want, ok := sections[name]; !ok {
+			t.Errorf("bench_reference.txt has no %s section", name)
+		} else if out != want {
+			t.Errorf("%s differs from bench_reference.txt:\ngot:\n%s\nwant:\n%s", name, out, want)
+		}
 	}
 }

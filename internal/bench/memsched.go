@@ -1,10 +1,9 @@
-// The memory-aware scheduling experiment: makespan-vs-memory-budget
-// curves for every policy on the simulated machine, plus a stress
+// The memory-aware scheduling experiment: makespan against memory
+// budget for every policy on the simulated machine, plus a stress
 // scene demonstrating that the memory-bounded list scheduler completes
-// within a budget that FIFO's natural peak exceeds. The machine-level
-// data is emitted as BENCH_7.json by cmd/spambench -json; the real
-// runtime's equivalent policies are proven byte-identical by the
-// differential oracles in internal/tlp and internal/spam.
+// within a budget that FIFO's natural peak exceeds. The real runtime's
+// equivalent policies are proven byte-identical by the differential
+// oracles in internal/tlp and internal/spam.
 package bench
 
 import (
@@ -17,68 +16,28 @@ import (
 	"spampsm/internal/stats"
 )
 
-// MemschedSchema versions the BENCH_7.json document.
-const MemschedSchema = "spampsm-memsched-bench/v1"
-
-// MemschedPoint is one (procs → makespan, peak memory) sample of a
-// curve. Memory figures are simulated model bytes (wm.WMEBytes and
-// rete.TokenBytes units), not heap measurements.
-type MemschedPoint struct {
-	Procs         int     `json:"procs"`
-	MakespanSec   float64 `json:"makespanSec"`
-	PeakMem       float64 `json:"peakMem"`
-	ThrottleWaits int     `json:"throttleWaits"`
-}
-
-// MemschedCurve is one (dataset, policy, budget) sweep over the
-// task-process axis. Budget 0 means unbounded.
-type MemschedCurve struct {
-	Dataset string          `json:"dataset"`
-	Policy  string          `json:"policy"`
-	Budget  float64         `json:"budget"`
-	Points  []MemschedPoint `json:"points"`
-}
-
-// MemschedStress records the 10x-scale demonstration: a scene whose
-// unbounded FIFO schedule peaks above the budget, which the
-// memory-bounded policy nonetheless completes within.
-type MemschedStress struct {
-	Scene              string  `json:"scene"`
-	Tasks              int     `json:"tasks"`
-	Procs              int     `json:"procs"`
-	Budget             float64 `json:"budget"`
-	FIFOPeak           float64 `json:"fifoPeak"`
-	FIFOMakespanSec    float64 `json:"fifoMakespanSec"`
-	BoundedPolicy      string  `json:"boundedPolicy"`
-	BoundedPeak        float64 `json:"boundedPeak"`
-	BoundedMakespanSec float64 `json:"boundedMakespanSec"`
-	BoundedWaits       int     `json:"boundedWaits"`
-}
-
-// MemschedReport is the BENCH_7.json document.
-type MemschedReport struct {
-	Schema   string          `json:"schema"`
-	MaxProcs int             `json:"maxProcs"`
-	Curves   []MemschedCurve `json:"curves"`
-	Stress   MemschedStress  `json:"stress"`
-}
-
-// memschedMaxProcs is the task-process axis bound for the curves (the
-// projection machines of Section 9, not the Encore's 14).
+// memschedMaxProcs is the task-process count of the per-dataset tables
+// (the projection machines of Section 9, not the Encore's 14).
 const memschedMaxProcs = 64
 
-// memschedBudgets derives the experiment's budget ladder for one task
-// set: three distinct budgets strictly between the largest single
-// task's footprint (below which no schedule can stay) and the
-// unbounded FIFO peak at full parallelism (above which the budget
-// never binds).
-func memschedBudgets(specs []machine.TaskSpec, ov machine.Overheads) []float64 {
+// maxTaskMem is the largest single task's footprint, below which no
+// schedule can stay.
+func maxTaskMem(specs []machine.TaskSpec) float64 {
 	var maxTask float64
 	for _, s := range specs {
 		if s.Mem > maxTask {
 			maxTask = s.Mem
 		}
 	}
+	return maxTask
+}
+
+// memschedBudgets derives the experiment's budget ladder for one task
+// set: three distinct budgets strictly between the largest single
+// task's footprint and the unbounded FIFO peak at full parallelism
+// (above which the budget never binds).
+func memschedBudgets(specs []machine.TaskSpec, ov machine.Overheads) []float64 {
+	maxTask := maxTaskMem(specs)
 	refPeak := machine.RunPolicy(specs, memschedMaxProcs, ov, machine.PolicyFIFO, 0).PeakMem
 	if refPeak <= maxTask {
 		// Degenerate queue (never two tasks in flight): spread budgets
@@ -92,34 +51,12 @@ func memschedBudgets(specs []machine.TaskSpec, ov machine.Overheads) []float64 {
 	return out
 }
 
-// memschedCurves sweeps one task set: every policy at budget 0
-// (unbounded) and at each budget of the ladder, P = 1..memschedMaxProcs.
-func memschedCurves(ds string, specs []machine.TaskSpec, ov machine.Overheads) []MemschedCurve {
-	budgets := append([]float64{0}, memschedBudgets(specs, ov)...)
-	var out []MemschedCurve
-	for _, pol := range machine.Policies() {
-		order := machine.Order(specs, pol)
-		for _, budget := range budgets {
-			c := MemschedCurve{Dataset: ds, Policy: pol.String(), Budget: budget}
-			for p := 1; p <= memschedMaxProcs; p++ {
-				sched := machine.RunSpecs(specs, order, p, ov, budget)
-				c.Points = append(c.Points, MemschedPoint{
-					Procs:         p,
-					MakespanSec:   machine.InstrToSec(sched.Makespan),
-					PeakMem:       sched.PeakMem,
-					ThrottleWaits: sched.ThrottleWaits,
-				})
-			}
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // memschedStress builds the 10x-scale SF scene, picks the budget
-// halfway between the largest task and the unbounded FIFO peak, and
-// schedules both ways.
-func (s *Suite) memschedStress() (MemschedStress, error) {
+// halfway between the largest task and the unbounded FIFO peak,
+// schedules both ways and renders the summary line. It fails unless
+// the FIFO peak exceeds the budget and the bounded peak stays within
+// it.
+func (s *Suite) memschedStress() (string, error) {
 	factor := 10.0
 	if s.Opt.SubsetScale != 0 {
 		factor *= s.Opt.SubsetScale
@@ -128,136 +65,67 @@ func (s *Suite) memschedStress() (MemschedStress, error) {
 	p.Name = "SF-x10"
 	d, err := spam.NewDataset(p)
 	if err != nil {
-		return MemschedStress{}, err
+		return "", err
 	}
 	m, err := core.NewSystem(d, core.LCC, spam.Level3).Measure(false)
 	if err != nil {
-		return MemschedStress{}, err
+		return "", err
 	}
 	specs := m.Exp.Specs(0)
 	ov := m.Exp.Overheads
 	const procs = 32
 	fifo := machine.RunPolicy(specs, procs, ov, machine.PolicyFIFO, 0)
-	var maxTask float64
-	for _, sp := range specs {
-		if sp.Mem > maxTask {
-			maxTask = sp.Mem
-		}
-	}
+	maxTask := maxTaskMem(specs)
 	budget := maxTask + 0.5*(fifo.PeakMem-maxTask)
 	bounded := machine.RunPolicy(specs, procs, ov, machine.PolicyPostOrder, budget)
-	return MemschedStress{
-		Scene:              p.Name,
-		Tasks:              len(specs),
-		Procs:              procs,
-		Budget:             budget,
-		FIFOPeak:           fifo.PeakMem,
-		FIFOMakespanSec:    machine.InstrToSec(fifo.Makespan),
-		BoundedPolicy:      machine.PolicyPostOrder.String(),
-		BoundedPeak:        bounded.PeakMem,
-		BoundedMakespanSec: machine.InstrToSec(bounded.Makespan),
-		BoundedWaits:       bounded.ThrottleWaits,
-	}, nil
+	if fifo.PeakMem <= budget {
+		return "", fmt.Errorf("memsched: stress FIFO peak %g does not exceed budget %g", fifo.PeakMem, budget)
+	}
+	if bounded.PeakMem > budget {
+		return "", fmt.Errorf("memsched: stress bounded peak %g exceeds budget %g", bounded.PeakMem, budget)
+	}
+	return fmt.Sprintf("Stress: %s (%d tasks, %d procs), budget %s — FIFO peaks at %s (over budget); "+
+		"%s stays at %s with %d throttle waits, makespan %s vs %s sec\n",
+		p.Name, len(specs), procs, stats.FormatBytes(budget), stats.FormatBytes(fifo.PeakMem),
+		machine.PolicyPostOrder, stats.FormatBytes(bounded.PeakMem), bounded.ThrottleWaits,
+		stats.FormatFloat(machine.InstrToSec(bounded.Makespan)),
+		stats.FormatFloat(machine.InstrToSec(fifo.Makespan))), nil
 }
 
-// Memsched runs the full experiment: curves for the three datasets'
-// LCC Level-3 queues, then the stress scene.
-func (s *Suite) Memsched() (*MemschedReport, error) {
-	rep := &MemschedReport{Schema: MemschedSchema, MaxProcs: memschedMaxProcs}
+// ExtMemsched renders the experiment as text: one table per dataset's
+// LCC Level-3 queue — every policy unbounded and at each budget of the
+// ladder, at full parallelism — then the stress-scene summary.
+func (s *Suite) ExtMemsched() (string, error) {
+	var out string
 	for _, ds := range Datasets {
 		m, err := s.Measurement(ds, core.LCC, spam.Level3, false)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		rep.Curves = append(rep.Curves, memschedCurves(ds, m.Exp.Specs(0), m.Exp.Overheads)...)
-	}
-	stress, err := s.memschedStress()
-	if err != nil {
-		return nil, err
-	}
-	rep.Stress = stress
-	return rep, nil
-}
-
-// Check validates the report's invariants: every dataset swept with at
-// least three distinct bounded budgets over the full processor axis,
-// every bounded curve within its budget, and the stress scene's
-// bounded schedule fitting a budget the FIFO peak exceeds.
-func (r *MemschedReport) Check() error {
-	if r.Schema != MemschedSchema {
-		return fmt.Errorf("memsched: schema %q, want %q", r.Schema, MemschedSchema)
-	}
-	budgets := map[string]map[float64]bool{}
-	for _, c := range r.Curves {
-		if len(c.Points) != r.MaxProcs {
-			return fmt.Errorf("memsched: curve %s/%s/B=%g has %d points, want %d",
-				c.Dataset, c.Policy, c.Budget, len(c.Points), r.MaxProcs)
-		}
-		if c.Budget > 0 {
-			if budgets[c.Dataset] == nil {
-				budgets[c.Dataset] = map[float64]bool{}
-			}
-			budgets[c.Dataset][c.Budget] = true
-			for _, pt := range c.Points {
-				if pt.PeakMem > c.Budget {
-					return fmt.Errorf("memsched: curve %s/%s/B=%g peaks at %g (procs=%d), above budget",
-						c.Dataset, c.Policy, c.Budget, pt.PeakMem, pt.Procs)
-				}
-			}
-		}
-	}
-	for _, ds := range Datasets {
-		if len(budgets[ds]) < 3 {
-			return fmt.Errorf("memsched: dataset %s has %d distinct bounded budgets, want >= 3", ds, len(budgets[ds]))
-		}
-	}
-	st := r.Stress
-	if st.FIFOPeak <= st.Budget {
-		return fmt.Errorf("memsched: stress FIFO peak %g does not exceed budget %g", st.FIFOPeak, st.Budget)
-	}
-	if st.BoundedPeak > st.Budget {
-		return fmt.Errorf("memsched: stress bounded peak %g exceeds budget %g", st.BoundedPeak, st.Budget)
-	}
-	return nil
-}
-
-// ExtMemsched renders the experiment as text: one table per dataset
-// at full parallelism, then the stress-scene summary. The complete
-// curves ship in BENCH_7.json (spambench -json).
-func (s *Suite) ExtMemsched() (string, error) {
-	rep, err := s.Memsched()
-	if err != nil {
-		return "", err
-	}
-	if err := rep.Check(); err != nil {
-		return "", err
-	}
-	byDS := map[string][]MemschedCurve{}
-	for _, c := range rep.Curves {
-		byDS[c.Dataset] = append(byDS[c.Dataset], c)
-	}
-	var out string
-	for _, ds := range Datasets {
+		specs, ov := m.Exp.Specs(0), m.Exp.Overheads
+		budgets := append([]float64{0}, memschedBudgets(specs, ov)...)
 		tb := stats.Table{
 			Title: fmt.Sprintf("Extension: makespan vs memory budget, %s LCC Level 3 at %d task processes",
 				ds, memschedMaxProcs),
 			Headers: []string{"Policy", "Budget", "Makespan (sec)", "Peak mem", "Throttle waits"},
 		}
-		for _, c := range byDS[ds] {
-			pt := c.Points[len(c.Points)-1]
-			budget := "unbounded"
-			if c.Budget > 0 {
-				budget = stats.FormatBytes(c.Budget)
+		for _, pol := range machine.Policies() {
+			order := machine.Order(specs, pol)
+			for _, budget := range budgets {
+				sched := machine.RunSpecs(specs, order, memschedMaxProcs, ov, budget)
+				label := "unbounded"
+				if budget > 0 {
+					label = stats.FormatBytes(budget)
+				}
+				tb.AddRow(pol.String(), label, machine.InstrToSec(sched.Makespan),
+					stats.FormatBytes(sched.PeakMem), sched.ThrottleWaits)
 			}
-			tb.AddRow(c.Policy, budget, pt.MakespanSec, stats.FormatBytes(pt.PeakMem), pt.ThrottleWaits)
 		}
 		out += tb.String() + "\n"
 	}
-	st := rep.Stress
-	out += fmt.Sprintf("Stress: %s (%d tasks, %d procs), budget %s — FIFO peaks at %s (over budget); "+
-		"%s stays at %s with %d throttle waits, makespan %s vs %s sec\n",
-		st.Scene, st.Tasks, st.Procs, stats.FormatBytes(st.Budget), stats.FormatBytes(st.FIFOPeak),
-		st.BoundedPolicy, stats.FormatBytes(st.BoundedPeak), st.BoundedWaits,
-		stats.FormatFloat(st.BoundedMakespanSec), stats.FormatFloat(st.FIFOMakespanSec))
-	return out, nil
+	stress, err := s.memschedStress()
+	if err != nil {
+		return "", err
+	}
+	return out + stress, nil
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
@@ -30,6 +31,12 @@ func TestMain(m *testing.M) {
 // phase's task structure (the same subset-scale discipline the bench
 // smoke suite uses).
 const oracleScale = 0.4
+
+// clusterV1ShipShare is what the v1 wire, which shipped every seed
+// inline, measured on the three scenes at oracleScale: wire bytes per
+// modeled seed byte (Σ phase SeedBytes), the same at every process
+// count.
+var clusterV1ShipShare = map[string]float64{"SF": 0.496, "DC": 0.513, "MOFF": 0.497}
 
 func airportParams(name string) scene.Params {
 	var p scene.Params
@@ -71,6 +78,7 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 	}
 	defer co.Close()
 
+	tasks := 0
 	for _, name := range []string{"SF", "DC", "MOFF"} {
 		p := airportParams(name)
 		if err := co.RegisterDataset(AirportSpec(p)); err != nil {
@@ -87,12 +95,25 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 		}
 		clusterOpt := opt
 		clusterOpt.Runner = NewRunner(co, opt)
+		shippedBefore := co.Stats().ShippedBytes
 		remote, err := d.Interpret(clusterOpt)
 		if err != nil {
 			t.Fatalf("%s: cluster interpret: %v", name, err)
 		}
 		if !spam.SameOutputs(local, remote) {
 			t.Errorf("%s: cluster outputs differ from single-process run", name)
+		}
+		// The wire-locality budget: bytes on the wire per modeled seed
+		// byte stay at least 3x under what shipping every seed inline
+		// cost.
+		var seedBytes float64
+		for _, ph := range remote.Phases {
+			seedBytes += ph.SeedBytes
+			tasks += ph.Tasks
+		}
+		share := float64(co.Stats().ShippedBytes-shippedBefore) / seedBytes
+		if budget := clusterV1ShipShare[name] / 3; share > budget {
+			t.Errorf("%s: shipped %.3f wire bytes per seed byte, over the budget of %.3f", name, share, budget)
 		}
 		lf, rf := phaseFingerprint(local), phaseFingerprint(remote)
 		if lf != rf {
@@ -120,6 +141,12 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 	st := co.Stats()
 	if st.WireVersion != Version {
 		t.Errorf("stats report wire v%d, want v%d", st.WireVersion, Version)
+	}
+	// Every task crossed the wire as its own frame, except a
+	// continuation its worker had already started when the
+	// coordinator's push would have gone out.
+	if st.TasksShipped+st.Continuations < tasks {
+		t.Errorf("%d task frames and %d worker-side continuations for %d tasks", st.TasksShipped, st.Continuations, tasks)
 	}
 	if st.ChunksShipped <= 0 || st.ChunkHits <= 0 || st.ChunkSavedBytes <= 0 {
 		t.Errorf("no chunk reuse accounted: %+v", st)
@@ -288,15 +315,14 @@ func TestClusterStartFailureCleanup(t *testing.T) {
 	}
 }
 
-// chaosRun executes one cluster interpretation under a process-kill
-// plan and returns its reproducibility fingerprint plus the observed
-// worker deaths.
-func chaosRun(t *testing.T) (string, Stats) {
+// chaosRun executes one DC cluster interpretation under a process-kill
+// plan and returns it with the coordinator's accounting.
+func chaosRun(t *testing.T, seed int64, reEntry bool) (*spam.Interpretation, Stats) {
 	t.Helper()
 	p := airportParams("DC")
 	co, err := Start(Config{
 		Workers: 2, LocalWorkers: 1, ShipWindow: 1, MaxRespawns: 8,
-		ProcFaults: faults.Config{Seed: 7, CrashRate: 0.05},
+		ProcFaults: faults.Config{Seed: seed, CrashRate: 0.05},
 	})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
@@ -309,7 +335,7 @@ func chaosRun(t *testing.T) (string, Stats) {
 	if err != nil {
 		t.Fatalf("dataset: %v", err)
 	}
-	opt := spam.InterpretOptions{Workers: 2, MaxRetries: 2}
+	opt := spam.InterpretOptions{Workers: 2, MaxRetries: 2, ReEntry: reEntry}
 	clusterOpt := opt
 	clusterOpt.Runner = NewRunner(co, opt)
 	in, err := d.Interpret(clusterOpt)
@@ -333,7 +359,7 @@ func chaosRun(t *testing.T) (string, Stats) {
 			t.Fatalf("phase %s: %d distinct results for %d tasks", ph.Phase, len(seen), ph.Tasks)
 		}
 	}
-	return phaseFingerprint(in), co.Stats()
+	return in, co.Stats()
 }
 
 // TestClusterChaosKillReproducible SIGKILLs worker processes mid-run
@@ -341,8 +367,9 @@ func chaosRun(t *testing.T) (string, Stats) {
 // merged RunReport accounting is byte-reproducible across two
 // identical runs, with every task delivered exactly once.
 func TestClusterChaosKillReproducible(t *testing.T) {
-	f1, s1 := chaosRun(t)
-	f2, s2 := chaosRun(t)
+	in1, s1 := chaosRun(t, 7, false)
+	in2, s2 := chaosRun(t, 7, false)
+	f1, f2 := phaseFingerprint(in1), phaseFingerprint(in2)
 	if s1.WorkerDeaths < 1 {
 		t.Fatalf("chaos plan killed no workers (stats %+v); raise the rate or change the seed", s1)
 	}
@@ -354,6 +381,60 @@ func TestClusterChaosKillReproducible(t *testing.T) {
 	}
 	if !strings.Contains(f1, "worker process lost") {
 		t.Errorf("report does not show the process loss:\n%s", f1)
+	}
+}
+
+// reEntryChaosSeed is a kill plan that fates a re-entry task of DC at
+// oracleScale, so a worker dies holding the continuations it spawned
+// for itself (2 deaths, 6 spawned continuations requeued). Seed 7, the
+// other chaos test's, kills workers only between continuations.
+const reEntryChaosSeed = 42
+
+// TestDifferentialClusterChaosReEntry runs the kill plan with re-entry
+// on, so the LCC continuations workers spawn for themselves are among
+// the casualties, and holds the merged interpretation to a crash-free
+// in-process run of the same dataset: per phase, the same multiset of
+// task IDs — a lost merge removes one, a duplicated merge adds one —
+// and the same outputs.
+func TestDifferentialClusterChaosReEntry(t *testing.T) {
+	in, st := chaosRun(t, reEntryChaosSeed, true)
+	d, err := spam.NewDataset(airportParams("DC"))
+	if err != nil {
+		t.Fatalf("dataset: %v", err)
+	}
+	ref, err := d.Interpret(spam.InterpretOptions{Workers: 2, ReEntry: true})
+	if err != nil {
+		t.Fatalf("crash-free reference: %v", err)
+	}
+	if len(in.Phases) != len(ref.Phases) {
+		t.Fatalf("%d phases, reference has %d", len(in.Phases), len(ref.Phases))
+	}
+	for pi, ph := range in.Phases {
+		got, want := map[string]int{}, map[string]int{}
+		for _, r := range ph.Results {
+			got[r.TaskID]++
+		}
+		for _, r := range ref.Phases[pi].Results {
+			want[r.TaskID]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("phase %s: merged task IDs differ from the crash-free run:\ngot  %v\nwant %v", ph.Phase, got, want)
+		}
+	}
+	if !spam.SameOutputs(ref, in) {
+		t.Error("outputs differ from the crash-free run")
+	}
+	if st.WorkerDeaths < 1 || st.Requeued < 1 {
+		t.Errorf("kill plan exercised no recovery: %d worker deaths, %d requeues", st.WorkerDeaths, st.Requeued)
+	}
+	if st.ContinuationTasks < 1 {
+		t.Error("re-entry produced no continuation-marked tasks: none was exposed to the kill plan")
+	}
+	if st.SpawnedRequeued < 1 {
+		t.Errorf("no spawned continuation was in flight on a dying worker (stats %+v); pick another reEntryChaosSeed", st)
+	}
+	if st.TasksCompleted < in.Completeness.Tasks {
+		t.Errorf("coordinator merged %d results for %d tasks", st.TasksCompleted, in.Completeness.Tasks)
 	}
 }
 

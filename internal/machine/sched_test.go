@@ -146,22 +146,26 @@ func TestSchedBudgetRespected(t *testing.T) {
 	ov := Overheads{QueuePerTask: 1e4}
 	specs := make([]TaskSpec, 24)
 	for i := range specs {
-		specs[i] = TaskSpec{Dur: 1e5, Mem: 100}
+		// Uneven durations, footprints and subtrees, so the three
+		// policies dispatch in three different orders.
+		specs[i] = TaskSpec{Dur: 1e5 * float64(1+i%5), Mem: 60 + 10*float64(i%5), Group: string(rune('a' + i%3))}
 	}
-	const budget = 250 // room for two tasks in flight, not three
-	unbounded := RunPolicy(specs, 8, ov, PolicyFIFO, 0)
-	bounded := RunPolicy(specs, 8, ov, PolicyFIFO, budget)
-	if unbounded.PeakMem <= budget {
-		t.Fatalf("unbounded peak %v under budget: test is vacuous", unbounded.PeakMem)
-	}
-	if bounded.PeakMem > budget {
-		t.Errorf("bounded peak %v exceeds budget %v", bounded.PeakMem, budget)
-	}
-	if bounded.ThrottleWaits == 0 {
-		t.Error("budget bound but no throttle waits recorded")
-	}
-	if bounded.Makespan < unbounded.Makespan {
-		t.Errorf("throttled makespan %v beat unbounded %v", bounded.Makespan, unbounded.Makespan)
+	const budget = 250 // room for two tasks in flight, not three of the largest
+	for _, pol := range Policies() {
+		unbounded := RunPolicy(specs, 8, ov, pol, 0)
+		bounded := RunPolicy(specs, 8, ov, pol, budget)
+		if unbounded.PeakMem <= budget {
+			t.Fatalf("%s: unbounded peak %v under budget: test is vacuous", pol, unbounded.PeakMem)
+		}
+		if bounded.PeakMem > budget {
+			t.Errorf("%s: bounded peak %v exceeds budget %v", pol, bounded.PeakMem, budget)
+		}
+		if bounded.ThrottleWaits == 0 {
+			t.Errorf("%s: budget bound but no throttle waits recorded", pol)
+		}
+		if bounded.Makespan < unbounded.Makespan {
+			t.Errorf("%s: throttled makespan %v beat unbounded %v", pol, bounded.Makespan, unbounded.Makespan)
+		}
 	}
 }
 

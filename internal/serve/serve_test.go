@@ -297,27 +297,55 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestHealthzAndStats is the service smoke: one server takes a clean
+// request, fault-injected requests (transient faults retried to
+// completion, permanent ones answered degraded) and a whole session
+// lifecycle, passes /healthz before, between and after them, and
+// accounts for all of it on /stats. The quarantine budget of 1 is
+// real: the injected quarantines come from the requests' own fault
+// plans, which the shared pool keeps out of it.
 func TestHealthzAndStats(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	_, ts := testServer(t, Config{Workers: 1, AllowFaults: true, QuarantineBudget: 1})
+	healthz := func(when string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("healthz %s = %d, want 200", when, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
+	stats := func() Stats {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	interpret := func(name, extra string) Response {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL, sceneBody(t, tinyScene(name, 0), extra))
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status = %d, body = %s", name, resp.StatusCode, body)
+		}
+		var out Response
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 
-	postJSON(t, ts.URL, sceneBody(t, tinyScene("st", 0), ""))
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	healthz("before any request")
+	interpret("st", "")
+	st := stats()
 	if st.Completed != 1 || !st.Healthy {
 		t.Errorf("stats = %+v, want 1 completed, healthy", st)
 	}
@@ -331,7 +359,45 @@ func TestHealthzAndStats(t *testing.T) {
 	if a := st.Pool.Arenas; len(a) != 1 || a[0].ArenaSlabs == 0 || a[0].ArenaBytes == 0 {
 		t.Errorf("pool arena stats = %+v, want the one worker's held arena", a)
 	}
-	_ = s
+	healthz("after a clean request")
+
+	out := interpret("transient", `"maxRetries":3,"faults":{"seed":41,"buildFailRate":0.3,"panicRate":0.1}`)
+	retries := 0
+	for _, ph := range out.Phases {
+		retries += ph.Retries
+	}
+	if !out.Completeness.Complete || retries == 0 {
+		t.Errorf("transient faults were not injected and retried to completion: %d retries, %+v", retries, out.Completeness)
+	}
+	out = interpret("permanent", `"degraded":true,"maxRetries":1,"faults":{"seed":9,"buildFailRate":0.4,"permanentFraction":1}`)
+	if out.Completeness.Complete {
+		t.Errorf("permanent faults left the run complete: %+v", out.Completeness)
+	}
+	healthz("after fault-injected requests")
+
+	id, _ := openSession(t, ts.URL, sessionBody(t, tinyScene("life", 0), ""))
+	for i := 0; i < 2; i++ {
+		resp, sr, b := updateSession(t, ts.URL,
+			fmt.Sprintf(`{"session":%q,"churn":{"seed":%d,"fraction":0.34}}`, id, 5+i))
+		if resp.StatusCode != 200 || sr.Report.Tasks == 0 {
+			t.Fatalf("update %d: %d %s", i+1, resp.StatusCode, b)
+		}
+	}
+	if status := closeSession(t, ts.URL, id); status != 200 {
+		t.Fatalf("DELETE /session: %d", status)
+	}
+	healthz("after a session lifecycle")
+
+	st = stats()
+	if !st.Healthy || st.Completed != st.Requests || st.Degraded != 1 {
+		t.Errorf("stats = %+v, want healthy, every request completed, 1 of them degraded", st)
+	}
+	if st.Pool.InjectedQuarantines == 0 || st.Pool.Quarantined != 0 {
+		t.Errorf("pool counters = %+v, want the permanent faults' quarantines, all charged to the request's own plan", st.Pool)
+	}
+	if st.Sessions.Opened != 1 || st.Sessions.Closed != 1 || st.Sessions.Open != 0 {
+		t.Errorf("session stats = %+v, want one opened and closed", st.Sessions)
+	}
 }
 
 // A hopeless deadline yields 504 and leaves the server healthy.

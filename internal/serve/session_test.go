@@ -52,6 +52,21 @@ func updateSession(t *testing.T, url, body string) (*http.Response, *SessionResp
 	return resp, &sr, b
 }
 
+// closeSession issues DELETE /session/{id} and returns the status.
+func closeSession(t *testing.T, url, id string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url+"/session/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestServeSessionDifferentialIncremental is the serving layer's
 // incremental oracle: after each churn update, the session's response
 // must match a fresh /session opened over... nothing — the session's
@@ -240,17 +255,8 @@ func TestServeSessionLRU(t *testing.T) {
 	}
 
 	// Explicit close.
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/session/"+id3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("DELETE: %d", resp.StatusCode)
+	if status := closeSession(t, ts.URL, id3); status != 200 {
+		t.Fatalf("DELETE: %d", status)
 	}
 	if resp, _, _ := updateSession(t, ts.URL, fmt.Sprintf(`{"session":%q}`, id3)); resp.StatusCode != 404 {
 		t.Fatalf("closed session answered %d, want 404", resp.StatusCode)

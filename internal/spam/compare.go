@@ -9,7 +9,7 @@ import "reflect"
 // excluded: it legitimately differs between an incremental session
 // update and a from-scratch run even when the understanding is
 // byte-identical. The incremental differential oracles and the
-// ext-incremental experiment use this as their identity predicate.
+// benchmark's correctness gates use this as their identity predicate.
 func SameOutputs(a, b *Interpretation) bool {
 	return reflect.DeepEqual(a.Fragments, b.Fragments) &&
 		reflect.DeepEqual(a.Pairs, b.Pairs) &&

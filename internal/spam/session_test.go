@@ -276,8 +276,8 @@ func TestSessionEmptyUpdate(t *testing.T) {
 	if rep.Reused != rep.Tasks {
 		t.Errorf("empty update reused %d of %d tasks", rep.Reused, rep.Tasks)
 	}
-	if rep.UpdateInstr != rep.DiffInstr {
-		t.Errorf("empty update charged %v beyond the diff scan %v", rep.UpdateInstr, rep.DiffInstr)
+	if rep.UpdateInstr != rep.DiffInstr || rep.DiffInstr <= 0 {
+		t.Errorf("empty update charged %v, want exactly the diff scan (%v), which is not free", rep.UpdateInstr, rep.DiffInstr)
 	}
 	compareOutputs(t, "noop", in, "initial", in0)
 }
