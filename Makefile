@@ -55,13 +55,18 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x .
 
-# bench-quick is the CI smoke benchmark: the seed-load,
-# engine-construction, geometry-predicate, partner-search and
-# task-scheduler microbenchmarks at a short benchtime, well under
-# 60 s. It exists to surface gross wall-clock regressions (an optimized
-# variant suddenly slower than its baseline) in the log; the measured
-# numbers are benchmark/run.sh's.
+# bench-quick is the CI smoke benchmark: the value-equality,
+# symbol-intern, join-test, seed-load, engine-construction,
+# geometry-predicate, partner-search and task-scheduler
+# microbenchmarks at a short benchtime, well under 60 s. It exists to
+# surface gross wall-clock regressions (an optimized variant suddenly
+# slower than its baseline) in the log; the measured numbers are
+# benchmark/run.sh's.
 bench-quick:
+	$(GO) test -run '^$$' -bench 'BenchmarkValueEqual|BenchmarkSymIntern' \
+		-benchtime 0.3s ./internal/symtab/
+	$(GO) test -run '^$$' -bench 'BenchmarkJoinTest' \
+		-benchtime 0.3s ./internal/rete/
 	$(GO) test -run '^$$' -bench 'BenchmarkSeedLoad|BenchmarkEngineBuild' \
 		-benchtime 0.3s ./internal/ops5/
 	$(GO) test -run '^$$' -bench 'BenchmarkGeomPredicates' \
@@ -88,14 +93,18 @@ bench-quick:
 # arena (engines that borrow, settle and recycle a worker's scratch vs
 # engines that own their memory; a settled engine stays readable and
 # refuses to run; an unsettled one leaves the next task fresh; a
-# long-lived worker's arena is bounded and steady under window trim), under
-# the race detector. These are the byte-identity guarantees of
+# long-lived worker's arena is bounded and steady under window trim), and
+# the value representation (the two-word symtab.Value against the
+# four-field struct it replaced, its shape, concurrent interning; a
+# process whose intern table filled in another order prints the same
+# wire frames, digests and outputs; a served request interns nothing),
+# under the race detector. These are the byte-identity guarantees of
 # docs/PERFORMANCE.md; everything here also runs as part of `race`,
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching' \
-		./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
+		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern' \
+		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 
 # cluster-smoke is the CI smoke test for the multi-process cluster

@@ -71,6 +71,7 @@ import (
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/stats"
+	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
 )
 
@@ -323,6 +324,7 @@ func realMain() int {
 	}
 	fmt.Printf("memory (modeled): largest task peak %s, total seed WM %s\n",
 		stats.FormatBytes(peakTask), stats.FormatBytes(seedBytes))
+	fmt.Printf("symbols interned: %d\n", symtab.Interned())
 	if ms := in.MemSched; ms.Budget > 0 {
 		fmt.Printf("mem-sched [%s]: budget %s, peak reserved %s, throttle waits %d\n",
 			policy, stats.FormatBytes(ms.Budget), stats.FormatBytes(ms.PeakReserved), ms.ThrottleWaits)

@@ -24,6 +24,10 @@ import (
 // set, so MaybeWorker serves tasks and exits before any test runs.
 func TestMain(m *testing.M) {
 	MaybeWorker()
+	if os.Getenv(idOrderChildEnv) != "" {
+		idOrderChild()
+		os.Exit(0)
+	}
 	os.Exit(m.Run())
 }
 

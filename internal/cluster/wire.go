@@ -476,7 +476,24 @@ func NewEncTab() *EncTab {
 // DecTab is the receiver half of one direction's intern state.
 type DecTab struct {
 	strs []string
+	// syms[i] is symtab.Sym(strs[i]) from the slot's first use as a
+	// symbol value (Nil before it, and for slots that only ever name a
+	// class, an attribute or a label): a symbol is interned once per
+	// connection, not once per occurrence. The wire carries names only —
+	// an intern id means nothing to the process at the other end.
+	syms []symtab.Value
 	cfgs []RunConfig
+}
+
+// sym returns table slot i as a symbol value.
+func (t *DecTab) sym(i uint64) symtab.Value {
+	for uint64(len(t.syms)) <= i {
+		t.syms = append(t.syms, symtab.Nil)
+	}
+	if t.syms[i].IsNil() {
+		t.syms[i] = symtab.Sym(t.strs[i])
+	}
+	return t.syms[i]
 }
 
 // str appends an interned string: uvarint 0 plus the literal on first
@@ -588,16 +605,17 @@ func (d *decoder) valueT(t *DecTab) symtab.Value {
 		return symtab.Float(float64(d.varint()))
 	case v2SymNew:
 		s := d.string()
-		if d.err == nil {
-			t.strs = append(t.strs, s)
+		if d.err != nil {
+			return symtab.Nil
 		}
-		return symtab.Sym(s)
+		t.strs = append(t.strs, s)
+		return t.sym(uint64(len(t.strs) - 1))
 	default:
 		if tag-v2SymRef >= uint64(len(t.strs)) {
 			d.fail("symbol ref")
 			return symtab.Nil
 		}
-		return symtab.Sym(t.strs[tag-v2SymRef])
+		return t.sym(tag - v2SymRef)
 	}
 }
 

@@ -325,6 +325,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(append([]byte{5}, EncodeResultV2(NewEncTab(), &spawned)...))
 	}
 	f.Add(append([]byte{4}, EncodeChunkFree([]uint64{0, 7, 130})...))
+	// A frame from a process with another vocabulary: its symbol
+	// literals, spliced in at equal length, are names this process has
+	// never interned, so decoding is what interns them.
+	foreign := EncodeResultV2(NewEncTab(), sampleResults()[0])
+	foreign = bytes.ReplaceAll(foreign, []byte("runway"), []byte("rUnWaY"))
+	f.Add(append([]byte{5}, bytes.ReplaceAll(foreign, []byte("f1"), []byte("F!"))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

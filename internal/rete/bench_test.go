@@ -154,3 +154,46 @@ func BenchmarkWideEqJoin(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) { benchWideEqJoin(b, true) })
 	b.Run("naive", func(b *testing.B) { benchWideEqJoin(b, false) })
 }
+
+var sinkPass bool
+
+// BenchmarkJoinTest measures one join node's test list — a symbol
+// equality, then a numeric comparison — over one (token, WME) pair that
+// passes both: the inner loop of every join and negative activation,
+// with its charges.
+func BenchmarkJoinTest(b *testing.B) {
+	cs := wm.NewClasses()
+	if _, err := cs.Declare("item", "id", "group"); err != nil {
+		b.Fatal(err)
+	}
+	net := New(benchAgenda{})
+	gt := func(a, o symtab.Value) bool { c, ok := a.Compare(o); return ok && c > 0 }
+	if _, err := net.AddProduction("pair", []Pattern{
+		{Class: "item", Signature: "item*"},
+		{Class: "item", Signature: "item*", Tests: []JoinTest{
+			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred, Eq: true},
+			{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: gt},
+		}},
+	}, nil); err != nil {
+		b.Fatal(err)
+	}
+	mem := wm.NewMemory(cs)
+	item := func(id int64) *wm.WME {
+		w, err := mem.Make("item", map[string]symtab.Value{"id": symtab.Int(id), "group": symtab.Sym("runway")})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return w
+	}
+	net.Add(item(1))
+	w := item(2)
+	first := net.tmpl.dummyTop.children[0].(*joinNode)
+	j := first.child.(*betaMemory).children[0].(*joinNode)
+	tok := j.parent.store(net).items.head.t
+	if !j.passes(tok, w, net) {
+		b.Fatal("the pair must pass both tests")
+	}
+	for b.Loop() {
+		sinkPass = j.passes(tok, w, net)
+	}
+}

@@ -28,6 +28,12 @@
 //     would have failed the node's first equality test after exactly
 //     one CostJoinTest, and the activation charges that amount
 //     arithmetically from |memory| − |bucket| without iterating.
+//     The same arithmetic makes a bucket collision cost-neutral: a
+//     member that shares a bucket without being Equal to the probe is
+//     walked instead of skipped, fails the node's first equality test,
+//     and is charged the one CostJoinTest its skip would have been. That
+//     is what lets indexKey be a single word (map[uint64], the runtime's
+//     fast path) rather than a collision-free (kind, bits) pair.
 package rete
 
 import (
@@ -37,32 +43,39 @@ import (
 	"spampsm/internal/wm"
 )
 
-// indexKey is the canonical hash key of an attribute value. Two values
-// map to the same key if and only if symtab.Value.Equal holds (with the
-// single exception of NaN, which is never Equal to anything, including
-// itself; NaN bucket members are rejected by the join test like any
-// other non-matching pair). Numbers collapse to their float64 image
-// because OPS5 equality compares numerically across the integer/float
-// representations.
-type indexKey struct {
-	kind uint8 // 0 = nil, 1 = symbol, 2 = number
-	sym  string
-	bits uint64
-}
+// indexKey is the canonical hash key of an attribute value: one word.
+// Values that are symtab.Value.Equal always share a key. Numbers
+// collapse to their float64 image because OPS5 equality compares
+// numerically across the integer/float representations; symbols (by
+// intern id) and nil are placed among the bit patterns of negative
+// NaNs, which no number Equal to anything occupies. Two values that are
+// not Equal share a key only when one of them is a NaN — never Equal to
+// anything, itself included — and such a bucket member is rejected by
+// the join test like any other non-matching pair (invariant 2).
+//
+// A key holds a symbol's id, so it is process-local: it never leaves
+// the network that computed it. AppendRouteDigest (seed.go) is the
+// canonicalization that may cross a process boundary.
+type indexKey uint64
+
+const (
+	nilKey     indexKey = 0xFFF0_0000_0000_0001
+	symKeyBase indexKey = 0xFFF8_0000_0000_0000
+)
 
 // keyOf computes the canonical index key of a value.
 func keyOf(v symtab.Value) indexKey {
-	switch {
-	case v.IsNil():
-		return indexKey{kind: 0}
-	case v.Kind() == symtab.KindSym:
-		return indexKey{kind: 1, sym: v.SymVal()}
+	switch v.Kind() {
+	case symtab.KindNil:
+		return nilKey
+	case symtab.KindSym:
+		return symKeyBase | indexKey(v.SymID())
 	default:
 		f := v.FloatVal()
 		if f == 0 {
 			f = 0 // fold -0.0 into +0.0: they compare Equal
 		}
-		return indexKey{kind: 2, bits: math.Float64bits(f)}
+		return indexKey(math.Float64bits(f))
 	}
 }
 
@@ -214,7 +227,7 @@ func (am *alphaMem) buildIndex(idx int, ix *wmeIndex, st *alphaState, n *Network
 	ix.built = true
 	for e := st.items.head; e != nil; e = e.next {
 		be := ix.push(e.w, n)
-		for ref := n.states[e.w].refHead; ref != nil; ref = ref.next {
+		for ref := n.states[e.w.TimeTag].refHead; ref != nil; ref = ref.next {
 			if ref.am == am {
 				ref.buckets[idx] = be
 				break

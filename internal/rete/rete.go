@@ -965,7 +965,6 @@ func (t *Template) NewNetworkScratch(agenda Agenda, s *Scratch) *Network {
 	n := &Network{
 		tmpl:   t,
 		agenda: agenda,
-		states: map[*wm.WME]*wmeState{},
 	}
 	if s != nil {
 		s.lend(n)
@@ -1054,7 +1053,6 @@ type Network struct {
 	alphaStates []alphaState
 	stores      []storeInst
 	dummyTok    *Token
-	states      map[*wm.WME]*wmeState
 	frozen      bool
 	totals      Counters
 	batch       []*Activation
@@ -1063,6 +1061,13 @@ type Network struct {
 	// noSeedRouting disables the template route memo for InsertBatch
 	// (SetSeedRouting): the differential-oracle escape hatch.
 	noSeedRouting bool
+
+	// states[t] is the match state of the WME with timetag t, nil until
+	// an alpha memory accepts it and again once it is removed. A network
+	// only sees the WMEs of one wm.Memory, whose tags are dense, so the
+	// slice costs 8 bytes per WME that memory ever made; a borrowing
+	// instance draws it from, and returns it to, its arena.
+	states []*wmeState
 
 	// arena is the worker scratch the instance borrows its match state
 	// from until Settle; nil for an instance that owns its memory (and
@@ -1101,7 +1106,6 @@ func New(agenda Agenda) *Network {
 		tmpl:   t,
 		agenda: agenda,
 		owned:  true,
-		states: map[*wm.WME]*wmeState{},
 	}
 	n.instantiate()
 	return n
@@ -1230,17 +1234,29 @@ func (n *Network) chargeSkippedJoinTests(skipped int) {
 	n.totals.JoinTests += skipped
 }
 
+// state returns w's match state, creating it on first use.
 func (n *Network) state(w *wm.WME) *wmeState {
-	st := n.states[w]
+	for len(n.states) <= w.TimeTag {
+		n.states = append(n.states, nil)
+	}
+	st := n.states[w.TimeTag]
 	if st == nil {
 		if a := n.arena; a != nil {
 			st = a.wmeStates.take()
 		} else {
 			st = &wmeState{}
 		}
-		n.states[w] = st
+		n.states[w.TimeTag] = st
 	}
 	return st
+}
+
+// lookup returns w's match state, or nil when it has none.
+func (n *Network) lookup(w *wm.WME) *wmeState {
+	if w.TimeTag >= len(n.states) {
+		return nil
+	}
+	return n.states[w.TimeTag]
 }
 
 // allocToken returns a zeroed token from the free list, the borrowed
@@ -1324,7 +1340,7 @@ func (n *Network) Add(w *wm.WME) {
 
 // Remove retracts a WME from the network.
 func (n *Network) Remove(w *wm.WME) {
-	st := n.states[w]
+	st := n.lookup(w)
 	if st == nil {
 		return
 	}
@@ -1364,7 +1380,7 @@ func (n *Network) Remove(w *wm.WME) {
 		}
 		n.end()
 	}
-	delete(n.states, w)
+	n.states[w.TimeTag] = nil
 }
 
 func (n *Network) deleteToken(tok *Token) {
@@ -1384,14 +1400,14 @@ func (n *Network) deleteToken(tok *Token) {
 	}
 	tok.adapterRefs = tok.adapterRefs[:0]
 	if tok.W != nil {
-		if st := n.states[tok.W]; st != nil {
+		if st := n.lookup(tok.W); st != nil {
 			st.unlinkToken(tok)
 		}
 	}
 	if _, ok := tok.node.(*negativeNode); ok {
 		for jr := tok.jrHead; jr != nil; {
 			next := jr.ownerNext
-			if st := n.states[jr.wme]; st != nil {
+			if st := n.lookup(jr.wme); st != nil {
 				st.unlinkJR(jr)
 			}
 			jr = next

@@ -151,6 +151,9 @@ type Scratch struct {
 	graveyard      []*Token
 	wmeEntryPool   []*wmeEntry
 	tokenEntryPool []*tokenEntry
+	// Backing array of the borrower's per-WME state table, all nil
+	// between loans.
+	states []*wmeState
 
 	// borrower is the network currently drawing from the arena.
 	borrower *Network
@@ -211,6 +214,9 @@ func (s *Scratch) Trim() {
 		// The free lists' backing arrays may still point, beyond their
 		// length, into dropped chunks; let them go too.
 		s.tokenPool, s.graveyard, s.wmeEntryPool, s.tokenEntryPool = nil, nil, nil, nil
+		// The state table is as long as the largest task's tag count; it
+		// goes with the chunks that task grew.
+		s.states = nil
 	}
 }
 
@@ -245,6 +251,7 @@ func (s *Scratch) lend(n *Network) {
 	n.arena = s
 	n.tokenPool, n.graveyard = s.tokenPool[:0], s.graveyard[:0]
 	n.wmeEntryPool, n.tokenEntryPool = s.wmeEntryPool[:0], s.tokenEntryPool[:0]
+	n.states = s.states[:0]
 }
 
 // Settle ends the network's loan: every object it drew from its
@@ -266,6 +273,8 @@ func (n *Network) Settle() *Scratch {
 	}
 	s.tokenPool, s.graveyard = n.tokenPool[:0], n.graveyard[:0]
 	s.wmeEntryPool, s.tokenEntryPool = n.wmeEntryPool[:0], n.tokenEntryPool[:0]
+	clear(n.states)
+	s.states = n.states[:0]
 	s.borrower = nil
 	n.arena = nil
 	n.agenda = nil

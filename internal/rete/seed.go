@@ -47,6 +47,10 @@ import (
 // representations — the same canonicalization keyOf applies to index
 // buckets. All components are length-delimited, so no two distinct
 // vectors can collide by concatenation.
+//
+// Unlike keyOf's keys, a digest is made of names, never intern ids: it
+// is the same bytes in every process, which the session signer and the
+// cluster's seed shipping rely on.
 func RouteDigest(class string, vals []symtab.Value) string {
 	return string(AppendRouteDigest(make([]byte, 0, 16+len(class)+16*len(vals)), class, vals))
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"spampsm/internal/cluster"
+	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
 )
 
@@ -304,6 +305,10 @@ type Stats struct {
 	Rejected  int64 `json:"rejected"`
 	InFlight  int   `json:"inFlight"`
 	Queued    int64 `json:"queued"`
+	// Interned is the size of the process's symbol table. It only
+	// grows, and only programs and the knowledge base feed it: a value
+	// that climbs with traffic means a request string became a symbol.
+	Interned int `json:"interned"`
 	// ShippedBytes totals the cluster backend's wire traffic (0 when
 	// serving purely in-process).
 	ShippedBytes int64 `json:"shippedBytes"`
@@ -353,6 +358,7 @@ func (s *Server) Stats() Stats {
 		Rejected:     s.rejected.Load(),
 		InFlight:     inFlight,
 		Queued:       s.queued.Load(),
+		Interned:     symtab.Interned(),
 		ShippedBytes: s.shipped.Load(),
 		Cluster:      clusterStats,
 		Pool:         s.pool.Stats(),

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spampsm/internal/symtab"
 )
 
 // testServer builds a server plus its httptest front end. Callers own
@@ -439,5 +441,55 @@ func TestDegradedPartialResult(t *testing.T) {
 	resp2, body2 := postJSON(t, ts.URL, sceneBody(t, tinyScene("deg", 0), extra))
 	if resp2.StatusCode != 200 || !bytes.Equal(body, body2) {
 		t.Error("degraded response not reproducible")
+	}
+}
+
+// TestInternTableBoundedByPrograms: the symbol table is append-only, so
+// nothing a client sends may become a symbol. Two hundred inline scenes
+// with distinct names and distinct ground-truth kind strings, then a
+// session opened, churned, handed an explicit region and closed, leave
+// the table exactly as the first request left it — the programs and
+// the knowledge base filled it, and /stats says how far.
+func TestInternTableBoundedByPrograms(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2})
+	scene := func(i int) *InlineScene {
+		is := tinyScene(fmt.Sprintf("intern-%d", i), float64(i))
+		for j := range is.Regions {
+			is.Regions[j].Kind = fmt.Sprintf("client-kind-%d-%d", i, j)
+		}
+		return is
+	}
+	var first int
+	for i := 0; i < 200; i++ {
+		resp, body := postJSON(t, ts.URL, sceneBody(t, scene(i), ""))
+		if resp.StatusCode != 200 {
+			t.Fatalf("scene %d: status %d, body %s", i, resp.StatusCode, body)
+		}
+		if i == 0 {
+			first = symtab.Interned()
+		}
+	}
+
+	id, _ := openSession(t, ts.URL, sessionBody(t, scene(200), ""))
+	resp, _, b := updateSession(t, ts.URL, fmt.Sprintf(`{"session":%q,"churn":{"seed":7,"fraction":0.34}}`, id))
+	if resp.StatusCode != 200 {
+		t.Fatalf("churn update: %d %s", resp.StatusCode, b)
+	}
+	add, _ := json.Marshal(InlineRegion{ID: 100, Kind: "client-kind-added",
+		Poly:      [][2]float64{{3000, 2000}, {3400, 2000}, {3400, 2400}, {3000, 2400}},
+		Intensity: 88, Texture: 0.5})
+	resp, _, b = updateSession(t, ts.URL, fmt.Sprintf(`{"session":%q,"added":[%s]}`, id, add))
+	if resp.StatusCode != 200 {
+		t.Fatalf("explicit update: %d %s", resp.StatusCode, b)
+	}
+	if code := closeSession(t, ts.URL, id); code != 200 && code != 204 {
+		t.Fatalf("close session: %d", code)
+	}
+
+	if last := symtab.Interned(); last != first {
+		t.Errorf("intern table grew with traffic: %d symbols after the first request, %d after the last", first, last)
+	}
+	if got := s.Stats().Interned; got != first || got == 0 {
+		t.Errorf("/stats interned = %d, want %d", got, first)
 	}
 }

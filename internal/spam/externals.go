@@ -225,7 +225,7 @@ func (st *RegionStore) FragmentSeed(sc *ops5.SeedClass, f *Fragment) (ops5.Seed,
 		"region": symtab.Int(int64(f.RegionID)),
 		"type":   symtab.Sym(string(f.Type)),
 		"conf":   symtab.Int(int64(f.Conf)),
-		"status": symtab.Sym("hypothesized"),
+		"status": symHypothesized,
 	})
 	if err != nil {
 		return ops5.Seed{}, err
@@ -381,9 +381,9 @@ func (st *RegionStore) evalRelNaive(rel string, a, b *scene.Region, eps float64)
 // boolSym converts a Go bool to the OPS5 t/f symbols.
 func boolSym(b bool) symtab.Value {
 	if b {
-		return symtab.Sym("t")
+		return symT
 	}
-	return symtab.Sym("f")
+	return symF
 }
 
 // Register installs the SPAM external functions on an engine:

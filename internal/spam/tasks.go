@@ -29,6 +29,18 @@ const (
 // sym shortens symbol construction in WM assembly.
 func sym(s string) symtab.Value { return symtab.Sym(s) }
 
+// The constant symbols every seed row and external answer carries,
+// interned once: assembling a row or answering an external takes no
+// lock for them.
+var (
+	symActive       = sym("active")
+	symMeasured     = sym("measured")
+	symClosed       = sym("closed")
+	symHypothesized = sym("hypothesized")
+	symT            = sym("t")
+	symF            = sym("f")
+)
+
 // taskMemEst models a task's peak footprint from the number of WMEs
 // it is expected to hold — seeds plus produced hypotheses — charging
 // each a nominal 8-slot WME plus one beta-token allowance, in the
@@ -363,12 +375,12 @@ func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed
 	task := ss.row("rtf-task", "batch", "status")
 	region := ss.row("region", "id", "batch", "area", "elong", "compact", "intensity", "texture", "status")
 	batch := symtab.Int(int64(sp.batchID))
-	ss.add(task, batch, sym("active"))
+	ss.add(task, batch, symActive)
 	for _, r := range sp.regions {
 		area, elong, compact, intensity, texture := store.MeasurementsOf(r)
 		ss.add(region, symtab.Int(int64(r.ID)), batch,
 			symtab.Float(area), symtab.Float(elong), symtab.Float(compact),
-			symtab.Float(intensity), symtab.Float(texture), sym("measured"))
+			symtab.Float(intensity), symtab.Float(texture), symMeasured)
 	}
 	return ss.done()
 }
@@ -512,7 +524,7 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed
 			}
 		}
 		ss.add(support, focal, symtab.Int(0), symtab.Int(0))
-		ss.add(task, focal, sym(string(u.focal.Type)), sym(u.cid), symtab.Int(int64(u.expected)), sym("active"))
+		ss.add(task, focal, sym(string(u.focal.Type)), sym(u.cid), symtab.Int(int64(u.expected)), symActive)
 	}
 	return ss.done()
 }
@@ -767,9 +779,9 @@ func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed,
 		ss.addFragment(m)
 	}
 	for _, p := range sp.pairs {
-		ss.add(consistency, symtab.Int(int64(p.Object)), symtab.Int(int64(p.Partner)), sym(p.Relation), sym("t"))
+		ss.add(consistency, symtab.Int(int64(p.Object)), symtab.Int(int64(p.Partner)), sym(p.Relation), symT)
 	}
-	ss.add(task, symtab.Int(int64(sp.seed.ID)), sym(sp.faType), symtab.Int(int64(len(sp.pairs))), sym("active"))
+	ss.add(task, symtab.Int(int64(sp.seed.ID)), sym(sp.faType), symtab.Int(int64(len(sp.pairs))), symActive)
 	return ss.done()
 }
 
@@ -863,9 +875,9 @@ func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Se
 			ss.addFragment(f)
 		}
 		seed := symtab.Int(int64(fa.Seed))
-		ss.add(faRow, seed, seed, sym(fa.Type), symtab.Int(int64(fa.NMembers)), sym("closed"))
+		ss.add(faRow, seed, seed, sym(fa.Type), symtab.Int(int64(fa.NMembers)), symClosed)
 	}
-	ss.add(task, sym("active"))
+	ss.add(task, symActive)
 	return ss.done()
 }
 

@@ -10,7 +10,10 @@ package symtab
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind discriminates the representation of a Value.
@@ -42,25 +45,66 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a scalar OPS5 value. The zero Value is the nil value.
+// Value is a scalar OPS5 value: two machine words, no pointers. bits
+// holds an integer's or a float's 64 bits, or a symbol's id in the
+// process-wide intern table. The zero Value is the nil value.
+//
+// A symbol's id is process-local and depends on the order names were
+// first seen, which at more than one worker depends on scheduling.
+// Nothing that is printed, sorted, hashed into a signature or sent to
+// another process may read one; such code goes through SymVal or
+// String, which return the name.
 type Value struct {
 	kind Kind
-	sym  string
-	num  int64   // integer payload
-	flt  float64 // float payload
+	bits uint64
 }
 
 // Nil is the nil (absent) value.
 var Nil = Value{}
 
-// Sym returns a symbol value.
-func Sym(s string) Value { return Value{kind: KindSym, sym: s} }
+// interned is the process-wide symbol table: append-only, so an id,
+// once handed out, names the same symbol for the life of the process.
+// Looking up a known name takes no lock (two pool workers building
+// seed rows do not serialise on it), and neither does SymVal.
+var interned struct {
+	ids sync.Map // name → uint64 id
+	// mu serialises first sights. names is the id → name table: a new
+	// name is appended under mu and the longer slice header published
+	// before its id is; a reader holding an older header never indexes
+	// past its own length.
+	mu    sync.Mutex
+	names atomic.Pointer[[]string]
+}
+
+func init() { interned.names.Store(new([]string)) }
+
+// Sym returns the symbol value named s, interning s on first sight.
+func Sym(s string) Value {
+	t := &interned
+	id, ok := t.ids.Load(s)
+	if !ok {
+		t.mu.Lock()
+		if id, ok = t.ids.Load(s); !ok {
+			names := append(*t.names.Load(), s)
+			t.names.Store(&names)
+			id = uint64(len(names) - 1)
+			t.ids.Store(s, id)
+		}
+		t.mu.Unlock()
+	}
+	return Value{kind: KindSym, bits: id.(uint64)}
+}
+
+// Interned reports how many distinct symbols the process has interned.
+// The table only grows, so a server must never intern a string a client
+// controls; the programs and the knowledge base bound it.
+func Interned() int { return len(*interned.names.Load()) }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, num: i} }
+func Int(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{kind: KindFloat, flt: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(f)} }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -76,16 +120,26 @@ func (v Value) SymVal() string {
 	if v.kind != KindSym {
 		return ""
 	}
-	return v.sym
+	return (*interned.names.Load())[v.bits]
+}
+
+// SymID returns a symbol's id in this process's intern table (0 for
+// non-symbols): equal for equal names, meaningless anywhere else. It
+// exists for in-memory hash keys; see the rule on Value.
+func (v Value) SymID() uint64 {
+	if v.kind != KindSym {
+		return 0
+	}
+	return v.bits
 }
 
 // IntVal returns the value as an int64, truncating floats.
 func (v Value) IntVal() int64 {
 	switch v.kind {
 	case KindInt:
-		return v.num
+		return int64(v.bits)
 	case KindFloat:
-		return int64(v.flt)
+		return int64(math.Float64frombits(v.bits))
 	}
 	return 0
 }
@@ -94,19 +148,21 @@ func (v Value) IntVal() int64 {
 func (v Value) FloatVal() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.num)
+		return float64(int64(v.bits))
 	case KindFloat:
-		return v.flt
+		return math.Float64frombits(v.bits)
 	}
 	return 0
 }
 
-// Equal reports OPS5 value equality: symbols equal by name, numbers
-// equal numerically across integer/float representations.
+// Equal reports OPS5 value equality: symbols equal by name (one name,
+// one id), numbers equal numerically across integer/float
+// representations — also between two integers, so two beyond 2^53 with
+// one float64 image are Equal whatever their bits.
 func (v Value) Equal(w Value) bool {
 	switch {
 	case v.kind == KindSym || w.kind == KindSym:
-		return v.kind == w.kind && v.sym == w.sym
+		return v == w
 	case v.kind == KindNil || w.kind == KindNil:
 		return v.kind == w.kind
 	default:
@@ -141,11 +197,11 @@ func (v Value) String() string {
 	case KindNil:
 		return "nil"
 	case KindSym:
-		return v.sym
+		return v.SymVal()
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(int64(v.bits), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.flt, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.bits), 'g', -1, 64)
 	}
 	return "?"
 }
@@ -163,35 +219,4 @@ func Parse(tok string) Value {
 		return Float(f)
 	}
 	return Sym(tok)
-}
-
-// Hash returns a stable hash of the value, for use in memory indexes.
-func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	// Numeric kinds share a tag so Int(2) and Float(2), which are Equal,
-	// hash identically.
-	tag := byte(v.kind)
-	if v.IsNumber() {
-		tag = 0xfe
-	}
-	mix(tag)
-	switch v.kind {
-	case KindSym:
-		for i := 0; i < len(v.sym); i++ {
-			mix(v.sym[i])
-		}
-	case KindInt, KindFloat:
-		// Hash the numeric value so Int(2) and Float(2) collide into
-		// the same bucket (they are Equal, so they must).
-		bits := uint64(int64(v.FloatVal()*4096 + 0.5))
-		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
-		}
-	}
-	return h
 }

@@ -142,8 +142,13 @@ func WMEBytes(n int) float64 { return float64(WMEBaseBytes + n*SlotBytes) }
 // Memory is a working memory: the live set of WMEs keyed by timetag.
 type Memory struct {
 	classes *Classes
-	byTag   map[int]*WME
-	nextTag int
+	// byTag[t] is the live WME with timetag t, nil once removed. Tags are
+	// dense (1, 2, 3…; slot 0 stays empty), so the next tag is the
+	// slice's length and a walk is in tag order. The price is 8 bytes per
+	// WME ever made, which a long ops5run session pays for its removed
+	// ones too.
+	byTag []*WME
+	live  int
 
 	// Peak-occupancy accounting for the memory-aware scheduler: the
 	// high-water mark of live WMEs and of their modeled footprint.
@@ -156,7 +161,7 @@ type Memory struct {
 
 // NewMemory returns an empty working memory over the given classes.
 func NewMemory(classes *Classes) *Memory {
-	return &Memory{classes: classes, byTag: make(map[int]*WME), nextTag: 1}
+	return &Memory{classes: classes, byTag: make([]*WME, 1)}
 }
 
 // Classes returns the registry the memory was built over.
@@ -168,18 +173,15 @@ func (m *Memory) Make(class string, sets map[string]symtab.Value) (*WME, error) 
 	if c == nil {
 		return nil, fmt.Errorf("wm: make of undeclared class %s", class)
 	}
-	w := &WME{Class: c, Vals: make([]symtab.Value, c.NumAttrs()), TimeTag: m.nextTag}
+	vals := make([]symtab.Value, c.NumAttrs())
 	for a, v := range sets {
 		i := c.AttrIndex(a)
 		if i < 0 {
 			return nil, fmt.Errorf("wm: class %s has no attribute %s", class, a)
 		}
-		w.Vals[i] = v
+		vals[i] = v
 	}
-	m.nextTag++
-	m.byTag[w.TimeTag] = w
-	m.grew(len(w.Vals))
-	return w, nil
+	return m.assert(c, vals), nil
 }
 
 // MakeVals asserts a new WME of the named class from a slot-ordered
@@ -196,38 +198,39 @@ func (m *Memory) MakeVals(class string, vals []symtab.Value) (*WME, error) {
 		return nil, fmt.Errorf("wm: class %s has %d attributes, got %d values",
 			class, c.NumAttrs(), len(vals))
 	}
-	w := &WME{Class: c, Vals: vals, TimeTag: m.nextTag}
-	m.nextTag++
-	m.byTag[w.TimeTag] = w
-	m.grew(len(w.Vals))
-	return w, nil
+	return m.assert(c, vals), nil
 }
 
-// grew records one asserted WME with n slots against the high-water
-// marks.
-func (m *Memory) grew(n int) {
-	m.liveBytes += WMEBytes(n)
+// assert gives vals the next timetag and records the new WME against
+// the high-water marks.
+func (m *Memory) assert(c *ClassDef, vals []symtab.Value) *WME {
+	w := &WME{Class: c, Vals: vals, TimeTag: len(m.byTag)}
+	m.byTag = append(m.byTag, w)
+	m.live++
+	m.liveBytes += WMEBytes(len(vals))
 	if m.liveBytes > m.peakBytes {
 		m.peakBytes = m.liveBytes
 	}
-	if len(m.byTag) > m.peakSize {
-		m.peakSize = len(m.byTag)
+	if m.live > m.peakSize {
+		m.peakSize = m.live
 	}
+	return w
 }
 
 // Remove retracts a WME. Removing a WME not in memory is an error
 // (OPS5 signals this too).
 func (m *Memory) Remove(w *WME) error {
-	if _, ok := m.byTag[w.TimeTag]; !ok {
+	if t := w.TimeTag; t <= 0 || t >= len(m.byTag) || m.byTag[t] != w {
 		return fmt.Errorf("wm: remove of absent wme (timetag %d)", w.TimeTag)
 	}
-	delete(m.byTag, w.TimeTag)
+	m.byTag[w.TimeTag] = nil
+	m.live--
 	m.liveBytes -= WMEBytes(len(w.Vals))
 	return nil
 }
 
 // Size returns the number of live WMEs.
-func (m *Memory) Size() int { return len(m.byTag) }
+func (m *Memory) Size() int { return m.live }
 
 // PeakSize returns the high-water mark of live WMEs.
 func (m *Memory) PeakSize() int { return m.peakSize }
@@ -238,22 +241,23 @@ func (m *Memory) PeakBytes() float64 { return m.peakBytes }
 
 // Snapshot returns the live WMEs ordered by timetag.
 func (m *Memory) Snapshot() []*WME {
-	out := make([]*WME, 0, len(m.byTag))
+	out := make([]*WME, 0, m.live)
 	for _, w := range m.byTag {
-		out = append(out, w)
+		if w != nil {
+			out = append(out, w)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TimeTag < out[j].TimeTag })
 	return out
 }
 
 // OfClass returns the live WMEs of a class, ordered by timetag.
 func (m *Memory) OfClass(class string) []*WME {
+	c := m.classes.Lookup(class)
 	var out []*WME
 	for _, w := range m.byTag {
-		if w.Class.Name == class {
+		if w != nil && w.Class == c {
 			out = append(out, w)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TimeTag < out[j].TimeTag })
 	return out
 }

@@ -108,6 +108,22 @@ func TestSnapshotAndOfClass(t *testing.T) {
 	if len(m.OfClass("zzz")) != 0 {
 		t.Error("OfClass of unknown class must be empty")
 	}
+	// A removed WME leaves a hole the walks skip; tags are never reused
+	// and the order stays tag order.
+	if err := m.Remove(snap[0]); err != nil {
+		t.Fatal(err)
+	}
+	w4, _ := m.Make("a", map[string]symtab.Value{"x": symtab.Int(4)})
+	snap = m.Snapshot()
+	if len(snap) != 3 || snap[0].TimeTag != 2 || snap[1].TimeTag != 3 || snap[2] != w4 || w4.TimeTag != 4 {
+		t.Errorf("snapshot after remove+make = %v", snap)
+	}
+	if as = m.OfClass("a"); len(as) != 2 || as[0].TimeTag != 3 || as[1] != w4 {
+		t.Errorf("OfClass(a) after remove+make = %v", as)
+	}
+	if m.Size() != 3 || m.PeakSize() != 3 {
+		t.Errorf("size = %d, peak = %d, want 3, 3", m.Size(), m.PeakSize())
+	}
 }
 
 func TestWMEString(t *testing.T) {
