@@ -19,14 +19,22 @@ vet-benchmark:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# loc prints the two size numbers ROADMAP.md tracks: non-test,
+# loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
-# definitions under cmd/.
+# definitions under cmd/ — and two counts that must stay zero: mentions
+# of the process-global build switches a per-run tlp.BuildMode replaced
+# (tests and comments included), and package-level atomic.Bool
+# declarations in internal/spam and internal/geom, which is what such a
+# switch is made of.
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
 	@printf 'flag definitions (cmd): '; \
 		grep -rhoE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
+	@printf 'process-global build switch mentions (cmd, internal; want 0): '; \
+		grep -rhoE 'Use(NaiveMatch|FreshCompile|UnbatchedSeed|UncachedGeo|ExactOnly)' cmd internal | wc -l
+	@printf 'package-level atomic.Bool (internal/spam, internal/geom; want 0): '; \
+		grep -hE '^var .*atomic\.Bool' internal/spam/*.go internal/geom/*.go | wc -l
 
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored
@@ -77,10 +85,11 @@ bench-quick:
 		-benchtime 0.3s ./internal/machine/
 
 # oracle runs the differential oracles — indexed vs naive matcher,
-# template-instantiated vs fresh-compiled engines, fast-vs-exact
-# geometry, the scheduling policies (simulator vs Run anchor, pool
-# policies and memory budgets vs the serial FIFO baseline), and the
-# incremental-update path (remove-driven retraction vs fresh load, a
+# template-instantiated vs fresh-compiled engines, batched vs per-WME
+# seed load, fast-vs-exact geometry, all of those build modes at once
+# on one cached dataset, the scheduling policies (simulator vs Run
+# anchor, pool policies and memory budgets vs the serial FIFO baseline),
+# and the incremental-update path (remove-driven retraction vs fresh load, a
 # swept-and-reloaded engine vs a fresh one, session updates vs
 # from-scratch re-interpretation — outputs and, per task that ran,
 # statistics, counters and cost log — which tasks a hand-built delta
@@ -89,11 +98,13 @@ bench-quick:
 # every level (rete scripts, ops5 engines, geometry kernels, the
 # scheduler, the task-process pool, full-SPAM interpretations, the HTTP
 # session surface), the cluster (a run over two worker processes vs
-# the in-process pool, inside its wire-locality budget), and the match
-# arena (engines that borrow, settle and recycle a worker's scratch vs
-# engines that own their memory; a settled engine stays readable and
-# refuses to run; an unsettled one leaves the next task fresh; a
-# long-lived worker's arena is bounded and steady under window trim), and
+# the in-process pool, inside its wire-locality budget; every reference
+# build mode shipped to two worker processes vs the default in process),
+# and the match arena (engines that borrow, settle and recycle a
+# worker's scratch vs engines that own their memory; a settled engine
+# stays readable and refuses to run; an unsettled one leaves the next
+# task fresh; a long-lived worker's arena is bounded and steady under
+# window trim), and
 # the value representation (the two-word symtab.Value against the
 # four-field struct it replaced, its shape, concurrent interning; a
 # process whose intern table filled in another order prints the same
@@ -103,7 +114,7 @@ bench-quick:
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|MatcherToggles|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern' \
+		-run 'Differential|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern' \
 		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 
@@ -112,10 +123,13 @@ oracle:
 # interpretation over two worker processes, then the same scene
 # re-interpreted single-process in-process, failing unless the outputs
 # are byte-identical and the run shipped its whole task queue over the
-# wire.
+# wire. Then the same again under every reference build mode, so the
+# per-run mode crosses a real process boundary on every push.
 cluster-smoke:
 	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
 		-cluster-workers 2 -cluster-check
+	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
+		-cluster-workers 2 -cluster-check -naive -no-seed-cache -naive-geom
 
 # check is the full verification gate: the tier-1 build and tests,
 # static analysis of this module, static analysis and unit tests of the

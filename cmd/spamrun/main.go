@@ -6,7 +6,7 @@
 //
 //	spamrun [-dataset SF|DC|MOFF|suburban] [-workers N] [-level 1..4]
 //	        [-reentry] [-scale F] [-lisp] [-naive] [-no-seed-cache]
-//	        [-naive-geom] [-prebuild]
+//	        [-naive-geom]
 //	        [-update N] [-churn F] [-churn-seed N]
 //	        [-sched fifo|largest|postorder] [-mem-budget BYTES]
 //	        [-fault-seed N] [-crash-rate P] [-task-timeout D] [-max-retries K]
@@ -15,11 +15,11 @@
 //
 // -cluster-workers N executes each phase's task queue across N worker
 // processes instead of an in-process pool: the coordinator ships task
-// specs (seed working memories and run knobs) over unix sockets — or
-// TCP with -cluster-addr — and -workers becomes each process's local
-// pool size (see docs/CLUSTER.md). -cluster-check additionally runs
-// the single-process interpretation and verifies the cluster produced
-// byte-identical outputs.
+// specs (seed working memories, the build mode and run knobs) over unix
+// sockets — or TCP with -cluster-addr — and -workers becomes each
+// process's local pool size (see docs/CLUSTER.md). -cluster-check
+// additionally runs the single-process interpretation and verifies the
+// cluster produced byte-identical outputs.
 //
 // -sched orders each phase's task queue (per-task results are
 // byte-identical across policies) and -mem-budget throttles how much
@@ -42,16 +42,16 @@
 // docs/PERFORMANCE.md "Incremental re-interpretation"). The phase
 // table then describes the final updated interpretation.
 //
+// -naive, -no-seed-cache and -naive-geom set this run's build mode
+// (tlp.BuildMode, carried to cluster workers in every task frame):
 // -naive selects the unindexed reference matcher (identical results
 // and simulated costs, slower wall-clock; see docs/PERFORMANCE.md),
 // -no-seed-cache loads each task's seed working memory per-WME without
-// the template route memo (same results, slower task loading),
+// the template route memo (same results, slower task loading), and
 // -naive-geom evaluates every spatial predicate with the exact Hypot
-// kernels, no predicate memo, no derived-geometry cache and linear
-// partner scans (same results and simulated costs, slower wall-clock),
-// -prebuild constructs each phase's task engines in parallel before
-// the pool runs them (identical results, less wall-clock), and the
-// profile flags write standard pprof files.
+// kernel, no predicate memo, no derived-geometry cache and linear
+// partner scans (same results and simulated costs, slower wall-clock).
+// The profile flags write standard pprof files.
 package main
 
 import (
@@ -65,7 +65,6 @@ import (
 
 	"spampsm/internal/cluster"
 	"spampsm/internal/faults"
-	"spampsm/internal/geom"
 	"spampsm/internal/machine"
 	"spampsm/internal/prof"
 	"spampsm/internal/scene"
@@ -90,7 +89,6 @@ func realMain() int {
 	naive := flag.Bool("naive", false, "use the unindexed reference matcher (same results, slower wall-clock)")
 	noSeedCache := flag.Bool("no-seed-cache", false, "load seed working memories per-WME without the route memo (same results, slower wall-clock)")
 	naiveGeom := flag.Bool("naive-geom", false, "exact geometry kernels without the predicate memo, derived cache or partner grid (same results, slower wall-clock)")
-	prebuild := flag.Bool("prebuild", false, "build each phase's task engines in parallel before running them")
 	updates := flag.Int("update", 0, "apply N incremental churn updates through an interpretation session after the initial run")
 	churn := flag.Float64("churn", 0.05, "churn fraction per -update delta (regions touched / scene regions)")
 	churnSeed := flag.Uint64("churn-seed", 1990, "deterministic seed for the -update churn deltas")
@@ -128,11 +126,6 @@ func realMain() int {
 		}
 		runtime.KeepAlive(sess)
 	}()
-
-	spam.UseNaiveMatch(*naive)
-	spam.UseUnbatchedSeed(*noSeedCache)
-	geom.UseExactOnly(*naiveGeom)
-	spam.UseUncachedGeo(*naiveGeom)
 
 	var d *spam.Dataset
 	var dspec cluster.DatasetSpec
@@ -173,7 +166,7 @@ func realMain() int {
 		Workers:      *workers,
 		Level:        spam.Level(*level),
 		ReEntry:      *reentry,
-		Prebuild:     *prebuild,
+		Build:        tlp.BuildMode{NaiveMatch: *naive, PerWMESeed: *noSeedCache, ReferenceGeo: *naiveGeom},
 		Sched:        policy,
 		MemBudget:    *memBudget,
 		Faults:       plan,
@@ -190,13 +183,6 @@ func realMain() int {
 			Workers:      *clusterWorkers,
 			LocalWorkers: *workers,
 			MemBudget:    *memBudget,
-			Prebuild:     *prebuild,
-			Toggles: cluster.Toggles{
-				NaiveMatch:    *naive,
-				UnbatchedSeed: *noSeedCache,
-				UncachedGeo:   *naiveGeom,
-				ExactGeom:     *naiveGeom,
-			},
 		}
 		if *clusterAddr != "" {
 			ccfg.Network, ccfg.Addr = "tcp", *clusterAddr

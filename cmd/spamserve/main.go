@@ -76,7 +76,7 @@ func realMain() int {
 		return 2
 	}
 
-	var clusterBackend serve.ClusterBackend
+	var clusterBackend tlp.Queue
 	if *clusterWorkers > 0 {
 		co, err := cluster.Start(cluster.Config{
 			Workers:      *clusterWorkers,

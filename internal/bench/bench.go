@@ -150,7 +150,7 @@ func (s *Suite) Tables123() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		in, err := d.Interpret(spam.InterpretOptions{Workers: 1, ReEntry: true, Prebuild: true, Sched: s.Opt.Sched})
+		in, err := d.Interpret(spam.InterpretOptions{Workers: 1, ReEntry: true, Sched: s.Opt.Sched})
 		if err != nil {
 			return "", err
 		}

@@ -459,10 +459,10 @@ func TestClusterCancelledRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dataset: %v", err)
 	}
-	tasks := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	tasks := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := co.RunTasks(ctx, tlp.FIFO, RunConfig{}, tasks)
+	results, err := co.Submit(ctx, tlp.RunConfig{}, tasks)
 	if err != nil {
 		t.Fatalf("cancelled run errored: %v", err)
 	}

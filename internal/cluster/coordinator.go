@@ -28,12 +28,6 @@ type Config struct {
 	// MemBudget is each worker pool's modeled memory budget (simulated
 	// bytes; 0 = unbounded), the cluster analogue of -mem-budget.
 	MemBudget float64
-	// Prebuild overlaps each shipped task's engine construction with
-	// execution on the worker, the cluster analogue of -prebuild.
-	Prebuild bool
-	// Toggles replays the coordinator process's observational-
-	// equivalence switches on every worker.
-	Toggles Toggles
 	// ProcFaults seeds process-level chaos: a Crash draw for a shipped
 	// (task, attempt) SIGKILLs the receiving worker process.
 	ProcFaults faults.Config
@@ -100,7 +94,7 @@ type Stats struct {
 	ChunkHits       int64 // seed refs resolved against resident chunks
 	ChunkSavedBytes int64 // encoded seed bytes the hits avoided re-shipping
 	Evictions       int   // chunks dropped under ChunkBudget
-	// ContinuationTasks counts tasks entering RunTasks with the
+	// ContinuationTasks counts tasks entering Submit with the
 	// Continues mark; Continuations counts how many of them were pushed
 	// straight to the chunk-resident worker (the rest fell back to the
 	// shard queue — no live worker at push time).
@@ -140,12 +134,12 @@ const (
 	stateDone
 )
 
-// run is one RunTasks invocation in flight: the ordered queue, its
+// run is one Submit invocation in flight: the ordered queue, its
 // shard deques, and the merge state. Several runs can be active at
 // once (the serving path); workers drain them in creation order.
 type run struct {
 	id    uint64
-	cfg   RunConfig
+	cfg   tlp.RunConfig
 	tasks []*tlp.Task
 	specs []*tlp.WireSpec
 	state []uint8
@@ -236,7 +230,7 @@ type proc struct {
 }
 
 // Coordinator shards task queues across worker processes. Create with
-// Start, submit with RunTasks (any number of concurrent runs), and
+// Start, submit with Submit (any number of concurrent runs), and
 // release the processes with Close.
 type Coordinator struct {
 	cfg  Config
@@ -262,6 +256,8 @@ type Coordinator struct {
 	procMu sync.Mutex
 	procs  []*proc
 }
+
+var _ tlp.Queue = (*Coordinator)(nil)
 
 // Start listens, spawns the worker processes, and waits for all of
 // them to connect.
@@ -440,8 +436,6 @@ func (co *Coordinator) register(c net.Conn) {
 		Magic: Magic, Version: Version,
 		LocalWorkers: co.cfg.LocalWorkers,
 		MemBudget:    co.cfg.MemBudget,
-		Prebuild:     co.cfg.Prebuild,
-		Toggles:      co.cfg.Toggles,
 		ProcFaults:   co.cfg.ProcFaults,
 	}
 	specs := append([]DatasetSpec(nil), co.datasets...)
@@ -506,16 +500,16 @@ func (co *Coordinator) RegisterDataset(spec DatasetSpec) error {
 	return nil
 }
 
-// RunTasks ships the ordered queue across the workers and returns
+// Submit ships the ordered queue across the workers and returns
 // merged results in queue order — the cluster equivalent of
-// tlp.Pool.RunContext, with identical result, report and
+// tlp.SharedPool.Submit, with identical result, report and
 // cancellation semantics. Concurrent runs multiplex onto the same
 // worker set.
-func (co *Coordinator) RunTasks(ctx context.Context, policy tlp.QueuePolicy, cfg RunConfig, tasks []*tlp.Task) ([]*tlp.Result, error) {
+func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*tlp.Task) ([]*tlp.Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("tlp: empty task queue")
 	}
-	ordered := tlp.OrderTasks(policy, tasks)
+	ordered := cfg.Order(tasks)
 	specs := make([]*tlp.WireSpec, len(ordered))
 	for i, t := range ordered {
 		if t.Wire == nil {

@@ -12,6 +12,7 @@ import (
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/symtab"
+	"spampsm/internal/tlp"
 )
 
 // idOrderChildEnv makes TestMain run idOrderChild instead of the tests.
@@ -36,13 +37,13 @@ func idOrderFingerprint() (string, error) {
 
 	// (i) One task and its result as the cluster would frame them, each
 	// over a fresh codec table — the first frame of a connection.
-	task := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, in.Fragments, spam.Level3, false)[0]
+	task := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, in.Fragments, spam.Level3, tlp.BuildMode{})[0]
 	spec, err := task.Wire()
 	if err != nil {
 		return "", err
 	}
 	msg := &TaskMsg{RunID: 1, StartAttempt: 1, ID: task.ID, Label: task.Label, Group: task.Group,
-		EstSize: task.EstSize, MemEst: task.MemEst, Config: RunConfigFor(opt), Spec: *spec}
+		EstSize: task.EstSize, MemEst: task.MemEst, Config: opt.RunConfig(), Spec: *spec}
 	fmt.Fprintf(&out, "task-frame %x\n", sha256.Sum256(EncodeTaskV2(NewEncTab(), msg, nil)))
 	e, err := task.BuildWith(nil)
 	if err != nil {

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/tlp"
@@ -20,51 +18,9 @@ func SuburbanSpec(p scene.SuburbanParams) DatasetSpec {
 	return DatasetSpec{Name: p.Name, Domain: "suburban", Suburban: p}
 }
 
-// RunConfigFor lifts an interpretation's fault-tolerance and budget
-// options into the per-run wire configuration, so a cluster-backed
-// run replays exactly the knobs a private tlp.Pool would.
-func RunConfigFor(opt spam.InterpretOptions) RunConfig {
-	return RunConfig{
-		FiringBudget: opt.FiringBudget,
-		MaxRetries:   opt.MaxRetries,
-		TaskTimeout:  opt.TaskTimeout,
-		RetryBackoff: opt.RetryBackoff,
-		Capture:      opt.Capture,
-		Faults:       opt.Faults.Config(),
-	}
-}
-
-// Runner adapts a Coordinator to spam.InterpretOptions.Runner: every
-// phase's task queue ships across the worker processes instead of a
-// private in-process pool.
-type Runner struct {
-	C      *Coordinator
-	Policy tlp.QueuePolicy
-	Cfg    RunConfig
-}
-
-// NewRunner builds the phase runner for an interpretation's options.
-func NewRunner(co *Coordinator, opt spam.InterpretOptions) *Runner {
-	return &Runner{C: co, Policy: opt.Sched, Cfg: RunConfigFor(opt)}
-}
-
-// RunTasks implements spam.Runner.
-func (r *Runner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
-	return r.C.RunTasks(ctx, r.Policy, r.Cfg, tasks)
-}
-
-// RunPool runs a queue under a per-request tlp.Pool configuration —
-// the adapter behind the serving layer's cluster backend, which
-// carries request knobs in a pool config rather than
-// InterpretOptions.
-func (co *Coordinator) RunPool(ctx context.Context, cfg *tlp.Pool, tasks []*tlp.Task) ([]*tlp.Result, error) {
-	rc := RunConfig{
-		MaxFirings:   cfg.MaxFirings,
-		FiringBudget: cfg.FiringBudget,
-		MaxRetries:   cfg.MaxRetries,
-		TaskTimeout:  cfg.TaskTimeout,
-		RetryBackoff: cfg.RetryBackoff,
-		Faults:       cfg.Faults.Config(),
-	}
-	return co.RunTasks(ctx, cfg.Policy, rc, tasks)
+// NewRunner binds the coordinator to an interpretation's options as its
+// phase runner: every phase's task queue ships across the worker
+// processes instead of running on a private in-process pool.
+func NewRunner(co *Coordinator, opt spam.InterpretOptions) tlp.BoundQueue {
+	return tlp.BoundQueue{Queue: co, Config: opt.RunConfig()}
 }

@@ -44,10 +44,13 @@ import (
 // chunk-ref task frames — and worker-side phase continuation; v3 adds
 // the worker process's match-arena footprint to the result frame; v4
 // drops the result frame's two retracted-working-memory fields, which
-// nothing fills since engines stopped being reset; see docs/CLUSTER.md.)
+// nothing fills since engines stopped being reset; v5 puts the run's
+// build mode in the task frame, ships tlp.RunConfig as it stands and
+// leaves the Init frame the handshake and the worker's own pool size,
+// memory budget and process-fault plan; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 4
+	Version = 5
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -84,20 +87,6 @@ func frameLen(payloadLen int) int {
 	}
 }
 
-// Toggles mirrors the process-global observational-equivalence
-// switches of internal/spam and internal/geom. They are plain values
-// here because the toggles expose no getters: the coordinator's owner
-// passes the flag values it set, and every worker process replays
-// them before building engines, keeping cluster and local engines on
-// identical code paths.
-type Toggles struct {
-	NaiveMatch    bool
-	FreshCompile  bool
-	UnbatchedSeed bool
-	UncachedGeo   bool
-	ExactGeom     bool
-}
-
 // InitMsg is the first frame of every connection: protocol handshake
 // plus the per-process worker configuration (the knobs a worker's
 // local tlp.Pool inherits from the coordinator's flags).
@@ -106,8 +95,6 @@ type InitMsg struct {
 	Version      int
 	LocalWorkers int
 	MemBudget    float64
-	Prebuild     bool
-	Toggles      Toggles
 	// ProcFaults seeds the worker's process-level chaos plan: a task
 	// whose fault draw is a Crash kills the worker process itself
 	// (SIGKILL, no goodbye) instead of simulating a crash in-pool.
@@ -127,23 +114,12 @@ type DatasetSpec struct {
 	Suburban scene.SuburbanParams
 }
 
-// RunConfig is the per-run execution configuration shipped with each
-// task: the tlp.Pool fault-tolerance and budget knobs the worker's
-// pool must replay for byte-identical retry/quarantine behavior.
-type RunConfig struct {
-	MaxFirings   int
-	FiringBudget int
-	MaxRetries   int
-	TaskTimeout  time.Duration
-	RetryBackoff time.Duration
-	Capture      bool
-	Faults       faults.Config
-}
-
 // TaskMsg is one shipped task: identity and scheduler estimates, the
 // attempt number to resume from (>1 after the coordinator charged
-// earlier attempts to a lost worker), the run configuration, and the
-// task's WireSpec (seed working memory and extraction classes).
+// earlier attempts to a lost worker), the run configuration the
+// worker's pool must replay for byte-identical retry/quarantine
+// behavior, and the task's WireSpec (build mode, seed working memory
+// and extraction classes).
 type TaskMsg struct {
 	RunID        uint64
 	Seq          int
@@ -153,7 +129,7 @@ type TaskMsg struct {
 	Group        string
 	EstSize      float64
 	MemEst       float64
-	Config       RunConfig
+	Config       tlp.RunConfig
 	Spec         tlp.WireSpec
 	// Spawned marks a worker-side phase continuation (v2): the
 	// coordinator pushed this task straight to the worker already
@@ -418,13 +394,13 @@ func appendSeed(b []byte, s ops5.Seed) []byte {
 // ---------------------------------------------------------------------------
 // Task frames
 
-func appendRunConfig(b []byte, c RunConfig) []byte {
+func appendRunConfig(b []byte, c tlp.RunConfig) []byte {
+	b = append(b, byte(c.Policy))
 	b = appendInt(b, int64(c.MaxFirings))
 	b = appendInt(b, int64(c.FiringBudget))
 	b = appendInt(b, int64(c.MaxRetries))
 	b = appendInt(b, int64(c.TaskTimeout))
 	b = appendInt(b, int64(c.RetryBackoff))
-	b = appendBool(b, c.Capture)
 	b = appendInt(b, c.Faults.Seed)
 	b = appendFloat(b, c.Faults.BuildFailRate)
 	b = appendFloat(b, c.Faults.PanicRate)
@@ -433,14 +409,14 @@ func appendRunConfig(b []byte, c RunConfig) []byte {
 	return b
 }
 
-func (d *decoder) runConfig() RunConfig {
-	var c RunConfig
+func (d *decoder) runConfig() tlp.RunConfig {
+	var c tlp.RunConfig
+	c.Policy = tlp.QueuePolicy(d.byte())
 	c.MaxFirings = int(d.varint())
 	c.FiringBudget = int(d.varint())
 	c.MaxRetries = int(d.varint())
 	c.TaskTimeout = time.Duration(d.varint())
 	c.RetryBackoff = time.Duration(d.varint())
-	c.Capture = d.bool()
 	c.Faults.Seed = d.varint()
 	c.Faults.BuildFailRate = d.float()
 	c.Faults.PanicRate = d.float()
@@ -465,12 +441,12 @@ func (d *decoder) runConfig() RunConfig {
 // EncTab is the sender half of one direction's intern state.
 type EncTab struct {
 	strs map[string]uint64
-	cfgs map[RunConfig]uint64
+	cfgs map[tlp.RunConfig]uint64
 }
 
 // NewEncTab returns an empty sender intern table.
 func NewEncTab() *EncTab {
-	return &EncTab{strs: map[string]uint64{}, cfgs: map[RunConfig]uint64{}}
+	return &EncTab{strs: map[string]uint64{}, cfgs: map[tlp.RunConfig]uint64{}}
 }
 
 // DecTab is the receiver half of one direction's intern state.
@@ -482,7 +458,7 @@ type DecTab struct {
 	// connection, not once per occurrence. The wire carries names only —
 	// an intern id means nothing to the process at the other end.
 	syms []symtab.Value
-	cfgs []RunConfig
+	cfgs []tlp.RunConfig
 }
 
 // sym returns table slot i as a symbol value.
@@ -663,7 +639,7 @@ func (d *decoder) seedT(t *DecTab) ops5.Seed {
 
 // runConfig interns the whole RunConfig by value: one run's tasks all
 // carry the same configuration, so it crosses each connection once.
-func (t *EncTab) runConfig(b []byte, c RunConfig) []byte {
+func (t *EncTab) runConfig(b []byte, c tlp.RunConfig) []byte {
 	if id, ok := t.cfgs[c]; ok {
 		return appendUint(b, id+1)
 	}
@@ -672,7 +648,7 @@ func (t *EncTab) runConfig(b []byte, c RunConfig) []byte {
 	return appendRunConfig(b, c)
 }
 
-func (d *decoder) runConfigT(t *DecTab) RunConfig {
+func (d *decoder) runConfigT(t *DecTab) tlp.RunConfig {
 	k := d.uvarint()
 	if k == 0 {
 		c := d.runConfig()
@@ -683,7 +659,7 @@ func (d *decoder) runConfigT(t *DecTab) RunConfig {
 	}
 	if k > uint64(len(t.cfgs)) {
 		d.fail("config ref")
-		return RunConfig{}
+		return tlp.RunConfig{}
 	}
 	return t.cfgs[k-1]
 }
@@ -775,6 +751,7 @@ func EncodeTaskV2(t *EncTab, m *TaskMsg, refs []int64) []byte {
 	b = t.runConfig(b, m.Config)
 	b = t.str(b, m.Spec.Dataset)
 	b = t.str(b, m.Spec.Phase)
+	b = append(b, m.Spec.Mode.Bits())
 	b = appendUint(b, uint64(len(m.Spec.Extract)))
 	for _, c := range m.Spec.Extract {
 		b = t.str(b, c)
@@ -816,6 +793,10 @@ func DecodeTaskV2(t *DecTab, payload []byte, resolve func(uint64) (ops5.Seed, bo
 	m.Config = d.runConfigT(t)
 	m.Spec.Dataset = d.str(t)
 	m.Spec.Phase = d.str(t)
+	var known bool
+	if m.Spec.Mode, known = tlp.BuildModeFromBits(d.byte()); !known {
+		d.fail("build mode (undefined bit)")
+	}
 	if n := d.count("extract"); n > 0 {
 		m.Spec.Extract = make([]string, 0, n)
 		for i := 0; i < n; i++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/spam"
 	"spampsm/internal/symtab"
@@ -21,7 +22,7 @@ func corpusQueue(t testing.TB) ([]*tlp.Task, map[string]*spam.Dataset) {
 	datasets := map[string]*spam.Dataset{}
 	pipeline := func(name string, d *spam.Dataset) {
 		datasets[name] = d
-		rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+		rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 		queue = append(queue, rtf...)
 		if name != "DC" {
 			return
@@ -32,21 +33,21 @@ func corpusQueue(t testing.TB) ([]*tlp.Task, map[string]*spam.Dataset) {
 			t.Fatalf("%s: rtf: %v", name, err)
 		}
 		frags := spam.ExtractFragments(rtfResults)
-		lcc := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, spam.Level3, false)
+		lcc := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, spam.Level3, tlp.BuildMode{})
 		queue = append(queue, lcc...)
 		lccResults, err := pool.Run(lcc)
 		if err != nil {
 			t.Fatalf("%s: lcc: %v", name, err)
 		}
 		pairs, outs := spam.ExtractLCC(lccResults)
-		fa := spam.BuildFATasks(d.KB, d.Store, d.Progs.FA, frags, pairs, outs, false)
+		fa := spam.BuildFATasks(d.KB, d.Store, d.Progs.FA, frags, pairs, outs, tlp.BuildMode{})
 		queue = append(queue, fa...)
 		faResults, err := pool.Run(fa)
 		if err != nil {
 			t.Fatalf("%s: fa: %v", name, err)
 		}
 		fas, _ := spam.ExtractFA(faResults)
-		queue = append(queue, spam.BuildModelTask(d.KB, d.Store, d.Progs.Model, frags, fas, false))
+		queue = append(queue, spam.BuildModelTask(d.KB, d.Store, d.Progs.Model, frags, fas, tlp.BuildMode{}))
 	}
 	for _, name := range []string{"SF", "DC", "MOFF"} {
 		d, err := spam.NewDataset(airportParams(name))
@@ -62,7 +63,7 @@ func corpusQueue(t testing.TB) ([]*tlp.Task, map[string]*spam.Dataset) {
 func corpusTasks(t testing.TB) []*TaskMsg {
 	t.Helper()
 	queue, _ := corpusQueue(t)
-	cfg := RunConfig{
+	cfg := tlp.RunConfig{
 		MaxFirings: 5000, FiringBudget: 120000, MaxRetries: 2,
 		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
 	}
@@ -128,7 +129,7 @@ func TestWireBuildMatchesLocalBuild(t *testing.T) {
 			t.Fatalf("task %s: wire: %v", task.ID, err)
 		}
 		phases[spec.Phase]++
-		rebuild, err := datasets[spec.Dataset].WireBuild(spec, false)
+		rebuild, err := datasets[spec.Dataset].WireBuild(spec)
 		if err != nil {
 			t.Fatalf("task %s: wire build: %v", task.ID, err)
 		}
@@ -288,6 +289,62 @@ func TestWireV2InternSharing(t *testing.T) {
 	}
 }
 
+// modeFrames returns one corpus task's frame with every build-mode bit
+// set under a fully populated RunConfig, and that frame with its mode
+// byte replaced by one carrying an undefined bit.
+func modeFrames(t testing.TB) (full, undefined []byte) {
+	t.Helper()
+	m := *corpusTasks(t)[0]
+	m.Config = tlp.RunConfig{
+		Policy: tlp.PostOrder, MaxFirings: 5000, FiringBudget: 120000, MaxRetries: 2,
+		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
+		Faults: faults.Config{Seed: 42, BuildFailRate: 0.125, PanicRate: 0.25, CrashRate: 0.5, PermanentFraction: 0.75},
+	}
+	zero := EncodeTaskV2(NewEncTab(), &m, nil)
+	m.Spec.Mode = tlp.BuildMode{Capture: true, NaiveMatch: true, FreshCompile: true, PerWMESeed: true, ReferenceGeo: true}
+	full = EncodeTaskV2(NewEncTab(), &m, nil)
+	// The two frames differ in the mode byte and nowhere else.
+	at := -1
+	for i := range full {
+		if full[i] != zero[i] {
+			if at >= 0 {
+				t.Fatalf("mode changed frame bytes %d and %d", at, i)
+			}
+			at = i
+		}
+	}
+	if len(full) != len(zero) || at < 0 {
+		t.Fatalf("build mode is not one byte of the task frame (%d vs %d bytes)", len(full), len(zero))
+	}
+	undefined = bytes.Clone(full)
+	undefined[at] |= 0x80
+	return full, undefined
+}
+
+// TestWireRejectsUndefinedBuildMode: a frame whose mode byte carries a
+// bit no BuildMode field defines is a protocol error, not a task to run
+// on whatever path the known bits select; the fully set mode and
+// RunConfig round-trip exactly.
+func TestWireRejectsUndefinedBuildMode(t *testing.T) {
+	full, undefined := modeFrames(t)
+	m, _, err := DecodeTaskV2(&DecTab{}, full, fuzzResolve)
+	if err != nil {
+		t.Fatalf("all-bits frame: %v", err)
+	}
+	if got := m.Spec.Mode.Bits(); got != 0x1f {
+		t.Errorf("decoded mode bits %#x, want 0x1f", got)
+	}
+	if m.Config.Policy != tlp.PostOrder || m.Config.Faults.PermanentFraction != 0.75 || m.Config.Faults.Seed != 42 {
+		t.Errorf("RunConfig changed on the wire: %+v", m.Config)
+	}
+	if !bytes.Equal(full, EncodeTaskV2(NewEncTab(), m, nil)) {
+		t.Error("all-bits frame does not re-encode to itself")
+	}
+	if _, _, err := DecodeTaskV2(&DecTab{}, undefined, fuzzResolve); err == nil {
+		t.Error("decoder accepted a build mode with an undefined bit")
+	}
+}
+
 // fuzzResolve synthesizes a deterministic seed for any chunk id, so
 // arbitrary fuzzed reference frames decode and re-encode stably.
 func fuzzResolve(id uint64) (ops5.Seed, bool) {
@@ -331,6 +388,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	foreign := EncodeResultV2(NewEncTab(), sampleResults()[0])
 	foreign = bytes.ReplaceAll(foreign, []byte("runway"), []byte("rUnWaY"))
 	f.Add(append([]byte{5}, bytes.ReplaceAll(foreign, []byte("f1"), []byte("F!"))...))
+	// A task under every reference build mode and a RunConfig with no
+	// zero field; then the same frame asking for a mode bit nothing
+	// defines, which the decoder must refuse (TestWireRejectsUndefinedBuildMode).
+	full, undefined := modeFrames(f)
+	f.Add(append([]byte{2}, full...))
+	f.Add(append([]byte{2}, undefined...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

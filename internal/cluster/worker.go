@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -12,7 +14,6 @@ import (
 	"syscall"
 
 	"spampsm/internal/faults"
-	"spampsm/internal/geom"
 	"spampsm/internal/ops5"
 	"spampsm/internal/spam"
 	"spampsm/internal/tlp"
@@ -83,7 +84,7 @@ type worker struct {
 	// pools caches one tlp.Pool per distinct RunConfig. Pools carry the
 	// retry/quarantine machinery and the shared memory gate, so tasks
 	// of one run share a gate exactly as they would in-process.
-	pools map[RunConfig]*tlp.Pool
+	pools map[tlp.RunConfig]*tlp.Pool
 
 	// arenas is what each executor's match arena holds, published by
 	// the executor after every task; results report the process total.
@@ -105,7 +106,7 @@ func ServeWorker(c net.Conn) error {
 		dec:      &DecTab{},
 		enc:      NewEncTab(),
 		datasets: map[string]*spam.Dataset{},
-		pools:    map[RunConfig]*tlp.Pool{},
+		pools:    map[tlp.RunConfig]*tlp.Pool{},
 	}
 	defer c.Close()
 
@@ -126,14 +127,6 @@ func ServeWorker(c net.Conn) error {
 	if w.init.LocalWorkers < 1 {
 		w.init.LocalWorkers = 1
 	}
-	// Replay the coordinator's observational-equivalence toggles so
-	// every engine built here walks the same code path as its
-	// single-process twin.
-	spam.UseNaiveMatch(w.init.Toggles.NaiveMatch)
-	spam.UseFreshCompile(w.init.Toggles.FreshCompile)
-	spam.UseUnbatchedSeed(w.init.Toggles.UnbatchedSeed)
-	spam.UseUncachedGeo(w.init.Toggles.UncachedGeo)
-	geom.UseExactOnly(w.init.Toggles.ExactGeom)
 	if w.init.ProcFaults != (faults.Config{}) {
 		w.procPlan = faults.New(w.init.ProcFaults)
 	}
@@ -231,10 +224,13 @@ func (w *worker) admit(m *TaskMsg) {
 	}
 }
 
+// isClosedConn reports whether a read-loop error is the connection
+// going away — the coordinator closing it, or dying — as opposed to a
+// failure of this worker (a frame it could not decode, a dataset it
+// could not build).
 func isClosedConn(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "EOF") || strings.Contains(s, "use of closed network connection") ||
-		strings.Contains(s, "connection reset")
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET)
 }
 
 func decodeJSON(payload []byte, v interface{}) error {
@@ -273,24 +269,13 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 
 // poolFor returns (building if needed) the local pool matching a
 // run's configuration.
-func (w *worker) poolFor(cfg RunConfig) *tlp.Pool {
+func (w *worker) poolFor(cfg tlp.RunConfig) *tlp.Pool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if p, ok := w.pools[cfg]; ok {
 		return p
 	}
-	p := &tlp.Pool{
-		Workers:      w.init.LocalWorkers,
-		MaxFirings:   cfg.MaxFirings,
-		FiringBudget: cfg.FiringBudget,
-		MaxRetries:   cfg.MaxRetries,
-		TaskTimeout:  cfg.TaskTimeout,
-		RetryBackoff: cfg.RetryBackoff,
-		MemBudget:    w.init.MemBudget,
-	}
-	if cfg.Faults != (faults.Config{}) {
-		p.Faults = faults.New(cfg.Faults)
-	}
+	p := &tlp.Pool{Workers: w.init.LocalWorkers, RunConfig: cfg, MemBudget: w.init.MemBudget}
 	w.pools[cfg] = p
 	return p
 }
@@ -332,7 +317,7 @@ func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg 
 		out.Quarantined = true
 		return out
 	}
-	builder, err := d.WireBuild(&m.Spec, m.Config.Capture)
+	builder, err := d.WireBuild(&m.Spec)
 	if err != nil {
 		out.Err = &WireError{Msg: err.Error()}
 		out.AttemptErrs = []WireError{*out.Err}
@@ -345,11 +330,7 @@ func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg 
 		Build:     func() (*ops5.Engine, error) { return builder(nil) },
 		BuildWith: builder,
 	}
-	pool := w.poolFor(m.Config)
-	if w.init.Prebuild {
-		pool.Prebuild([]*tlp.Task{task}, 1)
-	}
-	r := pool.RunOne(context.Background(), task, idx, m.Seq, m.StartAttempt, scratch)
+	r := w.poolFor(m.Config).RunOne(context.Background(), task, idx, m.Seq, m.StartAttempt, scratch)
 
 	out.Attempts = r.Attempts
 	out.Stats = r.Stats

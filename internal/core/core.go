@@ -114,7 +114,7 @@ func (s *System) fragments() ([]*spam.Fragment, error) {
 	if s.frags != nil {
 		return s.frags, nil
 	}
-	tasks := spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, false)
+	tasks := spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, tlp.BuildMode{})
 	results, err := tlp.RunSerial(tasks, 0)
 	if err != nil {
 		return nil, err
@@ -130,9 +130,10 @@ func (s *System) fragments() ([]*spam.Fragment, error) {
 // the tasks record per-activation match forests for the
 // match-parallelism simulation.
 func (s *System) BuildTasks(capture bool) ([]*tlp.Task, error) {
+	mode := tlp.BuildMode{Capture: capture}
 	switch s.Phase {
 	case RTF:
-		return spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, capture), nil
+		return spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, mode), nil
 	case LCC:
 		frags, err := s.fragments()
 		if err != nil {
@@ -142,25 +143,20 @@ func (s *System) BuildTasks(capture bool) ([]*tlp.Task, error) {
 		if level == 0 {
 			level = spam.Level3
 		}
-		return spam.BuildLCCTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.LCC, frags, level, capture), nil
+		return spam.BuildLCCTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.LCC, frags, level, mode), nil
 	default:
 		return nil, fmt.Errorf("core: unknown phase %q", s.Phase)
 	}
 }
 
 // RunParallel executes the queue for real on a goroutine pool with the
-// given number of task processes. Task engines are prebuilt in
-// parallel (engine construction is pure instantiation of the dataset's
-// shared compiled templates, so overlapping it costs nothing in
-// simulated time).
+// given number of task processes.
 func (s *System) RunParallel(workers int) ([]*tlp.Result, error) {
 	tasks, err := s.BuildTasks(false)
 	if err != nil {
 		return nil, err
 	}
-	pool := &tlp.Pool{Workers: workers}
-	pool.Prebuild(tasks, workers)
-	return pool.Run(tasks)
+	return (&tlp.Pool{Workers: workers}).Run(tasks)
 }
 
 // Measurement is a serially-executed queue whose cost logs drive the

@@ -29,14 +29,6 @@ func fastpathCorpus() []Polygon {
 	return ps
 }
 
-// exactDistance computes the reference distance through the exact-only
-// escape hatch.
-func exactDistance(a, b Polygon) float64 {
-	UseExactOnly(true)
-	defer UseExactOnly(false)
-	return a.Distance(b)
-}
-
 // TestDifferentialDistanceFastVsExact holds the squared-arithmetic
 // distance kernel to the exact Hypot formula over the corpus: the two
 // may differ only by float rounding far below the decisive-bound
@@ -47,7 +39,7 @@ func TestDifferentialDistanceFastVsExact(t *testing.T) {
 	for i := range ps {
 		for j := range ps {
 			fast := ps[i].Distance(ps[j])
-			exact := exactDistance(ps[i], ps[j])
+			exact := ps[i].DistanceExact(ps[j])
 			if fast == exact {
 				pairs++
 				continue
@@ -77,7 +69,7 @@ func TestDifferentialThresholdPredicates(t *testing.T) {
 	ps := fastpathCorpus()
 	for i := range ps {
 		for j := range ps {
-			exact := exactDistance(ps[i], ps[j])
+			exact := ps[i].DistanceExact(ps[j])
 			epss := []float64{-1, 0, 50, 900, exact, exact / 2, exact * 2,
 				exact - 1e-6, exact + 1e-6, exact - 1e-12, exact + 1e-12,
 				math.Nextafter(exact, 0), math.Nextafter(exact, math.Inf(1))}
@@ -122,7 +114,7 @@ func TestDifferentialDerivedPredicates(t *testing.T) {
 			if got, want := IntersectsD(a, da, b, db), a.Intersects(b); got != want {
 				t.Fatalf("pair (%d,%d): IntersectsD %v want %v", i, j, got, want)
 			}
-			exact := exactDistance(a, b)
+			exact := a.DistanceExact(b)
 			for _, eps := range []float64{0, 100, exact, exact - 1e-9, exact + 1e-9, exact * 2} {
 				if got, want := WithinDistanceD(a, da, b, db, eps), exact <= eps; got != want {
 					t.Fatalf("pair (%d,%d) eps %v: WithinDistanceD %v want %v (exact %v)",
@@ -223,9 +215,7 @@ func TestDifferentialPredicateSymmetry(t *testing.T) {
 func BenchmarkGeomPredicates(b *testing.B) {
 	ps := fastpathCorpus()
 	epss := []float64{0, 120, 900}
-	run := func(b *testing.B, exact bool) {
-		UseExactOnly(exact)
-		defer UseExactOnly(false)
+	run := func(b *testing.B, within func(p, q Polygon, eps float64) bool) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		n := 0
@@ -233,7 +223,7 @@ func BenchmarkGeomPredicates(b *testing.B) {
 			for i := range ps {
 				for j := range ps {
 					for _, eps := range epss {
-						if ps[i].WithinDistance(ps[j], eps) {
+						if within(ps[i], ps[j], eps) {
 							n++
 						}
 					}
@@ -244,6 +234,8 @@ func BenchmarkGeomPredicates(b *testing.B) {
 			b.Fatal("unreachable")
 		}
 	}
-	b.Run("exact", func(b *testing.B) { run(b, true) })
-	b.Run("fast", func(b *testing.B) { run(b, false) })
+	b.Run("exact", func(b *testing.B) {
+		run(b, func(p, q Polygon, eps float64) bool { return p.DistanceExact(q) <= eps })
+	})
+	b.Run("fast", func(b *testing.B) { run(b, Polygon.WithinDistance) })
 }

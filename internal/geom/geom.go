@@ -13,25 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
-
-// exactOnly routes every distance predicate through the reference
-// Hypot-chain kernel (see UseExactOnly).
-var exactOnly atomic.Bool
-
-// UseExactOnly switches the package between the squared-distance fast
-// paths (the default) and the reference per-candidate Hypot kernel.
-// The two produce identical predicate booleans — the fast paths answer
-// only when a conservative bound is decisive and fall back to the
-// exact kernel in the uncertain band — so the toggle exists for the
-// differential oracles and for benchmarking the fast paths' win.
-// Process-global because the SPAM external functions run on worker
-// pools that share polygons across engines.
-func UseExactOnly(on bool) { exactOnly.Store(on) }
-
-// ExactOnly reports whether the reference kernel is selected.
-func ExactOnly() bool { return exactOnly.Load() }
 
 // boundSlack is the relative guard band of the decisive-bound rule: a
 // conservative bound may answer a threshold predicate only when it
@@ -459,7 +441,12 @@ func (pg Polygon) distanceExactScan(other Polygon) float64 {
 	return best
 }
 
-func (pg Polygon) distanceExact(other Polygon) float64 {
+// DistanceExact is Distance by the reference kernel: one Hypot per
+// candidate, no squared-space minimisation, no bounds. It is what the
+// differential oracles hold Distance and the threshold predicates to
+// (values may differ from Distance in the last ULP; every threshold
+// predicate is boolean-identical, see WithinDistance).
+func (pg Polygon) DistanceExact(other Polygon) float64 {
 	if pg.Intersects(other) {
 		return 0
 	}
@@ -467,15 +454,9 @@ func (pg Polygon) distanceExact(other Polygon) float64 {
 }
 
 // Distance returns the minimum distance between the boundaries of two
-// polygons; 0 if they intersect. The default kernel minimises in
-// squared space and takes one Sqrt at the end; UseExactOnly selects
-// the reference per-candidate Hypot kernel (values may differ in the
-// last ULP; every threshold predicate is boolean-identical regardless,
-// see WithinDistance).
+// polygons; 0 if they intersect. The kernel minimises in squared space
+// and takes one Sqrt at the end.
 func (pg Polygon) Distance(other Polygon) float64 {
-	if exactOnly.Load() {
-		return pg.distanceExact(other)
-	}
 	if pg.Intersects(other) {
 		return 0
 	}
@@ -508,9 +489,6 @@ func RectGapSq(a, b Rect) float64 {
 // (see boundSlack) fall back to the exact Hypot kernel — so the
 // boolean is identical to the exact path by construction.
 func (pg Polygon) WithinDistance(other Polygon, eps float64) bool {
-	if exactOnly.Load() {
-		return pg.distanceExact(other) <= eps
-	}
 	return withinDistance(pg, pg.BBox(), other, other.BBox(), eps)
 }
 
@@ -679,9 +657,6 @@ func IntersectsD(a Polygon, da *Derived, b Polygon, db *Derived) bool {
 // diagonally. Boolean-identical to the exact path by the same
 // decisive-bound rule.
 func WithinDistanceD(a Polygon, da *Derived, b Polygon, db *Derived, eps float64) bool {
-	if exactOnly.Load() {
-		return a.distanceExact(b) <= eps
-	}
 	if eps >= 0 {
 		// Bounding-circle reject: g lower-bounds the boundary distance.
 		if g := da.Centroid.Dist(db.Centroid) - da.Radius - db.Radius; g > eps*(1+boundSlack) {

@@ -27,7 +27,7 @@ func seedProgram() *Program {
 // working memory is loaded: "unbatched" asserts each WME with Assert
 // (per-assertion attribute map, full constant-test walk — the
 // pre-batching behavior, kept reachable through WithPerWMEAssert),
-// while "batched" asserts prebuilt shared seeds with AssertBatch,
+// while "batched" asserts ready-made shared seeds with AssertBatch,
 // replaying the template's memoized alpha acceptance sets. The ratio
 // is the per-task seed-distribution saving; the simulated Counters are
 // byte-identical either way (see the seed differential oracles).

@@ -309,6 +309,12 @@ func (e *Engine) syncMem() {
 // these are byte-identical between the indexed and naive matchers.
 func (e *Engine) MatchCounters() rete.Counters { return e.net.Totals() }
 
+// IndexedMatch reports whether the engine's network probes its
+// equality indexes (the default) or scans, as WithNaiveMatch selects:
+// the two are observably identical, so nothing else can tell which
+// matcher an engine was built with.
+func (e *Engine) IndexedMatch() bool { return e.net.Indexing() }
+
 // Memory exposes the working memory (for result extraction).
 func (e *Engine) Memory() *wm.Memory { return e.mem }
 

@@ -17,7 +17,7 @@ import (
 // match counters and Init charge, and the same subsequent run.
 
 // seedRow is one seed WM row in both spellings: the Assert argument
-// map and the prebuilt Seed.
+// map and the ready-made Seed.
 type seedRow struct {
 	class string
 	sets  map[string]symtab.Value

@@ -766,7 +766,7 @@ type Template struct {
 	// Memoized seed routing (seed.go): per class, the acceptance set of
 	// each distinct seed WME digest under this template's constant
 	// tests. Lazily populated by InsertBatch; guarded because many
-	// engine instances route seeds concurrently during Prebuild.
+	// engine instances route seeds concurrently on a pool's workers.
 	routeMu sync.RWMutex
 	routes  map[string]*classRoutes
 }

@@ -145,10 +145,10 @@ func TestDifferentialBatchedSeedNaiveMatcher(t *testing.T) {
 }
 
 // TestConcurrentBatchedSeedLoad loads many instances of one template
-// with the same shared seed set from concurrent goroutines — the
-// Prebuild shape — and requires every instance to agree with a
-// sequential reference run. Run under -race this also proves the route
-// memo's locking.
+// with the same shared seed set from concurrent goroutines — a pool's
+// workers building one phase's engines — and requires every instance
+// to agree with a sequential reference run. Run under -race this also
+// proves the route memo's locking.
 func TestConcurrentBatchedSeedLoad(t *testing.T) {
 	s := genScript(7)
 	tmpl := s.template(t, true)

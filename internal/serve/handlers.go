@@ -231,28 +231,6 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*Request,
 	return &req, nil
 }
 
-// sharedRunner routes one request's phase queues to the server's
-// shared pool under the request's own pool configuration.
-type sharedRunner struct {
-	sp  *tlp.SharedPool
-	cfg *tlp.Pool
-}
-
-func (sr *sharedRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
-	return sr.sp.Submit(ctx, sr.cfg, tasks)
-}
-
-// clusterRunner routes one request's phase queues to the cluster
-// backend under the same per-request pool configuration.
-type clusterRunner struct {
-	cb  ClusterBackend
-	cfg *tlp.Pool
-}
-
-func (cr *clusterRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
-	return cr.cb.RunPool(ctx, cr.cfg, tasks)
-}
-
 func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.requests.Add(1)
@@ -299,35 +277,34 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
-	var plan *faults.Plan
+	cfg := tlp.RunConfig{
+		Policy:       s.cfg.Sched,
+		MaxRetries:   req.MaxRetries,
+		RetryBackoff: s.cfg.RetryBackoff,
+		FiringBudget: req.FiringBudget,
+	}
 	if req.Faults != nil {
-		plan = faults.New(faults.Config{
+		cfg.Faults = faults.Config{
 			Seed:              req.Faults.Seed,
 			BuildFailRate:     req.Faults.BuildFailRate,
 			PanicRate:         req.Faults.PanicRate,
 			CrashRate:         req.Faults.CrashRate,
 			PermanentFraction: req.Faults.PermanentFraction,
-		})
+		}
 	}
-	poolCfg := &tlp.Pool{
-		Policy:       s.cfg.Sched,
-		Faults:       plan,
-		MaxRetries:   req.MaxRetries,
-		RetryBackoff: s.cfg.RetryBackoff,
-		FiringBudget: req.FiringBudget,
+	// Named scenes can ship: the workers regenerate them from the specs
+	// registered at startup. Inline scenes exist only in this process,
+	// so they stay on the shared pool.
+	var queue tlp.Queue = s.pool
+	if s.cfg.Cluster != nil && req.Scene != "" {
+		queue = s.cfg.Cluster
 	}
 	opt := spam.InterpretOptions{
 		Level:    spam.Level(req.Level),
 		RTFBatch: req.RTFBatch,
 		ReEntry:  req.ReEntry,
 		Degraded: req.Degraded,
-		Runner:   &sharedRunner{sp: s.pool, cfg: poolCfg},
-	}
-	// Named scenes can ship: the workers regenerate them from the specs
-	// registered at startup. Inline scenes exist only in this process,
-	// so they stay on the shared pool.
-	if s.cfg.Cluster != nil && req.Scene != "" {
-		opt.Runner = &clusterRunner{cb: s.cfg.Cluster, cfg: poolCfg}
+		Runner:   tlp.BoundQueue{Queue: queue, Config: cfg},
 	}
 
 	in, ierr := ds.InterpretContext(ctx, opt)

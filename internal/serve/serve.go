@@ -78,14 +78,7 @@ type Config struct {
 	// scenes and sessions always stay on the shared pool: an inline
 	// scene exists only in this process, and so does a session's scene —
 	// a private clone its deltas mutate, which no worker has.
-	Cluster ClusterBackend
-}
-
-// ClusterBackend runs one request's task queue under a per-request
-// pool configuration on an external worker fleet. Satisfied by
-// cluster.(*Coordinator).RunPool.
-type ClusterBackend interface {
-	RunPool(ctx context.Context, cfg *tlp.Pool, tasks []*tlp.Task) ([]*tlp.Result, error)
+	Cluster tlp.Queue
 }
 
 func (c Config) withDefaults() Config {
@@ -338,7 +331,7 @@ func (s *Server) Stats() Stats {
 	s.recentMu.Lock()
 	recent := append([]RequestReport(nil), s.recent...)
 	s.recentMu.Unlock()
-	// The backend interface is deliberately narrow (RunPool only); the
+	// The backend interface is deliberately narrow (Submit only); the
 	// richer coordinator accounting is surfaced when the backend has it.
 	var clusterStats *cluster.Stats
 	if cs, ok := s.cfg.Cluster.(interface{ Stats() cluster.Stats }); ok {

@@ -402,10 +402,12 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// A hopeless deadline yields 504 and leaves the server healthy.
+// A hopeless deadline yields 504 and leaves the server healthy. The
+// scene is the full DC dataset — tens of milliseconds of work — because
+// a tiny inline scene can finish inside the 1 ms deadline.
 func TestDeadlineExceeded(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 2})
-	resp, body := postJSON(t, ts.URL, sceneBody(t, tinyScene("dl", 0), `"deadlineMs":1`))
+	resp, body := postJSON(t, ts.URL, `{"scene":"DC","deadlineMs":1}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", resp.StatusCode, body)
 	}

@@ -305,7 +305,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		Level:    spam.Level(req.Level),
 		RTFBatch: req.RTFBatch,
 		ReEntry:  req.ReEntry,
-		Runner: &sharedRunner{sp: s.pool, cfg: &tlp.Pool{
+		Runner: tlp.BoundQueue{Queue: s.pool, Config: tlp.RunConfig{
 			Policy:       s.cfg.Sched,
 			RetryBackoff: s.cfg.RetryBackoff,
 		}},

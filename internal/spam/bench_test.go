@@ -3,8 +3,8 @@ package spam
 import (
 	"testing"
 
-	"spampsm/internal/geom"
 	"spampsm/internal/scene"
+	"spampsm/internal/tlp"
 )
 
 // End-to-end benchmark: a scaled-down spambench-style interpretation
@@ -14,9 +14,7 @@ import (
 // building, rule compilation and RHS execution, so the matcher's win
 // is diluted relative to the rete microbenchmarks.
 
-func benchInterpret(b *testing.B, naive bool) {
-	UseNaiveMatch(naive)
-	defer UseNaiveMatch(false)
+func benchInterpret(b *testing.B, mode tlp.BuildMode) {
 	p := scene.DC.Scale(0.5)
 	p.Name = "DC-small"
 	b.ReportAllocs()
@@ -27,7 +25,7 @@ func benchInterpret(b *testing.B, naive bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		in, err := d.Interpret(InterpretOptions{Workers: 2})
+		in, err := d.Interpret(InterpretOptions{Workers: 2, Build: mode})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,38 +38,26 @@ func benchInterpret(b *testing.B, naive bool) {
 }
 
 func BenchmarkInterpretDC(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchInterpret(b, false) })
-	b.Run("naive", func(b *testing.B) { benchInterpret(b, true) })
+	b.Run("indexed", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{}) })
+	b.Run("naive", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{NaiveMatch: true}) })
 }
 
 // BenchmarkInterpretDCSeed is the end-to-end seed-distribution A/B:
 // the same interpretation with task working memories loaded per-WME
-// (UseUnbatchedSeed, the pre-batching behavior) versus batched
+// (BuildMode.PerWMESeed, the pre-batching behavior) versus batched
 // AssertBatch with the template route memo (the default). Measured in
 // one run so machine noise cancels out of the ratio.
 func BenchmarkInterpretDCSeed(b *testing.B) {
-	run := func(b *testing.B, unbatched bool) {
-		UseUnbatchedSeed(unbatched)
-		defer UseUnbatchedSeed(false)
-		benchInterpret(b, false)
-	}
-	b.Run("unbatched", func(b *testing.B) { run(b, true) })
-	b.Run("batched", func(b *testing.B) { run(b, false) })
+	b.Run("unbatched", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{PerWMESeed: true}) })
+	b.Run("batched", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{}) })
 }
 
 // BenchmarkInterpretDCGeo is the end-to-end geometry A/B: the same
-// interpretation on the reference geometry path (exact Hypot kernels,
-// no predicate memo, no derived cache, linear partner scans — the
-// pre-fast-path behavior) versus the default fast path. Measured in
-// one run so machine noise cancels out of the ratio.
+// interpretation on the reference geometry path (BuildMode.ReferenceGeo:
+// the exact Hypot kernel, no predicate memo, no derived cache, linear
+// partner scans — the pre-fast-path behavior) versus the default fast
+// path. Measured in one run so machine noise cancels out of the ratio.
 func BenchmarkInterpretDCGeo(b *testing.B) {
-	run := func(b *testing.B, exact bool) {
-		geom.UseExactOnly(exact)
-		UseUncachedGeo(exact)
-		defer geom.UseExactOnly(false)
-		defer UseUncachedGeo(false)
-		benchInterpret(b, false)
-	}
-	b.Run("exact", func(b *testing.B) { run(b, true) })
-	b.Run("fast", func(b *testing.B) { run(b, false) })
+	b.Run("exact", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{ReferenceGeo: true}) })
+	b.Run("fast", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{}) })
 }

@@ -3,6 +3,8 @@ package spam
 import (
 	"reflect"
 	"testing"
+
+	"spampsm/internal/tlp"
 )
 
 // TestSPAMDifferentialIndexedVsNaive is the full-rule-set differential
@@ -12,20 +14,20 @@ import (
 // instruction counts per phase, same fragments, consistent pairs,
 // outcomes, functional areas, and final model.
 func TestSPAMDifferentialIndexedVsNaive(t *testing.T) {
-	run := func(naive bool) *Interpretation {
-		t.Helper()
-		UseNaiveMatch(naive)
-		defer UseNaiveMatch(false)
-		d := smallDC(t)
-		in, err := d.Interpret(InterpretOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	indexed := run(false)
-	naive := run(true)
+	t.Parallel()
+	indexed := interpretUnder(t, tlp.BuildMode{})
+	naive := interpretUnder(t, tlp.BuildMode{NaiveMatch: true})
 	compareInterpretations(t, "indexed", indexed, "naive", naive)
+}
+
+// interpretUnder interprets a fresh scaled DC scene under a build mode.
+func interpretUnder(t *testing.T, mode tlp.BuildMode) *Interpretation {
+	t.Helper()
+	in, err := smallDC(t).Interpret(InterpretOptions{Workers: 2, Build: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 // compareInterpretations asserts that two full interpretations are

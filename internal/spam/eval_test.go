@@ -57,7 +57,7 @@ func TestEvaluateRTFSynthetic(t *testing.T) {
 
 func TestEvaluateRealRTF(t *testing.T) {
 	d := smallDC(t)
-	tasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	tasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 	results, err := (&tlp.Pool{Workers: 2}).Run(tasks)
 	if err != nil {
 		t.Fatal(err)

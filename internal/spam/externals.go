@@ -63,8 +63,8 @@ type RegionStore struct {
 	// immutable and read without locking.
 	derived map[int]*geom.Derived
 
-	// Fragment-seed cache. Task builders run concurrently under
-	// Pool.Prebuild, and unlike the rest of the store (immutable after
+	// Fragment-seed cache. Task builders run concurrently on the pool's
+	// workers, and unlike the rest of the store (immutable after
 	// NewRegionStore) this map mutates at build time, so it is locked.
 	seedMu    sync.RWMutex
 	fragSeeds map[fragSeedKey]ops5.Seed
@@ -74,8 +74,8 @@ type RegionStore struct {
 	// (region, region, relation, eps) tests; the memo serves repeats
 	// from one evaluation while geoCost is still charged per call, so
 	// Counters and firing sequences are unchanged. Same lock
-	// discipline as the fragment-seed cache. Disabled by
-	// UseUncachedGeo for the differential oracle and baselines.
+	// discipline as the fragment-seed cache. A run whose build mode
+	// says ReferenceGeo never touches it (TestReference).
 	//
 	// The memo is bounded (geoCap entries, FIFO eviction) so a
 	// long-lived serving session cannot grow it forever, and entries
@@ -251,27 +251,45 @@ func geoCost(a, b *scene.Region) float64 {
 	return CostGeoBase + CostGeoPerVert*float64(len(a.Poly)+len(b.Poly))
 }
 
+// operands resolves a spatial test's two regions and its simulated
+// instruction cost.
+func (st *RegionStore) operands(rel string, aID, bID int) (a, b *scene.Region, cost float64, err error) {
+	a, b = st.Get(aID), st.Get(bID)
+	if a == nil || b == nil {
+		return nil, nil, 0, fmt.Errorf("spam: unknown region %d or %d", aID, bID)
+	}
+	cost = geoCost(a, b)
+	if rel == RelLeadsTo {
+		// Compound relation: range plus axis alignment.
+		cost *= 1.5
+	}
+	return a, b, cost, nil
+}
+
+// TestReference is Test by the reference evaluation (evalRelNaive): no
+// memo, no derived geometry, the exact distance kernel. Same boolean,
+// same cost; it reads nothing of the store but the regions themselves.
+func (st *RegionStore) TestReference(rel string, aID, bID int, eps float64) (bool, float64, error) {
+	a, b, cost, err := st.operands(rel, aID, bID)
+	if err != nil {
+		return false, 0, err
+	}
+	ok, err := evalRelNaive(rel, a, b, eps)
+	if err != nil {
+		return false, 0, err
+	}
+	return ok, cost, nil
+}
+
 // Test evaluates a spatial relation between two regions. It returns
 // the boolean result and the simulated instruction cost. The cost is
 // charged per call regardless of whether the boolean is served from
 // the predicate memo: the simulated machine performed the geometric
 // computation either way, only the host skips the arithmetic.
 func (st *RegionStore) Test(rel string, aID, bID int, eps float64) (bool, float64, error) {
-	a, b := st.Get(aID), st.Get(bID)
-	if a == nil || b == nil {
-		return false, 0, fmt.Errorf("spam: unknown region %d or %d", aID, bID)
-	}
-	cost := geoCost(a, b)
-	if rel == RelLeadsTo {
-		// Compound relation: range plus axis alignment.
-		cost *= 1.5
-	}
-	if uncachedGeo.Load() {
-		ok, err := st.evalRelNaive(rel, a, b, eps)
-		if err != nil {
-			return false, 0, err
-		}
-		return ok, cost, nil
+	a, b, cost, err := st.operands(rel, aID, bID)
+	if err != nil {
+		return false, 0, err
 	}
 	key := geoKey{a: aID, b: bID, rel: rel, eps: eps}
 	if key.a > key.b && symmetricRel(rel) {
@@ -353,21 +371,23 @@ func (st *RegionStore) evalRel(rel string, a, b *scene.Region, eps float64) (boo
 }
 
 // evalRelNaive is the reference evaluation: per-call Polygon methods,
-// no derived-geometry reuse. Combined with geom.UseExactOnly it
-// reproduces the pre-fast-path code exactly; the differential oracle
-// holds evalRel to its answers.
-func (st *RegionStore) evalRelNaive(rel string, a, b *scene.Region, eps float64) (bool, error) {
+// no derived-geometry reuse, distances by the exact Hypot kernel — the
+// pre-fast-path code. The differential oracle holds evalRel to its
+// answers.
+func evalRelNaive(rel string, a, b *scene.Region, eps float64) (bool, error) {
 	switch rel {
 	case RelIntersects:
 		return a.Poly.Intersects(b.Poly), nil
 	case RelAdjacent:
-		return a.Poly.Adjacent(b.Poly, eps), nil
+		// Adjacent's bbox gate, then the exact distance.
+		return a.Poly.BBox().Expand(eps).Intersects(b.Poly.BBox()) &&
+			a.Poly.DistanceExact(b.Poly) <= eps, nil
 	case RelNear:
-		return a.Poly.Distance(b.Poly) <= eps, nil
+		return a.Poly.DistanceExact(b.Poly) <= eps, nil
 	case RelParallel:
 		return a.Poly.ParallelTo(b.Poly, eps), nil
 	case RelLeadsTo:
-		near := a.Poly.Distance(b.Poly) <= eps
+		near := a.Poly.DistanceExact(b.Poly) <= eps
 		return near && a.Poly.AlignedWith(b.Poly, eps), nil
 	case RelContainedIn:
 		return b.Poly.ContainsPoly(a.Poly), nil
@@ -394,27 +414,29 @@ func boolSym(b bool) symtab.Value {
 //	(fa-predict-area <seed-region> <kind>)            -> candidate count
 //	(stereo-verify <region-a> <region-b>)             -> t | f
 //
-// Register is called from concurrent task builders under
-// Pool.Prebuild. That is race-free by construction: each closure only
+// refGeo binds geo-test to TestReference instead of Test: the choice is
+// the engine's, not the store's, because one cached store serves
+// concurrent runs under different build modes.
+//
+// Register is called from concurrent task builders on the pool's
+// workers. That is race-free by construction: each closure only
 // reads the store's immutable scene and derived-geometry indexes
 // (byID and derived never mutate after NewRegionStore) and writes
 // only the target engine's own externals map, which no other builder
 // touches. The store's two mutable maps — the fragment-seed cache and
 // the spatial-predicate memo — are guarded by seedMu and geoMu (see
-// FragmentSeed and Test); the concurrent-prebuild regression test
-// runs all LCC builders in parallel under -race to keep this audit
-// honest.
-func (st *RegionStore) Register(e *ops5.Engine) {
-	e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
-		if len(args) != 4 {
-			return symtab.Nil, 0, fmt.Errorf("geo-test wants 4 args, got %d", len(args))
-		}
-		ok, cost, err := st.Test(args[0].SymVal(), int(args[1].IntVal()), int(args[2].IntVal()), args[3].FloatVal())
-		if err != nil {
-			return symtab.Nil, 0, err
-		}
-		return boolSym(ok), cost, nil
-	})
+// FragmentSeed and Test); the concurrent-build regression tests run
+// all LCC builders in parallel under -race to keep this audit honest.
+func (st *RegionStore) Register(e *ops5.Engine, refGeo bool) {
+	if refGeo {
+		e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
+			return geoTest(args, st.TestReference)
+		})
+	} else {
+		e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
+			return geoTest(args, st.Test)
+		})
+	}
 	e.Register("rtf-verify", func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 1 {
 			return symtab.Nil, 0, fmt.Errorf("rtf-verify wants 1 arg")
@@ -473,6 +495,18 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 	})
 }
 
+// geoTest is the geo-test external over one of the store's evaluators.
+func geoTest(args []symtab.Value, test func(rel string, aID, bID int, eps float64) (bool, float64, error)) (symtab.Value, float64, error) {
+	if len(args) != 4 {
+		return symtab.Nil, 0, fmt.Errorf("geo-test wants 4 args, got %d", len(args))
+	}
+	ok, cost, err := test(args[0].SymVal(), int(args[1].IntVal()), int(args[2].IntVal()), args[3].FloatVal())
+	if err != nil {
+		return symtab.Nil, 0, err
+	}
+	return boolSym(ok), cost, nil
+}
+
 // PredictArea is fa-predict-area: the number of plausible sub-area
 // candidates inside a seed region's neighbourhood — regions whose
 // (cached) bbox overlaps the seed's bbox expanded by faPredictRadius —
@@ -500,10 +534,11 @@ func Measurements(r *scene.Region) (area, elong, compact, intensity, texture flo
 
 // MeasurementsOf is Measurements served from the store's
 // derived-geometry cache — same values, no per-call recomputation of
-// area, elongation and compactness.
-func (st *RegionStore) MeasurementsOf(r *scene.Region) (area, elong, compact, intensity, texture float64) {
+// area, elongation and compactness — unless the run is on the
+// reference geometry path.
+func (st *RegionStore) MeasurementsOf(r *scene.Region, refGeo bool) (area, elong, compact, intensity, texture float64) {
 	d := st.derived[r.ID]
-	if d == nil || uncachedGeo.Load() {
+	if d == nil || refGeo {
 		return Measurements(r)
 	}
 	return quantize(r, d.Area, d.Elong, d.Compact)

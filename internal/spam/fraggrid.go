@@ -49,11 +49,11 @@ type fragIndex struct {
 }
 
 // buildFragIndex indexes a fragment pool, or returns nil when the
-// scan path should be used (uncached-geo mode, or a pool too small to
-// amortize construction). A nil index is valid: partnerQuery falls
-// back to NearbyFragments.
-func buildFragIndex(store *RegionStore, all []*Fragment) *fragIndex {
-	if uncachedGeo.Load() || len(all) < gridMinFragments {
+// scan path should be used (a run on the reference geometry path, or a
+// pool too small to amortize construction). A nil index is valid:
+// partnerQuery falls back to NearbyFragments.
+func buildFragIndex(store *RegionStore, all []*Fragment, refGeo bool) *fragIndex {
+	if refGeo || len(all) < gridMinFragments {
 		return nil
 	}
 	// Union bbox of the pool's regions.

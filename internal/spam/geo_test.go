@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"spampsm/internal/geom"
 	"spampsm/internal/scene"
+	"spampsm/internal/tlp"
 )
 
 // geoRels are all relations Test accepts.
@@ -21,21 +21,9 @@ var geoRels = []string{RelIntersects, RelAdjacent, RelNear, RelParallel,
 // no caches, linear partner scans) — same firings, same simulated
 // instruction counts, same pairs, outcomes and model.
 func TestSPAMDifferentialGeoFastVsExact(t *testing.T) {
-	run := func(exact bool) *Interpretation {
-		t.Helper()
-		geom.UseExactOnly(exact)
-		UseUncachedGeo(exact)
-		defer geom.UseExactOnly(false)
-		defer UseUncachedGeo(false)
-		d := smallDC(t)
-		in, err := d.Interpret(InterpretOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	fast := run(false)
-	exact := run(true)
+	t.Parallel()
+	fast := interpretUnder(t, tlp.BuildMode{})
+	exact := interpretUnder(t, tlp.BuildMode{ReferenceGeo: true})
 	compareInterpretations(t, "fast", fast, "exact", exact)
 }
 
@@ -55,9 +43,7 @@ func TestDifferentialGeoMemoVsDirect(t *testing.T) {
 		for _, a := range regions {
 			for _, b := range regions {
 				for _, e := range eps {
-					UseUncachedGeo(true)
-					wantOK, wantCost, err := st.Test(rel, a.ID, b.ID, e)
-					UseUncachedGeo(false)
+					wantOK, wantCost, err := st.TestReference(rel, a.ID, b.ID, e)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +76,7 @@ func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 	if len(frags) < gridMinFragments {
 		t.Fatalf("scene too small to exercise the grid: %d fragments", len(frags))
 	}
-	ix := buildFragIndex(st, frags)
+	ix := buildFragIndex(st, frags, false)
 	if ix == nil {
 		t.Fatal("grid index not built")
 	}
@@ -116,11 +102,9 @@ func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 			}
 		}
 	}
-	// Uncached mode must refuse to build an index.
-	UseUncachedGeo(true)
-	defer UseUncachedGeo(false)
-	if buildFragIndex(st, frags) != nil {
-		t.Fatal("grid index built in uncached-geo mode")
+	// The reference geometry path must refuse to build an index.
+	if buildFragIndex(st, frags, true) != nil {
+		t.Fatal("grid index built on the reference geometry path")
 	}
 }
 
@@ -139,11 +123,10 @@ func TestConcurrentGeoMemo(t *testing.T) {
 		cost float64
 	}
 	want := map[string]ans{}
-	UseUncachedGeo(true)
 	for _, rel := range geoRels {
 		for _, a := range regions {
 			for _, b := range regions {
-				ok, cost, err := st.Test(rel, a.ID, b.ID, 300)
+				ok, cost, err := st.TestReference(rel, a.ID, b.ID, 300)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +134,6 @@ func TestConcurrentGeoMemo(t *testing.T) {
 			}
 		}
 	}
-	UseUncachedGeo(false)
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -207,11 +189,10 @@ func TestGeoMemoCapEviction(t *testing.T) {
 		cost float64
 	}
 	want := map[geoKey]ans{}
-	UseUncachedGeo(true)
 	for _, rel := range geoRels {
 		for _, a := range regions {
 			for _, b := range regions {
-				ok, cost, err := st.Test(rel, a.ID, b.ID, 300)
+				ok, cost, err := st.TestReference(rel, a.ID, b.ID, 300)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +200,6 @@ func TestGeoMemoCapEviction(t *testing.T) {
 			}
 		}
 	}
-	UseUncachedGeo(false)
 
 	before := st.GeoStats()
 	for pass := 0; pass < 2; pass++ {
@@ -301,7 +281,7 @@ func BenchmarkPartnerSearch(b *testing.B) {
 		_ = n
 	})
 	b.Run("grid", func(b *testing.B) {
-		ix := buildFragIndex(st, frags)
+		ix := buildFragIndex(st, frags, false)
 		if ix == nil {
 			b.Fatal("no index")
 		}

@@ -115,11 +115,11 @@ type LiveGridStats struct {
 }
 
 // newLiveGrid builds a persistent grid over the initial fragment pool,
-// or returns nil when the scan path should be used instead (uncached
-// geometry mode, a pool too small to amortize the grid, or a
-// degenerate extent) — mirroring buildFragIndex's gating.
-func newLiveGrid(store *RegionStore, all []*Fragment) *liveGrid {
-	if uncachedGeo.Load() || len(all) < gridMinFragments {
+// or returns nil when the scan path should be used instead (a session
+// on the reference geometry path, a pool too small to amortize the
+// grid, or a degenerate extent) — mirroring buildFragIndex's gating.
+func newLiveGrid(store *RegionStore, all []*Fragment, refGeo bool) *liveGrid {
+	if refGeo || len(all) < gridMinFragments {
 		return nil
 	}
 	first := true

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -170,48 +169,22 @@ func (in *Interpretation) Recovery() stats.Recovery {
 }
 
 // Runner executes one phase's task queue. *tlp.Pool-backed private
-// runners are the default; a serving layer passes a runner that
-// submits to a process-wide tlp.SharedPool so every concurrent
-// request's tasks multiplex onto one worker set.
+// runners are the default; a serving layer passes a tlp.BoundQueue over
+// a process-wide tlp.SharedPool (or a cluster coordinator) so every
+// concurrent request's tasks multiplex onto one worker set.
 type Runner interface {
 	RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error)
 }
 
 // poolRunner is the private-pool Runner built when InterpretOptions
-// carries no Runner: one pool per interpretation, optional parallel
-// engine prebuild before each phase.
-type poolRunner struct {
-	pool     *tlp.Pool
-	prebuild bool
-	builders int
-}
+// carries no Runner: one pool per interpretation.
+type poolRunner struct{ pool *tlp.Pool }
 
-// newPoolRunner is the one place InterpretOptions become a tlp.Pool.
 func newPoolRunner(opt InterpretOptions) *poolRunner {
-	return &poolRunner{
-		pool: &tlp.Pool{
-			Workers:      opt.Workers,
-			Policy:       opt.Sched,
-			MemBudget:    opt.MemBudget,
-			Faults:       opt.Faults,
-			MaxRetries:   opt.MaxRetries,
-			TaskTimeout:  opt.TaskTimeout,
-			RetryBackoff: opt.RetryBackoff,
-			FiringBudget: opt.FiringBudget,
-		},
-		prebuild: opt.Prebuild,
-		// The builder count follows the machine, not opt.Workers: engine
-		// construction happens outside the simulated clock, so even the
-		// paper's one-task-process baseline may overlap it across every
-		// available CPU.
-		builders: max(opt.Workers, runtime.GOMAXPROCS(0)),
-	}
+	return &poolRunner{&tlp.Pool{Workers: opt.Workers, RunConfig: opt.RunConfig(), MemBudget: opt.MemBudget}}
 }
 
 func (pr *poolRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
-	if pr.prebuild {
-		pr.pool.Prebuild(tasks, pr.builders)
-	}
 	return pr.pool.RunContext(ctx, tasks)
 }
 
@@ -224,18 +197,17 @@ type InterpretOptions struct {
 	// predictions hypothesize fragments on unclassified regions, which
 	// are then re-checked by the LCC rules.
 	ReEntry bool
-	Capture bool // per-activation capture for match-parallel simulation
-	// Prebuild constructs each phase's task engines in parallel (on
-	// Workers builders) before the pool runs them, overlapping engine
-	// construction instead of paying it serially inside each task's
-	// first attempt. Ignored when Runner is set.
-	Prebuild bool
+	// Build is how the run's task engines are built; the zero value is
+	// the production path (see tlp.BuildMode). It applies under any
+	// Runner: it travels in the tasks themselves.
+	Build tlp.BuildMode
 
 	// Runner, when non-nil, executes every phase's task queue instead
 	// of a private pool — the serving path, where all requests share
-	// one tlp.SharedPool. Workers/Prebuild and the fault-tolerance
-	// knobs below then configure the runner's own submission, not a
-	// pool built here.
+	// one tlp.SharedPool. The runner then brings its own workers and
+	// its own tlp.RunConfig: Workers, MemBudget and every option
+	// RunConfig reads are not consulted here (a caller binding a queue
+	// converts them once, with RunConfig).
 	Runner Runner
 
 	// Degraded switches the result assembler to partial-failure
@@ -258,11 +230,23 @@ type InterpretOptions struct {
 	// MemBudget bounds the aggregate modeled footprint in flight
 	// (simulated bytes; 0 = unbounded). Per-task results are
 	// byte-identical under every policy and budget; only order and
-	// timing change. With a Runner, Sched still orders each
-	// submission's queue, but the memory budget belongs to the shared
-	// pool behind the runner and MemBudget here is ignored.
+	// timing change.
 	Sched     tlp.QueuePolicy
 	MemBudget float64
+}
+
+// RunConfig is the one conversion from the options a user sets to how a
+// queue executes them: what a private pool embeds and what a bound
+// queue (shared pool, cluster coordinator) is submitted under.
+func (opt InterpretOptions) RunConfig() tlp.RunConfig {
+	return tlp.RunConfig{
+		Policy:       opt.Sched,
+		FiringBudget: opt.FiringBudget,
+		MaxRetries:   opt.MaxRetries,
+		TaskTimeout:  opt.TaskTimeout,
+		RetryBackoff: opt.RetryBackoff,
+		Faults:       opt.Faults.Config(),
+	}
 }
 
 // withDefaults fills the unset decomposition options.
@@ -344,7 +328,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 			results, err = s.runSpecs(ctx, runner, specs)
 		} else {
 			prog := phaseDefs[specs[0].phase].prog(d.Progs)
-			results, err = runner.RunTasks(ctx, newTasks(prog, d.Store, specs, opt.Capture))
+			results, err = runner.RunTasks(ctx, newTasks(prog, d.Store, specs, opt.Build))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("spam: %s: %w", name, err)
@@ -381,7 +365,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	if s != nil {
 		grid = s.partnerGrid(in.Fragments)
 	}
-	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments, grid))
+	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments, grid, opt.Build.ReferenceGeo))
 	lcc, err := phase("LCC", lccUnitSpecs(name, units, opt.Level, false))
 	if err != nil {
 		return in, err
@@ -405,7 +389,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	if opt.ReEntry && len(in.Predictions) > 0 {
 		if extra := d.reEntryFragments(in); len(extra) > 0 {
 			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2, nil))
+			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2, nil, opt.Build.ReferenceGeo))
 			if specs := lccUnitSpecs(name, units, opt.Level, true); len(specs) > 0 {
 				re, err := phase("LCC re-entry", specs)
 				if err != nil {

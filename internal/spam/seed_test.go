@@ -10,37 +10,25 @@ import (
 // seed-load oracle: a complete four-phase interpretation must be
 // observably identical whether task working memories are loaded by
 // batched AssertBatch with the template route memo (default) or by the
-// reference per-WME path (UseUnbatchedSeed) — same firings, same
+// reference per-WME path (BuildMode.PerWMESeed) — same firings, same
 // simulated instruction counts per phase, same fragments, pairs,
-// outcomes, functional areas, and final model. The batched run uses
-// Prebuild so the route memo and fragment-seed cache are also hit from
-// concurrent builders.
+// outcomes, functional areas, and final model.
 func TestSPAMDifferentialBatchedVsUnbatchedSeed(t *testing.T) {
-	run := func(unbatched, prebuild bool) *Interpretation {
-		t.Helper()
-		UseUnbatchedSeed(unbatched)
-		defer UseUnbatchedSeed(false)
-		d := smallDC(t)
-		in, err := d.Interpret(InterpretOptions{Workers: 2, Prebuild: prebuild})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
-	batched := run(false, true)
-	unbatched := run(true, false)
+	t.Parallel()
+	batched := interpretUnder(t, tlp.BuildMode{})
+	unbatched := interpretUnder(t, tlp.BuildMode{PerWMESeed: true})
 	compareInterpretations(t, "batched", batched, "unbatched", unbatched)
 }
 
-// TestConcurrentLCCPrebuildSeedCache prebuilds every LCC task of a
-// scene in parallel — the workload that hammers the RegionStore's
-// fragment-seed cache and the shared template's route memo from many
-// goroutines at once — and requires the results to match a serial,
-// unprebuilt reference. Run under -race (make oracle / CI) this is the
-// regression test for the RegionStore.Register concurrency audit.
-func TestConcurrentLCCPrebuildSeedCache(t *testing.T) {
+// TestConcurrentLCCBuildSeedCache builds and runs every LCC task of a
+// scene on eight task processes — the workload that hammers the
+// RegionStore's fragment-seed cache and the shared template's route
+// memo from many goroutines at once — and requires the results to
+// match a serial reference. Run under -race (make oracle / CI) this is
+// the regression test for the RegionStore.Register concurrency audit.
+func TestConcurrentLCCBuildSeedCache(t *testing.T) {
 	d := smallDC(t)
-	rtf := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 0, false)
+	rtf := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 0, tlp.BuildMode{})
 	rtfResults, err := tlp.RunSerial(rtf, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -50,24 +38,22 @@ func TestConcurrentLCCPrebuildSeedCache(t *testing.T) {
 		t.Fatal("RTF produced no fragments: concurrency test is vacuous")
 	}
 
-	refTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
+	refTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{})
 	refResults, err := tlp.RunSerial(refTasks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refPairs, refOuts := ExtractLCC(refResults)
 
-	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
-	p := &tlp.Pool{Workers: 4}
-	p.Prebuild(tasks, 8)
-	results, err := p.Run(tasks)
+	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{})
+	results, err := (&tlp.Pool{Workers: 8}).Run(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs, outs := ExtractLCC(results)
 
 	if len(pairs) != len(refPairs) || len(outs) != len(refOuts) {
-		t.Fatalf("concurrent prebuild diverged: %d/%d pairs, %d/%d outcomes",
+		t.Fatalf("concurrent build diverged: %d/%d pairs, %d/%d outcomes",
 			len(pairs), len(refPairs), len(outs), len(refOuts))
 	}
 	for i := range pairs {

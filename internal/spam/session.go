@@ -129,7 +129,8 @@ func (g *taskSig) sumOf(class string) (uint64, bool) {
 type signer struct {
 	h       hash.Hash
 	buf     []byte
-	answers int // folded into h for the task being signed
+	answers int  // folded into h for the task being signed
+	refGeo  bool // ask the reference evaluator, as the session's engines do
 }
 
 // rowHashSeed keys the row hashes behind classSum. It is drawn per
@@ -253,9 +254,6 @@ func (r *UpdateReport) RerunReasons() []string {
 // lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 	opt = opt.withDefaults()
-	// Prebuild overlaps first-run engine construction on engines that
-	// own their memory; it is pointless on updates, and sessions skip it.
-	opt.Prebuild = false
 	if opt.Runner == nil {
 		// One pool for the session's lifetime: its workers, memory gate
 		// and throttle accounting span every update.
@@ -265,7 +263,7 @@ func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 		ds:    NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs),
 		opt:   opt,
 		tasks: map[string]*sessTask{},
-		sig:   signer{h: sha256.New()},
+		sig:   signer{h: sha256.New(), refGeo: opt.Build.ReferenceGeo},
 	}
 }
 
@@ -339,7 +337,7 @@ func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *Upd
 // output and returns it (nil while the pool is too small for one).
 func (s *Session) partnerGrid(frags []*Fragment) *liveGrid {
 	if s.grid == nil {
-		s.grid = newLiveGrid(s.ds.Store, frags)
+		s.grid = newLiveGrid(s.ds.Store, frags, s.opt.Build.ReferenceGeo)
 	} else {
 		s.grid.refresh(frags)
 	}
@@ -409,7 +407,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 	var pending []int // spec index per submitted task
 	for i := range specs {
 		sp := &specs[i]
-		seeds, err := def.seeds(prog, store, sp)
+		seeds, err := def.seeds(prog, store, sp, s.opt.Build.ReferenceGeo)
 		if err != nil {
 			return nil, err
 		}
@@ -440,7 +438,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 			s.tasks[sp.key] = st
 		}
 		st.sig, st.res, st.live = sig, nil, true
-		tasks = append(tasks, newTask(prog, store, sp, s.opt.Capture, seeds))
+		tasks = append(tasks, newTask(prog, store, sp, s.opt.Build, seeds))
 		pending = append(pending, i)
 	}
 	if len(tasks) == 0 {

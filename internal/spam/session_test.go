@@ -164,7 +164,7 @@ func TestSessionDifferentialQueues(t *testing.T) {
 	}
 	idByFocal := func(frags []*Fragment) map[int]string {
 		ids := map[int]string{}
-		for _, task := range BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false) {
+		for _, task := range BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{}) {
 			var focal int
 			if _, err := fmt.Sscanf(task.Label, "LCC L3 object %d", &focal); err != nil {
 				t.Fatalf("label %q: %v", task.Label, err)
@@ -336,7 +336,7 @@ func TestSessionDifferentialPerTask(t *testing.T) {
 			t.Fatal(err)
 		}
 		ran := &recordingRunner{pool: tlp.Pool{Workers: 2}}
-		opt := InterpretOptions{ReEntry: true, Capture: true}
+		opt := InterpretOptions{ReEntry: true, Build: tlp.BuildMode{Capture: true}}
 		sopt := opt
 		sopt.Runner = ran
 		sess := NewSession(d, sopt)
@@ -424,7 +424,7 @@ func TestSessionRetainsNoEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unrelated := BuildRTFTasks(other.KB, other.Store, other.Progs.RTF, 3, false)
+	unrelated := BuildRTFTasks(other.KB, other.Store, other.Progs.RTF, 3, tlp.BuildMode{})
 	if len(unrelated) < 50 {
 		t.Fatalf("only %d unrelated tasks", len(unrelated))
 	}

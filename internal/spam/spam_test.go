@@ -135,7 +135,7 @@ func TestGeoTestRelations(t *testing.T) {
 
 func TestRTFPhaseClassifies(t *testing.T) {
 	d := smallDC(t)
-	tasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	tasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 	if len(tasks) < 5 {
 		t.Fatalf("too few RTF tasks: %d", len(tasks))
 	}
@@ -185,13 +185,13 @@ func TestRTFPhaseClassifies(t *testing.T) {
 // runLCC is a helper running RTF then LCC at a level.
 func runLCC(t *testing.T, d *Dataset, level Level) ([]*Fragment, []*tlp.Result) {
 	t.Helper()
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 	rtfResults, err := (&tlp.Pool{Workers: 2}).Run(rtfTasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frags := ExtractFragments(rtfResults)
-	lccTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, level, false)
+	lccTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, level, tlp.BuildMode{})
 	if len(lccTasks) == 0 {
 		t.Fatal("no LCC tasks")
 	}
@@ -280,11 +280,11 @@ func TestLCCLevelsSameVerdicts(t *testing.T) {
 
 func TestLCCLevel1Granularity(t *testing.T) {
 	d := smallDC(t)
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 	rtfResults, _ := (&tlp.Pool{Workers: 2}).Run(rtfTasks)
 	frags := ExtractFragments(rtfResults)
-	l1 := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level1, false)
-	l2 := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level2, false)
+	l1 := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level1, tlp.BuildMode{})
+	l2 := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level2, tlp.BuildMode{})
 	if len(l1) <= len(l2) {
 		t.Errorf("Level 1 (%d) must have more tasks than Level 2 (%d)", len(l1), len(l2))
 	}
@@ -428,10 +428,10 @@ func TestSuburbanInterpretation(t *testing.T) {
 
 func TestTaskEstSizeOrdersWork(t *testing.T) {
 	d := smallDC(t)
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
 	rtfResults, _ := (&tlp.Pool{Workers: 2}).Run(rtfTasks)
 	frags := ExtractFragments(rtfResults)
-	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
+	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{})
 	// EstSize should correlate with actual cost: compare the biggest
 	// and smallest estimated tasks.
 	var biggest, smallest *tlp.Task
@@ -458,7 +458,7 @@ func TestTaskEstSizeOrdersWork(t *testing.T) {
 
 func TestCaptureProducesMatchForests(t *testing.T) {
 	d := smallDC(t)
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, true)
+	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{Capture: true})
 	res, err := tlp.RunSerial(rtfTasks[:3], 0)
 	if err != nil {
 		t.Fatal(err)

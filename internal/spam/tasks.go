@@ -3,7 +3,6 @@ package spam
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"spampsm/internal/ops5"
 	"spampsm/internal/rete"
@@ -52,92 +51,34 @@ func taskMemEst(wmes int) float64 {
 	return float64(wmes) * (wm.WMEBytes(8) + rete.TokenBytes)
 }
 
-// naiveMatch selects the unindexed reference matcher for every engine
-// the package builds (see UseNaiveMatch).
-var naiveMatch atomic.Bool
-
-// UseNaiveMatch switches all subsequently built task engines between
-// the default equality-indexed Rete matcher (false) and the unindexed
-// reference matcher (true). The two are observably identical — the
-// differential oracle proves byte-identical Counters and firing
-// sequences on the full SPAM rule set — so the toggle exists for that
-// oracle and for benchmarking the indexed matcher's wall-clock win.
-// It is process-global because task builders capture engine
-// construction in closures that run on worker pools.
-func UseNaiveMatch(on bool) { naiveMatch.Store(on) }
-
-// freshCompile forces every engine the package builds to bypass the
-// Program's compiled-variant cache (see UseFreshCompile).
-var freshCompile atomic.Bool
-
-// UseFreshCompile switches all subsequently built task engines between
-// template instantiation from the Program's shared compile cache (the
-// default) and a private fresh compilation per engine. The two are
-// observably identical — the full-SPAM differential oracle proves
-// byte-identical phase results, firings and instruction counts — so
-// the toggle exists for that oracle; fresh compilation is strictly
-// slower. Process-global for the same reason as UseNaiveMatch.
-func UseFreshCompile(on bool) { freshCompile.Store(on) }
-
-// unbatchedSeed forces every engine the package builds onto the
-// per-WME seed-assertion path (see UseUnbatchedSeed).
-var unbatchedSeed atomic.Bool
-
-// UseUnbatchedSeed switches all subsequently built task engines between
-// batched seed distribution with memoized alpha routing (the default)
-// and the reference per-WME Assert path. The two are observably
-// identical — the full-SPAM differential oracle proves byte-identical
-// phase results, firings and instruction counts — so the toggle exists
-// for that oracle and for benchmarking the batched path's wall-clock
-// win. Process-global for the same reason as UseNaiveMatch.
-func UseUnbatchedSeed(on bool) { unbatchedSeed.Store(on) }
-
-// uncachedGeo selects the reference geometry path everywhere the
-// package would otherwise use cached or indexed spatial state (see
-// UseUncachedGeo).
-var uncachedGeo atomic.Bool
-
-// UseUncachedGeo switches subsequent geometry work between the default
-// fast path — the RegionStore's spatial-predicate memo, derived
-// per-region geometry in relation evaluation, and the uniform-grid
-// partner index — and the reference path that re-evaluates every
-// predicate per call with per-call Polygon methods and scans all
-// fragments per partner search. The two are observably identical —
-// the full-SPAM differential oracle proves byte-identical phase
-// results, firings, instruction counts and consistency pairs — so the
-// toggle exists for that oracle and for benchmarking. Combine with
-// geom.UseExactOnly to reproduce the pre-fast-path kernels exactly.
-// Process-global for the same reason as UseNaiveMatch.
-func UseUncachedGeo(on bool) { uncachedGeo.Store(on) }
-
-// engineOpts builds the engine options for a task.
-func engineOpts(capture bool) []ops5.Option {
+// engineOpts translates a run's build mode into engine options.
+func engineOpts(mode tlp.BuildMode) []ops5.Option {
 	var opts []ops5.Option
-	if capture {
+	if mode.Capture {
 		opts = append(opts, ops5.WithCapture())
 	}
-	if naiveMatch.Load() {
+	if mode.NaiveMatch {
 		opts = append(opts, ops5.WithNaiveMatch())
 	}
-	if freshCompile.Load() {
+	if mode.FreshCompile {
 		opts = append(opts, ops5.WithFreshCompile())
 	}
-	if unbatchedSeed.Load() {
+	if mode.PerWMESeed {
 		opts = append(opts, ops5.WithPerWMEAssert())
 	}
 	return opts
 }
 
-// loadEngine builds one task's engine: instantiate the phase program,
-// register the store's externals, assert the seed batch. With a
-// worker's match arena s the engine borrows its match state from it
-// and the worker settles it when the task ends; with s nil (a
-// prebuild, a serial replay) the engine owns its memory. Every engine
+// loadEngine builds one task's engine under the run's build mode:
+// instantiate the phase program, register the store's externals, assert
+// the seed batch. With a worker's match arena s the engine borrows its
+// match state from it and the worker settles it when the task ends;
+// with s nil (a serial replay) the engine owns its memory. Every engine
 // the package builds — a one-shot task's, a session task's first run
 // or re-run, a cluster worker's rebuild of a shipped task — comes from
 // here, so they are the same engine by construction.
-func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
-	opts := engineOpts(capture)
+func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, mode tlp.BuildMode, s *ops5.Scratch) (*ops5.Engine, error) {
+	opts := engineOpts(mode)
 	if s != nil {
 		opts = append(opts, ops5.WithScratch(s))
 	}
@@ -145,7 +86,7 @@ func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, captu
 	if err != nil {
 		return nil, err
 	}
-	store.Register(e)
+	store.Register(e, mode.ReferenceGeo)
 	if err := e.AssertBatch(seeds); err != nil {
 		return nil, err
 	}
@@ -155,15 +96,16 @@ func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, captu
 // WireBuild resolves a shipped task description against this dataset:
 // it returns the engine builder a cluster worker runs in place of the
 // original Task.Build closure, loading the shipped seed batch into the
-// worker's own (identically generated) dataset through loadEngine.
-func (d *Dataset) WireBuild(spec *tlp.WireSpec, capture bool) (func(s *ops5.Scratch) (*ops5.Engine, error), error) {
+// worker's own (identically generated) dataset through loadEngine,
+// under the build mode the spec carries.
+func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.Engine, error), error) {
 	def, ok := phaseDefs[spec.Phase]
 	if !ok {
 		return nil, fmt.Errorf("spam: wire task phase %q unknown (want rtf, lcc, fa or model)", spec.Phase)
 	}
 	prog, seeds := def.prog(d.Progs), spec.Seeds
 	return func(s *ops5.Scratch) (*ops5.Engine, error) {
-		return loadEngine(prog, d.Store, seeds, capture, s)
+		return loadEngine(prog, d.Store, seeds, spec.Mode, s)
 	}, nil
 }
 
@@ -202,7 +144,7 @@ type taskSpec struct {
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
-	seeds   func(*ops5.Program, *RegionStore, *taskSpec) ([]ops5.Seed, error)
+	seeds   func(prog *ops5.Program, st *RegionStore, sp *taskSpec, refGeo bool) ([]ops5.Seed, error)
 	answers func(*RegionStore, *taskSpec, *signer)
 }{
 	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfAnswers},
@@ -217,20 +159,21 @@ var phaseDefs = map[string]struct {
 // cluster coordinator — unless the caller hands over the set it
 // already assembled (a Session, for the signature diff): that is all a
 // session's task, first run or re-run, differs in.
-func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, seeds []ops5.Seed) *tlp.Task {
+func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, mode tlp.BuildMode, seeds []ops5.Seed) *tlp.Task {
 	def := phaseDefs[sp.phase]
+	extract := def.extract // all the Wire closure needs of def
 	load := func() ([]ops5.Seed, error) {
 		if seeds != nil {
 			return seeds, nil
 		}
-		return def.seeds(prog, store, sp)
+		return def.seeds(prog, store, sp, mode.ReferenceGeo)
 	}
 	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
 		seeds, err := load()
 		if err != nil {
 			return nil, err
 		}
-		return loadEngine(prog, store, seeds, capture, s)
+		return loadEngine(prog, store, seeds, mode, s)
 	}
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
@@ -242,16 +185,16 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool,
 			if err != nil {
 				return nil, err
 			}
-			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Seeds: seeds, Extract: def.extract}, nil
+			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Mode: mode, Seeds: seeds, Extract: extract}, nil
 		},
 	}
 }
 
 // newTasks derives one phase queue's tasks from its specs.
-func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture bool) []*tlp.Task {
+func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, mode tlp.BuildMode) []*tlp.Task {
 	tasks := make([]*tlp.Task, len(specs))
 	for i := range specs {
-		tasks[i] = newTask(prog, store, &specs[i], capture, nil)
+		tasks[i] = newTask(prog, store, &specs[i], mode, nil)
 	}
 	return tasks
 }
@@ -324,8 +267,8 @@ func (ss *seedSet) done() ([]ops5.Seed, error) { return ss.seeds, ss.err }
 // BuildRTFTasks decomposes the RTF phase: each task classifies one
 // batch of regions. The decomposition yields the paper's ~60-100 tasks
 // per dataset at roughly Level-2 granularity.
-func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, capture bool) []*tlp.Task {
-	return newTasks(prog, store, rtfSpecs(store, batchSize), capture)
+func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, mode tlp.BuildMode) []*tlp.Task {
+	return newTasks(prog, store, rtfSpecs(store, batchSize), mode)
 }
 
 // rtfSpecs enumerates the RTF tasks over the current scene by region-ID
@@ -370,14 +313,14 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 // rtfSeeds assembles one RTF task's seed working memory — the task
 // control row plus a measured-region row per batch member, in
 // assertion order.
-func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
+func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, refGeo bool) ([]ops5.Seed, error) {
 	ss := newSeedSet(prog, store, 1+len(sp.regions))
 	task := ss.row("rtf-task", "batch", "status")
 	region := ss.row("region", "id", "batch", "area", "elong", "compact", "intensity", "texture", "status")
 	batch := symtab.Int(int64(sp.batchID))
 	ss.add(task, batch, symActive)
 	for _, r := range sp.regions {
-		area, elong, compact, intensity, texture := store.MeasurementsOf(r)
+		area, elong, compact, intensity, texture := store.MeasurementsOf(r, refGeo)
 		ss.add(region, symtab.Int(int64(r.ID)), batch,
 			symtab.Float(area), symtab.Float(elong), symtab.Float(compact),
 			symtab.Float(intensity), symtab.Float(texture), symMeasured)
@@ -437,14 +380,14 @@ type lccCheck struct {
 
 // partnerQuery returns the LCC partner search over one fragment pool:
 // a session's persistent grid when given one, else a transient grid
-// index built here once — or, for a pool too small to amortize one,
-// NearbyFragments' scan. Every path returns the same candidates in the
-// same ascending-ID order.
-func partnerQuery(store *RegionStore, all []*Fragment, live *liveGrid) func(*Fragment, Constraint) []*Fragment {
+// index built here once — or, for a pool too small to amortize one or
+// a run on the reference geometry path, NearbyFragments' scan. Every
+// path returns the same candidates in the same ascending-ID order.
+func partnerQuery(store *RegionStore, all []*Fragment, live *liveGrid, refGeo bool) func(*Fragment, Constraint) []*Fragment {
 	if live != nil {
 		return func(f *Fragment, c Constraint) []*Fragment { return live.query(f, c.Object, c.Radius) }
 	}
-	ix := buildFragIndex(store, all)
+	ix := buildFragIndex(store, all, refGeo)
 	return func(f *Fragment, c Constraint) []*Fragment {
 		if ix != nil {
 			return ix.query(f, c.Object, c.Radius)
@@ -493,7 +436,7 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 // units, in assertion order: per unit, the (deduplicated) focal and
 // partner fragments with their scope triples, then the support and
 // task control rows.
-func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
+func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]ops5.Seed, error) {
 	rows := 0
 	for _, u := range sp.units {
 		rows += 3 + 2*u.expected
@@ -531,14 +474,19 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed
 
 // lccAnswers makes, per scope triple in seed order, the call its
 // lcc-check-* rule makes: the boolean and the cost geo-test would
-// return. The memo is warm for an unchanged pair; a changed pair's
-// evaluation is work the re-run finds memoised.
+// return, from the evaluator the run's engines are bound to. The memo
+// is warm for an unchanged pair; a changed pair's evaluation is work
+// the re-run finds memoised.
 func lccAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
+	test := st.Test
+	if sig.refGeo {
+		test = st.TestReference
+	}
 	for _, u := range sp.units {
 		for _, ck := range u.checks {
 			for _, p := range ck.partners {
 				// A failed test answers (0, 0), which no evaluation does.
-				ok, cost, _ := st.Test(ck.c.Relation, u.focal.RegionID, p.RegionID, ck.c.Eps)
+				ok, cost, _ := test(ck.c.Relation, u.focal.RegionID, p.RegionID, ck.c.Eps)
 				n := 0
 				if ok {
 					n = 1
@@ -552,9 +500,9 @@ func lccAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
 // BuildLCCTasks decomposes the LCC phase at the chosen level. The
 // same generated rule set serves every level: the task's scope is its
 // working memory.
-func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, capture bool) []*tlp.Task {
-	units := unitsWith(kb, frags, level, partnerQuery(store, frags, nil))
-	return newTasks(prog, store, lccUnitSpecs(store.Scene().Name, units, level, false), capture)
+func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, mode tlp.BuildMode) []*tlp.Task {
+	units := unitsWith(kb, frags, level, partnerQuery(store, frags, nil, mode.ReferenceGeo))
+	return newTasks(prog, store, lccUnitSpecs(store.Scene().Name, units, level, false), mode)
 }
 
 // lccUnitSpecs converts LCC work units to task specs with stable keys:
@@ -701,9 +649,9 @@ type Prediction struct {
 // BuildFATasks decomposes the FA phase: one task per functional-area
 // seed (a consistent fragment of a seed class).
 func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment,
-	pairs []ConsistentPair, outcomes []LCCOutcome, capture bool) []*tlp.Task {
+	pairs []ConsistentPair, outcomes []LCCOutcome, mode tlp.BuildMode) []*tlp.Task {
 
-	return newTasks(prog, store, faSpecs(kb, store.Scene().Name, frags, pairs, outcomes), capture)
+	return newTasks(prog, store, faSpecs(kb, store.Scene().Name, frags, pairs, outcomes), mode)
 }
 
 // faSpecs enumerates the FA tasks — one per (functional-area spec,
@@ -770,7 +718,7 @@ func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, out
 // faSeeds assembles one FA task's seed working memory: the seed
 // fragment, its member fragments, the consistency rows supporting the
 // aggregation, and the task control row, in assertion order.
-func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
+func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]ops5.Seed, error) {
 	ss := newSeedSet(prog, store, 2+len(sp.members)+len(sp.pairs))
 	consistency := ss.row("consistency", "object", "partner", "relation", "result")
 	task := ss.row("fa-task", "seed", "fatype", "expected", "status")
@@ -834,10 +782,10 @@ type Model struct {
 // BuildModelTask builds the single MODEL-phase task over the closed
 // functional areas.
 func BuildModelTask(kb *KB, store *RegionStore, prog *ops5.Program,
-	frags []*Fragment, fas []FunctionalArea, capture bool) *tlp.Task {
+	frags []*Fragment, fas []FunctionalArea, mode tlp.BuildMode) *tlp.Task {
 
 	sp := modelSpec(store.Scene().Name, frags, fas)
-	return newTask(prog, store, &sp, capture, nil)
+	return newTask(prog, store, &sp, mode, nil)
 }
 
 // modelSpec describes the MODEL task.
@@ -857,7 +805,7 @@ func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
 // modelSeeds assembles the MODEL task's seed working memory: per
 // closed functional area its (deduplicated) seed fragment and fa row,
 // then the task control row, in assertion order.
-func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
+func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]ops5.Seed, error) {
 	byID := map[int]*Fragment{}
 	for _, f := range sp.frags {
 		byID[f.ID] = f

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"spampsm/internal/ops5"
@@ -18,9 +17,9 @@ import (
 // Full-SPAM differential oracle for the compile-once template path: a
 // complete four-phase interpretation whose ~1k task engines are
 // instantiated from the datasets' shared compiled templates (the
-// default, here additionally exercising parallel prebuild) must be
-// observably identical to one whose every engine recompiles its
-// program from scratch (UseFreshCompile), under both matchers.
+// default) must be observably identical to one whose every engine
+// recompiles its program from scratch (BuildMode.FreshCompile), under
+// both matchers.
 func TestSPAMDifferentialTemplateVsFreshCompile(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		name := "indexed"
@@ -28,84 +27,59 @@ func TestSPAMDifferentialTemplateVsFreshCompile(t *testing.T) {
 			name = "naive"
 		}
 		t.Run(name, func(t *testing.T) {
-			run := func(fresh, prebuild bool) *Interpretation {
-				t.Helper()
-				UseNaiveMatch(naive)
-				UseFreshCompile(fresh)
-				defer UseNaiveMatch(false)
-				defer UseFreshCompile(false)
-				d := smallDC(t)
-				in, err := d.Interpret(InterpretOptions{Workers: 2, Prebuild: prebuild})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return in
-			}
-			fresh := run(true, false)
-			shared := run(false, true)
+			t.Parallel()
+			fresh := interpretUnder(t, tlp.BuildMode{NaiveMatch: naive, FreshCompile: true})
+			shared := interpretUnder(t, tlp.BuildMode{NaiveMatch: naive})
 			compareInterpretations(t, "fresh-compiled", fresh, "template-instantiated", shared)
 		})
 	}
 }
 
-// TestConcurrentTaskBuildWithMatcherToggles builds and runs one
-// dataset's RTF task queue on a parallel pool while another goroutine
-// flips UseNaiveMatch mid-run. Each task engine instantiates whichever
-// cached template variant the flag selects at build time; since the
-// matchers are differentially identical, every task must reproduce the
-// reference statistics regardless of which variant it drew. Under
-// -race this also proves the per-Program variant cache and the shared
-// templates tolerate concurrent instantiation.
-func TestConcurrentTaskBuildWithMatcherToggles(t *testing.T) {
+// TestConcurrentBuildModesOneDataset is the property a multi-tenant
+// server needs of a per-run build mode: goroutines interpreting the
+// same cached Dataset at once, each under a different mode — the
+// production paths, each reference bit alone, all four together — all
+// produce the zero-mode outputs, firings and instruction counts. Under
+// -race it also proves the per-Program variant cache (indexed and naive
+// templates instantiated side by side), the fragment-seed cache and the
+// predicate memo tolerate concurrent runs that do and do not use them.
+func TestConcurrentBuildModesOneDataset(t *testing.T) {
 	d := smallDC(t)
-	mkTasks := func() []*tlp.Task {
-		return BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
+	interpret := func(mode tlp.BuildMode) (*Interpretation, error) {
+		return d.Interpret(InterpretOptions{Workers: 2, ReEntry: true, Build: mode})
 	}
-
-	UseNaiveMatch(false)
-	refResults, err := (&tlp.Pool{Workers: 1}).Run(mkTasks())
+	ref, err := interpret(tlp.BuildMode{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tlp.FirstError(refResults); err != nil {
-		t.Fatal(err)
+	modes := []tlp.BuildMode{
+		{},
+		{NaiveMatch: true},
+		{FreshCompile: true},
+		{PerWMESeed: true},
+		{ReferenceGeo: true},
+		{NaiveMatch: true, FreshCompile: true, PerWMESeed: true, ReferenceGeo: true},
 	}
-	ref := map[string]*tlp.Result{}
-	for _, r := range refResults {
-		ref[r.TaskID] = r
-	}
-
-	var stop atomic.Bool
+	got := make([]*Interpretation, len(modes))
+	errs := make([]error, len(modes))
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			UseNaiveMatch(i%2 == 0)
-		}
-	}()
-
-	got, err := (&tlp.Pool{Workers: 4, DropEngines: true}).Run(mkTasks())
-	stop.Store(true)
+	for i, mode := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = interpret(mode)
+		}()
+	}
 	wg.Wait()
-	UseNaiveMatch(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tlp.FirstError(got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(refResults) {
-		t.Fatalf("got %d results, want %d", len(got), len(refResults))
-	}
-	for _, r := range got {
-		want, ok := ref[r.TaskID]
-		if !ok {
-			t.Fatalf("task %s missing from reference run", r.TaskID)
+	for i, mode := range modes {
+		name := fmt.Sprintf("%+v", mode)
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", name, errs[i])
 		}
-		if r.Stats != want.Stats {
-			t.Errorf("task %s: stats %+v != reference %+v", r.TaskID, r.Stats, want.Stats)
+		if !SameOutputs(ref, got[i]) {
+			t.Errorf("%s: outputs differ from the zero-mode run", name)
 		}
+		compareInterpretations(t, "zero-mode", ref, name, got[i])
 	}
 }
 
@@ -174,7 +148,7 @@ func TestSPAMDifferentialTemplateRecycledVsOwned(t *testing.T) {
 			run := func(owned bool) (*Interpretation, *recordingRunner) {
 				t.Helper()
 				r := &recordingRunner{pool: tlp.Pool{Workers: workers}, owned: owned}
-				in, err := d.Interpret(InterpretOptions{ReEntry: true, Capture: true, Runner: r})
+				in, err := d.Interpret(InterpretOptions{ReEntry: true, Build: tlp.BuildMode{Capture: true}, Runner: r})
 				if err != nil {
 					t.Fatal(err)
 				}

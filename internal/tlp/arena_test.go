@@ -105,13 +105,11 @@ func sameRun(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestUnsettledAttemptLeavesNextTaskFresh (formerly
-// TestBuildFailReclaimsPrebuiltScratch: prebuilt engines no longer
-// touch a worker's arena, so a build fault has nothing to reclaim): an
-// attempt that panics, is interrupted mid-run, crashes or fails its
-// build must not be settled — its engine may be mid-operation — and the
-// tasks the same worker runs next, on fresh slabs, must still be
-// identical to tasks run on engines that own their memory.
+// TestUnsettledAttemptLeavesNextTaskFresh: an attempt that panics, is
+// interrupted mid-run, crashes or fails its build must not be settled —
+// its engine may be mid-operation — and the tasks the same worker runs
+// next, on fresh slabs, must still be identical to tasks run on engines
+// that own their memory.
 func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 	prog := parseArenaProg(t)
 	sizes := []int{9, 12, 7, 10, 11}
@@ -164,19 +162,16 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 	r = clean.attempt(context.Background(), arenaTask(t, prog, "interrupted", 12, func(e *ops5.Engine) { e.Interrupt() }, &engines), 0, 0, 1, scratch)
 	failed(r, func(err error) bool { return errors.Is(err, ErrTimeout) }, "interrupted task")
 	ok(2)
-	crashing := &Pool{Faults: faults.New(faults.Config{Seed: 11, CrashRate: 1})}
+	crashing := &Pool{RunConfig: RunConfig{Faults: faults.Config{Seed: 11, CrashRate: 1}}}
 	r = crashing.attempt(context.Background(), arenaTask(t, prog, "crashes", 12, nil, &engines), 0, 0, 1, scratch)
 	failed(r, func(err error) bool { return errors.Is(err, ErrWorkerCrash) }, "crashing task")
 	ok(3)
-	// A build fault on a prebuilt engine: the engine was built off the
-	// workers, owns its memory, and is simply discarded.
-	failing := &Pool{Faults: faults.New(faults.Config{Seed: 11, BuildFailRate: 1})}
-	task := arenaTask(t, prog, "build-fails", 8, nil, &engines)
-	failing.Prebuild([]*Task{task}, 1)
-	r = failing.attempt(context.Background(), task, 0, 0, 1, scratch)
-	failed(r, func(err error) bool { return errors.Is(err, faults.ErrInjected) }, "build-fault task")
-	if len(failing.prebuilt) != 0 {
-		t.Error("prebuilt engine not consumed by the failed attempt")
+	// An injected build fault strikes before any engine exists.
+	failing := &Pool{RunConfig: RunConfig{Faults: faults.Config{Seed: 11, BuildFailRate: 1}}}
+	built := len(engines)
+	r = failing.attempt(context.Background(), arenaTask(t, prog, "build-fails", 8, nil, &engines), 0, 0, 1, scratch)
+	if !errors.Is(r.Err, faults.ErrInjected) || len(engines) != built {
+		t.Fatalf("build-fault task: err %v, %d engines built", r.Err, len(engines)-built)
 	}
 	ok(4)
 }
@@ -191,7 +186,7 @@ func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 	defer sp.Close()
 	run := func(id string, size int) int64 {
 		t.Helper()
-		rs, err := sp.Submit(context.Background(), &Pool{}, []*Task{arenaTask(t, prog, id, size, nil, nil)})
+		rs, err := sp.Submit(context.Background(), RunConfig{}, []*Task{arenaTask(t, prog, id, size, nil, nil)})
 		if err != nil || rs[0].Err != nil {
 			t.Fatalf("task %s: %v / %v", id, err, rs[0].Err)
 		}

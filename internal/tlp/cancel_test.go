@@ -123,11 +123,10 @@ func TestRunContextCancelsInFlightAttempt(t *testing.T) {
 // backoff configured, cancellation during the sleep returns promptly.
 func TestRetryBackoffRespectsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := &Pool{
-		Workers:      1,
+	p := &Pool{Workers: 1, RunConfig: RunConfig{
 		MaxRetries:   3,
 		RetryBackoff: time.Hour, // the test fails by timeout if slept
-	}
+	}}
 	done := make(chan []*Result, 1)
 	go func() {
 		results, err := p.RunContext(ctx, []*Task{failTask("f")})
@@ -185,10 +184,10 @@ func TestSharedPoolIsolatesSubmissions(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		live1, err1 = sp.Submit(ctxLive, &Pool{}, []*Task{countTask("a", 3), countTask("b", 5)})
+		live1, err1 = sp.Submit(ctxLive, RunConfig{}, []*Task{countTask("a", 3), countTask("b", 5)})
 	}()
-	go func() { defer wg.Done(); live2, err2 = sp.Submit(ctxLive, &Pool{}, []*Task{countTask("c", 7)}) }()
-	go func() { defer wg.Done(); dead, err3 = sp.Submit(ctxDead, &Pool{}, []*Task{countTask("d", 9)}) }()
+	go func() { defer wg.Done(); live2, err2 = sp.Submit(ctxLive, RunConfig{}, []*Task{countTask("c", 7)}) }()
+	go func() { defer wg.Done(); dead, err3 = sp.Submit(ctxDead, RunConfig{}, []*Task{countTask("d", 9)}) }()
 	wg.Wait()
 	if err1 != nil || err2 != nil || err3 != nil {
 		t.Fatal(err1, err2, err3)
@@ -216,7 +215,7 @@ func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 	defer sp.Close()
 
 	// A genuinely failing task (no injection plan) on a live run: counts.
-	live, err := sp.Submit(context.Background(), &Pool{MaxRetries: 0}, []*Task{failTask("poison")})
+	live, err := sp.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 5; i++ {
-		if _, err := sp.Submit(ctx, &Pool{MaxRetries: 0}, []*Task{failTask("poison")}); err != nil {
+		if _, err := sp.Submit(ctx, RunConfig{MaxRetries: 0}, []*Task{failTask("poison")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +240,7 @@ func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 	}
 
 	// A second live poison exceeds the budget of 1.
-	if _, err := sp.Submit(context.Background(), &Pool{MaxRetries: 0}, []*Task{failTask("poison2")}); err != nil {
+	if _, err := sp.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison2")}); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Healthy() {
@@ -258,9 +257,9 @@ func TestSharedPoolQuarantineBudgetExcludesInjected(t *testing.T) {
 	sp.QuarantineBudget = 1
 	defer sp.Close()
 
-	plan := faults.New(faults.Config{Seed: 7, BuildFailRate: 1, PermanentFraction: 1})
+	plan := faults.Config{Seed: 7, BuildFailRate: 1, PermanentFraction: 1}
 	for i := 0; i < 5; i++ {
-		res, err := sp.Submit(context.Background(), &Pool{Faults: plan, MaxRetries: 2}, []*Task{countTask("chaos", 3)})
+		res, err := sp.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 2}, []*Task{countTask("chaos", 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +280,7 @@ func TestSharedPoolQuarantineBudgetExcludesInjected(t *testing.T) {
 func TestSharedPoolClosedSubmit(t *testing.T) {
 	sp := NewSharedPool(1, 0)
 	sp.Close()
-	if _, err := sp.Submit(context.Background(), &Pool{}, []*Task{countTask("x", 1)}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := sp.Submit(context.Background(), RunConfig{}, []*Task{countTask("x", 1)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }

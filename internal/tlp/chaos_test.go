@@ -107,7 +107,7 @@ func TestBuildPanicRecovered(t *testing.T) {
 }
 
 func TestTaskTimeoutInterruptsRunaway(t *testing.T) {
-	p := &Pool{Workers: 1, TaskTimeout: 30 * time.Millisecond}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{TaskTimeout: 30 * time.Millisecond}}
 	results, err := p.Run([]*Task{runawayTask("spin")})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestTaskTimeoutInterruptsRunaway(t *testing.T) {
 }
 
 func TestFiringBudgetExceeded(t *testing.T) {
-	p := &Pool{Workers: 1, FiringBudget: 5}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{FiringBudget: 5}}
 	results, err := p.Run([]*Task{runawayTask("spin"), countTask("small", 3)})
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +141,17 @@ func TestFiringBudgetExceeded(t *testing.T) {
 }
 
 func TestTransientFaultsRecoverOnRetry(t *testing.T) {
-	plan := faults.New(faults.Config{Seed: 1990, CrashRate: 0.5, PanicRate: 0.25, BuildFailRate: 0.25})
+	plan := faults.Config{Seed: 1990, CrashRate: 0.5, PanicRate: 0.25, BuildFailRate: 0.25}
 	var tasks []*Task
 	for i := 0; i < 24; i++ {
 		tasks = append(tasks, countTask(fmt.Sprintf("t%d", i), 6))
 	}
-	p := &Pool{Workers: 4, Faults: plan, MaxRetries: 2}
-	results, rep, err := p.RunWithReport(tasks)
+	p := &Pool{Workers: 4, RunConfig: RunConfig{Faults: plan, MaxRetries: 2}}
+	results, err := p.Run(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Report(results)
 	if err := FirstError(results); err != nil {
 		t.Fatalf("transient faults must all recover: %v", err)
 	}
@@ -170,12 +171,13 @@ func TestTransientFaultsRecoverOnRetry(t *testing.T) {
 }
 
 func TestPermanentFaultQuarantinedWithoutRetryBurn(t *testing.T) {
-	plan := faults.New(faults.Config{Seed: 7, PanicRate: 1, PermanentFraction: 1})
-	p := &Pool{Workers: 2, Faults: plan, MaxRetries: 5}
-	results, rep, err := p.RunWithReport([]*Task{countTask("poison", 3)})
+	plan := faults.Config{Seed: 7, PanicRate: 1, PermanentFraction: 1}
+	p := &Pool{Workers: 2, RunConfig: RunConfig{Faults: plan, MaxRetries: 5}}
+	results, err := p.Run([]*Task{countTask("poison", 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Report(results)
 	r := results[0]
 	if !r.Quarantined || r.Err == nil {
 		t.Fatalf("poison task not quarantined: %+v", r)
@@ -192,11 +194,12 @@ func TestQuarantineAfterRetryLimit(t *testing.T) {
 	fails := &Task{ID: "always", Build: func() (*ops5.Engine, error) {
 		return nil, errors.New("disk on fire")
 	}}
-	p := &Pool{Workers: 1, MaxRetries: 3}
-	results, rep, err := p.RunWithReport([]*Task{fails})
+	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxRetries: 3}}
+	results, err := p.Run([]*Task{fails})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Report(results)
 	r := results[0]
 	if r.Attempts != 4 || !r.Quarantined {
 		t.Fatalf("attempts=%d quarantined=%v, want 4/true", r.Attempts, r.Quarantined)
@@ -221,15 +224,15 @@ func TestChaosReportDeterminism(t *testing.T) {
 		return tasks
 	}
 	run := func(workers int) string {
-		plan := faults.New(faults.Config{
+		plan := faults.Config{
 			Seed: 1990, CrashRate: 0.2, PanicRate: 0.1, BuildFailRate: 0.1, PermanentFraction: 0.25,
-		})
-		p := &Pool{Workers: workers, Faults: plan, MaxRetries: 2}
-		_, rep, err := p.RunWithReport(build())
+		}
+		p := &Pool{Workers: workers, RunConfig: RunConfig{Faults: plan, MaxRetries: 2}}
+		results, err := p.Run(build())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.String()
+		return Report(results).String()
 	}
 	a, b, c := run(8), run(8), run(3)
 	if a != b {
@@ -246,13 +249,14 @@ func TestChaosReportDeterminism(t *testing.T) {
 func TestChaosUnderRaceWithManyWorkers(t *testing.T) {
 	// Exercised with -race in CI: panics, crashes and retries across
 	// more workers than tasks.
-	plan := faults.New(faults.Config{Seed: 3, CrashRate: 0.3, PanicRate: 0.3})
+	plan := faults.Config{Seed: 3, CrashRate: 0.3, PanicRate: 0.3}
 	tasks := []*Task{countTask("a", 5), panicTask("b"), countTask("c", 5)}
-	p := &Pool{Workers: 16, Faults: plan, MaxRetries: 1}
-	results, rep, err := p.RunWithReport(tasks)
+	p := &Pool{Workers: 16, RunConfig: RunConfig{Faults: plan, MaxRetries: 1}}
+	results, err := p.Run(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Report(results)
 	if len(results) != 3 || rep.Tasks != 3 {
 		t.Fatalf("results=%d report tasks=%d", len(results), rep.Tasks)
 	}
@@ -262,12 +266,13 @@ func TestChaosUnderRaceWithManyWorkers(t *testing.T) {
 }
 
 func TestReportRecoveryColumns(t *testing.T) {
-	plan := faults.New(faults.Config{Seed: 21, CrashRate: 1})
-	p := &Pool{Workers: 2, Faults: plan, MaxRetries: 1}
-	_, rep, err := p.RunWithReport([]*Task{countTask("x", 4), countTask("y", 4)})
+	plan := faults.Config{Seed: 21, CrashRate: 1}
+	p := &Pool{Workers: 2, RunConfig: RunConfig{Faults: plan, MaxRetries: 1}}
+	results, err := p.Run([]*Task{countTask("x", 4), countTask("y", 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Report(results)
 	rec := rep.Recovery()
 	if rec.Retries != 2 || rec.Recovered != 2 || rec.Quarantined != 0 {
 		t.Errorf("recovery columns = %+v", rec)

@@ -58,7 +58,7 @@ func TestLargeMaxRetriesTerminates(t *testing.T) {
 	fail := &Task{ID: "always-fails", Build: func() (*ops5.Engine, error) {
 		return nil, fmt.Errorf("nope")
 	}}
-	p := &Pool{Workers: 1, MaxRetries: 80, RetryBackoff: time.Nanosecond}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxRetries: 80, RetryBackoff: time.Nanosecond}}
 	start := time.Now()
 	results, err := p.Run([]*Task{fail})
 	if err != nil {
@@ -69,41 +69,6 @@ func TestLargeMaxRetriesTerminates(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("retry loop took %v; backoff overflow suspected", elapsed)
-	}
-}
-
-// TestPrebuildMatchesInRunBuild verifies that prebuilt engines produce
-// the same results as in-run builds, and that every prebuilt engine is
-// consumed.
-func TestPrebuildMatchesInRunBuild(t *testing.T) {
-	mkTasks := func() []*Task {
-		return []*Task{countTask("a", 3), countTask("b", 5), countTask("c", 7)}
-	}
-	plain := &Pool{Workers: 2}
-	want, err := plain.Run(mkTasks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := &Pool{Workers: 2}
-	tasks := mkTasks()
-	pre.Prebuild(tasks, 2)
-	if len(pre.prebuilt) != 3 {
-		t.Fatalf("prebuilt %d engines, want 3", len(pre.prebuilt))
-	}
-	got, err := pre.Run(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pre.prebuilt) != 0 {
-		t.Fatalf("%d prebuilt engines left unconsumed", len(pre.prebuilt))
-	}
-	if TotalFirings(got) != TotalFirings(want) {
-		t.Fatalf("prebuilt firings %d != in-run %d", TotalFirings(got), TotalFirings(want))
-	}
-	for i := range got {
-		if got[i].Stats != want[i].Stats {
-			t.Fatalf("task %s: prebuilt stats %+v != in-run %+v", got[i].TaskID, got[i].Stats, want[i].Stats)
-		}
 	}
 }
 

@@ -57,9 +57,7 @@ type RunReport struct {
 	PerTask []TaskReport
 }
 
-// Report builds the run's attempt accounting from its results. It is a
-// pure function of the results; the Pool method of the same name exists
-// for callers that already hold the pool.
+// Report builds the run's attempt accounting from its results.
 func Report(results []*Result) *RunReport {
 	rep := &RunReport{}
 	for _, r := range results {
@@ -108,9 +106,6 @@ func Report(results []*Result) *RunReport {
 	}
 	return rep
 }
-
-// Report builds the run's attempt accounting from its results.
-func (p *Pool) Report(results []*Result) *RunReport { return Report(results) }
 
 func (rep *RunReport) classify(err error) {
 	var pe *PanicError

@@ -40,7 +40,7 @@ func schedTaskSet() []*Task {
 // execution, never change it.
 func TestDifferentialSchedulingPolicies(t *testing.T) {
 	type key struct{ id string }
-	baselinePool := &Pool{Workers: 1, Policy: FIFO}
+	baselinePool := &Pool{Workers: 1, RunConfig: RunConfig{Policy: FIFO}}
 	base, err := baselinePool.Run(schedTaskSet())
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestDifferentialSchedulingPolicies(t *testing.T) {
 		for _, budget := range []float64{0, 1, 2048, 1 << 20} {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%v/B=%g/w=%d", pol, budget, workers)
-				p := &Pool{Workers: workers, Policy: pol, MemBudget: budget}
+				p := &Pool{Workers: workers, RunConfig: RunConfig{Policy: pol}, MemBudget: budget}
 				results, err := p.Run(schedTaskSet())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -86,7 +86,7 @@ func TestPostOrderQueueGrouping(t *testing.T) {
 		memTask("a1", 2, 100, "a"), memTask("b1", 2, 500, "b"),
 		memTask("a2", 2, 300, "a"), memTask("b2", 2, 200, "b"),
 	}
-	p := &Pool{Workers: 1, Policy: PostOrder}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: PostOrder}}
 	results, err := p.Run(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestSharedPoolMemBudget(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results, err := sp.Submit(context.Background(), &Pool{}, schedTaskSet())
+			results, err := sp.Submit(context.Background(), RunConfig{}, schedTaskSet())
 			if err != nil {
 				t.Error(err)
 				return

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 )
 
@@ -19,8 +20,8 @@ var ErrPoolClosed = errors.New("tlp: shared pool closed")
 // each run spawning its own pool. Isolation between runs is the
 // paper's independence property plus two pieces of machinery:
 //
-//   - Each submission carries its own context and its own Pool
-//     configuration (fault plan, retries, timeouts, budgets), so one
+//   - Each submission carries its own context and its own RunConfig
+//     (fault plan, retries, timeouts, budgets), so one
 //     run's cancellation, deadline, or chaos plan never touches
 //     another run's tasks.
 //   - Quarantines are accounted per class: poison tasks from live
@@ -44,9 +45,8 @@ type SharedPool struct {
 
 	// MemBudget bounds the aggregate modeled footprint of the tasks
 	// in flight across ALL submissions (simulated bytes; 0 disables).
-	// The budget belongs to the pool because the workers do: one
-	// tenant's per-run Pool.MemBudget is ignored here. Set it before
-	// the first Submit.
+	// The budget belongs to the pool because the workers do. Set it
+	// before the first Submit.
 	MemBudget float64
 
 	queue chan *workItem
@@ -78,11 +78,13 @@ type workItem struct {
 // submission is one run's task queue entering the shared pool.
 type submission struct {
 	ctx     context.Context
-	cfg     *Pool
+	cfg     RunConfig
 	queue   []*Task
 	results []*Result
 	done    sync.WaitGroup
 }
+
+var _ Queue = (*SharedPool)(nil)
 
 // NewSharedPool starts a shared pool with the given number of task
 // processes. queueDepth bounds the task backlog channel; submissions
@@ -147,7 +149,7 @@ func (sp *SharedPool) runItem(item *workItem, worker int, scratch *ops5.Scratch)
 		switch {
 		case sub.ctx.Err() != nil:
 			sp.cancQuar.Add(1)
-		case sub.cfg.Faults != nil:
+		case sub.cfg.Faults != (faults.Config{}):
 			sp.injQuar.Add(1)
 		default:
 			sp.quarantined.Add(1)
@@ -168,17 +170,13 @@ func (sp *SharedPool) memGate() *memGate {
 }
 
 // Submit runs one queue of tasks on the shared workers under the
-// given context and per-run configuration (cfg.Workers is ignored —
-// parallelism belongs to the pool). It blocks until every task has a
-// Result (executed, failed, or cancelled) and returns them in queue
-// order. Submissions from different goroutines interleave at task
+// given context and per-run configuration. It blocks until every task
+// has a Result (executed, failed, or cancelled) and returns them in
+// queue order. Submissions from different goroutines interleave at task
 // granularity.
-func (sp *SharedPool) Submit(ctx context.Context, cfg *Pool, tasks []*Task) ([]*Result, error) {
+func (sp *SharedPool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("tlp: empty task queue")
-	}
-	if cfg == nil {
-		cfg = &Pool{}
 	}
 	sp.mu.Lock()
 	if sp.closed {
@@ -192,7 +190,7 @@ func (sp *SharedPool) Submit(ctx context.Context, cfg *Pool, tasks []*Task) ([]*
 	sub := &submission{
 		ctx:   ctx,
 		cfg:   cfg,
-		queue: cfg.order(tasks),
+		queue: cfg.Order(tasks),
 	}
 	sub.results = make([]*Result, len(sub.queue))
 	sub.done.Add(len(sub.queue))

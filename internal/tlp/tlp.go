@@ -98,13 +98,12 @@ type Task struct {
 	MemEst float64
 	Build  func() (*ops5.Engine, error)
 	// BuildWith, when set, is preferred over Build and receives the
-	// executing worker's match arena (nil from Prebuild, which builds
-	// off the workers). A builder that threads it to ops5.NewEngine via
-	// WithScratch gets an engine that borrows the arena and is settled —
-	// its match state handed back to the worker, its working memory,
-	// statistics and cost log left readable — when the worker finishes
-	// the task; a builder that ignores it gets an engine that owns its
-	// memory.
+	// executing worker's match arena. A builder that threads it to
+	// ops5.NewEngine via WithScratch gets an engine that borrows the
+	// arena and is settled — its match state handed back to the worker,
+	// its working memory, statistics and cost log left readable — when
+	// the worker finishes the task; a builder that ignores it gets an
+	// engine that owns its memory.
 	BuildWith func(s *ops5.Scratch) (*ops5.Engine, error)
 	// Wire, when set, produces the task's shippable description for the
 	// cluster runtime (internal/cluster). It is lazy — a local run never
@@ -211,11 +210,61 @@ func ParseQueuePolicy(s string) (QueuePolicy, error) {
 	return FIFO, fmt.Errorf("tlp: unknown scheduling policy %q (want fifo, largest or postorder)", s)
 }
 
-// Pool runs tasks on a fixed number of task processes.
-type Pool struct {
-	Workers    int
+// RunConfig is how one run's task queue is executed: its order, the
+// per-task budgets and deadlines, the retry discipline and the fault
+// plan. It is a plain comparable value — the one form in which these
+// knobs travel from a caller's options to a private Pool (which embeds
+// it), a SharedPool submission or a cluster worker's pool — and holds
+// exactly what Order, runOneFrom and attempt read.
+type RunConfig struct {
 	Policy     QueuePolicy
 	MaxFirings int // per-task firing limit; 0 = none (not an error to hit)
+	// FiringBudget is the per-task deadline in production firings: a
+	// task still short of quiescence when the budget runs out fails
+	// with ErrBudgetExceeded. 0 disables the budget. Unlike MaxFirings
+	// (a benign cap), exceeding the budget is a fault.
+	FiringBudget int
+	// MaxRetries is how many times a failed task is re-executed (the
+	// engine is rebuilt from scratch each time, so re-execution is
+	// idempotent). After 1+MaxRetries failed attempts the task is
+	// quarantined. Failures wrapping faults.ErrPermanent skip retries
+	// and quarantine immediately.
+	MaxRetries int
+	// TaskTimeout is the per-attempt wall-clock deadline; an attempt
+	// still running when it expires is interrupted and fails with
+	// ErrTimeout. 0 disables the deadline.
+	TaskTimeout time.Duration
+	// RetryBackoff is the wall-clock delay before the first retry;
+	// each further retry doubles it. 0 retries immediately.
+	RetryBackoff time.Duration
+	// Faults injects deterministic failures (chaos runs); the zero
+	// config injects nothing.
+	Faults faults.Config
+}
+
+// Queue executes one run's task queue under the run's configuration on
+// workers the queue owns, returning a Result per task in queue order:
+// the SharedPool in process, the cluster Coordinator across processes.
+type Queue interface {
+	Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error)
+}
+
+// BoundQueue is a Queue bound to one run's configuration: what a phase
+// driver that only knows "run this queue" (spam.Runner) is handed.
+type BoundQueue struct {
+	Queue  Queue
+	Config RunConfig
+}
+
+// RunTasks submits the queue under the bound configuration.
+func (b BoundQueue) RunTasks(ctx context.Context, tasks []*Task) ([]*Result, error) {
+	return b.Queue.Submit(ctx, b.Config, tasks)
+}
+
+// Pool runs tasks on a fixed number of task processes of its own.
+type Pool struct {
+	Workers int
+	RunConfig
 	// DropEngines releases each task's engine (its working memory; the
 	// match state of a borrowing engine goes back to the worker either
 	// way) as soon as its statistics and cost log have been collected.
@@ -224,35 +273,11 @@ type Pool struct {
 	// extracted from final working memories.
 	DropEngines bool
 
-	// FiringBudget is the per-task deadline in production firings: a
-	// task still short of quiescence when the budget runs out fails
-	// with ErrBudgetExceeded. 0 disables the budget. Unlike MaxFirings
-	// (a benign cap), exceeding the budget is a fault.
-	FiringBudget int
-	// TaskTimeout is the per-attempt wall-clock deadline; an attempt
-	// still running when it expires is interrupted and fails with
-	// ErrTimeout. 0 disables the deadline.
-	TaskTimeout time.Duration
-	// MaxRetries is how many times a failed task is re-executed (the
-	// engine is rebuilt from scratch each time, so re-execution is
-	// idempotent). After 1+MaxRetries failed attempts the task is
-	// quarantined. Failures wrapping faults.ErrPermanent skip retries
-	// and quarantine immediately.
-	MaxRetries int
-	// RetryBackoff is the wall-clock delay before the first retry;
-	// each further retry doubles it. 0 retries immediately.
-	RetryBackoff time.Duration
-	// Faults optionally injects deterministic failures (chaos runs);
-	// nil injects nothing.
-	Faults *faults.Plan
-
 	// MemBudget bounds the aggregate modeled footprint (sum of running
 	// tasks' MemEst, simulated bytes) the pool lets in flight at once;
 	// 0 disables the gate. Workers block before building an engine
 	// whose reservation would overflow the budget — memory-bounded
-	// list scheduling on the real runtime. In SharedPool submissions
-	// this per-run field is ignored; the budget belongs to the shared
-	// pool (SharedPool.MemBudget), which owns the workers.
+	// list scheduling on the real runtime.
 	MemBudget float64
 
 	// gateMu guards lastGate, the pool's memory gate — built on the
@@ -260,14 +285,6 @@ type Pool struct {
 	// MemSched reporting accumulates.
 	gateMu   sync.Mutex
 	lastGate *memGate
-
-	// prebuilt holds engines constructed ahead of Run by Prebuild,
-	// keyed by task. An entry is consumed by the task's first attempt
-	// (if that attempt draws an injected build fault the engine is
-	// discarded); retries always rebuild from scratch, preserving the
-	// idempotent re-execution property.
-	prebuiltMu sync.Mutex
-	prebuilt   map[*Task]*ops5.Engine
 
 	// scratches holds the match arenas of the pool's idle task
 	// processes. A worker goroutine takes one for the length of a run
@@ -295,13 +312,15 @@ func (p *Pool) putScratch(s *ops5.Scratch) {
 	p.scratchMu.Unlock()
 }
 
-// order returns the queue order under the pool's policy. Every policy
+// Order returns the queue order under the run's policy. Every policy
 // permutes the same task set, so per-task results are byte-identical
 // across policies (the differential scheduling oracle); only queue
-// positions and wall-clock interleaving differ.
-func (p *Pool) order(tasks []*Task) []*Task {
+// positions and wall-clock interleaving differ. Exported so the cluster
+// coordinator orders its shipping queue as a pool would and per-task
+// SeqInQ values match a single-process run.
+func (c *RunConfig) Order(tasks []*Task) []*Task {
 	q := append([]*Task(nil), tasks...)
-	switch p.Policy {
+	switch c.Policy {
 	case LargestFirst:
 		sort.SliceStable(q, func(i, j int) bool { return q[i].EstSize > q[j].EstSize })
 	case PostOrder:
@@ -355,17 +374,9 @@ func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error)
 	if workers < 1 {
 		workers = 1
 	}
-	queue := p.order(tasks)
+	queue := p.Order(tasks)
 	results := make([]*Result, len(queue))
-	// The gate is built once per pool and shared by every run, so its
-	// budget spans concurrent runs and its throttle accounting
-	// accumulates across a multi-phase interpretation.
-	p.gateMu.Lock()
-	if p.lastGate == nil {
-		p.lastGate = newMemGate(p.MemBudget)
-	}
-	gate := p.lastGate
-	p.gateMu.Unlock()
+	gate := p.gate()
 	// Task dispatch is a single atomic fetch-add on a shared cursor —
 	// the queue itself is immutable after ordering, so workers never
 	// contend on a lock to claim work.
@@ -382,12 +393,28 @@ func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error)
 				if i >= len(queue) {
 					return
 				}
-				results[i] = p.runGated(ctx, gate, queue[i], worker, i, scratch)
+				r := p.runGated(ctx, gate, queue[i], worker, i, scratch)
+				if p.DropEngines {
+					r.Engine = nil
+				}
+				results[i] = r
 			}
 		}(w)
 	}
 	wg.Wait()
 	return results, nil
+}
+
+// gate returns the pool's memory gate, built once per pool and shared by
+// every run, so its budget spans concurrent runs and its throttle
+// accounting accumulates across a multi-phase interpretation.
+func (p *Pool) gate() *memGate {
+	p.gateMu.Lock()
+	defer p.gateMu.Unlock()
+	if p.lastGate == nil {
+		p.lastGate = newMemGate(p.MemBudget)
+	}
+	return p.lastGate
 }
 
 // MemSched returns the memory-gate accounting of the pool's most
@@ -398,16 +425,6 @@ func (p *Pool) MemSched() MemSchedStats {
 	p.gateMu.Lock()
 	defer p.gateMu.Unlock()
 	return p.lastGate.stats()
-}
-
-// RunWithReport executes the tasks and additionally returns the
-// attempt/retry/quarantine accounting of the whole run.
-func (p *Pool) RunWithReport(tasks []*Task) ([]*Result, *RunReport, error) {
-	results, err := p.Run(tasks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, p.Report(results), nil
 }
 
 const (
@@ -462,8 +479,8 @@ func cancelledResult(t *Task, seq, attempts int, attemptErrs []error, cause erro
 // quarantine the task. Cancellation of ctx ends the loop wherever it
 // is — before an attempt, mid-attempt (via engine interrupt), or
 // during a backoff sleep — without quarantining the task.
-func (p *Pool) runOne(ctx context.Context, t *Task, worker, seq int, scratch *ops5.Scratch) *Result {
-	return p.runOneFrom(ctx, t, worker, seq, 1, scratch)
+func (c *RunConfig) runOne(ctx context.Context, t *Task, worker, seq int, scratch *ops5.Scratch) *Result {
+	return c.runOneFrom(ctx, t, worker, seq, 1, scratch)
 }
 
 // runOneFrom is runOne with the attempt counter starting at
@@ -472,8 +489,8 @@ func (p *Pool) runOne(ctx context.Context, t *Task, worker, seq int, scratch *op
 // a caller that already charged earlier attempts elsewhere (the
 // cluster coordinator, after losing a worker process mid-task)
 // resumes the retry loop rather than restarting it.
-func (p *Pool) runOneFrom(ctx context.Context, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
-	maxAttempts := 1 + p.MaxRetries
+func (c *RunConfig) runOneFrom(ctx context.Context, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
+	maxAttempts := 1 + c.MaxRetries
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
@@ -488,7 +505,7 @@ func (p *Pool) runOneFrom(ctx context.Context, t *Task, worker, seq, startAttemp
 		if err := ctx.Err(); err != nil {
 			return cancelledResult(t, seq, attempt-1, attemptErrs, err)
 		}
-		r := p.attempt(ctx, t, worker, seq, attempt, scratch)
+		r := c.attempt(ctx, t, worker, seq, attempt, scratch)
 		r.Attempts = attempt
 		if r.Err == nil {
 			r.AttemptErrs = attemptErrs
@@ -508,10 +525,10 @@ func (p *Pool) runOneFrom(ctx context.Context, t *Task, worker, seq, startAttemp
 			r.Quarantined = true
 			return r
 		}
-		if p.RetryBackoff > 0 {
+		if c.RetryBackoff > 0 {
 			// A cancelled run must not sit out its backoff: the sleep
 			// races the context.
-			timer := time.NewTimer(retryDelay(p.RetryBackoff, attempt))
+			timer := time.NewTimer(retryDelay(c.RetryBackoff, attempt))
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
@@ -533,7 +550,7 @@ func (p *Pool) runOneFrom(ctx context.Context, t *Task, worker, seq, startAttemp
 // edges: a cancellation landing in the hair's breadth between the
 // pre-run check and the engine clearing its interrupt flag lets the
 // attempt run to completion — wasted work, never a wrong result.
-func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, scratch *ops5.Scratch) (r *Result) {
+func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt int, scratch *ops5.Scratch) (r *Result) {
 	r = &Result{TaskID: t.ID, Worker: worker, SeqInQ: seq}
 	var eng *ops5.Engine
 	defer func() {
@@ -547,39 +564,30 @@ func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, s
 		}
 	}()
 
-	f := p.Faults.TaskFault(t.ID, attempt)
-	// A prebuilt engine (Prebuild) is consumed here whether or not it
-	// is used: if this attempt draws an injected build fault, the
-	// engine is discarded so the retry rebuilds from scratch, exactly
-	// as if the original build had failed.
-	prebuilt := p.takePrebuilt(t)
+	plan := faults.New(c.Faults)
+	f := plan.TaskFault(t.ID, attempt)
 	if f.Kind == faults.BuildFail {
 		r.Err = f.Err(fmt.Sprintf("tlp: build %s: attempt %d", t.ID, attempt))
 		return r
 	}
-	var err error
-	if prebuilt != nil {
-		eng = prebuilt
-	} else {
-		eng, err = t.build(scratch)
-		if err != nil {
-			r.Err = fmt.Errorf("tlp: build %s: %w", t.ID, err)
-			return r
-		}
+	eng, err := t.build(scratch)
+	if err != nil {
+		r.Err = fmt.Errorf("tlp: build %s: %w", t.ID, err)
+		return r
 	}
 	if f.Kind == faults.Panic {
 		panic(f.Err(fmt.Sprintf("tlp: task %s: attempt %d", t.ID, attempt)))
 	}
 
-	limit := p.MaxFirings
-	if p.FiringBudget > 0 && (limit == 0 || p.FiringBudget < limit) {
-		limit = p.FiringBudget
+	limit := c.MaxFirings
+	if c.FiringBudget > 0 && (limit == 0 || c.FiringBudget < limit) {
+		limit = c.FiringBudget
 	}
 
 	if f.Kind == faults.Crash {
 		// The worker dies mid-task after a deterministic number of
 		// firings: partial work is charged, then lost.
-		n := p.Faults.CrashAfterFirings(t.ID, 8)
+		n := plan.CrashAfterFirings(t.ID, 8)
 		if limit > 0 && n > limit {
 			n = limit
 		}
@@ -591,8 +599,8 @@ func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, s
 		return r
 	}
 
-	if p.TaskTimeout > 0 {
-		timer := time.AfterFunc(p.TaskTimeout, eng.Interrupt)
+	if c.TaskTimeout > 0 {
+		timer := time.AfterFunc(c.TaskTimeout, eng.Interrupt)
 		defer timer.Stop()
 	}
 	// A context cancelled mid-run interrupts the engine the same way a
@@ -616,16 +624,16 @@ func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, s
 				t.ID, ErrCancelled, r.Stats.Firings, ctx.Err())
 		case errors.Is(err, ops5.ErrInterrupted):
 			r.Err = fmt.Errorf("tlp: run %s: %w after %v (%d firings)",
-				t.ID, ErrTimeout, p.TaskTimeout, r.Stats.Firings)
+				t.ID, ErrTimeout, c.TaskTimeout, r.Stats.Firings)
 		default:
 			r.Err = fmt.Errorf("tlp: run %s: %w", t.ID, err)
 		}
 		return r
 	}
-	if p.FiringBudget > 0 && r.Stats.Firings >= p.FiringBudget &&
+	if c.FiringBudget > 0 && r.Stats.Firings >= c.FiringBudget &&
 		!eng.Halted() && eng.ConflictSetSize() > 0 {
 		r.Err = fmt.Errorf("tlp: run %s: %w (%d firings without quiescence)",
-			t.ID, ErrBudgetExceeded, p.FiringBudget)
+			t.ID, ErrBudgetExceeded, c.FiringBudget)
 		return r
 	}
 	// Clean success: the worker is done with the task, so an engine
@@ -634,74 +642,14 @@ func (p *Pool) attempt(ctx context.Context, t *Task, worker, seq, attempt int, s
 	// attempts returned above without settling — their engines may be
 	// mid-operation — and the worker's next build starts on fresh slabs.
 	eng.Settle()
-	if !p.DropEngines {
-		r.Engine = eng
-	}
+	r.Engine = eng
 	return r
-}
-
-// Prebuild constructs the tasks' engines ahead of Run on up to
-// `workers` parallel builders, overlapping the (formerly serial)
-// engine construction. Prebuilt engines are consumed by each task's
-// first attempt; tasks whose prebuild fails or panics simply fall back
-// to the in-run build path, which reports the error through the usual
-// retry machinery. Call before Run; the pool must not be running.
-func (p *Pool) Prebuild(tasks []*Task, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	engines := make([]*ops5.Engine, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				func() {
-					defer func() { _ = recover() }() // fall back to in-run build
-					if eng, err := tasks[i].build(nil); err == nil {
-						engines[i] = eng
-					}
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	p.prebuiltMu.Lock()
-	defer p.prebuiltMu.Unlock()
-	if p.prebuilt == nil {
-		p.prebuilt = make(map[*Task]*ops5.Engine, len(tasks))
-	}
-	for i, t := range tasks {
-		if engines[i] != nil {
-			p.prebuilt[t] = engines[i]
-		}
-	}
-}
-
-// takePrebuilt pops the task's prebuilt engine, if any.
-func (p *Pool) takePrebuilt(t *Task) *ops5.Engine {
-	if p.prebuilt == nil {
-		return nil
-	}
-	p.prebuiltMu.Lock()
-	defer p.prebuiltMu.Unlock()
-	eng := p.prebuilt[t]
-	if eng != nil {
-		delete(p.prebuilt, t)
-	}
-	return eng
 }
 
 // RunSerial executes the tasks on a single worker (the BASELINE
 // configuration of the paper's measurements).
 func RunSerial(tasks []*Task, maxFirings int) ([]*Result, error) {
-	p := &Pool{Workers: 1, MaxFirings: maxFirings}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxFirings: maxFirings}}
 	return p.Run(tasks)
 }
 

@@ -84,7 +84,7 @@ func TestParallelExecution(t *testing.T) {
 
 func TestLargestFirstOrdering(t *testing.T) {
 	tasks := []*Task{countTask("small", 1), countTask("big", 50), countTask("mid", 10)}
-	p := &Pool{Workers: 1, Policy: LargestFirst}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: LargestFirst}}
 	results, err := p.Run(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestLargestFirstOrdering(t *testing.T) {
 
 func TestFIFOPreservesOrder(t *testing.T) {
 	tasks := []*Task{countTask("x", 2), countTask("y", 2), countTask("z", 2)}
-	p := &Pool{Workers: 1, Policy: FIFO}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: FIFO}}
 	results, _ := p.Run(tasks)
 	if results[0].TaskID != "x" || results[2].TaskID != "z" {
 		t.Error("FIFO must preserve submission order")
@@ -190,7 +190,7 @@ func TestLargestFirstStableOnEqualEstSize(t *testing.T) {
 	for _, t2 := range tasks[1:4] {
 		t2.EstSize = 10
 	}
-	p := &Pool{Workers: 1, Policy: LargestFirst}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: LargestFirst}}
 	results, err := p.Run(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestEmptyQueueRejected(t *testing.T) {
 }
 
 func TestMaxFiringsLimit(t *testing.T) {
-	p := &Pool{Workers: 1, MaxFirings: 3}
+	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxFirings: 3}}
 	results, _ := p.Run([]*Task{countTask("limited", 100)})
 	if results[0].Stats.Firings != 3 {
 		t.Errorf("firings = %d, want 3", results[0].Stats.Firings)
@@ -279,5 +279,23 @@ func TestTotalInstrPositive(t *testing.T) {
 	results, _ := RunSerial([]*Task{countTask("a", 5)}, 0)
 	if TotalInstr(results) <= 0 {
 		t.Error("total instructions should be positive")
+	}
+}
+
+// TestBuildModeBits: every mode survives its one-byte wire form, and a
+// byte with a bit no field defines is refused rather than truncated to
+// the bits that are.
+func TestBuildModeBits(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		m, ok := BuildModeFromBits(byte(b))
+		if defined := b < 1<<5; ok != defined {
+			t.Fatalf("bits %#x: accepted=%v, want %v", b, ok, defined)
+		}
+		if ok && m.Bits() != byte(b) {
+			t.Fatalf("bits %#x round-tripped to %#x (%+v)", b, m.Bits(), m)
+		}
+	}
+	if (BuildMode{}).Bits() != 0 || (BuildMode{ReferenceGeo: true}).Bits() != 1<<4 {
+		t.Fatal("the zero mode must encode as 0 and fields take bits in declaration order")
 	}
 }

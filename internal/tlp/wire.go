@@ -12,7 +12,7 @@
 //   - RemoteError, an error that crossed a process boundary as a
 //     message string plus classification marks, so the coordinator's
 //     RunReport classifies remote failures exactly as local ones;
-//   - OrderTasks and Pool.RunOne, the queue-ordering and
+//   - RunConfig.Order and Pool.RunOne, the queue-ordering and
 //     single-task-execution entry points the coordinator and the
 //     worker loop drive directly.
 package tlp
@@ -26,16 +26,67 @@ import (
 	"spampsm/internal/wm"
 )
 
+// BuildMode is how one run's task engines are built. The zero value is
+// the production path; each reference bit selects the implementation
+// the differential oracles hold the production path to — observably
+// identical (byte-identical results, firings and instruction counts),
+// only slower. It is a per-run value: it rides in the task's builder
+// in process and in the task's WireSpec across processes, so two runs
+// under different modes can share one process, one cached dataset and
+// one worker.
+type BuildMode struct {
+	// Capture records per-activation match cost for the match-parallel
+	// simulators.
+	Capture bool
+	// NaiveMatch selects the unindexed reference matcher over the
+	// equality-indexed Rete.
+	NaiveMatch bool
+	// FreshCompile compiles the phase program privately per engine
+	// instead of instantiating the Program's cached template.
+	FreshCompile bool
+	// PerWMESeed asserts seed working memory one WME at a time instead
+	// of as one batch with memoized alpha routing.
+	PerWMESeed bool
+	// ReferenceGeo evaluates every spatial predicate per call with
+	// per-call Polygon methods and the exact Hypot distance kernel —
+	// no predicate memo, no derived geometry, no partner grid.
+	ReferenceGeo bool
+}
+
+// Bits packs the mode into one byte for the wire, one bit per field in
+// declaration order.
+func (m BuildMode) Bits() byte {
+	var b byte
+	for i, on := range [...]bool{m.Capture, m.NaiveMatch, m.FreshCompile, m.PerWMESeed, m.ReferenceGeo} {
+		if on {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
+// BuildModeFromBits unpacks a wire byte; false when it carries a bit no
+// field defines (a peer asking for a path this process does not have
+// must be refused, not silently run on the production path).
+func BuildModeFromBits(b byte) (BuildMode, bool) {
+	m := BuildMode{
+		Capture: b&1 != 0, NaiveMatch: b&2 != 0, FreshCompile: b&4 != 0,
+		PerWMESeed: b&8 != 0, ReferenceGeo: b&16 != 0,
+	}
+	return m, m.Bits() == b
+}
+
 // WireSpec is the shippable description of one task: which dataset's
-// knowledge it runs against, which phase program to instantiate, the
-// seed working memory to assert (shared seeds carry their routing
-// digest discipline through the Digest field — an empty digest ships
-// as a plain seed, a non-empty one is recomputed on the worker), and
-// which WME classes to snapshot from the final working memory for
+// knowledge it runs against, which phase program to instantiate and how
+// (Mode), the seed working memory to assert (shared seeds carry their
+// routing digest discipline through the Digest field — an empty digest
+// ships as a plain seed, a non-empty one is recomputed on the worker),
+// and which WME classes to snapshot from the final working memory for
 // result extraction.
 type WireSpec struct {
 	Dataset string
 	Phase   string // rtf | lcc | fa | model
+	Mode    BuildMode
 	Seeds   []ops5.Seed
 	Extract []string // WME classes snapshotted into the Result
 }
@@ -151,15 +202,6 @@ func (e *RemoteError) Is(target error) bool {
 	return false
 }
 
-// OrderTasks returns the queue order of the tasks under a policy —
-// the same ordering Pool.Run applies, exported so the cluster
-// coordinator orders its shipping queue identically and per-task
-// SeqInQ values match a single-process run byte for byte.
-func OrderTasks(policy QueuePolicy, tasks []*Task) []*Task {
-	p := &Pool{Policy: policy}
-	return p.order(tasks)
-}
-
 // RunOne executes a single task under the pool's configuration —
 // memory gate, fault plan, retries, quarantine — starting the attempt
 // counter at startAttempt (1 for a fresh task; higher when earlier
@@ -175,12 +217,7 @@ func (p *Pool) RunOne(ctx context.Context, t *Task, worker, seq, startAttempt in
 	if startAttempt < 1 {
 		startAttempt = 1
 	}
-	p.gateMu.Lock()
-	if p.lastGate == nil {
-		p.lastGate = newMemGate(p.MemBudget)
-	}
-	gate := p.lastGate
-	p.gateMu.Unlock()
+	gate := p.gate()
 	got, err := gate.acquire(ctx, t.MemEst)
 	if err != nil {
 		return cancelledResult(t, seq, startAttempt-1, nil, err)
