@@ -21,8 +21,9 @@ vet-benchmark:
 
 # loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
-# definitions under cmd/ — and two counts that must stay zero: mentions
-# of the process-global build switches a per-run tlp.BuildMode replaced
+# definitions under cmd/ (a test's own flags, like the golden tests'
+# -update, are not the commands') — and two counts that must stay zero:
+# mentions of the process-global build switches a per-run tlp.BuildMode replaced
 # (tests and comments included), and package-level atomic.Bool
 # declarations in internal/spam and internal/geom, which is what such a
 # switch is made of.
@@ -30,7 +31,7 @@ loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
 	@printf 'flag definitions (cmd): '; \
-		grep -rhoE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
+		grep -rhoE --exclude='*_test.go' '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
 	@printf 'process-global build switch mentions (cmd, internal; want 0): '; \
 		grep -rhoE 'Use(NaiveMatch|FreshCompile|UnbatchedSeed|UncachedGeo|ExactOnly)' cmd internal | wc -l
 	@printf 'package-level atomic.Bool (internal/spam, internal/geom; want 0): '; \
@@ -64,16 +65,16 @@ bench:
 	$(GO) test -bench . -benchtime 1x .
 
 # bench-quick is the CI smoke benchmark: the value-equality,
-# symbol-intern, join-test, seed-load, engine-construction,
-# geometry-predicate, partner-search and task-scheduler
-# microbenchmarks at a short benchtime, well under 60 s. It exists to
-# surface gross wall-clock regressions (an optimized variant suddenly
+# symbol-intern, join-test, constant-test-dispatch, seed-load,
+# engine-construction, geometry-predicate, partner-search and
+# task-scheduler microbenchmarks at a short benchtime, well under 60 s.
+# It exists to surface gross wall-clock regressions (an optimized variant suddenly
 # slower than its baseline) in the log; the measured numbers are
 # benchmark/run.sh's.
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkValueEqual|BenchmarkSymIntern' \
 		-benchtime 0.3s ./internal/symtab/
-	$(GO) test -run '^$$' -bench 'BenchmarkJoinTest' \
+	$(GO) test -run '^$$' -bench 'BenchmarkJoinTest|BenchmarkAddDispatch' \
 		-benchtime 0.3s ./internal/rete/
 	$(GO) test -run '^$$' -bench 'BenchmarkSeedLoad|BenchmarkEngineBuild' \
 		-benchtime 0.3s ./internal/ops5/
@@ -85,8 +86,9 @@ bench-quick:
 		-benchtime 0.3s ./internal/machine/
 
 # oracle runs the differential oracles — indexed vs naive matcher,
-# template-instantiated vs fresh-compiled engines, batched vs per-WME
-# seed load, fast-vs-exact geometry, all of those build modes at once
+# constant tests dispatched vs swept on generated rule sets,
+# template-instantiated vs fresh-compiled engines, AssertBatch vs
+# Assert, fast-vs-exact geometry, all of those build modes at once
 # on one cached dataset, the scheduling policies (simulator vs Run
 # anchor, pool policies and memory budgets vs the serial FIFO baseline),
 # and the incremental-update path (remove-driven retraction vs fresh load, a
@@ -101,10 +103,11 @@ bench-quick:
 # the in-process pool, inside its wire-locality budget; every reference
 # build mode shipped to two worker processes vs the default in process),
 # and the match arena (engines that borrow, settle and recycle a
-# worker's scratch vs engines that own their memory; a settled engine
-# stays readable and refuses to run; an unsettled one leaves the next
-# task fresh; a long-lived worker's arena is bounded and steady under
-# window trim), and
+# worker's scratch vs engines that own their memory; the rows a worker
+# copies out before settling vs the rows an owning engine serves; a
+# settled engine keeps its statistics, serves no working memory and
+# refuses to run; an unsettled one leaves the next task fresh; a
+# long-lived worker's arena is bounded and steady under window trim), and
 # the value representation (the two-word symtab.Value against the
 # four-field struct it replaced, its shape, concurrent interning; a
 # process whose intern table filled in another order prints the same
@@ -114,7 +117,7 @@ bench-quick:
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern' \
+		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern' \
 		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 
@@ -129,7 +132,7 @@ cluster-smoke:
 	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
 		-cluster-workers 2 -cluster-check
 	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
-		-cluster-workers 2 -cluster-check -naive -no-seed-cache -naive-geom
+		-cluster-workers 2 -cluster-check -naive -naive-geom
 
 # check is the full verification gate: the tier-1 build and tests,
 # static analysis of this module, static analysis and unit tests of the

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	spamrun [-dataset SF|DC|MOFF|suburban] [-workers N] [-level 1..4]
-//	        [-reentry] [-scale F] [-lisp] [-naive] [-no-seed-cache]
-//	        [-naive-geom]
+//	        [-reentry] [-scale F] [-lisp] [-naive] [-naive-geom]
 //	        [-update N] [-churn F] [-churn-seed N]
 //	        [-sched fifo|largest|postorder] [-mem-budget BYTES]
 //	        [-fault-seed N] [-crash-rate P] [-task-timeout D] [-max-retries K]
@@ -42,15 +41,15 @@
 // docs/PERFORMANCE.md "Incremental re-interpretation"). The phase
 // table then describes the final updated interpretation.
 //
-// -naive, -no-seed-cache and -naive-geom set this run's build mode
-// (tlp.BuildMode, carried to cluster workers in every task frame):
-// -naive selects the unindexed reference matcher (identical results
-// and simulated costs, slower wall-clock; see docs/PERFORMANCE.md),
-// -no-seed-cache loads each task's seed working memory per-WME without
-// the template route memo (same results, slower task loading), and
-// -naive-geom evaluates every spatial predicate with the exact Hypot
-// kernel, no predicate memo, no derived-geometry cache and linear
-// partner scans (same results and simulated costs, slower wall-clock).
+// -naive and -naive-geom set this run's build mode (tlp.BuildMode,
+// carried to cluster workers in every task frame): -naive selects the
+// unindexed reference matcher, which also sweeps every alpha memory of
+// a WME's class instead of dispatching on its constant tests (identical
+// results and simulated costs, slower wall-clock; see
+// docs/PERFORMANCE.md), and -naive-geom evaluates every spatial
+// predicate with the exact Hypot kernel, no predicate memo, no
+// derived-geometry cache and linear partner scans (same results and
+// simulated costs, slower wall-clock).
 // The profile flags write standard pprof files.
 package main
 
@@ -87,7 +86,6 @@ func realMain() int {
 	scale := flag.Float64("scale", 1, "scene scale factor")
 	lisp := flag.Bool("lisp", false, "report times at the original Lisp system's speed")
 	naive := flag.Bool("naive", false, "use the unindexed reference matcher (same results, slower wall-clock)")
-	noSeedCache := flag.Bool("no-seed-cache", false, "load seed working memories per-WME without the route memo (same results, slower wall-clock)")
 	naiveGeom := flag.Bool("naive-geom", false, "exact geometry kernels without the predicate memo, derived cache or partner grid (same results, slower wall-clock)")
 	updates := flag.Int("update", 0, "apply N incremental churn updates through an interpretation session after the initial run")
 	churn := flag.Float64("churn", 0.05, "churn fraction per -update delta (regions touched / scene regions)")
@@ -109,6 +107,11 @@ func realMain() int {
 	policy, err := tlp.ParseQueuePolicy(*sched)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spamrun:", err)
+		return 2
+	}
+	if *level < 1 || *level > 4 {
+		fmt.Fprintf(os.Stderr, "spamrun: -level %d: the LCC decomposition levels are 1 to 4\n", *level)
+		flag.Usage()
 		return 2
 	}
 
@@ -166,7 +169,7 @@ func realMain() int {
 		Workers:      *workers,
 		Level:        spam.Level(*level),
 		ReEntry:      *reentry,
-		Build:        tlp.BuildMode{NaiveMatch: *naive, PerWMESeed: *noSeedCache, ReferenceGeo: *naiveGeom},
+		Build:        tlp.BuildMode{NaiveMatch: *naive, ReferenceGeo: *naiveGeom},
 		Sched:        policy,
 		MemBudget:    *memBudget,
 		Faults:       plan,

@@ -135,7 +135,7 @@ func TestDifferentialClusterReferenceModes(t *testing.T) {
 		t.Fatalf("local interpret: %v", err)
 	}
 	opt := spam.InterpretOptions{ReEntry: true,
-		Build: tlp.BuildMode{NaiveMatch: true, FreshCompile: true, PerWMESeed: true, ReferenceGeo: true}}
+		Build: tlp.BuildMode{NaiveMatch: true, FreshCompile: true, ReferenceGeo: true}}
 	opt.Runner = NewRunner(co, opt)
 	remote, err := d.Interpret(opt)
 	if err != nil {

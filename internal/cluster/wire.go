@@ -47,10 +47,12 @@ import (
 // nothing fills since engines stopped being reset; v5 puts the run's
 // build mode in the task frame, ships tlp.RunConfig as it stands and
 // leaves the Init frame the handshake and the worker's own pool size,
-// memory budget and process-fault plan; see docs/CLUSTER.md.)
+// memory budget and process-fault plan; v6 retires build-mode bit 8,
+// the per-WME seed load, which a worker now refuses like any undefined
+// bit; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 5
+	Version = 6
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]

@@ -160,6 +160,11 @@ func TestWireBuildMatchesLocalBuild(t *testing.T) {
 	}
 }
 
+// snapshot is what a worker ships of an engine's final working memory.
+func snapshot(e *ops5.Engine, classes []string) []SnapClass {
+	return snapClasses(e.Memory().CopyClasses(classes), classes)
+}
+
 // chunkRefsFor models the coordinator's chunk plan for one task in
 // isolation: every shared (digest-carrying) seed becomes a chunk,
 // assigning ids in seed order from the given table.
@@ -292,7 +297,7 @@ func TestWireV2InternSharing(t *testing.T) {
 // modeFrames returns one corpus task's frame with every build-mode bit
 // set under a fully populated RunConfig, and that frame with its mode
 // byte replaced by one carrying an undefined bit.
-func modeFrames(t testing.TB) (full, undefined []byte) {
+func modeFrames(t testing.TB) (full, undefined, retired []byte) {
 	t.Helper()
 	m := *corpusTasks(t)[0]
 	m.Config = tlp.RunConfig{
@@ -301,7 +306,7 @@ func modeFrames(t testing.TB) (full, undefined []byte) {
 		Faults: faults.Config{Seed: 42, BuildFailRate: 0.125, PanicRate: 0.25, CrashRate: 0.5, PermanentFraction: 0.75},
 	}
 	zero := EncodeTaskV2(NewEncTab(), &m, nil)
-	m.Spec.Mode = tlp.BuildMode{Capture: true, NaiveMatch: true, FreshCompile: true, PerWMESeed: true, ReferenceGeo: true}
+	m.Spec.Mode = tlp.BuildMode{Capture: true, NaiveMatch: true, FreshCompile: true, ReferenceGeo: true}
 	full = EncodeTaskV2(NewEncTab(), &m, nil)
 	// The two frames differ in the mode byte and nowhere else.
 	at := -1
@@ -318,7 +323,10 @@ func modeFrames(t testing.TB) (full, undefined []byte) {
 	}
 	undefined = bytes.Clone(full)
 	undefined[at] |= 0x80
-	return full, undefined
+	// Bit 8 selected the per-WME seed load until wire version 6.
+	retired = bytes.Clone(full)
+	retired[at] |= 8
+	return full, undefined, retired
 }
 
 // TestWireRejectsUndefinedBuildMode: a frame whose mode byte carries a
@@ -326,13 +334,13 @@ func modeFrames(t testing.TB) (full, undefined []byte) {
 // on whatever path the known bits select; the fully set mode and
 // RunConfig round-trip exactly.
 func TestWireRejectsUndefinedBuildMode(t *testing.T) {
-	full, undefined := modeFrames(t)
+	full, undefined, retired := modeFrames(t)
 	m, _, err := DecodeTaskV2(&DecTab{}, full, fuzzResolve)
 	if err != nil {
 		t.Fatalf("all-bits frame: %v", err)
 	}
-	if got := m.Spec.Mode.Bits(); got != 0x1f {
-		t.Errorf("decoded mode bits %#x, want 0x1f", got)
+	if got := m.Spec.Mode.Bits(); got != 0x17 {
+		t.Errorf("decoded mode bits %#x, want 0x17", got)
 	}
 	if m.Config.Policy != tlp.PostOrder || m.Config.Faults.PermanentFraction != 0.75 || m.Config.Faults.Seed != 42 {
 		t.Errorf("RunConfig changed on the wire: %+v", m.Config)
@@ -342,6 +350,9 @@ func TestWireRejectsUndefinedBuildMode(t *testing.T) {
 	}
 	if _, _, err := DecodeTaskV2(&DecTab{}, undefined, fuzzResolve); err == nil {
 		t.Error("decoder accepted a build mode with an undefined bit")
+	}
+	if _, _, err := DecodeTaskV2(&DecTab{}, retired, fuzzResolve); err == nil {
+		t.Error("decoder accepted a build mode with the retired per-WME-seed bit")
 	}
 }
 
@@ -391,9 +402,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// A task under every reference build mode and a RunConfig with no
 	// zero field; then the same frame asking for a mode bit nothing
 	// defines, which the decoder must refuse (TestWireRejectsUndefinedBuildMode).
-	full, undefined := modeFrames(f)
+	full, undefined, retired := modeFrames(f)
 	f.Add(append([]byte{2}, full...))
 	f.Add(append([]byte{2}, undefined...))
+	f.Add(append([]byte{2}, retired...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -327,6 +327,7 @@ func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg 
 	task := &tlp.Task{
 		ID: m.ID, Label: m.Label, Group: m.Group,
 		EstSize: m.EstSize, MemEst: m.MemEst,
+		Extract:   m.Spec.Extract,
 		Build:     func() (*ops5.Engine, error) { return builder(nil) },
 		BuildWith: builder,
 	}
@@ -346,21 +347,21 @@ func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg 
 	for _, ae := range r.AttemptErrs {
 		out.AttemptErrs = append(out.AttemptErrs, WireError{Msg: ae.Error(), Marks: tlp.ErrorMarks(ae)})
 	}
-	if r.Err == nil && r.Engine != nil {
-		out.Snapshot = snapshot(r.Engine, m.Spec.Extract)
+	if r.Err == nil {
+		out.Snapshot = snapClasses(r.Snapshot, m.Spec.Extract)
 	}
 	return out
 }
 
-// snapshot extracts the requested classes' final WMEs — the only
-// engine state result extraction reads — so the engine itself never
-// crosses the wire and is dropped right here.
-func snapshot(e *ops5.Engine, classes []string) []SnapClass {
+// snapClasses flattens the rows the pool copied out of the final
+// working memory — the only engine state result extraction reads — for
+// the wire, in the spec's class order; the engine itself never crosses
+// it.
+func snapClasses(snap tlp.Snapshot, classes []string) []SnapClass {
 	var out []SnapClass
 	for _, class := range classes {
-		wmes := e.WMEs(class)
 		sc := SnapClass{Name: class}
-		for _, x := range wmes {
+		for _, x := range snap[class] {
 			if sc.Attrs == nil {
 				sc.Attrs = x.Class.Attrs
 			}

@@ -23,14 +23,14 @@ func seedProgram() *Program {
 	return MustParse(src)
 }
 
-// BenchmarkSeedLoad contrasts the two ways a task engine's seed
-// working memory is loaded: "unbatched" asserts each WME with Assert
-// (per-assertion attribute map, full constant-test walk — the
-// pre-batching behavior, kept reachable through WithPerWMEAssert),
-// while "batched" asserts ready-made shared seeds with AssertBatch,
-// replaying the template's memoized alpha acceptance sets. The ratio
-// is the per-task seed-distribution saving; the simulated Counters are
-// byte-identical either way (see the seed differential oracles).
+// BenchmarkSeedLoad contrasts the ways a task engine's seed working
+// memory is loaded: "unbatched" asserts each WME with Assert (a
+// per-assertion attribute map and a fresh vector), "batched" asserts
+// ready-made shared seeds with AssertBatch, adopting their vectors, and
+// "batched-sweep" does the same on the naive template, whose Add offers
+// each seed to all 40 alpha memories instead of dispatching it to the
+// five keyed on its ^kind. The simulated Counters are byte-identical
+// all three ways (see the seed differential oracles).
 func BenchmarkSeedLoad(b *testing.B) {
 	prog := seedProgram()
 	sc, err := prog.SeedClass("item")
@@ -74,24 +74,24 @@ func BenchmarkSeedLoad(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batched", func(b *testing.B) {
-		e, err := NewEngine(prog) // warm the variant cache and route memo
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.AssertBatch(seeds); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e, err := NewEngine(prog)
-			if err != nil {
+	batched := func(opts ...Option) func(*testing.B) {
+		return func(b *testing.B) {
+			if _, err := NewEngine(prog, opts...); err != nil { // warm the variant cache
 				b.Fatal(err)
 			}
-			if err := e.AssertBatch(seeds); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := NewEngine(prog, opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.AssertBatch(seeds); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("batched", batched())
+	b.Run("batched-sweep", batched(WithNaiveMatch()))
 }

@@ -83,6 +83,11 @@ func compileProduction(p *Production, classes *wm.Classes) (*compiledProd, error
 			cp.elemLevels[ce.ElemVar] = i
 		}
 		var consts []constTest
+		// eqs are the equality-constant conjuncts among consts, as data,
+		// for the network's constant-test dispatch; one per attribute is
+		// all it uses. <>, relational and intra-element tests are not
+		// equalities with a constant and stay in the filter alone.
+		eqs := map[int][]symtab.Value{}
 		var intras []intraTest
 		var joins []rete.JoinTest
 		localLocs := map[string]varLoc{}
@@ -95,8 +100,12 @@ func compileProduction(p *Production, classes *wm.Classes) (*compiledProd, error
 				switch {
 				case tm.Disj != nil:
 					consts = append(consts, constTest{attr: ai, pred: PredEQ, disj: tm.Disj})
+					eqs[ai] = tm.Disj
 				case !tm.IsVar():
 					consts = append(consts, constTest{attr: ai, pred: tm.Pred, val: tm.Val})
+					if tm.Pred == PredEQ {
+						eqs[ai] = []symtab.Value{tm.Val}
+					}
 				default:
 					v := tm.Var
 					if loc, ok := localLocs[v]; ok {
@@ -122,7 +131,7 @@ func compileProduction(p *Production, classes *wm.Classes) (*compiledProd, error
 				}
 			}
 		}
-		cp.patterns = append(cp.patterns, buildPattern(ce, cd, consts, intras, joins))
+		cp.patterns = append(cp.patterns, buildPattern(ce, cd, consts, eqs, intras, joins))
 	}
 	cp.rhs = make([][]int, len(p.RHS))
 	for i, a := range p.RHS {
@@ -159,7 +168,7 @@ func compileProduction(p *Production, classes *wm.Classes) (*compiledProd, error
 
 // buildPattern assembles the alpha filter, its cost and dedup
 // signature, and the join tests for one CE.
-func buildPattern(ce *CondElem, cd *wm.ClassDef, consts []constTest, intras []intraTest, joins []rete.JoinTest) rete.Pattern {
+func buildPattern(ce *CondElem, cd *wm.ClassDef, consts []constTest, eqs map[int][]symtab.Value, intras []intraTest, joins []rete.JoinTest) rete.Pattern {
 	nTests := len(consts) + len(intras)
 	filter := func(w *wm.WME) bool {
 		for _, ct := range consts {
@@ -198,6 +207,7 @@ func buildPattern(ce *CondElem, cd *wm.ClassDef, consts []constTest, intras []in
 		Signature:  patternSignature(ce.Class, consts, intras),
 		Filter:     filterFn,
 		FilterCost: float64(max(1, nTests)) * rete.CostAlphaFilterTerm,
+		Consts:     eqs,
 		Tests:      joins,
 	}
 }

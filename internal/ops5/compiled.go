@@ -69,8 +69,9 @@ func compileVariant(prog *Program, naive, capture bool) (*CompiledProgram, error
 		cp.pnode = pn
 		compiled[p.Name] = cp
 	}
-	// Freeze before the template escapes the compiler, so concurrent
-	// first instantiations never race on the freeze flag.
+	// Bind and freeze before the template escapes the compiler, so
+	// concurrent first instantiations never race on the freeze flag.
+	tmpl.BindClasses(classes)
 	tmpl.Freeze()
 	return &CompiledProgram{
 		prog:     prog,
@@ -155,11 +156,8 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 	}
 	e.classes = cp.classes
 	e.compiled = cp.compiled
-	e.mem = wm.NewMemory(cp.classes)
-	if e.scratch != nil {
-		e.batchWMEs, e.batchDigests = e.scratch.TakeSeedBuffers()
-	}
 	e.net = cp.tmpl.NewNetworkScratch(e.cs, e.scratch)
+	e.mem = e.net.NewMemory(cp.classes)
 	e.scratch = nil
 	e.net.SetCapture(cp.capture)
 	e.net.StartBatch()
@@ -168,21 +166,21 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 
 // Settle gives back everything the engine borrowed from its worker's
 // scratch (WithScratch): the match network's tokens, entries and node
-// state, the conflict set, the seed staging buffers. What extraction
-// reads stays — WMEs, Memory, Stats, Log, MatchCounters return what
-// they returned before — but the engine is finished: Assert,
+// state, the conflict set, and the working memory — WME structs and the
+// value vectors its rules made. Stats, Log, MatchCounters and the
+// memory's peaks return what they returned before, but WMEs and Memory
+// are empty — whoever reads final working memory copies the rows first
+// (wm.Memory.CopyClasses) — and the engine is finished: Assert,
 // AssertBatch and Run fail with ErrSettled. The worker calls it when a
 // task's run ended normally; an engine that panicked or was
 // interrupted is never settled, and its worker starts the next task on
 // fresh slabs. On an engine built without a scratch Settle does
-// nothing.
+// nothing, and its working memory stays readable.
 func (e *Engine) Settle() {
 	s := e.net.Settle()
 	if s == nil {
 		return
 	}
-	s.PutSeedBuffers(e.batchWMEs, e.batchDigests)
-	e.batchWMEs, e.batchDigests = nil, nil
 	*e.cs, e.env = conflictSet{}, rhsEnv{}
 	e.settled = true
 }

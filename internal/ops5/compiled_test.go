@@ -10,6 +10,7 @@ import (
 
 	"spampsm/internal/rete"
 	"spampsm/internal/symtab"
+	"spampsm/internal/wm"
 )
 
 // Differential oracle for the compile-once template path: an engine
@@ -21,8 +22,9 @@ import (
 // runDiffOn builds one engine on prog with the given options, seeds
 // the differential working memory, runs it to quiescence, settles it (a
 // no-op unless an option made it borrow a scratch) and returns the
-// observables — read after the settle, so they are also what a settled
-// engine still answers.
+// observables: the working memory as it stood before the settle — a
+// borrowing engine gives it back — the rest read after it, so they are
+// also what a settled engine still answers.
 func runDiffOn(t *testing.T, prog *Program, opts ...Option) (string, string, rete.Counters, RunStats) {
 	t.Helper()
 	var trace bytes.Buffer
@@ -35,9 +37,9 @@ func runDiffOn(t *testing.T, prog *Program, opts ...Option) (string, string, ret
 	if _, err := e.Run(5000); err != nil {
 		t.Fatal(err)
 	}
-	e.Settle()
 	var dump bytes.Buffer
 	e.DumpWM(&dump)
+	e.Settle()
 	return trace.String(), dump.String(), e.MatchCounters(), e.Stats()
 }
 
@@ -218,12 +220,14 @@ func TestConcurrentEngineInstantiation(t *testing.T) {
 	}
 }
 
-// TestSettledEngineReadableAndRefusesToRun: after Settle an engine
-// still answers WMEs, Stats, Log and MatchCounters as before, refuses —
-// with ErrSettled, not a panic and not by quietly matching on recycled
-// tokens — to assert or run, and keeps answering the
-// same after a different task has borrowed, dirtied and settled the
-// same scratch.
+// TestSettledEngineReadableAndRefusesToRun: after Settle a borrowing
+// engine still answers Stats, Log, MatchCounters and its memory's peaks
+// as before but serves no WMEs — its working memory went back to the
+// worker with its match state — and refuses, with ErrSettled, not a
+// panic and not by quietly matching on recycled tokens, to assert or
+// run. The rows copied out before Settle (what a pool worker does for a
+// task's Extract classes) are the engine's rows, and stay so after a
+// different task has borrowed, dirtied and settled the same scratch.
 func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 	scratch := &Scratch{}
 	build := func(src string) *Engine {
@@ -243,30 +247,40 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 		return e
 	}
 	type view struct {
-		wm    string
-		paths []string
-		stats RunStats
-		log   CostLog
-		ctr   rete.Counters
+		stats    RunStats
+		log      CostLog
+		ctr      rete.Counters
+		peakWMEs int
+		peakB    float64
 	}
 	read := func(e *Engine) view {
-		var dump bytes.Buffer
-		e.DumpWM(&dump)
-		v := view{wm: dump.String(), stats: e.Stats(), log: *e.Log(), ctr: e.MatchCounters()}
-		for _, w := range e.WMEs("path") {
-			v.paths = append(v.paths, fmt.Sprintf("%d %s", w.TimeTag, w))
+		return view{stats: e.Stats(), log: *e.Log(), ctr: e.MatchCounters(),
+			peakWMEs: e.Memory().PeakSize(), peakB: e.Memory().PeakBytes()}
+	}
+	rows := func(wmes []*wm.WME) (out []string) {
+		for _, w := range wmes {
+			out = append(out, fmt.Sprintf("%d %s", w.TimeTag, w))
 		}
-		return v
+		return out
 	}
 
 	first := build(diffPrograms[0].src)
-	before := read(first)
-	if len(before.paths) == 0 || before.stats.Firings == 0 {
+	before, paths := read(first), rows(first.WMEs("path"))
+	if len(paths) == 0 || before.stats.Firings == 0 {
 		t.Fatal("first task produced nothing; the test is vacuous")
+	}
+	kept := first.Memory().CopyClasses([]string{"path", "no-such-class"})
+	if !reflect.DeepEqual(rows(kept["path"]), paths) || kept["no-such-class"] != nil {
+		t.Fatalf("CopyClasses returned %v, want the engine's rows %v", rows(kept["path"]), paths)
 	}
 	first.Settle()
 	if got := read(first); !reflect.DeepEqual(got, before) {
 		t.Errorf("Settle changed what the engine reports:\nbefore %+v\nafter  %+v", before, got)
+	}
+	var dump bytes.Buffer
+	first.DumpWM(&dump)
+	if n := len(first.WMEs("path")); n != 0 || dump.Len() != 0 || first.Memory().Size() != 0 {
+		t.Errorf("a settled borrowing engine still serves working memory: %d paths, %d live, dump %q", n, first.Memory().Size(), dump.String())
 	}
 	if first.ConflictSetSize() != 0 {
 		t.Error("a settled engine still holds a conflict set")
@@ -284,18 +298,34 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 		t.Error("a refused operation changed the settled engine")
 	}
 
-	// A different task on the same scratch, run and settled in turn.
+	// A different task on the same scratch, run and settled in turn: it
+	// draws the very WME structs and vectors the first engine gave back.
 	for i := 0; i < 2; i++ {
 		second := build(diffPrograms[1].src)
 		if second.Stats().Firings == 0 {
 			t.Fatal("second task fired nothing")
 		}
-		if got := read(first); !reflect.DeepEqual(got, before) {
-			t.Fatalf("a later borrower of the scratch disturbed the settled engine (round %d, before its settle)", i)
-		}
 		second.Settle()
 		if got := read(first); !reflect.DeepEqual(got, before) {
 			t.Fatalf("a later borrower of the scratch disturbed the settled engine (round %d)", i)
 		}
+		if got := rows(kept["path"]); !reflect.DeepEqual(got, paths) {
+			t.Fatalf("a later borrower of the scratch rewrote the rows copied out before Settle (round %d):\n%v\nwant %v", i, got, paths)
+		}
+	}
+
+	// An engine that owns its memory keeps it: Settle does nothing.
+	prog, err := Parse(diffPrograms[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := mustNewEngine(t, prog)
+	seedDiffWM(t, owner)
+	if _, err := owner.Run(5000); err != nil {
+		t.Fatal(err)
+	}
+	owner.Settle()
+	if got := rows(owner.WMEs("path")); !reflect.DeepEqual(got, paths) {
+		t.Errorf("an owning engine's working memory after Settle: %v, want %v", got, paths)
 	}
 }

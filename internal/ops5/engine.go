@@ -187,15 +187,9 @@ type Engine struct {
 	// scratch is the worker arena the network borrows from at
 	// construction; consumed (and cleared) by finish.
 	scratch *Scratch
-	// perWMEAssert makes AssertBatch take the reference per-WME path
-	// (WithPerWMEAssert); batchWMEs/batchDigests are its staging
-	// buffers, recycled through Scratch across a worker's engines.
-	perWMEAssert bool
-	batchWMEs    []*wm.WME
-	batchDigests []string
-	halted       bool
-	running      bool
-	settled      bool // Settle gave the match state back; read-only now
+	halted  bool
+	running bool
+	settled bool // Settle gave the match state back; read-only now
 	// interrupted is set asynchronously by Interrupt and polled once
 	// per recognize-act cycle, so a wall-clock watchdog can stop a
 	// runaway task without killing its goroutine.
@@ -315,10 +309,13 @@ func (e *Engine) MatchCounters() rete.Counters { return e.net.Totals() }
 // matcher an engine was built with.
 func (e *Engine) IndexedMatch() bool { return e.net.Indexing() }
 
-// Memory exposes the working memory (for result extraction).
+// Memory exposes the working memory (for result extraction). A settled
+// engine that borrowed its worker's arena has given its WMEs back: its
+// memory is empty.
 func (e *Engine) Memory() *wm.Memory { return e.mem }
 
-// WMEs returns the live WMEs of a class ordered by timetag.
+// WMEs returns the live WMEs of a class ordered by timetag (none once a
+// borrowing engine is settled).
 func (e *Engine) WMEs(class string) []*wm.WME { return e.mem.OfClass(class) }
 
 // ConflictSetSize returns the number of live instantiations.
@@ -470,7 +467,7 @@ func (e *Engine) execute(a Action, slots []int, env *rhsEnv) error {
 	switch act := a.(type) {
 	case MakeAction:
 		cd := e.classes.Lookup(act.Class)
-		vals := make([]symtab.Value, cd.NumAttrs())
+		vals := e.mem.NewVals(cd.NumAttrs())
 		if err := e.evalSets(act.Sets, slots, vals, env); err != nil {
 			return err
 		}
@@ -487,7 +484,7 @@ func (e *Engine) execute(a Action, slots []int, env *rhsEnv) error {
 		}
 		// OPS5 modify = remove + make with a fresh timetag: the new
 		// vector is the old one with the sets written over it.
-		vals := make([]symtab.Value, len(old.Vals))
+		vals := e.mem.NewVals(len(old.Vals))
 		copy(vals, old.Vals)
 		if err := e.evalSets(act.Sets, slots, vals, env); err != nil {
 			return err

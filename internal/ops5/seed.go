@@ -1,13 +1,10 @@
-// Batched seed-WM distribution. A task runtime loads every engine
-// with a seed working memory before Run; Assert pays a map-backed
-// wm.Make plus a full alpha-network walk per WME. AssertBatch instead
-// takes prebuilt Seed values — slot-ordered vectors the caller
-// constructs once and shares across every engine that needs them — and
-// hands the whole set to rete.Network.InsertBatch, which routes shared
-// seeds through the compiled template's memoized acceptance sets. The
-// simulated cost accounting is unchanged (the batch's Init charge is
-// the sum of the per-Assert charges; the differential oracles prove
-// byte equality).
+// Seed working memory. A task runtime loads every engine with a seed
+// working memory before Run; Assert pays a map-backed wm.Make per WME.
+// AssertBatch instead takes prebuilt Seed values — slot-ordered vectors
+// the caller constructs once and shares across every engine that needs
+// them — and adopts each vector as it stands. The simulated cost
+// accounting is unchanged (the batch's Init charge is the sum of the
+// per-Assert charges; the differential oracles prove byte equality).
 package ops5
 
 import (
@@ -18,20 +15,13 @@ import (
 	"spampsm/internal/wm"
 )
 
-// WithPerWMEAssert makes AssertBatch fall back to the per-WME Assert
-// path (individual wm.Make + Network.Add, no route memoization): the
-// escape hatch the batched-vs-unbatched differential oracle and the
-// seed-load benchmark baseline select.
-func WithPerWMEAssert() Option { return func(e *Engine) { e.perWMEAssert = true } }
-
 // A Seed is one prebuilt seed WME: a class and its slot-ordered value
 // vector. Vals is immutable once built — it is adopted directly by
 // every engine the seed is asserted into (wm.Memory.MakeVals), so one
 // vector backs the WME in all of them. A non-empty Digest (SharedSeed)
-// declares the seed reusable across engines and routes it through the
-// compiled template's memoized alpha acceptance sets; a plain Seed
-// (empty Digest) is asserted by an ordinary alpha-network walk and
-// never populates the route cache.
+// declares the seed reusable across tasks and names its content: the
+// cluster ships such a row once per worker and refers to it by digest
+// afterwards. An engine loads both kinds alike.
 type Seed struct {
 	Class  string
 	Vals   []symtab.Value
@@ -89,10 +79,9 @@ func (sc *SeedClass) Seed(sets map[string]symtab.Value) (Seed, error) {
 	return Seed{Class: sc.name, Vals: vals}, nil
 }
 
-// SharedSeed builds a seed declared shareable across engines: its
-// routing digest is computed here, once, so every engine that asserts
-// it replays the template's memoized alpha acceptance set instead of
-// re-running the constant tests.
+// SharedSeed builds a seed declared shareable across tasks: its digest
+// is computed here, once, for every consumer that addresses the row by
+// content.
 func (sc *SeedClass) SharedSeed(sets map[string]symtab.Value) (Seed, error) {
 	s, err := sc.Seed(sets)
 	if err != nil {
@@ -136,47 +125,24 @@ func (r *SeedRow) Seed(vals ...symtab.Value) Seed {
 
 // AssertBatch asserts a seed set into working memory, semantically
 // identical to asserting each seed in order with Assert: same WMEs and
-// timetags, same conflict set, same Counters, same Init charge. The
-// batch path builds the WMEs without per-assertion attribute maps and
-// lets shared seeds (non-empty Digest) skip the constant-test walk via
-// the template route memo; WithPerWMEAssert selects the reference
-// per-WME path instead.
+// timetags, same conflict set, same Counters, same Init charge — without
+// the per-assertion attribute map, and adopting each seed's vector
+// instead of copying it.
 func (e *Engine) AssertBatch(seeds []Seed) error {
 	if err := e.mutable("AssertBatch"); err != nil {
 		return err
 	}
-	if e.perWMEAssert {
-		for _, s := range seeds {
-			w, err := e.mem.MakeVals(s.Class, s.Vals)
-			if err != nil {
-				return err
-			}
-			before := e.net.Totals().Cost
-			e.net.Add(w)
-			e.log.Init += e.net.Totals().Cost - before
-			e.log.Mem.SeedWMEs++
-			e.log.Mem.SeedBytes += wm.WMEBytes(len(w.Vals))
-		}
-		e.syncMem()
-		return nil
-	}
-	wmes := e.batchWMEs[:0]
-	digests := e.batchDigests[:0]
+	before := e.net.Totals().Cost
 	for _, s := range seeds {
 		w, err := e.mem.MakeVals(s.Class, s.Vals)
 		if err != nil {
 			return err
 		}
-		wmes = append(wmes, w)
-		digests = append(digests, s.Digest)
+		e.net.Add(w)
 		e.log.Mem.SeedWMEs++
 		e.log.Mem.SeedBytes += wm.WMEBytes(len(s.Vals))
 	}
-	before := e.net.Totals().Cost
-	e.net.InsertBatch(wmes, digests)
 	e.log.Init += e.net.Totals().Cost - before
-	e.batchWMEs = wmes[:0]
-	e.batchDigests = digests[:0]
 	e.syncMem()
 	return nil
 }

@@ -10,9 +10,9 @@ import (
 	"spampsm/internal/symtab"
 )
 
-// Engine-level seed-load oracle: AssertBatch — batched, per-WME via
-// WithPerWMEAssert, or freely interleaved with Assert — must leave the
-// engine in the identical state as asserting every row with Assert:
+// Engine-level seed-load oracle: AssertBatch — on its own or freely
+// interleaved with Assert — must leave the engine in the identical
+// state as asserting every row with Assert:
 // same working-memory snapshot and timetags, same conflict set, same
 // match counters and Init charge, and the same subsequent run.
 
@@ -25,8 +25,8 @@ type seedRow struct {
 }
 
 // diffSeedRows builds the diffPrograms seed WM as rows. Node rows are
-// built as shared seeds (digest + memoized routing), link rows as
-// plain ones, so both insertion paths are exercised in every batch.
+// built as shared seeds (with a digest), link rows as plain ones: an
+// engine must load both alike.
 func diffSeedRows(t *testing.T, prog *Program) []seedRow {
 	t.Helper()
 	var rows []seedRow
@@ -115,12 +115,11 @@ func statesEqual(t *testing.T, label string, ref, got engineState) {
 	}
 }
 
-// TestDifferentialAssertBatchVsAssert loads the same seed set four
-// ways — per-row Assert, AssertBatch cold, AssertBatch warm (template
-// route memo already populated), and AssertBatch under
-// WithPerWMEAssert — then runs each engine to quiescence. All four
-// must agree on WM, conflict set, counters, Init, firing trace and run
-// statistics.
+// TestDifferentialAssertBatchVsAssert loads the same seed set by
+// per-row Assert and by AssertBatch, under the indexed matcher (whose
+// Add dispatches on constant tests) and the naive one (whose Add
+// sweeps), then runs each engine to quiescence. All must agree on WM,
+// conflict set, counters, Init, firing trace and run statistics.
 func TestDifferentialAssertBatchVsAssert(t *testing.T) {
 	for _, tc := range diffPrograms {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,7 +136,7 @@ func TestDifferentialAssertBatchVsAssert(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch name {
-				case "assert":
+				case "assert", "assert-naive":
 					for _, r := range rows {
 						if _, err := e.Assert(r.class, r.sets); err != nil {
 							t.Fatal(err)
@@ -164,9 +163,9 @@ func TestDifferentialAssertBatchVsAssert(t *testing.T) {
 				name string
 				opts []Option
 			}{
-				{"batched-cold", nil},
-				{"batched-warm", nil},
-				{"per-wme", []Option{WithPerWMEAssert()}},
+				{"batched", nil},
+				{"batched-naive", []Option{WithNaiveMatch()}},
+				{"assert-naive", []Option{WithNaiveMatch()}},
 			} {
 				e, trace, got := load(variant.name, variant.opts...)
 				statesEqual(t, variant.name, ref, got)

@@ -143,10 +143,18 @@ func (s *diffScript) template(t *testing.T, indexed bool) *Template {
 }
 
 // replayOn runs the script on an already-compiled network whose agenda
-// is rec.
+// is rec, capturing activation forests.
 func (s *diffScript) replayOn(t *testing.T, net *Network, rec *seqRecorder) *diffRun {
 	t.Helper()
-	net.SetCapture(true)
+	return s.run(t, net, rec, true)
+}
+
+// run is replayOn with capture on or off. Off is the production
+// setting, and the only one under which Add dispatches a WME on its
+// class's constant tests instead of sweeping them (dispatch.go).
+func (s *diffScript) run(t *testing.T, net *Network, rec *seqRecorder, capture bool) *diffRun {
+	t.Helper()
+	net.SetCapture(capture)
 	mem := wm.NewMemory(s.classes)
 	var live []*wm.WME
 	run := &diffRun{}

@@ -112,11 +112,13 @@ func genPattern(rng *oracleRng, classes []*wm.ClassDef, level int, negated bool)
 	cd := classes[rng.intn(len(classes))]
 	nAttrs := cd.NumAttrs()
 	var filter func(*wm.WME) bool
+	var consts map[int][]symtab.Value
 	sig := cd.Name
 	if rng.intn(2) == 0 {
 		attr := rng.intn(nAttrs)
 		val := symtab.Int(int64(rng.intn(3)))
 		filter = func(w *wm.WME) bool { return w.GetAt(attr).Equal(val) }
+		consts = map[int][]symtab.Value{attr: {val}}
 		sig = fmt.Sprintf("%s^%d=%s", cd.Name, attr, val)
 	}
 	var tests []JoinTest
@@ -144,6 +146,7 @@ func genPattern(rng *oracleRng, classes []*wm.ClassDef, level int, negated bool)
 		Signature:  fmt.Sprintf("%s/%d", sig, rng.intn(1000000)), // unshared: joins differ
 		Filter:     filter,
 		FilterCost: CostAlphaFilterTerm,
+		Consts:     consts,
 		Tests:      tests,
 	}
 	op := oraclePattern{negated: negated, class: cd.Name, filter: filter, tests: tests}

@@ -32,7 +32,6 @@ package rete
 
 import (
 	"fmt"
-	"sync"
 
 	"spampsm/internal/symtab"
 	"spampsm/internal/wm"
@@ -118,6 +117,13 @@ type Pattern struct {
 	Filter func(*wm.WME) bool
 	// FilterCost is the instruction cost of one Filter evaluation.
 	FilterCost float64
+	// Consts are equality-constant conjuncts Filter was built from
+	// (^a c, ^a << c1 c2 >>), as data: a WME Filter accepts has, at each
+	// attribute slot listed, a value symtab.Value.Equal to one of the
+	// slot's constants. The template dispatches a WME change on them
+	// (dispatch.go); leaving a conjunct out only loses the speed-up,
+	// listing one Filter does not enforce loses matches.
+	Consts map[int][]symtab.Value
 	// Tests are the inter-element variable consistency tests.
 	Tests []JoinTest
 }
@@ -367,7 +373,8 @@ type alphaMem struct {
 	class      string
 	filter     func(*wm.WME) bool
 	filterCost float64
-	indexAttrs []int // registered equality-index attributes
+	consts     map[int][]symtab.Value // Pattern.Consts: what the class dispatches on
+	indexAttrs []int                  // registered equality-index attributes
 	successors []rightChild
 	id         int // index into Network.alphaStates
 }
@@ -739,11 +746,14 @@ type Counters struct {
 }
 
 // classNodes is what the template knows about one WME class: the alpha
-// memories a WME of the class is offered to (in compilation order) and
-// the labels of its retraction activations.
+// memories a WME of the class is offered to (in compilation order), the
+// labels of its retraction activations and, once the template is
+// frozen, how a WME of the class is dispatched to the memories that can
+// accept it (dispatch.go).
 type classNodes struct {
 	mems                            []*alphaMem
 	retract, retractTok, negUnblock string
+	dispatch                        *classDispatch
 }
 
 // Template is the immutable compiled form of a Rete network: alpha
@@ -762,13 +772,31 @@ type Template struct {
 	prods    []*PNode
 	indexing bool
 	frozen   bool
+	// byDef is byClass keyed by the definitions of the registry the
+	// template was bound to (BindClasses).
+	byDef map[*wm.ClassDef]*classNodes
+}
 
-	// Memoized seed routing (seed.go): per class, the acceptance set of
-	// each distinct seed WME digest under this template's constant
-	// tests. Lazily populated by InsertBatch; guarded because many
-	// engine instances route seeds concurrently on a pool's workers.
-	routeMu sync.RWMutex
-	routes  map[string]*classRoutes
+// BindClasses resolves the template's classes against the registry its
+// networks' working memories are built over, so that Add and Remove
+// find a WME's class nodes by its class pointer instead of hashing the
+// class name. Call it after the last AddProduction and before the
+// template is shared. Binding is optional: on an unbound template, and
+// for a WME whose class is of another registry, the lookup is by name.
+func (t *Template) BindClasses(cs *wm.Classes) {
+	t.byDef = map[*wm.ClassDef]*classNodes{}
+	for _, name := range cs.Names() {
+		t.byDef[cs.Lookup(name)] = t.byClass[name] // nil: no pattern tests the class
+	}
+}
+
+// nodesOf returns the nodes of a WME's class, nil when no pattern of
+// the template tests the class.
+func (t *Template) nodesOf(c *wm.ClassDef) *classNodes {
+	if cn, ok := t.byDef[c]; ok {
+		return cn
+	}
+	return t.byClass[c.Name]
 }
 
 // NewTemplate returns an empty template with indexed matching enabled.
@@ -817,7 +845,7 @@ func (t *Template) Productions() []*PNode { return t.prods }
 // All productions must be added before the first instantiation.
 func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) (*PNode, error) {
 	if t.frozen {
-		return nil, fmt.Errorf("rete: AddProduction(%s) after the template was instantiated", name)
+		return nil, fmt.Errorf("rete: AddProduction(%s) after the template was frozen (instantiated, or matched against)", name)
 	}
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("rete: production %s has no patterns", name)
@@ -924,6 +952,7 @@ func (t *Template) alpha(pat Pattern) *alphaMem {
 		class:      pat.Class,
 		filter:     pat.Filter,
 		filterCost: pat.FilterCost,
+		consts:     pat.Consts,
 		id:         len(t.alphas),
 	}
 	t.amems[pat.Signature] = am
@@ -941,12 +970,23 @@ func (t *Template) alpha(pat Pattern) *alphaMem {
 	return am
 }
 
-// Freeze marks the template complete: no further AddProduction. It is
-// idempotent; call it once after compilation, before the template is
-// shared across goroutines (instantiation also freezes, but a
-// concurrent *first* instantiation of a never-frozen template races on
-// the flag).
-func (t *Template) Freeze() { t.frozen = true }
+// Freeze marks the template complete — no further AddProduction — and
+// builds each class's constant-test dispatch (dispatch.go). It is
+// idempotent and writes nothing on a frozen template; call it once
+// after compilation, before the template is shared across goroutines
+// (instantiation also freezes, but a concurrent *first* instantiation
+// of a never-frozen template races on the flag).
+func (t *Template) Freeze() {
+	if t.frozen {
+		return
+	}
+	if t.indexing {
+		for _, cn := range t.byClass {
+			cn.dispatch = newClassDispatch(cn.mems)
+		}
+	}
+	t.frozen = true
+}
 
 // NewNetwork instantiates the template: O(nodes) state-slot setup with
 // no recompilation. The template is frozen by the first instantiation;
@@ -959,9 +999,7 @@ func (t *Template) NewNetwork(agenda Agenda) *Network {
 // from a worker's Scratch until Settle (see scratch.go). With s nil the
 // instance owns its memory, exactly like NewNetwork.
 func (t *Template) NewNetworkScratch(agenda Agenda, s *Scratch) *Network {
-	if !t.frozen {
-		t.frozen = true
-	}
+	t.Freeze()
 	n := &Network{
 		tmpl:   t,
 		agenda: agenda,
@@ -1053,14 +1091,10 @@ type Network struct {
 	alphaStates []alphaState
 	stores      []storeInst
 	dummyTok    *Token
-	frozen      bool
 	totals      Counters
 	batch       []*Activation
 	stack       []*Activation
 	capturing   bool
-	// noSeedRouting disables the template route memo for InsertBatch
-	// (SetSeedRouting): the differential-oracle escape hatch.
-	noSeedRouting bool
 
 	// states[t] is the match state of the WME with timetag t, nil until
 	// an alpha memory accepts it and again once it is removed. A network
@@ -1071,8 +1105,10 @@ type Network struct {
 
 	// arena is the worker scratch the instance borrows its match state
 	// from until Settle; nil for an instance that owns its memory (and
-	// for a settled one).
+	// for a settled one). mem is the working memory borrowing with it
+	// (NewMemory), which Settle releases.
 	arena *Scratch
+	mem   *wm.Memory
 
 	// Free lists. Deleted tokens rest in the graveyard until the next
 	// StartBatch: an engine may read a fired instantiation's (already
@@ -1148,9 +1184,6 @@ func (n *Network) SetCapture(on bool) { n.capturing = on }
 func (n *Network) AddProduction(name string, pats []Pattern, data interface{}) (*PNode, error) {
 	if !n.owned {
 		return nil, fmt.Errorf("rete: AddProduction(%s) on a template-instantiated network", name)
-	}
-	if n.frozen {
-		return nil, fmt.Errorf("rete: AddProduction(%s) after working memory was populated", name)
 	}
 	p, err := n.tmpl.AddProduction(name, pats, data)
 	if err != nil {
@@ -1308,16 +1341,37 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 // an earlier condition element would find the WME already present in a
 // later element's memory and the later memory's own right activation
 // would pair it a second time, duplicating instantiations.
+//
+// Which memories see the WME has two forms. The sweep offers it to
+// every memory of its class, one activation each: what a capturing
+// network and the naive template do. Otherwise the class's dispatch
+// (dispatch.go) names the memories the WME's value can reach, in the
+// same order, and charges the whole sweep in one step.
 func (n *Network) Add(w *wm.WME) {
-	n.frozen = true
-	cn := n.tmpl.byClass[w.Class.Name]
+	if !n.tmpl.frozen {
+		n.tmpl.Freeze() // an owned network's template, at its first WME
+	}
+	cn := n.tmpl.nodesOf(w.Class)
 	if cn == nil {
 		return
 	}
-	for _, am := range cn.mems {
-		n.beginBase(am.actLabel, CostAlphaScan)
-		n.charge(am.filterCost)
-		n.totals.ConstTests++
+	mems, swept := cn.mems, true
+	if d := cn.dispatch; d != nil && !n.capturing {
+		var keyed bool
+		if mems, keyed = d.byKey[keyOf(w.GetAt(d.attr))]; !keyed {
+			mems = d.residual // no memory is keyed on w's value
+		}
+		swept = false
+		n.totals.Activations += len(cn.mems)
+		n.totals.ConstTests += len(cn.mems)
+		n.totals.Cost += d.sweepCost
+	}
+	for _, am := range mems {
+		if swept {
+			n.beginBase(am.actLabel, CostAlphaScan)
+			n.charge(am.filterCost)
+			n.totals.ConstTests++
+		}
 		ok := am.filter == nil || am.filter(w)
 		if ok {
 			n.charge(CostAlphaMemOp)
@@ -1346,7 +1400,7 @@ func (n *Network) Remove(w *wm.WME) {
 	}
 	// A WME has state only after an alpha memory of its class accepted
 	// it, so the class is known to the template.
-	labels := n.tmpl.byClass[w.Class.Name]
+	labels := n.tmpl.nodesOf(w.Class)
 	n.begin(labels.retract)
 	for ref := st.refHead; ref != nil; ref = ref.next {
 		n.charge(CostAlphaMemOp)

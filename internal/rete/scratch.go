@@ -5,9 +5,11 @@
 // per-process state for a worker goroutine: slabs of tokens, list
 // entries, per-WME records and per-node state that a network
 // instantiated with NewNetworkScratch *borrows* for the length of one
-// task and gives back, all at once, when the worker calls Settle. A
-// network built without a scratch owns its memory and allocates from
-// the Go heap exactly as before.
+// task and gives back, all at once, when the worker calls Settle. The
+// task's working memory borrows from it too (Network.NewMemory): WME
+// structs, the value vectors its rules make, the tag table. A network
+// built without a scratch owns its memory and allocates from the Go
+// heap.
 //
 // The loan is exclusive: one borrower at a time. A borrower that never
 // settles (its task panicked, was interrupted or abandoned
@@ -20,6 +22,7 @@ package rete
 import (
 	"unsafe"
 
+	"spampsm/internal/symtab"
 	"spampsm/internal/wm"
 )
 
@@ -144,6 +147,10 @@ type Scratch struct {
 	stores       slab[storeInst]
 	wmeIndexes   slab[wmeIndex]
 	tokenIndexes slab[tokenIndex]
+	// The borrower's working memory: WME structs and the value vectors
+	// made for them (seed vectors are shared, adopted as they stand).
+	wmes slab[wm.WME]
+	vals slab[symtab.Value]
 
 	// Backing arrays of the borrower's free lists, so recycling within
 	// a task does not regrow them per engine.
@@ -151,18 +158,13 @@ type Scratch struct {
 	graveyard      []*Token
 	wmeEntryPool   []*wmeEntry
 	tokenEntryPool []*tokenEntry
-	// Backing array of the borrower's per-WME state table, all nil
-	// between loans.
+	// Backing arrays of the borrower's per-WME state table and of its
+	// working memory's tag table, all nil between loans.
 	states []*wmeState
+	tags   []*wm.WME
 
 	// borrower is the network currently drawing from the arena.
 	borrower *Network
-
-	// Seed-batch staging buffers (ops5.AssertBatch): reused across the
-	// engines a worker builds so batched seed loading allocates its
-	// WME/digest slices once per worker, not once per task.
-	seedWMEs    []*wm.WME
-	seedDigests []string
 }
 
 // Arena reports what the scratch currently holds for reuse: the number
@@ -186,9 +188,9 @@ type anySlab interface {
 
 // slabs lists the arena's slabs for the operations that treat them
 // alike.
-func (s *Scratch) slabs() [11]anySlab {
+func (s *Scratch) slabs() [13]anySlab {
 	return [...]anySlab{&s.tokens, &s.tokenEntries, &s.wmeEntries, &s.wmeStates, &s.alphaRefs, &s.wmeBuckets,
-		&s.joinResults, &s.alphaStates, &s.stores, &s.wmeIndexes, &s.tokenIndexes}
+		&s.joinResults, &s.alphaStates, &s.stores, &s.wmeIndexes, &s.tokenIndexes, &s.wmes, &s.vals}
 }
 
 // Trim bounds what an idle scratch keeps for the next task: less than
@@ -214,28 +216,10 @@ func (s *Scratch) Trim() {
 		// The free lists' backing arrays may still point, beyond their
 		// length, into dropped chunks; let them go too.
 		s.tokenPool, s.graveyard, s.wmeEntryPool, s.tokenEntryPool = nil, nil, nil, nil
-		// The state table is as long as the largest task's tag count; it
-		// goes with the chunks that task grew.
-		s.states = nil
+		// The state and tag tables are as long as the largest task's tag
+		// count; they go with the chunks that task grew.
+		s.states, s.tags = nil, nil
 	}
-}
-
-// TakeSeedBuffers hands the scratch's seed-batch staging slices to a
-// new engine (emptied of contents, capacity preserved).
-func (s *Scratch) TakeSeedBuffers() ([]*wm.WME, []string) {
-	w, d := s.seedWMEs[:0], s.seedDigests[:0]
-	s.seedWMEs, s.seedDigests = nil, nil
-	return w, d
-}
-
-// PutSeedBuffers returns staging slices taken by TakeSeedBuffers,
-// clearing their elements so the scratch does not retain the settled
-// engine's WMEs.
-func (s *Scratch) PutSeedBuffers(wmes []*wm.WME, digests []string) {
-	clear(wmes[:cap(wmes)])
-	clear(digests[:cap(digests)])
-	s.seedWMEs = wmes[:0]
-	s.seedDigests = digests[:0]
 }
 
 // lend makes n the scratch's borrower. An outstanding loan means the
@@ -254,11 +238,45 @@ func (s *Scratch) lend(n *Network) {
 	n.states = s.states[:0]
 }
 
-// Settle ends the network's loan: every object it drew from its
-// worker's scratch, live or free, goes back in time proportional to
-// the objects drawn, reset for the next borrower. The network keeps
-// its counters and peaks (Totals, PeakTokens) but no match state — it
-// must not be asserted into, retracted from or run again. Call it only
+// NewMemory returns the working memory whose WMEs the network will
+// match, with the network as its wm.Arena. A borrowing network's memory
+// borrows with it — WME structs, the vectors wm.Memory.NewVals hands
+// out and the tag table come from the scratch, and Settle releases
+// them, leaving the memory empty; an owning network's memory draws on
+// the heap and is never released. One memory a network.
+func (n *Network) NewMemory(classes *wm.Classes) *wm.Memory {
+	var tags []*wm.WME
+	if a := n.arena; a != nil {
+		tags, a.tags = a.tags, nil
+	}
+	n.mem = wm.NewMemoryIn(classes, n, tags)
+	return n.mem
+}
+
+// NewWME and NewVals make the network its working memory's wm.Arena.
+// They go through the network rather than straight to the scratch so
+// that a borrower whose loan was revoked (see lend) falls back to the
+// heap instead of drawing on the next borrower's slabs.
+func (n *Network) NewWME() *wm.WME {
+	if a := n.arena; a != nil {
+		return a.wmes.take()
+	}
+	return new(wm.WME)
+}
+
+func (n *Network) NewVals(k int) []symtab.Value {
+	if a := n.arena; a != nil {
+		return a.vals.takeN(k)
+	}
+	return make([]symtab.Value, k)
+}
+
+// Settle ends the network's loan: every object it and its working
+// memory drew from the worker's scratch, live or free, goes back in
+// time proportional to the objects drawn, reset for the next borrower.
+// The network keeps its counters and peaks (Totals, PeakTokens) but no
+// match state, and its memory no WME — it must not be asserted into,
+// retracted from or run again. Call it only
 // on a network that finished its work normally; one that panicked or
 // was abandoned mid-operation is simply never settled (see lend). It
 // returns the scratch, or nil for a network that owns its memory, for
@@ -275,6 +293,9 @@ func (n *Network) Settle() *Scratch {
 	s.wmeEntryPool, s.tokenEntryPool = n.wmeEntryPool[:0], n.tokenEntryPool[:0]
 	clear(n.states)
 	s.states = n.states[:0]
+	if n.mem != nil {
+		s.tags = n.mem.Release()
+	}
 	s.borrower = nil
 	n.arena = nil
 	n.agenda = nil

@@ -3,6 +3,8 @@ package rete
 import (
 	"sync"
 	"testing"
+
+	"spampsm/internal/wm"
 )
 
 // The template/instance differential oracle: networks instantiated
@@ -173,5 +175,87 @@ func TestNetworkWithoutScratchDrawsNoSlabs(t *testing.T) {
 	}
 	if net.dummyTok == nil {
 		t.Fatal("Settle on an owning network must leave it intact")
+	}
+}
+
+// TestArenaBackedWorkingMemoryLifecycle: the working memory of a
+// borrowing network draws its WME structs, the vectors NewVals hands out
+// and its tag table from the scratch; Settle takes them all back —
+// leaving the memory empty with its peaks intact — and the next
+// borrower reuses the very same records. A memory whose loan was
+// revoked keeps what it drew and continues on the heap.
+func TestArenaBackedWorkingMemoryLifecycle(t *testing.T) {
+	s := genScript(5)
+	tmpl := s.template(t, true)
+	scratch := &Scratch{}
+	load := func(net *Network, mem *wm.Memory, n int) []*wm.WME {
+		t.Helper()
+		var made []*wm.WME
+		for k := 0; k < n; k++ {
+			w, err := mem.Make(s.mkCls[k], s.makes[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Add(w)
+			made = append(made, w)
+		}
+		return made
+	}
+
+	net := tmpl.NewNetworkScratch(&seqRecorder{}, scratch)
+	mem := net.NewMemory(s.classes)
+	first := load(net, mem, 12)
+	if len(scratch.wmes.chunks) == 0 || len(scratch.vals.chunks) == 0 {
+		t.Fatal("a borrowing network's working memory drew nothing from the scratch")
+	}
+	if &scratch.wmes.chunks[0][0] != first[0] || &scratch.vals.chunks[0][0] != &first[0].Vals[0] {
+		t.Error("the first WME and its vector are not the slabs' first records")
+	}
+	peak, peakBytes := mem.PeakSize(), mem.PeakBytes()
+	net.Settle()
+	if mem.Size() != 0 || len(mem.Snapshot()) != 0 || len(mem.OfClass(s.mkCls[0])) != 0 {
+		t.Errorf("a settled network's working memory still holds %d WMEs", mem.Size())
+	}
+	if mem.PeakSize() != peak || mem.PeakBytes() != peakBytes || peak != 12 {
+		t.Errorf("Settle changed the memory's peaks: %d/%g, were %d/%g", mem.PeakSize(), mem.PeakBytes(), peak, peakBytes)
+	}
+	if first[0].Class != nil || first[0].Vals != nil || cap(scratch.tags) < 13 {
+		t.Error("Settle did not wipe the WME records or did not take the tag table back")
+	}
+
+	// The next borrower draws the same records, zeroed.
+	net2 := tmpl.NewNetworkScratch(&seqRecorder{}, scratch)
+	mem2 := net2.NewMemory(s.classes)
+	second := load(net2, mem2, 5)
+	if second[0] != first[0] || second[0].TimeTag != 1 {
+		t.Error("the second borrower's first WME is not the recycled first record with tag 1")
+	}
+
+	// A third borrower arrives while the second is unsettled: the second
+	// keeps its working memory and goes on, on the heap.
+	chunk := &scratch.wmes.chunks[0][0]
+	net3 := tmpl.NewNetworkScratch(&seqRecorder{}, scratch)
+	mem3 := net3.NewMemory(s.classes)
+	third := load(net3, mem3, 3)
+	if third[0] == chunk {
+		t.Fatal("the third borrower was handed the unsettled borrower's records")
+	}
+	more := load(net2, mem2, 2)
+	if mem2.Size() != 7 || more[0].TimeTag != 6 || second[0].Class == nil {
+		t.Errorf("the superseded borrower's memory: %d WMEs, next tag %d", mem2.Size(), more[0].TimeTag)
+	}
+	for _, c := range scratch.wmes.chunks {
+		for i := range c {
+			if &c[i] == more[0] {
+				t.Fatal("a superseded borrower drew a WME from the current borrower's slab")
+			}
+		}
+	}
+	if net2.Settle() != nil || mem2.Size() != 7 {
+		t.Error("a superseded borrower's Settle must be a no-op that leaves its memory alone")
+	}
+	net3.Settle()
+	if mem3.Size() != 0 {
+		t.Error("the current borrower's memory survived its Settle")
 	}
 }

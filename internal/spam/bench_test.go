@@ -42,16 +42,6 @@ func BenchmarkInterpretDC(b *testing.B) {
 	b.Run("naive", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{NaiveMatch: true}) })
 }
 
-// BenchmarkInterpretDCSeed is the end-to-end seed-distribution A/B:
-// the same interpretation with task working memories loaded per-WME
-// (BuildMode.PerWMESeed, the pre-batching behavior) versus batched
-// AssertBatch with the template route memo (the default). Measured in
-// one run so machine noise cancels out of the ratio.
-func BenchmarkInterpretDCSeed(b *testing.B) {
-	b.Run("unbatched", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{PerWMESeed: true}) })
-	b.Run("batched", func(b *testing.B) { benchInterpret(b, tlp.BuildMode{}) })
-}
-
 // BenchmarkInterpretDCGeo is the end-to-end geometry A/B: the same
 // interpretation on the reference geometry path (BuildMode.ReferenceGeo:
 // the exact Hypot kernel, no predicate memo, no derived cache, linear

@@ -312,6 +312,11 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 		runner = newPoolRunner(opt)
 	}
 	in := &Interpretation{Dataset: d}
+	if opt.Level < Level1 || opt.Level > Level4 {
+		// unitsWith has no units for such a level: LCC and FA would run
+		// nothing and the run would report an empty interpretation.
+		return in, fmt.Errorf("spam: undefined LCC decomposition level %d (want 1 to 4)", opt.Level)
+	}
 	if pr, ok := runner.(*poolRunner); ok {
 		defer func() { in.MemSched = pr.pool.MemSched() }()
 	}
@@ -340,12 +345,14 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 		}
 		return results, nil
 	}
-	// extracted frees a phase's engines once its outputs are read (the
-	// phase statistics only need the stats and cost logs).
+	// extracted frees a phase's engines and the rows copied out of them
+	// once its outputs are read (the phase statistics only need the
+	// stats and cost logs). A session's results are its cache: they
+	// arrive reduced to their snapshots (runSpecs) and stay so.
 	extracted := func(results []*tlp.Result) {
 		for _, r := range results {
-			if r != nil {
-				r.Engine = nil
+			if r != nil && s == nil {
+				r.Engine, r.Snapshot = nil, nil
 			}
 		}
 	}

@@ -6,24 +6,10 @@ import (
 	"spampsm/internal/tlp"
 )
 
-// TestSPAMDifferentialBatchedVsUnbatchedSeed is the full-rule-set
-// seed-load oracle: a complete four-phase interpretation must be
-// observably identical whether task working memories are loaded by
-// batched AssertBatch with the template route memo (default) or by the
-// reference per-WME path (BuildMode.PerWMESeed) — same firings, same
-// simulated instruction counts per phase, same fragments, pairs,
-// outcomes, functional areas, and final model.
-func TestSPAMDifferentialBatchedVsUnbatchedSeed(t *testing.T) {
-	t.Parallel()
-	batched := interpretUnder(t, tlp.BuildMode{})
-	unbatched := interpretUnder(t, tlp.BuildMode{PerWMESeed: true})
-	compareInterpretations(t, "batched", batched, "unbatched", unbatched)
-}
-
 // TestConcurrentLCCBuildSeedCache builds and runs every LCC task of a
 // scene on eight task processes — the workload that hammers the
-// RegionStore's fragment-seed cache and the shared template's route
-// memo from many goroutines at once — and requires the results to
+// RegionStore's fragment-seed cache and the shared template's dispatch
+// tables from many goroutines at once — and requires the results to
 // match a serial reference. Run under -race (make oracle / CI) this is
 // the regression test for the RegionStore.Register concurrency audit.
 func TestConcurrentLCCBuildSeedCache(t *testing.T) {

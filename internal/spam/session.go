@@ -373,24 +373,6 @@ func rerunReason(phase string, was, now *taskSig) string {
 	return why + " " + strings.Join(rows, "+")
 }
 
-// retain reduces a finished task's result to what the session keeps:
-// the WMEs of the phase's extract classes move from the engine into
-// the result's Snapshot and the engine goes. WMEs are ordinary heap
-// objects, never arena memory, so the snapshot outlives the settled
-// engine's match state. It does not assume the Runner settled the
-// engine (a serial replay hands back owned, unsettled engines), and a
-// cluster Runner's results are snapshots already.
-func retain(r *tlp.Result, classes []string) {
-	if r.Engine == nil {
-		return
-	}
-	r.Snapshot = make(tlp.Snapshot, len(classes))
-	for _, class := range classes {
-		r.Snapshot[class] = r.Engine.WMEs(class)
-	}
-	r.Engine = nil
-}
-
 // runSpecs is one phase queue under retention: it assembles each
 // spec's seeds, signs them with the store's answers, diffs the
 // signature against the cached task state, reuses unchanged tasks, and
@@ -461,7 +443,15 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		results[i] = r
 		s.tasks[specs[i].key].res = r
 		if r != nil {
-			retain(r, def.extract)
+			// What the session keeps of a finished task: the snapshot of
+			// the phase's extract classes — exact-size copies the executor
+			// took before it settled the engine — and no engine. A serial
+			// replay hands back owned, unsettled engines and no snapshot;
+			// their rows are copied here.
+			if r.Snapshot == nil && r.Engine != nil {
+				r.Snapshot = r.Engine.Memory().CopyClasses(def.extract)
+			}
+			r.Engine = nil
 			if r.Err == nil {
 				rep.UpdateInstr += r.Stats.TotalInstr()
 			}

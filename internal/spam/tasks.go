@@ -63,9 +63,6 @@ func engineOpts(mode tlp.BuildMode) []ops5.Option {
 	if mode.FreshCompile {
 		opts = append(opts, ops5.WithFreshCompile())
 	}
-	if mode.PerWMESeed {
-		opts = append(opts, ops5.WithPerWMEAssert())
-	}
 	return opts
 }
 
@@ -161,7 +158,7 @@ var phaseDefs = map[string]struct {
 // session's task, first run or re-run, differs in.
 func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, mode tlp.BuildMode, seeds []ops5.Seed) *tlp.Task {
 	def := phaseDefs[sp.phase]
-	extract := def.extract // all the Wire closure needs of def
+	extract := def.extract // all the task and its Wire closure need of def
 	load := func() ([]ops5.Seed, error) {
 		if seeds != nil {
 			return seeds, nil
@@ -178,6 +175,7 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, mode tlp.Buil
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
 		EstSize: sp.est, MemEst: sp.mem, Continues: sp.continues,
+		Extract:   extract,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 		Wire: func() (*tlp.WireSpec, error) {

@@ -38,7 +38,7 @@ func TestSPAMDifferentialTemplateVsFreshCompile(t *testing.T) {
 // TestConcurrentBuildModesOneDataset is the property a multi-tenant
 // server needs of a per-run build mode: goroutines interpreting the
 // same cached Dataset at once, each under a different mode — the
-// production paths, each reference bit alone, all four together — all
+// production paths, each reference bit alone, all three together — all
 // produce the zero-mode outputs, firings and instruction counts. Under
 // -race it also proves the per-Program variant cache (indexed and naive
 // templates instantiated side by side), the fragment-seed cache and the
@@ -56,9 +56,8 @@ func TestConcurrentBuildModesOneDataset(t *testing.T) {
 		{},
 		{NaiveMatch: true},
 		{FreshCompile: true},
-		{PerWMESeed: true},
 		{ReferenceGeo: true},
-		{NaiveMatch: true, FreshCompile: true, PerWMESeed: true, ReferenceGeo: true},
+		{NaiveMatch: true, FreshCompile: true, ReferenceGeo: true},
 	}
 	got := make([]*Interpretation, len(modes))
 	errs := make([]error, len(modes))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spampsm/internal/faults"
@@ -63,10 +64,14 @@ func arenaTask(t testing.TB, prog *ops5.Program, id string, size int, poke func(
 	return &Task{
 		ID:        id,
 		EstSize:   float64(size),
+		Extract:   arenaClasses,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 	}
 }
+
+// arenaClasses is every class of arenaProg: what an arena task extracts.
+var arenaClasses = []string{"item", "blocker", "out", "count"}
 
 func parseArenaProg(t testing.TB) *ops5.Program {
 	prog, err := ops5.Parse(arenaProg)
@@ -77,7 +82,10 @@ func parseArenaProg(t testing.TB) *ops5.Program {
 }
 
 // sameRun asserts two results of the same task are identical in every
-// simulated quantity and in final working memory.
+// simulated quantity and in final working memory — read through
+// Result.WMEs, which serves the snapshot taken before the engine was
+// settled when there is one (got) and the engine otherwise (a reference
+// task that names no Extract classes).
 func sameRun(t *testing.T, got, want *Result) {
 	t.Helper()
 	if got.Err != nil || want.Err != nil {
@@ -92,8 +100,8 @@ func sameRun(t *testing.T, got, want *Result) {
 	if g, w := got.Engine.MatchCounters(), want.Engine.MatchCounters(); g != w {
 		t.Errorf("task %s: match counters %+v != reference %+v", got.TaskID, g, w)
 	}
-	for _, class := range []string{"item", "blocker", "out", "count"} {
-		g, w := got.Engine.WMEs(class), want.Engine.WMEs(class)
+	for _, class := range arenaClasses {
+		g, w := got.WMEs(class), want.WMEs(class)
 		if len(g) != len(w) {
 			t.Fatalf("task %s: %d %s WMEs, want %d", got.TaskID, len(g), class, len(w))
 		}
@@ -108,8 +116,10 @@ func sameRun(t *testing.T, got, want *Result) {
 // TestUnsettledAttemptLeavesNextTaskFresh: an attempt that panics, is
 // interrupted mid-run, crashes or fails its build must not be settled —
 // its engine may be mid-operation — and the tasks the same worker runs
-// next, on fresh slabs, must still be identical to tasks run on engines
-// that own their memory.
+// next, on fresh slabs, must still be identical, working memory and
+// time tags included, to tasks run on engines that own their memory.
+// The abandoned engine keeps the working memory it drew: the next task
+// neither reads nor rewrites it.
 func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 	prog := parseArenaProg(t)
 	sizes := []int{9, 12, 7, 10, 11}
@@ -131,13 +141,27 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 		_, err := e.Run(0)
 		return errors.Is(err, ops5.ErrSettled)
 	}
+	dump := func(e *ops5.Engine) string {
+		var b strings.Builder
+		e.DumpWM(&b)
+		return b.String()
+	}
+	var abandoned *ops5.Engine // the last failed attempt's engine
+	var abandonedWM string
 	ok := func(i int) {
 		t.Helper()
 		id := fmt.Sprintf("ok%d", i)
 		got := clean.attempt(context.Background(), arenaTask(t, prog, id, sizes[i], nil, &engines), 0, i, 1, scratch)
 		sameRun(t, got, want[i])
-		if e := engines[len(engines)-1]; got.Engine != e || !settled(e) {
+		e := engines[len(engines)-1]
+		if got.Engine != e || !settled(e) {
 			t.Errorf("task %s: a clean attempt's engine must be attached and settled", id)
+		}
+		if got.Snapshot == nil || e.Memory().Size() != 0 || len(e.WMEs("item")) != 0 {
+			t.Errorf("task %s: a settled borrowing engine must have handed its rows to the snapshot and its working memory back (%d WMEs still live)", id, e.Memory().Size())
+		}
+		if abandoned != nil && dump(abandoned) != abandonedWM {
+			t.Errorf("task %s rewrote the working memory of the unsettled attempt before it", id)
 		}
 	}
 	failed := func(r *Result, is func(error) bool, what string) {
@@ -145,8 +169,12 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 		if r.Err == nil || !is(r.Err) {
 			t.Fatalf("%s: err %v", what, r.Err)
 		}
-		if e := engines[len(engines)-1]; settled(e) {
+		abandoned = engines[len(engines)-1]
+		if settled(abandoned) {
 			t.Errorf("%s: the failed attempt's engine was settled", what)
+		}
+		if abandonedWM = dump(abandoned); abandonedWM == "" {
+			t.Errorf("%s: the failed attempt's engine holds no working memory", what)
 		}
 	}
 

@@ -100,11 +100,16 @@ type Task struct {
 	// BuildWith, when set, is preferred over Build and receives the
 	// executing worker's match arena. A builder that threads it to
 	// ops5.NewEngine via WithScratch gets an engine that borrows the
-	// arena and is settled — its match state handed back to the worker,
-	// its working memory, statistics and cost log left readable — when
-	// the worker finishes the task; a builder that ignores it gets an
-	// engine that owns its memory.
+	// arena and is settled — its match state and its working memory
+	// handed back to the worker, its statistics, counters and cost log
+	// left readable — when the worker finishes the task; a builder that
+	// ignores it gets an engine that owns its memory.
 	BuildWith func(s *ops5.Scratch) (*ops5.Engine, error)
+	// Extract names the classes of the final working memory the task's
+	// consumer reads. On a clean run the worker copies their rows into
+	// Result.Snapshot before it settles the engine; a task that names
+	// none leaves nothing to read of a borrowing engine's memory.
+	Extract []string
 	// Wire, when set, produces the task's shippable description for the
 	// cluster runtime (internal/cluster). It is lazy — a local run never
 	// calls it — and must be a pure function of the task: the worker
@@ -153,9 +158,11 @@ type Result struct {
 	// quarantined and carry no verdict on the task itself.
 	Cancelled bool
 
-	// Snapshot holds the final working memory a cluster worker
-	// extracted before dropping its engine; Engine is nil for such
-	// results. Use WMEs to read final working memory either way.
+	// Snapshot holds the rows of the task's Extract classes, copied out
+	// of the final working memory before the engine was settled — by
+	// the pool worker in process, by the worker process across the wire
+	// (whose results carry no Engine). Use WMEs to read final working
+	// memory.
 	Snapshot Snapshot
 	// ShipBytes is the wire cost of this task when it ran on a cluster
 	// worker: encoded task frame plus encoded result frame, in bytes.
@@ -636,11 +643,15 @@ func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt i
 			t.ID, ErrBudgetExceeded, c.FiringBudget)
 		return r
 	}
-	// Clean success: the worker is done with the task, so an engine
-	// that borrowed the worker's arena gives it back; what extraction
-	// reads stays on the engine. Failed, interrupted and panicked
-	// attempts returned above without settling — their engines may be
+	// Clean success: the worker is done with the task, so what its
+	// consumer reads of the final working memory is copied out and an
+	// engine that borrowed the worker's arena gives it back, working
+	// memory included. Failed, interrupted and panicked attempts
+	// returned above without settling — their engines may be
 	// mid-operation — and the worker's next build starts on fresh slabs.
+	if len(t.Extract) > 0 {
+		r.Snapshot = eng.Memory().CopyClasses(t.Extract)
+	}
 	eng.Settle()
 	r.Engine = eng
 	return r

@@ -6,9 +6,9 @@
 //   - WireSpec, the shippable description of a task (its seed working
 //     memory and what to extract from the final one), attached lazily
 //     to a Task so purely local runs never pay for it;
-//   - Snapshot, the remotely-extracted working memory attached to a
-//     Result in place of a live Engine, with Result.WMEs hiding the
-//     difference from result extractors;
+//   - Snapshot, the extracted working memory attached to a Result —
+//     all a cluster worker's result carries of its engine — with
+//     Result.WMEs hiding the difference from result extractors;
 //   - RemoteError, an error that crossed a process boundary as a
 //     message string plus classification marks, so the coordinator's
 //     RunReport classifies remote failures exactly as local ones;
@@ -44,9 +44,6 @@ type BuildMode struct {
 	// FreshCompile compiles the phase program privately per engine
 	// instead of instantiating the Program's cached template.
 	FreshCompile bool
-	// PerWMESeed asserts seed working memory one WME at a time instead
-	// of as one batch with memoized alpha routing.
-	PerWMESeed bool
 	// ReferenceGeo evaluates every spatial predicate per call with
 	// per-call Polygon methods and the exact Hypot distance kernel —
 	// no predicate memo, no derived geometry, no partner grid.
@@ -54,10 +51,12 @@ type BuildMode struct {
 }
 
 // Bits packs the mode into one byte for the wire, one bit per field in
-// declaration order.
+// declaration order. Bit 3 (value 8) selected a per-WME seed load until
+// wire version 6; it stays undefined, so a frame that sets it is
+// refused rather than read as some later field.
 func (m BuildMode) Bits() byte {
 	var b byte
-	for i, on := range [...]bool{m.Capture, m.NaiveMatch, m.FreshCompile, m.PerWMESeed, m.ReferenceGeo} {
+	for i, on := range [...]bool{m.Capture, m.NaiveMatch, m.FreshCompile, false, m.ReferenceGeo} {
 		if on {
 			b |= 1 << i
 		}
@@ -71,7 +70,7 @@ func (m BuildMode) Bits() byte {
 func BuildModeFromBits(b byte) (BuildMode, bool) {
 	m := BuildMode{
 		Capture: b&1 != 0, NaiveMatch: b&2 != 0, FreshCompile: b&4 != 0,
-		PerWMESeed: b&8 != 0, ReferenceGeo: b&16 != 0,
+		ReferenceGeo: b&16 != 0,
 	}
 	return m, m.Bits() == b
 }
@@ -105,17 +104,19 @@ func (s *WireSpec) SharedSeedIndexes() []int {
 	return idx
 }
 
-// Snapshot is the working memory extracted from a remotely-executed
-// task's final state: the WMEs of each requested class, in timetag
-// order. It stands in for Result.Engine across a process boundary.
+// Snapshot is the working memory extracted from a task's final state:
+// the WMEs of each class the task's Extract names, in timetag order, as
+// copies that outlive the engine's arena-backed memory — and, across a
+// process boundary, stand in for Result.Engine.
 type Snapshot map[string][]*wm.WME
 
-// WMEs returns the result's final WMEs of a class, from the live
-// engine when the task ran in-process or from the shipped snapshot
-// when it ran on a cluster worker. Extractors that only read final
-// working memory see no difference.
+// WMEs returns the result's final WMEs of a class: from the snapshot
+// when the executor took one, from the engine otherwise (a replay that
+// built its own, unsettled engines hands back results with no
+// snapshot). Extractors that only read final working memory see no
+// difference.
 func (r *Result) WMEs(class string) []*wm.WME {
-	if r.Engine != nil {
+	if r.Snapshot == nil && r.Engine != nil {
 		return r.Engine.WMEs(class)
 	}
 	return r.Snapshot[class]

@@ -139,9 +139,25 @@ const (
 // slots.
 func WMEBytes(n int) float64 { return float64(WMEBaseBytes + n*SlotBytes) }
 
+// Arena supplies a Memory's records: WME structs and value vectors,
+// zeroed. A memory that borrows them (NewMemoryIn) holds them until the
+// lender takes everything back at once (Memory.Release) — a task
+// worker's match arena is such a lender (rete.Scratch, through its
+// borrowing rete.Network); NewMemory's draws on the heap.
+type Arena interface {
+	NewWME() *WME
+	NewVals(n int) []symtab.Value
+}
+
+type heap struct{}
+
+func (heap) NewWME() *WME                 { return new(WME) }
+func (heap) NewVals(n int) []symtab.Value { return make([]symtab.Value, n) }
+
 // Memory is a working memory: the live set of WMEs keyed by timetag.
 type Memory struct {
 	classes *Classes
+	arena   Arena // where WME structs and value vectors come from
 	// byTag[t] is the live WME with timetag t, nil once removed. Tags are
 	// dense (1, 2, 3…; slot 0 stays empty), so the next tag is the
 	// slice's length and a walk is in tag order. The price is 8 bytes per
@@ -161,8 +177,32 @@ type Memory struct {
 
 // NewMemory returns an empty working memory over the given classes.
 func NewMemory(classes *Classes) *Memory {
-	return &Memory{classes: classes, byTag: make([]*WME, 1)}
+	return NewMemoryIn(classes, heap{}, nil)
 }
+
+// NewMemoryIn returns an empty working memory that draws its WME
+// structs and the vectors NewVals hands out from a, and grows its tag
+// table on the lent backing array tags. Everything it holds is a loan:
+// Release ends it.
+func NewMemoryIn(classes *Classes, a Arena, tags []*WME) *Memory {
+	return &Memory{classes: classes, arena: a, byTag: append(tags[:0], nil)}
+}
+
+// Release ends a borrowing memory's loan: it forgets every WME — a
+// released memory is empty, with its peaks intact — and returns the
+// tag table's backing array, cleared, for the lender to keep. The
+// memory must not be asserted into afterwards.
+func (m *Memory) Release() []*WME {
+	tags := m.byTag
+	clear(tags)
+	m.byTag, m.live, m.liveBytes = nil, 0, 0
+	return tags[:0]
+}
+
+// NewVals returns a zeroed value vector for a WME the caller is about
+// to make with MakeVals: from the arena of a borrowing memory, from the
+// heap otherwise.
+func (m *Memory) NewVals(n int) []symtab.Value { return m.arena.NewVals(n) }
 
 // Classes returns the registry the memory was built over.
 func (m *Memory) Classes() *Classes { return m.classes }
@@ -173,7 +213,7 @@ func (m *Memory) Make(class string, sets map[string]symtab.Value) (*WME, error) 
 	if c == nil {
 		return nil, fmt.Errorf("wm: make of undeclared class %s", class)
 	}
-	vals := make([]symtab.Value, c.NumAttrs())
+	vals := m.NewVals(c.NumAttrs())
 	for a, v := range sets {
 		i := c.AttrIndex(a)
 		if i < 0 {
@@ -204,7 +244,8 @@ func (m *Memory) MakeVals(class string, vals []symtab.Value) (*WME, error) {
 // assert gives vals the next timetag and records the new WME against
 // the high-water marks.
 func (m *Memory) assert(c *ClassDef, vals []symtab.Value) *WME {
-	w := &WME{Class: c, Vals: vals, TimeTag: len(m.byTag)}
+	w := m.arena.NewWME()
+	*w = WME{Class: c, Vals: vals, TimeTag: len(m.byTag)}
 	m.byTag = append(m.byTag, w)
 	m.live++
 	m.liveBytes += WMEBytes(len(vals))
@@ -258,6 +299,30 @@ func (m *Memory) OfClass(class string) []*WME {
 		if w != nil && w.Class == c {
 			out = append(out, w)
 		}
+	}
+	return out
+}
+
+// CopyClasses returns the live WMEs of the named classes, per class in
+// timetag order, as copies that share nothing with the memory: one WME
+// array and one value array per class, each exactly as large as its
+// rows. It is what outlives a borrowing memory — result extraction
+// copies the few classes it reads before the loan ends. A name that is
+// not a declared class, or has no live WME, maps to nil.
+func (m *Memory) CopyClasses(names []string) map[string][]*WME {
+	out := make(map[string][]*WME, len(names))
+	for _, name := range names {
+		rows, slots := m.OfClass(name), 0
+		for _, w := range rows {
+			slots += len(w.Vals)
+		}
+		recs, vals := make([]WME, len(rows)), make([]symtab.Value, slots)
+		for i, w := range rows {
+			k := copy(vals, w.Vals)
+			recs[i] = WME{Class: w.Class, Vals: vals[:k:k], TimeTag: w.TimeTag}
+			rows[i], vals = &recs[i], vals[k:]
+		}
+		out[name] = rows
 	}
 	return out
 }
