@@ -32,8 +32,7 @@ func main() {
 		}
 		sc = scene.GenerateSuburban(p)
 	} else {
-		params := map[string]scene.Params{"SF": scene.SF, "DC": scene.DC, "MOFF": scene.MOFF}
-		p, ok := params[*dataset]
+		p, ok := scene.ParamsByName(*dataset)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "scenegen: unknown dataset %q\n", *dataset)
 			os.Exit(2)

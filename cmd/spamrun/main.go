@@ -139,8 +139,7 @@ func realMain() int {
 		dspec = cluster.SuburbanSpec(sp)
 		d, err = spam.NewSuburbanDataset(sp)
 	} else {
-		params := map[string]scene.Params{"SF": scene.SF, "DC": scene.DC, "MOFF": scene.MOFF}
-		p, ok := params[*dataset]
+		p, ok := scene.ParamsByName(*dataset)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "spamrun: unknown dataset %q\n", *dataset)
 			return 2

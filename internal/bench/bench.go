@@ -90,8 +90,7 @@ func (s *Suite) Dataset(name string) (*spam.Dataset, error) {
 	var d *spam.Dataset
 	var err error
 	if s.Opt.SubsetScale != 0 && s.Opt.SubsetScale != 1 {
-		params := map[string]scene.Params{"SF": scene.SF, "DC": scene.DC, "MOFF": scene.MOFF}
-		p, ok := params[name]
+		p, ok := scene.ParamsByName(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown dataset %q", name)
 		}
@@ -141,10 +140,10 @@ func (s *Suite) Measurement(ds string, phase core.Phase, level spam.Level, captu
 // counts.
 func (s *Suite) Tables123() (string, error) {
 	var b strings.Builder
-	params := map[string]scene.Params{"SF": scene.SF, "DC": scene.DC, "MOFF": scene.MOFF}
 	logs := map[string]string{"SF": "log #63", "DC": "log #405", "MOFF": "log #415"}
 	for _, name := range Datasets {
-		p := params[name].Scale(s.Opt.FullScale)
+		p, _ := scene.ParamsByName(name)
+		p = p.Scale(s.Opt.FullScale)
 		p.Name = name + "-full"
 		d, err := spam.NewDataset(p)
 		if err != nil {

@@ -43,15 +43,7 @@ const oracleScale = 0.4
 var clusterV1ShipShare = map[string]float64{"SF": 0.496, "DC": 0.513, "MOFF": 0.497}
 
 func airportParams(name string) scene.Params {
-	var p scene.Params
-	switch name {
-	case "SF":
-		p = scene.SF
-	case "DC":
-		p = scene.DC
-	case "MOFF":
-		p = scene.MOFF
-	}
+	p, _ := scene.ParamsByName(name)
 	p = p.Scale(oracleScale)
 	p.Name = name
 	return p

@@ -76,15 +76,13 @@ type worker struct {
 	dec *DecTab
 	enc *EncTab
 
-	// mu guards datasets (written by the read loop, read by executors)
-	// and pools (built on demand by whichever executor first sees a
-	// RunConfig).
+	// mu guards datasets (written by the read loop, read by executors).
 	mu       sync.Mutex
 	datasets map[string]*spam.Dataset
-	// pools caches one tlp.Pool per distinct RunConfig. Pools carry the
-	// retry/quarantine machinery and the shared memory gate, so tasks
-	// of one run share a gate exactly as they would in-process.
-	pools map[tlp.RunConfig]*tlp.Pool
+	// pool holds the process's one memory gate: every task, whatever
+	// RunConfig its frame carries, reserves its footprint against the
+	// same InitMsg.MemBudget.
+	pool *tlp.Pool
 
 	// arenas is what each executor's match arena holds, published by
 	// the executor after every task; results report the process total.
@@ -106,7 +104,6 @@ func ServeWorker(c net.Conn) error {
 		dec:      &DecTab{},
 		enc:      NewEncTab(),
 		datasets: map[string]*spam.Dataset{},
-		pools:    map[tlp.RunConfig]*tlp.Pool{},
 	}
 	defer c.Close()
 
@@ -127,6 +124,7 @@ func ServeWorker(c net.Conn) error {
 	if w.init.LocalWorkers < 1 {
 		w.init.LocalWorkers = 1
 	}
+	w.pool = &tlp.Pool{Workers: w.init.LocalWorkers, MemBudget: w.init.MemBudget}
 	if w.init.ProcFaults != (faults.Config{}) {
 		w.procPlan = faults.New(w.init.ProcFaults)
 	}
@@ -267,19 +265,6 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 	return nil
 }
 
-// poolFor returns (building if needed) the local pool matching a
-// run's configuration.
-func (w *worker) poolFor(cfg tlp.RunConfig) *tlp.Pool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if p, ok := w.pools[cfg]; ok {
-		return p
-	}
-	p := &tlp.Pool{Workers: w.init.LocalWorkers, RunConfig: cfg, MemBudget: w.init.MemBudget}
-	w.pools[cfg] = p
-	return p
-}
-
 // runTask executes one shipped task on executor idx, stamps the
 // result with the process's arena footprint, and writes its result
 // frame. The encoding happens under writeMu too: the result
@@ -304,8 +289,9 @@ func (w *worker) runTask(idx int, m *TaskMsg, scratch *ops5.Scratch) {
 	w.bw.Flush()
 }
 
-// execute runs the task through the local pool, on the executor's
-// match arena, and flattens the Result for the wire.
+// execute runs the task behind the process's memory gate, under the
+// configuration its frame carries and on the executor's match arena,
+// and flattens the Result for the wire.
 func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg {
 	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt, Spawned: m.Spawned}
 	w.mu.Lock()
@@ -331,7 +317,7 @@ func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg 
 		Build:     func() (*ops5.Engine, error) { return builder(nil) },
 		BuildWith: builder,
 	}
-	r := w.poolFor(m.Config).RunOne(context.Background(), task, idx, m.Seq, m.StartAttempt, scratch)
+	r := w.pool.RunOne(context.Background(), m.Config, task, idx, m.Seq, m.StartAttempt, scratch)
 
 	out.Attempts = r.Attempts
 	out.Stats = r.Stats

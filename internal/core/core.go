@@ -54,15 +54,8 @@ var airportShared struct {
 // name: "SF", "DC" or "MOFF". The airport rule programs are compiled
 // once per process and shared across every returned dataset.
 func LoadDataset(name string) (*spam.Dataset, error) {
-	var p scene.Params
-	switch name {
-	case "SF":
-		p = scene.SF
-	case "DC":
-		p = scene.DC
-	case "MOFF":
-		p = scene.MOFF
-	default:
+	p, ok := scene.ParamsByName(name)
+	if !ok {
 		return nil, fmt.Errorf("core: unknown dataset %q (want SF, DC or MOFF)", name)
 	}
 	airportShared.once.Do(func() {
@@ -79,15 +72,11 @@ func LoadDataset(name string) (*spam.Dataset, error) {
 // airport datasets, so cluster workers regenerate exactly what
 // LoadDataset builds locally.
 func ClusterSpec(name string) (cluster.DatasetSpec, error) {
-	switch name {
-	case "SF":
-		return cluster.AirportSpec(scene.SF), nil
-	case "DC":
-		return cluster.AirportSpec(scene.DC), nil
-	case "MOFF":
-		return cluster.AirportSpec(scene.MOFF), nil
+	p, ok := scene.ParamsByName(name)
+	if !ok {
+		return cluster.DatasetSpec{}, fmt.Errorf("core: unknown dataset %q (want SF, DC or MOFF)", name)
 	}
-	return cluster.DatasetSpec{}, fmt.Errorf("core: unknown dataset %q (want SF, DC or MOFF)", name)
+	return cluster.AirportSpec(p), nil
 }
 
 // System is one SPAM/PSM configuration: a dataset, a phase, and a

@@ -62,9 +62,6 @@ func (r Rect) W() float64 { return r.Max.X - r.Min.X }
 // H returns the rectangle's height.
 func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point { return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2} }
-
 // Intersects reports whether two rectangles overlap (closed intervals).
 func (r Rect) Intersects(s Rect) bool {
 	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&

@@ -33,12 +33,8 @@ func RunWithFailures(durations []float64, taskProcs int, ov Overheads, failures 
 			dieAt[f.Proc] = f.At
 		}
 	}
-	h := make(procHeap, taskProcs)
+	h := newProcHeap(taskProcs, ov.Fork)
 	busy := make([]float64, taskProcs)
-	for i := range h {
-		h[i] = procEntry{free: ov.Fork, idx: i}
-	}
-	heap.Init(&h)
 	per := make([]float64, len(durations))
 	var makespan float64
 	var rec stats.Recovery
@@ -86,17 +82,4 @@ func RunWithFailures(durations []float64, taskProcs int, ov Overheads, failures 
 	}
 	rec.Attempts = rec.Requeued + len(durations)
 	return Schedule{Makespan: makespan, Busy: busy, PerTask: per}, rec
-}
-
-// SpeedupWithFailures returns baseline time over the degraded
-// configuration's makespan, plus the recovery accounting (0 speedup if
-// the cluster died entirely).
-func (e *Experiment) SpeedupWithFailures(c Config, failures []faults.ProcFailure) (float64, stats.Recovery) {
-	base := e.BaselineInstr()
-	durs := Durations(e.Tasks, c.MatchProcs, e.Model)
-	sched, rec := RunWithFailures(durs, c.TaskProcs, e.Overheads, failures)
-	if sched.Makespan <= 0 || math.IsInf(sched.Makespan, 1) {
-		return 0, rec
-	}
-	return base / sched.Makespan, rec
 }

@@ -90,6 +90,16 @@ func (h *procHeap) Pop() interface{} {
 	return e
 }
 
+// newProcHeap returns procs processors, all free at start.
+func newProcHeap(procs int, start float64) procHeap {
+	h := make(procHeap, procs)
+	for i := range h {
+		h[i] = procEntry{free: start, idx: i}
+	}
+	heap.Init(&h)
+	return h
+}
+
 // Schedule is the result of one simulated run.
 type Schedule struct {
 	Makespan float64   // instructions until the last task completes
@@ -115,27 +125,27 @@ func (s Schedule) Utilization() float64 {
 	return b / (s.Makespan * float64(len(s.Busy)))
 }
 
-// Run simulates T task processes pulling tasks (with the given
-// durations, in queue order) from a shared queue: whenever a processor
-// becomes free it takes the next task, paying the queue overhead.
-// This is exactly the SPAM/PSM execution model.
-func Run(durations []float64, taskProcs int, ov Overheads) Schedule {
-	if taskProcs < 1 {
-		taskProcs = 1
+// ListSchedule is the list-scheduling kernel every simulated machine
+// shares: n tasks in queue order over procs processors that are all
+// free at start; each task goes to the earliest-free processor (ties
+// to the lowest index), which is busy for cost(task, proc)
+// instructions. What a machine charges beyond a task's own duration —
+// queue overhead, message round-trips, page faults on a remote
+// processor — lives in its cost closure, which is called once per
+// task, in queue order.
+func ListSchedule(n, procs int, start float64, cost func(task, proc int) float64) Schedule {
+	if procs < 1 {
+		procs = 1
 	}
-	h := make(procHeap, taskProcs)
-	busy := make([]float64, taskProcs)
-	for i := range h {
-		h[i] = procEntry{free: ov.Fork, idx: i}
-	}
-	heap.Init(&h)
-	per := make([]float64, len(durations))
+	h := newProcHeap(procs, start)
+	busy := make([]float64, procs)
+	per := make([]float64, n)
 	var makespan float64
-	for i, d := range durations {
+	for i := range per {
 		p := heap.Pop(&h).(procEntry)
-		cost := d + ov.QueuePerTask
-		p.free += cost
-		busy[p.idx] += cost
+		c := cost(i, p.idx)
+		p.free += c
+		busy[p.idx] += c
 		per[i] = p.free
 		if p.free > makespan {
 			makespan = p.free
@@ -143,6 +153,16 @@ func Run(durations []float64, taskProcs int, ov Overheads) Schedule {
 		heap.Push(&h, p)
 	}
 	return Schedule{Makespan: makespan, Busy: busy, PerTask: per}
+}
+
+// Run simulates T task processes pulling tasks (with the given
+// durations, in queue order) from a shared queue: whenever a processor
+// becomes free it takes the next task, paying the queue overhead.
+// This is exactly the SPAM/PSM execution model.
+func Run(durations []float64, taskProcs int, ov Overheads) Schedule {
+	return ListSchedule(len(durations), taskProcs, ov.Fork, func(i, _ int) float64 {
+		return durations[i] + ov.QueuePerTask
+	})
 }
 
 // RunSynchronous models a synchronous parallel rule-firing system (the

@@ -188,12 +188,8 @@ func RunSpecs(specs []TaskSpec, order []int, taskProcs int, ov Overheads, memBud
 	if taskProcs < 1 {
 		taskProcs = 1
 	}
-	h := make(procHeap, taskProcs)
+	h := newProcHeap(taskProcs, ov.Fork)
 	busy := make([]float64, taskProcs)
-	for i := range h {
-		h[i] = procEntry{free: ov.Fork, idx: i}
-	}
-	heap.Init(&h)
 	per := make([]float64, len(specs))
 	var makespan, inUse, peak float64
 	var flight flightHeap

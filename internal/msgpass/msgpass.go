@@ -19,7 +19,6 @@
 package msgpass
 
 import (
-	"container/heap"
 	"sort"
 
 	"spampsm/internal/faults"
@@ -191,53 +190,13 @@ func runStatic(parts [][]float64, cfg Config, total int) machine.Schedule {
 	return machine.Schedule{Makespan: makespan, Busy: busy, PerTask: per}
 }
 
-type nodeEvent struct {
-	free float64
-	idx  int
-}
-type nodeHeap []nodeEvent
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].free != h[j].free {
-		return h[i].free < h[j].free
-	}
-	return h[i].idx < h[j].idx
-}
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeEvent)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // runDynamic executes tasks from a coordinator-held queue: each fetch
 // costs a request/reply round-trip plus task and result shipping.
 func runDynamic(durations []float64, cfg Config, n int) machine.Schedule {
-	h := make(nodeHeap, n)
-	busy := make([]float64, n)
-	for i := range h {
-		h[i] = nodeEvent{idx: i}
-	}
-	heap.Init(&h)
-	per := make([]float64, len(durations))
 	perFetch := 2*cfg.MsgLatencyInstr + cfg.TaskShipInstr + cfg.ResultShipInstr
-	var makespan float64
-	for i, d := range durations {
-		nd := heap.Pop(&h).(nodeEvent)
-		cost := d + perFetch
-		nd.free += cost
-		busy[nd.idx] += cost
-		per[i] = nd.free
-		if nd.free > makespan {
-			makespan = nd.free
-		}
-		heap.Push(&h, nd)
-	}
-	return machine.Schedule{Makespan: makespan, Busy: busy, PerTask: per}
+	return machine.ListSchedule(len(durations), n, 0, func(i, _ int) float64 {
+		return durations[i] + perFetch
+	})
 }
 
 // Speedup returns single-node time (no messaging) over the policy's

@@ -253,16 +253,6 @@ func (e *Engine) Assert(class string, sets map[string]symtab.Value) (*wm.WME, er
 	return w, nil
 }
 
-// AssertValues is Assert with a parallel attribute/value list, a
-// convenience for generated workloads.
-func (e *Engine) AssertValues(class string, attrs []string, vals []symtab.Value) (*wm.WME, error) {
-	sets := make(map[string]symtab.Value, len(attrs))
-	for i, a := range attrs {
-		sets[a] = vals[i]
-	}
-	return e.Assert(class, sets)
-}
-
 // mutable reports why working memory may not be changed from outside
 // the rule system right now: a Run is in progress, or the engine was
 // settled.

@@ -834,10 +834,6 @@ func (t *Template) Indexing() bool { return t.indexing }
 // signatures.
 func (t *Template) NumAlphaMems() int { return len(t.amems) }
 
-// NumNodes returns the number of stateful nodes (alpha memories plus
-// token stores) an instance allocates state slots for.
-func (t *Template) NumNodes() int { return len(t.alphas) + len(t.stores) }
-
 // Productions returns the compiled production nodes in addition order.
 func (t *Template) Productions() []*PNode { return t.prods }
 

@@ -181,6 +181,17 @@ var (
 	}
 )
 
+// ParamsByName returns the calibrated dataset called name: "SF", "DC"
+// or "MOFF".
+func ParamsByName(name string) (Params, bool) {
+	for _, p := range []Params{SF, DC, MOFF} {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Params{}, false
+}
+
 // Scale returns a copy of p with all object counts multiplied by f
 // (at least 1 each). The full datasets of Tables 1-3 are the subsets
 // scaled up; the parallelism analysis runs on the subsets, as the

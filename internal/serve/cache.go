@@ -87,6 +87,15 @@ func (c *datasetCache) programs(d scene.Domain) (*spam.KB, *spam.Programs, error
 	}
 }
 
+// dataset resolves the scene a request runs on: the named one, or the
+// one it carries.
+func (c *datasetCache) dataset(req *Request) (*spam.Dataset, error) {
+	if req.Scene != "" {
+		return c.namedDataset(req.Scene)
+	}
+	return c.inlineDataset(req.Inline)
+}
+
 // namedDataset returns the pinned dataset for SF, DC or MOFF,
 // building it (over the shared airport programs) on first use.
 func (c *datasetCache) namedDataset(name string) (*spam.Dataset, error) {
@@ -98,15 +107,8 @@ func (c *datasetCache) namedDataset(name string) (*spam.Dataset, error) {
 	}
 	c.mu.Unlock()
 
-	var p scene.Params
-	switch name {
-	case "SF":
-		p = scene.SF
-	case "DC":
-		p = scene.DC
-	case "MOFF":
-		p = scene.MOFF
-	default:
+	p, ok := scene.ParamsByName(name)
+	if !ok {
 		return nil, fmt.Errorf("serve: unknown dataset %q (want SF, DC or MOFF)", name)
 	}
 	kb, progs, err := c.programs(scene.Airport)

@@ -16,12 +16,14 @@ import (
 	"spampsm/internal/tlp"
 )
 
-// maxBodyBytes bounds an /interpret request body.
+// maxBodyBytes bounds a request body.
 const maxBodyBytes = 8 << 20
 
-// Request is the /interpret wire format. Exactly one of Scene (a
-// named dataset) or Inline (a scene carried in the request) must be
-// set.
+// Request is the /interpret and /session wire format. Exactly one of
+// Scene (a named dataset) or Inline (a scene carried in the request)
+// must be set; for /session it names the scene and interpretation
+// options the session is pinned to, and Degraded, FiringBudget,
+// MaxRetries and Faults are refused.
 type Request struct {
 	Scene  string       `json:"scene,omitempty"` // SF | DC | MOFF
 	Inline *InlineScene `json:"inline,omitempty"`
@@ -205,78 +207,20 @@ func (s *Server) writeAPIError(w http.ResponseWriter, aerr *apiError) {
 	writeJSON(w, aerr.status, errorBody{Error: aerr.msg})
 }
 
-// parseRequest decodes and validates an /interpret body.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*Request, *apiError) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, &apiError{status: 400, msg: "bad request body: " + err.Error()}
-	}
+// validate checks what /interpret and /session both require of a body.
+func (req *Request) validate() *apiError {
 	if (req.Scene == "") == (req.Inline == nil) {
-		return nil, &apiError{status: 400, msg: "exactly one of scene or inline is required"}
+		return &apiError{status: 400, msg: "exactly one of scene or inline is required"}
 	}
 	if req.Level < 0 || req.Level > 3 {
-		return nil, &apiError{status: 400, msg: "level must be 1..3"}
+		return &apiError{status: 400, msg: "level must be 1..3"}
 	}
-	if req.Faults != nil && !s.cfg.AllowFaults {
-		return nil, &apiError{status: 403, msg: "fault injection is disabled on this server"}
-	}
-	if req.Tenant == "" {
-		req.Tenant = r.Header.Get("X-Tenant")
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
-	return &req, nil
+	return nil
 }
 
-func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.requests.Add(1)
-	req, aerr := s.parseRequest(w, r)
-	if aerr != nil {
-		s.rejected.Add(1)
-		s.writeAPIError(w, aerr)
-		return
-	}
-
-	release, aerr := s.admit(r.Context(), req.Tenant)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	defer release()
-
-	// Resolve the dataset only after admission: inline scenes build
-	// real state and must not bypass the concurrency budget.
-	var (
-		ds  *spam.Dataset
-		err error
-	)
-	if req.Scene != "" {
-		ds, err = s.cache.namedDataset(req.Scene)
-	} else {
-		ds, err = s.cache.inlineDataset(req.Inline)
-	}
-	if err != nil {
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 400, msg: err.Error()})
-		return
-	}
-
-	// Request-scoped execution context: client disconnect plus the
-	// (clamped) deadline.
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
+// options maps a request onto the interpretation it asks for, its
+// task queues bound to queue.
+func (s *Server) options(req *Request, queue tlp.Queue) spam.InterpretOptions {
 	cfg := tlp.RunConfig{
 		Policy:       s.cfg.Sched,
 		MaxRetries:   req.MaxRetries,
@@ -292,22 +236,103 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 			PermanentFraction: req.Faults.PermanentFraction,
 		}
 	}
-	// Named scenes can ship: the workers regenerate them from the specs
-	// registered at startup. Inline scenes exist only in this process,
-	// so they stay on the shared pool.
-	var queue tlp.Queue = s.pool
-	if s.cfg.Cluster != nil && req.Scene != "" {
-		queue = s.cfg.Cluster
-	}
-	opt := spam.InterpretOptions{
+	return spam.InterpretOptions{
 		Level:    spam.Level(req.Level),
 		RTFBatch: req.RTFBatch,
 		ReEntry:  req.ReEntry,
 		Degraded: req.Degraded,
 		Runner:   tlp.BoundQueue{Queue: queue, Config: cfg},
 	}
+}
 
-	in, ierr := ds.InterpretContext(ctx, opt)
+// exchange is what an endpoint supplies for one decoded, validated
+// request; handle does everything else.
+type exchange struct {
+	tenant     string // admitted under; "" = the X-Tenant header, then "default"
+	dataset    string // what runs, as /stats names it
+	deadlineMs int
+	// live is the registered session the request ran on: /update's
+	// target, locked from admission until the response is written, or
+	// the one /session registered once its first interpretation
+	// succeeded.
+	live *session
+	// resolve finds what the request runs on — a cached dataset, a new
+	// session, a delta against a live one — and returns the call to
+	// make on it. It runs only once the request is admitted, because an
+	// inline scene builds real state and must not bypass the
+	// concurrency budget; its error is the client's.
+	resolve func() (runFunc, error)
+}
+
+// runFunc makes an endpoint's one call into spam and returns the
+// interpretation (for the report; partial or nil beside an error) and
+// the body that answers it. An *apiError says the request was refused
+// before anything ran.
+type runFunc func(ctx context.Context) (in *spam.Interpretation, body any, err error)
+
+// handle is the lifecycle of an interpretation request — /interpret,
+// /session and /update — written once: count it, decode the body
+// (bounded, strict), let the endpoint validate it and say what it
+// runs, default the tenant, admit, resolve the target, derive the
+// clamped deadline, run, classify the outcome, settle the counters,
+// report to /stats, stamp X-Elapsed-Ms, answer.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string, body any, plan func() (*exchange, *apiError)) {
+	start := time.Now()
+	s.requests.Add(1)
+	reject := func(aerr *apiError) {
+		s.rejected.Add(1)
+		s.writeAPIError(w, aerr)
+	}
+	aerr := decodeBody(w, r, body)
+	var x *exchange
+	if aerr == nil {
+		x, aerr = plan()
+	}
+	if aerr != nil {
+		reject(aerr)
+		return
+	}
+	if x.tenant == "" {
+		x.tenant = r.Header.Get("X-Tenant")
+	}
+	if x.tenant == "" {
+		x.tenant = "default"
+	}
+
+	release, aerr := s.admit(r.Context(), x.tenant)
+	if aerr != nil {
+		s.writeAPIError(w, aerr)
+		return
+	}
+	defer release()
+
+	if x.live != nil {
+		x.live.mu.Lock()
+		defer x.live.mu.Unlock()
+	}
+	run, err := x.resolve()
+	if err != nil {
+		reject(&apiError{status: 400, msg: err.Error()})
+		return
+	}
+
+	// Request-scoped execution context: client disconnect plus the
+	// (clamped) deadline.
+	deadline := s.cfg.DefaultDeadline
+	if x.deadlineMs > 0 {
+		deadline = time.Duration(x.deadlineMs) * time.Millisecond
+	}
+	if deadline > s.cfg.MaxDeadline {
+		deadline = s.cfg.MaxDeadline
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	defer cancel()
+
+	in, answer, ierr := run(ctx)
+	if errors.As(ierr, &aerr) {
+		reject(aerr)
+		return
+	}
 	elapsed := time.Since(start)
 	status := http.StatusOK
 	switch {
@@ -327,22 +352,58 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 		s.failed.Add(1)
 		status = http.StatusInternalServerError
 	}
-	rep := requestReport(s.seq.Add(1), req, in, status, elapsed)
+	rep := requestReport(s.seq.Add(1), endpoint, x, in, status, elapsed)
 	s.shipped.Add(rep.ShippedBytes)
 	s.record(rep)
 
 	w.Header().Set("X-Elapsed-Ms", strconv.FormatFloat(float64(elapsed)/float64(time.Millisecond), 'f', 3, 64))
 	if ierr != nil {
-		writeJSON(w, status, errorBody{Error: ierr.Error()})
-		return
+		answer = errorBody{Error: ierr.Error()}
 	}
-	writeJSON(w, status, buildResponse(req, in))
+	writeJSON(w, status, answer)
 }
 
-func buildResponse(req *Request, in *spam.Interpretation) *Response {
+func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
+	var req Request
+	s.handle(w, r, "/interpret", &req, func() (*exchange, *apiError) {
+		if aerr := req.validate(); aerr != nil {
+			return nil, aerr
+		}
+		if req.Faults != nil && !s.cfg.AllowFaults {
+			return nil, &apiError{status: 403, msg: "fault injection is disabled on this server"}
+		}
+		// Named scenes can ship: the workers regenerate them from the
+		// specs registered at startup. Inline scenes exist only in this
+		// process, so they stay on the shared pool.
+		var queue tlp.Queue = s.pool
+		if s.cfg.Cluster != nil && req.Scene != "" {
+			queue = s.cfg.Cluster
+		}
+		return &exchange{
+			tenant:     req.Tenant,
+			dataset:    datasetName(&req),
+			deadlineMs: req.DeadlineMs,
+			resolve: func() (runFunc, error) {
+				ds, err := s.cache.dataset(&req)
+				if err != nil {
+					return nil, err
+				}
+				return func(ctx context.Context) (*spam.Interpretation, any, error) {
+					in, err := ds.InterpretContext(ctx, s.options(&req, queue))
+					if err != nil {
+						return in, nil, err
+					}
+					return in, buildResponse(req.Degraded, in), nil
+				}, nil
+			},
+		}, nil
+	})
+}
+
+func buildResponse(degraded bool, in *spam.Interpretation) *Response {
 	resp := &Response{
 		Dataset:         in.Dataset.Name,
-		Degraded:        req.Degraded,
+		Degraded:        degraded,
 		Completeness:    in.Completeness,
 		Fragments:       len(in.Fragments),
 		Pairs:           len(in.Pairs),
@@ -376,17 +437,17 @@ func buildResponse(req *Request, in *spam.Interpretation) *Response {
 	return resp
 }
 
-func requestReport(seq int64, req *Request, in *spam.Interpretation, status int, elapsed time.Duration) RequestReport {
-	name := req.Scene
-	if name == "" && req.Inline != nil {
-		name = "inline:" + req.Inline.Name
-	}
+func requestReport(seq int64, endpoint string, x *exchange, in *spam.Interpretation, status int, elapsed time.Duration) RequestReport {
 	rep := RequestReport{
 		Seq:       seq,
-		Dataset:   name,
-		Tenant:    req.Tenant,
+		Endpoint:  endpoint,
+		Dataset:   x.dataset,
+		Tenant:    x.tenant,
 		Status:    status,
 		ElapsedMs: float64(elapsed) / float64(time.Millisecond),
+	}
+	if x.live != nil {
+		rep.Session = x.live.id
 	}
 	if in != nil {
 		rep.Complete = in.Completeness.Complete

@@ -252,12 +252,15 @@ func (s *Server) Healthy() bool {
 	return !s.draining.Load() && s.pool.Healthy()
 }
 
-// RequestReport is the per-request accounting kept for /stats: which
-// request, what it ran, how its tasks fared. Wall-clock time lives
+// RequestReport is the per-request accounting kept for /stats, one per
+// /interpret, /session or /update that ran: which request, what it ran,
+// how its tasks fared. Wall-clock time lives
 // here (and in the X-Elapsed-Ms response header) — never in response
 // bodies, which stay byte-deterministic.
 type RequestReport struct {
 	Seq         int64  `json:"seq"`
+	Endpoint    string `json:"endpoint"`
+	Session     string `json:"session,omitempty"` // the live session it ran on
 	Dataset     string `json:"dataset"`
 	Tenant      string `json:"tenant"`
 	Status      int    `json:"status"`

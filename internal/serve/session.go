@@ -25,16 +25,12 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
-	"time"
 
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
-	"spampsm/internal/tlp"
 )
 
 // session is one live incremental interpretation.
@@ -64,8 +60,8 @@ func newSessionStore(max int) *sessionStore {
 	return &sessionStore{max: max, byID: map[string]*session{}, lastUse: map[string]int64{}}
 }
 
-// open registers a new session, evicting the least recently used one
-// past the cap. Eviction only unlinks the table entry: a request
+// open registers a session whose first interpretation has succeeded,
+// evicting the least recently used one past the cap. Eviction only unlinks the table entry: a request
 // mid-update on the evicted session holds its own pointer and
 // completes normally; the engines are reclaimed when it finishes.
 func (st *sessionStore) open(name, tenant string, sess *spam.Session) *session {
@@ -163,20 +159,6 @@ func (st *sessionStore) stats() SessionStats {
 	return out
 }
 
-// SessionRequest is the POST /session wire format: the scene and
-// interpretation options the session is pinned to.
-type SessionRequest struct {
-	Scene  string       `json:"scene,omitempty"`
-	Inline *InlineScene `json:"inline,omitempty"`
-	Tenant string       `json:"tenant,omitempty"`
-
-	Level    int  `json:"level,omitempty"`
-	RTFBatch int  `json:"rtfBatch,omitempty"`
-	ReEntry  bool `json:"reentry,omitempty"`
-
-	DeadlineMs int `json:"deadlineMs,omitempty"`
-}
-
 // DeltaRequest is the POST /update wire format. Exactly one of the
 // explicit delta (removed/moved/added) or Churn must be present.
 type DeltaRequest struct {
@@ -249,148 +231,110 @@ type SessionResponse struct {
 	Result  *Response     `json:"result"`
 }
 
+func sessionResponse(id string, rep *spam.UpdateReport, in *spam.Interpretation) *SessionResponse {
+	// Session responses never run degraded.
+	return &SessionResponse{Session: id, Report: summarize(rep), Result: buildResponse(false, in)}
+}
+
+// sessionRefuses names the first field of a /session body that only a
+// one-shot /interpret takes ("" when there is none): a session's tasks
+// are retained across updates, so none may be partial, budgeted or
+// fault-injected.
+func sessionRefuses(req *Request) string {
+	switch {
+	case req.Degraded:
+		return "degraded"
+	case req.FiringBudget != 0:
+		return "firingBudget"
+	case req.MaxRetries != 0:
+		return "maxRetries"
+	case req.Faults != nil:
+		return "faults"
+	}
+	return ""
+}
+
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.requests.Add(1)
-	var req SessionRequest
-	if aerr := decodeBody(w, r, &req); aerr != nil {
-		s.rejected.Add(1)
-		s.writeAPIError(w, aerr)
-		return
-	}
-	if (req.Scene == "") == (req.Inline == nil) {
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 400, msg: "exactly one of scene or inline is required"})
-		return
-	}
-	if req.Level < 0 || req.Level > 3 {
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 400, msg: "level must be 1..3"})
-		return
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = r.Header.Get("X-Tenant")
-	}
-	if tenant == "" {
-		tenant = "default"
-	}
-
-	release, aerr := s.admit(r.Context(), tenant)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	defer release()
-
-	var (
-		ds  *spam.Dataset
-		err error
-	)
-	if req.Scene != "" {
-		ds, err = s.cache.namedDataset(req.Scene)
-	} else {
-		ds, err = s.cache.inlineDataset(req.Inline)
-	}
-	if err != nil {
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 400, msg: err.Error()})
-		return
-	}
-
-	// The session clones the scene, so sharing the cached dataset is
-	// safe; its updates never touch the cache's copy. The runner pins
-	// the session's task queues to the shared pool for its lifetime.
-	opt := spam.InterpretOptions{
-		Level:    spam.Level(req.Level),
-		RTFBatch: req.RTFBatch,
-		ReEntry:  req.ReEntry,
-		Runner: tlp.BoundQueue{Queue: s.pool, Config: tlp.RunConfig{
-			Policy:       s.cfg.Sched,
-			RetryBackoff: s.cfg.RetryBackoff,
-		}},
-	}
-	sess := s.sessions.open(datasetName(req.Scene, req.Inline), tenant, spam.NewSession(ds, opt))
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-
-	ctx, cancel := s.requestContext(r, req.DeadlineMs)
-	defer cancel()
-	in, rep, ierr := sess.sess.Interpret(ctx)
-	s.finishSessionRun(w, start, sess, in, rep, ierr, ctx.Err() != nil)
+	var req Request
+	s.handle(w, r, "/session", &req, func() (*exchange, *apiError) {
+		if field := sessionRefuses(&req); field != "" {
+			// Worded as the strict decoder words any other field /session
+			// does not know.
+			return nil, &apiError{status: 400, msg: fmt.Sprintf("bad request body: json: unknown field %q", field)}
+		}
+		if aerr := req.validate(); aerr != nil {
+			return nil, aerr
+		}
+		x := &exchange{tenant: req.Tenant, dataset: datasetName(&req), deadlineMs: req.DeadlineMs}
+		x.resolve = func() (runFunc, error) {
+			ds, err := s.cache.dataset(&req)
+			if err != nil {
+				return nil, err
+			}
+			// The session clones the scene, so sharing the cached dataset
+			// is safe; its updates never touch the cache's copy. The
+			// runner pins the session's task queues to the shared pool
+			// for its lifetime.
+			sess := spam.NewSession(ds, s.options(&req, s.pool))
+			return func(ctx context.Context) (*spam.Interpretation, any, error) {
+				in, rep, err := sess.Interpret(ctx)
+				if err != nil {
+					// Nothing is registered: a session that never
+					// answered has no id a client could use or close.
+					return in, nil, err
+				}
+				x.live = s.sessions.open(x.dataset, x.tenant, sess)
+				return in, sessionResponse(x.live.id, rep, in), nil
+			}, nil
+		}
+		return x, nil
+	})
 }
 
 func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.requests.Add(1)
 	var req DeltaRequest
-	if aerr := decodeBody(w, r, &req); aerr != nil {
-		s.rejected.Add(1)
-		s.writeAPIError(w, aerr)
-		return
-	}
-	explicit := len(req.Removed)+len(req.Moved)+len(req.Added) > 0
-	if req.Churn != nil && explicit {
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 400, msg: "churn and an explicit delta are mutually exclusive"})
-		return
-	}
-	sess := s.sessions.get(req.Session)
-	if sess == nil {
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 404, msg: "unknown session (expired or never opened)"})
-		return
-	}
-
-	release, aerr := s.admit(r.Context(), sess.tenant)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	defer release()
-
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-
-	// The delta is built under the session lock: churn reads the
-	// session's current scene, and explicit deltas validate against it
-	// (scene.Apply rejects unknown or colliding IDs).
-	var delta *scene.Delta
-	if req.Churn != nil {
-		c := scene.Churn{
-			Seed: req.Churn.Seed, Fraction: req.Churn.Fraction,
-			Occlusion: req.Churn.Occlusion, MisSeg: req.Churn.MisSeg,
-			Emergent: req.Churn.Emergent,
+	s.handle(w, r, "/update", &req, func() (*exchange, *apiError) {
+		explicit := len(req.Removed)+len(req.Moved)+len(req.Added) > 0
+		if req.Churn != nil && explicit {
+			return nil, &apiError{status: 400, msg: "churn and an explicit delta are mutually exclusive"}
 		}
-		if c.Occlusion == 0 && c.MisSeg == 0 && c.Emergent == 0 {
-			c = scene.DefaultChurn(req.Churn.Seed, req.Churn.Fraction)
+		sess := s.sessions.get(req.Session)
+		if sess == nil {
+			return nil, &apiError{status: 404, msg: "unknown session (expired or never opened)"}
 		}
-		delta = sess.sess.Scene().Churn(c)
-	} else {
-		var err error
-		if delta, err = toDelta(&req); err != nil {
-			s.rejected.Add(1)
-			s.writeAPIError(w, &apiError{status: 400, msg: err.Error()})
-			return
-		}
-	}
-
-	ctx, cancel := s.requestContext(r, req.DeadlineMs)
-	defer cancel()
-	in, rep, ierr := sess.sess.Update(ctx, delta)
-	if ierr != nil && rep == nil {
-		// The delta was rejected before anything ran (unknown or
-		// colliding region IDs); the session scene is untouched.
-		s.rejected.Add(1)
-		s.writeAPIError(w, &apiError{status: 400, msg: ierr.Error()})
-		return
-	}
-	if ierr == nil {
-		s.sessions.mu.Lock()
-		s.sessions.updates++
-		s.sessions.mu.Unlock()
-	}
-	s.finishSessionRun(w, start, sess, in, rep, ierr, ctx.Err() != nil)
+		return &exchange{
+			tenant:     sess.tenant,
+			dataset:    sess.name,
+			deadlineMs: req.DeadlineMs,
+			live:       sess,
+			resolve: func() (runFunc, error) {
+				// The delta is built under the session lock: churn reads
+				// the session's current scene, and explicit deltas
+				// validate against it (scene.Apply rejects unknown or
+				// colliding IDs).
+				delta, err := toDelta(&req, sess.sess.Scene())
+				if err != nil {
+					return nil, err
+				}
+				return func(ctx context.Context) (*spam.Interpretation, any, error) {
+					in, rep, err := sess.sess.Update(ctx, delta)
+					switch {
+					case err != nil && rep == nil:
+						// The delta was rejected before anything ran
+						// (unknown or colliding region IDs); the session
+						// scene is untouched.
+						return nil, nil, &apiError{status: 400, msg: err.Error()}
+					case err != nil:
+						return in, nil, err
+					}
+					s.sessions.mu.Lock()
+					s.sessions.updates++
+					s.sessions.mu.Unlock()
+					return in, sessionResponse(sess.id, rep, in), nil
+				}, nil
+			},
+		}, nil
+	})
 }
 
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
@@ -405,48 +349,28 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"closed": id})
 }
 
-// finishSessionRun settles counters and writes the response for one
-// session interpretation run (initial or update).
-func (s *Server) finishSessionRun(w http.ResponseWriter, start time.Time, sess *session,
-	in *spam.Interpretation, rep *spam.UpdateReport, ierr error, ctxDone bool) {
-	elapsed := time.Since(start)
-	w.Header().Set("X-Elapsed-Ms", strconv.FormatFloat(float64(elapsed)/float64(time.Millisecond), 'f', 3, 64))
-	switch {
-	case ierr == nil:
-		s.completed.Add(1)
-	case errors.Is(ierr, context.DeadlineExceeded) || ctxDone:
-		s.timedOut.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: ierr.Error()})
-		return
-	default:
-		s.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: ierr.Error()})
-		return
-	}
-	req := &Request{} // session responses never run degraded
-	writeJSON(w, http.StatusOK, &SessionResponse{
-		Session: sess.id,
-		Report:  summarize(rep),
-		Result:  buildResponse(req, in),
-	})
-}
-
-// requestContext derives the run context: client disconnect plus the
-// clamped deadline.
-func (s *Server) requestContext(r *http.Request, deadlineMs int) (context.Context, context.CancelFunc) {
-	deadline := s.cfg.DefaultDeadline
-	if deadlineMs > 0 {
-		deadline = time.Duration(deadlineMs) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	return context.WithTimeout(r.Context(), deadline)
-}
-
-// toDelta converts an explicit wire delta to a scene delta.
-func toDelta(req *DeltaRequest) (*scene.Delta, error) {
+// toDelta converts a wire delta to a scene delta: the explicit region
+// lists, or churn generated against the session's current scene. A
+// session's scene is held to the bound on an inline one, so no run of
+// updates grows it without limit.
+func toDelta(req *DeltaRequest, current *scene.Scene) (*scene.Delta, error) {
 	d := &scene.Delta{Removed: req.Removed}
+	if req.Churn != nil {
+		c := scene.Churn{
+			Seed: req.Churn.Seed, Fraction: req.Churn.Fraction,
+			Occlusion: req.Churn.Occlusion, MisSeg: req.Churn.MisSeg,
+			Emergent: req.Churn.Emergent,
+		}
+		if c.Emergent < 0 || c.Emergent > 1 {
+			// Emergent regions are generated, not sent: the count is
+			// the client's number times the scene's size.
+			return nil, fmt.Errorf("serve: churn emergent %g is not in 0..1", c.Emergent)
+		}
+		if c.Occlusion == 0 && c.MisSeg == 0 && c.Emergent == 0 {
+			c = scene.DefaultChurn(req.Churn.Seed, req.Churn.Fraction)
+		}
+		d = current.Churn(c)
+	}
 	for _, ir := range req.Moved {
 		reg, err := toRegion(ir)
 		if err != nil {
@@ -461,15 +385,19 @@ func toDelta(req *DeltaRequest) (*scene.Delta, error) {
 		}
 		d.Added = append(d.Added, reg)
 	}
+	if n := len(current.Regions) + len(d.Added) - len(d.Removed); n > maxInlineRegions {
+		return nil, fmt.Errorf("serve: update grows the scene to %d regions (max %d)", n, maxInlineRegions)
+	}
 	return d, nil
 }
 
-func datasetName(named string, inline *InlineScene) string {
-	if named != "" {
-		return named
+// datasetName is how /stats names what a request runs on.
+func datasetName(req *Request) string {
+	if req.Scene != "" {
+		return req.Scene
 	}
-	if inline != nil {
-		return "inline:" + inline.Name
+	if req.Inline != nil {
+		return "inline:" + req.Inline.Name
 	}
 	return "inline"
 }

@@ -63,48 +63,61 @@ func TestDifferentialGeoMemoVsDirect(t *testing.T) {
 	}
 }
 
-// TestDifferentialPartnerSearchGridVsScan asserts the uniform-grid
-// partner index returns byte-identical slices to the linear
-// NearbyFragments scan for every focal, kind and radius.
+// TestDifferentialPartnerSearchGridVsScan asserts the partner grid
+// returns byte-identical slices to the linear NearbyFragments scan for
+// every focal, kind and radius — over an ID-sorted pool, as RTF
+// extracts one, and over a re-entry pool: that pool plus fragments
+// hypothesized on the regions it left out, numbered above its maximum
+// ID (the two shapes partnerQuery is handed).
 func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 	d := smallDC(t)
 	st := d.Store
-	var frags []*Fragment
+	var frags, extra []*Fragment
 	for i, r := range d.Scene.Regions {
-		frags = append(frags, &Fragment{ID: i + 1, RegionID: r.ID, Type: r.TrueKind, Conf: 80})
+		if i%5 == 4 {
+			extra = append(extra, &Fragment{RegionID: r.ID, Type: r.TrueKind, Conf: 30})
+			continue
+		}
+		frags = append(frags, &Fragment{ID: len(frags) + 1, RegionID: r.ID, Type: r.TrueKind, Conf: 80})
 	}
-	if len(frags) < gridMinFragments {
-		t.Fatalf("scene too small to exercise the grid: %d fragments", len(frags))
+	if len(frags) < gridMinFragments || len(extra) == 0 {
+		t.Fatalf("scene too small to exercise the grid: %d fragments, %d re-entry", len(frags), len(extra))
 	}
-	ix := buildFragIndex(st, frags, false)
-	if ix == nil {
-		t.Fatal("grid index not built")
+	for i, f := range extra {
+		f.ID = len(frags) + 1 + i
 	}
-	kinds := map[scene.Kind]bool{}
-	for _, f := range frags {
-		kinds[f.Type] = true
-	}
-	for _, focal := range frags {
-		for k := range kinds {
-			for _, radius := range []float64{0, 150, 900, 1e9} {
-				want := NearbyFragments(st, focal, k, frags, radius)
-				got := ix.query(focal, k, radius)
-				if len(got) != len(want) {
-					t.Fatalf("focal %d kind %s radius %v: grid %d scan %d",
-						focal.ID, k, radius, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("focal %d kind %s radius %v: element %d differs",
-							focal.ID, k, radius, i)
+	reentry := append(append([]*Fragment(nil), frags...), extra...)
+	for _, pool := range [][]*Fragment{frags, reentry} {
+		g := newLiveGrid(st, pool, false)
+		if g == nil {
+			t.Fatal("grid not built")
+		}
+		kinds := map[scene.Kind]bool{}
+		for _, f := range pool {
+			kinds[f.Type] = true
+		}
+		for _, focal := range pool {
+			for k := range kinds {
+				for _, radius := range []float64{0, 150, 900, 1e9} {
+					want := NearbyFragments(st, focal, k, pool, radius)
+					got := g.query(focal, k, radius)
+					if len(got) != len(want) {
+						t.Fatalf("pool of %d, focal %d kind %s radius %v: grid %d scan %d",
+							len(pool), focal.ID, k, radius, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("pool of %d, focal %d kind %s radius %v: element %d differs",
+								len(pool), focal.ID, k, radius, i)
+						}
 					}
 				}
 			}
 		}
 	}
-	// The reference geometry path must refuse to build an index.
-	if buildFragIndex(st, frags, true) != nil {
-		t.Fatal("grid index built on the reference geometry path")
+	// The reference geometry path must refuse to build a grid.
+	if newLiveGrid(st, frags, true) != nil {
+		t.Fatal("grid built on the reference geometry path")
 	}
 }
 
@@ -281,9 +294,9 @@ func BenchmarkPartnerSearch(b *testing.B) {
 		_ = n
 	})
 	b.Run("grid", func(b *testing.B) {
-		ix := buildFragIndex(st, frags, false)
+		ix := newLiveGrid(st, frags, false)
 		if ix == nil {
-			b.Fatal("no index")
+			b.Fatal("no grid")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"spampsm/internal/faults"
-	"spampsm/internal/ops5"
 	"spampsm/internal/scene"
 	"spampsm/internal/stats"
 	"spampsm/internal/tlp"
@@ -532,16 +531,4 @@ func countClosed(fas []FunctionalArea) int {
 		}
 	}
 	return n
-}
-
-// TaskLogs converts completed results to cost logs for the machine
-// simulator, in queue order.
-func TaskLogs(results []*tlp.Result) []*ops5.CostLog {
-	var logs []*ops5.CostLog
-	for _, r := range results {
-		if r != nil && r.Err == nil && r.Log != nil {
-			logs = append(logs, r.Log)
-		}
-	}
-	return logs
 }

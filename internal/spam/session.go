@@ -85,7 +85,6 @@ type Session struct {
 	tasks   map[string]*sessTask
 	sig     signer
 	rep     *UpdateReport // the run in progress
-	last    *Interpretation
 	updates int
 }
 
@@ -276,10 +275,6 @@ func (s *Session) Store() *RegionStore { return s.ds.Store }
 // Updates returns the number of deltas folded in so far.
 func (s *Session) Updates() int { return s.updates }
 
-// Last returns the most recent interpretation, or nil before the
-// first Interpret.
-func (s *Session) Last() *Interpretation { return s.last }
-
 // GridStats returns the persistent fragment grid's update counters
 // (zero while the session runs the scan path).
 func (s *Session) GridStats() LiveGridStats { return s.grid.Stats() }
@@ -324,7 +319,6 @@ func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *Upd
 				rep.Dropped++
 			}
 		}
-		s.last = in
 	}
 	rep.UpdateInstr += rep.DiffInstr
 	rep.Wall = time.Since(start)

@@ -284,17 +284,19 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 	if batchSize < 1 {
 		batchSize = 3
 	}
-	name := store.Scene().Name
+	name, regions := store.Scene().Name, store.Scene().Regions
 	var specs []taskSpec
 	at := map[int]int{} // cell → index in specs
-	for _, r := range store.Scene().Regions {
+	for _, r := range regions {
 		cell := (r.ID - 1) / batchSize
 		i, ok := at[cell]
 		if !ok {
 			i, at[cell] = len(specs), len(specs)
 			specs = append(specs, taskSpec{
 				key: fmt.Sprintf("rtf-%s-%d", name, cell), group: "rtf", phase: "rtf",
-				batchID: cell, regions: make([]*scene.Region, 0, batchSize),
+				// batchSize is a client's number on the serving path:
+				// a hint, never more than there are regions.
+				batchID: cell, regions: make([]*scene.Region, 0, min(batchSize, len(regions))),
 			})
 		}
 		specs[i].regions = append(specs[i].regions, r)
@@ -378,20 +380,22 @@ type lccCheck struct {
 
 // partnerQuery returns the LCC partner search over one fragment pool:
 // a session's persistent grid when given one, else a transient grid
-// index built here once — or, for a pool too small to amortize one or
-// a run on the reference geometry path, NearbyFragments' scan. Every
-// path returns the same candidates in the same ascending-ID order.
-func partnerQuery(store *RegionStore, all []*Fragment, live *liveGrid, refGeo bool) func(*Fragment, Constraint) []*Fragment {
-	if live != nil {
-		return func(f *Fragment, c Constraint) []*Fragment { return live.query(f, c.Object, c.Radius) }
+// built here once — or, for a pool too small to amortize one or a run
+// on the reference geometry path, NearbyFragments' scan. The grid
+// orders candidates by fragment ID and the scan by pool position, so
+// all must be sorted by ascending ID for the two to agree: every pool
+// a run hands over is (ExtractFragments sorts; reEntryFragments
+// appends IDs above the maximum).
+func partnerQuery(store *RegionStore, all []*Fragment, grid *liveGrid, refGeo bool) func(*Fragment, Constraint) []*Fragment {
+	if grid == nil {
+		grid = newLiveGrid(store, all, refGeo)
 	}
-	ix := buildFragIndex(store, all, refGeo)
-	return func(f *Fragment, c Constraint) []*Fragment {
-		if ix != nil {
-			return ix.query(f, c.Object, c.Radius)
+	if grid == nil {
+		return func(f *Fragment, c Constraint) []*Fragment {
+			return NearbyFragments(store, f, c.Object, all, c.Radius)
 		}
-		return NearbyFragments(store, f, c.Object, all, c.Radius)
 	}
+	return func(f *Fragment, c Constraint) []*Fragment { return grid.query(f, c.Object, c.Radius) }
 }
 
 // unitsWith enumerates the work units of a decomposition level: focals

@@ -13,8 +13,6 @@
 package svm
 
 import (
-	"container/heap"
-
 	"spampsm/internal/faults"
 	"spampsm/internal/machine"
 	"spampsm/internal/stats"
@@ -111,30 +109,6 @@ type Cluster struct {
 // Total returns the total number of task processes.
 func (cl Cluster) Total() int { return cl.Node0Procs + cl.RemoteProcs }
 
-type svmProc struct {
-	free   float64
-	idx    int
-	remote bool
-}
-type svmHeap []svmProc
-
-func (h svmHeap) Len() int { return len(h) }
-func (h svmHeap) Less(i, j int) bool {
-	if h[i].free != h[j].free {
-		return h[i].free < h[j].free
-	}
-	return h[i].idx < h[j].idx
-}
-func (h svmHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *svmHeap) Push(x interface{}) { *h = append(*h, x.(svmProc)) }
-func (h *svmHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Run schedules the task durations over the cluster. Tasks are pulled
 // from the shared queue in order by whichever task process frees first,
 // exactly as in machine.Run, but with the SVM overheads applied.
@@ -149,28 +123,17 @@ func Run(durations []float64, cl Cluster, cfg Config, ov machine.Overheads) mach
 // much of the makespan they consumed.
 func RunFaulty(durations []float64, cl Cluster, cfg Config, ov machine.Overheads) (machine.Schedule, stats.Recovery) {
 	var rec stats.Recovery
-	n := cl.Total()
-	if n < 1 {
-		n = 1
-	}
-	h := make(svmHeap, 0, n)
-	busy := make([]float64, n)
-	for i := 0; i < n; i++ {
-		heap.Push(&h, svmProc{free: ov.Fork, idx: i, remote: i >= cl.Node0Procs})
-	}
 	clusterActive := cl.RemoteProcs > 0
 	f := cfg.faultCost()
-	per := make([]float64, len(durations))
-	var makespan float64
-	for i, d := range durations {
-		p := heap.Pop(&h).(svmProc)
+	sched := machine.ListSchedule(len(durations), cl.Total(), ov.Fork, func(i, proc int) float64 {
+		d := durations[i]
 		cost := d + ov.QueuePerTask
 		networked := false
 		if clusterActive {
 			cost += cfg.QueueBounceFaults * f
 			networked = true
 		}
-		if p.remote {
+		if proc >= cl.Node0Procs { // a processor on the second Encore
 			cost += (cfg.TaskFetchFaults + cfg.ResultFaults) * f
 			networked = true
 			if cfg.FalseSharing {
@@ -184,15 +147,9 @@ func RunFaulty(durations []float64, cl Cluster, cfg Config, ov machine.Overheads
 			rec.Retransmits += lost
 			rec.WastedInstr += extra
 		}
-		p.free += cost
-		busy[p.idx] += cost
-		per[i] = p.free
-		if p.free > makespan {
-			makespan = p.free
-		}
-		heap.Push(&h, p)
-	}
-	return machine.Schedule{Makespan: makespan, Busy: busy, PerTask: per}, rec
+		return cost
+	})
+	return sched, rec
 }
 
 // RunSplitQueues schedules with one task queue per node instead of the

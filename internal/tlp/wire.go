@@ -203,8 +203,8 @@ func (e *RemoteError) Is(target error) bool {
 	return false
 }
 
-// RunOne executes a single task under the pool's configuration —
-// memory gate, fault plan, retries, quarantine — starting the attempt
+// RunOne executes a single task behind the pool's memory gate and
+// under cfg — fault plan, retries, quarantine — starting the attempt
 // counter at startAttempt (1 for a fresh task; higher when earlier
 // attempts were charged elsewhere, e.g. to a worker process that died
 // mid-task and whose loss the coordinator already recorded). The
@@ -212,9 +212,11 @@ func (e *RemoteError) Is(target error) bool {
 // attempt number reaches 1+MaxRetries regardless of where earlier
 // attempts ran. scratch is the calling executor's match arena (see
 // Task.BuildWith); nil makes every engine own its memory. This is the
-// cluster worker loop's execution entry point; batch runs should use
-// Run/RunContext.
-func (p *Pool) RunOne(ctx context.Context, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
+// cluster worker loop's execution entry point: a worker process serves
+// every run's tasks, each under the configuration its frame carries,
+// from one pool, so they all reserve against one MemBudget. Batch runs
+// should use Run/RunContext.
+func (p *Pool) RunOne(ctx context.Context, cfg RunConfig, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
 	if startAttempt < 1 {
 		startAttempt = 1
 	}
@@ -224,5 +226,5 @@ func (p *Pool) RunOne(ctx context.Context, t *Task, worker, seq, startAttempt in
 		return cancelledResult(t, seq, startAttempt-1, nil, err)
 	}
 	defer gate.release(got)
-	return p.runOneFrom(ctx, t, worker, seq, startAttempt, scratch)
+	return cfg.runOneFrom(ctx, t, worker, seq, startAttempt, scratch)
 }
