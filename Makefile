@@ -101,7 +101,10 @@ bench-quick:
 # scheduler, the task-process pool, full-SPAM interpretations, the HTTP
 # session surface), the cluster (a run over two worker processes vs
 # the in-process pool, inside its wire-locality budget; every reference
-# build mode shipped to two worker processes vs the default in process),
+# build mode shipped to two worker processes vs the default in process;
+# the coordinator→worker pipeline — deep enough to keep an executor fed,
+# results coalesced, a dropped connection's queue abandoned — and what a
+# worker death charges at each enumerated kill point),
 # and the match arena (engines that borrow, settle and recycle a
 # worker's scratch vs engines that own their memory; the rows a worker
 # copies out before settling vs the rows an owning engine serves; a
@@ -117,7 +120,7 @@ bench-quick:
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern' \
+		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern|Pipeline|KillPoint' \
 		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

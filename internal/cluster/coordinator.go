@@ -40,9 +40,11 @@ type Config struct {
 	// (default 1, the bounded-restart discipline of the pool's retry
 	// budget lifted to processes). Negative disables respawn.
 	MaxRespawns int
-	// ShipWindow is the per-worker in-flight task cap (default
-	// 2×LocalWorkers): enough to overlap shipping with execution,
-	// small enough to bound what a worker death requeues.
+	// ShipWindow caps the tasks in flight to one worker process. Zero
+	// means shipDepth per executor, the measured depth that keeps an
+	// executor fed across a result→claim→ship round trip; set it only to
+	// cap the pipeline below that (the chaos tests pin it to 1, where
+	// which task a death interrupts is deterministic).
 	ShipWindow int
 	// ChunkBudget bounds each worker's resident-chunk table in encoded
 	// bytes (default 32 MiB); the LRU tail is evicted past it. Negative
@@ -55,6 +57,14 @@ type Config struct {
 	// into worker mode through WorkerEnv — see MaybeWorker).
 	Exe string
 }
+
+// shipDepth is how many tasks per executor the coordinator keeps in
+// flight to a worker process when Config.ShipWindow is zero. A task
+// lasts ≈0.25 ms and one result → deliver → claim → ship → decode round
+// trip crosses three processes and four goroutine wake-ups (≈110–150 µs
+// a task that a depth of 2 did not hide); docs/PERFORMANCE.md "Cluster
+// pipeline depth" has the sweep this value is read from.
+const shipDepth = 16
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -70,7 +80,7 @@ func (c Config) withDefaults() Config {
 		c.MaxRespawns = 1
 	}
 	if c.ShipWindow < 1 {
-		c.ShipWindow = 2 * c.LocalWorkers
+		c.ShipWindow = shipDepth * c.LocalWorkers
 	}
 	if c.ChunkBudget == 0 {
 		c.ChunkBudget = 32 << 20
@@ -103,8 +113,12 @@ type Stats struct {
 	SpawnedRequeued   int // spawned continuations requeued after a worker loss
 	Steals            int // tasks claimed from another shard's deque
 	Requeued          int // in-flight tasks recovered from dead workers
-	WorkerDeaths      int // connections lost mid-run
-	Respawns          int // replacement processes spawned
+	// Uncharged is the share of Requeued a death cannot have
+	// interrupted — shipped behind the tasks the worker can have started
+	// — which requeue without a charged attempt.
+	Uncharged    int
+	WorkerDeaths int // connections lost mid-run
+	Respawns     int // replacement processes spawned
 	// PerWorker breaks shipping down by worker slot. Stragglers that
 	// outlive a respawn share slot 0's row, like its shard.
 	PerWorker []WorkerStats
@@ -117,6 +131,7 @@ type WorkerStats struct {
 	ShippedBytes   int64 // task + chunk + result bytes through this slot
 	Steals         int
 	Continuations  int
+	PeakInFlight   int // most tasks in flight on the slot's connection at once
 	ChunkHits      int64
 	ResidentChunks int   // resident-chunk table size after the last ship
 	ResidentBytes  int64 // its encoded-byte footprint
@@ -207,6 +222,16 @@ type flightKey struct {
 	seq   int
 }
 
+// flight is one task in flight on a connection: its run, and its
+// 1-based place in the connection's ship order — the order its frames
+// were written in, which is the order the worker's executors start
+// them in — or 0 while the task is claimed and its frame is not yet
+// written.
+type flight struct {
+	rn      *run
+	shipped uint64
+}
+
 // wconn is one live worker connection.
 type wconn struct {
 	c        net.Conn
@@ -214,7 +239,8 @@ type wconn struct {
 	writeMu  sync.Mutex
 	slot     int
 	dead     bool
-	inflight map[flightKey]*run
+	inflight map[flightKey]flight
+	shipSeq  uint64 // task frames written: the last flight.shipped handed out
 	// chunks is the resident-chunk model and ws the worker's slot row
 	// in the coordinator's per-worker stats. Both guarded by co.mu; enc
 	// — the coordinator→worker intern table — is guarded by writeMu
@@ -222,6 +248,19 @@ type wconn struct {
 	chunks *chunkTable
 	enc    *EncTab
 	ws     *WorkerStats
+}
+
+// hangUp ends a connection whose write failed without discarding what
+// the worker already sent: only the write half closes, so the reader
+// still merges every result the worker flushed before it sees the end
+// of the stream and runs workerLost — whose charge rule counts on the
+// unmerged tasks being the unfinished ones. A live worker reads the
+// end of its stream and leaves; a dead one's stream has ended already.
+func (w *wconn) hangUp() {
+	if hc, ok := w.c.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+		return
+	}
+	w.c.Close()
 }
 
 type proc struct {
@@ -262,6 +301,27 @@ var _ tlp.Queue = (*Coordinator)(nil)
 // Start listens, spawns the worker processes, and waits for all of
 // them to connect.
 func Start(cfg Config) (*Coordinator, error) {
+	co, err := listen(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < co.cfg.Workers; i++ {
+		if err := co.spawn(); err != nil {
+			co.Close()
+			return nil, err
+		}
+	}
+	if err := co.waitConnected(co.cfg.Workers, co.cfg.ConnectTimeout); err != nil {
+		co.Close()
+		return nil, err
+	}
+	return co, nil
+}
+
+// listen is Start without the processes: a coordinator accepting on
+// its address, every slot empty. Whoever dials Addr becomes a worker —
+// Start's spawned processes, or a test's in-process ones.
+func listen(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
 		cfg:          cfg,
@@ -298,17 +358,6 @@ func Start(cfg Config) (*Coordinator, error) {
 	co.ln = ln
 	co.addr = ln.Addr().String()
 	go co.acceptLoop()
-
-	for i := 0; i < cfg.Workers; i++ {
-		if err := co.spawn(); err != nil {
-			co.Close()
-			return nil, err
-		}
-	}
-	if err := co.waitConnected(cfg.Workers, cfg.ConnectTimeout); err != nil {
-		co.Close()
-		return nil, err
-	}
 	return co, nil
 }
 
@@ -399,7 +448,7 @@ func (co *Coordinator) acceptLoop() {
 // register handshakes a fresh worker connection: Init, dataset
 // replay, slot assignment, then the reader and feeder goroutines.
 func (co *Coordinator) register(c net.Conn) {
-	w := &wconn{c: c, bw: bufio.NewWriterSize(c, 1<<16), inflight: map[flightKey]*run{},
+	w := &wconn{c: c, bw: bufio.NewWriterSize(c, 1<<16), inflight: map[flightKey]flight{},
 		chunks: newChunkTable(), enc: NewEncTab()}
 	// Holding writeMu across the handshake makes dataset ordering
 	// airtight: once the conn is listed, a concurrent RegisterDataset
@@ -494,7 +543,7 @@ func (co *Coordinator) RegisterDataset(spec DatasetSpec) error {
 		if err != nil {
 			// The reader will notice the dead connection; dataset replay
 			// covers any respawn.
-			w.c.Close()
+			w.hangUp()
 		}
 	}
 	return nil
@@ -601,9 +650,8 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 		if w == nil {
 			continue // no live worker: fall back to the shard queue
 		}
-		rn.state[i] = stateInflight
 		rn.spawned[i] = true
-		w.inflight[flightKey{rn.id, i}] = rn
+		w.hold(rn, i)
 		co.stats.Continuations++
 		w.ws.Continuations++
 		pushed[i] = true
@@ -629,7 +677,7 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 		if !co.ship(p.w, rn, p.idx) {
 			// Write failure: the closed connection's workerLost path
 			// requeues the task through overflow, exactly once.
-			p.w.c.Close()
+			p.w.hangUp()
 		}
 	}
 
@@ -773,6 +821,16 @@ func (co *Coordinator) pick(w *wconn) (*run, int, bool) {
 	return nil, 0, false
 }
 
+// hold marks a task in flight on the connection, ahead of the ship that
+// writes its frame. Caller holds co.mu.
+func (w *wconn) hold(rn *run, idx int) {
+	rn.state[idx] = stateInflight
+	w.inflight[flightKey{rn.id, idx}] = flight{rn: rn}
+	if n := len(w.inflight); n > w.ws.PeakInFlight {
+		w.ws.PeakInFlight = n
+	}
+}
+
 // claim blocks until the worker has window room and work exists
 // (ok=false when the worker died or the coordinator closed). The
 // claimed task is marked in-flight; the caller must ship it.
@@ -785,8 +843,7 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 		}
 		if len(w.inflight) < co.cfg.ShipWindow {
 			if rn, idx, ok := co.pick(w); ok {
-				rn.state[idx] = stateInflight
-				w.inflight[flightKey{rn.id, idx}] = rn
+				w.hold(rn, idx)
 				return rn, idx, true
 			}
 		}
@@ -823,14 +880,17 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		co.mu.Unlock()
 		return !w.dead
 	}
-	if rn.state[idx] != stateInflight || w.inflight[flightKey{rn.id, idx}] != rn {
+	key := flightKey{rn.id, idx}
+	if rn.state[idx] != stateInflight || w.inflight[key].rn != rn {
 		// The run was cancelled between claim and ship (its result is
 		// already synthesized): nothing to send, free the window slot.
-		delete(w.inflight, flightKey{rn.id, idx})
+		delete(w.inflight, key)
 		co.cond.Broadcast()
 		co.mu.Unlock()
 		return true
 	}
+	w.shipSeq++
+	w.inflight[key] = flight{rn: rn, shipped: w.shipSeq}
 	t := rn.tasks[idx]
 	m := &TaskMsg{
 		RunID: rn.id, Seq: idx, StartAttempt: rn.startAttempt[idx],
@@ -938,10 +998,10 @@ func (co *Coordinator) feeder(w *wconn) {
 			return
 		}
 		if !co.ship(w, rn, idx) {
-			// Write failure: close the connection and let the reader's
-			// workerLost path requeue everything in flight here —
-			// including this task — exactly once.
-			w.c.Close()
+			// Write failure: hang up and let the reader's workerLost
+			// path requeue everything in flight here — including this
+			// task — exactly once.
+			w.hangUp()
 			return
 		}
 	}
@@ -979,10 +1039,11 @@ func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	key := flightKey{m.RunID, m.Seq}
-	rn, ok := w.inflight[key]
+	fl, ok := w.inflight[key]
 	if !ok {
 		return // stale frame for a requeued or unknown task
 	}
+	rn := fl.rn
 	delete(w.inflight, key)
 	co.cond.Broadcast() // window freed
 	if rn.state[m.Seq] != stateInflight {
@@ -1026,9 +1087,9 @@ func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
 }
 
 // workerLost runs the process-level recovery for a dropped
-// connection: requeue its in-flight tasks with the loss charged
-// against their retry budgets, quarantine the exhausted ones, and
-// respawn a replacement within the bounded budget.
+// connection: requeue its in-flight tasks, the loss charged against
+// the retry budgets of those it can have interrupted, quarantine the
+// exhausted ones, and respawn a replacement within the bounded budget.
 func (co *Coordinator) workerLost(w *wconn) {
 	co.mu.Lock()
 	if w.dead {
@@ -1049,12 +1110,30 @@ func (co *Coordinator) workerLost(w *wconn) {
 		co.stats.WorkerDeaths++
 	}
 
+	keys := make([]flightKey, 0, len(w.inflight))
+	for k, fl := range w.inflight {
+		if fl.rn.state[k.seq] == stateInflight {
+			keys = append(keys, k)
+		}
+	}
+	// The worker's executors start tasks in ship order and the reader
+	// merged every result the worker flushed before it reported the
+	// loss, so of the unmerged tasks only the first few in that order
+	// can have started: one running on each executor, and a flush batch
+	// of finished results that died in the worker's write buffer.
+	// Charging the whole window instead would quarantine, at MaxRetries
+	// 0, a window of tasks for one death; charging fewer could leave the
+	// task that killed the worker at the attempt that kills the next one.
+	interrupted := co.cfg.LocalWorkers + resultBatch
+	sort.Slice(keys, func(i, j int) bool { return w.inflight[keys[i]].shipped < w.inflight[keys[j]].shipped })
+	charged := map[flightKey]bool{}
+	for _, k := range keys {
+		if w.inflight[k].shipped > 0 && len(charged) < interrupted {
+			charged[k] = true
+		}
+	}
 	// Deterministic requeue order: (runID, seq) ascending, so two
 	// identical chaos runs rebuild identical overflow queues.
-	keys := make([]flightKey, 0, len(w.inflight))
-	for k := range w.inflight {
-		keys = append(keys, k)
-	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].runID != keys[j].runID {
 			return keys[i].runID < keys[j].runID
@@ -1062,19 +1141,8 @@ func (co *Coordinator) workerLost(w *wconn) {
 		return keys[i].seq < keys[j].seq
 	})
 	for _, k := range keys {
-		rn := w.inflight[k]
-		delete(w.inflight, k)
-		idx := k.seq
-		if rn.state[idx] != stateInflight {
-			continue
-		}
+		rn, idx := w.inflight[k].rn, k.seq
 		t := rn.tasks[idx]
-		// The loss is an attempt that crashed: same classification as
-		// the pool's simulated worker crash, deterministic message (no
-		// pids, no timestamps).
-		crashErr := fmt.Errorf("tlp: task %s: %w (worker process lost)", t.ID, tlp.ErrWorkerCrash)
-		rn.priorErrs[idx] = append(rn.priorErrs[idx], crashErr)
-		rn.startAttempt[idx]++
 		if rn.spawned[idx] {
 			// A spawned continuation lost with its worker rejoins the
 			// ordinary overflow path: its Spawned mark is cleared so the
@@ -1083,11 +1151,25 @@ func (co *Coordinator) workerLost(w *wconn) {
 			rn.spawned[idx] = false
 			co.stats.SpawnedRequeued++
 		}
+		if !charged[k] {
+			// Never started: redelivered at the attempt it was shipped at.
+			rn.state[idx] = statePending
+			rn.overflow = append(rn.overflow, idx)
+			co.stats.Requeued++
+			co.stats.Uncharged++
+			continue
+		}
+		// The loss is an attempt that crashed: same classification as
+		// the pool's simulated worker crash, deterministic message (no
+		// pids, no timestamps).
+		crashErr := fmt.Errorf("tlp: task %s: %w (worker process lost)", t.ID, tlp.ErrWorkerCrash)
+		rn.priorErrs[idx] = append(rn.priorErrs[idx], crashErr)
+		rn.startAttempt[idx]++
 		maxAttempts := 1 + rn.cfg.MaxRetries
-		if charged := rn.startAttempt[idx] - 1; charged >= maxAttempts {
+		if attempts := rn.startAttempt[idx] - 1; attempts >= maxAttempts {
 			rn.results[idx] = &tlp.Result{
 				TaskID: t.ID, SeqInQ: idx, Err: crashErr,
-				Attempts:    charged,
+				Attempts:    attempts,
 				AttemptErrs: append([]error(nil), rn.priorErrs[idx]...),
 				Quarantined: true,
 				ShipBytes:   rn.shipBytes[idx],
@@ -1101,6 +1183,7 @@ func (co *Coordinator) workerLost(w *wconn) {
 			co.stats.Requeued++
 		}
 	}
+	clear(w.inflight)
 
 	respawn := false
 	if !co.closed && co.respawnsLeft > 0 {

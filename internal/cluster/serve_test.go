@@ -78,7 +78,12 @@ func TestServeClusterBackend(t *testing.T) {
 		t.Errorf("/stats reports %d shipped bytes for a cluster-backed request", st.ShippedBytes)
 	}
 	if st.Cluster == nil || st.Cluster.TasksShipped == 0 {
-		t.Errorf("/stats carries no coordinator accounting: %+v", st.Cluster)
+		t.Fatalf("/stats carries no coordinator accounting: %+v", st.Cluster)
+	}
+	for _, ws := range st.Cluster.PerWorker {
+		if ws.Tasks > 0 && ws.PeakInFlight < 1 {
+			t.Errorf("/stats: worker slot %d merged %d tasks with a peak of %d in flight", ws.Slot, ws.Tasks, ws.PeakInFlight)
+		}
 	}
 	if st.Pool.TasksRun != 0 {
 		t.Errorf("shared pool ran %d tasks of a request the cluster should have taken", st.Pool.TasksRun)

@@ -88,15 +88,34 @@ type worker struct {
 	// the executor after every task; results report the process total.
 	arenas []tlp.ArenaGauge
 
-	writeMu sync.Mutex
+	// tasks is the queue between the read loop and the executors, in
+	// ship order. onStart, when a test sets it, sees the queue's length
+	// each time an executor takes a task off it.
+	tasks   chan *TaskMsg
+	onStart func(queued int)
+
+	// writeMu guards bw, enc and unflushed: the result frames written
+	// since the last flush.
+	writeMu   sync.Mutex
+	unflushed int
 }
+
+// resultBatch bounds how many finished results a worker holds in its
+// write buffer: it flushes when nothing is queued behind the result —
+// it is about to go idle, so the coordinator must hear now — and
+// otherwise on every resultBatch-th, so the coordinator refills the
+// window while the worker still has work. It is also what a death can
+// lose beyond the running tasks: results finished, not yet flushed.
+const resultBatch = 4
 
 // ServeWorker runs the worker side of one coordinator connection
 // until the coordinator sends Shutdown or the connection drops.
 // Exported for the in-process tests; production workers enter through
 // MaybeWorker.
-func ServeWorker(c net.Conn) error {
-	w := &worker{
+func ServeWorker(c net.Conn) error { return newWorker(c).serve() }
+
+func newWorker(c net.Conn) *worker {
+	return &worker{
 		conn:     c,
 		br:       bufio.NewReaderSize(c, 1<<16),
 		bw:       bufio.NewWriterSize(c, 1<<16),
@@ -105,7 +124,10 @@ func ServeWorker(c net.Conn) error {
 		enc:      NewEncTab(),
 		datasets: map[string]*spam.Dataset{},
 	}
-	defer c.Close()
+}
+
+func (w *worker) serve() error {
+	defer w.conn.Close()
 
 	typ, payload, err := readFrame(w.br)
 	if err != nil {
@@ -131,9 +153,17 @@ func ServeWorker(c net.Conn) error {
 
 	// LocalWorkers executors drain the task channel; the reader
 	// goroutine below is the only frame reader, executors the only
-	// (mutex-serialized) frame writers.
-	tasks := make(chan *TaskMsg, w.init.LocalWorkers)
+	// (mutex-serialized) frame writers. The channel holds a whole
+	// default ship window, so the pipeline's depth is decoded tasks an
+	// executor can start at once, not bytes in a socket buffer; anything
+	// past it (a burst of continuation pushes) waits in the socket.
+	w.tasks = make(chan *TaskMsg, shipDepth*w.init.LocalWorkers)
 	w.arenas = make([]tlp.ArenaGauge, w.init.LocalWorkers)
+	// ctx ends with the read loop: once no coordinator is listening, a
+	// result has nowhere to go, so the executors drop what is queued and
+	// the running tasks are cancelled.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < w.init.LocalWorkers; i++ {
 		wg.Add(1)
@@ -142,8 +172,15 @@ func ServeWorker(c net.Conn) error {
 			// The executor's match arena: lent to each task's engine and
 			// settled back by the pool, for as long as the process lives.
 			scratch := &ops5.Scratch{}
-			for m := range tasks {
-				w.runTask(idx, m, scratch)
+			for m := range w.tasks {
+				if ctx.Err() != nil {
+					continue
+				}
+				if w.onStart != nil {
+					w.onStart(len(w.tasks))
+				}
+				w.admit(m)
+				w.runTask(ctx, idx, m, scratch)
 			}
 		}(i)
 	}
@@ -173,8 +210,7 @@ loop:
 				loopErr = err
 				break loop
 			}
-			w.admit(m)
-			tasks <- m
+			w.tasks <- m
 		case frameChunk:
 			id, s, err := DecodeChunk(w.dec, payload)
 			if err != nil {
@@ -200,7 +236,8 @@ loop:
 			break
 		}
 	}
-	close(tasks)
+	cancel()
+	close(w.tasks)
 	wg.Wait()
 	if loopErr != nil && !isClosedConn(loopErr) {
 		return loopErr
@@ -208,14 +245,20 @@ loop:
 	return nil
 }
 
-// admit applies the process-level chaos draw to a freshly-decoded
-// task. A Crash draw for this (task, attempt) kills the worker process
-// outright — no goodbye frame, the coordinator sees only the dropped
-// connection. Deterministic in (task ID, attempt), and because
-// transient faults strike only the first attempt, the task's
-// redelivery (startAttempt 2) survives. Spawned continuation tasks go
-// through the same draw, so the chaos tests exercise mid-run SIGKILL
-// requeue of spawned tasks too.
+// admit applies the process-level chaos draw to a task an executor has
+// just taken off the queue. A Crash draw for this (task, attempt) kills
+// the worker process outright — no goodbye frame, the coordinator sees
+// only the dropped connection. The draw strikes at the start of the
+// task, not when its frame is decoded: executors start tasks in ship
+// order, so the fated task is among the first LocalWorkers+resultBatch
+// unmerged tasks of its connection, which are the ones the coordinator
+// charges an attempt (Coordinator.workerLost) — drawn at decode, with a
+// window of tasks queued ahead of it, it could die uncharged, be
+// redelivered at the same attempt and kill every worker it reached.
+// Deterministic in (task ID, attempt), and because transient faults
+// strike only the first attempt, the task's redelivery (startAttempt 2)
+// survives. Spawned continuation tasks go through the same draw, so the
+// chaos tests exercise mid-run SIGKILL requeue of spawned tasks too.
 func (w *worker) admit(m *TaskMsg) {
 	if w.procPlan != nil && w.procPlan.TaskFault(m.ID, m.StartAttempt).Kind == faults.Crash {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
@@ -267,11 +310,11 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 
 // runTask executes one shipped task on executor idx, stamps the
 // result with the process's arena footprint, and writes its result
-// frame. The encoding happens under writeMu too: the result
-// codec interns against the connection's shared table, so encode order
-// must match stream order.
-func (w *worker) runTask(idx int, m *TaskMsg, scratch *ops5.Scratch) {
-	res := w.execute(idx, m, scratch)
+// frame, flushing by the resultBatch rule. The encoding happens under
+// writeMu too: the result codec interns against the connection's shared
+// table, so encode order must match stream order.
+func (w *worker) runTask(ctx context.Context, idx int, m *TaskMsg, scratch *ops5.Scratch) {
+	res := w.execute(ctx, idx, m, scratch)
 	// The executor outlives its tasks: it must not pin the largest
 	// one's arena.
 	scratch.Trim()
@@ -283,16 +326,23 @@ func (w *worker) runTask(idx int, m *TaskMsg, scratch *ops5.Scratch) {
 	}
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
+	if ctx.Err() != nil {
+		return // the connection is gone
+	}
 	if _, err := writeFrame(w.bw, frameResult, EncodeResultV2(w.enc, res)); err != nil {
 		return
 	}
-	w.bw.Flush()
+	w.unflushed++
+	if w.unflushed >= resultBatch || len(w.tasks) == 0 {
+		w.unflushed = 0
+		w.bw.Flush()
+	}
 }
 
 // execute runs the task behind the process's memory gate, under the
 // configuration its frame carries and on the executor's match arena,
 // and flattens the Result for the wire.
-func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg {
+func (w *worker) execute(ctx context.Context, idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg {
 	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt, Spawned: m.Spawned}
 	w.mu.Lock()
 	d, ok := w.datasets[m.Spec.Dataset]
@@ -317,7 +367,7 @@ func (w *worker) execute(idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg 
 		Build:     func() (*ops5.Engine, error) { return builder(nil) },
 		BuildWith: builder,
 	}
-	r := w.pool.RunOne(context.Background(), m.Config, task, idx, m.Seq, m.StartAttempt, scratch)
+	r := w.pool.RunOne(ctx, m.Config, task, idx, m.Seq, m.StartAttempt, scratch)
 
 	out.Attempts = r.Attempts
 	out.Stats = r.Stats

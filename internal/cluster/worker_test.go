@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 	// on the one gate, and none waits.
 	scratch := &ops5.Scratch{}
 	for i := 0; i < 50; i++ {
-		res := w.execute(0, msg(i, tlp.RunConfig{MaxRetries: i}, float64(1000+i)), scratch)
+		res := w.execute(context.Background(), 0, msg(i, tlp.RunConfig{MaxRetries: i}, float64(1000+i)), scratch)
 		if res.Err != nil {
 			t.Fatalf("task %d: %s", i, res.Err.Msg)
 		}
@@ -61,7 +62,7 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if res := w.execute(0, msg(0, slow, budget), scratch); res.Err != nil || res.Attempts != 2 {
+		if res := w.execute(context.Background(), 0, msg(0, slow, budget), scratch); res.Err != nil || res.Attempts != 2 {
 			t.Errorf("retried task: attempts %d, err %v", res.Attempts, res.Err)
 		}
 	}()
@@ -71,7 +72,7 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if res := w.execute(1, msg(1, tlp.RunConfig{}, budget), &ops5.Scratch{}); res.Err != nil {
+	if res := w.execute(context.Background(), 1, msg(1, tlp.RunConfig{}, budget), &ops5.Scratch{}); res.Err != nil {
 		t.Errorf("second task: %s", res.Err.Msg)
 	}
 	wg.Wait()
