@@ -85,8 +85,8 @@ bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerPolicies' \
 		-benchtime 0.3s ./internal/machine/
 
-# oracle runs the differential oracles — indexed vs naive matcher,
-# constant tests dispatched vs swept on generated rule sets,
+# oracle runs the differential oracles — constant tests dispatched vs
+# swept, on scripts and on generated rule sets,
 # template-instantiated vs fresh-compiled engines, AssertBatch vs
 # Assert, fast-vs-exact geometry, all of those build modes at once
 # on one cached dataset, the scheduling policies (simulator vs Run

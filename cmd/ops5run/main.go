@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	ops5run [-wm FILE] [-max N] [-strategy lex|mea] [-dump CLASS] program.ops5
+//	ops5run [-wm FILE] [-max N] [-dump CLASS] [-i] [-trace] program.ops5
 //
-// The working-memory file contains "(class ^attr value ...)" forms.
+// The working-memory file contains "(class ^attr value ...)" forms. The
+// conflict-resolution strategy is the program's own (strategy lex|mea)
+// declaration; -i starts an interactive shell instead of running to
+// quiescence, and -trace logs firings and working-memory changes on
+// stderr.
 package main
 
 import (

@@ -43,10 +43,10 @@
 //
 // -naive and -naive-geom set this run's build mode (tlp.BuildMode,
 // carried to cluster workers in every task frame): -naive selects the
-// unindexed reference matcher, which also sweeps every alpha memory of
-// a WME's class instead of dispatching on its constant tests (identical
-// results and simulated costs, slower wall-clock; see
-// docs/PERFORMANCE.md), and -naive-geom evaluates every spatial
+// reference matcher, which sweeps every alpha memory of a WME's class
+// instead of dispatching on its constant tests (identical results and
+// simulated costs, slower wall-clock; see docs/PERFORMANCE.md), and
+// -naive-geom evaluates every spatial
 // predicate with the exact Hypot kernel, no predicate memo, no
 // derived-geometry cache and linear partner scans (same results and
 // simulated costs, slower wall-clock).
@@ -85,7 +85,7 @@ func realMain() int {
 	reentry := flag.Bool("reentry", false, "enable FA->LCC re-entry")
 	scale := flag.Float64("scale", 1, "scene scale factor")
 	lisp := flag.Bool("lisp", false, "report times at the original Lisp system's speed")
-	naive := flag.Bool("naive", false, "use the unindexed reference matcher (same results, slower wall-clock)")
+	naive := flag.Bool("naive", false, "use the reference matcher, constant tests swept instead of dispatched (same results, slower wall-clock)")
 	naiveGeom := flag.Bool("naive-geom", false, "exact geometry kernels without the predicate memo, derived cache or partner grid (same results, slower wall-clock)")
 	updates := flag.Int("update", 0, "apply N incremental churn updates through an interpretation session after the initial run")
 	churn := flag.Float64("churn", 0.05, "churn fraction per -update delta (regions touched / scene regions)")

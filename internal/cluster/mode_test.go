@@ -74,11 +74,11 @@ func TestWorkerHonoursShippedBuildMode(t *testing.T) {
 	rtf := func(mode tlp.BuildMode) *tlp.Task {
 		return spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, mode)[0]
 	}
-	if !shipped(t, d, rtf(tlp.BuildMode{})).IndexedMatch() {
-		t.Error("zero mode built an unindexed engine")
+	if !shipped(t, d, rtf(tlp.BuildMode{})).DispatchedMatch() {
+		t.Error("zero mode built a sweeping engine")
 	}
-	if shipped(t, d, rtf(tlp.BuildMode{NaiveMatch: true})).IndexedMatch() {
-		t.Error("a frame carrying NaiveMatch built an indexed engine")
+	if shipped(t, d, rtf(tlp.BuildMode{NaiveMatch: true})).DispatchedMatch() {
+		t.Error("a frame carrying NaiveMatch built a dispatching engine")
 	}
 
 	in, err := d.Interpret(spam.InterpretOptions{Workers: 2})

@@ -616,6 +616,11 @@ func TestKillPointFlushedResultsSurviveTheDeath(t *testing.T) {
 		}
 	}
 	survivor.mu.Unlock()
+	// The victim left nothing to requeue, so the survivor can finish the
+	// run before the victim's reader reports the loss: wait for it.
+	for deadline := time.Now().Add(10 * time.Second); co.Stats().WorkerDeaths == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if st := co.Stats(); st.WorkerDeaths != 1 || st.PerWorker[0].Tasks != window {
 		t.Errorf("%d deaths, %d results merged from the victim; want 1 and all %d", st.WorkerDeaths, st.PerWorker[0].Tasks, window)
 	}

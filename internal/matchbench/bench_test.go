@@ -1,22 +1,19 @@
 package matchbench
 
-import (
-	"testing"
+import "testing"
 
-	"spampsm/internal/ops5"
-)
+// Engine-level benchmarks over the Figure 3 match-intensive systems.
+// These run complete recognize-act cycles (parse, compile, assert,
+// fire) with capture on, so they measure the matcher inside its real
+// engine harness. A capturing engine sweeps its constant tests whatever
+// its matcher option says, so there is one case per system.
 
-// Engine-level benchmarks over the Figure 3 match-intensive systems,
-// indexed vs naive. These run complete recognize-act cycles (parse,
-// compile, assert, fire) with capture on, so they measure the matcher
-// inside its real engine harness.
-
-func benchSpec(b *testing.B, s Spec, opts ...ops5.Option) {
+func benchSpec(b *testing.B, s Spec) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var tokens, sec float64
 	for i := 0; i < b.N; i++ {
-		e, err := Build(s, opts...)
+		e, err := Build(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,17 +29,6 @@ func benchSpec(b *testing.B, s Spec, opts ...ops5.Option) {
 	}
 }
 
-func BenchmarkRubik(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchSpec(b, Rubik) })
-	b.Run("naive", func(b *testing.B) { benchSpec(b, Rubik, ops5.WithNaiveMatch()) })
-}
-
-func BenchmarkWeaver(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchSpec(b, Weaver) })
-	b.Run("naive", func(b *testing.B) { benchSpec(b, Weaver, ops5.WithNaiveMatch()) })
-}
-
-func BenchmarkTourney(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchSpec(b, Tourney) })
-	b.Run("naive", func(b *testing.B) { benchSpec(b, Tourney, ops5.WithNaiveMatch()) })
-}
+func BenchmarkRubik(b *testing.B)   { benchSpec(b, Rubik) }
+func BenchmarkWeaver(b *testing.B)  { benchSpec(b, Weaver) }
+func BenchmarkTourney(b *testing.B) { benchSpec(b, Tourney) }

@@ -98,8 +98,8 @@ func Source(s Spec) string {
 }
 
 // Build compiles a spec into a loaded engine with capture enabled.
-// Extra engine options (e.g. ops5.WithNaiveMatch for the unindexed
-// reference matcher) are appended after capture.
+// Extra engine options (e.g. ops5.WithNaiveMatch for the reference
+// matcher) are appended after capture.
 func Build(s Spec, opts ...ops5.Option) (*ops5.Engine, error) {
 	prog, err := ops5.Parse(Source(s))
 	if err != nil {

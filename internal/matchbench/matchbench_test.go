@@ -148,13 +148,13 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// TestIndexedMatchesNaiveForests runs each benchmark spec under the
-// indexed and naive matchers and requires identical stats and captured
-// forests: indexing must not change the simulated workload the
-// parallel-match scheduler sees.
-func TestIndexedMatchesNaiveForests(t *testing.T) {
+// TestNaiveMatchKeepsForests runs each benchmark spec on the default
+// engine and under WithNaiveMatch and requires identical stats and
+// captured forests: the reference matcher must not change the simulated
+// workload the parallel-match scheduler sees.
+func TestNaiveMatchKeepsForests(t *testing.T) {
 	for _, s := range []Spec{Rubik, Weaver, Tourney} {
-		li, si, err := Run(s)
+		ld, sd, err := Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +162,11 @@ func TestIndexedMatchesNaiveForests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if si != sn {
-			t.Errorf("%s: stats differ: indexed %+v naive %+v", s.Name, si, sn)
+		if sd != sn {
+			t.Errorf("%s: stats differ: default %+v naive %+v", s.Name, sd, sn)
 		}
-		if renderLog(li) != renderLog(ln) {
-			t.Errorf("%s: activation forests differ between indexed and naive matchers", s.Name)
+		if renderLog(ld) != renderLog(ln) {
+			t.Errorf("%s: activation forests differ between the default and naive matchers", s.Name)
 		}
 	}
 }

@@ -115,9 +115,6 @@ func compileProduction(p *Production, classes *wm.Classes) (*compiledProd, error
 						joins = append(joins, rete.JoinTest{
 							OwnAttr: ai, TokenLevel: loc.ce, TokenAttr: loc.attr,
 							Pred: predFn(tm.Pred),
-							// Equality joins are index-accelerated by the
-							// network; the cost model is unaffected.
-							Eq: tm.Pred == PredEQ,
 						})
 					} else if tm.Pred == PredEQ {
 						// First occurrence binds.

@@ -17,10 +17,10 @@ import (
 // per-instance network state over the shared topology.
 //
 // Variants are keyed on the two compile-time switches: the matcher
-// mode (WithNaiveMatch selects the full-scan reference matcher, which
-// changes the compiled node strategy) and activation capture. Each
-// Program memoizes its variants, so the ~1k task builds of a full
-// SPAM interpretation share one compile per variant in use.
+// mode (WithNaiveMatch selects the reference matcher, whose template
+// sweeps constant tests instead of dispatching them) and activation
+// capture. Each Program memoizes its variants, so the ~1k task builds
+// of a full SPAM interpretation share one compile per variant in use.
 
 // compileKey identifies one compiled variant of a Program.
 type compileKey struct {
@@ -55,7 +55,7 @@ func compileVariant(prog *Program, naive, capture bool) (*CompiledProgram, error
 		}
 	}
 	tmpl := rete.NewTemplate()
-	tmpl.SetIndexing(!naive)
+	tmpl.SetDispatching(!naive)
 	compiled := make(map[string]*compiledProd, len(prog.Productions))
 	for _, p := range prog.Productions {
 		cp, err := compileProduction(p, classes)

@@ -147,11 +147,11 @@ func WithCapture() Option { return func(e *Engine) { e.capture = true } }
 // logged as it happens.
 func WithTrace(w io.Writer) Option { return func(e *Engine) { e.trace = w } }
 
-// WithNaiveMatch disables the Rete network's equality-indexed memories
-// so every join scans its full memories. This is the reference matcher
-// the differential oracle compares against (the indexed matcher must
-// reproduce its Counters and firing sequence byte-for-byte); it also
-// serves as the pre-indexing wall-clock baseline in benchmarks.
+// WithNaiveMatch disables the Rete network's constant-test dispatch, so
+// every working-memory change sweeps every alpha memory of its class.
+// This is the reference matcher the differential oracle compares
+// against (the dispatched matcher must reproduce its Counters and
+// firing sequence byte-for-byte).
 func WithNaiveMatch() Option { return func(e *Engine) { e.naiveMatch = true } }
 
 // WithFreshCompile forces NewEngine to compile the program privately,
@@ -290,14 +290,14 @@ func (e *Engine) syncMem() {
 
 // MatchCounters returns the Rete network's aggregate match counters
 // (simulated instruction accounting). The differential oracle asserts
-// these are byte-identical between the indexed and naive matchers.
+// these are byte-identical between the dispatched and naive matchers.
 func (e *Engine) MatchCounters() rete.Counters { return e.net.Totals() }
 
-// IndexedMatch reports whether the engine's network probes its
-// equality indexes (the default) or scans, as WithNaiveMatch selects:
-// the two are observably identical, so nothing else can tell which
-// matcher an engine was built with.
-func (e *Engine) IndexedMatch() bool { return e.net.Indexing() }
+// DispatchedMatch reports whether the engine's network dispatches a
+// working-memory change on its constant tests (the default) or sweeps,
+// as WithNaiveMatch selects: the two are observably identical, so
+// nothing else can tell which matcher an engine was built with.
+func (e *Engine) DispatchedMatch() bool { return e.net.Template().Dispatching() }
 
 // Memory exposes the working memory (for result extraction). A settled
 // engine that borrowed its worker's arena has given its WMEs back: its

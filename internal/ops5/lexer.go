@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"spampsm/internal/symtab"
 )
 
 // tokKind classifies lexer tokens.
@@ -58,9 +60,19 @@ func (k tokKind) String() string {
 }
 
 type token struct {
-	kind tokKind
-	text string // atom text, variable name (without <>), or predicate symbol
-	line int
+	kind   tokKind
+	text   string // atom text, variable name (without <>), or predicate symbol
+	line   int
+	quoted bool // a |quoted| atom: always a symbol
+}
+
+// value is an atom's value: a quoted atom is the symbol it spells, a
+// bare one a number in decimal syntax or else a symbol (symtab.Parse).
+func (t token) value() symtab.Value {
+	if t.quoted {
+		return symtab.Sym(t.text)
+	}
+	return symtab.Parse(t.text)
 }
 
 func (t token) String() string {
@@ -170,7 +182,8 @@ func (l *lexer) next() (token, error) {
 		}
 		text := l.src[l.pos+1 : l.pos+1+end]
 		l.pos += end + 2
-		return token{kind: tokAtom, text: text, line: line}, nil
+		l.line += strings.Count(text, "\n")
+		return token{kind: tokAtom, text: text, line: line, quoted: true}, nil
 	}
 
 	if c == '<' {

@@ -299,7 +299,7 @@ func (p *parser) term() (TestTerm, error) {
 		p.advance()
 		var disj []symtab.Value
 		for p.cur().kind == tokAtom {
-			disj = append(disj, symtab.Parse(p.advance().text))
+			disj = append(disj, p.advance().value())
 		}
 		if _, err := p.expect(tokDRAngle); err != nil {
 			return TestTerm{}, err
@@ -311,7 +311,7 @@ func (p *parser) term() (TestTerm, error) {
 	case tokVar:
 		return TestTerm{Pred: pred, Var: p.advance().text}, nil
 	case tokAtom:
-		return TestTerm{Pred: pred, Val: symtab.Parse(p.advance().text)}, nil
+		return TestTerm{Pred: pred, Val: p.advance().value()}, nil
 	default:
 		return TestTerm{}, p.errf("expected test value, found %s", p.cur())
 	}
@@ -485,7 +485,7 @@ func (p *parser) expr() (Expr, error) {
 	case tokVar:
 		return VarExpr{Name: p.advance().text}, nil
 	case tokAtom:
-		return LitExpr{Val: symtab.Parse(p.advance().text)}, nil
+		return LitExpr{Val: p.advance().value()}, nil
 	case tokLParen:
 		p.advance()
 		head, err := p.expectAtom("expression head")

@@ -43,7 +43,7 @@ func ParseWMEList(src string) ([]WMESpec, error) {
 			if cur().kind != tokAtom {
 				return nil, fmt.Errorf("ops5: line %d: expected value for ^%s, found %s", cur().line, attr, cur())
 			}
-			spec.Sets[attr] = symtab.Parse(cur().text)
+			spec.Sets[attr] = cur().value()
 			i++
 		}
 		if cur().kind != tokRParen {

@@ -9,10 +9,10 @@ import (
 )
 
 // Network-level join benchmarks: assert/retract churn against
-// join-heavy productions, run under the indexed (default) and naive
-// matchers. The naive variant is the pre-indexing matcher, so the
-// indexed/naive ratio is the optimisation's wall-clock win at
-// identical simulated cost (see differential_test.go).
+// join-heavy productions whose memories grow far beyond a SPAM task's,
+// the shape the retired join indexes were built for (docs/PERFORMANCE.md,
+// "Join indexes retired"). The class has no constant tests, so there is
+// no dispatch to switch: one case each.
 
 // benchAgenda is a no-op agenda so the benchmark measures the network,
 // not conflict resolution.
@@ -23,26 +23,24 @@ func (benchAgenda) Deactivate(p *PNode, t *Token) {}
 
 // buildJoinBenchNet builds a network with group-joined productions:
 // for each of eight focal groups, a 3-CE chain production whose CEs
-// join on ^group equality and discriminate on ^id. Equality-first
-// test lists make every join indexable.
-func buildJoinBenchNet(b *testing.B, indexed bool) (*Network, *wm.Classes) {
+// join on ^group equality and order on ^id.
+func buildJoinBenchNet(b *testing.B) (*Network, *wm.Classes) {
 	b.Helper()
 	cs := wm.NewClasses()
 	if _, err := cs.Declare("item", "id", "group", "val"); err != nil {
 		b.Fatal(err)
 	}
 	net := New(benchAgenda{})
-	net.SetIndexing(indexed)
 	gt := func(a, o symtab.Value) bool { return a.FloatVal() > o.FloatVal() }
 	for p := 0; p < 8; p++ {
 		pats := []Pattern{
 			{Class: "item", Signature: "item*"},
 			{Class: "item", Signature: "item*", Tests: []JoinTest{
-				{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred, Eq: true},
+				{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred},
 				{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: gt},
 			}},
 			{Class: "item", Signature: "item*", Tests: []JoinTest{
-				{OwnAttr: 1, TokenLevel: 1, TokenAttr: 1, Pred: eqPred, Eq: true},
+				{OwnAttr: 1, TokenLevel: 1, TokenAttr: 1, Pred: eqPred},
 				{OwnAttr: 0, TokenLevel: 1, TokenAttr: 0, Pred: gt},
 			}},
 		}
@@ -53,9 +51,11 @@ func buildJoinBenchNet(b *testing.B, indexed bool) (*Network, *wm.Classes) {
 	return net, cs
 }
 
-func benchJoinChurn(b *testing.B, indexed bool) {
+// BenchmarkJoinChurn measures assert/retract churn over 8 three-CE
+// group-joined productions and 384 WMEs in 64 groups.
+func BenchmarkJoinChurn(b *testing.B) {
 	const items, groups = 384, 64
-	net, cs := buildJoinBenchNet(b, indexed)
+	net, cs := buildJoinBenchNet(b)
 	mem := wm.NewMemory(cs)
 	wmes := make([]*wm.WME, 0, items)
 	b.ReportAllocs()
@@ -89,27 +89,19 @@ func benchJoinChurn(b *testing.B, indexed bool) {
 	}
 }
 
-// BenchmarkJoinChurn measures assert/retract churn over 8 three-CE
-// group-joined productions and 384 WMEs in 64 groups.
-func BenchmarkJoinChurn(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchJoinChurn(b, true) })
-	b.Run("naive", func(b *testing.B) { benchJoinChurn(b, false) })
-}
-
-func benchWideEqJoin(b *testing.B, indexed bool) {
-	// One wide equality join: every asserted item pairs with the items
-	// of its group. Bucket size stays small while the memory is large,
-	// so the naive right-activation scan dominates its runtime.
+// BenchmarkWideEqJoin measures a single two-CE equality join over 1024
+// WMEs in 128 groups: every asserted item pairs with the items of its
+// group, so the scan of a large memory for a small group dominates.
+func BenchmarkWideEqJoin(b *testing.B) {
 	cs := wm.NewClasses()
 	if _, err := cs.Declare("item", "id", "group", "val"); err != nil {
 		b.Fatal(err)
 	}
 	net := New(benchAgenda{})
-	net.SetIndexing(indexed)
 	pats := []Pattern{
 		{Class: "item", Signature: "item*"},
 		{Class: "item", Signature: "item*", Tests: []JoinTest{
-			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred, Eq: true},
+			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred},
 		}},
 	}
 	if _, err := net.AddProduction("pairs", pats, nil); err != nil {
@@ -148,13 +140,6 @@ func benchWideEqJoin(b *testing.B, indexed bool) {
 	}
 }
 
-// BenchmarkWideEqJoin measures a single two-CE equality join over 1024
-// WMEs in 128 groups — the purest index-vs-scan comparison.
-func BenchmarkWideEqJoin(b *testing.B) {
-	b.Run("indexed", func(b *testing.B) { benchWideEqJoin(b, true) })
-	b.Run("naive", func(b *testing.B) { benchWideEqJoin(b, false) })
-}
-
 var sinkPass bool
 
 // BenchmarkJoinTest measures one join node's test list — a symbol
@@ -171,7 +156,7 @@ func BenchmarkJoinTest(b *testing.B) {
 	if _, err := net.AddProduction("pair", []Pattern{
 		{Class: "item", Signature: "item*"},
 		{Class: "item", Signature: "item*", Tests: []JoinTest{
-			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred, Eq: true},
+			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred},
 			{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: gt},
 		}},
 	}, nil); err != nil {
@@ -189,7 +174,7 @@ func BenchmarkJoinTest(b *testing.B) {
 	w := item(2)
 	first := net.tmpl.dummyTop.children[0].(*joinNode)
 	j := first.child.(*betaMemory).children[0].(*joinNode)
-	tok := j.parent.store(net).items.head.t
+	tok := j.parent.items(net).head.t
 	if !j.passes(tok, w, net) {
 		b.Fatal("the pair must pass both tests")
 	}

@@ -9,9 +9,9 @@ import (
 	"spampsm/internal/wm"
 )
 
-// The differential oracle: every scenario is run through the indexed
-// matcher (the default) and the naive full-scan matcher
-// (SetIndexing(false)), and the two must agree byte-for-byte on
+// The differential oracle: every scenario is run through a template
+// with constant-test dispatch (the default) and one without
+// (SetDispatching(false)), and the two must agree byte-for-byte on
 //
 //   - the conflict-set event sequence (activation/deactivation order,
 //     production, and WME timetags of every instantiation),
@@ -20,7 +20,11 @@ import (
 //     shape).
 //
 // This is the invariant that keeps the paper's calibrated cost curves
-// valid: indexing changes wall-clock, never accounting.
+// valid: a faster matcher changes wall-clock, never accounting. replay
+// captures, and a capturing network sweeps whichever template it
+// instantiates, so here the switch must be inert;
+// TestDifferentialDispatchedVsSweptScripts (dispatch_test.go) replays
+// the same scripts with capture off, where it is not.
 
 // seqRecorder is an agenda that logs conflict-set events in order,
 // identifying instantiations by production name and WME timetags so
@@ -116,11 +120,11 @@ type diffRun struct {
 // replay runs the script on a fresh owned network (New +
 // AddProduction). Each step is one batch so captured forests line up
 // step-for-step.
-func (s *diffScript) replay(t *testing.T, indexed bool) *diffRun {
+func (s *diffScript) replay(t *testing.T, dispatched bool) *diffRun {
 	t.Helper()
 	rec := &seqRecorder{}
 	net := New(rec)
-	net.SetIndexing(indexed)
+	net.Template().SetDispatching(dispatched)
 	for pi, pats := range s.prods {
 		if _, err := net.AddProduction(fmt.Sprintf("p%d", pi), pats, nil); err != nil {
 			t.Fatal(err)
@@ -130,10 +134,10 @@ func (s *diffScript) replay(t *testing.T, indexed bool) *diffRun {
 }
 
 // template compiles the script's productions into a shared Template.
-func (s *diffScript) template(t *testing.T, indexed bool) *Template {
+func (s *diffScript) template(t *testing.T, dispatched bool) *Template {
 	t.Helper()
 	tmpl := NewTemplate()
-	tmpl.SetIndexing(indexed)
+	tmpl.SetDispatching(dispatched)
 	for pi, pats := range s.prods {
 		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", pi), pats, nil); err != nil {
 			t.Fatal(err)
@@ -226,22 +230,22 @@ func diffRunsEqual(t *testing.T, seed uint64, a, b *diffRun, aName, bName string
 }
 
 // TestDifferentialIndexedVsNaive replays randomized scenarios through
-// the indexed and naive matchers and requires identical conflict-set
-// event sequences, byte-identical Counters after every step, and
-// identical captured activation forests.
+// the default and the naive (dispatch off) template, capturing, and
+// requires identical conflict-set event sequences, byte-identical
+// Counters after every step, and identical captured activation forests.
 func TestDifferentialIndexedVsNaive(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		s := genScript(seed)
-		indexed := s.replay(t, true)
+		dispatched := s.replay(t, true)
 		naive := s.replay(t, false)
-		diffRunsEqual(t, seed, indexed, naive, "indexed", "naive")
+		diffRunsEqual(t, seed, dispatched, naive, "default", "naive")
 	}
 }
 
 // TestDeterministicActivationForests replays the same scenario twice
-// through the default (indexed) matcher and requires the two captured
-// runs to be identical — memory iteration order is insertion order,
-// never map order, so activation forests are reproducible.
+// through the default matcher and requires the two captured runs to be
+// identical — memory iteration order is insertion order, never map
+// order, so activation forests are reproducible.
 func TestDeterministicActivationForests(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		s := genScript(seed * 31)
@@ -251,11 +255,11 @@ func TestDeterministicActivationForests(t *testing.T) {
 	}
 }
 
-// TestIndexedIsDefault pins the default matcher mode: indexing must be
-// on unless explicitly disabled.
+// TestIndexedIsDefault pins the default matcher mode: constant-test
+// dispatch must be on unless explicitly disabled.
 func TestIndexedIsDefault(t *testing.T) {
 	n := New(&seqRecorder{})
-	if !n.Indexing() {
-		t.Fatal("indexed matching must be the default")
+	if !n.Template().Dispatching() {
+		t.Fatal("constant-test dispatch must be the default")
 	}
 }

@@ -13,7 +13,7 @@
 // value up and runs the full filter of each candidate; every other
 // memory would have failed its test on that attribute.
 //
-// The two invariants of memory.go hold here as well:
+// Two invariants make a dispatched Add indistinguishable from a sweep:
 //
 //  1. A candidate list is ascending in the class's memory order, and
 //     each accepted memory is inserted into and right-activated before
@@ -28,10 +28,54 @@
 //     filter then rejects.
 //
 // Capture needs one Activation per memory, so a capturing network
-// sweeps; the naive template (SetIndexing(false)) builds no dispatch
-// at all, which makes indexed ≡ naive the oracle for this file too
-// (dispatch_test.go).
+// sweeps; a template with dispatch off (SetDispatching(false)) builds no
+// dispatch at all, which makes dispatched ≡ swept the oracle for this
+// file (dispatch_test.go).
 package rete
+
+import (
+	"math"
+
+	"spampsm/internal/symtab"
+)
+
+// indexKey is the canonical hash key of an attribute value: one word.
+// Values that are symtab.Value.Equal always share a key. Numbers
+// collapse to their float64 image because OPS5 equality compares
+// numerically across the integer/float representations; symbols (by
+// intern id) and nil are placed among the bit patterns of negative
+// NaNs, which no number Equal to anything occupies. Two values that are
+// not Equal share a key only when one of them is a NaN — never Equal to
+// anything, itself included — and such a candidate is rejected by its
+// memory's filter (invariant 2). That is what lets the key be a single
+// word (map[uint64], the runtime's fast path) rather than a
+// collision-free (kind, bits) pair.
+//
+// A key holds a symbol's id, so it is process-local: it never leaves
+// the network that computed it. AppendRouteDigest (seed.go) is the
+// canonicalization that may cross a process boundary.
+type indexKey uint64
+
+const (
+	nilKey     indexKey = 0xFFF0_0000_0000_0001
+	symKeyBase indexKey = 0xFFF8_0000_0000_0000
+)
+
+// keyOf computes the canonical index key of a value.
+func keyOf(v symtab.Value) indexKey {
+	switch v.Kind() {
+	case symtab.KindNil:
+		return nilKey
+	case symtab.KindSym:
+		return symKeyBase | indexKey(v.SymID())
+	default:
+		f := v.FloatVal()
+		if f == 0 {
+			f = 0 // fold -0.0 into +0.0: they compare Equal
+		}
+		return indexKey(math.Float64bits(f))
+	}
+}
 
 // classDispatch is one class's dispatch table, immutable once built.
 type classDispatch struct {

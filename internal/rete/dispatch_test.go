@@ -36,9 +36,9 @@ func eqPattern(class string, attr int, vals ...symtab.Value) Pattern {
 // a class without constants nor a naive template gets a dispatch.
 func TestDispatchTableShape(t *testing.T) {
 	sym, num := symtab.Sym, symtab.Int
-	build := func(indexing bool) *Template {
+	build := func(dispatching bool) *Template {
 		tmpl := NewTemplate()
-		tmpl.SetIndexing(indexing)
+		tmpl.SetDispatching(dispatching)
 		add := func(name string, pat Pattern) {
 			t.Helper()
 			if _, err := tmpl.AddProduction(name, []Pattern{pat}, nil); err != nil {
@@ -117,8 +117,8 @@ func TestDispatchTableShape(t *testing.T) {
 }
 
 // TestDifferentialDispatchedVsSweptScripts replays the package's
-// generated scripts with capture off — the production setting — on an
-// indexed template, whose Add dispatches, and on the naive one, whose
+// generated scripts with capture off — the production setting — on a
+// default template, whose Add dispatches, and on the naive one, whose
 // Add sweeps: same conflict-set events in the same order, same Counters
 // after every step. (Every other differential test of the package
 // captures, and a capturing network sweeps.) The generated rule sets of
@@ -165,14 +165,14 @@ func TestConcurrentBatchedSeedLoad(t *testing.T) {
 // checkShapedClass compiles one class the shape of SPAM's check: n
 // single-pattern productions, each keyed on its own ^constraint value
 // and testing ^result beside it.
-func checkShapedClass(b *testing.B, n int, indexed bool) (*Network, *wm.Memory) {
+func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memory) {
 	b.Helper()
 	cs := wm.NewClasses()
 	if _, err := cs.Declare("check", "object", "constraint", "partner", "result"); err != nil {
 		b.Fatal(err)
 	}
 	tmpl := NewTemplate()
-	tmpl.SetIndexing(indexed)
+	tmpl.SetDispatching(dispatched)
 	symT := symtab.Sym("t")
 	for i := 0; i < n; i++ {
 		c := symtab.Sym(fmt.Sprintf("c%d", i))
@@ -203,11 +203,11 @@ func checkShapedClass(b *testing.B, n int, indexed bool) (*Network, *wm.Memory) 
 func BenchmarkAddDispatch(b *testing.B) {
 	for _, n := range []int{60, 3} {
 		for _, mode := range []struct {
-			name    string
-			indexed bool
+			name       string
+			dispatched bool
 		}{{"sweep", false}, {"dispatch", true}} {
 			b.Run(fmt.Sprintf("mems=%d/%s", n, mode.name), func(b *testing.B) {
-				net, mem := checkShapedClass(b, n, mode.indexed)
+				net, mem := checkShapedClass(b, n, mode.dispatched)
 				vals := []symtab.Value{symtab.Int(1), symtab.Sym(fmt.Sprintf("c%d", n/2)), symtab.Int(2), symtab.Sym("t")}
 				b.ReportAllocs()
 				b.ResetTimer()

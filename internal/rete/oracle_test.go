@@ -135,7 +135,6 @@ func genPattern(rng *oracleRng, classes []*wm.ClassDef, level int, negated bool)
 				jt.Pred = func(a, b symtab.Value) bool { return !a.Equal(b) }
 			} else {
 				jt.Pred = func(a, b symtab.Value) bool { return a.Equal(b) }
-				jt.Eq = true
 			}
 			tests = append(tests, jt)
 		}

@@ -12,18 +12,18 @@
 // The per-cycle forest of activations is the schedulable workload for
 // the match-parallelism studies.
 //
-// Memories are equality-indexed (memory.go): when a join or negative
-// node's first variable-consistency test is an equality, activations
-// walk only the hash bucket that can pass it. The simulated cost model
-// is unaffected — skipped pairs are charged arithmetically, and the
-// differential oracle (differential_test.go) proves the indexed and
-// unindexed matchers produce byte-identical Counters and identical
-// firing sequences. See docs/PERFORMANCE.md.
+// A join or negative node activates by scanning the whole opposite
+// memory (memory.go): each task's engine holds only its task's WMEs, so
+// memories stay small. What is hashed is the constant-test half of a
+// working-memory change (dispatch.go), whose simulated cost is charged
+// as if it swept — the differential oracle (differential_test.go)
+// proves the dispatched and swept matchers produce byte-identical
+// Counters and identical firing sequences. See docs/PERFORMANCE.md.
 //
 // The network is split into an immutable compiled Template (node
 // topology, test lists, production data — built once per rule set) and
-// lightweight per-engine instances (Network: memories, hash indexes,
-// counters, capture state). Template.NewNetwork instantiates a shared
+// lightweight per-engine instances (Network: memories, counters,
+// capture state). Template.NewNetwork instantiates a shared
 // template in O(nodes) pointer setup, so a task runtime spawning
 // hundreds of engines over one rule set compiles it exactly once; the
 // template/instance differential oracle (template_test.go) proves
@@ -97,13 +97,6 @@ type JoinTest struct {
 	TokenLevel int
 	TokenAttr  int
 	Pred       PredFn
-	// Eq declares that Pred implements OPS5 value equality
-	// (symtab.Value.Equal semantics). A node whose test list begins
-	// with an equality test activates through hash-indexed memories
-	// instead of full scans. Setting Eq on any other predicate
-	// produces wrong matches; leaving it unset merely loses the
-	// speedup.
-	Eq bool
 }
 
 // Pattern is the compiled form of one condition element.
@@ -154,9 +147,8 @@ type Token struct {
 	// Intrusive membership of the binding WME's token list.
 	wmePrev, wmeNext *Token
 
-	// Membership records in the holder's token store (memory.go).
-	storeEntry   *tokenEntry
-	storeBuckets []*tokenEntry
+	// Membership record in the holder's token store (memory.go).
+	storeEntry *tokenEntry
 
 	// adapterRefs: bridge memories the token is currently a member of
 	// (tokens of negative nodes flow into an adapter memory that feeds
@@ -171,9 +163,8 @@ type Token struct {
 
 // tokenRef is one token membership in a bridge memory.
 type tokenRef struct {
-	mem     *betaMemory
-	entry   *tokenEntry
-	buckets []*tokenEntry
+	mem   *betaMemory
+	entry *tokenEntry
 }
 
 // WMEAt returns the WME bound at condition-element level k (nil for
@@ -267,14 +258,12 @@ func (t *Token) unlinkJR(jr *negJoinResult) {
 }
 
 // reset clears a recycled token, keeping slice capacity. The backing
-// arrays are cleared too: a token resting in a worker's arena must not
+// array is cleared too: a token resting in a worker's arena must not
 // pin the entries, or the template nodes, of an engine long gone.
 func (t *Token) reset() {
 	adapterRefs := t.adapterRefs[:cap(t.adapterRefs)]
-	storeBuckets := t.storeBuckets[:cap(t.storeBuckets)]
 	clear(adapterRefs)
-	clear(storeBuckets)
-	*t = Token{adapterRefs: adapterRefs[:0], storeBuckets: storeBuckets[:0]}
+	*t = Token{adapterRefs: adapterRefs[:0]}
 }
 
 // negJoinResult records one WME blocking one negative-node token. It
@@ -363,10 +352,9 @@ type rightChild interface {
 }
 
 // alphaMem is the compiled (template) form of one alpha memory: the
-// constant-test filter shared by equivalent condition elements, the
-// attributes its successor nodes registered equality indexes on, and
-// the successor list. Per-instance contents (the WME list and the
-// index buckets) live in the Network's alphaState slot at id.
+// constant-test filter shared by equivalent condition elements and the
+// successor list. Per-instance contents (the WME list) live in the
+// Network's alphaItems slot at id.
 type alphaMem struct {
 	signature  string
 	actLabel   string // "alpha:<signature>", the activation label
@@ -374,61 +362,20 @@ type alphaMem struct {
 	filter     func(*wm.WME) bool
 	filterCost float64
 	consts     map[int][]symtab.Value // Pattern.Consts: what the class dispatches on
-	indexAttrs []int                  // registered equality-index attributes
 	successors []rightChild
-	id         int // index into Network.alphaStates
+	id         int // index into Network.alphaItems
 }
 
-func (am *alphaMem) state(n *Network) *alphaState { return &n.alphaStates[am.id] }
+func (am *alphaMem) items(n *Network) *wmeList { return &n.alphaItems[am.id] }
 
-// registerIndex ensures the template maintains a bucket index over the
-// given attribute and returns its position in the index list. Indexes
-// are registered during production compilation, before any instance
-// holds a WME, so instances never need backfill at registration time.
-func (am *alphaMem) registerIndex(attr int) int {
-	for i, a := range am.indexAttrs {
-		if a == attr {
-			return i
-		}
-	}
-	am.indexAttrs = append(am.indexAttrs, attr)
-	return len(am.indexAttrs) - 1
-}
-
-// storeT is the compiled (template) half of a token store: which
-// (level, attr) equality indexes the join work iterating the store
-// registered, and whether indexes must be maintained eagerly. The
-// per-instance half (the token list and buckets) is the Network's
-// storeInst slot at sid.
-//
-// eager forces indexes to be maintained from instantiation. It is set
-// on negative-node adapter memories, whose membership records live in
-// the token's adapterRefs and so cannot be patched by a lazy backfill
-// (the node-owned membership of ordinary stores is reachable through
-// Token.storeBuckets, which backfill patches in place).
+// storeT is the compiled (template) half of a token store: its id. The
+// per-instance half (the token list) is the Network's storeItems slot
+// at sid.
 type storeT struct {
-	sid      int // index into Network.stores
-	indexAts []levelAttr
-	eager    bool
+	sid int // index into Network.storeItems
 }
 
-func (s *storeT) store(n *Network) *storeInst { return &n.stores[s.sid] }
-
-// registerIndex ensures the store maintains a bucket index over the
-// token value bound at (level, attr) and returns its position in the
-// index list. Registration happens during production compilation,
-// before instances exist; instance index slots (and the dummy token's
-// parallel bucket records) are synchronized at instantiation.
-func (s *storeT) registerIndex(level, attr int) int {
-	at := levelAttr{level, attr}
-	for i, a := range s.indexAts {
-		if a == at {
-			return i
-		}
-	}
-	s.indexAts = append(s.indexAts, at)
-	return len(s.indexAts) - 1
-}
+func (s *storeT) items(n *Network) *tokenList { return &n.storeItems[s.sid] }
 
 // betaMemory stores the tokens matching a prefix of positive CEs.
 type betaMemory struct {
@@ -438,12 +385,12 @@ type betaMemory struct {
 }
 
 func (m *betaMemory) removeToken(t *Token, n *Network) {
-	m.store(n).removeEntries(t.storeEntry, t.storeBuckets, n)
+	m.items(n).unlink(t.storeEntry, n)
 }
 
 func (m *betaMemory) leftActivatePair(t *Token, w *wm.WME, level int, n *Network) {
 	tok := n.newToken(m, t, w, level)
-	tok.storeEntry, tok.storeBuckets = m.store(n).insert(tok, tok.storeBuckets[:0], n)
+	tok.storeEntry = m.items(n).pushBack(tok, n)
 	for _, c := range m.children {
 		c.leftActivateToken(tok, n)
 	}
@@ -460,11 +407,6 @@ type joinNode struct {
 	label  string
 	// actLabel is "join:<label>".
 	actLabel string
-	// pidx/aidx are the positions of the equality index the node's
-	// first test registered on the parent memory and the alpha memory,
-	// or -1 when the node activates by full scan (no tests, first test
-	// not an equality, or indexing disabled).
-	pidx, aidx int
 }
 
 // joinTarget is what a join node feeds: the next beta memory, a
@@ -492,32 +434,7 @@ func (j *joinNode) passes(t *Token, w *wm.WME, n *Network) bool {
 func (j *joinNode) leftActivateToken(t *Token, n *Network) {
 	n.begin(j.actLabel)
 	defer n.end()
-	ast := j.amem.state(n)
-	if j.aidx >= 0 {
-		if ast.items.size == 0 {
-			return // no pairs, no misses: nothing to charge
-		}
-		ts := &j.tests[0]
-		bound := t.WMEAt(ts.TokenLevel)
-		if bound == nil {
-			// The referenced level binds no WME: every pair fails the
-			// first test; charge them without iterating.
-			n.chargeSkippedJoinTests(ast.items.size)
-			return
-		}
-		bucket := j.amem.bucket(j.aidx, keyOf(bound.GetAt(ts.TokenAttr)), n)
-		n.chargeSkippedJoinTests(ast.items.size - wmeBucketSize(bucket))
-		if bucket == nil {
-			return
-		}
-		for e := bucket.head; e != nil; e = e.next {
-			if j.passes(t, e.w, n) {
-				j.child.leftActivatePair(t, e.w, j.level, n)
-			}
-		}
-		return
-	}
-	for e := ast.items.head; e != nil; e = e.next {
+	for e := j.amem.items(n).head; e != nil; e = e.next {
 		if j.passes(t, e.w, n) {
 			j.child.leftActivatePair(t, e.w, j.level, n)
 		}
@@ -527,42 +444,11 @@ func (j *joinNode) leftActivateToken(t *Token, n *Network) {
 func (j *joinNode) rightActivate(w *wm.WME, n *Network) {
 	n.begin(j.actLabel)
 	defer n.end()
-	pst := j.parent.store(n)
-	if j.pidx >= 0 {
-		if pst.items.size == 0 {
-			return // no pairs, no misses: nothing to charge
-		}
-		bucket := j.parent.store(n).bucket(j.pidx, keyOf(w.GetAt(j.tests[0].OwnAttr)), n)
-		n.chargeSkippedJoinTests(pst.items.size - tokenBucketSize(bucket))
-		if bucket == nil {
-			return
-		}
-		for e := bucket.head; e != nil; e = e.next {
-			if j.passes(e.t, w, n) {
-				j.child.leftActivatePair(e.t, w, j.level, n)
-			}
-		}
-		return
-	}
-	for e := pst.items.head; e != nil; e = e.next {
+	for e := j.parent.items(n).head; e != nil; e = e.next {
 		if j.passes(e.t, w, n) {
 			j.child.leftActivatePair(e.t, w, j.level, n)
 		}
 	}
-}
-
-func wmeBucketSize(l *wmeList) int {
-	if l == nil {
-		return 0
-	}
-	return l.size
-}
-
-func tokenBucketSize(l *tokenList) int {
-	if l == nil {
-		return 0
-	}
-	return l.size
 }
 
 // negativeNode implements a negated CE. It stores the tokens that have
@@ -577,13 +463,10 @@ type negativeNode struct {
 	level    int
 	label    string
 	actLabel string // "neg:<label>"
-	// sidx/aidx are the equality index positions on the node's own
-	// token store and its alpha memory, or -1 (see joinNode).
-	sidx, aidx int
 }
 
 func (g *negativeNode) removeToken(t *Token, n *Network) {
-	g.store(n).removeEntries(t.storeEntry, t.storeBuckets, n)
+	g.items(n).unlink(t.storeEntry, n)
 }
 
 func (g *negativeNode) passes(t *Token, w *wm.WME, n *Network) bool {
@@ -612,31 +495,11 @@ func (g *negativeNode) block(tok *Token, w *wm.WME, n *Network) {
 func (g *negativeNode) leftActivateToken(t *Token, n *Network) {
 	n.begin(g.actLabel)
 	tok := n.newToken(g, t, nil, g.level)
-	tok.storeEntry, tok.storeBuckets = g.store(n).insert(tok, tok.storeBuckets[:0], n)
-	ast := g.amem.state(n)
-	if g.aidx >= 0 && ast.items.size > 0 {
-		ts := &g.tests[0]
-		bound := tok.WMEAt(ts.TokenLevel)
-		if bound == nil {
-			n.chargeSkippedJoinTests(ast.items.size)
-		} else {
-			bucket := g.amem.bucket(g.aidx, keyOf(bound.GetAt(ts.TokenAttr)), n)
-			n.chargeSkippedJoinTests(ast.items.size - wmeBucketSize(bucket))
-			if bucket != nil {
-				for e := bucket.head; e != nil; e = e.next {
-					if g.passes(tok, e.w, n) {
-						n.charge(CostNegJoinResult)
-						g.block(tok, e.w, n)
-					}
-				}
-			}
-		}
-	} else if g.aidx < 0 {
-		for e := ast.items.head; e != nil; e = e.next {
-			if g.passes(tok, e.w, n) {
-				n.charge(CostNegJoinResult)
-				g.block(tok, e.w, n)
-			}
+	tok.storeEntry = g.items(n).pushBack(tok, n)
+	for e := g.amem.items(n).head; e != nil; e = e.next {
+		if g.passes(tok, e.w, n) {
+			n.charge(CostNegJoinResult)
+			g.block(tok, e.w, n)
 		}
 	}
 	n.end()
@@ -650,22 +513,7 @@ func (g *negativeNode) leftActivateToken(t *Token, n *Network) {
 func (g *negativeNode) rightActivate(w *wm.WME, n *Network) {
 	n.begin(g.actLabel)
 	defer n.end()
-	st := g.store(n)
-	if g.sidx >= 0 {
-		if st.items.size == 0 {
-			return // no pairs, no misses: nothing to charge
-		}
-		bucket := st.bucket(g.sidx, keyOf(w.GetAt(g.tests[0].OwnAttr)), n)
-		n.chargeSkippedJoinTests(st.items.size - tokenBucketSize(bucket))
-		if bucket == nil {
-			return
-		}
-		for e := bucket.head; e != nil; e = e.next {
-			g.rightPair(e.t, w, n)
-		}
-		return
-	}
-	for e := st.items.head; e != nil; e = e.next {
+	for e := g.items(n).head; e != nil; e = e.next {
 		g.rightPair(e.t, w, n)
 	}
 }
@@ -684,10 +532,7 @@ func (g *negativeNode) rightPair(tok *Token, w *wm.WME, n *Network) {
 		for tok.lastChild != nil {
 			n.deleteToken(tok.lastChild)
 		}
-		for _, ar := range tok.adapterRefs {
-			ar.mem.store(n).removeEntries(ar.entry, ar.buckets, n)
-		}
-		tok.adapterRefs = tok.adapterRefs[:0]
+		n.leaveAdapters(tok)
 	}
 	g.block(tok, w, n)
 }
@@ -710,13 +555,13 @@ func newPNode(name string, data interface{}, level int) *PNode {
 }
 
 func (p *PNode) removeToken(t *Token, n *Network) {
-	p.store(n).removeEntries(t.storeEntry, t.storeBuckets, n)
+	p.items(n).unlink(t.storeEntry, n)
 }
 
 func (p *PNode) leftActivatePair(t *Token, w *wm.WME, level int, n *Network) {
 	n.begin(p.actLabel)
 	tok := n.newToken(p, t, w, level)
-	tok.storeEntry, tok.storeBuckets = p.store(n).insert(tok, tok.storeBuckets[:0], n)
+	tok.storeEntry = p.items(n).pushBack(tok, n)
 	n.charge(CostAgendaOp)
 	n.end()
 	n.agenda.Activate(p, tok)
@@ -733,8 +578,8 @@ type Agenda interface {
 }
 
 // Counters aggregates network-wide match statistics. The differential
-// oracle requires these to be byte-identical between the indexed and
-// naive matchers: wall-clock optimisations must never perturb the
+// oracle requires these to be byte-identical between the dispatched and
+// swept matchers: wall-clock optimisations must never perturb the
 // simulated-instruction accounting.
 type Counters struct {
 	ConstTests    int
@@ -758,20 +603,20 @@ type classNodes struct {
 
 // Template is the immutable compiled form of a Rete network: alpha
 // memories with their filters and successor lists, the beta topology
-// of join/negative/production nodes, and the registered equality
-// indexes. A Template is built once (AddProduction per production),
+// of join/negative/production nodes, and each class's constant-test
+// dispatch. A Template is built once (AddProduction per production),
 // then instantiated any number of times with NewNetwork; after the
 // first instantiation it is frozen and safe for concurrent
 // instantiation from multiple goroutines.
 type Template struct {
-	amems    map[string]*alphaMem
-	byClass  map[string]*classNodes
-	alphas   []*alphaMem // in id order
-	stores   []*storeT   // every token store, in sid order
-	dummyTop *betaMemory
-	prods    []*PNode
-	indexing bool
-	frozen   bool
+	amems       map[string]*alphaMem
+	byClass     map[string]*classNodes
+	alphas      []*alphaMem // in id order
+	nStores     int         // token stores, numbered by sid
+	dummyTop    *betaMemory
+	prods       []*PNode
+	dispatching bool
+	frozen      bool
 	// byDef is byClass keyed by the definitions of the registry the
 	// template was bound to (BindClasses).
 	byDef map[*wm.ClassDef]*classNodes
@@ -799,35 +644,35 @@ func (t *Template) nodesOf(c *wm.ClassDef) *classNodes {
 	return t.byClass[c.Name]
 }
 
-// NewTemplate returns an empty template with indexed matching enabled.
+// NewTemplate returns an empty template with constant-test dispatch
+// enabled.
 func NewTemplate() *Template {
 	t := &Template{
-		amems:    map[string]*alphaMem{},
-		byClass:  map[string]*classNodes{},
-		indexing: true,
+		amems:       map[string]*alphaMem{},
+		byClass:     map[string]*classNodes{},
+		dispatching: true,
 	}
 	t.dummyTop = &betaMemory{label: "top"}
-	t.registerStore(&t.dummyTop.storeT, false)
+	t.registerStore(&t.dummyTop.storeT)
 	return t
 }
 
 // registerStore assigns the next store id to a node's store half.
-func (t *Template) registerStore(s *storeT, eager bool) {
-	s.sid = len(t.stores)
-	s.eager = eager
-	t.stores = append(t.stores, s)
+func (t *Template) registerStore(s *storeT) {
+	s.sid = t.nStores
+	t.nStores++
 }
 
-// SetIndexing enables or disables equality-indexed memory activation.
-// It must be called before AddProduction — nodes choose their
-// activation strategy at compile time. The unindexed mode is the
-// reference matcher: the differential oracle runs every scenario
-// through both and requires byte-identical Counters and firing
-// sequences.
-func (t *Template) SetIndexing(on bool) { t.indexing = on }
+// SetDispatching enables or disables constant-test dispatch
+// (dispatch.go); it must be called before Freeze. With dispatch off,
+// Add sweeps every alpha memory of a WME's class: the reference
+// matcher, which the differential oracle runs every scenario through
+// beside the dispatched one, requiring byte-identical Counters and
+// firing sequences.
+func (t *Template) SetDispatching(on bool) { t.dispatching = on }
 
-// Indexing reports whether equality-indexed activation is enabled.
-func (t *Template) Indexing() bool { return t.indexing }
+// Dispatching reports whether constant-test dispatch is enabled.
+func (t *Template) Dispatching() bool { return t.dispatching }
 
 // NumAlphaMems returns the number of distinct alpha memories, which is
 // less than the number of condition elements when patterns share
@@ -853,22 +698,13 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 	for i, pat := range pats {
 		am := t.alpha(pat)
 		last := i == len(pats)-1
-		// The node is index-accelerated when its first test is an
-		// equality: the token-side store buckets on the (level, attr)
-		// the test reads, the alpha memory on the WME attribute.
-		indexable := t.indexing && len(pat.Tests) > 0 && pat.Tests[0].Eq
 		label := fmt.Sprintf("%s/%d", name, i+1)
 		if pat.Negated {
 			neg := &negativeNode{
 				amem: am, tests: pat.Tests, level: i,
 				label: label, actLabel: "neg:" + label,
-				sidx: -1, aidx: -1,
 			}
-			t.registerStore(&neg.storeT, false)
-			if indexable {
-				neg.sidx = neg.registerIndex(pat.Tests[0].TokenLevel, pat.Tests[0].TokenAttr)
-				neg.aidx = am.registerIndex(pat.Tests[0].OwnAttr)
-			}
+			t.registerStore(&neg.storeT)
 			mem.children = append(mem.children, neg)
 			// Successors append in ancestor-before-descendant order per
 			// chain; Add right-activates them in reverse, so descendants
@@ -877,7 +713,7 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 			am.successors = append(am.successors, neg)
 			if last {
 				p := newPNode(name, data, i+1)
-				t.registerStore(&p.storeT, false)
+				t.registerStore(&p.storeT)
 				neg.children = append(neg.children, p)
 				t.prods = append(t.prods, p)
 				return p, nil
@@ -888,22 +724,18 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 			continue
 		}
 		j := &joinNode{parent: mem, amem: am, tests: pat.Tests, level: i,
-			label: label, actLabel: "join:" + label, pidx: -1, aidx: -1}
-		if indexable {
-			j.pidx = mem.registerIndex(pat.Tests[0].TokenLevel, pat.Tests[0].TokenAttr)
-			j.aidx = am.registerIndex(pat.Tests[0].OwnAttr)
-		}
+			label: label, actLabel: "join:" + label}
 		mem.children = append(mem.children, j)
 		am.successors = append(am.successors, j)
 		if last {
 			p := newPNode(name, data, i+1)
-			t.registerStore(&p.storeT, false)
+			t.registerStore(&p.storeT)
 			j.child = p
 			t.prods = append(t.prods, p)
 			return p, nil
 		}
 		next := &betaMemory{label: label}
-		t.registerStore(&next.storeT, false)
+		t.registerStore(&next.storeT)
 		j.child = next
 		mem = next
 	}
@@ -917,8 +749,7 @@ func (t *Template) negAdapter(g *negativeNode) *betaMemory {
 	// A thin real memory fed by the negative node keeps join-node logic
 	// uniform: tokens whose negation holds are copied into it.
 	m := &betaMemory{label: g.label + "/adapter"}
-	// adapterRefs records cannot be patched by lazy backfill.
-	t.registerStore(&m.storeT, true)
+	t.registerStore(&m.storeT)
 	g.children = append(g.children, (*negBridge)(m))
 	return m
 }
@@ -931,11 +762,18 @@ func (b *negBridge) leftActivateToken(t *Token, n *Network) {
 	m := (*betaMemory)(b)
 	// Reuse the token itself: store and fan out. The token's holder
 	// remains the negative node; the adapter tracks membership only.
-	entry, buckets := m.store(n).insert(t, nil, n)
-	t.adapterRefs = append(t.adapterRefs, tokenRef{mem: m, entry: entry, buckets: buckets})
+	t.adapterRefs = append(t.adapterRefs, tokenRef{mem: m, entry: m.items(n).pushBack(t, n)})
 	for _, c := range m.children {
 		c.leftActivateToken(t, n)
 	}
+}
+
+// leaveAdapters withdraws a token from every bridge memory it is in.
+func (n *Network) leaveAdapters(t *Token) {
+	for _, ar := range t.adapterRefs {
+		ar.mem.items(n).unlink(ar.entry, n)
+	}
+	t.adapterRefs = t.adapterRefs[:0]
 }
 
 func (t *Template) alpha(pat Pattern) *alphaMem {
@@ -976,7 +814,7 @@ func (t *Template) Freeze() {
 	if t.frozen {
 		return
 	}
-	if t.indexing {
+	if t.dispatching {
 		for _, cn := range t.byClass {
 			cn.dispatch = newClassDispatch(cn.mems)
 		}
@@ -1008,70 +846,36 @@ func (t *Template) NewNetworkScratch(agenda Agenda, s *Scratch) *Network {
 }
 
 // instantiate sizes the per-instance state arrays and installs the
-// dummy token. A borrowing instance draws the arrays, and each node's
-// index slice at its final capacity, from the arena, so syncState
-// fills them without allocating.
+// dummy token. A borrowing instance draws the arrays from the arena.
 func (n *Network) instantiate() {
 	t := n.tmpl
 	if a := n.arena; a != nil {
-		n.alphaStates = a.alphaStates.takeN(len(t.alphas))
-		for i, am := range t.alphas {
-			if k := len(am.indexAttrs); k > 0 {
-				n.alphaStates[i].indexes = a.wmeIndexes.takeN(k)[:0]
-			}
-		}
-		n.stores = a.stores.takeN(len(t.stores))
-		for i, s := range t.stores {
-			if k := len(s.indexAts); k > 0 {
-				n.stores[i].indexes = a.tokenIndexes.takeN(k)[:0]
-			}
-		}
+		n.alphaItems = a.alphaItems.takeN(len(t.alphas))
+		n.storeItems = a.storeItems.takeN(t.nStores)
 	} else {
-		n.alphaStates = make([]alphaState, len(t.alphas))
-		n.stores = make([]storeInst, len(t.stores))
+		n.alphaItems = make([]wmeList, len(t.alphas))
+		n.storeItems = make([]tokenList, t.nStores)
 	}
-	n.syncState()
 	n.dummyTok = n.allocToken()
 	n.dummyTok.level, n.dummyTok.node = -1, t.dummyTop
-	n.dummyTok.storeEntry, n.dummyTok.storeBuckets = t.dummyTop.store(n).insert(n.dummyTok, n.dummyTok.storeBuckets[:0], n)
+	n.dummyTok.storeEntry = t.dummyTop.items(n).pushBack(n.dummyTok, n)
 }
 
-// syncState brings the instance's state arrays (and the dummy token's
-// bucket records) up to date with the template. For instances of a
-// frozen template this runs exactly once; owned networks (New) call it
-// again after each AddProduction, before any WME exists.
+// syncState grows the instance's state arrays to the template's node
+// counts. Owned networks (New) call it after each AddProduction, before
+// any WME exists.
 func (n *Network) syncState() {
 	t := n.tmpl
-	for len(n.alphaStates) < len(t.alphas) {
-		n.alphaStates = append(n.alphaStates, alphaState{})
+	for len(n.alphaItems) < len(t.alphas) {
+		n.alphaItems = append(n.alphaItems, wmeList{})
 	}
-	for i, am := range t.alphas {
-		st := &n.alphaStates[i]
-		for len(st.indexes) < len(am.indexAttrs) {
-			st.indexes = append(st.indexes, wmeIndex{attr: am.indexAttrs[len(st.indexes)]})
-		}
-	}
-	for len(n.stores) < len(t.stores) {
-		n.stores = append(n.stores, storeInst{})
-	}
-	for i, s := range t.stores {
-		st := &n.stores[i]
-		for len(st.indexes) < len(s.indexAts) {
-			st.indexes = append(st.indexes, tokenIndex{at: s.indexAts[len(st.indexes)], built: s.eager})
-		}
-	}
-	if n.dummyTok != nil {
-		// The dummy token's bucket records must stay parallel with the
-		// top store's index list; it binds no WME, so every slot is nil.
-		top := &n.stores[t.dummyTop.sid]
-		for len(n.dummyTok.storeBuckets) < len(top.indexes) {
-			n.dummyTok.storeBuckets = append(n.dummyTok.storeBuckets, nil)
-		}
+	for len(n.storeItems) < t.nStores {
+		n.storeItems = append(n.storeItems, tokenList{})
 	}
 }
 
 // Network is one Rete network instance over a compiled template:
-// per-instance memories, hash indexes, counters and capture state. A
+// per-instance memories, counters and capture state. A
 // Network is not safe for concurrent mutation; each SPAM/PSM task
 // process owns its own network (that is the point of working-memory
 // distribution). Instances of one shared template are independent —
@@ -1084,13 +888,13 @@ type Network struct {
 	// network). Template-instantiated networks reject AddProduction.
 	owned bool
 
-	alphaStates []alphaState
-	stores      []storeInst
-	dummyTok    *Token
-	totals      Counters
-	batch       []*Activation
-	stack       []*Activation
-	capturing   bool
+	alphaItems []wmeList
+	storeItems []tokenList
+	dummyTok   *Token
+	totals     Counters
+	batch      []*Activation
+	stack      []*Activation
+	capturing  bool
 
 	// states[t] is the match state of the WME with timetag t, nil until
 	// an alpha memory accepts it and again once it is removed. A network
@@ -1118,7 +922,7 @@ type Network struct {
 	// high-water mark. Purely observational — Counters and charges are
 	// untouched, so the simulated cost model stays byte-identical. The
 	// create/delete sequence is already proven identical between the
-	// indexed and naive matchers, so the peaks are too.
+	// dispatched and swept matchers, so the peaks are too.
 	liveTokens int
 	peakTokens int
 }
@@ -1142,15 +946,6 @@ func New(agenda Agenda) *Network {
 	n.instantiate()
 	return n
 }
-
-// SetIndexing enables or disables equality-indexed memory activation
-// on the network's private template. It must be called before
-// AddProduction — nodes choose their activation strategy at compile
-// time.
-func (n *Network) SetIndexing(on bool) { n.tmpl.SetIndexing(on) }
-
-// Indexing reports whether equality-indexed activation is enabled.
-func (n *Network) Indexing() bool { return n.tmpl.indexing }
 
 // Template returns the compiled template this network instantiates.
 // Engines built from one shared template return the same pointer.
@@ -1249,20 +1044,6 @@ func (n *Network) charge(cost float64) {
 	}
 }
 
-// chargeSkippedJoinTests accounts for the pairs an index walk skips:
-// in the unindexed matcher each of them would have been offered to the
-// node, failed its first equality test, and cost exactly one
-// CostJoinTest. The charge is computed arithmetically from the skip
-// count — never by iterating — which is what makes indexed activation
-// faster at byte-identical simulated cost.
-func (n *Network) chargeSkippedJoinTests(skipped int) {
-	if skipped <= 0 {
-		return
-	}
-	n.charge(CostJoinTest * float64(skipped))
-	n.totals.JoinTests += skipped
-}
-
 // state returns w's match state, creating it on first use.
 func (n *Network) state(w *wm.WME) *wmeState {
 	for len(n.states) <= w.TimeTag {
@@ -1340,7 +1121,7 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 //
 // Which memories see the WME has two forms. The sweep offers it to
 // every memory of its class, one activation each: what a capturing
-// network and the naive template do. Otherwise the class's dispatch
+// network and a template with dispatch off do. Otherwise the class's dispatch
 // (dispatch.go) names the memories the WME's value can reach, in the
 // same order, and charges the whole sweep in one step.
 func (n *Network) Add(w *wm.WME) {
@@ -1445,10 +1226,7 @@ func (n *Network) deleteToken(tok *Token) {
 		n.agenda.Deactivate(p, tok)
 	}
 	tok.node.removeToken(tok, n)
-	for _, ar := range tok.adapterRefs {
-		ar.mem.store(n).removeEntries(ar.entry, ar.buckets, n)
-	}
-	tok.adapterRefs = tok.adapterRefs[:0]
+	n.leaveAdapters(tok)
 	if tok.W != nil {
 		if st := n.lookup(tok.W); st != nil {
 			st.unlinkToken(tok)

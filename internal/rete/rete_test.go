@@ -104,7 +104,7 @@ func TestTwoCEJoin(t *testing.T) {
 	p, err := f.net.AddProduction("want-block", []Pattern{
 		{Class: "goal", Signature: "goal*"},
 		{Class: "block", Signature: "block*",
-			Tests: []JoinTest{{OwnAttr: 1 /*color*/, TokenLevel: 0, TokenAttr: 0 /*want*/, Pred: eqPred, Eq: true}}},
+			Tests: []JoinTest{{OwnAttr: 1 /*color*/, TokenLevel: 0, TokenAttr: 0 /*want*/, Pred: eqPred}}},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -197,9 +197,9 @@ func TestNegativeMiddleCE(t *testing.T) {
 		{Class: "goal", Signature: "goal*"},
 		{Negated: true, Class: "block", Signature: "block^on=table",
 			Filter: classEq(2, symtab.Sym("table")), FilterCost: CostAlphaFilterTerm,
-			Tests: []JoinTest{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+			Tests: []JoinTest{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0, Pred: eqPred}}},
 		{Class: "block", Signature: "block*",
-			Tests: []JoinTest{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+			Tests: []JoinTest{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0, Pred: eqPred}}},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -314,9 +314,9 @@ retract: retract:block(320);retract-tok:block(1200);
 	pats := []Pattern{
 		{Class: "goal", Signature: "goal|"},
 		{Class: "block", Signature: "block|1=red", Filter: classEq(1, symtab.Sym("red")), FilterCost: CostAlphaFilterTerm,
-			Tests: []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+			Tests: []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: eqPred}}},
 		{Negated: true, Class: "block", Signature: "block|",
-			Tests: []JoinTest{{OwnAttr: 2, TokenLevel: 1, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+			Tests: []JoinTest{{OwnAttr: 2, TokenLevel: 1, TokenAttr: 0, Pred: eqPred}}},
 	}
 	tmpl := NewTemplate()
 	if _, err := tmpl.AddProduction("clear", pats, nil); err != nil {
@@ -364,7 +364,7 @@ func TestCaptureOffActivationAllocatesNothing(t *testing.T) {
 	if _, err := tmpl.AddProduction("p", []Pattern{
 		{Class: "goal", Signature: "goal|"},
 		{Class: "block", Signature: "block|1=red", Filter: classEq(1, symtab.Sym("red")), FilterCost: CostAlphaFilterTerm,
-			Tests: []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}},
+			Tests: []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: eqPred}}},
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestDeepChainRetraction(t *testing.T) {
 	pats := []Pattern{{Class: "goal", Signature: "goal*"}}
 	for i := 0; i < 3; i++ {
 		pats = append(pats, Pattern{Class: "block", Signature: "block*",
-			Tests: []JoinTest{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0, Pred: eqPred, Eq: true}}})
+			Tests: []JoinTest{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0, Pred: eqPred}}})
 	}
 	p, err := f.net.AddProduction("chain", pats, nil)
 	if err != nil {

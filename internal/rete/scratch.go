@@ -141,12 +141,9 @@ type Scratch struct {
 	wmeEntries   slab[wmeEntry]
 	wmeStates    slab[wmeState]
 	alphaRefs    slab[alphaRef]
-	wmeBuckets   slab[*wmeEntry]
 	joinResults  slab[negJoinResult]
-	alphaStates  slab[alphaState]
-	stores       slab[storeInst]
-	wmeIndexes   slab[wmeIndex]
-	tokenIndexes slab[tokenIndex]
+	alphaItems   slab[wmeList]
+	storeItems   slab[tokenList]
 	// The borrower's working memory: WME structs and the value vectors
 	// made for them (seed vectors are shared, adopted as they stand).
 	wmes slab[wm.WME]
@@ -188,9 +185,9 @@ type anySlab interface {
 
 // slabs lists the arena's slabs for the operations that treat them
 // alike.
-func (s *Scratch) slabs() [13]anySlab {
-	return [...]anySlab{&s.tokens, &s.tokenEntries, &s.wmeEntries, &s.wmeStates, &s.alphaRefs, &s.wmeBuckets,
-		&s.joinResults, &s.alphaStates, &s.stores, &s.wmeIndexes, &s.tokenIndexes, &s.wmes, &s.vals}
+func (s *Scratch) slabs() [10]anySlab {
+	return [...]anySlab{&s.tokens, &s.tokenEntries, &s.wmeEntries, &s.wmeStates, &s.alphaRefs,
+		&s.joinResults, &s.alphaItems, &s.storeItems, &s.wmes, &s.vals}
 }
 
 // Trim bounds what an idle scratch keeps for the next task: less than
@@ -299,7 +296,7 @@ func (n *Network) Settle() *Scratch {
 	s.borrower = nil
 	n.arena = nil
 	n.agenda = nil
-	n.alphaStates, n.stores, n.states, n.dummyTok = nil, nil, nil, nil
+	n.alphaItems, n.storeItems, n.states, n.dummyTok = nil, nil, nil, nil
 	n.tokenPool, n.graveyard, n.wmeEntryPool, n.tokenEntryPool = nil, nil, nil, nil
 	n.batch, n.stack = nil, nil
 	return s

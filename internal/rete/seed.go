@@ -24,8 +24,8 @@ import (
 // attribute pair satisfies symtab.Value.Equal. Numbers collapse to
 // their float64 image (with -0.0 folded into +0.0) because OPS5
 // equality compares numerically across the integer/float
-// representations — the same canonicalization keyOf applies to index
-// buckets. All components are length-delimited, so no two distinct
+// representations — the same canonicalization keyOf applies to dispatch
+// keys. All components are length-delimited, so no two distinct
 // vectors can collide by concatenation.
 //
 // Unlike keyOf's keys, a digest is made of names, never intern ids: it

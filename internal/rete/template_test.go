@@ -11,15 +11,15 @@ import (
 // from a shared compiled Template must be byte-identical — conflict-set
 // event sequences, simulated Counters after every step, captured
 // activation forests — to networks compiled freshly with New +
-// AddProduction, for both the indexed and the naive matcher. O(nodes)
+// AddProduction, with constant-test dispatch on and off. O(nodes)
 // instantiation changes construction cost, never match behavior.
 
 func TestTemplateDifferentialVsFreshCompile(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		s := genScript(seed)
-		for _, indexed := range []bool{true, false} {
-			fresh := s.replay(t, indexed)
-			tmpl := s.template(t, indexed)
+		for _, dispatched := range []bool{true, false} {
+			fresh := s.replay(t, dispatched)
+			tmpl := s.template(t, dispatched)
 			// Two successive instances of the same template: both must
 			// match the fresh compile (the first instance must not
 			// perturb shared state read by the second).

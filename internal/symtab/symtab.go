@@ -206,11 +206,16 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Parse converts a token of OPS5 source text to a Value: integers and
-// floats parse as numbers, everything else is a symbol.
+// Parse converts a bare atom of OPS5 source text to a Value: an atom in
+// decimal syntax (isDecimal) is an integer or a float, everything else
+// — nan, inf, 1_000 and 0x1p3 included, and a number too large for a
+// float — is a symbol.
 func Parse(tok string) Value {
 	if tok == "" {
 		return Nil
+	}
+	if !isDecimal(tok) {
+		return Sym(tok)
 	}
 	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
 		return Int(i)
@@ -219,4 +224,40 @@ func Parse(tok string) Value {
 		return Float(f)
 	}
 	return Sym(tok)
+}
+
+// isDecimal reports whether tok is an optional sign, digits with an
+// optional fraction (at least one digit in all), and an optional
+// exponent: OPS5's number syntax, narrower than strconv's.
+func isDecimal(tok string) bool {
+	i := 0
+	digits := func() int {
+		start := i
+		for i < len(tok) && '0' <= tok[i] && tok[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	sign := func() {
+		if i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
+			i++
+		}
+	}
+	sign()
+	n := digits()
+	if i < len(tok) && tok[i] == '.' {
+		i++
+		n += digits()
+	}
+	if n == 0 {
+		return false
+	}
+	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
+		i++
+		sign()
+		if digits() == 0 {
+			return false
+		}
+	}
+	return i == len(tok)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"strconv"
 	"sync"
 	"testing"
@@ -26,6 +27,26 @@ func TestParseKinds(t *testing.T) {
 		{"r-17", KindSym},
 		{"", KindNil},
 		{"<x>", KindSym},
+		// A number only in OPS5's decimal syntax: sign, digits, fraction,
+		// exponent. What else strconv reads as a number — NaN, the
+		// infinities, digit separators, hex — is a symbol, and so is a
+		// decimal too large for a float.
+		{"+12", KindInt},
+		{"1.", KindFloat},
+		{"-.5", KindFloat},
+		{"2.5E-1", KindFloat},
+		{"99999999999999999999", KindFloat},
+		{"nan", KindSym},
+		{"NaN", KindSym},
+		{"+Inf", KindSym},
+		{"-infinity", KindSym},
+		{"1_000", KindSym},
+		{"0x1p3", KindSym},
+		{"0x10", KindSym},
+		{"1e", KindSym},
+		{".", KindSym},
+		{"+", KindSym},
+		{"1e400", KindSym},
 	}
 	for _, c := range cases {
 		if got := Parse(c.in).Kind(); got != c.kind {
@@ -227,9 +248,16 @@ func (v refValue) string() string {
 	return "?"
 }
 
+// refDecimal is OPS5's number syntax, spelled independently of
+// isDecimal.
+var refDecimal = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$`)
+
 func refParse(tok string) refValue {
 	if tok == "" {
 		return refValue{}
+	}
+	if !refDecimal.MatchString(tok) {
+		return refValue{kind: KindSym, sym: tok}
 	}
 	if i, err := strconv.ParseInt(tok, 10, 64); err == nil {
 		return refValue{kind: KindInt, num: i}

@@ -38,8 +38,9 @@ type BuildMode struct {
 	// Capture records per-activation match cost for the match-parallel
 	// simulators.
 	Capture bool
-	// NaiveMatch selects the unindexed reference matcher over the
-	// equality-indexed Rete.
+	// NaiveMatch selects the reference matcher, which sweeps every alpha
+	// memory of a WME's class instead of dispatching on its constant
+	// tests.
 	NaiveMatch bool
 	// FreshCompile compiles the phase program privately per engine
 	// instead of instantiating the Program's cached template.
