@@ -23,17 +23,21 @@ vet-benchmark:
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
 # definitions under cmd/ (a test's own flags, like the golden tests'
 # -update, are not the commands') — and two counts that must stay zero:
-# mentions of the process-global build switches a per-run tlp.BuildMode replaced
-# (tests and comments included), and package-level atomic.Bool
-# declarations in internal/spam and internal/geom, which is what such a
-# switch is made of.
+# build switches, and package-level atomic.Bool declarations in
+# internal/spam and internal/geom, which is what a process-global
+# switch is made of. The first counts mentions of the process-global
+# switches (tests and comments included) and non-test mentions of the
+# per-run build mode that replaced them and of its reference bits,
+# which now live only in tests as the reference store and engine.
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
 	@printf 'flag definitions (cmd): '; \
 		grep -rhoE --exclude='*_test.go' '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd | wc -l
-	@printf 'process-global build switch mentions (cmd, internal; want 0): '; \
-		grep -rhoE 'Use(NaiveMatch|FreshCompile|UnbatchedSeed|UncachedGeo|ExactOnly)' cmd internal | wc -l
+	@printf 'build switch mentions (cmd, internal; want 0): '; \
+		{ grep -rhoE 'Use(NaiveMatch|FreshCompile|UnbatchedSeed|UncachedGeo|ExactOnly)' cmd internal; \
+		grep -rhoE --include='*.go' --exclude='*_test.go' \
+			'BuildMode|NaiveMatch|FreshCompile|ReferenceGeo|SetDispatching|DispatchedMatch|refGeo' cmd internal; } | wc -l
 	@printf 'package-level atomic.Bool (internal/spam, internal/geom; want 0): '; \
 		grep -hE '^var .*atomic\.Bool' internal/spam/*.go internal/geom/*.go | wc -l
 
@@ -86,10 +90,11 @@ bench-quick:
 		-benchtime 0.3s ./internal/machine/
 
 # oracle runs the differential oracles — constant tests dispatched vs
-# swept, on scripts and on generated rule sets,
+# swept, on scripts and on generated rule sets, capture on and off,
 # template-instantiated vs fresh-compiled engines, AssertBatch vs
-# Assert, fast-vs-exact geometry, all of those build modes at once
-# on one cached dataset, the scheduling policies (simulator vs Run
+# Assert, fast-vs-exact geometry, a whole interpretation vs its
+# reference twin and both, capturing and not, at once beside one cached
+# dataset, the scheduling policies (simulator vs Run
 # anchor, pool policies and memory budgets vs the serial FIFO baseline),
 # and the incremental-update path (remove-driven retraction vs fresh load, a
 # swept-and-reloaded engine vs a fresh one, session updates vs
@@ -100,9 +105,8 @@ bench-quick:
 # every level (rete scripts, ops5 engines, geometry kernels, the
 # scheduler, the task-process pool, full-SPAM interpretations, the HTTP
 # session surface), the cluster (a run over two worker processes vs
-# the in-process pool, inside its wire-locality budget; every reference
-# build mode shipped to two worker processes vs the default in process;
-# the coordinator→worker pipeline — deep enough to keep an executor fed,
+# the in-process pool, inside its wire-locality budget; the
+# coordinator→worker pipeline — deep enough to keep an executor fed,
 # results coalesced, a dropped connection's queue abandoned — and what a
 # worker death charges at each enumerated kill point),
 # and the match arena (engines that borrow, settle and recycle a
@@ -129,13 +133,10 @@ oracle:
 # interpretation over two worker processes, then the same scene
 # re-interpreted single-process in-process, failing unless the outputs
 # are byte-identical and the run shipped its whole task queue over the
-# wire. Then the same again under every reference build mode, so the
-# per-run mode crosses a real process boundary on every push.
+# wire.
 cluster-smoke:
 	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
 		-cluster-workers 2 -cluster-check
-	$(GO) run ./cmd/spamrun -dataset DC -scale 0.4 -workers 2 \
-		-cluster-workers 2 -cluster-check -naive -naive-geom
 
 # check is the full verification gate: the tier-1 build and tests,
 # static analysis of this module, static analysis and unit tests of the

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -22,6 +23,11 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the dataset's seed (0 = keep)")
 	svgOut := flag.String("svg", "", "write the segmentation to this SVG file")
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "scenegen: -scale %v: a scale factor is a finite number above 0\n", *scale)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var sc *scene.Scene
 	if *dataset == "suburban" {

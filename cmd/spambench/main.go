@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,6 +57,16 @@ func realMain() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spambench:", err)
 		return 2
+	}
+	for _, sc := range []struct {
+		flag string
+		f    float64
+	}{{"-full-scale", *fullScale}, {"-subset-scale", *subsetScale}} {
+		if !(sc.f > 0) || math.IsInf(sc.f, 1) {
+			fmt.Fprintf(os.Stderr, "spambench: %s %v: a scale factor is a finite number above 0\n", sc.flag, sc.f)
+			flag.Usage()
+			return 2
+		}
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

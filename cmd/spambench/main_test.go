@@ -79,3 +79,19 @@ func TestGoldenAll(t *testing.T) {
 	}
 	t.Fatalf("output differs from %s: %d lines, want %d", path, len(gotLines), len(wantLines))
 }
+
+// TestNonPositiveScaleIsUsageError: a -subset-scale or -full-scale that
+// is not a finite number above 0 is refused before any experiment runs.
+func TestNonPositiveScaleIsUsageError(t *testing.T) {
+	for _, flag := range []string{"-subset-scale", "-full-scale"} {
+		for _, scale := range []string{"-1", "0", "NaN", "+Inf"} {
+			var stdout bytes.Buffer
+			cmd := exec.Command(spambenchBin, "-experiment", "table4", flag, scale)
+			cmd.Stdout = &stdout
+			err := cmd.Run()
+			if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 {
+				t.Errorf("%s %s: exit %d (%v), want 2 and no output, got:\n%s", flag, scale, code, err, stdout.String())
+			}
+		}
+	}
+}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	spamrun [-dataset SF|DC|MOFF|suburban] [-workers N] [-level 1..4]
-//	        [-reentry] [-scale F] [-lisp] [-naive] [-naive-geom]
+//	        [-reentry] [-scale F] [-lisp] [-svg FILE]
 //	        [-update N] [-churn F] [-churn-seed N]
 //	        [-sched fifo|largest|postorder] [-mem-budget BYTES]
 //	        [-fault-seed N] [-crash-rate P] [-task-timeout D] [-max-retries K]
@@ -14,7 +14,7 @@
 //
 // -cluster-workers N executes each phase's task queue across N worker
 // processes instead of an in-process pool: the coordinator ships task
-// specs (seed working memories, the build mode and run knobs) over unix
+// specs (seed working memories and run knobs) over unix
 // sockets — or TCP with -cluster-addr — and -workers becomes each
 // process's local pool size (see docs/CLUSTER.md). -cluster-check
 // additionally runs the single-process interpretation and verifies the
@@ -41,22 +41,16 @@
 // docs/PERFORMANCE.md "Incremental re-interpretation"). The phase
 // table then describes the final updated interpretation.
 //
-// -naive and -naive-geom set this run's build mode (tlp.BuildMode,
-// carried to cluster workers in every task frame): -naive selects the
-// reference matcher, which sweeps every alpha memory of a WME's class
-// instead of dispatching on its constant tests (identical results and
-// simulated costs, slower wall-clock; see docs/PERFORMANCE.md), and
-// -naive-geom evaluates every spatial
-// predicate with the exact Hypot kernel, no predicate memo, no
-// derived-geometry cache and linear partner scans (same results and
-// simulated costs, slower wall-clock).
-// The profile flags write standard pprof files.
+// -svg writes the scene's segmentation, each region labelled with its
+// most confident fragment hypothesis. The profile flags write standard
+// pprof files.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -85,8 +79,6 @@ func realMain() int {
 	reentry := flag.Bool("reentry", false, "enable FA->LCC re-entry")
 	scale := flag.Float64("scale", 1, "scene scale factor")
 	lisp := flag.Bool("lisp", false, "report times at the original Lisp system's speed")
-	naive := flag.Bool("naive", false, "use the reference matcher, constant tests swept instead of dispatched (same results, slower wall-clock)")
-	naiveGeom := flag.Bool("naive-geom", false, "exact geometry kernels without the predicate memo, derived cache or partner grid (same results, slower wall-clock)")
 	updates := flag.Int("update", 0, "apply N incremental churn updates through an interpretation session after the initial run")
 	churn := flag.Float64("churn", 0.05, "churn fraction per -update delta (regions touched / scene regions)")
 	churnSeed := flag.Uint64("churn-seed", 1990, "deterministic seed for the -update churn deltas")
@@ -111,6 +103,11 @@ func realMain() int {
 	}
 	if *level < 1 || *level > 4 {
 		fmt.Fprintf(os.Stderr, "spamrun: -level %d: the LCC decomposition levels are 1 to 4\n", *level)
+		flag.Usage()
+		return 2
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "spamrun: -scale %v: a scale factor is a finite number above 0\n", *scale)
 		flag.Usage()
 		return 2
 	}
@@ -168,7 +165,6 @@ func realMain() int {
 		Workers:      *workers,
 		Level:        spam.Level(*level),
 		ReEntry:      *reentry,
-		Build:        tlp.BuildMode{NaiveMatch: *naive, ReferenceGeo: *naiveGeom},
 		Sched:        policy,
 		MemBudget:    *memBudget,
 		Faults:       plan,

@@ -129,29 +129,23 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// TestGoldenUnderReferenceModes: the reference matcher, the reference
-// geometry and a two-process cluster print what the default run prints.
-func TestGoldenUnderReferenceModes(t *testing.T) {
+// TestGoldenUnderCluster: a two-process cluster prints what the
+// in-process run prints.
+func TestGoldenUnderCluster(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three more interpretations")
+		t.Skip("two more interpretations")
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "DC-reentry.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, extra := range [][]string{
-		{"-naive"},
-		{"-naive-geom"},
-		{"-workers", "2", "-cluster-workers", "2", "-cluster-check"},
-	} {
-		args := append([]string{"-dataset", "DC", "-reentry"}, extra...)
-		out, code := spamrun(t, args...)
-		if code != 0 {
-			t.Fatalf("spamrun %s: exit %d", strings.Join(args, " "), code)
-		}
-		if got := maskWall(out); got != string(want) {
-			t.Errorf("spamrun %s: output differs from the default run's golden\n--- got\n%s", strings.Join(args, " "), got)
-		}
+	args := []string{"-dataset", "DC", "-reentry", "-workers", "2", "-cluster-workers", "2", "-cluster-check"}
+	out, code := spamrun(t, args...)
+	if code != 0 {
+		t.Fatalf("spamrun %s: exit %d", strings.Join(args, " "), code)
+	}
+	if got := maskWall(out); got != string(want) {
+		t.Errorf("spamrun %s: output differs from the in-process run's golden\n--- got\n%s", strings.Join(args, " "), got)
 	}
 }
 
@@ -165,6 +159,21 @@ func TestUndefinedLevelIsUsageError(t *testing.T) {
 		}
 		if strings.Contains(out, "Interpretation of") {
 			t.Errorf("-level %s printed an interpretation:\n%s", level, out)
+		}
+	}
+}
+
+// TestNonPositiveScaleIsUsageError: a -scale that is not a finite
+// number above 0 used to run an interpretation of a scene whose region
+// areas are NaN, or of a 0×0 scene, and exit 0.
+func TestNonPositiveScaleIsUsageError(t *testing.T) {
+	for _, scale := range []string{"-1", "0", "NaN", "+Inf"} {
+		out, code := spamrun(t, "-dataset", "DC", "-scale", scale)
+		if code != 2 {
+			t.Errorf("-scale %s: exit %d, want 2", scale, code)
+		}
+		if strings.Contains(out, "Interpretation of") {
+			t.Errorf("-scale %s printed an interpretation:\n%s", scale, out)
 		}
 	}
 }

@@ -264,7 +264,10 @@ func TestClusterStartFailureCleanup(t *testing.T) {
 	dir := t.TempDir()
 	pidFile := filepath.Join(dir, "worker.pid")
 	exe := filepath.Join(dir, "sleeper.sh")
-	script := "#!/bin/sh\necho $$ > " + pidFile + "\nsleep 60\n"
+	// exec: the sleeper is the process Start spawned, not a child of
+	// it. An orphaned sleep would hold the test binary's inherited
+	// stdout open for its whole minute, and go test waits for it.
+	script := "#!/bin/sh\necho $$ > " + pidFile + "\nexec sleep 60\n"
 	if err := os.WriteFile(exe, []byte(script), 0o755); err != nil {
 		t.Fatalf("write sleeper: %v", err)
 	}
@@ -451,7 +454,7 @@ func TestClusterCancelledRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dataset: %v", err)
 	}
-	tasks := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
+	tasks := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	results, err := co.Submit(ctx, tlp.RunConfig{}, tasks)

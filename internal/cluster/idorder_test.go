@@ -12,7 +12,6 @@ import (
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/symtab"
-	"spampsm/internal/tlp"
 )
 
 // idOrderChildEnv makes TestMain run idOrderChild instead of the tests.
@@ -37,7 +36,7 @@ func idOrderFingerprint() (string, error) {
 
 	// (i) One task and its result as the cluster would frame them, each
 	// over a fresh codec table — the first frame of a connection.
-	task := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, in.Fragments, spam.Level3, tlp.BuildMode{})[0]
+	task := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, in.Fragments, spam.Level3, false)[0]
 	spec, err := task.Wire()
 	if err != nil {
 		return "", err

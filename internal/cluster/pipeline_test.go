@@ -61,7 +61,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // the system has, up to n tasks under distinct IDs.
 func tinyTasks(t *testing.T, d *spam.Dataset, n int) []*tlp.Task {
 	t.Helper()
-	rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 1, tlp.BuildMode{})
+	rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 1, false)
 	if len(rtf) == 0 {
 		t.Fatal("dataset has no RTF tasks")
 	}

@@ -48,11 +48,12 @@ import (
 // build mode in the task frame, ships tlp.RunConfig as it stands and
 // leaves the Init frame the handshake and the worker's own pool size,
 // memory budget and process-fault plan; v6 retires build-mode bit 8,
-// the per-WME seed load, which a worker now refuses like any undefined
-// bit; see docs/CLUSTER.md.)
+// the per-WME seed load; v7 drops the build-mode byte, since every run
+// builds its engines one way and a worker never captures; see
+// docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 6
+	Version = 7
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -120,8 +121,8 @@ type DatasetSpec struct {
 // attempt number to resume from (>1 after the coordinator charged
 // earlier attempts to a lost worker), the run configuration the
 // worker's pool must replay for byte-identical retry/quarantine
-// behavior, and the task's WireSpec (build mode, seed working memory
-// and extraction classes).
+// behavior, and the task's WireSpec (phase, seed working memory and
+// extraction classes).
 type TaskMsg struct {
 	RunID        uint64
 	Seq          int
@@ -753,7 +754,6 @@ func EncodeTaskV2(t *EncTab, m *TaskMsg, refs []int64) []byte {
 	b = t.runConfig(b, m.Config)
 	b = t.str(b, m.Spec.Dataset)
 	b = t.str(b, m.Spec.Phase)
-	b = append(b, m.Spec.Mode.Bits())
 	b = appendUint(b, uint64(len(m.Spec.Extract)))
 	for _, c := range m.Spec.Extract {
 		b = t.str(b, c)
@@ -795,10 +795,6 @@ func DecodeTaskV2(t *DecTab, payload []byte, resolve func(uint64) (ops5.Seed, bo
 	m.Config = d.runConfigT(t)
 	m.Spec.Dataset = d.str(t)
 	m.Spec.Phase = d.str(t)
-	var known bool
-	if m.Spec.Mode, known = tlp.BuildModeFromBits(d.byte()); !known {
-		d.fail("build mode (undefined bit)")
-	}
 	if n := d.count("extract"); n > 0 {
 		m.Spec.Extract = make([]string, 0, n)
 		for i := 0; i < n; i++ {

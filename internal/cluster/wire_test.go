@@ -22,7 +22,7 @@ func corpusQueue(t testing.TB) ([]*tlp.Task, map[string]*spam.Dataset) {
 	datasets := map[string]*spam.Dataset{}
 	pipeline := func(name string, d *spam.Dataset) {
 		datasets[name] = d
-		rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
+		rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
 		queue = append(queue, rtf...)
 		if name != "DC" {
 			return
@@ -33,21 +33,21 @@ func corpusQueue(t testing.TB) ([]*tlp.Task, map[string]*spam.Dataset) {
 			t.Fatalf("%s: rtf: %v", name, err)
 		}
 		frags := spam.ExtractFragments(rtfResults)
-		lcc := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, spam.Level3, tlp.BuildMode{})
+		lcc := spam.BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, spam.Level3, false)
 		queue = append(queue, lcc...)
 		lccResults, err := pool.Run(lcc)
 		if err != nil {
 			t.Fatalf("%s: lcc: %v", name, err)
 		}
 		pairs, outs := spam.ExtractLCC(lccResults)
-		fa := spam.BuildFATasks(d.KB, d.Store, d.Progs.FA, frags, pairs, outs, tlp.BuildMode{})
+		fa := spam.BuildFATasks(d.KB, d.Store, d.Progs.FA, frags, pairs, outs)
 		queue = append(queue, fa...)
 		faResults, err := pool.Run(fa)
 		if err != nil {
 			t.Fatalf("%s: fa: %v", name, err)
 		}
 		fas, _ := spam.ExtractFA(faResults)
-		queue = append(queue, spam.BuildModelTask(d.KB, d.Store, d.Progs.Model, frags, fas, tlp.BuildMode{}))
+		queue = append(queue, spam.BuildMODELTask(d.KB, d.Store, d.Progs.Model, frags, fas))
 	}
 	for _, name := range []string{"SF", "DC", "MOFF"} {
 		d, err := spam.NewDataset(airportParams(name))
@@ -248,6 +248,25 @@ func TestWireRoundTripTasksV2(t *testing.T) {
 		}
 	}
 
+	// Every RunConfig field crosses the wire; a frame with a byte too
+	// many or too few is refused.
+	full, trailing, truncated := configFrames(t)
+	m, _, err := DecodeTaskV2(&DecTab{}, full, fuzzResolve)
+	if err != nil {
+		t.Fatalf("full-config frame: %v", err)
+	}
+	if m.Config.Policy != tlp.PostOrder || m.Config.Faults.PermanentFraction != 0.75 || m.Config.Faults.Seed != 42 {
+		t.Errorf("RunConfig changed on the wire: %+v", m.Config)
+	}
+	if !bytes.Equal(full, EncodeTaskV2(NewEncTab(), m, nil)) {
+		t.Error("full-config frame does not re-encode to itself")
+	}
+	for name, frame := range map[string][]byte{"trailing": trailing, "truncated": truncated} {
+		if _, _, err := DecodeTaskV2(&DecTab{}, frame, fuzzResolve); err == nil {
+			t.Errorf("decoder accepted a %s frame", name)
+		}
+	}
+
 	encR, decR := NewEncTab(), &DecTab{}
 	for _, r := range sampleResults() {
 		r.Spawned = r.Seq%2 == 1
@@ -294,10 +313,10 @@ func TestWireV2InternSharing(t *testing.T) {
 	}
 }
 
-// modeFrames returns one corpus task's frame with every build-mode bit
-// set under a fully populated RunConfig, and that frame with its mode
-// byte replaced by one carrying an undefined bit.
-func modeFrames(t testing.TB) (full, undefined, retired []byte) {
+// configFrames returns one corpus task's frame under a RunConfig with
+// no zero field, and two corruptions of it the decoder must refuse: a
+// trailing byte, and the frame cut one byte short.
+func configFrames(t testing.TB) (full, trailing, truncated []byte) {
 	t.Helper()
 	m := *corpusTasks(t)[0]
 	m.Config = tlp.RunConfig{
@@ -305,55 +324,8 @@ func modeFrames(t testing.TB) (full, undefined, retired []byte) {
 		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
 		Faults: faults.Config{Seed: 42, BuildFailRate: 0.125, PanicRate: 0.25, CrashRate: 0.5, PermanentFraction: 0.75},
 	}
-	zero := EncodeTaskV2(NewEncTab(), &m, nil)
-	m.Spec.Mode = tlp.BuildMode{Capture: true, NaiveMatch: true, FreshCompile: true, ReferenceGeo: true}
 	full = EncodeTaskV2(NewEncTab(), &m, nil)
-	// The two frames differ in the mode byte and nowhere else.
-	at := -1
-	for i := range full {
-		if full[i] != zero[i] {
-			if at >= 0 {
-				t.Fatalf("mode changed frame bytes %d and %d", at, i)
-			}
-			at = i
-		}
-	}
-	if len(full) != len(zero) || at < 0 {
-		t.Fatalf("build mode is not one byte of the task frame (%d vs %d bytes)", len(full), len(zero))
-	}
-	undefined = bytes.Clone(full)
-	undefined[at] |= 0x80
-	// Bit 8 selected the per-WME seed load until wire version 6.
-	retired = bytes.Clone(full)
-	retired[at] |= 8
-	return full, undefined, retired
-}
-
-// TestWireRejectsUndefinedBuildMode: a frame whose mode byte carries a
-// bit no BuildMode field defines is a protocol error, not a task to run
-// on whatever path the known bits select; the fully set mode and
-// RunConfig round-trip exactly.
-func TestWireRejectsUndefinedBuildMode(t *testing.T) {
-	full, undefined, retired := modeFrames(t)
-	m, _, err := DecodeTaskV2(&DecTab{}, full, fuzzResolve)
-	if err != nil {
-		t.Fatalf("all-bits frame: %v", err)
-	}
-	if got := m.Spec.Mode.Bits(); got != 0x17 {
-		t.Errorf("decoded mode bits %#x, want 0x17", got)
-	}
-	if m.Config.Policy != tlp.PostOrder || m.Config.Faults.PermanentFraction != 0.75 || m.Config.Faults.Seed != 42 {
-		t.Errorf("RunConfig changed on the wire: %+v", m.Config)
-	}
-	if !bytes.Equal(full, EncodeTaskV2(NewEncTab(), m, nil)) {
-		t.Error("all-bits frame does not re-encode to itself")
-	}
-	if _, _, err := DecodeTaskV2(&DecTab{}, undefined, fuzzResolve); err == nil {
-		t.Error("decoder accepted a build mode with an undefined bit")
-	}
-	if _, _, err := DecodeTaskV2(&DecTab{}, retired, fuzzResolve); err == nil {
-		t.Error("decoder accepted a build mode with the retired per-WME-seed bit")
-	}
+	return full, append(bytes.Clone(full), 0), full[:len(full)-1]
 }
 
 // fuzzResolve synthesizes a deterministic seed for any chunk id, so
@@ -399,13 +371,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	foreign := EncodeResultV2(NewEncTab(), sampleResults()[0])
 	foreign = bytes.ReplaceAll(foreign, []byte("runway"), []byte("rUnWaY"))
 	f.Add(append([]byte{5}, bytes.ReplaceAll(foreign, []byte("f1"), []byte("F!"))...))
-	// A task under every reference build mode and a RunConfig with no
-	// zero field; then the same frame asking for a mode bit nothing
-	// defines, which the decoder must refuse (TestWireRejectsUndefinedBuildMode).
-	full, undefined, retired := modeFrames(f)
+	// A task under a RunConfig with no zero field, then that frame with
+	// a byte too many and a byte too few, which the decoder must refuse.
+	full, trailing, truncated := configFrames(f)
 	f.Add(append([]byte{2}, full...))
-	f.Add(append([]byte{2}, undefined...))
-	f.Add(append([]byte{2}, retired...))
+	f.Add(append([]byte{2}, trailing...))
+	f.Add(append([]byte{2}, truncated...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -2,7 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,7 +27,7 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, tlp.BuildMode{})
+	rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
 	if len(rtf) < 2 {
 		t.Fatalf("%d RTF tasks, want at least 2", len(rtf))
 	}
@@ -78,5 +83,28 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 	wg.Wait()
 	if ms := w.pool.MemSched(); ms.ThrottleWaits != 1 || ms.PeakReserved != budget {
 		t.Errorf("two configs' tasks did not contend for one budget: %+v, want 1 throttle wait and a peak of %d", ms, budget)
+	}
+}
+
+// TestIsClosedConn: only the connection going away is a clean worker
+// exit. The verdict follows the error chain, never the text — a decode
+// failure whose message happens to mention EOF is still a failure.
+func TestIsClosedConn(t *testing.T) {
+	cases := []struct {
+		err  error
+		want bool
+	}{
+		{fmt.Errorf("read: %w", io.EOF), true},
+		{fmt.Errorf("read: %w", io.ErrUnexpectedEOF), true},
+		{fmt.Errorf("read: %w", net.ErrClosed), true},
+		{fmt.Errorf("read: %w", &net.OpError{Op: "read", Err: syscall.ECONNRESET}), true},
+		{errors.New("cluster: truncated or malformed string: unexpected EOF in payload"), false},
+		{errors.New("cluster: dataset \"X\": connection reset by generator"), false},
+		{fmt.Errorf("read: %w", syscall.EPIPE), false},
+	}
+	for _, tc := range cases {
+		if got := isClosedConn(tc.err); got != tc.want {
+			t.Errorf("isClosedConn(%q) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (s *System) fragments() ([]*spam.Fragment, error) {
 	if s.frags != nil {
 		return s.frags, nil
 	}
-	tasks := spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, tlp.BuildMode{})
+	tasks := spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, false)
 	results, err := tlp.RunSerial(tasks, 0)
 	if err != nil {
 		return nil, err
@@ -119,10 +119,9 @@ func (s *System) fragments() ([]*spam.Fragment, error) {
 // the tasks record per-activation match forests for the
 // match-parallelism simulation.
 func (s *System) BuildTasks(capture bool) ([]*tlp.Task, error) {
-	mode := tlp.BuildMode{Capture: capture}
 	switch s.Phase {
 	case RTF:
-		return spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, mode), nil
+		return spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, capture), nil
 	case LCC:
 		frags, err := s.fragments()
 		if err != nil {
@@ -132,7 +131,7 @@ func (s *System) BuildTasks(capture bool) ([]*tlp.Task, error) {
 		if level == 0 {
 			level = spam.Level3
 		}
-		return spam.BuildLCCTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.LCC, frags, level, mode), nil
+		return spam.BuildLCCTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.LCC, frags, level, capture), nil
 	default:
 		return nil, fmt.Errorf("core: unknown phase %q", s.Phase)
 	}

@@ -149,7 +149,8 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 // TestNaiveMatchKeepsForests runs each benchmark spec on the default
-// engine and under WithNaiveMatch and requires identical stats and
+// engine, whose capturing network dispatches, and on the reference one
+// (WithReference), which sweeps, and requires identical stats and
 // captured forests: the reference matcher must not change the simulated
 // workload the parallel-match scheduler sees.
 func TestNaiveMatchKeepsForests(t *testing.T) {
@@ -158,15 +159,15 @@ func TestNaiveMatchKeepsForests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln, sn, err := Run(s, ops5.WithNaiveMatch())
+		ln, sn, err := Run(s, ops5.WithReference())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sd != sn {
-			t.Errorf("%s: stats differ: default %+v naive %+v", s.Name, sd, sn)
+			t.Errorf("%s: stats differ: default %+v reference %+v", s.Name, sd, sn)
 		}
 		if renderLog(ld) != renderLog(ln) {
-			t.Errorf("%s: activation forests differ between the default and naive matchers", s.Name)
+			t.Errorf("%s: activation forests differ between the default and reference matchers", s.Name)
 		}
 	}
 }

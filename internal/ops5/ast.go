@@ -367,10 +367,10 @@ type Program struct {
 	Strategy    string   // "lex" (default) or "mea"
 	Externals   []string // declared external function names
 
-	// Compiled-variant cache, keyed on the compile-time switches
-	// (naive match, capture). Guarded by compileMu; see compiled.go.
+	// Compiled-variant cache, keyed on the compile-time switch,
+	// capture. Guarded by compileMu; see compiled.go.
 	compileMu sync.Mutex
-	variants  map[compileKey]*CompiledProgram
+	variants  map[bool]*CompiledProgram
 
 	// Seed-class cache (seed.go): attribute->slot maps for batched
 	// seed construction, built once per class name.

@@ -80,16 +80,26 @@ func benchProgram() *Program {
 	return MustParse(src)
 }
 
+// freshEngine builds an engine on a private compile of prog, bypassing
+// the Program's compiled-variant cache: the pre-template cost of
+// NewEngine.
+func freshEngine(prog *Program) error {
+	cp, err := compileVariant(prog, false, false)
+	if err == nil {
+		_, err = cp.NewEngine()
+	}
+	return err
+}
+
 // BenchmarkCompile measures production-memory compilation (Rete
-// template construction) for a mid-sized program. WithFreshCompile
-// bypasses the Program's compiled-variant cache, so every iteration
-// pays the full compile — the pre-template cost of NewEngine.
+// template construction) for a mid-sized program: every iteration pays
+// the full compile.
 func BenchmarkCompile(b *testing.B) {
 	prog := benchProgram()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewEngine(prog, WithFreshCompile()); err != nil {
+		if err := freshEngine(prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,16 +107,15 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkEngineBuild contrasts the two ways a task engine comes into
 // existence: "recompile" builds the Rete network from scratch per
-// engine (the pre-template behavior, kept reachable through
-// WithFreshCompile), while "instantiate" reuses the Program's cached
-// compiled template and pays only O(nodes) state setup. The ratio is
-// the per-task saving of the compile-once design.
+// engine (the pre-template behavior), while "instantiate" reuses the
+// Program's cached compiled template and pays only O(nodes) state
+// setup. The ratio is the per-task saving of the compile-once design.
 func BenchmarkEngineBuild(b *testing.B) {
 	prog := benchProgram()
 	b.Run("recompile", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewEngine(prog, WithFreshCompile()); err != nil {
+			if err := freshEngine(prog); err != nil {
 				b.Fatal(err)
 			}
 		}

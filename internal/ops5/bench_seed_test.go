@@ -27,7 +27,8 @@ func seedProgram() *Program {
 // memory is loaded: "unbatched" asserts each WME with Assert (a
 // per-assertion attribute map and a fresh vector), "batched" asserts
 // ready-made shared seeds with AssertBatch, adopting their vectors, and
-// "batched-sweep" does the same on the naive template, whose Add offers
+// "batched-sweep" does the same on a template compiled without the
+// patterns' constant tests (the reference matcher's), whose Add offers
 // each seed to all 40 alpha memories instead of dispatching it to the
 // five keyed on its ^kind. The simulated Counters are byte-identical
 // all three ways (see the seed differential oracles).
@@ -74,15 +75,15 @@ func BenchmarkSeedLoad(b *testing.B) {
 			}
 		}
 	})
-	batched := func(opts ...Option) func(*testing.B) {
+	batched := func(newEngine func(...Option) (*Engine, error)) func(*testing.B) {
 		return func(b *testing.B) {
-			if _, err := NewEngine(prog, opts...); err != nil { // warm the variant cache
+			if _, err := newEngine(); err != nil { // warm the variant cache
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e, err := NewEngine(prog, opts...)
+				e, err := newEngine()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,6 +93,10 @@ func BenchmarkSeedLoad(b *testing.B) {
 			}
 		}
 	}
-	b.Run("batched", batched())
-	b.Run("batched-sweep", batched(WithNaiveMatch()))
+	b.Run("batched", batched(func(opts ...Option) (*Engine, error) { return NewEngine(prog, opts...) }))
+	swept, err := compileVariant(prog, true, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("batched-sweep", batched(swept.NewEngine))
 }

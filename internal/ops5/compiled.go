@@ -16,17 +16,11 @@ import (
 // O(nodes) pointer setup — fresh working memory, conflict set and
 // per-instance network state over the shared topology.
 //
-// Variants are keyed on the two compile-time switches: the matcher
-// mode (WithNaiveMatch selects the reference matcher, whose template
-// sweeps constant tests instead of dispatching them) and activation
+// Variants are keyed on the one compile-time switch, activation
 // capture. Each Program memoizes its variants, so the ~1k task builds
 // of a full SPAM interpretation share one compile per variant in use.
-
-// compileKey identifies one compiled variant of a Program.
-type compileKey struct {
-	naive   bool
-	capture bool
-}
+// The reference engine (WithReference) is never cached: it compiles
+// privately, with the patterns' Consts withheld from the network.
 
 // CompiledProgram is an immutable compiled Program variant. It is
 // safe for concurrent use: any number of goroutines may call NewEngine
@@ -36,7 +30,6 @@ type CompiledProgram struct {
 	classes  *wm.Classes
 	tmpl     *rete.Template
 	compiled map[string]*compiledProd
-	naive    bool
 	capture  bool
 }
 
@@ -46,8 +39,10 @@ type CompiledProgram struct {
 type Scratch = rete.Scratch
 
 // compileVariant performs the full compilation of one Program variant,
-// bypassing the cache.
-func compileVariant(prog *Program, naive, capture bool) (*CompiledProgram, error) {
+// bypassing the cache. swept withholds every pattern's Consts from the
+// template, so its networks sweep each class instead of dispatching on
+// constant tests: the reference matcher.
+func compileVariant(prog *Program, swept, capture bool) (*CompiledProgram, error) {
 	classes := wm.NewClasses()
 	for _, c := range prog.Classes {
 		if _, err := classes.Declare(c.Name, c.Attrs...); err != nil {
@@ -55,12 +50,16 @@ func compileVariant(prog *Program, naive, capture bool) (*CompiledProgram, error
 		}
 	}
 	tmpl := rete.NewTemplate()
-	tmpl.SetDispatching(!naive)
 	compiled := make(map[string]*compiledProd, len(prog.Productions))
 	for _, p := range prog.Productions {
 		cp, err := compileProduction(p, classes)
 		if err != nil {
 			return nil, err
+		}
+		if swept {
+			for i := range cp.patterns {
+				cp.patterns[i].Consts = nil
+			}
 		}
 		pn, err := tmpl.AddProduction(p.Name, cp.patterns, cp)
 		if err != nil {
@@ -78,53 +77,49 @@ func compileVariant(prog *Program, naive, capture bool) (*CompiledProgram, error
 		classes:  classes,
 		tmpl:     tmpl,
 		compiled: compiled,
-		naive:    naive,
 		capture:  capture,
 	}, nil
 }
 
 // CompileProgram compiles a Program into a reusable CompiledProgram,
 // bypassing the Program's variant cache (ops5.NewEngine consults the
-// cache; use WithFreshCompile there to force a private compile). Only
-// the compile-time options matter here: WithNaiveMatch and
-// WithCapture select the variant; others are ignored.
+// cache). Only the compile-time options matter here: WithCapture and
+// WithReference select the variant; others are ignored.
 func CompileProgram(prog *Program, opts ...Option) (*CompiledProgram, error) {
 	probe := &Engine{}
 	for _, opt := range opts {
 		opt(probe)
 	}
-	return compileVariant(prog, probe.naiveMatch, probe.capture)
+	return compileVariant(prog, probe.reference, probe.capture)
 }
 
 // compiledVariant returns the Program's memoized compiled variant,
 // compiling it on first use. Concurrent callers serialize on the
 // compile; all receive the same CompiledProgram.
-func (pr *Program) compiledVariant(naive, capture bool) (*CompiledProgram, error) {
-	key := compileKey{naive: naive, capture: capture}
+func (pr *Program) compiledVariant(capture bool) (*CompiledProgram, error) {
 	pr.compileMu.Lock()
 	defer pr.compileMu.Unlock()
-	if cp, ok := pr.variants[key]; ok {
+	if cp, ok := pr.variants[capture]; ok {
 		return cp, nil
 	}
-	cp, err := compileVariant(pr, naive, capture)
+	cp, err := compileVariant(pr, false, capture)
 	if err != nil {
 		return nil, err
 	}
 	if pr.variants == nil {
-		pr.variants = map[compileKey]*CompiledProgram{}
+		pr.variants = map[bool]*CompiledProgram{}
 	}
-	pr.variants[key] = cp
+	pr.variants[capture] = cp
 	return cp, nil
 }
 
 // NewEngine instantiates an engine over the compiled program in
-// O(nodes): no production is recompiled. Options selecting a different
-// compile-time variant (WithNaiveMatch or WithCapture disagreeing with
-// the compile) are an error; use ops5.NewEngine to pick a variant by
-// option.
+// O(nodes): no production is recompiled. The variant is the compile's:
+// WithCapture disagreeing with it is an error, and WithReference has no
+// effect (CompileProgram takes it); use ops5.NewEngine to pick a
+// variant by option.
 func (cp *CompiledProgram) NewEngine(opts ...Option) (*Engine, error) {
 	e := newEngineShell(cp.prog)
-	e.naiveMatch = cp.naive
 	e.capture = cp.capture
 	for _, opt := range opts {
 		opt(e)
@@ -148,9 +143,6 @@ func newEngineShell(prog *Program) *Engine {
 // finish instantiates the compiled program into an option-applied
 // engine shell.
 func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
-	if e.naiveMatch != cp.naive {
-		return nil, fmt.Errorf("ops5: engine requests naive=%v but program was compiled with naive=%v", e.naiveMatch, cp.naive)
-	}
 	if e.capture != cp.capture {
 		return nil, fmt.Errorf("ops5: engine requests capture=%v but program was compiled with capture=%v", e.capture, cp.capture)
 	}

@@ -13,23 +13,25 @@ import (
 	"spampsm/internal/wm"
 )
 
-// Differential oracle for the compile-once template path: an engine
-// instantiated from a Program's cached CompiledProgram must be
-// byte-identical — firing trace, final working memory, match counters
-// and run statistics — to an engine that recompiles the program from
-// scratch (WithFreshCompile), for both matchers.
+// Differential oracle for the compile-once template path: engines
+// instantiated from one shared CompiledProgram must be byte-identical —
+// firing trace, final working memory, match counters and run
+// statistics — to an engine that recompiles the program from scratch,
+// for both matchers: the Program's cached (dispatching) template, and a
+// swept template compiled once (compileVariant keeps the two axes
+// apart; WithReference is both at once).
 
-// runDiffOn builds one engine on prog with the given options, seeds
-// the differential working memory, runs it to quiescence, settles it (a
-// no-op unless an option made it borrow a scratch) and returns the
+// runDiffOn builds one engine with newEngine and the given options,
+// seeds the differential working memory, runs it to quiescence, settles
+// it (a no-op unless an option made it borrow a scratch) and returns the
 // observables: the working memory as it stood before the settle — a
 // borrowing engine gives it back — the rest read after it, so they are
 // also what a settled engine still answers.
-func runDiffOn(t *testing.T, prog *Program, opts ...Option) (string, string, rete.Counters, RunStats) {
+func runDiffOn(t *testing.T, newEngine func(...Option) (*Engine, error), opts ...Option) (string, string, rete.Counters, RunStats) {
 	t.Helper()
 	var trace bytes.Buffer
 	opts = append(opts, WithTrace(&trace))
-	e, err := NewEngine(prog, opts...)
+	e, err := newEngine(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +45,26 @@ func runDiffOn(t *testing.T, prog *Program, opts ...Option) (string, string, ret
 	return trace.String(), dump.String(), e.MatchCounters(), e.Stats()
 }
 
+// fresh returns an engine builder that compiles prog anew for every
+// engine it builds, swept or not.
+func fresh(t *testing.T, prog *Program, swept bool) func(...Option) (*Engine, error) {
+	return func(opts ...Option) (*Engine, error) {
+		cp, err := compileVariant(prog, swept, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.NewEngine(opts...)
+	}
+}
+
 func TestEngineDifferentialTemplateVsFreshCompile(t *testing.T) {
 	// One worker's arena, lent in turn to every borrowing engine below:
 	// whatever program and matcher drew from it last.
 	scratch := &Scratch{}
 	for _, tc := range diffPrograms {
-		for _, naive := range []bool{false, true} {
+		for _, swept := range []bool{false, true} {
 			name := tc.name + "/indexed"
-			if naive {
+			if swept {
 				name = tc.name + "/naive"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -58,17 +72,19 @@ func TestEngineDifferentialTemplateVsFreshCompile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				matcher := func(extra ...Option) []Option {
-					if naive {
-						return append(extra, WithNaiveMatch())
+				template := func(opts ...Option) (*Engine, error) { return NewEngine(prog, opts...) }
+				if swept {
+					cp, err := compileVariant(prog, true, false)
+					if err != nil {
+						t.Fatal(err)
 					}
-					return extra
+					template = cp.NewEngine
 				}
-				fTrace, fWM, fCtr, fStats := runDiffOn(t, prog, matcher(WithFreshCompile())...)
+				fTrace, fWM, fCtr, fStats := runDiffOn(t, fresh(t, prog, swept))
 				if fTrace == "" {
 					t.Fatal("trace empty: program did not fire")
 				}
-				// Successive instantiations of the same cached template must
+				// Successive instantiations of the same shared template must
 				// all match the fresh compile: the second proves the first
 				// left no state behind in the shared template; the third and
 				// fourth borrow, settle and recycle the shared arena.
@@ -77,7 +93,7 @@ func TestEngineDifferentialTemplateVsFreshCompile(t *testing.T) {
 					if inst >= 2 {
 						extra = append(extra, WithScratch(scratch))
 					}
-					cTrace, cWM, cCtr, cStats := runDiffOn(t, prog, matcher(extra...)...)
+					cTrace, cWM, cCtr, cStats := runDiffOn(t, template, extra...)
 					if cTrace != fTrace {
 						t.Errorf("instance %d: firing traces differ:\ntemplate:\n%s\nfresh:\n%s", inst, cTrace, fTrace)
 					}
@@ -97,37 +113,31 @@ func TestEngineDifferentialTemplateVsFreshCompile(t *testing.T) {
 }
 
 // TestCompiledProgramVariantCache checks that NewEngine reuses one
-// compiled variant per (naive, capture) combination instead of
-// recompiling, and that WithFreshCompile bypasses the cache.
+// compiled variant per capture setting instead of recompiling, and that
+// WithReference compiles privately, every time.
 func TestCompiledProgramVariantCache(t *testing.T) {
 	prog, err := Parse(diffPrograms[0].src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combos := [][]Option{
-		nil,
-		{WithNaiveMatch()},
-		{WithCapture()},
-		{WithNaiveMatch(), WithCapture()},
-	}
+	combos := [][]Option{nil, {WithCapture()}}
 	for _, opts := range combos {
 		a := mustNewEngine(t, prog, opts...)
 		b := mustNewEngine(t, prog, opts...)
 		if a.net.Template() != b.net.Template() {
 			t.Errorf("opts %v: two engines did not share one template", opts)
 		}
-		fresh := mustNewEngine(t, prog, append([]Option{WithFreshCompile()}, opts...)...)
-		if fresh.net.Template() == a.net.Template() {
-			t.Errorf("opts %v: WithFreshCompile reused the cached template", opts)
+		refOpts := append([]Option{WithReference()}, opts...)
+		ref1, ref2 := mustNewEngine(t, prog, refOpts...), mustNewEngine(t, prog, refOpts...)
+		if ref1.net.Template() == a.net.Template() || ref1.net.Template() == ref2.net.Template() {
+			t.Errorf("opts %v: a reference engine reused a template", opts)
 		}
 	}
 	if len(prog.variants) != len(combos) {
 		t.Errorf("program caches %d variants, want %d", len(prog.variants), len(combos))
 	}
-	indexed := mustNewEngine(t, prog)
-	naive := mustNewEngine(t, prog, WithNaiveMatch())
-	if indexed.net.Template() == naive.net.Template() {
-		t.Error("indexed and naive engines share one template; keys must separate them")
+	if mustNewEngine(t, prog).net.Template() == mustNewEngine(t, prog, WithCapture()).net.Template() {
+		t.Error("capturing and non-capturing engines share one template; keys must separate them")
 	}
 }
 
@@ -141,10 +151,11 @@ func mustNewEngine(t *testing.T, prog *Program, opts ...Option) *Engine {
 }
 
 // TestConcurrentEngineInstantiation hammers one shared Program from
-// many goroutines — mixed matchers, so both cached variants are
-// instantiated concurrently — and checks every run reproduces the
-// single-threaded reference byte for byte. Run under -race this also
-// proves templates are data-race-free across instances.
+// many goroutines — capturing and not, so both cached variants are
+// instantiated concurrently, beside reference engines compiling
+// privately — and checks every run reproduces the single-threaded
+// production run byte for byte. Run under -race this also proves
+// templates are data-race-free across instances.
 func TestConcurrentEngineInstantiation(t *testing.T) {
 	prog, err := Parse(diffPrograms[0].src)
 	if err != nil {
@@ -155,28 +166,18 @@ func TestConcurrentEngineInstantiation(t *testing.T) {
 		ctr       rete.Counters
 		stats     RunStats
 	}
-	ref := map[bool]obs{}
-	for _, naive := range []bool{false, true} {
-		opts := []Option{}
-		if naive {
-			opts = append(opts, WithNaiveMatch())
-		}
-		trace, wm, ctr, stats := runDiffOn(t, prog, opts...)
-		ref[naive] = obs{trace, wm, ctr, stats}
-	}
+	trace, wm, ctr, stats := runDiffOn(t, func(opts ...Option) (*Engine, error) { return NewEngine(prog, opts...) })
+	want := obs{trace, wm, ctr, stats}
+	variants := [][]Option{nil, {WithCapture()}, {WithReference()}}
 
 	const goroutines = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
-		naive := g%2 == 1
+		opts := variants[g%len(variants)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opts := []Option{}
-			if naive {
-				opts = append(opts, WithNaiveMatch())
-			}
 			var trace bytes.Buffer
 			e, err := NewEngine(prog, append(opts, WithTrace(&trace))...)
 			if err != nil {
@@ -206,10 +207,9 @@ func TestConcurrentEngineInstantiation(t *testing.T) {
 			}
 			var dump bytes.Buffer
 			e.DumpWM(&dump)
-			want := ref[naive]
 			if trace.String() != want.trace || dump.String() != want.wm ||
 				e.MatchCounters() != want.ctr || e.Stats() != want.stats {
-				errs <- fmt.Errorf("naive=%v: concurrent run diverged from reference", naive)
+				errs <- fmt.Errorf("options %d: concurrent run diverged from the single-threaded one", g%len(variants))
 			}
 		}()
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // Engine-level differential oracle: the same program and working
-// memory run under the indexed (default) and naive (WithNaiveMatch)
-// matchers must produce the identical firing trace, identical final
-// working memory, and byte-identical match counters.
+// memory run on the production engine and on the reference
+// (WithReference: a private compile whose network sweeps) must produce
+// the identical firing trace, identical final working memory, and
+// byte-identical match counters.
 
 // diffPrograms are join- and negation-heavy programs whose conflict
 // sets are contested enough that any activation-order divergence
@@ -77,11 +78,11 @@ func seedDiffWM(t *testing.T, e *Engine) {
 	}
 }
 
-func runDiff(t *testing.T, src string, naive bool) (string, string, rete.Counters, RunStats) {
+func runDiff(t *testing.T, src string, reference bool) (string, string, rete.Counters, RunStats) {
 	t.Helper()
 	opts := []Option{}
-	if naive {
-		opts = append(opts, WithNaiveMatch())
+	if reference {
+		opts = append(opts, WithReference())
 	}
 	var trace bytes.Buffer
 	opts = append(opts, WithTrace(&trace))
@@ -101,16 +102,16 @@ func TestEngineDifferentialIndexedVsNaive(t *testing.T) {
 			iTrace, iWM, iCtr, iStats := runDiff(t, tc.src, false)
 			nTrace, nWM, nCtr, nStats := runDiff(t, tc.src, true)
 			if iTrace != nTrace {
-				t.Errorf("firing traces differ:\nindexed:\n%s\nnaive:\n%s", iTrace, nTrace)
+				t.Errorf("firing traces differ:\nproduction:\n%s\nreference:\n%s", iTrace, nTrace)
 			}
 			if iWM != nWM {
-				t.Errorf("final working memories differ:\nindexed:\n%s\nnaive:\n%s", iWM, nWM)
+				t.Errorf("final working memories differ:\nproduction:\n%s\nreference:\n%s", iWM, nWM)
 			}
 			if iCtr != nCtr {
-				t.Errorf("match counters differ:\nindexed: %+v\nnaive:   %+v", iCtr, nCtr)
+				t.Errorf("match counters differ:\nproduction: %+v\nreference:  %+v", iCtr, nCtr)
 			}
 			if iStats != nStats {
-				t.Errorf("run stats differ:\nindexed: %+v\nnaive:   %+v", iStats, nStats)
+				t.Errorf("run stats differ:\nproduction: %+v\nreference:  %+v", iStats, nStats)
 			}
 			if iTrace == "" {
 				t.Fatal("trace empty: program did not fire")

@@ -13,17 +13,19 @@ import (
 )
 
 // The dispatch oracle: rule sets generated as OPS5 source, compiled
-// into an indexed template — whose Add dispatches a WME on the constant
-// tests compileProduction hands the network as data — and into the naive
-// template, whose Add sweeps every alpha memory of the class. Driven
-// with the same working-memory changes the two must agree on Counters
-// after every change, on the conflict set's contents and on the order
-// its instantiations were activated in; with capture on (both sweep)
-// also on the activation forests.
+// into the production template — whose Add dispatches a WME on the
+// constant tests compileProduction hands the network as data — and into
+// a swept one (compiled without them), whose Add offers the WME to every
+// alpha memory of the class. Driven with the same working-memory
+// changes the two must agree on Counters after every change, on the
+// conflict set's contents and on the order its instantiations were
+// activated in; with capture on, where a dispatching network still
+// records every memory's activation, also on the activation forests.
 //
 // It is the mutation check for both layers: keying a memory on a <>
-// test in compileProduction, or walking a class's candidates out of
-// memory order in rete.Network.Add, turns it red.
+// test in compileProduction, walking a class's candidates out of memory
+// order in rete.Network.Add, or emitting a rejected memory's activation
+// out of class order there under capture, turns it red.
 
 // nilConst stands for the nil constant in generated source; the parser
 // has no literal for it, so dispatchProgram rewrites the symbol.
@@ -302,19 +304,48 @@ func sameDispatchRun(t testing.TB, what string, want, got *dispatchRun) {
 	}
 }
 
-// compileBoth compiles a program for the indexed (dispatching) and the
-// naive (sweeping) matcher; the two must fail together or not at all.
-func compileBoth(t testing.TB, prog *Program, capture bool) (indexed, naive *CompiledProgram) {
+// compileBoth compiles a program for the dispatching and the sweeping
+// matcher; the two must fail together or not at all.
+func compileBoth(t testing.TB, prog *Program, capture bool) (dispatched, swept *CompiledProgram) {
 	t.Helper()
-	indexed, ierr := compileVariant(prog, false, capture)
-	naive, nerr := compileVariant(prog, true, capture)
-	if (ierr == nil) != (nerr == nil) {
-		t.Fatalf("the indexed compile says %v and the naive one %v", ierr, nerr)
+	dispatched, derr := compileVariant(prog, false, capture)
+	swept, serr := compileVariant(prog, true, capture)
+	if (derr == nil) != (serr == nil) {
+		t.Fatalf("the dispatching compile says %v and the sweeping one %v", derr, serr)
 	}
-	if ierr != nil {
+	if derr != nil {
 		return nil, nil
 	}
-	return indexed, naive
+	return dispatched, swept
+}
+
+// sameDispatchRuns replays a script through both compiles of a program,
+// capture off and on, and requires the two matchers to agree each time;
+// the captured runs must also agree with the uncaptured ones on
+// everything but the forests. It returns the swept capture-off run, or
+// nil when the program does not compile.
+func sameDispatchRuns(t testing.TB, what func(string) string, prog *Program, script []wmChange) *dispatchRun {
+	t.Helper()
+	var plain *dispatchRun
+	for _, capture := range []bool{false, true} {
+		dispatched, swept := compileBoth(t, prog, capture)
+		if dispatched == nil {
+			return nil
+		}
+		want := replayDispatch(t, swept, script, capture)
+		leg := "dispatched vs swept"
+		if capture {
+			leg = "captured, dispatched vs swept"
+		}
+		sameDispatchRun(t, what(leg), want, replayDispatch(t, dispatched, script, capture))
+		if !capture {
+			plain = want
+			continue
+		}
+		want.forests = plain.forests
+		sameDispatchRun(t, what("captured vs not"), want, plain)
+	}
+	return plain
 }
 
 func TestDifferentialDispatchVsSweep(t *testing.T) {
@@ -326,22 +357,10 @@ func TestDifferentialDispatchVsSweep(t *testing.T) {
 		prog := dispatchProgram(t, src)
 		what := func(s string) string { return fmt.Sprintf("seed %d, %s\n%s", seed, s, src) }
 
-		indexed, naive := compileBoth(t, prog, false)
-		if indexed == nil {
+		swept := sameDispatchRuns(t, what, prog, script)
+		if swept == nil {
 			t.Fatalf("seed %d: generated source does not compile\n%s", seed, src)
 		}
-		swept := replayDispatch(t, naive, script, false)
-		sameDispatchRun(t, what("dispatched vs swept"), swept, replayDispatch(t, indexed, script, false))
-
-		// With capture on both templates sweep, one activation a memory:
-		// the forests must agree, and everything else must be what the
-		// capture-off runs saw.
-		indexedCap, naiveCap := compileBoth(t, prog, true)
-		sweptCap := replayDispatch(t, naiveCap, script, true)
-		sameDispatchRun(t, what("captured, indexed vs naive"), sweptCap, replayDispatch(t, indexedCap, script, true))
-		sweptCap.forests = swept.forests
-		sameDispatchRun(t, what("captured vs not"), sweptCap, swept)
-
 		matched += len(swept.events) - len(script)
 	}
 	if matched < 1000 {
@@ -352,7 +371,8 @@ func TestDifferentialDispatchVsSweep(t *testing.T) {
 // FuzzCompileDispatch: any source the parser accepts compiles without a
 // panic, for both matchers alike, and for working memories synthesized
 // from the source's own constants the dispatching and the sweeping
-// network agree on every counter and every conflict-set event.
+// network agree on every counter and every conflict-set event, and,
+// capturing, on every activation forest.
 func FuzzCompileDispatch(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(strings.ReplaceAll(genDispatchSource(rand.New(rand.NewSource(seed))), nilConst, "none"))
@@ -375,12 +395,7 @@ func FuzzCompileDispatch(f *testing.F) {
 				return // three-way cross products are as far as a fuzz run should go
 			}
 		}
-		indexed, naive := compileBoth(t, prog, false)
-		if indexed == nil {
-			return
-		}
-		script := synthesizeScript(prog)
-		sameDispatchRun(t, "dispatched vs swept", replayDispatch(t, naive, script, false), replayDispatch(t, indexed, script, false))
+		sameDispatchRuns(t, func(s string) string { return s }, prog, synthesizeScript(prog))
 	})
 }
 

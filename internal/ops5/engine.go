@@ -147,18 +147,14 @@ func WithCapture() Option { return func(e *Engine) { e.capture = true } }
 // logged as it happens.
 func WithTrace(w io.Writer) Option { return func(e *Engine) { e.trace = w } }
 
-// WithNaiveMatch disables the Rete network's constant-test dispatch, so
-// every working-memory change sweeps every alpha memory of its class.
-// This is the reference matcher the differential oracle compares
-// against (the dispatched matcher must reproduce its Counters and
-// firing sequence byte-for-byte).
-func WithNaiveMatch() Option { return func(e *Engine) { e.naiveMatch = true } }
-
-// WithFreshCompile forces NewEngine to compile the program privately,
-// bypassing the Program's compiled-variant cache. The template/instance
-// differential oracle uses it to compare fresh-compiled engines against
-// template-instantiated ones.
-func WithFreshCompile() Option { return func(e *Engine) { e.freshCompile = true } }
+// WithReference builds the engine the differential oracles hold the
+// production engine to: the program compiled privately for this engine,
+// bypassing the Program's compiled-variant cache, with every pattern's
+// constant tests withheld from the network (rete.Pattern.Consts), so
+// each working-memory change sweeps every alpha memory of its class
+// instead of being dispatched. Same firings, Counters and activation
+// forests, only slower. Nothing in production sets it.
+func WithReference() Option { return func(e *Engine) { e.reference = true } }
 
 // WithScratch makes the engine borrow its match state from the task
 // worker's arena s until Engine.Settle gives it back; with a nil s the
@@ -171,19 +167,18 @@ func WithScratch(s *Scratch) Option { return func(e *Engine) { e.scratch = s } }
 // are deliberately self-contained — the SPAM/PSM task processes each
 // own a full engine (working-memory distribution).
 type Engine struct {
-	prog         *Program
-	classes      *wm.Classes
-	mem          *wm.Memory
-	net          *rete.Network
-	cs           *conflictSet
-	strategy     Strategy
-	compiled     map[string]*compiledProd
-	externals    map[string]ExternalFn
-	out          io.Writer
-	trace        io.Writer
-	capture      bool
-	naiveMatch   bool
-	freshCompile bool
+	prog      *Program
+	classes   *wm.Classes
+	mem       *wm.Memory
+	net       *rete.Network
+	cs        *conflictSet
+	strategy  Strategy
+	compiled  map[string]*compiledProd
+	externals map[string]ExternalFn
+	out       io.Writer
+	trace     io.Writer
+	capture   bool
+	reference bool
 	// scratch is the worker arena the network borrows from at
 	// construction; consumed (and cleared) by finish.
 	scratch *Scratch
@@ -204,10 +199,9 @@ type Engine struct {
 
 // NewEngine returns a ready engine over the program. The compilation
 // (production lowering and Rete template construction) is memoized on
-// the Program per (naive-match, capture) variant: the first engine of
-// a variant pays the full compile, every later one is O(nodes)
-// instantiation of the shared template. WithFreshCompile bypasses the
-// cache.
+// the Program per capture variant: the first engine of a variant pays
+// the full compile, every later one is O(nodes) instantiation of the
+// shared template. WithReference compiles privately instead.
 func NewEngine(prog *Program, opts ...Option) (*Engine, error) {
 	e := newEngineShell(prog)
 	for _, opt := range opts {
@@ -215,10 +209,10 @@ func NewEngine(prog *Program, opts ...Option) (*Engine, error) {
 	}
 	var cp *CompiledProgram
 	var err error
-	if e.freshCompile {
-		cp, err = compileVariant(prog, e.naiveMatch, e.capture)
+	if e.reference {
+		cp, err = compileVariant(prog, true, e.capture)
 	} else {
-		cp, err = prog.compiledVariant(e.naiveMatch, e.capture)
+		cp, err = prog.compiledVariant(e.capture)
 	}
 	if err != nil {
 		return nil, err
@@ -290,14 +284,9 @@ func (e *Engine) syncMem() {
 
 // MatchCounters returns the Rete network's aggregate match counters
 // (simulated instruction accounting). The differential oracle asserts
-// these are byte-identical between the dispatched and naive matchers.
+// these are byte-identical between the production and reference
+// (WithReference) engines.
 func (e *Engine) MatchCounters() rete.Counters { return e.net.Totals() }
-
-// DispatchedMatch reports whether the engine's network dispatches a
-// working-memory change on its constant tests (the default) or sweeps,
-// as WithNaiveMatch selects: the two are observably identical, so
-// nothing else can tell which matcher an engine was built with.
-func (e *Engine) DispatchedMatch() bool { return e.net.Template().Dispatching() }
 
 // Memory exposes the working memory (for result extraction). A settled
 // engine that borrowed its worker's arena has given its WMEs back: its

@@ -116,8 +116,8 @@ func statesEqual(t *testing.T, label string, ref, got engineState) {
 }
 
 // TestDifferentialAssertBatchVsAssert loads the same seed set by
-// per-row Assert and by AssertBatch, under the indexed matcher (whose
-// Add dispatches on constant tests) and the naive one (whose Add
+// per-row Assert and by AssertBatch, on the production engine (whose
+// Add dispatches on constant tests) and the reference one (whose Add
 // sweeps), then runs each engine to quiescence. All must agree on WM,
 // conflict set, counters, Init, firing trace and run statistics.
 func TestDifferentialAssertBatchVsAssert(t *testing.T) {
@@ -136,7 +136,7 @@ func TestDifferentialAssertBatchVsAssert(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch name {
-				case "assert", "assert-naive":
+				case "assert", "assert-reference":
 					for _, r := range rows {
 						if _, err := e.Assert(r.class, r.sets); err != nil {
 							t.Fatal(err)
@@ -164,8 +164,8 @@ func TestDifferentialAssertBatchVsAssert(t *testing.T) {
 				opts []Option
 			}{
 				{"batched", nil},
-				{"batched-naive", []Option{WithNaiveMatch()}},
-				{"assert-naive", []Option{WithNaiveMatch()}},
+				{"batched-reference", []Option{WithReference()}},
+				{"assert-reference", []Option{WithReference()}},
 			} {
 				e, trace, got := load(variant.name, variant.opts...)
 				statesEqual(t, variant.name, ref, got)

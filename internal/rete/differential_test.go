@@ -10,8 +10,10 @@ import (
 )
 
 // The differential oracle: every scenario is run through a template
-// with constant-test dispatch (the default) and one without
-// (SetDispatching(false)), and the two must agree byte-for-byte on
+// whose patterns carry their Consts, so Add dispatches, and through one
+// compiled from the same patterns without them (swept), so Add offers
+// every WME to every memory of its class, and the two must agree
+// byte-for-byte on
 //
 //   - the conflict-set event sequence (activation/deactivation order,
 //     production, and WME timetags of every instantiation),
@@ -21,10 +23,8 @@ import (
 //
 // This is the invariant that keeps the paper's calibrated cost curves
 // valid: a faster matcher changes wall-clock, never accounting. replay
-// captures, and a capturing network sweeps whichever template it
-// instantiates, so here the switch must be inert;
-// TestDifferentialDispatchedVsSweptScripts (dispatch_test.go) replays
-// the same scripts with capture off, where it is not.
+// captures; TestDifferentialDispatchedVsSweptScripts (dispatch_test.go)
+// replays the same scripts with capture off.
 
 // seqRecorder is an agenda that logs conflict-set events in order,
 // identifying instantiations by production name and WME timetags so
@@ -117,6 +117,27 @@ type diffRun struct {
 	forests  string
 }
 
+// swept returns the patterns without their Consts. A template compiled
+// from them dispatches no class: every Add sweeps, which is the
+// reference matcher.
+func swept(pats []Pattern) []Pattern {
+	out := make([]Pattern, len(pats))
+	for i, p := range pats {
+		p.Consts = nil
+		out[i] = p
+	}
+	return out
+}
+
+// patterns returns a production's patterns as the dispatched or the
+// swept template compiles them.
+func patterns(pats []Pattern, dispatched bool) []Pattern {
+	if dispatched {
+		return pats
+	}
+	return swept(pats)
+}
+
 // replay runs the script on a fresh owned network (New +
 // AddProduction). Each step is one batch so captured forests line up
 // step-for-step.
@@ -124,9 +145,8 @@ func (s *diffScript) replay(t *testing.T, dispatched bool) *diffRun {
 	t.Helper()
 	rec := &seqRecorder{}
 	net := New(rec)
-	net.Template().SetDispatching(dispatched)
 	for pi, pats := range s.prods {
-		if _, err := net.AddProduction(fmt.Sprintf("p%d", pi), pats, nil); err != nil {
+		if _, err := net.AddProduction(fmt.Sprintf("p%d", pi), patterns(pats, dispatched), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,9 +157,8 @@ func (s *diffScript) replay(t *testing.T, dispatched bool) *diffRun {
 func (s *diffScript) template(t *testing.T, dispatched bool) *Template {
 	t.Helper()
 	tmpl := NewTemplate()
-	tmpl.SetDispatching(dispatched)
 	for pi, pats := range s.prods {
-		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", pi), pats, nil); err != nil {
+		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", pi), patterns(pats, dispatched), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,9 +172,7 @@ func (s *diffScript) replayOn(t *testing.T, net *Network, rec *seqRecorder) *dif
 	return s.run(t, net, rec, true)
 }
 
-// run is replayOn with capture on or off. Off is the production
-// setting, and the only one under which Add dispatches a WME on its
-// class's constant tests instead of sweeping them (dispatch.go).
+// run is replayOn with capture on or off.
 func (s *diffScript) run(t *testing.T, net *Network, rec *seqRecorder, capture bool) *diffRun {
 	t.Helper()
 	net.SetCapture(capture)
@@ -230,15 +247,15 @@ func diffRunsEqual(t *testing.T, seed uint64, a, b *diffRun, aName, bName string
 }
 
 // TestDifferentialIndexedVsNaive replays randomized scenarios through
-// the default and the naive (dispatch off) template, capturing, and
+// the dispatched and the swept (no Consts) template, capturing, and
 // requires identical conflict-set event sequences, byte-identical
 // Counters after every step, and identical captured activation forests.
 func TestDifferentialIndexedVsNaive(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		s := genScript(seed)
 		dispatched := s.replay(t, true)
-		naive := s.replay(t, false)
-		diffRunsEqual(t, seed, dispatched, naive, "default", "naive")
+		swept := s.replay(t, false)
+		diffRunsEqual(t, seed, dispatched, swept, "dispatched", "swept")
 	}
 }
 
@@ -255,11 +272,39 @@ func TestDeterministicActivationForests(t *testing.T) {
 	}
 }
 
-// TestIndexedIsDefault pins the default matcher mode: constant-test
-// dispatch must be on unless explicitly disabled.
+// TestIndexedIsDefault pins that dispatch is not a mode: a network
+// dispatches every class whose patterns declare Consts, capturing or
+// not, so a WME whose value no memory is keyed on runs no filter — and
+// is still charged the memory's activation, which a capturing network
+// records.
 func TestIndexedIsDefault(t *testing.T) {
-	n := New(&seqRecorder{})
-	if !n.Template().Dispatching() {
-		t.Fatal("constant-test dispatch must be the default")
+	for _, capture := range []bool{false, true} {
+		n := New(&seqRecorder{})
+		n.SetCapture(capture)
+		pat := eqPattern("k", 0, symtab.Int(1))
+		filter, calls := pat.Filter, 0
+		pat.Filter = func(w *wm.WME) bool { calls++; return filter(w) }
+		if _, err := n.AddProduction("p", []Pattern{pat}, nil); err != nil {
+			t.Fatal(err)
+		}
+		cs := wm.NewClasses()
+		if _, err := cs.Declare("k", "a"); err != nil {
+			t.Fatal(err)
+		}
+		w, err := wm.NewMemory(cs).Make("k", map[string]symtab.Value{"a": symtab.Int(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.StartBatch()
+		n.Add(w)
+		if calls != 0 {
+			t.Errorf("capture=%v: a WME no memory is keyed on ran %d filters", capture, calls)
+		}
+		if c := n.Totals(); c.Activations != 1 || c.ConstTests != 1 {
+			t.Errorf("capture=%v: counters %+v, want the one memory's activation and constant test", capture, c)
+		}
+		if forest := n.TakeBatch(); capture != (len(forest) == 1) {
+			t.Errorf("capture=%v: %d root activations", capture, len(forest))
+		}
 	}
 }

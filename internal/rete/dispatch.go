@@ -27,10 +27,16 @@
 //     collision (see indexKey) only adds a candidate, which its own
 //     filter then rejects.
 //
-// Capture needs one Activation per memory, so a capturing network
-// sweeps; a template with dispatch off (SetDispatching(false)) builds no
-// dispatch at all, which makes dispatched ≡ swept the oracle for this
-// file (dispatch_test.go).
+// A capturing network dispatches too. It walks the class's memories in
+// order beside the candidate list and emits every memory's activation,
+// {actLabel, CostAlphaScan + filterCost}; a non-candidate's closes
+// without its filter running, which is exactly what a rejecting filter
+// leaves in a sweep, so captured forests are byte-identical as well.
+//
+// A class none of whose patterns declares Consts gets no dispatch and
+// is swept. That makes a template compiled without Consts the reference
+// this file is held to: dispatched ≡ swept, capture on and off
+// (dispatch_test.go, and internal/ops5's generated rule sets).
 package rete
 
 import (

@@ -33,15 +33,15 @@ func eqPattern(class string, attr int, vals ...symtab.Value) Pattern {
 // memories with no equality constant on it are the residual, a
 // candidate list is the keyed memories merged with the residual in
 // class memory order, values that are Equal share one key, and neither
-// a class without constants nor a naive template gets a dispatch.
+// a class without constants nor a template compiled without Consts
+// gets a dispatch.
 func TestDispatchTableShape(t *testing.T) {
 	sym, num := symtab.Sym, symtab.Int
-	build := func(dispatching bool) *Template {
+	build := func(dispatched bool) *Template {
 		tmpl := NewTemplate()
-		tmpl.SetDispatching(dispatching)
 		add := func(name string, pat Pattern) {
 			t.Helper()
-			if _, err := tmpl.AddProduction(name, []Pattern{pat}, nil); err != nil {
+			if _, err := tmpl.AddProduction(name, patterns([]Pattern{pat}, dispatched), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,17 +111,17 @@ func TestDispatchTableShape(t *testing.T) {
 	}
 	for class, cn := range build(false).byClass {
 		if cn.dispatch != nil {
-			t.Errorf("the naive template dispatches class %s", class)
+			t.Errorf("the template compiled without Consts dispatches class %s", class)
 		}
 	}
 }
 
 // TestDifferentialDispatchedVsSweptScripts replays the package's
 // generated scripts with capture off — the production setting — on a
-// default template, whose Add dispatches, and on the naive one, whose
-// Add sweeps: same conflict-set events in the same order, same Counters
-// after every step. (Every other differential test of the package
-// captures, and a capturing network sweeps.) The generated rule sets of
+// template whose Add dispatches and on one compiled without Consts,
+// whose Add sweeps: same conflict-set events in the same order, same
+// Counters after every step. (TestDifferentialIndexedVsNaive is the
+// same comparison capturing.) The generated rule sets of
 // internal/ops5's dispatch oracle cover the constant-test forms.
 func TestDifferentialDispatchedVsSweptScripts(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
@@ -172,7 +172,6 @@ func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memor
 		b.Fatal(err)
 	}
 	tmpl := NewTemplate()
-	tmpl.SetDispatching(dispatched)
 	symT := symtab.Sym("t")
 	for i := 0; i < n; i++ {
 		c := symtab.Sym(fmt.Sprintf("c%d", i))
@@ -185,7 +184,7 @@ func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memor
 			FilterCost: 2 * CostAlphaFilterTerm,
 			Consts:     map[int][]symtab.Value{1: {c}, 3: {symT}},
 		}
-		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", i), []Pattern{pat}, nil); err != nil {
+		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", i), patterns([]Pattern{pat}, dispatched), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,18 +195,21 @@ func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memor
 
 // BenchmarkAddDispatch is the constant-test half of a working-memory
 // change on its own: one Add and one Remove of a check WME that a
-// single memory of the class accepts, swept (the naive template) and
-// dispatched, for a class of 60 memories — SPAM's check — and for one
-// of 3, the size at which a sweep is three closure calls against the
-// dispatch's one map lookup.
+// single memory of the class accepts, swept (compiled without Consts)
+// and dispatched, for a class of 60 memories — SPAM's check — and for
+// one of 3, the size at which a sweep is three closure calls against
+// the dispatch's one map lookup; and dispatched on a capturing network,
+// which still records one activation a memory but runs one filter
+// (sweep-capture is the same sweep, capturing).
 func BenchmarkAddDispatch(b *testing.B) {
 	for _, n := range []int{60, 3} {
 		for _, mode := range []struct {
-			name       string
-			dispatched bool
-		}{{"sweep", false}, {"dispatch", true}} {
+			name                string
+			dispatched, capture bool
+		}{{"sweep", false, false}, {"dispatch", true, false}, {"sweep-capture", false, true}, {"capture", true, true}} {
 			b.Run(fmt.Sprintf("mems=%d/%s", n, mode.name), func(b *testing.B) {
 				net, mem := checkShapedClass(b, n, mode.dispatched)
+				net.SetCapture(mode.capture)
 				vals := []symtab.Value{symtab.Int(1), symtab.Sym(fmt.Sprintf("c%d", n/2)), symtab.Int(2), symtab.Sym("t")}
 				b.ReportAllocs()
 				b.ResetTimer()

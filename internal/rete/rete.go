@@ -115,7 +115,9 @@ type Pattern struct {
 	// attribute slot listed, a value symtab.Value.Equal to one of the
 	// slot's constants. The template dispatches a WME change on them
 	// (dispatch.go); leaving a conjunct out only loses the speed-up,
-	// listing one Filter does not enforce loses matches.
+	// listing one Filter does not enforce loses matches. A class none of
+	// whose patterns declares Consts is swept: the reference matcher is
+	// the same patterns without them.
 	Consts map[int][]symtab.Value
 	// Tests are the inter-element variable consistency tests.
 	Tests []JoinTest
@@ -609,14 +611,13 @@ type classNodes struct {
 // first instantiation it is frozen and safe for concurrent
 // instantiation from multiple goroutines.
 type Template struct {
-	amems       map[string]*alphaMem
-	byClass     map[string]*classNodes
-	alphas      []*alphaMem // in id order
-	nStores     int         // token stores, numbered by sid
-	dummyTop    *betaMemory
-	prods       []*PNode
-	dispatching bool
-	frozen      bool
+	amems    map[string]*alphaMem
+	byClass  map[string]*classNodes
+	alphas   []*alphaMem // in id order
+	nStores  int         // token stores, numbered by sid
+	dummyTop *betaMemory
+	prods    []*PNode
+	frozen   bool
 	// byDef is byClass keyed by the definitions of the registry the
 	// template was bound to (BindClasses).
 	byDef map[*wm.ClassDef]*classNodes
@@ -644,13 +645,11 @@ func (t *Template) nodesOf(c *wm.ClassDef) *classNodes {
 	return t.byClass[c.Name]
 }
 
-// NewTemplate returns an empty template with constant-test dispatch
-// enabled.
+// NewTemplate returns an empty template.
 func NewTemplate() *Template {
 	t := &Template{
-		amems:       map[string]*alphaMem{},
-		byClass:     map[string]*classNodes{},
-		dispatching: true,
+		amems:   map[string]*alphaMem{},
+		byClass: map[string]*classNodes{},
 	}
 	t.dummyTop = &betaMemory{label: "top"}
 	t.registerStore(&t.dummyTop.storeT)
@@ -662,17 +661,6 @@ func (t *Template) registerStore(s *storeT) {
 	s.sid = t.nStores
 	t.nStores++
 }
-
-// SetDispatching enables or disables constant-test dispatch
-// (dispatch.go); it must be called before Freeze. With dispatch off,
-// Add sweeps every alpha memory of a WME's class: the reference
-// matcher, which the differential oracle runs every scenario through
-// beside the dispatched one, requiring byte-identical Counters and
-// firing sequences.
-func (t *Template) SetDispatching(on bool) { t.dispatching = on }
-
-// Dispatching reports whether constant-test dispatch is enabled.
-func (t *Template) Dispatching() bool { return t.dispatching }
 
 // NumAlphaMems returns the number of distinct alpha memories, which is
 // less than the number of condition elements when patterns share
@@ -814,10 +802,8 @@ func (t *Template) Freeze() {
 	if t.frozen {
 		return
 	}
-	if t.dispatching {
-		for _, cn := range t.byClass {
-			cn.dispatch = newClassDispatch(cn.mems)
-		}
+	for _, cn := range t.byClass {
+		cn.dispatch = newClassDispatch(cn.mems)
 	}
 	t.frozen = true
 }
@@ -1119,11 +1105,14 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 // later element's memory and the later memory's own right activation
 // would pair it a second time, duplicating instantiations.
 //
-// Which memories see the WME has two forms. The sweep offers it to
-// every memory of its class, one activation each: what a capturing
-// network and a template with dispatch off do. Otherwise the class's dispatch
-// (dispatch.go) names the memories the WME's value can reach, in the
-// same order, and charges the whole sweep in one step.
+// The candidates are the memories of the WME's class that can accept
+// it: every memory, for a class no pattern declares Consts of (the
+// sweep), else the memories the class's dispatch (dispatch.go) names
+// for the WME's value, in class order. Only candidates run their
+// filters. Every memory of the class is still charged one activation
+// and one constant test: a capturing network emits each in class order,
+// a non-candidate's exactly as its failing filter would have left it;
+// otherwise the whole charge is one step.
 func (n *Network) Add(w *wm.WME) {
 	if !n.tmpl.frozen {
 		n.tmpl.Freeze() // an owned network's template, at its first WME
@@ -1132,22 +1121,33 @@ func (n *Network) Add(w *wm.WME) {
 	if cn == nil {
 		return
 	}
-	mems, swept := cn.mems, true
-	if d := cn.dispatch; d != nil && !n.capturing {
+	cands := cn.mems
+	walk := true // every memory of the class, one activation each
+	if d := cn.dispatch; d != nil {
 		var keyed bool
-		if mems, keyed = d.byKey[keyOf(w.GetAt(d.attr))]; !keyed {
-			mems = d.residual // no memory is keyed on w's value
+		if cands, keyed = d.byKey[keyOf(w.GetAt(d.attr))]; !keyed {
+			cands = d.residual // no memory is keyed on w's value
 		}
-		swept = false
-		n.totals.Activations += len(cn.mems)
-		n.totals.ConstTests += len(cn.mems)
-		n.totals.Cost += d.sweepCost
+		if walk = n.capturing; !walk {
+			n.totals.Activations += len(cn.mems)
+			n.totals.ConstTests += len(cn.mems)
+			n.totals.Cost += d.sweepCost
+		}
+	}
+	mems := cands
+	if walk {
+		mems = cn.mems
 	}
 	for _, am := range mems {
-		if swept {
+		if walk {
 			n.beginBase(am.actLabel, CostAlphaScan)
 			n.charge(am.filterCost)
 			n.totals.ConstTests++
+			if len(cands) == 0 || cands[0] != am {
+				n.end() // not a candidate: its filter would reject w
+				continue
+			}
+			cands = cands[1:]
 		}
 		ok := am.filter == nil || am.filter(w)
 		if ok {

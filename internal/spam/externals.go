@@ -74,8 +74,8 @@ type RegionStore struct {
 	// (region, region, relation, eps) tests; the memo serves repeats
 	// from one evaluation while geoCost is still charged per call, so
 	// Counters and firing sequences are unchanged. Same lock
-	// discipline as the fragment-seed cache. A run whose build mode
-	// says ReferenceGeo never touches it (TestReference).
+	// discipline as the fragment-seed cache. A reference store never
+	// touches it (TestReference).
 	//
 	// The memo is bounded (geoCap entries, FIFO eviction) so a
 	// long-lived serving session cannot grow it forever, and entries
@@ -97,6 +97,14 @@ type RegionStore struct {
 
 	// epoch counts ApplyDelta calls (0 for a freshly built store).
 	epoch int
+
+	// reference makes the store the one the differential oracles hold
+	// production to: every engine built over it is the ops5 reference
+	// (loadEngine), and its geometry is exact and unmemoised — geo-test
+	// and session signatures ask TestReference, measurements are
+	// recomputed per region, and no partner grid is built. Only tests
+	// set it.
+	reference bool
 }
 
 // geoVal is one memoised predicate result, stamped with the epochs of
@@ -414,9 +422,7 @@ func boolSym(b bool) symtab.Value {
 //	(fa-predict-area <seed-region> <kind>)            -> candidate count
 //	(stereo-verify <region-a> <region-b>)             -> t | f
 //
-// refGeo binds geo-test to TestReference instead of Test: the choice is
-// the engine's, not the store's, because one cached store serves
-// concurrent runs under different build modes.
+// geo-test asks the store's evaluator (evaluate).
 //
 // Register is called from concurrent task builders on the pool's
 // workers. That is race-free by construction: each closure only
@@ -427,16 +433,17 @@ func boolSym(b bool) symtab.Value {
 // the spatial-predicate memo — are guarded by seedMu and geoMu (see
 // FragmentSeed and Test); the concurrent-build regression tests run
 // all LCC builders in parallel under -race to keep this audit honest.
-func (st *RegionStore) Register(e *ops5.Engine, refGeo bool) {
-	if refGeo {
-		e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
-			return geoTest(args, st.TestReference)
-		})
-	} else {
-		e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
-			return geoTest(args, st.Test)
-		})
-	}
+func (st *RegionStore) Register(e *ops5.Engine) {
+	e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
+		if len(args) != 4 {
+			return symtab.Nil, 0, fmt.Errorf("geo-test wants 4 args, got %d", len(args))
+		}
+		ok, cost, err := st.evaluate(args[0].SymVal(), int(args[1].IntVal()), int(args[2].IntVal()), args[3].FloatVal())
+		if err != nil {
+			return symtab.Nil, 0, err
+		}
+		return boolSym(ok), cost, nil
+	})
 	e.Register("rtf-verify", func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 1 {
 			return symtab.Nil, 0, fmt.Errorf("rtf-verify wants 1 arg")
@@ -495,16 +502,13 @@ func (st *RegionStore) Register(e *ops5.Engine, refGeo bool) {
 	})
 }
 
-// geoTest is the geo-test external over one of the store's evaluators.
-func geoTest(args []symtab.Value, test func(rel string, aID, bID int, eps float64) (bool, float64, error)) (symtab.Value, float64, error) {
-	if len(args) != 4 {
-		return symtab.Nil, 0, fmt.Errorf("geo-test wants 4 args, got %d", len(args))
+// evaluate is the store's spatial-predicate evaluator: Test, or
+// TestReference on a reference store.
+func (st *RegionStore) evaluate(rel string, aID, bID int, eps float64) (bool, float64, error) {
+	if st.reference {
+		return st.TestReference(rel, aID, bID, eps)
 	}
-	ok, cost, err := test(args[0].SymVal(), int(args[1].IntVal()), int(args[2].IntVal()), args[3].FloatVal())
-	if err != nil {
-		return symtab.Nil, 0, err
-	}
-	return boolSym(ok), cost, nil
+	return st.Test(rel, aID, bID, eps)
 }
 
 // PredictArea is fa-predict-area: the number of plausible sub-area
@@ -534,11 +538,11 @@ func Measurements(r *scene.Region) (area, elong, compact, intensity, texture flo
 
 // MeasurementsOf is Measurements served from the store's
 // derived-geometry cache — same values, no per-call recomputation of
-// area, elongation and compactness — unless the run is on the
-// reference geometry path.
-func (st *RegionStore) MeasurementsOf(r *scene.Region, refGeo bool) (area, elong, compact, intensity, texture float64) {
+// area, elongation and compactness — unless the store is a reference
+// store.
+func (st *RegionStore) MeasurementsOf(r *scene.Region) (area, elong, compact, intensity, texture float64) {
 	d := st.derived[r.ID]
-	if d == nil || refGeo {
+	if d == nil || st.reference {
 		return Measurements(r)
 	}
 	return quantize(r, d.Area, d.Elong, d.Compact)

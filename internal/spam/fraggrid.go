@@ -66,12 +66,11 @@ type LiveGridStats struct {
 }
 
 // newLiveGrid builds a grid over a fragment pool, or returns nil when
-// the scan path should be used instead (a run on the reference
-// geometry path, a pool too small to amortize the grid, or a
-// degenerate extent). A nil grid is valid: partnerQuery falls back to
-// NearbyFragments.
-func newLiveGrid(store *RegionStore, all []*Fragment, refGeo bool) *liveGrid {
-	if refGeo || len(all) < gridMinFragments {
+// the scan path should be used instead (a reference store, a pool too
+// small to amortize the grid, or a degenerate extent). A nil grid is
+// valid: partnerQuery falls back to NearbyFragments.
+func newLiveGrid(store *RegionStore, all []*Fragment) *liveGrid {
+	if store.reference || len(all) < gridMinFragments {
 		return nil
 	}
 	first := true

@@ -6,26 +6,11 @@ import (
 	"testing"
 
 	"spampsm/internal/scene"
-	"spampsm/internal/tlp"
 )
 
 // geoRels are all relations Test accepts.
 var geoRels = []string{RelIntersects, RelAdjacent, RelNear, RelParallel,
 	RelLeadsTo, RelContainedIn, RelAligned}
-
-// TestSPAMDifferentialGeoFastVsExact is the geometry differential
-// oracle: a complete four-phase interpretation must be observably
-// identical under the default fast path (squared-distance kernels,
-// decisive-bound predicates, derived-geometry cache, predicate memo,
-// grid partner index) and the reference path (exact Hypot kernels,
-// no caches, linear partner scans) — same firings, same simulated
-// instruction counts, same pairs, outcomes and model.
-func TestSPAMDifferentialGeoFastVsExact(t *testing.T) {
-	t.Parallel()
-	fast := interpretUnder(t, tlp.BuildMode{})
-	exact := interpretUnder(t, tlp.BuildMode{ReferenceGeo: true})
-	compareInterpretations(t, "fast", fast, "exact", exact)
-}
 
 // TestDifferentialGeoMemoVsDirect holds the memoized Test to the
 // reference evaluation for every relation over every region pair of a
@@ -88,7 +73,7 @@ func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 	}
 	reentry := append(append([]*Fragment(nil), frags...), extra...)
 	for _, pool := range [][]*Fragment{frags, reentry} {
-		g := newLiveGrid(st, pool, false)
+		g := newLiveGrid(st, pool)
 		if g == nil {
 			t.Fatal("grid not built")
 		}
@@ -115,9 +100,9 @@ func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 			}
 		}
 	}
-	// The reference geometry path must refuse to build a grid.
-	if newLiveGrid(st, frags, true) != nil {
-		t.Fatal("grid built on the reference geometry path")
+	// A reference store must refuse to build a grid.
+	if newLiveGrid(referenceOf(d).Store, frags) != nil {
+		t.Fatal("grid built on a reference store")
 	}
 }
 
@@ -294,7 +279,7 @@ func BenchmarkPartnerSearch(b *testing.B) {
 		_ = n
 	})
 	b.Run("grid", func(b *testing.B) {
-		ix := newLiveGrid(st, frags, false)
+		ix := newLiveGrid(st, frags)
 		if ix == nil {
 			b.Fatal("no grid")
 		}

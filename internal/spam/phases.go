@@ -27,6 +27,12 @@ type Dataset struct {
 	Scene *scene.Scene
 	Store *RegionStore
 	Progs *Programs
+
+	// capture makes every engine an interpretation of the dataset builds
+	// record its per-activation match forests. Only tests set it, on a
+	// copy sharing the store (the exported task builders take capture as
+	// an argument).
+	capture bool
 }
 
 // NewDataset generates an airport dataset.
@@ -196,10 +202,6 @@ type InterpretOptions struct {
 	// predictions hypothesize fragments on unclassified regions, which
 	// are then re-checked by the LCC rules.
 	ReEntry bool
-	// Build is how the run's task engines are built; the zero value is
-	// the production path (see tlp.BuildMode). It applies under any
-	// Runner: it travels in the tasks themselves.
-	Build tlp.BuildMode
 
 	// Runner, when non-nil, executes every phase's task queue instead
 	// of a private pool — the serving path, where all requests share
@@ -332,7 +334,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 			results, err = s.runSpecs(ctx, runner, specs)
 		} else {
 			prog := phaseDefs[specs[0].phase].prog(d.Progs)
-			results, err = runner.RunTasks(ctx, newTasks(prog, d.Store, specs, opt.Build))
+			results, err = runner.RunTasks(ctx, newTasks(prog, d.Store, specs, d.capture))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("spam: %s: %w", name, err)
@@ -371,7 +373,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	if s != nil {
 		grid = s.partnerGrid(in.Fragments)
 	}
-	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments, grid, opt.Build.ReferenceGeo))
+	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments, grid))
 	lcc, err := phase("LCC", lccUnitSpecs(name, units, opt.Level, false))
 	if err != nil {
 		return in, err
@@ -395,7 +397,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	if opt.ReEntry && len(in.Predictions) > 0 {
 		if extra := d.reEntryFragments(in); len(extra) > 0 {
 			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2, nil, opt.Build.ReferenceGeo))
+			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2, nil))
 			if specs := lccUnitSpecs(name, units, opt.Level, true); len(specs) > 0 {
 				re, err := phase("LCC re-entry", specs)
 				if err != nil {

@@ -14,7 +14,7 @@ import (
 // the regression test for the RegionStore.Register concurrency audit.
 func TestConcurrentLCCBuildSeedCache(t *testing.T) {
 	d := smallDC(t)
-	rtf := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 0, tlp.BuildMode{})
+	rtf := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 0, false)
 	rtfResults, err := tlp.RunSerial(rtf, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -24,14 +24,14 @@ func TestConcurrentLCCBuildSeedCache(t *testing.T) {
 		t.Fatal("RTF produced no fragments: concurrency test is vacuous")
 	}
 
-	refTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{})
+	refTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
 	refResults, err := tlp.RunSerial(refTasks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refPairs, refOuts := ExtractLCC(refResults)
 
-	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{})
+	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
 	results, err := (&tlp.Pool{Workers: 8}).Run(tasks)
 	if err != nil {
 		t.Fatal(err)

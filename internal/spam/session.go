@@ -128,8 +128,7 @@ func (g *taskSig) sumOf(class string) (uint64, bool) {
 type signer struct {
 	h       hash.Hash
 	buf     []byte
-	answers int  // folded into h for the task being signed
-	refGeo  bool // ask the reference evaluator, as the session's engines do
+	answers int // folded into h for the task being signed
 }
 
 // rowHashSeed keys the row hashes behind classSum. It is drawn per
@@ -248,9 +247,10 @@ func (r *UpdateReport) RerunReasons() []string {
 // NewSession opens a session over the dataset: the scene is cloned
 // (the dataset — often shared and pinned — is never mutated), the
 // store is private, and the knowledge base and compiled programs are
-// shared. Call Interpret once for the initial interpretation, then
-// Update per scene delta. The options are fixed for the session's
-// lifetime so the decomposition stays stable.
+// shared. The session builds its engines as the dataset's are built
+// (capturing, or on a reference store). Call Interpret once for the
+// initial interpretation, then Update per scene delta. The options are
+// fixed for the session's lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 	opt = opt.withDefaults()
 	if opt.Runner == nil {
@@ -258,11 +258,13 @@ func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 		// and throttle accounting span every update.
 		opt.Runner = newPoolRunner(opt)
 	}
+	own := NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs)
+	own.capture, own.Store.reference = ds.capture, ds.Store.reference
 	return &Session{
-		ds:    NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs),
+		ds:    own,
 		opt:   opt,
 		tasks: map[string]*sessTask{},
-		sig:   signer{h: sha256.New(), refGeo: opt.Build.ReferenceGeo},
+		sig:   signer{h: sha256.New()},
 	}
 }
 
@@ -331,7 +333,7 @@ func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *Upd
 // output and returns it (nil while the pool is too small for one).
 func (s *Session) partnerGrid(frags []*Fragment) *liveGrid {
 	if s.grid == nil {
-		s.grid = newLiveGrid(s.ds.Store, frags, s.opt.Build.ReferenceGeo)
+		s.grid = newLiveGrid(s.ds.Store, frags)
 	} else {
 		s.grid.refresh(frags)
 	}
@@ -383,7 +385,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 	var pending []int // spec index per submitted task
 	for i := range specs {
 		sp := &specs[i]
-		seeds, err := def.seeds(prog, store, sp, s.opt.Build.ReferenceGeo)
+		seeds, err := def.seeds(prog, store, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +416,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 			s.tasks[sp.key] = st
 		}
 		st.sig, st.res, st.live = sig, nil, true
-		tasks = append(tasks, newTask(prog, store, sp, s.opt.Build, seeds))
+		tasks = append(tasks, newTask(prog, store, sp, s.ds.capture, seeds))
 		pending = append(pending, i)
 	}
 	if len(tasks) == 0 {

@@ -48,6 +48,7 @@ func compareOutputs(t *testing.T, aName string, a *Interpretation, bName string,
 func fromScratch(t *testing.T, base *Dataset, s *scene.Scene, opt InterpretOptions) *Interpretation {
 	t.Helper()
 	d := NewDatasetWith(s.Clone(), base.KB, base.Progs)
+	d.capture = base.capture
 	in, err := d.Interpret(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,7 @@ func TestSessionDifferentialQueues(t *testing.T) {
 	}
 	idByFocal := func(frags []*Fragment) map[int]string {
 		ids := map[int]string{}
-		for _, task := range BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, tlp.BuildMode{}) {
+		for _, task := range BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false) {
 			var focal int
 			if _, err := fmt.Sscanf(task.Label, "LCC L3 object %d", &focal); err != nil {
 				t.Fatalf("label %q: %v", task.Label, err)
@@ -331,12 +332,13 @@ func TestSessionUpdateCostProportional(t *testing.T) {
 // adding them back.
 func TestSessionDifferentialPerTask(t *testing.T) {
 	for _, p := range []scene.Params{scene.SF, scene.DC, scene.MOFF} {
-		d, err := NewDataset(p.Scale(0.4))
+		base, err := NewDataset(p.Scale(0.4))
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := capturing(base)
 		ran := &recordingRunner{pool: tlp.Pool{Workers: 2}}
-		opt := InterpretOptions{ReEntry: true, Build: tlp.BuildMode{Capture: true}}
+		opt := InterpretOptions{ReEntry: true}
 		sopt := opt
 		sopt.Runner = ran
 		sess := NewSession(d, sopt)
@@ -424,7 +426,7 @@ func TestSessionRetainsNoEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unrelated := BuildRTFTasks(other.KB, other.Store, other.Progs.RTF, 3, tlp.BuildMode{})
+	unrelated := BuildRTFTasks(other.KB, other.Store, other.Progs.RTF, 3, false)
 	if len(unrelated) < 50 {
 		t.Fatalf("only %d unrelated tasks", len(unrelated))
 	}

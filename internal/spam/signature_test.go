@@ -85,7 +85,7 @@ func phaseIDs(ids []string, prefix string) []string {
 func lccAnswerTable(t *testing.T, kb *KB, st *RegionStore, frags []*Fragment) map[string][]string {
 	t.Helper()
 	table := map[string][]string{}
-	units := unitsWith(kb, frags, Level3, partnerQuery(st, frags, nil, false))
+	units := unitsWith(kb, frags, Level3, partnerQuery(st, frags, nil))
 	for _, sp := range lccUnitSpecs(st.Scene().Name, units, Level3, false) {
 		var lines []string
 		for _, u := range sp.units {
@@ -149,8 +149,8 @@ func movedStore(s *scene.Scene, r *scene.Region) *RegionStore {
 // sameRegionRow reports whether RTF is handed the same row for a region
 // in both stores and would be answered the same vertex count.
 func sameRegionRow(was, now *RegionStore, id int) bool {
-	a1, e1, c1, i1, t1 := was.MeasurementsOf(was.Get(id), false)
-	a2, e2, c2, i2, t2 := now.MeasurementsOf(now.Get(id), false)
+	a1, e1, c1, i1, t1 := was.MeasurementsOf(was.Get(id))
+	a2, e2, c2, i2, t2 := now.MeasurementsOf(now.Get(id))
 	return a1 == a2 && e1 == e2 && c1 == c2 && i1 == i2 && t1 == t2 && len(was.Get(id).Poly) == len(now.Get(id).Poly)
 }
 
@@ -180,8 +180,8 @@ func faSeedRegions(d *Dataset, in *Interpretation) map[string]int {
 // only then. Every update is also checked session ≡ from-scratch, per
 // task (sigHarness.update).
 func TestSessionSignatureSoundness(t *testing.T) {
-	d := smallDC(t)
-	opt := InterpretOptions{Build: tlp.BuildMode{Capture: true}}
+	d := capturing(smallDC(t))
+	opt := InterpretOptions{}
 	base, err := d.Interpret(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -250,8 +250,8 @@ func TestSessionSignatureSoundness(t *testing.T) {
 				cand := *r
 				cand.Poly = slices.Insert(slices.Clone(r.Poly), i+1, geom.Point{X: (p.X + q.X) / 2, Y: (p.Y + q.Y) / 2})
 				st := movedStore(d.Scene, &cand)
-				a1, e1, c1, _, _ := d.Store.MeasurementsOf(r, false)
-				a2, e2, c2, _, _ := st.MeasurementsOf(&cand, false)
+				a1, e1, c1, _, _ := d.Store.MeasurementsOf(r)
+				a2, e2, c2, _, _ := st.MeasurementsOf(&cand)
 				keys, flips, same := answerDiff(was, lccAnswerTable(t, d.KB, st, base.Fragments))
 				if same && flips == 0 && len(keys) > 0 && a1 == a2 && e1 == e2 && c1 == c2 {
 					moved, want = &cand, keys
@@ -450,7 +450,7 @@ func TestRTFBatchingSparseUnsortedIDs(t *testing.T) {
 	if members != len(s.Regions) {
 		t.Fatalf("%d regions batched, scene has %d", members, len(s.Regions))
 	}
-	h := newSigHarness(t, sparse, InterpretOptions{ReEntry: true, Build: tlp.BuildMode{Capture: true}})
+	h := newSigHarness(t, capturing(sparse), InterpretOptions{ReEntry: true})
 	gone := h.sess.Scene().Clone().Regions[3:6]
 	rep, _ := h.update(&scene.Delta{Removed: []int{gone[0].ID, gone[1].ID, gone[2].ID}})
 	if rep.Reused == 0 {

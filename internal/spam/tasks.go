@@ -51,31 +51,23 @@ func taskMemEst(wmes int) float64 {
 	return float64(wmes) * (wm.WMEBytes(8) + rete.TokenBytes)
 }
 
-// engineOpts translates a run's build mode into engine options.
-func engineOpts(mode tlp.BuildMode) []ops5.Option {
+// loadEngine builds one task's engine: instantiate the phase program —
+// capturing its match forests if asked, as the ops5 reference on a
+// reference store — register the store's externals, assert the seed
+// batch. With a worker's match arena s the engine borrows its match
+// state from it and the worker settles it when the task ends; with s
+// nil (a serial replay) the engine owns its memory. Every engine the
+// package builds — a one-shot task's, a session task's first run or
+// re-run, a cluster worker's rebuild of a shipped task — comes from
+// here, so they are the same engine by construction.
+func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
 	var opts []ops5.Option
-	if mode.Capture {
+	if capture {
 		opts = append(opts, ops5.WithCapture())
 	}
-	if mode.NaiveMatch {
-		opts = append(opts, ops5.WithNaiveMatch())
+	if store.reference {
+		opts = append(opts, ops5.WithReference())
 	}
-	if mode.FreshCompile {
-		opts = append(opts, ops5.WithFreshCompile())
-	}
-	return opts
-}
-
-// loadEngine builds one task's engine under the run's build mode:
-// instantiate the phase program, register the store's externals, assert
-// the seed batch. With a worker's match arena s the engine borrows its
-// match state from it and the worker settles it when the task ends;
-// with s nil (a serial replay) the engine owns its memory. Every engine
-// the package builds — a one-shot task's, a session task's first run
-// or re-run, a cluster worker's rebuild of a shipped task — comes from
-// here, so they are the same engine by construction.
-func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, mode tlp.BuildMode, s *ops5.Scratch) (*ops5.Engine, error) {
-	opts := engineOpts(mode)
 	if s != nil {
 		opts = append(opts, ops5.WithScratch(s))
 	}
@@ -83,7 +75,7 @@ func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, mode 
 	if err != nil {
 		return nil, err
 	}
-	store.Register(e, mode.ReferenceGeo)
+	store.Register(e)
 	if err := e.AssertBatch(seeds); err != nil {
 		return nil, err
 	}
@@ -93,8 +85,8 @@ func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, mode 
 // WireBuild resolves a shipped task description against this dataset:
 // it returns the engine builder a cluster worker runs in place of the
 // original Task.Build closure, loading the shipped seed batch into the
-// worker's own (identically generated) dataset through loadEngine,
-// under the build mode the spec carries.
+// worker's own (identically generated) dataset through loadEngine. A
+// worker never captures: a result frame carries no activation forest.
 func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.Engine, error), error) {
 	def, ok := phaseDefs[spec.Phase]
 	if !ok {
@@ -102,7 +94,7 @@ func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.En
 	}
 	prog, seeds := def.prog(d.Progs), spec.Seeds
 	return func(s *ops5.Scratch) (*ops5.Engine, error) {
-		return loadEngine(prog, d.Store, seeds, spec.Mode, s)
+		return loadEngine(prog, d.Store, seeds, false, s)
 	}, nil
 }
 
@@ -141,7 +133,7 @@ type taskSpec struct {
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
-	seeds   func(prog *ops5.Program, st *RegionStore, sp *taskSpec, refGeo bool) ([]ops5.Seed, error)
+	seeds   func(prog *ops5.Program, st *RegionStore, sp *taskSpec) ([]ops5.Seed, error)
 	answers func(*RegionStore, *taskSpec, *signer)
 }{
 	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfAnswers},
@@ -156,21 +148,21 @@ var phaseDefs = map[string]struct {
 // cluster coordinator — unless the caller hands over the set it
 // already assembled (a Session, for the signature diff): that is all a
 // session's task, first run or re-run, differs in.
-func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, mode tlp.BuildMode, seeds []ops5.Seed) *tlp.Task {
+func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, seeds []ops5.Seed) *tlp.Task {
 	def := phaseDefs[sp.phase]
 	extract := def.extract // all the task and its Wire closure need of def
 	load := func() ([]ops5.Seed, error) {
 		if seeds != nil {
 			return seeds, nil
 		}
-		return def.seeds(prog, store, sp, mode.ReferenceGeo)
+		return def.seeds(prog, store, sp)
 	}
 	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
 		seeds, err := load()
 		if err != nil {
 			return nil, err
 		}
-		return loadEngine(prog, store, seeds, mode, s)
+		return loadEngine(prog, store, seeds, capture, s)
 	}
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
@@ -183,16 +175,16 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, mode tlp.Buil
 			if err != nil {
 				return nil, err
 			}
-			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Mode: mode, Seeds: seeds, Extract: extract}, nil
+			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Seeds: seeds, Extract: extract}, nil
 		},
 	}
 }
 
 // newTasks derives one phase queue's tasks from its specs.
-func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, mode tlp.BuildMode) []*tlp.Task {
+func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture bool) []*tlp.Task {
 	tasks := make([]*tlp.Task, len(specs))
 	for i := range specs {
-		tasks[i] = newTask(prog, store, &specs[i], mode, nil)
+		tasks[i] = newTask(prog, store, &specs[i], capture, nil)
 	}
 	return tasks
 }
@@ -264,9 +256,11 @@ func (ss *seedSet) done() ([]ops5.Seed, error) { return ss.seeds, ss.err }
 
 // BuildRTFTasks decomposes the RTF phase: each task classifies one
 // batch of regions. The decomposition yields the paper's ~60-100 tasks
-// per dataset at roughly Level-2 granularity.
-func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, mode tlp.BuildMode) []*tlp.Task {
-	return newTasks(prog, store, rtfSpecs(store, batchSize), mode)
+// per dataset at roughly Level-2 granularity. With capture the tasks'
+// engines record per-activation match forests (ops5.WithCapture), for
+// the match-parallelism simulation.
+func BuildRTFTasks(kb *KB, store *RegionStore, prog *ops5.Program, batchSize int, capture bool) []*tlp.Task {
+	return newTasks(prog, store, rtfSpecs(store, batchSize), capture)
 }
 
 // rtfSpecs enumerates the RTF tasks over the current scene by region-ID
@@ -313,14 +307,14 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 // rtfSeeds assembles one RTF task's seed working memory — the task
 // control row plus a measured-region row per batch member, in
 // assertion order.
-func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, refGeo bool) ([]ops5.Seed, error) {
+func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	ss := newSeedSet(prog, store, 1+len(sp.regions))
 	task := ss.row("rtf-task", "batch", "status")
 	region := ss.row("region", "id", "batch", "area", "elong", "compact", "intensity", "texture", "status")
 	batch := symtab.Int(int64(sp.batchID))
 	ss.add(task, batch, symActive)
 	for _, r := range sp.regions {
-		area, elong, compact, intensity, texture := store.MeasurementsOf(r, refGeo)
+		area, elong, compact, intensity, texture := store.MeasurementsOf(r)
 		ss.add(region, symtab.Int(int64(r.ID)), batch,
 			symtab.Float(area), symtab.Float(elong), symtab.Float(compact),
 			symtab.Float(intensity), symtab.Float(texture), symMeasured)
@@ -380,15 +374,15 @@ type lccCheck struct {
 
 // partnerQuery returns the LCC partner search over one fragment pool:
 // a session's persistent grid when given one, else a transient grid
-// built here once — or, for a pool too small to amortize one or a run
-// on the reference geometry path, NearbyFragments' scan. The grid
+// built here once — or, for a pool too small to amortize one or a
+// reference store, NearbyFragments' scan. The grid
 // orders candidates by fragment ID and the scan by pool position, so
 // all must be sorted by ascending ID for the two to agree: every pool
 // a run hands over is (ExtractFragments sorts; reEntryFragments
 // appends IDs above the maximum).
-func partnerQuery(store *RegionStore, all []*Fragment, grid *liveGrid, refGeo bool) func(*Fragment, Constraint) []*Fragment {
+func partnerQuery(store *RegionStore, all []*Fragment, grid *liveGrid) func(*Fragment, Constraint) []*Fragment {
 	if grid == nil {
-		grid = newLiveGrid(store, all, refGeo)
+		grid = newLiveGrid(store, all)
 	}
 	if grid == nil {
 		return func(f *Fragment, c Constraint) []*Fragment {
@@ -438,7 +432,7 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 // units, in assertion order: per unit, the (deduplicated) focal and
 // partner fragments with their scope triples, then the support and
 // task control rows.
-func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]ops5.Seed, error) {
+func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	rows := 0
 	for _, u := range sp.units {
 		rows += 3 + 2*u.expected
@@ -476,19 +470,15 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]o
 
 // lccAnswers makes, per scope triple in seed order, the call its
 // lcc-check-* rule makes: the boolean and the cost geo-test would
-// return, from the evaluator the run's engines are bound to. The memo
-// is warm for an unchanged pair; a changed pair's evaluation is work
-// the re-run finds memoised.
+// return, from the evaluator the store's engines are bound to. The
+// memo is warm for an unchanged pair; a changed pair's evaluation is
+// work the re-run finds memoised.
 func lccAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
-	test := st.Test
-	if sig.refGeo {
-		test = st.TestReference
-	}
 	for _, u := range sp.units {
 		for _, ck := range u.checks {
 			for _, p := range ck.partners {
 				// A failed test answers (0, 0), which no evaluation does.
-				ok, cost, _ := test(ck.c.Relation, u.focal.RegionID, p.RegionID, ck.c.Eps)
+				ok, cost, _ := st.evaluate(ck.c.Relation, u.focal.RegionID, p.RegionID, ck.c.Eps)
 				n := 0
 				if ok {
 					n = 1
@@ -501,10 +491,10 @@ func lccAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
 
 // BuildLCCTasks decomposes the LCC phase at the chosen level. The
 // same generated rule set serves every level: the task's scope is its
-// working memory.
-func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, mode tlp.BuildMode) []*tlp.Task {
-	units := unitsWith(kb, frags, level, partnerQuery(store, frags, nil, mode.ReferenceGeo))
-	return newTasks(prog, store, lccUnitSpecs(store.Scene().Name, units, level, false), mode)
+// working memory. capture is BuildRTFTasks'.
+func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, capture bool) []*tlp.Task {
+	units := unitsWith(kb, frags, level, partnerQuery(store, frags, nil))
+	return newTasks(prog, store, lccUnitSpecs(store.Scene().Name, units, level, false), capture)
 }
 
 // lccUnitSpecs converts LCC work units to task specs with stable keys:
@@ -651,9 +641,9 @@ type Prediction struct {
 // BuildFATasks decomposes the FA phase: one task per functional-area
 // seed (a consistent fragment of a seed class).
 func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment,
-	pairs []ConsistentPair, outcomes []LCCOutcome, mode tlp.BuildMode) []*tlp.Task {
+	pairs []ConsistentPair, outcomes []LCCOutcome) []*tlp.Task {
 
-	return newTasks(prog, store, faSpecs(kb, store.Scene().Name, frags, pairs, outcomes), mode)
+	return newTasks(prog, store, faSpecs(kb, store.Scene().Name, frags, pairs, outcomes), false)
 }
 
 // faSpecs enumerates the FA tasks — one per (functional-area spec,
@@ -720,7 +710,7 @@ func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, out
 // faSeeds assembles one FA task's seed working memory: the seed
 // fragment, its member fragments, the consistency rows supporting the
 // aggregation, and the task control row, in assertion order.
-func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]ops5.Seed, error) {
+func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	ss := newSeedSet(prog, store, 2+len(sp.members)+len(sp.pairs))
 	consistency := ss.row("consistency", "object", "partner", "relation", "result")
 	task := ss.row("fa-task", "seed", "fatype", "expected", "status")
@@ -781,13 +771,13 @@ type Model struct {
 	NFAs  int
 }
 
-// BuildModelTask builds the single MODEL-phase task over the closed
+// BuildMODELTask builds the single MODEL-phase task over the closed
 // functional areas.
-func BuildModelTask(kb *KB, store *RegionStore, prog *ops5.Program,
-	frags []*Fragment, fas []FunctionalArea, mode tlp.BuildMode) *tlp.Task {
+func BuildMODELTask(kb *KB, store *RegionStore, prog *ops5.Program,
+	frags []*Fragment, fas []FunctionalArea) *tlp.Task {
 
 	sp := modelSpec(store.Scene().Name, frags, fas)
-	return newTask(prog, store, &sp, mode, nil)
+	return newTask(prog, store, &sp, false, nil)
 }
 
 // modelSpec describes the MODEL task.
@@ -807,7 +797,7 @@ func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
 // modelSeeds assembles the MODEL task's seed working memory: per
 // closed functional area its (deduplicated) seed fragment and fa row,
 // then the task control row, in assertion order.
-func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec, _ bool) ([]ops5.Seed, error) {
+func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
 	byID := map[int]*Fragment{}
 	for _, f := range sp.frags {
 		byID[f.ID] = f

@@ -16,10 +16,11 @@ import (
 
 // Full-SPAM differential oracle for the compile-once template path: a
 // complete four-phase interpretation whose ~1k task engines are
-// instantiated from the datasets' shared compiled templates (the
-// default) must be observably identical to one whose every engine
-// recompiles its program from scratch (BuildMode.FreshCompile), under
-// both matchers.
+// instantiated from one shared compiled template per program must be
+// observably identical to one whose every engine compiles its program
+// privately, under both matchers — dispatching (production's template
+// vs a fresh compile) and sweeping (one swept template vs the ops5
+// reference, which compiles per engine).
 func TestSPAMDifferentialTemplateVsFreshCompile(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		name := "indexed"
@@ -28,57 +29,63 @@ func TestSPAMDifferentialTemplateVsFreshCompile(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			fresh := interpretUnder(t, tlp.BuildMode{NaiveMatch: naive, FreshCompile: true})
-			shared := interpretUnder(t, tlp.BuildMode{NaiveMatch: naive})
-			compareInterpretations(t, "fresh-compiled", fresh, "template-instantiated", shared)
+			d := smallDC(t)
+			shared, fresh := engineBuilder(templateEngines), engineBuilder(freshEngines)
+			if naive {
+				shared, fresh = sweptTemplates(t, d), referenceEngines
+			}
+			freshIn := interpretBuilding(t, d, fresh)
+			sharedIn := interpretBuilding(t, d, shared)
+			compareInterpretations(t, "fresh-compiled", freshIn, "template-instantiated", sharedIn)
 		})
 	}
 }
 
 // TestConcurrentBuildModesOneDataset is the property a multi-tenant
-// server needs of a per-run build mode: goroutines interpreting the
-// same cached Dataset at once, each under a different mode — the
-// production paths, each reference bit alone, all three together — all
-// produce the zero-mode outputs, firings and instruction counts. Under
-// -race it also proves the per-Program variant cache (indexed and naive
-// templates instantiated side by side), the fragment-seed cache and the
-// predicate memo tolerate concurrent runs that do and do not use them.
+// server needs of one cached dataset: goroutines interpreting it at
+// once, capturing match forests and not, beside its reference twin
+// (referenceOf) doing the same over its own store, all produce the
+// production run's outputs, firings and instruction counts. Under -race
+// it also proves the per-Program variant cache (capturing and plain
+// templates instantiated side by side, reference engines compiling
+// privately), the fragment-seed cache and the predicate memo tolerate
+// concurrent runs that do and do not use them.
 func TestConcurrentBuildModesOneDataset(t *testing.T) {
 	d := smallDC(t)
-	interpret := func(mode tlp.BuildMode) (*Interpretation, error) {
-		return d.Interpret(InterpretOptions{Workers: 2, ReEntry: true, Build: mode})
+	interpret := func(d *Dataset) (*Interpretation, error) {
+		return d.Interpret(InterpretOptions{Workers: 2, ReEntry: true})
 	}
-	ref, err := interpret(tlp.BuildMode{})
+	want, err := interpret(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := []tlp.BuildMode{
-		{},
-		{NaiveMatch: true},
-		{FreshCompile: true},
-		{ReferenceGeo: true},
-		{NaiveMatch: true, FreshCompile: true, ReferenceGeo: true},
+	ref := referenceOf(d)
+	runs := []struct {
+		name string
+		d    *Dataset
+	}{
+		{"production", d}, {"production+capture", capturing(d)},
+		{"reference", ref}, {"reference+capture", capturing(ref)},
 	}
-	got := make([]*Interpretation, len(modes))
-	errs := make([]error, len(modes))
+	got := make([]*Interpretation, len(runs))
+	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
-	for i, mode := range modes {
+	for i, run := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = interpret(mode)
+			got[i], errs[i] = interpret(run.d)
 		}()
 	}
 	wg.Wait()
-	for i, mode := range modes {
-		name := fmt.Sprintf("%+v", mode)
+	for i, run := range runs {
 		if errs[i] != nil {
-			t.Fatalf("%s: %v", name, errs[i])
+			t.Fatalf("%s: %v", run.name, errs[i])
 		}
-		if !SameOutputs(ref, got[i]) {
-			t.Errorf("%s: outputs differ from the zero-mode run", name)
+		if !SameOutputs(want, got[i]) {
+			t.Errorf("%s: outputs differ from the production run", run.name)
 		}
-		compareInterpretations(t, "zero-mode", ref, name, got[i])
+		compareInterpretations(t, "production", want, run.name, got[i])
 	}
 }
 
@@ -147,7 +154,7 @@ func TestSPAMDifferentialTemplateRecycledVsOwned(t *testing.T) {
 			run := func(owned bool) (*Interpretation, *recordingRunner) {
 				t.Helper()
 				r := &recordingRunner{pool: tlp.Pool{Workers: workers}, owned: owned}
-				in, err := d.Interpret(InterpretOptions{ReEntry: true, Build: tlp.BuildMode{Capture: true}, Runner: r})
+				in, err := capturing(d).Interpret(InterpretOptions{ReEntry: true, Runner: r})
 				if err != nil {
 					t.Fatal(err)
 				}

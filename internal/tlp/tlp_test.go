@@ -281,22 +281,3 @@ func TestTotalInstrPositive(t *testing.T) {
 		t.Error("total instructions should be positive")
 	}
 }
-
-// TestBuildModeBits: every mode survives its one-byte wire form, and a
-// byte with a bit no field defines — bit 3, the retired per-WME seed
-// load, included — is refused rather than truncated to the bits that
-// are.
-func TestBuildModeBits(t *testing.T) {
-	for b := 0; b < 256; b++ {
-		m, ok := BuildModeFromBits(byte(b))
-		if defined := b < 1<<5 && b&8 == 0; ok != defined {
-			t.Fatalf("bits %#x: accepted=%v, want %v", b, ok, defined)
-		}
-		if ok && m.Bits() != byte(b) {
-			t.Fatalf("bits %#x round-tripped to %#x (%+v)", b, m.Bits(), m)
-		}
-	}
-	if (BuildMode{}).Bits() != 0 || (BuildMode{ReferenceGeo: true}).Bits() != 1<<4 {
-		t.Fatal("the zero mode must encode as 0 and ReferenceGeo as bit 4")
-	}
-}

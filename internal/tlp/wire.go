@@ -26,59 +26,9 @@ import (
 	"spampsm/internal/wm"
 )
 
-// BuildMode is how one run's task engines are built. The zero value is
-// the production path; each reference bit selects the implementation
-// the differential oracles hold the production path to — observably
-// identical (byte-identical results, firings and instruction counts),
-// only slower. It is a per-run value: it rides in the task's builder
-// in process and in the task's WireSpec across processes, so two runs
-// under different modes can share one process, one cached dataset and
-// one worker.
-type BuildMode struct {
-	// Capture records per-activation match cost for the match-parallel
-	// simulators.
-	Capture bool
-	// NaiveMatch selects the reference matcher, which sweeps every alpha
-	// memory of a WME's class instead of dispatching on its constant
-	// tests.
-	NaiveMatch bool
-	// FreshCompile compiles the phase program privately per engine
-	// instead of instantiating the Program's cached template.
-	FreshCompile bool
-	// ReferenceGeo evaluates every spatial predicate per call with
-	// per-call Polygon methods and the exact Hypot distance kernel —
-	// no predicate memo, no derived geometry, no partner grid.
-	ReferenceGeo bool
-}
-
-// Bits packs the mode into one byte for the wire, one bit per field in
-// declaration order. Bit 3 (value 8) selected a per-WME seed load until
-// wire version 6; it stays undefined, so a frame that sets it is
-// refused rather than read as some later field.
-func (m BuildMode) Bits() byte {
-	var b byte
-	for i, on := range [...]bool{m.Capture, m.NaiveMatch, m.FreshCompile, false, m.ReferenceGeo} {
-		if on {
-			b |= 1 << i
-		}
-	}
-	return b
-}
-
-// BuildModeFromBits unpacks a wire byte; false when it carries a bit no
-// field defines (a peer asking for a path this process does not have
-// must be refused, not silently run on the production path).
-func BuildModeFromBits(b byte) (BuildMode, bool) {
-	m := BuildMode{
-		Capture: b&1 != 0, NaiveMatch: b&2 != 0, FreshCompile: b&4 != 0,
-		ReferenceGeo: b&16 != 0,
-	}
-	return m, m.Bits() == b
-}
-
 // WireSpec is the shippable description of one task: which dataset's
-// knowledge it runs against, which phase program to instantiate and how
-// (Mode), the seed working memory to assert (shared seeds carry their
+// knowledge it runs against, which phase program to instantiate, the
+// seed working memory to assert (shared seeds carry their
 // routing digest discipline through the Digest field — an empty digest
 // ships as a plain seed, a non-empty one is recomputed on the worker),
 // and which WME classes to snapshot from the final working memory for
@@ -86,7 +36,6 @@ func BuildModeFromBits(b byte) (BuildMode, bool) {
 type WireSpec struct {
 	Dataset string
 	Phase   string // rtf | lcc | fa | model
-	Mode    BuildMode
 	Seeds   []ops5.Seed
 	Extract []string // WME classes snapshotted into the Result
 }
