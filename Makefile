@@ -22,13 +22,17 @@ vet-benchmark:
 # loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
 # definitions under cmd/ (a test's own flags, like the golden tests'
-# -update, are not the commands') — and two counts that must stay zero:
-# build switches, and package-level atomic.Bool declarations in
+# -update, are not the commands') — and three counts that must stay
+# zero: build switches, package-level atomic.Bool declarations in
 # internal/spam and internal/geom, which is what a process-global
-# switch is made of. The first counts mentions of the process-global
-# switches (tests and comments included) and non-test mentions of the
-# per-run build mode that replaced them and of its reference bits,
-# which now live only in tests as the reference store and engine.
+# switch is made of, and the cluster's retired second way onto a
+# worker. The first counts mentions of the process-global switches
+# (tests and comments included) and non-test mentions of the per-run
+# build mode that replaced them and of its reference bits, which now
+# live only in tests as the reference store and engine. The third
+# counts non-test mentions of the worker-side continuation push and
+# of byte-priced stealing: every task reaches a worker through the
+# shard queue.
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
@@ -40,6 +44,9 @@ loc:
 			'BuildMode|NaiveMatch|FreshCompile|ReferenceGeo|SetDispatching|DispatchedMatch|refGeo' cmd internal; } | wc -l
 	@printf 'package-level atomic.Bool (internal/spam, internal/geom; want 0): '; \
 		grep -hE '^var .*atomic\.Bool' internal/spam/*.go internal/geom/*.go | wc -l
+	@printf 'continuation push and byte-priced steal mentions (cmd, internal; want 0): '; \
+		grep -rhoE --include='*.go' --exclude='*_test.go' \
+			'Continues|Spawned|continuationTarget|stealCost' cmd internal | wc -l
 
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored

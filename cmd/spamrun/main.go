@@ -201,14 +201,13 @@ func realMain() int {
 			fmt.Printf("cluster: %d procs × %d local workers (wire v%d), %d tasks shipped (%s on the wire, %s of it results), %d steals, %d requeued (%d uncharged), %d worker deaths\n",
 				st.Workers, *workers, st.WireVersion, st.TasksShipped, stats.FormatBytes(float64(st.ShippedBytes)),
 				stats.FormatBytes(float64(st.ResultBytes)), st.Steals, st.Requeued, st.Uncharged, st.WorkerDeaths)
-			fmt.Printf("cluster wire locality: %d chunks shipped (%s), %d resident hits (%s saved), %d evictions, %d/%d continuations worker-side\n",
+			fmt.Printf("cluster wire locality: %d chunks shipped (%s), %d resident hits (%s saved), %d evictions\n",
 				st.ChunksShipped, stats.FormatBytes(float64(st.ChunkBytes)),
-				st.ChunkHits, stats.FormatBytes(float64(st.ChunkSavedBytes)),
-				st.Evictions, st.Continuations, st.ContinuationTasks)
+				st.ChunkHits, stats.FormatBytes(float64(st.ChunkSavedBytes)), st.Evictions)
 			for _, ws := range st.PerWorker {
-				fmt.Printf("cluster worker %d: %d tasks, %s shipped, peak %d in flight, %d steals, %d continuations, %d resident chunks (%s), match arenas %d slabs (%s)\n",
+				fmt.Printf("cluster worker %d: %d tasks, %s shipped, peak %d in flight, %d steals, %d resident chunks (%s), match arenas %d slabs (%s)\n",
 					ws.Slot, ws.Tasks, stats.FormatBytes(float64(ws.ShippedBytes)), ws.PeakInFlight,
-					ws.Steals, ws.Continuations, ws.ResidentChunks, stats.FormatBytes(float64(ws.ResidentBytes)),
+					ws.Steals, ws.ResidentChunks, stats.FormatBytes(float64(ws.ResidentBytes)),
 					ws.ArenaSlabs, stats.FormatBytes(float64(ws.ArenaBytes)))
 			}
 		}()

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -62,19 +63,43 @@ func phaseFingerprint(in *spam.Interpretation) string {
 	return b.String()
 }
 
+// reEntryTally runs phases on the coordinator and counts, per worker
+// slot, the results merged from LCC re-entry ("lccr") queues.
+type reEntryTally struct {
+	co    *Coordinator
+	inner tlp.BoundQueue
+	lccr  []int
+}
+
+func (r *reEntryTally) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
+	before := r.co.Stats().PerWorker
+	results, err := r.inner.RunTasks(ctx, tasks)
+	if len(tasks) > 0 && strings.HasPrefix(tasks[0].ID, "lccr") {
+		for i, ws := range r.co.Stats().PerWorker {
+			r.lccr[i] += ws.Tasks - before[i].Tasks
+		}
+	}
+	return results, err
+}
+
 // TestDifferentialClusterInterpret is the cluster differential
 // oracle: a full interpretation executed across two worker processes
 // must be byte-identical — outputs, per-phase statistics, and
 // RunReports — to the single-process tlp.Pool run, for all three
-// airport scenes.
+// airport scenes. Re-entry tasks go through the shard queue like every
+// other task: both workers merge some, and no worker ever holds more
+// than the ship window.
 func TestDifferentialClusterInterpret(t *testing.T) {
-	co, err := Start(Config{Workers: 2, LocalWorkers: 2})
+	// A window below every scene's re-entry queue (6–8 tasks at
+	// oracleScale), so a queue that bypassed it would show.
+	co, err := Start(Config{Workers: 2, LocalWorkers: 2, ShipWindow: 4})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
 	}
 	defer co.Close()
 
 	tasks := 0
+	tally := &reEntryTally{co: co, lccr: make([]int, 2)}
 	for _, name := range []string{"SF", "DC", "MOFF"} {
 		p := airportParams(name)
 		if err := co.RegisterDataset(AirportSpec(p)); err != nil {
@@ -90,7 +115,8 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 			t.Fatalf("%s: local interpret: %v", name, err)
 		}
 		clusterOpt := opt
-		clusterOpt.Runner = NewRunner(co, opt)
+		tally.inner = NewRunner(co, opt)
+		clusterOpt.Runner = tally
 		shippedBefore := co.Stats().ShippedBytes
 		remote, err := d.Interpret(clusterOpt)
 		if err != nil {
@@ -108,6 +134,7 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 			tasks += ph.Tasks
 		}
 		share := float64(co.Stats().ShippedBytes-shippedBefore) / seedBytes
+		t.Logf("%s: %.3f wire bytes per seed byte", name, share)
 		if budget := clusterV1ShipShare[name] / 3; share > budget {
 			t.Errorf("%s: shipped %.3f wire bytes per seed byte, over the budget of %.3f", name, share, budget)
 		}
@@ -131,28 +158,28 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 		}
 	}
 
-	// Wire locality accounting: the run must have reused resident
-	// chunks, run its LCC re-entry tasks as worker-side continuations
-	// (>= 90%), and saved more bytes on hits than the chunks cost.
+	// Every task crossed the wire as its own frame. A frame is counted
+	// just after its flush, so the worker's answer to the last one can be
+	// merged before the count lands: give it a moment.
 	st := co.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.TasksShipped < tasks && time.Now().Before(deadline); st = co.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.WireVersion != Version {
 		t.Errorf("stats report wire v%d, want v%d", st.WireVersion, Version)
 	}
-	// Every task crossed the wire as its own frame, except a
-	// continuation its worker had already started when the
-	// coordinator's push would have gone out.
-	if st.TasksShipped+st.Continuations < tasks {
-		t.Errorf("%d task frames and %d worker-side continuations for %d tasks", st.TasksShipped, st.Continuations, tasks)
+	if st.TasksShipped < tasks {
+		t.Errorf("%d task frames for %d tasks", st.TasksShipped, tasks)
 	}
+	for slot, n := range tally.lccr {
+		if n == 0 {
+			t.Errorf("worker slot %d merged no re-entry task (per slot: %v)", slot, tally.lccr)
+		}
+	}
+	// Wire locality accounting: the run must have reused resident
+	// chunks and saved more bytes on hits than the chunks cost.
 	if st.ChunksShipped <= 0 || st.ChunkHits <= 0 || st.ChunkSavedBytes <= 0 {
 		t.Errorf("no chunk reuse accounted: %+v", st)
-	}
-	if st.ContinuationTasks <= 0 {
-		t.Error("re-entry produced no continuation-marked tasks")
-	}
-	if 10*st.Continuations < 9*st.ContinuationTasks {
-		t.Errorf("only %d/%d continuations ran worker-side, want >= 90%%",
-			st.Continuations, st.ContinuationTasks)
 	}
 	if st.ChunkSavedBytes <= st.ChunkBytes {
 		t.Errorf("resident hits avoided %d bytes, no more than the %d bytes shipping the chunks cost",
@@ -161,6 +188,9 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 	var perWorkerShipped int64
 	for _, ws := range st.PerWorker {
 		perWorkerShipped += ws.ShippedBytes
+		if ws.PeakInFlight > co.cfg.ShipWindow {
+			t.Errorf("worker slot %d held %d tasks in flight, over the ship window of %d", ws.Slot, ws.PeakInFlight, co.cfg.ShipWindow)
+		}
 		// Each worker process reports the match arenas its executors
 		// keep between tasks.
 		if ws.Tasks > 0 && (ws.ArenaSlabs == 0 || ws.ArenaBytes == 0) {
@@ -207,11 +237,14 @@ func TestWorkerRejectsBadHandshake(t *testing.T) {
 // interpretation stays byte-identical — a re-shipped chunk is the same
 // content under a fresh id.
 func TestClusterChunkEviction(t *testing.T) {
-	co, err := Start(Config{Workers: 2, LocalWorkers: 2, ChunkBudget: 512})
+	co, err := Start(Config{Workers: 2, LocalWorkers: 2})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
 	}
 	defer co.Close()
+	co.mu.Lock()
+	co.chunkBudget = 512
+	co.mu.Unlock()
 	p := airportParams("DC")
 	if err := co.RegisterDataset(AirportSpec(p)); err != nil {
 		t.Fatalf("register: %v", err)
@@ -384,17 +417,14 @@ func TestClusterChaosKillReproducible(t *testing.T) {
 }
 
 // reEntryChaosSeed is a kill plan that fates a re-entry task of DC at
-// oracleScale, so a worker dies holding the continuations it spawned
-// for itself (2 deaths, 6 spawned continuations requeued). Seed 7, the
-// other chaos test's, kills workers only between continuations.
+// oracleScale, so a worker dies running an LCC re-entry task.
 const reEntryChaosSeed = 42
 
 // TestDifferentialClusterChaosReEntry runs the kill plan with re-entry
-// on, so the LCC continuations workers spawn for themselves are among
-// the casualties, and holds the merged interpretation to a crash-free
-// in-process run of the same dataset: per phase, the same multiset of
-// task IDs — a lost merge removes one, a duplicated merge adds one —
-// and the same outputs.
+// on, so an LCC re-entry task is among the casualties, and holds the
+// merged interpretation to a crash-free in-process run of the same
+// dataset: per phase, the same multiset of task IDs — a lost merge
+// removes one, a duplicated merge adds one — and the same outputs.
 func TestDifferentialClusterChaosReEntry(t *testing.T) {
 	in, st := chaosRun(t, reEntryChaosSeed, true)
 	d, err := spam.NewDataset(airportParams("DC"))
@@ -408,10 +438,14 @@ func TestDifferentialClusterChaosReEntry(t *testing.T) {
 	if len(in.Phases) != len(ref.Phases) {
 		t.Fatalf("%d phases, reference has %d", len(in.Phases), len(ref.Phases))
 	}
+	requeuedReEntry := 0
 	for pi, ph := range in.Phases {
 		got, want := map[string]int{}, map[string]int{}
 		for _, r := range ph.Results {
 			got[r.TaskID]++
+			if strings.HasPrefix(r.TaskID, "lccr") && lostToDeath(r) {
+				requeuedReEntry++
+			}
 		}
 		for _, r := range ref.Phases[pi].Results {
 			want[r.TaskID]++
@@ -426,15 +460,23 @@ func TestDifferentialClusterChaosReEntry(t *testing.T) {
 	if st.WorkerDeaths < 1 || st.Requeued < 1 {
 		t.Errorf("kill plan exercised no recovery: %d worker deaths, %d requeues", st.WorkerDeaths, st.Requeued)
 	}
-	if st.ContinuationTasks < 1 {
-		t.Error("re-entry produced no continuation-marked tasks: none was exposed to the kill plan")
-	}
-	if st.SpawnedRequeued < 1 {
-		t.Errorf("no spawned continuation was in flight on a dying worker (stats %+v); pick another reEntryChaosSeed", st)
+	if requeuedReEntry < 1 {
+		t.Errorf("no re-entry task was requeued by a death (stats %+v); pick another reEntryChaosSeed", st)
 	}
 	if st.TasksCompleted < in.Completeness.Tasks {
 		t.Errorf("coordinator merged %d results for %d tasks", st.TasksCompleted, in.Completeness.Tasks)
 	}
+}
+
+// lostToDeath reports whether a worker death was charged to the task:
+// it was in flight on a worker that died, and was requeued.
+func lostToDeath(r *tlp.Result) bool {
+	for _, e := range r.AttemptErrs {
+		if strings.Contains(e.Error(), "worker process lost") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestClusterCancelledRun checks the cancellation contract: a
@@ -468,4 +510,95 @@ func TestClusterCancelledRun(t *testing.T) {
 	if rep.Cancelled == 0 {
 		t.Errorf("no task accounted as cancelled:\n%s", rep)
 	}
+}
+
+// coordinatorGoroutines returns the stacks of the goroutines a
+// Coordinator starts: the accept loop, a connection's handshake, reader
+// and feeder, and the reaper of a spawned process.
+func coordinatorGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		for _, fn := range []string{"acceptLoop", "register", "reader", "feeder", "spawn.func1"} {
+			if strings.Contains(g, "cluster.(*Coordinator)."+fn+"(") {
+				out = append(out, g)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestCoordinatorCloseLeavesNoGoroutines: after a run, a worker
+// killed mid-life, its respawn and a second run, Close leaves none of
+// the coordinator's goroutines behind. They end as the connections and
+// the listener close, not inside Close, so the test waits for them.
+func TestCoordinatorCloseLeavesNoGoroutines(t *testing.T) {
+	before := len(coordinatorGoroutines())
+	co, err := Start(Config{Workers: 2, LocalWorkers: 1, MaxRespawns: 1})
+	if err != nil {
+		t.Fatalf("start cluster: %v", err)
+	}
+	defer co.Close()
+	p := airportParams("DC")
+	if err := co.RegisterDataset(AirportSpec(p)); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	d, err := spam.NewDataset(p)
+	if err != nil {
+		t.Fatalf("dataset: %v", err)
+	}
+	run := func() {
+		t.Helper()
+		results, err := co.Submit(context.Background(), tlp.RunConfig{}, tinyTasks(t, d, 40))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		for i, r := range results {
+			if r == nil || r.Err != nil {
+				t.Fatalf("task %d: %+v", i, r)
+			}
+		}
+	}
+	run()
+	co.procMu.Lock()
+	victim := co.procs[0]
+	co.procMu.Unlock()
+	if err := victim.cmd.Process.Kill(); err != nil {
+		t.Fatalf("kill worker: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); co.Stats().WorkerDeaths == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the killed worker's death was never noticed")
+		}
+	}
+	if err := co.waitConnected(2, 10*time.Second); err != nil {
+		t.Fatalf("respawn: %v", err)
+	}
+	run()
+	if st := co.Stats(); st.Respawns != 1 {
+		t.Fatalf("%d respawns, want 1", st.Respawns)
+	}
+	// The accept loop, plus a reader, a feeder and a reaper per live
+	// worker: the names above are the ones that run.
+	if live := len(coordinatorGoroutines()) - before; live < 7 {
+		t.Fatalf("%d coordinator goroutines in a live two-worker cluster, want at least 7", live)
+	}
+
+	co.Close()
+	var left []string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if left = coordinatorGoroutines(); len(left) <= before {
+			return
+		}
+	}
+	t.Errorf("%d coordinator goroutines outlived Close:\n%s", len(left)-before, strings.Join(left, "\n\n"))
 }

@@ -46,10 +46,6 @@ type Config struct {
 	// cap the pipeline below that (the chaos tests pin it to 1, where
 	// which task a death interrupts is deterministic).
 	ShipWindow int
-	// ChunkBudget bounds each worker's resident-chunk table in encoded
-	// bytes (default 32 MiB); the LRU tail is evicted past it. Negative
-	// disables eviction.
-	ChunkBudget int64
 	// ConnectTimeout bounds how long Start waits for the spawned
 	// workers to connect back (default 30s).
 	ConnectTimeout time.Duration
@@ -66,6 +62,10 @@ type Config struct {
 // pipeline depth" has the sweep this value is read from.
 const shipDepth = 16
 
+// chunkBudget bounds each worker's resident-chunk table in encoded
+// bytes; the LRU tail is evicted past it.
+const chunkBudget = 32 << 20
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 2
@@ -81,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShipWindow < 1 {
 		c.ShipWindow = shipDepth * c.LocalWorkers
-	}
-	if c.ChunkBudget == 0 {
-		c.ChunkBudget = 32 << 20
 	}
 	if c.ConnectTimeout <= 0 {
 		c.ConnectTimeout = 30 * time.Second
@@ -103,14 +100,13 @@ type Stats struct {
 	ChunkBytes      int64 // chunk-frame share of ShippedBytes
 	ChunkHits       int64 // seed refs resolved against resident chunks
 	ChunkSavedBytes int64 // encoded seed bytes the hits avoided re-shipping
-	Evictions       int   // chunks dropped under ChunkBudget
-	// ContinuationTasks counts tasks entering Submit with the
-	// Continues mark; Continuations counts how many of them were pushed
-	// straight to the chunk-resident worker (the rest fell back to the
-	// shard queue — no live worker at push time).
+	Evictions       int   // chunks dropped under the resident-chunk budget
+	// ContinuationTasks and Continuations are always 0: every task
+	// reaches a worker through the shard queue. They stay only because
+	// the benchmark module's cluster.continuation_share compiles against
+	// them.
 	ContinuationTasks int
 	Continuations     int
-	SpawnedRequeued   int // spawned continuations requeued after a worker loss
 	Steals            int // tasks claimed from another shard's deque
 	Requeued          int // in-flight tasks recovered from dead workers
 	// Uncharged is the share of Requeued a death cannot have
@@ -130,7 +126,6 @@ type WorkerStats struct {
 	Tasks          int   // results merged from this slot
 	ShippedBytes   int64 // task + chunk + result bytes through this slot
 	Steals         int
-	Continuations  int
 	PeakInFlight   int // most tasks in flight on the slot's connection at once
 	ChunkHits      int64
 	ResidentChunks int   // resident-chunk table size after the last ship
@@ -174,16 +169,9 @@ type run struct {
 	failed    error
 	cancelled bool
 	// The chunk plan: per task, the shared seeds grouped into
-	// content-addressed chunks (chunks) and the inline bytes the task
-	// ships regardless of destination (inline). Sizes are
-	// the canonical stateless encoding — the cost model's currency —
-	// independent of any connection's intern state.
+	// content-addressed chunks. Sizes are the canonical stateless
+	// encoding, independent of any connection's intern state.
 	chunks [][]chunkRef
-	inline []int
-	// spawned marks tasks pushed as worker-side continuations; reset
-	// when a worker loss requeues them through the ordinary overflow
-	// path.
-	spawned []bool
 }
 
 // chunkRef is one shared seed of one task, resolved to its
@@ -291,6 +279,9 @@ type Coordinator struct {
 	closed        bool
 	stats         Stats
 	perWorker     []WorkerStats
+	// chunkBudget is the chunkBudget constant, lowered only by a test
+	// that forces eviction.
+	chunkBudget int64
 
 	procMu sync.Mutex
 	procs  []*proc
@@ -330,6 +321,7 @@ func listen(cfg Config) (*Coordinator, error) {
 		perWorker:    make([]WorkerStats, cfg.Workers),
 		respawnsLeft: cfg.MaxRespawns,
 		runSeq:       1,
+		chunkBudget:  chunkBudget,
 	}
 	if co.respawnsLeft < 0 {
 		co.respawnsLeft = 0
@@ -578,24 +570,17 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 	// computation — no locks, no connection state.
 	sizes := map[string]int{}
 	chunkPlans := make([][]chunkRef, len(specs))
-	inlineBytes := make([]int, len(specs))
 	var scratch []byte
 	for i, spec := range specs {
-		shared := spec.SharedSeedIndexes()
-		si := 0
-		for j, s := range spec.Seeds {
-			if si < len(shared) && shared[si] == j {
-				si++
-				size, ok := sizes[s.Digest]
-				if !ok {
-					size = len(appendSeed(scratch[:0], s))
-					sizes[s.Digest] = size
-				}
-				chunkPlans[i] = append(chunkPlans[i], chunkRef{seed: j, digest: s.Digest, size: size})
-				continue
+		for _, j := range spec.SharedSeedIndexes() {
+			s := spec.Seeds[j]
+			size, ok := sizes[s.Digest]
+			if !ok {
+				scratch = appendSeed(scratch[:0], s)
+				size = len(scratch)
+				sizes[s.Digest] = size
 			}
-			scratch = appendSeed(scratch[:0], s)
-			inlineBytes[i] += len(scratch)
+			chunkPlans[i] = append(chunkPlans[i], chunkRef{seed: j, digest: s.Digest, size: size})
 		}
 	}
 
@@ -621,41 +606,10 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 		remaining:    n,
 		shards:       make([][]int, len(co.slots)),
 		chunks:       chunkPlans,
-		inline:       inlineBytes,
-		spawned:      make([]bool, n),
 	}
 	co.runSeq++
 	for i := range rn.startAttempt {
 		rn.startAttempt[i] = 1
-	}
-	// Worker-side phase continuation: a Continues-marked task (LCC
-	// re-entry over fragments an earlier phase already shipped) skips
-	// the shard queue entirely — it is pushed straight to the worker
-	// holding the most of its chunks, saving both the scheduling
-	// round-trip and the re-ship of its working set. Assignment happens
-	// here under mu (marked in-flight before the striping below can
-	// hand the index out); the frames go out after mu is released.
-	type push struct {
-		w   *wconn
-		idx int
-	}
-	var pushes []push
-	pushed := make([]bool, n)
-	for i, t := range rn.tasks {
-		if !t.Continues {
-			continue
-		}
-		co.stats.ContinuationTasks++
-		w := co.continuationTarget(rn, i)
-		if w == nil {
-			continue // no live worker: fall back to the shard queue
-		}
-		rn.spawned[i] = true
-		w.hold(rn, i)
-		co.stats.Continuations++
-		w.ws.Continuations++
-		pushed[i] = true
-		pushes = append(pushes, push{w, i})
 	}
 	// Contiguous striping: shard s owns queue indices [s·n/S, (s+1)·n/S),
 	// so FIFO order within a shard tracks global queue order and a
@@ -664,22 +618,12 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 	for sh := 0; sh < s; sh++ {
 		lo, hi := sh*n/s, (sh+1)*n/s
 		for i := lo; i < hi; i++ {
-			if !pushed[i] {
-				rn.shards[sh] = append(rn.shards[sh], i)
-			}
+			rn.shards[sh] = append(rn.shards[sh], i)
 		}
 	}
 	co.runs = append(co.runs, rn)
 	co.cond.Broadcast()
 	co.mu.Unlock()
-
-	for _, p := range pushes {
-		if !co.ship(p.w, rn, p.idx) {
-			// Write failure: the closed connection's workerLost path
-			// requeues the task through overflow, exactly once.
-			p.w.hangUp()
-		}
-	}
 
 	stop := context.AfterFunc(ctx, func() {
 		co.mu.Lock()
@@ -742,48 +686,9 @@ func (co *Coordinator) removeRun(rn *run) {
 	}
 }
 
-// continuationTarget picks the live connection holding the most of
-// task idx's chunks (by resident encoded bytes), ties broken by lowest
-// slot so two identical runs pick identically. Caller holds mu.
-func (co *Coordinator) continuationTarget(rn *run, idx int) *wconn {
-	var best *wconn
-	var bestBytes int64 = -1
-	for _, w := range co.conns {
-		if w.dead {
-			continue
-		}
-		var resident int64
-		for _, cr := range rn.chunks[idx] {
-			if e, ok := w.chunks.entries[cr.digest]; ok {
-				resident += e.size
-			}
-		}
-		if resident > bestBytes || (resident == bestBytes && best != nil && w.slot < best.slot) {
-			best, bestBytes = w, resident
-		}
-	}
-	return best
-}
-
-// stealCost is the bytes a steal of task idx would newly ship to the
-// thief: its inline seeds plus every chunk not already resident there.
-// Caller holds mu.
-func (co *Coordinator) stealCost(w *wconn, rn *run, idx int) int64 {
-	cost := int64(rn.inline[idx])
-	for _, cr := range rn.chunks[idx] {
-		if _, ok := w.chunks.entries[cr.digest]; !ok {
-			cost += int64(cr.size)
-		}
-	}
-	return cost
-}
-
 // pick claims the next queue index for a worker: requeued overflow
-// first, then the worker's own shard in order, then a steal. Stealing
-// is locality-aware: each candidate shard offers the back of its
-// deque, and the thief takes the one that would newly ship the fewest
-// bytes (ties go to the fullest shard, then the first). Caller holds
-// mu.
+// first, then the worker's own shard in order, then a steal from the
+// back of the fullest shard (ties go to the first). Caller holds mu.
 func (co *Coordinator) pick(w *wconn) (*run, int, bool) {
 	for _, rn := range co.runs {
 		if rn.failed != nil || rn.cancelled {
@@ -798,15 +703,10 @@ func (co *Coordinator) pick(w *wconn) (*run, int, bool) {
 			rn.shards[w.slot] = dq[1:]
 			return rn, dq[0], true
 		}
-		best, bl := -1, 0
-		var bestCost int64
+		best := -1
 		for s, dq := range rn.shards {
-			if len(dq) == 0 {
-				continue
-			}
-			cost := co.stealCost(w, rn, dq[len(dq)-1])
-			if best < 0 || cost < bestCost || (cost == bestCost && len(dq) > bl) {
-				best, bl, bestCost = s, len(dq), cost
+			if len(dq) > 0 && (best < 0 || len(dq) > len(rn.shards[best])) {
+				best = s
 			}
 		}
 		if best >= 0 {
@@ -821,16 +721,6 @@ func (co *Coordinator) pick(w *wconn) (*run, int, bool) {
 	return nil, 0, false
 }
 
-// hold marks a task in flight on the connection, ahead of the ship that
-// writes its frame. Caller holds co.mu.
-func (w *wconn) hold(rn *run, idx int) {
-	rn.state[idx] = stateInflight
-	w.inflight[flightKey{rn.id, idx}] = flight{rn: rn}
-	if n := len(w.inflight); n > w.ws.PeakInFlight {
-		w.ws.PeakInFlight = n
-	}
-}
-
 // claim blocks until the worker has window room and work exists
 // (ok=false when the worker died or the coordinator closed). The
 // claimed task is marked in-flight; the caller must ship it.
@@ -843,7 +733,9 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 		}
 		if len(w.inflight) < co.cfg.ShipWindow {
 			if rn, idx, ok := co.pick(w); ok {
-				w.hold(rn, idx)
+				rn.state[idx] = stateInflight
+				w.inflight[flightKey{rn.id, idx}] = flight{rn: rn}
+				w.ws.PeakInFlight = max(w.ws.PeakInFlight, len(w.inflight))
 				return rn, idx, true
 			}
 		}
@@ -856,10 +748,7 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 // error — the caller closes the connection and workerLost requeues
 // everything in flight there, including this task.
 //
-// Lock order is writeMu→mu, the same as register: holding writeMu
-// across the chunk-table update and the frame writes makes the
-// chunk-before-reference ordering airtight when the feeder and a
-// continuation push race for one connection.
+// Lock order is writeMu→mu, the same as register.
 func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
@@ -897,7 +786,6 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		ID: t.ID, Label: t.Label, Group: t.Group,
 		EstSize: t.EstSize, MemEst: t.MemEst,
 		Config: rn.cfg, Spec: *rn.specs[idx],
-		Spawned: rn.spawned[idx],
 	}
 	ct := w.chunks
 	ct.tick++
@@ -925,23 +813,21 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 	}
 	// LRU eviction under the budget — but never a chunk this very
 	// ship references (tick-pinned).
-	if co.cfg.ChunkBudget > 0 {
-		for ct.bytes > co.cfg.ChunkBudget {
-			back := ct.lru.Back()
-			if back == nil {
-				break
-			}
-			e := back.Value.(*chunkEntry)
-			if e.tick == ct.tick {
-				break
-			}
-			ct.lru.Remove(back)
-			delete(ct.entries, e.digest)
-			ct.bytes -= e.size
-			frees = append(frees, e.id)
-			co.stats.Evictions++
-			w.ws.Evictions++
+	for ct.bytes > co.chunkBudget {
+		back := ct.lru.Back()
+		if back == nil {
+			break
 		}
+		e := back.Value.(*chunkEntry)
+		if e.tick == ct.tick {
+			break
+		}
+		ct.lru.Remove(back)
+		delete(ct.entries, e.digest)
+		ct.bytes -= e.size
+		frees = append(frees, e.id)
+		co.stats.Evictions++
+		w.ws.Evictions++
 	}
 	w.ws.ResidentChunks = len(ct.entries)
 	w.ws.ResidentBytes = ct.bytes
@@ -1143,14 +1029,6 @@ func (co *Coordinator) workerLost(w *wconn) {
 	for _, k := range keys {
 		rn, idx := w.inflight[k].rn, k.seq
 		t := rn.tasks[idx]
-		if rn.spawned[idx] {
-			// A spawned continuation lost with its worker rejoins the
-			// ordinary overflow path: its Spawned mark is cleared so the
-			// redelivery is a plain queued task — the locality it was
-			// pushed for died with the chunk table.
-			rn.spawned[idx] = false
-			co.stats.SpawnedRequeued++
-		}
 		if !charged[k] {
 			// Never started: redelivered at the attempt it was shipped at.
 			rn.state[idx] = statePending

@@ -41,19 +41,22 @@ import (
 // re-exec'd binary, so there is no older peer to negotiate with. Bump
 // Version on any change to the frame layouts below. (v1 shipped every
 // seed inline; v2 is content-addressed seed shipping — frameChunk plus
-// chunk-ref task frames — and worker-side phase continuation; v3 adds
-// the worker process's match-arena footprint to the result frame; v4
-// drops the result frame's two retracted-working-memory fields, which
-// nothing fills since engines stopped being reset; v5 puts the run's
+// chunk-ref task frames — and a continuation mark on task and result
+// frames; v3 adds the worker process's match-arena footprint to the
+// result frame; v4 drops the result frame's two
+// retracted-working-memory fields, which nothing fills since engines
+// stopped being reset; v5 puts the run's
 // build mode in the task frame, ships tlp.RunConfig as it stands and
 // leaves the Init frame the handshake and the worker's own pool size,
 // memory budget and process-fault plan; v6 retires build-mode bit 8,
 // the per-WME seed load; v7 drops the build-mode byte, since every run
-// builds its engines one way and a worker never captures; see
+// builds its engines one way and a worker never captures; v8 drops the
+// task frame's flags byte and the result frame's continuation bit,
+// since every task reaches a worker through the shard queue; see
 // docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 7
+	Version = 8
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -134,12 +137,6 @@ type TaskMsg struct {
 	MemEst       float64
 	Config       tlp.RunConfig
 	Spec         tlp.WireSpec
-	// Spawned marks a worker-side phase continuation (v2): the
-	// coordinator pushed this task straight to the worker already
-	// holding its chunks instead of queueing it through the shard
-	// striping. Workers echo the mark in the ResultMsg so spawn
-	// accounting survives the round trip.
-	Spawned bool
 }
 
 // WireError is an error flattened for shipping: message plus
@@ -174,12 +171,7 @@ type ResultMsg struct {
 	AttemptErrs []WireError
 	Quarantined bool
 	Cancelled   bool
-	// Spawned echoes TaskMsg.Spawned: this result completes a
-	// worker-side phase continuation. The coordinator uses the echo to
-	// keep exactly-once merge accounting deterministic for spawned
-	// tasks (including ones requeued after a mid-run worker loss).
-	Spawned  bool
-	Snapshot []SnapClass
+	Snapshot    []SnapClass
 	// ArenaSlabs/ArenaBytes are what the worker process's executors'
 	// match arenas held, in total, when this task finished
 	// (rete.Scratch.Arena): the coordinator's view of worker memory
@@ -387,7 +379,7 @@ func appendValues(b []byte, vals []symtab.Value) []byte {
 
 // appendSeed is the canonical stateless encoding of a seed — class,
 // shared flag, values — independent of any connection's intern state:
-// the size function of the coordinator's chunk plan and steal costs.
+// the size function of the coordinator's chunk plan.
 func appendSeed(b []byte, s ops5.Seed) []byte {
 	b = appendString(b, s.Class)
 	b = appendBool(b, s.Digest != "")
@@ -741,11 +733,6 @@ func EncodeTaskV2(t *EncTab, m *TaskMsg, refs []int64) []byte {
 	b = appendUint(b, m.RunID)
 	b = appendUint(b, uint64(m.Seq))
 	b = appendUint(b, uint64(m.StartAttempt))
-	var flags byte
-	if m.Spawned {
-		flags |= 1
-	}
-	b = append(b, flags)
 	b = appendString(b, m.ID)
 	b = t.str(b, m.Label)
 	b = t.str(b, m.Group)
@@ -785,8 +772,6 @@ func DecodeTaskV2(t *DecTab, payload []byte, resolve func(uint64) (ops5.Seed, bo
 	m.RunID = d.uvarint()
 	m.Seq = int(d.uvarint())
 	m.StartAttempt = int(d.uvarint())
-	flags := d.byte()
-	m.Spawned = flags&1 != 0
 	m.ID = d.string()
 	m.Label = d.str(t)
 	m.Group = d.str(t)
@@ -845,7 +830,6 @@ const (
 	rfCancelled
 	rfHalted
 	rfLog
-	rfSpawned
 )
 
 func appendWireError(b []byte, e WireError) []byte {
@@ -885,9 +869,6 @@ func EncodeResultV2(t *EncTab, m *ResultMsg) []byte {
 	}
 	if m.HasLog {
 		flags |= rfLog
-	}
-	if m.Spawned {
-		flags |= rfSpawned
 	}
 	b = append(b, flags)
 	b = appendUint(b, uint64(m.Stats.Firings))
@@ -940,7 +921,6 @@ func DecodeResultV2(t *DecTab, payload []byte) (*ResultMsg, error) {
 	m.Quarantined = flags&rfQuarantined != 0
 	m.Cancelled = flags&rfCancelled != 0
 	m.HasLog = flags&rfLog != 0
-	m.Spawned = flags&rfSpawned != 0
 	m.Stats.Firings = int(d.uvarint())
 	m.Stats.Cycles = int(d.uvarint())
 	m.Stats.RHSActions = int(d.uvarint())

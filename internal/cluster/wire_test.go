@@ -195,12 +195,10 @@ func chunkRefsFor(m *TaskMsg, resident map[string]uint64, next *uint64) ([]int64
 // representative results: every task both fully inline and with
 // its shared seeds resolved through chunk frames, sharing one intern
 // table pair across the whole stream — exactly one connection's
-// lifetime. Spawned marks and the v2 result codec's dropped TaskID are
-// covered too.
+// lifetime. The v2 result codec's dropped TaskID is covered too.
 func TestWireRoundTripTasksV2(t *testing.T) {
 	enc, dec := NewEncTab(), &DecTab{}
-	for i, m := range corpusTasks(t) {
-		m.Spawned = i%3 == 0
+	for _, m := range corpusTasks(t) {
 		got, refs, err := DecodeTaskV2(dec, EncodeTaskV2(enc, m, nil), func(uint64) (ops5.Seed, bool) {
 			return ops5.Seed{}, false
 		})
@@ -269,7 +267,6 @@ func TestWireRoundTripTasksV2(t *testing.T) {
 
 	encR, decR := NewEncTab(), &DecTab{}
 	for _, r := range sampleResults() {
-		r.Spawned = r.Seq%2 == 1
 		got, err := DecodeResultV2(decR, EncodeResultV2(encR, r))
 		if err != nil {
 			t.Fatalf("result %s: decode: %v", r.TaskID, err)
@@ -345,9 +342,10 @@ func fuzzResolve(id uint64) (ops5.Seed, bool) {
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range corpusTasks(f) {
 		f.Add(append([]byte{2}, EncodeTaskV2(NewEncTab(), m, nil)...))
-		spawned := *m
-		spawned.Spawned = true
-		f.Add(append([]byte{2}, EncodeTaskV2(NewEncTab(), &spawned, nil)...))
+		// The same task redelivered after a worker death charged it.
+		redelivered := *m
+		redelivered.StartAttempt++
+		f.Add(append([]byte{2}, EncodeTaskV2(NewEncTab(), &redelivered, nil)...))
 		resident := map[string]uint64{}
 		var next uint64
 		refs, ids, seeds := chunkRefsFor(m, resident, &next)
@@ -360,9 +358,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	for _, r := range sampleResults() {
 		f.Add(append([]byte{5}, EncodeResultV2(NewEncTab(), r)...))
-		spawned := *r
-		spawned.Spawned = true
-		f.Add(append([]byte{5}, EncodeResultV2(NewEncTab(), &spawned)...))
+		// The same result from another executor of the worker process.
+		other := *r
+		other.Worker++
+		f.Add(append([]byte{5}, EncodeResultV2(NewEncTab(), &other)...))
 	}
 	f.Add(append([]byte{4}, EncodeChunkFree([]uint64{0, 7, 130})...))
 	// A frame from a process with another vocabulary: its symbol

@@ -155,8 +155,7 @@ func (w *worker) serve() error {
 	// goroutine below is the only frame reader, executors the only
 	// (mutex-serialized) frame writers. The channel holds a whole
 	// default ship window, so the pipeline's depth is decoded tasks an
-	// executor can start at once, not bytes in a socket buffer; anything
-	// past it (a burst of continuation pushes) waits in the socket.
+	// executor can start at once, not bytes in a socket buffer.
 	w.tasks = make(chan *TaskMsg, shipDepth*w.init.LocalWorkers)
 	w.arenas = make([]tlp.ArenaGauge, w.init.LocalWorkers)
 	// ctx ends with the read loop: once no coordinator is listening, a
@@ -257,8 +256,7 @@ loop:
 // redelivered at the same attempt and kill every worker it reached.
 // Deterministic in (task ID, attempt), and because transient faults
 // strike only the first attempt, the task's redelivery (startAttempt 2)
-// survives. Spawned continuation tasks go through the same draw, so the
-// chaos tests exercise mid-run SIGKILL requeue of spawned tasks too.
+// survives.
 func (w *worker) admit(m *TaskMsg) {
 	if w.procPlan != nil && w.procPlan.TaskFault(m.ID, m.StartAttempt).Kind == faults.Crash {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
@@ -343,7 +341,7 @@ func (w *worker) runTask(ctx context.Context, idx int, m *TaskMsg, scratch *ops5
 // configuration its frame carries and on the executor's match arena,
 // and flattens the Result for the wire.
 func (w *worker) execute(ctx context.Context, idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg {
-	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt, Spawned: m.Spawned}
+	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt}
 	w.mu.Lock()
 	d, ok := w.datasets[m.Spec.Dataset]
 	w.mu.Unlock()

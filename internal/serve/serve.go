@@ -309,7 +309,7 @@ type Stats struct {
 	// serving purely in-process).
 	ShippedBytes int64 `json:"shippedBytes"`
 	// Cluster is the cluster backend's coordinator accounting — chunk
-	// shipping, continuations, steals, what worker deaths requeued with
+	// shipping, steals, what worker deaths requeued with
 	// and without a charged attempt, and the per-worker breakdown, each
 	// slot's peak pipeline depth included.
 	// Nil when serving purely in-process or when the backend exposes

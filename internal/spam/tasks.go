@@ -109,7 +109,6 @@ type taskSpec struct {
 	key, label, group string
 	est, mem          float64
 	phase             string // rtf | lcc | fa | model: the phaseDefs key
-	continues         bool   // LCC re-entry: see tlp.Task.Continues
 
 	batchID int              // rtf
 	regions []*scene.Region  // rtf: the batch
@@ -166,7 +165,7 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool,
 	}
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
-		EstSize: sp.est, MemEst: sp.mem, Continues: sp.continues,
+		EstSize: sp.est, MemEst: sp.mem,
 		Extract:   extract,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
@@ -503,9 +502,7 @@ func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Frag
 // by queue position, so a task keeps its identity when the queue
 // around it changes. The FA→LCC re-entry re-checks only the newly
 // predicted fragments; their IDs depend on the fragment pool, so those
-// tasks key under a distinct "lccr" namespace, and they continue the
-// LCC phase over fragments the main pass already shipped: marked, so
-// the cluster runtime spawns them on the chunk-resident worker.
+// tasks key under a distinct "lccr" namespace.
 func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []taskSpec {
 	prefix := "lcc"
 	if reentry {
@@ -532,14 +529,13 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 				est += u.expected
 			}
 			specs = append(specs, taskSpec{
-				key:       fmt.Sprintf("%s4-%s-%s", prefix, name, k),
-				label:     fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
-				group:     string(k),
-				est:       float64(est),
-				mem:       taskMemEst(2*est + 3*len(group)),
-				phase:     "lcc",
-				continues: reentry,
-				units:     group,
+				key:   fmt.Sprintf("%s4-%s-%s", prefix, name, k),
+				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
+				group: string(k),
+				est:   float64(est),
+				mem:   taskMemEst(2*est + 3*len(group)),
+				phase: "lcc",
+				units: group,
 			})
 		}
 		return specs
@@ -554,14 +550,13 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 			key += fmt.Sprintf("-%s-p%d", u.cid, u.checks[0].partners[0].ID)
 		}
 		specs = append(specs, taskSpec{
-			key:       key,
-			label:     fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
-			group:     string(u.focal.Type),
-			est:       float64(u.expected),
-			mem:       taskMemEst(2*u.expected + 3),
-			phase:     "lcc",
-			continues: reentry,
-			units:     []lccUnit{u},
+			key:   key,
+			label: fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
+			group: string(u.focal.Type),
+			est:   float64(u.expected),
+			mem:   taskMemEst(2*u.expected + 3),
+			phase: "lcc",
+			units: []lccUnit{u},
 		})
 	}
 	return specs

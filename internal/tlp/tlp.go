@@ -116,13 +116,6 @@ type Task struct {
 	// process rebuilds an engine from the WireSpec that is byte-identical
 	// to what Build constructs here.
 	Wire func() (*WireSpec, error)
-	// Continues marks a follow-on task of an earlier phase over the same
-	// working set (SPAM's LCC re-entry after focus-of-attention): its
-	// shared seeds are a superset of state some worker already holds. The
-	// cluster runtime pushes marked tasks straight to the worker with the
-	// most resident chunks instead of queueing them through the shard
-	// striping; the local Pool ignores the flag.
-	Continues bool
 }
 
 // build constructs the task's engine, preferring BuildWith.
