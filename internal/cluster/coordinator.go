@@ -23,7 +23,8 @@ import (
 type Config struct {
 	// Workers is the number of worker processes to spawn (default 2).
 	Workers int
-	// LocalWorkers is each worker process's tlp.Pool size (default 1).
+	// LocalWorkers is each worker process's task processes, the size
+	// of its tlp.SharedPool (default 1).
 	LocalWorkers int
 	// MemBudget is each worker pool's modeled memory budget (simulated
 	// bytes; 0 = unbounded), the cluster analogue of -mem-budget.
@@ -41,8 +42,8 @@ type Config struct {
 	// budget lifted to processes). Negative disables respawn.
 	MaxRespawns int
 	// ShipWindow caps the tasks in flight to one worker process. Zero
-	// means shipDepth per executor, the measured depth that keeps an
-	// executor fed across a result→claim→ship round trip; set it only to
+	// means shipDepth per task process, the measured depth that keeps
+	// one fed across a result→claim→ship round trip; set it only to
 	// cap the pipeline below that (the chaos tests pin it to 1, where
 	// which task a death interrupts is deterministic).
 	ShipWindow int
@@ -54,7 +55,7 @@ type Config struct {
 	Exe string
 }
 
-// shipDepth is how many tasks per executor the coordinator keeps in
+// shipDepth is how many tasks per task process the coordinator keeps in
 // flight to a worker process when Config.ShipWindow is zero. A task
 // lasts ≈0.25 ms and one result → deliver → claim → ship → decode round
 // trip crosses three processes and four goroutine wake-ups (≈110–150 µs
@@ -212,8 +213,8 @@ type flightKey struct {
 
 // flight is one task in flight on a connection: its run, and its
 // 1-based place in the connection's ship order — the order its frames
-// were written in, which is the order the worker's executors start
-// them in — or 0 while the task is claimed and its frame is not yet
+// were written in, which is the order the worker's pool starts them
+// in — or 0 while the task is claimed and its frame is not yet
 // written.
 type flight struct {
 	rn      *run
@@ -1002,10 +1003,10 @@ func (co *Coordinator) workerLost(w *wconn) {
 			keys = append(keys, k)
 		}
 	}
-	// The worker's executors start tasks in ship order and the reader
+	// The worker's pool starts tasks in ship order and the reader
 	// merged every result the worker flushed before it reported the
 	// loss, so of the unmerged tasks only the first few in that order
-	// can have started: one running on each executor, and a flush batch
+	// can have started: one running on each task process, and a flush batch
 	// of finished results that died in the worker's write buffer.
 	// Charging the whole window instead would quarantine, at MaxRetries
 	// 0, a window of tasks for one death; charging fewer could leave the

@@ -4,7 +4,7 @@
 // It promotes the message-passing execution model the repository so
 // far only simulated (internal/msgpass, internal/svm) to real
 // processes, following the layered design of Or-parallel cluster
-// systems: every worker hosts a local tlp.Pool (a single-machine
+// systems: every worker hosts a local tlp.SharedPool (a single-machine
 // worker team), and the cluster layer is a scheduler of pools that
 // ships tasks, steals work across shards, and applies the pool's
 // retry/quarantine semantics at process granularity — a lost worker
@@ -52,11 +52,12 @@ import (
 // the per-WME seed load; v7 drops the build-mode byte, since every run
 // builds its engines one way and a worker never captures; v8 drops the
 // task frame's flags byte and the result frame's continuation bit,
-// since every task reaches a worker through the shard queue; see
-// docs/CLUSTER.md.)
+// since every task reaches a worker through the shard queue; v9 drops
+// the RunConfig's firing cap, since FiringBudget is the one per-task
+// firing limit; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 8
+	Version = 9
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -95,7 +96,7 @@ func frameLen(payloadLen int) int {
 
 // InitMsg is the first frame of every connection: protocol handshake
 // plus the per-process worker configuration (the knobs a worker's
-// local tlp.Pool inherits from the coordinator's flags).
+// local tlp.SharedPool inherits from the coordinator's flags).
 type InitMsg struct {
 	Magic        string
 	Version      int
@@ -172,8 +173,8 @@ type ResultMsg struct {
 	Quarantined bool
 	Cancelled   bool
 	Snapshot    []SnapClass
-	// ArenaSlabs/ArenaBytes are what the worker process's executors'
-	// match arenas held, in total, when this task finished
+	// ArenaSlabs/ArenaBytes are what the worker process's task
+	// processes' match arenas held, in total, when this task finished
 	// (rete.Scratch.Arena): the coordinator's view of worker memory
 	// that outlives tasks.
 	ArenaSlabs int
@@ -391,7 +392,6 @@ func appendSeed(b []byte, s ops5.Seed) []byte {
 
 func appendRunConfig(b []byte, c tlp.RunConfig) []byte {
 	b = append(b, byte(c.Policy))
-	b = appendInt(b, int64(c.MaxFirings))
 	b = appendInt(b, int64(c.FiringBudget))
 	b = appendInt(b, int64(c.MaxRetries))
 	b = appendInt(b, int64(c.TaskTimeout))
@@ -407,7 +407,6 @@ func appendRunConfig(b []byte, c tlp.RunConfig) []byte {
 func (d *decoder) runConfig() tlp.RunConfig {
 	var c tlp.RunConfig
 	c.Policy = tlp.QueuePolicy(d.byte())
-	c.MaxFirings = int(d.varint())
 	c.FiringBudget = int(d.varint())
 	c.MaxRetries = int(d.varint())
 	c.TaskTimeout = time.Duration(d.varint())

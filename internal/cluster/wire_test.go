@@ -64,7 +64,7 @@ func corpusTasks(t testing.TB) []*TaskMsg {
 	t.Helper()
 	queue, _ := corpusQueue(t)
 	cfg := tlp.RunConfig{
-		MaxFirings: 5000, FiringBudget: 120000, MaxRetries: 2,
+		FiringBudget: 120000, MaxRetries: 2,
 		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
 	}
 	var out []*TaskMsg
@@ -317,7 +317,7 @@ func configFrames(t testing.TB) (full, trailing, truncated []byte) {
 	t.Helper()
 	m := *corpusTasks(t)[0]
 	m.Config = tlp.RunConfig{
-		Policy: tlp.PostOrder, MaxFirings: 5000, FiringBudget: 120000, MaxRetries: 2,
+		Policy: tlp.PostOrder, FiringBudget: 120000, MaxRetries: 2,
 		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
 		Faults: faults.Config{Seed: 42, BuildFailRate: 0.125, PanicRate: 0.25, CrashRate: 0.5, PermanentFraction: 0.75},
 	}

@@ -66,8 +66,8 @@ type worker struct {
 	// install entries, chunk-free frames drop them, and
 	// chunk-ref task frames resolve against it at decode time. Only the
 	// read loop touches it, so it needs no lock — and because refs
-	// resolve into the TaskMsg before the task is handed to an
-	// executor, a later eviction cannot break an earlier task.
+	// resolve into the TaskMsg before the task is handed to the pool,
+	// a later eviction cannot break an earlier task.
 	chunks map[uint64]ops5.Seed
 
 	// dec/enc are the per-direction intern tables: dec mirrors the
@@ -76,22 +76,16 @@ type worker struct {
 	dec *DecTab
 	enc *EncTab
 
-	// mu guards datasets (written by the read loop, read by executors).
-	mu       sync.Mutex
+	// datasets is the read loop's alone: a task frame's dataset is
+	// looked up before the task enters the pool.
 	datasets map[string]*spam.Dataset
-	// pool holds the process's one memory gate: every task, whatever
-	// RunConfig its frame carries, reserves its footprint against the
-	// same InitMsg.MemBudget.
-	pool *tlp.Pool
-
-	// arenas is what each executor's match arena holds, published by
-	// the executor after every task; results report the process total.
-	arenas []tlp.ArenaGauge
-
-	// tasks is the queue between the read loop and the executors, in
-	// ship order. onStart, when a test sets it, sees the queue's length
-	// each time an executor takes a task off it.
-	tasks   chan *TaskMsg
+	// pool is the process's task processes, InitMsg.LocalWorkers of
+	// them behind one memory gate: every task, whatever RunConfig its
+	// frame carries, runs there and reserves its footprint against the
+	// same InitMsg.MemBudget. Its queue holds decoded tasks in ship
+	// order. onStart, when a test sets it, sees the queue's length each
+	// time a task process takes a task off it.
+	pool    *tlp.SharedPool
 	onStart func(queued int)
 
 	// writeMu guards bw, enc and unflushed: the result frames written
@@ -136,53 +130,26 @@ func (w *worker) serve() error {
 	if typ != frameInit {
 		return fmt.Errorf("handshake: got frame type %d, want init", typ)
 	}
-	if err := decodeJSON(payload, &w.init); err != nil {
+	if err := json.Unmarshal(payload, &w.init); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	if w.init.Magic != Magic || w.init.Version != Version {
 		return fmt.Errorf("handshake: protocol %q v%d, want %q v%d",
 			w.init.Magic, w.init.Version, Magic, Version)
 	}
-	if w.init.LocalWorkers < 1 {
-		w.init.LocalWorkers = 1
-	}
-	w.pool = &tlp.Pool{Workers: w.init.LocalWorkers, MemBudget: w.init.MemBudget}
+	w.pool = tlp.NewSharedPool(w.init.LocalWorkers)
+	w.pool.MemBudget = w.init.MemBudget
 	if w.init.ProcFaults != (faults.Config{}) {
 		w.procPlan = faults.New(w.init.ProcFaults)
 	}
 
-	// LocalWorkers executors drain the task channel; the reader
-	// goroutine below is the only frame reader, executors the only
-	// (mutex-serialized) frame writers. The channel holds a whole
-	// default ship window, so the pipeline's depth is decoded tasks an
-	// executor can start at once, not bytes in a socket buffer.
-	w.tasks = make(chan *TaskMsg, shipDepth*w.init.LocalWorkers)
-	w.arenas = make([]tlp.ArenaGauge, w.init.LocalWorkers)
-	// ctx ends with the read loop: once no coordinator is listening, a
-	// result has nowhere to go, so the executors drop what is queued and
-	// the running tasks are cancelled.
+	// This goroutine is the only frame reader, the task processes the
+	// only (mutex-serialized) frame writers. ctx ends with the read
+	// loop: once no coordinator is listening, a result has nowhere to
+	// go, so the pool cancels what is queued without building it and
+	// interrupts what runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < w.init.LocalWorkers; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			// The executor's match arena: lent to each task's engine and
-			// settled back by the pool, for as long as the process lives.
-			scratch := &ops5.Scratch{}
-			for m := range w.tasks {
-				if ctx.Err() != nil {
-					continue
-				}
-				if w.onStart != nil {
-					w.onStart(len(w.tasks))
-				}
-				w.admit(m)
-				w.runTask(ctx, idx, m, scratch)
-			}
-		}(i)
-	}
 
 	var loopErr error
 loop:
@@ -195,7 +162,7 @@ loop:
 		switch typ {
 		case frameDataset:
 			var spec DatasetSpec
-			if err := decodeJSON(payload, &spec); err != nil {
+			if err := json.Unmarshal(payload, &spec); err != nil {
 				loopErr = err
 			} else {
 				loopErr = w.addDataset(spec)
@@ -209,7 +176,7 @@ loop:
 				loopErr = err
 				break loop
 			}
-			w.tasks <- m
+			w.submit(ctx, m)
 		case frameChunk:
 			id, s, err := DecodeChunk(w.dec, payload)
 			if err != nil {
@@ -236,20 +203,19 @@ loop:
 		}
 	}
 	cancel()
-	close(w.tasks)
-	wg.Wait()
+	w.pool.Close()
 	if loopErr != nil && !isClosedConn(loopErr) {
 		return loopErr
 	}
 	return nil
 }
 
-// admit applies the process-level chaos draw to a task an executor has
-// just taken off the queue. A Crash draw for this (task, attempt) kills
-// the worker process outright — no goodbye frame, the coordinator sees
-// only the dropped connection. The draw strikes at the start of the
-// task, not when its frame is decoded: executors start tasks in ship
-// order, so the fated task is among the first LocalWorkers+resultBatch
+// admit applies the process-level chaos draw to a task a task process
+// has just taken off the queue. A Crash draw for this (task, attempt)
+// kills the worker process outright — no goodbye frame, the coordinator
+// sees only the dropped connection. The draw strikes at the start of
+// the task, not when its frame is decoded: the pool starts tasks in
+// ship order, so the fated task is among the first LocalWorkers+resultBatch
 // unmerged tasks of its connection, which are the ones the coordinator
 // charges an attempt (Coordinator.workerLost) — drawn at decode, with a
 // window of tasks queued ahead of it, it could die uncharged, be
@@ -272,16 +238,10 @@ func isClosedConn(err error) bool {
 		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET)
 }
 
-func decodeJSON(payload []byte, v interface{}) error {
-	return json.Unmarshal(payload, v)
-}
-
 // addDataset regenerates a dataset from its shipped parameters.
 // Generation is deterministic, so the result is byte-identical to the
 // coordinator's copy.
 func (w *worker) addDataset(spec DatasetSpec) error {
-	// Only this (read-loop) goroutine writes the map, so the unlocked
-	// read here is safe; the lock covers the executors' reads.
 	if _, ok := w.datasets[spec.Name]; ok {
 		return nil
 	}
@@ -300,28 +260,53 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 	if err != nil {
 		return fmt.Errorf("cluster: dataset %q: %w", spec.Name, err)
 	}
-	w.mu.Lock()
 	w.datasets[spec.Name] = d
-	w.mu.Unlock()
 	return nil
 }
 
-// runTask executes one shipped task on executor idx, stamps the
-// result with the process's arena footprint, and writes its result
-// frame, flushing by the resultBatch rule. The encoding happens under
-// writeMu too: the result codec interns against the connection's shared
-// table, so encode order must match stream order.
-func (w *worker) runTask(ctx context.Context, idx int, m *TaskMsg, scratch *ops5.Scratch) {
-	res := w.execute(ctx, idx, m, scratch)
-	// The executor outlives its tasks: it must not pin the largest
-	// one's arena.
-	scratch.Trim()
-	w.arenas[idx].Publish(scratch)
-	for i := range w.arenas {
-		a := w.arenas[i].Load()
-		res.ArenaSlabs += a.ArenaSlabs
-		res.ArenaBytes += a.ArenaBytes
+// submit hands a decoded task to the pool under the configuration its
+// frame carries, resuming at the frame's attempt. The task process
+// that takes it applies the crash draw, runs it on its match arena and
+// writes its result frame. A task whose engine cannot be described —
+// an unknown dataset or phase — is quarantined at once, without a run.
+func (w *worker) submit(ctx context.Context, m *TaskMsg) {
+	var build func(*ops5.Scratch) (*ops5.Engine, error)
+	var err error
+	if d, ok := w.datasets[m.Spec.Dataset]; ok {
+		build, err = d.WireBuild(&m.Spec)
+	} else {
+		err = fmt.Errorf("cluster: task %s: dataset %q not registered", m.ID, m.Spec.Dataset)
 	}
+	if err != nil {
+		e := WireError{Msg: err.Error()}
+		w.send(ctx, &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Attempts: m.StartAttempt,
+			Err: &e, AttemptErrs: []WireError{e}, Quarantined: true})
+		return
+	}
+	w.pool.Go(tlp.Job{
+		Ctx: ctx, Config: m.Config, Seq: m.Seq, StartAttempt: m.StartAttempt,
+		Task: &tlp.Task{
+			ID: m.ID, Label: m.Label, Group: m.Group,
+			EstSize: m.EstSize, MemEst: m.MemEst,
+			Extract: m.Spec.Extract, BuildWith: build,
+		},
+		Start: func() {
+			if w.onStart != nil {
+				w.onStart(w.pool.Queued())
+			}
+			w.admit(m)
+		},
+		Done: func(r *tlp.Result) { w.send(ctx, resultMsg(m, r)) },
+	})
+}
+
+// send stamps a result with the process's arena footprint and writes
+// its frame, flushing by the resultBatch rule. The encoding happens
+// under writeMu too: the result codec interns against the connection's
+// shared table, so encode order must match stream order.
+func (w *worker) send(ctx context.Context, res *ResultMsg) {
+	a := w.pool.Arena()
+	res.ArenaSlabs, res.ArenaBytes = a.ArenaSlabs, a.ArenaBytes
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
 	if ctx.Err() != nil {
@@ -331,50 +316,20 @@ func (w *worker) runTask(ctx context.Context, idx int, m *TaskMsg, scratch *ops5
 		return
 	}
 	w.unflushed++
-	if w.unflushed >= resultBatch || len(w.tasks) == 0 {
+	if w.unflushed >= resultBatch || w.pool.Queued() == 0 {
 		w.unflushed = 0
 		w.bw.Flush()
 	}
 }
 
-// execute runs the task behind the process's memory gate, under the
-// configuration its frame carries and on the executor's match arena,
-// and flattens the Result for the wire.
-func (w *worker) execute(ctx context.Context, idx int, m *TaskMsg, scratch *ops5.Scratch) *ResultMsg {
-	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: idx, Attempts: m.StartAttempt}
-	w.mu.Lock()
-	d, ok := w.datasets[m.Spec.Dataset]
-	w.mu.Unlock()
-	if !ok {
-		out.Err = &WireError{Msg: fmt.Sprintf("cluster: task %s: dataset %q not registered", m.ID, m.Spec.Dataset)}
-		out.AttemptErrs = []WireError{*out.Err}
-		out.Quarantined = true
-		return out
-	}
-	builder, err := d.WireBuild(&m.Spec)
-	if err != nil {
-		out.Err = &WireError{Msg: err.Error()}
-		out.AttemptErrs = []WireError{*out.Err}
-		out.Quarantined = true
-		return out
-	}
-	task := &tlp.Task{
-		ID: m.ID, Label: m.Label, Group: m.Group,
-		EstSize: m.EstSize, MemEst: m.MemEst,
-		Extract:   m.Spec.Extract,
-		Build:     func() (*ops5.Engine, error) { return builder(nil) },
-		BuildWith: builder,
-	}
-	r := w.pool.RunOne(ctx, m.Config, task, idx, m.Seq, m.StartAttempt, scratch)
-
-	out.Attempts = r.Attempts
-	out.Stats = r.Stats
+// resultMsg flattens a task's Result for the wire.
+func resultMsg(m *TaskMsg, r *tlp.Result) *ResultMsg {
+	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: r.Worker, Attempts: r.Attempts,
+		Stats: r.Stats, Quarantined: r.Quarantined, Cancelled: r.Cancelled}
 	if r.Log != nil {
 		out.HasLog = true
 		out.Mem = r.Log.Mem
 	}
-	out.Quarantined = r.Quarantined
-	out.Cancelled = r.Cancelled
 	if r.Err != nil {
 		out.Err = &WireError{Msg: r.Err.Error(), Marks: tlp.ErrorMarks(r.Err)}
 	}

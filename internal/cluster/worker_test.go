@@ -1,21 +1,90 @@
 package cluster
 
 import (
-	"context"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sync"
+	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"spampsm/internal/faults"
-	"spampsm/internal/ops5"
 	"spampsm/internal/spam"
 	"spampsm/internal/tlp"
 )
+
+// pipedWorker is a real worker serving one end of a pipe; the test
+// holds the other end and speaks the coordinator's side of the wire.
+type pipedWorker struct {
+	t      *testing.T
+	w      *worker
+	coord  net.Conn
+	br     *bufio.Reader
+	enc    *EncTab
+	dec    *DecTab
+	served chan error
+}
+
+// pipeWorker starts a worker with d registered and sends its handshake.
+// onStart, when set, sees the pool's queue length at every task start.
+func pipeWorker(t *testing.T, d *spam.Dataset, init InitMsg, onStart func(queued int)) *pipedWorker {
+	t.Helper()
+	coord, work := net.Pipe()
+	p := &pipedWorker{t: t, w: newWorker(work), coord: coord, br: bufio.NewReader(coord),
+		enc: NewEncTab(), dec: &DecTab{}, served: make(chan error, 1)}
+	p.w.datasets[d.Name] = d
+	p.w.onStart = onStart
+	go func() { p.served <- p.w.serve() }()
+	init.Magic, init.Version = Magic, Version
+	if _, err := writeJSONFrame(coord, frameInit, init); err != nil {
+		t.Fatalf("write init: %v", err)
+	}
+	return p
+}
+
+// send writes one task frame: the i-th of tasks, under cfg, with the
+// footprint memEst.
+func (p *pipedWorker) send(tasks []*tlp.Task, i int, cfg tlp.RunConfig, memEst float64) {
+	p.t.Helper()
+	spec, err := tasks[i].Wire()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	m := &TaskMsg{RunID: 1, Seq: i, StartAttempt: 1, ID: tasks[i].ID, MemEst: memEst, Config: cfg, Spec: *spec}
+	if _, err := writeFrame(p.coord, frameTaskV2, EncodeTaskV2(p.enc, m, nil)); err != nil {
+		p.t.Fatalf("write task %d: %v", i, err)
+	}
+}
+
+// recv reads one result frame.
+func (p *pipedWorker) recv() *ResultMsg {
+	p.t.Helper()
+	typ, payload, err := readFrame(p.br)
+	if err != nil || typ != frameResult {
+		p.t.Fatalf("read result: frame type %d, %v", typ, err)
+	}
+	r, err := DecodeResultV2(p.dec, payload)
+	if err != nil {
+		p.t.Fatalf("decode result: %v", err)
+	}
+	return r
+}
+
+// wait returns what serve returned, failing the test if it still runs.
+func (p *pipedWorker) wait(within time.Duration) error {
+	p.t.Helper()
+	select {
+	case err := <-p.served:
+		return err
+	case <-time.After(within):
+		p.t.Fatal("worker still serving")
+		return nil
+	}
+}
 
 // TestWorkerOneGateAcrossConfigs: a worker process has one memory gate,
 // whatever RunConfigs its task frames carry. A RunConfig is client
@@ -32,29 +101,17 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 		t.Fatalf("%d RTF tasks, want at least 2", len(rtf))
 	}
 	const budget = 1 << 20
-	w := &worker{
-		datasets: map[string]*spam.Dataset{d.Name: d},
-		pool:     &tlp.Pool{Workers: 2, MemBudget: budget},
-	}
-	msg := func(i int, cfg tlp.RunConfig, memEst float64) *TaskMsg {
-		task := rtf[i%len(rtf)]
-		spec, err := task.Wire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &TaskMsg{RunID: 1, Seq: i, StartAttempt: 1, ID: task.ID, MemEst: memEst, Config: cfg, Spec: *spec}
-	}
+	p := pipeWorker(t, d, InitMsg{LocalWorkers: 2, MemBudget: budget}, nil)
 
 	// Fifty request shapes, one after another: every reservation lands
 	// on the one gate, and none waits.
-	scratch := &ops5.Scratch{}
 	for i := 0; i < 50; i++ {
-		res := w.execute(context.Background(), 0, msg(i, tlp.RunConfig{MaxRetries: i}, float64(1000+i)), scratch)
-		if res.Err != nil {
+		p.send(rtf, i%len(rtf), tlp.RunConfig{MaxRetries: i}, float64(1000+i))
+		if res := p.recv(); res.Err != nil {
 			t.Fatalf("task %d: %s", i, res.Err.Msg)
 		}
 	}
-	if ms := w.pool.MemSched(); ms.Budget != budget || ms.PeakReserved != 1049 || ms.ThrottleWaits != 0 {
+	if ms := p.w.pool.Stats().MemSched; ms.Budget != budget || ms.PeakReserved != 1049 || ms.ThrottleWaits != 0 {
 		t.Fatalf("after 50 configs run serially: %+v, want one gate of budget %d that peaked at the largest reservation (1049) and never waited", ms, budget)
 	}
 
@@ -63,26 +120,106 @@ func TestWorkerOneGateAcrossConfigs(t *testing.T) {
 	// its reservation; the second, under another config, must wait for it.
 	slow := tlp.RunConfig{MaxRetries: 1, RetryBackoff: 500 * time.Millisecond,
 		Faults: faults.Config{Seed: 1, BuildFailRate: 1}}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if res := w.execute(context.Background(), 0, msg(0, slow, budget), scratch); res.Err != nil || res.Attempts != 2 {
-			t.Errorf("retried task: attempts %d, err %v", res.Attempts, res.Err)
-		}
-	}()
-	for i := 0; w.pool.MemSched().PeakReserved < budget; i++ {
+	p.send(rtf, 0, slow, budget)
+	for i := 0; p.w.pool.Stats().MemSched.PeakReserved < budget; i++ {
 		if i > 5000 {
 			t.Fatal("the retrying task never reserved its footprint")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if res := w.execute(context.Background(), 1, msg(1, tlp.RunConfig{}, budget), &ops5.Scratch{}); res.Err != nil {
-		t.Errorf("second task: %s", res.Err.Msg)
+	p.send(rtf, 1, tlp.RunConfig{}, budget)
+	for range 2 {
+		res := p.recv()
+		if res.Err != nil {
+			t.Errorf("task %d: %s", res.Seq, res.Err.Msg)
+		}
+		if res.Seq == 0 && res.Attempts != 2 {
+			t.Errorf("retried task: %d attempts, want 2", res.Attempts)
+		}
 	}
-	wg.Wait()
-	if ms := w.pool.MemSched(); ms.ThrottleWaits != 1 || ms.PeakReserved != budget {
+	if ms := p.w.pool.Stats().MemSched; ms.ThrottleWaits != 1 || ms.PeakReserved != budget {
 		t.Errorf("two configs' tasks did not contend for one budget: %+v, want 1 throttle wait and a peak of %d", ms, budget)
+	}
+	p.coord.Close()
+	if err := p.wait(10 * time.Second); err != nil {
+		t.Errorf("worker: %v", err)
+	}
+}
+
+// poolProcesses counts the goroutines running a SharedPool task process.
+func poolProcesses() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "tlp.(*SharedPool).process(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestServeWorkerLeavesNoTaskProcesses: ServeWorker closes its pool
+// on every way out, so none of the pool's task processes outlives it —
+// after a run the coordinator ends with Shutdown, after a connection
+// that drops while the worker is idle, and after one that drops with a
+// task running and a queue behind it to cancel.
+func TestServeWorkerLeavesNoTaskProcesses(t *testing.T) {
+	d, err := spam.NewDataset(airportParams("DC"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := tinyTasks(t, d, 9)
+	slow := tlp.RunConfig{MaxRetries: 1, RetryBackoff: 20 * time.Second, Faults: faults.Config{Seed: 1, BuildFailRate: 1}}
+	legs := []struct {
+		name    string
+		workers int
+		drive   func(p *pipedWorker, started <-chan struct{})
+	}{
+		{"run then shutdown", 2, func(p *pipedWorker, _ <-chan struct{}) {
+			for i := range 4 {
+				p.send(tasks, i, tlp.RunConfig{}, 0)
+			}
+			for range 4 {
+				p.recv()
+			}
+			// One write: the worker hangs up as soon as it has the header.
+			bw := bufio.NewWriter(p.coord)
+			writeFrame(bw, frameShutdown, nil)
+			if err := bw.Flush(); err != nil {
+				p.t.Fatalf("write shutdown: %v", err)
+			}
+		}},
+		{"dropped connection", 2, func(p *pipedWorker, _ <-chan struct{}) {
+			p.send(tasks, 0, tlp.RunConfig{}, 0)
+			p.recv()
+			p.coord.Close()
+		}},
+		{"cancelled queue", 1, func(p *pipedWorker, started <-chan struct{}) {
+			p.send(tasks, 0, slow, 0)
+			<-started
+			for i := 1; i < len(tasks); i++ {
+				p.send(tasks, i, tlp.RunConfig{}, 0)
+			}
+			p.coord.Close()
+		}},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			before := poolProcesses()
+			started := make(chan struct{}, len(tasks))
+			p := pipeWorker(t, d, InitMsg{LocalWorkers: leg.workers}, func(int) { started <- struct{}{} })
+			leg.drive(p, started)
+			if err := p.wait(10 * time.Second); err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			n := poolProcesses()
+			for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = poolProcesses() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > before {
+				t.Errorf("%d task processes alive after ServeWorker returned", n-before)
+			}
+		})
 	}
 }
 

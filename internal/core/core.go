@@ -104,7 +104,7 @@ func (s *System) fragments() ([]*spam.Fragment, error) {
 		return s.frags, nil
 	}
 	tasks := spam.BuildRTFTasks(s.Dataset.KB, s.Dataset.Store, s.Dataset.Progs.RTF, s.RTFBatch, false)
-	results, err := tlp.RunSerial(tasks, 0)
+	results, err := tlp.RunSerial(tasks)
 	if err != nil {
 		return nil, err
 	}

@@ -192,13 +192,13 @@ func (s *Scratch) slabs() [10]anySlab {
 
 // Trim bounds what an idle scratch keeps for the next task: less than
 // twice the objects (per kind) that the largest of the last trimWindow
-// settled tasks drew, the rest dropped for the collector. An executor
-// that lives as long as its process (a SharedPool worker, a cluster
-// worker's executor) calls it after every task, so that one
-// SF-x10-sized task does not pin its peak arena forever — trimWindow
-// ordinary tasks after it the excess is released — while a queue that
-// alternates small and ordinary tasks keeps the ordinary task's arena
-// and allocates nothing. An executor that dies with its run (a
+// settled tasks drew, the rest dropped for the collector. A task
+// process that lives as long as its process (a tlp.SharedPool's, which
+// is also what a cluster worker serves on) calls it after every task,
+// so that one SF-x10-sized task does not pin its peak arena forever —
+// trimWindow ordinary tasks after it the excess is released — while a
+// queue that alternates small and ordinary tasks keeps the ordinary
+// task's arena and allocates nothing. One that dies with its run (a
 // tlp.Pool worker) need not. With a loan outstanding Trim does
 // nothing.
 func (s *Scratch) Trim() {

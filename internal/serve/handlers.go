@@ -224,7 +224,7 @@ func (s *Server) options(req *Request, queue tlp.Queue) spam.InterpretOptions {
 	cfg := tlp.RunConfig{
 		Policy:       s.cfg.Sched,
 		MaxRetries:   req.MaxRetries,
-		RetryBackoff: s.cfg.RetryBackoff,
+		RetryBackoff: retryBackoff,
 		FiringBudget: req.FiringBudget,
 	}
 	if req.Faults != nil {
@@ -322,9 +322,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string,
 	if x.deadlineMs > 0 {
 		deadline = time.Duration(x.deadlineMs) * time.Millisecond
 	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
+	deadline = min(deadline, maxDeadline)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"spampsm/internal/symtab"
 )
@@ -103,6 +105,53 @@ func TestFailedOpenRegistersNothing(t *testing.T) {
 	}
 	if resp, _, b := updateSession(t, ts.URL, fmt.Sprintf(`{"session":%q}`, id)); resp.StatusCode != 200 {
 		t.Errorf("the session open before it: %d %s, want 200", resp.StatusCode, b)
+	}
+}
+
+// poolProcesses counts the goroutines running a SharedPool task process.
+func poolProcesses() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "tlp.(*SharedPool).process(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestCloseLeavesNoPoolProcesses: after a completed request, a shed
+// one and one whose client hung up, Close leaves none of the shared
+// pool's task processes behind.
+func TestCloseLeavesNoPoolProcesses(t *testing.T) {
+	before := poolProcesses()
+	s := New(Config{Workers: 2, PerTenantMax: 1})
+	if rec := serveDirect(context.Background(), s, "/interpret", sceneBody(t, tinyScene("drain", 0), "")); rec.Code != http.StatusOK {
+		t.Fatalf("clean request: %d %s", rec.Code, rec.Body)
+	}
+	release, aerr := s.admit(context.Background(), "default")
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if rec := serveDirect(context.Background(), s, "/interpret", sceneBody(t, tinyScene("drain-shed", 1), "")); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("request past the tenant cap: %d %s, want 429", rec.Code, rec.Body)
+	}
+	release()
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rec := serveDirect(gone, s, "/interpret", sceneBody(t, tinyScene("drain-gone", 2), "")); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("client gone: %d %s, want 503", rec.Code, rec.Body)
+	}
+	if st := s.Stats(); st.Completed != 1 || st.Shed != 1 || st.Cancelled != 1 || st.Pool.Cancelled == 0 {
+		t.Fatalf("completed %d, shed %d, cancelled %d (pool %d); want 1, 1, 1 and a cancelled task", st.Completed, st.Shed, st.Cancelled, st.Pool.Cancelled)
+	}
+	s.Close()
+	n := poolProcesses()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = poolProcesses() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d shared-pool task processes alive after Close", n-before)
 	}
 }
 

@@ -26,8 +26,6 @@ type Config struct {
 	// execution parallelism is configured; per-request worker counts
 	// are ignored.
 	Workers int
-	// QueueDepth bounds the shared pool's task backlog channel.
-	QueueDepth int
 	// MaxConcurrent is the number of interpretations allowed in flight
 	// at once (the admission semaphore).
 	MaxConcurrent int
@@ -37,12 +35,9 @@ type Config struct {
 	// PerTenantMax caps one tenant's in-flight interpretations so no
 	// tenant can occupy every slot. 0 = no per-tenant cap.
 	PerTenantMax int
-	// DefaultDeadline applies when a request names none; MaxDeadline
+	// DefaultDeadline applies when a request names none; maxDeadline
 	// clamps what a request may ask for.
 	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	// RetryBackoff is the shared pool's first-retry delay (doubling).
-	RetryBackoff time.Duration
 	// SceneCacheRegions caps the inline-scene dataset cache by total
 	// cached region count (the RegionStore's size driver); least
 	// recently used scenes are evicted past it.
@@ -55,8 +50,6 @@ type Config struct {
 	// AllowFaults accepts per-request fault-injection plans (chaos
 	// testing and the load generator); off, fault fields are rejected.
 	AllowFaults bool
-	// RecentReports is how many per-request reports /stats retains.
-	RecentReports int
 	// MaxSessions bounds the live incremental sessions (POST /session);
 	// opening one past the cap evicts the least recently used. Each
 	// session retains a private scene clone, its region store and every
@@ -81,12 +74,18 @@ type Config struct {
 	Cluster tlp.Queue
 }
 
+const (
+	// maxDeadline clamps the deadline a request may ask for.
+	maxDeadline = 5 * time.Minute
+	// retryBackoff is every request's first-retry delay (doubling).
+	retryBackoff = time.Millisecond
+	// recentReports is how many per-request reports /stats retains.
+	recentReports = 64
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 4
-	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 64 * c.Workers
 	}
 	if c.MaxConcurrent < 1 {
 		c.MaxConcurrent = 2 * c.Workers
@@ -97,17 +96,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 60 * time.Second
 	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 5 * time.Minute
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
-	}
 	if c.SceneCacheRegions < 1 {
 		c.SceneCacheRegions = 4096
-	}
-	if c.RecentReports < 1 {
-		c.RecentReports = 64
 	}
 	if c.MaxSessions < 1 {
 		c.MaxSessions = 8
@@ -149,7 +139,7 @@ type Server struct {
 // New starts a server: shared pool up, caches empty.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	sp := tlp.NewSharedPool(cfg.Workers, cfg.QueueDepth)
+	sp := tlp.NewSharedPool(cfg.Workers)
 	sp.QuarantineBudget = cfg.QuarantineBudget
 	sp.MemBudget = cfg.MemBudget
 	return &Server{
@@ -280,7 +270,7 @@ type RequestReport struct {
 func (s *Server) record(rep RequestReport) {
 	s.recentMu.Lock()
 	s.recent = append(s.recent, rep)
-	if over := len(s.recent) - s.cfg.RecentReports; over > 0 {
+	if over := len(s.recent) - recentReports; over > 0 {
 		s.recent = append(s.recent[:0], s.recent[over:]...)
 	}
 	s.recentMu.Unlock()

@@ -33,7 +33,7 @@ func (r *rowsRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Re
 		owned[i] = &tlp.Task{ID: t.ID, Build: t.Build}
 		extract[t.ID] = t.Extract
 	}
-	want, err := tlp.RunSerial(owned, 0)
+	want, err := tlp.RunSerial(owned)
 	if err != nil {
 		return nil, err
 	}

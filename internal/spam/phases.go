@@ -173,24 +173,13 @@ func (in *Interpretation) Recovery() stats.Recovery {
 	return rec
 }
 
-// Runner executes one phase's task queue. *tlp.Pool-backed private
-// runners are the default; a serving layer passes a tlp.BoundQueue over
-// a process-wide tlp.SharedPool (or a cluster coordinator) so every
-// concurrent request's tasks multiplex onto one worker set.
+// Runner executes one phase's task queue. Outside tests it is a
+// tlp.BoundQueue: by default over a private tlp.Pool, one per
+// interpretation; on the serving path over a process-wide
+// tlp.SharedPool (or a cluster coordinator), so every concurrent
+// request's tasks multiplex onto one worker set.
 type Runner interface {
 	RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error)
-}
-
-// poolRunner is the private-pool Runner built when InterpretOptions
-// carries no Runner: one pool per interpretation.
-type poolRunner struct{ pool *tlp.Pool }
-
-func newPoolRunner(opt InterpretOptions) *poolRunner {
-	return &poolRunner{&tlp.Pool{Workers: opt.Workers, RunConfig: opt.RunConfig(), MemBudget: opt.MemBudget}}
-}
-
-func (pr *poolRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
-	return pr.pool.RunContext(ctx, tasks)
 }
 
 // InterpretOptions configure a full run.
@@ -237,8 +226,8 @@ type InterpretOptions struct {
 }
 
 // RunConfig is the one conversion from the options a user sets to how a
-// queue executes them: what a private pool embeds and what a bound
-// queue (shared pool, cluster coordinator) is submitted under.
+// queue executes them: what a bound queue — private pool, shared pool,
+// cluster coordinator — is submitted under.
 func (opt InterpretOptions) RunConfig() tlp.RunConfig {
 	return tlp.RunConfig{
 		Policy:       opt.Sched,
@@ -248,6 +237,14 @@ func (opt InterpretOptions) RunConfig() tlp.RunConfig {
 		RetryBackoff: opt.RetryBackoff,
 		Faults:       opt.Faults.Config(),
 	}
+}
+
+// privateQueue is the Runner an interpretation — or a session, for its
+// lifetime — runs on when its options bring none: a private pool bound
+// to the options' RunConfig, returned beside it for its memory gate.
+func privateQueue(opt InterpretOptions) (tlp.BoundQueue, *tlp.Pool) {
+	pool := &tlp.Pool{Workers: opt.Workers, MemBudget: opt.MemBudget}
+	return tlp.BoundQueue{Queue: pool, Config: opt.RunConfig()}, pool
 }
 
 // withDefaults fills the unset decomposition options.
@@ -308,18 +305,17 @@ func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*
 // fresh tasks — keeps each result with a snapshot of what extraction
 // reads, and finds LCC partners through its persistent grid.
 func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Session) (*Interpretation, error) {
-	runner := opt.Runner
-	if runner == nil {
-		runner = newPoolRunner(opt)
-	}
 	in := &Interpretation{Dataset: d}
 	if opt.Level < Level1 || opt.Level > Level4 {
 		// unitsWith has no units for such a level: LCC and FA would run
 		// nothing and the run would report an empty interpretation.
 		return in, fmt.Errorf("spam: undefined LCC decomposition level %d (want 1 to 4)", opt.Level)
 	}
-	if pr, ok := runner.(*poolRunner); ok {
-		defer func() { in.MemSched = pr.pool.MemSched() }()
+	runner := opt.Runner
+	if runner == nil {
+		var pool *tlp.Pool
+		runner, pool = privateQueue(opt)
+		defer func() { in.MemSched = pool.MemSched() }()
 	}
 	// phase runs and settles one queue. A degraded upstream phase may
 	// leave a later phase with no tasks at all; that is an empty phase,

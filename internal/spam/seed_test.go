@@ -15,7 +15,7 @@ import (
 func TestConcurrentLCCBuildSeedCache(t *testing.T) {
 	d := smallDC(t)
 	rtf := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 0, false)
-	rtfResults, err := tlp.RunSerial(rtf, 0)
+	rtfResults, err := tlp.RunSerial(rtf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestConcurrentLCCBuildSeedCache(t *testing.T) {
 	}
 
 	refTasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
-	refResults, err := tlp.RunSerial(refTasks, 0)
+	refResults, err := tlp.RunSerial(refTasks)
 	if err != nil {
 		t.Fatal(err)
 	}

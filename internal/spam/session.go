@@ -80,6 +80,7 @@ const diffInstrPerSeed = rete.CostAlphaScan
 type Session struct {
 	ds   *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
 	opt  InterpretOptions
+	pool *tlp.Pool // the private pool opt.Runner binds; nil when the caller brought one
 	grid *liveGrid // session-persistent LCC partner index
 
 	tasks   map[string]*sessTask
@@ -253,16 +254,18 @@ func (r *UpdateReport) RerunReasons() []string {
 // fixed for the session's lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 	opt = opt.withDefaults()
+	var pool *tlp.Pool
 	if opt.Runner == nil {
 		// One pool for the session's lifetime: its workers, memory gate
 		// and throttle accounting span every update.
-		opt.Runner = newPoolRunner(opt)
+		opt.Runner, pool = privateQueue(opt)
 	}
 	own := NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs)
 	own.capture, own.Store.reference = ds.capture, ds.Store.reference
 	return &Session{
 		ds:    own,
 		opt:   opt,
+		pool:  pool,
 		tasks: map[string]*sessTask{},
 		sig:   signer{h: sha256.New()},
 	}
@@ -314,6 +317,9 @@ func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *Upd
 		st.live = false
 	}
 	in, err := s.ds.interpret(ctx, s.opt, s)
+	if s.pool != nil {
+		in.MemSched = s.pool.MemSched()
+	}
 	if err == nil {
 		for k, st := range s.tasks {
 			if !st.live {

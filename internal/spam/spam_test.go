@@ -290,7 +290,7 @@ func TestLCCLevel1Granularity(t *testing.T) {
 	}
 	// A Level-1 task performs very few firings (3-ish: check, tally,
 	// finish).
-	res, err := tlp.RunSerial(l1[:5], 0)
+	res, err := tlp.RunSerial(l1[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestTaskEstSizeOrdersWork(t *testing.T) {
 	if biggest.EstSize <= smallest.EstSize {
 		t.Skip("degenerate size distribution")
 	}
-	res, err := tlp.RunSerial([]*tlp.Task{biggest, smallest}, 0)
+	res, err := tlp.RunSerial([]*tlp.Task{biggest, smallest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestTaskEstSizeOrdersWork(t *testing.T) {
 func TestCaptureProducesMatchForests(t *testing.T) {
 	d := smallDC(t)
 	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, true)
-	res, err := tlp.RunSerial(rtfTasks[:3], 0)
+	res, err := tlp.RunSerial(rtfTasks[:3])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 
 	// One worker's arena, threaded through every attempt below.
 	scratch := &ops5.Scratch{}
-	clean := &Pool{}
+	clean := &RunConfig{}
 	var engines []*ops5.Engine
 	settled := func(e *ops5.Engine) bool {
 		_, err := e.Run(0)
@@ -190,12 +190,12 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 	r = clean.attempt(context.Background(), arenaTask(t, prog, "interrupted", 12, func(e *ops5.Engine) { e.Interrupt() }, &engines), 0, 0, 1, scratch)
 	failed(r, func(err error) bool { return errors.Is(err, ErrTimeout) }, "interrupted task")
 	ok(2)
-	crashing := &Pool{RunConfig: RunConfig{Faults: faults.Config{Seed: 11, CrashRate: 1}}}
+	crashing := &RunConfig{Faults: faults.Config{Seed: 11, CrashRate: 1}}
 	r = crashing.attempt(context.Background(), arenaTask(t, prog, "crashes", 12, nil, &engines), 0, 0, 1, scratch)
 	failed(r, func(err error) bool { return errors.Is(err, ErrWorkerCrash) }, "crashing task")
 	ok(3)
 	// An injected build fault strikes before any engine exists.
-	failing := &Pool{RunConfig: RunConfig{Faults: faults.Config{Seed: 11, BuildFailRate: 1}}}
+	failing := &RunConfig{Faults: faults.Config{Seed: 11, BuildFailRate: 1}}
 	built := len(engines)
 	r = failing.attempt(context.Background(), arenaTask(t, prog, "build-fails", 8, nil, &engines), 0, 0, 1, scratch)
 	if !errors.Is(r.Err, faults.ErrInjected) || len(engines) != built {
@@ -210,7 +210,7 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 // window of small ones is at the small tasks' scale.
 func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 	prog := parseArenaProg(t)
-	sp := NewSharedPool(1, 0)
+	sp := NewSharedPool(1)
 	defer sp.Close()
 	run := func(id string, size int) int64 {
 		t.Helper()
@@ -257,7 +257,7 @@ func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 func TestScratchWindowTrimSteadyState(t *testing.T) {
 	prog := parseArenaProg(t)
 	scratch := &ops5.Scratch{}
-	pool := &Pool{}
+	pool := &RunConfig{}
 	var slabs int
 	var bytes int64
 	for i := 0; i < 200; i++ {

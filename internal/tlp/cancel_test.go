@@ -123,13 +123,13 @@ func TestRunContextCancelsInFlightAttempt(t *testing.T) {
 // backoff configured, cancellation during the sleep returns promptly.
 func TestRetryBackoffRespectsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := &Pool{Workers: 1, RunConfig: RunConfig{
+	cfg := RunConfig{
 		MaxRetries:   3,
 		RetryBackoff: time.Hour, // the test fails by timeout if slept
-	}}
+	}
 	done := make(chan []*Result, 1)
 	go func() {
-		results, err := p.RunContext(ctx, []*Task{failTask("f")})
+		results, err := (&Pool{Workers: 1}).Submit(ctx, cfg, []*Task{failTask("f")})
 		if err != nil {
 			t.Error(err)
 		}
@@ -171,7 +171,7 @@ func TestRunContextLiveMatchesRun(t *testing.T) {
 // SharedPool interleaves independent submissions and keeps their
 // results separate; a cancelled submission doesn't disturb the others.
 func TestSharedPoolIsolatesSubmissions(t *testing.T) {
-	sp := NewSharedPool(4, 0)
+	sp := NewSharedPool(4)
 	defer sp.Close()
 
 	ctxLive := context.Background()
@@ -210,7 +210,7 @@ func TestSharedPoolIsolatesSubmissions(t *testing.T) {
 // Quarantines from cancelled submissions must not count against the
 // shared pool's quarantine budget.
 func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
-	sp := NewSharedPool(2, 0)
+	sp := NewSharedPool(2)
 	sp.QuarantineBudget = 1
 	defer sp.Close()
 
@@ -253,7 +253,7 @@ func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 // chaos-testing itself is not evidence the shared workload is
 // poisoned, and its plan must not flip /healthz for everyone else.
 func TestSharedPoolQuarantineBudgetExcludesInjected(t *testing.T) {
-	sp := NewSharedPool(2, 0)
+	sp := NewSharedPool(2)
 	sp.QuarantineBudget = 1
 	defer sp.Close()
 
@@ -278,7 +278,7 @@ func TestSharedPoolQuarantineBudgetExcludesInjected(t *testing.T) {
 
 // Submit after Close fails cleanly.
 func TestSharedPoolClosedSubmit(t *testing.T) {
-	sp := NewSharedPool(1, 0)
+	sp := NewSharedPool(1)
 	sp.Close()
 	if _, err := sp.Submit(context.Background(), RunConfig{}, []*Task{countTask("x", 1)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)

@@ -1,6 +1,7 @@
 package tlp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -107,8 +108,8 @@ func TestBuildPanicRecovered(t *testing.T) {
 }
 
 func TestTaskTimeoutInterruptsRunaway(t *testing.T) {
-	p := &Pool{Workers: 1, RunConfig: RunConfig{TaskTimeout: 30 * time.Millisecond}}
-	results, err := p.Run([]*Task{runawayTask("spin")})
+	p := &Pool{Workers: 1}
+	results, err := p.Submit(context.Background(), RunConfig{TaskTimeout: 30 * time.Millisecond}, []*Task{runawayTask("spin")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +124,8 @@ func TestTaskTimeoutInterruptsRunaway(t *testing.T) {
 }
 
 func TestFiringBudgetExceeded(t *testing.T) {
-	p := &Pool{Workers: 1, RunConfig: RunConfig{FiringBudget: 5}}
-	results, err := p.Run([]*Task{runawayTask("spin"), countTask("small", 3)})
+	p := &Pool{Workers: 1}
+	results, err := p.Submit(context.Background(), RunConfig{FiringBudget: 5}, []*Task{runawayTask("spin"), countTask("small", 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,8 @@ func TestTransientFaultsRecoverOnRetry(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		tasks = append(tasks, countTask(fmt.Sprintf("t%d", i), 6))
 	}
-	p := &Pool{Workers: 4, RunConfig: RunConfig{Faults: plan, MaxRetries: 2}}
-	results, err := p.Run(tasks)
+	p := &Pool{Workers: 4}
+	results, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 2}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +173,8 @@ func TestTransientFaultsRecoverOnRetry(t *testing.T) {
 
 func TestPermanentFaultQuarantinedWithoutRetryBurn(t *testing.T) {
 	plan := faults.Config{Seed: 7, PanicRate: 1, PermanentFraction: 1}
-	p := &Pool{Workers: 2, RunConfig: RunConfig{Faults: plan, MaxRetries: 5}}
-	results, err := p.Run([]*Task{countTask("poison", 3)})
+	p := &Pool{Workers: 2}
+	results, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 5}, []*Task{countTask("poison", 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +195,8 @@ func TestQuarantineAfterRetryLimit(t *testing.T) {
 	fails := &Task{ID: "always", Build: func() (*ops5.Engine, error) {
 		return nil, errors.New("disk on fire")
 	}}
-	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxRetries: 3}}
-	results, err := p.Run([]*Task{fails})
+	p := &Pool{Workers: 1}
+	results, err := p.Submit(context.Background(), RunConfig{MaxRetries: 3}, []*Task{fails})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +228,8 @@ func TestChaosReportDeterminism(t *testing.T) {
 		plan := faults.Config{
 			Seed: 1990, CrashRate: 0.2, PanicRate: 0.1, BuildFailRate: 0.1, PermanentFraction: 0.25,
 		}
-		p := &Pool{Workers: workers, RunConfig: RunConfig{Faults: plan, MaxRetries: 2}}
-		results, err := p.Run(build())
+		p := &Pool{Workers: workers}
+		results, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 2}, build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +252,8 @@ func TestChaosUnderRaceWithManyWorkers(t *testing.T) {
 	// more workers than tasks.
 	plan := faults.Config{Seed: 3, CrashRate: 0.3, PanicRate: 0.3}
 	tasks := []*Task{countTask("a", 5), panicTask("b"), countTask("c", 5)}
-	p := &Pool{Workers: 16, RunConfig: RunConfig{Faults: plan, MaxRetries: 1}}
-	results, err := p.Run(tasks)
+	p := &Pool{Workers: 16}
+	results, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 1}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +268,8 @@ func TestChaosUnderRaceWithManyWorkers(t *testing.T) {
 
 func TestReportRecoveryColumns(t *testing.T) {
 	plan := faults.Config{Seed: 21, CrashRate: 1}
-	p := &Pool{Workers: 2, RunConfig: RunConfig{Faults: plan, MaxRetries: 1}}
-	results, err := p.Run([]*Task{countTask("x", 4), countTask("y", 4)})
+	p := &Pool{Workers: 2}
+	results, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 1}, []*Task{countTask("x", 4), countTask("y", 4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tlp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -58,9 +59,9 @@ func TestLargeMaxRetriesTerminates(t *testing.T) {
 	fail := &Task{ID: "always-fails", Build: func() (*ops5.Engine, error) {
 		return nil, fmt.Errorf("nope")
 	}}
-	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxRetries: 80, RetryBackoff: time.Nanosecond}}
+	cfg := RunConfig{MaxRetries: 80, RetryBackoff: time.Nanosecond}
 	start := time.Now()
-	results, err := p.Run([]*Task{fail})
+	results, err := (&Pool{Workers: 1}).Submit(context.Background(), cfg, []*Task{fail})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,11 +109,11 @@ func (g *memGate) stats() MemSchedStats {
 // runGated is runOne behind the gate: the reservation covers the whole
 // task — engine build, run, and every retry attempt — so a retrying
 // task cannot stack additional footprint on top of its own.
-func (p *Pool) runGated(ctx context.Context, g *memGate, t *Task, worker, seq int, scratch *ops5.Scratch) *Result {
+func (c *RunConfig) runGated(ctx context.Context, g *memGate, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
 	got, err := g.acquire(ctx, t.MemEst)
 	if err != nil {
-		return cancelledResult(t, seq, 0, nil, err)
+		return cancelledResult(t, seq, max(startAttempt, 1)-1, nil, err)
 	}
 	defer g.release(got)
-	return p.runOne(ctx, t, worker, seq, scratch)
+	return c.runOne(ctx, t, worker, seq, startAttempt, scratch)
 }

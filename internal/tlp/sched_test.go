@@ -40,8 +40,8 @@ func schedTaskSet() []*Task {
 // execution, never change it.
 func TestDifferentialSchedulingPolicies(t *testing.T) {
 	type key struct{ id string }
-	baselinePool := &Pool{Workers: 1, RunConfig: RunConfig{Policy: FIFO}}
-	base, err := baselinePool.Run(schedTaskSet())
+	baselinePool := &Pool{Workers: 1}
+	base, err := baselinePool.Submit(context.Background(), RunConfig{Policy: FIFO}, schedTaskSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestDifferentialSchedulingPolicies(t *testing.T) {
 		for _, budget := range []float64{0, 1, 2048, 1 << 20} {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%v/B=%g/w=%d", pol, budget, workers)
-				p := &Pool{Workers: workers, RunConfig: RunConfig{Policy: pol}, MemBudget: budget}
-				results, err := p.Run(schedTaskSet())
+				p := &Pool{Workers: workers, MemBudget: budget}
+				results, err := p.Submit(context.Background(), RunConfig{Policy: pol}, schedTaskSet())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -86,8 +86,8 @@ func TestPostOrderQueueGrouping(t *testing.T) {
 		memTask("a1", 2, 100, "a"), memTask("b1", 2, 500, "b"),
 		memTask("a2", 2, 300, "a"), memTask("b2", 2, 200, "b"),
 	}
-	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: PostOrder}}
-	results, err := p.Run(tasks)
+	p := &Pool{Workers: 1}
+	results, err := p.Submit(context.Background(), RunConfig{Policy: PostOrder}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestPoolMemSchedAccumulates(t *testing.T) {
 // TestSharedPoolMemBudget: the shared pool's gate throttles across
 // submissions and surfaces its accounting in Counters.
 func TestSharedPoolMemBudget(t *testing.T) {
-	sp := NewSharedPool(4, 64)
+	sp := NewSharedPool(4)
 	sp.MemBudget = 2048
 	defer sp.Close()
 	var wg sync.WaitGroup
@@ -240,11 +240,11 @@ func TestSharedPoolMemBudget(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := sp.Stats()
-	if st.MemBudget != 2048 {
-		t.Errorf("counters budget = %v", st.MemBudget)
+	st := sp.Stats().MemSched
+	if st.Budget != 2048 {
+		t.Errorf("counters budget = %v", st.Budget)
 	}
-	if st.PeakMemEst <= 0 || st.PeakMemEst > 2048 {
-		t.Errorf("counters peak = %v, want in (0, 2048]", st.PeakMemEst)
+	if st.PeakReserved <= 0 || st.PeakReserved > 2048 {
+		t.Errorf("counters peak = %v, want in (0, 2048]", st.PeakReserved)
 	}
 }

@@ -11,14 +11,16 @@ import (
 	"spampsm/internal/ops5"
 )
 
-// ErrPoolClosed is returned by SharedPool.Submit after Close.
+// ErrPoolClosed is returned by SharedPool.Submit and Go after Close.
 var ErrPoolClosed = errors.New("tlp: shared pool closed")
 
-// SharedPool multiplexes many concurrent runs onto one fixed set of
-// task processes — the serving configuration, where every in-flight
-// interpretation's tasks interleave on the same workers instead of
-// each run spawning its own pool. Isolation between runs is the
-// paper's independence property plus two pieces of machinery:
+// SharedPool is a process's long-lived set of task processes. Many
+// concurrent runs multiplex onto it — the serving configuration, where
+// every in-flight interpretation's tasks interleave on the same workers
+// instead of each run spawning its own pool — and a cluster worker
+// process serves every task frame it decodes on one. Isolation between
+// runs is the paper's independence property plus two pieces of
+// machinery:
 //
 //   - Each submission carries its own context and its own RunConfig
 //     (fault plan, retries, timeouts, budgets), so one
@@ -31,10 +33,10 @@ var ErrPoolClosed = errors.New("tlp: shared pool closed")
 //     hanging up or chaos-testing itself is not evidence the shared
 //     workload is poisoned.
 //
-// Tasks are interleaved fairly by construction: workers drain one
-// shared FIFO of task-granular work items, so a run with many tasks
-// cannot monopolize the workers ahead of a small run submitted while
-// it executes.
+// Tasks are interleaved fairly by construction: task processes drain
+// one shared FIFO of jobs, one task each, so a run with many tasks
+// cannot monopolize the workers ahead of a small run submitted while it
+// executes.
 type SharedPool struct {
 	// QuarantineBudget is the number of non-cancelled quarantined
 	// tasks the pool tolerates before reporting itself unhealthy.
@@ -49,18 +51,18 @@ type SharedPool struct {
 	// before the first Submit.
 	MemBudget float64
 
-	queue chan *workItem
-	wg    sync.WaitGroup // worker goroutines
+	queue chan *Job
+	wg    sync.WaitGroup // task processes
 
 	mu     sync.Mutex
 	closed bool
-	subs   sync.WaitGroup // in-flight submissions
+	subs   sync.WaitGroup // Submit and Go calls still queueing
 	gate   *memGate       // lazily built from MemBudget on first use
 
 	// arenas is what each task process's match arena holds, published
 	// by the process after every task (its scratch itself is private to
 	// its goroutine and lives as long as the pool).
-	arenas []ArenaGauge
+	arenas []arenaGauge
 
 	tasksRun    atomic.Int64
 	quarantined atomic.Int64 // live, uninjected runs' quarantines only
@@ -69,72 +71,73 @@ type SharedPool struct {
 	cancelled   atomic.Int64 // tasks abandoned to cancellation
 }
 
-// workItem is one task of one submission.
-type workItem struct {
-	sub *submission
-	idx int
-}
-
-// submission is one run's task queue entering the shared pool.
-type submission struct {
-	ctx     context.Context
-	cfg     RunConfig
-	queue   []*Task
-	results []*Result
-	done    sync.WaitGroup
+// Job is one task entering the shared pool with what its run decides:
+// the run's context and configuration, the task's place in the run's
+// queue, and where its Result goes. Submit makes one per task of a
+// queue; a cluster worker makes one per task frame.
+type Job struct {
+	Ctx    context.Context
+	Config RunConfig
+	Task   *Task
+	Seq    int // the task's position in its run's queue (Result.SeqInQ)
+	// StartAttempt numbers the first attempt run here (0 means 1):
+	// higher when earlier attempts were charged elsewhere — to a worker
+	// process that died with the task, say — so the retry budget stays
+	// global.
+	StartAttempt int
+	// Start, when set, runs on the task process that takes the job, in
+	// queue order and before the task reserves memory — unless the
+	// job's context is already done, in which case the task is cancelled
+	// without being started or built.
+	Start func()
+	// Done receives the Result on the task process that ran the task,
+	// once the process has trimmed and published its match arena.
+	Done func(*Result)
 }
 
 var _ Queue = (*SharedPool)(nil)
 
+// sharedQueueDepth is the job backlog per task process; Submit and Go
+// block beyond it until task processes drain (admission control for
+// whole runs belongs to the caller). It holds a cluster worker's whole
+// default ship window, 16 tasks per task process.
+const sharedQueueDepth = 64
+
 // NewSharedPool starts a shared pool with the given number of task
-// processes. queueDepth bounds the task backlog channel; submissions
-// beyond it block in Submit until workers drain (admission control for
-// whole runs belongs to the caller). workers and queueDepth default to
-// 1 and 64× workers.
-func NewSharedPool(workers, queueDepth int) *SharedPool {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueDepth < 1 {
-		queueDepth = 64 * workers
-	}
-	sp := &SharedPool{queue: make(chan *workItem, queueDepth), arenas: make([]ArenaGauge, workers)}
+// processes (at least 1).
+func NewSharedPool(workers int) *SharedPool {
+	workers = max(workers, 1)
+	sp := &SharedPool{queue: make(chan *Job, sharedQueueDepth*workers), arenas: make([]arenaGauge, workers)}
+	sp.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		sp.wg.Add(1)
-		go func(worker int) {
-			defer sp.wg.Done()
-			scratch := &ops5.Scratch{}
-			for item := range sp.queue {
-				sp.runItem(item, worker, scratch)
-				// The worker outlives its tasks: it must not pin the
-				// largest one's arena.
-				scratch.Trim()
-				sp.arenas[worker].Publish(scratch)
-			}
-		}(w)
+		go sp.process(w)
 	}
 	return sp
 }
 
-// runItem executes one queued task under its submission's context and
-// configuration, on the worker's match arena, and settles the
-// pool-level accounting.
-func (sp *SharedPool) runItem(item *workItem, worker int, scratch *ops5.Scratch) {
-	sub := item.sub
-	defer sub.done.Done()
-	t := sub.queue[item.idx]
-	var r *Result
-	if err := sub.ctx.Err(); err != nil {
-		// The run is already dead; skip the task without building it.
-		r = cancelledResult(t, item.idx, 0, nil, err)
-	} else if got, err := sp.memGate().acquire(sub.ctx, t.MemEst); err != nil {
-		// The run died while the task waited for memory; same outcome
-		// as any other pre-attempt cancellation.
-		r = cancelledResult(t, item.idx, 0, nil, err)
-	} else {
-		r = sub.cfg.runOne(sub.ctx, t, worker, item.idx, scratch)
-		sp.memGate().release(got)
+// process is one task process: it takes jobs in queue order and runs
+// each on its match arena, which it trims after every task — it
+// outlives its tasks, so it must not pin the largest one's arena.
+func (sp *SharedPool) process(worker int) {
+	defer sp.wg.Done()
+	scratch := &ops5.Scratch{}
+	for j := range sp.queue {
+		r := sp.run(j, worker, scratch)
+		scratch.Trim()
+		sp.arenas[worker].publish(scratch)
+		j.Done(r)
 	}
+}
+
+// run executes one job under its context and configuration, behind
+// the pool's memory gate, and settles the pool-level accounting. A job
+// whose run is already dead is not started: runOne cancels it before
+// its first attempt, without building it.
+func (sp *SharedPool) run(j *Job, worker int, scratch *ops5.Scratch) *Result {
+	if j.Start != nil && j.Ctx.Err() == nil {
+		j.Start()
+	}
+	r := j.Config.runGated(j.Ctx, sp.memGate(), j.Task, worker, j.Seq, j.StartAttempt, scratch)
 	sp.tasksRun.Add(1)
 	if r.Cancelled {
 		sp.cancelled.Add(1)
@@ -147,15 +150,15 @@ func (sp *SharedPool) runItem(item *workItem, worker int, scratch *ops5.Scratch)
 		// injected fault plan don't either — one tenant's chaos test
 		// must not flip the shared pool's health for everyone else.
 		switch {
-		case sub.ctx.Err() != nil:
+		case j.Ctx.Err() != nil:
 			sp.cancQuar.Add(1)
-		case sub.cfg.Faults != (faults.Config{}):
+		case j.Config.Faults != (faults.Config{}):
 			sp.injQuar.Add(1)
 		default:
 			sp.quarantined.Add(1)
 		}
 	}
-	sub.results[item.idx] = r
+	return r
 }
 
 // memGate returns the pool-wide memory gate, built from MemBudget on
@@ -169,41 +172,59 @@ func (sp *SharedPool) memGate() *memGate {
 	return sp.gate
 }
 
+// enter registers a caller about to queue jobs, so Close waits for it.
+func (sp *SharedPool) enter() error {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.closed {
+		return ErrPoolClosed
+	}
+	sp.subs.Add(1)
+	return nil
+}
+
+// Go queues one job and returns without waiting for it to run.
+func (sp *SharedPool) Go(j Job) error {
+	if err := sp.enter(); err != nil {
+		return err
+	}
+	defer sp.subs.Done()
+	sp.queue <- &j
+	return nil
+}
+
+// Queued is how many jobs wait for a task process.
+func (sp *SharedPool) Queued() int { return len(sp.queue) }
+
 // Submit runs one queue of tasks on the shared workers under the
-// given context and per-run configuration. It blocks until every task
-// has a Result (executed, failed, or cancelled) and returns them in
-// queue order. Submissions from different goroutines interleave at task
-// granularity.
+// given context and per-run configuration, one job per task. It blocks
+// until every task has a Result (executed, failed, or cancelled) and
+// returns them in queue order. Submissions from different goroutines
+// interleave at task granularity.
 func (sp *SharedPool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("tlp: empty task queue")
 	}
-	sp.mu.Lock()
-	if sp.closed {
-		sp.mu.Unlock()
-		return nil, ErrPoolClosed
+	if err := sp.enter(); err != nil {
+		return nil, err
 	}
-	sp.subs.Add(1)
-	sp.mu.Unlock()
 	defer sp.subs.Done()
-
-	sub := &submission{
-		ctx:   ctx,
-		cfg:   cfg,
-		queue: cfg.Order(tasks),
+	queue := cfg.Order(tasks)
+	results := make([]*Result, len(queue))
+	var done sync.WaitGroup
+	done.Add(len(queue))
+	for i, t := range queue {
+		sp.queue <- &Job{Ctx: ctx, Config: cfg, Task: t, Seq: i,
+			Done: func(r *Result) { results[i] = r; done.Done() }}
 	}
-	sub.results = make([]*Result, len(sub.queue))
-	sub.done.Add(len(sub.queue))
-	for i := range sub.queue {
-		sp.queue <- &workItem{sub: sub, idx: i}
-	}
-	sub.done.Wait()
-	return sub.results, nil
+	done.Wait()
+	return results, nil
 }
 
-// Close stops accepting submissions, waits for in-flight ones to
-// finish, and shuts the workers down. Safe to call once; later Submits
-// fail with ErrPoolClosed.
+// Close stops accepting jobs, waits for the callers still queueing
+// them, runs what is queued, and shuts the task processes down. Safe
+// to call more than once; later Submits and Gos fail with
+// ErrPoolClosed.
 func (sp *SharedPool) Close() {
 	sp.mu.Lock()
 	if sp.closed {
@@ -231,10 +252,9 @@ type Counters struct {
 	InjectedQuarantines  int64 // quarantines under a run's own fault plan
 	Cancelled            int64 // tasks abandoned to cancellation
 
-	// Memory-gate accounting (zero when the pool runs unbounded).
-	MemBudget     float64 // configured footprint budget, simulated bytes
-	PeakMemEst    float64 // reservation high-water mark across all submissions
-	ThrottleWaits int64   // dispatches the budget blocked at least once
+	// MemSched is the memory gate's accounting across all submissions
+	// (zero when the pool runs unbounded).
+	MemSched MemSchedStats
 
 	// Arenas is what each task process's match arena held after its
 	// last task: slab chunks and their bytes (rete.Scratch.Arena).
@@ -247,30 +267,38 @@ type ArenaStats struct {
 	ArenaBytes int64 `json:"arenaBytes"`
 }
 
-// ArenaGauge lets the goroutine that owns a long-lived match arena
-// publish its footprint for any other goroutine to read: the executor
-// (SharedPool worker, cluster worker executor) publishes after every
-// task, a stats snapshot loads.
-type ArenaGauge struct{ slabs, bytes atomic.Int64 }
+// arenaGauge lets the task process that owns a long-lived match arena
+// publish its footprint for any other goroutine to read.
+type arenaGauge struct{ slabs, bytes atomic.Int64 }
 
-// Publish records what s holds now. Call it from s's owner only.
-func (g *ArenaGauge) Publish(s *ops5.Scratch) {
+// publish records what s holds now. Call it from s's owner only.
+func (g *arenaGauge) publish(s *ops5.Scratch) {
 	slabs, bytes := s.Arena()
 	g.slabs.Store(int64(slabs))
 	g.bytes.Store(bytes)
 }
 
-// Load returns the last published footprint.
-func (g *ArenaGauge) Load() ArenaStats {
+func (g *arenaGauge) load() ArenaStats {
 	return ArenaStats{ArenaSlabs: int(g.slabs.Load()), ArenaBytes: g.bytes.Load()}
+}
+
+// Arena is what the pool's task processes' match arenas hold in total,
+// as last published.
+func (sp *SharedPool) Arena() ArenaStats {
+	var sum ArenaStats
+	for i := range sp.arenas {
+		a := sp.arenas[i].load()
+		sum.ArenaSlabs += a.ArenaSlabs
+		sum.ArenaBytes += a.ArenaBytes
+	}
+	return sum
 }
 
 // Stats returns a snapshot of the pool's lifetime counters.
 func (sp *SharedPool) Stats() Counters {
-	ms := sp.memGate().stats()
 	arenas := make([]ArenaStats, len(sp.arenas))
 	for i := range sp.arenas {
-		arenas[i] = sp.arenas[i].Load()
+		arenas[i] = sp.arenas[i].load()
 	}
 	return Counters{
 		Arenas:               arenas,
@@ -279,8 +307,6 @@ func (sp *SharedPool) Stats() Counters {
 		CancelledQuarantines: sp.cancQuar.Load(),
 		InjectedQuarantines:  sp.injQuar.Load(),
 		Cancelled:            sp.cancelled.Load(),
-		MemBudget:            ms.Budget,
-		PeakMemEst:           ms.PeakReserved,
-		ThrottleWaits:        ms.ThrottleWaits,
+		MemSched:             sp.memGate().stats(),
 	}
 }

@@ -213,16 +213,14 @@ func ParseQueuePolicy(s string) (QueuePolicy, error) {
 // RunConfig is how one run's task queue is executed: its order, the
 // per-task budgets and deadlines, the retry discipline and the fault
 // plan. It is a plain comparable value — the one form in which these
-// knobs travel from a caller's options to a private Pool (which embeds
-// it), a SharedPool submission or a cluster worker's pool — and holds
-// exactly what Order, runOneFrom and attempt read.
+// knobs travel from a caller's options to a Queue's Submit (a private
+// Pool, the SharedPool, the cluster Coordinator) and on to a cluster
+// worker's pool — and holds exactly what Order, runOne and attempt read.
 type RunConfig struct {
-	Policy     QueuePolicy
-	MaxFirings int // per-task firing limit; 0 = none (not an error to hit)
-	// FiringBudget is the per-task deadline in production firings: a
-	// task still short of quiescence when the budget runs out fails
-	// with ErrBudgetExceeded. 0 disables the budget. Unlike MaxFirings
-	// (a benign cap), exceeding the budget is a fault.
+	Policy QueuePolicy
+	// FiringBudget is the per-task limit in production firings: a task
+	// still short of quiescence when the budget runs out fails with
+	// ErrBudgetExceeded. 0 disables the budget.
 	FiringBudget int
 	// MaxRetries is how many times a failed task is re-executed (the
 	// engine is rebuilt from scratch each time, so re-execution is
@@ -244,7 +242,8 @@ type RunConfig struct {
 
 // Queue executes one run's task queue under the run's configuration on
 // workers the queue owns, returning a Result per task in queue order:
-// the SharedPool in process, the cluster Coordinator across processes.
+// a private Pool or the SharedPool in process, the cluster Coordinator
+// across processes.
 type Queue interface {
 	Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error)
 }
@@ -261,10 +260,10 @@ func (b BoundQueue) RunTasks(ctx context.Context, tasks []*Task) ([]*Result, err
 	return b.Queue.Submit(ctx, b.Config, tasks)
 }
 
-// Pool runs tasks on a fixed number of task processes of its own.
+// Pool runs tasks on a fixed number of task processes of its own, one
+// run's queue per call.
 type Pool struct {
 	Workers int
-	RunConfig
 	// DropEngines releases each task's engine (its working memory; the
 	// match state of a borrowing engine goes back to the worker either
 	// way) as soon as its statistics and cost log have been collected.
@@ -280,11 +279,11 @@ type Pool struct {
 	// list scheduling on the real runtime.
 	MemBudget float64
 
-	// gateMu guards lastGate, the pool's memory gate — built on the
-	// first run, shared by all runs so MemBudget spans them and
-	// MemSched reporting accumulates.
-	gateMu   sync.Mutex
-	lastGate *memGate
+	// gateMu guards gate, the pool's memory gate — built on the first
+	// run, shared by all runs so MemBudget spans them and MemSched
+	// reporting accumulates.
+	gateMu sync.Mutex
+	gate   *memGate
 
 	// scratches holds the match arenas of the pool's idle task
 	// processes. A worker goroutine takes one for the length of a run
@@ -351,32 +350,37 @@ func (c *RunConfig) Order(tasks []*Task) []*Task {
 	return q
 }
 
-// Run executes the tasks and returns results in queue order. Task
-// failures — including recovered panics, timeouts, and injected
-// faults — are reported in the Result, not as a Run error; Run fails
-// only on structural problems (no tasks, bad worker count).
+var _ Queue = (*Pool)(nil)
+
+// Run executes the tasks under the zero RunConfig and returns results
+// in queue order. Task failures — including recovered panics, timeouts,
+// and injected faults — are reported in the Result, not as a Run error;
+// Run fails only on structural problems (no tasks).
 func (p *Pool) Run(tasks []*Task) ([]*Result, error) {
-	return p.RunContext(context.Background(), tasks)
+	return p.Submit(context.Background(), RunConfig{}, tasks)
 }
 
-// RunContext is Run under a context: cancelling ctx aborts the run's
-// remaining work without failing RunContext itself. Tasks not yet
-// started are skipped, in-flight attempts are cooperatively
-// interrupted (ops5.Engine.Interrupt), and retry backoffs are cut
-// short; every abandoned task still gets a Result, with Err wrapping
-// ErrCancelled and Cancelled set, so callers can account for exactly
-// what was and was not executed.
+// RunContext is Run under a context.
 func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error) {
+	return p.Submit(ctx, RunConfig{}, tasks)
+}
+
+// Submit executes the tasks under cfg: its queue order, budgets,
+// retries and fault plan. Cancelling ctx aborts the run's remaining
+// work without failing Submit itself. Tasks not yet started are
+// skipped, in-flight attempts are cooperatively interrupted
+// (ops5.Engine.Interrupt), and retry backoffs are cut short; every
+// abandoned task still gets a Result, with Err wrapping ErrCancelled
+// and Cancelled set, so callers can account for exactly what was and
+// was not executed.
+func (p *Pool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("tlp: empty task queue")
 	}
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	queue := p.Order(tasks)
+	workers := max(p.Workers, 1)
+	queue := cfg.Order(tasks)
 	results := make([]*Result, len(queue))
-	gate := p.gate()
+	gate := p.memGate()
 	// Task dispatch is a single atomic fetch-add on a shared cursor —
 	// the queue itself is immutable after ordering, so workers never
 	// contend on a lock to claim work.
@@ -393,7 +397,7 @@ func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error)
 				if i >= len(queue) {
 					return
 				}
-				r := p.runGated(ctx, gate, queue[i], worker, i, scratch)
+				r := cfg.runGated(ctx, gate, queue[i], worker, i, 1, scratch)
 				if p.DropEngines {
 					r.Engine = nil
 				}
@@ -405,26 +409,26 @@ func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error)
 	return results, nil
 }
 
-// gate returns the pool's memory gate, built once per pool and shared by
-// every run, so its budget spans concurrent runs and its throttle
-// accounting accumulates across a multi-phase interpretation.
-func (p *Pool) gate() *memGate {
+// memGate returns the pool's memory gate, built once per pool and
+// shared by every run, so its budget spans concurrent runs and its
+// throttle accounting accumulates across a multi-phase interpretation.
+func (p *Pool) memGate() *memGate {
 	p.gateMu.Lock()
 	defer p.gateMu.Unlock()
-	if p.lastGate == nil {
-		p.lastGate = newMemGate(p.MemBudget)
+	if p.gate == nil {
+		p.gate = newMemGate(p.MemBudget)
 	}
-	return p.lastGate
+	return p.gate
 }
 
-// MemSched returns the memory-gate accounting of the pool's most
-// recent run: the configured budget, the reservation high-water mark,
-// and how many dispatches the budget blocked. Zero when the pool runs
+// MemSched returns the memory-gate accounting across every run of the
+// pool: the configured budget, the reservation high-water mark, and how
+// many dispatches the budget blocked. Zero when the pool runs
 // unbounded.
 func (p *Pool) MemSched() MemSchedStats {
 	p.gateMu.Lock()
 	defer p.gateMu.Unlock()
-	return p.lastGate.stats()
+	return p.gate.stats()
 }
 
 const (
@@ -479,27 +483,15 @@ func cancelledResult(t *Task, seq, attempts int, attemptErrs []error, cause erro
 // quarantine the task. Cancellation of ctx ends the loop wherever it
 // is — before an attempt, mid-attempt (via engine interrupt), or
 // during a backoff sleep — without quarantining the task.
-func (c *RunConfig) runOne(ctx context.Context, t *Task, worker, seq int, scratch *ops5.Scratch) *Result {
-	return c.runOneFrom(ctx, t, worker, seq, 1, scratch)
-}
-
-// runOneFrom is runOne with the attempt counter starting at
-// startAttempt instead of 1. The attempt budget stays global — the
-// task quarantines once the attempt number reaches 1+MaxRetries — so
-// a caller that already charged earlier attempts elsewhere (the
-// cluster coordinator, after losing a worker process mid-task)
-// resumes the retry loop rather than restarting it.
-func (c *RunConfig) runOneFrom(ctx context.Context, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
-	maxAttempts := 1 + c.MaxRetries
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	if startAttempt < 1 {
-		startAttempt = 1
-	}
-	if maxAttempts < startAttempt {
-		maxAttempts = startAttempt
-	}
+//
+// The attempt counter starts at startAttempt (at least 1). The attempt
+// budget stays global — the task quarantines once the attempt number
+// reaches 1+MaxRetries — so a caller that already charged earlier
+// attempts elsewhere (the cluster coordinator, after losing a worker
+// process mid-task) resumes the retry loop rather than restarting it.
+func (c *RunConfig) runOne(ctx context.Context, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
+	startAttempt = max(startAttempt, 1)
+	maxAttempts := max(1+c.MaxRetries, startAttempt)
 	var attemptErrs []error
 	for attempt := startAttempt; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -579,11 +571,7 @@ func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt i
 		panic(f.Err(fmt.Sprintf("tlp: task %s: attempt %d", t.ID, attempt)))
 	}
 
-	limit := c.MaxFirings
-	if c.FiringBudget > 0 && (limit == 0 || c.FiringBudget < limit) {
-		limit = c.FiringBudget
-	}
-
+	limit := c.FiringBudget
 	if f.Kind == faults.Crash {
 		// The worker dies mid-task after a deterministic number of
 		// firings: partial work is charged, then lost.
@@ -652,9 +640,8 @@ func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt i
 
 // RunSerial executes the tasks on a single worker (the BASELINE
 // configuration of the paper's measurements).
-func RunSerial(tasks []*Task, maxFirings int) ([]*Result, error) {
-	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxFirings: maxFirings}}
-	return p.Run(tasks)
+func RunSerial(tasks []*Task) ([]*Result, error) {
+	return (&Pool{Workers: 1}).Run(tasks)
 }
 
 // TotalInstr sums the simulated instruction cost over results.

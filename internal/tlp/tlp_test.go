@@ -1,6 +1,7 @@
 package tlp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,7 +39,7 @@ func countTask(id string, n int) *Task {
 
 func TestSerialExecution(t *testing.T) {
 	tasks := []*Task{countTask("a", 3), countTask("b", 5), countTask("c", 7)}
-	results, err := RunSerial(tasks, 0)
+	results, err := RunSerial(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestParallelExecution(t *testing.T) {
 
 func TestLargestFirstOrdering(t *testing.T) {
 	tasks := []*Task{countTask("small", 1), countTask("big", 50), countTask("mid", 10)}
-	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: LargestFirst}}
-	results, err := p.Run(tasks)
+	p := &Pool{Workers: 1}
+	results, err := p.Submit(context.Background(), RunConfig{Policy: LargestFirst}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +97,8 @@ func TestLargestFirstOrdering(t *testing.T) {
 
 func TestFIFOPreservesOrder(t *testing.T) {
 	tasks := []*Task{countTask("x", 2), countTask("y", 2), countTask("z", 2)}
-	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: FIFO}}
-	results, _ := p.Run(tasks)
+	p := &Pool{Workers: 1}
+	results, _ := p.Submit(context.Background(), RunConfig{Policy: FIFO}, tasks)
 	if results[0].TaskID != "x" || results[2].TaskID != "z" {
 		t.Error("FIFO must preserve submission order")
 	}
@@ -190,8 +191,8 @@ func TestLargestFirstStableOnEqualEstSize(t *testing.T) {
 	for _, t2 := range tasks[1:4] {
 		t2.EstSize = 10
 	}
-	p := &Pool{Workers: 1, RunConfig: RunConfig{Policy: LargestFirst}}
-	results, err := p.Run(tasks)
+	p := &Pool{Workers: 1}
+	results, err := p.Submit(context.Background(), RunConfig{Policy: LargestFirst}, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +227,6 @@ func TestErrorsAggregation(t *testing.T) {
 func TestEmptyQueueRejected(t *testing.T) {
 	if _, err := (&Pool{Workers: 1}).Run(nil); err == nil {
 		t.Error("empty queue must be an error")
-	}
-}
-
-func TestMaxFiringsLimit(t *testing.T) {
-	p := &Pool{Workers: 1, RunConfig: RunConfig{MaxFirings: 3}}
-	results, _ := p.Run([]*Task{countTask("limited", 100)})
-	if results[0].Stats.Firings != 3 {
-		t.Errorf("firings = %d, want 3", results[0].Stats.Firings)
 	}
 }
 
@@ -276,7 +269,7 @@ func TestAsynchronousIndependence(t *testing.T) {
 }
 
 func TestTotalInstrPositive(t *testing.T) {
-	results, _ := RunSerial([]*Task{countTask("a", 5)}, 0)
+	results, _ := RunSerial([]*Task{countTask("a", 5)})
 	if TotalInstr(results) <= 0 {
 		t.Error("total instructions should be positive")
 	}

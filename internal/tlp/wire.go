@@ -11,14 +11,13 @@
 //     Result.WMEs hiding the difference from result extractors;
 //   - RemoteError, an error that crossed a process boundary as a
 //     message string plus classification marks, so the coordinator's
-//     RunReport classifies remote failures exactly as local ones;
-//   - RunConfig.Order and Pool.RunOne, the queue-ordering and
-//     single-task-execution entry points the coordinator and the
-//     worker loop drive directly.
+//     RunReport classifies remote failures exactly as local ones.
+//
+// The coordinator orders its shipping queue with RunConfig.Order, and a
+// worker process serves every task frame as a Job on one SharedPool.
 package tlp
 
 import (
-	"context"
 	"errors"
 
 	"spampsm/internal/faults"
@@ -151,30 +150,4 @@ func (e *RemoteError) Is(target error) bool {
 		return e.Marks&MarkPermanent != 0
 	}
 	return false
-}
-
-// RunOne executes a single task behind the pool's memory gate and
-// under cfg — fault plan, retries, quarantine — starting the attempt
-// counter at startAttempt (1 for a fresh task; higher when earlier
-// attempts were charged elsewhere, e.g. to a worker process that died
-// mid-task and whose loss the coordinator already recorded). The
-// attempt budget stays global: the task is quarantined once its
-// attempt number reaches 1+MaxRetries regardless of where earlier
-// attempts ran. scratch is the calling executor's match arena (see
-// Task.BuildWith); nil makes every engine own its memory. This is the
-// cluster worker loop's execution entry point: a worker process serves
-// every run's tasks, each under the configuration its frame carries,
-// from one pool, so they all reserve against one MemBudget. Batch runs
-// should use Run/RunContext.
-func (p *Pool) RunOne(ctx context.Context, cfg RunConfig, t *Task, worker, seq, startAttempt int, scratch *ops5.Scratch) *Result {
-	if startAttempt < 1 {
-		startAttempt = 1
-	}
-	gate := p.gate()
-	got, err := gate.acquire(ctx, t.MemEst)
-	if err != nil {
-		return cancelledResult(t, seq, startAttempt-1, nil, err)
-	}
-	defer gate.release(got)
-	return cfg.runOneFrom(ctx, t, worker, seq, startAttempt, scratch)
 }
