@@ -22,11 +22,12 @@ vet-benchmark:
 # loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
 # definitions under cmd/ (a test's own flags, like the golden tests'
-# -update, are not the commands') — and four counts that must stay
+# -update, are not the commands') — and five counts that must stay
 # zero: build switches, package-level atomic.Bool declarations in
 # internal/spam and internal/geom, which is what a process-global
 # switch is made of, the cluster's retired second way onto a worker,
-# and the retired second set of task processes. The first counts
+# the retired second set of task processes, and the real pool's retired
+# memory gate. The first counts
 # mentions of the process-global switches (tests and comments
 # included) and non-test mentions of the per-run build mode that
 # replaced them and of its reference bits, which now live only in
@@ -36,7 +37,9 @@ vet-benchmark:
 # fourth counts non-test mentions of the cluster worker's single-task
 # entry, the benign firing cap and spam's private-pool runner: a worker
 # process serves on a tlp.SharedPool, and every executor takes its
-# RunConfig per call.
+# RunConfig per call. The fifth counts non-test mentions of the memory
+# gate and its knobs: the memory budget is the simulator's
+# (machine.RunSpecs), and the real pools order by policy only.
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
@@ -54,6 +57,9 @@ loc:
 	@printf 'second task-process set mentions (cmd, internal; want 0): '; \
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
 			'RunOne|MaxFirings|poolRunner' cmd internal | wc -l
+	@printf 'real-pool memory gate mentions (cmd, internal; want 0): '; \
+		grep -rhoE --include='*.go' --exclude='*_test.go' \
+			'memGate|MemBudget|MemSched|runGated|mem-budget' cmd internal | wc -l
 
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored
@@ -109,7 +115,8 @@ bench-quick:
 # Assert, fast-vs-exact geometry, a whole interpretation vs its
 # reference twin and both, capturing and not, at once beside one cached
 # dataset, the scheduling policies (simulator vs Run
-# anchor, pool policies and memory budgets vs the serial FIFO baseline),
+# anchor, pool policies at one and several workers vs the serial FIFO
+# baseline),
 # and the incremental-update path (remove-driven retraction vs fresh load, a
 # swept-and-reloaded engine vs a fresh one, session updates vs
 # from-scratch re-interpretation — outputs and, per task that ran,

@@ -7,7 +7,7 @@
 //	spamrun [-dataset SF|DC|MOFF|suburban] [-workers N] [-level 1..4]
 //	        [-reentry] [-scale F] [-lisp] [-svg FILE]
 //	        [-update N] [-churn F] [-churn-seed N]
-//	        [-sched fifo|largest|postorder] [-mem-budget BYTES]
+//	        [-sched fifo|largest|postorder]
 //	        [-fault-seed N] [-crash-rate P] [-task-timeout D] [-max-retries K]
 //	        [-cluster-workers N] [-cluster-addr HOST:PORT] [-cluster-check]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -21,9 +21,8 @@
 // cluster produced byte-identical outputs.
 //
 // -sched orders each phase's task queue (per-task results are
-// byte-identical across policies) and -mem-budget throttles how much
-// modeled task footprint may run concurrently (simulated bytes, see
-// docs/PERFORMANCE.md "Task scheduling and memory").
+// byte-identical across policies; see docs/PERFORMANCE.md "Task
+// scheduling and memory").
 //
 // The fault flags run the interpretation under deterministic chaos
 // (see docs/ROBUSTNESS.md): a fixed -fault-seed reproduces the exact
@@ -83,7 +82,6 @@ func realMain() int {
 	churn := flag.Float64("churn", 0.05, "churn fraction per -update delta (regions touched / scene regions)")
 	churnSeed := flag.Uint64("churn-seed", 1990, "deterministic seed for the -update churn deltas")
 	sched := flag.String("sched", "fifo", "task scheduling policy: fifo, largest or postorder")
-	memBudget := flag.Float64("mem-budget", 0, "aggregate in-flight task footprint budget in simulated bytes (0 = unbounded)")
 	svgOut := flag.String("svg", "", "write the scene segmentation (with best hypotheses) to this SVG file")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for deterministic fault injection (with -crash-rate)")
 	crashRate := flag.Float64("crash-rate", 0, "probability a task's worker crashes mid-task (0 disables injection)")
@@ -166,7 +164,6 @@ func realMain() int {
 		Level:        spam.Level(*level),
 		ReEntry:      *reentry,
 		Sched:        policy,
-		MemBudget:    *memBudget,
 		Faults:       plan,
 		MaxRetries:   *maxRetries,
 		TaskTimeout:  *taskTimeout,
@@ -180,7 +177,6 @@ func realMain() int {
 		ccfg := cluster.Config{
 			Workers:      *clusterWorkers,
 			LocalWorkers: *workers,
-			MemBudget:    *memBudget,
 		}
 		if *clusterAddr != "" {
 			ccfg.Network, ccfg.Addr = "tcp", *clusterAddr
@@ -308,10 +304,6 @@ func realMain() int {
 	fmt.Printf("memory (modeled): largest task peak %s, total seed WM %s\n",
 		stats.FormatBytes(peakTask), stats.FormatBytes(seedBytes))
 	fmt.Printf("symbols interned: %d\n", symtab.Interned())
-	if ms := in.MemSched; ms.Budget > 0 {
-		fmt.Printf("mem-sched [%s]: budget %s, peak reserved %s, throttle waits %d\n",
-			policy, stats.FormatBytes(ms.Budget), stats.FormatBytes(ms.PeakReserved), ms.ThrottleWaits)
-	}
 
 	if rec := in.Recovery(); rec.Retries > 0 {
 		fmt.Printf("recovery: %d retries, %d recovered, %d quarantined, %.3f sec wasted\n",

@@ -8,7 +8,7 @@
 //	spamserve [-addr :8641] [-workers N] [-max-concurrent N]
 //	          [-max-queued N] [-per-tenant N] [-deadline D]
 //	          [-cache-regions N] [-quarantine-budget N] [-allow-faults]
-//	          [-sched fifo|largest|postorder] [-mem-budget BYTES]
+//	          [-sched fifo|largest|postorder]
 //	          [-max-sessions N] [-cluster-workers N]
 //
 // -cluster-workers N backs named-scene /interpret requests with N
@@ -65,7 +65,6 @@ func realMain() int {
 	allowFaults := flag.Bool("allow-faults", false, "accept per-request fault-injection plans (chaos testing)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum graceful-drain wait on shutdown")
 	sched := flag.String("sched", "fifo", "task scheduling policy: fifo, largest or postorder")
-	memBudget := flag.Float64("mem-budget", 0, "aggregate in-flight task footprint budget in simulated bytes (0 = unbounded)")
 	maxSessions := flag.Int("max-sessions", 0, "live incremental-session bound, LRU-evicted (0 = default 8)")
 	clusterWorkers := flag.Int("cluster-workers", 0, "execute named-scene requests across N worker processes (0 = in-process pool)")
 	flag.Parse()
@@ -81,7 +80,6 @@ func realMain() int {
 		co, err := cluster.Start(cluster.Config{
 			Workers:      *clusterWorkers,
 			LocalWorkers: *workers,
-			MemBudget:    *memBudget,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spamserve:", err)
@@ -113,7 +111,6 @@ func realMain() int {
 		QuarantineBudget:  *quarantine,
 		AllowFaults:       *allowFaults,
 		Sched:             policy,
-		MemBudget:         *memBudget,
 		MaxSessions:       *maxSessions,
 		Cluster:           clusterBackend,
 	})

@@ -26,9 +26,6 @@ type Config struct {
 	// LocalWorkers is each worker process's task processes, the size
 	// of its tlp.SharedPool (default 1).
 	LocalWorkers int
-	// MemBudget is each worker pool's modeled memory budget (simulated
-	// bytes; 0 = unbounded), the cluster analogue of -mem-budget.
-	MemBudget float64
 	// ProcFaults seeds process-level chaos: a Crash draw for a shipped
 	// (task, attempt) SIGKILLs the receiving worker process.
 	ProcFaults faults.Config
@@ -477,7 +474,6 @@ func (co *Coordinator) register(c net.Conn) {
 	init := InitMsg{
 		Magic: Magic, Version: Version,
 		LocalWorkers: co.cfg.LocalWorkers,
-		MemBudget:    co.cfg.MemBudget,
 		ProcFaults:   co.cfg.ProcFaults,
 	}
 	specs := append([]DatasetSpec(nil), co.datasets...)

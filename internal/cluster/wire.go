@@ -54,10 +54,11 @@ import (
 // task frame's flags byte and the result frame's continuation bit,
 // since every task reaches a worker through the shard queue; v9 drops
 // the RunConfig's firing cap, since FiringBudget is the one per-task
-// firing limit; see docs/CLUSTER.md.)
+// firing limit; v10 drops the Init frame's memory budget, since a
+// worker's pool orders by policy only; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 9
+	Version = 10
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -101,7 +102,6 @@ type InitMsg struct {
 	Magic        string
 	Version      int
 	LocalWorkers int
-	MemBudget    float64
 	// ProcFaults seeds the worker's process-level chaos plan: a task
 	// whose fault draw is a Crash kills the worker process itself
 	// (SIGKILL, no goodbye) instead of simulating a crash in-pool.

@@ -80,11 +80,10 @@ type worker struct {
 	// looked up before the task enters the pool.
 	datasets map[string]*spam.Dataset
 	// pool is the process's task processes, InitMsg.LocalWorkers of
-	// them behind one memory gate: every task, whatever RunConfig its
-	// frame carries, runs there and reserves its footprint against the
-	// same InitMsg.MemBudget. Its queue holds decoded tasks in ship
-	// order. onStart, when a test sets it, sees the queue's length each
-	// time a task process takes a task off it.
+	// them: every task, whatever RunConfig its frame carries, runs
+	// there. Its queue holds decoded tasks in ship order. onStart, when
+	// a test sets it, sees the queue's length each time a task process
+	// takes a task off it.
 	pool    *tlp.SharedPool
 	onStart func(queued int)
 
@@ -138,7 +137,6 @@ func (w *worker) serve() error {
 			w.init.Magic, w.init.Version, Magic, Version)
 	}
 	w.pool = tlp.NewSharedPool(w.init.LocalWorkers)
-	w.pool.MemBudget = w.init.MemBudget
 	if w.init.ProcFaults != (faults.Config{}) {
 		w.procPlan = faults.New(w.init.ProcFaults)
 	}

@@ -46,15 +46,14 @@ func pipeWorker(t *testing.T, d *spam.Dataset, init InitMsg, onStart func(queued
 	return p
 }
 
-// send writes one task frame: the i-th of tasks, under cfg, with the
-// footprint memEst.
-func (p *pipedWorker) send(tasks []*tlp.Task, i int, cfg tlp.RunConfig, memEst float64) {
+// send writes one task frame: the i-th of tasks, under cfg.
+func (p *pipedWorker) send(tasks []*tlp.Task, i int, cfg tlp.RunConfig) {
 	p.t.Helper()
 	spec, err := tasks[i].Wire()
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	m := &TaskMsg{RunID: 1, Seq: i, StartAttempt: 1, ID: tasks[i].ID, MemEst: memEst, Config: cfg, Spec: *spec}
+	m := &TaskMsg{RunID: 1, Seq: i, StartAttempt: 1, ID: tasks[i].ID, Config: cfg, Spec: *spec}
 	if _, err := writeFrame(p.coord, frameTaskV2, EncodeTaskV2(p.enc, m, nil)); err != nil {
 		p.t.Fatalf("write task %d: %v", i, err)
 	}
@@ -83,66 +82,6 @@ func (p *pipedWorker) wait(within time.Duration) error {
 	case <-time.After(within):
 		p.t.Fatal("worker still serving")
 		return nil
-	}
-}
-
-// TestWorkerOneGateAcrossConfigs: a worker process has one memory gate,
-// whatever RunConfigs its task frames carry. A RunConfig is client
-// input on a served cluster (maxRetries, firingBudget, a fault seed),
-// so a gate per config would both grow without bound and hand every
-// request shape its own copy of the process's MemBudget.
-func TestWorkerOneGateAcrossConfigs(t *testing.T) {
-	d, err := spam.NewDataset(airportParams("DC"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtf := spam.BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
-	if len(rtf) < 2 {
-		t.Fatalf("%d RTF tasks, want at least 2", len(rtf))
-	}
-	const budget = 1 << 20
-	p := pipeWorker(t, d, InitMsg{LocalWorkers: 2, MemBudget: budget}, nil)
-
-	// Fifty request shapes, one after another: every reservation lands
-	// on the one gate, and none waits.
-	for i := 0; i < 50; i++ {
-		p.send(rtf, i%len(rtf), tlp.RunConfig{MaxRetries: i}, float64(1000+i))
-		if res := p.recv(); res.Err != nil {
-			t.Fatalf("task %d: %s", i, res.Err.Msg)
-		}
-	}
-	if ms := p.w.pool.Stats().MemSched; ms.Budget != budget || ms.PeakReserved != 1049 || ms.ThrottleWaits != 0 {
-		t.Fatalf("after 50 configs run serially: %+v, want one gate of budget %d that peaked at the largest reservation (1049) and never waited", ms, budget)
-	}
-
-	// Two shapes at once, each task as large as the whole budget. The
-	// first fails its first build and sits out a retry backoff holding
-	// its reservation; the second, under another config, must wait for it.
-	slow := tlp.RunConfig{MaxRetries: 1, RetryBackoff: 500 * time.Millisecond,
-		Faults: faults.Config{Seed: 1, BuildFailRate: 1}}
-	p.send(rtf, 0, slow, budget)
-	for i := 0; p.w.pool.Stats().MemSched.PeakReserved < budget; i++ {
-		if i > 5000 {
-			t.Fatal("the retrying task never reserved its footprint")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.send(rtf, 1, tlp.RunConfig{}, budget)
-	for range 2 {
-		res := p.recv()
-		if res.Err != nil {
-			t.Errorf("task %d: %s", res.Seq, res.Err.Msg)
-		}
-		if res.Seq == 0 && res.Attempts != 2 {
-			t.Errorf("retried task: %d attempts, want 2", res.Attempts)
-		}
-	}
-	if ms := p.w.pool.Stats().MemSched; ms.ThrottleWaits != 1 || ms.PeakReserved != budget {
-		t.Errorf("two configs' tasks did not contend for one budget: %+v, want 1 throttle wait and a peak of %d", ms, budget)
-	}
-	p.coord.Close()
-	if err := p.wait(10 * time.Second); err != nil {
-		t.Errorf("worker: %v", err)
 	}
 }
 
@@ -177,7 +116,7 @@ func TestServeWorkerLeavesNoTaskProcesses(t *testing.T) {
 	}{
 		{"run then shutdown", 2, func(p *pipedWorker, _ <-chan struct{}) {
 			for i := range 4 {
-				p.send(tasks, i, tlp.RunConfig{}, 0)
+				p.send(tasks, i, tlp.RunConfig{})
 			}
 			for range 4 {
 				p.recv()
@@ -190,15 +129,15 @@ func TestServeWorkerLeavesNoTaskProcesses(t *testing.T) {
 			}
 		}},
 		{"dropped connection", 2, func(p *pipedWorker, _ <-chan struct{}) {
-			p.send(tasks, 0, tlp.RunConfig{}, 0)
+			p.send(tasks, 0, tlp.RunConfig{})
 			p.recv()
 			p.coord.Close()
 		}},
 		{"cancelled queue", 1, func(p *pipedWorker, started <-chan struct{}) {
-			p.send(tasks, 0, slow, 0)
+			p.send(tasks, 0, slow)
 			<-started
 			for i := 1; i < len(tasks); i++ {
-				p.send(tasks, i, tlp.RunConfig{}, 0)
+				p.send(tasks, i, tlp.RunConfig{})
 			}
 			p.coord.Close()
 		}},

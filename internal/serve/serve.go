@@ -61,10 +61,6 @@ type Config struct {
 	// postorder — the shared policy vocabulary). Per-task results are
 	// byte-identical across policies; only interleaving changes.
 	Sched tlp.QueuePolicy
-	// MemBudget bounds the aggregate modeled footprint of tasks in
-	// flight across all requests (simulated bytes; 0 = unbounded),
-	// throttling dispatch on the shared pool's memory gate.
-	MemBudget float64
 	// Cluster, when set, executes named-scene requests across worker
 	// processes instead of the shared in-process pool (the cmd layer
 	// wires a cluster.Coordinator in; see docs/CLUSTER.md). Inline
@@ -114,10 +110,14 @@ type Server struct {
 	sem      chan struct{}
 	queued   atomic.Int64
 
-	draining atomic.Bool
+	draining atomic.Bool // set under tenantMu
 	drainCh  chan struct{}
 	inflight sync.WaitGroup
 
+	// tenantMu guards tenants and orders admission against Drain: a
+	// request checks draining and joins inflight under it, so once Drain
+	// has set draining, Close's inflight.Wait covers every request that
+	// got in.
 	tenantMu sync.Mutex
 	tenants  map[string]int
 
@@ -141,7 +141,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	sp := tlp.NewSharedPool(cfg.Workers)
 	sp.QuarantineBudget = cfg.QuarantineBudget
-	sp.MemBudget = cfg.MemBudget
 	return &Server{
 		cfg:      cfg,
 		pool:     sp,
@@ -167,10 +166,11 @@ func (e *apiError) Error() string { return e.msg }
 // queue. On success the returned release settles every counter; on
 // failure the *apiError says how to answer.
 func (s *Server) admit(ctx context.Context, tenant string) (release func(), aerr *apiError) {
+	s.tenantMu.Lock()
 	if s.draining.Load() {
+		s.tenantMu.Unlock()
 		return nil, &apiError{status: 503, retryAfter: 5, msg: "server draining"}
 	}
-	s.tenantMu.Lock()
 	if s.cfg.PerTenantMax > 0 && s.tenants[tenant] >= s.cfg.PerTenantMax {
 		s.tenantMu.Unlock()
 		s.shed.Add(1)
@@ -178,8 +178,8 @@ func (s *Server) admit(ctx context.Context, tenant string) (release func(), aerr
 			msg: "tenant concurrency limit reached"}
 	}
 	s.tenants[tenant]++
-	s.tenantMu.Unlock()
 	s.inflight.Add(1)
+	s.tenantMu.Unlock()
 	undo := func() {
 		s.tenantMu.Lock()
 		s.tenants[tenant]--
@@ -223,6 +223,8 @@ func (s *Server) admit(ctx context.Context, tenant string) (release func(), aerr
 
 // Drain stops admitting new requests; in-flight ones run to completion.
 func (s *Server) Drain() {
+	s.tenantMu.Lock()
+	defer s.tenantMu.Unlock()
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -296,6 +297,58 @@ func TestDrain(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return after drain")
+	}
+
+	// A request that reaches admission while Close runs is either
+	// refused or counted before Close waits: it answers 200 or 503, never
+	// 500 from a pool Close has already shut. The request is parked
+	// inside admit on the lock Drain takes, Close runs until it returns
+	// or parks on that lock too, and then both go on.
+	s = New(Config{Workers: 1})
+	body := sceneBody(t, tinyScene("drain", 0), "")
+	s.tenantMu.Lock()
+	rec := httptest.NewRecorder()
+	answered := make(chan struct{})
+	go func() {
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/interpret", strings.NewReader(body)))
+		close(answered)
+	}()
+	waitFor := func(what string, done func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				s.tenantMu.Unlock()
+				t.Fatalf("%s: timed out", what)
+			}
+		}
+	}
+	waitFor("request parked in admit", func() bool { return running("serve.(*Server).admit(") })
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitFor("Close returned or parked in Drain", func() bool {
+		select {
+		case <-closed:
+			return true
+		default:
+			return running("serve.(*Server).Drain(")
+		}
+	})
+	s.tenantMu.Unlock()
+	<-answered
+	<-closed
+	if rec.Code != http.StatusOK && rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request admitted while Close ran answered %d (%s), want 200 or 503", rec.Code, rec.Body)
+	}
+}
+
+// running reports whether some goroutine's stack holds the function.
+func running(fn string) bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Contains(string(buf[:n]), fn)
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -10,12 +10,13 @@
 //
 // Live sessions are LRU-bounded (Config.MaxSessions): opening a
 // session past the cap evicts the least recently used one, dropping
-// its cached engines. Each session is serialized by its own mutex —
-// concurrent updates to one session queue behind each other — while
-// distinct sessions update in parallel over the shared pool. A
-// cancelled or failed update leaves the session consistent but cold:
-// the phases that never ran are swept from the task cache and rebuild
-// on the next update.
+// its scene clone, region store and cached task results. Each session
+// is serialized by its own mutex — concurrent updates to one session
+// queue behind each other — while distinct sessions update in parallel
+// over the shared pool. A cancelled or failed update leaves the session
+// consistent and warm: stale tasks are swept only when an update
+// completes, so the phases it never reached keep their cached results
+// for the next update.
 //
 // Response bodies stay byte-deterministic for a fixed request
 // sequence: wall-clock time travels in the X-Elapsed-Ms header, and
@@ -61,9 +62,10 @@ func newSessionStore(max int) *sessionStore {
 }
 
 // open registers a session whose first interpretation has succeeded,
-// evicting the least recently used one past the cap. Eviction only unlinks the table entry: a request
-// mid-update on the evicted session holds its own pointer and
-// completes normally; the engines are reclaimed when it finishes.
+// evicting the least recently used one past the cap. Eviction only
+// unlinks the table entry: a request mid-update on the evicted session
+// holds its own pointer and completes normally; the session is
+// reclaimed when it finishes.
 func (st *sessionStore) open(name, tenant string, sess *spam.Session) *session {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"weak"
+
+	"spampsm/internal/spam"
 )
 
 func postPath(t *testing.T, url, path, body string) (*http.Response, []byte) {
@@ -263,6 +268,40 @@ func TestServeSessionLRU(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Sessions.Closed != 1 || st.Sessions.Open != 1 {
 		t.Fatalf("after close: %+v", st.Sessions)
+	}
+}
+
+// TestServeSessionEvictionRetainsNothing: an evicted session is
+// garbage. Open MaxSessions+1 sessions through the server; once the
+// first is evicted and the collector has run, nothing reaches its
+// spam.Session, and the process is back to the goroutines it ran
+// before the sessions were opened.
+func TestServeSessionEvictionRetainsNothing(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 2, MaxSessions: 2})
+	before := runtime.NumGoroutine()
+	var first weak.Pointer[spam.Session]
+	for i := 0; i <= srv.cfg.MaxSessions; i++ {
+		id, _ := openSession(t, ts.URL, sessionBody(t, tinyScene(fmt.Sprintf("evict%d", i), float64(40*i)), ""))
+		if i == 0 {
+			srv.sessions.mu.Lock()
+			first = weak.Make(srv.sessions.byID[id].sess)
+			srv.sessions.mu.Unlock()
+		}
+	}
+	if st := srv.Stats().Sessions; st.Evicted != 1 || st.Open != srv.cfg.MaxSessions {
+		t.Fatalf("session stats: %+v, want one evicted and %d open", st, srv.cfg.MaxSessions)
+	}
+	// The client's idle keep-alive connections are not the server's.
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		runtime.GC()
+		live, n := first.Value() != nil, runtime.NumGoroutine()
+		if !live && n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after eviction: session reachable %v, %d goroutines, %d before the sessions opened", live, n, before)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func TestInterpretDCAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := InterpretOptions{ReEntry: true}
-	opt.Runner, _ = privateQueue(opt.withDefaults())
+	opt.Runner = privateQueue(opt.withDefaults())
 	if _, err := d.Interpret(opt); err != nil {
 		t.Fatal(err)
 	}

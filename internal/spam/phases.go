@@ -127,11 +127,6 @@ type Interpretation struct {
 	// Completeness reports whether every task of every phase
 	// contributed (see InterpretOptions.Degraded).
 	Completeness Completeness
-	// MemSched is the run's memory-gate accounting — budget,
-	// reservation high-water mark, throttle waits — accumulated over
-	// all phases. Zero when the run was unbounded or a serving Runner
-	// executed the phases (the gate then belongs to the shared pool).
-	MemSched tlp.MemSchedStats
 }
 
 // Phase returns the named phase run (RTF/LCC/FA/MODEL), or nil.
@@ -195,9 +190,9 @@ type InterpretOptions struct {
 	// Runner, when non-nil, executes every phase's task queue instead
 	// of a private pool — the serving path, where all requests share
 	// one tlp.SharedPool. The runner then brings its own workers and
-	// its own tlp.RunConfig: Workers, MemBudget and every option
-	// RunConfig reads are not consulted here (a caller binding a queue
-	// converts them once, with RunConfig).
+	// its own tlp.RunConfig: Workers and every option RunConfig reads
+	// are not consulted here (a caller binding a queue converts them
+	// once, with RunConfig).
 	Runner Runner
 
 	// Degraded switches the result assembler to partial-failure
@@ -215,14 +210,10 @@ type InterpretOptions struct {
 	RetryBackoff time.Duration // delay before the first retry (doubles after)
 	FiringBudget int           // per-task firing deadline; 0 = none
 
-	// Memory-aware scheduling (see docs/PERFORMANCE.md). Sched orders
-	// every phase's task queue — fifo, largest or postorder — and
-	// MemBudget bounds the aggregate modeled footprint in flight
-	// (simulated bytes; 0 = unbounded). Per-task results are
-	// byte-identical under every policy and budget; only order and
-	// timing change.
-	Sched     tlp.QueuePolicy
-	MemBudget float64
+	// Sched orders every phase's task queue — fifo, largest or
+	// postorder (see docs/PERFORMANCE.md). Per-task results are
+	// byte-identical under every policy; only order and timing change.
+	Sched tlp.QueuePolicy
 }
 
 // RunConfig is the one conversion from the options a user sets to how a
@@ -241,10 +232,9 @@ func (opt InterpretOptions) RunConfig() tlp.RunConfig {
 
 // privateQueue is the Runner an interpretation — or a session, for its
 // lifetime — runs on when its options bring none: a private pool bound
-// to the options' RunConfig, returned beside it for its memory gate.
-func privateQueue(opt InterpretOptions) (tlp.BoundQueue, *tlp.Pool) {
-	pool := &tlp.Pool{Workers: opt.Workers, MemBudget: opt.MemBudget}
-	return tlp.BoundQueue{Queue: pool, Config: opt.RunConfig()}, pool
+// to the options' RunConfig.
+func privateQueue(opt InterpretOptions) tlp.BoundQueue {
+	return tlp.BoundQueue{Queue: &tlp.Pool{Workers: opt.Workers}, Config: opt.RunConfig()}
 }
 
 // withDefaults fills the unset decomposition options.
@@ -313,9 +303,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	}
 	runner := opt.Runner
 	if runner == nil {
-		var pool *tlp.Pool
-		runner, pool = privateQueue(opt)
-		defer func() { in.MemSched = pool.MemSched() }()
+		runner = privateQueue(opt)
 	}
 	// phase runs and settles one queue. A degraded upstream phase may
 	// leave a later phase with no tasks at all; that is an empty phase,

@@ -11,34 +11,21 @@ import (
 // scheduling oracle: a complete four-phase interpretation must be
 // observably identical — same phase statistics, simulated instruction
 // counts, memory records, fragments, pairs, functional areas and final
-// model — under every queue policy and memory budget, serial and
-// parallel. A budget of 1 byte is the extreme case: every task clamps
-// to the whole budget and execution fully serializes through the gate,
-// yet nothing about the results may change.
+// model — under every queue policy, serial and parallel.
 func TestSPAMDifferentialSchedulingPolicies(t *testing.T) {
-	run := func(pol tlp.QueuePolicy, budget float64, workers int) *Interpretation {
+	run := func(pol tlp.QueuePolicy, workers int) *Interpretation {
 		t.Helper()
 		d := smallDC(t)
-		in, err := d.Interpret(InterpretOptions{Workers: workers, Sched: pol, MemBudget: budget})
+		in, err := d.Interpret(InterpretOptions{Workers: workers, Sched: pol})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return in
 	}
-	base := run(tlp.FIFO, 0, 1)
-	for _, cfg := range []struct {
-		pol     tlp.QueuePolicy
-		budget  float64
-		workers int
-	}{
-		{tlp.FIFO, 0, 3},
-		{tlp.LargestFirst, 0, 3},
-		{tlp.PostOrder, 0, 3},
-		{tlp.PostOrder, 1, 3},
-		{tlp.LargestFirst, 1 << 16, 3},
-	} {
-		name := fmt.Sprintf("%v/B=%g/w=%d", cfg.pol, cfg.budget, cfg.workers)
-		in := run(cfg.pol, cfg.budget, cfg.workers)
+	base := run(tlp.FIFO, 1)
+	for _, pol := range []tlp.QueuePolicy{tlp.FIFO, tlp.LargestFirst, tlp.PostOrder} {
+		name := fmt.Sprintf("%v/w=3", pol)
+		in := run(pol, 3)
 		compareInterpretations(t, "fifo-serial", base, name, in)
 		for i := range base.Phases {
 			bp, ip := &base.Phases[i], &in.Phases[i]
@@ -47,18 +34,13 @@ func TestSPAMDifferentialSchedulingPolicies(t *testing.T) {
 					name, bp.Phase, bp.PeakTaskBytes, bp.SeedBytes, ip.PeakTaskBytes, ip.SeedBytes)
 			}
 		}
-		if cfg.budget > 0 {
-			if ms := in.MemSched; ms.Budget != cfg.budget {
-				t.Errorf("%s: MemSched budget = %v", name, ms.Budget)
-			}
-		}
 	}
 }
 
 // TestInterpretationMemoryRecordsPopulated: a real interpretation must
 // carry non-trivial modeled memory figures — seed bytes in every phase
 // and a positive per-task peak — since the scheduler's footprints and
-// the budget curves are built from them.
+// the simulator's budget curves are built from them.
 func TestInterpretationMemoryRecordsPopulated(t *testing.T) {
 	d := smallDC(t)
 	in, err := d.Interpret(InterpretOptions{Workers: 2})

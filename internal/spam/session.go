@@ -80,7 +80,6 @@ const diffInstrPerSeed = rete.CostAlphaScan
 type Session struct {
 	ds   *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
 	opt  InterpretOptions
-	pool *tlp.Pool // the private pool opt.Runner binds; nil when the caller brought one
 	grid *liveGrid // session-persistent LCC partner index
 
 	tasks   map[string]*sessTask
@@ -206,7 +205,7 @@ type UpdateReport struct {
 	// RetractedWMEs is retired and always 0: nothing is retracted since
 	// sessions stopped resetting engines. The field stays only because
 	// benchmark/sessions.go compiles against it; the declared
-	// benchmark-surface revision of ROADMAP item 4 deletes it.
+	// benchmark-surface revision of ROADMAP item 1 deletes it.
 	RetractedWMEs int `json:"-"`
 
 	// Reasons says why each of the Rerun tasks ran again, as counts
@@ -254,18 +253,16 @@ func (r *UpdateReport) RerunReasons() []string {
 // fixed for the session's lifetime so the decomposition stays stable.
 func NewSession(ds *Dataset, opt InterpretOptions) *Session {
 	opt = opt.withDefaults()
-	var pool *tlp.Pool
 	if opt.Runner == nil {
-		// One pool for the session's lifetime: its workers, memory gate
-		// and throttle accounting span every update.
-		opt.Runner, pool = privateQueue(opt)
+		// One pool for the session's lifetime: its workers and their
+		// match arenas span every update.
+		opt.Runner = privateQueue(opt)
 	}
 	own := NewDatasetWith(ds.Scene.Clone(), ds.KB, ds.Progs)
 	own.capture, own.Store.reference = ds.capture, ds.Store.reference
 	return &Session{
 		ds:    own,
 		opt:   opt,
-		pool:  pool,
 		tasks: map[string]*sessTask{},
 		sig:   signer{h: sha256.New()},
 	}
@@ -317,9 +314,6 @@ func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *Upd
 		st.live = false
 	}
 	in, err := s.ds.interpret(ctx, s.opt, s)
-	if s.pool != nil {
-		in.MemSched = s.pool.MemSched()
-	}
 	if err == nil {
 		for k, st := range s.tasks {
 			if !st.live {
@@ -379,8 +373,7 @@ func rerunReason(phase string, was, now *taskSig) string {
 // spec's seeds, signs them with the store's answers, diffs the
 // signature against the cached task state, reuses unchanged tasks, and
 // runs the changed/new remainder as one queue of fresh tasks through
-// the runner (retaining the pool's retry, quarantine and memory-gate
-// semantics). Results come back in spec order, reduced to what the
+// the runner (retaining the pool's retry and quarantine semantics). Results come back in spec order, reduced to what the
 // session retains.
 func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec) ([]*tlp.Result, error) {
 	rep, store := s.rep, s.ds.Store

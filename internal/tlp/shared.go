@@ -45,19 +45,12 @@ type SharedPool struct {
 	// restart on a poisoned process without dropping in-flight work.
 	QuarantineBudget int
 
-	// MemBudget bounds the aggregate modeled footprint of the tasks
-	// in flight across ALL submissions (simulated bytes; 0 disables).
-	// The budget belongs to the pool because the workers do. Set it
-	// before the first Submit.
-	MemBudget float64
-
 	queue chan *Job
 	wg    sync.WaitGroup // task processes
 
 	mu     sync.Mutex
 	closed bool
 	subs   sync.WaitGroup // Submit and Go calls still queueing
-	gate   *memGate       // lazily built from MemBudget on first use
 
 	// arenas is what each task process's match arena holds, published
 	// by the process after every task (its scratch itself is private to
@@ -86,8 +79,8 @@ type Job struct {
 	// global.
 	StartAttempt int
 	// Start, when set, runs on the task process that takes the job, in
-	// queue order and before the task reserves memory — unless the
-	// job's context is already done, in which case the task is cancelled
+	// queue order and before the task is built — unless the job's
+	// context is already done, in which case the task is cancelled
 	// without being started or built.
 	Start func()
 	// Done receives the Result on the task process that ran the task,
@@ -129,15 +122,15 @@ func (sp *SharedPool) process(worker int) {
 	}
 }
 
-// run executes one job under its context and configuration, behind
-// the pool's memory gate, and settles the pool-level accounting. A job
-// whose run is already dead is not started: runOne cancels it before
-// its first attempt, without building it.
+// run executes one job under its context and configuration and settles
+// the pool-level accounting. A job whose run is already dead is not
+// started: runOne cancels it before its first attempt, without building
+// it.
 func (sp *SharedPool) run(j *Job, worker int, scratch *ops5.Scratch) *Result {
 	if j.Start != nil && j.Ctx.Err() == nil {
 		j.Start()
 	}
-	r := j.Config.runGated(j.Ctx, sp.memGate(), j.Task, worker, j.Seq, j.StartAttempt, scratch)
+	r := j.Config.runOne(j.Ctx, j.Task, worker, j.Seq, j.StartAttempt, scratch)
 	sp.tasksRun.Add(1)
 	if r.Cancelled {
 		sp.cancelled.Add(1)
@@ -159,17 +152,6 @@ func (sp *SharedPool) run(j *Job, worker int, scratch *ops5.Scratch) *Result {
 		}
 	}
 	return r
-}
-
-// memGate returns the pool-wide memory gate, built from MemBudget on
-// first use (nil — admit everything — when no budget is set).
-func (sp *SharedPool) memGate() *memGate {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.gate == nil && sp.MemBudget > 0 {
-		sp.gate = newMemGate(sp.MemBudget)
-	}
-	return sp.gate
 }
 
 // enter registers a caller about to queue jobs, so Close waits for it.
@@ -252,10 +234,6 @@ type Counters struct {
 	InjectedQuarantines  int64 // quarantines under a run's own fault plan
 	Cancelled            int64 // tasks abandoned to cancellation
 
-	// MemSched is the memory gate's accounting across all submissions
-	// (zero when the pool runs unbounded).
-	MemSched MemSchedStats
-
 	// Arenas is what each task process's match arena held after its
 	// last task: slab chunks and their bytes (rete.Scratch.Arena).
 	Arenas []ArenaStats
@@ -307,6 +285,5 @@ func (sp *SharedPool) Stats() Counters {
 		CancelledQuarantines: sp.cancQuar.Load(),
 		InjectedQuarantines:  sp.injQuar.Load(),
 		Cancelled:            sp.cancelled.Load(),
-		MemSched:             sp.memGate().stats(),
 	}
 }

@@ -93,8 +93,7 @@ type Task struct {
 	EstSize float64
 	// MemEst is the task's modeled memory footprint in simulated bytes
 	// (seed working memory plus expected match state, see wm.WMEBytes).
-	// The PostOrder policy orders subtrees by it and the pool's
-	// MemBudget gate throttles dispatch against it.
+	// The PostOrder policy orders subtrees by it.
 	MemEst float64
 	Build  func() (*ops5.Engine, error)
 	// BuildWith, when set, is preferred over Build and receives the
@@ -272,19 +271,6 @@ type Pool struct {
 	// extracted from final working memories.
 	DropEngines bool
 
-	// MemBudget bounds the aggregate modeled footprint (sum of running
-	// tasks' MemEst, simulated bytes) the pool lets in flight at once;
-	// 0 disables the gate. Workers block before building an engine
-	// whose reservation would overflow the budget — memory-bounded
-	// list scheduling on the real runtime.
-	MemBudget float64
-
-	// gateMu guards gate, the pool's memory gate — built on the first
-	// run, shared by all runs so MemBudget spans them and MemSched
-	// reporting accumulates.
-	gateMu sync.Mutex
-	gate   *memGate
-
 	// scratches holds the match arenas of the pool's idle task
 	// processes. A worker goroutine takes one for the length of a run
 	// and puts it back, so the phases of an interpretation reuse the
@@ -380,7 +366,6 @@ func (p *Pool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Res
 	workers := max(p.Workers, 1)
 	queue := cfg.Order(tasks)
 	results := make([]*Result, len(queue))
-	gate := p.memGate()
 	// Task dispatch is a single atomic fetch-add on a shared cursor —
 	// the queue itself is immutable after ordering, so workers never
 	// contend on a lock to claim work.
@@ -397,7 +382,7 @@ func (p *Pool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Res
 				if i >= len(queue) {
 					return
 				}
-				r := cfg.runGated(ctx, gate, queue[i], worker, i, 1, scratch)
+				r := cfg.runOne(ctx, queue[i], worker, i, 1, scratch)
 				if p.DropEngines {
 					r.Engine = nil
 				}
@@ -407,28 +392,6 @@ func (p *Pool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Res
 	}
 	wg.Wait()
 	return results, nil
-}
-
-// memGate returns the pool's memory gate, built once per pool and
-// shared by every run, so its budget spans concurrent runs and its
-// throttle accounting accumulates across a multi-phase interpretation.
-func (p *Pool) memGate() *memGate {
-	p.gateMu.Lock()
-	defer p.gateMu.Unlock()
-	if p.gate == nil {
-		p.gate = newMemGate(p.MemBudget)
-	}
-	return p.gate
-}
-
-// MemSched returns the memory-gate accounting across every run of the
-// pool: the configured budget, the reservation high-water mark, and how
-// many dispatches the budget blocked. Zero when the pool runs
-// unbounded.
-func (p *Pool) MemSched() MemSchedStats {
-	p.gateMu.Lock()
-	defer p.gateMu.Unlock()
-	return p.gate.stats()
 }
 
 const (
