@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-benchmark loc alloc-profile race bench bench-quick cluster-smoke oracle check
+.PHONY: build test vet vet-benchmark loc alloc-profile cpu-profile race bench bench-quick cluster-smoke oracle check
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,20 @@ alloc-profile:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
 
+# cpu-profile is alloc-profile's CPU twin: twenty rounds of the
+# benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
+# task process; internal/core's BenchmarkInterpretRound) under
+# -cpuprofile into the gitignored .cpu_profile/, then the top of the
+# profile by flat CPU and by cumulative CPU. docs/PERFORMANCE.md
+# "Match kernel" was cut from these tables; the next CPU work starts
+# here, not from a guess.
+cpu-profile:
+	mkdir -p .cpu_profile
+	$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime 20x \
+		-cpuprofile .cpu_profile/round.prof -o .cpu_profile/core.test ./internal/core
+	$(GO) tool pprof -top -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
+	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
+
 race:
 	$(GO) test -race ./...
 
@@ -89,9 +103,11 @@ bench:
 	$(GO) test -bench . -benchtime 1x .
 
 # bench-quick is the CI smoke benchmark: the value-equality,
-# symbol-intern, join-test, constant-test-dispatch, seed-load,
-# engine-construction, geometry-predicate, partner-search and
-# task-scheduler microbenchmarks at a short benchtime, well under 60 s.
+# symbol-intern, join-test, constant-test-dispatch (a null activation
+# included), recognize-act (a conflict set full of fired instantiations
+# included), seed-load, engine-construction, geometry-predicate,
+# partner-search and task-scheduler microbenchmarks at a short
+# benchtime, well under 60 s.
 # It exists to surface gross wall-clock regressions (an optimized variant suddenly
 # slower than its baseline) in the log; the measured numbers are
 # benchmark/run.sh's.
@@ -100,7 +116,7 @@ bench-quick:
 		-benchtime 0.3s ./internal/symtab/
 	$(GO) test -run '^$$' -bench 'BenchmarkJoinTest|BenchmarkAddDispatch' \
 		-benchtime 0.3s ./internal/rete/
-	$(GO) test -run '^$$' -bench 'BenchmarkSeedLoad|BenchmarkEngineBuild' \
+	$(GO) test -run '^$$' -bench 'BenchmarkRecognizeActCycle|BenchmarkSeedLoad|BenchmarkEngineBuild' \
 		-benchtime 0.3s ./internal/ops5/
 	$(GO) test -run '^$$' -bench 'BenchmarkGeomPredicates' \
 		-benchtime 0.3s ./internal/geom/

@@ -61,7 +61,12 @@ type intraTest struct {
 	attrB int
 }
 
+// predFn is a join test's predicate: nil for equality, which the
+// network compares inline, else a call of p.Apply.
 func predFn(p Pred) rete.PredFn {
+	if p == PredEQ {
+		return nil
+	}
 	return func(own, bound symtab.Value) bool { return p.Apply(own, bound) }
 }
 

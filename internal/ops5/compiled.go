@@ -132,7 +132,6 @@ func (cp *CompiledProgram) NewEngine(opts ...Option) (*Engine, error) {
 func newEngineShell(prog *Program) *Engine {
 	return &Engine{
 		prog:      prog,
-		cs:        newConflictSet(),
 		strategy:  ParseStrategy(prog.Strategy),
 		externals: map[string]ExternalFn{},
 		out:       io.Discard,
@@ -148,6 +147,12 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 	}
 	e.classes = cp.classes
 	e.compiled = cp.compiled
+	if e.scratch != nil {
+		e.cs, _ = e.scratch.TakeAgenda().(*conflictSet) // the last settled engine's, emptied
+	}
+	if e.cs == nil {
+		e.cs = newConflictSet()
+	}
 	e.net = cp.tmpl.NewNetworkScratch(e.cs, e.scratch)
 	e.mem = e.net.NewMemory(cp.classes)
 	e.scratch = nil
@@ -158,7 +163,8 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 
 // Settle gives back everything the engine borrowed from its worker's
 // scratch (WithScratch): the match network's tokens, entries and node
-// state, the conflict set, and the working memory — WME structs and the
+// state, the conflict set (emptied, for the next engine on the scratch
+// to reuse), and the working memory — WME structs and the
 // value vectors its rules made. Stats, Log, MatchCounters and the
 // memory's peaks return what they returned before, but WMEs and Memory
 // are empty — whoever reads final working memory copies the rows first
@@ -173,6 +179,8 @@ func (e *Engine) Settle() {
 	if s == nil {
 		return
 	}
-	*e.cs, e.env = conflictSet{}, rhsEnv{}
+	e.cs.reset()
+	s.KeepAgenda(e.cs)
+	e.cs, e.env = &conflictSet{}, rhsEnv{}
 	e.settled = true
 }

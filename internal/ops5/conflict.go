@@ -34,13 +34,22 @@ type instantiation struct {
 	tags  []int // timetags of the positive-CE WMEs, sorted descending
 	first int   // timetag of the first CE's WME (for MEA)
 	seq   int   // creation order, for deterministic tie-breaking
-	fired bool
+	pos   int   // index in conflictSet.unfired; -1 once fired
 }
+
+// fired reports whether the instantiation has fired (refraction: it
+// stays in the conflict set until its token is retracted, but is never
+// selected again).
+func (in *instantiation) fired() bool { return in.pos < 0 }
 
 // conflictSet holds the live instantiations. It implements rete.Agenda.
 type conflictSet struct {
-	insts map[*rete.Token]*instantiation
-	seq   int
+	// insts finds an instantiation by its token, fired or not; unfired
+	// lists the ones not yet fired, densely, in no particular order, so
+	// Resolve walks only what it may select.
+	insts   map[*rete.Token]*instantiation
+	unfired []*instantiation
+	seq     int
 	// compares counts conflict-resolution comparisons for cost
 	// accounting; the engine reads and resets it each cycle.
 	compares int
@@ -72,16 +81,32 @@ func (cs *conflictSet) Activate(p *rete.PNode, t *rete.Token) {
 	}
 	slices.SortFunc(tags, func(a, b int) int { return cmp.Compare(b, a) })
 	cs.seq++
-	*in = instantiation{cp: p.Data.(*compiledProd), token: t, tags: tags, first: first, seq: cs.seq}
+	*in = instantiation{cp: p.Data.(*compiledProd), token: t, tags: tags, first: first, seq: cs.seq, pos: len(cs.unfired)}
 	cs.insts[t] = in
+	cs.unfired = append(cs.unfired, in)
 }
 
 // Deactivate implements rete.Agenda.
 func (cs *conflictSet) Deactivate(p *rete.PNode, t *rete.Token) {
 	if in := cs.insts[t]; in != nil {
 		delete(cs.insts, t)
+		if !in.fired() {
+			cs.unlist(in)
+		}
 		cs.retired = append(cs.retired, in)
 	}
+}
+
+// unlist takes an unfired instantiation off the unfired list in O(1),
+// because it fired or because it was retracted unfired: the list's last
+// entry moves into its slot.
+func (cs *conflictSet) unlist(in *instantiation) {
+	k := len(cs.unfired) - 1
+	last := cs.unfired[k]
+	cs.unfired[in.pos], last.pos = last, in.pos
+	cs.unfired[k] = nil
+	cs.unfired = cs.unfired[:k]
+	in.pos = -1
 }
 
 // recycle makes the instantiations deactivated so far reusable. The
@@ -93,8 +118,26 @@ func (cs *conflictSet) recycle() {
 	cs.retired = cs.retired[:0]
 }
 
-// Size returns the number of live instantiations (fired or not).
-func (cs *conflictSet) Size() int { return len(cs.insts) }
+// reset empties the conflict set for another engine, keeping its map,
+// lists and instantiation records (tag slices included) for reuse. The
+// engine calls it when it settles, with no right-hand side executing.
+func (cs *conflictSet) reset() {
+	for _, in := range cs.insts {
+		cs.retired = append(cs.retired, in)
+	}
+	clear(cs.insts)
+	clear(cs.unfired)
+	cs.unfired = cs.unfired[:0]
+	cs.recycle()
+	for _, in := range cs.free {
+		in.cp, in.token = nil, nil
+	}
+	cs.seq, cs.compares = 0, 0
+}
+
+// Size returns the number of unfired instantiations: what Resolve may
+// still select.
+func (cs *conflictSet) Size() int { return len(cs.unfired) }
 
 // lexLess reports whether a's tag list is less recent than b's under
 // the LEX ordering: compare descending-sorted timetags pairwise; the
@@ -134,13 +177,12 @@ func better(x, y *instantiation, strat Strategy) bool {
 }
 
 // Resolve picks the dominant unfired instantiation, or nil when the
-// conflict set offers nothing (quiescence).
+// conflict set offers nothing (quiescence). better is a strict total
+// order, so the order of the unfired list does not matter; each entry
+// is charged one comparison.
 func (cs *conflictSet) Resolve(strat Strategy) *instantiation {
 	var best *instantiation
-	for _, in := range cs.insts {
-		if in.fired {
-			continue
-		}
+	for _, in := range cs.unfired {
 		cs.compares++
 		if best == nil || better(in, best, strat) {
 			best = in

@@ -297,17 +297,16 @@ func (e *Engine) Memory() *wm.Memory { return e.mem }
 // borrowing engine is settled).
 func (e *Engine) WMEs(class string) []*wm.WME { return e.mem.OfClass(class) }
 
-// ConflictSetSize returns the number of live instantiations.
+// ConflictSetSize returns the number of live unfired instantiations:
+// the length of ConflictSet, and 0 exactly when Run would stop at
+// quiescence.
 func (e *Engine) ConflictSetSize() int { return e.cs.Size() }
 
 // ConflictSet lists the live unfired instantiations as
 // "production-name [timetags]" strings, sorted — the OPS5 "cs" command.
 func (e *Engine) ConflictSet() []string {
 	var out []string
-	for _, in := range e.cs.insts {
-		if in.fired {
-			continue
-		}
+	for _, in := range e.cs.unfired {
 		out = append(out, fmt.Sprintf("%s %v", in.cp.prod.Name, in.tags))
 	}
 	sort.Strings(out)
@@ -374,7 +373,7 @@ func (e *Engine) Run(maxFirings int) (int, error) {
 			// Quiescence: no unfired instantiation.
 			break
 		}
-		inst.fired = true
+		e.cs.unlist(inst) // refraction: it stays, but is never selected again
 		if e.trace != nil {
 			fmt.Fprintf(e.trace, "%d. %s %v\n", e.stats.Firings+1, inst.cp.prod.Name, inst.tags)
 		}

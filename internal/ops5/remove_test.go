@@ -135,10 +135,7 @@ func normalizedState(e *Engine, trace string) normState {
 		fmt.Fprintf(&dump, "%d: %s\n", rank[w.TimeTag], w)
 	}
 	var cs []string
-	for _, in := range e.cs.insts {
-		if in.fired {
-			continue
-		}
+	for _, in := range e.cs.unfired {
 		rtags := make([]int, len(in.tags))
 		for i, tg := range in.tags {
 			rtags[i] = rank[tg]
@@ -225,7 +222,7 @@ func TestDifferentialSweepAndReloadVsFresh(t *testing.T) {
 			if n := used.Memory().Size(); n != 0 {
 				t.Fatalf("sweep left %d live WMEs", n)
 			}
-			if n := used.ConflictSetSize(); n != 0 {
+			if n := len(used.cs.insts); n != 0 {
 				t.Fatalf("sweep left %d live instantiations", n)
 			}
 			base := used.MatchCounters()

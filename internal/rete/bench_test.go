@@ -36,11 +36,11 @@ func buildJoinBenchNet(b *testing.B) (*Network, *wm.Classes) {
 		pats := []Pattern{
 			{Class: "item", Signature: "item*"},
 			{Class: "item", Signature: "item*", Tests: []JoinTest{
-				{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred},
+				{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1},
 				{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: gt},
 			}},
 			{Class: "item", Signature: "item*", Tests: []JoinTest{
-				{OwnAttr: 1, TokenLevel: 1, TokenAttr: 1, Pred: eqPred},
+				{OwnAttr: 1, TokenLevel: 1, TokenAttr: 1},
 				{OwnAttr: 0, TokenLevel: 1, TokenAttr: 0, Pred: gt},
 			}},
 		}
@@ -101,7 +101,7 @@ func BenchmarkWideEqJoin(b *testing.B) {
 	pats := []Pattern{
 		{Class: "item", Signature: "item*"},
 		{Class: "item", Signature: "item*", Tests: []JoinTest{
-			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred},
+			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1},
 		}},
 	}
 	if _, err := net.AddProduction("pairs", pats, nil); err != nil {
@@ -156,7 +156,7 @@ func BenchmarkJoinTest(b *testing.B) {
 	if _, err := net.AddProduction("pair", []Pattern{
 		{Class: "item", Signature: "item*"},
 		{Class: "item", Signature: "item*", Tests: []JoinTest{
-			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1, Pred: eqPred},
+			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1},
 			{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0, Pred: gt},
 		}},
 	}, nil); err != nil {
@@ -172,8 +172,8 @@ func BenchmarkJoinTest(b *testing.B) {
 	}
 	net.Add(item(1))
 	w := item(2)
-	first := net.tmpl.dummyTop.children[0].(*joinNode)
-	j := first.child.(*betaMemory).children[0].(*joinNode)
+	first := net.tmpl.dummyTop.children[0].node.(*joinNode)
+	j := first.child.(*betaMemory).children[0].node.(*joinNode)
 	tok := j.parent.items(net).head.t
 	if !j.passes(tok, w, net) {
 		b.Fatal("the pair must pass both tests")

@@ -133,6 +133,25 @@ func TestDifferentialDispatchedVsSweptScripts(t *testing.T) {
 	}
 }
 
+// TestDifferentialCaptureOffVsOn replays the generated scripts on one
+// template, once with capture off and once with capture on: same
+// conflict-set events in the same order, same Counters after every
+// step. A network that is not capturing charges a join or negative
+// activation that meets an empty memory without making it, where a
+// capturing one makes and records every activation; this is the oracle
+// for that skipped call.
+func TestDifferentialCaptureOffVsOn(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		s := genScript(seed)
+		tmpl := s.template(t, true)
+		recOff, recOn := &seqRecorder{}, &seqRecorder{}
+		off := s.run(t, tmpl.NewNetwork(recOff), recOff, false)
+		on := s.run(t, tmpl.NewNetwork(recOn), recOn, true)
+		off.forests, on.forests = "", "" // only the capturing run has any
+		diffRunsEqual(t, seed, off, on, "capture-off", "capture-on")
+	}
+}
+
 // TestConcurrentBatchedSeedLoad loads many instances of one template
 // with the same script from concurrent goroutines — a pool's workers
 // building one phase's engines — and requires every instance to agree
@@ -164,11 +183,17 @@ func TestConcurrentBatchedSeedLoad(t *testing.T) {
 
 // checkShapedClass compiles one class the shape of SPAM's check: n
 // single-pattern productions, each keyed on its own ^constraint value
-// and testing ^result beside it.
-func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memory) {
+// and testing ^result beside it. With joined, each production is
+// instead a join of a focal CE, whose class is never asserted, with that
+// check CE: the shape of SPAM's quiet lcc-audit productions, where a
+// check WME right-activates a join whose beta memory is empty.
+func checkShapedClass(b *testing.B, n int, dispatched, joined bool) (*Network, *wm.Memory) {
 	b.Helper()
 	cs := wm.NewClasses()
 	if _, err := cs.Declare("check", "object", "constraint", "partner", "result"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cs.Declare("focal", "object"); err != nil {
 		b.Fatal(err)
 	}
 	tmpl := NewTemplate()
@@ -184,7 +209,12 @@ func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memor
 			FilterCost: 2 * CostAlphaFilterTerm,
 			Consts:     map[int][]symtab.Value{1: {c}, 3: {symT}},
 		}
-		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", i), patterns([]Pattern{pat}, dispatched), nil); err != nil {
+		pats := []Pattern{pat}
+		if joined {
+			pat.Tests = []JoinTest{{OwnAttr: 0, TokenLevel: 0, TokenAttr: 0}}
+			pats = []Pattern{{Class: "focal", Signature: "focal|", FilterCost: CostAlphaFilterTerm}, pat}
+		}
+		if _, err := tmpl.AddProduction(fmt.Sprintf("p%d", i), patterns(pats, dispatched), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,17 +228,21 @@ func checkShapedClass(b *testing.B, n int, dispatched bool) (*Network, *wm.Memor
 // single memory of the class accepts, swept (compiled without Consts)
 // and dispatched, for a class of 60 memories — SPAM's check — and for
 // one of 3, the size at which a sweep is three closure calls against
-// the dispatch's one map lookup; and dispatched on a capturing network,
+// the dispatch's one map lookup; dispatched on a capturing network,
 // which still records one activation a memory but runs one filter
-// (sweep-capture is the same sweep, capturing).
+// (sweep-capture is the same sweep, capturing); and dispatched into a
+// memory whose one successor is a join with an empty beta memory, the
+// null activation a network that is not capturing charges without
+// making it.
 func BenchmarkAddDispatch(b *testing.B) {
 	for _, n := range []int{60, 3} {
 		for _, mode := range []struct {
-			name                string
-			dispatched, capture bool
-		}{{"sweep", false, false}, {"dispatch", true, false}, {"sweep-capture", false, true}, {"capture", true, true}} {
+			name                        string
+			dispatched, capture, joined bool
+		}{{"sweep", false, false, false}, {"dispatch", true, false, false}, {"sweep-capture", false, true, false},
+			{"capture", true, true, false}, {"null", true, false, true}} {
 			b.Run(fmt.Sprintf("mems=%d/%s", n, mode.name), func(b *testing.B) {
-				net, mem := checkShapedClass(b, n, mode.dispatched)
+				net, mem := checkShapedClass(b, n, mode.dispatched, mode.joined)
 				net.SetCapture(mode.capture)
 				vals := []symtab.Value{symtab.Int(1), symtab.Sym(fmt.Sprintf("c%d", n/2)), symtab.Int(2), symtab.Sym("t")}
 				b.ReportAllocs()

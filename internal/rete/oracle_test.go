@@ -53,7 +53,11 @@ func naiveMatch(pats []oraclePattern, live []*wm.WME) []string {
 				if b == nil {
 					return false
 				}
-				if !ts.Pred(w.GetAt(ts.OwnAttr), b.GetAt(ts.TokenAttr)) {
+				pred := ts.Pred
+				if pred == nil {
+					pred = eqPred
+				}
+				if !pred(w.GetAt(ts.OwnAttr), b.GetAt(ts.TokenAttr)) {
 					return false
 				}
 			}
@@ -131,10 +135,11 @@ func genPattern(rng *oracleRng, classes []*wm.ClassDef, level int, negated bool)
 				TokenLevel: tl,
 				TokenAttr:  rng.intn(2), // test classes have >= 2 attrs
 			}
-			if rng.intn(4) == 0 {
+			switch rng.intn(4) {
+			case 0:
 				jt.Pred = func(a, b symtab.Value) bool { return !a.Equal(b) }
-			} else {
-				jt.Pred = func(a, b symtab.Value) bool { return a.Equal(b) }
+			case 1:
+				jt.Pred = eqPred // equality as a call, beside the inline nil
 			}
 			tests = append(tests, jt)
 		}

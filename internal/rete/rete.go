@@ -14,9 +14,12 @@
 //
 // A join or negative node activates by scanning the whole opposite
 // memory (memory.go): each task's engine holds only its task's WMEs, so
-// memories stay small. What is hashed is the constant-test half of a
-// working-memory change (dispatch.go), whose simulated cost is charged
-// as if it swept — the differential oracle (differential_test.go)
+// memories stay small, and most are empty. An activation that would
+// meet an empty memory is charged at its call site and not made, unless
+// the network is capturing (nullActivation). What is hashed is the
+// constant-test half of a working-memory change (dispatch.go), whose
+// simulated cost is charged as if it swept — the differential oracle
+// (differential_test.go)
 // proves the dispatched and swept matchers produce byte-identical
 // Counters and identical firing sequences. See docs/PERFORMANCE.md.
 //
@@ -92,6 +95,8 @@ type PredFn func(own, bound symtab.Value) bool
 // JoinTest is one variable-consistency test of a join or negative node:
 // the new WME's attribute OwnAttr is compared against attribute
 // TokenAttr of the WME bound at condition-element index TokenLevel.
+// Pred is the comparison; nil is equality (symtab.Value.Equal), which
+// the node tests inline instead of calling a function for each pair.
 type JoinTest struct {
 	OwnAttr    int
 	TokenLevel int
@@ -364,8 +369,25 @@ type alphaMem struct {
 	filter     func(*wm.WME) bool
 	filterCost float64
 	consts     map[int][]symtab.Value // Pattern.Consts: what the class dispatches on
-	successors []rightChild
+	successors []rightSucc
 	id         int // index into Network.alphaItems
+}
+
+// rightSucc is one successor of an alpha memory: the join or negative
+// node a new WME right-activates, and the token store (sid) it scans.
+// Naming the store lets Add charge a null activation without making it.
+type rightSucc struct {
+	node  rightChild
+	store int
+}
+
+// leftSucc is one child of a beta memory: the node a new token
+// left-activates and, for a join, the alpha memory it scans (alpha id;
+// -1 for a negative node, whose activation stores the token whatever it
+// finds).
+type leftSucc struct {
+	node  tokenChild
+	alpha int
 }
 
 func (am *alphaMem) items(n *Network) *wmeList { return &n.alphaItems[am.id] }
@@ -382,7 +404,7 @@ func (s *storeT) items(n *Network) *tokenList { return &n.storeItems[s.sid] }
 // betaMemory stores the tokens matching a prefix of positive CEs.
 type betaMemory struct {
 	storeT
-	children []tokenChild
+	children []leftSucc
 	label    string
 }
 
@@ -393,8 +415,20 @@ func (m *betaMemory) removeToken(t *Token, n *Network) {
 func (m *betaMemory) leftActivatePair(t *Token, w *wm.WME, level int, n *Network) {
 	tok := n.newToken(m, t, w, level)
 	tok.storeEntry = m.items(n).pushBack(tok, n)
+	m.activateChildren(tok, n)
+}
+
+// activateChildren left-activates the memory's children with tok. A
+// join whose alpha memory is empty would open an activation, scan
+// nothing and close it: with capture off it is charged as that null
+// activation and not made.
+func (m *betaMemory) activateChildren(tok *Token, n *Network) {
 	for _, c := range m.children {
-		c.leftActivateToken(tok, n)
+		if c.alpha >= 0 && !n.capturing && n.alphaItems[c.alpha].head == nil {
+			n.nullActivation()
+			continue
+		}
+		c.node.leftActivateToken(tok, n)
 	}
 }
 
@@ -419,14 +453,26 @@ type joinTarget interface {
 }
 
 func (j *joinNode) passes(t *Token, w *wm.WME, n *Network) bool {
-	for _, ts := range j.tests {
+	return n.passes(j.tests, t, w)
+}
+
+// passes applies a node's tests to one (token, WME) pair in order,
+// charging each test it makes; the first failure ends the pair.
+func (n *Network) passes(tests []JoinTest, t *Token, w *wm.WME) bool {
+	for i := range tests {
+		ts := &tests[i]
 		n.charge(CostJoinTest)
 		n.totals.JoinTests++
 		bound := t.WMEAt(ts.TokenLevel)
 		if bound == nil {
 			return false
 		}
-		if !ts.Pred(w.GetAt(ts.OwnAttr), bound.GetAt(ts.TokenAttr)) {
+		own, other := w.GetAt(ts.OwnAttr), bound.GetAt(ts.TokenAttr)
+		if ts.Pred == nil {
+			if !own.Equal(other) {
+				return false
+			}
+		} else if !ts.Pred(own, other) {
 			return false
 		}
 	}
@@ -472,18 +518,7 @@ func (g *negativeNode) removeToken(t *Token, n *Network) {
 }
 
 func (g *negativeNode) passes(t *Token, w *wm.WME, n *Network) bool {
-	for _, ts := range g.tests {
-		n.charge(CostJoinTest)
-		n.totals.JoinTests++
-		bound := t.WMEAt(ts.TokenLevel)
-		if bound == nil {
-			return false
-		}
-		if !ts.Pred(w.GetAt(ts.OwnAttr), bound.GetAt(ts.TokenAttr)) {
-			return false
-		}
-	}
-	return true
+	return n.passes(g.tests, t, w)
 }
 
 // block records w as a join result blocking tok.
@@ -693,12 +728,12 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 				label: label, actLabel: "neg:" + label,
 			}
 			t.registerStore(&neg.storeT)
-			mem.children = append(mem.children, neg)
+			mem.children = append(mem.children, leftSucc{node: neg, alpha: -1})
 			// Successors append in ancestor-before-descendant order per
 			// chain; Add right-activates them in reverse, so descendants
 			// run first (required when one alpha memory feeds several
 			// levels of the same chain, or new-WME pairings double).
-			am.successors = append(am.successors, neg)
+			am.successors = append(am.successors, rightSucc{node: neg, store: neg.sid})
 			if last {
 				p := newPNode(name, data, i+1)
 				t.registerStore(&p.storeT)
@@ -713,8 +748,8 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 		}
 		j := &joinNode{parent: mem, amem: am, tests: pat.Tests, level: i,
 			label: label, actLabel: "join:" + label}
-		mem.children = append(mem.children, j)
-		am.successors = append(am.successors, j)
+		mem.children = append(mem.children, leftSucc{node: j, alpha: am.id})
+		am.successors = append(am.successors, rightSucc{node: j, store: mem.sid})
 		if last {
 			p := newPNode(name, data, i+1)
 			t.registerStore(&p.storeT)
@@ -751,9 +786,7 @@ func (b *negBridge) leftActivateToken(t *Token, n *Network) {
 	// Reuse the token itself: store and fan out. The token's holder
 	// remains the negative node; the adapter tracks membership only.
 	t.adapterRefs = append(t.adapterRefs, tokenRef{mem: m, entry: m.items(n).pushBack(t, n)})
-	for _, c := range m.children {
-		c.leftActivateToken(t, n)
-	}
+	m.activateChildren(t, n)
 }
 
 // leaveAdapters withdraws a token from every bridge memory it is in.
@@ -1016,6 +1049,15 @@ func (n *Network) beginBase(label string, base float64) {
 	n.stack = append(n.stack, a)
 }
 
+// nullActivation charges what a join or negative node activation that
+// finds its opposite memory empty costs — it opens, scans nothing and
+// closes — without making it. Only a network that is not capturing
+// skips the call: a capturing one records every activation.
+func (n *Network) nullActivation() {
+	n.totals.Activations++
+	n.totals.Cost += CostActivationBase
+}
+
 func (n *Network) end() {
 	if !n.capturing || len(n.stack) == 0 {
 		return
@@ -1162,8 +1204,15 @@ func (n *Network) Add(w *wm.WME) {
 			// Successors run newest-first so that within a chain
 			// descendants right-activate before ancestors (see
 			// AddProduction).
+			// A successor whose token store is empty makes a null
+			// activation (see nullActivation).
 			for i := len(am.successors) - 1; i >= 0; i-- {
-				am.successors[i].rightActivate(w, n)
+				sc := am.successors[i]
+				if !n.capturing && n.storeItems[sc.store].head == nil {
+					n.nullActivation()
+					continue
+				}
+				sc.node.rightActivate(w, n)
 			}
 		}
 	}

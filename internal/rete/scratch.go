@@ -160,8 +160,25 @@ type Scratch struct {
 	states []*wmeState
 	tags   []*wm.WME
 
+	// agenda is the engine layer's agenda, emptied and parked between
+	// loans for the next borrower (KeepAgenda); rete never reads it.
+	agenda Agenda
+
 	// borrower is the network currently drawing from the arena.
 	borrower *Network
+}
+
+// KeepAgenda parks an emptied agenda with the scratch, so the next
+// engine built on it reuses the agenda's maps, lists and records instead
+// of growing its own: ops5 parks its conflict set when it settles.
+// TakeAgenda returns the parked agenda once, or nil.
+func (s *Scratch) KeepAgenda(a Agenda) { s.agenda = a }
+
+// TakeAgenda: see KeepAgenda.
+func (s *Scratch) TakeAgenda() Agenda {
+	a := s.agenda
+	s.agenda = nil
+	return a
 }
 
 // Arena reports what the scratch currently holds for reuse: the number
@@ -214,8 +231,9 @@ func (s *Scratch) Trim() {
 		// length, into dropped chunks; let them go too.
 		s.tokenPool, s.graveyard, s.wmeEntryPool, s.tokenEntryPool = nil, nil, nil, nil
 		// The state and tag tables are as long as the largest task's tag
-		// count; they go with the chunks that task grew.
-		s.states, s.tags = nil, nil
+		// count, and the parked agenda as large as its conflict set; they
+		// go with the chunks that task grew.
+		s.states, s.tags, s.agenda = nil, nil, nil
 	}
 }
 

@@ -141,6 +141,40 @@ func TestFiringBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestFiringBudgetAtQuiescence: a task that reaches quiescence on
+// exactly its last budgeted firing succeeds. Its fired instantiation
+// stays in the conflict set (refraction: its WME is never removed), and
+// that must not read as work left to do.
+func TestFiringBudgetAtQuiescence(t *testing.T) {
+	once := func() *Task {
+		return &Task{ID: "once", Build: func() (*ops5.Engine, error) {
+			prog, err := ops5.Parse(`
+(literalize a x)
+(literalize b y)
+(p once (a ^x 1) --> (make b ^y 2))
+`)
+			if err != nil {
+				return nil, err
+			}
+			e, err := ops5.NewEngine(prog)
+			if err != nil {
+				return nil, err
+			}
+			_, err = e.Assert("a", map[string]symtab.Value{"x": symtab.Int(1)})
+			return e, err
+		}}
+	}
+	for _, budget := range []int{0, 1, 2} {
+		results, err := (&Pool{Workers: 1}).Submit(context.Background(), RunConfig{FiringBudget: budget}, []*Task{once()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := results[0]; r.Err != nil || r.Stats.Firings != 1 {
+			t.Errorf("budget %d: %d firings, err %v; want 1 firing and success", budget, r.Stats.Firings, r.Err)
+		}
+	}
+}
+
 func TestTransientFaultsRecoverOnRetry(t *testing.T) {
 	plan := faults.Config{Seed: 1990, CrashRate: 0.5, PanicRate: 0.25, BuildFailRate: 0.25}
 	var tasks []*Task

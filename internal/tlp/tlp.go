@@ -581,6 +581,8 @@ func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt i
 		}
 		return r
 	}
+	// Short of quiescence: an unfired instantiation is left (fired ones
+	// stay in the conflict set until retracted, and do not count).
 	if c.FiringBudget > 0 && r.Stats.Firings >= c.FiringBudget &&
 		!eng.Halted() && eng.ConflictSetSize() > 0 {
 		r.Err = fmt.Errorf("tlp: run %s: %w (%d firings without quiescence)",
