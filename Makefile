@@ -35,9 +35,10 @@ vet-benchmark:
 # mentions of the worker-side continuation push and of byte-priced
 # stealing: every task reaches a worker through the shard queue. The
 # fourth counts non-test mentions of the cluster worker's single-task
-# entry, the benign firing cap and spam's private-pool runner: a worker
-# process serves on a tlp.SharedPool, and every executor takes its
-# RunConfig per call. The fifth counts non-test mentions of the memory
+# entry, the benign firing cap, spam's private-pool runner and the
+# retired second executor with its per-run arena hand-off: tlp.Pool is
+# the one executor — a worker process, a server and an interpretation
+# each run on one — and every executor takes its RunConfig per call. The fifth counts non-test mentions of the memory
 # gate and its knobs: the memory budget is the simulator's
 # (machine.RunSpecs), and the real pools order by policy only.
 loc:
@@ -56,7 +57,7 @@ loc:
 			'Continues|Spawned|continuationTarget|stealCost' cmd internal | wc -l
 	@printf 'second task-process set mentions (cmd, internal; want 0): '; \
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
-			'RunOne|MaxFirings|poolRunner' cmd internal | wc -l
+			'RunOne|MaxFirings|poolRunner|SharedPool|takeScratch|putScratch' cmd internal | wc -l
 	@printf 'real-pool memory gate mentions (cmd, internal; want 0): '; \
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
 			'memGate|MemBudget|MemSched|runGated|mem-budget' cmd internal | wc -l
@@ -86,9 +87,9 @@ alloc-profile:
 # benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
 # task process; internal/core's BenchmarkInterpretRound) under
 # -cpuprofile into the gitignored .cpu_profile/, then the top of the
-# profile by flat CPU and by cumulative CPU. docs/PERFORMANCE.md
-# "Match kernel" was cut from these tables; the next CPU work starts
-# here, not from a guess.
+# profile by flat CPU and by cumulative CPU. The match-kernel work in
+# docs/PERFORMANCE.md's History table started from these tables; the
+# next CPU work starts here, not from a guess.
 cpu-profile:
 	mkdir -p .cpu_profile
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime 20x \

@@ -24,7 +24,7 @@ type Config struct {
 	// Workers is the number of worker processes to spawn (default 2).
 	Workers int
 	// LocalWorkers is each worker process's task processes, the size
-	// of its tlp.SharedPool (default 1).
+	// of its tlp.Pool (default 1).
 	LocalWorkers int
 	// ProcFaults seeds process-level chaos: a Crash draw for a shipped
 	// (task, attempt) SIGKILLs the receiving worker process.
@@ -540,7 +540,7 @@ func (co *Coordinator) RegisterDataset(spec DatasetSpec) error {
 
 // Submit ships the ordered queue across the workers and returns
 // merged results in queue order — the cluster equivalent of
-// tlp.SharedPool.Submit, with identical result, report and
+// tlp.Pool.Submit, with identical result, report and
 // cancellation semantics. Concurrent runs multiplex onto the same
 // worker set.
 func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*tlp.Task) ([]*tlp.Result, error) {

@@ -4,7 +4,7 @@
 // It promotes the message-passing execution model the repository so
 // far only simulated (internal/msgpass, internal/svm) to real
 // processes, following the layered design of Or-parallel cluster
-// systems: every worker hosts a local tlp.SharedPool (a single-machine
+// systems: every worker hosts a local tlp.Pool (a single-machine
 // worker team), and the cluster layer is a scheduler of pools that
 // ships tasks, steals work across shards, and applies the pool's
 // retry/quarantine semantics at process granularity — a lost worker
@@ -97,7 +97,7 @@ func frameLen(payloadLen int) int {
 
 // InitMsg is the first frame of every connection: protocol handshake
 // plus the per-process worker configuration (the knobs a worker's
-// local tlp.SharedPool inherits from the coordinator's flags).
+// local tlp.Pool inherits from the coordinator's flags).
 type InitMsg struct {
 	Magic        string
 	Version      int

@@ -84,7 +84,7 @@ type worker struct {
 	// there. Its queue holds decoded tasks in ship order. onStart, when
 	// a test sets it, sees the queue's length each time a task process
 	// takes a task off it.
-	pool    *tlp.SharedPool
+	pool    *tlp.Pool
 	onStart func(queued int)
 
 	// writeMu guards bw, enc and unflushed: the result frames written
@@ -136,7 +136,7 @@ func (w *worker) serve() error {
 		return fmt.Errorf("handshake: protocol %q v%d, want %q v%d",
 			w.init.Magic, w.init.Version, Magic, Version)
 	}
-	w.pool = tlp.NewSharedPool(w.init.LocalWorkers)
+	w.pool = &tlp.Pool{Workers: w.init.LocalWorkers}
 	if w.init.ProcFaults != (faults.Config{}) {
 		w.procPlan = faults.New(w.init.ProcFaults)
 	}

@@ -32,15 +32,19 @@ const (
 	// task holds a few KB while a large one amortises its growth.
 	slabFirst    = 16
 	slabMaxChunk = 1 << 15
-	// trimWindow is how many consecutive loans must leave a slab's top
+	// TrimWindow is how many consecutive loans must leave a slab's top
 	// chunks unreached before Trim gives them back. Trimming to the last
 	// loan alone made every ordinary task that followed a small one
 	// regrow its arena: over 13 cluster_2proc rounds slab.takeN was 47%
 	// of the workers' sampled allocation (126 MB a round against 70 MB
-	// for the same tasks in-process). A phase queue mixes sizes well
-	// inside 16 tasks, so a 16-loan window allocates nothing in steady
-	// state and still sheds a one-off peak within 16 tasks.
-	trimWindow = 16
+	// for the same tasks in-process). A 16-loan window was enough within
+	// one phase queue, but every task process trims, and an
+	// interpretation's RTF tasks, at the start of each dataset's round,
+	// then dropped the chunks LCC had grown for LCC to grow again: +22%
+	// alloc_mb_per_op on interpret_cli, +19% on session_update. 256
+	// loans span a round's phases, allocate nothing in steady state and
+	// still shed a one-off peak within 256 tasks.
+	TrimWindow = 256
 )
 
 // slab is a bump allocator over geometrically growing chunks of T.
@@ -101,12 +105,12 @@ func (s *slab[T]) rewind() {
 	s.cur, s.used = 0, 0
 }
 
-// trim drops the chunks that trimWindow consecutive loans left
+// trim drops the chunks that TrimWindow consecutive loans left
 // unreached and reports whether there were any. Chunks double, so what
 // stays holds less than twice the objects the largest of those loans
 // drew (plus the first chunk).
 func (s *slab[T]) trim() bool {
-	if s.idle < trimWindow {
+	if s.idle < TrimWindow {
 		return false
 	}
 	clear(s.chunks[s.reach:])
@@ -208,16 +212,15 @@ func (s *Scratch) slabs() [10]anySlab {
 }
 
 // Trim bounds what an idle scratch keeps for the next task: less than
-// twice the objects (per kind) that the largest of the last trimWindow
-// settled tasks drew, the rest dropped for the collector. A task
-// process that lives as long as its process (a tlp.SharedPool's, which
-// is also what a cluster worker serves on) calls it after every task,
-// so that one SF-x10-sized task does not pin its peak arena forever —
-// trimWindow ordinary tasks after it the excess is released — while a
-// queue that alternates small and ordinary tasks keeps the ordinary
-// task's arena and allocates nothing. One that dies with its run (a
-// tlp.Pool worker) need not. With a loan outstanding Trim does
-// nothing.
+// twice the objects (per kind) that the largest of the last TrimWindow
+// settled tasks drew, the rest dropped for the collector. A tlp.Pool
+// task process calls it after every task — a worker's arena lives as
+// long as its pool, which on the serving path and in a cluster worker
+// is the process — so that one SF-x10-sized task does not pin its peak
+// arena: TrimWindow ordinary tasks after it the excess is released,
+// while a queue that mixes small and ordinary tasks keeps the ordinary
+// task's arena and allocates nothing. With a loan outstanding Trim
+// does nothing.
 func (s *Scratch) Trim() {
 	if s.borrower != nil {
 		return

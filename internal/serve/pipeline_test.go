@@ -108,13 +108,13 @@ func TestFailedOpenRegistersNothing(t *testing.T) {
 	}
 }
 
-// poolProcesses counts the goroutines running a SharedPool task process.
+// poolProcesses counts the goroutines running a tlp.Pool task process.
 func poolProcesses() int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "tlp.(*SharedPool).process(")
+			return strings.Count(string(buf[:n]), "tlp.(*Pool).process(")
 		}
 		buf = make([]byte, 2*len(buf))
 	}

@@ -1,7 +1,7 @@
 // Package serve implements interpretation-as-a-service: a long-running
 // multi-tenant HTTP server that accepts concurrent scene-interpretation
 // requests and runs them over shared compiled knowledge — one
-// tlp.SharedPool of task processes, one compiled rule Programs per
+// tlp.Pool of task processes, one compiled rule Programs per
 // knowledge base, and one RegionStore per scene — with per-request
 // isolation (context cancellation, deadlines, firing budgets, fault
 // plans), admission control with load shedding, per-tenant fairness,
@@ -104,7 +104,7 @@ func (c Config) withDefaults() Config {
 // Server is one interpretation service instance.
 type Server struct {
 	cfg      Config
-	pool     *tlp.SharedPool
+	pool     *tlp.Pool
 	cache    *datasetCache
 	sessions *sessionStore
 	sem      chan struct{}
@@ -136,14 +136,13 @@ type Server struct {
 	recent   []RequestReport // ring, newest last
 }
 
-// New starts a server: shared pool up, caches empty.
+// New makes a server: caches empty, and a pool whose task processes
+// start with the first request.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	sp := tlp.NewSharedPool(cfg.Workers)
-	sp.QuarantineBudget = cfg.QuarantineBudget
 	return &Server{
 		cfg:      cfg,
-		pool:     sp,
+		pool:     &tlp.Pool{Workers: cfg.Workers, QuarantineBudget: cfg.QuarantineBudget},
 		cache:    newDatasetCache(cfg.SceneCacheRegions),
 		sessions: newSessionStore(cfg.MaxSessions),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),

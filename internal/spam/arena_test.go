@@ -3,7 +3,9 @@ package spam
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"spampsm/internal/scene"
 	"spampsm/internal/tlp"
@@ -110,5 +112,24 @@ func TestUndefinedLevelIsAnError(t *testing.T) {
 	}
 	if _, err := d.Interpret(InterpretOptions{}); err != nil {
 		t.Errorf("the zero Level must default to Level3: %v", err)
+	}
+}
+
+// TestInterpretRetainsNoGoroutine: an interpretation with no Runner runs
+// on a private tlp.Pool that nobody closes; its task processes exit when
+// each phase's queue is empty, so the interpretation leaves no goroutine
+// behind.
+func TestInterpretRetainsNoGoroutine(t *testing.T) {
+	d := smallDC(t)
+	before := runtime.NumGoroutine()
+	if _, err := d.Interpret(InterpretOptions{Workers: 4, ReEntry: true}); err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%d goroutines after the interpretation, %d before", n, before)
 	}
 }

@@ -169,10 +169,10 @@ func (in *Interpretation) Recovery() stats.Recovery {
 }
 
 // Runner executes one phase's task queue. Outside tests it is a
-// tlp.BoundQueue: by default over a private tlp.Pool, one per
-// interpretation; on the serving path over a process-wide
-// tlp.SharedPool (or a cluster coordinator), so every concurrent
-// request's tasks multiplex onto one worker set.
+// tlp.BoundQueue over a tlp.Pool: by default a private one, one per
+// interpretation; on the serving path the server's, process-wide (or
+// a cluster coordinator), so every concurrent request's tasks
+// multiplex onto one worker set.
 type Runner interface {
 	RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error)
 }
@@ -189,7 +189,7 @@ type InterpretOptions struct {
 
 	// Runner, when non-nil, executes every phase's task queue instead
 	// of a private pool — the serving path, where all requests share
-	// one tlp.SharedPool. The runner then brings its own workers and
+	// the server's tlp.Pool. The runner then brings its own workers and
 	// its own tlp.RunConfig: Workers and every option RunConfig reads
 	// are not consulted here (a caller binding a queue converts them
 	// once, with RunConfig).

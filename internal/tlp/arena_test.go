@@ -10,6 +10,7 @@ import (
 
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
+	"spampsm/internal/rete"
 	"spampsm/internal/symtab"
 )
 
@@ -206,27 +207,26 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 
 // TestLongLivedWorkerArenaIsBounded: on a worker that lives as long as
 // the process, one large task must not pin its peak arena forever. The
-// arena a SharedPool worker holds after a large task and then one trim
+// arena a pool's worker holds after a large task and then one trim
 // window of small ones is at the small tasks' scale.
 func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 	prog := parseArenaProg(t)
-	sp := NewSharedPool(1)
-	defer sp.Close()
+	p := &Pool{Workers: 1}
+	defer p.Close()
 	run := func(id string, size int) int64 {
 		t.Helper()
-		rs, err := sp.Submit(context.Background(), RunConfig{}, []*Task{arenaTask(t, prog, id, size, nil, nil)})
+		rs, err := p.Submit(context.Background(), RunConfig{}, []*Task{arenaTask(t, prog, id, size, nil, nil)})
 		if err != nil || rs[0].Err != nil {
 			t.Fatalf("task %s: %v / %v", id, err, rs[0].Err)
 		}
-		a := sp.Stats().Arenas
+		a := p.Stats().Arenas
 		if len(a) != 1 {
 			t.Fatalf("arena stats %+v, want one worker arena", a)
 		}
 		return a[0].ArenaBytes
 	}
-	// The worker trims and publishes its gauge after Submit has
-	// returned, so a reading may lag by one task: every reading below is
-	// taken one small task after the state it is about.
+	// Every reading below is taken one small task after the state it is
+	// about: the large task's chunks stay for a window after it.
 	run("small", 6)
 	small := run("small again", 6)
 	if small == 0 {
@@ -238,29 +238,30 @@ func TestLongLivedWorkerArenaIsBounded(t *testing.T) {
 		t.Fatalf("large task's arena %d B is not well above a small task's %d B; the test is vacuous", large, small)
 	}
 	var after int64
-	for i := 1; i <= 16; i++ {
+	for i := 1; i <= rete.TrimWindow; i++ {
 		after = run(fmt.Sprintf("small%d", i), 6)
 	}
-	// The bound is Scratch.Trim's: twice what the largest of the last 16
-	// tasks drew.
+	// The bound is Scratch.Trim's: twice what the largest of the last
+	// window's tasks drew.
 	if after > 2*small {
-		t.Errorf("worker still holds %d B 16 small tasks after the large one (small-task arena %d B, large-task arena %d B)", after, small, large)
+		t.Errorf("worker still holds %d B %d small tasks after the large one (small-task arena %d B, large-task arena %d B)", after, rete.TrimWindow, small, large)
 	}
 }
 
 // TestScratchWindowTrimSteadyState: a long-lived executor that trims
 // after every task and alternates a small and an ordinary task must
 // stop touching the heap for slabs once it has seen both — the arena it
-// holds is the same after every task from the 16th on. Trimming to the
-// last task alone dropped the ordinary task's chunks after every small
-// one and regrew them a task later.
+// holds is the same after every task from one trim window on. Trimming
+// to the last task alone dropped the ordinary task's chunks after every
+// small one and regrew them a task later.
 func TestScratchWindowTrimSteadyState(t *testing.T) {
 	prog := parseArenaProg(t)
 	scratch := &ops5.Scratch{}
 	pool := &RunConfig{}
 	var slabs int
 	var bytes int64
-	for i := 0; i < 200; i++ {
+	window := rete.TrimWindow
+	for i := 0; i < 2*window+8; i++ {
 		size := 6
 		if i%2 == 1 {
 			size = 40
@@ -271,11 +272,11 @@ func TestScratchWindowTrimSteadyState(t *testing.T) {
 		}
 		scratch.Trim()
 		s, b := scratch.Arena()
-		if i == 16 {
+		if i == window {
 			slabs, bytes = s, b
 		}
-		if i > 16 && (s != slabs || b != bytes) {
-			t.Fatalf("after task %d the arena holds %d chunks / %d B, after task 16 it held %d / %d: slabs were dropped or regrown in steady state", i, s, b, slabs, bytes)
+		if i > window && (s != slabs || b != bytes) {
+			t.Fatalf("after task %d the arena holds %d chunks / %d B, after task %d it held %d / %d: slabs were dropped or regrown in steady state", i, s, b, window, slabs, bytes)
 		}
 	}
 }

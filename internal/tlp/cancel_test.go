@@ -168,11 +168,11 @@ func TestRunContextLiveMatchesRun(t *testing.T) {
 	}
 }
 
-// SharedPool interleaves independent submissions and keeps their
+// A pool interleaves independent submissions and keeps their
 // results separate; a cancelled submission doesn't disturb the others.
-func TestSharedPoolIsolatesSubmissions(t *testing.T) {
-	sp := NewSharedPool(4)
-	defer sp.Close()
+func TestPoolIsolatesSubmissions(t *testing.T) {
+	p := &Pool{Workers: 4}
+	defer p.Close()
 
 	ctxLive := context.Background()
 	ctxDead, cancel := context.WithCancel(context.Background())
@@ -184,10 +184,10 @@ func TestSharedPoolIsolatesSubmissions(t *testing.T) {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		live1, err1 = sp.Submit(ctxLive, RunConfig{}, []*Task{countTask("a", 3), countTask("b", 5)})
+		live1, err1 = p.Submit(ctxLive, RunConfig{}, []*Task{countTask("a", 3), countTask("b", 5)})
 	}()
-	go func() { defer wg.Done(); live2, err2 = sp.Submit(ctxLive, RunConfig{}, []*Task{countTask("c", 7)}) }()
-	go func() { defer wg.Done(); dead, err3 = sp.Submit(ctxDead, RunConfig{}, []*Task{countTask("d", 9)}) }()
+	go func() { defer wg.Done(); live2, err2 = p.Submit(ctxLive, RunConfig{}, []*Task{countTask("c", 7)}) }()
+	go func() { defer wg.Done(); dead, err3 = p.Submit(ctxDead, RunConfig{}, []*Task{countTask("d", 9)}) }()
 	wg.Wait()
 	if err1 != nil || err2 != nil || err3 != nil {
 		t.Fatal(err1, err2, err3)
@@ -201,7 +201,7 @@ func TestSharedPoolIsolatesSubmissions(t *testing.T) {
 	if !errors.Is(dead[0].Err, ErrCancelled) {
 		t.Errorf("cancelled submission err = %v, want ErrCancelled", dead[0].Err)
 	}
-	st := sp.Stats()
+	st := p.Stats()
 	if st.Cancelled != 1 {
 		t.Errorf("pool cancelled = %d, want 1", st.Cancelled)
 	}
@@ -209,20 +209,19 @@ func TestSharedPoolIsolatesSubmissions(t *testing.T) {
 
 // Quarantines from cancelled submissions must not count against the
 // shared pool's quarantine budget.
-func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
-	sp := NewSharedPool(2)
-	sp.QuarantineBudget = 1
-	defer sp.Close()
+func TestPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
+	p := &Pool{Workers: 2, QuarantineBudget: 1}
+	defer p.Close()
 
 	// A genuinely failing task (no injection plan) on a live run: counts.
-	live, err := sp.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison")})
+	live, err := p.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !live[0].Quarantined {
 		t.Fatal("failing task on live run did not quarantine")
 	}
-	if !sp.Healthy() {
+	if !p.Healthy() {
 		t.Fatal("one quarantine within budget should stay healthy")
 	}
 
@@ -231,19 +230,19 @@ func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 5; i++ {
-		if _, err := sp.Submit(ctx, RunConfig{MaxRetries: 0}, []*Task{failTask("poison")}); err != nil {
+		if _, err := p.Submit(ctx, RunConfig{MaxRetries: 0}, []*Task{failTask("poison")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !sp.Healthy() {
+	if !p.Healthy() {
 		t.Error("cancelled runs' failures counted against the quarantine budget")
 	}
 
 	// A second live poison exceeds the budget of 1.
-	if _, err := sp.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison2")}); err != nil {
+	if _, err := p.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison2")}); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Healthy() {
+	if p.Healthy() {
 		t.Error("second live quarantine should exceed the budget")
 	}
 }
@@ -252,14 +251,13 @@ func TestSharedPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 // count against the shared pool's quarantine budget: one tenant
 // chaos-testing itself is not evidence the shared workload is
 // poisoned, and its plan must not flip /healthz for everyone else.
-func TestSharedPoolQuarantineBudgetExcludesInjected(t *testing.T) {
-	sp := NewSharedPool(2)
-	sp.QuarantineBudget = 1
-	defer sp.Close()
+func TestPoolQuarantineBudgetExcludesInjected(t *testing.T) {
+	p := &Pool{Workers: 2, QuarantineBudget: 1}
+	defer p.Close()
 
 	plan := faults.Config{Seed: 7, BuildFailRate: 1, PermanentFraction: 1}
 	for i := 0; i < 5; i++ {
-		res, err := sp.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 2}, []*Task{countTask("chaos", 3)})
+		res, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 2}, []*Task{countTask("chaos", 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,20 +265,20 @@ func TestSharedPoolQuarantineBudgetExcludesInjected(t *testing.T) {
 			t.Fatal("permanent injected fault did not quarantine")
 		}
 	}
-	if !sp.Healthy() {
+	if !p.Healthy() {
 		t.Error("injected-fault quarantines counted against the shared budget")
 	}
-	st := sp.Stats()
+	st := p.Stats()
 	if st.InjectedQuarantines != 5 || st.Quarantined != 0 {
 		t.Errorf("injected=%d budgeted=%d, want 5/0", st.InjectedQuarantines, st.Quarantined)
 	}
 }
 
 // Submit after Close fails cleanly.
-func TestSharedPoolClosedSubmit(t *testing.T) {
-	sp := NewSharedPool(1)
-	sp.Close()
-	if _, err := sp.Submit(context.Background(), RunConfig{}, []*Task{countTask("x", 1)}); !errors.Is(err, ErrPoolClosed) {
+func TestPoolClosedSubmit(t *testing.T) {
+	p := &Pool{Workers: 1}
+	p.Close()
+	if _, err := p.Submit(context.Background(), RunConfig{}, []*Task{countTask("x", 1)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }

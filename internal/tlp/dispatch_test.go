@@ -134,8 +134,8 @@ func TestScratchReuseUnderDropEngines(t *testing.T) {
 
 // BenchmarkPoolDispatch measures queue-dispatch overhead: many trivial
 // tasks (one shared CompiledProgram, O(nodes) engine instantiation,
-// one firing each) across worker counts, so the atomic fetch-add
-// cursor is the dominant shared operation.
+// one firing each) across worker counts, so the pool's job queue is
+// the dominant shared operation.
 func BenchmarkPoolDispatch(b *testing.B) {
 	prog, err := ops5.Parse(`
 (literalize tick x)

@@ -27,8 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spampsm/internal/faults"
@@ -212,9 +210,9 @@ func ParseQueuePolicy(s string) (QueuePolicy, error) {
 // RunConfig is how one run's task queue is executed: its order, the
 // per-task budgets and deadlines, the retry discipline and the fault
 // plan. It is a plain comparable value — the one form in which these
-// knobs travel from a caller's options to a Queue's Submit (a private
-// Pool, the SharedPool, the cluster Coordinator) and on to a cluster
-// worker's pool — and holds exactly what Order, runOne and attempt read.
+// knobs travel from a caller's options to a Queue's Submit (a Pool,
+// the cluster Coordinator) and on to a cluster worker's pool — and
+// holds exactly what Order, runOne and attempt read.
 type RunConfig struct {
 	Policy QueuePolicy
 	// FiringBudget is the per-task limit in production firings: a task
@@ -241,8 +239,7 @@ type RunConfig struct {
 
 // Queue executes one run's task queue under the run's configuration on
 // workers the queue owns, returning a Result per task in queue order:
-// a private Pool or the SharedPool in process, the cluster Coordinator
-// across processes.
+// a Pool in process, the cluster Coordinator across processes.
 type Queue interface {
 	Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error)
 }
@@ -257,44 +254,6 @@ type BoundQueue struct {
 // RunTasks submits the queue under the bound configuration.
 func (b BoundQueue) RunTasks(ctx context.Context, tasks []*Task) ([]*Result, error) {
 	return b.Queue.Submit(ctx, b.Config, tasks)
-}
-
-// Pool runs tasks on a fixed number of task processes of its own, one
-// run's queue per call.
-type Pool struct {
-	Workers int
-	// DropEngines releases each task's engine (its working memory; the
-	// match state of a borrowing engine goes back to the worker either
-	// way) as soon as its statistics and cost log have been collected.
-	// Measurement runs over large queues use this to avoid pinning
-	// thousands of working memories; leave it false when results are
-	// extracted from final working memories.
-	DropEngines bool
-
-	// scratches holds the match arenas of the pool's idle task
-	// processes. A worker goroutine takes one for the length of a run
-	// and puts it back, so the phases of an interpretation reuse the
-	// same arenas and the arenas die with the pool.
-	scratchMu sync.Mutex
-	scratches []*ops5.Scratch
-}
-
-// takeScratch hands a starting worker an idle arena, or a new one.
-func (p *Pool) takeScratch() *ops5.Scratch {
-	p.scratchMu.Lock()
-	defer p.scratchMu.Unlock()
-	if k := len(p.scratches); k > 0 {
-		s := p.scratches[k-1]
-		p.scratches = p.scratches[:k-1]
-		return s
-	}
-	return &ops5.Scratch{}
-}
-
-func (p *Pool) putScratch(s *ops5.Scratch) {
-	p.scratchMu.Lock()
-	p.scratches = append(p.scratches, s)
-	p.scratchMu.Unlock()
 }
 
 // Order returns the queue order under the run's policy. Every policy
@@ -334,64 +293,6 @@ func (c *RunConfig) Order(tasks []*Task) []*Task {
 		})
 	}
 	return q
-}
-
-var _ Queue = (*Pool)(nil)
-
-// Run executes the tasks under the zero RunConfig and returns results
-// in queue order. Task failures — including recovered panics, timeouts,
-// and injected faults — are reported in the Result, not as a Run error;
-// Run fails only on structural problems (no tasks).
-func (p *Pool) Run(tasks []*Task) ([]*Result, error) {
-	return p.Submit(context.Background(), RunConfig{}, tasks)
-}
-
-// RunContext is Run under a context.
-func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error) {
-	return p.Submit(ctx, RunConfig{}, tasks)
-}
-
-// Submit executes the tasks under cfg: its queue order, budgets,
-// retries and fault plan. Cancelling ctx aborts the run's remaining
-// work without failing Submit itself. Tasks not yet started are
-// skipped, in-flight attempts are cooperatively interrupted
-// (ops5.Engine.Interrupt), and retry backoffs are cut short; every
-// abandoned task still gets a Result, with Err wrapping ErrCancelled
-// and Cancelled set, so callers can account for exactly what was and
-// was not executed.
-func (p *Pool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Result, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("tlp: empty task queue")
-	}
-	workers := max(p.Workers, 1)
-	queue := cfg.Order(tasks)
-	results := make([]*Result, len(queue))
-	// Task dispatch is a single atomic fetch-add on a shared cursor —
-	// the queue itself is immutable after ordering, so workers never
-	// contend on a lock to claim work.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			scratch := p.takeScratch()
-			defer p.putScratch(scratch)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queue) {
-					return
-				}
-				r := cfg.runOne(ctx, queue[i], worker, i, 1, scratch)
-				if p.DropEngines {
-					r.Engine = nil
-				}
-				results[i] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	return results, nil
 }
 
 const (

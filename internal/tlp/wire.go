@@ -14,7 +14,7 @@
 //     RunReport classifies remote failures exactly as local ones.
 //
 // The coordinator orders its shipping queue with RunConfig.Order, and a
-// worker process serves every task frame as a Job on one SharedPool.
+// worker process serves every task frame as a Job on one Pool.
 package tlp
 
 import (
