@@ -69,9 +69,16 @@ loc:
 # benchmark's session_update) by bytes allocated and by bytes still in
 # use when the session ends, so retained heap has a table too. These
 # are the tables docs/PERFORMANCE.md "Allocation" was cut from; the
-# next allocation diet starts here, not from a guess.
+# next allocation diet starts here, not from a guess. It starts with
+# cpu-profile's twin: twenty rounds of the benchmark's interpret_cli op
+# (internal/core's BenchmarkInterpretRound) under -memprofile, by bytes
+# allocated — the table docs/PERFORMANCE.md "Seed rows and cost log in
+# the worker's arena" was sized from.
 alloc-profile:
 	mkdir -p .alloc_profile
+	$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime 20x -benchmem \
+		-memprofile .alloc_profile/round.prof -o .alloc_profile/core.test ./internal/core
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .alloc_profile/core.test .alloc_profile/round.prof
 	$(GO) build -o .alloc_profile/spamrun ./cmd/spamrun
 	for d in SF DC MOFF; do \
 		.alloc_profile/spamrun -dataset $$d -reentry -memprofile .alloc_profile/$$d.prof >/dev/null || exit 1; \
@@ -87,9 +94,9 @@ alloc-profile:
 # benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
 # task process; internal/core's BenchmarkInterpretRound) under
 # -cpuprofile into the gitignored .cpu_profile/, then the top of the
-# profile by flat CPU and by cumulative CPU. The match-kernel work in
-# docs/PERFORMANCE.md's History table started from these tables; the
-# next CPU work starts here, not from a guess.
+# profile by flat CPU and by cumulative CPU. docs/PERFORMANCE.md
+# "Match kernel" started from these tables; the next CPU work starts
+# here, not from a guess.
 cpu-profile:
 	mkdir -p .cpu_profile
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime 20x \
@@ -138,7 +145,8 @@ bench-quick:
 # swept-and-reloaded engine vs a fresh one, session updates vs
 # from-scratch re-interpretation — outputs and, per task that ran,
 # statistics, counters and cost log — which tasks a hand-built delta
-# re-runs and why, RTF batching by region-ID cell vs by position, and
+# re-runs and why, every task an update runs loading exactly the rows
+# it was signed from, RTF batching by region-ID cell vs by position, and
 # what a session retains, at the engine, spam and serve layers) — at
 # every level (rete scripts, ops5 engines, geometry kernels, the
 # scheduler, the task-process pool, full-SPAM interpretations, the HTTP
@@ -152,7 +160,9 @@ bench-quick:
 # copies out before settling vs the rows an owning engine serves; a
 # settled engine keeps its statistics, serves no working memory and
 # refuses to run; an unsettled one leaves the next task fresh; a
-# long-lived worker's arena is bounded and steady under window trim), and
+# long-lived worker's arena is bounded and steady under window trim; a
+# task's statistics and exact-sized cost log, however its run ended,
+# outlive a trim window of later tasks on its worker's arena), and
 # the value representation (the two-word symtab.Value against the
 # four-field struct it replaced, its shape, concurrent interning; a
 # process whose intern table filled in another order prints the same
@@ -162,7 +172,7 @@ bench-quick:
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Batching|Repr|Intern|Pipeline|KillPoint' \
+		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Signs|Batching|Repr|Intern|Pipeline|KillPoint' \
 		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

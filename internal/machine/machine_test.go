@@ -83,9 +83,8 @@ func synthTask(cycles int, actCost float64, matchWidth int) Task {
 			roots = append(roots, a)
 			match += 80
 		}
-		log.Cycles = append(log.Cycles, ops5.CycleCost{
-			Resolve: 20, Act: actCost, Match: match, MatchRoots: roots,
-		})
+		log.Cycles = append(log.Cycles, ops5.CycleCost{Resolve: 20, Act: actCost, Match: match})
+		log.CycleRoots = append(log.CycleRoots, roots)
 	}
 	return Task{ID: "synth", Log: log}
 }

@@ -123,7 +123,7 @@ func renderLog(l *ops5.CostLog) string {
 	renderForest(l.InitRoots, &sb)
 	for i, c := range l.Cycles {
 		fmt.Fprintf(&sb, "\ncycle%d(%g,%g,%g):", i, c.Resolve, c.Act, c.Match)
-		renderForest(c.MatchRoots, &sb)
+		renderForest(l.Roots(i), &sb)
 	}
 	return sb.String()
 }

@@ -372,10 +372,11 @@ type Program struct {
 	compileMu sync.Mutex
 	variants  map[bool]*CompiledProgram
 
-	// Seed-class cache (seed.go): attribute->slot maps for batched
-	// seed construction, built once per class name.
+	// Seed-shape cache (seed.go): attribute->slot maps for seed
+	// construction, built once per class name and once per row shape.
 	seedMu      sync.Mutex
 	seedClasses map[string]*SeedClass
+	seedRows    []*SeedRow
 }
 
 // Production looks up a production by name, or nil.

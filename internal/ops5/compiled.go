@@ -181,6 +181,11 @@ func (e *Engine) Settle() {
 	}
 	e.cs.reset()
 	s.KeepAgenda(e.cs)
-	e.cs, e.env = &conflictSet{}, rhsEnv{}
+	e.cs, e.env = settledAgenda, rhsEnv{}
 	e.settled = true
 }
+
+// settledAgenda is the conflict set every settled engine reads: empty,
+// and never written, because a settled engine refuses every operation
+// that would write it.
+var settledAgenda = &conflictSet{}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -327,5 +328,80 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 	owner.Settle()
 	if got := rows(owner.WMEs("path")); !reflect.DeepEqual(got, paths) {
 		t.Errorf("an owning engine's working memory after Settle: %v, want %v", got, paths)
+	}
+}
+
+// TestScratchCostLogExactAcrossRuns: a borrowing engine's cycles
+// accumulate in a buffer its worker's scratch parks between engines, and
+// each Run copies them into the cost log exact-sized when it returns. A
+// log read after a first Run keeps what it read when a second Run
+// appends, the two runs log what one run to quiescence logs, and no
+// later engine on the same scratch — which reuses the buffer — changes
+// either.
+func TestScratchCostLogExactAcrossRuns(t *testing.T) {
+	prog, err := Parse(diffPrograms[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := &Scratch{}
+	build := func() *Engine {
+		t.Helper()
+		e, err := NewEngine(prog, WithScratch(scratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedDiffWM(t, e)
+		return e
+	}
+	exact := func(what string, e *Engine, firings int) {
+		t.Helper()
+		if c := e.Log().Cycles; len(c) != firings || cap(c) != len(c) {
+			t.Errorf("%s: %d cycles logged (capacity %d), want exactly %d", what, len(c), cap(c), firings)
+		}
+	}
+
+	whole := build()
+	if _, err := whole.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	n := whole.Stats().Firings
+	if n < 4 {
+		t.Fatalf("%d firings: the test is vacuous", n)
+	}
+	exact("one run", whole, n)
+	wholeLog := *whole.Log()
+	wholeLog.Cycles = slices.Clone(wholeLog.Cycles)
+	whole.Settle()
+
+	twice := build()
+	if _, err := twice.Run(n / 2); err != nil {
+		t.Fatal(err)
+	}
+	exact("first of two runs", twice, n/2)
+	first := twice.Log().Cycles
+	firstCopy := slices.Clone(first)
+	if _, err := twice.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	exact("second of two runs", twice, n)
+	if !reflect.DeepEqual(first, firstCopy) {
+		t.Error("the second Run rewrote the cycles the first one logged")
+	}
+	if !reflect.DeepEqual(*twice.Log(), wholeLog) {
+		t.Errorf("two runs logged %+v, one run %+v", *twice.Log(), wholeLog)
+	}
+	twiceLog := *twice.Log()
+	twiceLog.Cycles = slices.Clone(twiceLog.Cycles)
+	twice.Settle()
+
+	for i := 0; i < 2; i++ {
+		later := build()
+		if _, err := later.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		later.Settle()
+	}
+	if !reflect.DeepEqual(*twice.Log(), twiceLog) || !reflect.DeepEqual(first, firstCopy) {
+		t.Error("a later engine on the scratch changed a settled engine's cost log")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"spampsm/internal/rete"
+	"spampsm/internal/symtab"
 )
 
 // Strategy selects the OPS5 conflict-resolution strategy.
@@ -59,6 +60,12 @@ type conflictSet struct {
 	// instantiation may be the one whose right-hand side is executing,
 	// so it is not reused before the next cycle's recycle.
 	free, retired []*instantiation
+	// cycles and args are the engine's cost-log buffer (see Engine.Run)
+	// and external-call argument stack (Engine.call). They live here so
+	// that they are parked with the conflict set when the engine settles
+	// and reused by the next engine on the same scratch.
+	cycles []CycleCost
+	args   []symtab.Value
 }
 
 func newConflictSet() *conflictSet {

@@ -34,21 +34,19 @@ const (
 )
 
 // ExternalFn is a task-related computation invoked from the RHS: it
-// receives evaluated arguments and returns a value plus its own cost in
-// simulated instructions. This is how SPAM's geometric computation
-// (performed outside OPS5 in the original system) is metered.
+// receives evaluated arguments, valid only for the call, and returns a
+// value plus its own cost in simulated instructions. This is how SPAM's
+// geometric computation (performed outside OPS5 in the original
+// system) is metered.
 type ExternalFn func(args []symtab.Value) (symtab.Value, float64, error)
 
 // CycleCost is the cost breakdown of one recognize-act cycle: the
 // conflict-resolution cost, the act cost, and the match work triggered
-// by the act's working-memory changes. MatchRoots is the forest of node
-// activations (present only when capture is enabled) that the
-// match-parallelism simulation schedules.
+// by the act's working-memory changes.
 type CycleCost struct {
-	Resolve    float64
-	Act        float64
-	Match      float64
-	MatchRoots []*rete.Activation
+	Resolve float64
+	Act     float64
+	Match   float64
 }
 
 // Total returns the cycle's total instruction cost.
@@ -57,12 +55,25 @@ func (c CycleCost) Total() float64 { return c.Resolve + c.Act + c.Match }
 // CostLog is the complete cost record of one engine run: the
 // initialization cost (loading the initial working memory through the
 // match network), one CycleCost per production firing, and the task's
-// modeled memory footprint.
+// modeled memory footprint. With capture on (WithCapture) it also holds
+// the forests of node activations that the match-parallelism
+// simulation schedules: InitRoots for the initialization and
+// CycleRoots, one forest per entry of Cycles. Without capture both are
+// nil.
 type CostLog struct {
-	Init      float64
-	InitRoots []*rete.Activation
-	Cycles    []CycleCost
-	Mem       MemStats
+	Init       float64
+	InitRoots  []*rete.Activation
+	Cycles     []CycleCost
+	CycleRoots [][]*rete.Activation
+	Mem        MemStats
+}
+
+// Roots returns cycle i's activation forest, nil without capture.
+func (l *CostLog) Roots(i int) []*rete.Activation {
+	if i < len(l.CycleRoots) {
+		return l.CycleRoots[i]
+	}
+	return nil
 }
 
 // MemStats is the modeled memory record of one engine run, in the
@@ -238,13 +249,18 @@ func (e *Engine) Assert(class string, sets map[string]symtab.Value) (*wm.WME, er
 	if err != nil {
 		return nil, err
 	}
+	e.seed(w)
+	return w, nil
+}
+
+// seed matches one seed WME, charging the match to initialization.
+func (e *Engine) seed(w *wm.WME) {
 	before := e.net.Totals().Cost
 	e.net.Add(w)
 	e.log.Init += e.net.Totals().Cost - before
 	e.log.Mem.SeedWMEs++
 	e.log.Mem.SeedBytes += wm.WMEBytes(len(w.Vals))
 	e.syncMem()
-	return w, nil
 }
 
 // mutable reports why working memory may not be changed from outside
@@ -350,7 +366,21 @@ func (e *Engine) Run(maxFirings int) (int, error) {
 		return 0, fmt.Errorf("ops5: Run: %w", ErrSettled)
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	// The cycles accumulate in a buffer the conflict set carries — on a
+	// borrowing engine, the one the last engine settled on this
+	// worker's scratch parked — and are copied out exact-sized however
+	// the run ends, so the log never shares memory with the buffer the
+	// next engine reuses.
+	cycles := e.cs.cycles[:0]
+	defer func() {
+		if len(cycles) > 0 {
+			all := make([]CycleCost, len(e.log.Cycles)+len(cycles))
+			copy(all[copy(all, e.log.Cycles):], cycles)
+			e.log.Cycles = all
+		}
+		e.cs.cycles = cycles[:0]
+		e.running = false
+	}()
 	defer e.syncMem()
 	e.interrupted.Store(false)
 	// Collect any activations pending from initialization.
@@ -386,17 +416,14 @@ func (e *Engine) Run(maxFirings int) (int, error) {
 			return fired, fmt.Errorf("ops5: firing %s: %w", inst.cp.prod.Name, err)
 		}
 		matchCost := e.net.Totals().Cost - matchBefore
-		roots := e.net.TakeBatch()
 		e.stats.ActInstr += actCost
 		e.stats.MatchInstr += matchCost
 		e.stats.Firings++
 		fired++
-		e.log.Cycles = append(e.log.Cycles, CycleCost{
-			Resolve:    resolveCost,
-			Act:        actCost,
-			Match:      matchCost,
-			MatchRoots: roots,
-		})
+		cycles = append(cycles, CycleCost{Resolve: resolveCost, Act: actCost, Match: matchCost})
+		if e.capture {
+			e.log.CycleRoots = append(e.log.CycleRoots, e.net.TakeBatch())
+		}
 	}
 	e.stats.Halted = e.halted
 	return fired, nil
@@ -518,15 +545,7 @@ func (e *Engine) execute(a Action, slots []int, env *rhsEnv) error {
 		if !ok {
 			return fmt.Errorf("external %s not registered", act.Fn)
 		}
-		args := make([]symtab.Value, len(act.Args))
-		for i, arg := range act.Args {
-			v, err := e.eval(arg, env)
-			if err != nil {
-				return err
-			}
-			args[i] = v
-		}
-		_, cost, err := fn(args)
+		_, cost, err := e.call(fn, act.Args, env)
 		if err != nil {
 			return fmt.Errorf("external %s: %w", act.Fn, err)
 		}
@@ -609,15 +628,7 @@ func (e *Engine) eval(x Expr, env *rhsEnv) (symtab.Value, error) {
 		if !ok {
 			return symtab.Nil, fmt.Errorf("external %s not registered", ex.Fn)
 		}
-		args := make([]symtab.Value, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := e.eval(a, env)
-			if err != nil {
-				return symtab.Nil, err
-			}
-			args[i] = v
-		}
-		v, cost, err := fn(args)
+		v, cost, err := e.call(fn, ex.Args, env)
 		if err != nil {
 			return symtab.Nil, fmt.Errorf("external %s: %w", ex.Fn, err)
 		}
@@ -628,6 +639,26 @@ func (e *Engine) eval(x Expr, env *rhsEnv) (symtab.Value, error) {
 	default:
 		return symtab.Nil, fmt.Errorf("unknown expression %T", x)
 	}
+}
+
+// call evaluates an external call's arguments onto the conflict set's
+// argument stack and calls fn on them. A nested call stacks its
+// arguments above the outer call's and pops them before the outer call
+// takes its own, so the stack is reused by every call of every engine
+// the conflict set is parked for; fn must not keep its args.
+func (e *Engine) call(fn ExternalFn, args []Expr, env *rhsEnv) (symtab.Value, float64, error) {
+	base := len(e.cs.args)
+	for _, a := range args {
+		v, err := e.eval(a, env)
+		if err != nil {
+			e.cs.args = e.cs.args[:base]
+			return symtab.Nil, 0, err
+		}
+		e.cs.args = append(e.cs.args, v)
+	}
+	v, cost, err := fn(e.cs.args[base:])
+	e.cs.args = e.cs.args[:base]
+	return v, cost, err
 }
 
 func arith(a symtab.Value, op byte, b symtab.Value) (symtab.Value, error) {

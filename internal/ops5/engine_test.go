@@ -360,11 +360,11 @@ func TestCostLogShape(t *testing.T) {
 		if c.Match <= 0 || c.Act <= 0 {
 			t.Errorf("cycle %d costs: %+v", i, c)
 		}
-		if len(c.MatchRoots) == 0 {
+		if len(log.Roots(i)) == 0 {
 			t.Errorf("cycle %d: no captured match roots", i)
 		}
 		var rootCost float64
-		for _, r := range c.MatchRoots {
+		for _, r := range log.Roots(i) {
 			rootCost += r.TotalCost()
 		}
 		if rootCost <= 0 || rootCost > c.Match+1e-9 {

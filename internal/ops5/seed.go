@@ -1,27 +1,31 @@
 // Seed working memory. A task runtime loads every engine with a seed
 // working memory before Run; Assert pays a map-backed wm.Make per WME.
-// AssertBatch instead takes prebuilt Seed values — slot-ordered vectors
-// the caller constructs once and shares across every engine that needs
-// them — and adopts each vector as it stands. The simulated cost
-// accounting is unchanged (the batch's Init charge is the sum of the
-// per-Assert charges; the differential oracles prove byte equality).
+// A seed row is instead a Seed — a class and its slot-ordered vector —
+// that the engine adopts as it stands (AssertSeed). Its assembler
+// writes rows straight into a SeedSink: an engine, whose plain rows
+// take their vectors from its working memory (and so from its worker's
+// arena, see WithScratch), or any other consumer of a task's rows. The
+// simulated cost accounting is Assert's, row for row (the differential
+// oracles prove byte equality).
 package ops5
 
 import (
 	"fmt"
+	"slices"
 
 	"spampsm/internal/rete"
 	"spampsm/internal/symtab"
-	"spampsm/internal/wm"
 )
 
 // A Seed is one prebuilt seed WME: a class and its slot-ordered value
-// vector. Vals is immutable once built — it is adopted directly by
-// every engine the seed is asserted into (wm.Memory.MakeVals), so one
-// vector backs the WME in all of them. A non-empty Digest (SharedSeed)
-// declares the seed reusable across tasks and names its content: the
-// cluster ships such a row once per worker and refers to it by digest
-// afterwards. An engine loads both kinds alike.
+// vector, adopted as it stands by the engine it is asserted into
+// (wm.Memory.MakeVals). A plain row's vector comes from its sink
+// (SeedSink.NewVals) and backs that one WME. A non-empty Digest
+// (SharedSeed) declares the seed reusable across tasks and names its
+// content: its vector is built once, is immutable, and backs the WME in
+// every engine the row is asserted into; the cluster ships such a row
+// once per worker and refers to it by digest afterwards. An engine
+// loads both kinds alike.
 type Seed struct {
 	Class  string
 	Vals   []symtab.Value
@@ -45,6 +49,11 @@ func (sc *SeedClass) Name() string { return sc.name }
 func (pr *Program) SeedClass(name string) (*SeedClass, error) {
 	pr.seedMu.Lock()
 	defer pr.seedMu.Unlock()
+	return pr.seedClass(name)
+}
+
+// seedClass is SeedClass with seedMu held.
+func (pr *Program) seedClass(name string) (*SeedClass, error) {
 	if sc, ok := pr.seedClasses[name]; ok {
 		return sc, nil
 	}
@@ -96,13 +105,26 @@ func (sc *SeedClass) SharedSeed(sets map[string]symtab.Value) (Seed, error) {
 // and then fills value vectors by position.
 type SeedRow struct {
 	class *SeedClass
+	attrs []string
 	slots []int
 }
 
-// Row resolves the attributes a kind of row sets, in the order its
-// values will be given.
-func (sc *SeedClass) Row(attrs ...string) (*SeedRow, error) {
-	r := &SeedRow{class: sc, slots: make([]int, len(attrs))}
+// SeedRow returns the (cached) shape of one kind of plain row of the
+// named declared class: the attributes its values set, in the order Put
+// takes them. Safe for concurrent use.
+func (pr *Program) SeedRow(class string, attrs ...string) (*SeedRow, error) {
+	pr.seedMu.Lock()
+	defer pr.seedMu.Unlock()
+	for _, r := range pr.seedRows {
+		if r.class.name == class && slices.Equal(r.attrs, attrs) {
+			return r, nil
+		}
+	}
+	sc, err := pr.seedClass(class)
+	if err != nil {
+		return nil, err
+	}
+	r := &SeedRow{class: sc, attrs: slices.Clone(attrs), slots: make([]int, len(attrs))}
 	for i, a := range attrs {
 		slot, ok := sc.slots[a]
 		if !ok {
@@ -110,39 +132,59 @@ func (sc *SeedClass) Row(attrs ...string) (*SeedRow, error) {
 		}
 		r.slots[i] = slot
 	}
+	pr.seedRows = append(pr.seedRows, r)
 	return r, nil
 }
 
-// Seed builds the plain seed SeedClass.Seed builds from the same
-// attribute/value pairs, one value per attribute Row named.
-func (r *SeedRow) Seed(vals ...symtab.Value) Seed {
-	out := make([]symtab.Value, r.class.nAttr)
+// Put writes one row of the shape into the sink: the vector the sink
+// hands out, unset attributes Nil as in Assert, one value per attribute
+// the shape names.
+func (r *SeedRow) Put(sink SeedSink, vals ...symtab.Value) error {
+	out := sink.NewVals(r.class.nAttr)
 	for i, slot := range r.slots {
 		out[slot] = vals[i]
 	}
-	return Seed{Class: r.class.name, Vals: out}
+	return sink.AssertSeed(Seed{Class: r.class.name, Vals: out})
 }
 
-// AssertBatch asserts a seed set into working memory, semantically
-// identical to asserting each seed in order with Assert: same WMEs and
-// timetags, same conflict set, same Counters, same Init charge — without
-// the per-assertion attribute map, and adopting each seed's vector
-// instead of copying it.
+// A SeedSink takes a task's seed rows one at a time, in assertion
+// order. NewVals hands out the zeroed vector a plain row is written
+// into, and AssertSeed takes the row, adopting that vector. An Engine
+// is the sink a task's own rows go to.
+type SeedSink interface {
+	NewVals(n int) []symtab.Value
+	AssertSeed(Seed) error
+}
+
+// NewVals returns a zeroed vector from the engine's working memory: a
+// borrowing engine's comes from its worker's arena and goes back with
+// it at Settle.
+func (e *Engine) NewVals(n int) []symtab.Value { return e.mem.NewVals(n) }
+
+// AssertSeed asserts one seed row, adopting its vector: the same WME,
+// timetag, conflict set, Counters and Init charge as asserting the row
+// with Assert, without the attribute map.
+func (e *Engine) AssertSeed(s Seed) error {
+	if err := e.mutable("AssertSeed"); err != nil {
+		return err
+	}
+	w, err := e.mem.MakeVals(s.Class, s.Vals)
+	if err != nil {
+		return err
+	}
+	e.seed(w)
+	return nil
+}
+
+// AssertBatch asserts a seed set in order with AssertSeed.
 func (e *Engine) AssertBatch(seeds []Seed) error {
 	if err := e.mutable("AssertBatch"); err != nil {
 		return err
 	}
-	before := e.net.Totals().Cost
 	for _, s := range seeds {
-		w, err := e.mem.MakeVals(s.Class, s.Vals)
-		if err != nil {
+		if err := e.AssertSeed(s); err != nil {
 			return err
 		}
-		e.net.Add(w)
-		e.log.Mem.SeedWMEs++
-		e.log.Mem.SeedBytes += wm.WMEBytes(len(s.Vals))
 	}
-	e.log.Init += e.net.Totals().Cost - before
-	e.syncMem()
 	return nil
 }

@@ -126,14 +126,15 @@ func pathLen(a *rete.Activation) float64 {
 }
 
 // CycleTime returns the duration of one recognize-act cycle under m
-// dedicated match processes. m == 0 is the baseline: the task process
+// dedicated match processes, roots being its activation forest
+// (ops5.CostLog.Roots). m == 0 is the baseline: the task process
 // performs the match itself, serially, with no handoff overhead.
-func (mo Model) CycleTime(c ops5.CycleCost, m int) float64 {
+func (mo Model) CycleTime(c ops5.CycleCost, roots []*rete.Activation, m int) float64 {
 	if m <= 0 {
 		return c.Resolve + c.Act + c.Match
 	}
-	match := Makespan(c.MatchRoots, m)
-	if len(c.MatchRoots) == 0 {
+	match := Makespan(roots, m)
+	if len(roots) == 0 {
 		// No capture available: fall back to serial match cost (the
 		// schedule cannot be reconstructed).
 		match = c.Match
@@ -162,8 +163,8 @@ func (mo Model) TaskInstr(log *ops5.CostLog, m int) float64 {
 		}
 		total = init + mo.SyncBase + mo.SyncPerProc*float64(m)
 	}
-	for _, c := range log.Cycles {
-		total += mo.CycleTime(c, m)
+	for i, c := range log.Cycles {
+		total += mo.CycleTime(c, log.Roots(i), m)
 	}
 	return total
 }

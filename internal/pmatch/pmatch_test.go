@@ -107,9 +107,8 @@ func buildLog(t *testing.T) *ops5.CostLog {
 			roots = append(roots, a)
 			match += a.TotalCost()
 		}
-		log.Cycles = append(log.Cycles, ops5.CycleCost{
-			Resolve: 500, Act: 9000, Match: match, MatchRoots: roots,
-		})
+		log.Cycles = append(log.Cycles, ops5.CycleCost{Resolve: 500, Act: 9000, Match: match})
+		log.CycleRoots = append(log.CycleRoots, roots)
 	}
 	return log
 }
@@ -160,11 +159,11 @@ func TestAmdahlLimit(t *testing.T) {
 func TestCycleTimeNoCaptureFallsBack(t *testing.T) {
 	c := ops5.CycleCost{Resolve: 10, Act: 20, Match: 30} // no roots captured
 	mo := DefaultModel
-	serial := mo.CycleTime(c, 0)
+	serial := mo.CycleTime(c, nil, 0)
 	if serial != 60 {
 		t.Errorf("serial cycle = %v", serial)
 	}
-	par := mo.CycleTime(c, 4)
+	par := mo.CycleTime(c, nil, 4)
 	if par <= serial {
 		// Without captured roots the match cannot be parallelized, so
 		// dedicated processes only add overhead.

@@ -7,7 +7,9 @@
 // instantiated with NewNetworkScratch *borrows* for the length of one
 // task and gives back, all at once, when the worker calls Settle. The
 // task's working memory borrows from it too (Network.NewMemory): WME
-// structs, the value vectors its rules make, the tag table. A network
+// structs, the value vectors its seed rows and its rules make, the tag
+// table. So does the engine layer, which parks its emptied conflict set
+// here between loans, with the buffers its runs reuse (KeepAgenda). A network
 // built without a scratch owns its memory and allocates from the Go
 // heap.
 //
@@ -149,7 +151,8 @@ type Scratch struct {
 	alphaItems   slab[wmeList]
 	storeItems   slab[tokenList]
 	// The borrower's working memory: WME structs and the value vectors
-	// made for them (seed vectors are shared, adopted as they stand).
+	// made for them — by its rules, and for its plain seed rows (a shared
+	// seed row's vector is the scene's, adopted as it stands).
 	wmes slab[wm.WME]
 	vals slab[symtab.Value]
 

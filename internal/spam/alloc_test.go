@@ -12,14 +12,16 @@ import (
 // the whole match path (the benchmark that measures bytes lives outside
 // tier-1): one DC interpretation with re-entry on a warmed pool — its
 // workers' arenas grown by an earlier interpretation — allocates
-// 27,145 heap objects (±0.1% run to run; about 50,400 while each engine
-// grew a conflict set of its own instead of reusing the one the last
-// engine on its worker parked, 66,055 while joins kept equality hash
-// indexes, 1,723,000 before the match path stopped building activation
-// labels, per-task match state and RHS attribute maps). The ceiling is
-// that count plus 25%.
+// 15,245 heap objects and 2.20 MB (±0.1% run to run; 27,615 objects
+// and 4.40 MB while each task heap-allocated its seed set, its cost
+// log's growth and its external calls' arguments, about 50,400 objects
+// while each engine grew a conflict set of its own instead of reusing
+// the one the last engine on its worker parked, 66,055 while joins kept
+// equality hash indexes, 1,723,000 before the match path stopped
+// building activation labels, per-task match state and RHS attribute
+// maps). The ceilings are those counts plus 25%.
 func TestInterpretDCAllocationCeiling(t *testing.T) {
-	const ceiling = 34_000
+	const ceiling, byteCeiling = 19_100, 2_760_000
 	d, err := NewDataset(scene.DC)
 	if err != nil {
 		t.Fatal(err)
@@ -42,6 +44,9 @@ func TestInterpretDCAllocationCeiling(t *testing.T) {
 	if got := after.Mallocs - before.Mallocs; got > ceiling {
 		t.Errorf("one warmed DC interpretation allocated %d objects, ceiling %d", got, ceiling)
 	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > byteCeiling {
+		t.Errorf("one warmed DC interpretation allocated %d bytes, ceiling %d", got, byteCeiling)
+	}
 }
 
 // TestSessionRetainedHeapCeiling is the tier-1 guard on what an open
@@ -49,11 +54,14 @@ func TestInterpretDCAllocationCeiling(t *testing.T) {
 // open after its initial interpretation and ten 2% updates, over the
 // same reading with only the dataset loaded. A session keeps its scene
 // clone, region store, grid and every task's result — statistics, cost
-// log, a snapshot of the extract classes — and measures 6.99 MB (±1%
-// run to run); keeping each task's engine as well held 81.4 MB. The
-// ceiling is the measurement plus 25%.
+// log, a snapshot of the extract classes — and measures 4.00 MB (±1%
+// run to run); 4.57 MB while each retained cost log kept its growth
+// slack and 48 bytes a cycle (the 6.99 MB measured when sessions
+// stopped keeping engines had drifted down to that since), and keeping
+// each task's engine as well held 81.4 MB. The ceiling is the
+// measurement plus 25%.
 func TestSessionRetainedHeapCeiling(t *testing.T) {
-	const ceiling = 8_750_000
+	const ceiling = 5_000_000
 	d, err := NewDataset(scene.MOFF)
 	if err != nil {
 		t.Fatal(err)

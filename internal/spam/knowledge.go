@@ -9,6 +9,7 @@ package spam
 
 import (
 	"fmt"
+	"slices"
 
 	"spampsm/internal/scene"
 )
@@ -65,24 +66,35 @@ type FASpec struct {
 	Predicts []scene.Kind
 }
 
-// KB is a task-domain knowledge base.
+// KB is a task-domain knowledge base, built by AirportKB or SuburbanKB
+// and read-only from then on.
 type KB struct {
 	Domain      scene.Domain
 	Classes     []scene.Kind
 	Constraints []Constraint
 	Evidence    []Evidence
 	FAs         []FASpec
+
+	bySubject map[scene.Kind][]Constraint // Constraints by subject class, in order
 }
 
-// ConstraintsFor returns the constraints whose subject is the class.
-func (kb *KB) ConstraintsFor(class scene.Kind) []Constraint {
-	var out []Constraint
-	for _, c := range kb.Constraints {
-		if c.Subject == class {
-			out = append(out, c)
-		}
+// addConstraint appends a constraint, its ID numbered after prefix.
+func (kb *KB) addConstraint(prefix string, subject scene.Kind, rel string, object scene.Kind, eps, radius float64) {
+	c := Constraint{
+		ID:      fmt.Sprintf("%s%d-%s", prefix, len(kb.Constraints)+1, rel),
+		Subject: subject, Relation: rel, Object: object, Eps: eps, Radius: radius,
 	}
-	return out
+	kb.Constraints = append(kb.Constraints, c)
+	if kb.bySubject == nil {
+		kb.bySubject = map[scene.Kind][]Constraint{}
+	}
+	kb.bySubject[subject] = append(kb.bySubject[subject], c)
+}
+
+// ConstraintsFor returns the constraints whose subject is the class, in
+// KB order. The slice is the KB's own: read it, do not modify it.
+func (kb *KB) ConstraintsFor(class scene.Kind) []Constraint {
+	return slices.Clip(kb.bySubject[class])
 }
 
 // Constraint returns the constraint with the given ID, or nil.
@@ -109,10 +121,7 @@ func AirportKB() *KB {
 		},
 	}
 	add := func(subject scene.Kind, rel string, object scene.Kind, eps, radius float64) {
-		id := fmt.Sprintf("c%d-%s", len(kb.Constraints)+1, rel)
-		kb.Constraints = append(kb.Constraints, Constraint{
-			ID: id, Subject: subject, Relation: rel, Object: object, Eps: eps, Radius: radius,
-		})
+		kb.addConstraint("c", subject, rel, object, eps, radius)
 	}
 	// Runway constraints.
 	add(scene.Runway, RelIntersects, scene.Taxiway, 0, 1200)
@@ -219,10 +228,7 @@ func SuburbanKB() *KB {
 		Classes: []scene.Kind{scene.House, scene.Driveway, scene.Street, scene.Yard},
 	}
 	add := func(subject scene.Kind, rel string, object scene.Kind, eps, radius float64) {
-		id := fmt.Sprintf("s%d-%s", len(kb.Constraints)+1, rel)
-		kb.Constraints = append(kb.Constraints, Constraint{
-			ID: id, Subject: subject, Relation: rel, Object: object, Eps: eps, Radius: radius,
-		})
+		kb.addConstraint("s", subject, rel, object, eps, radius)
 	}
 	add(scene.House, RelAdjacent, scene.Driveway, 60, 250)
 	add(scene.House, RelNear, scene.Street, 400, 700)

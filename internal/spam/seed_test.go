@@ -1,8 +1,10 @@
 package spam
 
 import (
+	"slices"
 	"testing"
 
+	"spampsm/internal/scene"
 	"spampsm/internal/tlp"
 )
 
@@ -50,6 +52,53 @@ func TestConcurrentLCCBuildSeedCache(t *testing.T) {
 	for i := range outs {
 		if outs[i] != refOuts[i] {
 			t.Fatalf("outcome %d differs: %+v vs %+v", i, outs[i], refOuts[i])
+		}
+	}
+}
+
+// TestLCCSeedsWriteEachFragmentOnce: an LCC task's seed rows hold each
+// focal or partner fragment once, in first-appearance order, at Level 3
+// and at Level 4, where one DC task has more fragments (68) than
+// lccSeeds' list starts with on the stack.
+func TestLCCSeedsWriteEachFragmentOnce(t *testing.T) {
+	d, err := NewDataset(scene.DC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := d.Interpret(InterpretOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []Level{Level3, Level4} {
+		units := unitsWith(d.KB, in.Fragments, level, partnerQuery(d.Store, in.Fragments, nil))
+		for _, sp := range lccUnitSpecs(d.Scene.Name, units, level, false) {
+			var want []int
+			add := func(f *Fragment) {
+				if !slices.Contains(want, f.ID) {
+					want = append(want, f.ID)
+				}
+			}
+			for _, u := range sp.units {
+				add(u.focal)
+				for _, ck := range u.checks {
+					for _, p := range ck.partners {
+						add(p)
+					}
+				}
+			}
+			var rows seedSlice
+			if err := assemble(d.Progs.LCC, d.Store, &sp, &rows); err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for _, r := range rows {
+				if r.Class == "fragment" {
+					got = append(got, int(r.Vals[0].IntVal()))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: fragment rows %v, want %v", sp.key, got, want)
+			}
 		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"spampsm/internal/ops5"
 	"spampsm/internal/rete"
 	"spampsm/internal/scene"
+	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
 )
 
@@ -124,53 +125,80 @@ func (g *taskSig) sumOf(class string) (uint64, bool) {
 }
 
 // signer computes task signatures, one task at a time, through one
-// hash state and one row buffer.
+// hash state, one row buffer and one value vector. It is the seed sink
+// a task's rows are assembled into to be signed: each row is hashed as
+// it arrives, and no row is kept.
 type signer struct {
-	h       hash.Hash
-	buf     []byte
-	answers int // folded into h for the task being signed
+	h    hash.Hash
+	buf  []byte
+	vals []symtab.Value
+	// The task being signed: its signature so far, and the rows and
+	// answers folded into h.
+	sig           taskSig
+	rows, answers int
 }
 
 // rowHashSeed keys the row hashes behind classSum. It is drawn per
 // process: sums are only ever compared with sums of the same session.
 var rowHashSeed = maphash.MakeSeed()
 
-// sign computes the signature of the task the seeds and, through the
-// phase's answers function (nil: none), the store's answers describe.
-// It also returns how many rows and answers the signature covers. Each
-// row's canonical bytes — a shared seed's digest as it stands, a plain
-// row's RouteDigest into the reused buffer — go length-prefixed into
-// the running hash and, hashed alone, into their class's sum.
-func (g *signer) sign(seeds []ops5.Seed, answers func(*RegionStore, *taskSpec, *signer), st *RegionStore, sp *taskSpec) (sig taskSig, n int) {
-	for _, sd := range seeds {
-		b := g.buf[:0]
-		if sd.Digest != "" {
-			b = append(b, sd.Digest...)
-		} else {
-			b = rete.AppendRouteDigest(b, sd.Class, sd.Vals)
-		}
-		g.buf = b
-		var size [binary.MaxVarintLen64]byte
-		g.h.Write(size[:binary.PutUvarint(size[:], uint64(len(b)))])
-		g.h.Write(b)
-		i := 0
-		for i < len(sig.classes) && sig.classes[i].class != sd.Class {
-			i++
-		}
-		if i == len(sig.classes) {
-			sig.classes = append(sig.classes, classSum{class: sd.Class})
-		}
-		sig.classes[i].sum += maphash.Bytes(rowHashSeed, b)
+// sign computes the signature of the task the spec describes: its
+// seed rows, assembled into the signer, and what the store would answer
+// its externals (the phase's answers function; nil: nothing). It also
+// returns how many rows and answers the signature covers.
+func (g *signer) sign(prog *ops5.Program, st *RegionStore, sp *taskSpec) (taskSig, int, error) {
+	g.sig, g.rows, g.answers = taskSig{}, 0, 0
+	if err := assemble(prog, st, sp, g); err != nil {
+		g.h.Reset()
+		return taskSig{}, 0, err
 	}
-	g.h.Sum(sig.rows[:0])
+	g.h.Sum(g.sig.rows[:0])
 	g.h.Reset()
-	g.answers = 0
-	if answers != nil {
+	if answers := phaseDefs[sp.phase].answers; answers != nil {
 		answers(st, sp, g)
 	}
-	g.h.Sum(sig.answers[:0])
+	g.h.Sum(g.sig.answers[:0])
 	g.h.Reset()
-	return sig, len(seeds) + g.answers
+	return g.sig, g.rows + g.answers, nil
+}
+
+// NewVals hands out the signer's one value vector: a row is hashed
+// when it arrives and not kept.
+func (g *signer) NewVals(n int) []symtab.Value {
+	if cap(g.vals) < n {
+		g.vals = make([]symtab.Value, n)
+	}
+	g.vals = g.vals[:n]
+	clear(g.vals)
+	return g.vals
+}
+
+// AssertSeed folds one seed row into the signature: its canonical
+// bytes — a shared seed's digest as it stands, a plain row's
+// RouteDigest into the reused buffer — go length-prefixed into the
+// running hash and, hashed alone, into their class's sum.
+func (g *signer) AssertSeed(sd ops5.Seed) error {
+	b := g.buf[:0]
+	if sd.Digest != "" {
+		b = append(b, sd.Digest...)
+	} else {
+		b = rete.AppendRouteDigest(b, sd.Class, sd.Vals)
+	}
+	g.buf = b
+	var size [binary.MaxVarintLen64]byte
+	g.h.Write(size[:binary.PutUvarint(size[:], uint64(len(b)))])
+	g.h.Write(b)
+	sig := &g.sig
+	i := 0
+	for i < len(sig.classes) && sig.classes[i].class != sd.Class {
+		i++
+	}
+	if i == len(sig.classes) {
+		sig.classes = append(sig.classes, classSum{class: sd.Class})
+	}
+	sig.classes[i].sum += maphash.Bytes(rowHashSeed, b)
+	g.rows++
+	return nil
 }
 
 // answer folds one external call's answer — its value and its
@@ -369,12 +397,14 @@ func rerunReason(phase string, was, now *taskSig) string {
 	return why + " " + strings.Join(rows, "+")
 }
 
-// runSpecs is one phase queue under retention: it assembles each
-// spec's seeds, signs them with the store's answers, diffs the
-// signature against the cached task state, reuses unchanged tasks, and
-// runs the changed/new remainder as one queue of fresh tasks through
-// the runner (retaining the pool's retry and quarantine semantics). Results come back in spec order, reduced to what the
-// session retains.
+// runSpecs is one phase queue under retention: it signs each spec —
+// its seed rows, assembled into the signer and not kept, and the
+// store's answers — diffs the signature against the cached task state,
+// reuses unchanged tasks, and runs the changed/new remainder as one
+// queue of fresh tasks through the runner (retaining the pool's retry
+// and quarantine semantics); each assembles its rows again, into its
+// engine. Results come back in spec order, reduced to what the session
+// retains.
 func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec) ([]*tlp.Result, error) {
 	rep, store := s.rep, s.ds.Store
 	def := phaseDefs[specs[0].phase]
@@ -384,11 +414,10 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 	var pending []int // spec index per submitted task
 	for i := range specs {
 		sp := &specs[i]
-		seeds, err := def.seeds(prog, store, sp)
+		sig, n, err := s.sig.sign(prog, store, sp)
 		if err != nil {
 			return nil, err
 		}
-		sig, n := s.sig.sign(seeds, def.answers, store, sp)
 		rep.Tasks++
 		rep.SeedsDiffed += n
 		rep.DiffInstr += float64(n) * diffInstrPerSeed
@@ -415,7 +444,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 			s.tasks[sp.key] = st
 		}
 		st.sig, st.res, st.live = sig, nil, true
-		tasks = append(tasks, newTask(prog, store, sp, s.ds.capture, seeds))
+		tasks = append(tasks, newTask(prog, store, sp, s.ds.capture))
 		pending = append(pending, i)
 	}
 	if len(tasks) == 0 {

@@ -2,12 +2,15 @@ package spam
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"spampsm/internal/ops5"
 	"spampsm/internal/rete"
 	"spampsm/internal/scene"
 	"spampsm/internal/tlp"
@@ -529,5 +532,69 @@ func TestSessionLiveGridConsistency(t *testing.T) {
 	}
 	if gs.Retained <= gs.Reinserted+gs.Removed+gs.Added {
 		t.Errorf("grid churned more than it retained: %+v", gs)
+	}
+}
+
+// signingRunner runs a queue on its pool and, for every task, signs the
+// rows its engine was loaded with on the worker — the working memory
+// right after the build, in timetag order — as a session signs the rows
+// its assembler hands the signer.
+type signingRunner struct {
+	pool tlp.Pool
+	mu   sync.Mutex
+	rows map[string][sha256.Size]byte
+}
+
+func (r *signingRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
+	for i, task := range tasks {
+		own, build := *task, task.BuildWith
+		own.BuildWith = func(s *ops5.Scratch) (*ops5.Engine, error) {
+			e, err := build(s)
+			if err != nil {
+				return nil, err
+			}
+			g := signer{h: sha256.New()}
+			for _, w := range e.Memory().Snapshot() {
+				g.AssertSeed(ops5.Seed{Class: w.Class.Name, Vals: w.Vals})
+			}
+			g.h.Sum(g.sig.rows[:0])
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.rows[own.ID] = g.sig.rows
+			return e, nil
+		}
+		tasks[i] = &own
+	}
+	return r.pool.RunContext(ctx, tasks)
+}
+
+// TestSessionSignsWhatItRuns: a session signs a task by assembling its
+// rows into the signer, and the task it runs assembles them again, into
+// its engine on the worker. Every task a MOFF update runs — re-run or
+// fresh — must load exactly the rows it was signed from, in order.
+func TestSessionSignsWhatItRuns(t *testing.T) {
+	d, err := NewDataset(scene.MOFF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := &signingRunner{pool: tlp.Pool{Workers: 2}, rows: map[string][sha256.Size]byte{}}
+	sess := NewSession(d, InterpretOptions{ReEntry: true, Runner: ran})
+	if _, _, err := sess.Interpret(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 3; k++ {
+		ran.rows = map[string][sha256.Size]byte{}
+		_, rep, err := sess.Update(context.Background(), sess.Scene().Churn(scene.DefaultChurn(1990+k, 0.02)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Rerun == 0 || len(ran.rows) != rep.Rerun+rep.Fresh {
+			t.Fatalf("update %d: %d tasks loaded, report says %d re-run + %d fresh", k, len(ran.rows), rep.Rerun, rep.Fresh)
+		}
+		for id, rows := range ran.rows {
+			if st := sess.tasks[id]; st == nil || st.sig.rows != rows {
+				t.Errorf("update %d: task %s loaded rows other than those it was signed from", k, id)
+			}
+		}
 	}
 }

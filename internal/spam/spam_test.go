@@ -471,8 +471,8 @@ func TestCaptureProducesMatchForests(t *testing.T) {
 			t.Fatal("no cost log")
 		}
 		roots := 0
-		for _, c := range r.Log.Cycles {
-			roots += len(c.MatchRoots)
+		for i := range r.Log.Cycles {
+			roots += len(r.Log.Roots(i))
 		}
 		if roots == 0 {
 			t.Error("capture on: expected match activation roots")

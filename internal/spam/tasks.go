@@ -2,6 +2,7 @@ package spam
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spampsm/internal/ops5"
@@ -41,26 +42,28 @@ var (
 )
 
 // taskMemEst models a task's peak footprint from the number of WMEs
-// it is expected to hold — seeds plus produced hypotheses — charging
-// each a nominal 8-slot WME plus one beta-token allowance, in the
-// same simulated-byte units as ops5.MemStats.PeakBytes. The estimate
-// feeds the schedulers (tlp.Task.MemEst) at queue-build time, before
-// any engine exists; the measured PeakBytes replaces it wherever a
-// cost log is available (machine.Specs).
-func taskMemEst(wmes int) float64 {
-	return float64(wmes) * (wm.WMEBytes(8) + rete.TokenBytes)
+// it is expected to hold — its seed rows plus the hypotheses it
+// produces, one fragment per region for an RTF task — charging each a
+// nominal 8-slot WME plus one beta-token allowance, in the same
+// simulated-byte units as ops5.MemStats.PeakBytes. The estimate feeds
+// the schedulers (tlp.Task.MemEst) at queue-build time, before any
+// engine exists; the measured PeakBytes replaces it wherever a cost
+// log is available (machine.Specs).
+func taskMemEst(sp *taskSpec) float64 {
+	return float64(sp.rows+len(sp.regions)) * (wm.WMEBytes(8) + rete.TokenBytes)
 }
 
 // loadEngine builds one task's engine: instantiate the phase program —
 // capturing its match forests if asked, as the ops5 reference on a
-// reference store — register the store's externals, assert the seed
-// batch. With a worker's match arena s the engine borrows its match
-// state from it and the worker settles it when the task ends; with s
-// nil (a serial replay) the engine owns its memory. Every engine the
-// package builds — a one-shot task's, a session task's first run or
-// re-run, a cluster worker's rebuild of a shipped task — comes from
-// here, so they are the same engine by construction.
-func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, capture bool, s *ops5.Scratch) (*ops5.Engine, error) {
+// reference store — register the store's externals, then load its seed
+// rows into it. With a worker's match arena s the engine borrows its
+// match state from it, the vectors of the rows load writes included,
+// and the worker settles it when the task ends; with s nil (a serial
+// replay) the engine owns its memory. Every engine the package builds —
+// a one-shot task's, a session task's first run or re-run, a cluster
+// worker's rebuild of a shipped task — comes from here, so they are the
+// same engine by construction.
+func loadEngine(prog *ops5.Program, store *RegionStore, capture bool, s *ops5.Scratch, load func(*ops5.Engine) error) (*ops5.Engine, error) {
 	var opts []ops5.Option
 	if capture {
 		opts = append(opts, ops5.WithCapture())
@@ -76,7 +79,7 @@ func loadEngine(prog *ops5.Program, store *RegionStore, seeds []ops5.Seed, captu
 		return nil, err
 	}
 	store.Register(e)
-	if err := e.AssertBatch(seeds); err != nil {
+	if err := load(e); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -94,7 +97,7 @@ func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.En
 	}
 	prog, seeds := def.prog(d.Progs), spec.Seeds
 	return func(s *ops5.Scratch) (*ops5.Engine, error) {
-		return loadEngine(prog, d.Store, seeds, false, s)
+		return loadEngine(prog, d.Store, false, s, func(e *ops5.Engine) error { return e.AssertBatch(seeds) })
 	}, nil
 }
 
@@ -103,11 +106,12 @@ func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.En
 // estimates, its phase, and the inputs its seed working memory is
 // assembled from. The runnable tlp.Task (newTask), the wire frame and
 // the session signature are all derived from it. A spec holds inputs,
-// not seeds: a one-shot run assembles a task's seeds inside its build,
-// so a phase's seed sets are never all alive at once.
+// not seeds: a task's rows are assembled inside its build, straight
+// into its engine, so no seed set outlives its task.
 type taskSpec struct {
 	key, label, group string
-	est, mem          float64
+	est               float64
+	rows              int    // a bound on its seed rows: sizes a wire frame's slice and the memory estimate
 	phase             string // rtf | lcc | fa | model: the phaseDefs key
 
 	batchID int              // rtf
@@ -132,7 +136,7 @@ type taskSpec struct {
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
-	seeds   func(prog *ops5.Program, st *RegionStore, sp *taskSpec) ([]ops5.Seed, error)
+	seeds   func(*seedSet, *taskSpec)
 	answers func(*RegionStore, *taskSpec, *signer)
 }{
 	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfAnswers},
@@ -142,36 +146,25 @@ var phaseDefs = map[string]struct {
 }
 
 // newTask derives the runnable task from its spec. Its engine borrows
-// the executing worker's match arena, and its seeds are assembled on
-// demand — inside its build on the pool worker, inside Wire on a
-// cluster coordinator — unless the caller hands over the set it
-// already assembled (a Session, for the signature diff): that is all a
-// session's task, first run or re-run, differs in.
-func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool, seeds []ops5.Seed) *tlp.Task {
-	def := phaseDefs[sp.phase]
-	extract := def.extract // all the task and its Wire closure need of def
-	load := func() ([]ops5.Seed, error) {
-		if seeds != nil {
-			return seeds, nil
-		}
-		return def.seeds(prog, store, sp)
-	}
+// the executing worker's match arena, and its seed rows are assembled
+// on demand into their consumer — inside its build on the pool worker,
+// straight into the engine; inside Wire on a cluster coordinator, into
+// the frame's slice. A session's task, first run or re-run, is the same
+// task: the session signs the rows by assembling them once more.
+func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool) *tlp.Task {
+	extract := phaseDefs[sp.phase].extract // all the task and its Wire closure need of the phase
 	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
-		seeds, err := load()
-		if err != nil {
-			return nil, err
-		}
-		return loadEngine(prog, store, seeds, capture, s)
+		return loadEngine(prog, store, capture, s, func(e *ops5.Engine) error { return assemble(prog, store, sp, e) })
 	}
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
-		EstSize: sp.est, MemEst: sp.mem,
+		EstSize: sp.est, MemEst: taskMemEst(sp),
 		Extract:   extract,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 		Wire: func() (*tlp.WireSpec, error) {
-			seeds, err := load()
-			if err != nil {
+			seeds := make(seedSlice, 0, sp.rows)
+			if err := assemble(prog, store, sp, &seeds); err != nil {
 				return nil, err
 			}
 			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Seeds: seeds, Extract: extract}, nil
@@ -183,54 +176,54 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool,
 func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture bool) []*tlp.Task {
 	tasks := make([]*tlp.Task, len(specs))
 	for i := range specs {
-		tasks[i] = newTask(prog, store, &specs[i], capture, nil)
+		tasks[i] = newTask(prog, store, &specs[i], capture)
 	}
 	return tasks
 }
 
-// seedSet accumulates a task's seed working memory in assertion order;
-// the builder hands the whole set to Engine.AssertBatch at once. A row
-// shape is resolved against its class once per set (row) and each row
-// is then a slot-ordered value vector — no map, no name lookup. The
-// first failure sticks and done reports it; newSeedSet sizes the set
-// from the spec, since it outlives its assembly. Fragment rows — the
-// WMEs that recur across overlapping tasks — go through the
-// RegionStore's shared-seed cache, so a fragment's value vector and
-// routing digest are computed once per scene, not once per task.
+// seedSet assembles a task's seed working memory, in assertion order,
+// into a sink: the task's engine (so a plain row's vector comes from
+// the worker's arena), a wire frame's slice (seedSlice), or a session's
+// signer, which hashes each row as it arrives. Row shapes are resolved
+// once per program (ops5.Program.SeedRow) and each row is then a
+// slot-ordered value vector — no map, no name lookup. The first failure
+// sticks. Fragment rows — the WMEs that recur across overlapping tasks —
+// go through the RegionStore's shared-seed cache, so a fragment's value
+// vector and routing digest are computed once per scene, not once per
+// task.
 type seedSet struct {
 	prog  *ops5.Program
 	store *RegionStore
+	sink  ops5.SeedSink
 	frag  *ops5.SeedClass
-	seeds []ops5.Seed
 	err   error
 }
 
-func newSeedSet(prog *ops5.Program, store *RegionStore, rows int) *seedSet {
-	return &seedSet{prog: prog, store: store, seeds: make([]ops5.Seed, 0, rows)}
+// assemble writes the spec's seed rows into sink.
+func assemble(prog *ops5.Program, store *RegionStore, sp *taskSpec, sink ops5.SeedSink) error {
+	ss := &seedSet{prog: prog, store: store, sink: sink}
+	phaseDefs[sp.phase].seeds(ss, sp)
+	return ss.err
 }
 
 // row resolves one shape of plain (task-local) seed row: its class and
 // the attributes add's values will set, in order.
 func (ss *seedSet) row(class string, attrs ...string) *ops5.SeedRow {
-	sc, err := ss.prog.SeedClass(class)
-	var r *ops5.SeedRow
-	if err == nil {
-		r, err = sc.Row(attrs...)
-	}
+	r, err := ss.prog.SeedRow(class, attrs...)
 	if err != nil && ss.err == nil {
 		ss.err = err
 	}
 	return r
 }
 
-// add appends one row of a resolved shape.
+// add writes one row of a resolved shape.
 func (ss *seedSet) add(r *ops5.SeedRow, vals ...symtab.Value) {
 	if ss.err == nil {
-		ss.seeds = append(ss.seeds, r.Seed(vals...))
+		ss.err = r.Put(ss.sink, vals...)
 	}
 }
 
-// addFragment appends a fragment hypothesis row, shared through the
+// addFragment writes a fragment hypothesis row, shared through the
 // scene's seed cache.
 func (ss *seedSet) addFragment(f *Fragment) {
 	if ss.frag == nil && ss.err == nil {
@@ -240,15 +233,21 @@ func (ss *seedSet) addFragment(f *Fragment) {
 		return
 	}
 	s, err := ss.store.FragmentSeed(ss.frag, f)
-	if err != nil {
-		ss.err = err
-		return
+	if err == nil {
+		err = ss.sink.AssertSeed(s)
 	}
-	ss.seeds = append(ss.seeds, s)
+	ss.err = err
 }
 
-// done returns the assembled set and the first failure, if any.
-func (ss *seedSet) done() ([]ops5.Seed, error) { return ss.seeds, ss.err }
+// seedSlice is the sink that keeps a task's rows, for its wire form.
+type seedSlice []ops5.Seed
+
+func (s *seedSlice) NewVals(n int) []symtab.Value { return make([]symtab.Value, n) }
+
+func (s *seedSlice) AssertSeed(sd ops5.Seed) error {
+	*s = append(*s, sd)
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // RTF phase tasks
@@ -298,7 +297,7 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 		sp := &specs[i]
 		sp.label = fmt.Sprintf("RTF batch %d (%d regions)", sp.batchID, len(sp.regions))
 		sp.est = float64(len(sp.regions))
-		sp.mem = taskMemEst(1 + 2*len(sp.regions))
+		sp.rows = 1 + len(sp.regions)
 	}
 	return specs
 }
@@ -306,19 +305,17 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 // rtfSeeds assembles one RTF task's seed working memory — the task
 // control row plus a measured-region row per batch member, in
 // assertion order.
-func rtfSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
-	ss := newSeedSet(prog, store, 1+len(sp.regions))
+func rtfSeeds(ss *seedSet, sp *taskSpec) {
 	task := ss.row("rtf-task", "batch", "status")
 	region := ss.row("region", "id", "batch", "area", "elong", "compact", "intensity", "texture", "status")
 	batch := symtab.Int(int64(sp.batchID))
 	ss.add(task, batch, symActive)
 	for _, r := range sp.regions {
-		area, elong, compact, intensity, texture := store.MeasurementsOf(r)
+		area, elong, compact, intensity, texture := ss.store.MeasurementsOf(r)
 		ss.add(region, symtab.Int(int64(r.ID)), batch,
 			symtab.Float(area), symtab.Float(elong), symtab.Float(compact),
 			symtab.Float(intensity), symtab.Float(texture), symMeasured)
 	}
-	return ss.done()
 }
 
 // rtfAnswers: rtf-verify and rtf-verify-align are (call …)s — their
@@ -431,21 +428,20 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 // units, in assertion order: per unit, the (deduplicated) focal and
 // partner fragments with their scope triples, then the support and
 // task control rows.
-func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
-	rows := 0
-	for _, u := range sp.units {
-		rows += 3 + 2*u.expected
-	}
-	ss := newSeedSet(prog, store, rows)
+func lccSeeds(ss *seedSet, sp *taskSpec) {
 	scope := ss.row("scope", "object", "constraint", "partner")
 	support := ss.row("support", "object", "count", "checked")
 	task := ss.row("lcc-task", "object", "class", "cid", "expected", "status")
-	seen := map[int]bool{}
+	// seen lists the fragments already written, scanned: the largest task
+	// of the stock scenes holds 132 (SF, Level 4). It starts on the stack.
+	var few [64]int
+	seen := few[:0]
 	addFrag := func(f *Fragment) {
-		if !seen[f.ID] {
-			seen[f.ID] = true
-			ss.addFragment(f)
+		if slices.Contains(seen, f.ID) {
+			return
 		}
+		seen = append(seen, f.ID)
+		ss.addFragment(f)
 	}
 	for _, u := range sp.units {
 		focal := symtab.Int(int64(u.focal.ID))
@@ -464,7 +460,6 @@ func lccSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed
 		ss.add(support, focal, symtab.Int(0), symtab.Int(0))
 		ss.add(task, focal, sym(string(u.focal.Type)), sym(u.cid), symtab.Int(int64(u.expected)), symActive)
 	}
-	return ss.done()
 }
 
 // lccAnswers makes, per scope triple in seed order, the call its
@@ -533,7 +528,7 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
 				group: string(k),
 				est:   float64(est),
-				mem:   taskMemEst(2*est + 3*len(group)),
+				rows:  2*est + 3*len(group),
 				phase: "lcc",
 				units: group,
 			})
@@ -554,7 +549,7 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 			label: fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
 			group: string(u.focal.Type),
 			est:   float64(u.expected),
-			mem:   taskMemEst(2*u.expected + 3),
+			rows:  2*u.expected + 3,
 			phase: "lcc",
 			units: []lccUnit{u},
 		})
@@ -690,7 +685,7 @@ func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, out
 				label:   fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, len(members)),
 				group:   "fa-" + string(spec.Type),
 				est:     float64(len(members) + 1),
-				mem:     taskMemEst(len(members) + len(memberPairs) + 2),
+				rows:    len(members) + len(memberPairs) + 2,
 				phase:   "fa",
 				seed:    f,
 				faType:  spec.Type,
@@ -705,8 +700,7 @@ func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, out
 // faSeeds assembles one FA task's seed working memory: the seed
 // fragment, its member fragments, the consistency rows supporting the
 // aggregation, and the task control row, in assertion order.
-func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
-	ss := newSeedSet(prog, store, 2+len(sp.members)+len(sp.pairs))
+func faSeeds(ss *seedSet, sp *taskSpec) {
 	consistency := ss.row("consistency", "object", "partner", "relation", "result")
 	task := ss.row("fa-task", "seed", "fatype", "expected", "status")
 	ss.addFragment(sp.seed)
@@ -717,7 +711,6 @@ func faSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed,
 		ss.add(consistency, symtab.Int(int64(p.Object)), symtab.Int(int64(p.Partner)), sym(p.Relation), symT)
 	}
 	ss.add(task, symtab.Int(int64(sp.seed.ID)), sym(sp.faType), symtab.Int(int64(len(sp.pairs))), symActive)
-	return ss.done()
 }
 
 // faAnswers: every fa-predict-* rule calls fa-predict-area on the seed
@@ -772,7 +765,7 @@ func BuildMODELTask(kb *KB, store *RegionStore, prog *ops5.Program,
 	frags []*Fragment, fas []FunctionalArea) *tlp.Task {
 
 	sp := modelSpec(store.Scene().Name, frags, fas)
-	return newTask(prog, store, &sp, false, nil)
+	return newTask(prog, store, &sp, false)
 }
 
 // modelSpec describes the MODEL task.
@@ -782,7 +775,7 @@ func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
 		label: fmt.Sprintf("MODEL (%d functional areas)", len(fas)),
 		group: "model",
 		est:   float64(len(fas) + 1),
-		mem:   taskMemEst(2*len(fas) + 1),
+		rows:  2*len(fas) + 1,
 		phase: "model",
 		frags: frags,
 		fas:   fas,
@@ -792,12 +785,11 @@ func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
 // modelSeeds assembles the MODEL task's seed working memory: per
 // closed functional area its (deduplicated) seed fragment and fa row,
 // then the task control row, in assertion order.
-func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Seed, error) {
+func modelSeeds(ss *seedSet, sp *taskSpec) {
 	byID := map[int]*Fragment{}
 	for _, f := range sp.frags {
 		byID[f.ID] = f
 	}
-	ss := newSeedSet(prog, store, 1+2*len(sp.fas))
 	faRow := ss.row("fa", "id", "seed", "fatype", "nmembers", "status")
 	task := ss.row("model-task", "status")
 	seen := map[int]bool{}
@@ -813,7 +805,6 @@ func modelSeeds(prog *ops5.Program, store *RegionStore, sp *taskSpec) ([]ops5.Se
 		ss.add(faRow, seed, seed, sym(fa.Type), symtab.Int(int64(fa.NMembers)), symClosed)
 	}
 	ss.add(task, symActive)
-	return ss.done()
 }
 
 // ExtractModel returns the final model from the MODEL task result.

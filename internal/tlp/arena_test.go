@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -277,6 +278,71 @@ func TestScratchWindowTrimSteadyState(t *testing.T) {
 		}
 		if i > window && (s != slabs || b != bytes) {
 			t.Fatalf("after task %d the arena holds %d chunks / %d B, after task %d it held %d / %d: slabs were dropped or regrown in steady state", i, s, b, window, slabs, bytes)
+		}
+	}
+}
+
+// TestArenaResultsOutliveWorkerReuse: what a task returns is its own.
+// A Result's Stats and Log must read the same after the worker that
+// produced it has run a trim window of further tasks on the same arena
+// — drawing the cost-log buffer, the seed vectors and the match state
+// the task gave back — as when it returned. That holds for a clean run
+// and for every way a run can end early: a firing budget, an injected
+// crash, a panic and an interrupt, whose logs are exactly as long as
+// the firings they charge.
+func TestArenaResultsOutliveWorkerReuse(t *testing.T) {
+	prog := parseArenaProg(t)
+	p := &Pool{Workers: 1}
+	defer p.Close()
+	run := func(cfg RunConfig, task *Task) *Result {
+		t.Helper()
+		rs, err := p.Submit(context.Background(), cfg, []*Task{task})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs[0]
+	}
+	type view struct {
+		stats ops5.RunStats
+		log   ops5.CostLog
+	}
+	kept, was := map[string]*Result{}, map[string]view{}
+	keep := func(name string, r *Result) {
+		t.Helper()
+		if (name == "clean") != (r.Err == nil) {
+			t.Fatalf("%s: err %v", name, r.Err)
+		}
+		if r.Log == nil || r.Stats.Firings == 0 {
+			t.Fatalf("%s: no firings logged; the test is vacuous", name)
+		}
+		if c := r.Log.Cycles; len(c) != r.Stats.Firings || cap(c) != len(c) {
+			t.Errorf("%s: %d cycles logged (capacity %d) for %d firings", name, len(c), cap(c), r.Stats.Firings)
+		}
+		log := *r.Log
+		log.Cycles = slices.Clone(log.Cycles)
+		kept[name], was[name] = r, view{r.Stats, log}
+	}
+	pokes := 0
+	keep("budget", run(RunConfig{FiringBudget: 5}, arenaTask(t, prog, "budget", 30, nil, nil)))
+	keep("crash", run(RunConfig{Faults: faults.Config{Seed: 11, CrashRate: 1}}, arenaTask(t, prog, "crash", 30, nil, nil)))
+	keep("panic", run(RunConfig{}, arenaTask(t, prog, "panic", 30, func(*ops5.Engine) {
+		if pokes++; pokes == 40 {
+			panic("boom mid-run")
+		}
+	}, nil)))
+	keep("interrupt", run(RunConfig{}, arenaTask(t, prog, "interrupt", 30, func(e *ops5.Engine) { e.Interrupt() }, nil)))
+	// Last, so that the next engine on the worker is the first to reuse
+	// the buffer its engine parked.
+	keep("clean", run(RunConfig{}, arenaTask(t, prog, "clean", 30, nil, nil)))
+	for i := 0; i < rete.TrimWindow+8; i++ {
+		size := []int{6, 40, 60}[i%3]
+		if r := run(RunConfig{}, arenaTask(t, prog, fmt.Sprintf("later%d", i), size, nil, nil)); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	for name, r := range kept {
+		if got := (view{r.Stats, *r.Log}); !reflect.DeepEqual(got, was[name]) {
+			t.Errorf("%s: the result changed while its worker ran %d more tasks:\nnow %+v\nwas %+v", name, rete.TrimWindow+8, got, was[name])
 		}
 	}
 }
