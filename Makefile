@@ -72,13 +72,17 @@ loc:
 # next allocation diet starts here, not from a guess. It starts with
 # cpu-profile's twin: twenty rounds of the benchmark's interpret_cli op
 # (internal/core's BenchmarkInterpretRound) under -memprofile, by bytes
-# allocated — the table docs/PERFORMANCE.md "Seed rows and cost log in
-# the worker's arena" was sized from.
+# allocated, once over 10 rounds and once over 40: a site that grows
+# with the rounds allocates in steady state, one that does not is
+# warm-up — the tables docs/PERFORMANCE.md "A task returns its phase's
+# answer" was sized from.
 alloc-profile:
 	mkdir -p .alloc_profile
-	$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime 20x -benchmem \
-		-memprofile .alloc_profile/round.prof -o .alloc_profile/core.test ./internal/core
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .alloc_profile/core.test .alloc_profile/round.prof
+	for n in 10 40; do \
+		$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime $${n}x -benchmem \
+			-memprofile .alloc_profile/round$$n.prof -o .alloc_profile/core.test ./internal/core || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .alloc_profile/core.test .alloc_profile/round$$n.prof; \
+	done
 	$(GO) build -o .alloc_profile/spamrun ./cmd/spamrun
 	for d in SF DC MOFF; do \
 		.alloc_profile/spamrun -dataset $$d -reentry -memprofile .alloc_profile/$$d.prof >/dev/null || exit 1; \

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/tlp"
+	"spampsm/internal/wm"
 )
 
 // Config configures a Coordinator.
@@ -896,7 +898,7 @@ func (co *Coordinator) feeder(w *wconn) {
 // in stream order.
 func (co *Coordinator) reader(w *wconn) {
 	br := bufio.NewReaderSize(w.c, 1<<16)
-	dec := &DecTab{}
+	dec, rows := &DecTab{}, &frameRows{defs: map[string]*wm.ClassDef{}}
 	for {
 		typ, payload, err := readFrame(br)
 		if err != nil {
@@ -909,16 +911,24 @@ func (co *Coordinator) reader(w *wconn) {
 		if err != nil {
 			break
 		}
-		co.deliver(w, m, frameLen(len(payload)))
+		co.deliver(w, rows, m, frameLen(len(payload)))
 	}
 	w.c.Close()
 	co.workerLost(w)
 }
 
 // deliver merges one result frame. wireBytes is the result frame's
-// size for ship-overhead accounting.
-func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
-	snap, snapErr := rebuildSnapshot(m.Snapshot)
+// size for ship-overhead accounting. The task's Read runs on the
+// shipped rows before co.mu is taken for the merge: a flight's task
+// never changes, so looking it up is all that needs the lock.
+func (co *Coordinator) deliver(w *wconn, rows *frameRows, m *ResultMsg, wireBytes int) {
+	var read func(tlp.Rows) any
+	co.mu.Lock()
+	if fl, ok := w.inflight[flightKey{m.RunID, m.Seq}]; ok && m.Err == nil {
+		read = fl.rn.tasks[m.Seq].Read
+	}
+	co.mu.Unlock()
+	out, readErr := rows.read(read, m.Snapshot)
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	key := flightKey{m.RunID, m.Seq}
@@ -950,11 +960,11 @@ func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
 	if prior := rn.priorErrs[m.Seq]; len(prior) > 0 {
 		r.AttemptErrs = append(append([]error(nil), prior...), r.AttemptErrs...)
 	}
-	if snapErr != nil {
-		r.Err = &tlp.RemoteError{Msg: snapErr.Error()}
+	if readErr != nil {
+		r.Err = &tlp.RemoteError{Msg: readErr.Error()}
 		r.AttemptErrs = append(r.AttemptErrs, r.Err)
 	} else {
-		r.Snapshot = snap
+		r.Output = out
 	}
 	rn.shipBytes[m.Seq] += wireBytes
 	r.ShipBytes = rn.shipBytes[m.Seq]
@@ -967,6 +977,51 @@ func (co *Coordinator) deliver(w *wconn, m *ResultMsg, wireBytes int) {
 	w.ws.Tasks++
 	w.ws.ShippedBytes += int64(wireBytes)
 	w.ws.ArenaSlabs, w.ws.ArenaBytes = m.ArenaSlabs, m.ArenaBytes
+}
+
+// frameRows is one connection's result frames as a task's Read walks
+// them (tlp.Rows): each class under a definition resolved once per
+// (class, attributes) pair and connection, every row handed over in one
+// record, its TimeTag counting from 1 per class — a read takes values
+// in walk order, never tags.
+type frameRows struct {
+	defs    map[string]*wm.ClassDef
+	classes []SnapClass // the frame being read
+	w       wm.WME
+}
+
+// read runs a task's Read, if it has one, over a frame's shipped rows.
+func (fr *frameRows) read(taskRead func(tlp.Rows) any, classes []SnapClass) (any, error) {
+	if taskRead == nil {
+		return nil, nil
+	}
+	for _, sc := range classes {
+		def := fr.defs[sc.Name]
+		if len(sc.Rows) == 0 || def != nil && slices.Equal(def.Attrs, sc.Attrs) {
+			continue
+		}
+		def, err := wm.NewClassDef(sc.Name, sc.Attrs...)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: snapshot class %q: %w", sc.Name, err)
+		}
+		fr.defs[sc.Name] = def
+	}
+	fr.classes = classes
+	defer func() { fr.classes, fr.w = nil, wm.WME{} }()
+	return taskRead(fr), nil
+}
+
+// EachWME walks the frame's rows of a class.
+func (fr *frameRows) EachWME(class string, f func(*wm.WME)) {
+	for _, sc := range fr.classes {
+		if sc.Name == class {
+			for j, row := range sc.Rows {
+				fr.w = wm.WME{Class: fr.defs[class], Vals: row, TimeTag: j + 1}
+				f(&fr.w)
+			}
+			return
+		}
+	}
 }
 
 // workerLost runs the process-level recovery for a dropped

@@ -2,15 +2,19 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
+	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
+	"spampsm/internal/wm"
 )
 
 // corpusQueue builds real tasks from the three airports' RTF queues
@@ -149,7 +153,7 @@ func TestWireBuildMatchesLocalBuild(t *testing.T) {
 		if shipped.Stats() != local.Stats() {
 			t.Errorf("task %s: run stats differ:\nshipped: %+v\nlocal:   %+v", task.ID, shipped.Stats(), local.Stats())
 		}
-		if s, l := snapshot(shipped, spec.Extract), snapshot(local, spec.Extract); !reflect.DeepEqual(s, l) {
+		if s, l := snapRows(shipped, spec.Extract), snapRows(local, spec.Extract); !reflect.DeepEqual(s, l) {
 			t.Errorf("task %s: extracted WMEs differ:\nshipped: %+v\nlocal:   %+v", task.ID, s, l)
 		}
 	}
@@ -160,9 +164,79 @@ func TestWireBuildMatchesLocalBuild(t *testing.T) {
 	}
 }
 
-// snapshot is what a worker ships of an engine's final working memory.
-func snapshot(e *ops5.Engine, classes []string) []SnapClass {
-	return snapClasses(e.Memory().CopyClasses(classes), classes)
+// outputWireRunner runs every queue serially on engines that own their
+// memory and, per task, holds the output its Read gives on the live
+// engine to the output it gives on the rows a worker would ship of the
+// engine, encoded into a result frame and decoded as the coordinator
+// decodes it — over one codec table pair and one set of class
+// definitions, like a connection.
+type outputWireRunner struct {
+	t      *testing.T
+	enc    *EncTab
+	dec    *DecTab
+	rows   *frameRows
+	phases map[string]int
+	reread int // re-entry tasks
+}
+
+func (r *outputWireRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
+	results := make([]*tlp.Result, len(tasks))
+	for i, task := range tasks {
+		spec, err := task.Wire()
+		if err != nil {
+			return nil, err
+		}
+		e, err := task.BuildWith(nil)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := e.Run(0); err != nil {
+			return nil, err
+		}
+		live := task.Read(e)
+		res := &ResultMsg{Attempts: 1, Stats: e.Stats(), Snapshot: snapRows(e, spec.Extract)}
+		m, err := DecodeResultV2(r.dec, EncodeResultV2(r.enc, res))
+		if err != nil {
+			return nil, err
+		}
+		shipped, err := r.rows.read(task.Read, m.Snapshot)
+		if err != nil {
+			return nil, err
+		}
+		if !reflect.DeepEqual(live, shipped) {
+			r.t.Errorf("task %s: output read from the live engine\n%+v\nfrom its result frame\n%+v", task.ID, live, shipped)
+		}
+		r.phases[spec.Phase]++
+		if strings.HasPrefix(task.ID, "lccr") {
+			r.reread++
+		}
+		results[i] = &tlp.Result{TaskID: task.ID, SeqInQ: i, Attempts: 1, Stats: e.Stats(), Log: e.Log(), Output: live}
+	}
+	return results, nil
+}
+
+// TestDifferentialTaskOutputWire: for every task of a DC interpretation
+// with re-entry, in all four phases, the task's Read gives the same
+// output on its live engine as on its encoded and decoded result frame
+// — the wire ships every class a phase's read reads (WireSpec.Extract).
+func TestDifferentialTaskOutputWire(t *testing.T) {
+	d, err := spam.NewDataset(scene.DC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &outputWireRunner{t: t, enc: NewEncTab(), dec: &DecTab{}, rows: &frameRows{defs: map[string]*wm.ClassDef{}}, phases: map[string]int{}}
+	in, err := d.Interpret(spam.InterpretOptions{ReEntry: true, Runner: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []string{"rtf", "lcc", "fa", "model"} {
+		if r.phases[ph] == 0 {
+			t.Errorf("no %s task ran", ph)
+		}
+	}
+	if r.reread == 0 || !in.ModelFound || len(in.Pairs) == 0 {
+		t.Errorf("%d re-entry tasks, %d pairs, model found %v: the run is too small to mean anything", r.reread, len(in.Pairs), in.ModelFound)
+	}
 }
 
 // chunkRefsFor models the coordinator's chunk plan for one task in

@@ -16,6 +16,7 @@ import (
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/spam"
+	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
 	"spampsm/internal/wm"
 )
@@ -286,7 +287,8 @@ func (w *worker) submit(ctx context.Context, m *TaskMsg) {
 		Task: &tlp.Task{
 			ID: m.ID, Label: m.Label, Group: m.Group,
 			EstSize: m.EstSize, MemEst: m.MemEst,
-			Extract: m.Spec.Extract, BuildWith: build,
+			BuildWith: build,
+			Read:      func(rows tlp.Rows) any { return snapRows(rows, m.Spec.Extract) },
 		},
 		Start: func() {
 			if w.onStart != nil {
@@ -335,52 +337,28 @@ func resultMsg(m *TaskMsg, r *tlp.Result) *ResultMsg {
 		out.AttemptErrs = append(out.AttemptErrs, WireError{Msg: ae.Error(), Marks: tlp.ErrorMarks(ae)})
 	}
 	if r.Err == nil {
-		out.Snapshot = snapClasses(r.Snapshot, m.Spec.Extract)
+		out.Snapshot, _ = r.Output.([]SnapClass)
 	}
 	return out
 }
 
-// snapClasses flattens the rows the pool copied out of the final
-// working memory — the only engine state result extraction reads — for
-// the wire, in the spec's class order; the engine itself never crosses
-// it.
-func snapClasses(snap tlp.Snapshot, classes []string) []SnapClass {
-	var out []SnapClass
-	for _, class := range classes {
-		sc := SnapClass{Name: class}
-		for _, x := range snap[class] {
-			if sc.Attrs == nil {
-				sc.Attrs = x.Class.Attrs
-			}
-			sc.Rows = append(sc.Rows, x.Vals)
-		}
-		out = append(out, sc)
+// snapRows is a worker task's Read: the rows of the classes its spec
+// ships, copied out of the final working memory for the frame — one
+// value array per class — before the engine gives them back to the
+// arena. The coordinator runs the task's own Read over them; the engine
+// itself never crosses the wire.
+func snapRows(rows tlp.Rows, classes []string) []SnapClass {
+	out := make([]SnapClass, len(classes))
+	for i, class := range classes {
+		sc, n, slots := &out[i], 0, 0
+		sc.Name = class
+		rows.EachWME(class, func(w *wm.WME) { sc.Attrs, n, slots = w.Class.Attrs, n+1, slots+len(w.Vals) })
+		sc.Rows = make([][]symtab.Value, 0, n)
+		vals := make([]symtab.Value, 0, slots)
+		rows.EachWME(class, func(w *wm.WME) {
+			vals = append(vals, w.Vals...)
+			sc.Rows = append(sc.Rows, vals[len(vals)-len(w.Vals):len(vals):len(vals)])
+		})
 	}
 	return out
-}
-
-// rebuildSnapshot converts shipped rows back into a tlp.Snapshot of
-// real WMEs, one shared ClassDef per class. TimeTags restart from 1
-// per class — extraction reads values in slice order, never tags.
-func rebuildSnapshot(classes []SnapClass) (tlp.Snapshot, error) {
-	if len(classes) == 0 {
-		return nil, nil
-	}
-	snap := tlp.Snapshot{}
-	for _, sc := range classes {
-		if len(sc.Rows) == 0 {
-			snap[sc.Name] = nil
-			continue
-		}
-		cd, err := wm.NewClassDef(sc.Name, sc.Attrs...)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: snapshot class %q: %w", sc.Name, err)
-		}
-		wmes := make([]*wm.WME, 0, len(sc.Rows))
-		for i, row := range sc.Rows {
-			wmes = append(wmes, &wm.WME{Class: cd, Vals: row, TimeTag: i + 1})
-		}
-		snap[sc.Name] = wmes
-	}
-	return snap, nil
 }

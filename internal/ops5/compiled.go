@@ -131,11 +131,10 @@ func (cp *CompiledProgram) NewEngine(opts ...Option) (*Engine, error) {
 // and option-independent; finish wires in the compiled parts.
 func newEngineShell(prog *Program) *Engine {
 	return &Engine{
-		prog:      prog,
-		strategy:  ParseStrategy(prog.Strategy),
-		externals: map[string]ExternalFn{},
-		out:       io.Discard,
-		log:       &CostLog{},
+		prog:     prog,
+		strategy: ParseStrategy(prog.Strategy),
+		out:      io.Discard,
+		log:      &CostLog{},
 	}
 }
 
@@ -167,8 +166,8 @@ func (cp *CompiledProgram) finish(e *Engine) (*Engine, error) {
 // to reuse), and the working memory — WME structs and the
 // value vectors its rules made. Stats, Log, MatchCounters and the
 // memory's peaks return what they returned before, but WMEs and Memory
-// are empty — whoever reads final working memory copies the rows first
-// (wm.Memory.CopyClasses) — and the engine is finished: Assert,
+// are empty — whoever reads final working memory reads it first
+// (tlp.Task.Read) — and the engine is finished: Assert,
 // AssertBatch and Run fail with ErrSettled. The worker calls it when a
 // task's run ended normally; an engine that panicked or was
 // interrupted is never settled, and its worker starts the next task on

@@ -226,9 +226,10 @@ func TestConcurrentEngineInstantiation(t *testing.T) {
 // as before but serves no WMEs — its working memory went back to the
 // worker with its match state — and refuses, with ErrSettled, not a
 // panic and not by quietly matching on recycled tokens, to assert or
-// run. The rows copied out before Settle (what a pool worker does for a
-// task's Extract classes) are the engine's rows, and stay so after a
-// different task has borrowed, dirtied and settled the same scratch.
+// run. The rows a walk (EachWME) copies out before Settle — what a
+// task's Read does on a pool worker — are the engine's rows, and stay
+// so after a different task has borrowed, dirtied and settled the same
+// scratch.
 func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 	scratch := &Scratch{}
 	build := func(src string) *Engine {
@@ -270,9 +271,13 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 	if len(paths) == 0 || before.stats.Firings == 0 {
 		t.Fatal("first task produced nothing; the test is vacuous")
 	}
-	kept := first.Memory().CopyClasses([]string{"path", "no-such-class"})
-	if !reflect.DeepEqual(rows(kept["path"]), paths) || kept["no-such-class"] != nil {
-		t.Fatalf("CopyClasses returned %v, want the engine's rows %v", rows(kept["path"]), paths)
+	var kept []*wm.WME
+	first.EachWME("path", func(w *wm.WME) {
+		kept = append(kept, &wm.WME{Class: w.Class, Vals: slices.Clone(w.Vals), TimeTag: w.TimeTag})
+	})
+	first.EachWME("no-such-class", func(w *wm.WME) { t.Errorf("walked a row of an undeclared class: %s", w) })
+	if !reflect.DeepEqual(rows(kept), paths) {
+		t.Fatalf("EachWME walked %v, want the engine's rows %v", rows(kept), paths)
 	}
 	first.Settle()
 	if got := read(first); !reflect.DeepEqual(got, before) {
@@ -310,7 +315,7 @@ func TestSettledEngineReadableAndRefusesToRun(t *testing.T) {
 		if got := read(first); !reflect.DeepEqual(got, before) {
 			t.Fatalf("a later borrower of the scratch disturbed the settled engine (round %d)", i)
 		}
-		if got := rows(kept["path"]); !reflect.DeepEqual(got, paths) {
+		if got := rows(kept); !reflect.DeepEqual(got, paths) {
 			t.Fatalf("a later borrower of the scratch rewrote the rows copied out before Settle (round %d):\n%v\nwant %v", i, got, paths)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -186,6 +187,7 @@ type Engine struct {
 	strategy  Strategy
 	compiled  map[string]*compiledProd
 	externals map[string]ExternalFn
+	sharedExt bool // externals is a UseExternals table: copy before writing
 	out       io.Writer
 	trace     io.Writer
 	capture   bool
@@ -233,7 +235,18 @@ func NewEngine(prog *Program, opts ...Option) (*Engine, error) {
 
 // Register installs an external function. Functions must be registered
 // for every name in the program's external declaration before Run.
-func (e *Engine) Register(name string, fn ExternalFn) { e.externals[name] = fn }
+func (e *Engine) Register(name string, fn ExternalFn) {
+	if e.externals == nil || e.sharedExt {
+		e.externals, e.sharedExt = maps.Collect(maps.All(e.externals)), false
+	}
+	e.externals[name] = fn
+}
+
+// UseExternals makes fns the engine's external functions. The table is
+// shared — every engine handed it reads it, none writes it — so a
+// caller that builds many engines against one set builds it once; a
+// Register afterwards copies it first.
+func (e *Engine) UseExternals(fns map[string]ExternalFn) { e.externals, e.sharedExt = fns, true }
 
 // Classes exposes the engine's class registry.
 func (e *Engine) Classes() *wm.Classes { return e.classes }
@@ -312,6 +325,11 @@ func (e *Engine) Memory() *wm.Memory { return e.mem }
 // WMEs returns the live WMEs of a class ordered by timetag (none once a
 // borrowing engine is settled).
 func (e *Engine) WMEs(class string) []*wm.WME { return e.mem.OfClass(class) }
+
+// EachWME calls f on every live WME of a class in timetag order, as
+// WMEs would list them, without building the list: what a task's
+// reader walks (tlp.Rows) before the engine is settled.
+func (e *Engine) EachWME(class string, f func(*wm.WME)) { e.mem.Each(class, f) }
 
 // ConflictSetSize returns the number of live unfired instantiations:
 // the length of ConflictSet, and 0 exactly when Run would stop at

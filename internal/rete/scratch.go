@@ -44,8 +44,14 @@ const (
 	// interpretation's RTF tasks, at the start of each dataset's round,
 	// then dropped the chunks LCC had grown for LCC to grow again: +22%
 	// alloc_mb_per_op on interpret_cli, +19% on session_update. 256
-	// loans span a round's phases, allocate nothing in steady state and
-	// still shed a one-off peak within 256 tasks.
+	// loans span a round's phases and still shed a one-off peak within
+	// 256 tasks. They do not make the arena allocation-free in steady
+	// state: over internal/core's BenchmarkInterpretRound (profiled
+	// exactly, -memprofilerate 1) the token slab allocates 15.96 MB in a
+	// 10-round run and 59.48 MB in a 40-round one, 1.45 MB a round that
+	// recurs after warm-up, and the negJoinResult slab 0.35 MB a round
+	// (go1.24, linux/amd64; `make alloc-profile` prints both runs,
+	// sampled).
 	TrimWindow = 256
 )
 

@@ -3,25 +3,37 @@ package spam
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"spampsm/internal/scene"
 	"spampsm/internal/tlp"
+	"spampsm/internal/wm"
 )
 
 // rowsRunner runs every queue twice: on a pool whose workers lend their
-// arenas — so each clean task's Extract rows are copied out before its
-// engine, working memory included, is settled — and serially on engines
-// that own their memory and are read directly, which is how every
-// result was read before working memory moved into the arena. The two
-// must serve the same rows, per class and in order.
+// arenas — so each clean task's Read answers before its engine, working
+// memory included, is settled — and serially on engines that own their
+// memory and are read after the run, which is how every result was read
+// before working memory moved into the arena. The two must give the
+// same output.
 type rowsRunner struct {
 	t     *testing.T
 	pool  *tlp.Pool
 	tasks int
-	rows  int
+	rows  int // rows the reference reads walked
+}
+
+// countingRows counts the rows a read walks.
+type countingRows struct {
+	tlp.Rows
+	n *int
+}
+
+func (c countingRows) EachWME(class string, f func(*wm.WME)) {
+	c.Rows.EachWME(class, func(w *wm.WME) { *c.n++; f(w) })
 }
 
 func (r *rowsRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
@@ -30,10 +42,10 @@ func (r *rowsRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Re
 		return nil, err
 	}
 	owned := make([]*tlp.Task, len(tasks))
-	extract := map[string][]string{}
+	read := map[string]func(tlp.Rows) any{}
 	for i, t := range tasks {
 		owned[i] = &tlp.Task{ID: t.ID, Build: t.Build}
-		extract[t.ID] = t.Extract
+		read[t.ID] = t.Read
 	}
 	want, err := tlp.RunSerial(owned)
 	if err != nil {
@@ -48,33 +60,24 @@ func (r *rowsRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Re
 		if g.Err != nil || w == nil || w.Err != nil {
 			r.t.Fatalf("task %s: %v / %v", g.TaskID, g.Err, w)
 		}
-		if g.Snapshot == nil || g.Engine == nil || g.Engine.Memory().Size() != 0 {
-			r.t.Errorf("task %s: want a snapshot and a settled, empty engine", g.TaskID)
+		if g.Output == nil || g.Engine == nil || g.Engine.Memory().Size() != 0 {
+			r.t.Errorf("task %s: want an output and a settled, empty engine", g.TaskID)
 		}
-		if w.Snapshot != nil {
-			r.t.Fatalf("task %s: the reference run took a snapshot; it must read its engine", g.TaskID)
+		if w.Output != nil {
+			r.t.Fatalf("task %s: the reference run answered a Read; it must read its engine", g.TaskID)
 		}
 		r.tasks++
-		for _, class := range extract[g.TaskID] {
-			gr, wr := g.WMEs(class), w.WMEs(class)
-			if len(gr) != len(wr) {
-				r.t.Fatalf("task %s: %d %s rows in the snapshot, %d on the engine", g.TaskID, len(gr), class, len(wr))
-			}
-			for i := range gr {
-				if gr[i].TimeTag != wr[i].TimeTag || gr[i].String() != wr[i].String() {
-					r.t.Fatalf("task %s: %s row %d is %d %s, the engine's is %d %s", g.TaskID, class, i, gr[i].TimeTag, gr[i], wr[i].TimeTag, wr[i])
-				}
-			}
-			r.rows += len(gr)
+		if ref := read[g.TaskID](countingRows{w.Engine, &r.rows}); !reflect.DeepEqual(g.Output, ref) {
+			r.t.Fatalf("task %s: output read before settling\n%+v\nthe engine's\n%+v", g.TaskID, g.Output, ref)
 		}
 	}
 	return got, nil
 }
 
-// TestArenaSnapshotServesEngineRows holds snapshot-before-settle to the
-// rows Engine.WMEs serves, on every task of a full interpretation with
-// re-entry of the three paper datasets, on one task process and on
-// eight.
+// TestArenaSnapshotServesEngineRows holds read-before-settle to reading
+// an engine that owns its memory after the run, on every task of a full
+// interpretation with re-entry of the three paper datasets, on one task
+// process and on eight.
 func TestArenaSnapshotServesEngineRows(t *testing.T) {
 	for _, p := range []scene.Params{scene.SF, scene.DC, scene.MOFF} {
 		if testing.Short() {

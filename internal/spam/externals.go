@@ -63,6 +63,10 @@ type RegionStore struct {
 	// immutable and read without locking.
 	derived map[int]*geom.Derived
 
+	// externals is the table every engine built over the store shares
+	// (Register): built once, never written.
+	externals map[string]ops5.ExternalFn
+
 	// Fragment-seed cache. Task builders run concurrently on the pool's
 	// workers, and unlike the rest of the store (immutable after
 	// NewRegionStore) this map mutates at build time, so it is locked.
@@ -210,6 +214,7 @@ func NewRegionStore(s *scene.Scene) *RegionStore {
 		st.byID[r.ID] = r
 		st.derived[r.ID] = geom.Derive(r.Poly)
 	}
+	st.externals = externalsOf(st)
 	return st
 }
 
@@ -414,7 +419,9 @@ func boolSym(b bool) symtab.Value {
 	return symF
 }
 
-// Register installs the SPAM external functions on an engine:
+// Register installs the SPAM external functions on an engine: the
+// store's one table of them (externalsOf), shared by every engine built
+// over the store.
 //
 //	(geo-test <relation> <region-a> <region-b> <eps>) -> t | f
 //	(rtf-verify <region>)                             -> measurement cost
@@ -425,16 +432,20 @@ func boolSym(b bool) symtab.Value {
 // geo-test asks the store's evaluator (evaluate).
 //
 // Register is called from concurrent task builders on the pool's
-// workers. That is race-free by construction: each closure only
-// reads the store's immutable scene and derived-geometry indexes
-// (byID and derived never mutate after NewRegionStore) and writes
-// only the target engine's own externals map, which no other builder
-// touches. The store's two mutable maps — the fragment-seed cache and
-// the spatial-predicate memo — are guarded by seedMu and geoMu (see
-// FragmentSeed and Test); the concurrent-build regression tests run
-// all LCC builders in parallel under -race to keep this audit honest.
-func (st *RegionStore) Register(e *ops5.Engine) {
-	e.Register("geo-test", func(args []symtab.Value) (symtab.Value, float64, error) {
+// workers. That is race-free by construction: the table is built in
+// NewRegionStore and never written afterwards (an engine copies it
+// before a Register of its own), and each closure only reads the
+// store's immutable scene and derived-geometry indexes (byID and
+// derived never mutate after NewRegionStore). The store's two mutable
+// maps — the fragment-seed cache and the spatial-predicate memo — are
+// guarded by seedMu and geoMu (see FragmentSeed and Test); the
+// concurrent-build regression tests run all LCC builders in parallel
+// under -race to keep this audit honest.
+func (st *RegionStore) Register(e *ops5.Engine) { e.UseExternals(st.externals) }
+
+// externalsOf builds the store's external functions, once per store.
+func externalsOf(st *RegionStore) map[string]ops5.ExternalFn {
+	return map[string]ops5.ExternalFn{"geo-test": func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 4 {
 			return symtab.Nil, 0, fmt.Errorf("geo-test wants 4 args, got %d", len(args))
 		}
@@ -443,8 +454,7 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 			return symtab.Nil, 0, err
 		}
 		return boolSym(ok), cost, nil
-	})
-	e.Register("rtf-verify", func(args []symtab.Value) (symtab.Value, float64, error) {
+	}, "rtf-verify": func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 1 {
 			return symtab.Nil, 0, fmt.Errorf("rtf-verify wants 1 arg")
 		}
@@ -456,8 +466,7 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 		// measurements were precomputed at task build time).
 		cost := CostMeasure + 300*float64(len(r.Poly))
 		return symtab.Int(int64(len(r.Poly))), cost, nil
-	})
-	e.Register("rtf-verify-align", func(args []symtab.Value) (symtab.Value, float64, error) {
+	}, "rtf-verify-align": func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 2 {
 			return symtab.Nil, 0, fmt.Errorf("rtf-verify-align wants 2 args")
 		}
@@ -473,8 +482,7 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 		// boundary predicates.
 		cost := CostMeasure + 300*float64(len(a.Poly)+len(b.Poly))
 		return boolSym(ok), cost, nil
-	})
-	e.Register("fa-predict-area", func(args []symtab.Value) (symtab.Value, float64, error) {
+	}, "fa-predict-area": func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 2 {
 			return symtab.Nil, 0, fmt.Errorf("fa-predict-area wants 2 args")
 		}
@@ -483,8 +491,7 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 			return symtab.Nil, 0, fmt.Errorf("fa-predict-area: unknown region")
 		}
 		return symtab.Int(int64(n)), cost, nil
-	})
-	e.Register("stereo-verify", func(args []symtab.Value) (symtab.Value, float64, error) {
+	}, "stereo-verify": func(args []symtab.Value) (symtab.Value, float64, error) {
 		if len(args) != 2 {
 			return symtab.Nil, 0, fmt.Errorf("stereo-verify wants 2 args")
 		}
@@ -499,7 +506,7 @@ func (st *RegionStore) Register(e *ops5.Engine) {
 		sa := da.Area * math.Sqrt(da.Compact)
 		sb := db.Area * math.Sqrt(db.Compact)
 		return boolSym(sa >= sb), CostStereo, nil
-	})
+	}}
 }
 
 // evaluate is the store's spatial-predicate evaluator: Test, or

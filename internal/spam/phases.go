@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -292,8 +293,8 @@ func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*
 // one-shot interpretation (s nil) runs every spec on the dataset
 // itself. A Session (s non-nil, d its private dataset) diffs each
 // spec's signature against its cache, runs only what changed — as
-// fresh tasks — keeps each result with a snapshot of what extraction
-// reads, and finds LCC partners through its persistent grid.
+// fresh tasks — keeps each result with its output, and finds LCC
+// partners through its persistent grid.
 func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Session) (*Interpretation, error) {
 	in := &Interpretation{Dataset: d}
 	if opt.Level < Level1 || opt.Level > Level4 {
@@ -330,14 +331,14 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 		}
 		return results, nil
 	}
-	// extracted frees a phase's engines and the rows copied out of them
-	// once its outputs are read (the phase statistics only need the
-	// stats and cost logs). A session's results are its cache: they
-	// arrive reduced to their snapshots (runSpecs) and stay so.
+	// extracted frees a phase's engines and task outputs once they are
+	// merged (the phase statistics only need the stats and cost logs). A
+	// session's results are its cache: they arrive reduced to their
+	// outputs (runSpecs) and stay so.
 	extracted := func(results []*tlp.Result) {
 		for _, r := range results {
 			if r != nil && s == nil {
-				r.Engine, r.Snapshot = nil, nil
+				r.Engine, r.Output = nil, nil
 			}
 		}
 	}
@@ -389,9 +390,9 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 				}
 				rePairs, reOuts := ExtractLCC(re)
 				extracted(re)
-				in.Pairs = append(in.Pairs, rePairs...)
-				in.Outcomes = append(in.Outcomes, reOuts...)
-				in.Fragments = append(in.Fragments, extra...)
+				// Exact-sized: the interpretation keeps them.
+				in.Pairs, in.Outcomes = slices.Concat(in.Pairs, rePairs), slices.Concat(in.Outcomes, reOuts)
+				in.Fragments = slices.Concat(in.Fragments, extra)
 				lcc = append(lcc, re...)
 			}
 		}

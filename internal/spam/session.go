@@ -5,8 +5,8 @@
 // clone, its RegionStore, a persistent fragment grid, and every phase
 // task's result — and folds scene deltas into it. What it keeps of a
 // finished task is what a cluster result carries: statistics, cost log
-// and a snapshot of the working-memory classes the phase's extractor
-// reads. Never an engine: a task's match state goes back to its worker
+// and the task's output, what its phase's read made of its final working
+// memory. Never an engine: a task's match state goes back to its worker
 // when the task ends, here as everywhere. A session run is
 // Dataset.interpret — the same four-phase driver over the same task
 // specs (tasks.go) as a one-shot interpretation — with retention on.
@@ -94,7 +94,7 @@ type Session struct {
 // count, and the result.
 type sessTask struct {
 	sig  taskSig     // what the last run was handed and would have been answered
-	res  *tlp.Result // cached result: stats, log, extract-class snapshot; no engine
+	res  *tlp.Result // cached result: stats, log, output; no engine
 	live bool        // touched by the current run (sweep mark)
 }
 
@@ -467,13 +467,12 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 		results[i] = r
 		s.tasks[specs[i].key].res = r
 		if r != nil {
-			// What the session keeps of a finished task: the snapshot of
-			// the phase's extract classes — exact-size copies the executor
-			// took before it settled the engine — and no engine. A serial
-			// replay hands back owned, unsettled engines and no snapshot;
-			// their rows are copied here.
-			if r.Snapshot == nil && r.Engine != nil {
-				r.Snapshot = r.Engine.Memory().CopyClasses(def.extract)
+			// What the session keeps of a finished task: its output — the
+			// phase's read, answered before the executor settled the
+			// engine — and no engine. A serial replay hands back owned,
+			// unsettled engines and no output; they are read here.
+			if r.Output == nil && r.Engine != nil {
+				r.Output = def.read(r.Engine)
 			}
 			r.Engine = nil
 			if r.Err == nil {

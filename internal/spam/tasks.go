@@ -126,23 +126,75 @@ type taskSpec struct {
 }
 
 // phaseDefs is the one phase table: which program a phase's tasks
-// instantiate, which classes of the final working memory its
-// extractor reads (all a session retains of a finished task's working
-// memory), how a spec's seed rows are assembled, and what the task's
-// externals would answer — everything the rules can read of the store
+// instantiate, which classes of the final working memory its read
+// reads (what a cluster result frame ships), how the read turns them
+// into the task's output (all a session retains of a finished task's
+// working memory), how a spec's seed rows are assembled, and what the
+// task's externals would answer — everything the rules can read of the store
 // beyond those rows, in seed order, through the functions the
 // externals themselves call (nil: the phase's externals answer nothing
 // a run can observe; only a session signature asks).
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
+	read    func(tlp.Rows) any
 	seeds   func(*seedSet, *taskSpec)
 	answers func(*RegionStore, *taskSpec, *signer)
 }{
-	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, rtfSeeds, rtfAnswers},
-	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, lccSeeds, lccAnswers},
-	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, faSeeds, faAnswers},
-	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, modelSeeds, nil},
+	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, readRTF, rtfSeeds, rtfAnswers},
+	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, readLCC, lccSeeds, lccAnswers},
+	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, readFA, faSeeds, faAnswers},
+	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, readModel, modelSeeds, nil},
+}
+
+// slots resolves a read's attribute names to the slots of the class a
+// walk hands it, once per class rather than once per row.
+type slots struct {
+	c  *wm.ClassDef
+	at [4]int
+}
+
+// of resolves names in w's class (a no-op after the walk's first row).
+func (s *slots) of(w *wm.WME, names ...string) {
+	if w.Class != s.c {
+		s.c = w.Class
+		for i, n := range names {
+			s.at[i] = w.Class.AttrIndex(n)
+		}
+	}
+}
+
+// intAt and symAt read w's value of the i'th resolved name.
+func (s *slots) intAt(w *wm.WME, i int) int    { return int(w.GetAt(s.at[i]).IntVal()) }
+func (s *slots) symAt(w *wm.WME, i int) string { return w.GetAt(s.at[i]).SymVal() }
+
+// gather concatenates part of every clean result's output, in result
+// order, into one exactly sized slice (nil when there is nothing). The
+// output is what the task's Read answered or, for a result that carries
+// only its engine (a serial replay's), what read reads of the engine,
+// kept as the result's Output for the next pass.
+func gather[T, E any](results []*tlp.Result, read func(tlp.Rows) any, part func(T) []E) []E {
+	each := func(f func([]E)) {
+		for _, r := range results {
+			if r == nil || r.Err != nil {
+				continue
+			}
+			if r.Output == nil && r.Engine != nil {
+				r.Output = read(r.Engine)
+			}
+			if o, ok := r.Output.(T); ok {
+				f(part(o))
+			}
+		}
+	}
+	n := 0
+	each(func(p []E) { n += len(p) })
+	if n == 0 {
+		return nil
+	}
+	all := make([]E, 0, n)
+	each(func(p []E) { all = append(all, p...) })
+	return all
 }
 
 // newTask derives the runnable task from its spec. Its engine borrows
@@ -152,14 +204,15 @@ var phaseDefs = map[string]struct {
 // the frame's slice. A session's task, first run or re-run, is the same
 // task: the session signs the rows by assembling them once more.
 func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool) *tlp.Task {
-	extract := phaseDefs[sp.phase].extract // all the task and its Wire closure need of the phase
+	def := phaseDefs[sp.phase]
+	extract := def.extract // all the Wire closure needs of the phase
 	build := func(s *ops5.Scratch) (*ops5.Engine, error) {
 		return loadEngine(prog, store, capture, s, func(e *ops5.Engine) error { return assemble(prog, store, sp, e) })
 	}
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
 		EstSize: sp.est, MemEst: taskMemEst(sp),
-		Extract:   extract,
+		Read:      def.read,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 		Wire: func() (*tlp.WireSpec, error) {
@@ -328,22 +381,26 @@ func rtfAnswers(_ *RegionStore, sp *taskSpec, sig *signer) {
 	}
 }
 
-// ExtractFragments collects the fragment hypotheses produced by RTF
-// task results, ordered by fragment ID.
+// readRTF is the RTF phase's read: a task's fragment hypotheses, in
+// timetag order.
+func readRTF(rows tlp.Rows) any {
+	var frags []Fragment
+	var s slots
+	rows.EachWME("fragment", func(w *wm.WME) {
+		s.of(w, "id", "region", "type", "conf")
+		frags = append(frags, Fragment{ID: s.intAt(w, 0), RegionID: s.intAt(w, 1),
+			Type: scene.Kind(s.symAt(w, 2)), Conf: s.intAt(w, 3)})
+	})
+	return frags
+}
+
+// ExtractFragments merges the fragment hypotheses of RTF task results,
+// ordered by fragment ID.
 func ExtractFragments(results []*tlp.Result) []*Fragment {
-	var frags []*Fragment
-	for _, r := range results {
-		if r == nil || r.Err != nil {
-			continue
-		}
-		for _, w := range r.WMEs("fragment") {
-			frags = append(frags, &Fragment{
-				ID:       int(w.Get("id").IntVal()),
-				RegionID: int(w.Get("region").IntVal()),
-				Type:     scene.Kind(w.Get("type").SymVal()),
-				Conf:     int(w.Get("conf").IntVal()),
-			})
-		}
+	all := gather(results, readRTF, func(fs []Fragment) []Fragment { return fs })
+	frags := slices.Grow([]*Fragment(nil), len(all)) // nil when there are none
+	for i := range all {
+		frags = append(frags, &all[i])
 	}
 	sort.Slice(frags, func(i, j int) bool { return frags[i].ID < frags[j].ID })
 	return frags
@@ -573,33 +630,43 @@ type LCCOutcome struct {
 	Status  string // consistent | weak
 }
 
-// ExtractLCC collects the consistency pairs and per-object outcomes
-// from LCC task results.
+// lccOutput is an LCC task's answer: its consistent pairs and its
+// per-object outcomes, each in timetag order.
+type lccOutput struct {
+	pairs []ConsistentPair
+	outs  []LCCOutcome
+}
+
+// readLCC is the LCC phase's read. Of the task's check rows it keeps
+// only those that held, counted first so the pairs are held exactly.
+func readLCC(rows tlp.Rows) any {
+	out := &lccOutput{}
+	var s slots
+	held := 0
+	rows.EachWME("check", func(w *wm.WME) {
+		if s.of(w, "result", "object", "partner", "relation"); w.GetAt(s.at[0]) == symT {
+			held++
+		}
+	})
+	out.pairs = make([]ConsistentPair, 0, held)
+	rows.EachWME("check", func(w *wm.WME) { // s holds the count walk's slots
+		if w.GetAt(s.at[0]) == symT {
+			out.pairs = append(out.pairs, ConsistentPair{Object: s.intAt(w, 1), Partner: s.intAt(w, 2), Relation: s.symAt(w, 3)})
+		}
+	})
+	rows.EachWME("lcc-result", func(w *wm.WME) {
+		s.of(w, "object", "support", "checked", "status")
+		out.outs = append(out.outs, LCCOutcome{Object: s.intAt(w, 0), Support: s.intAt(w, 1),
+			Checked: s.intAt(w, 2), Status: s.symAt(w, 3)})
+	})
+	return out
+}
+
+// ExtractLCC merges the consistency pairs and per-object outcomes of
+// LCC task results.
 func ExtractLCC(results []*tlp.Result) ([]ConsistentPair, []LCCOutcome) {
-	var pairs []ConsistentPair
-	var outs []LCCOutcome
-	for _, r := range results {
-		if r == nil || r.Err != nil {
-			continue
-		}
-		for _, w := range r.WMEs("check") {
-			if w.Get("result").SymVal() == "t" {
-				pairs = append(pairs, ConsistentPair{
-					Object:   int(w.Get("object").IntVal()),
-					Partner:  int(w.Get("partner").IntVal()),
-					Relation: w.Get("relation").SymVal(),
-				})
-			}
-		}
-		for _, w := range r.WMEs("lcc-result") {
-			outs = append(outs, LCCOutcome{
-				Object:  int(w.Get("object").IntVal()),
-				Support: int(w.Get("support").IntVal()),
-				Checked: int(w.Get("checked").IntVal()),
-				Status:  w.Get("status").SymVal(),
-			})
-		}
-	}
+	pairs := gather(results, readLCC, func(o *lccOutput) []ConsistentPair { return o.pairs })
+	outs := gather(results, readLCC, func(o *lccOutput) []LCCOutcome { return o.outs })
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Object != pairs[j].Object {
 			return pairs[i].Object < pairs[j].Object
@@ -721,30 +788,34 @@ func faAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
 	sig.answer(n, cost)
 }
 
-// ExtractFA collects the closed functional areas and predictions.
+// faOutput is an FA task's answer: its functional areas and its
+// predictions, each in timetag order.
+type faOutput struct {
+	fas   []FunctionalArea
+	preds []Prediction
+}
+
+// readFA is the FA phase's read.
+func readFA(rows tlp.Rows) any {
+	out := &faOutput{}
+	var s slots
+	rows.EachWME("fa", func(w *wm.WME) {
+		s.of(w, "seed", "fatype", "nmembers", "status")
+		out.fas = append(out.fas, FunctionalArea{Seed: s.intAt(w, 0), Type: s.symAt(w, 1),
+			NMembers: s.intAt(w, 2), Status: s.symAt(w, 3)})
+	})
+	rows.EachWME("prediction", func(w *wm.WME) {
+		s.of(w, "fa", "kind", "candidates")
+		out.preds = append(out.preds, Prediction{FA: s.intAt(w, 0), Kind: scene.Kind(s.symAt(w, 1)), Candidates: s.intAt(w, 2)})
+	})
+	return out
+}
+
+// ExtractFA merges the functional areas and predictions of FA task
+// results.
 func ExtractFA(results []*tlp.Result) ([]FunctionalArea, []Prediction) {
-	var fas []FunctionalArea
-	var preds []Prediction
-	for _, r := range results {
-		if r == nil || r.Err != nil {
-			continue
-		}
-		for _, w := range r.WMEs("fa") {
-			fas = append(fas, FunctionalArea{
-				Seed:     int(w.Get("seed").IntVal()),
-				Type:     w.Get("fatype").SymVal(),
-				NMembers: int(w.Get("nmembers").IntVal()),
-				Status:   w.Get("status").SymVal(),
-			})
-		}
-		for _, w := range r.WMEs("prediction") {
-			preds = append(preds, Prediction{
-				FA:         int(w.Get("fa").IntVal()),
-				Kind:       scene.Kind(w.Get("kind").SymVal()),
-				Candidates: int(w.Get("candidates").IntVal()),
-			})
-		}
-	}
+	fas := gather(results, readFA, func(o *faOutput) []FunctionalArea { return o.fas })
+	preds := gather(results, readFA, func(o *faOutput) []Prediction { return o.preds })
 	sort.Slice(fas, func(i, j int) bool { return fas[i].Seed < fas[j].Seed })
 	sort.Slice(preds, func(i, j int) bool { return preds[i].FA < preds[j].FA })
 	return fas, preds
@@ -807,20 +878,24 @@ func modelSeeds(ss *seedSet, sp *taskSpec) {
 	ss.add(task, symActive)
 }
 
+// readModel is the MODEL phase's read: the task's final models, in
+// timetag order.
+func readModel(rows tlp.Rows) any {
+	var models []Model
+	var s slots
+	rows.EachWME("model", func(w *wm.WME) {
+		if s.of(w, "status", "score", "nfas"); s.symAt(w, 0) == "final" {
+			models = append(models, Model{Score: s.intAt(w, 1), NFAs: s.intAt(w, 2)})
+		}
+	})
+	return models
+}
+
 // ExtractModel returns the final model from the MODEL task result.
 func ExtractModel(results []*tlp.Result) (Model, bool) {
-	for _, r := range results {
-		if r == nil || r.Err != nil {
-			continue
-		}
-		for _, w := range r.WMEs("model") {
-			if w.Get("status").SymVal() == "final" {
-				return Model{
-					Score: int(w.Get("score").IntVal()),
-					NFAs:  int(w.Get("nfas").IntVal()),
-				}, true
-			}
-		}
+	models := gather(results, readModel, func(ms []Model) []Model { return ms })
+	if models == nil {
+		return Model{}, false
 	}
-	return Model{}, false
+	return models[0], true
 }

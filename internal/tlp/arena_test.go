@@ -13,6 +13,7 @@ import (
 	"spampsm/internal/ops5"
 	"spampsm/internal/rete"
 	"spampsm/internal/symtab"
+	"spampsm/internal/wm"
 )
 
 // arenaProg exercises every arena object: joins, a negative condition
@@ -66,14 +67,21 @@ func arenaTask(t testing.TB, prog *ops5.Program, id string, size int, poke func(
 	return &Task{
 		ID:        id,
 		EstSize:   float64(size),
-		Extract:   arenaClasses,
+		Read:      readArena,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 	}
 }
 
-// arenaClasses is every class of arenaProg: what an arena task extracts.
-var arenaClasses = []string{"item", "blocker", "out", "count"}
+// readArena is an arena task's Read: every row of every class of
+// arenaProg, with its time tag.
+func readArena(rows Rows) any {
+	var out []string
+	for _, class := range []string{"item", "blocker", "out", "count"} {
+		rows.EachWME(class, func(w *wm.WME) { out = append(out, fmt.Sprintf("%d %s", w.TimeTag, w)) })
+	}
+	return out
+}
 
 func parseArenaProg(t testing.TB) *ops5.Program {
 	prog, err := ops5.Parse(arenaProg)
@@ -84,10 +92,9 @@ func parseArenaProg(t testing.TB) *ops5.Program {
 }
 
 // sameRun asserts two results of the same task are identical in every
-// simulated quantity and in final working memory — read through
-// Result.WMEs, which serves the snapshot taken before the engine was
-// settled when there is one (got) and the engine otherwise (a reference
-// task that names no Extract classes).
+// simulated quantity and in final working memory: got's Output, read
+// before its engine was settled, against readArena of want's engine (a
+// reference task with no Read, on an engine that owns its memory).
 func sameRun(t *testing.T, got, want *Result) {
 	t.Helper()
 	if got.Err != nil || want.Err != nil {
@@ -102,16 +109,8 @@ func sameRun(t *testing.T, got, want *Result) {
 	if g, w := got.Engine.MatchCounters(), want.Engine.MatchCounters(); g != w {
 		t.Errorf("task %s: match counters %+v != reference %+v", got.TaskID, g, w)
 	}
-	for _, class := range arenaClasses {
-		g, w := got.WMEs(class), want.WMEs(class)
-		if len(g) != len(w) {
-			t.Fatalf("task %s: %d %s WMEs, want %d", got.TaskID, len(g), class, len(w))
-		}
-		for i := range g {
-			if g[i].TimeTag != w[i].TimeTag || g[i].String() != w[i].String() {
-				t.Errorf("task %s: %s WME %d: %d %s, want %d %s", got.TaskID, class, i, g[i].TimeTag, g[i], w[i].TimeTag, w[i])
-			}
-		}
+	if g, w := got.Output, readArena(want.Engine); !reflect.DeepEqual(g, w) {
+		t.Errorf("task %s: final working memory\n%v\nwant\n%v", got.TaskID, g, w)
 	}
 }
 
@@ -159,8 +158,8 @@ func TestUnsettledAttemptLeavesNextTaskFresh(t *testing.T) {
 		if got.Engine != e || !settled(e) {
 			t.Errorf("task %s: a clean attempt's engine must be attached and settled", id)
 		}
-		if got.Snapshot == nil || e.Memory().Size() != 0 || len(e.WMEs("item")) != 0 {
-			t.Errorf("task %s: a settled borrowing engine must have handed its rows to the snapshot and its working memory back (%d WMEs still live)", id, e.Memory().Size())
+		if got.Output == nil || e.Memory().Size() != 0 || len(e.WMEs("item")) != 0 {
+			t.Errorf("task %s: a settled borrowing engine must have answered its Read and handed its working memory back (%d WMEs still live)", id, e.Memory().Size())
 		}
 		if abandoned != nil && dump(abandoned) != abandonedWM {
 			t.Errorf("task %s rewrote the working memory of the unsettled attempt before it", id)
@@ -283,13 +282,14 @@ func TestScratchWindowTrimSteadyState(t *testing.T) {
 }
 
 // TestArenaResultsOutliveWorkerReuse: what a task returns is its own.
-// A Result's Stats and Log must read the same after the worker that
-// produced it has run a trim window of further tasks on the same arena
-// — drawing the cost-log buffer, the seed vectors and the match state
-// the task gave back — as when it returned. That holds for a clean run
-// and for every way a run can end early: a firing budget, an injected
-// crash, a panic and an interrupt, whose logs are exactly as long as
-// the firings they charge.
+// A Result's Stats, Log and Output must read the same after the worker
+// that produced it has run a trim window of further tasks on the same
+// arena — drawing the cost-log buffer, the seed vectors, the working
+// memory its Read walked and the match state the task gave back — as
+// when it returned. That holds for a clean run and for every way a run
+// can end early: a firing budget, an injected crash, a panic and an
+// interrupt, whose logs are exactly as long as the firings they charge
+// and which answer no Read.
 func TestArenaResultsOutliveWorkerReuse(t *testing.T) {
 	prog := parseArenaProg(t)
 	p := &Pool{Workers: 1}
@@ -305,6 +305,7 @@ func TestArenaResultsOutliveWorkerReuse(t *testing.T) {
 	type view struct {
 		stats ops5.RunStats
 		log   ops5.CostLog
+		out   []string
 	}
 	kept, was := map[string]*Result{}, map[string]view{}
 	keep := func(name string, r *Result) {
@@ -318,9 +319,13 @@ func TestArenaResultsOutliveWorkerReuse(t *testing.T) {
 		if c := r.Log.Cycles; len(c) != r.Stats.Firings || cap(c) != len(c) {
 			t.Errorf("%s: %d cycles logged (capacity %d) for %d firings", name, len(c), cap(c), r.Stats.Firings)
 		}
+		out, _ := r.Output.([]string)
+		if (name == "clean") != (len(out) > 0) {
+			t.Fatalf("%s: output %v", name, r.Output)
+		}
 		log := *r.Log
 		log.Cycles = slices.Clone(log.Cycles)
-		kept[name], was[name] = r, view{r.Stats, log}
+		kept[name], was[name] = r, view{r.Stats, log, slices.Clone(out)}
 	}
 	pokes := 0
 	keep("budget", run(RunConfig{FiringBudget: 5}, arenaTask(t, prog, "budget", 30, nil, nil)))
@@ -341,7 +346,8 @@ func TestArenaResultsOutliveWorkerReuse(t *testing.T) {
 		}
 	}
 	for name, r := range kept {
-		if got := (view{r.Stats, *r.Log}); !reflect.DeepEqual(got, was[name]) {
+		out, _ := r.Output.([]string)
+		if got := (view{r.Stats, *r.Log, out}); !reflect.DeepEqual(got, was[name]) {
 			t.Errorf("%s: the result changed while its worker ran %d more tasks:\nnow %+v\nwas %+v", name, rete.TrimWindow+8, got, was[name])
 		}
 	}

@@ -55,8 +55,9 @@ type Pool struct {
 	// pinning thousands of settled engines: core.Measure over SF's
 	// 8,850 Level-1 LCC tasks on one worker peaks at 25.7 MB of heap
 	// with it and 34.3 MB without, and holds 11.7 MB against 22.3 MB
-	// live when the run returns. Leave it false when results are
-	// extracted from final working memories.
+	// live when the run returns. A task's Read answers before the
+	// engine goes either way; leave it false when a caller reads the
+	// engine itself.
 	DropEngines bool
 	// QuarantineBudget is the number of non-cancelled quarantined
 	// tasks the pool tolerates before reporting itself unhealthy.

@@ -31,6 +31,7 @@ import (
 
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
+	"spampsm/internal/wm"
 )
 
 // Sentinel errors classifying task failures.
@@ -102,17 +103,29 @@ type Task struct {
 	// left readable — when the worker finishes the task; a builder that
 	// ignores it gets an engine that owns its memory.
 	BuildWith func(s *ops5.Scratch) (*ops5.Engine, error)
-	// Extract names the classes of the final working memory the task's
-	// consumer reads. On a clean run the worker copies their rows into
-	// Result.Snapshot before it settles the engine; a task that names
-	// none leaves nothing to read of a borrowing engine's memory.
-	Extract []string
+	// Read turns the task's final working memory into what its consumer
+	// keeps of it — for SPAM, its phase's fragments, consistent pairs,
+	// functional areas or model. On a clean run the worker calls it on
+	// the live engine before it settles the engine and hands the answer
+	// on as Result.Output; a task with no Read leaves nothing to read of
+	// a borrowing engine's memory.
+	Read func(Rows) any
 	// Wire, when set, produces the task's shippable description for the
 	// cluster runtime (internal/cluster). It is lazy — a local run never
 	// calls it — and must be a pure function of the task: the worker
 	// process rebuilds an engine from the WireSpec that is byte-identical
 	// to what Build constructs here.
 	Wire func() (*WireSpec, error)
+}
+
+// Rows is a task's final working memory as its Read walks it: EachWME
+// calls f on every row of a class, in timetag order. A live engine is
+// one (ops5.Engine), the rows a cluster result frame ships are another.
+// f must not keep the WME: an engine's rows go back to its worker's
+// arena when it settles, and a walk may hand every row over in one
+// reused record.
+type Rows interface {
+	EachWME(class string, f func(*wm.WME))
 }
 
 // build constructs the task's engine, preferring BuildWith.
@@ -148,12 +161,13 @@ type Result struct {
 	// quarantined and carry no verdict on the task itself.
 	Cancelled bool
 
-	// Snapshot holds the rows of the task's Extract classes, copied out
-	// of the final working memory before the engine was settled — by
-	// the pool worker in process, by the worker process across the wire
-	// (whose results carry no Engine). Use WMEs to read final working
-	// memory.
-	Snapshot Snapshot
+	// Output is what the task's Read made of its final working memory
+	// on a clean run: on the live engine, by the pool worker before it
+	// settled it; from the rows a result frame ships, by the cluster
+	// coordinator (whose results carry no Engine). A serial replay that
+	// runs its own, unsettled engines hands back an Engine and no
+	// Output: read the engine then.
+	Output any
 	// ShipBytes is the wire cost of this task when it ran on a cluster
 	// worker: encoded task frame plus encoded result frame, in bytes.
 	// Zero for in-process execution.
@@ -458,8 +472,10 @@ func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt i
 	// A context cancelled mid-run interrupts the engine the same way a
 	// timeout does; Run clears the interrupt flag when it starts, so
 	// an already-cancelled context must be caught here instead.
-	stopWatch := context.AfterFunc(ctx, eng.Interrupt)
-	defer stopWatch()
+	// A context that can never be cancelled needs no watch.
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, eng.Interrupt)()
+	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		r.Err = fmt.Errorf("tlp: run %s: %w: %w", t.ID, ErrCancelled, ctxErr)
 		return r
@@ -490,14 +506,14 @@ func (c *RunConfig) attempt(ctx context.Context, t *Task, worker, seq, attempt i
 			t.ID, ErrBudgetExceeded, c.FiringBudget)
 		return r
 	}
-	// Clean success: the worker is done with the task, so what its
-	// consumer reads of the final working memory is copied out and an
-	// engine that borrowed the worker's arena gives it back, working
-	// memory included. Failed, interrupted and panicked attempts
-	// returned above without settling — their engines may be
-	// mid-operation — and the worker's next build starts on fresh slabs.
-	if len(t.Extract) > 0 {
-		r.Snapshot = eng.Memory().CopyClasses(t.Extract)
+	// Clean success: the worker is done with the task, so its Read
+	// answers from the final working memory and an engine that borrowed
+	// the worker's arena gives it back, working memory included. Failed,
+	// interrupted and panicked attempts returned above without settling
+	// — their engines may be mid-operation — and the worker's next build
+	// starts on fresh slabs.
+	if t.Read != nil {
+		r.Output = t.Read(eng)
 	}
 	eng.Settle()
 	r.Engine = eng

@@ -4,11 +4,9 @@
 // the pieces of that exchange that belong to the task runtime itself:
 //
 //   - WireSpec, the shippable description of a task (its seed working
-//     memory and what to extract from the final one), attached lazily
-//     to a Task so purely local runs never pay for it;
-//   - Snapshot, the extracted working memory attached to a Result —
-//     all a cluster worker's result carries of its engine — with
-//     Result.WMEs hiding the difference from result extractors;
+//     memory and which classes of the final one its result ships, for
+//     the coordinator to run the task's Read over), attached lazily to
+//     a Task so purely local runs never pay for it;
 //   - RemoteError, an error that crossed a process boundary as a
 //     message string plus classification marks, so the coordinator's
 //     RunReport classifies remote failures exactly as local ones.
@@ -22,7 +20,6 @@ import (
 
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
-	"spampsm/internal/wm"
 )
 
 // WireSpec is the shippable description of one task: which dataset's
@@ -30,13 +27,13 @@ import (
 // seed working memory to assert (shared seeds carry their
 // routing digest discipline through the Digest field — an empty digest
 // ships as a plain seed, a non-empty one is recomputed on the worker),
-// and which WME classes to snapshot from the final working memory for
-// result extraction.
+// and which WME classes of the final working memory the result frame
+// ships: every class the task's Read reads.
 type WireSpec struct {
 	Dataset string
 	Phase   string // rtf | lcc | fa | model
 	Seeds   []ops5.Seed
-	Extract []string // WME classes snapshotted into the Result
+	Extract []string // WME classes the result frame ships
 }
 
 // SharedSeedIndexes returns the indexes of the spec's shared
@@ -51,24 +48,6 @@ func (s *WireSpec) SharedSeedIndexes() []int {
 		}
 	}
 	return idx
-}
-
-// Snapshot is the working memory extracted from a task's final state:
-// the WMEs of each class the task's Extract names, in timetag order, as
-// copies that outlive the engine's arena-backed memory — and, across a
-// process boundary, stand in for Result.Engine.
-type Snapshot map[string][]*wm.WME
-
-// WMEs returns the result's final WMEs of a class: from the snapshot
-// when the executor took one, from the engine otherwise (a replay that
-// built its own, unsettled engines hands back results with no
-// snapshot). Extractors that only read final working memory see no
-// difference.
-func (r *Result) WMEs(class string) []*wm.WME {
-	if r.Snapshot == nil && r.Engine != nil {
-		return r.Engine.WMEs(class)
-	}
-	return r.Snapshot[class]
 }
 
 // Error classification marks. A worker process reduces each attempt

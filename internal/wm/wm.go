@@ -293,36 +293,23 @@ func (m *Memory) Snapshot() []*WME {
 
 // OfClass returns the live WMEs of a class, ordered by timetag.
 func (m *Memory) OfClass(class string) []*WME {
-	c := m.classes.Lookup(class)
 	var out []*WME
-	for _, w := range m.byTag {
-		if w != nil && w.Class == c {
-			out = append(out, w)
-		}
-	}
+	m.Each(class, func(w *WME) { out = append(out, w) })
 	return out
 }
 
-// CopyClasses returns the live WMEs of the named classes, per class in
-// timetag order, as copies that share nothing with the memory: one WME
-// array and one value array per class, each exactly as large as its
-// rows. It is what outlives a borrowing memory — result extraction
-// copies the few classes it reads before the loan ends. A name that is
-// not a declared class, or has no live WME, maps to nil.
-func (m *Memory) CopyClasses(names []string) map[string][]*WME {
-	out := make(map[string][]*WME, len(names))
-	for _, name := range names {
-		rows, slots := m.OfClass(name), 0
-		for _, w := range rows {
-			slots += len(w.Vals)
-		}
-		recs, vals := make([]WME, len(rows)), make([]symtab.Value, slots)
-		for i, w := range rows {
-			k := copy(vals, w.Vals)
-			recs[i] = WME{Class: w.Class, Vals: vals[:k:k], TimeTag: w.TimeTag}
-			rows[i], vals = &recs[i], vals[k:]
-		}
-		out[name] = rows
+// Each calls f on every live WME of a class, in timetag order, and
+// builds nothing: the walk a task's reader makes of its final working
+// memory before a borrowing memory's loan ends. f must not assert into
+// or remove from the memory.
+func (m *Memory) Each(class string, f func(*WME)) {
+	c := m.classes.Lookup(class)
+	if c == nil {
+		return
 	}
-	return out
+	for _, w := range m.byTag {
+		if w != nil && w.Class == c {
+			f(w)
+		}
+	}
 }
