@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-benchmark loc alloc-profile cpu-profile race bench bench-quick cluster-smoke oracle check
+.PHONY: build test vet vet-benchmark loc alloc-profile cpu-profile radar race bench bench-quick cluster-smoke oracle check
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,11 @@ loc:
 # allocated, once over 10 rounds and once over 40: a site that grows
 # with the rounds allocates in steady state, one that does not is
 # warm-up — the tables docs/PERFORMANCE.md "A task returns its phase's
-# answer" was sized from.
+# answer" was sized from. It ends with the cluster coordinator: the
+# same three spamrun rounds on two worker processes, whose -memprofile
+# is the coordinator's alone (a worker is its own process), merged by
+# bytes allocated — the table docs/PERFORMANCE.md "Coordinator per-task
+# path" starts from.
 alloc-profile:
 	mkdir -p .alloc_profile
 	for n in 10 40; do \
@@ -93,6 +97,12 @@ alloc-profile:
 		-memprofile .alloc_profile/session.prof >/dev/null
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
+	for d in SF DC MOFF; do \
+		.alloc_profile/spamrun -dataset $$d -reentry -cluster-workers 2 \
+			-memprofile .alloc_profile/cluster-$$d.prof >/dev/null || exit 1; \
+	done
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/spamrun \
+		.alloc_profile/cluster-SF.prof .alloc_profile/cluster-DC.prof .alloc_profile/cluster-MOFF.prof
 
 # cpu-profile is alloc-profile's CPU twin: twenty rounds of the
 # benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
@@ -107,6 +117,23 @@ cpu-profile:
 		-cpuprofile .cpu_profile/round.prof -o .cpu_profile/core.test ./internal/core
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
+
+# radar compares the working tree with BASE (a git revision) on the
+# benchmark: BASE is checked out into a git worktree under the
+# gitignored .bench_build/, then `bash benchmark/run.sh -workload W
+# -seconds SECONDS` runs on base and change in alternating order, PAIRS
+# pairs for every workload of the base's BENCHMARK.json. It prints both
+# medians of every end-to-end metric, the change, the base's spread,
+# the bound and the pairs the change won, and fails when a run of the
+# change fails an op or a metric is worse than its bound where the
+# base's spread resolves that bound (elsewhere the metric is reported
+# as unresolved). tools/radar is the program; CI runs it on every pull
+# request against its base.
+BASE ?= main
+PAIRS ?= 5
+SECONDS ?= 20
+radar:
+	$(GO) run ./tools/radar -base $(BASE) -pairs $(PAIRS) -seconds $(SECONDS)
 
 race:
 	$(GO) test -race ./...

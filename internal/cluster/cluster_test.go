@@ -220,7 +220,7 @@ func TestWorkerRejectsBadHandshake(t *testing.T) {
 			coord, work := net.Pipe()
 			errc := make(chan error, 1)
 			go func() { errc <- ServeWorker(work) }()
-			if _, err := writeJSONFrame(coord, frameInit, tc.init); err != nil {
+			if err := sendJSONFrame(coord, frameInit, tc.init); err != nil {
 				t.Fatalf("write init: %v", err)
 			}
 			err := <-errc

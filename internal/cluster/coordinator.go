@@ -151,7 +151,6 @@ type run struct {
 	id    uint64
 	cfg   tlp.RunConfig
 	tasks []*tlp.Task
-	specs []*tlp.WireSpec
 	state []uint8
 	// startAttempt is the global attempt number the task's next
 	// delivery resumes from; it advances when a worker dies holding
@@ -168,19 +167,10 @@ type run struct {
 	overflow  []int   // requeued work, served before shard work
 	failed    error
 	cancelled bool
-	// The chunk plan: per task, the shared seeds grouped into
-	// content-addressed chunks. Sizes are the canonical stateless
-	// encoding, independent of any connection's intern state.
-	chunks [][]chunkRef
-}
-
-// chunkRef is one shared seed of one task, resolved to its
-// content-addressed chunk: the seed's index in the task's WireSpec,
-// the chunk digest, and its encoded size.
-type chunkRef struct {
-	seed   int
-	digest string
-	size   int
+	// wiring counts the run's claimed tasks whose Wire is running on a
+	// feeder. Submit does not return while it is above 0: a Wire reads
+	// state its caller may change once Submit has returned.
+	wiring int
 }
 
 // chunkTable is the coordinator's model of one worker's resident
@@ -196,9 +186,16 @@ type chunkTable struct {
 type chunkEntry struct {
 	id     uint64
 	digest string
-	size   int64
+	size   int64 // the seed's canonical stateless encoding (appendSeed)
 	tick   uint64
 	elem   *list.Element
+}
+
+// newChunk is a chunk a ship adds to a worker's table: its frame
+// precedes the task frame that first references it.
+type newChunk struct {
+	id   uint64
+	seed ops5.Seed
 }
 
 func newChunkTable() *chunkTable {
@@ -236,6 +233,12 @@ type wconn struct {
 	chunks *chunkTable
 	enc    *EncTab
 	ws     *WorkerStats
+	// buf, refs and fresh are one ship's scratch, reused by the next:
+	// the frame being encoded, the task's seed refs and the chunks it
+	// adds. Guarded by writeMu.
+	buf   []byte
+	refs  []int64
+	fresh []newChunk
 }
 
 // hangUp ends a connection whose write failed without discarding what
@@ -550,36 +553,9 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 		return nil, fmt.Errorf("tlp: empty task queue")
 	}
 	ordered := cfg.Order(tasks)
-	specs := make([]*tlp.WireSpec, len(ordered))
-	for i, t := range ordered {
+	for _, t := range ordered {
 		if t.Wire == nil {
 			return nil, fmt.Errorf("cluster: task %s has no wire spec (not cluster-executable)", t.ID)
-		}
-		spec, err := t.Wire()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: task %s: %w", t.ID, err)
-		}
-		specs[i] = spec
-	}
-
-	// The chunk plan: group each task's shared (digest-carrying) seeds
-	// into content-addressed chunks and size each distinct chunk once in
-	// the canonical stateless encoding (the actual chunk frames encode
-	// at ship time against each connection's intern table). Pure
-	// computation — no locks, no connection state.
-	sizes := map[string]int{}
-	chunkPlans := make([][]chunkRef, len(specs))
-	var scratch []byte
-	for i, spec := range specs {
-		for _, j := range spec.SharedSeedIndexes() {
-			s := spec.Seeds[j]
-			size, ok := sizes[s.Digest]
-			if !ok {
-				scratch = appendSeed(scratch[:0], s)
-				size = len(scratch)
-				sizes[s.Digest] = size
-			}
-			chunkPlans[i] = append(chunkPlans[i], chunkRef{seed: j, digest: s.Digest, size: size})
 		}
 	}
 
@@ -596,7 +572,7 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 	}
 	n := len(ordered)
 	rn := &run{
-		id: co.runSeq, cfg: cfg, tasks: ordered, specs: specs,
+		id: co.runSeq, cfg: cfg, tasks: ordered,
 		state:        make([]uint8, n),
 		startAttempt: make([]int, n),
 		priorErrs:    make([][]error, n),
@@ -604,21 +580,19 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 		results:      make([]*tlp.Result, n),
 		remaining:    n,
 		shards:       make([][]int, len(co.slots)),
-		chunks:       chunkPlans,
 	}
 	co.runSeq++
+	queue := make([]int, n)
 	for i := range rn.startAttempt {
 		rn.startAttempt[i] = 1
+		queue[i] = i
 	}
 	// Contiguous striping: shard s owns queue indices [s·n/S, (s+1)·n/S),
 	// so FIFO order within a shard tracks global queue order and a
 	// drained worker steals from the back of the fullest shard.
 	s := len(co.slots)
 	for sh := 0; sh < s; sh++ {
-		lo, hi := sh*n/s, (sh+1)*n/s
-		for i := lo; i < hi; i++ {
-			rn.shards[sh] = append(rn.shards[sh], i)
-		}
+		rn.shards[sh] = queue[sh*n/s : (sh+1)*n/s : (sh+1)*n/s]
 	}
 	co.runs = append(co.runs, rn)
 	co.cond.Broadcast()
@@ -664,6 +638,9 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 			rn.remaining--
 			co.stats.TasksCompleted++
 		}
+	}
+	for rn.wiring > 0 {
+		co.cond.Wait()
 	}
 	co.removeRun(rn)
 	failed := rn.failed
@@ -722,7 +699,8 @@ func (co *Coordinator) pick(w *wconn) (*run, int, bool) {
 
 // claim blocks until the worker has window room and work exists
 // (ok=false when the worker died or the coordinator closed). The
-// claimed task is marked in-flight; the caller must ship it.
+// claimed task is marked in-flight and being wired; the caller must
+// ship it.
 func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -733,6 +711,7 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 		if len(w.inflight) < co.cfg.ShipWindow {
 			if rn, idx, ok := co.pick(w); ok {
 				rn.state[idx] = stateInflight
+				rn.wiring++
 				w.inflight[flightKey{rn.id, idx}] = flight{rn: rn}
 				w.ws.PeakInFlight = max(w.ws.PeakInFlight, len(w.inflight))
 				return rn, idx, true
@@ -742,26 +721,34 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 	}
 }
 
-// ship encodes and writes one claimed task to a connection, preceded
-// by the chunk frames it needs. It returns false on a write
-// error — the caller closes the connection and workerLost requeues
-// everything in flight there, including this task.
+// ship wires one claimed task — its Wire runs here, on the
+// connection's feeder, so the first tasks of a phase reach the workers
+// before the last is wired — then encodes and writes it, preceded by
+// the chunk frames it needs. A Wire error fails the run. ship returns
+// false on a write error — the caller closes the connection and
+// workerLost requeues everything in flight there, including this task.
 //
 // Lock order is writeMu→mu, the same as register.
 func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
+	t := rn.tasks[idx]
+	spec, wireErr := t.Wire()
+
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-
-	type newChunk struct {
-		id   uint64
-		seed ops5.Seed
-	}
-	var (
-		newChunks []newChunk
-		frees     []uint64
-		refs      []int64
-	)
+	var frees []uint64
+	w.refs, w.fresh = w.refs[:0], w.fresh[:0]
+	defer func() { clear(w.fresh) }() // the spec's seeds are not the scratch's to keep
 	co.mu.Lock()
+	if wireErr != nil && rn.failed == nil && !rn.cancelled {
+		rn.failed = fmt.Errorf("cluster: task %s: %w", t.ID, wireErr)
+	}
+	rn.wiring--
+	if rn.wiring == 0 {
+		// The run's Submit waits for its last Wire — which can end after
+		// the run's last result, when its connection died mid-Wire and
+		// another worker re-shipped the task.
+		co.cond.Broadcast()
+	}
 	if w.dead || co.closed {
 		// The connection died between claim and ship; workerLost owns
 		// the requeue of everything in flight here.
@@ -769,9 +756,11 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		return !w.dead
 	}
 	key := flightKey{rn.id, idx}
-	if rn.state[idx] != stateInflight || w.inflight[key].rn != rn {
-		// The run was cancelled between claim and ship (its result is
-		// already synthesized): nothing to send, free the window slot.
+	if wireErr != nil || rn.failed != nil || rn.cancelled || rn.state[idx] != stateInflight || w.inflight[key].rn != rn {
+		// The task has no frame, or its run failed or was cancelled
+		// between claim and ship (a cancelled run's results are
+		// synthesized by its Submit): nothing to send, free the window
+		// slot.
 		delete(w.inflight, key)
 		co.cond.Broadcast()
 		co.mu.Unlock()
@@ -779,36 +768,30 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 	}
 	w.shipSeq++
 	w.inflight[key] = flight{rn: rn, shipped: w.shipSeq}
-	t := rn.tasks[idx]
-	m := &TaskMsg{
-		RunID: rn.id, Seq: idx, StartAttempt: rn.startAttempt[idx],
-		ID: t.ID, Label: t.Label, Group: t.Group,
-		EstSize: t.EstSize, MemEst: t.MemEst,
-		Config: rn.cfg, Spec: *rn.specs[idx],
-	}
 	ct := w.chunks
 	ct.tick++
-	refs = make([]int64, len(m.Spec.Seeds))
-	for i := range refs {
-		refs[i] = -1
-	}
-	for _, cr := range rn.chunks[idx] {
-		e, ok := ct.entries[cr.digest]
+	for _, seed := range spec.Seeds {
+		if seed.Digest == "" {
+			w.refs = append(w.refs, -1) // task-private: ships inline
+			continue
+		}
+		e, ok := ct.entries[seed.Digest]
 		if ok {
 			e.tick = ct.tick
 			ct.lru.MoveToFront(e.elem)
 			co.stats.ChunkHits++
-			co.stats.ChunkSavedBytes += int64(cr.size)
+			co.stats.ChunkSavedBytes += e.size
 			w.ws.ChunkHits++
 		} else {
-			e = &chunkEntry{id: ct.next, digest: cr.digest, size: int64(cr.size), tick: ct.tick}
+			w.buf = appendSeed(w.buf[:0], seed)
+			e = &chunkEntry{id: ct.next, digest: seed.Digest, size: int64(len(w.buf)), tick: ct.tick}
 			ct.next++
 			e.elem = ct.lru.PushFront(e)
-			ct.entries[cr.digest] = e
+			ct.entries[seed.Digest] = e
 			ct.bytes += e.size
-			newChunks = append(newChunks, newChunk{id: e.id, seed: m.Spec.Seeds[cr.seed]})
+			w.fresh = append(w.fresh, newChunk{id: e.id, seed: seed})
 		}
-		refs[cr.seed] = int64(e.id)
+		w.refs = append(w.refs, int64(e.id))
 	}
 	// LRU eviction under the budget — but never a chunk this very
 	// ship references (tick-pinned).
@@ -830,12 +813,19 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 	}
 	w.ws.ResidentChunks = len(ct.entries)
 	w.ws.ResidentBytes = ct.bytes
+	m := TaskMsg{
+		RunID: rn.id, Seq: idx, StartAttempt: rn.startAttempt[idx],
+		ID: t.ID, Label: t.Label, Group: t.Group,
+		EstSize: t.EstSize, MemEst: t.MemEst,
+		Config: rn.cfg, Spec: *spec,
+	}
 	co.mu.Unlock()
 
 	// Encode and write outside mu — only writeMu is held across the
 	// (possibly blocking) socket writes, so result delivery never
-	// stalls behind a slow ship. The encoders intern against w.enc,
-	// which writeMu guards along with the stream order it depends on.
+	// stalls behind a slow ship. Every frame is encoded into w.buf, one
+	// after the other; the encoders intern against w.enc, which writeMu
+	// guards along with the stream order it depends on.
 	wired := 0
 	var chunkBytes int64
 	var err error
@@ -844,18 +834,20 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		n, err = writeFrame(w.bw, frameChunkFree, EncodeChunkFree(frees))
 		wired += n
 	}
-	for _, nc := range newChunks {
+	for _, nc := range w.fresh {
 		if err != nil {
 			break
 		}
 		var n int
-		n, err = writeFrame(w.bw, frameChunk, EncodeChunk(w.enc, nc.id, nc.seed))
+		w.buf = w.enc.chunk(w.buf[:0], nc.id, nc.seed)
+		n, err = writeFrame(w.bw, frameChunk, w.buf)
 		wired += n
 		chunkBytes += int64(n)
 	}
 	if err == nil {
 		var n int
-		n, err = writeFrame(w.bw, frameTaskV2, EncodeTaskV2(w.enc, m, refs))
+		w.buf = w.enc.task(w.buf[:0], &m, w.refs)
+		n, err = writeFrame(w.bw, frameTaskV2, w.buf)
 		wired += n
 	}
 	if err == nil {
@@ -867,7 +859,7 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 		rn.shipBytes[idx] += wired
 		co.stats.TasksShipped++
 		co.stats.ShippedBytes += int64(wired)
-		co.stats.ChunksShipped += len(newChunks)
+		co.stats.ChunksShipped += len(w.fresh)
 		co.stats.ChunkBytes += chunkBytes
 		w.ws.ShippedBytes += int64(wired)
 	}
@@ -895,19 +887,23 @@ func (co *Coordinator) feeder(w *wconn) {
 // reader is a connection's read loop: merge result frames until the
 // connection drops, then run the process-death recovery. It owns the
 // worker→coordinator intern table: one reader per connection, decoding
-// in stream order.
+// in stream order, each frame into the same payload buffer and the same
+// message (resultReader), which deliver is done with before the next
+// frame is read.
 func (co *Coordinator) reader(w *wconn) {
 	br := bufio.NewReaderSize(w.c, 1<<16)
 	dec, rows := &DecTab{}, &frameRows{defs: map[string]*wm.ClassDef{}}
+	var (
+		res resultReader
+		buf []byte
+	)
 	for {
-		typ, payload, err := readFrame(br)
-		if err != nil {
+		typ, payload, err := readFrame(br, buf)
+		if err != nil || typ != frameResult {
 			break
 		}
-		if typ != frameResult {
-			break
-		}
-		m, err := DecodeResultV2(dec, payload)
+		buf = payload
+		m, err := res.decode(dec, payload)
 		if err != nil {
 			break
 		}
@@ -1000,7 +996,9 @@ func (fr *frameRows) read(taskRead func(tlp.Rows) any, classes []SnapClass) (any
 		if len(sc.Rows) == 0 || def != nil && slices.Equal(def.Attrs, sc.Attrs) {
 			continue
 		}
-		def, err := wm.NewClassDef(sc.Name, sc.Attrs...)
+		// The definition keeps its attribute slice; sc.Attrs is the
+		// reader's, which the next frame overwrites.
+		def, err := wm.NewClassDef(sc.Name, slices.Clone(sc.Attrs)...)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: snapshot class %q: %w", sc.Name, err)
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -43,6 +44,25 @@ func dialWorker(t *testing.T, co *Coordinator, nth int) net.Conn {
 		t.Fatalf("worker %d never registered: %v", nth, err)
 	}
 	return c
+}
+
+// sendFrame writes one frame to c in one write, as a worker's or the
+// coordinator's buffered writer flushes it.
+func sendFrame(c net.Conn, typ byte, payload []byte) error {
+	bw := bufio.NewWriter(c)
+	if _, err := writeFrame(bw, typ, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// sendJSONFrame is sendFrame for the JSON frames.
+func sendJSONFrame(c net.Conn, typ byte, v any) error {
+	bw := bufio.NewWriter(c)
+	if _, err := writeJSONFrame(bw, typ, v); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // countingConn counts the worker's Write calls: one per flush of its
@@ -201,7 +221,7 @@ func TestPipelineAbandonsQueueOnDroppedConnection(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- w.serve() }()
 
-	if _, err := writeJSONFrame(coord, frameInit, InitMsg{Magic: Magic, Version: Version, LocalWorkers: 1}); err != nil {
+	if err := sendJSONFrame(coord, frameInit, InitMsg{Magic: Magic, Version: Version, LocalWorkers: 1}); err != nil {
 		t.Fatalf("write init: %v", err)
 	}
 	const backoff = 20 * time.Second
@@ -213,8 +233,7 @@ func TestPipelineAbandonsQueueOnDroppedConnection(t *testing.T) {
 			return err
 		}
 		m := &TaskMsg{RunID: 1, Seq: i, StartAttempt: 1, ID: tasks[i].ID, Config: cfg, Spec: *spec}
-		_, err = writeFrame(coord, frameTaskV2, EncodeTaskV2(enc, m, nil))
-		return err
+		return sendFrame(coord, frameTaskV2, EncodeTaskV2(enc, m, nil))
 	}
 	if err := send(0, slow); err != nil {
 		t.Fatalf("write slow task: %v", err)
@@ -298,7 +317,7 @@ func (s *stubWorker) read() {
 	br := bufio.NewReader(s.conn)
 	dec := &DecTab{}
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil || typ == frameShutdown {
 			return
 		}
@@ -632,5 +651,121 @@ func TestKillPointFlushedResultsSurviveTheDeath(t *testing.T) {
 	}
 	if st := co.Stats(); st.WorkerDeaths != 1 || st.PerWorker[0].Tasks != window {
 		t.Errorf("%d deaths, %d results merged from the victim; want 1 and all %d", st.WorkerDeaths, st.PerWorker[0].Tasks, window)
+	}
+}
+
+// TestPipelineWireFailures holds the two ways a task without a wire
+// form fails its run. A task with no Wire at all is refused before
+// anything ships. A Wire that errors runs on the feeder when its task
+// is shipped, so the tasks ahead of it are on the worker already: the
+// run fails then with Submit's message, nothing behind the task ships,
+// the failed run's window slots all come free as its shipped tasks
+// answer, and the next run on the same worker finishes.
+func TestPipelineWireFailures(t *testing.T) {
+	co := listenBare(t, Config{Workers: 1, LocalWorkers: 1})
+	stub := dialStub(t, co, 1)
+	go stub.serveAll()
+
+	unwired := stubTasks(8)
+	unwired[3].Wire = nil
+	_, err := co.Submit(context.Background(), tlp.RunConfig{}, unwired)
+	if want := "cluster: task kp-0003 has no wire spec (not cluster-executable)"; err == nil || err.Error() != want {
+		t.Fatalf("a task with no Wire: err %v, want %q", err, want)
+	}
+	if st := co.Stats(); st.TasksShipped != 0 {
+		t.Fatalf("%d tasks shipped from a run refused up front", st.TasksShipped)
+	}
+
+	const n, bad = 40, 25
+	tasks := stubTasks(n)
+	tasks[bad].Wire = func() (*tlp.WireSpec, error) { return nil, errors.New("no rows") }
+	failed := make(chan error, 1)
+	go func() {
+		_, err := co.Submit(context.Background(), tlp.RunConfig{}, tasks)
+		failed <- err
+	}()
+	select {
+	case err := <-failed:
+		if want := "cluster: task kp-0025: no rows"; err == nil || err.Error() != want {
+			t.Fatalf("a Wire error mid-queue: err %v, want %q", err, want)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a Wire error did not fail its run")
+	}
+	if got := stub.await(bad); len(got) != bad || got[bad-1].Seq != bad-1 {
+		t.Errorf("shipped %d tasks of a run that failed at task %d", len(got), bad)
+	}
+	// The shipped tasks answer; their slots must all come free.
+	held := -1
+	for deadline := time.Now().Add(10 * time.Second); held != 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		co.mu.Lock()
+		held = len(co.slots[0].inflight) + len(co.runs)
+		co.mu.Unlock()
+	}
+	if held != 0 {
+		t.Fatalf("the failed run still holds %d window slots and runs", held)
+	}
+
+	results, err := co.Submit(context.Background(), tlp.RunConfig{}, stubTasks(n))
+	if err != nil {
+		t.Fatalf("the run after a failed one: %v", err)
+	}
+	for i, r := range results {
+		if r == nil || r.Err != nil {
+			t.Fatalf("task %d of the run after a failed one: %+v", i, r)
+		}
+	}
+}
+
+// TestKillPointWorkerDiesWhileWiringTheLastTask: a worker that dies
+// while its feeder runs the Wire of a run's last task leaves that Wire
+// running after the task is requeued, re-shipped to a survivor and
+// answered there. The run's Submit waits for every Wire it started, so
+// the dead connection's Wire ending must wake it even though the run
+// neither failed nor was cancelled, and nothing else happens on the
+// coordinator afterwards.
+func TestKillPointWorkerDiesWhileWiringTheLastTask(t *testing.T) {
+	co := listenBare(t, Config{Workers: 2, LocalWorkers: 1})
+	victim := dialStub(t, co, 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	tasks := stubTasks(1)
+	wire := tasks[0].Wire
+	tasks[0].Wire = func() (*tlp.WireSpec, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return wire()
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := co.Submit(context.Background(), tlp.RunConfig{MaxRetries: 2}, tasks)
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the victim's feeder never wired the task")
+	}
+	survivor := dialStub(t, co, 2)
+	go survivor.serveAll()
+	victim.conn.Close()
+	for deadline := time.Now().Add(20 * time.Second); co.Stats().TasksCompleted == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the survivor never answered the requeued task")
+		}
+	}
+	close(release)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit did not return once the dead connection's Wire ended")
+	}
+	if st := co.Stats(); st.WorkerDeaths != 1 || st.Uncharged != 1 {
+		t.Errorf("%d deaths, %d tasks requeued uncharged; want 1 and 1", st.WorkerDeaths, st.Uncharged)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"spampsm/internal/faults"
@@ -184,14 +185,13 @@ type ResultMsg struct {
 // ---------------------------------------------------------------------------
 // Framing
 
-// writeFrame emits one frame on w.
-func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
+// writeFrame emits one frame on w. The header is appended into w's own
+// buffer, so a frame costs no allocation of its own.
+func writeFrame(w *bufio.Writer, typ byte, payload []byte) (int, error) {
 	if len(payload) > maxFrame {
 		return 0, fmt.Errorf("cluster: frame payload %d exceeds limit", len(payload))
 	}
-	hdr := make([]byte, 1, 1+binary.MaxVarintLen64)
-	hdr[0] = typ
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	hdr := binary.AppendUvarint(append(w.AvailableBuffer(), typ), uint64(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return 0, err
 	}
@@ -201,8 +201,11 @@ func writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 	return len(hdr) + len(payload), nil
 }
 
-// readFrame reads one frame from r.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
+// readFrame reads one frame from r into buf, which it grows when the
+// payload does not fit: a read loop that passes back the last payload
+// reuses one buffer for every frame, so what it decodes must not keep
+// the payload's bytes.
+func readFrame(r *bufio.Reader, buf []byte) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
 		return 0, nil, err
@@ -214,14 +217,17 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("cluster: frame payload %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
 	return typ, payload, nil
 }
 
-func writeJSONFrame(w io.Writer, typ byte, v interface{}) (int, error) {
+func writeJSONFrame(w *bufio.Writer, typ byte, v interface{}) (int, error) {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return 0, err
@@ -668,7 +674,11 @@ func (d *decoder) runConfigT(t *DecTab) tlp.RunConfig {
 // coordinator-assigned resident id plus the seed. A chunk ships to a
 // given worker at most once; later tasks reference it by id.
 func EncodeChunk(t *EncTab, id uint64, s ops5.Seed) []byte {
-	b := make([]byte, 0, 64)
+	return t.chunk(make([]byte, 0, 64), id, s)
+}
+
+// chunk appends a chunk frame payload to b.
+func (t *EncTab) chunk(b []byte, id uint64, s ops5.Seed) []byte {
 	b = appendUint(b, id)
 	return t.seed(b, s)
 }
@@ -728,7 +738,11 @@ func DecodeChunkFree(payload []byte) ([]uint64, error) {
 // they are unique per run, so interning them would only grow the
 // table.
 func EncodeTaskV2(t *EncTab, m *TaskMsg, refs []int64) []byte {
-	b := make([]byte, 0, 256)
+	return t.task(make([]byte, 0, 256), m, refs)
+}
+
+// task appends a v2 task frame payload to b.
+func (t *EncTab) task(b []byte, m *TaskMsg, refs []int64) []byte {
 	b = appendUint(b, m.RunID)
 	b = appendUint(b, uint64(m.Seq))
 	b = appendUint(b, uint64(m.StartAttempt))
@@ -847,8 +861,10 @@ func (d *decoder) wireError() WireError {
 // stays off the wire entirely — (RunID, Seq) already names the task,
 // and the coordinator restores the ID from its own run state. Error
 // messages stay literal.
-func EncodeResultV2(t *EncTab, m *ResultMsg) []byte {
-	b := make([]byte, 0, 256)
+func EncodeResultV2(t *EncTab, m *ResultMsg) []byte { return t.result(make([]byte, 0, 256), m) }
+
+// result appends a result frame payload to b.
+func (t *EncTab) result(b []byte, m *ResultMsg) []byte {
 	b = appendUint(b, m.RunID)
 	b = appendUint(b, uint64(m.Seq))
 	b = appendUint(b, uint64(m.Worker))
@@ -910,8 +926,29 @@ func EncodeResultV2(t *EncTab, m *ResultMsg) []byte {
 // connection's receiver intern table. The returned message has an
 // empty TaskID — v2 result frames do not carry it.
 func DecodeResultV2(t *DecTab, payload []byte) (*ResultMsg, error) {
+	return new(resultReader).decode(t, payload)
+}
+
+// resultReader decodes one connection's result frames into one reused
+// message: its slices keep their capacity from frame to frame, and
+// every row is carved from one reused value slice. What decode returns
+// is valid until the next decode — the coordinator's reader runs the
+// task's Read over it first, and every phase's read copies what it
+// keeps — so a frame allocates only its new strings and whatever a
+// larger frame than any before it needs.
+type resultReader struct {
+	m    ResultMsg
+	err  WireError
+	vals []symtab.Value
+}
+
+// resize returns s at length n, keeping its array — and the elements'
+// own slices with it — when it is large enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+func (r *resultReader) decode(t *DecTab, payload []byte) (*ResultMsg, error) {
 	d := &decoder{b: payload}
-	m := &ResultMsg{}
+	m := &r.m
 	m.RunID = d.uvarint()
 	m.Seq = int(d.uvarint())
 	m.Worker = int(d.uvarint())
@@ -935,33 +972,34 @@ func DecodeResultV2(t *DecTab, payload []byte) (*ResultMsg, error) {
 	m.Mem.PeakBytes = d.floatC()
 	m.ArenaSlabs = int(d.uvarint())
 	m.ArenaBytes = int64(d.uvarint())
+	m.Err = nil
 	if flags&rfErr != 0 {
-		e := d.wireError()
-		m.Err = &e
+		r.err = d.wireError()
+		m.Err = &r.err
 	}
-	if n := d.count("attempt error"); n > 0 {
-		m.AttemptErrs = make([]WireError, 0, n)
-		for i := 0; i < n; i++ {
-			m.AttemptErrs = append(m.AttemptErrs, d.wireError())
+	m.AttemptErrs = resize(m.AttemptErrs, d.count("attempt error"))
+	for i := range m.AttemptErrs {
+		m.AttemptErrs[i] = d.wireError()
+	}
+	r.vals = r.vals[:0]
+	m.Snapshot = resize(m.Snapshot, d.count("snapshot class"))
+	for i := range m.Snapshot {
+		sc := &m.Snapshot[i]
+		sc.Name = d.str(t)
+		sc.Attrs = resize(sc.Attrs, d.count("snapshot attr"))
+		for j := range sc.Attrs {
+			sc.Attrs[j] = d.str(t)
 		}
-	}
-	if n := d.count("snapshot class"); n > 0 {
-		m.Snapshot = make([]SnapClass, 0, n)
-		for i := 0; i < n; i++ {
-			sc := SnapClass{Name: d.str(t)}
-			if na := d.count("snapshot attr"); na > 0 {
-				sc.Attrs = make([]string, 0, na)
-				for j := 0; j < na; j++ {
-					sc.Attrs = append(sc.Attrs, d.str(t))
+		sc.Rows = resize(sc.Rows, d.count("snapshot row"))
+		for j := range sc.Rows {
+			sc.Rows[j] = nil
+			if n := d.count("value"); n > 0 {
+				start := len(r.vals)
+				for range n {
+					r.vals = append(r.vals, d.valueT(t))
 				}
+				sc.Rows[j] = r.vals[start:len(r.vals):len(r.vals)]
 			}
-			if nr := d.count("snapshot row"); nr > 0 {
-				sc.Rows = make([][]symtab.Value, 0, nr)
-				for j := 0; j < nr; j++ {
-					sc.Rows = append(sc.Rows, d.valuesT(t))
-				}
-			}
-			m.Snapshot = append(m.Snapshot, sc)
 		}
 	}
 	if d.err != nil {

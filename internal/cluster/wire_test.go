@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -169,14 +171,23 @@ func TestWireBuildMatchesLocalBuild(t *testing.T) {
 // engine to the output it gives on the rows a worker would ship of the
 // engine, encoded into a result frame and decoded as the coordinator
 // decodes it — over one codec table pair and one set of class
-// definitions, like a connection.
+// definitions, like a connection — and decoded a second time, into one
+// resultReader's reused buffers in stream order, as the coordinator's
+// reader decodes it.
 type outputWireRunner struct {
-	t      *testing.T
-	enc    *EncTab
-	dec    *DecTab
-	rows   *frameRows
-	phases map[string]int
-	reread int // re-entry tasks
+	t         *testing.T
+	enc       *EncTab
+	dec       *DecTab
+	rows      *frameRows
+	reuse     resultReader
+	reuseDec  *DecTab
+	reuseRows *frameRows
+	prev      string              // the last task read through the reused buffers
+	prevOut   any                 // what it read there
+	prevWant  any                 // what it read on its fresh decode
+	defAttrs  map[string][]string // reuseRows' cached definitions' attributes, as they were cached
+	phases    map[string]int
+	reread    int // re-entry tasks
 }
 
 func (r *outputWireRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
@@ -194,8 +205,8 @@ func (r *outputWireRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*
 			return nil, err
 		}
 		live := task.Read(e)
-		res := &ResultMsg{Attempts: 1, Stats: e.Stats(), Snapshot: snapRows(e, spec.Extract)}
-		m, err := DecodeResultV2(r.dec, EncodeResultV2(r.enc, res))
+		frame := EncodeResultV2(r.enc, &ResultMsg{Attempts: 1, Stats: e.Stats(), Snapshot: snapRows(e, spec.Extract)})
+		m, err := DecodeResultV2(r.dec, frame)
 		if err != nil {
 			return nil, err
 		}
@@ -205,6 +216,31 @@ func (r *outputWireRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*
 		}
 		if !reflect.DeepEqual(live, shipped) {
 			r.t.Errorf("task %s: output read from the live engine\n%+v\nfrom its result frame\n%+v", task.ID, live, shipped)
+		}
+		reused, err := r.reuse.decode(r.reuseDec, frame)
+		if err != nil {
+			return nil, err
+		}
+		// The frame just landed on the last one's buffers: what the last
+		// task read there must not have changed with them.
+		if r.prev != "" && !reflect.DeepEqual(r.prevOut, r.prevWant) {
+			r.t.Errorf("task %s: its output changed when the next frame was decoded into the reused buffers\n%+v\nwant\n%+v", r.prev, r.prevOut, r.prevWant)
+		}
+		for name, def := range r.reuseRows.defs {
+			if !slices.Equal(def.Attrs, r.defAttrs[name]) {
+				r.t.Errorf("task %s: the cached definition of %s changed when the frame was decoded into the reused buffers: %v, cached as %v", task.ID, name, def.Attrs, r.defAttrs[name])
+			}
+		}
+		got, err := r.reuseRows.read(task.Read, reused.Snapshot)
+		if err != nil {
+			return nil, err
+		}
+		if !reflect.DeepEqual(got, shipped) {
+			r.t.Errorf("task %s: output read from the reused buffers\n%+v\nfrom a fresh decode\n%+v", task.ID, got, shipped)
+		}
+		r.prev, r.prevOut, r.prevWant = task.ID, got, shipped
+		for name, def := range r.reuseRows.defs {
+			r.defAttrs[name] = slices.Clone(def.Attrs)
 		}
 		r.phases[spec.Phase]++
 		if strings.HasPrefix(task.ID, "lccr") {
@@ -219,12 +255,18 @@ func (r *outputWireRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*
 // with re-entry, in all four phases, the task's Read gives the same
 // output on its live engine as on its encoded and decoded result frame
 // — the wire ships every class a phase's read reads (WireSpec.Extract).
+// It gives that output too on the frame decoded in stream order into
+// one reader's reused message and value slice, and still gives it after
+// the next frame is decoded over them: no phase's read keeps a value
+// slice the coordinator's reader will overwrite, and no class definition
+// the reader's frameRows caches changes with them.
 func TestDifferentialTaskOutputWire(t *testing.T) {
 	d, err := spam.NewDataset(scene.DC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &outputWireRunner{t: t, enc: NewEncTab(), dec: &DecTab{}, rows: &frameRows{defs: map[string]*wm.ClassDef{}}, phases: map[string]int{}}
+	r := &outputWireRunner{t: t, enc: NewEncTab(), dec: &DecTab{}, rows: &frameRows{defs: map[string]*wm.ClassDef{}},
+		reuseDec: &DecTab{}, reuseRows: &frameRows{defs: map[string]*wm.ClassDef{}}, defAttrs: map[string][]string{}, phases: map[string]int{}}
 	in, err := d.Interpret(spam.InterpretOptions{ReEntry: true, Runner: r})
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +454,11 @@ func fuzzResolve(id uint64) (ops5.Seed, bool) {
 // deleted v1 task and result codecs); the codecs run against fresh
 // intern tables per frame, so the invariant is the single-frame
 // canonical form (cross-frame table state is pinned by
-// TestWireV2InternSharing).
+// TestWireV2InternSharing). Selector 6 is two result frames of one
+// stream, the first prefixed with its length, decoded back to back into
+// one resultReader's reused buffers: each must decode to what a fresh
+// DecodeResultV2 beside it gives, the first before the second is
+// decoded over it.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, m := range corpusTasks(f) {
 		f.Add(append([]byte{2}, EncodeTaskV2(NewEncTab(), m, nil)...))
@@ -450,12 +496,20 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(append([]byte{2}, full...))
 	f.Add(append([]byte{2}, trailing...))
 	f.Add(append([]byte{2}, truncated...))
+	// Result pairs: a large frame then a small one over its buffers, the
+	// reverse, and one frame twice, the second time by reference only.
+	results := sampleResults()
+	for _, pair := range [][2]*ResultMsg{{results[0], results[1]}, {results[1], results[0]}, {results[0], results[0]}, {results[2], results[0]}} {
+		enc := NewEncTab()
+		first, second := EncodeResultV2(enc, pair[0]), EncodeResultV2(enc, pair[1])
+		f.Add(append(binary.AppendUvarint([]byte{6}, uint64(len(first))), append(first, second...)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		kind, payload := data[0], data[1:]
-		switch kind % 6 {
+		switch kind % 7 {
 		case 2:
 			m, refs, err := DecodeTaskV2(&DecTab{}, payload, fuzzResolve)
 			if err != nil {
@@ -507,6 +561,27 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			if !bytes.Equal(enc, EncodeResultV2(NewEncTab(), r2)) {
 				t.Fatalf("result v2 encoding not canonical")
+			}
+		case 6:
+			n, k := binary.Uvarint(payload)
+			if k <= 0 || n > uint64(len(payload)-k) {
+				return
+			}
+			frames := [2][]byte{payload[k : k+int(n)], payload[k+int(n):]}
+			var reused resultReader
+			reuseTab, freshTab := &DecTab{}, &DecTab{}
+			for i, frame := range frames {
+				got, err := reused.decode(reuseTab, frame)
+				want, wantErr := DecodeResultV2(freshTab, frame)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("frame %d: reused decode err %v, fresh decode err %v", i, err, wantErr)
+				}
+				if err != nil {
+					return
+				}
+				if !bytes.Equal(EncodeResultV2(NewEncTab(), got), EncodeResultV2(NewEncTab(), want)) {
+					t.Fatalf("frame %d decoded into reused buffers differs from its fresh decode", i)
+				}
 			}
 		}
 	})

@@ -88,9 +88,11 @@ type worker struct {
 	pool    *tlp.Pool
 	onStart func(queued int)
 
-	// writeMu guards bw, enc and unflushed: the result frames written
-	// since the last flush.
+	// writeMu guards bw, enc, buf — the frame being encoded, reused by
+	// the next — and unflushed: the result frames written since the last
+	// flush.
 	writeMu   sync.Mutex
+	buf       []byte
 	unflushed int
 }
 
@@ -123,7 +125,7 @@ func newWorker(c net.Conn) *worker {
 func (w *worker) serve() error {
 	defer w.conn.Close()
 
-	typ, payload, err := readFrame(w.br)
+	typ, payload, err := readFrame(w.br, nil)
 	if err != nil {
 		return fmt.Errorf("handshake read: %w", err)
 	}
@@ -150,14 +152,18 @@ func (w *worker) serve() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
+	// One payload buffer serves every frame: each decoder copies what it
+	// keeps out of it before the next read.
+	buf := payload
 	var loopErr error
 loop:
 	for {
-		typ, payload, err := readFrame(w.br)
+		typ, payload, err := readFrame(w.br, buf)
 		if err != nil {
 			loopErr = fmt.Errorf("read: %w", err)
 			break
 		}
+		buf = payload
 		switch typ {
 		case frameDataset:
 			var spec DatasetSpec
@@ -312,7 +318,8 @@ func (w *worker) send(ctx context.Context, res *ResultMsg) {
 	if ctx.Err() != nil {
 		return // the connection is gone
 	}
-	if _, err := writeFrame(w.bw, frameResult, EncodeResultV2(w.enc, res)); err != nil {
+	w.buf = w.enc.result(w.buf[:0], res)
+	if _, err := writeFrame(w.bw, frameResult, w.buf); err != nil {
 		return
 	}
 	w.unflushed++

@@ -40,7 +40,7 @@ func pipeWorker(t *testing.T, d *spam.Dataset, init InitMsg, onStart func(queued
 	p.w.onStart = onStart
 	go func() { p.served <- p.w.serve() }()
 	init.Magic, init.Version = Magic, Version
-	if _, err := writeJSONFrame(coord, frameInit, init); err != nil {
+	if err := sendJSONFrame(coord, frameInit, init); err != nil {
 		t.Fatalf("write init: %v", err)
 	}
 	return p
@@ -54,7 +54,7 @@ func (p *pipedWorker) send(tasks []*tlp.Task, i int, cfg tlp.RunConfig) {
 		p.t.Fatal(err)
 	}
 	m := &TaskMsg{RunID: 1, Seq: i, StartAttempt: 1, ID: tasks[i].ID, Config: cfg, Spec: *spec}
-	if _, err := writeFrame(p.coord, frameTaskV2, EncodeTaskV2(p.enc, m, nil)); err != nil {
+	if err := sendFrame(p.coord, frameTaskV2, EncodeTaskV2(p.enc, m, nil)); err != nil {
 		p.t.Fatalf("write task %d: %v", i, err)
 	}
 }
@@ -62,7 +62,7 @@ func (p *pipedWorker) send(tasks []*tlp.Task, i int, cfg tlp.RunConfig) {
 // recv reads one result frame.
 func (p *pipedWorker) recv() *ResultMsg {
 	p.t.Helper()
-	typ, payload, err := readFrame(p.br)
+	typ, payload, err := readFrame(p.br, nil)
 	if err != nil || typ != frameResult {
 		p.t.Fatalf("read result: frame type %d, %v", typ, err)
 	}
