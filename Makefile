@@ -22,12 +22,12 @@ vet-benchmark:
 # loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
 # definitions under cmd/ (a test's own flags, like the golden tests'
-# -update, are not the commands') — and five counts that must stay
+# -update, are not the commands') — and six counts that must stay
 # zero: build switches, package-level atomic.Bool declarations in
 # internal/spam and internal/geom, which is what a process-global
 # switch is made of, the cluster's retired second way onto a worker,
-# the retired second set of task processes, and the real pool's retired
-# memory gate. The first counts
+# the retired second set of task processes, the real pool's retired
+# memory gate, and the retired patched partner grid. The first counts
 # mentions of the process-global switches (tests and comments
 # included) and non-test mentions of the per-run build mode that
 # replaced them and of its reference bits, which now live only in
@@ -38,9 +38,13 @@ vet-benchmark:
 # entry, the benign firing cap, spam's private-pool runner and the
 # retired second executor with its per-run arena hand-off: tlp.Pool is
 # the one executor — a worker process, a server and an interpretation
-# each run on one — and every executor takes its RunConfig per call. The fifth counts non-test mentions of the memory
-# gate and its knobs: the memory budget is the simulator's
-# (machine.RunSpecs), and the real pools order by policy only.
+# each run on one — and every executor takes its RunConfig per call.
+# The fifth counts non-test mentions of the memory gate and its knobs:
+# the memory budget is the simulator's (machine.RunSpecs), and the real
+# pools order by policy only. The sixth counts non-test mentions of the
+# partner grid a session kept and patched, its update counters and its
+# size gate: every run builds its LCC partner index from its fragment
+# pool, one way (internal/spam/fraggrid.go).
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
@@ -61,6 +65,9 @@ loc:
 	@printf 'real-pool memory gate mentions (cmd, internal; want 0): '; \
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
 			'memGate|MemBudget|MemSched|runGated|mem-budget' cmd internal | wc -l
+	@printf 'patched partner grid mentions (cmd, internal; want 0): '; \
+		grep -rhoE --include='*.go' --exclude='*_test.go' \
+			'\.refresh\(|LiveGridStats|partnerGrid|GridStats|slotOf|gridMinFragments' cmd internal | wc -l
 
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored
@@ -145,8 +152,9 @@ bench:
 # symbol-intern, join-test, constant-test-dispatch (a null activation
 # included), recognize-act (a conflict set full of fired instantiations
 # included), seed-load, engine-construction, geometry-predicate,
-# partner-search and task-scheduler microbenchmarks at a short
-# benchtime, well under 60 s.
+# partner-search (the grid's construction, which every run pays once
+# per fragment pool, included) and task-scheduler microbenchmarks at a
+# short benchtime, well under 60 s.
 # It exists to surface gross wall-clock regressions (an optimized variant suddenly
 # slower than its baseline) in the log; the measured numbers are
 # benchmark/run.sh's.

@@ -166,6 +166,9 @@ func (s *System) Measure(capture bool) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A measurement only needs cost logs and statistics; dropping each
+	// task's engine (its Rete network and working memory) keeps large
+	// queues from pinning gigabytes.
 	pool := &tlp.Pool{Workers: 1, DropEngines: true}
 	results, err := pool.Run(tasks)
 	if err != nil {
@@ -186,10 +189,6 @@ func (s *System) Measure(capture bool) (*Measurement, error) {
 		m.RHSActions += r.Stats.RHSActions
 		m.TaskTimes = append(m.TaskTimes, r.Stats.TotalInstr())
 		m.TaskGroups = append(m.TaskGroups, byID[r.TaskID])
-		// A measurement only needs cost logs and statistics; releasing
-		// each task's engine (its Rete network and working memory) keeps
-		// large queues from pinning gigabytes.
-		r.Engine = nil
 	}
 	m.Exp = machine.NewExperiment(mtasks)
 	return m, nil

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
@@ -41,6 +42,18 @@ type session struct {
 	name   string // dataset name for /stats
 	tenant string
 	sess   *spam.Session
+
+	// updates and regions are what /stats reports of sess, published
+	// when a run on it completes: a /stats read never touches the live
+	// session, which an update may be rewriting.
+	updates, regions atomic.Int64
+}
+
+// publish records sess's counts for /stats. Call it holding mu, or
+// before the session is registered.
+func (s *session) publish() {
+	s.updates.Store(int64(s.sess.Updates()))
+	s.regions.Store(int64(len(s.sess.Scene().Regions)))
 }
 
 // sessionStore is the server's LRU-bounded live-session table.
@@ -83,6 +96,7 @@ func (st *sessionStore) open(name, tenant string, sess *spam.Session) *session {
 	}
 	st.seq++
 	s := &session{id: fmt.Sprintf("s%d", st.seq), name: name, tenant: tenant, sess: sess}
+	s.publish()
 	st.byID[s.id] = s
 	st.lastUse[s.id] = st.seq
 	st.opened++
@@ -115,13 +129,12 @@ func (st *sessionStore) close(id string) bool {
 
 // SessionStat is one live session's /stats row.
 type SessionStat struct {
-	ID      string             `json:"id"`
-	Dataset string             `json:"dataset"`
-	Tenant  string             `json:"tenant"`
-	Updates int                `json:"updates"`
-	Regions int                `json:"regions"`
-	Geo     spam.GeoMemoStats  `json:"geo"`
-	Grid    spam.LiveGridStats `json:"grid"`
+	ID      string            `json:"id"`
+	Dataset string            `json:"dataset"`
+	Tenant  string            `json:"tenant"`
+	Updates int               `json:"updates"`
+	Regions int               `json:"regions"`
+	Geo     spam.GeoMemoStats `json:"geo"`
 }
 
 // SessionStats is the /stats session section.
@@ -145,17 +158,16 @@ func (st *sessionStore) stats() SessionStats {
 		Updates: st.updates,
 	}
 	for _, s := range st.byID {
-		// Snapshot without taking s.mu: the store counters are only
-		// read here, and a mid-update session's counters are merely a
-		// moment older.
+		// Snapshot without taking s.mu: the counts are the last
+		// completed run's and the memo counters are synchronized, so a
+		// mid-update session's row is merely a moment older.
 		out.Live = append(out.Live, SessionStat{
 			ID:      s.id,
 			Dataset: s.name,
 			Tenant:  s.tenant,
-			Updates: s.sess.Updates(),
-			Regions: len(s.sess.Scene().Regions),
+			Updates: int(s.updates.Load()),
+			Regions: int(s.regions.Load()),
 			Geo:     s.sess.Store().GeoStats(),
-			Grid:    s.sess.GridStats(),
 		})
 	}
 	return out
@@ -320,6 +332,7 @@ func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 				}
 				return func(ctx context.Context) (*spam.Interpretation, any, error) {
 					in, rep, err := sess.sess.Update(ctx, delta)
+					sess.publish()
 					switch {
 					case err != nil && rep == nil:
 						// The delta was rejected before anything ran

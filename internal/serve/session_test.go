@@ -355,3 +355,48 @@ func TestServeSessionConcurrentUpdates(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestServeStatsConcurrentWithSessionUpdate polls /stats while a
+// session updates (run under -race via the oracle target): a session's
+// /stats row reads what its last completed run published, never the
+// live session an update is rewriting, and once the updates are done
+// it counts every one of them and the scene they left.
+func TestServeStatsConcurrentWithSessionUpdate(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 2})
+	id, _ := openSession(t, ts.URL, sessionBody(t, tinyScene("poll", 0), ""))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				srv.Stats()
+			}
+		}
+	}()
+	const updates = 4
+	for k := 0; k < updates; k++ {
+		body := fmt.Sprintf(`{"session":%q,"churn":{"seed":%d,"fraction":0.3}}`, id, 60+k)
+		if resp, _, b := updateSession(t, ts.URL, body); resp.StatusCode != 200 {
+			t.Fatalf("update %d: %d %s", k, resp.StatusCode, b)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	live := srv.Stats().Sessions.Live
+	if len(live) != 1 || live[0].ID != id {
+		t.Fatalf("live sessions: %+v", live)
+	}
+	sess := srv.sessions.get(id)
+	sess.mu.Lock()
+	regions := len(sess.sess.Scene().Regions)
+	sess.mu.Unlock()
+	if live[0].Updates != updates || live[0].Regions != regions {
+		t.Fatalf("stats row %+v, want %d updates over %d regions", live[0], updates, regions)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"spampsm/internal/geom"
 	"spampsm/internal/scene"
 )
 
@@ -50,10 +51,13 @@ func TestDifferentialGeoMemoVsDirect(t *testing.T) {
 
 // TestDifferentialPartnerSearchGridVsScan asserts the partner grid
 // returns byte-identical slices to the linear NearbyFragments scan for
-// every focal, kind and radius — over an ID-sorted pool, as RTF
-// extracts one, and over a re-entry pool: that pool plus fragments
-// hypothesized on the regions it left out, numbered above its maximum
-// ID (the two shapes partnerQuery is handed).
+// every focal, kind and radius, over every pool shape a run hands it:
+// an ID-sorted pool, as RTF extracts one; a re-entry pool, that pool
+// plus fragments hypothesized on the regions it left out, numbered
+// above its maximum ID; a pool under 24 fragments; the ID-sorted pool
+// again after the store applied a delta that removed two of its
+// fragments' regions and moved two others', as a session's update
+// does; and a pool whose regions are all one point, a zero extent.
 func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 	d := smallDC(t)
 	st := d.Store
@@ -65,44 +69,93 @@ func TestDifferentialPartnerSearchGridVsScan(t *testing.T) {
 		}
 		frags = append(frags, &Fragment{ID: len(frags) + 1, RegionID: r.ID, Type: r.TrueKind, Conf: 80})
 	}
-	if len(frags) < gridMinFragments || len(extra) == 0 {
+	if len(frags) < 40 || len(extra) == 0 {
 		t.Fatalf("scene too small to exercise the grid: %d fragments, %d re-entry", len(frags), len(extra))
 	}
 	for i, f := range extra {
 		f.ID = len(frags) + 1 + i
 	}
 	reentry := append(append([]*Fragment(nil), frags...), extra...)
-	for _, pool := range [][]*Fragment{frags, reentry} {
-		g := newLiveGrid(st, pool)
-		if g == nil {
-			t.Fatal("grid not built")
+	for _, pool := range [][]*Fragment{frags, reentry, frags[:10]} {
+		holdGridToScan(t, st, pool)
+	}
+
+	// Remove two pool fragments' regions, move two others' and add
+	// three regions that are one and the same point.
+	maxID := 0
+	for _, r := range d.Scene.Regions {
+		maxID = max(maxID, r.ID)
+	}
+	delta := &scene.Delta{Removed: []int{frags[3].RegionID, frags[20].RegionID}}
+	for _, f := range []*Fragment{frags[0], frags[11]} {
+		r := *st.Get(f.RegionID)
+		r.Poly = r.Poly.Clone()
+		for i := range r.Poly {
+			r.Poly[i].X += 700
+			r.Poly[i].Y -= 450
 		}
-		kinds := map[scene.Kind]bool{}
-		for _, f := range pool {
-			kinds[f.Type] = true
-		}
-		for _, focal := range pool {
-			for k := range kinds {
-				for _, radius := range []float64{0, 150, 900, 1e9} {
-					want := NearbyFragments(st, focal, k, pool, radius)
-					got := g.query(focal, k, radius)
-					if len(got) != len(want) {
-						t.Fatalf("pool of %d, focal %d kind %s radius %v: grid %d scan %d",
-							len(pool), focal.ID, k, radius, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("pool of %d, focal %d kind %s radius %v: element %d differs",
-								len(pool), focal.ID, k, radius, i)
-						}
+		delta.Moved = append(delta.Moved, &r)
+	}
+	pt := st.Derived(frags[5].RegionID).BBox.Min
+	var points []*Fragment
+	for i, k := range []scene.Kind{frags[0].Type, frags[0].Type, frags[1].Type} {
+		r := &scene.Region{ID: maxID + 1 + i, Poly: geom.Polygon{pt, pt, pt}, TrueKind: k}
+		delta.Added = append(delta.Added, r)
+		points = append(points, &Fragment{ID: i + 1, RegionID: r.ID, Type: k, Conf: 50})
+	}
+	moved := st.Derived(frags[0].RegionID).BBox
+	if err := st.ApplyDelta(delta); err != nil {
+		t.Fatal(err)
+	}
+	if st.Get(frags[3].RegionID) != nil || st.Derived(frags[0].RegionID).BBox == moved {
+		t.Fatal("the delta did not remove and move the pool's regions")
+	}
+	if bb := st.Derived(points[0].RegionID).BBox; bb.W() != 0 || bb.H() != 0 {
+		t.Fatalf("point region has extent %v", bb)
+	}
+	for _, pool := range [][]*Fragment{frags, points} {
+		holdGridToScan(t, st, pool)
+	}
+	// Cell coordinates over a zero extent would divide by zero.
+	if g := newLiveGrid(st, points); g.cols != 1 || g.rows != 1 {
+		t.Fatalf("zero-extent pool: %d×%d grid, want 1×1", g.cols, g.rows)
+	}
+
+	// A reference store must refuse to build a grid.
+	if newLiveGrid(referenceOf(d).Store, frags) != nil {
+		t.Fatal("grid built on a reference store")
+	}
+}
+
+// holdGridToScan builds the grid over one pool and holds every query
+// to NearbyFragments element for element.
+func holdGridToScan(t *testing.T, st *RegionStore, pool []*Fragment) {
+	t.Helper()
+	g := newLiveGrid(st, pool)
+	if g == nil {
+		t.Fatal("grid not built")
+	}
+	kinds := map[scene.Kind]bool{}
+	for _, f := range pool {
+		kinds[f.Type] = true
+	}
+	for _, focal := range pool {
+		for k := range kinds {
+			for _, radius := range []float64{0, 150, 900, 1e9} {
+				want := NearbyFragments(st, focal, k, pool, radius)
+				got := g.query(focal, k, radius)
+				if len(got) != len(want) {
+					t.Fatalf("pool of %d, focal %d kind %s radius %v: grid %d scan %d",
+						len(pool), focal.ID, k, radius, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("pool of %d, focal %d kind %s radius %v: element %d differs",
+							len(pool), focal.ID, k, radius, i)
 					}
 				}
 			}
 		}
-	}
-	// A reference store must refuse to build a grid.
-	if newLiveGrid(referenceOf(d).Store, frags) != nil {
-		t.Fatal("grid built on a reference store")
 	}
 }
 
@@ -245,7 +298,8 @@ func TestGeoMemoCapEviction(t *testing.T) {
 }
 
 // BenchmarkPartnerSearch measures the grid-indexed partner query
-// against the linear fragment scan it replaces.
+// against the linear fragment scan it replaces, and the grid's
+// construction, which every run pays once per pool.
 func BenchmarkPartnerSearch(b *testing.B) {
 	p := scene.DC.Scale(0.5)
 	p.Name = "DC-small"
@@ -277,6 +331,14 @@ func BenchmarkPartnerSearch(b *testing.B) {
 			}
 		}
 		_ = n
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if newLiveGrid(st, frags) == nil {
+				b.Fatal("no grid")
+			}
+		}
 	})
 	b.Run("grid", func(b *testing.B) {
 		ix := newLiveGrid(st, frags)

@@ -1,11 +1,10 @@
 // Incremental store maintenance: folding a scene delta into a live
 // RegionStore without rebuilding it.
 //
-// The store invalidates by identity, not by flush, as a session's
-// fragment grid does (fraggrid.go). The predicate memo is epoch-stamped
-// (see externals.go): ApplyDelta bumps each changed region's epoch,
-// instantly orphaning every memoised boolean that read the old
-// geometry, at O(1) per region.
+// The store invalidates by identity, not by flush. The predicate memo
+// is epoch-stamped (see externals.go): ApplyDelta bumps each changed
+// region's epoch, instantly orphaning every memoised boolean that read
+// the old geometry, at O(1) per region.
 package spam
 
 import (

@@ -293,8 +293,8 @@ func (d *Dataset) InterpretContext(ctx context.Context, opt InterpretOptions) (*
 // one-shot interpretation (s nil) runs every spec on the dataset
 // itself. A Session (s non-nil, d its private dataset) diffs each
 // spec's signature against its cache, runs only what changed — as
-// fresh tasks — keeps each result with its output, and finds LCC
-// partners through its persistent grid.
+// fresh tasks — and keeps each result with its output. Both find LCC
+// partners the same way: a grid built over each pool (partnerQuery).
 func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Session) (*Interpretation, error) {
 	in := &Interpretation{Dataset: d}
 	if opt.Level < Level1 || opt.Level > Level4 {
@@ -354,11 +354,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	in.Phases = append(in.Phases, phaseStats("RTF", rtf, len(in.Fragments)))
 
 	// Phase 2: LCC.
-	var grid *liveGrid
-	if s != nil {
-		grid = s.partnerGrid(in.Fragments)
-	}
-	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments, grid))
+	units := unitsWith(d.KB, in.Fragments, opt.Level, partnerQuery(d.Store, in.Fragments))
 	lcc, err := phase("LCC", lccUnitSpecs(name, units, opt.Level, false))
 	if err != nil {
 		return in, err
@@ -376,13 +372,12 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 
 	// FA→LCC re-entry: predictions hypothesize fragments on regions
 	// that RTF left unclassified; LCC re-checks only those, against the
-	// full fragment pool (which the session's grid does not hold, hence
-	// the transient index). Their cost is attributed to the LCC phase,
+	// full fragment pool. Their cost is attributed to the LCC phase,
 	// where the paper accounts it.
 	if opt.ReEntry && len(in.Predictions) > 0 {
 		if extra := d.reEntryFragments(in); len(extra) > 0 {
 			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
-			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2, nil))
+			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2))
 			if specs := lccUnitSpecs(name, units, opt.Level, true); len(specs) > 0 {
 				re, err := phase("LCC re-entry", specs)
 				if err != nil {

@@ -70,7 +70,7 @@ func TestLCCSeedsWriteEachFragmentOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, level := range []Level{Level3, Level4} {
-		units := unitsWith(d.KB, in.Fragments, level, partnerQuery(d.Store, in.Fragments, nil))
+		units := unitsWith(d.KB, in.Fragments, level, partnerQuery(d.Store, in.Fragments))
 		for _, sp := range lccUnitSpecs(d.Scene.Name, units, level, false) {
 			var want []int
 			add := func(f *Fragment) {

@@ -2,14 +2,16 @@
 // proportional to scene churn.
 //
 // A Session holds a live interpretation of one scene — a private scene
-// clone, its RegionStore, a persistent fragment grid, and every phase
-// task's result — and folds scene deltas into it. What it keeps of a
-// finished task is what a cluster result carries: statistics, cost log
-// and the task's output, what its phase's read made of its final working
-// memory. Never an engine: a task's match state goes back to its worker
-// when the task ends, here as everywhere. A session run is
-// Dataset.interpret — the same four-phase driver over the same task
-// specs (tasks.go) as a one-shot interpretation — with retention on.
+// clone, its RegionStore and every phase task's result — and folds
+// scene deltas into it. What it keeps of a finished task is what a
+// cluster result carries: statistics, cost log and the task's output,
+// what its phase's read made of its final working memory. Never an
+// engine: a task's match state goes back to its worker when the task
+// ends, here as everywhere. Nor a partner grid: each run builds its LCC
+// partner index from the pool it enumerates, as a one-shot run does. A
+// session run is Dataset.interpret — the same four-phase driver over
+// the same task specs (tasks.go) as a one-shot interpretation — with
+// retention on.
 // Spec keys are stable (RTF batches by region-ID cell, LCC units by
 // focal fragment and constraint, FA tasks by seed fragment), so the
 // same logical task keeps its identity across updates. On each run the
@@ -79,9 +81,8 @@ const diffInstrPerSeed = rete.CostAlphaScan
 
 // Session is a live, updatable interpretation of one scene.
 type Session struct {
-	ds   *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
-	opt  InterpretOptions
-	grid *liveGrid // session-persistent LCC partner index
+	ds  *Dataset // private: cloned scene, own RegionStore; shared KB/Progs
+	opt InterpretOptions
 
 	tasks   map[string]*sessTask
 	sig     signer
@@ -254,11 +255,8 @@ type UpdateReport struct {
 
 	Wall time.Duration `json:"wallNs"`
 
-	// Grid and Geo surface the session's incremental index counters:
-	// the live grid's patch work and the store's predicate-memo
-	// hit/eviction accounting.
-	Grid LiveGridStats `json:"grid"`
-	Geo  GeoMemoStats  `json:"geo"`
+	// Geo is the store's predicate-memo hit/eviction accounting.
+	Geo GeoMemoStats `json:"geo"`
 }
 
 // RerunReasons lists Reasons as sorted "<key> ×<count>" entries, for a
@@ -305,10 +303,6 @@ func (s *Session) Store() *RegionStore { return s.ds.Store }
 // Updates returns the number of deltas folded in so far.
 func (s *Session) Updates() int { return s.updates }
 
-// GridStats returns the persistent fragment grid's update counters
-// (zero while the session runs the scan path).
-func (s *Session) GridStats() LiveGridStats { return s.grid.Stats() }
-
 // Interpret runs the initial interpretation (or re-runs the current
 // scene state; an unchanged scene reuses every cached task).
 func (s *Session) Interpret(ctx context.Context) (*Interpretation, *UpdateReport, error) {
@@ -352,20 +346,8 @@ func (s *Session) run(ctx context.Context, deltaSize int) (*Interpretation, *Upd
 	}
 	rep.UpdateInstr += rep.DiffInstr
 	rep.Wall = time.Since(start)
-	rep.Grid = s.grid.Stats()
 	rep.Geo = s.ds.Store.GeoStats()
 	return in, rep, err
-}
-
-// partnerGrid brings the persistent grid up to date with the RTF
-// output and returns it (nil while the pool is too small for one).
-func (s *Session) partnerGrid(frags []*Fragment) *liveGrid {
-	if s.grid == nil {
-		s.grid = newLiveGrid(s.ds.Store, frags)
-	} else {
-		s.grid.refresh(frags)
-	}
-	return s.grid
 }
 
 // rerunReason names what changed between the signature a cached task

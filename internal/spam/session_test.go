@@ -506,35 +506,6 @@ func TestSessionDropsStaleTasks(t *testing.T) {
 		fromScratch(t, d, sess.Scene(), InterpretOptions{Workers: 2}))
 }
 
-// TestSessionLiveGridConsistency drives the persistent grid through
-// several updates and verifies its slots against the store each time.
-func TestSessionLiveGridConsistency(t *testing.T) {
-	d := smallDC(t)
-	sess := NewSession(d, InterpretOptions{Workers: 2})
-	if _, _, err := sess.Interpret(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		delta := sess.Scene().Churn(scene.DefaultChurn(uint64(50+i), 0.1))
-		if _, _, err := sess.Update(context.Background(), delta); err != nil {
-			t.Fatal(err)
-		}
-		if sess.grid == nil {
-			t.Skip("pool below grid threshold; scan path in use")
-		}
-		if err := sess.grid.checkConsistent(); err != nil {
-			t.Fatalf("update %d: %v", i, err)
-		}
-	}
-	gs := sess.grid.Stats()
-	if gs.Refreshes == 0 || gs.Retained == 0 {
-		t.Errorf("grid did no incremental work: %+v", gs)
-	}
-	if gs.Retained <= gs.Reinserted+gs.Removed+gs.Added {
-		t.Errorf("grid churned more than it retained: %+v", gs)
-	}
-}
-
 // signingRunner runs a queue on its pool and, for every task, signs the
 // rows its engine was loaded with on the worker — the working memory
 // right after the build, in timetag order — as a session signs the rows

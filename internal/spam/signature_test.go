@@ -85,7 +85,7 @@ func phaseIDs(ids []string, prefix string) []string {
 func lccAnswerTable(t *testing.T, kb *KB, st *RegionStore, frags []*Fragment) map[string][]string {
 	t.Helper()
 	table := map[string][]string{}
-	units := unitsWith(kb, frags, Level3, partnerQuery(st, frags, nil))
+	units := unitsWith(kb, frags, Level3, partnerQuery(st, frags))
 	for _, sp := range lccUnitSpecs(st.Scene().Name, units, Level3, false) {
 		var lines []string
 		for _, u := range sp.units {

@@ -426,17 +426,13 @@ type lccCheck struct {
 }
 
 // partnerQuery returns the LCC partner search over one fragment pool:
-// a session's persistent grid when given one, else a transient grid
-// built here once — or, for a pool too small to amortize one or a
-// reference store, NearbyFragments' scan. The grid
-// orders candidates by fragment ID and the scan by pool position, so
-// all must be sorted by ascending ID for the two to agree: every pool
-// a run hands over is (ExtractFragments sorts; reEntryFragments
-// appends IDs above the maximum).
-func partnerQuery(store *RegionStore, all []*Fragment, grid *liveGrid) func(*Fragment, Constraint) []*Fragment {
-	if grid == nil {
-		grid = newLiveGrid(store, all)
-	}
+// a grid built here once over the pool, or, on a reference store,
+// NearbyFragments' scan. The grid orders candidates by fragment ID and
+// the scan by pool position, so all must be sorted by ascending ID for
+// the two to agree: every pool a run hands over is (ExtractFragments
+// sorts; reEntryFragments appends IDs above the maximum).
+func partnerQuery(store *RegionStore, all []*Fragment) func(*Fragment, Constraint) []*Fragment {
+	grid := newLiveGrid(store, all)
 	if grid == nil {
 		return func(f *Fragment, c Constraint) []*Fragment {
 			return NearbyFragments(store, f, c.Object, all, c.Radius)
@@ -544,7 +540,7 @@ func lccAnswers(st *RegionStore, sp *taskSpec, sig *signer) {
 // same generated rule set serves every level: the task's scope is its
 // working memory. capture is BuildRTFTasks'.
 func BuildLCCTasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragment, level Level, capture bool) []*tlp.Task {
-	units := unitsWith(kb, frags, level, partnerQuery(store, frags, nil))
+	units := unitsWith(kb, frags, level, partnerQuery(store, frags))
 	return newTasks(prog, store, lccUnitSpecs(store.Scene().Name, units, level, false), capture)
 }
 
