@@ -115,15 +115,22 @@ alloc-profile:
 # benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
 # task process; internal/core's BenchmarkInterpretRound) under
 # -cpuprofile into the gitignored .cpu_profile/, then the top of the
-# profile by flat CPU and by cumulative CPU. docs/PERFORMANCE.md
-# "Match kernel" started from these tables; the next CPU work starts
-# here, not from a guess.
+# profile by flat CPU and by cumulative CPU. Then the same two tables
+# for 400 requests of the benchmark's serve_inline_small op
+# (internal/serve's BenchmarkInlineRequest: inline DC x0.3 scenes with
+# re-entry, each a dataset-cache miss, through httptest).
+# docs/PERFORMANCE.md "Match kernel" and "Constraint geometry" started
+# from these tables; the next CPU work starts here, not from a guess.
 cpu-profile:
 	mkdir -p .cpu_profile
 	$(GO) test -run '^$$' -bench 'BenchmarkInterpretRound$$' -benchtime 20x \
 		-cpuprofile .cpu_profile/round.prof -o .cpu_profile/core.test ./internal/core
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkInlineRequest$$' -benchtime 400x \
+		-cpuprofile .cpu_profile/serve.prof -o .cpu_profile/serve.test ./internal/serve
+	$(GO) tool pprof -top -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
+	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
 
 # radar compares the working tree with BASE (a git revision) on the
 # benchmark: BASE is checked out into a git worktree under the

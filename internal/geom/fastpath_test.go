@@ -60,6 +60,15 @@ func TestDifferentialDistanceFastVsExact(t *testing.T) {
 	}
 }
 
+// adversarialEps is the threshold list the differential tests run a
+// pair over: fixed values, and values on, just inside and just outside
+// the pair's exact distance.
+func adversarialEps(exact float64) []float64 {
+	return []float64{-1, 0, 50, 900, exact, exact / 2, exact * 2,
+		exact - 1e-6, exact + 1e-6, exact - 1e-12, exact + 1e-12,
+		math.Nextafter(exact, 0), math.Nextafter(exact, math.Inf(1))}
+}
+
 // TestDifferentialThresholdPredicates asserts boolean identity of
 // every threshold-aware predicate against the exact formula, with
 // adversarial epsilons placed on, just inside, and just outside the
@@ -70,10 +79,7 @@ func TestDifferentialThresholdPredicates(t *testing.T) {
 	for i := range ps {
 		for j := range ps {
 			exact := ps[i].DistanceExact(ps[j])
-			epss := []float64{-1, 0, 50, 900, exact, exact / 2, exact * 2,
-				exact - 1e-6, exact + 1e-6, exact - 1e-12, exact + 1e-12,
-				math.Nextafter(exact, 0), math.Nextafter(exact, math.Inf(1))}
-			for _, eps := range epss {
+			for _, eps := range adversarialEps(exact) {
 				want := exact <= eps
 				if got := ps[i].WithinDistance(ps[j], eps); got != want {
 					t.Fatalf("pair (%d,%d) eps %v: WithinDistance %v want %v (exact %v)",
@@ -95,6 +101,90 @@ func TestDifferentialThresholdPredicates(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// withinDistanceTwoPass is withinDistance composed as two scans, the
+// way it was before they were fused: Intersects' edge scan with its
+// containment test, then the distance scan. It is the reference the
+// one-pass kernel is held to.
+func withinDistanceTwoPass(pg Polygon, abb Rect, other Polygon, obb Rect, eps float64) bool {
+	if eps < 0 {
+		return false
+	}
+	hi := eps * (1 + boundSlack)
+	lo := eps * (1 - boundSlack)
+	hi2, lo2 := hi*hi, lo*lo
+	if RectGapSq(abb, obb) > hi2 {
+		return false
+	}
+	if pg.intersectsBB(abb, other, obb) {
+		return true
+	}
+	best := math.Inf(1)
+	n, m := len(pg), len(other)
+	for i := 0; i < n; i++ {
+		a, b := pg[i], pg[(i+1)%n]
+		for j := 0; j < m; j++ {
+			v := segPairDistSq(a, b, other[j], other[(j+1)%m])
+			if v <= lo2 {
+				return true
+			}
+			if v < best {
+				best = v
+			}
+		}
+	}
+	if best > hi2 {
+		return false
+	}
+	return pg.distanceExactScan(other) <= eps
+}
+
+// TestDifferentialWithinDistanceOnePass holds the one-pass threshold
+// kernel to the two-pass composition it replaced, over the corpus and
+// the shapes where fusing the scans could change an answer: a blob
+// strictly inside another (no edge pair crosses; only the containment
+// test after the pass says yes at an eps below the boundary gap),
+// boxes disjoint but within eps (the crossing test is gated off),
+// parallel strips offset along their axis (collinear edges), and rings
+// of fewer than 3 vertices (never intersecting, still measured).
+func TestDifferentialWithinDistanceOnePass(t *testing.T) {
+	ps := fastpathCorpus()
+	c := Point{8000, 8000}
+	ps = append(ps,
+		Blob(c, 400, 10, 0.2, 7),
+		Blob(c, 40, 8, 0.2, 8),
+		square(9000, 9000, 100),
+		square(9130, 9000, 100),
+		square(9100.5, 9100.5, 50),
+		Polygon{{9050, 8950}, {9050, 9300}},
+		Polygon{{9070, 9050}},
+	)
+	for _, off := range []float64{0, 600, 1200, 1250} {
+		dir := Point{math.Cos(0.3), math.Sin(0.3)}
+		ps = append(ps, RectPoly(Point{12000, 3000}.Add(dir.Scale(off)), 1200, 60, 0.3))
+	}
+	contained := 0
+	for i := range ps {
+		for j := range ps {
+			a, b := ps[i], ps[j]
+			abb, bbb := a.BBox(), b.BBox()
+			gap := math.Sqrt(a.boundaryDistSq(b))
+			epss := append(adversarialEps(a.DistanceExact(b)), gap, gap/2, gap*0.999)
+			for _, eps := range epss {
+				want := withinDistanceTwoPass(a, abb, b, bbb, eps)
+				if got := withinDistance(a, abb, b, bbb, eps); got != want {
+					t.Fatalf("pair (%d,%d) eps %v: one pass %v, two passes %v", i, j, eps, got, want)
+				}
+			}
+			if a.Intersects(b) && gap > 50 {
+				contained++
+			}
+		}
+	}
+	if contained == 0 {
+		t.Fatal("no pair where one polygon lies inside the other")
 	}
 }
 

@@ -497,6 +497,13 @@ func (pg Polygon) DistanceLE(other Polygon, eps float64) bool {
 
 // withinDistance is the shared threshold kernel; abb and obb are the
 // polygons' bounding boxes (precomputed by derived-geometry callers).
+// One pass over the edge pairs asks both questions Intersects and the
+// distance scan would ask in turn — does this pair cross (under
+// intersectsBB's own gate), is it decisively within eps — and answers
+// yes at the first pair that says so; containment, the one intersection
+// no edge pair shows, is checked after the pass. Every early yes is a
+// yes of the two-pass composition, and a pass that finds none computes
+// the same minimum, so the boolean is the same on every input.
 func withinDistance(pg Polygon, abb Rect, other Polygon, obb Rect, eps float64) bool {
 	if eps < 0 {
 		return false // distances are never negative
@@ -507,22 +514,24 @@ func withinDistance(pg Polygon, abb Rect, other Polygon, obb Rect, eps float64) 
 	if RectGapSq(abb, obb) > hi2 {
 		return false // decisively separated: skip the edge scans entirely
 	}
-	if pg.intersectsBB(abb, other, obb) {
-		return true // distance 0
-	}
+	cross := len(pg) >= 3 && len(other) >= 3 && abb.Intersects(obb)
 	best := math.Inf(1)
 	n, m := len(pg), len(other)
 	for i := 0; i < n; i++ {
 		a, b := pg[i], pg[(i+1)%n]
 		for j := 0; j < m; j++ {
-			v := segPairDistSq(a, b, other[j], other[(j+1)%m])
-			if v <= lo2 {
-				return true // decisively within eps
+			c, d := other[j], other[(j+1)%m]
+			v := segPairDistSq(a, b, c, d)
+			if v <= lo2 || cross && segIntersect(a, b, c, d) {
+				return true // decisively within eps, or distance 0
 			}
 			if v < best {
 				best = v
 			}
 		}
+	}
+	if cross && (pg.Contains(other[0]) || other.Contains(pg[0])) {
+		return true // one contains the other: distance 0
 	}
 	if best > hi2 {
 		return false

@@ -3,9 +3,11 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -128,13 +130,39 @@ func (c *datasetCache) namedDataset(name string) (*spam.Dataset, error) {
 	return ds, nil
 }
 
-// inlineKey is the cache identity of an inline scene: a digest of its
-// canonical JSON form, so byte-different requests describing the same
-// scene share one dataset.
+// inlineKey is the cache identity of an inline scene: a SHA-256 of its
+// decoded fields, so byte-different requests describing the same scene
+// share one dataset. Strings go in behind their length, lists behind
+// their length and whether they are nil (JSON writes null for a nil
+// list, not []), IDs as varints and every number as its float64 bits.
+// That parts scenes exactly as a digest of their JSON encoding would:
+// a body decodes only to finite floats and valid UTF-8, and
+// encoding/json writes both injectively, -0 included.
 func inlineKey(is *InlineScene) string {
-	b, _ := json.Marshal(is)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	b := make([]byte, 0, 1024)
+	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	num := func(f float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f)) }
+	str(is.Name)
+	str(is.Domain)
+	num(is.W)
+	num(is.H)
+	b = strconv.AppendBool(binary.AppendUvarint(b, uint64(len(is.Regions))), is.Regions == nil)
+	for _, r := range is.Regions {
+		b = binary.AppendVarint(b, int64(r.ID))
+		num(r.Intensity)
+		num(r.Texture)
+		str(r.Kind)
+		b = strconv.AppendBool(binary.AppendUvarint(b, uint64(len(r.Poly))), r.Poly == nil)
+		for _, p := range r.Poly {
+			num(p[0])
+			num(p[1])
+		}
+		h.Write(b) // a region at a time: b holds at most the largest one
+		b = b[:0]
+	}
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(b[:0]))
 }
 
 // inlineDataset returns (building and caching as needed) the dataset

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -175,12 +176,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody decodes a bounded, strict JSON request body.
+// decodeBody decodes a bounded, strict JSON request body: one JSON
+// value, with nothing but whitespace after it.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &apiError{status: 400, msg: "bad request body: " + err.Error()}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return &apiError{status: 400, msg: "bad request body: data after the JSON value"}
 	}
 	return nil
 }

@@ -209,7 +209,8 @@ func TestClientNumbersSizeNothing(t *testing.T) {
 
 // FuzzRequestBodies posts arbitrary bytes to /interpret, /session and
 // /update. Whatever arrives: the handler does not panic; a body its
-// endpoint's strict decoder refuses is answered 400; a 5xx is only
+// endpoint's strict decoder refuses, or one with anything but JSON
+// whitespace after its first value, is answered 400; a 5xx is only
 // ever what the request asked for (a deadline, a firing budget, an
 // injected fault), never what malformed input does to the server; and
 // no client string becomes a symbol (TestInternTableBoundedByPrograms'
@@ -261,6 +262,8 @@ func FuzzRequestBodies(f *testing.F) {
 		`{"session":"s1","moved":[` + region + `]}`,
 		`{"session":"s1","removed":[1],"churn":{"seed":1,"fraction":0.1}}`,
 		`{"session":"s1","churn":{"seed":1,"fraction":1,"emergent":1000000000}}`,
+		`{"inline":` + airport + "} \t\r\n", `{"scene":"MOFF"} trailing garbage`, `{"scene":"MOFF"}{"scene":"SF"}`,
+		`{"session":"s1"}]`, `{"session":"s1"}` + "\v",
 	} {
 		for i := range paths {
 			f.Add(uint8(i), []byte(body))
@@ -280,7 +283,11 @@ func FuzzRequestBodies(f *testing.F) {
 		}
 		dec := json.NewDecoder(strings.NewReader(string(body)))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(into); err != nil {
+		err := dec.Decode(into)
+		if tail := body[dec.InputOffset():]; err == nil && strings.Trim(string(tail), " \t\r\n") != "" {
+			err = fmt.Errorf("%q after the JSON value", tail)
+		}
+		if err != nil {
 			if rec.Code != 400 {
 				t.Errorf("POST %s %q: status %d for a body that does not decode (%v), want 400", path, body, rec.Code, err)
 			}

@@ -161,6 +161,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown scene", `{"scene":"LAX"}`, 400},
 		{"bad level", `{"scene":"MOFF","level":9}`, 400},
 		{"unknown field", `{"scene":"MOFF","bogus":1}`, 400},
+		{"trailing garbage", `{"scene":"MOFF"} trailing garbage`, 400},
+		{"second value", `{"scene":"MOFF"}{"scene":"SF"}`, 400},
 		{"faults disabled", `{"scene":"MOFF","faults":{"seed":1}}`, 403},
 		{"no regions", `{"inline":{"name":"x","domain":"airport","regions":[]}}`, 400},
 		{"bad domain", `{"inline":{"name":"x","domain":"lunar","regions":[{"id":1,"poly":[[0,0],[1,0],[1,1]]}]}}`, 400},
