@@ -8,7 +8,7 @@
 //	        [-reentry] [-scale F] [-lisp] [-svg FILE]
 //	        [-update N] [-churn F] [-churn-seed N]
 //	        [-sched fifo|largest|postorder]
-//	        [-fault-seed N] [-crash-rate P] [-task-timeout D] [-max-retries K]
+//	        [-task-timeout D] [-max-retries K]
 //	        [-cluster-workers N] [-cluster-addr HOST:PORT] [-cluster-check]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -24,11 +24,10 @@
 // byte-identical across policies; see docs/PERFORMANCE.md "Task
 // scheduling and memory").
 //
-// The fault flags run the interpretation under deterministic chaos
-// (see docs/ROBUSTNESS.md): a fixed -fault-seed reproduces the exact
-// same failures and the exact same recovery report. If any task still
-// fails after its retries, spamrun prints a per-task error summary and
-// exits non-zero.
+// -task-timeout and -max-retries set the recovery discipline (see
+// docs/ROBUSTNESS.md): a failed task is rebuilt and re-run up to
+// -max-retries times. If any task still fails after its retries,
+// spamrun prints a per-task error summary and exits non-zero.
 //
 // -update N interprets through a long-lived session instead of a
 // one-shot run: after the initial interpretation it applies N
@@ -56,7 +55,6 @@ import (
 	"time"
 
 	"spampsm/internal/cluster"
-	"spampsm/internal/faults"
 	"spampsm/internal/machine"
 	"spampsm/internal/prof"
 	"spampsm/internal/scene"
@@ -83,8 +81,6 @@ func realMain() int {
 	churnSeed := flag.Uint64("churn-seed", 1990, "deterministic seed for the -update churn deltas")
 	sched := flag.String("sched", "fifo", "task scheduling policy: fifo, largest or postorder")
 	svgOut := flag.String("svg", "", "write the scene segmentation (with best hypotheses) to this SVG file")
-	faultSeed := flag.Int64("fault-seed", 0, "seed for deterministic fault injection (with -crash-rate)")
-	crashRate := flag.Float64("crash-rate", 0, "probability a task's worker crashes mid-task (0 disables injection)")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt wall-clock deadline (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "failed-task re-executions before quarantine")
 	clusterWorkers := flag.Int("cluster-workers", 0, "run phases across N worker processes instead of an in-process pool (0 disables)")
@@ -153,18 +149,11 @@ func realMain() int {
 	fmt.Println(d.Scene.Stats())
 	fmt.Printf("production memory: %d productions\n\n", d.Progs.NumProductions())
 
-	var plan *faults.Plan
-	if *crashRate > 0 {
-		// PermanentFraction stays 0: injected crashes are transient, so a
-		// retried task recovers and the run completes despite the chaos.
-		plan = faults.New(faults.Config{Seed: *faultSeed, CrashRate: *crashRate})
-	}
 	iopt := spam.InterpretOptions{
 		Workers:      *workers,
 		Level:        spam.Level(*level),
 		ReEntry:      *reentry,
 		Sched:        policy,
-		Faults:       plan,
 		MaxRetries:   *maxRetries,
 		TaskTimeout:  *taskTimeout,
 		RetryBackoff: time.Millisecond,

@@ -7,7 +7,7 @@
 //
 //	spamserve [-addr :8641] [-workers N] [-max-concurrent N]
 //	          [-max-queued N] [-per-tenant N] [-deadline D]
-//	          [-cache-regions N] [-quarantine-budget N] [-allow-faults]
+//	          [-cache-regions N] [-quarantine-budget N]
 //	          [-sched fifo|largest|postorder]
 //	          [-max-sessions N] [-cluster-workers N]
 //
@@ -61,8 +61,7 @@ func realMain() int {
 	perTenant := flag.Int("per-tenant", 0, "per-tenant in-flight cap (0 = unlimited)")
 	deadline := flag.Duration("deadline", time.Minute, "default per-request deadline")
 	cacheRegions := flag.Int("cache-regions", 4096, "inline-scene cache size cap (total regions)")
-	quarantine := flag.Int("quarantine-budget", 32, "quarantined tasks from live uninjected runs tolerated before /healthz degrades (0 = unlimited)")
-	allowFaults := flag.Bool("allow-faults", false, "accept per-request fault-injection plans (chaos testing)")
+	quarantine := flag.Int("quarantine-budget", 32, "quarantined tasks from live runs, not counting firing-budget overruns, tolerated before /healthz degrades (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum graceful-drain wait on shutdown")
 	sched := flag.String("sched", "fifo", "task scheduling policy: fifo, largest or postorder")
 	maxSessions := flag.Int("max-sessions", 0, "live incremental-session bound, LRU-evicted (0 = default 8)")
@@ -109,7 +108,6 @@ func realMain() int {
 		DefaultDeadline:   *deadline,
 		SceneCacheRegions: *cacheRegions,
 		QuarantineBudget:  *quarantine,
-		AllowFaults:       *allowFaults,
 		Sched:             policy,
 		MaxSessions:       *maxSessions,
 		Cluster:           clusterBackend,

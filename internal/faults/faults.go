@@ -125,14 +125,6 @@ type Plan struct {
 // New builds a plan. A zero config injects nothing.
 func New(cfg Config) *Plan { return &Plan{cfg: cfg} }
 
-// Config returns the plan's configuration (zero for a nil plan).
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
-}
-
 // splitmix64 is the finalizer of the SplitMix64 generator: a strong
 // 64-bit mix used here to turn hashed keys into uniform draws.
 func splitmix64(x uint64) uint64 {

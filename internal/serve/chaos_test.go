@@ -15,16 +15,17 @@ import (
 // concurrently (no admission queueing — the test is about execution
 // isolation, not shedding).
 func chaosConfig() Config {
-	return Config{Workers: 4, MaxConcurrent: 16, MaxQueued: 16, AllowFaults: true}
+	return Config{Workers: 4, MaxConcurrent: 16, MaxQueued: 16}
 }
 
 // TestChaosConcurrentIsolation is the per-request isolation proof: a
 // mixed batch of simultaneous requests — named and inline scenes, one
-// with injected faults, one degraded with permanent faults, one
-// cancelled mid-flight — runs against one shared server, and every
-// surviving request's response body is byte-identical to the same
-// request served solo. One request's chaos plan, retries, or
-// disappearance must leave no fingerprint on any other request.
+// whose tasks outrun its firing budget and are retried, one degraded
+// with every task over its budget, one cancelled mid-flight — runs
+// against one shared server, and every surviving request's response
+// body is byte-identical to the same request served solo. One
+// request's failures, retries, or disappearance must leave no
+// fingerprint on any other request.
 func TestChaosConcurrentIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test is not short")
@@ -37,10 +38,10 @@ func TestChaosConcurrentIsolation(t *testing.T) {
 		{"inline-b", "t2", sceneBody(t, tinyScene("cb", 7), "")},
 		{"inline-reentry", "t2", sceneBody(t, tinyScene("cc", 13), `"reentry":true`)},
 		{"inline-level2", "t3", sceneBody(t, tinyScene("cd", 19), `"level":2`)},
-		{"inline-transient-faults", "t3", sceneBody(t, tinyScene("ce", 23),
-			`"maxRetries":3,"faults":{"seed":41,"buildFailRate":0.3,"panicRate":0.1}`)},
-		{"inline-degraded-permanent", "t4", sceneBody(t, tinyScene("cf", 29),
-			`"degraded":true,"maxRetries":1,"faults":{"seed":9,"buildFailRate":0.4,"permanentFraction":1}`)},
+		{"inline-retried-budget", "t3", sceneBody(t, tinyScene("ce", 23),
+			`"degraded":true,"maxRetries":2,"firingBudget":12`)},
+		{"inline-degraded-budget", "t4", sceneBody(t, tinyScene("cf", 29),
+			`"degraded":true,"firingBudget":1`)},
 		{"inline-g", "t4", sceneBody(t, tinyScene("cg", 31), "")},
 	}
 

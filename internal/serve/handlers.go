@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/geom"
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
@@ -23,8 +22,8 @@ const maxBodyBytes = 8 << 20
 // Request is the /interpret and /session wire format. Exactly one of
 // Scene (a named dataset) or Inline (a scene carried in the request)
 // must be set; for /session it names the scene and interpretation
-// options the session is pinned to, and Degraded, FiringBudget,
-// MaxRetries and Faults are refused.
+// options the session is pinned to, and Degraded, FiringBudget and
+// MaxRetries are refused.
 type Request struct {
 	Scene  string       `json:"scene,omitempty"` // SF | DC | MOFF
 	Inline *InlineScene `json:"inline,omitempty"`
@@ -40,19 +39,6 @@ type Request struct {
 	DeadlineMs   int `json:"deadlineMs,omitempty"`   // request deadline
 	FiringBudget int `json:"firingBudget,omitempty"` // per-task firing cap
 	MaxRetries   int `json:"maxRetries,omitempty"`
-
-	// Faults is a per-request deterministic chaos plan (only honored
-	// when the server runs with AllowFaults).
-	Faults *FaultConfig `json:"faults,omitempty"`
-}
-
-// FaultConfig mirrors faults.Config on the wire.
-type FaultConfig struct {
-	Seed              int64   `json:"seed"`
-	BuildFailRate     float64 `json:"buildFailRate,omitempty"`
-	PanicRate         float64 `json:"panicRate,omitempty"`
-	CrashRate         float64 `json:"crashRate,omitempty"`
-	PermanentFraction float64 `json:"permanentFraction,omitempty"`
 }
 
 // InlineScene is a scene carried in the request body.
@@ -140,7 +126,6 @@ type PhaseSummary struct {
 	Quarantined int    `json:"quarantined"`
 	Cancelled   int    `json:"cancelled"`
 	Panics      int    `json:"panics"`
-	Injected    int    `json:"injected"`
 }
 
 // Response is the /interpret result. Its JSON encoding is a pure
@@ -231,15 +216,6 @@ func (s *Server) options(req *Request, queue tlp.Queue) spam.InterpretOptions {
 		MaxRetries:   req.MaxRetries,
 		RetryBackoff: retryBackoff,
 		FiringBudget: req.FiringBudget,
-	}
-	if req.Faults != nil {
-		cfg.Faults = faults.Config{
-			Seed:              req.Faults.Seed,
-			BuildFailRate:     req.Faults.BuildFailRate,
-			PanicRate:         req.Faults.PanicRate,
-			CrashRate:         req.Faults.CrashRate,
-			PermanentFraction: req.Faults.PermanentFraction,
-		}
 	}
 	return spam.InterpretOptions{
 		Level:    spam.Level(req.Level),
@@ -372,9 +348,6 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 		if aerr := req.validate(); aerr != nil {
 			return nil, aerr
 		}
-		if req.Faults != nil && !s.cfg.AllowFaults {
-			return nil, &apiError{status: 403, msg: "fault injection is disabled on this server"}
-		}
 		// Named scenes can ship: the workers regenerate them from the
 		// specs registered at startup. Inline scenes exist only in this
 		// process, so they stay on the shared pool.
@@ -433,7 +406,6 @@ func buildResponse(degraded bool, in *spam.Interpretation) *Response {
 			ps.Quarantined = rep.Quarantined
 			ps.Cancelled = rep.Cancelled
 			ps.Panics = rep.Panics
-			ps.Injected = rep.Injected
 		}
 		resp.Phases = append(resp.Phases, ps)
 	}

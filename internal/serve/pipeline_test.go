@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -156,10 +157,11 @@ func TestCloseLeavesNoPoolProcesses(t *testing.T) {
 }
 
 // TestSessionRefusesOneShotFields: /session decodes the /interpret
-// body and refuses the four fields a session does not take, as it did
-// when it had a body type without them.
+// body and refuses the three fields a session does not take, as it did
+// when it had a body type without them, in the words the strict
+// decoder refuses a field neither body has — the retired fault plan.
 func TestSessionRefusesOneShotFields(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, AllowFaults: true})
+	s, ts := testServer(t, Config{Workers: 1})
 	for _, field := range []string{`"degraded":true`, `"firingBudget":100`, `"maxRetries":2`, `"faults":{"seed":1}`} {
 		resp, b := postPath(t, ts.URL, "/session", sessionBody(t, tinyScene("refuse", 0), field))
 		name, _, _ := strings.Cut(strings.Trim(field, `"`), `"`)
@@ -210,14 +212,18 @@ func TestClientNumbersSizeNothing(t *testing.T) {
 // FuzzRequestBodies posts arbitrary bytes to /interpret, /session and
 // /update. Whatever arrives: the handler does not panic; a body its
 // endpoint's strict decoder refuses, or one with anything but JSON
-// whitespace after its first value, is answered 400; a 5xx is only
-// ever what the request asked for (a deadline, a firing budget, an
-// injected fault), never what malformed input does to the server; and
-// no client string becomes a symbol (TestInternTableBoundedByPrograms'
-// property). Its first finds are in the corpus and in
+// whitespace after its first value, is answered 400 — the retired
+// per-request fault plan among them; a 5xx is only ever what the
+// request asked for (a deadline, a firing budget), never what malformed
+// input does to the server; and no client string becomes a symbol
+// (TestInternTableBoundedByPrograms' property). The two warm-up
+// sessions the /update seeds name are kept the most recently used, so
+// the sessions other bodies open never evict them, and a run of the
+// seed corpus fails unless a churn seed and an explicit-delta seed each
+// reach a live session. Its first finds are in the corpus and in
 // TestClientNumbersSizeNothing.
 func FuzzRequestBodies(f *testing.F) {
-	s := New(Config{Workers: 2, AllowFaults: true, MaxSessions: 4})
+	s := New(Config{Workers: 2, MaxSessions: 4})
 	f.Cleanup(s.Close)
 	marshal := func(v any) string {
 		b, err := json.Marshal(v)
@@ -243,6 +249,7 @@ func FuzzRequestBodies(f *testing.F) {
 	interned := symtab.Interned()
 
 	paths := []string{"/interpret", "/session", "/update"}
+	seeds := 0
 	for _, body := range []string{
 		`{"inline":` + airport + `}`,
 		`{"inline":` + airport + `,"reentry":true,"level":2,"rtfBatch":2,"tenant":"t1","deadlineMs":60000}`,
@@ -267,16 +274,22 @@ func FuzzRequestBodies(f *testing.F) {
 	} {
 		for i := range paths {
 			f.Add(uint8(i), []byte(body))
+			seeds++
 		}
 	}
 
+	// served counts the /update bodies answered 200, by kind of delta.
+	calls, served := 0, map[string]int{}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
+		calls++
 		path := paths[int(endpoint)%len(paths)]
+		s.sessions.get("s1")
+		s.sessions.get("s2")
 		rec := serveDirect(context.Background(), s, path, string(body))
 		var req Request
 		var delta DeltaRequest
 		into, asked := any(&req), func() bool {
-			return req.DeadlineMs > 0 || req.FiringBudget > 0 || req.Faults != nil
+			return req.DeadlineMs > 0 || req.FiringBudget > 0
 		}
 		if path == "/update" {
 			into, asked = &delta, func() bool { return delta.DeadlineMs > 0 }
@@ -294,8 +307,27 @@ func FuzzRequestBodies(f *testing.F) {
 		} else if rec.Code >= 500 && !asked() {
 			t.Errorf("POST %s %q: status %d %s", path, body, rec.Code, rec.Body)
 		}
+		if path == "/update" && rec.Code == 200 {
+			switch {
+			case delta.Churn != nil:
+				served["churn"]++
+			case len(delta.Removed)+len(delta.Moved)+len(delta.Added) > 0:
+				served["explicit"]++
+			}
+		}
 		if n := symtab.Interned(); n != interned {
 			t.Errorf("POST %s %q: intern table grew %d → %d", path, body, interned, n)
 		}
 	})
+	// Only a run of the whole seed corpus, in order, is held to reaching
+	// a live session: not one seed picked by -run, and not -fuzz, whose
+	// inputs come in no fixed order.
+	if calls < seeds || flag.Lookup("test.fuzz").Value.String() != "" {
+		return
+	}
+	for _, kind := range []string{"churn", "explicit"} {
+		if served[kind] == 0 {
+			f.Errorf("no %s /update seed reached a live session", kind)
+		}
+	}
 }

@@ -3,9 +3,9 @@
 // requests and runs them over shared compiled knowledge — one
 // tlp.Pool of task processes, one compiled rule Programs per
 // knowledge base, and one RegionStore per scene — with per-request
-// isolation (context cancellation, deadlines, firing budgets, fault
-// plans), admission control with load shedding, per-tenant fairness,
-// and a graceful drain. See docs/SERVING.md.
+// isolation (context cancellation, deadlines, firing budgets),
+// admission control with load shedding, per-tenant fairness, and a
+// graceful drain. See docs/SERVING.md.
 package serve
 
 import (
@@ -43,13 +43,10 @@ type Config struct {
 	// recently used scenes are evicted past it.
 	SceneCacheRegions int
 	// QuarantineBudget is the shared pool's quarantine tolerance
-	// before /healthz degrades. Only live, uninjected runs' quarantines
-	// count — cancelled runs and request-supplied fault plans are
-	// class-split out. 0 = no budget.
+	// before /healthz degrades. Only live runs' quarantines count —
+	// cancelled runs and tasks that ran out of their request's own
+	// firing budget are class-split out. 0 = no budget.
 	QuarantineBudget int
-	// AllowFaults accepts per-request fault-injection plans (chaos
-	// testing and the load generator); off, fault fields are rejected.
-	AllowFaults bool
 	// MaxSessions bounds the live incremental sessions (POST /session);
 	// opening one past the cap evicts the least recently used. Each
 	// session retains a private scene clone, its region store and every

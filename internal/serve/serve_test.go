@@ -151,7 +151,7 @@ func TestInlineSceneCacheEviction(t *testing.T) {
 }
 
 func TestRequestValidation(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1}) // AllowFaults off
+	_, ts := testServer(t, Config{Workers: 1})
 	cases := []struct {
 		name, body string
 		status     int
@@ -163,7 +163,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown field", `{"scene":"MOFF","bogus":1}`, 400},
 		{"trailing garbage", `{"scene":"MOFF"} trailing garbage`, 400},
 		{"second value", `{"scene":"MOFF"}{"scene":"SF"}`, 400},
-		{"faults disabled", `{"scene":"MOFF","faults":{"seed":1}}`, 403},
+		{"fault plan", `{"scene":"MOFF","faults":{"seed":1}}`, 400},
 		{"no regions", `{"inline":{"name":"x","domain":"airport","regions":[]}}`, 400},
 		{"bad domain", `{"inline":{"name":"x","domain":"lunar","regions":[{"id":1,"poly":[[0,0],[1,0],[1,1]]}]}}`, 400},
 		{"thin poly", `{"inline":{"name":"x","domain":"airport","regions":[{"id":1,"poly":[[0,0],[1,0]]}]}}`, 400},
@@ -355,14 +355,13 @@ func running(fn string) bool {
 }
 
 // TestHealthzAndStats is the service smoke: one server takes a clean
-// request, fault-injected requests (transient faults retried to
-// completion, permanent ones answered degraded) and a whole session
-// lifecycle, passes /healthz before, between and after them, and
-// accounts for all of it on /stats. The quarantine budget of 1 is
-// real: the injected quarantines come from the requests' own fault
-// plans, which the shared pool keeps out of it.
+// request, a degraded one whose every task outruns its firing budget,
+// and a whole session lifecycle, passes /healthz before, between and
+// after them, and accounts for all of it on /stats. The quarantine
+// budget of 1 is real: the degraded request's quarantines come from its
+// own firing budget, which the shared pool keeps out of it.
 func TestHealthzAndStats(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1, AllowFaults: true, QuarantineBudget: 1})
+	_, ts := testServer(t, Config{Workers: 1, QuarantineBudget: 1})
 	healthz := func(when string) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/healthz")
@@ -418,19 +417,11 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 	healthz("after a clean request")
 
-	out := interpret("transient", `"maxRetries":3,"faults":{"seed":41,"buildFailRate":0.3,"panicRate":0.1}`)
-	retries := 0
-	for _, ph := range out.Phases {
-		retries += ph.Retries
+	out := interpret("capped", `"degraded":true,"maxRetries":0,"firingBudget":1`)
+	if out.Completeness.Complete || out.Completeness.Failed < 2 {
+		t.Errorf("a firing budget of 1 left the run complete: %+v", out.Completeness)
 	}
-	if !out.Completeness.Complete || retries == 0 {
-		t.Errorf("transient faults were not injected and retried to completion: %d retries, %+v", retries, out.Completeness)
-	}
-	out = interpret("permanent", `"degraded":true,"maxRetries":1,"faults":{"seed":9,"buildFailRate":0.4,"permanentFraction":1}`)
-	if out.Completeness.Complete {
-		t.Errorf("permanent faults left the run complete: %+v", out.Completeness)
-	}
-	healthz("after fault-injected requests")
+	healthz("after a request over its own firing budget")
 
 	id, _ := openSession(t, ts.URL, sessionBody(t, tinyScene("life", 0), ""))
 	for i := 0; i < 2; i++ {
@@ -449,8 +440,8 @@ func TestHealthzAndStats(t *testing.T) {
 	if !st.Healthy || st.Completed != st.Requests || st.Degraded != 1 {
 		t.Errorf("stats = %+v, want healthy, every request completed, 1 of them degraded", st)
 	}
-	if st.Pool.InjectedQuarantines == 0 || st.Pool.Quarantined != 0 {
-		t.Errorf("pool counters = %+v, want the permanent faults' quarantines, all charged to the request's own plan", st.Pool)
+	if st.Pool.BudgetQuarantines == 0 || st.Pool.Quarantined != 0 {
+		t.Errorf("pool counters = %+v, want the budget overruns' quarantines, all charged to the request's own budget", st.Pool)
 	}
 	if st.Sessions.Opened != 1 || st.Sessions.Closed != 1 || st.Sessions.Open != 0 {
 		t.Errorf("session stats = %+v, want one opened and closed", st.Sessions)
@@ -475,11 +466,11 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// Degraded mode with a permanent fault plan returns a valid partial
-// interpretation with an explicit completeness record.
+// Degraded mode with a firing budget one RTF task outruns returns a
+// valid partial interpretation with an explicit completeness record.
 func TestDegradedPartialResult(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2, AllowFaults: true})
-	extra := `"degraded":true,"maxRetries":1,"faults":{"seed":9,"buildFailRate":0.4,"permanentFraction":1}`
+	_, ts := testServer(t, Config{Workers: 2})
+	extra := `"degraded":true,"maxRetries":1,"firingBudget":12`
 	resp, body := postJSON(t, ts.URL, sceneBody(t, tinyScene("deg", 0), extra))
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
@@ -489,10 +480,13 @@ func TestDegradedPartialResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Completeness.Complete {
-		t.Fatalf("permanent faults at 40%% left the run complete: %+v", out.Completeness)
+		t.Fatalf("a firing budget of 12 left the run complete: %+v", out.Completeness)
 	}
 	if out.Completeness.Failed == 0 || len(out.Completeness.FailedTasks) == 0 {
 		t.Errorf("degraded run does not name its failed tasks: %+v", out.Completeness)
+	}
+	if out.Fragments == 0 || out.FunctionalAreas == 0 {
+		t.Errorf("degraded run kept nothing of its surviving tasks: %+v", out)
 	}
 	// Deterministic: the same degraded request repeats byte-identically.
 	resp2, body2 := postJSON(t, ts.URL, sceneBody(t, tinyScene("deg", 0), extra))

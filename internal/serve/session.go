@@ -252,8 +252,7 @@ func sessionResponse(id string, rep *spam.UpdateReport, in *spam.Interpretation)
 
 // sessionRefuses names the first field of a /session body that only a
 // one-shot /interpret takes ("" when there is none): a session's tasks
-// are retained across updates, so none may be partial, budgeted or
-// fault-injected.
+// are retained across updates, so none may be partial or budgeted.
 func sessionRefuses(req *Request) string {
 	switch {
 	case req.Degraded:
@@ -262,8 +261,6 @@ func sessionRefuses(req *Request) string {
 		return "firingBudget"
 	case req.MaxRetries != 0:
 		return "maxRetries"
-	case req.Faults != nil:
-		return "faults"
 	}
 	return ""
 }

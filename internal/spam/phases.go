@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/scene"
 	"spampsm/internal/stats"
 	"spampsm/internal/tlp"
@@ -204,8 +203,7 @@ type InterpretOptions struct {
 	Degraded bool
 
 	// Fault tolerance (see docs/ROBUSTNESS.md). Zero values mean no
-	// injection, no timeout and no retries — the pre-fault behavior.
-	Faults       *faults.Plan  // deterministic fault injection; nil = none
+	// timeout and no retries.
 	MaxRetries   int           // failed-task re-executions before quarantine
 	TaskTimeout  time.Duration // per-attempt wall-clock deadline; 0 = none
 	RetryBackoff time.Duration // delay before the first retry (doubles after)
@@ -227,7 +225,6 @@ func (opt InterpretOptions) RunConfig() tlp.RunConfig {
 		MaxRetries:   opt.MaxRetries,
 		TaskTimeout:  opt.TaskTimeout,
 		RetryBackoff: opt.RetryBackoff,
-		Faults:       opt.Faults.Config(),
 	}
 }
 

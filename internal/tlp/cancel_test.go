@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/symtab"
 )
@@ -247,30 +246,39 @@ func TestPoolQuarantineBudgetExcludesCancelled(t *testing.T) {
 	}
 }
 
-// Quarantines drawn from a run's own injected fault plan must not
-// count against the shared pool's quarantine budget: one tenant
-// chaos-testing itself is not evidence the shared workload is
-// poisoned, and its plan must not flip /healthz for everyone else.
-func TestPoolQuarantineBudgetExcludesInjected(t *testing.T) {
+// A task quarantined for outrunning its run's own firing budget must
+// not count against the shared pool's quarantine budget: the cap is
+// the run's choice, not evidence the shared workload is poisoned, and
+// one tenant's budget must not flip /healthz for everyone else. A
+// genuine poison on a live run still counts.
+func TestPoolQuarantineBudgetExcludesFiringBudget(t *testing.T) {
 	p := &Pool{Workers: 2, QuarantineBudget: 1}
 	defer p.Close()
 
-	plan := faults.Config{Seed: 7, BuildFailRate: 1, PermanentFraction: 1}
 	for i := 0; i < 5; i++ {
-		res, err := p.Submit(context.Background(), RunConfig{Faults: plan, MaxRetries: 2}, []*Task{countTask("chaos", 3)})
+		res, err := p.Submit(context.Background(), RunConfig{FiringBudget: 1, MaxRetries: 2}, []*Task{countTask("capped", 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res[0].Quarantined {
-			t.Fatal("permanent injected fault did not quarantine")
+		if !res[0].Quarantined || !errors.Is(res[0].Err, ErrBudgetExceeded) {
+			t.Fatalf("capped task: quarantined=%v err=%v, want quarantined over its firing budget", res[0].Quarantined, res[0].Err)
 		}
 	}
 	if !p.Healthy() {
-		t.Error("injected-fault quarantines counted against the shared budget")
+		t.Error("firing-budget quarantines counted against the shared budget")
 	}
 	st := p.Stats()
-	if st.InjectedQuarantines != 5 || st.Quarantined != 0 {
-		t.Errorf("injected=%d budgeted=%d, want 5/0", st.InjectedQuarantines, st.Quarantined)
+	if st.BudgetQuarantines != 5 || st.Quarantined != 0 {
+		t.Errorf("firing-budget=%d budgeted=%d, want 5/0", st.BudgetQuarantines, st.Quarantined)
+	}
+
+	for i := 0; i < 2; i++ {
+		if _, err := p.Submit(context.Background(), RunConfig{MaxRetries: 0}, []*Task{failTask("poison")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Healthy() {
+		t.Error("two live poisons under a budget of 1 left the pool healthy")
 	}
 }
 

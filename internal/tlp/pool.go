@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 )
 
@@ -30,15 +29,14 @@ var ErrPoolClosed = errors.New("tlp: pool closed")
 // property plus two pieces of machinery:
 //
 //   - Each submission carries its own context and its own RunConfig
-//     (fault plan, retries, timeouts, budgets), so one
-//     run's cancellation, deadline, or chaos plan never touches
-//     another run's tasks.
+//     (retries, timeouts, budgets), so one run's cancellation,
+//     deadline, or firing budget never touches another run's tasks.
 //   - Quarantines are accounted per class: poison tasks from live
 //     runs count against the pool's quarantine budget (Healthy),
 //     while tasks quarantined only because their run was cancelled,
-//     or under a run's own injected fault plan, do not — a client
-//     hanging up or chaos-testing itself is not evidence the shared
-//     workload is poisoned.
+//     or because they outran their run's own firing budget, do not — a
+//     client hanging up or capping its own tasks is not evidence the
+//     shared workload is poisoned.
 //
 // Tasks are interleaved fairly by construction: task processes drain
 // one FIFO of jobs, one task each, and the FIFO is bounded, so a run
@@ -59,8 +57,9 @@ type Pool struct {
 	// engine goes either way; leave it false when a caller reads the
 	// engine itself.
 	DropEngines bool
-	// QuarantineBudget is the number of non-cancelled quarantined
-	// tasks the pool tolerates before reporting itself unhealthy.
+	// QuarantineBudget is the number of quarantined tasks from live
+	// runs, firing-budget overruns aside, the pool tolerates before
+	// reporting itself unhealthy.
 	// 0 means no budget (always healthy). The budget is advisory —
 	// the pool keeps executing — so serving layers can drain and
 	// restart on a poisoned process without dropping in-flight work.
@@ -75,9 +74,9 @@ type Pool struct {
 	procs  sync.WaitGroup // running task processes
 
 	tasksRun    atomic.Int64
-	quarantined atomic.Int64 // live, uninjected runs' quarantines only
+	quarantined atomic.Int64 // live runs' quarantines, budget overruns aside
 	cancQuar    atomic.Int64 // quarantine-grade failures on cancelled runs
-	injQuar     atomic.Int64 // quarantines under a run's own fault plan
+	budgetQuar  atomic.Int64 // quarantines for outrunning a run's firing budget
 	cancelled   atomic.Int64 // tasks abandoned to cancellation
 }
 
@@ -206,14 +205,15 @@ func (p *Pool) run(j *Job, worker int, scratch *ops5.Scratch) *Result {
 		// Quarantines on a cancelled run don't count against the
 		// budget: the task may have failed only because its run's
 		// context pulled resources out from under it, and its run no
-		// longer cares either way. Quarantines under a run's own
-		// injected fault plan don't either — one tenant's chaos test
-		// must not flip the shared pool's health for everyone else.
+		// longer cares either way. Quarantines for outrunning the run's
+		// own firing budget don't either — a cap one tenant sets on its
+		// own tasks must not flip the shared pool's health for everyone
+		// else.
 		switch {
 		case j.Ctx.Err() != nil:
 			p.cancQuar.Add(1)
-		case j.Config.Faults != (faults.Config{}):
-			p.injQuar.Add(1)
+		case errors.Is(r.Err, ErrBudgetExceeded):
+			p.budgetQuar.Add(1)
 		default:
 			p.quarantined.Add(1)
 		}
@@ -297,9 +297,9 @@ func (p *Pool) Healthy() bool {
 // Counters is a snapshot of the pool's lifetime task accounting.
 type Counters struct {
 	TasksRun             int64 // every task that got a Result
-	Quarantined          int64 // poison tasks from live uninjected runs (budgeted)
+	Quarantined          int64 // poison tasks from live runs (budgeted)
 	CancelledQuarantines int64 // quarantine-grade failures on cancelled runs
-	InjectedQuarantines  int64 // quarantines under a run's own fault plan
+	BudgetQuarantines    int64 // tasks that outran their run's firing budget
 	Cancelled            int64 // tasks abandoned to cancellation
 
 	// Arenas is what each worker's match arena held after its last
@@ -344,7 +344,7 @@ func (p *Pool) Stats() Counters {
 		TasksRun:             p.tasksRun.Load(),
 		Quarantined:          p.quarantined.Load(),
 		CancelledQuarantines: p.cancQuar.Load(),
-		InjectedQuarantines:  p.injQuar.Load(),
+		BudgetQuarantines:    p.budgetQuar.Load(),
 		Cancelled:            p.cancelled.Load(),
 	}
 }
