@@ -93,11 +93,13 @@ loc:
 # allocated, once over 10 rounds and once over 40: a site that grows
 # with the rounds allocates in steady state, one that does not is
 # warm-up — the tables docs/PERFORMANCE.md "A task returns its phase's
-# answer" was sized from. It ends with the cluster coordinator: the
-# same three spamrun rounds on two worker processes, whose -memprofile
-# is the coordinator's alone (a worker is its own process), merged by
-# bytes allocated — the table docs/PERFORMANCE.md "Coordinator per-task
-# path" starts from.
+# answer" was sized from. It ends with the cluster coordinator: ten
+# rounds of the benchmark's cluster_2proc op (internal/cluster's
+# BenchmarkClusterRound, which also prints B/op and coord-cpu-ms/op)
+# on two worker processes, whose -memprofile is the coordinator's alone
+# (a worker is its own process), by bytes allocated — the table
+# docs/PERFORMANCE.md "Coordinator per-task path" and "Recycled wire
+# specs" start from.
 alloc-profile:
 	mkdir -p .alloc_profile
 	for n in 10 40; do \
@@ -115,12 +117,9 @@ alloc-profile:
 		-memprofile .alloc_profile/session.prof >/dev/null
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
-	for d in SF DC MOFF; do \
-		.alloc_profile/spamrun -dataset $$d -reentry -cluster-workers 2 \
-			-memprofile .alloc_profile/cluster-$$d.prof >/dev/null || exit 1; \
-	done
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/spamrun \
-		.alloc_profile/cluster-SF.prof .alloc_profile/cluster-DC.prof .alloc_profile/cluster-MOFF.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x -benchmem \
+		-memprofile .alloc_profile/cluster.prof -o .alloc_profile/cluster.test ./internal/cluster
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/cluster.test .alloc_profile/cluster.prof
 
 # cpu-profile is alloc-profile's CPU twin: twenty rounds of the
 # benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
@@ -129,7 +128,11 @@ alloc-profile:
 # profile by flat CPU and by cumulative CPU. Then the same two tables
 # for 400 requests of the benchmark's serve_inline_small op
 # (internal/serve's BenchmarkInlineRequest: inline DC x0.3 scenes with
-# re-entry, each a dataset-cache miss, through httptest).
+# re-entry, each a dataset-cache miss, through httptest). Then the
+# same two tables for the cluster coordinator: ten rounds of the
+# benchmark's cluster_2proc op (internal/cluster's
+# BenchmarkClusterRound, which also prints coord-cpu-ms/op) on two
+# worker processes, whose -cpuprofile is the coordinator's alone.
 # docs/PERFORMANCE.md "Match kernel" and "Constraint geometry" started
 # from these tables; the next CPU work starts here, not from a guess.
 cpu-profile:
@@ -142,6 +145,10 @@ cpu-profile:
 		-cpuprofile .cpu_profile/serve.prof -o .cpu_profile/serve.test ./internal/serve
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x \
+		-cpuprofile .cpu_profile/cluster.prof -o .cpu_profile/cluster.test ./internal/cluster
+	$(GO) tool pprof -top -nodecount=25 .cpu_profile/cluster.test .cpu_profile/cluster.prof
+	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/cluster.test .cpu_profile/cluster.prof
 
 # radar compares the working tree with BASE (a git revision) on the
 # benchmark: BASE is checked out into a git worktree under the
@@ -152,13 +159,17 @@ cpu-profile:
 # the bound and the pairs the change won, and fails when a run of the
 # change fails an op or a metric is worse than its bound where the
 # base's spread resolves that bound (elsewhere the metric is reported
-# as unresolved). tools/radar is the program; CI runs it on every pull
-# request against its base.
+# as unresolved); it also prints how many runs of each side failed an
+# op. WORKLOAD, a comma list, narrows the run to some of the base's
+# workloads, so a claimed one can get more pairs than the rest (a name
+# the base does not declare exits 2). tools/radar is the program; CI
+# runs it on every pull request against its base.
 BASE ?= main
 PAIRS ?= 5
 SECONDS ?= 20
+WORKLOAD ?=
 radar:
-	$(GO) run ./tools/radar -base $(BASE) -pairs $(PAIRS) -seconds $(SECONDS)
+	$(GO) run ./tools/radar -base $(BASE) -pairs $(PAIRS) -seconds $(SECONDS) -workload '$(WORKLOAD)'
 
 race:
 	$(GO) test -race ./...
@@ -208,8 +219,9 @@ bench-quick:
 # every level (rete scripts, ops5 engines, geometry kernels, the
 # scheduler, the task-process pool, full-SPAM interpretations, the HTTP
 # session surface), the cluster (a run over two worker processes vs
-# the in-process pool, inside its wire-locality budget; the
-# coordinator→worker pipeline — deep enough to keep an executor fed,
+# the in-process pool, inside its wire-locality budget; every task
+# frame wired by two feeders into recycled specs vs the frame of its
+# rows in fresh memory; the coordinator→worker pipeline — deep enough to keep an executor fed,
 # results coalesced, a dropped connection's queue abandoned — and what a
 # worker death charges at each enumerated kill point),
 # and the match arena (engines that borrow, settle and recycle a

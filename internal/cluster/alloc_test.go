@@ -50,15 +50,18 @@ func (r *roundRecorder) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp
 // re-entry, submitted a second time on a warm connection. The worker is
 // a stub that answers each task frame with its recorded result frame,
 // written before the measurement, and reads into one buffer, so what
-// the process allocates is the coordinator's: 7,690 objects and 0.98 MB
-// for the round's 236 tasks (±0.3% run to run), four fifths of the
-// bytes being the seed rows each task's Wire assembles. It allocated 16,880
-// objects and 2.43 MB while Submit wired every task and planned every
-// chunk up front, each frame was decoded and encoded into fresh buffers
-// and read into a fresh payload (the stub's reads then included, 236
-// objects). The ceilings are the new counts plus 15%.
+// the process allocates is the coordinator's: 2,541 objects and 217 KB
+// for the round's 236 tasks (±1.5% run to run, the same under -race:
+// the spec pool is a channel, which the race detector does not thin).
+// It allocated 7,690 objects and 0.98 MB while each Wire assembled its
+// seed rows into a fresh slice and fresh value vectors, four fifths of
+// the bytes; 16,880 objects and 2.43 MB while Submit wired every task
+// and planned every chunk up front, each frame was decoded and encoded
+// into fresh buffers and read into a fresh payload (the stub's reads
+// then included, 236 objects). The ceilings are the new counts plus
+// 30%.
 func TestCoordinatorTaskPathAllocationCeiling(t *testing.T) {
-	const ceiling, byteCeiling = 8_850, 1_130_000
+	const ceiling, byteCeiling = 3_300, 280_000
 	d, err := spam.NewDataset(scene.DC)
 	if err != nil {
 		t.Fatal(err)

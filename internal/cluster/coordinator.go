@@ -724,7 +724,9 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 // ship wires one claimed task — its Wire runs here, on the
 // connection's feeder, so the first tasks of a phase reach the workers
 // before the last is wired — then encodes and writes it, preceded by
-// the chunk frames it needs. A Wire error fails the run. ship returns
+// the chunk frames it needs. The wired spec is ship's until those
+// frames are encoded, and goes back to its pool on every path out. A
+// Wire error fails the run. ship returns
 // false on a write error — the caller closes the connection and
 // workerLost requeues everything in flight there, including this task.
 //
@@ -732,6 +734,9 @@ func (co *Coordinator) claim(w *wconn) (*run, int, bool) {
 func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 	t := rn.tasks[idx]
 	spec, wireErr := t.Wire()
+	if spec != nil {
+		defer spec.Release() // after every frame below is encoded
+	}
 
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()

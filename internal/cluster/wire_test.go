@@ -306,6 +306,27 @@ func chunkRefsFor(m *TaskMsg, resident map[string]uint64, next *uint64) ([]int64
 	return refs, newIDs, newSeeds
 }
 
+// taskMsgDiff names the first field of a task message that got does
+// not carry as want does, or returns "". Every exported field counts,
+// the spec's one by one: they are what a task frame encodes. A spec's
+// unexported fields are its pool's state (its value slab, whether it
+// is recycled), which no frame carries.
+func taskMsgDiff(want, got *TaskMsg) string {
+	fields := func(w, g reflect.Value, prefix string) string {
+		for i := 0; i < w.NumField(); i++ {
+			f := w.Type().Field(i)
+			if f.IsExported() && f.Name != "Spec" && !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+				return prefix + f.Name
+			}
+		}
+		return ""
+	}
+	if f := fields(reflect.ValueOf(*want), reflect.ValueOf(*got), ""); f != "" {
+		return f
+	}
+	return fields(reflect.ValueOf(want.Spec), reflect.ValueOf(got.Spec), "Spec.")
+}
+
 // TestWireRoundTripTasksV2 checks structural identity —
 // decode(encode(m)) == m — over the real airport task corpus and
 // representative results: every task both fully inline and with
@@ -321,8 +342,8 @@ func TestWireRoundTripTasksV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("task %s: inline decode: %v", m.ID, err)
 		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("task %s: inline round trip changed message:\nin:  %+v\nout: %+v", m.ID, m, got)
+		if f := taskMsgDiff(m, got); f != "" {
+			t.Errorf("task %s: inline round trip changed %s:\nin:  %+v\nout: %+v", m.ID, f, m, got)
 		}
 		for _, r := range refs {
 			if r != -1 {
@@ -354,8 +375,8 @@ func TestWireRoundTripTasksV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("task %s: chunked decode: %v", m.ID, err)
 		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("task %s: chunked round trip changed message:\nin:  %+v\nout: %+v", m.ID, m, got)
+		if f := taskMsgDiff(m, got); f != "" {
+			t.Errorf("task %s: chunked round trip changed %s:\nin:  %+v\nout: %+v", m.ID, f, m, got)
 		}
 		if !reflect.DeepEqual(refs, gotRefs) {
 			t.Errorf("task %s: refs changed: in %v out %v", m.ID, refs, gotRefs)
@@ -417,8 +438,8 @@ func TestWireV2InternSharing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second frame: %v", err)
 	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("second frame decoded differently:\nin:  %+v\nout: %+v", m, got)
+	if f := taskMsgDiff(m, got); f != "" {
+		t.Fatalf("second frame decoded a different %s:\nin:  %+v\nout: %+v", f, m, got)
 	}
 	// A fresh connection must reject the reference-bearing second frame.
 	if _, _, err := DecodeTaskV2(&DecTab{}, second, noResolve); err == nil {

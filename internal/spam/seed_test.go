@@ -86,12 +86,12 @@ func TestLCCSeedsWriteEachFragmentOnce(t *testing.T) {
 					}
 				}
 			}
-			var rows seedSlice
-			if err := assemble(d.Progs.LCC, d.Store, &sp, &rows); err != nil {
+			rows := tlp.NewWireSpec(d.Scene.Name, sp.phase, nil, sp.rows)
+			if err := assemble(d.Progs.LCC, d.Store, &sp, rows); err != nil {
 				t.Fatal(err)
 			}
 			var got []int
-			for _, r := range rows {
+			for _, r := range rows.Seeds {
 				if r.Class == "fragment" {
 					got = append(got, int(r.Vals[0].IntVal()))
 				}
@@ -99,6 +99,7 @@ func TestLCCSeedsWriteEachFragmentOnce(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("%s: fragment rows %v, want %v", sp.key, got, want)
 			}
+			rows.Release()
 		}
 	}
 }

@@ -111,7 +111,7 @@ func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.En
 type taskSpec struct {
 	key, label, group string
 	est               float64
-	rows              int    // a bound on its seed rows: sizes a wire frame's slice and the memory estimate
+	rows              int    // a bound on its seed rows: sizes a wire spec's seeds and the memory estimate
 	phase             string // rtf | lcc | fa | model: the phaseDefs key
 
 	batchID int              // rtf
@@ -201,7 +201,7 @@ func gather[T, E any](results []*tlp.Result, read func(tlp.Rows) any, part func(
 // the executing worker's match arena, and its seed rows are assembled
 // on demand into their consumer — inside its build on the pool worker,
 // straight into the engine; inside Wire on a cluster coordinator, into
-// the frame's slice. A session's task, first run or re-run, is the same
+// a recycled tlp.WireSpec. A session's task, first run or re-run, is the same
 // task: the session signs the rows by assembling them once more.
 func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool) *tlp.Task {
 	def := phaseDefs[sp.phase]
@@ -216,11 +216,12 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool)
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
 		Wire: func() (*tlp.WireSpec, error) {
-			seeds := make(seedSlice, 0, sp.rows)
-			if err := assemble(prog, store, sp, &seeds); err != nil {
+			spec := tlp.NewWireSpec(store.Scene().Name, sp.phase, extract, sp.rows)
+			if err := assemble(prog, store, sp, spec); err != nil {
+				spec.Release()
 				return nil, err
 			}
-			return &tlp.WireSpec{Dataset: store.Scene().Name, Phase: sp.phase, Seeds: seeds, Extract: extract}, nil
+			return spec, nil
 		},
 	}
 }
@@ -236,7 +237,7 @@ func newTasks(prog *ops5.Program, store *RegionStore, specs []taskSpec, capture 
 
 // seedSet assembles a task's seed working memory, in assertion order,
 // into a sink: the task's engine (so a plain row's vector comes from
-// the worker's arena), a wire frame's slice (seedSlice), or a session's
+// the worker's arena), a pooled tlp.WireSpec, or a session's
 // signer, which hashes each row as it arrives. Row shapes are resolved
 // once per program (ops5.Program.SeedRow) and each row is then a
 // slot-ordered value vector — no map, no name lookup. The first failure
@@ -290,16 +291,6 @@ func (ss *seedSet) addFragment(f *Fragment) {
 		err = ss.sink.AssertSeed(s)
 	}
 	ss.err = err
-}
-
-// seedSlice is the sink that keeps a task's rows, for its wire form.
-type seedSlice []ops5.Seed
-
-func (s *seedSlice) NewVals(n int) []symtab.Value { return make([]symtab.Value, n) }
-
-func (s *seedSlice) AssertSeed(sd ops5.Seed) error {
-	*s = append(*s, sd)
-	return nil
 }
 
 // ---------------------------------------------------------------------------

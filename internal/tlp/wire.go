@@ -6,7 +6,8 @@
 //   - WireSpec, the shippable description of a task (its seed working
 //     memory and which classes of the final one its result ships, for
 //     the coordinator to run the task's Read over), attached lazily to
-//     a Task so purely local runs never pay for it;
+//     a Task so purely local runs never pay for it, and recycled
+//     through a package pool once its frame is encoded;
 //   - RemoteError, an error that crossed a process boundary as a
 //     message string plus classification marks, so the coordinator's
 //     RunReport classifies remote failures exactly as local ones.
@@ -17,9 +18,11 @@ package tlp
 
 import (
 	"errors"
+	"slices"
 
 	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
+	"spampsm/internal/symtab"
 )
 
 // WireSpec is the shippable description of one task: which dataset's
@@ -29,11 +32,81 @@ import (
 // ships as a plain seed, a non-empty one is recomputed on the worker),
 // and which WME classes of the final working memory the result frame
 // ships: every class the task's Read reads.
+//
+// A spec from NewWireSpec is also the ops5.SeedSink its task's rows are
+// assembled into: plain rows' values are carved from one slab the spec
+// owns. Its holder hands it back with Release once nothing reads its
+// rows any more (the coordinator, once the task's frames are encoded);
+// a spec nobody releases is collected like any other value.
 type WireSpec struct {
 	Dataset string
 	Phase   string // rtf | lcc | fa | model
 	Seeds   []ops5.Seed
 	Extract []string // WME classes the result frame ships
+
+	vals   []symtab.Value // the slab plain rows' vectors are carved from
+	pooled bool           // from NewWireSpec: Release recycles it
+}
+
+// specPool holds released specs for the next NewWireSpec. Its 8 slots
+// are one per connection feeder that can be wiring at once (two on a
+// two-worker cluster), with room for more connections. It is a channel,
+// not a sync.Pool, so a spec is reused alike under the race detector,
+// which thins a sync.Pool on purpose. A spec whose seed slice or value
+// slab outgrew its cap is left to the GC instead; the largest task of
+// SF, DC or MOFF has 148 seed rows and 346 plain values, so a pooled
+// spec retains at most about 60 KB.
+var specPool = make(chan *WireSpec, 8)
+
+const keepSeeds, keepVals = 512, 2048
+
+// NewWireSpec returns an empty spec of the pool, with room for rows
+// seeds, for a task of the named dataset and phase whose result frame
+// ships the extract classes.
+func NewWireSpec(dataset, phase string, extract []string, rows int) *WireSpec {
+	var s *WireSpec
+	select {
+	case s = <-specPool:
+	default:
+		s = &WireSpec{pooled: true}
+	}
+	s.Dataset, s.Phase, s.Extract = dataset, phase, extract
+	s.Seeds = slices.Grow(s.Seeds, rows)
+	return s
+}
+
+// NewVals carves a zeroed vector for one plain row from the spec's
+// slab, starting a larger slab when it is full (the rows already
+// carved keep the old one).
+func (s *WireSpec) NewVals(n int) []symtab.Value {
+	if len(s.vals)+n > cap(s.vals) {
+		s.vals = make([]symtab.Value, 0, max(2*cap(s.vals), n, 64))
+	}
+	v := s.vals[len(s.vals):][:n:n]
+	s.vals = s.vals[:len(s.vals)+n]
+	clear(v)
+	return v
+}
+
+// AssertSeed appends a row to the spec's seeds.
+func (s *WireSpec) AssertSeed(sd ops5.Seed) error {
+	s.Seeds = append(s.Seeds, sd)
+	return nil
+}
+
+// Release hands a spec from NewWireSpec back to the pool; its seeds,
+// and the vectors carved for them, are then the next task's to
+// overwrite. Any other spec, and one past the caps, is left as it is.
+func (s *WireSpec) Release() {
+	if !s.pooled || cap(s.Seeds) > keepSeeds || cap(s.vals) > keepVals {
+		return
+	}
+	clear(s.Seeds)
+	*s = WireSpec{Seeds: s.Seeds[:0], vals: s.vals[:0], pooled: true}
+	select {
+	case specPool <- s:
+	default:
+	}
 }
 
 // SharedSeedIndexes returns the indexes of the spec's shared

@@ -9,18 +9,24 @@
 // where the base's runs resolve its bound — their inter-quartile
 // distance is below it — and is reported as unresolved elsewhere. radar
 // exits 1 when a gated metric's median is worse than the base's by more
-// than its bound, or when any run of the change fails an op. The
-// workloads, metrics and bounds are the base's BENCHMARK.json, so a
-// change is judged by the contract it is compared against.
+// than its bound, or when any run of the change fails an op; it prints
+// how many runs of each side failed an op, so a broken base does not
+// compare silently. The workloads, metrics and bounds are the base's
+// BENCHMARK.json, so a change is judged by the contract it is compared
+// against; -workload narrows the run to some of its workloads (a name
+// the base does not declare is a usage error, exit 2), so a claimed
+// workload can get more pairs than the rest.
 //
 // Usage (from the repository root; `make radar` wraps it):
 //
 //	go run ./tools/radar -base main
 //	go run ./tools/radar -base HEAD~1 -pairs 3 -seconds 5
+//	go run ./tools/radar -base HEAD~1 -pairs 10 -workload cluster_2proc
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -64,18 +70,66 @@ func main() {
 	base := flag.String("base", "", "git revision to compare the working tree against (required)")
 	pairs := flag.Int("pairs", 5, "base/change run pairs per workload")
 	seconds := flag.Int("seconds", 20, "seconds each benchmark run measures")
+	workloads := flag.String("workload", "", "comma-separated workloads to run (default: every workload of the base's BENCHMARK.json)")
 	flag.Parse()
 	if *base == "" || *pairs < 1 || *seconds < 1 || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*base, *pairs, *seconds); err != nil {
+	if err := run(*base, *pairs, *seconds, *workloads); err != nil {
 		fmt.Fprintln(os.Stderr, "radar:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func run(base string, pairs, seconds int) error {
+// usageError is a mistake in the command line, found once the base's
+// BENCHMARK.json is read.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// selectWorkloads returns the workloads named in list, a comma list,
+// in its order, or every declared one when list is empty. A name not
+// declared is a usageError.
+func selectWorkloads(declared []string, list string) ([]string, error) {
+	if list == "" {
+		return declared, nil
+	}
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		if !slices.Contains(declared, n) {
+			return nil, usageError(fmt.Sprintf("workload %q is not in the base's BENCHMARK.json (%s)", n, strings.Join(declared, ", ")))
+		}
+		names = append(names, n)
+	}
+	return names, nil
+}
+
+// failures reports how many runs of each side failed an op, and fails
+// when a run of the change did: a base that fails is printed, not
+// judged, since the change cannot mend its parent.
+func failures(bases, changes []result) (string, error) {
+	failed := func(rs []result) int {
+		n := 0
+		for _, r := range rs {
+			if !r.Correct || r.Failed > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	nb, nc := failed(bases), failed(changes)
+	line := fmt.Sprintf("runs that failed an op: base %d of %d, change %d of %d", nb, len(bases), nc, len(changes))
+	if nc > 0 {
+		return line, fmt.Errorf("%d runs of the change failed an op", nc)
+	}
+	return line, nil
+}
+
+func run(base string, pairs, seconds int, workloads string) error {
 	dir, err := filepath.Abs(filepath.Join(".bench_build", "radar-base"))
 	if err != nil {
 		return err
@@ -94,10 +148,19 @@ func run(base string, pairs, seconds int) error {
 		return fmt.Errorf("%s's BENCHMARK.json: %w", base, err)
 	}
 
+	var declared []string
+	for _, w := range c.Workloads {
+		declared = append(declared, w.Name)
+	}
+	names, err := selectWorkloads(declared, workloads)
+	if err != nil {
+		return err
+	}
+
 	fmt.Printf("radar: base %s vs the working tree, %d pairs × %d s per workload\n", base, pairs, seconds)
 	var rows []row
-	incorrect := 0
-	for _, w := range c.Workloads {
+	var allBases, allChanges []result
+	for _, w := range names {
 		var bases, changes []result
 		for i := 0; i < pairs; i++ {
 			order := []string{dir, "."}
@@ -105,26 +168,26 @@ func run(base string, pairs, seconds int) error {
 				order[0], order[1] = order[1], order[0]
 			}
 			for _, checkout := range order {
-				r, err := bench(checkout, w.Name, seconds)
+				r, err := bench(checkout, w, seconds)
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(os.Stderr, "radar: %s pair %d/%d, %s: %v\n", w.Name, i+1, pairs, checkout, r.Metrics)
+				fmt.Fprintf(os.Stderr, "radar: %s pair %d/%d, %s: %v\n", w, i+1, pairs, checkout, r.Metrics)
 				if checkout == dir {
 					bases = append(bases, r)
 				} else {
 					changes = append(changes, r)
-					if !r.Correct || r.Failed > 0 {
-						incorrect++
-					}
 				}
 			}
 		}
-		rows = append(rows, compare(w.Name, c.EndToEnd, bases, changes)...)
+		rows = append(rows, compare(w, c.EndToEnd, bases, changes)...)
+		allBases, allChanges = append(allBases, bases...), append(allChanges, changes...)
 	}
 	breaches := report(rows)
-	if incorrect > 0 {
-		return fmt.Errorf("%d runs of the change failed an op", incorrect)
+	line, err := failures(allBases, allChanges)
+	fmt.Printf("\n%s\n", line)
+	if err != nil {
+		return err
 	}
 	if breaches > 0 {
 		return fmt.Errorf("%d gated metrics worse than the base by more than their bound", breaches)

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"slices"
+	"testing"
+)
 
 func results(metric string, vals ...float64) []result {
 	rs := make([]result, len(vals))
@@ -52,5 +56,44 @@ func TestCompare(t *testing.T) {
 			r.delta < tc.delta-1e-9 || r.delta > tc.delta+1e-9 {
 			t.Errorf("%s: %+v", tc.name, r)
 		}
+	}
+}
+
+// TestSelectWorkloads: no list runs every declared workload; a list
+// runs its names in its order; a name the base does not declare is a
+// usage error, which main turns into exit status 2.
+func TestSelectWorkloads(t *testing.T) {
+	declared := []string{"interpret_cli", "serve_inline_small", "session_update", "cluster_2proc"}
+	if got, err := selectWorkloads(declared, ""); err != nil || !slices.Equal(got, declared) {
+		t.Errorf("no list: %v, %v", got, err)
+	}
+	if got, err := selectWorkloads(declared, "cluster_2proc,interpret_cli"); err != nil ||
+		!slices.Equal(got, []string{"cluster_2proc", "interpret_cli"}) {
+		t.Errorf("two names: %v, %v", got, err)
+	}
+	for _, list := range []string{"cluster_3proc", "interpret_cli,", "cluster_2proc,nope"} {
+		_, err := selectWorkloads(declared, list)
+		if !errors.As(err, new(usageError)) {
+			t.Errorf("%q: err %v, want a usage error", list, err)
+		}
+	}
+}
+
+// TestFailures: a run fails an op when it reports a failed op or an
+// incorrect result. The base's failed runs are counted and printed
+// beside the change's, so a broken base does not compare silently; only
+// the change's fail radar.
+func TestFailures(t *testing.T) {
+	broken := results("m", 1, 2, 3, 4)
+	broken[1].Failed = 2
+	broken[3].Correct = false
+	clean := results("m", 1, 2, 3, 4)
+	line, err := failures(broken, clean)
+	if err != nil || line != "runs that failed an op: base 2 of 4, change 0 of 4" {
+		t.Errorf("broken base: %q, %v", line, err)
+	}
+	line, err = failures(clean, broken)
+	if err == nil || line != "runs that failed an op: base 0 of 4, change 2 of 4" {
+		t.Errorf("broken change: %q, %v", line, err)
 	}
 }
