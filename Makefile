@@ -83,9 +83,11 @@ loc:
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored
 # .alloc_profile/, then the top of the three profiles merged, by bytes
-# allocated; then the session path (MOFF, ten 2% updates — the
-# benchmark's session_update) by bytes allocated and by bytes still in
-# use when the session ends, so retained heap has a table too. These
+# allocated; then the session path: forty updates of the benchmark's
+# session_update op (internal/core's BenchmarkSessionUpdate — MOFF, 2%
+# churn, a fresh session every ten updates) at -memprofilerate 1, by
+# bytes allocated, a table of the updates alone: the benchmark opens
+# its sessions with heap profiling off (see unprofiled). These
 # are the tables docs/PERFORMANCE.md "Allocation" was cut from; the
 # next allocation diet starts here, not from a guess. It starts with
 # cpu-profile's twin: twenty rounds of the benchmark's interpret_cli op
@@ -113,10 +115,9 @@ alloc-profile:
 	done
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/spamrun \
 		.alloc_profile/SF.prof .alloc_profile/DC.prof .alloc_profile/MOFF.prof
-	.alloc_profile/spamrun -dataset MOFF -reentry -update 10 -churn 0.02 \
-		-memprofile .alloc_profile/session.prof >/dev/null
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
-	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 .alloc_profile/spamrun .alloc_profile/session.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionUpdate$$' -benchtime 40x -benchmem -memprofilerate 1 \
+		-memprofile .alloc_profile/session.prof -o .alloc_profile/core.test ./internal/core
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/core.test .alloc_profile/session.prof
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x -benchmem \
 		-memprofile .alloc_profile/cluster.prof -o .alloc_profile/cluster.test ./internal/cluster
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/cluster.test .alloc_profile/cluster.prof
@@ -126,7 +127,11 @@ alloc-profile:
 # task process; internal/core's BenchmarkInterpretRound) under
 # -cpuprofile into the gitignored .cpu_profile/, then the top of the
 # profile by flat CPU and by cumulative CPU. Then the same two tables
-# for 400 requests of the benchmark's serve_inline_small op
+# for forty updates of the benchmark's session_update op
+# (internal/core's BenchmarkSessionUpdate; its profile also samples the
+# sessions' openings, one initial interpretation per ten updates, which
+# run outside its timer). Then the same two tables for 400
+# requests of the benchmark's serve_inline_small op
 # (internal/serve's BenchmarkInlineRequest: inline DC x0.3 scenes with
 # re-entry, each a dataset-cache miss, through httptest). Then the
 # same two tables for the cluster coordinator: ten rounds of the
@@ -141,6 +146,10 @@ cpu-profile:
 		-cpuprofile .cpu_profile/round.prof -o .cpu_profile/core.test ./internal/core
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/core.test .cpu_profile/round.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkSessionUpdate$$' -benchtime 40x \
+		-cpuprofile .cpu_profile/session.prof -o .cpu_profile/core.test ./internal/core
+	$(GO) tool pprof -top -nodecount=25 .cpu_profile/core.test .cpu_profile/session.prof
+	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/core.test .cpu_profile/session.prof
 	$(GO) test -run '^$$' -bench 'BenchmarkInlineRequest$$' -benchtime 400x \
 		-cpuprofile .cpu_profile/serve.prof -o .cpu_profile/serve.test ./internal/serve
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof

@@ -1,7 +1,6 @@
 package spam
 
 import (
-	"cmp"
 	"slices"
 
 	"spampsm/internal/geom"
@@ -142,14 +141,14 @@ func clampCell(v, n int) int {
 	return v
 }
 
-// query returns the constraint's candidate partners — the same set, in
-// the same ascending-ID order, as NearbyFragments over an ID-sorted
-// pool of the grid's fragments.
-func (g *liveGrid) query(focal *Fragment, want scene.Kind, radius float64) []*Fragment {
+// query appends the constraint's candidate partners to dst — the same
+// set, in the same ascending-ID order, as NearbyFragments over an
+// ID-sorted pool of the grid's fragments.
+func (g *liveGrid) query(dst []*Fragment, focal *Fragment, want scene.Kind, radius float64) []*Fragment {
 	fd := g.store.Derived(focal.RegionID)
 	k := slices.Index(g.kinds, want)
 	if fd == nil || k < 0 {
-		return nil
+		return dst
 	}
 	bb := fd.BBox.Expand(radius)
 	g.gen++
@@ -159,7 +158,7 @@ func (g *liveGrid) query(focal *Fragment, want scene.Kind, radius float64) []*Fr
 	}
 	base := k * g.cols * g.rows
 	c0, r0, c1, r1 := g.cellRange(bb)
-	var out []*Fragment
+	out := dst
 	for r := r0; r <= r1; r++ {
 		for c := c0; c <= c1; c++ {
 			cell := base + r*g.cols + c
@@ -174,6 +173,6 @@ func (g *liveGrid) query(focal *Fragment, want scene.Kind, radius float64) []*Fr
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b *Fragment) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(out[len(dst):], byFragmentID)
 	return out
 }

@@ -143,7 +143,13 @@ func holdGridToScan(t *testing.T, st *RegionStore, pool []*Fragment) {
 		for k := range kinds {
 			for _, radius := range []float64{0, 150, 900, 1e9} {
 				want := NearbyFragments(st, focal, k, pool, radius)
-				got := g.query(focal, k, radius)
+				// The answer is appended after a prefix, which stays.
+				got := g.query(pool[:1:1], focal, k, radius)
+				if got[0] != pool[0] {
+					t.Fatalf("pool of %d, focal %d kind %s radius %v: the query overwrote its buffer's prefix",
+						len(pool), focal.ID, k, radius)
+				}
+				got = got[1:]
 				if len(got) != len(want) {
 					t.Fatalf("pool of %d, focal %d kind %s radius %v: grid %d scan %d",
 						len(pool), focal.ID, k, radius, len(got), len(want))
@@ -348,10 +354,12 @@ func BenchmarkPartnerSearch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		n := 0
+		var buf []*Fragment
 		for i := 0; i < b.N; i++ {
 			for _, focal := range frags {
 				for _, k := range kinds {
-					n += len(ix.query(focal, k, 300))
+					buf = ix.query(buf[:0], focal, k, 300)
+					n += len(buf)
 				}
 			}
 		}

@@ -373,7 +373,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 	// where the paper accounts it.
 	if opt.ReEntry && len(in.Predictions) > 0 {
 		if extra := d.reEntryFragments(in); len(extra) > 0 {
-			pool2 := append(append([]*Fragment(nil), in.Fragments...), extra...)
+			pool2 := slices.Concat(in.Fragments, extra) // exact-sized: the interpretation keeps it
 			units := unitsWith(d.KB, extra, opt.Level, partnerQuery(d.Store, pool2))
 			if specs := lccUnitSpecs(name, units, opt.Level, true); len(specs) > 0 {
 				re, err := phase("LCC re-entry", specs)
@@ -384,7 +384,7 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 				extracted(re)
 				// Exact-sized: the interpretation keeps them.
 				in.Pairs, in.Outcomes = slices.Concat(in.Pairs, rePairs), slices.Concat(in.Outcomes, reOuts)
-				in.Fragments = slices.Concat(in.Fragments, extra)
+				in.Fragments = pool2
 				lcc = append(lcc, re...)
 			}
 		}
@@ -453,40 +453,33 @@ func phaseError(name string, results []*tlp.Result) error {
 }
 
 // reEntryFragments hypothesizes fragments for FA predictions over
-// regions that have no interpretation yet.
+// regions that have no interpretation yet. in.Fragments is the RTF
+// pool, sorted by fragment ID: a prediction's seed is found in it by
+// binary search.
 func (d *Dataset) reEntryFragments(in *Interpretation) []*Fragment {
-	classified := map[int]bool{}
-	maxID := 0
-	for _, f := range in.Fragments {
-		classified[f.RegionID] = true
-		if f.ID > maxID {
-			maxID = f.ID
-		}
+	maxID, taken := 0, make([]int, len(in.Fragments)) // taken: regions with a fragment, sorted
+	for i, f := range in.Fragments {
+		taken[i], maxID = f.RegionID, max(maxID, f.ID)
 	}
-	seedRegion := map[int]int{} // fa seed fragment -> region
-	for _, f := range in.Fragments {
-		seedRegion[f.ID] = f.RegionID
-	}
+	slices.Sort(taken)
 	var out []*Fragment
-	seen := map[int]bool{}
 	for _, p := range in.Predictions {
-		sr := d.Store.Get(seedRegion[p.FA])
-		if sr == nil {
+		seed := indexOfID(in.Fragments, p.FA)
+		if seed < 0 || d.Store.Get(in.Fragments[seed].RegionID) == nil {
 			continue
 		}
 		// Cached bboxes: same booleans as Poly.BBox() per call.
-		bb := d.Store.Derived(sr.ID).BBox.Expand(1000)
+		bb := d.Store.Derived(in.Fragments[seed].RegionID).BBox.Expand(1000)
 		for _, r := range d.Scene.Regions {
-			if classified[r.ID] || seen[r.ID] {
+			i, found := slices.BinarySearch(taken, r.ID)
+			if found || !bb.Intersects(d.Store.Derived(r.ID).BBox) {
 				continue
 			}
-			if bb.Intersects(d.Store.Derived(r.ID).BBox) {
-				seen[r.ID] = true
-				maxID++
-				out = append(out, &Fragment{
-					ID: maxID, RegionID: r.ID, Type: p.Kind, Conf: 30,
-				})
-			}
+			taken = slices.Insert(taken, i, r.ID)
+			maxID++
+			out = append(out, &Fragment{
+				ID: maxID, RegionID: r.ID, Type: p.Kind, Conf: 30,
+			})
 		}
 	}
 	return out

@@ -61,6 +61,7 @@ import (
 	"hash"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -133,7 +134,8 @@ type signer struct {
 	h    hash.Hash
 	buf  []byte
 	vals []symtab.Value
-	// The task being signed: its signature so far, and the rows and
+	// The task being signed: its signature so far, whose classes are
+	// the signer's scratch until a caller clones them, and the rows and
 	// answers folded into h.
 	sig           taskSig
 	rows, answers int
@@ -146,9 +148,11 @@ var rowHashSeed = maphash.MakeSeed()
 // sign computes the signature of the task the spec describes: its
 // seed rows, assembled into the signer, and what the store would answer
 // its externals (the phase's answers function; nil: nothing). It also
-// returns how many rows and answers the signature covers.
+// returns how many rows and answers the signature covers. The
+// signature's classes are the signer's own and the next sign reuses
+// them: a signature that is kept must be kept with a clone of them.
 func (g *signer) sign(prog *ops5.Program, st *RegionStore, sp *taskSpec) (taskSig, int, error) {
-	g.sig, g.rows, g.answers = taskSig{}, 0, 0
+	g.sig, g.rows, g.answers = taskSig{classes: g.sig.classes[:0]}, 0, 0
 	if err := assemble(prog, st, sp, g); err != nil {
 		g.h.Reset()
 		return taskSig{}, 0, err
@@ -177,7 +181,9 @@ func (g *signer) NewVals(n int) []symtab.Value {
 // AssertSeed folds one seed row into the signature: its canonical
 // bytes — a shared seed's digest as it stands, a plain row's
 // RouteDigest into the reused buffer — go length-prefixed into the
-// running hash and, hashed alone, into their class's sum.
+// running hash and, hashed alone, into their class's sum. The length
+// prefix is written after them into the same buffer, so nothing a row
+// hands the hash is a fresh allocation.
 func (g *signer) AssertSeed(sd ops5.Seed) error {
 	b := g.buf[:0]
 	if sd.Digest != "" {
@@ -185,9 +191,8 @@ func (g *signer) AssertSeed(sd ops5.Seed) error {
 	} else {
 		b = rete.AppendRouteDigest(b, sd.Class, sd.Vals)
 	}
-	g.buf = b
-	var size [binary.MaxVarintLen64]byte
-	g.h.Write(size[:binary.PutUvarint(size[:], uint64(len(b)))])
+	g.buf = binary.AppendUvarint(b, uint64(len(b)))
+	g.h.Write(g.buf[len(b):])
 	g.h.Write(b)
 	sig := &g.sig
 	i := 0
@@ -425,6 +430,7 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 			st = &sessTask{}
 			s.tasks[sp.key] = st
 		}
+		sig.classes = slices.Clone(sig.classes)
 		st.sig, st.res, st.live = sig, nil, true
 		tasks = append(tasks, newTask(prog, store, sp, s.ds.capture))
 		pending = append(pending, i)

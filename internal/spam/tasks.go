@@ -1,6 +1,7 @@
 package spam
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -138,7 +139,7 @@ var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
 	read    func(tlp.Rows) any
-	seeds   func(*seedSet, *taskSpec)
+	seeds   func(seedSet, *taskSpec) error
 	answers func(*RegionStore, *taskSpec, *signer)
 }{
 	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, readRTF, rtfSeeds, rtfAnswers},
@@ -253,11 +254,11 @@ type seedSet struct {
 	err   error
 }
 
-// assemble writes the spec's seed rows into sink.
+// assemble writes the spec's seed rows into sink. The phase's seeds
+// function takes the set by value and returns its error, so no pointer
+// to it crosses the function value and it stays on the stack.
 func assemble(prog *ops5.Program, store *RegionStore, sp *taskSpec, sink ops5.SeedSink) error {
-	ss := &seedSet{prog: prog, store: store, sink: sink}
-	phaseDefs[sp.phase].seeds(ss, sp)
-	return ss.err
+	return phaseDefs[sp.phase].seeds(seedSet{prog: prog, store: store, sink: sink}, sp)
 }
 
 // row resolves one shape of plain (task-local) seed row: its class and
@@ -321,13 +322,17 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 		batchSize = 3
 	}
 	name, regions := store.Scene().Name, store.Scene().Regions
-	var specs []taskSpec
-	at := map[int]int{} // cell → index in specs
+	at := map[int]int{} // cell → index in specs, numbered first so specs is sized exactly
+	for _, r := range regions {
+		if _, ok := at[(r.ID-1)/batchSize]; !ok {
+			at[(r.ID-1)/batchSize] = len(at)
+		}
+	}
+	specs := make([]taskSpec, 0, len(at))
 	for _, r := range regions {
 		cell := (r.ID - 1) / batchSize
-		i, ok := at[cell]
-		if !ok {
-			i, at[cell] = len(specs), len(specs)
+		i := at[cell]
+		if i == len(specs) {
 			specs = append(specs, taskSpec{
 				key: fmt.Sprintf("rtf-%s-%d", name, cell), group: "rtf", phase: "rtf",
 				// batchSize is a client's number on the serving path:
@@ -349,7 +354,7 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 // rtfSeeds assembles one RTF task's seed working memory — the task
 // control row plus a measured-region row per batch member, in
 // assertion order.
-func rtfSeeds(ss *seedSet, sp *taskSpec) {
+func rtfSeeds(ss seedSet, sp *taskSpec) error {
 	task := ss.row("rtf-task", "batch", "status")
 	region := ss.row("region", "id", "batch", "area", "elong", "compact", "intensity", "texture", "status")
 	batch := symtab.Int(int64(sp.batchID))
@@ -360,6 +365,7 @@ func rtfSeeds(ss *seedSet, sp *taskSpec) {
 			symtab.Float(area), symtab.Float(elong), symtab.Float(compact),
 			symtab.Float(intensity), symtab.Float(texture), symMeasured)
 	}
+	return ss.err
 }
 
 // rtfAnswers: rtf-verify and rtf-verify-align are (call …)s — their
@@ -393,7 +399,7 @@ func ExtractFragments(results []*tlp.Result) []*Fragment {
 	for i := range all {
 		frags = append(frags, &all[i])
 	}
-	sort.Slice(frags, func(i, j int) bool { return frags[i].ID < frags[j].ID })
+	slices.SortFunc(frags, byFragmentID)
 	return frags
 }
 
@@ -416,12 +422,28 @@ type lccCheck struct {
 	partners []*Fragment
 }
 
+// byFragmentID orders fragments by ascending ID, which is unique in a
+// pool.
+func byFragmentID(a, b *Fragment) int { return cmp.Compare(a.ID, b.ID) }
+
+// indexOfID returns the position of fragment id in an ID-sorted pool,
+// -1 when the pool has no such fragment.
+func indexOfID(pool []*Fragment, id int) int {
+	if i, ok := slices.BinarySearchFunc(pool, id, func(f *Fragment, id int) int { return cmp.Compare(f.ID, id) }); ok {
+		return i
+	}
+	return -1
+}
+
 // partnerQuery returns the LCC partner search over one fragment pool:
 // a grid built here once over the pool, or, on a reference store,
 // NearbyFragments' scan. The grid orders candidates by fragment ID and
 // the scan by pool position, so all must be sorted by ascending ID for
 // the two to agree: every pool a run hands over is (ExtractFragments
-// sorts; reEntryFragments appends IDs above the maximum).
+// sorts; reEntryFragments appends IDs above the maximum). The grid
+// answers into one reused buffer and hands out exact-capacity windows
+// of slabs a pool's size each (nil when there is no candidate): a slab
+// that cannot take an answer is left as it is, not regrown.
 func partnerQuery(store *RegionStore, all []*Fragment) func(*Fragment, Constraint) []*Fragment {
 	grid := newLiveGrid(store, all)
 	if grid == nil {
@@ -429,38 +451,61 @@ func partnerQuery(store *RegionStore, all []*Fragment) func(*Fragment, Constrain
 			return NearbyFragments(store, f, c.Object, all, c.Radius)
 		}
 	}
-	return func(f *Fragment, c Constraint) []*Fragment { return grid.query(f, c.Object, c.Radius) }
+	var slab, buf []*Fragment
+	return func(f *Fragment, c Constraint) []*Fragment {
+		if buf = grid.query(buf[:0], f, c.Object, c.Radius); cap(slab)-len(slab) < len(buf) {
+			slab = make([]*Fragment, 0, max(len(buf), len(all)))
+		}
+		slab = append(slab, buf...)
+		return window(slab, len(buf))
+	}
 }
 
 // unitsWith enumerates the work units of a decomposition level: focals
 // are the objects to check, query (see partnerQuery) finds each
-// constraint's candidate partners.
+// constraint's candidate partners. A first count sizes one slab for
+// every (focal, constraint) check and the units slice: at Level 3 and 4
+// a unit's checks are its focal's window of the slab, ascending by
+// constraint ID; at Level 2 a unit is one check, in the class's
+// constraint order. Level 1, which no measured path runs, gives each
+// unit a single-partner check of its own and grows its units slice.
 func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Constraint) []*Fragment) []lccUnit {
-	var units []lccUnit
+	n, nunits := 0, 0 // checks; Level 3 and 4 units: focals with a constraint
+	for _, f := range focals {
+		k := len(kb.ConstraintsFor(f.Type))
+		n, nunits = n+k, nunits+min(k, 1)
+	}
+	if level == Level2 {
+		nunits = n
+	}
+	// checks never outgrows its capacity: the windows stay valid.
+	checks, units := make([]lccCheck, 0, n), make([]lccUnit, 0, nunits)
 	for _, f := range focals {
 		cons := kb.ConstraintsFor(f.Type)
 		if len(cons) == 0 {
 			continue
 		}
+		for _, c := range cons {
+			checks = append(checks, lccCheck{c, query(f, c)})
+		}
+		fc := window(checks, len(cons))
 		switch level {
 		case Level3, Level4:
-			u := lccUnit{focal: f, cid: "all", checks: make([]lccCheck, 0, len(cons))}
-			for _, c := range cons {
-				ps := query(f, c)
-				u.checks = append(u.checks, lccCheck{c, ps})
-				u.expected += len(ps)
+			// Constraint IDs are unique: the order needs no stable sort.
+			slices.SortFunc(fc, func(a, b lccCheck) int { return cmp.Compare(a.c.ID, b.c.ID) })
+			u := lccUnit{focal: f, cid: "all", checks: fc}
+			for _, ck := range fc {
+				u.expected += len(ck.partners)
 			}
-			sort.Slice(u.checks, func(i, j int) bool { return u.checks[i].c.ID < u.checks[j].c.ID })
 			units = append(units, u)
 		case Level2:
-			for _, c := range cons {
-				ps := query(f, c)
-				units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{c, ps}}, expected: len(ps)})
+			for i, ck := range fc {
+				units = append(units, lccUnit{focal: f, cid: ck.c.ID, checks: fc[i : i+1 : i+1], expected: len(ck.partners)})
 			}
 		case Level1:
-			for _, c := range cons {
-				for _, p := range query(f, c) {
-					units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{c, []*Fragment{p}}}, expected: 1})
+			for _, ck := range fc {
+				for _, p := range ck.partners {
+					units = append(units, lccUnit{focal: f, cid: ck.c.ID, checks: []lccCheck{{ck.c, []*Fragment{p}}}, expected: 1})
 				}
 			}
 		}
@@ -472,7 +517,7 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 // units, in assertion order: per unit, the (deduplicated) focal and
 // partner fragments with their scope triples, then the support and
 // task control rows.
-func lccSeeds(ss *seedSet, sp *taskSpec) {
+func lccSeeds(ss seedSet, sp *taskSpec) error {
 	scope := ss.row("scope", "object", "constraint", "partner")
 	support := ss.row("support", "object", "count", "checked")
 	task := ss.row("lcc-task", "object", "class", "cid", "expected", "status")
@@ -504,6 +549,7 @@ func lccSeeds(ss *seedSet, sp *taskSpec) {
 		ss.add(support, focal, symtab.Int(0), symtab.Int(0))
 		ss.add(task, focal, sym(string(u.focal.Type)), sym(u.cid), symtab.Int(int64(u.expected)), symActive)
 	}
+	return ss.err
 }
 
 // lccAnswers makes, per scope triple in seed order, the call its
@@ -548,25 +594,21 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 		prefix = "lccr"
 	}
 	if level == Level4 {
-		// One task per object class. The scope WMEs keep each focal
-		// object's checks identical to its Level-3 task even though the
-		// class's objects share one working memory.
-		byClass := map[scene.Kind][]lccUnit{}
-		for _, u := range units {
-			byClass[u.focal.Type] = append(byClass[u.focal.Type], u)
-		}
-		var classes []scene.Kind
-		for k := range byClass {
-			classes = append(classes, k)
-		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-		specs := make([]taskSpec, 0, len(classes))
-		for _, k := range classes {
-			group := byClass[k]
-			est := 0
-			for _, u := range group {
-				est += u.expected
+		// One task per object class, ascending, its units in unit order:
+		// a window of one copy of the units, stably sorted by class. The
+		// scope WMEs keep each focal object's checks identical to its
+		// Level-3 task even though the class's objects share one working
+		// memory.
+		slab := slices.Clone(units)
+		slices.SortStableFunc(slab, func(a, b lccUnit) int { return cmp.Compare(a.focal.Type, b.focal.Type) })
+		var specs []taskSpec
+		for len(slab) > 0 {
+			k, n, est := slab[0].focal.Type, 0, 0
+			for ; n < len(slab) && slab[n].focal.Type == k; n++ {
+				est += slab[n].expected
 			}
+			group := slab[:n:n]
+			slab = slab[n:]
 			specs = append(specs, taskSpec{
 				key:   fmt.Sprintf("%s4-%s-%s", prefix, name, k),
 				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
@@ -580,7 +622,7 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 		return specs
 	}
 	specs := make([]taskSpec, 0, len(units))
-	for _, u := range units {
+	for i, u := range units {
 		key := fmt.Sprintf("%s%d-%s-o%d", prefix, level, name, u.focal.ID)
 		switch level {
 		case Level2:
@@ -595,7 +637,7 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 			est:   float64(u.expected),
 			rows:  2*u.expected + 3,
 			phase: "lcc",
-			units: []lccUnit{u},
+			units: units[i : i+1 : i+1],
 		})
 	}
 	return specs
@@ -691,70 +733,99 @@ func BuildFATasks(kb *KB, store *RegionStore, prog *ops5.Program, frags []*Fragm
 }
 
 // faSpecs enumerates the FA tasks — one per (functional-area spec,
-// consistent seed fragment), keyed by the seed fragment's ID.
+// consistent seed fragment), keyed by the seed fragment's ID. frags is
+// an ID-sorted pool (ExtractFragments'), searched by binary search.
+// One counting pass groups the pairs by object into one flat slice,
+// each object's in input order, and the tasks' members and pairs are
+// carved from two slabs sized by their seeds' pairs.
 func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, outcomes []LCCOutcome) []taskSpec {
-	byID := map[int]*Fragment{}
-	for _, f := range frags {
-		byID[f.ID] = f
-	}
-	consistent := map[int]bool{}
+	consistent := make([]bool, len(frags))
 	for _, o := range outcomes {
-		if o.Status == "consistent" {
-			consistent[o.Object] = true
+		if i := indexOfID(frags, o.Object); i >= 0 && o.Status == "consistent" {
+			consistent[i] = true
 		}
 	}
-	pairsByObject := map[int][]ConsistentPair{}
+	// frags[i]'s pairs are byObject[start[i]:start[i+1]]: each pair's
+	// index in pairs and its partner's position in frags (-1: not in the
+	// pool). Count, prefix-sum into each object's end, then fill from
+	// the last pair back, moving each object's offset to its start.
+	type objectPair struct{ pair, partner int32 }
+	start := make([]int, len(frags)+1)
 	for _, p := range pairs {
-		pairsByObject[p.Object] = append(pairsByObject[p.Object], p)
+		if i := indexOfID(frags, p.Object); i >= 0 {
+			start[i]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	byObject := make([]objectPair, start[len(frags)])
+	for k := len(pairs) - 1; k >= 0; k-- {
+		if i := indexOfID(frags, pairs[k].Object); i >= 0 {
+			start[i]--
+			byObject[start[i]] = objectPair{int32(k), int32(indexOfID(frags, pairs[k].Partner))}
+		}
 	}
 
-	var specs []taskSpec
+	n, bound := 0, 0
 	for _, spec := range kb.FAs {
-		memberKinds := map[scene.Kind]bool{}
-		for _, m := range spec.Members {
-			memberKinds[m] = true
+		for i, f := range frags {
+			if f.Type == spec.Seed && consistent[i] {
+				n, bound = n+1, bound+start[i+1]-start[i]
+			}
 		}
-		for _, f := range frags {
-			if f.Type != spec.Seed || !consistent[f.ID] {
+	}
+	specs := make([]taskSpec, 0, n)
+	members, memberPairs := make([]*Fragment, 0, bound), make([]ConsistentPair, 0, bound)
+	mark := make([]int, len(frags)) // mark[j] == len(specs)+1: frags[j] is a member of the task being made
+	for _, spec := range kb.FAs {
+		for i, f := range frags {
+			if f.Type != spec.Seed || !consistent[i] {
 				continue
 			}
 			// Collect the consistent member partners and the expected
 			// member count (distinct partners of member classes).
-			var members []*Fragment
-			var memberPairs []ConsistentPair
-			seen := map[int]bool{}
-			for _, p := range pairsByObject[f.ID] {
-				pf := byID[p.Partner]
-				if pf == nil || !memberKinds[pf.Type] {
+			m0, p0 := len(members), len(memberPairs)
+			for _, p := range byObject[start[i]:start[i+1]] {
+				if p.partner < 0 || !slices.Contains(spec.Members, frags[p.partner].Type) {
 					continue
 				}
-				memberPairs = append(memberPairs, p)
-				if !seen[pf.ID] {
-					seen[pf.ID] = true
-					members = append(members, pf)
+				memberPairs = append(memberPairs, pairs[p.pair])
+				if mark[p.partner] != len(specs)+1 {
+					mark[p.partner] = len(specs) + 1
+					members = append(members, frags[p.partner])
 				}
 			}
+			nm, np := len(members)-m0, len(memberPairs)-p0
 			specs = append(specs, taskSpec{
 				key:     fmt.Sprintf("fa-%s-%s-%d", name, spec.Type, f.ID),
-				label:   fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, len(members)),
+				label:   fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, nm),
 				group:   "fa-" + string(spec.Type),
-				est:     float64(len(members) + 1),
-				rows:    len(members) + len(memberPairs) + 2,
+				est:     float64(nm + 1),
+				rows:    nm + np + 2,
 				phase:   "fa",
 				seed:    f,
 				faType:  spec.Type,
-				members: members,
-				pairs:   memberPairs,
+				members: window(members, nm),
+				pairs:   window(memberPairs, np),
 			})
 		}
 	}
 	return specs
 }
 
+// window returns the last n elements of s, capacity n; nil when n is 0.
+func window[E any](s []E, n int) []E {
+	if n == 0 {
+		return nil
+	}
+	return s[len(s)-n : len(s) : len(s)]
+}
+
 // faSeeds assembles one FA task's seed working memory: the seed
 // fragment, its member fragments, the consistency rows supporting the
 // aggregation, and the task control row, in assertion order.
-func faSeeds(ss *seedSet, sp *taskSpec) {
+func faSeeds(ss seedSet, sp *taskSpec) error {
 	consistency := ss.row("consistency", "object", "partner", "relation", "result")
 	task := ss.row("fa-task", "seed", "fatype", "expected", "status")
 	ss.addFragment(sp.seed)
@@ -765,6 +836,7 @@ func faSeeds(ss *seedSet, sp *taskSpec) {
 		ss.add(consistency, symtab.Int(int64(p.Object)), symtab.Int(int64(p.Partner)), sym(p.Relation), symT)
 	}
 	ss.add(task, symtab.Int(int64(sp.seed.ID)), sym(sp.faType), symtab.Int(int64(len(sp.pairs))), symActive)
+	return ss.err
 }
 
 // faAnswers: every fa-predict-* rule calls fa-predict-area on the seed
@@ -843,26 +915,23 @@ func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
 // modelSeeds assembles the MODEL task's seed working memory: per
 // closed functional area its (deduplicated) seed fragment and fa row,
 // then the task control row, in assertion order.
-func modelSeeds(ss *seedSet, sp *taskSpec) {
-	byID := map[int]*Fragment{}
-	for _, f := range sp.frags {
-		byID[f.ID] = f
-	}
+func modelSeeds(ss seedSet, sp *taskSpec) error {
 	faRow := ss.row("fa", "id", "seed", "fatype", "nmembers", "status")
 	task := ss.row("model-task", "status")
-	seen := map[int]bool{}
+	seen := make([]int, 0, len(sp.fas)) // the seeds written, scanned: a few dozen at most
 	for _, fa := range sp.fas {
 		if fa.Status != "closed" {
 			continue
 		}
-		if f := byID[fa.Seed]; f != nil && !seen[f.ID] {
-			seen[f.ID] = true
-			ss.addFragment(f)
+		if i := indexOfID(sp.frags, fa.Seed); i >= 0 && !slices.Contains(seen, fa.Seed) {
+			seen = append(seen, fa.Seed)
+			ss.addFragment(sp.frags[i])
 		}
 		seed := symtab.Int(int64(fa.Seed))
 		ss.add(faRow, seed, seed, sym(fa.Type), symtab.Int(int64(fa.NMembers)), symClosed)
 	}
 	ss.add(task, symActive)
+	return ss.err
 }
 
 // readModel is the MODEL phase's read: the task's final models, in
