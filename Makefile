@@ -22,13 +22,14 @@ vet-benchmark:
 # loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
 # definitions under cmd/ (a test's own flags, like the golden tests'
-# -update, are not the commands') — and seven counts that must stay
+# -update, are not the commands') — and eight counts that must stay
 # zero: build switches, package-level atomic.Bool declarations in
 # internal/spam and internal/geom, which is what a process-global
 # switch is made of, the cluster's retired second way onto a worker,
 # the retired second set of task processes, the real pool's retired
-# memory gate, the retired patched partner grid, and the retired
-# user-reachable fault injection. The first counts
+# memory gate, the retired patched partner grid, the retired
+# user-reachable fault injection, and the retired self-killing
+# worker. The first counts
 # mentions of the process-global switches (tests and comments
 # included) and non-test mentions of the per-run build mode that
 # replaced them and of its reference bits, which now live only in
@@ -49,9 +50,13 @@ vet-benchmark:
 # mentions of the ways a request, a flag or an option used to inject
 # faults, and of the quarantine class that kept a run's own plan off
 # /healthz, in the commands and packages a user reaches: chaos is test
-# apparatus (tlp.RunConfig.Faults, cluster.Config.ProcFaults).
-# cmd/spambench is left out: its ext-faults simulator keeps its
-# -fault-seed and -crash-rate.
+# apparatus (tlp.RunConfig.Faults, which the in-process chaos suites
+# set, and internal/cluster's death harness, which kills a worker from
+# outside it). cmd/spambench is left out: its ext-faults simulator
+# keeps its -fault-seed and -crash-rate. The eighth counts non-test
+# mentions of the worker's process-fault plan, of the respawn knob that
+# only tests set, and of a SIGKILL: no product code can make a worker
+# kill itself, and a worker death is a test's doing.
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
@@ -79,6 +84,9 @@ loc:
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
 			'AllowFaults|allow-faults|FaultConfig|InjectedQuarantines|injQuar|crash-rate|fault-seed|req\.Faults|opt\.Faults' \
 			cmd/spamrun cmd/spamserve internal/serve internal/spam internal/tlp | wc -l
+	@printf 'self-killing worker mentions (cmd, internal; want 0): '; \
+		grep -rhoE --include='*.go' --exclude='*_test.go' \
+			'ProcFaults|procPlan|MaxRespawns|syscall\.SIGKILL' cmd internal | wc -l
 
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored

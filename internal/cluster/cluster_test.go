@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/tlp"
@@ -347,138 +345,6 @@ func TestClusterStartFailureCleanup(t *testing.T) {
 	}
 }
 
-// chaosRun executes one DC cluster interpretation under a process-kill
-// plan and returns it with the coordinator's accounting.
-func chaosRun(t *testing.T, seed int64, reEntry bool) (*spam.Interpretation, Stats) {
-	t.Helper()
-	p := airportParams("DC")
-	co, err := Start(Config{
-		Workers: 2, LocalWorkers: 1, ShipWindow: 1, MaxRespawns: 8,
-		ProcFaults: faults.Config{Seed: seed, CrashRate: 0.05},
-	})
-	if err != nil {
-		t.Fatalf("start cluster: %v", err)
-	}
-	defer co.Close()
-	if err := co.RegisterDataset(AirportSpec(p)); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	d, err := spam.NewDataset(p)
-	if err != nil {
-		t.Fatalf("dataset: %v", err)
-	}
-	opt := spam.InterpretOptions{Workers: 2, MaxRetries: 2, ReEntry: reEntry}
-	clusterOpt := opt
-	clusterOpt.Runner = NewRunner(co, opt)
-	in, err := d.Interpret(clusterOpt)
-	if err != nil {
-		t.Fatalf("cluster interpret under chaos: %v", err)
-	}
-	// Exactly-once: every phase's merged results carry each task once —
-	// no nils (lost), no duplicate IDs (double delivery).
-	for _, ph := range in.Phases {
-		seen := map[string]bool{}
-		for _, r := range ph.Results {
-			if r == nil {
-				t.Fatalf("phase %s: lost task result", ph.Phase)
-			}
-			if seen[r.TaskID] {
-				t.Fatalf("phase %s: task %s delivered twice", ph.Phase, r.TaskID)
-			}
-			seen[r.TaskID] = true
-		}
-		if len(seen) != ph.Tasks {
-			t.Fatalf("phase %s: %d distinct results for %d tasks", ph.Phase, len(seen), ph.Tasks)
-		}
-	}
-	return in, co.Stats()
-}
-
-// TestClusterChaosKillReproducible SIGKILLs worker processes mid-run
-// (deterministically, via the shipped fault plan) and asserts the
-// merged RunReport accounting is byte-reproducible across two
-// identical runs, with every task delivered exactly once.
-func TestClusterChaosKillReproducible(t *testing.T) {
-	in1, s1 := chaosRun(t, 7, false)
-	in2, s2 := chaosRun(t, 7, false)
-	f1, f2 := phaseFingerprint(in1), phaseFingerprint(in2)
-	if s1.WorkerDeaths < 1 {
-		t.Fatalf("chaos plan killed no workers (stats %+v); raise the rate or change the seed", s1)
-	}
-	if f1 != f2 {
-		t.Errorf("chaos run not reproducible:\nrun 1:\n%s\nrun 2:\n%s", f1, f2)
-	}
-	if s1.WorkerDeaths != s2.WorkerDeaths || s1.Requeued != s2.Requeued {
-		t.Errorf("recovery accounting differs: run 1 %+v, run 2 %+v", s1, s2)
-	}
-	if !strings.Contains(f1, "worker process lost") {
-		t.Errorf("report does not show the process loss:\n%s", f1)
-	}
-}
-
-// reEntryChaosSeed is a kill plan that fates a re-entry task of DC at
-// oracleScale, so a worker dies running an LCC re-entry task.
-const reEntryChaosSeed = 42
-
-// TestDifferentialClusterChaosReEntry runs the kill plan with re-entry
-// on, so an LCC re-entry task is among the casualties, and holds the
-// merged interpretation to a crash-free in-process run of the same
-// dataset: per phase, the same multiset of task IDs — a lost merge
-// removes one, a duplicated merge adds one — and the same outputs.
-func TestDifferentialClusterChaosReEntry(t *testing.T) {
-	in, st := chaosRun(t, reEntryChaosSeed, true)
-	d, err := spam.NewDataset(airportParams("DC"))
-	if err != nil {
-		t.Fatalf("dataset: %v", err)
-	}
-	ref, err := d.Interpret(spam.InterpretOptions{Workers: 2, ReEntry: true})
-	if err != nil {
-		t.Fatalf("crash-free reference: %v", err)
-	}
-	if len(in.Phases) != len(ref.Phases) {
-		t.Fatalf("%d phases, reference has %d", len(in.Phases), len(ref.Phases))
-	}
-	requeuedReEntry := 0
-	for pi, ph := range in.Phases {
-		got, want := map[string]int{}, map[string]int{}
-		for _, r := range ph.Results {
-			got[r.TaskID]++
-			if strings.HasPrefix(r.TaskID, "lccr") && lostToDeath(r) {
-				requeuedReEntry++
-			}
-		}
-		for _, r := range ref.Phases[pi].Results {
-			want[r.TaskID]++
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("phase %s: merged task IDs differ from the crash-free run:\ngot  %v\nwant %v", ph.Phase, got, want)
-		}
-	}
-	if !spam.SameOutputs(ref, in) {
-		t.Error("outputs differ from the crash-free run")
-	}
-	if st.WorkerDeaths < 1 || st.Requeued < 1 {
-		t.Errorf("kill plan exercised no recovery: %d worker deaths, %d requeues", st.WorkerDeaths, st.Requeued)
-	}
-	if requeuedReEntry < 1 {
-		t.Errorf("no re-entry task was requeued by a death (stats %+v); pick another reEntryChaosSeed", st)
-	}
-	if st.TasksCompleted < in.Completeness.Tasks {
-		t.Errorf("coordinator merged %d results for %d tasks", st.TasksCompleted, in.Completeness.Tasks)
-	}
-}
-
-// lostToDeath reports whether a worker death was charged to the task:
-// it was in flight on a worker that died, and was requeued.
-func lostToDeath(r *tlp.Result) bool {
-	for _, e := range r.AttemptErrs {
-		if strings.Contains(e.Error(), "worker process lost") {
-			return true
-		}
-	}
-	return false
-}
-
 // TestClusterCancelledRun checks the cancellation contract: a
 // cancelled run returns a Result wrapping ErrCancelled for every
 // unfinished task, without error.
@@ -543,7 +409,7 @@ func coordinatorGoroutines() []string {
 // the listener close, not inside Close, so the test waits for them.
 func TestCoordinatorCloseLeavesNoGoroutines(t *testing.T) {
 	before := len(coordinatorGoroutines())
-	co, err := Start(Config{Workers: 2, LocalWorkers: 1, MaxRespawns: 1})
+	co, err := Start(Config{Workers: 2, LocalWorkers: 1})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/tlp"
 	"spampsm/internal/wm"
@@ -28,18 +27,11 @@ type Config struct {
 	// LocalWorkers is each worker process's task processes, the size
 	// of its tlp.Pool (default 1).
 	LocalWorkers int
-	// ProcFaults seeds process-level chaos: a Crash draw for a shipped
-	// (task, attempt) SIGKILLs the receiving worker process.
-	ProcFaults faults.Config
 	// Network/Addr select the transport: "unix" (default, socket in a
 	// private temp dir) or "tcp" with an explicit listen address —
 	// multi-host is one flag away (see docs/CLUSTER.md).
 	Network string
 	Addr    string
-	// MaxRespawns bounds worker-process respawns after connection loss
-	// (default 1, the bounded-restart discipline of the pool's retry
-	// budget lifted to processes). Negative disables respawn.
-	MaxRespawns int
 	// ShipWindow caps the tasks in flight to one worker process. Zero
 	// means shipDepth per task process, the measured depth that keeps
 	// one fed across a result→claim→ship round trip; set it only to
@@ -66,6 +58,11 @@ const shipDepth = 16
 // bytes; the LRU tail is evicted past it.
 const chunkBudget = 32 << 20
 
+// respawnBudget bounds the replacement processes Start's coordinator
+// spawns after connection losses: the bounded-restart discipline of
+// the pool's retry budget lifted to processes.
+const respawnBudget = 1
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = 2
@@ -75,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Network == "" {
 		c.Network = "unix"
-	}
-	if c.MaxRespawns == 0 {
-		c.MaxRespawns = 1
 	}
 	if c.ShipWindow < 1 {
 		c.ShipWindow = shipDepth * c.LocalWorkers
@@ -293,12 +287,16 @@ type Coordinator struct {
 var _ tlp.Queue = (*Coordinator)(nil)
 
 // Start listens, spawns the worker processes, and waits for all of
-// them to connect.
+// them to connect. A process lost later is replaced within
+// respawnBudget.
 func Start(cfg Config) (*Coordinator, error) {
 	co, err := listen(cfg)
 	if err != nil {
 		return nil, err
 	}
+	co.mu.Lock()
+	co.respawnsLeft = respawnBudget
+	co.mu.Unlock()
 	for i := 0; i < co.cfg.Workers; i++ {
 		if err := co.spawn(); err != nil {
 			co.Close()
@@ -314,20 +312,17 @@ func Start(cfg Config) (*Coordinator, error) {
 
 // listen is Start without the processes: a coordinator accepting on
 // its address, every slot empty. Whoever dials Addr becomes a worker —
-// Start's spawned processes, or a test's in-process ones.
+// Start's spawned processes, or a test's in-process ones. It respawns
+// nothing: it has no process of its own to replace.
 func listen(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
-		cfg:          cfg,
-		dsNames:      map[string]bool{},
-		slots:        make([]*wconn, cfg.Workers),
-		perWorker:    make([]WorkerStats, cfg.Workers),
-		respawnsLeft: cfg.MaxRespawns,
-		runSeq:       1,
-		chunkBudget:  chunkBudget,
-	}
-	if co.respawnsLeft < 0 {
-		co.respawnsLeft = 0
+		cfg:         cfg,
+		dsNames:     map[string]bool{},
+		slots:       make([]*wconn, cfg.Workers),
+		perWorker:   make([]WorkerStats, cfg.Workers),
+		runSeq:      1,
+		chunkBudget: chunkBudget,
 	}
 	co.cond = sync.NewCond(&co.mu)
 	co.stats.Workers = cfg.Workers
@@ -479,7 +474,6 @@ func (co *Coordinator) register(c net.Conn) {
 	init := InitMsg{
 		Magic: Magic, Version: Version,
 		LocalWorkers: co.cfg.LocalWorkers,
-		ProcFaults:   co.cfg.ProcFaults,
 	}
 	specs := append([]DatasetSpec(nil), co.datasets...)
 	co.cond.Broadcast()

@@ -2,13 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,10 +19,10 @@ import (
 )
 
 // listenBare starts a coordinator with no worker processes: the tests
-// below bring their own workers, in process, by dialling its address.
+// below bring their own workers, in process, by dialling its address,
+// and dial any replacement themselves.
 func listenBare(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
-	cfg.MaxRespawns = -1 // a lost in-process worker has no process to respawn
 	co, err := listen(cfg)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -157,7 +156,7 @@ func TestPipelineKeepsWorkerFed(t *testing.T) {
 	w := newWorker(conn)
 	w.datasets[d.Name] = d
 	var queued []int // one executor: appended in start order, read after serve returns
-	w.onStart = func(q int) { queued = append(queued, q) }
+	w.onStart = func(_ *TaskMsg, q int) { queued = append(queued, q) }
 	served := make(chan error, 1)
 	go func() { served <- w.serve() }()
 
@@ -217,7 +216,7 @@ func TestPipelineAbandonsQueueOnDroppedConnection(t *testing.T) {
 	w.datasets[d.Name] = d
 	var starts atomic.Int64 // a start is an engine build (the slow task's comes after its backoff)
 	started := make(chan struct{}, 1+queuedBehind)
-	w.onStart = func(int) { starts.Add(1); started <- struct{}{} }
+	w.onStart = func(*TaskMsg, int) { starts.Add(1); started <- struct{}{} }
 	served := make(chan error, 1)
 	go func() { served <- w.serve() }()
 
@@ -293,10 +292,11 @@ type stubWorker struct {
 	// carries, so that a window of results outgrows one read.
 	pad int
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	got  []*TaskMsg // task frames in arrival order
-	gone bool       // read loop ended
+	mu     sync.Mutex
+	cond   *sync.Cond
+	inited bool       // the Init frame arrived
+	got    []*TaskMsg // task frames in arrival order
+	gone   bool       // read loop ended
 }
 
 func dialStub(t *testing.T, co *Coordinator, nth int) *stubWorker {
@@ -321,8 +321,15 @@ func (s *stubWorker) read() {
 		if err != nil || typ == frameShutdown {
 			return
 		}
+		if typ == frameInit {
+			s.mu.Lock()
+			s.inited = true
+			s.cond.Broadcast()
+			s.mu.Unlock()
+			continue
+		}
 		if typ != frameTaskV2 {
-			// Init, and nothing else: the stub's tasks name no dataset a
+			// Nothing else arrives: the stub's tasks name no dataset a
 			// test registers and carry no seeds to chunk.
 			continue
 		}
@@ -341,6 +348,27 @@ func (s *stubWorker) read() {
 // await blocks until n task frames have arrived and returns them all.
 func (s *stubWorker) await(n int) []*TaskMsg {
 	s.t.Helper()
+	ok := s.waitFor(func() bool { return len(s.got) >= n })
+	defer s.mu.Unlock()
+	if !ok {
+		s.t.Fatalf("stub received %d task frames, want %d", len(s.got), n)
+	}
+	return append([]*TaskMsg(nil), s.got...)
+}
+
+// awaitInit blocks until the handshake has arrived.
+func (s *stubWorker) awaitInit() {
+	s.t.Helper()
+	ok := s.waitFor(func() bool { return s.inited })
+	s.mu.Unlock()
+	if !ok {
+		s.t.Fatal("stub received no Init frame")
+	}
+}
+
+// waitFor waits up to 20 s for cond, which reads the stub's state, and
+// reports whether it came true. It returns holding s.mu.
+func (s *stubWorker) waitFor(cond func() bool) bool {
 	deadline := time.Now().Add(20 * time.Second)
 	wake := time.AfterFunc(time.Until(deadline), func() {
 		s.mu.Lock()
@@ -349,14 +377,24 @@ func (s *stubWorker) await(n int) []*TaskMsg {
 	})
 	defer wake.Stop()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.got) < n && time.Now().Before(deadline) {
+	for !cond() && time.Now().Before(deadline) {
 		s.cond.Wait()
 	}
-	if len(s.got) < n {
-		s.t.Fatalf("stub received %d task frames, want %d", len(s.got), n)
+	return cond()
+}
+
+// resultFrame encodes a bare success for m as a whole frame, against
+// the stub's result-stream table.
+func (s *stubWorker) resultFrame(m *TaskMsg) []byte {
+	res := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Attempts: m.StartAttempt}
+	if s.pad > 0 {
+		res.Err = &WireError{Msg: fmt.Sprintf("%0*d", s.pad, m.Seq)}
 	}
-	return append([]*TaskMsg(nil), s.got...)
+	var b bytes.Buffer
+	bw := bufio.NewWriter(&b)
+	writeFrame(bw, frameResult, EncodeResultV2(s.enc, res))
+	bw.Flush()
+	return b.Bytes()
 }
 
 // answer writes a bare success for each task, flushed as one write.
@@ -364,18 +402,22 @@ func (s *stubWorker) answer(ms ...*TaskMsg) {
 	s.t.Helper()
 	bw := bufio.NewWriter(s.conn)
 	for _, m := range ms {
-		res := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Attempts: m.StartAttempt}
-		if s.pad > 0 {
-			res.Err = &WireError{Msg: fmt.Sprintf("%0*d", s.pad, m.Seq)}
-		}
-		if _, err := writeFrame(bw, frameResult, EncodeResultV2(s.enc, res)); err != nil {
-			s.t.Errorf("stub: write result: %v", err)
-			return
-		}
+		bw.Write(s.resultFrame(m))
 	}
 	if err := bw.Flush(); err != nil {
 		s.t.Errorf("stub: flush results: %v", err)
 	}
+}
+
+// tear writes the first k bytes of m's result frame, and returns the
+// whole frame's length: the stub dies before the rest.
+func (s *stubWorker) tear(m *TaskMsg, k int) int {
+	s.t.Helper()
+	frame := s.resultFrame(m)
+	if _, err := s.conn.Write(frame[:k]); err != nil {
+		s.t.Fatalf("stub: write %d bytes of a result frame: %v", k, err)
+	}
+	return len(frame)
 }
 
 // serveAll answers every task as it arrives, until the connection
@@ -441,165 +483,6 @@ func submitAsync(co *Coordinator, cfg tlp.RunConfig, tasks []*tlp.Task) func(t *
 			t.Fatal("run did not finish")
 			return nil
 		}
-	}
-}
-
-// TestKillPoint enumerates the moments a worker can die at and holds
-// the recovery to its rule at each: of the dead connection's unmerged
-// tasks, exactly the first LocalWorkers+resultBatch in ship order —
-// the ones its executors can have started, finished or not — are
-// charged an attempt; the rest re-ship at the attempt they had; and
-// the survivor merges every task exactly once. Two stub workers, no
-// processes: the victim takes slot 0, and the survivor answers nothing
-// until the victim is dead, so which tasks the victim held is the
-// test's choice and not the scheduler's.
-func TestKillPoint(t *testing.T) {
-	const localWorkers = 2
-	const window = shipDepth * localWorkers
-	const charge = localWorkers + resultBatch
-	points := []struct {
-		name string
-		// The victim answers its first merged tasks, sees the window
-		// refill behind them, and dies holding a full window. Of that,
-		// it had finished unflushed tasks without sending their results
-		// and had running more on its executors — for the coordinator
-		// all just unmerged, but the last of them is the task a kill
-		// plan would have fated, and that one must be charged.
-		merged, unflushed, running int
-		maxRetries                 int
-	}{
-		{name: "full window, nothing merged", running: localWorkers, maxRetries: 2},
-		{name: "after 5 results", merged: 5, running: localWorkers, maxRetries: 2},
-		{name: "results finished but unflushed", merged: 8, unflushed: resultBatch, running: localWorkers, maxRetries: 2},
-		{name: "no retries: a death quarantines only what it interrupted", merged: 3, running: localWorkers},
-	}
-	for _, pt := range points {
-		t.Run(pt.name, func(t *testing.T) {
-			co := listenBare(t, Config{Workers: 2, LocalWorkers: localWorkers})
-			victim := dialStub(t, co, 1)
-			survivor := dialStub(t, co, 2)
-			tasks := stubTasks(8 * window)
-			wait := submitAsync(co, tlp.RunConfig{MaxRetries: pt.maxRetries}, tasks)
-
-			// The victim's life. order is its ship order after the merged
-			// tasks, which reaches past the charged ones; unmerged is what
-			// the coordinator still has in flight to it when it dies.
-			got := victim.await(window)
-			victim.answer(got[:pt.merged]...)
-			// Every merged result frees one window slot, so the refill
-			// arriving means all of them are merged.
-			got = victim.await(window + pt.merged)
-			if len(got) != window+pt.merged {
-				t.Fatalf("victim was shipped %d tasks with %d merged, over its window of %d", len(got), pt.merged, window)
-			}
-			order := got[pt.merged:]
-			unmerged := map[string]bool{}
-			for _, m := range order {
-				unmerged[m.ID] = true
-			}
-			victim.conn.Close()
-
-			charged := sortedIDs(order[:charge])
-			wantCharged := map[string]bool{}
-			for _, id := range charged {
-				wantCharged[id] = true
-			}
-			if fated := order[pt.unflushed+pt.running-1]; !wantCharged[fated.ID] {
-				t.Fatalf("the fated task %s is outside the charged prefix", fated.ID)
-			}
-			for _, m := range order {
-				if m.StartAttempt != 1 {
-					t.Fatalf("task %s first shipped at attempt %d", m.ID, m.StartAttempt)
-				}
-			}
-
-			go survivor.serveAll()
-			results := wait(t)
-
-			// Per task: the charged ones carry the loss and one more
-			// attempt, and nothing else does.
-			var gotCharged, quarantined []string
-			for i, r := range results {
-				if r == nil {
-					t.Fatalf("task %s: no result", tasks[i].ID)
-				}
-				lost := 0
-				for _, e := range r.AttemptErrs {
-					if strings.Contains(e.Error(), "worker process lost") {
-						lost++
-					}
-				}
-				if lost > 0 {
-					gotCharged = append(gotCharged, r.TaskID)
-				}
-				if r.Quarantined {
-					quarantined = append(quarantined, r.TaskID)
-				} else if r.Attempts != 1+lost {
-					t.Errorf("task %s: %d attempts after %d losses", r.TaskID, r.Attempts, lost)
-				}
-				if lost > 1 {
-					t.Errorf("task %s: one death charged it %d times", r.TaskID, lost)
-				}
-			}
-			if !slices.Equal(gotCharged, charged) {
-				t.Errorf("charged an attempt and a worker-loss error:\n %d tasks %v\nwant the first %d unmerged in ship order:\n %v", len(gotCharged), gotCharged, charge, charged)
-			}
-			var wantQuarantined, wantResumed []string
-			if pt.maxRetries == 0 {
-				wantQuarantined = charged
-			} else {
-				for _, id := range charged {
-					wantResumed = append(wantResumed, id+"@2")
-				}
-			}
-			if !slices.Equal(quarantined, wantQuarantined) {
-				t.Errorf("one death at MaxRetries %d quarantined %d tasks %v, want %v", pt.maxRetries, len(quarantined), quarantined, wantQuarantined)
-			}
-
-			// What the survivor was sent: every task the victim left
-			// unmerged exactly once — charged ones at attempt 2, the rest
-			// at attempt 1 as if never shipped — and nothing the victim
-			// answered.
-			reshipped := map[string]int{}
-			var resumed []string // re-shipped at a later attempt than the first
-			survivor.mu.Lock()
-			for _, m := range survivor.got {
-				reshipped[m.ID]++
-				if m.StartAttempt != 1 {
-					resumed = append(resumed, fmt.Sprintf("%s@%d", m.ID, m.StartAttempt))
-				}
-			}
-			survivor.mu.Unlock()
-			sort.Strings(resumed)
-			if !slices.Equal(resumed, wantResumed) {
-				t.Errorf("re-shipped past attempt 1: %d tasks %v, want %v", len(resumed), resumed, wantResumed)
-			}
-			victim.mu.Lock()
-			for _, m := range victim.got {
-				want := 0
-				if unmerged[m.ID] && !(pt.maxRetries == 0 && wantCharged[m.ID]) {
-					want = 1 // unless the death itself quarantined it
-				}
-				if reshipped[m.ID] != want {
-					t.Errorf("task %s, shipped to the victim, went to the survivor %d times, want %d", m.ID, reshipped[m.ID], want)
-				}
-			}
-			victim.mu.Unlock()
-
-			st := co.Stats()
-			if st.WorkerDeaths != 1 {
-				t.Errorf("%d worker deaths, want 1", st.WorkerDeaths)
-			}
-			if want := len(unmerged) - charge; st.Uncharged != want {
-				t.Errorf("%d tasks requeued uncharged, want %d", st.Uncharged, want)
-			}
-			if want := len(unmerged) - len(quarantined); st.Requeued != want {
-				t.Errorf("%d tasks requeued, want %d", st.Requeued, want)
-			}
-			if peak := st.PerWorker[0].PeakInFlight; peak != window {
-				t.Errorf("victim's peak in flight %d, want the window of %d", peak, window)
-			}
-		})
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"slices"
 	"time"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/rete"
 	"spampsm/internal/scene"
@@ -56,10 +55,12 @@ import (
 // since every task reaches a worker through the shard queue; v9 drops
 // the RunConfig's firing cap, since FiringBudget is the one per-task
 // firing limit; v10 drops the Init frame's memory budget, since a
-// worker's pool orders by policy only; see docs/CLUSTER.md.)
+// worker's pool orders by policy only; v11 drops the Init frame's
+// process-fault plan, since a worker death is a test's doing, from
+// outside the worker; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 10
+	Version = 11
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -103,11 +104,6 @@ type InitMsg struct {
 	Magic        string
 	Version      int
 	LocalWorkers int
-	// ProcFaults seeds the worker's process-level chaos plan: a task
-	// whose fault draw is a Crash kills the worker process itself
-	// (SIGKILL, no goodbye) instead of simulating a crash in-pool.
-	// Deterministic in (task ID, attempt), like every faults.Plan.
-	ProcFaults faults.Config
 }
 
 // DatasetSpec names a dataset and carries the generator parameters to

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"syscall"
 
-	"spampsm/internal/faults"
 	"spampsm/internal/ops5"
 	"spampsm/internal/spam"
 	"spampsm/internal/symtab"
@@ -60,8 +59,7 @@ type worker struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	init     InitMsg
-	procPlan *faults.Plan
+	init InitMsg
 
 	// chunks is the resident content-addressed seed table: chunk frames
 	// install entries, chunk-free frames drop them, and
@@ -83,10 +81,11 @@ type worker struct {
 	// pool is the process's task processes, InitMsg.LocalWorkers of
 	// them: every task, whatever RunConfig its frame carries, runs
 	// there. Its queue holds decoded tasks in ship order. onStart, when
-	// a test sets it, sees the queue's length each time a task process
-	// takes a task off it.
+	// a test sets it, sees each task and the queue's length behind it as
+	// a task process takes the task off the queue — the point where a
+	// test's death harness drops the connection.
 	pool    *tlp.Pool
-	onStart func(queued int)
+	onStart func(m *TaskMsg, queued int)
 
 	// writeMu guards bw, enc, buf — the frame being encoded, reused by
 	// the next — and unflushed: the result frames written since the last
@@ -140,9 +139,6 @@ func (w *worker) serve() error {
 			w.init.Magic, w.init.Version, Magic, Version)
 	}
 	w.pool = &tlp.Pool{Workers: w.init.LocalWorkers}
-	if w.init.ProcFaults != (faults.Config{}) {
-		w.procPlan = faults.New(w.init.ProcFaults)
-	}
 
 	// This goroutine is the only frame reader, the task processes the
 	// only (mutex-serialized) frame writers. ctx ends with the read
@@ -215,25 +211,6 @@ loop:
 	return nil
 }
 
-// admit applies the process-level chaos draw to a task a task process
-// has just taken off the queue. A Crash draw for this (task, attempt)
-// kills the worker process outright — no goodbye frame, the coordinator
-// sees only the dropped connection. The draw strikes at the start of
-// the task, not when its frame is decoded: the pool starts tasks in
-// ship order, so the fated task is among the first LocalWorkers+resultBatch
-// unmerged tasks of its connection, which are the ones the coordinator
-// charges an attempt (Coordinator.workerLost) — drawn at decode, with a
-// window of tasks queued ahead of it, it could die uncharged, be
-// redelivered at the same attempt and kill every worker it reached.
-// Deterministic in (task ID, attempt), and because transient faults
-// strike only the first attempt, the task's redelivery (startAttempt 2)
-// survives.
-func (w *worker) admit(m *TaskMsg) {
-	if w.procPlan != nil && w.procPlan.TaskFault(m.ID, m.StartAttempt).Kind == faults.Crash {
-		syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	}
-}
-
 // isClosedConn reports whether a read-loop error is the connection
 // going away — the coordinator closing it, or dying — as opposed to a
 // failure of this worker (a frame it could not decode, a dataset it
@@ -271,9 +248,9 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 
 // submit hands a decoded task to the pool under the configuration its
 // frame carries, resuming at the frame's attempt. The task process
-// that takes it applies the crash draw, runs it on its match arena and
-// writes its result frame. A task whose engine cannot be described —
-// an unknown dataset or phase — is quarantined at once, without a run.
+// that takes it runs it on its match arena and writes its result
+// frame. A task whose engine cannot be described — an unknown dataset
+// or phase — is quarantined at once, without a run.
 func (w *worker) submit(ctx context.Context, m *TaskMsg) {
 	var build func(*ops5.Scratch) (*ops5.Engine, error)
 	var err error
@@ -298,9 +275,8 @@ func (w *worker) submit(ctx context.Context, m *TaskMsg) {
 		},
 		Start: func() {
 			if w.onStart != nil {
-				w.onStart(w.pool.Queued())
+				w.onStart(m, w.pool.Queued())
 			}
-			w.admit(m)
 		},
 		Done: func(r *tlp.Result) { w.send(ctx, resultMsg(m, r)) },
 	})

@@ -31,7 +31,7 @@ type pipedWorker struct {
 
 // pipeWorker starts a worker with d registered and sends its handshake.
 // onStart, when set, sees the pool's queue length at every task start.
-func pipeWorker(t *testing.T, d *spam.Dataset, init InitMsg, onStart func(queued int)) *pipedWorker {
+func pipeWorker(t *testing.T, d *spam.Dataset, init InitMsg, onStart func(m *TaskMsg, queued int)) *pipedWorker {
 	t.Helper()
 	coord, work := net.Pipe()
 	p := &pipedWorker{t: t, w: newWorker(work), coord: coord, br: bufio.NewReader(coord),
@@ -146,7 +146,7 @@ func TestServeWorkerLeavesNoTaskProcesses(t *testing.T) {
 		t.Run(leg.name, func(t *testing.T) {
 			before := poolProcesses()
 			started := make(chan struct{}, len(tasks))
-			p := pipeWorker(t, d, InitMsg{LocalWorkers: leg.workers}, func(int) { started <- struct{}{} })
+			p := pipeWorker(t, d, InitMsg{LocalWorkers: leg.workers}, func(*TaskMsg, int) { started <- struct{}{} })
 			leg.drive(p, started)
 			if err := p.wait(10 * time.Second); err != nil {
 				t.Fatalf("worker: %v", err)

@@ -85,22 +85,22 @@ func refUnitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment,
 		switch level {
 		case Level3, Level4:
 			u := lccUnit{focal: f, cid: "all", checks: make([]lccCheck, 0, len(cons))}
-			for _, c := range cons {
-				ps := query(f, c)
-				u.checks = append(u.checks, lccCheck{c, ps})
+			for i := range cons {
+				ps := query(f, cons[i])
+				u.checks = append(u.checks, lccCheck{&cons[i], ps})
 				u.expected += len(ps)
 			}
 			sort.Slice(u.checks, func(i, j int) bool { return u.checks[i].c.ID < u.checks[j].c.ID })
 			units = append(units, u)
 		case Level2:
-			for _, c := range cons {
+			for i, c := range cons {
 				ps := query(f, c)
-				units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{c, ps}}, expected: len(ps)})
+				units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{&cons[i], ps}}, expected: len(ps)})
 			}
 		case Level1:
-			for _, c := range cons {
+			for i, c := range cons {
 				for _, p := range query(f, c) {
-					units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{c, []*Fragment{p}}}, expected: 1})
+					units = append(units, lccUnit{focal: f, cid: c.ID, checks: []lccCheck{{&cons[i], []*Fragment{p}}}, expected: 1})
 				}
 			}
 		}

@@ -416,9 +416,11 @@ type lccUnit struct {
 	expected int
 }
 
-// lccCheck is one constraint's partner set within a unit.
+// lccCheck is one constraint's partner set within a unit. c points into
+// the KB's per-subject constraint slices, which never move once the KB
+// is built.
 type lccCheck struct {
-	c        Constraint
+	c        *Constraint
 	partners []*Fragment
 }
 
@@ -485,8 +487,8 @@ func unitsWith(kb *KB, focals []*Fragment, level Level, query func(*Fragment, Co
 		if len(cons) == 0 {
 			continue
 		}
-		for _, c := range cons {
-			checks = append(checks, lccCheck{c, query(f, c)})
+		for i := range cons {
+			checks = append(checks, lccCheck{&cons[i], query(f, cons[i])})
 		}
 		fc := window(checks, len(cons))
 		switch level {
