@@ -109,7 +109,10 @@ loc:
 # on two worker processes, whose -memprofile is the coordinator's alone
 # (a worker is its own process), by bytes allocated — the table
 # docs/PERFORMANCE.md "Coordinator per-task path" and "Recycled wire
-# specs" start from.
+# specs" start from — and then the two workers' own allocation
+# profiles merged, over their whole lives (the test binary's TestMain
+# profiles a worker when the test-only SPAMPSM_TEST_WORKER_PROFILE
+# names a directory), by bytes allocated — "The cluster round trip"'s.
 alloc-profile:
 	mkdir -p .alloc_profile
 	for n in 10 40; do \
@@ -126,9 +129,12 @@ alloc-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionUpdate$$' -benchtime 40x -benchmem -memprofilerate 1 \
 		-memprofile .alloc_profile/session.prof -o .alloc_profile/core.test ./internal/core
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/core.test .alloc_profile/session.prof
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x -benchmem \
+	rm -rf .alloc_profile/workers && mkdir -p .alloc_profile/workers
+	SPAMPSM_TEST_WORKER_PROFILE=$(CURDIR)/.alloc_profile/workers \
+		$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x -benchmem \
 		-memprofile .alloc_profile/cluster.prof -o .alloc_profile/cluster.test ./internal/cluster
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/cluster.test .alloc_profile/cluster.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/cluster.test .alloc_profile/workers/alloc-*.prof
 
 # cpu-profile is alloc-profile's CPU twin: twenty rounds of the
 # benchmark's interpret_cli op (SF, DC, MOFF with re-entry on one
@@ -145,7 +151,9 @@ alloc-profile:
 # same two tables for the cluster coordinator: ten rounds of the
 # benchmark's cluster_2proc op (internal/cluster's
 # BenchmarkClusterRound, which also prints coord-cpu-ms/op) on two
-# worker processes, whose -cpuprofile is the coordinator's alone.
+# worker processes, whose -cpuprofile is the coordinator's alone, and
+# the same two tables of the two workers' own CPU profiles merged
+# (SPAMPSM_TEST_WORKER_PROFILE, as in alloc-profile).
 # docs/PERFORMANCE.md "Match kernel" and "Constraint geometry" started
 # from these tables; the next CPU work starts here, not from a guess.
 cpu-profile:
@@ -162,10 +170,14 @@ cpu-profile:
 		-cpuprofile .cpu_profile/serve.prof -o .cpu_profile/serve.test ./internal/serve
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x \
+	rm -rf .cpu_profile/workers && mkdir -p .cpu_profile/workers
+	SPAMPSM_TEST_WORKER_PROFILE=$(CURDIR)/.cpu_profile/workers \
+		$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x \
 		-cpuprofile .cpu_profile/cluster.prof -o .cpu_profile/cluster.test ./internal/cluster
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/cluster.test .cpu_profile/cluster.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/cluster.test .cpu_profile/cluster.prof
+	$(GO) tool pprof -top -nodecount=25 .cpu_profile/cluster.test .cpu_profile/workers/cpu-*.prof
+	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/cluster.test .cpu_profile/workers/cpu-*.prof
 
 # radar compares the working tree with BASE (a git revision) on the
 # benchmark: BASE is checked out into a git worktree under the
@@ -200,7 +212,10 @@ bench:
 # included), seed-load, engine-construction, geometry-predicate,
 # partner-search (the grid's construction, which every run pays once
 # per fragment pool, included) and task-scheduler microbenchmarks at a
-# short benchtime, well under 60 s.
+# short benchtime, then three cluster_2proc rounds (BenchmarkClusterRound,
+# whose columns split a round's CPU, allocation and context switches
+# between the coordinator and its two worker processes), well under
+# 60 s.
 # It exists to surface gross wall-clock regressions (an optimized variant suddenly
 # slower than its baseline) in the log; the measured numbers are
 # benchmark/run.sh's.
@@ -217,6 +232,8 @@ bench-quick:
 		-benchtime 0.3s ./internal/spam/
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerPolicies' \
 		-benchtime 0.3s ./internal/machine/
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' \
+		-benchtime 3x ./internal/cluster/
 
 # oracle runs the differential oracles — constant tests dispatched vs
 # swept, on scripts and on generated rule sets, capture on and off,
@@ -238,7 +255,13 @@ bench-quick:
 # session surface), the cluster (a run over two worker processes vs
 # the in-process pool, inside its wire-locality budget; every task
 # frame wired by two feeders into recycled specs vs the frame of its
-# rows in fresh memory; the coordinator→worker pipeline — deep enough to keep an executor fed,
+# rows in fresh memory; every task a worker decodes into recycled
+# storage vs the rows wired for it; every phase's read over the rows a
+# result frame keeps vs over all of them; the allocation ceilings of the
+# coordinator's and the worker's per-task paths; a coordinator, a
+# worker or a server that closes leaving no goroutine or task process
+# behind; the
+# coordinator→worker pipeline — deep enough to keep an executor fed,
 # results coalesced, a dropped connection's queue abandoned — and what a
 # worker death charges at each enumerated kill point),
 # and the match arena (engines that borrow, settle and recycle a
@@ -258,7 +281,7 @@ bench-quick:
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Signs|Batching|Repr|Intern|Pipeline|KillPoint' \
+		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Signs|Batching|Repr|Intern|Pipeline|KillPoint|TaskPathAllocation|LeavesNo' \
 		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

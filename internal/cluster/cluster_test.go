@@ -20,8 +20,10 @@ import (
 
 // TestMain flips the re-executed test binary into worker mode: the
 // coordinator spawns os.Executable() — this binary — with WorkerEnv
-// set, so MaybeWorker serves tasks and exits before any test runs.
+// set, so MaybeWorker serves tasks and exits before any test runs (or
+// probedWorker, when a worker probe of probe_test.go is asked for).
 func TestMain(m *testing.M) {
+	probedWorker()
 	MaybeWorker()
 	if os.Getenv(idOrderChildEnv) != "" {
 		idOrderChild()
@@ -403,9 +405,23 @@ func coordinatorGoroutines() []string {
 	return out
 }
 
+// parkedFeeders counts the feeders among stacks that wait in claim on
+// their connection's condition.
+func parkedFeeders(stacks []string) int {
+	n := 0
+	for _, g := range stacks {
+		if strings.Contains(g, "cluster.(*Coordinator).feeder(") && strings.Contains(g, "cluster.(*Coordinator).claim(") &&
+			strings.Contains(g, "sync.(*Cond).Wait(") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCoordinatorCloseLeavesNoGoroutines: after a run, a worker
 // killed mid-life, its respawn and a second run, Close leaves none of
-// the coordinator's goroutines behind. They end as the connections and
+// the coordinator's goroutines behind — the feeders parked on their
+// connections' conditions included. They end as the connections and
 // the listener close, not inside Close, so the test waits for them.
 func TestCoordinatorCloseLeavesNoGoroutines(t *testing.T) {
 	before := len(coordinatorGoroutines())
@@ -454,9 +470,18 @@ func TestCoordinatorCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("%d respawns, want 1", st.Respawns)
 	}
 	// The accept loop, plus a reader, a feeder and a reaper per live
-	// worker: the names above are the ones that run.
-	if live := len(coordinatorGoroutines()) - before; live < 7 {
-		t.Fatalf("%d coordinator goroutines in a live two-worker cluster, want at least 7", live)
+	// worker: the names above are the ones that run. Both feeders are
+	// idle, parked on their own connection's condition: Close must wake
+	// them.
+	live := coordinatorGoroutines()
+	if len(live)-before < 7 {
+		t.Fatalf("%d coordinator goroutines in a live two-worker cluster, want at least 7", len(live)-before)
+	}
+	for deadline := time.Now().Add(5 * time.Second); parkedFeeders(live) < 2; live = coordinatorGoroutines() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d feeders parked on their connection's condition after the run, want 2", parkedFeeders(live))
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	co.Close()

@@ -51,7 +51,7 @@ func idOrderFingerprint() (string, error) {
 	if _, err := e.Run(0); err != nil {
 		return "", err
 	}
-	res := &ResultMsg{RunID: 1, Attempts: 1, Stats: e.Stats(), Snapshot: snapRows(e, spec.Extract)}
+	res := &ResultMsg{RunID: 1, Attempts: 1, Stats: e.Stats(), Snapshot: snapRows(e, spec.Extract, keepOf(d, spec))}
 	fmt.Fprintf(&out, "result-frame %x\n", sha256.Sum256(EncodeResultV2(NewEncTab(), res)))
 
 	// (ii) The routing digest of every fragment seed, in ID order: what

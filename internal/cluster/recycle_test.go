@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"spampsm/internal/ops5"
 	"spampsm/internal/scene"
@@ -52,7 +54,7 @@ func TestDifferentialWireSpecRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &roundRecorder{}
+	rec := &roundRecorder{d: d}
 	if _, err := d.Interpret(spam.InterpretOptions{ReEntry: true, Runner: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +198,122 @@ func TestDifferentialWireSpecRecycling(t *testing.T) {
 		if ws.Tasks == 0 {
 			t.Errorf("slot %d ran nothing: one feeder wired the round", ws.Slot)
 		}
+	}
+}
+
+// wireRecorder runs queues on a coordinator and keeps, per task, the
+// seed rows its Wire gave, copied into fresh memory as they were wired.
+type wireRecorder struct {
+	inner tlp.BoundQueue
+	mu    sync.Mutex
+	seeds map[string][]ops5.Seed
+}
+
+func (r *wireRecorder) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Result, error) {
+	own := make([]*tlp.Task, len(tasks))
+	for i, task := range tasks {
+		t := *task
+		t.Wire = func() (*tlp.WireSpec, error) {
+			spec, err := task.Wire()
+			if err == nil {
+				r.mu.Lock()
+				r.seeds[task.ID] = freshSpec(spec).Seeds
+				r.mu.Unlock()
+			}
+			return spec, err
+		}
+		own[i] = &t
+	}
+	return r.inner.RunTasks(ctx, own)
+}
+
+// TestDifferentialWorkerTaskRecycling holds a worker's recycled task
+// storage to the rows the coordinator wired. A worker of two task
+// processes, kept a full window ahead, decodes every task frame of a DC
+// interpretation with re-entry into storage a finished task released:
+// when each task starts, its decoded seeds still equal the rows wired
+// for it, however many frames were decoded while it sat in the queue;
+// every output and phase report equals the in-process run's; and the
+// storage was reused. A task's storage released before its result
+// frame is encoded is overwritten by a later frame while its engine
+// runs on it, and fails this (or the race detector, under make oracle).
+func TestDifferentialWorkerTaskRecycling(t *testing.T) {
+	p := airportParams("DC")
+	d, err := spam.NewDataset(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := spam.NewDataset(p) // the worker's own copy
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := listenBare(t, Config{Workers: 1, LocalWorkers: 2})
+	w := newWorker(dialWorker(t, co, 1))
+	w.datasets[wd.Name] = wd
+	rec := &wireRecorder{seeds: map[string][]ops5.Seed{}}
+	var (
+		mu             sync.Mutex
+		started, stale int
+		maxQueued      int
+		storage        = map[*TaskMsg]bool{}
+	)
+	w.onStart = func(m *TaskMsg, queued int) {
+		rec.mu.Lock()
+		want, ok := rec.seeds[m.ID]
+		rec.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		started++
+		maxQueued = max(maxQueued, queued)
+		storage[m] = true
+		if !ok || !reflect.DeepEqual(m.Spec.Seeds, want) {
+			stale++
+			if stale <= 3 {
+				t.Errorf("task %s starts on seeds other than those wired for it", m.ID)
+			}
+		}
+	}
+	served := make(chan error, 1)
+	go func() { served <- w.serve() }()
+
+	opt := spam.InterpretOptions{Workers: 2, ReEntry: true}
+	local, err := d.Interpret(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remoteOpt := opt
+	rec.inner = NewRunner(co, opt)
+	remoteOpt.Runner = rec
+	// A result frame encoded from overwritten storage can name another
+	// task, and its own run would then wait for it for ever.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	remote, err := d.InterpretContext(ctx, remoteOpt)
+	if ctx.Err() != nil {
+		t.Fatalf("the run did not finish in a minute: a result went missing (%v)", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spam.SameOutputs(local, remote) {
+		t.Error("outputs over recycled worker storage differ from the in-process run's")
+	}
+	if lf, rf := phaseFingerprint(local), phaseFingerprint(remote); lf != rf {
+		t.Errorf("phase statistics differ:\nlocal:\n%s\ncluster:\n%s", lf, rf)
+	}
+	window := co.cfg.ShipWindow
+	peak := co.Stats().PerWorker[0].PeakInFlight
+	co.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	t.Logf("%d tasks started on %d task storages; queue up to %d deep; peak %d in flight of %d", started, len(storage), maxQueued, peak, window)
+	if peak != window || maxQueued < window/2 {
+		t.Errorf("peak %d in flight, queue up to %d deep: the window of %d was never full", peak, maxQueued, window)
+	}
+	if len(storage) > window+w.init.LocalWorkers || len(storage) >= started {
+		t.Errorf("%d task storages for %d tasks: the worker did not recycle them", len(storage), started)
 	}
 }

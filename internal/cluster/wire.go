@@ -776,8 +776,27 @@ func (t *EncTab) task(b []byte, m *TaskMsg, refs []int64) []byte {
 // protocol error: chunks always precede the first frame referencing
 // them on a connection.
 func DecodeTaskV2(t *DecTab, payload []byte, resolve func(uint64) (ops5.Seed, bool)) (*TaskMsg, []int64, error) {
+	f := new(taskFrame)
+	if err := t.task(f, payload, resolve); err != nil {
+		return nil, nil, err
+	}
+	return &f.m, f.refs, nil
+}
+
+// taskFrame is a decoded task frame's storage: the message, the chunk
+// refs its seeds arrived as, and the slab its inline seeds' value
+// vectors are carved from. Decoding into a used one keeps its arrays,
+// so it overwrites what the previous frame decoded into it.
+type taskFrame struct {
+	m    TaskMsg
+	refs []int64
+	vals []symtab.Value
+}
+
+// task decodes a v2 task frame payload into f (DecodeTaskV2).
+func (t *DecTab) task(f *taskFrame, payload []byte, resolve func(uint64) (ops5.Seed, bool)) error {
 	d := &decoder{b: payload}
-	m := &TaskMsg{}
+	m := &f.m
 	m.RunID = d.uvarint()
 	m.Seq = int(d.uvarint())
 	m.StartAttempt = int(d.uvarint())
@@ -789,45 +808,44 @@ func DecodeTaskV2(t *DecTab, payload []byte, resolve func(uint64) (ops5.Seed, bo
 	m.Config = d.runConfigT(t)
 	m.Spec.Dataset = d.str(t)
 	m.Spec.Phase = d.str(t)
-	if n := d.count("extract"); n > 0 {
-		m.Spec.Extract = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			m.Spec.Extract = append(m.Spec.Extract, d.str(t))
-		}
+	m.Spec.Extract = resize(m.Spec.Extract, d.count("extract"))
+	for i := range m.Spec.Extract {
+		m.Spec.Extract[i] = d.str(t)
 	}
-	var refs []int64
-	if n := d.count("seed"); n > 0 {
-		m.Spec.Seeds = make([]ops5.Seed, 0, n)
-		refs = make([]int64, 0, n)
-		for i := 0; i < n; i++ {
-			tag := d.uvarint()
-			if d.err != nil {
-				break
+	n := d.count("seed")
+	clear(m.Spec.Seeds) // the previous frame's chunk seeds are not the storage's to keep
+	m.Spec.Seeds, f.refs, f.vals = resize(m.Spec.Seeds, n), resize(f.refs, n), f.vals[:0]
+	for i := 0; i < n && d.err == nil; i++ {
+		if tag := d.uvarint(); tag != 0 {
+			id := tag - 1
+			s, ok := resolve(id)
+			if !ok {
+				return fmt.Errorf("cluster: task %s references unknown chunk %d", m.ID, id)
 			}
-			if tag == 0 {
-				m.Spec.Seeds = append(m.Spec.Seeds, d.seedT(t))
-				refs = append(refs, -1)
-			} else {
-				id := tag - 1
-				s, ok := resolve(id)
-				if !ok {
-					return nil, nil, fmt.Errorf("cluster: task %s references unknown chunk %d", m.ID, id)
-				}
-				m.Spec.Seeds = append(m.Spec.Seeds, s)
-				refs = append(refs, int64(id))
-			}
-			if d.err != nil {
-				break
-			}
+			m.Spec.Seeds[i], f.refs[i] = s, int64(id)
+			continue
 		}
+		s := ops5.Seed{Class: d.str(t)}
+		shared := d.bool()
+		if k := d.count("value"); k > 0 {
+			start := len(f.vals)
+			for range k {
+				f.vals = append(f.vals, d.valueT(t))
+			}
+			s.Vals = f.vals[start:len(f.vals):len(f.vals)]
+		}
+		if shared && d.err == nil {
+			s.Digest = rete.RouteDigest(s.Class, s.Vals)
+		}
+		m.Spec.Seeds[i], f.refs[i] = s, -1
 	}
 	if d.err != nil {
-		return nil, nil, d.err
+		return d.err
 	}
 	if len(d.b) != 0 {
-		return nil, nil, fmt.Errorf("cluster: %d trailing bytes after task frame", len(d.b))
+		return fmt.Errorf("cluster: %d trailing bytes after task frame", len(d.b))
 	}
-	return m, refs, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -93,6 +94,11 @@ type worker struct {
 	writeMu   sync.Mutex
 	buf       []byte
 	unflushed int
+
+	// frames holds the connection's released task storage for the next
+	// task frame to decode into (workerTask): room for a default ship
+	// window's worth, the most a connection has in flight at once.
+	frames chan *workerTask
 }
 
 // resultBatch bounds how many finished results a worker holds in its
@@ -101,7 +107,10 @@ type worker struct {
 // otherwise on every resultBatch-th, so the coordinator refills the
 // window while the worker still has work. It is also what a death can
 // lose beyond the running tasks: results finished, not yet flushed.
-const resultBatch = 4
+// docs/PERFORMANCE.md "The cluster round trip" has the sweep: 4 cost
+// the coordinator a read and its feeder a wake-up per four results,
+// and 16 saved no more end to end.
+const resultBatch = 8
 
 // ServeWorker runs the worker side of one coordinator connection
 // until the coordinator sends Shutdown or the connection drops.
@@ -139,6 +148,7 @@ func (w *worker) serve() error {
 			w.init.Magic, w.init.Version, Magic, Version)
 	}
 	w.pool = &tlp.Pool{Workers: w.init.LocalWorkers}
+	w.frames = make(chan *workerTask, shipDepth*max(w.init.LocalWorkers, 1))
 
 	// This goroutine is the only frame reader, the task processes the
 	// only (mutex-serialized) frame writers. ctx ends with the read
@@ -169,15 +179,12 @@ loop:
 				loopErr = w.addDataset(spec)
 			}
 		case frameTaskV2:
-			m, _, err := DecodeTaskV2(w.dec, payload, func(id uint64) (ops5.Seed, bool) {
-				s, ok := w.chunks[id]
-				return s, ok
-			})
-			if err != nil {
+			wt := w.task()
+			if err := w.dec.task(&wt.taskFrame, payload, w.resolve); err != nil {
 				loopErr = err
 				break loop
 			}
-			w.submit(ctx, m)
+			w.submit(ctx, wt)
 		case frameChunk:
 			id, s, err := DecodeChunk(w.dec, payload)
 			if err != nil {
@@ -246,51 +253,108 @@ func (w *worker) addDataset(spec DatasetSpec) error {
 	return nil
 }
 
+// workerTask is one task's storage on a worker, from its decoded frame
+// to its encoded result: the frame (taskFrame), the tlp.Task the pool
+// runs, the snapshot its Read takes and the result message send
+// encodes. A connection recycles it (worker.frames) once the result
+// frame is encoded, and not before: the task's engine adopts its
+// inline seeds' value vectors, and the snapshot is the frame's
+// payload. Its Read, Start and Done are bound to it once, when it is
+// made.
+type workerTask struct {
+	taskFrame
+	ctx  context.Context
+	task tlp.Task
+	keep func(*wm.WME) bool
+	snap snapshot
+	res  ResultMsg
+	err  WireError // what res.Err points at
+
+	read  func(tlp.Rows) any
+	start func()
+	done  func(*tlp.Result)
+}
+
+// task returns released task storage, or new storage when none is.
+func (w *worker) task() *workerTask {
+	select {
+	case wt := <-w.frames:
+		return wt
+	default:
+	}
+	wt := new(workerTask)
+	wt.read = func(rows tlp.Rows) any {
+		wt.snap.take(rows, wt.m.Spec.Extract, wt.keep)
+		return wt
+	}
+	wt.start = func() {
+		if w.onStart != nil {
+			w.onStart(&wt.m, w.pool.Queued())
+		}
+	}
+	wt.done = func(r *tlp.Result) { w.send(wt.ctx, wt.result(r), wt) }
+	return wt
+}
+
+// resolve is a task frame's chunk resolver: the resident-chunk table.
+func (w *worker) resolve(id uint64) (ops5.Seed, bool) {
+	s, ok := w.chunks[id]
+	return s, ok
+}
+
 // submit hands a decoded task to the pool under the configuration its
 // frame carries, resuming at the frame's attempt. The task process
 // that takes it runs it on its match arena and writes its result
 // frame. A task whose engine cannot be described — an unknown dataset
 // or phase — is quarantined at once, without a run.
-func (w *worker) submit(ctx context.Context, m *TaskMsg) {
+func (w *worker) submit(ctx context.Context, wt *workerTask) {
+	m := &wt.m
 	var build func(*ops5.Scratch) (*ops5.Engine, error)
 	var err error
 	if d, ok := w.datasets[m.Spec.Dataset]; ok {
-		build, err = d.WireBuild(&m.Spec)
+		build, wt.keep, err = d.WireBuild(&m.Spec)
 	} else {
 		err = fmt.Errorf("cluster: task %s: dataset %q not registered", m.ID, m.Spec.Dataset)
 	}
+	wt.ctx = ctx
 	if err != nil {
 		e := WireError{Msg: err.Error()}
 		w.send(ctx, &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Attempts: m.StartAttempt,
-			Err: &e, AttemptErrs: []WireError{e}, Quarantined: true})
+			Err: &e, AttemptErrs: []WireError{e}, Quarantined: true}, wt)
 		return
+	}
+	wt.task = tlp.Task{
+		ID: m.ID, Label: m.Label, Group: m.Group,
+		EstSize: m.EstSize, MemEst: m.MemEst,
+		BuildWith: build,
+		Read:      wt.read,
 	}
 	w.pool.Go(tlp.Job{
 		Ctx: ctx, Config: m.Config, Seq: m.Seq, StartAttempt: m.StartAttempt,
-		Task: &tlp.Task{
-			ID: m.ID, Label: m.Label, Group: m.Group,
-			EstSize: m.EstSize, MemEst: m.MemEst,
-			BuildWith: build,
-			Read:      func(rows tlp.Rows) any { return snapRows(rows, m.Spec.Extract) },
-		},
-		Start: func() {
-			if w.onStart != nil {
-				w.onStart(m, w.pool.Queued())
-			}
-		},
-		Done: func(r *tlp.Result) { w.send(ctx, resultMsg(m, r)) },
+		Task: &wt.task, Start: wt.start, Done: wt.done,
 	})
 }
 
 // send stamps a result with the process's arena footprint and writes
-// its frame, flushing by the resultBatch rule. The encoding happens
-// under writeMu too: the result codec interns against the connection's
-// shared table, so encode order must match stream order.
-func (w *worker) send(ctx context.Context, res *ResultMsg) {
+// its frame, flushing by the resultBatch rule, then releases the task's
+// storage: the frame is encoded, so nothing reads it any more. The
+// encoding happens under writeMu too: the result codec interns against
+// the connection's shared table, so encode order must match stream
+// order.
+func (w *worker) send(ctx context.Context, res *ResultMsg, wt *workerTask) {
 	a := w.pool.Arena()
 	res.ArenaSlabs, res.ArenaBytes = a.ArenaSlabs, a.ArenaBytes
 	w.writeMu.Lock()
-	defer w.writeMu.Unlock()
+	w.write(ctx, res)
+	w.writeMu.Unlock()
+	select {
+	case w.frames <- wt:
+	default:
+	}
+}
+
+// write encodes and writes a result frame. Caller holds writeMu.
+func (w *worker) write(ctx context.Context, res *ResultMsg) {
 	if ctx.Err() != nil {
 		return // the connection is gone
 	}
@@ -305,43 +369,71 @@ func (w *worker) send(ctx context.Context, res *ResultMsg) {
 	}
 }
 
-// resultMsg flattens a task's Result for the wire.
-func resultMsg(m *TaskMsg, r *tlp.Result) *ResultMsg {
-	out := &ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: r.Worker, Attempts: r.Attempts,
-		Stats: r.Stats, Quarantined: r.Quarantined, Cancelled: r.Cancelled}
+// result flattens the task's Result for the wire into the storage's
+// message.
+func (wt *workerTask) result(r *tlp.Result) *ResultMsg {
+	m := &wt.m
+	res := &wt.res
+	*res = ResultMsg{RunID: m.RunID, Seq: m.Seq, TaskID: m.ID, Worker: r.Worker, Attempts: r.Attempts,
+		Stats: r.Stats, Quarantined: r.Quarantined, Cancelled: r.Cancelled, AttemptErrs: res.AttemptErrs[:0]}
 	if r.Log != nil {
-		out.HasLog = true
-		out.Mem = r.Log.Mem
+		res.HasLog = true
+		res.Mem = r.Log.Mem
 	}
 	if r.Err != nil {
-		out.Err = &WireError{Msg: r.Err.Error(), Marks: tlp.ErrorMarks(r.Err)}
+		wt.err = WireError{Msg: r.Err.Error(), Marks: tlp.ErrorMarks(r.Err)}
+		res.Err = &wt.err
 	}
 	for _, ae := range r.AttemptErrs {
-		out.AttemptErrs = append(out.AttemptErrs, WireError{Msg: ae.Error(), Marks: tlp.ErrorMarks(ae)})
+		res.AttemptErrs = append(res.AttemptErrs, WireError{Msg: ae.Error(), Marks: tlp.ErrorMarks(ae)})
 	}
-	if r.Err == nil {
-		out.Snapshot, _ = r.Output.([]SnapClass)
+	if r.Err == nil && r.Output == wt {
+		res.Snapshot = wt.snap.classes
 	}
-	return out
+	return res
 }
 
-// snapRows is a worker task's Read: the rows of the classes its spec
-// ships, copied out of the final working memory for the frame — one
-// value array per class — before the engine gives them back to the
-// arena. The coordinator runs the task's own Read over them; the engine
-// itself never crosses the wire.
-func snapRows(rows tlp.Rows, classes []string) []SnapClass {
-	out := make([]SnapClass, len(classes))
-	for i, class := range classes {
-		sc, n, slots := &out[i], 0, 0
-		sc.Name = class
-		rows.EachWME(class, func(w *wm.WME) { sc.Attrs, n, slots = w.Class.Attrs, n+1, slots+len(w.Vals) })
-		sc.Rows = make([][]symtab.Value, 0, n)
-		vals := make([]symtab.Value, 0, slots)
-		rows.EachWME(class, func(w *wm.WME) {
-			vals = append(vals, w.Vals...)
-			sc.Rows = append(sc.Rows, vals[len(vals)-len(w.Vals):len(vals):len(vals)])
-		})
+// snapshot is a worker task's Read: the rows of the classes its spec
+// ships that the phase's keep rule keeps, copied out of the final
+// working memory for the frame — every row carved from one value slab —
+// before the engine gives them back to the arena. The coordinator runs
+// the task's own Read over them; the engine itself never crosses the
+// wire. A snapshot keeps its arrays from task to task.
+type snapshot struct {
+	classes []SnapClass
+	vals    []symtab.Value
+
+	// The walk's state, and the two walks bound to it once.
+	keep        func(*wm.WME) bool
+	sc          *SnapClass
+	rows, slots int
+	count, copy func(*wm.WME)
+}
+
+// take snapshots rows' classes, overwriting the previous snapshot.
+func (s *snapshot) take(rows tlp.Rows, classes []string, keep func(*wm.WME) bool) {
+	if s.count == nil {
+		s.count = func(w *wm.WME) {
+			if s.keep == nil || s.keep(w) {
+				s.sc.Attrs, s.rows, s.slots = w.Class.Attrs, s.rows+1, s.slots+len(w.Vals)
+			}
+		}
+		s.copy = func(w *wm.WME) {
+			if s.keep == nil || s.keep(w) {
+				s.vals = append(s.vals, w.Vals...)
+				s.sc.Rows = append(s.sc.Rows, s.vals[len(s.vals)-len(w.Vals):len(s.vals):len(s.vals)])
+			}
+		}
 	}
-	return out
+	s.keep = keep
+	s.classes, s.vals = resize(s.classes, len(classes)), s.vals[:0]
+	for i, class := range classes {
+		s.sc, s.rows, s.slots = &s.classes[i], 0, 0
+		s.sc.Name, s.sc.Attrs = class, nil
+		rows.EachWME(class, s.count)
+		s.sc.Rows = slices.Grow(s.sc.Rows[:0], s.rows)
+		s.vals = slices.Grow(s.vals, s.slots)
+		rows.EachWME(class, s.copy)
+	}
+	s.keep, s.sc = nil, nil
 }

@@ -380,10 +380,9 @@ func (d *Dataset) interpret(ctx context.Context, opt InterpretOptions, s *Sessio
 				if err != nil {
 					return in, err
 				}
-				rePairs, reOuts := ExtractLCC(re)
+				// Behind the first pass's, each pass sorted on its own.
+				in.Pairs, in.Outcomes = appendLCC(in.Pairs, in.Outcomes, re)
 				extracted(re)
-				// Exact-sized: the interpretation keeps them.
-				in.Pairs, in.Outcomes = slices.Concat(in.Pairs, rePairs), slices.Concat(in.Outcomes, reOuts)
 				in.Fragments = pool2
 				lcc = append(lcc, re...)
 			}

@@ -89,17 +89,19 @@ func loadEngine(prog *ops5.Program, store *RegionStore, capture bool, s *ops5.Sc
 // WireBuild resolves a shipped task description against this dataset:
 // it returns the engine builder a cluster worker runs in place of the
 // original Task.Build closure, loading the shipped seed batch into the
-// worker's own (identically generated) dataset through loadEngine. A
-// worker never captures: a result frame carries no activation forest.
-func (d *Dataset) WireBuild(spec *tlp.WireSpec) (func(s *ops5.Scratch) (*ops5.Engine, error), error) {
+// worker's own (identically generated) dataset through loadEngine, and
+// the phase's keep rule: which rows of the spec's Extract classes the
+// result frame ships (nil: all of them). A worker never captures: a
+// result frame carries no activation forest.
+func (d *Dataset) WireBuild(spec *tlp.WireSpec) (build func(s *ops5.Scratch) (*ops5.Engine, error), keep func(*wm.WME) bool, err error) {
 	def, ok := phaseDefs[spec.Phase]
 	if !ok {
-		return nil, fmt.Errorf("spam: wire task phase %q unknown (want rtf, lcc, fa or model)", spec.Phase)
+		return nil, nil, fmt.Errorf("spam: wire task phase %q unknown (want rtf, lcc, fa or model)", spec.Phase)
 	}
 	prog, seeds := def.prog(d.Progs), spec.Seeds
 	return func(s *ops5.Scratch) (*ops5.Engine, error) {
 		return loadEngine(prog, d.Store, false, s, func(e *ops5.Engine) error { return e.AssertBatch(seeds) })
-	}, nil
+	}, def.keep, nil
 }
 
 // taskSpec is the one description of a task: its stable key (the task
@@ -128,24 +130,26 @@ type taskSpec struct {
 
 // phaseDefs is the one phase table: which program a phase's tasks
 // instantiate, which classes of the final working memory its read
-// reads (what a cluster result frame ships), how the read turns them
-// into the task's output (all a session retains of a finished task's
-// working memory), how a spec's seed rows are assembled, and what the
-// task's externals would answer — everything the rules can read of the store
-// beyond those rows, in seed order, through the functions the
-// externals themselves call (nil: the phase's externals answer nothing
-// a run can observe; only a session signature asks).
+// reads and, beside them, which of those rows the read keeps (what a
+// cluster result frame ships; nil keeps every row), how the read turns
+// them into the task's output (all a session retains of a finished
+// task's working memory), how a spec's seed rows are assembled, and
+// what the task's externals would answer — everything the rules can
+// read of the store beyond those rows, in seed order, through the
+// functions the externals themselves call (nil: the phase's externals
+// answer nothing a run can observe; only a session signature asks).
 var phaseDefs = map[string]struct {
 	prog    func(*Programs) *ops5.Program
 	extract []string
+	keep    func(*wm.WME) bool
 	read    func(tlp.Rows) any
 	seeds   func(seedSet, *taskSpec) error
 	answers func(*RegionStore, *taskSpec, *signer)
 }{
-	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, readRTF, rtfSeeds, rtfAnswers},
-	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, readLCC, lccSeeds, lccAnswers},
-	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, readFA, faSeeds, faAnswers},
-	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, readModel, modelSeeds, nil},
+	"rtf":   {func(p *Programs) *ops5.Program { return p.RTF }, []string{"fragment"}, nil, readRTF, rtfSeeds, rtfAnswers},
+	"lcc":   {func(p *Programs) *ops5.Program { return p.LCC }, []string{"check", "lcc-result"}, keepHeldChecks, readLCC, lccSeeds, lccAnswers},
+	"fa":    {func(p *Programs) *ops5.Program { return p.FA }, []string{"fa", "prediction"}, nil, readFA, faSeeds, faAnswers},
+	"model": {func(p *Programs) *ops5.Program { return p.Model }, []string{"model"}, nil, readModel, modelSeeds, nil},
 }
 
 // slots resolves a read's attribute names to the slots of the class a
@@ -169,12 +173,12 @@ func (s *slots) of(w *wm.WME, names ...string) {
 func (s *slots) intAt(w *wm.WME, i int) int    { return int(w.GetAt(s.at[i]).IntVal()) }
 func (s *slots) symAt(w *wm.WME, i int) string { return w.GetAt(s.at[i]).SymVal() }
 
-// gather concatenates part of every clean result's output, in result
-// order, into one exactly sized slice (nil when there is nothing). The
-// output is what the task's Read answered or, for a result that carries
-// only its engine (a serial replay's), what read reads of the engine,
-// kept as the result's Output for the next pass.
-func gather[T, E any](results []*tlp.Result, read func(tlp.Rows) any, part func(T) []E) []E {
+// gather appends part of every clean result's output, in result
+// order, to dst, in one exactly sized slice (dst itself when there is
+// nothing to add). The output is what the task's Read answered or, for
+// a result that carries only its engine (a serial replay's), what read
+// reads of the engine, kept as the result's Output for the next pass.
+func gather[T, E any](dst []E, results []*tlp.Result, read func(tlp.Rows) any, part func(T) []E) []E {
 	each := func(f func([]E)) {
 		for _, r := range results {
 			if r == nil || r.Err != nil {
@@ -191,9 +195,9 @@ func gather[T, E any](results []*tlp.Result, read func(tlp.Rows) any, part func(
 	n := 0
 	each(func(p []E) { n += len(p) })
 	if n == 0 {
-		return nil
+		return dst
 	}
-	all := make([]E, 0, n)
+	all := append(make([]E, 0, len(dst)+n), dst...)
 	each(func(p []E) { all = append(all, p...) })
 	return all
 }
@@ -394,7 +398,7 @@ func readRTF(rows tlp.Rows) any {
 // ExtractFragments merges the fragment hypotheses of RTF task results,
 // ordered by fragment ID.
 func ExtractFragments(results []*tlp.Result) []*Fragment {
-	all := gather(results, readRTF, func(fs []Fragment) []Fragment { return fs })
+	all := gather(nil, results, readRTF, func(fs []Fragment) []Fragment { return fs })
 	frags := slices.Grow([]*Fragment(nil), len(all)) // nil when there are none
 	for i := range all {
 		frags = append(frags, &all[i])
@@ -668,6 +672,13 @@ type lccOutput struct {
 	outs  []LCCOutcome
 }
 
+// keepHeldChecks is the LCC phase's keep rule: readLCC keeps the check
+// rows whose result is t and every lcc-result row, so a result frame
+// ships those alone.
+func keepHeldChecks(w *wm.WME) bool {
+	return w.Class.Name != "check" || w.Get("result") == symT
+}
+
 // readLCC is the LCC phase's read. Of the task's check rows it keeps
 // only those that held, counted first so the pairs are held exactly.
 func readLCC(rows tlp.Rows) any {
@@ -696,15 +707,24 @@ func readLCC(rows tlp.Rows) any {
 // ExtractLCC merges the consistency pairs and per-object outcomes of
 // LCC task results.
 func ExtractLCC(results []*tlp.Result) ([]ConsistentPair, []LCCOutcome) {
-	pairs := gather(results, readLCC, func(o *lccOutput) []ConsistentPair { return o.pairs })
-	outs := gather(results, readLCC, func(o *lccOutput) []LCCOutcome { return o.outs })
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Object != pairs[j].Object {
-			return pairs[i].Object < pairs[j].Object
+	return appendLCC(nil, nil, results)
+}
+
+// appendLCC is ExtractLCC appending to the pairs and outcomes of an
+// earlier pass, each in one exactly sized slice: the results' own are
+// sorted, behind the earlier ones, which keep their order.
+func appendLCC(pairs []ConsistentPair, outs []LCCOutcome, results []*tlp.Result) ([]ConsistentPair, []LCCOutcome) {
+	np, no := len(pairs), len(outs)
+	pairs = gather(pairs, results, readLCC, func(o *lccOutput) []ConsistentPair { return o.pairs })
+	outs = gather(outs, results, readLCC, func(o *lccOutput) []LCCOutcome { return o.outs })
+	newPairs, newOuts := pairs[np:], outs[no:]
+	sort.Slice(newPairs, func(i, j int) bool {
+		if newPairs[i].Object != newPairs[j].Object {
+			return newPairs[i].Object < newPairs[j].Object
 		}
-		return pairs[i].Partner < pairs[j].Partner
+		return newPairs[i].Partner < newPairs[j].Partner
 	})
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Object < outs[j].Object })
+	sort.Slice(newOuts, func(i, j int) bool { return newOuts[i].Object < newOuts[j].Object })
 	return pairs, outs
 }
 
@@ -875,8 +895,8 @@ func readFA(rows tlp.Rows) any {
 // ExtractFA merges the functional areas and predictions of FA task
 // results.
 func ExtractFA(results []*tlp.Result) ([]FunctionalArea, []Prediction) {
-	fas := gather(results, readFA, func(o *faOutput) []FunctionalArea { return o.fas })
-	preds := gather(results, readFA, func(o *faOutput) []Prediction { return o.preds })
+	fas := gather(nil, results, readFA, func(o *faOutput) []FunctionalArea { return o.fas })
+	preds := gather(nil, results, readFA, func(o *faOutput) []Prediction { return o.preds })
 	sort.Slice(fas, func(i, j int) bool { return fas[i].Seed < fas[j].Seed })
 	sort.Slice(preds, func(i, j int) bool { return preds[i].FA < preds[j].FA })
 	return fas, preds
@@ -951,7 +971,7 @@ func readModel(rows tlp.Rows) any {
 
 // ExtractModel returns the final model from the MODEL task result.
 func ExtractModel(results []*tlp.Result) (Model, bool) {
-	models := gather(results, readModel, func(ms []Model) []Model { return ms })
+	models := gather(nil, results, readModel, func(ms []Model) []Model { return ms })
 	if models == nil {
 		return Model{}, false
 	}

@@ -329,10 +329,14 @@ func (p *Pool) arenas() []ArenaStats {
 // Arena is what the pool's match arenas hold in total, as last
 // published.
 func (p *Pool) Arena() ArenaStats {
+	p.mu.Lock()
+	p.init()
+	slots := p.slots
+	p.mu.Unlock()
 	var sum ArenaStats
-	for _, a := range p.arenas() {
-		sum.ArenaSlabs += a.ArenaSlabs
-		sum.ArenaBytes += a.ArenaBytes
+	for i := range slots {
+		sum.ArenaSlabs += int(slots[i].slabs.Load())
+		sum.ArenaBytes += slots[i].bytes.Load()
 	}
 	return sum
 }
