@@ -147,7 +147,9 @@ alloc-profile:
 # run outside its timer). Then the same two tables for 400
 # requests of the benchmark's serve_inline_small op
 # (internal/serve's BenchmarkInlineRequest: inline DC x0.3 scenes with
-# re-entry, each a dataset-cache miss, through httptest). Then the
+# re-entry, each a dataset-cache miss, through httptest), and a third
+# table of the server's own functions by cumulative CPU — decodeBody's
+# share of a request among them. Then the
 # same two tables for the cluster coordinator: ten rounds of the
 # benchmark's cluster_2proc op (internal/cluster's
 # BenchmarkClusterRound, which also prints coord-cpu-ms/op) on two
@@ -170,6 +172,7 @@ cpu-profile:
 		-cpuprofile .cpu_profile/serve.prof -o .cpu_profile/serve.test ./internal/serve
 	$(GO) tool pprof -top -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
 	$(GO) tool pprof -top -cum -nodecount=25 .cpu_profile/serve.test .cpu_profile/serve.prof
+	$(GO) tool pprof -top -cum -nodecount=15 -show 'spampsm/internal/serve\.' .cpu_profile/serve.test .cpu_profile/serve.prof
 	rm -rf .cpu_profile/workers && mkdir -p .cpu_profile/workers
 	SPAMPSM_TEST_WORKER_PROFILE=$(CURDIR)/.cpu_profile/workers \
 		$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' -benchtime 10x \
@@ -212,7 +215,8 @@ bench:
 # included), seed-load, engine-construction, geometry-predicate,
 # partner-search (the grid's construction, which every run pays once
 # per fragment pool, included) and task-scheduler microbenchmarks at a
-# short benchtime, then three cluster_2proc rounds (BenchmarkClusterRound,
+# short benchtime, a request body's decoding (the server's decoder
+# beside the encoding/json one it replaced, on a benchmark body), then three cluster_2proc rounds (BenchmarkClusterRound,
 # whose columns split a round's CPU, allocation and context switches
 # between the coordinator and its two worker processes), well under
 # 60 s.
@@ -232,6 +236,8 @@ bench-quick:
 		-benchtime 0.3s ./internal/spam/
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerPolicies' \
 		-benchtime 0.3s ./internal/machine/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeBody' \
+		-benchtime 200x ./internal/serve/
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterRound$$' \
 		-benchtime 3x ./internal/cluster/
 
@@ -276,12 +282,14 @@ bench-quick:
 # four-field struct it replaced, its shape, concurrent interning; a
 # process whose intern table filled in another order prints the same
 # wire frames, digests and outputs; a served request interns nothing),
-# under the race detector. These are the byte-identity guarantees of
+# and the request bodies' decoder (encoding/json's accepts, values and
+# words of refusal on both body types; a benchmark body's allocation
+# ceiling), under the race detector. These are the byte-identity guarantees of
 # docs/PERFORMANCE.md; everything here also runs as part of `race`,
 # but this target names the contract and fails fast on it.
 oracle:
 	$(GO) test -race \
-		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Signs|Batching|Repr|Intern|Pipeline|KillPoint|TaskPathAllocation|LeavesNo' \
+		-run 'Differential|Dispatch|Template|Concurrent|VariantCache|Scratch|Settled|Unsettled|Arena|Retain|Reasons|Signature|Signs|Batching|Repr|Intern|Pipeline|KillPoint|TaskPathAllocation|LeavesNo|DecodeBody' \
 		./internal/symtab/ ./internal/rete/ ./internal/ops5/ ./internal/geom/ ./internal/spam/ \
 		./internal/tlp/ ./internal/machine/ ./internal/serve/ ./internal/cluster/
 

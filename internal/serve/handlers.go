@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -161,20 +160,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody decodes a bounded, strict JSON request body: one JSON
-// value, with nothing but whitespace after it.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &apiError{status: 400, msg: "bad request body: " + err.Error()}
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return &apiError{status: 400, msg: "bad request body: data after the JSON value"}
-	}
-	return nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -257,7 +242,7 @@ type runFunc func(ctx context.Context) (in *spam.Interpretation, body any, err e
 // runs, default the tenant, admit, resolve the target, derive the
 // clamped deadline, run, classify the outcome, settle the counters,
 // report to /stats, stamp X-Elapsed-Ms, answer.
-func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string, body any, plan func() (*exchange, *apiError)) {
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string, body bodyValue, plan func() (*exchange, *apiError)) {
 	start := time.Now()
 	s.requests.Add(1)
 	reject := func(aerr *apiError) {
@@ -301,7 +286,9 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, endpoint string,
 	// (clamped) deadline.
 	deadline := s.cfg.DefaultDeadline
 	if x.deadlineMs > 0 {
-		deadline = time.Duration(x.deadlineMs) * time.Millisecond
+		// Clamped in milliseconds: a client's number times a
+		// millisecond can overflow a Duration.
+		deadline = time.Duration(min(x.deadlineMs, int(maxDeadline/time.Millisecond))) * time.Millisecond
 	}
 	deadline = min(deadline, maxDeadline)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)

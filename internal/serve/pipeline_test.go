@@ -179,14 +179,25 @@ func TestSessionRefusesOneShotFields(t *testing.T) {
 // an allocation unchecked — rtfBatch as a capacity hint (10^9 of it is
 // 8 GB) and churn's emergent share as a count of regions to generate.
 // And no run of updates grows a session's scene past the bound on an
-// inline one.
+// inline one. A deadline is clamped to maxDeadline before it becomes a
+// Duration: 9.3·10^12 ms used to wrap negative and time out at once.
 func TestClientNumbersSizeNothing(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2})
 	resp, b := postJSON(t, ts.URL, sceneBody(t, tinyScene("big-batch", 0), `"rtfBatch":1000000000`))
 	if resp.StatusCode != 200 {
 		t.Fatalf("rtfBatch 10^9: %d %s", resp.StatusCode, b)
 	}
+	const hugeDeadline = `"deadlineMs":9300000000000`
+	if resp, b := postJSON(t, ts.URL, sceneBody(t, tinyScene("huge-deadline", 0), hugeDeadline)); resp.StatusCode != 200 {
+		t.Errorf("/interpret with deadlineMs 9.3e12: %d %s, want 200", resp.StatusCode, b)
+	}
+	if resp, b := postPath(t, ts.URL, "/session", sessionBody(t, tinyScene("huge-deadline", 1), hugeDeadline)); resp.StatusCode != 200 {
+		t.Errorf("/session with deadlineMs 9.3e12: %d %s, want 200", resp.StatusCode, b)
+	}
 	id, _ := openSession(t, ts.URL, sessionBody(t, tinyScene("bounded", 0), ""))
+	if resp, _, b := updateSession(t, ts.URL, fmt.Sprintf(`{"session":%q,%s}`, id, hugeDeadline)); resp.StatusCode != 200 {
+		t.Errorf("/update with deadlineMs 9.3e12: %d %s, want 200", resp.StatusCode, b)
+	}
 	for _, emergent := range []string{"1000000000", "1.5", "-1"} {
 		resp, _, b := updateSession(t, ts.URL,
 			fmt.Sprintf(`{"session":%q,"churn":{"seed":1,"fraction":1,"emergent":%s}}`, id, emergent))
