@@ -22,14 +22,14 @@ vet-benchmark:
 # loc prints the two size numbers ROADMAP.md tracks — non-test,
 # non-blank, non-comment Go lines under cmd/ and internal/, and flag
 # definitions under cmd/ (a test's own flags, like the golden tests'
-# -update, are not the commands') — and eight counts that must stay
+# -update, are not the commands') — and nine counts that must stay
 # zero: build switches, package-level atomic.Bool declarations in
 # internal/spam and internal/geom, which is what a process-global
 # switch is made of, the cluster's retired second way onto a worker,
 # the retired second set of task processes, the real pool's retired
 # memory gate, the retired patched partner grid, the retired
-# user-reachable fault injection, and the retired self-killing
-# worker. The first counts
+# user-reachable fault injection, the retired self-killing worker,
+# and the real pool's retired queue policies. The first counts
 # mentions of the process-global switches (tests and comments
 # included) and non-test mentions of the per-run build mode that
 # replaced them and of its reference bits, which now live only in
@@ -42,8 +42,8 @@ vet-benchmark:
 # the one executor — a worker process, a server and an interpretation
 # each run on one — and every executor takes its RunConfig per call.
 # The fifth counts non-test mentions of the memory gate and its knobs:
-# the memory budget is the simulator's (machine.RunSpecs), and the real
-# pools order by policy only. The sixth counts non-test mentions of the
+# the memory budget is the simulator's (machine.RunSpecs), and no real
+# pool limits anything by memory. The sixth counts non-test mentions of the
 # partner grid a session kept and patched, its update counters and its
 # size gate: every run builds its LCC partner index from its fragment
 # pool, one way (internal/spam/fraggrid.go). The seventh counts non-test
@@ -56,7 +56,11 @@ vet-benchmark:
 # keeps its -fault-seed and -crash-rate. The eighth counts non-test
 # mentions of the worker's process-fault plan, of the respawn knob that
 # only tests set, and of a SIGKILL: no product code can make a worker
-# kill itself, and a worker death is a test's doing.
+# kill itself, and a worker death is a test's doing. The ninth counts
+# non-test mentions of the real pool's queue policies, their size
+# estimate and the -sched flags: every tlp.Pool and cluster queue runs
+# in the order it was submitted, and the policies live only in the
+# simulator (machine.Policy, whose names it does not match).
 loc:
 	@printf 'non-test Go lines (cmd, internal): '; \
 		find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | grep -vcE '^\s*(//.*)?$$'
@@ -87,6 +91,9 @@ loc:
 	@printf 'self-killing worker mentions (cmd, internal; want 0): '; \
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
 			'ProcFaults|procPlan|MaxRespawns|syscall\.SIGKILL' cmd internal | wc -l
+	@printf 'real-pool queue policy mentions (cmd, internal; want 0): '; \
+		grep -rhoE --include='*.go' --exclude='*_test.go' \
+			'LargestFirst|ParseQueuePolicy|queuePolicyNames|taskMemEst|"sched"|\bc\.Policy\b' cmd internal | wc -l
 
 # alloc-profile attributes the spamrun paths' allocation by site: one
 # `spamrun -reentry -memprofile` per paper dataset into the gitignored

@@ -4,7 +4,7 @@
 //
 //	spambench [-experiment NAME] [-full-scale F] [-subset-scale F]
 //	          [-task-procs N] [-match-procs N]
-//	          [-sched fifo|largest|postorder] [-csv DIR]
+//	          [-csv DIR]
 //	          [-fault-seed N] [-crash-rate P]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -13,9 +13,7 @@
 // ext-sched, ext-sync, ext-queues, ext-msgpass, ext-suburban,
 // ext-scale, ext-faults, ext-memsched), or "all" (the default).
 //
-// -sched picks the task scheduling policy for the real
-// interpretations the harness runs (results are byte-identical across
-// policies). -csv also writes the figure experiments' data series as
+// -csv also writes the figure experiments' data series as
 // CSV files into DIR.
 package main
 
@@ -29,7 +27,6 @@ import (
 
 	"spampsm/internal/bench"
 	"spampsm/internal/prof"
-	"spampsm/internal/tlp"
 )
 
 func main() {
@@ -46,18 +43,12 @@ func realMain() int {
 	taskProcs := flag.Int("task-procs", 14, "maximum task processes (paper: 14)")
 	matchProcs := flag.Int("match-procs", 13, "maximum dedicated match processes (paper: 13)")
 	csvDir := flag.String("csv", "", "also write the figure experiments' data series as CSV files into this directory")
-	sched := flag.String("sched", "fifo", "task scheduling policy for real interpretations: fifo, largest or postorder")
 	faultSeed := flag.Int64("fault-seed", 1990, "seed for the ext-faults chaos experiment")
 	crashRate := flag.Float64("crash-rate", 0.1, "per-processor death rate for ext-faults' plan-driven row")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 
-	policy, err := tlp.ParseQueuePolicy(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spambench:", err)
-		return 2
-	}
 	for _, sc := range []struct {
 		flag string
 		f    float64
@@ -87,7 +78,6 @@ func realMain() int {
 		MaxMatchProcs: *matchProcs,
 		FaultSeed:     *faultSeed,
 		CrashRate:     *crashRate,
-		Sched:         policy,
 	}
 	suite := bench.NewSuite(opt)
 	var out string

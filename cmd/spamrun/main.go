@@ -7,7 +7,6 @@
 //	spamrun [-dataset SF|DC|MOFF|suburban] [-workers N] [-level 1..4]
 //	        [-reentry] [-scale F] [-lisp] [-svg FILE]
 //	        [-update N] [-churn F] [-churn-seed N]
-//	        [-sched fifo|largest|postorder]
 //	        [-task-timeout D] [-max-retries K]
 //	        [-cluster-workers N] [-cluster-addr HOST:PORT] [-cluster-check]
 //	        [-cpuprofile FILE] [-memprofile FILE]
@@ -19,10 +18,6 @@
 // process's local pool size (see docs/CLUSTER.md). -cluster-check
 // additionally runs the single-process interpretation and verifies the
 // cluster produced byte-identical outputs.
-//
-// -sched orders each phase's task queue (per-task results are
-// byte-identical across policies; see docs/PERFORMANCE.md "Task
-// scheduling and memory").
 //
 // -task-timeout and -max-retries set the recovery discipline (see
 // docs/ROBUSTNESS.md): a failed task is rebuilt and re-run up to
@@ -61,7 +56,6 @@ import (
 	"spampsm/internal/spam"
 	"spampsm/internal/stats"
 	"spampsm/internal/symtab"
-	"spampsm/internal/tlp"
 )
 
 func main() {
@@ -79,7 +73,6 @@ func realMain() int {
 	updates := flag.Int("update", 0, "apply N incremental churn updates through an interpretation session after the initial run")
 	churn := flag.Float64("churn", 0.05, "churn fraction per -update delta (regions touched / scene regions)")
 	churnSeed := flag.Uint64("churn-seed", 1990, "deterministic seed for the -update churn deltas")
-	sched := flag.String("sched", "fifo", "task scheduling policy: fifo, largest or postorder")
 	svgOut := flag.String("svg", "", "write the scene segmentation (with best hypotheses) to this SVG file")
 	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt wall-clock deadline (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "failed-task re-executions before quarantine")
@@ -90,11 +83,6 @@ func realMain() int {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 
-	policy, err := tlp.ParseQueuePolicy(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spamrun:", err)
-		return 2
-	}
 	if *level < 1 || *level > 4 {
 		fmt.Fprintf(os.Stderr, "spamrun: -level %d: the LCC decomposition levels are 1 to 4\n", *level)
 		flag.Usage()
@@ -102,6 +90,11 @@ func realMain() int {
 	}
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		fmt.Fprintf(os.Stderr, "spamrun: -scale %v: a scale factor is a finite number above 0\n", *scale)
+		flag.Usage()
+		return 2
+	}
+	if math.IsNaN(*churn) || math.IsInf(*churn, 0) {
+		fmt.Fprintf(os.Stderr, "spamrun: -churn %v: a churn fraction is a finite number\n", *churn)
 		flag.Usage()
 		return 2
 	}
@@ -153,7 +146,6 @@ func realMain() int {
 		Workers:      *workers,
 		Level:        spam.Level(*level),
 		ReEntry:      *reentry,
-		Sched:        policy,
 		MaxRetries:   *maxRetries,
 		TaskTimeout:  *taskTimeout,
 		RetryBackoff: time.Millisecond,

@@ -177,3 +177,17 @@ func TestNonPositiveScaleIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteChurnIsUsageError: a -churn of +Inf or NaN used to
+// update one region of the scene, and -Inf none, instead of refusing.
+func TestNonFiniteChurnIsUsageError(t *testing.T) {
+	for _, churn := range []string{"NaN", "+Inf", "-Inf"} {
+		out, code := spamrun(t, "-dataset", "DC", "-scale", "0.4", "-update", "1", "-churn", churn)
+		if code != 2 {
+			t.Errorf("-churn %s: exit %d, want 2", churn, code)
+		}
+		if strings.Contains(out, "Incremental updates") {
+			t.Errorf("-churn %s ran an update:\n%s", churn, out)
+		}
+	}
+}

@@ -8,7 +8,6 @@
 //	spamserve [-addr :8641] [-workers N] [-max-concurrent N]
 //	          [-max-queued N] [-per-tenant N] [-deadline D]
 //	          [-cache-regions N] [-quarantine-budget N]
-//	          [-sched fifo|largest|postorder]
 //	          [-max-sessions N] [-cluster-workers N]
 //
 // -cluster-workers N backs named-scene /interpret requests with N
@@ -63,16 +62,9 @@ func realMain() int {
 	cacheRegions := flag.Int("cache-regions", 4096, "inline-scene cache size cap (total regions)")
 	quarantine := flag.Int("quarantine-budget", 32, "quarantined tasks from live runs, not counting firing-budget overruns, tolerated before /healthz degrades (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "maximum graceful-drain wait on shutdown")
-	sched := flag.String("sched", "fifo", "task scheduling policy: fifo, largest or postorder")
 	maxSessions := flag.Int("max-sessions", 0, "live incremental-session bound, LRU-evicted (0 = default 8)")
 	clusterWorkers := flag.Int("cluster-workers", 0, "execute named-scene requests across N worker processes (0 = in-process pool)")
 	flag.Parse()
-
-	policy, err := tlp.ParseQueuePolicy(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spamserve:", err)
-		return 2
-	}
 
 	var clusterBackend tlp.Queue
 	if *clusterWorkers > 0 {
@@ -108,7 +100,6 @@ func realMain() int {
 		DefaultDeadline:   *deadline,
 		SceneCacheRegions: *cacheRegions,
 		QuarantineBudget:  *quarantine,
-		Sched:             policy,
 		MaxSessions:       *maxSessions,
 		Cluster:           clusterBackend,
 	})

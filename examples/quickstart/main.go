@@ -53,8 +53,7 @@ const src = `
 // working-memory distribution.
 func buildTask(id int, values []int64) *tlp.Task {
 	return &tlp.Task{
-		ID:      fmt.Sprintf("batch-%d", id),
-		EstSize: float64(len(values)),
+		ID: fmt.Sprintf("batch-%d", id),
 		Build: func() (*ops5.Engine, error) {
 			prog, err := ops5.Parse(src)
 			if err != nil {

@@ -24,7 +24,6 @@ import (
 	"spampsm/internal/spam"
 	"spampsm/internal/stats"
 	"spampsm/internal/svm"
-	"spampsm/internal/tlp"
 )
 
 // Datasets is the evaluation's dataset order.
@@ -50,10 +49,6 @@ type Options struct {
 	// CrashRate is the per-processor death probability for ext-faults'
 	// plan-driven processor-failure row.
 	CrashRate float64
-	// Sched orders the task queue of every real interpretation the
-	// harness runs (the shared policy vocabulary; results are
-	// byte-identical across policies).
-	Sched tlp.QueuePolicy
 }
 
 // DefaultOptions mirror the paper's experimental setup.
@@ -149,7 +144,7 @@ func (s *Suite) Tables123() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		in, err := d.Interpret(spam.InterpretOptions{Workers: 1, ReEntry: true, Sched: s.Opt.Sched})
+		in, err := d.Interpret(spam.InterpretOptions{Workers: 1, ReEntry: true})
 		if err != nil {
 			return "", err
 		}

@@ -1,9 +1,9 @@
 // The memory-aware scheduling experiment: makespan against memory
 // budget for every policy on the simulated machine, plus a stress
 // scene demonstrating that the memory-bounded list scheduler completes
-// within a budget that FIFO's natural peak exceeds. The real runtime's
-// equivalent policies are proven byte-identical by the differential
-// oracles in internal/tlp and internal/spam.
+// within a budget that FIFO's natural peak exceeds. The policies live
+// only here, on the simulated clock: the real runtime runs every queue
+// in the order it was submitted.
 package bench
 
 import (

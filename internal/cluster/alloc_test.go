@@ -234,7 +234,7 @@ func TestWorkerTaskPathAllocationCeiling(t *testing.T) {
 					t.Fatal(err)
 				}
 				m := &TaskMsg{RunID: uint64(round*len(rec.queues) + q + 1), Seq: i, StartAttempt: 1,
-					ID: task.ID, Label: task.Label, Group: task.Group, EstSize: task.EstSize, MemEst: task.MemEst, Spec: *spec}
+					ID: task.ID, Label: task.Label, Group: task.Group, Spec: *spec}
 				refs, ids, seeds := chunkRefsFor(m, resident, &next)
 				for c, id := range ids {
 					w.chunks[id] = seeds[c]

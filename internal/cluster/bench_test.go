@@ -12,7 +12,6 @@ import (
 
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
-	"spampsm/internal/tlp"
 )
 
 // BenchmarkClusterRound is one op of the benchmark's cluster_2proc
@@ -44,7 +43,7 @@ func BenchmarkClusterRound(b *testing.B) {
 		pids = append(pids, p.cmd.Process.Pid)
 	}
 	co.procMu.Unlock()
-	opts := spam.InterpretOptions{Workers: 1, Level: spam.Level3, RTFBatch: 3, ReEntry: true, Sched: tlp.FIFO}
+	opts := spam.InterpretOptions{Workers: 1, Level: spam.Level3, RTFBatch: 3, ReEntry: true}
 	opts.Runner = NewRunner(co, opts)
 	var ds []*spam.Dataset
 	for _, name := range []string{"SF", "DC", "MOFF"} {

@@ -92,7 +92,7 @@ func (r *reEntryTally) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.
 func TestDifferentialClusterInterpret(t *testing.T) {
 	// A window below every scene's re-entry queue (6–8 tasks at
 	// oracleScale), so a queue that bypassed it would show.
-	co, err := Start(Config{Workers: 2, LocalWorkers: 2, ShipWindow: 4})
+	co, err := Start(Config{Workers: 2, LocalWorkers: 2, shipWindow: 4})
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
 	}
@@ -188,8 +188,8 @@ func TestDifferentialClusterInterpret(t *testing.T) {
 	var perWorkerShipped int64
 	for _, ws := range st.PerWorker {
 		perWorkerShipped += ws.ShippedBytes
-		if ws.PeakInFlight > co.cfg.ShipWindow {
-			t.Errorf("worker slot %d held %d tasks in flight, over the ship window of %d", ws.Slot, ws.PeakInFlight, co.cfg.ShipWindow)
+		if ws.PeakInFlight > co.cfg.shipWindow {
+			t.Errorf("worker slot %d held %d tasks in flight, over the ship window of %d", ws.Slot, ws.PeakInFlight, co.cfg.shipWindow)
 		}
 		// Each worker process reports the match arenas its executors
 		// keep between tasks.
@@ -310,7 +310,7 @@ func TestClusterStartFailureCleanup(t *testing.T) {
 	}
 	t.Setenv("TMPDIR", canary) // Start's socket dir lands here
 
-	co, err := Start(Config{Workers: 1, Exe: exe, ConnectTimeout: 500 * time.Millisecond})
+	co, err := Start(Config{Workers: 1, exe: exe, connectTimeout: 500 * time.Millisecond})
 	if err == nil {
 		co.Close()
 		t.Fatal("Start succeeded with a worker that never connects")

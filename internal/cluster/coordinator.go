@@ -33,22 +33,25 @@ type Config struct {
 	// multi-host is one flag away (see docs/CLUSTER.md).
 	Network string
 	Addr    string
-	// ShipWindow caps the tasks in flight to one worker process. Zero
+	// The fields below are set only by this package's tests; their
+	// zero values select the defaults.
+
+	// shipWindow caps the tasks in flight to one worker process. Zero
 	// means shipDepth per task process, the measured depth that keeps
-	// one fed across a result→claim→ship round trip; set it only to
-	// cap the pipeline below that (the chaos tests pin it to 1, where
-	// which task a death interrupts is deterministic).
-	ShipWindow int
-	// ConnectTimeout bounds how long Start waits for the spawned
+	// one fed across a result→claim→ship round trip; the chaos tests
+	// pin it to 1, where which task a death interrupts is
+	// deterministic.
+	shipWindow int
+	// connectTimeout bounds how long Start waits for the spawned
 	// workers to connect back (default 30s).
-	ConnectTimeout time.Duration
-	// Exe is the worker executable (default: this binary, which flips
+	connectTimeout time.Duration
+	// exe is the worker executable (default: this binary, which flips
 	// into worker mode through WorkerEnv — see MaybeWorker).
-	Exe string
+	exe string
 }
 
 // shipDepth is how many tasks per task process the coordinator keeps in
-// flight to a worker process when Config.ShipWindow is zero. A task
+// flight to a worker process when Config.shipWindow is zero. A task
 // lasts ≈0.25 ms and one result → deliver → claim → ship → decode round
 // trip crosses three processes and four goroutine wake-ups (≈110–150 µs
 // a task that a depth of 2 did not hide); docs/PERFORMANCE.md "The
@@ -74,11 +77,11 @@ func (c Config) withDefaults() Config {
 	if c.Network == "" {
 		c.Network = "unix"
 	}
-	if c.ShipWindow < 1 {
-		c.ShipWindow = shipDepth * c.LocalWorkers
+	if c.shipWindow < 1 {
+		c.shipWindow = shipDepth * c.LocalWorkers
 	}
-	if c.ConnectTimeout <= 0 {
-		c.ConnectTimeout = 30 * time.Second
+	if c.connectTimeout <= 0 {
+		c.connectTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -334,7 +337,7 @@ func Start(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	if err := co.waitConnected(co.cfg.Workers, co.cfg.ConnectTimeout); err != nil {
+	if err := co.waitConnected(co.cfg.Workers, co.cfg.connectTimeout); err != nil {
 		co.Close()
 		return nil, err
 	}
@@ -423,7 +426,7 @@ func (co *Coordinator) waitConnected(n int, timeout time.Duration) error {
 
 // spawn launches one worker process pointed back at the listener.
 func (co *Coordinator) spawn() error {
-	exe := co.cfg.Exe
+	exe := co.cfg.exe
 	if exe == "" {
 		var err error
 		exe, err = os.Executable()
@@ -568,17 +571,16 @@ func (co *Coordinator) RegisterDataset(spec DatasetSpec) error {
 	return nil
 }
 
-// Submit ships the ordered queue across the workers and returns
-// merged results in queue order — the cluster equivalent of
-// tlp.Pool.Submit, with identical result, report and
-// cancellation semantics. Concurrent runs multiplex onto the same
-// worker set.
+// Submit ships the queue across the workers in the order the caller's
+// slice holds it, and returns merged results in that order — the
+// cluster equivalent of tlp.Pool.Submit, with identical result, report
+// and cancellation semantics. It never writes into the caller's slice.
+// Concurrent runs multiplex onto the same worker set.
 func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*tlp.Task) ([]*tlp.Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("tlp: empty task queue")
 	}
-	ordered := cfg.Order(tasks)
-	for _, t := range ordered {
+	for _, t := range tasks {
 		if t.Wire == nil {
 			return nil, fmt.Errorf("cluster: task %s has no wire spec (not cluster-executable)", t.ID)
 		}
@@ -595,9 +597,9 @@ func (co *Coordinator) Submit(ctx context.Context, cfg tlp.RunConfig, tasks []*t
 		co.mu.Unlock()
 		return nil, errors.New("cluster: no live worker processes")
 	}
-	n := len(ordered)
+	n := len(tasks)
 	rn := &run{
-		id: co.runSeq, cfg: cfg, tasks: ordered,
+		id: co.runSeq, cfg: cfg, tasks: tasks,
 		state:        make([]uint8, n),
 		startAttempt: make([]int, n),
 		priorErrs:    make([][]error, n),
@@ -742,7 +744,7 @@ func (co *Coordinator) claim(w *wconn, wait bool) (*run, int, bool) {
 		if w.dead || co.closed {
 			return nil, 0, false
 		}
-		if len(w.inflight) < co.cfg.ShipWindow {
+		if len(w.inflight) < co.cfg.shipWindow {
 			if rn, idx, ok := co.pick(w); ok {
 				rn.state[idx] = stateInflight
 				rn.wiring++
@@ -878,7 +880,6 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 	m := TaskMsg{
 		RunID: rn.id, Seq: idx, StartAttempt: rn.startAttempt[idx],
 		ID: t.ID, Label: t.Label, Group: t.Group,
-		EstSize: t.EstSize, MemEst: t.MemEst,
 		Config: rn.cfg, Spec: *spec,
 	}
 	co.mu.Unlock()

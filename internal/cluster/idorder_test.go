@@ -42,7 +42,7 @@ func idOrderFingerprint() (string, error) {
 		return "", err
 	}
 	msg := &TaskMsg{RunID: 1, StartAttempt: 1, ID: task.ID, Label: task.Label, Group: task.Group,
-		EstSize: task.EstSize, MemEst: task.MemEst, Config: opt.RunConfig(), Spec: *spec}
+		Config: opt.RunConfig(), Spec: *spec}
 	fmt.Fprintf(&out, "task-frame %x\n", sha256.Sum256(EncodeTaskV2(NewEncTab(), msg, nil)))
 	e, err := task.BuildWith(nil)
 	if err != nil {

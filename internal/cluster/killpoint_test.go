@@ -398,7 +398,7 @@ func chaosRun(t *testing.T, seed int64, reEntry bool) (*spam.Interpretation, Sta
 	if err != nil {
 		t.Fatalf("dataset: %v", err)
 	}
-	h := newDeathHarness(t, Config{Workers: 2, LocalWorkers: 1, ShipWindow: 1}, wd,
+	h := newDeathHarness(t, Config{Workers: 2, LocalWorkers: 1, shipWindow: 1}, wd,
 		faults.New(faults.Config{Seed: seed, CrashRate: 0.05}))
 	defer h.close()
 	if err := h.co.RegisterDataset(AirportSpec(p)); err != nil {

@@ -109,7 +109,7 @@ func TestPipelineKeepsWorkerFed(t *testing.T) {
 		co := listenBare(t, Config{Workers: 1, LocalWorkers: 1})
 		stub := dialStub(t, co, 1)
 		wait := submitAsync(co, tlp.RunConfig{}, stubTasks(n))
-		window := co.cfg.ShipWindow
+		window := co.cfg.shipWindow
 		for started := 0; started < n; {
 			// Every answered result is merged and its refill has arrived.
 			// A task ships only into a slot a merge freed, so the window
@@ -183,7 +183,7 @@ func TestPipelineKeepsWorkerFed(t *testing.T) {
 	if writes, budget := conn.writes.Load(), int64(n/2+10); writes > budget {
 		t.Errorf("worker made %d writes for %d results, want at most %d", writes, n, budget)
 	}
-	window := co.cfg.ShipWindow
+	window := co.cfg.shipWindow
 	fed := 0
 	for _, q := range queued[:n-window] {
 		if q > 0 {

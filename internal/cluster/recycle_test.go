@@ -31,7 +31,7 @@ func freshSpec(s *tlp.WireSpec) *tlp.WireSpec {
 // intern table: the frame's content, whatever the connection had sent
 // before it.
 func inlineFrame(t *tlp.Task, m TaskMsg, spec *tlp.WireSpec) []byte {
-	m.ID, m.Label, m.Group, m.EstSize, m.MemEst, m.Spec = t.ID, t.Label, t.Group, t.EstSize, t.MemEst, *spec
+	m.ID, m.Label, m.Group, m.Spec = t.ID, t.Label, t.Group, *spec
 	return EncodeTaskV2(NewEncTab(), &m, nil)
 }
 
@@ -301,7 +301,7 @@ func TestDifferentialWorkerTaskRecycling(t *testing.T) {
 	if lf, rf := phaseFingerprint(local), phaseFingerprint(remote); lf != rf {
 		t.Errorf("phase statistics differ:\nlocal:\n%s\ncluster:\n%s", lf, rf)
 	}
-	window := co.cfg.ShipWindow
+	window := co.cfg.shipWindow
 	peak := co.Stats().PerWorker[0].PeakInFlight
 	co.Close()
 	if err := <-served; err != nil {

@@ -57,10 +57,12 @@ import (
 // firing limit; v10 drops the Init frame's memory budget, since a
 // worker's pool orders by policy only; v11 drops the Init frame's
 // process-fault plan, since a worker death is a test's doing, from
-// outside the worker; see docs/CLUSTER.md.)
+// outside the worker; v12 drops the RunConfig's queue policy and the
+// task frame's two size estimates, since every queue runs in the order
+// it was submitted; see docs/CLUSTER.md.)
 const (
 	Magic   = "SPAMCLU1"
-	Version = 11
+	Version = 12
 )
 
 // Frame types. Every frame is [type byte][uvarint payload length]
@@ -118,12 +120,11 @@ type DatasetSpec struct {
 	Suburban scene.SuburbanParams
 }
 
-// TaskMsg is one shipped task: identity and scheduler estimates, the
-// attempt number to resume from (>1 after the coordinator charged
-// earlier attempts to a lost worker), the run configuration the
-// worker's pool must replay for byte-identical retry/quarantine
-// behavior, and the task's WireSpec (phase, seed working memory and
-// extraction classes).
+// TaskMsg is one shipped task: its identity, the attempt number to
+// resume from (>1 after the coordinator charged earlier attempts to a
+// lost worker), the run configuration the worker's pool must replay
+// for byte-identical retry/quarantine behavior, and the task's
+// WireSpec (phase, seed working memory and extraction classes).
 type TaskMsg struct {
 	RunID        uint64
 	Seq          int
@@ -131,10 +132,12 @@ type TaskMsg struct {
 	ID           string
 	Label        string
 	Group        string
-	EstSize      float64
-	MemEst       float64
-	Config       tlp.RunConfig
-	Spec         tlp.WireSpec
+	// EstSize and MemEst are always 0 and not on the wire: nothing
+	// reads them. They stay only because the benchmark module's codec
+	// probe compiles against them.
+	EstSize, MemEst float64
+	Config          tlp.RunConfig
+	Spec            tlp.WireSpec
 }
 
 // WireError is an error flattened for shipping: message plus
@@ -393,7 +396,6 @@ func appendSeed(b []byte, s ops5.Seed) []byte {
 // Task frames
 
 func appendRunConfig(b []byte, c tlp.RunConfig) []byte {
-	b = append(b, byte(c.Policy))
 	b = appendInt(b, int64(c.FiringBudget))
 	b = appendInt(b, int64(c.MaxRetries))
 	b = appendInt(b, int64(c.TaskTimeout))
@@ -408,7 +410,6 @@ func appendRunConfig(b []byte, c tlp.RunConfig) []byte {
 
 func (d *decoder) runConfig() tlp.RunConfig {
 	var c tlp.RunConfig
-	c.Policy = tlp.QueuePolicy(d.byte())
 	c.FiringBudget = int(d.varint())
 	c.MaxRetries = int(d.varint())
 	c.TaskTimeout = time.Duration(d.varint())
@@ -745,8 +746,6 @@ func (t *EncTab) task(b []byte, m *TaskMsg, refs []int64) []byte {
 	b = appendString(b, m.ID)
 	b = t.str(b, m.Label)
 	b = t.str(b, m.Group)
-	b = appendFloatC(b, m.EstSize)
-	b = appendFloatC(b, m.MemEst)
 	b = t.runConfig(b, m.Config)
 	b = t.str(b, m.Spec.Dataset)
 	b = t.str(b, m.Spec.Phase)
@@ -803,8 +802,6 @@ func (t *DecTab) task(f *taskFrame, payload []byte, resolve func(uint64) (ops5.S
 	m.ID = d.string()
 	m.Label = d.str(t)
 	m.Group = d.str(t)
-	m.EstSize = d.floatC()
-	m.MemEst = d.floatC()
 	m.Config = d.runConfigT(t)
 	m.Spec.Dataset = d.str(t)
 	m.Spec.Phase = d.str(t)

@@ -102,7 +102,6 @@ func corpusTasks(t testing.TB) []*TaskMsg {
 		out = append(out, &TaskMsg{
 			RunID: uint64(i + 1), Seq: i, StartAttempt: 1 + i%3,
 			ID: task.ID, Label: task.Label, Group: task.Group,
-			EstSize: task.EstSize, MemEst: task.MemEst,
 			Config: cfg, Spec: *spec,
 		})
 	}
@@ -410,7 +409,7 @@ func TestWireRoundTripTasksV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full-config frame: %v", err)
 	}
-	if m.Config.Policy != tlp.PostOrder || m.Config.Faults.PermanentFraction != 0.75 || m.Config.Faults.Seed != 42 {
+	if m.Config.FiringBudget != 120000 || m.Config.Faults.PermanentFraction != 0.75 || m.Config.Faults.Seed != 42 {
 		t.Errorf("RunConfig changed on the wire: %+v", m.Config)
 	}
 	if !bytes.Equal(full, EncodeTaskV2(NewEncTab(), m, nil)) {
@@ -474,7 +473,7 @@ func configFrames(t testing.TB) (full, trailing, truncated []byte) {
 	t.Helper()
 	m := *corpusTasks(t)[0]
 	m.Config = tlp.RunConfig{
-		Policy: tlp.PostOrder, FiringBudget: 120000, MaxRetries: 2,
+		FiringBudget: 120000, MaxRetries: 2,
 		TaskTimeout: 250 * time.Millisecond, RetryBackoff: time.Millisecond,
 		Faults: faults.Config{Seed: 42, BuildFailRate: 0.125, PanicRate: 0.25, CrashRate: 0.5, PermanentFraction: 0.75},
 	}

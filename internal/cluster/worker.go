@@ -325,7 +325,6 @@ func (w *worker) submit(ctx context.Context, wt *workerTask) {
 	}
 	wt.task = tlp.Task{
 		ID: m.ID, Label: m.Label, Group: m.Group,
-		EstSize: m.EstSize, MemEst: m.MemEst,
 		BuildWith: build,
 		Read:      wt.read,
 	}

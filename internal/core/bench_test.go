@@ -39,7 +39,7 @@ func interpretRound(b *testing.B, workers int) {
 		}
 		ds = append(ds, d)
 	}
-	opts := spam.InterpretOptions{Workers: workers, Level: spam.Level3, RTFBatch: 3, ReEntry: true, Sched: tlp.FIFO}
+	opts := spam.InterpretOptions{Workers: workers, Level: spam.Level3, RTFBatch: 3, ReEntry: true}
 	b.ReportAllocs()
 	var queued time.Duration
 	cpu0 := cpuTime(b)
@@ -83,7 +83,7 @@ func (r timedRunner) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp.Re
 // openings, one initial interpretation per ten updates.
 func BenchmarkSessionUpdate(b *testing.B) {
 	const updates, churn, seed = 10, 0.02, 1990
-	opts := spam.InterpretOptions{Workers: 1, Level: spam.Level3, RTFBatch: 3, ReEntry: true, Sched: tlp.FIFO}
+	opts := spam.InterpretOptions{Workers: 1, Level: spam.Level3, RTFBatch: 3, ReEntry: true}
 	var sess *spam.Session
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,9 +10,9 @@
 // the budget.
 //
 // Every policy permutes only the queue order; each task's simulated
-// execution (and its real per-task result in internal/tlp) is
-// byte-identical across policies — the working-memory-distribution
-// independence property, enforced by the differential oracles.
+// execution is byte-identical across policies — the
+// working-memory-distribution independence property, enforced by the
+// differential oracles.
 package machine
 
 import (
@@ -23,9 +23,9 @@ import (
 	"spampsm/internal/pmatch"
 )
 
-// Policy selects the order in which the control process enqueues
-// tasks. The vocabulary is shared with tlp.QueuePolicy — one flag
-// surface drives both the simulator and the real runtime.
+// Policy selects the order in which the simulated control process
+// enqueues tasks. The real runtime has no policy: every tlp.Pool and
+// cluster queue runs in the order it was submitted, the paper's FIFO.
 type Policy uint8
 
 const (
@@ -57,17 +57,6 @@ func (p Policy) String() string {
 		return s
 	}
 	return fmt.Sprintf("policy(%d)", uint8(p))
-}
-
-// ParsePolicy parses the shared policy vocabulary: "fifo", "largest",
-// "postorder".
-func ParsePolicy(s string) (Policy, error) {
-	for p, name := range policyNames {
-		if s == name {
-			return p, nil
-		}
-	}
-	return PolicyFIFO, fmt.Errorf("machine: unknown scheduling policy %q (want fifo, largest or postorder)", s)
 }
 
 // Policies lists every policy, for experiment sweeps.

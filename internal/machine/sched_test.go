@@ -214,18 +214,6 @@ func TestDifferentialPoliciesWorkConserved(t *testing.T) {
 	}
 }
 
-func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, pol := range Policies() {
-		got, err := ParsePolicy(pol.String())
-		if err != nil || got != pol {
-			t.Errorf("ParsePolicy(%q) = %v, %v", pol.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
-	}
-}
-
 // BenchmarkSchedulerPolicies is the bench-quick scheduler
 // microbenchmark: ordering and simulating a 2000-task queue under
 // every policy, bounded and unbounded.

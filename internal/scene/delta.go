@@ -69,8 +69,10 @@ type Churn struct {
 	// Seed makes the delta deterministic, independent of the scene's
 	// own generation seed.
 	Seed uint64
-	// Fraction of the scene's regions affected (0..1). A non-zero
-	// fraction always affects at least one region.
+	// Fraction of the scene's regions affected (0..1). A positive
+	// fraction always affects at least one region, and one of 1 or more
+	// affects every region; one that is not above 0, NaN included,
+	// affects none.
 	Fraction float64
 	// Occlusion is the share of affected regions that vanish outright —
 	// cloud shadow, sensor dropout, or a merge into a neighbour.
@@ -101,16 +103,14 @@ func DefaultChurn(seed uint64, fraction float64) Churn {
 // itself is not modified.
 func (s *Scene) Churn(c Churn) *Delta {
 	d := &Delta{Base: s.Name}
-	if c.Fraction <= 0 || len(s.Regions) == 0 {
+	if !(c.Fraction > 0) || len(s.Regions) == 0 {
 		return d
 	}
 	rnd := newRng(c.Seed ^ 0xd1ce5eed)
-	n := int(math.Round(c.Fraction * float64(len(s.Regions))))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(s.Regions) {
-		n = len(s.Regions)
+	// Clamp in float: a huge fraction's product overflows int.
+	n := len(s.Regions)
+	if f := math.Round(c.Fraction * float64(n)); f < float64(n) {
+		n = max(1, int(f))
 	}
 	maxID := 0
 	for _, r := range s.Regions {

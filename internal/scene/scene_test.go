@@ -1,6 +1,7 @@
 package scene
 
 import (
+	"math"
 	"testing"
 
 	"spampsm/internal/geom"
@@ -231,6 +232,39 @@ func TestBBoxWithinScene(t *testing.T) {
 		bb := r.Poly.BBox()
 		if !outer.Contains(bb.Min) || !outer.Contains(bb.Max) {
 			t.Errorf("region %d wildly out of bounds: %+v", r.ID, bb)
+		}
+	}
+}
+
+// TestChurnFractionClamps holds Churn's affected count to the fraction
+// it is given, out to the values no scene can honour: a fraction of 1
+// or more touches every region once, however large — 1e17 and up
+// overflowed int and touched one — and NaN touches none.
+func TestChurnFractionClamps(t *testing.T) {
+	s := Generate(DC)
+	all := len(s.Regions)
+	for _, tc := range []struct {
+		fraction float64
+		affected int
+	}{
+		{0.05, int(math.Round(0.05 * float64(all)))},
+		{1, all}, {5, all}, {1e17, all}, {1e30, all}, {math.Inf(1), all},
+		{math.NaN(), 0},
+	} {
+		d := s.Churn(DefaultChurn(1990, tc.fraction))
+		seen := map[int]bool{}
+		for _, id := range d.Removed {
+			seen[id] = true
+		}
+		for _, r := range d.Moved {
+			seen[r.ID] = true
+		}
+		if got := len(d.Removed) + len(d.Moved); got != tc.affected || len(seen) != got {
+			t.Errorf("fraction %v: removed %d + moved %d (%d distinct), want %d regions affected",
+				tc.fraction, len(d.Removed), len(d.Moved), len(seen), tc.affected)
+		}
+		if want := int(math.Round(0.25 * float64(tc.affected))); len(d.Added) != want {
+			t.Errorf("fraction %v: added %d regions, want %d", tc.fraction, len(d.Added), want)
 		}
 	}
 }

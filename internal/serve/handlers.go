@@ -197,7 +197,6 @@ func (req *Request) validate() *apiError {
 // task queues bound to queue.
 func (s *Server) options(req *Request, queue tlp.Queue) spam.InterpretOptions {
 	cfg := tlp.RunConfig{
-		Policy:       s.cfg.Sched,
 		MaxRetries:   req.MaxRetries,
 		RetryBackoff: retryBackoff,
 		FiringBudget: req.FiringBudget,

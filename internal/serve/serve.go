@@ -54,10 +54,6 @@ type Config struct {
 	// engine), so the cap is the server's main memory lever for the
 	// incremental path.
 	MaxSessions int
-	// Sched orders every submission's task queue (fifo, largest or
-	// postorder — the shared policy vocabulary). Per-task results are
-	// byte-identical across policies; only interleaving changes.
-	Sched tlp.QueuePolicy
 	// Cluster, when set, executes named-scene requests across worker
 	// processes instead of the shared in-process pool (the cmd layer
 	// wires a cluster.Coordinator in; see docs/CLUSTER.md). Inline

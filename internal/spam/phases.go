@@ -209,9 +209,9 @@ type InterpretOptions struct {
 	RetryBackoff time.Duration // delay before the first retry (doubles after)
 	FiringBudget int           // per-task firing deadline; 0 = none
 
-	// Sched orders every phase's task queue — fifo, largest or
-	// postorder (see docs/PERFORMANCE.md). Per-task results are
-	// byte-identical under every policy; only order and timing change.
+	// Sched is always tlp.FIFO and not on the wire: every queue runs
+	// in the order it was built, and nothing reads this field. It stays
+	// only because the benchmark module compiles against it.
 	Sched tlp.QueuePolicy
 }
 
@@ -220,7 +220,6 @@ type InterpretOptions struct {
 // cluster coordinator — is submitted under.
 func (opt InterpretOptions) RunConfig() tlp.RunConfig {
 	return tlp.RunConfig{
-		Policy:       opt.Sched,
 		FiringBudget: opt.FiringBudget,
 		MaxRetries:   opt.MaxRetries,
 		TaskTimeout:  opt.TaskTimeout,

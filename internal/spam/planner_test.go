@@ -62,7 +62,6 @@ func refFaSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, 
 				key:     fmt.Sprintf("fa-%s-%s-%d", name, spec.Type, f.ID),
 				label:   fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, len(members)),
 				group:   "fa-" + string(spec.Type),
-				est:     float64(len(members) + 1),
 				rows:    len(members) + len(memberPairs) + 2,
 				phase:   "fa",
 				seed:    f,
@@ -126,16 +125,15 @@ func refLccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []
 		specs := make([]taskSpec, 0, len(classes))
 		for _, k := range classes {
 			group := byClass[k]
-			est := 0
+			checks := 0
 			for _, u := range group {
-				est += u.expected
+				checks += u.expected
 			}
 			specs = append(specs, taskSpec{
 				key:   fmt.Sprintf("%s4-%s-%s", prefix, name, k),
 				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
 				group: string(k),
-				est:   float64(est),
-				rows:  2*est + 3*len(group),
+				rows:  2*checks + 3*len(group),
 				phase: "lcc",
 				units: group,
 			})
@@ -155,7 +153,6 @@ func refLccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []
 			key:   key,
 			label: fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
 			group: string(u.focal.Type),
-			est:   float64(u.expected),
 			rows:  2*u.expected + 3,
 			phase: "lcc",
 			units: []lccUnit{u},
@@ -200,7 +197,7 @@ func refReEntryFragments(d *Dataset, in *Interpretation) []*Fragment {
 }
 
 // samePlan fails the test when the production planner's specs differ
-// from the reference's in any field — key, label, estimates, rows,
+// from the reference's in any field — key, label, rows,
 // and every member, pair, check and partner in order. No specs is no
 // specs, nil or empty.
 func samePlan(t *testing.T, what string, got, want []taskSpec) {

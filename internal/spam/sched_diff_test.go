@@ -1,38 +1,30 @@
 package spam
 
-import (
-	"fmt"
-	"testing"
-
-	"spampsm/internal/tlp"
-)
+import "testing"
 
 // TestSPAMDifferentialSchedulingPolicies is the full-interpretation
 // scheduling oracle: a complete four-phase interpretation must be
 // observably identical — same phase statistics, simulated instruction
 // counts, memory records, fragments, pairs, functional areas and final
-// model — under every queue policy, serial and parallel.
+// model — on one worker and on three, whose interleaving of every
+// phase's queue differs.
 func TestSPAMDifferentialSchedulingPolicies(t *testing.T) {
-	run := func(pol tlp.QueuePolicy, workers int) *Interpretation {
+	run := func(workers int) *Interpretation {
 		t.Helper()
 		d := smallDC(t)
-		in, err := d.Interpret(InterpretOptions{Workers: workers, Sched: pol})
+		in, err := d.Interpret(InterpretOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return in
 	}
-	base := run(tlp.FIFO, 1)
-	for _, pol := range []tlp.QueuePolicy{tlp.FIFO, tlp.LargestFirst, tlp.PostOrder} {
-		name := fmt.Sprintf("%v/w=3", pol)
-		in := run(pol, 3)
-		compareInterpretations(t, "fifo-serial", base, name, in)
-		for i := range base.Phases {
-			bp, ip := &base.Phases[i], &in.Phases[i]
-			if bp.PeakTaskBytes != ip.PeakTaskBytes || bp.SeedBytes != ip.SeedBytes {
-				t.Errorf("%s: phase %s memory records diverge: (%.0f, %.0f) vs (%.0f, %.0f)",
-					name, bp.Phase, bp.PeakTaskBytes, bp.SeedBytes, ip.PeakTaskBytes, ip.SeedBytes)
-			}
+	base, in := run(1), run(3)
+	compareInterpretations(t, "w=1", base, "w=3", in)
+	for i := range base.Phases {
+		bp, ip := &base.Phases[i], &in.Phases[i]
+		if bp.PeakTaskBytes != ip.PeakTaskBytes || bp.SeedBytes != ip.SeedBytes {
+			t.Errorf("w=3: phase %s memory records diverge: (%.0f, %.0f) vs (%.0f, %.0f)",
+				bp.Phase, bp.PeakTaskBytes, bp.SeedBytes, ip.PeakTaskBytes, ip.SeedBytes)
 		}
 	}
 }

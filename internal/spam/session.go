@@ -442,16 +442,9 @@ func (s *Session) runSpecs(ctx context.Context, runner Runner, specs []taskSpec)
 	if err != nil {
 		return nil, err
 	}
-	// Results return in queue order, which a scheduling policy may
-	// permute; rejoin them to their specs by task ID.
-	byID := make(map[string]*tlp.Result, len(rs))
-	for _, r := range rs {
-		if r != nil {
-			byID[r.TaskID] = r
-		}
-	}
-	for _, i := range pending {
-		r := byID[specs[i].key]
+	// Results return in queue order: rs[j] is pending[j]'s.
+	for j, i := range pending {
+		r := rs[j]
 		results[i] = r
 		s.tasks[specs[i].key].res = r
 		if r != nil {

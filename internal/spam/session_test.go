@@ -98,7 +98,7 @@ func TestSessionDifferentialIncremental(t *testing.T) {
 }
 
 // queueRecorder is a Runner that records what every phase queue
-// presents to it — each task's identity, scheduler estimates and the
+// presents to it — each task's identity and the
 // RouteDigest sequence of the seeds its wire description carries —
 // and runs the queue on a private pool. cancel, when set, is called
 // once, just before the next queue runs.
@@ -115,7 +115,7 @@ func (q *queueRecorder) RunTasks(ctx context.Context, tasks []*tlp.Task) ([]*tlp
 		if err != nil {
 			return nil, err
 		}
-		line := fmt.Sprintf("%s|%s|%s|%g|%g|%s", task.ID, task.Label, task.Group, task.EstSize, task.MemEst, spec.Phase)
+		line := fmt.Sprintf("%s|%s|%s|%s", task.ID, task.Label, task.Group, spec.Phase)
 		for _, sd := range spec.Seeds {
 			line += fmt.Sprintf("|%x", rete.RouteDigest(sd.Class, sd.Vals))
 		}

@@ -409,8 +409,8 @@ func TestRTFBatchingMatchesPositionBatching(t *testing.T) {
 				if sp.key != wantKeys[i] || !slices.Equal(ids, wantBatches[i]) {
 					t.Fatalf("%s/%d: batch %d is %s %v, position batching gives %s %v", s.Name, size, i, sp.key, ids, wantKeys[i], wantBatches[i])
 				}
-				if want := fmt.Sprintf("RTF batch %d (%d regions)", i, len(ids)); sp.label != want || sp.est != float64(len(ids)) {
-					t.Fatalf("%s/%d: batch %d labelled %q est %v, want %q", s.Name, size, i, sp.label, sp.est, want)
+				if want := fmt.Sprintf("RTF batch %d (%d regions)", i, len(ids)); sp.label != want {
+					t.Fatalf("%s/%d: batch %d labelled %q, want %q", s.Name, size, i, sp.label, want)
 				}
 			}
 		}

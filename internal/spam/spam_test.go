@@ -426,36 +426,6 @@ func TestSuburbanInterpretation(t *testing.T) {
 	}
 }
 
-func TestTaskEstSizeOrdersWork(t *testing.T) {
-	d := smallDC(t)
-	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, false)
-	rtfResults, _ := (&tlp.Pool{Workers: 2}).Run(rtfTasks)
-	frags := ExtractFragments(rtfResults)
-	tasks := BuildLCCTasks(d.KB, d.Store, d.Progs.LCC, frags, Level3, false)
-	// EstSize should correlate with actual cost: compare the biggest
-	// and smallest estimated tasks.
-	var biggest, smallest *tlp.Task
-	for _, task := range tasks {
-		if biggest == nil || task.EstSize > biggest.EstSize {
-			biggest = task
-		}
-		if smallest == nil || task.EstSize < smallest.EstSize {
-			smallest = task
-		}
-	}
-	if biggest.EstSize <= smallest.EstSize {
-		t.Skip("degenerate size distribution")
-	}
-	res, err := tlp.RunSerial([]*tlp.Task{biggest, smallest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Stats.TotalInstr() <= res[1].Stats.TotalInstr() {
-		t.Errorf("EstSize misordered actual cost: big %v <= small %v",
-			res[0].Stats.TotalInstr(), res[1].Stats.TotalInstr())
-	}
-}
-
 func TestCaptureProducesMatchForests(t *testing.T) {
 	d := smallDC(t)
 	rtfTasks := BuildRTFTasks(d.KB, d.Store, d.Progs.RTF, 3, true)

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"spampsm/internal/ops5"
-	"spampsm/internal/rete"
 	"spampsm/internal/scene"
 	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
@@ -41,18 +40,6 @@ var (
 	symT            = sym("t")
 	symF            = sym("f")
 )
-
-// taskMemEst models a task's peak footprint from the number of WMEs
-// it is expected to hold — its seed rows plus the hypotheses it
-// produces, one fragment per region for an RTF task — charging each a
-// nominal 8-slot WME plus one beta-token allowance, in the same
-// simulated-byte units as ops5.MemStats.PeakBytes. The estimate feeds
-// the schedulers (tlp.Task.MemEst) at queue-build time, before any
-// engine exists; the measured PeakBytes replaces it wherever a cost
-// log is available (machine.Specs).
-func taskMemEst(sp *taskSpec) float64 {
-	return float64(sp.rows+len(sp.regions)) * (wm.WMEBytes(8) + rete.TokenBytes)
-}
 
 // loadEngine builds one task's engine: instantiate the phase program —
 // capturing its match forests if asked, as the ops5 reference on a
@@ -105,16 +92,14 @@ func (d *Dataset) WireBuild(spec *tlp.WireSpec) (build func(s *ops5.Scratch) (*o
 }
 
 // taskSpec is the one description of a task: its stable key (the task
-// ID everywhere — pool, wire, session cache), the scheduler's
-// estimates, its phase, and the inputs its seed working memory is
-// assembled from. The runnable tlp.Task (newTask), the wire frame and
+// ID everywhere — pool, wire, session cache), its phase, and the inputs
+// its seed working memory is assembled from. The runnable tlp.Task (newTask), the wire frame and
 // the session signature are all derived from it. A spec holds inputs,
 // not seeds: a task's rows are assembled inside its build, straight
 // into its engine, so no seed set outlives its task.
 type taskSpec struct {
 	key, label, group string
-	est               float64
-	rows              int    // a bound on its seed rows: sizes a wire spec's seeds and the memory estimate
+	rows              int    // a bound on its seed rows: sizes a wire spec's seeds
 	phase             string // rtf | lcc | fa | model: the phaseDefs key
 
 	batchID int              // rtf
@@ -216,7 +201,6 @@ func newTask(prog *ops5.Program, store *RegionStore, sp *taskSpec, capture bool)
 	}
 	return &tlp.Task{
 		ID: sp.key, Label: sp.label, Group: sp.group,
-		EstSize: sp.est, MemEst: taskMemEst(sp),
 		Read:      def.read,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,
@@ -349,7 +333,6 @@ func rtfSpecs(store *RegionStore, batchSize int) []taskSpec {
 	for i := range specs {
 		sp := &specs[i]
 		sp.label = fmt.Sprintf("RTF batch %d (%d regions)", sp.batchID, len(sp.regions))
-		sp.est = float64(len(sp.regions))
 		sp.rows = 1 + len(sp.regions)
 	}
 	return specs
@@ -609,9 +592,9 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 		slices.SortStableFunc(slab, func(a, b lccUnit) int { return cmp.Compare(a.focal.Type, b.focal.Type) })
 		var specs []taskSpec
 		for len(slab) > 0 {
-			k, n, est := slab[0].focal.Type, 0, 0
+			k, n, checks := slab[0].focal.Type, 0, 0
 			for ; n < len(slab) && slab[n].focal.Type == k; n++ {
-				est += slab[n].expected
+				checks += slab[n].expected
 			}
 			group := slab[:n:n]
 			slab = slab[n:]
@@ -619,8 +602,7 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 				key:   fmt.Sprintf("%s4-%s-%s", prefix, name, k),
 				label: fmt.Sprintf("LCC L4 class %s (%d objects)", k, len(group)),
 				group: string(k),
-				est:   float64(est),
-				rows:  2*est + 3*len(group),
+				rows:  2*checks + 3*len(group),
 				phase: "lcc",
 				units: group,
 			})
@@ -640,7 +622,6 @@ func lccUnitSpecs(name string, units []lccUnit, level Level, reentry bool) []tas
 			key:   key,
 			label: fmt.Sprintf("LCC L%d object %d %s (%d checks)", level, u.focal.ID, u.cid, u.expected),
 			group: string(u.focal.Type),
-			est:   float64(u.expected),
 			rows:  2*u.expected + 3,
 			phase: "lcc",
 			units: units[i : i+1 : i+1],
@@ -823,7 +804,6 @@ func faSpecs(kb *KB, name string, frags []*Fragment, pairs []ConsistentPair, out
 				key:     fmt.Sprintf("fa-%s-%s-%d", name, spec.Type, f.ID),
 				label:   fmt.Sprintf("FA %s seed %d (%d members)", spec.Type, f.ID, nm),
 				group:   "fa-" + string(spec.Type),
-				est:     float64(nm + 1),
 				rows:    nm + np + 2,
 				phase:   "fa",
 				seed:    f,
@@ -926,7 +906,6 @@ func modelSpec(name string, frags []*Fragment, fas []FunctionalArea) taskSpec {
 		key:   fmt.Sprintf("model-%s", name),
 		label: fmt.Sprintf("MODEL (%d functional areas)", len(fas)),
 		group: "model",
-		est:   float64(len(fas) + 1),
 		rows:  2*len(fas) + 1,
 		phase: "model",
 		frags: frags,

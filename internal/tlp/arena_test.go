@@ -66,7 +66,6 @@ func arenaTask(t testing.TB, prog *ops5.Program, id string, size int, poke func(
 	}
 	return &Task{
 		ID:        id,
-		EstSize:   float64(size),
 		Read:      readArena,
 		Build:     func() (*ops5.Engine, error) { return build(nil) },
 		BuildWith: build,

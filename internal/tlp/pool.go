@@ -245,10 +245,11 @@ func (p *Pool) RunContext(ctx context.Context, tasks []*Task) ([]*Result, error)
 }
 
 // Submit runs one queue of tasks under the given context and per-run
-// configuration — its queue order, budgets, retries and fault plan —
-// one job per task. It blocks until every task has a Result and
-// returns them in queue order. Submissions from different goroutines
-// interleave at task granularity.
+// configuration — its budgets, retries and fault plan — one job per
+// task, in the order the caller's slice holds them; it never writes
+// into that slice. It blocks until every task has a Result and returns
+// them in that order. Submissions from different goroutines interleave
+// at task granularity.
 //
 // Cancelling ctx aborts the run's remaining work without failing
 // Submit itself. Tasks not yet started are skipped, in-flight attempts
@@ -260,12 +261,11 @@ func (p *Pool) Submit(ctx context.Context, cfg RunConfig, tasks []*Task) ([]*Res
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("tlp: empty task queue")
 	}
-	queue := cfg.Order(tasks)
-	results := make([]*Result, len(queue))
+	results := make([]*Result, len(tasks))
 	var done sync.WaitGroup
-	done.Add(len(queue))
-	jobs := make([]*Job, len(queue))
-	for i, t := range queue {
+	done.Add(len(tasks))
+	jobs := make([]*Job, len(tasks))
+	for i, t := range tasks {
 		jobs[i] = &Job{Ctx: ctx, Config: cfg, Task: t, Seq: i,
 			Done: func(r *Result) { results[i] = r; done.Done() }}
 	}

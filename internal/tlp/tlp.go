@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"spampsm/internal/faults"
@@ -86,15 +85,11 @@ type Task struct {
 	// object's class), used to roll task statistics up to coarser
 	// decomposition levels.
 	Group string
-	// EstSize is the scheduler's size estimate (SPAM "can provide the
-	// necessary information to identify the sizes of the tasks");
-	// LargestFirst uses it to fight the tail-end effect.
-	EstSize float64
-	// MemEst is the task's modeled memory footprint in simulated bytes
-	// (seed working memory plus expected match state, see wm.WMEBytes).
-	// The PostOrder policy orders subtrees by it.
-	MemEst float64
-	Build  func() (*ops5.Engine, error)
+	// EstSize and MemEst are always 0 and not on the wire: nothing
+	// reads them, and no queue is ordered by them. They stay only
+	// because the benchmark module's codec probe compiles against them.
+	EstSize, MemEst float64
+	Build           func() (*ops5.Engine, error)
 	// BuildWith, when set, is preferred over Build and receives the
 	// executing worker's match arena. A builder that threads it to
 	// ops5.NewEngine via WithScratch gets an engine that borrows the
@@ -178,57 +173,22 @@ type Result struct {
 // ultimately succeeded.
 func (r *Result) Recovered() bool { return r.Err == nil && len(r.AttemptErrs) > 0 }
 
-// QueuePolicy orders the task queue.
+// QueuePolicy has the one value FIFO: every queue runs in the order
+// it was submitted. Nothing reads it and it is not on the wire; it
+// stays only because the benchmark module compiles against
+// spam.InterpretOptions.Sched.
 type QueuePolicy uint8
 
-const (
-	// FIFO executes tasks in submission order (the paper's setup).
-	FIFO QueuePolicy = iota
-	// LargestFirst puts big tasks at the head of the queue, the
-	// scheduling improvement the paper proposes as future work to
-	// remove the tail-end effect.
-	LargestFirst
-	// PostOrder emits the queue one decomposition subtree (Group) at a
-	// time — subtrees by decreasing aggregate MemEst, larger tasks
-	// first within a subtree — the memory-peak-minimizing traversal of
-	// Marchal et al. (see machine.PolicyPostOrder; the two packages
-	// share one policy vocabulary and one flag surface).
-	PostOrder
-)
+// FIFO executes tasks in submission order (the paper's setup).
+const FIFO QueuePolicy = 0
 
-var queuePolicyNames = map[QueuePolicy]string{
-	FIFO:         "fifo",
-	LargestFirst: "largest",
-	PostOrder:    "postorder",
-}
-
-func (qp QueuePolicy) String() string {
-	if s, ok := queuePolicyNames[qp]; ok {
-		return s
-	}
-	return fmt.Sprintf("policy(%d)", uint8(qp))
-}
-
-// ParseQueuePolicy parses the shared policy vocabulary: "fifo",
-// "largest", "postorder" — the -sched flag of spamrun/spambench and
-// the spamserve scheduler config.
-func ParseQueuePolicy(s string) (QueuePolicy, error) {
-	for qp, name := range queuePolicyNames {
-		if s == name {
-			return qp, nil
-		}
-	}
-	return FIFO, fmt.Errorf("tlp: unknown scheduling policy %q (want fifo, largest or postorder)", s)
-}
-
-// RunConfig is how one run's task queue is executed: its order, the
-// per-task budgets and deadlines, the retry discipline and the fault
-// plan. It is a plain comparable value — the one form in which these
-// knobs travel from a caller's options to a Queue's Submit (a Pool,
+// RunConfig is how one run's task queue is executed: the per-task
+// budgets and deadlines, the retry discipline and the fault plan. It
+// is a plain comparable value — the one form in which these knobs
+// travel from a caller's options to a Queue's Submit (a Pool,
 // the cluster Coordinator) and on to a cluster worker's pool — and
-// holds exactly what Order, runOne and attempt read.
+// holds exactly what runOne and attempt read.
 type RunConfig struct {
-	Policy QueuePolicy
 	// FiringBudget is the per-task limit in production firings: a task
 	// still short of quiescence when the budget runs out fails with
 	// ErrBudgetExceeded. 0 disables the budget.
@@ -268,45 +228,6 @@ type BoundQueue struct {
 // RunTasks submits the queue under the bound configuration.
 func (b BoundQueue) RunTasks(ctx context.Context, tasks []*Task) ([]*Result, error) {
 	return b.Queue.Submit(ctx, b.Config, tasks)
-}
-
-// Order returns the queue order under the run's policy. Every policy
-// permutes the same task set, so per-task results are byte-identical
-// across policies (the differential scheduling oracle); only queue
-// positions and wall-clock interleaving differ. Exported so the cluster
-// coordinator orders its shipping queue as a pool would and per-task
-// SeqInQ values match a single-process run.
-func (c *RunConfig) Order(tasks []*Task) []*Task {
-	q := append([]*Task(nil), tasks...)
-	switch c.Policy {
-	case LargestFirst:
-		sort.SliceStable(q, func(i, j int) bool { return q[i].EstSize > q[j].EstSize })
-	case PostOrder:
-		// Aggregate footprint per subtree; subtrees keep their
-		// first-appearance rank so ties stay deterministic.
-		rank := map[string]int{}
-		var mem []float64
-		for _, t := range q {
-			r, ok := rank[t.Group]
-			if !ok {
-				r = len(mem)
-				rank[t.Group] = r
-				mem = append(mem, 0)
-			}
-			mem[r] += t.MemEst
-		}
-		sort.SliceStable(q, func(i, j int) bool {
-			ri, rj := rank[q[i].Group], rank[q[j].Group]
-			if ri != rj {
-				if mem[ri] != mem[rj] {
-					return mem[ri] > mem[rj]
-				}
-				return ri < rj
-			}
-			return q[i].MemEst > q[j].MemEst
-		})
-	}
-	return q
 }
 
 const (

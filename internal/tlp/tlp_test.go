@@ -15,8 +15,7 @@ import (
 // countTask builds a task whose engine counts to n.
 func countTask(id string, n int) *Task {
 	return &Task{
-		ID:      id,
-		EstSize: float64(n),
+		ID: id,
 		Build: func() (*ops5.Engine, error) {
 			prog, err := ops5.Parse(`
 (literalize count n limit)
@@ -83,24 +82,15 @@ func TestParallelExecution(t *testing.T) {
 	}
 }
 
-func TestLargestFirstOrdering(t *testing.T) {
-	tasks := []*Task{countTask("small", 1), countTask("big", 50), countTask("mid", 10)}
-	p := &Pool{Workers: 1}
-	results, err := p.Submit(context.Background(), RunConfig{Policy: LargestFirst}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].TaskID != "big" || results[1].TaskID != "mid" || results[2].TaskID != "small" {
-		t.Errorf("LPT order wrong: %s %s %s", results[0].TaskID, results[1].TaskID, results[2].TaskID)
-	}
-}
-
 func TestFIFOPreservesOrder(t *testing.T) {
 	tasks := []*Task{countTask("x", 2), countTask("y", 2), countTask("z", 2)}
 	p := &Pool{Workers: 1}
-	results, _ := p.Submit(context.Background(), RunConfig{Policy: FIFO}, tasks)
+	results, _ := p.Submit(context.Background(), RunConfig{}, tasks)
 	if results[0].TaskID != "x" || results[2].TaskID != "z" {
 		t.Error("FIFO must preserve submission order")
+	}
+	if tasks[0].ID != "x" || tasks[1].ID != "y" || tasks[2].ID != "z" {
+		t.Error("Submit wrote into the caller's task slice")
 	}
 }
 
@@ -176,31 +166,6 @@ func TestRunErrorReported(t *testing.T) {
 			if r.Log == nil || r.Stats.RHSActions == 0 {
 				t.Errorf("failed task lost its partial stats/log: stats=%+v log=%v", r.Stats, r.Log)
 			}
-		}
-	}
-}
-
-func TestLargestFirstStableOnEqualEstSize(t *testing.T) {
-	// Ties on EstSize must preserve submission order (stable sort), so
-	// schedules are reproducible.
-	tasks := []*Task{
-		countTask("big", 50),
-		countTask("tie-a", 10), countTask("tie-b", 10), countTask("tie-c", 10),
-		countTask("small", 1),
-	}
-	for _, t2 := range tasks[1:4] {
-		t2.EstSize = 10
-	}
-	p := &Pool{Workers: 1}
-	results, err := p.Submit(context.Background(), RunConfig{Policy: LargestFirst}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := []string{results[1].TaskID, results[2].TaskID, results[3].TaskID}
-	want := []string{"tie-a", "tie-b", "tie-c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("equal-EstSize order not stable: got %v, want %v", got, want)
 		}
 	}
 }
