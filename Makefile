@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-benchmark loc alloc-profile cpu-profile radar race bench bench-quick cluster-smoke oracle check
+.PHONY: build test vet vet-benchmark loc loc-delta alloc-profile cpu-profile radar race bench bench-quick cluster-smoke oracle check
 
 build:
 	$(GO) build ./...
@@ -95,22 +95,36 @@ loc:
 		grep -rhoE --include='*.go' --exclude='*_test.go' \
 			'LargestFirst|ParseQueuePolicy|queuePolicyNames|taskMemEst|"sched"|\bc\.Policy\b' cmd internal | wc -l
 
-# alloc-profile attributes the spamrun paths' allocation by site: one
-# `spamrun -reentry -memprofile` per paper dataset into the gitignored
-# .alloc_profile/, then the top of the three profiles merged, by bytes
-# allocated; then the session path: forty updates of the benchmark's
-# session_update op (internal/core's BenchmarkSessionUpdate — MOFF, 2%
-# churn, a fresh session every ten updates) at -memprofilerate 1, by
-# bytes allocated, a table of the updates alone: the benchmark opens
-# its sessions with heap profiling off (see unprofiled). These
-# are the tables docs/PERFORMANCE.md "Allocation" was cut from; the
-# next allocation diet starts here, not from a guess. It starts with
-# cpu-profile's twin: twenty rounds of the benchmark's interpret_cli op
-# (internal/core's BenchmarkInterpretRound) under -memprofile, by bytes
-# allocated, once over 10 rounds and once over 40: a site that grows
-# with the rounds allocates in steady state, one that does not is
-# warm-up — the tables docs/PERFORMANCE.md "A task returns its phase's
-# answer" was sized from. It ends with the cluster coordinator: ten
+# loc-delta prints loc's two tracked numbers, non-test lines and flags,
+# for BASE (a git revision, checked out into a temporary git worktree
+# under the gitignored .bench_build/ and removed again) and for the
+# working tree, side by side with the change. It reports and does not
+# gate; CI's radar job runs it against a pull request's base.
+loc-delta:
+	@wt=.bench_build/loc-base; rm -rf $$wt; git worktree prune; \
+		git worktree add -q --detach $$wt $(BASE) || exit 2; \
+		base=$$($(MAKE) -s --no-print-directory -C $$wt loc | sed -n 1,2p); \
+		git worktree remove --force $$wt; \
+		change=$$($(MAKE) -s --no-print-directory loc | sed -n 1,2p); \
+		printf '%s\n' "$$base" "$$change" | awk -F': ' -v base='$(BASE)' \
+			'NR == 1 { printf "%-36s %12s %12s %8s\n", "", base, "tree", "change" } \
+			NR <= 2 { name[NR] = $$1; was[NR] = $$2 } \
+			NR > 2 { printf "%-36s %12d %12d %+8d\n", name[NR-2], was[NR-2], $$2, $$2 - was[NR-2] }'
+
+# alloc-profile attributes the user paths' allocation by site, every
+# table from a test binary's -memprofile into the gitignored
+# .alloc_profile/; the next allocation diet starts here, not from a
+# guess. It starts with cpu-profile's twin: the benchmark's
+# interpret_cli op (internal/core's BenchmarkInterpretRound: SF, DC and
+# MOFF with re-entry), by bytes allocated, once over 10 rounds and once
+# over 40: a site that grows with the rounds allocates in steady state,
+# one that does not is warm-up — the tables docs/PERFORMANCE.md "A task
+# returns its phase's answer" was sized from. Then the session path:
+# forty updates of the benchmark's session_update op (internal/core's
+# BenchmarkSessionUpdate — MOFF, 2% churn, a fresh session every ten
+# updates) at -memprofilerate 1, by bytes allocated, a table of the
+# updates alone: the benchmark opens its sessions with heap profiling
+# off (see unprofiled). It ends with the cluster coordinator: ten
 # rounds of the benchmark's cluster_2proc op (internal/cluster's
 # BenchmarkClusterRound, which also prints B/op and coord-cpu-ms/op)
 # on two worker processes, whose -memprofile is the coordinator's alone
@@ -127,12 +141,6 @@ alloc-profile:
 			-memprofile .alloc_profile/round$$n.prof -o .alloc_profile/core.test ./internal/core || exit 1; \
 		$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .alloc_profile/core.test .alloc_profile/round$$n.prof; \
 	done
-	$(GO) build -o .alloc_profile/spamrun ./cmd/spamrun
-	for d in SF DC MOFF; do \
-		.alloc_profile/spamrun -dataset $$d -reentry -memprofile .alloc_profile/$$d.prof >/dev/null || exit 1; \
-	done
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/spamrun \
-		.alloc_profile/SF.prof .alloc_profile/DC.prof .alloc_profile/MOFF.prof
 	$(GO) test -run '^$$' -bench 'BenchmarkSessionUpdate$$' -benchtime 40x -benchmem -memprofilerate 1 \
 		-memprofile .alloc_profile/session.prof -o .alloc_profile/core.test ./internal/core
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 .alloc_profile/core.test .alloc_profile/session.prof

@@ -6,7 +6,6 @@
 //	          [-task-procs N] [-match-procs N]
 //	          [-csv DIR]
 //	          [-fault-seed N] [-crash-rate P]
-//	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // NAME is one of: tables123, table4, tables567, table8, fig3, fig6,
 // fig7, table9, fig8, fig9, an extension experiment (ext-levels,
@@ -26,7 +25,6 @@ import (
 	"strings"
 
 	"spampsm/internal/bench"
-	"spampsm/internal/prof"
 )
 
 func main() {
@@ -45,8 +43,6 @@ func realMain() int {
 	csvDir := flag.String("csv", "", "also write the figure experiments' data series as CSV files into this directory")
 	faultSeed := flag.Int64("fault-seed", 1990, "seed for the ext-faults chaos experiment")
 	crashRate := flag.Float64("crash-rate", 0.1, "per-processor death rate for ext-faults' plan-driven row")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 
 	for _, sc := range []struct {
@@ -60,17 +56,6 @@ func realMain() int {
 		}
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spambench:", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "spambench:", err)
-		}
-	}()
-
 	opt := bench.Options{
 		FullScale:     *fullScale,
 		SubsetScale:   *subsetScale,
@@ -81,6 +66,7 @@ func realMain() int {
 	}
 	suite := bench.NewSuite(opt)
 	var out string
+	var err error
 	if *experiment == "all" {
 		out, err = suite.RunAll()
 	} else {

@@ -9,7 +9,6 @@
 //	        [-update N] [-churn F] [-churn-seed N]
 //	        [-task-timeout D] [-max-retries K]
 //	        [-cluster-workers N] [-cluster-addr HOST:PORT] [-cluster-check]
-//	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -cluster-workers N executes each phase's task queue across N worker
 // processes instead of an in-process pool: the coordinator ships task
@@ -45,13 +44,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"spampsm/internal/cluster"
 	"spampsm/internal/machine"
-	"spampsm/internal/prof"
 	"spampsm/internal/scene"
 	"spampsm/internal/spam"
 	"spampsm/internal/stats"
@@ -79,8 +76,6 @@ func realMain() int {
 	clusterWorkers := flag.Int("cluster-workers", 0, "run phases across N worker processes instead of an in-process pool (0 disables)")
 	clusterAddr := flag.String("cluster-addr", "", "TCP listen address for the cluster coordinator (default: a private unix socket)")
 	clusterCheck := flag.Bool("cluster-check", false, "with -cluster-workers, also interpret single-process and verify identical outputs")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
 
 	if *level < 1 || *level > 4 {
@@ -99,22 +94,8 @@ func realMain() int {
 		return 2
 	}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spamrun:", err)
-		return 1
-	}
-	// An -update session stays reachable until the heap profile is
-	// written, so -memprofile's inuse_space shows what it retains.
-	var sess *spam.Session
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "spamrun:", err)
-		}
-		runtime.KeepAlive(sess)
-	}()
-
 	var d *spam.Dataset
+	var err error
 	var dspec cluster.DatasetSpec
 	if *dataset == "suburban" {
 		sp := scene.SuburbanParams{
@@ -194,7 +175,7 @@ func realMain() int {
 		// Session path: the initial interpretation plus -update churn
 		// deltas folded in incrementally. The phase table below then
 		// describes the final updated interpretation.
-		sess = spam.NewSession(d, iopt)
+		sess := spam.NewSession(d, iopt)
 		utb := stats.Table{
 			Title: fmt.Sprintf("Incremental updates of %s — %d deltas at %.0f%% churn (seed %d)",
 				d.Name, *updates, 100**churn, *churnSeed),

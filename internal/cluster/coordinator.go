@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"spampsm/internal/ops5"
-	"spampsm/internal/symtab"
 	"spampsm/internal/tlp"
 	"spampsm/internal/wm"
 )
@@ -174,26 +173,15 @@ type run struct {
 // chunkTable is the coordinator's model of one worker's resident
 // chunks. Guarded by co.mu.
 type chunkTable struct {
-	next uint64 // next chunk id to assign
-	tick uint64 // ship generation, pins this ship's chunks against eviction
-	// A chunk is its seed's content (byDigest). byVec finds it by the
-	// address of a value vector that holds that content: a shared seed's
-	// vector is built once and never changes (ops5.Seed), and the key
-	// keeps it alive, so a ship hashes a digest only for a vector it has
-	// not met. Equal content has one vector per program and store that
-	// built it, so an entry is keyed under each vector met. A hit still
-	// compares the digest (one pointer compare for the seed's own
-	// string), so a vector reused for other content costs a lookup, never
-	// a wrong chunk.
-	byVec    map[*symtab.Value]*chunkEntry
-	byDigest map[string]*chunkEntry
-	lru      *list.List // front = most recently shipped/referenced
-	bytes    int64      // resident encoded bytes
+	next     uint64                 // next chunk id to assign
+	tick     uint64                 // ship generation, pins this ship's chunks against eviction
+	byDigest map[string]*chunkEntry // a chunk is its seed's content
+	lru      *list.List             // front = most recently shipped/referenced
+	bytes    int64                  // resident encoded bytes
 }
 
 type chunkEntry struct {
 	id     uint64
-	vecs   []*symtab.Value // its keys in byVec
 	digest string
 	size   int64 // the seed's canonical stateless encoding (appendSeed)
 	tick   uint64
@@ -208,15 +196,7 @@ type newChunk struct {
 }
 
 func newChunkTable() *chunkTable {
-	return &chunkTable{byVec: map[*symtab.Value]*chunkEntry{}, byDigest: map[string]*chunkEntry{}, lru: list.New()}
-}
-
-// vecOf is the address of a seed's value vector, nil for an empty one.
-func vecOf(s ops5.Seed) *symtab.Value {
-	if len(s.Vals) == 0 {
-		return nil
-	}
-	return &s.Vals[0]
+	return &chunkTable{byDigest: map[string]*chunkEntry{}, lru: list.New()}
 }
 
 type flightKey struct {
@@ -390,10 +370,6 @@ func (co *Coordinator) cleanupDir() {
 		os.RemoveAll(co.dir)
 	}
 }
-
-// Addr returns the coordinator's listen address (workers on other
-// hosts dial it when the transport is tcp).
-func (co *Coordinator) Addr() string { return co.addr }
 
 // Stats returns a snapshot of the coordinator's accounting.
 func (co *Coordinator) Stats() Stats {
@@ -822,17 +798,7 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 			w.refs = append(w.refs, -1) // task-private: ships inline
 			continue
 		}
-		vec := vecOf(seed)
-		e, ok := ct.byVec[vec]
-		if ok && e.digest != seed.Digest {
-			ok = false
-		}
-		if !ok {
-			if e, ok = ct.byDigest[seed.Digest]; ok && vec != nil {
-				e.vecs = append(e.vecs, vec)
-				ct.byVec[vec] = e
-			}
-		}
+		e, ok := ct.byDigest[seed.Digest]
 		if ok {
 			e.tick = ct.tick
 			ct.lru.MoveToFront(e.elem)
@@ -844,10 +810,6 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 			e = &chunkEntry{id: ct.next, digest: seed.Digest, size: int64(len(w.buf)), tick: ct.tick}
 			ct.next++
 			e.elem = ct.lru.PushFront(e)
-			if vec != nil {
-				e.vecs = []*symtab.Value{vec}
-				ct.byVec[vec] = e
-			}
 			ct.byDigest[seed.Digest] = e
 			ct.bytes += e.size
 			w.fresh = append(w.fresh, newChunk{id: e.id, seed: seed})
@@ -866,9 +828,6 @@ func (co *Coordinator) ship(w *wconn, rn *run, idx int) bool {
 			break
 		}
 		ct.lru.Remove(back)
-		for _, vec := range e.vecs {
-			delete(ct.byVec, vec)
-		}
 		delete(ct.byDigest, e.digest)
 		ct.bytes -= e.size
 		frees = append(frees, e.id)

@@ -324,7 +324,7 @@ func newDeathHarness(t *testing.T, cfg Config, d *spam.Dataset, plan *faults.Pla
 // dial starts one in-process worker and waits until the coordinator
 // holds live workers.
 func (h *deathHarness) dial(live int) {
-	c, err := net.Dial("unix", h.co.Addr())
+	c, err := net.Dial("unix", h.co.addr)
 	if err != nil {
 		h.t.Errorf("dial coordinator: %v", err)
 		return

@@ -35,7 +35,7 @@ func listenBare(t *testing.T, cfg Config) *Coordinator {
 // connection holds a slot, so slots are taken in dial order.
 func dialWorker(t *testing.T, co *Coordinator, nth int) net.Conn {
 	t.Helper()
-	c, err := net.Dial("unix", co.Addr())
+	c, err := net.Dial("unix", co.addr)
 	if err != nil {
 		t.Fatalf("dial coordinator: %v", err)
 	}

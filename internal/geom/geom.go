@@ -12,7 +12,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // boundSlack is the relative guard band of the decisive-bound rule: a
@@ -489,12 +488,6 @@ func (pg Polygon) WithinDistance(other Polygon, eps float64) bool {
 	return withinDistance(pg, pg.BBox(), other, other.BBox(), eps)
 }
 
-// DistanceLE is a synonym of WithinDistance, reading as the comparison
-// it replaces: pg.Distance(other) <= eps.
-func (pg Polygon) DistanceLE(other Polygon, eps float64) bool {
-	return pg.WithinDistance(other, eps)
-}
-
 // withinDistance is the shared threshold kernel; abb and obb are the
 // polygons' bounding boxes (precomputed by derived-geometry callers).
 // One pass over the edge pairs asks both questions Intersects and the
@@ -571,13 +564,6 @@ func LateralOffset(origin, dir, target Point) float64 {
 // within tol radians of parallel (mod π).
 func (pg Polygon) ParallelTo(other Polygon, tol float64) bool {
 	return AngleDeltaModPi(pg.Orientation(), other.Orientation()) <= tol
-}
-
-// PerpendicularTo reports whether the major axes are within tol radians
-// of perpendicular.
-func (pg Polygon) PerpendicularTo(other Polygon, tol float64) bool {
-	da := AngleDeltaModPi(pg.Orientation(), other.Orientation())
-	return math.Abs(da-math.Pi/2) <= tol
 }
 
 // AlignedWith reports whether other lies roughly along pg's major axis:
@@ -682,39 +668,6 @@ func ParallelD(da, db *Derived, tol float64) bool {
 // lateralTol of b's centroid?
 func AlignedD(da, db *Derived, lateralTol float64) bool {
 	return LateralOffset(da.Centroid, da.MajorDir, db.Centroid) <= lateralTol
-}
-
-// ConvexHull returns the convex hull of the polygon's vertices in
-// counter-clockwise order (Andrew's monotone chain).
-func (pg Polygon) ConvexHull() Polygon {
-	pts := append([]Point(nil), pg...)
-	if len(pts) < 3 {
-		return Polygon(pts)
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
-		}
-		return pts[i].Y < pts[j].Y
-	})
-	var hull []Point
-	// Lower hull.
-	for _, p := range pts {
-		for len(hull) >= 2 && hull[len(hull)-1].Sub(hull[len(hull)-2]).Cross(p.Sub(hull[len(hull)-2])) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := len(pts) - 2; i >= 0; i-- {
-		p := pts[i]
-		for len(hull) >= lower && hull[len(hull)-1].Sub(hull[len(hull)-2]).Cross(p.Sub(hull[len(hull)-2])) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return Polygon(hull[:len(hull)-1])
 }
 
 // RectPoly builds a rectangle polygon centered at c with the given

@@ -170,9 +170,6 @@ func TestParallelPerpendicular(t *testing.T) {
 	if h1.ParallelTo(v, 0.1) {
 		t.Error("perpendicular strips are not parallel")
 	}
-	if !h1.PerpendicularTo(v, 0.1) {
-		t.Error("perpendicular strips should be PerpendicularTo")
-	}
 	// Orientation is mod π: a strip at angle π-0.02 is parallel to one at 0.
 	almostPi := RectPoly(Point{0, 40}, 50, 4, math.Pi-0.02)
 	if !h1.ParallelTo(almostPi, 0.1) {
@@ -202,20 +199,6 @@ func TestCompactness(t *testing.T) {
 	blob := Blob(Point{0, 0}, 10, 32, 0.05, 7)
 	if cb := blob.Compactness(); cb < cs {
 		t.Errorf("near-circular blob (%v) should beat square (%v)", cb, cs)
-	}
-}
-
-func TestConvexHull(t *testing.T) {
-	pts := Polygon{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 2}, {1, 1}} // interior points must vanish
-	hull := pts.ConvexHull()
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4", len(hull))
-	}
-	if hull.SignedArea() <= 0 {
-		t.Error("hull must be CCW")
-	}
-	if math.Abs(hull.Area()-16) > 1e-9 {
-		t.Errorf("hull area = %v", hull.Area())
 	}
 }
 
@@ -262,25 +245,6 @@ func TestValid(t *testing.T) {
 	}
 	if !square(0, 0, 1).Valid() {
 		t.Error("unit square is valid")
-	}
-}
-
-func TestQuickHullContainsAll(t *testing.T) {
-	f := func(seed uint64) bool {
-		pg := Blob(Point{0, 0}, 50, 24, 0.8, seed)
-		hull := pg.ConvexHull()
-		if len(hull) < 3 {
-			return false
-		}
-		for _, p := range pg {
-			if !hull.Contains(p) {
-				return false
-			}
-		}
-		return hull.Area() >= pg.Area()-1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

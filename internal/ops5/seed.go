@@ -75,12 +75,18 @@ func (pr *Program) seedClass(name string) (*SeedClass, error) {
 }
 
 // Seed builds a plain (per-task) seed: unset attributes are Nil, as in
-// Assert. Use SharedSeed for values that recur across engines.
+// Assert. Use SharedSeed for values that recur across engines. Of
+// several undeclared attributes, the error names the lexically first.
 func (sc *SeedClass) Seed(sets map[string]symtab.Value) (Seed, error) {
 	vals := make([]symtab.Value, sc.nAttr)
 	for a, v := range sets {
 		i, ok := sc.slots[a]
 		if !ok {
+			for b := range sets {
+				if _, ok := sc.slots[b]; !ok && b < a {
+					a = b
+				}
+			}
 			return Seed{}, fmt.Errorf("ops5: class %s has no attribute %s", sc.name, a)
 		}
 		vals[i] = v

@@ -243,3 +243,23 @@ func TestDifferentialInterleavedAssertBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestSeedUnknownAttributeErrorIsDeterministic: a seed that sets two
+// undeclared attributes is refused naming the lexically first, whichever
+// of them map iteration reaches first.
+func TestSeedUnknownAttributeErrorIsDeterministic(t *testing.T) {
+	prog := MustParse(`(literalize node id color)`)
+	sc, err := prog.SeedClass("node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string]symtab.Value{
+		"id": symtab.Int(1), "weight": symtab.Int(2), "shape": symtab.Sym("round"), "color": symtab.Sym("red"),
+	}
+	const want = "ops5: class node has no attribute shape"
+	for range 100 {
+		if _, err := sc.Seed(sets); err == nil || err.Error() != want {
+			t.Fatalf("Seed: %v, want %q", err, want)
+		}
+	}
+}
