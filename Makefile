@@ -201,7 +201,9 @@ cpu-profile:
 # benchmark: BASE is checked out into a git worktree under the
 # gitignored .bench_build/, then `bash benchmark/run.sh -workload W
 # -seconds SECONDS` runs on base and change in alternating order, PAIRS
-# pairs for every workload of the base's BENCHMARK.json. It prints both
+# pairs for every workload of the base's BENCHMARK.json, pair i of both
+# sides built with the linker's code layout seed i
+# (GOFLAGS=-ldflags=-randlayout=i in run.sh's environment). It prints both
 # medians of every end-to-end metric, the change, the base's spread,
 # the bound and the pairs the change won, and fails when a run of the
 # change fails an op or a metric is worse than its bound where the

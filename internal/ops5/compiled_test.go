@@ -125,22 +125,26 @@ func TestCompiledProgramVariantCache(t *testing.T) {
 	for _, opts := range combos {
 		a := mustNewEngine(t, prog, opts...)
 		b := mustNewEngine(t, prog, opts...)
-		if a.net.Template() != b.net.Template() {
+		if variantOf(a) != variantOf(b) {
 			t.Errorf("opts %v: two engines did not share one template", opts)
 		}
 		refOpts := append([]Option{WithReference()}, opts...)
 		ref1, ref2 := mustNewEngine(t, prog, refOpts...), mustNewEngine(t, prog, refOpts...)
-		if ref1.net.Template() == a.net.Template() || ref1.net.Template() == ref2.net.Template() {
+		if variantOf(ref1) == variantOf(a) || variantOf(ref1) == variantOf(ref2) {
 			t.Errorf("opts %v: a reference engine reused a template", opts)
 		}
 	}
 	if len(prog.variants) != len(combos) {
 		t.Errorf("program caches %d variants, want %d", len(prog.variants), len(combos))
 	}
-	if mustNewEngine(t, prog).net.Template() == mustNewEngine(t, prog, WithCapture()).net.Template() {
+	if variantOf(mustNewEngine(t, prog)) == variantOf(mustNewEngine(t, prog, WithCapture())) {
 		t.Error("capturing and non-capturing engines share one template; keys must separate them")
 	}
 }
+
+// variantOf identifies the compiled variant an engine instantiates by
+// its first production's compiled form, which each compile makes anew.
+func variantOf(e *Engine) *compiledProd { return e.compiled[e.prog.Productions[0].Name] }
 
 func mustNewEngine(t *testing.T, prog *Program, opts ...Option) *Engine {
 	t.Helper()

@@ -45,10 +45,13 @@ func (in *instantiation) fired() bool { return in.pos < 0 }
 
 // conflictSet holds the live instantiations. It implements rete.Agenda.
 type conflictSet struct {
-	// insts finds an instantiation by its token, fired or not; unfired
-	// lists the ones not yet fired, densely, in no particular order, so
+	// slots holds every live instantiation, fired or not, at the slot
+	// its production token carries (rete.Token.Slot); a nil slot is
+	// free, and open lists the free ones. unfired lists the
+	// instantiations not yet fired, densely, in no particular order, so
 	// Resolve walks only what it may select.
-	insts   map[*rete.Token]*instantiation
+	slots   []*instantiation
+	open    []int32
 	unfired []*instantiation
 	seq     int
 	// compares counts conflict-resolution comparisons for cost
@@ -68,9 +71,7 @@ type conflictSet struct {
 	args   []symtab.Value
 }
 
-func newConflictSet() *conflictSet {
-	return &conflictSet{insts: map[*rete.Token]*instantiation{}}
-}
+func newConflictSet() *conflictSet { return &conflictSet{} }
 
 // Activate implements rete.Agenda.
 func (cs *conflictSet) Activate(p *rete.PNode, t *rete.Token) {
@@ -89,19 +90,25 @@ func (cs *conflictSet) Activate(p *rete.PNode, t *rete.Token) {
 	slices.SortFunc(tags, func(a, b int) int { return cmp.Compare(b, a) })
 	cs.seq++
 	*in = instantiation{cp: p.Data.(*compiledProd), token: t, tags: tags, first: first, seq: cs.seq, pos: len(cs.unfired)}
-	cs.insts[t] = in
+	if k := len(cs.open); k > 0 {
+		t.Slot, cs.open = cs.open[k-1], cs.open[:k-1]
+		cs.slots[t.Slot] = in
+	} else {
+		t.Slot = int32(len(cs.slots))
+		cs.slots = append(cs.slots, in)
+	}
 	cs.unfired = append(cs.unfired, in)
 }
 
 // Deactivate implements rete.Agenda.
 func (cs *conflictSet) Deactivate(p *rete.PNode, t *rete.Token) {
-	if in := cs.insts[t]; in != nil {
-		delete(cs.insts, t)
-		if !in.fired() {
-			cs.unlist(in)
-		}
-		cs.retired = append(cs.retired, in)
+	in := cs.slots[t.Slot]
+	cs.slots[t.Slot] = nil
+	cs.open = append(cs.open, t.Slot)
+	if !in.fired() {
+		cs.unlist(in)
 	}
+	cs.retired = append(cs.retired, in)
 }
 
 // unlist takes an unfired instantiation off the unfired list in O(1),
@@ -125,14 +132,18 @@ func (cs *conflictSet) recycle() {
 	cs.retired = cs.retired[:0]
 }
 
-// reset empties the conflict set for another engine, keeping its map,
-// lists and instantiation records (tag slices included) for reuse. The
-// engine calls it when it settles, with no right-hand side executing.
+// reset empties the conflict set for another engine, keeping its lists
+// and instantiation records (tag slices included) for reuse, retired in
+// slot order. The engine calls it when it settles, with no right-hand
+// side executing.
 func (cs *conflictSet) reset() {
-	for _, in := range cs.insts {
-		cs.retired = append(cs.retired, in)
+	for _, in := range cs.slots {
+		if in != nil {
+			cs.retired = append(cs.retired, in)
+		}
 	}
-	clear(cs.insts)
+	clear(cs.slots)
+	cs.slots, cs.open = cs.slots[:0], cs.open[:0]
 	clear(cs.unfired)
 	cs.unfired = cs.unfired[:0]
 	cs.recycle()

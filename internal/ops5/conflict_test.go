@@ -3,6 +3,7 @@ package ops5
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -110,12 +111,24 @@ func agendaEngine(t *testing.T) *Engine {
 	return mustNewEngine(t, prog)
 }
 
+// liveInsts returns the conflict set's live instantiations, fired or not,
+// in slot order.
+func liveInsts(cs *conflictSet) []*instantiation {
+	var out []*instantiation
+	for _, in := range cs.slots {
+		if in != nil {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
 // sweepResolve is the reference conflict resolution: every live
 // instantiation, skipping fired ones, one comparison each.
 func sweepResolve(cs *conflictSet, strat Strategy) (*instantiation, int) {
 	var best *instantiation
 	compares := 0
-	for _, in := range cs.insts {
+	for _, in := range liveInsts(cs) {
 		if in.fired() {
 			continue
 		}
@@ -139,19 +152,19 @@ func TestResolvePicksMaximum(t *testing.T) {
 	if got == nil {
 		t.Fatal("no instantiation to resolve")
 	}
-	for _, in := range cs.insts {
+	for _, in := range liveInsts(cs) {
 		if in != got && !in.fired() && better(in, got, LEX) {
 			t.Errorf("Resolve returned a dominated instantiation")
 		}
 	}
 	// Firing removes it from contention, but not from the conflict set.
-	size := len(cs.insts)
+	size := len(liveInsts(cs))
 	cs.unlist(got)
 	if second := cs.Resolve(LEX); second == got {
 		t.Error("fired instantiation must not be re-selected")
 	}
-	if len(cs.insts) != size || cs.Size() != size-1 {
-		t.Errorf("after one firing: %d live, %d unfired; want %d and %d", len(cs.insts), cs.Size(), size, size-1)
+	if len(liveInsts(cs)) != size || cs.Size() != size-1 {
+		t.Errorf("after one firing: %d live, %d unfired; want %d and %d", len(liveInsts(cs)), cs.Size(), size, size-1)
 	}
 }
 
@@ -191,7 +204,7 @@ func TestConflictSetResolveMatchesSweep(t *testing.T) {
 				}
 			}
 			unfired := 0
-			for _, in := range cs.insts {
+			for _, in := range liveInsts(cs) {
 				if !in.fired() {
 					unfired++
 					if cs.unfired[in.pos] != in {
@@ -256,16 +269,16 @@ func TestSettledConflictSetReused(t *testing.T) {
 	first := mustNewEngine(t, prog, WithScratch(scratch))
 	want := run(first)
 	parked := first.cs
-	if len(parked.insts) != 50 {
-		t.Fatalf("first engine ends with %d instantiations, want the 50 it fired", len(parked.insts))
+	if len(liveInsts(parked)) != 50 {
+		t.Fatalf("first engine ends with %d instantiations, want the 50 it fired", len(liveInsts(parked)))
 	}
 	first.Settle()
 	if first.ConflictSetSize() != 0 || len(first.ConflictSet()) != 0 {
 		t.Error("a settled engine still reports a conflict set")
 	}
-	if len(parked.insts) != 0 || parked.Size() != 0 || parked.seq != 0 || len(parked.free) != 50 {
+	if len(liveInsts(parked)) != 0 || parked.Size() != 0 || parked.seq != 0 || len(parked.free) != 50 {
 		t.Errorf("parked conflict set: %d live, %d unfired, seq %d, %d free; want 0, 0, 0, 50",
-			len(parked.insts), parked.Size(), parked.seq, len(parked.free))
+			len(liveInsts(parked)), parked.Size(), parked.seq, len(parked.free))
 	}
 	second := mustNewEngine(t, prog, WithScratch(scratch))
 	if second.cs != parked {
@@ -276,5 +289,38 @@ func TestSettledConflictSetReused(t *testing.T) {
 	}
 	if got := run(mustNewEngine(t, prog)); got != want {
 		t.Errorf("an owning engine: %s, want %s", got, want)
+	}
+}
+
+// TestResetParksFreeListInSlotOrder: two identical engines that settle
+// leave their parked conflict sets' free lists in one order — reset
+// retires the live instantiations in slot order, not in the order a map
+// happened to yield them.
+func TestResetParksFreeListInSlotOrder(t *testing.T) {
+	prog := MustParse(`
+(literalize count n limit)
+(p grow (count ^n <n>) (count ^limit > <n>) --> (make count ^n (compute <n> + 1)))
+`)
+	parked := func() []int {
+		t.Helper()
+		scratch := &Scratch{}
+		e := mustNewEngine(t, prog, WithScratch(scratch))
+		if _, err := e.Assert("count", map[string]symtab.Value{"n": symtab.Int(0), "limit": symtab.Int(50)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		cs := e.cs
+		e.Settle()
+		var seqs []int
+		for _, in := range cs.free {
+			seqs = append(seqs, in.seq)
+		}
+		return seqs
+	}
+	a, b := parked(), parked()
+	if len(a) != 50 || !slices.Equal(a, b) {
+		t.Errorf("parked free lists differ: %v and %v", a, b)
 	}
 }

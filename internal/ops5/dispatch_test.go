@@ -241,7 +241,7 @@ func renderActivations(b *strings.Builder, forest []*rete.Activation) {
 func replayDispatch(t testing.TB, cp *CompiledProgram, script []wmChange, capture bool) *dispatchRun {
 	t.Helper()
 	rec := &orderRecorder{live: map[string]int{}}
-	net := cp.tmpl.NewNetwork(rec)
+	net := cp.tmpl.NewNetworkScratch(rec, nil)
 	net.SetCapture(capture)
 	mem := wm.NewMemory(cp.classes)
 	run := &dispatchRun{}

@@ -115,7 +115,7 @@ func normalizedState(e *Engine, trace string) normState {
 	for _, w := range e.Memory().Snapshot() {
 		tags[w.TimeTag] = true
 	}
-	for _, in := range e.cs.insts {
+	for _, in := range liveInsts(e.cs) {
 		for _, tg := range in.tags {
 			tags[tg] = true
 		}
@@ -222,7 +222,7 @@ func TestDifferentialSweepAndReloadVsFresh(t *testing.T) {
 			if n := used.Memory().Size(); n != 0 {
 				t.Fatalf("sweep left %d live WMEs", n)
 			}
-			if n := len(used.cs.insts); n != 0 {
+			if n := len(liveInsts(used.cs)); n != 0 {
 				t.Fatalf("sweep left %d live instantiations", n)
 			}
 			base := used.MatchCounters()

@@ -30,7 +30,7 @@ func buildJoinBenchNet(b *testing.B) (*Network, *wm.Classes) {
 	if _, err := cs.Declare("item", "id", "group", "val"); err != nil {
 		b.Fatal(err)
 	}
-	net := New(benchAgenda{})
+	net := newTestNet(benchAgenda{})
 	gt := func(a, o symtab.Value) bool { return a.FloatVal() > o.FloatVal() }
 	for p := 0; p < 8; p++ {
 		pats := []Pattern{
@@ -48,7 +48,7 @@ func buildJoinBenchNet(b *testing.B) (*Network, *wm.Classes) {
 			b.Fatal(err)
 		}
 	}
-	return net, cs
+	return net.Network(), cs
 }
 
 // BenchmarkJoinChurn measures assert/retract churn over 8 three-CE
@@ -97,16 +97,17 @@ func BenchmarkWideEqJoin(b *testing.B) {
 	if _, err := cs.Declare("item", "id", "group", "val"); err != nil {
 		b.Fatal(err)
 	}
-	net := New(benchAgenda{})
+	tn := newTestNet(benchAgenda{})
 	pats := []Pattern{
 		{Class: "item", Signature: "item*"},
 		{Class: "item", Signature: "item*", Tests: []JoinTest{
 			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1},
 		}},
 	}
-	if _, err := net.AddProduction("pairs", pats, nil); err != nil {
+	if _, err := tn.AddProduction("pairs", pats, nil); err != nil {
 		b.Fatal(err)
 	}
+	net := tn.Network()
 	const items, groups = 1024, 128
 	mem := wm.NewMemory(cs)
 	wmes := make([]*wm.WME, 0, items)
@@ -151,9 +152,9 @@ func BenchmarkJoinTest(b *testing.B) {
 	if _, err := cs.Declare("item", "id", "group"); err != nil {
 		b.Fatal(err)
 	}
-	net := New(benchAgenda{})
+	tn := newTestNet(benchAgenda{})
 	gt := func(a, o symtab.Value) bool { c, ok := a.Compare(o); return ok && c > 0 }
-	if _, err := net.AddProduction("pair", []Pattern{
+	if _, err := tn.AddProduction("pair", []Pattern{
 		{Class: "item", Signature: "item*"},
 		{Class: "item", Signature: "item*", Tests: []JoinTest{
 			{OwnAttr: 1, TokenLevel: 0, TokenAttr: 1},
@@ -162,6 +163,7 @@ func BenchmarkJoinTest(b *testing.B) {
 	}, nil); err != nil {
 		b.Fatal(err)
 	}
+	net := tn.Network()
 	mem := wm.NewMemory(cs)
 	item := func(id int64) *wm.WME {
 		w, err := mem.Make("item", map[string]symtab.Value{"id": symtab.Int(id), "group": symtab.Sym("runway")})
@@ -175,10 +177,11 @@ func BenchmarkJoinTest(b *testing.B) {
 	first := net.tmpl.dummyTop.children[0].node.(*joinNode)
 	j := first.child.(*betaMemory).children[0].node.(*joinNode)
 	tok := j.parent.items(net).head.t
-	if !j.passes(tok, w, net) {
+	own := net.ownOperands(j.tests, j.ops, w)
+	if !net.passesRight(j.tests, own, tok) {
 		b.Fatal("the pair must pass both tests")
 	}
 	for b.Loop() {
-		sinkPass = j.passes(tok, w, net)
+		sinkPass = net.passesRight(j.tests, own, tok)
 	}
 }

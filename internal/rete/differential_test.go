@@ -138,19 +138,19 @@ func patterns(pats []Pattern, dispatched bool) []Pattern {
 	return swept(pats)
 }
 
-// replay runs the script on a fresh owned network (New +
+// replay runs the script on a freshly compiled network (newTestNet +
 // AddProduction). Each step is one batch so captured forests line up
 // step-for-step.
 func (s *diffScript) replay(t *testing.T, dispatched bool) *diffRun {
 	t.Helper()
 	rec := &seqRecorder{}
-	net := New(rec)
+	net := newTestNet(rec)
 	for pi, pats := range s.prods {
 		if _, err := net.AddProduction(fmt.Sprintf("p%d", pi), patterns(pats, dispatched), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s.replayOn(t, net, rec)
+	return s.replayOn(t, net.Network(), rec)
 }
 
 // template compiles the script's productions into a shared Template.
@@ -279,7 +279,7 @@ func TestDeterministicActivationForests(t *testing.T) {
 // records.
 func TestIndexedIsDefault(t *testing.T) {
 	for _, capture := range []bool{false, true} {
-		n := New(&seqRecorder{})
+		n := newTestNet(&seqRecorder{})
 		n.SetCapture(capture)
 		pat := eqPattern("k", 0, symtab.Int(1))
 		filter, calls := pat.Filter, 0

@@ -127,8 +127,8 @@ func TestDifferentialDispatchedVsSweptScripts(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		s := genScript(seed)
 		recI, recN := &seqRecorder{}, &seqRecorder{}
-		dispatched := s.run(t, s.template(t, true).NewNetwork(recI), recI, false)
-		swept := s.run(t, s.template(t, false).NewNetwork(recN), recN, false)
+		dispatched := s.run(t, s.template(t, true).NewNetworkScratch(recI, nil), recI, false)
+		swept := s.run(t, s.template(t, false).NewNetworkScratch(recN, nil), recN, false)
 		diffRunsEqual(t, seed, swept, dispatched, "swept", "dispatched")
 	}
 }
@@ -145,8 +145,8 @@ func TestDifferentialCaptureOffVsOn(t *testing.T) {
 		s := genScript(seed)
 		tmpl := s.template(t, true)
 		recOff, recOn := &seqRecorder{}, &seqRecorder{}
-		off := s.run(t, tmpl.NewNetwork(recOff), recOff, false)
-		on := s.run(t, tmpl.NewNetwork(recOn), recOn, true)
+		off := s.run(t, tmpl.NewNetworkScratch(recOff, nil), recOff, false)
+		on := s.run(t, tmpl.NewNetworkScratch(recOn, nil), recOn, true)
 		off.forests, on.forests = "", "" // only the capturing run has any
 		diffRunsEqual(t, seed, off, on, "capture-off", "capture-on")
 	}
@@ -160,7 +160,7 @@ func TestDifferentialCaptureOffVsOn(t *testing.T) {
 func TestConcurrentBatchedSeedLoad(t *testing.T) {
 	s := genScript(7)
 	recN := &seqRecorder{}
-	ref := s.run(t, s.template(t, false).NewNetwork(recN), recN, false)
+	ref := s.run(t, s.template(t, false).NewNetworkScratch(recN, nil), recN, false)
 	tmpl := s.template(t, true)
 	tmpl.Freeze()
 
@@ -172,7 +172,7 @@ func TestConcurrentBatchedSeedLoad(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			rec := &seqRecorder{}
-			runs[i] = s.run(t, tmpl.NewNetwork(rec), rec, false)
+			runs[i] = s.run(t, tmpl.NewNetworkScratch(rec, nil), rec, false)
 		}(i)
 	}
 	wg.Wait()
@@ -220,7 +220,7 @@ func checkShapedClass(b *testing.B, n int, dispatched, joined bool) (*Network, *
 	}
 	tmpl.BindClasses(cs)
 	tmpl.Freeze()
-	return tmpl.NewNetwork(benchAgenda{}), wm.NewMemory(cs)
+	return tmpl.NewNetworkScratch(benchAgenda{}, nil), wm.NewMemory(cs)
 }
 
 // BenchmarkAddDispatch is the constant-test half of a working-memory

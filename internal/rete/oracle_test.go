@@ -168,7 +168,7 @@ func TestOracleRandomizedConflictSets(t *testing.T) {
 			classes := []*wm.ClassDef{ca, cb}
 			mem := wm.NewMemory(cs)
 			rec := newRecorder()
-			net := New(rec)
+			net := newTestNet(rec)
 
 			// 3-6 random productions of 1-4 CEs each.
 			nProds := 3 + rng.intn(4)

@@ -26,11 +26,11 @@
 // The network is split into an immutable compiled Template (node
 // topology, test lists, production data — built once per rule set) and
 // lightweight per-engine instances (Network: memories, counters,
-// capture state). Template.NewNetwork instantiates a shared
+// capture state). Template.NewNetworkScratch instantiates a shared
 // template in O(nodes) pointer setup, so a task runtime spawning
 // hundreds of engines over one rule set compiles it exactly once; the
 // template/instance differential oracle (template_test.go) proves
-// instantiated networks byte-identical to fresh-compiled ones.
+// instances of one template byte-identical to freshly compiled ones.
 package rete
 
 import (
@@ -134,16 +134,21 @@ type Pattern struct {
 // Tokens carry intrusive links for every list they belong to, so that
 // deletion — the retraction hot path — is O(1) per membership instead
 // of a linear scan: the sibling list of their parent token, the token
-// list of the WME they bind, and the membership records of their
-// holder's store and any bridge (adapter) memories. Deleted tokens are
+// list of the WME they bind, and the membership record of their
+// holder's store; a negative node's token keeps the rest of its state
+// in a negState. Deleted tokens are
 // recycled through the network's free list; recycling is deferred to
 // the next StartBatch so that an engine firing a production can still
 // read the (already retracted) instantiation token's bindings.
 type Token struct {
 	parent *Token
 	W      *wm.WME
-	level  int // condition-element index; -1 for the dummy token
 	node   tokenHolder
+	level  int32 // condition-element index; -1 for the dummy token
+	// Slot is the agenda's to use: a production node's token carries
+	// the conflict-set slot of its instantiation. The network never
+	// reads it.
+	Slot int32
 
 	// Intrusive child list; children are deleted newest-first, which
 	// preserves the deletion order of the original slice-based
@@ -157,15 +162,19 @@ type Token struct {
 	// Membership record in the holder's token store (memory.go).
 	storeEntry *tokenEntry
 
-	// adapterRefs: bridge memories the token is currently a member of
-	// (tokens of negative nodes flow into an adapter memory that feeds
-	// the next join level), with their membership records.
-	adapterRefs []tokenRef
+	// neg is a negative node's state for its token; nil for every other
+	// token.
+	neg *negState
+}
 
-	// Join results, for tokens owned by negative nodes: the intrusive
-	// list of WMEs currently blocking the negated condition.
+// negState is what a negative node's token holds beyond a token: the
+// intrusive list of WMEs currently blocking the negated condition, and
+// its membership in the bridge memory that feeds the next join level,
+// while the condition holds (bridge.entry nil otherwise). A negative
+// node feeds one bridge memory, or none when it is the last condition.
+type negState struct {
 	jrHead, jrTail *negJoinResult
-	nJoinResults   int
+	bridge         tokenRef
 }
 
 // tokenRef is one token membership in a bridge memory.
@@ -178,7 +187,7 @@ type tokenRef struct {
 // negated levels).
 func (t *Token) WMEAt(k int) *wm.WME {
 	for tok := t; tok != nil; tok = tok.parent {
-		if tok.level == k {
+		if int(tok.level) == k {
 			return tok.W
 		}
 	}
@@ -237,40 +246,32 @@ func (t *Token) removeChild(c *Token) {
 	c.prevSib, c.nextSib = nil, nil
 }
 
-func (t *Token) pushJR(jr *negJoinResult) {
-	jr.ownerPrev = t.jrTail
+// blocked reports whether a WME blocks the negated condition.
+func (g *negState) blocked() bool { return g.jrHead != nil }
+
+func (g *negState) pushJR(jr *negJoinResult) {
+	jr.ownerPrev = g.jrTail
 	jr.ownerNext = nil
-	if t.jrTail != nil {
-		t.jrTail.ownerNext = jr
+	if g.jrTail != nil {
+		g.jrTail.ownerNext = jr
 	} else {
-		t.jrHead = jr
+		g.jrHead = jr
 	}
-	t.jrTail = jr
-	t.nJoinResults++
+	g.jrTail = jr
 }
 
-func (t *Token) unlinkJR(jr *negJoinResult) {
+func (g *negState) unlinkJR(jr *negJoinResult) {
 	if jr.ownerPrev != nil {
 		jr.ownerPrev.ownerNext = jr.ownerNext
 	} else {
-		t.jrHead = jr.ownerNext
+		g.jrHead = jr.ownerNext
 	}
 	if jr.ownerNext != nil {
 		jr.ownerNext.ownerPrev = jr.ownerPrev
 	} else {
-		t.jrTail = jr.ownerPrev
+		g.jrTail = jr.ownerPrev
 	}
 	jr.ownerPrev, jr.ownerNext = nil, nil
-	t.nJoinResults--
-}
-
-// reset clears a recycled token, keeping slice capacity. The backing
-// array is cleared too: a token resting in a worker's arena must not
-// pin the entries, or the template nodes, of an engine long gone.
-func (t *Token) reset() {
-	adapterRefs := t.adapterRefs[:cap(t.adapterRefs)]
-	clear(adapterRefs)
-	*t = Token{adapterRefs: adapterRefs[:0]}
 }
 
 // negJoinResult records one WME blocking one negative-node token. It
@@ -438,6 +439,7 @@ type joinNode struct {
 	parent *betaMemory
 	amem   *alphaMem
 	tests  []JoinTest
+	ops    int // the tests' operand frame (see operands)
 	child  joinTarget
 	level  int
 	label  string
@@ -452,38 +454,92 @@ type joinTarget interface {
 	leftActivatePair(t *Token, w *wm.WME, level int, n *Network)
 }
 
-func (j *joinNode) passes(t *Token, w *wm.WME, n *Network) bool {
-	return n.passes(j.tests, t, w)
+// Operands. An activation pairs one fixed side — the new WME of a
+// right activation, the new token of a left one — with every item of
+// the opposite memory, so it reads the fixed side's operand of each
+// test once, into the node's frame of the network's operand buffer: a
+// join's or negative node's frame starts at its ops offset, after the
+// frames of the earlier nodes of its production. An activation nests
+// only activations of later nodes of its production, so no frame is
+// in use twice. Every pair still runs its tests in order, each one
+// charged, up to the first failure.
+
+// ownOperands reads w's operand of every test, for a right activation.
+func (n *Network) ownOperands(tests []JoinTest, at int, w *wm.WME) []symtab.Value {
+	ops := n.operands[at : at+len(tests)]
+	for i := range tests {
+		ops[i] = w.GetAt(tests[i].OwnAttr)
+	}
+	return ops
 }
 
-// passes applies a node's tests to one (token, WME) pair in order,
-// charging each test it makes; the first failure ends the pair.
-func (n *Network) passes(tests []JoinTest, t *Token, w *wm.WME) bool {
+// boundOperands reads t's operand of every test, for a left activation,
+// and returns how many tests have one: the first test whose level binds
+// no WME (a negated level) fails every pair.
+func (n *Network) boundOperands(tests []JoinTest, at int, t *Token) ([]symtab.Value, int) {
+	ops := n.operands[at : at+len(tests)]
+	for i := range tests {
+		bound := t.WMEAt(tests[i].TokenLevel)
+		if bound == nil {
+			return ops, i
+		}
+		ops[i] = bound.GetAt(tests[i].TokenAttr)
+	}
+	return ops, len(tests)
+}
+
+// passesRight runs the tests over one pair of a right activation: the
+// stored token t and the new WME, whose operands are own.
+func (n *Network) passesRight(tests []JoinTest, own []symtab.Value, t *Token) bool {
 	for i := range tests {
 		ts := &tests[i]
-		n.charge(CostJoinTest)
-		n.totals.JoinTests++
+		n.chargeTest()
 		bound := t.WMEAt(ts.TokenLevel)
 		if bound == nil {
 			return false
 		}
-		own, other := w.GetAt(ts.OwnAttr), bound.GetAt(ts.TokenAttr)
-		if ts.Pred == nil {
-			if !own.Equal(other) {
+		if other := bound.GetAt(ts.TokenAttr); ts.Pred == nil {
+			if !own[i].Equal(other) {
 				return false
 			}
-		} else if !ts.Pred(own, other) {
+		} else if !ts.Pred(own[i], other) {
 			return false
 		}
 	}
 	return true
 }
 
+// passesLeft runs the tests over one pair of a left activation: the
+// stored WME w and the new token, whose first nBound operands are bound.
+func (n *Network) passesLeft(tests []JoinTest, bound []symtab.Value, nBound int, w *wm.WME) bool {
+	for i := range tests {
+		ts := &tests[i]
+		n.chargeTest()
+		if i == nBound {
+			return false
+		}
+		if own := w.GetAt(ts.OwnAttr); ts.Pred == nil {
+			if !own.Equal(bound[i]) {
+				return false
+			}
+		} else if !ts.Pred(own, bound[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (n *Network) chargeTest() {
+	n.charge(CostJoinTest)
+	n.totals.JoinTests++
+}
+
 func (j *joinNode) leftActivateToken(t *Token, n *Network) {
 	n.begin(j.actLabel)
 	defer n.end()
+	bound, nBound := n.boundOperands(j.tests, j.ops, t)
 	for e := j.amem.items(n).head; e != nil; e = e.next {
-		if j.passes(t, e.w, n) {
+		if n.passesLeft(j.tests, bound, nBound, e.w) {
 			j.child.leftActivatePair(t, e.w, j.level, n)
 		}
 	}
@@ -492,8 +548,9 @@ func (j *joinNode) leftActivateToken(t *Token, n *Network) {
 func (j *joinNode) rightActivate(w *wm.WME, n *Network) {
 	n.begin(j.actLabel)
 	defer n.end()
+	own := n.ownOperands(j.tests, j.ops, w)
 	for e := j.parent.items(n).head; e != nil; e = e.next {
-		if j.passes(e.t, w, n) {
+		if n.passesRight(j.tests, own, e.t) {
 			j.child.leftActivatePair(e.t, w, j.level, n)
 		}
 	}
@@ -507,6 +564,7 @@ type negativeNode struct {
 	storeT
 	amem     *alphaMem
 	tests    []JoinTest
+	ops      int // the tests' operand frame (see operands)
 	children []tokenChild
 	level    int
 	label    string
@@ -517,30 +575,28 @@ func (g *negativeNode) removeToken(t *Token, n *Network) {
 	g.items(n).unlink(t.storeEntry, n)
 }
 
-func (g *negativeNode) passes(t *Token, w *wm.WME, n *Network) bool {
-	return n.passes(g.tests, t, w)
-}
-
 // block records w as a join result blocking tok.
 func (g *negativeNode) block(tok *Token, w *wm.WME, n *Network) {
 	jr := n.newJoinResult()
 	jr.owner, jr.wme = tok, w
-	tok.pushJR(jr)
+	tok.neg.pushJR(jr)
 	n.state(w).pushJR(jr)
 }
 
 func (g *negativeNode) leftActivateToken(t *Token, n *Network) {
 	n.begin(g.actLabel)
 	tok := n.newToken(g, t, nil, g.level)
+	tok.neg = n.newNegState()
 	tok.storeEntry = g.items(n).pushBack(tok, n)
+	bound, nBound := n.boundOperands(g.tests, g.ops, tok)
 	for e := g.amem.items(n).head; e != nil; e = e.next {
-		if g.passes(tok, e.w, n) {
+		if n.passesLeft(g.tests, bound, nBound, e.w) {
 			n.charge(CostNegJoinResult)
 			g.block(tok, e.w, n)
 		}
 	}
 	n.end()
-	if tok.nJoinResults == 0 {
+	if !tok.neg.blocked() {
 		for _, c := range g.children {
 			c.leftActivateToken(tok, n)
 		}
@@ -550,28 +606,24 @@ func (g *negativeNode) leftActivateToken(t *Token, n *Network) {
 func (g *negativeNode) rightActivate(w *wm.WME, n *Network) {
 	n.begin(g.actLabel)
 	defer n.end()
+	own := n.ownOperands(g.tests, g.ops, w)
 	for e := g.items(n).head; e != nil; e = e.next {
-		g.rightPair(e.t, w, n)
-	}
-}
-
-// rightPair applies one (stored token, new WME) pair of a negative
-// node's right activation.
-func (g *negativeNode) rightPair(tok *Token, w *wm.WME, n *Network) {
-	if !g.passes(tok, w, n) {
-		return
-	}
-	n.charge(CostNegJoinResult)
-	if tok.nJoinResults == 0 {
-		// The negation just became false: retract downstream and
-		// withdraw the token from the bridge memories feeding the
-		// next join level.
-		for tok.lastChild != nil {
-			n.deleteToken(tok.lastChild)
+		tok := e.t
+		if !n.passesRight(g.tests, own, tok) {
+			continue
 		}
-		n.leaveAdapters(tok)
+		n.charge(CostNegJoinResult)
+		if !tok.neg.blocked() {
+			// The negation just became false: retract downstream and
+			// withdraw the token from the bridge memory feeding the
+			// next join level.
+			for tok.lastChild != nil {
+				n.deleteToken(tok.lastChild)
+			}
+			n.leaveBridge(tok)
+		}
+		g.block(tok, w, n)
 	}
-	g.block(tok, w, n)
 }
 
 // PNode is a production node: its tokens (held in the instance's store
@@ -642,8 +694,8 @@ type classNodes struct {
 // memories with their filters and successor lists, the beta topology
 // of join/negative/production nodes, and each class's constant-test
 // dispatch. A Template is built once (AddProduction per production),
-// then instantiated any number of times with NewNetwork; after the
-// first instantiation it is frozen and safe for concurrent
+// then instantiated any number of times with NewNetworkScratch; after
+// the first instantiation it is frozen and safe for concurrent
 // instantiation from multiple goroutines.
 type Template struct {
 	amems    map[string]*alphaMem
@@ -653,6 +705,9 @@ type Template struct {
 	dummyTop *betaMemory
 	prods    []*PNode
 	frozen   bool
+	// nOperands sizes a network's operand buffer: the most tests of any
+	// one production (see operands).
+	nOperands int
 	// byDef is byClass keyed by the definitions of the registry the
 	// template was bound to (BindClasses).
 	byDef map[*wm.ClassDef]*classNodes
@@ -697,11 +752,6 @@ func (t *Template) registerStore(s *storeT) {
 	t.nStores++
 }
 
-// NumAlphaMems returns the number of distinct alpha memories, which is
-// less than the number of condition elements when patterns share
-// signatures.
-func (t *Template) NumAlphaMems() int { return len(t.amems) }
-
 // Productions returns the compiled production nodes in addition order.
 func (t *Template) Productions() []*PNode { return t.prods }
 
@@ -718,13 +768,17 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 		return nil, fmt.Errorf("rete: production %s: first pattern may not be negated", name)
 	}
 	mem := t.dummyTop
+	ops := 0 // operand frames of the production's earlier nodes
 	for i, pat := range pats {
 		am := t.alpha(pat)
 		last := i == len(pats)-1
 		label := fmt.Sprintf("%s/%d", name, i+1)
+		at := ops
+		ops += len(pat.Tests)
+		t.nOperands = max(t.nOperands, ops)
 		if pat.Negated {
 			neg := &negativeNode{
-				amem: am, tests: pat.Tests, level: i,
+				amem: am, tests: pat.Tests, ops: at, level: i,
 				label: label, actLabel: "neg:" + label,
 			}
 			t.registerStore(&neg.storeT)
@@ -746,7 +800,7 @@ func (t *Template) AddProduction(name string, pats []Pattern, data interface{}) 
 			mem = t.negAdapter(neg)
 			continue
 		}
-		j := &joinNode{parent: mem, amem: am, tests: pat.Tests, level: i,
+		j := &joinNode{parent: mem, amem: am, tests: pat.Tests, ops: at, level: i,
 			label: label, actLabel: "join:" + label}
 		mem.children = append(mem.children, leftSucc{node: j, alpha: am.id})
 		am.successors = append(am.successors, rightSucc{node: j, store: mem.sid})
@@ -785,16 +839,17 @@ func (b *negBridge) leftActivateToken(t *Token, n *Network) {
 	m := (*betaMemory)(b)
 	// Reuse the token itself: store and fan out. The token's holder
 	// remains the negative node; the adapter tracks membership only.
-	t.adapterRefs = append(t.adapterRefs, tokenRef{mem: m, entry: m.items(n).pushBack(t, n)})
+	t.neg.bridge = tokenRef{mem: m, entry: m.items(n).pushBack(t, n)}
 	m.activateChildren(t, n)
 }
 
-// leaveAdapters withdraws a token from every bridge memory it is in.
-func (n *Network) leaveAdapters(t *Token) {
-	for _, ar := range t.adapterRefs {
-		ar.mem.items(n).unlink(ar.entry, n)
+// leaveBridge withdraws a negative node's token from its bridge memory,
+// if it is in it.
+func (n *Network) leaveBridge(t *Token) {
+	if b := &t.neg.bridge; b.entry != nil {
+		b.mem.items(n).unlink(b.entry, n)
+		*b = tokenRef{}
 	}
-	t.adapterRefs = t.adapterRefs[:0]
 }
 
 func (t *Template) alpha(pat Pattern) *alphaMem {
@@ -841,16 +896,11 @@ func (t *Template) Freeze() {
 	t.frozen = true
 }
 
-// NewNetwork instantiates the template: O(nodes) state-slot setup with
-// no recompilation. The template is frozen by the first instantiation;
-// concurrent NewNetwork calls on a frozen template are safe.
-func (t *Template) NewNetwork(agenda Agenda) *Network {
-	return t.NewNetworkScratch(agenda, nil)
-}
-
-// NewNetworkScratch is NewNetwork borrowing the instance's match state
-// from a worker's Scratch until Settle (see scratch.go). With s nil the
-// instance owns its memory, exactly like NewNetwork.
+// NewNetworkScratch instantiates the template: O(nodes) state-slot
+// setup with no recompilation. The instance borrows its match state
+// from a worker's Scratch until Settle (see scratch.go); with s nil it
+// owns its memory. The template is frozen by the first instantiation;
+// concurrent calls on a frozen template are safe.
 func (t *Template) NewNetworkScratch(agenda Agenda, s *Scratch) *Network {
 	t.Freeze()
 	n := &Network{
@@ -875,22 +925,13 @@ func (n *Network) instantiate() {
 		n.alphaItems = make([]wmeList, len(t.alphas))
 		n.storeItems = make([]tokenList, t.nStores)
 	}
+	if cap(n.operands) < t.nOperands {
+		n.operands = make([]symtab.Value, t.nOperands)
+	}
+	n.operands = n.operands[:t.nOperands]
 	n.dummyTok = n.allocToken()
 	n.dummyTok.level, n.dummyTok.node = -1, t.dummyTop
 	n.dummyTok.storeEntry = t.dummyTop.items(n).pushBack(n.dummyTok, n)
-}
-
-// syncState grows the instance's state arrays to the template's node
-// counts. Owned networks (New) call it after each AddProduction, before
-// any WME exists.
-func (n *Network) syncState() {
-	t := n.tmpl
-	for len(n.alphaItems) < len(t.alphas) {
-		n.alphaItems = append(n.alphaItems, wmeList{})
-	}
-	for len(n.storeItems) < t.nStores {
-		n.storeItems = append(n.storeItems, tokenList{})
-	}
 }
 
 // Network is one Rete network instance over a compiled template:
@@ -902,18 +943,18 @@ func (n *Network) syncState() {
 type Network struct {
 	tmpl   *Template
 	agenda Agenda
-	// owned marks a network built by New, which owns a private mutable
-	// template (the pre-split API: AddProduction directly on the
-	// network). Template-instantiated networks reject AddProduction.
-	owned bool
 
 	alphaItems []wmeList
 	storeItems []tokenList
-	dummyTok   *Token
-	totals     Counters
-	batch      []*Activation
-	stack      []*Activation
-	capturing  bool
+	// operands holds the operand frames of the nodes' activations (see
+	// operands), Template.nOperands long; a borrowing instance reuses
+	// its arena's.
+	operands  []symtab.Value
+	dummyTok  *Token
+	totals    Counters
+	batch     []*Activation
+	stack     []*Activation
+	capturing bool
 
 	// states[t] is the match state of the WME with timetag t, nil until
 	// an alpha memory accepts it and again once it is removed. A network
@@ -942,66 +983,26 @@ type Network struct {
 	// untouched, so the simulated cost model stays byte-identical. The
 	// create/delete sequence is already proven identical between the
 	// dispatched and swept matchers, so the peaks are too.
-	liveTokens int
-	peakTokens int
+	liveTokens, peakTokens int32
 }
 
-// TokenBytes is the modeled footprint of one beta-memory token, in
-// simulated bytes — a round model constant like the NS32332 instruction
-// costs, sized for the token record plus its intrusive list links.
+// TokenBytes is the memory model's footprint of one beta-memory token,
+// in simulated bytes: a round constant of the simulated machine, like
+// the NS32332 instruction costs, and not the size of this package's
+// Token record, which may change without changing a simulated figure.
 const TokenBytes = 96
-
-// New builds an empty network with its own private template, reporting
-// to the given agenda. Productions are added directly with
-// Network.AddProduction; use NewTemplate + Template.NewNetwork to
-// compile once and instantiate many times.
-func New(agenda Agenda) *Network {
-	t := NewTemplate()
-	n := &Network{
-		tmpl:   t,
-		agenda: agenda,
-		owned:  true,
-	}
-	n.instantiate()
-	return n
-}
-
-// Template returns the compiled template this network instantiates.
-// Engines built from one shared template return the same pointer.
-func (n *Network) Template() *Template { return n.tmpl }
 
 // Totals returns the aggregate match counters.
 func (n *Network) Totals() Counters { return n.totals }
 
 // PeakTokens returns the high-water mark of simultaneously-live beta
 // tokens (the dummy top token included).
-func (n *Network) PeakTokens() int { return n.peakTokens }
-
-// NumAlphaMems returns the number of distinct alpha memories, which is
-// less than the number of condition elements when patterns share
-// signatures.
-func (n *Network) NumAlphaMems() int { return n.tmpl.NumAlphaMems() }
+func (n *Network) PeakTokens() int { return int(n.peakTokens) }
 
 // SetCapture enables or disables per-activation tree capture. With
 // capture off only the aggregate counters are maintained, which keeps
 // long runs (hundreds of thousands of firings) cheap.
 func (n *Network) SetCapture(on bool) { n.capturing = on }
-
-// AddProduction compiles a production into the network's private
-// template. All productions must be added before the first WME is
-// asserted; networks instantiated from a shared Template reject
-// AddProduction (the template is compiled once, elsewhere).
-func (n *Network) AddProduction(name string, pats []Pattern, data interface{}) (*PNode, error) {
-	if !n.owned {
-		return nil, fmt.Errorf("rete: AddProduction(%s) on a template-instantiated network", name)
-	}
-	p, err := n.tmpl.AddProduction(name, pats, data)
-	if err != nil {
-		return nil, err
-	}
-	n.syncState()
-	return p, nil
-}
 
 // StartBatch clears the pending activation forest; the activations
 // produced by subsequent Add/Remove calls accumulate until TakeBatch.
@@ -1013,7 +1014,11 @@ func (n *Network) StartBatch() {
 	n.batch = n.batch[:0]
 	n.stack = n.stack[:0]
 	for _, tok := range n.graveyard {
-		tok.reset()
+		if g := tok.neg; g != nil && n.arena != nil {
+			*g = negState{}
+			n.arena.negPool = append(n.arena.negPool, g)
+		}
+		*tok = Token{}
 		n.tokenPool = append(n.tokenPool, tok)
 	}
 	n.graveyard = n.graveyard[:0]
@@ -1111,6 +1116,21 @@ func (n *Network) allocToken() *Token {
 	return &Token{}
 }
 
+// newNegState returns a zeroed negative-node state: from the borrowed
+// arena's free list or slab, or for an owning instance from the heap.
+func (n *Network) newNegState() *negState {
+	a := n.arena
+	if a == nil {
+		return &negState{}
+	}
+	if k := len(a.negPool); k > 0 {
+		g := a.negPool[k-1]
+		a.negPool = a.negPool[:k-1]
+		return g
+	}
+	return a.negStates.take()
+}
+
 func (n *Network) newJoinResult() *negJoinResult {
 	if a := n.arena; a != nil {
 		return a.joinResults.take()
@@ -1128,7 +1148,7 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 	tok := n.allocToken()
 	tok.parent = parent
 	tok.W = w
-	tok.level = level
+	tok.level = int32(level)
 	tok.node = holder
 	if parent != nil {
 		parent.appendChild(tok)
@@ -1156,9 +1176,6 @@ func (n *Network) newToken(holder tokenHolder, parent *Token, w *wm.WME, level i
 // a non-candidate's exactly as its failing filter would have left it;
 // otherwise the whole charge is one step.
 func (n *Network) Add(w *wm.WME) {
-	if !n.tmpl.frozen {
-		n.tmpl.Freeze() // an owned network's template, at its first WME
-	}
 	cn := n.tmpl.nodesOf(w.Class)
 	if cn == nil {
 		return
@@ -1248,14 +1265,12 @@ func (n *Network) Remove(w *wm.WME) {
 	// so walking the intrusive list is safe.
 	for jr := st.jrHead; jr != nil; jr = jr.wmeNext {
 		owner := jr.owner
-		owner.unlinkJR(jr)
+		owner.neg.unlinkJR(jr)
 		n.begin(labels.negUnblock)
 		n.charge(CostNegJoinResult)
-		if owner.nJoinResults == 0 {
-			if g, ok := owner.node.(*negativeNode); ok {
-				for _, c := range g.children {
-					c.leftActivateToken(owner, n)
-				}
+		if !owner.neg.blocked() {
+			for _, c := range owner.node.(*negativeNode).children {
+				c.leftActivateToken(owner, n)
 			}
 		}
 		n.end()
@@ -1275,21 +1290,21 @@ func (n *Network) deleteToken(tok *Token) {
 		n.agenda.Deactivate(p, tok)
 	}
 	tok.node.removeToken(tok, n)
-	n.leaveAdapters(tok)
 	if tok.W != nil {
 		if st := n.lookup(tok.W); st != nil {
 			st.unlinkToken(tok)
 		}
 	}
-	if _, ok := tok.node.(*negativeNode); ok {
-		for jr := tok.jrHead; jr != nil; {
+	if g := tok.neg; g != nil {
+		n.leaveBridge(tok)
+		for jr := g.jrHead; jr != nil; {
 			next := jr.ownerNext
 			if st := n.lookup(jr.wme); st != nil {
 				st.unlinkJR(jr)
 			}
 			jr = next
 		}
-		tok.jrHead, tok.jrTail, tok.nJoinResults = nil, nil, 0
+		g.jrHead, g.jrTail = nil, nil
 	}
 	if tok.parent != nil {
 		tok.parent.removeChild(tok)

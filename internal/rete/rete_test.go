@@ -1,8 +1,10 @@
 package rete
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"spampsm/internal/symtab"
 	"spampsm/internal/wm"
@@ -38,10 +40,53 @@ func classEq(attr int, v symtab.Value) func(*wm.WME) bool {
 
 func eqPred(a, b symtab.Value) bool { return a.Equal(b) }
 
+// testNet builds a network the one way an engine does — productions
+// compiled into a Template, then an instance that owns its memory,
+// NewNetworkScratch(agenda, nil) — for tests that add productions as
+// they go: the instance is made, and the template frozen, by the first
+// call that needs a network.
+type testNet struct {
+	tmpl    *Template
+	agenda  Agenda
+	capture bool
+	net     *Network
+}
+
+func newTestNet(agenda Agenda) *testNet { return &testNet{tmpl: NewTemplate(), agenda: agenda} }
+
+// wrapNet is a testNet over an instance built elsewhere.
+func wrapNet(n *Network) *testNet { return &testNet{tmpl: n.tmpl, net: n} }
+
+func (tn *testNet) AddProduction(name string, pats []Pattern, data any) (*PNode, error) {
+	return tn.tmpl.AddProduction(name, pats, data)
+}
+
+// Network returns the instance, making it on first use.
+func (tn *testNet) Network() *Network {
+	if tn.net == nil {
+		tn.net = tn.tmpl.NewNetworkScratch(tn.agenda, nil)
+		tn.net.SetCapture(tn.capture)
+	}
+	return tn.net
+}
+
+func (tn *testNet) SetCapture(on bool) {
+	if tn.capture = on; tn.net != nil {
+		tn.net.SetCapture(on)
+	}
+}
+
+func (tn *testNet) NumAlphaMems() int        { return len(tn.tmpl.amems) }
+func (tn *testNet) Add(w *wm.WME)            { tn.Network().Add(w) }
+func (tn *testNet) Remove(w *wm.WME)         { tn.Network().Remove(w) }
+func (tn *testNet) StartBatch()              { tn.Network().StartBatch() }
+func (tn *testNet) TakeBatch() []*Activation { return tn.Network().TakeBatch() }
+func (tn *testNet) Totals() Counters         { return tn.Network().Totals() }
+
 type fixture struct {
 	classes *wm.Classes
 	mem     *wm.Memory
-	net     *Network
+	net     *testNet
 	rec     *recorder
 }
 
@@ -55,7 +100,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	rec := newRecorder()
-	return &fixture{classes: cs, mem: wm.NewMemory(cs), net: New(rec), rec: rec}
+	return &fixture{classes: cs, mem: wm.NewMemory(cs), net: newTestNet(rec), rec: rec}
 }
 
 func (f *fixture) add(t *testing.T, class string, sets map[string]symtab.Value) *wm.WME {
@@ -327,7 +372,7 @@ retract: retract:block(320);retract-tok:block(1200);
 		t.Fatal(err)
 	}
 	borrowed := newFixture(t)
-	borrowed.net = tmpl.NewNetworkScratch(borrowed.rec, &Scratch{})
+	borrowed.net = wrapNet(tmpl.NewNetworkScratch(borrowed.rec, &Scratch{}))
 	for name, f := range map[string]*fixture{"owned": owned, "borrowed": borrowed} {
 		f.net.SetCapture(true)
 		var sb strings.Builder
@@ -369,7 +414,7 @@ func TestCaptureOffActivationAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFixture(t)
-	f.net = tmpl.NewNetworkScratch(f.rec, &Scratch{})
+	f.net = wrapNet(tmpl.NewNetworkScratch(f.rec, &Scratch{}))
 	w, err := f.mem.Make("block", map[string]symtab.Value{"id": symtab.Int(1), "color": symtab.Sym("red")})
 	if err != nil {
 		t.Fatal(err)
@@ -485,5 +530,49 @@ func TestNegationReblocking(t *testing.T) {
 	f.remove(t, b2)
 	if f.rec.count(p) != 1 {
 		t.Fatal("all blockers gone; negation true again")
+	}
+}
+
+// TestJoinTestOnNegatedLevel: a join test that names a negated level
+// binds no WME, so it fails every pair it is reached on — after a test
+// that passes, or first — and is charged like any test it makes, on
+// left and right activations alike. The counters are the ones the
+// matcher that read each pair's operands afresh reported.
+func TestJoinTestOnNegatedLevel(t *testing.T) {
+	f := newFixture(t)
+	// (goal ^want <c>) -(block ^on table) (block ^color <c>), the third
+	// CE's tests naming the negated level 1: once after a passing test,
+	// once first.
+	for i, tests := range [][]JoinTest{
+		{{OwnAttr: 1, TokenLevel: 0, TokenAttr: 0}, {OwnAttr: 0, TokenLevel: 1, TokenAttr: 0}},
+		{{OwnAttr: 0, TokenLevel: 1, TokenAttr: 0}, {OwnAttr: 1, TokenLevel: 0, TokenAttr: 0}},
+	} {
+		if _, err := f.net.AddProduction(fmt.Sprintf("p%d", i), []Pattern{
+			{Class: "goal", Signature: "goal*"},
+			{Negated: true, Class: "block", Signature: "block^on=table",
+				Filter: classEq(2, symtab.Sym("table")), FilterCost: CostAlphaFilterTerm},
+			{Class: "block", Signature: "block*", Tests: tests},
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(1), "color": symtab.Sym("red")})
+	f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(2), "color": symtab.Sym("blue")})
+	g := f.add(t, "goal", map[string]symtab.Value{"want": symtab.Sym("red")})
+	f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(3), "color": symtab.Sym("red")})
+	f.remove(t, f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(4), "color": symtab.Sym("red"), "on": symtab.Sym("table")}))
+	f.add(t, "block", map[string]symtab.Value{"id": symtab.Int(5), "color": symtab.Sym("green")})
+	f.remove(t, g)
+	want := Counters{ConstTests: 11, JoinTests: 18, TokensCreated: 4, TokensDeleted: 4, Activations: 37, Cost: 10360}
+	if got := f.net.Totals(); got != want || f.rec.adds != 0 || f.net.Network().PeakTokens() != 4 {
+		t.Errorf("counters %+v, %d activations, peak %d tokens; want %+v, 0, 4", got, f.rec.adds, f.net.Network().PeakTokens(), want)
+	}
+}
+
+// TestTokenSize pins the token record the arena draws 766k of a round:
+// a negative node's state lives in its own record, not in every token.
+func TestTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got > 104 {
+		t.Errorf("unsafe.Sizeof(Token{}) = %d, want at most 104", got)
 	}
 }

@@ -47,17 +47,17 @@ const (
 	// loans span a round's phases and still shed a one-off peak within
 	// 256 tasks. They do not make the arena allocation-free in steady
 	// state: over internal/core's BenchmarkInterpretRound (profiled
-	// exactly, -memprofilerate 1) the token slab allocates 15.96 MB in a
+	// exactly, -memprofilerate 1) the token slab allocated 15.96 MB in a
 	// 10-round run and 59.48 MB in a 40-round one, 1.45 MB a round that
 	// recurs after warm-up, and the negJoinResult slab 0.35 MB a round
-	// (go1.24, linux/amd64; `make alloc-profile` prints both runs,
-	// sampled).
+	// (go1.24, linux/amd64, 144-byte tokens; `make alloc-profile` prints
+	// both runs, sampled).
 	TrimWindow = 256
 )
 
 // slab is a bump allocator over geometrically growing chunks of T.
-// Objects are handed out zeroed (or, for tokens, reset) and are only
-// ever returned wholesale, by rewind.
+// Objects are handed out zeroed and are only ever returned wholesale,
+// by rewind.
 type slab[T any] struct {
 	chunks [][]T
 	cur    int // chunk being drawn from
@@ -65,8 +65,6 @@ type slab[T any] struct {
 	// idle counts the consecutive loans that left the top chunk
 	// unreached; reach is the furthest chunk count any of them drew from.
 	idle, reach int
-	// wipe readies a span of returned objects for reuse; nil clears it.
-	wipe func([]T)
 }
 
 // take returns one object.
@@ -92,18 +90,14 @@ func (s *slab[T]) takeN(n int) []T {
 }
 
 // rewind takes back every object drawn since the last rewind — each
-// touched span is wiped — and returns the cursor to the start.
+// touched span is cleared — and returns the cursor to the start.
 func (s *slab[T]) rewind() {
 	for i := 0; i <= s.cur && i < len(s.chunks); i++ {
 		c := s.chunks[i]
 		if i == s.cur {
 			c = c[:s.used]
 		}
-		if s.wipe != nil {
-			s.wipe(c)
-		} else {
-			clear(c)
-		}
+		clear(c)
 	}
 	if r := s.cur + 1; r >= len(s.chunks) {
 		s.idle, s.reach = 0, 0
@@ -136,19 +130,12 @@ func (s *slab[T]) size() (chunks int, bytes int64) {
 	return len(s.chunks), bytes
 }
 
-// resetTokens is the token slab's wipe: reset one by one, so recycled
-// tokens keep their slice capacity.
-func resetTokens(span []Token) {
-	for i := range span {
-		span[i].reset()
-	}
-}
-
 // Scratch is one worker's match arena (see the file comment). It is
 // single-owner: not safe for concurrent use, lent to one network at a
 // time.
 type Scratch struct {
 	tokens       slab[Token]
+	negStates    slab[negState]
 	tokenEntries slab[tokenEntry]
 	wmeEntries   slab[wmeEntry]
 	wmeStates    slab[wmeState]
@@ -163,15 +150,18 @@ type Scratch struct {
 	vals slab[symtab.Value]
 
 	// Backing arrays of the borrower's free lists, so recycling within
-	// a task does not regrow them per engine.
+	// a task does not regrow them per engine; the borrower uses negPool,
+	// its negative-node states' free list, in place.
 	tokenPool      []*Token
 	graveyard      []*Token
+	negPool        []*negState
 	wmeEntryPool   []*wmeEntry
 	tokenEntryPool []*tokenEntry
-	// Backing arrays of the borrower's per-WME state table and of its
-	// working memory's tag table, all nil between loans.
-	states []*wmeState
-	tags   []*wm.WME
+	// Backing arrays of the borrower's per-WME state table, of its
+	// working memory's tag table and of its operand buffer.
+	states   []*wmeState
+	tags     []*wm.WME
+	operands []symtab.Value
 
 	// agenda is the engine layer's agenda, emptied and parked between
 	// loans for the next borrower (KeepAgenda); rete never reads it.
@@ -195,8 +185,7 @@ func (s *Scratch) TakeAgenda() Agenda {
 }
 
 // Arena reports what the scratch currently holds for reuse: the number
-// of slab chunks and their total bytes (slice capacity that recycled
-// tokens carry is not counted). With a borrower outstanding this
+// of slab chunks and their total bytes. With a borrower outstanding this
 // includes what the borrower has drawn.
 func (s *Scratch) Arena() (slabs int, bytes int64) {
 	for _, sl := range s.slabs() {
@@ -215,8 +204,8 @@ type anySlab interface {
 
 // slabs lists the arena's slabs for the operations that treat them
 // alike.
-func (s *Scratch) slabs() [10]anySlab {
-	return [...]anySlab{&s.tokens, &s.tokenEntries, &s.wmeEntries, &s.wmeStates, &s.alphaRefs,
+func (s *Scratch) slabs() [11]anySlab {
+	return [...]anySlab{&s.tokens, &s.negStates, &s.tokenEntries, &s.wmeEntries, &s.wmeStates, &s.alphaRefs,
 		&s.joinResults, &s.alphaItems, &s.storeItems, &s.wmes, &s.vals}
 }
 
@@ -241,7 +230,7 @@ func (s *Scratch) Trim() {
 	if dropped {
 		// The free lists' backing arrays may still point, beyond their
 		// length, into dropped chunks; let them go too.
-		s.tokenPool, s.graveyard, s.wmeEntryPool, s.tokenEntryPool = nil, nil, nil, nil
+		s.tokenPool, s.graveyard, s.negPool, s.wmeEntryPool, s.tokenEntryPool = nil, nil, nil, nil, nil
 		// The state and tag tables are as long as the largest task's tag
 		// count, and the parked agenda as large as its conflict set; they
 		// go with the chunks that task grew.
@@ -258,11 +247,11 @@ func (s *Scratch) lend(n *Network) {
 		*s = Scratch{}
 	}
 	s.borrower = n
-	s.tokens.wipe = resetTokens
 	n.arena = s
 	n.tokenPool, n.graveyard = s.tokenPool[:0], s.graveyard[:0]
 	n.wmeEntryPool, n.tokenEntryPool = s.wmeEntryPool[:0], s.tokenEntryPool[:0]
 	n.states = s.states[:0]
+	n.operands = s.operands[:0]
 }
 
 // NewMemory returns the working memory whose WMEs the network will
@@ -317,16 +306,18 @@ func (n *Network) Settle() *Scratch {
 		sl.rewind()
 	}
 	s.tokenPool, s.graveyard = n.tokenPool[:0], n.graveyard[:0]
+	s.negPool = s.negPool[:0]
 	s.wmeEntryPool, s.tokenEntryPool = n.wmeEntryPool[:0], n.tokenEntryPool[:0]
 	clear(n.states)
 	s.states = n.states[:0]
+	s.operands = n.operands[:0]
 	if n.mem != nil {
 		s.tags = n.mem.Release()
 	}
 	s.borrower = nil
 	n.arena = nil
 	n.agenda = nil
-	n.alphaItems, n.storeItems, n.states, n.dummyTok = nil, nil, nil, nil
+	n.alphaItems, n.storeItems, n.operands, n.states, n.dummyTok = nil, nil, nil, nil, nil
 	n.tokenPool, n.graveyard, n.wmeEntryPool, n.tokenEntryPool = nil, nil, nil, nil
 	n.batch, n.stack = nil, nil
 	return s

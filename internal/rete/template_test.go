@@ -10,8 +10,8 @@ import (
 // The template/instance differential oracle: networks instantiated
 // from a shared compiled Template must be byte-identical — conflict-set
 // event sequences, simulated Counters after every step, captured
-// activation forests — to networks compiled freshly with New +
-// AddProduction, with constant-test dispatch on and off. O(nodes)
+// activation forests — to networks compiled freshly (newTestNet +
+// AddProduction), with constant-test dispatch on and off. O(nodes)
 // instantiation changes construction cost, never match behavior.
 
 func TestTemplateDifferentialVsFreshCompile(t *testing.T) {
@@ -25,7 +25,7 @@ func TestTemplateDifferentialVsFreshCompile(t *testing.T) {
 			// perturb shared state read by the second).
 			for i := 0; i < 2; i++ {
 				rec := &seqRecorder{}
-				inst := s.replayOn(t, tmpl.NewNetwork(rec), rec)
+				inst := s.replayOn(t, tmpl.NewNetworkScratch(rec, nil), rec)
 				diffRunsEqual(t, seed, fresh, inst, "fresh", "template-instance")
 			}
 		}
@@ -40,12 +40,12 @@ func TestTemplateInstanceIsolation(t *testing.T) {
 	s := genScript(7)
 	tmpl := s.template(t, true)
 	recIdle := &seqRecorder{}
-	idle := tmpl.NewNetwork(recIdle)
+	idle := tmpl.NewNetworkScratch(recIdle, nil)
 
 	recA := &seqRecorder{}
-	runA := s.replayOn(t, tmpl.NewNetwork(recA), recA)
+	runA := s.replayOn(t, tmpl.NewNetworkScratch(recA, nil), recA)
 	recB := &seqRecorder{}
-	runB := s.replayOn(t, tmpl.NewNetwork(recB), recB)
+	runB := s.replayOn(t, tmpl.NewNetworkScratch(recB, nil), recB)
 	diffRunsEqual(t, 7, runA, runB, "instanceA", "instanceB")
 
 	if got := idle.Totals(); got != (Counters{}) {
@@ -64,7 +64,7 @@ func TestTemplateConcurrentInstantiation(t *testing.T) {
 	fresh := s.replay(t, true)
 	tmpl := s.template(t, true)
 	// Freeze before fanning out, as CompiledProgram does.
-	tmpl.NewNetwork(&seqRecorder{})
+	tmpl.NewNetworkScratch(&seqRecorder{}, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -73,7 +73,7 @@ func TestTemplateConcurrentInstantiation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := &seqRecorder{}
-			run := s.replayOn(t, tmpl.NewNetwork(rec), rec)
+			run := s.replayOn(t, tmpl.NewNetworkScratch(rec, nil), rec)
 			if len(run.events) != len(fresh.events) || run.forests != fresh.forests {
 				errs <- "concurrent instance diverged from fresh compile"
 			}
@@ -87,17 +87,13 @@ func TestTemplateConcurrentInstantiation(t *testing.T) {
 }
 
 // TestTemplateFreeze pins the compile-once contract: no production may
-// be added after the first instantiation, and template-instantiated
-// networks reject AddProduction outright.
+// be added after the first instantiation.
 func TestTemplateFreeze(t *testing.T) {
 	s := genScript(3)
 	tmpl := s.template(t, true)
-	net := tmpl.NewNetwork(&seqRecorder{})
+	tmpl.NewNetworkScratch(&seqRecorder{}, nil)
 	if _, err := tmpl.AddProduction("late", s.prods[0], nil); err == nil {
 		t.Fatal("AddProduction on a frozen template must fail")
-	}
-	if _, err := net.AddProduction("late", s.prods[0], nil); err == nil {
-		t.Fatal("AddProduction on a template-instantiated network must fail")
 	}
 }
 
@@ -168,7 +164,7 @@ func TestScratchUnsettledBorrowerKeepsItsArena(t *testing.T) {
 func TestNetworkWithoutScratchDrawsNoSlabs(t *testing.T) {
 	s := genScript(5)
 	rec := &seqRecorder{}
-	net := s.template(t, true).NewNetwork(rec)
+	net := s.template(t, true).NewNetworkScratch(rec, nil)
 	s.replayOn(t, net, rec)
 	if net.arena != nil || net.Settle() != nil {
 		t.Fatal("a network built without a scratch must not borrow or settle")

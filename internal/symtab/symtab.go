@@ -159,7 +159,21 @@ func (v Value) FloatVal() float64 {
 // one id), numbers equal numerically across integer/float
 // representations — also between two integers, so two beyond 2^53 with
 // one float64 image are Equal whatever their bits.
+//
+// Two symbols or two nils answer by their bits, and so do two integers
+// within ±2^53, where float64 is exact; floats, mixed kinds and larger
+// integers take the numeric path.
 func (v Value) Equal(w Value) bool {
+	if v.kind == w.kind {
+		switch v.kind {
+		case KindSym, KindNil:
+			return v.bits == w.bits
+		case KindInt:
+			if v.bits+1<<53 <= 1<<54 && w.bits+1<<53 <= 1<<54 {
+				return v.bits == w.bits
+			}
+		}
+	}
 	switch {
 	case v.kind == KindSym || w.kind == KindSym:
 		return v == w

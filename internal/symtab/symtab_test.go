@@ -373,6 +373,31 @@ func TestReprAgreesWithReference(t *testing.T) {
 	}
 }
 
+// TestEqualEdgeTable holds Equal's shortcuts — symbols and nils by
+// their bits, two integers within ±2^53 by theirs — to the four-case
+// reference on every ordered pair of the values at their edges.
+func TestEqualEdgeTable(t *testing.T) {
+	ints := []int64{0, 1, 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 1, -(1<<53 + 1),
+		math.MaxInt64, math.MinInt64}
+	floats := []float64{math.Copysign(0, -1), 1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	vals := []valuePair{{Nil, refValue{}},
+		{Sym("runway"), refValue{kind: KindSym, sym: "runway"}},
+		{Sym("taxiway"), refValue{kind: KindSym, sym: "taxiway"}}}
+	for _, i := range ints {
+		vals = append(vals, valuePair{Int(i), refValue{kind: KindInt, num: i}})
+	}
+	for _, f := range floats {
+		vals = append(vals, valuePair{Float(f), refValue{kind: KindFloat, flt: f}})
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.v.Equal(b.v), a.ref.equal(b.ref); got != want {
+				t.Errorf("%v.Equal(%v) = %v, want %v", a.v, b.v, got, want)
+			}
+		}
+	}
+}
+
 // TestReprShape: a Value is two words and holds nothing the collector
 // must scan.
 func TestReprShape(t *testing.T) {

@@ -3,7 +3,11 @@
 // out into a git worktree under .bench_build/, then runs
 // `bash benchmark/run.sh -workload W -seconds S` on base and change in
 // turn — the order alternating from pair to pair, so drift in the host
-// falls on both — for N pairs per workload. For every end-to-end metric
+// falls on both — for N pairs per workload. Pair i builds both sides
+// with the linker's code layout seed i+1 (GOFLAGS=-ldflags=-randlayout=
+// i+1 in run.sh's environment; a cluster worker is the same binary), so
+// a bias that one function layout gives one side becomes a spread both
+// sides sample alike. For every end-to-end metric
 // of BENCHMARK.json it prints both medians, the change between them,
 // the metric's bound and how many pairs the change won. A metric gates
 // where the base's runs resolve its bound — their inter-quartile
@@ -157,7 +161,7 @@ func run(base string, pairs, seconds int, workloads string) error {
 		return err
 	}
 
-	fmt.Printf("radar: base %s vs the working tree, %d pairs × %d s per workload\n", base, pairs, seconds)
+	fmt.Printf("radar: base %s vs the working tree, %d pairs × %d s per workload, pair i on layout seed i\n", base, pairs, seconds)
 	var rows []row
 	var allBases, allChanges []result
 	for _, w := range names {
@@ -168,7 +172,7 @@ func run(base string, pairs, seconds int, workloads string) error {
 				order[0], order[1] = order[1], order[0]
 			}
 			for _, checkout := range order {
-				r, err := bench(checkout, w, seconds)
+				r, err := bench(checkout, w, seconds, layoutEnv(os.Environ(), i+1))
 				if err != nil {
 					return err
 				}
@@ -195,10 +199,29 @@ func run(base string, pairs, seconds int, workloads string) error {
 	return nil
 }
 
-// bench runs one workload in a checkout and returns its result line.
-func bench(checkout, workload string, seconds int) (result, error) {
+// layoutEnv returns env with the linker's code layout seed added to
+// GOFLAGS, after whatever GOFLAGS env already holds.
+func layoutEnv(env []string, seed int) []string {
+	flags := fmt.Sprintf("-ldflags=-randlayout=%d", seed)
+	out := make([]string, 0, len(env)+1)
+	for _, kv := range env {
+		if v, ok := strings.CutPrefix(kv, "GOFLAGS="); ok {
+			if v = strings.TrimSpace(v); v != "" {
+				flags = v + " " + flags
+			}
+			continue
+		}
+		out = append(out, kv)
+	}
+	return append(out, "GOFLAGS="+flags)
+}
+
+// bench runs one workload in a checkout, built and run in env, and
+// returns its result line.
+func bench(checkout, workload string, seconds int, env []string) (result, error) {
 	cmd := exec.Command("bash", "benchmark/run.sh", "-workload", workload, "-seconds", fmt.Sprint(seconds))
 	cmd.Dir = checkout
+	cmd.Env = env
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")

@@ -97,3 +97,16 @@ func TestFailures(t *testing.T) {
 		t.Errorf("broken change: %q, %v", line, err)
 	}
 }
+
+// TestLayoutEnv: a pair's seed lands in GOFLAGS, once, after the flags
+// the environment already sets.
+func TestLayoutEnv(t *testing.T) {
+	got := layoutEnv([]string{"HOME=/h", "GOFLAGS=-mod=mod", "PATH=/bin"}, 3)
+	want := []string{"HOME=/h", "PATH=/bin", "GOFLAGS=-mod=mod -ldflags=-randlayout=3"}
+	if !slices.Equal(got, want) {
+		t.Errorf("layoutEnv = %q, want %q", got, want)
+	}
+	if got := layoutEnv([]string{"HOME=/h"}, 1); !slices.Equal(got, []string{"HOME=/h", "GOFLAGS=-ldflags=-randlayout=1"}) {
+		t.Errorf("layoutEnv without GOFLAGS = %q", got)
+	}
+}
